@@ -12,7 +12,8 @@
 //	spatialjoind -planner-calibration calibration.json
 //
 // Samples that cannot train a fit are skipped and tallied: cache hits
-// (replayed measurements), samples without a term decomposition (explicit
+// (replayed measurements), partition hits (the measured cost has no build,
+// the terms price one), samples without a term decomposition (explicit
 // requests before this log format, or unpriced joins), and non-positive
 // measured costs. Candidates listed in a sample's "excluded" map never have
 // terms recorded, so they are ignored by construction. The process exits
@@ -58,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("%s: %v", *in, err)
 	}
-	log.Printf("%d usable samples (%d skipped: cache hits, missing terms, unusable measurements)",
+	log.Printf("%d usable samples (%d skipped: cache and partition hits, missing terms, unusable measurements)",
 		len(samples), skipped)
 
 	calib, err := planner.Fit(samples)
@@ -117,7 +118,7 @@ func readSamples(r io.Reader) ([]planner.FitSample, int, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ps); err != nil {
 			return nil, 0, fmt.Errorf("line %d: %w", line, err)
 		}
-		if ps.CacheHit || len(ps.Terms) == 0 || ps.MeasuredMS <= 0 {
+		if ps.CacheHit || ps.PartitionHit || len(ps.Terms) == 0 || ps.MeasuredMS <= 0 {
 			skipped++
 			continue
 		}

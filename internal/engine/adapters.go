@@ -372,25 +372,39 @@ func (gridEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Optio
 // per stripe with a forward-scan sweep, mini-join decomposition keeping
 // every pair exactly once with no dedup pass (internal/engine/inmem). Pure
 // CPU — no paged index, no modeled I/O — and the only engine besides
-// transformers that honors Options.Parallelism.
+// transformers that honors Options.Parallelism. A catalog-resident partition
+// passed as Options.Prebuilt.Partition skips the copy and partition phase:
+// only the kernel runs, and BuildWall stays zero.
 type inmemEngine struct{}
 
-func (inmemEngine) Name() string               { return InMem }
-func (inmemEngine) Capabilities() Capabilities { return Capabilities{Parallel: true, InMemory: true} }
+func (inmemEngine) Name() string { return InMem }
+
+func (inmemEngine) Capabilities() Capabilities {
+	return Capabilities{Parallel: true, InMemory: true, PrebuiltIndexes: true}
+}
 
 func (e inmemEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
 	return CollectStream(ctx, e, a, b, opt)
 }
 
 func (inmemEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	a, b, opt, err := prepare(ctx, a, b, opt)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{Engine: InMem}
-	start := time.Now()
-	p := inmem.Partition(a, b, inmem.Config{})
-	res.Stats.BuildWall = time.Since(start)
+	var p *inmem.Partitioned
+	if opt.Prebuilt != nil && opt.Prebuilt.Partition != nil {
+		p = opt.Prebuilt.Partition
+		if opt.Disk == (storage.DiskModel{}) {
+			opt.Disk = storage.DefaultDiskModel()
+		}
+	} else {
+		var err error
+		a, b, opt, err = prepare(ctx, a, b, opt)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		p = inmem.Partition(a, b, inmem.Config{})
+		res.Stats.BuildWall = time.Since(start)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

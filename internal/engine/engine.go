@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine/inmem"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -72,17 +73,22 @@ type Options struct {
 	// statistics (planner.ShardTiles). Other engines ignore it.
 	ShardTiles int
 
-	// Prebuilt supplies already-built TRANSFORMERS indexes (the serving
-	// catalog reuses them across joins); only the transformers engine
-	// honors it, and it then ignores the raw element inputs entirely.
+	// Prebuilt supplies what the serving catalog built once and reuses
+	// across joins: TRANSFORMERS indexes for the transformers engine, a
+	// stripe partition for the inmem engine. Engines whose Capabilities
+	// report PrebuiltIndexes honor the field they understand and then ignore
+	// the raw element inputs entirely.
 	Prebuilt *Prebuilt
 }
 
-// Prebuilt carries catalog-owned TRANSFORMERS indexes into a join so the
-// engine skips its build phase. Distance expansion must already be applied
-// to the indexes (the catalog keys variants by expansion).
+// Prebuilt carries catalog-owned structures into a join so the engine skips
+// its build phase. Distance expansion must already be applied to them (the
+// catalog keys variants by expansion), so Options.Distance must be zero.
 type Prebuilt struct {
+	// A, B are the built TRANSFORMERS indexes of the two inputs.
 	A, B *core.Index
+	// Partition is the stripe partition of the input pair (inmem engine).
+	Partition *inmem.Partitioned
 }
 
 // Capabilities describes what an engine can do; the planner and the serving
@@ -99,8 +105,8 @@ type Capabilities struct {
 	// Reference: trivially correct but asymptotically unserious; the
 	// planner only considers it for tiny inputs.
 	Reference bool
-	// PrebuiltIndexes: the engine can reuse catalog indexes passed via
-	// Options.Prebuilt.
+	// PrebuiltIndexes: the engine can reuse catalog-built structures passed
+	// via Options.Prebuilt.
 	PrebuiltIndexes bool
 }
 

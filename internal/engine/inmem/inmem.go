@@ -100,8 +100,11 @@ type Partitioned struct {
 // pair: each maximizes world extent over mean element extent, which
 // minimizes boundary crossings and sweep-window width respectively. Stripe
 // boundaries are equal-frequency quantiles of the combined split-dimension
-// lower bounds, so skewed data still yields balanced stripes. Both input
-// slices are reordered in place (the engine.Joiner contract).
+// lower bounds, so skewed data still yields balanced stripes. Neither input
+// slice is written to: the sweep order is a permutation of 16-byte key
+// records, never of the elements, so a caller may pass storage it shares
+// with concurrent readers (the serving catalog builds its resident
+// partitions from its own base slices).
 func Partition(a, b []geom.Element, cfg Config) *Partitioned {
 	cache := cfg.CacheBytes
 	if cache <= 0 {
@@ -354,6 +357,16 @@ func fillSoA(elems []geom.Element, perm []sortKey, cuts []float64, stripes, spli
 		}
 	}
 	return arena, seg, int(total) - len(elems)
+}
+
+// Stripes is the effective stripe count after cut deduplication.
+func (p *Partitioned) Stripes() int { return p.stripes }
+
+// Bytes is the heap footprint of the partition — the two SoA arenas
+// (boundary replicas included) and the segment offsets — which is what a
+// cache holding it retains.
+func (p *Partitioned) Bytes() int {
+	return (p.a.Len()+p.b.Len())*soaElemBytes + (len(p.segA)+len(p.segB))*4
 }
 
 // Join runs the stripe mini-joins and reports each intersecting pair exactly

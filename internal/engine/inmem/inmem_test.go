@@ -2,6 +2,7 @@ package inmem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,4 +310,56 @@ func BenchmarkInMemJoin(bm *testing.B) {
 			p.Join(JoinConfig{Parallelism: 1}, emit)
 		}
 	})
+}
+
+// TestInMemPartitionLeavesInputsUntouched: Partition reads its inputs and
+// never writes them — the serving catalog builds resident partitions from the
+// base slices it also hands to concurrent readers. Large enough for the radix
+// sort path, multi-stripe so crossing replicas are made.
+func TestInMemPartitionLeavesInputsUntouched(t *testing.T) {
+	a, b := enginetest.UniformPair(radixMinLen*2, 9501, 9502)
+	enginetest.Inflate(a, 6)
+	wantA, wantB := enginetest.Copy(a), enginetest.Copy(b)
+	Partition(a, b, Config{Stripes: 16})
+	if !slices.Equal(a, wantA) || !slices.Equal(b, wantB) {
+		t.Fatal("Partition modified an input slice")
+	}
+}
+
+// TestInMemPartitionedSharedAcrossJoins: one Partitioned serves concurrent
+// Join calls — different worker counts, one of them stopped before it starts
+// — and every unstopped call reports the single-threaded pair multiset. The
+// race detector is the other half of the assertion.
+func TestInMemPartitionedSharedAcrossJoins(t *testing.T) {
+	a, b := enginetest.UniformPair(3000, 9601, 9602)
+	enginetest.Inflate(a, 6)
+	enginetest.Inflate(b, 6)
+	p := Partition(a, b, Config{Stripes: 16})
+	ref, _ := collect(p, JoinConfig{Parallelism: 1})
+
+	workers := []int{1, 2, 5, 16, -1}
+	got := make([]map[geom.Pair]int, len(workers))
+	var stopped Stats
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		wg.Add(1)
+		go func(i, w int) {
+			defer wg.Done()
+			got[i], _ = collect(p, JoinConfig{Parallelism: w})
+		}(i, w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var stop atomic.Bool
+		stop.Store(true)
+		_, stopped = collect(p, JoinConfig{Parallelism: 4, Stop: &stop})
+	}()
+	wg.Wait()
+	for i, w := range workers {
+		diffMultisets(t, fmt.Sprintf("concurrent workers=%d", w), ref, got[i])
+	}
+	if stopped.Results != 0 {
+		t.Fatalf("stopped join reported %d results beside the running ones", stopped.Results)
+	}
 }

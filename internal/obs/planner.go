@@ -59,6 +59,11 @@ type PlannerSample struct {
 	// (the planner's choice was still exercised) but excluded from error
 	// aggregation so replays don't drown real measurements.
 	CacheHit bool `json:"cache_hit,omitempty"`
+	// PartitionHit samples ran the inmem kernel on a catalog-resident
+	// partition: MeasuredMS has no build phase while PredictedMS and Terms
+	// still price one. Real executions — the online drift corrector learns
+	// from them — but not rows an offline term fit can use.
+	PartitionHit bool `json:"partition_hit,omitempty"`
 }
 
 // PlannerRecorder is the bounded sample ring plus an optional NDJSON mirror.

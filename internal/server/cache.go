@@ -22,8 +22,9 @@ const (
 // fixes the A/B orientation of the pairs), the predicate, the distance
 // parameter, the resolved engine, and the dataset versions and delta epochs
 // at execution time. Replacing or merging a dataset bumps its version and an
-// append bumps its delta epoch, so stale results can never be served; they
-// age out of the LRU order naturally. "auto" requests are keyed by the
+// append bumps its delta epoch, so stale results can never be served; the
+// write drops them (DropDataset) instead of leaving up to a full cache of
+// unreachable results to the LRU order. "auto" requests are keyed by the
 // engine the planner resolved to — the decision is deterministic per
 // (version, epoch), so auto and explicit requests share cache entries.
 type JoinKey struct {
@@ -68,8 +69,9 @@ type JoinSummary struct {
 	JoinWallMS      float64 `json:"join_wall_ms"`
 	ModeledIOMS     float64 `json:"modeled_io_ms"`
 	Reads           uint64  `json:"io_reads"`
-	// BuildMS is the per-request index build cost; zero on the
-	// transformers path, whose indexes live in the catalog.
+	// BuildMS is the index build cost this request paid: zero on the
+	// transformers path, whose indexes live in the catalog, and on an inmem
+	// join that found its partition resident there.
 	BuildMS float64 `json:"build_ms,omitempty"`
 	// Shard is the fan-out record when a sharded meta-engine executed the
 	// join: tiles, replication, dedup drops, worker utilization (per-tile
@@ -90,9 +92,9 @@ type JoinSummary struct {
 // DeltaSummary reports how one executed join composed its inputs' append
 // deltas: the delta sizes at execution time, and — on the prebuilt
 // TRANSFORMERS path — how many inmem sub-joins ran and what they
-// contributed. Engines that index per request fold the delta into their
-// inputs instead, so SubJoins stays 0 and the sub-join pair count is not
-// separable from the base result.
+// contributed. Engines that index per request, and the inmem partition,
+// fold the delta into their inputs instead, so SubJoins stays 0 and the
+// sub-join pair count is not separable from the base result.
 type DeltaSummary struct {
 	ElementsA int `json:"elements_a"`
 	ElementsB int `json:"elements_b"`
@@ -171,17 +173,18 @@ func (c *JoinCache) Get(key JoinKey) (*CachedJoin, bool) {
 }
 
 // Put stores a join result, evicting the least-recently-used entry when over
-// capacity. Results exceeding the pair cap are dropped silently.
-func (c *JoinCache) Put(key JoinKey, res *CachedJoin) {
+// capacity, and reports whether it was stored: results exceeding the pair cap
+// are dropped.
+func (c *JoinCache) Put(key JoinKey, res *CachedJoin) bool {
 	if len(res.Pairs) > c.maxPairs {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if le, ok := c.entries[key]; ok {
 		le.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(le)
-		return
+		return true
 	}
 	for len(c.entries) >= c.capacity {
 		back := c.order.Back()
@@ -192,6 +195,21 @@ func (c *JoinCache) Put(key JoinKey, res *CachedJoin) {
 		c.order.Remove(back)
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+	return true
+}
+
+// DropDataset removes every cached result that has the named dataset on
+// either side. A write to the dataset calls it: the write changed the
+// version or delta epoch every such key carries, so none can be hit again.
+func (c *JoinCache) DropDataset(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, le := range c.entries {
+		if key.A == name || key.B == name {
+			delete(c.entries, key)
+			c.order.Remove(le)
+		}
+	}
 }
 
 // Stats returns a snapshot of cache counters.

@@ -14,6 +14,12 @@
 // while queries run on them, and cold indexes are evicted LRU when the
 // catalog exceeds its cap — they rebuild transparently on next use, because
 // the raw elements stay.
+//
+// The same holds for the in-memory engine's index, which belongs to a pair
+// of datasets rather than to one: the stripe partition of (A, B, distance)
+// is built by the first inmem join of that pair's current state and reused by
+// every later one (partition.go). It shares the index cap and LRU order, and
+// a write to either dataset drops it at once.
 package server
 
 import (
@@ -67,6 +73,8 @@ type Catalog struct {
 	pageSize   int
 	clock      uint64
 	datasets   map[string]*dataset
+	// partitions holds the resident inmem pair partitions (partition.go).
+	partitions map[partKey]*partEntry
 	retry      RetryPolicy
 	// storeFactory builds the page store behind each index build attempt
 	// (a fresh store per attempt, so a half-written store from a failed
@@ -88,6 +96,11 @@ type Catalog struct {
 	// whether it succeeded — the observability seam for build histograms.
 	// Called outside the catalog lock.
 	buildObserver func(d time.Duration, ok bool)
+	// writeObserver, when set, is told the name of every dataset a write
+	// (Put, Append, a merge install) just changed, so the owner of state
+	// keyed by dataset version and epoch — the service's join cache — can
+	// drop what became unreachable. Called outside the catalog lock.
+	writeObserver func(name string)
 }
 
 // CatalogStats is a point-in-time snapshot of catalog activity.
@@ -101,11 +114,16 @@ type CatalogStats struct {
 	// generation while the current one was failing to build.
 	Retries        uint64 `json:"retries"`
 	LastGoodServes uint64 `json:"last_good_serves"`
-	// Acquires counts Acquire calls; IndexHits the ones satisfied by an
-	// already-present index entry (possibly waiting on its in-flight build)
-	// rather than starting a build — the index-cache hit ratio's numerator.
+	// Acquires counts Acquire and AcquirePartition calls; IndexHits the ones
+	// satisfied by an already-present entry (possibly waiting on its
+	// in-flight build) rather than starting a build — the index-cache hit
+	// ratio's numerator.
 	Acquires  uint64 `json:"acquires"`
 	IndexHits uint64 `json:"index_hits"`
+	// Partitions counts the resident inmem pair partitions (they share the
+	// index cap with Indexes) and PartitionBytes their heap footprint.
+	Partitions     int   `json:"partitions"`
+	PartitionBytes int64 `json:"partition_bytes"`
 	// DeltaElements is the current total of elements buffered in append
 	// deltas across all datasets; Appends counts Append calls, Merges
 	// completed delta compactions, MergeFailures compactions whose combined
@@ -207,6 +225,7 @@ func NewCatalog(maxIndexes, pageSize int) *Catalog {
 		maxIndexes: maxIndexes,
 		pageSize:   pageSize,
 		datasets:   make(map[string]*dataset),
+		partitions: make(map[partKey]*partEntry),
 	}
 }
 
@@ -227,6 +246,36 @@ func (c *Catalog) SetBuildObserver(f func(d time.Duration, ok bool)) {
 	c.mu.Unlock()
 }
 
+// SetWriteObserver installs the dataset-write callback (nil disables). Set it
+// before serving traffic; the callback runs outside the catalog lock, after
+// the write is visible and the catalog has dropped its own derived state.
+func (c *Catalog) SetWriteObserver(f func(name string)) {
+	c.mu.Lock()
+	c.writeObserver = f
+	c.mu.Unlock()
+}
+
+// invalidateLocked is the one invalidation every write path (Put, Append, a
+// merge install) makes while it still holds c.mu: it drops, at once, the
+// resident partitions built over gen's overwritten state, and returns the
+// call that tells the write observer to drop what it keyed by that state —
+// to be made once c.mu is released.
+func (c *Catalog) invalidateLocked(name string, gen *generation) (notify func()) {
+	if gen != nil {
+		for k := range c.partitions {
+			if k.genA == gen || k.genB == gen {
+				delete(c.partitions, k)
+			}
+		}
+	}
+	observer := c.writeObserver
+	return func() {
+		if observer != nil {
+			observer(name)
+		}
+	}
+}
+
 // SetRetryPolicy overrides the build retry policy (zero fields take
 // defaults).
 func (c *Catalog) SetRetryPolicy(p RetryPolicy) {
@@ -245,17 +294,17 @@ func (c *Catalog) Put(name string, elems []transformers.Element) uint64 {
 	// version-scoped and must not stall concurrent catalog traffic.
 	stats := planner.Analyze(elems)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ds := c.datasets[name]
 	if ds == nil {
 		ds = &dataset{name: name}
 		c.datasets[name] = ds
 	}
 	version := uint64(1)
-	if ds.cur != nil {
-		version = ds.cur.version + 1
-		if ds.cur.healthy {
-			ds.last = ds.cur
+	prev := ds.cur
+	if prev != nil {
+		version = prev.version + 1
+		if prev.healthy {
+			ds.last = prev
 		}
 	}
 	ds.cur = &generation{
@@ -266,6 +315,9 @@ func (c *Catalog) Put(name string, elems []transformers.Element) uint64 {
 	}
 	ds.failing = nil
 	ds.mergeErr = nil
+	notify := c.invalidateLocked(name, prev)
+	c.mu.Unlock()
+	notify()
 	return version
 }
 
@@ -294,24 +346,29 @@ type AppendInfo struct {
 // ownership of its own.
 func (c *Catalog) Append(name string, elems []transformers.Element) (AppendInfo, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ds := c.datasets[name]
 	if ds == nil {
+		c.mu.Unlock()
 		return AppendInfo{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
 	gen := ds.cur
+	notify := func() {}
 	if len(elems) > 0 {
 		gen.delta = append(gen.delta, elems...)
 		gen.deltaEpoch++
 		c.appends++
+		notify = c.invalidateLocked(name, gen)
 	}
-	return AppendInfo{
+	info := AppendInfo{
 		Name:          name,
 		Appended:      len(elems),
 		DeltaElements: len(gen.delta),
 		Version:       gen.version,
 		DeltaEpoch:    gen.deltaEpoch,
-	}, nil
+	}
+	c.mu.Unlock()
+	notify()
+	return info, nil
 }
 
 // Handle pins one built index until Release is called.
@@ -469,7 +526,7 @@ func (c *Catalog) lastGood(name string, failedGen *generation, expand float64) *
 		return nil
 	}
 	e, ok := ds.last.indexes[expand]
-	if !ok || !isReady(e) || e.err != nil {
+	if !ok || !isReady(e.ready) || e.err != nil {
 		return nil
 	}
 	e.refs++
@@ -496,11 +553,11 @@ func (c *Catalog) TryAcquire(name string, expand float64) (*Handle, bool, error)
 	}
 	gen, stale := ds.cur, false
 	e, ok := gen.indexes[expand]
-	if (!ok || !isReady(e) || e.err != nil) && ds.failing != nil && ds.last != nil {
+	if (!ok || !isReady(e.ready) || e.err != nil) && ds.failing != nil && ds.last != nil {
 		gen, stale = ds.last, true
 		e, ok = gen.indexes[expand]
 	}
-	if !ok || !isReady(e) || e.err != nil {
+	if !ok || !isReady(e.ready) || e.err != nil {
 		return nil, false, nil
 	}
 	e.refs++
@@ -565,13 +622,18 @@ func (c *Catalog) Degraded() []string {
 	return out
 }
 
-// evictLocked drops least-recently-used unpinned indexes until the built
-// count is within the cap. Pinned or still-building entries are never
-// evicted, and neither is the last-good fallback of a failing dataset (it
-// may be the only servable copy); if everything is protected the catalog
-// temporarily overflows.
+// evictLocked drops least-recently-used unpinned indexes — index variants and
+// pair partitions alike, in one LRU order — until the built count is within
+// the cap. Pinned or still-building entries are never evicted, and neither
+// is the last-good fallback of a failing dataset (it may be the only
+// servable copy); if everything is protected the catalog temporarily
+// overflows.
 func (c *Catalog) evictLocked() {
-	for c.countReadyLocked() > c.maxIndexes {
+	for {
+		parts, _ := c.readyPartitionsLocked()
+		if c.countReadyLocked()+parts <= c.maxIndexes {
+			return
+		}
 		var victimGen *generation
 		var victimKey float64
 		var victim *idxEntry
@@ -581,7 +643,7 @@ func (c *Catalog) evictLocked() {
 					continue
 				}
 				for k, e := range gen.indexes {
-					if e.refs > 0 || !isReady(e) || e.err != nil {
+					if e.refs > 0 || !isReady(e.ready) || e.err != nil {
 						continue
 					}
 					if victim == nil || e.lastUse < victim.lastUse {
@@ -590,10 +652,23 @@ func (c *Catalog) evictLocked() {
 				}
 			}
 		}
-		if victim == nil {
+		var victimPart *partEntry
+		for _, e := range c.partitions {
+			if e.refs > 0 || !isReady(e.ready) {
+				continue
+			}
+			if victimPart == nil || e.lastUse < victimPart.lastUse {
+				victimPart = e
+			}
+		}
+		switch {
+		case victimPart != nil && (victim == nil || victimPart.lastUse < victim.lastUse):
+			delete(c.partitions, victimPart.key)
+		case victim != nil:
+			delete(victimGen.indexes, victimKey)
+		default:
 			return
 		}
-		delete(victimGen.indexes, victimKey)
 		c.evictions++
 	}
 }
@@ -606,7 +681,7 @@ func (c *Catalog) countReadyLocked() int {
 				continue
 			}
 			for _, e := range gen.indexes {
-				if isReady(e) && e.err == nil {
+				if isReady(e.ready) && e.err == nil {
 					n++
 				}
 			}
@@ -615,9 +690,9 @@ func (c *Catalog) countReadyLocked() int {
 	return n
 }
 
-func isReady(e *idxEntry) bool {
+func isReady(ready chan struct{}) bool {
 	select {
-	case <-e.ready:
+	case <-ready:
 		return true
 	default:
 		return false
@@ -796,7 +871,6 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	}
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ds.merging = false
 	c.retries += uint64(retries)
 	c.builds++
@@ -804,11 +878,13 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 		// A Put replaced the dataset mid-merge: the merged snapshot
 		// describes a lineage that no longer exists. Discard it quietly —
 		// the replacement carries its own elements.
+		c.mu.Unlock()
 		return 0, nil
 	}
 	if buildErr != nil {
 		c.mergeFailures++
 		ds.mergeErr = buildErr
+		c.mu.Unlock()
 		return 0, buildErr
 	}
 	e := &idxEntry{expand: 0, ready: make(chan struct{}), idx: idx}
@@ -831,6 +907,9 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	ds.last = nil
 	c.merges++
 	c.evictLocked()
+	notify := c.invalidateLocked(name, gen)
+	c.mu.Unlock()
+	notify()
 	return n, nil
 }
 
@@ -842,8 +921,11 @@ func (c *Catalog) Stats() CatalogStats {
 	for _, ds := range c.datasets {
 		deltaElems += len(ds.cur.delta)
 	}
+	parts, partBytes := c.readyPartitionsLocked()
 	return CatalogStats{
 		Datasets:       len(c.datasets),
+		Partitions:     parts,
+		PartitionBytes: partBytes,
 		Indexes:        c.countReadyLocked(),
 		Builds:         c.builds,
 		Evictions:      c.evictions,

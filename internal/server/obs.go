@@ -85,7 +85,7 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 			}
 			return 0
 		})
-	r.GaugeFunc("spatialjoin_index_cache_hit_ratio", "Catalog acquisitions served by an existing index.",
+	r.GaugeFunc("spatialjoin_index_cache_hit_ratio", "Catalog acquisitions served by an existing index or pair partition.",
 		func() float64 {
 			cs := s.cat.Stats()
 			if cs.Acquires > 0 {
@@ -93,6 +93,10 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 			}
 			return 0
 		})
+	r.GaugeFunc("spatialjoin_partitions", "Resident inmem pair partitions (they share the index cap).",
+		func() float64 { return float64(s.cat.Stats().Partitions) })
+	r.GaugeFunc("spatialjoin_partition_bytes", "Heap held by resident inmem pair partitions.",
+		func() float64 { return float64(s.cat.Stats().PartitionBytes) })
 	r.Func("spatialjoin_engine_joins_total", "Executed (non-cached) joins by engine.", "counter",
 		func() []obs.Sample {
 			s.engineMu.Lock()

@@ -1,0 +1,204 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"repro/internal/engine/inmem"
+	"repro/internal/engine/planner"
+	"repro/internal/obs"
+	"repro/transformers"
+)
+
+// partKey identifies one pair partition by exactly what it was built from:
+// the two generations (pointer identity — never (name, version), which two
+// catalogs in one process share), the delta prefix each side had absorbed,
+// and the distance whose §VIII expansion is baked into the boxes. Every
+// write changes a generation or an epoch, so a partition of overwritten
+// state can never be looked up again.
+type partKey struct {
+	genA, genB     *generation
+	epochA, epochB uint64
+	distance       float64
+}
+
+// partEntry is one built (or building) pair partition: the inmem engine's
+// counterpart of idxEntry. ready is closed when the build finishes; refs pins
+// the entry against eviction while joins run on it.
+type partEntry struct {
+	key     partKey
+	ready   chan struct{}
+	part    *inmem.Partitioned
+	refs    int
+	lastUse uint64
+	// once marks a partition too large to keep resident: it serves the joins
+	// that are waiting for it and is forgotten when one of them releases it.
+	once bool
+}
+
+// PartitionHandle pins one pair partition until Release is called, and
+// carries the two-dataset view it was built from: the versions, delta epochs
+// and delta sizes of both sides as of one lock acquisition.
+type PartitionHandle struct {
+	cat       *Catalog
+	entry     *partEntry
+	pinned    bool
+	Partition *inmem.Partitioned
+
+	VersionA, VersionB uint64
+	EpochA, EpochB     uint64
+	DeltaA, DeltaB     int
+	// Hit reports that the partition was already resident (or building) when
+	// this acquisition arrived; Build is the time this acquisition spent
+	// building it — zero on a hit.
+	Hit   bool
+	Build time.Duration
+}
+
+// Release unpins the partition; idempotent. It stays resident, subject to the
+// catalog's LRU, unless it was too large to keep.
+func (h *PartitionHandle) Release() {
+	if h == nil || !h.pinned {
+		return
+	}
+	h.pinned = false
+	c, e := h.cat, h.entry
+	c.mu.Lock()
+	e.refs--
+	c.clock++
+	e.lastUse = c.clock
+	if e.once {
+		c.forgetLocked(e)
+	}
+	c.evictLocked()
+	c.mu.Unlock()
+}
+
+// Forget removes the partition from the catalog — for the caller that stored
+// the join's result where every repeat will find it first. Joins still
+// running on the partition keep it alive until they return. Nil-safe,
+// idempotent, valid before or after Release.
+func (h *PartitionHandle) Forget() {
+	if h == nil {
+		return
+	}
+	h.cat.mu.Lock()
+	h.cat.forgetLocked(h.entry)
+	h.cat.mu.Unlock()
+}
+
+func (c *Catalog) forgetLocked(e *partEntry) {
+	if c.partitions[e.key] == e {
+		delete(c.partitions, e.key)
+	}
+}
+
+// readyPartitionsLocked counts the built resident partitions and their bytes.
+func (c *Catalog) readyPartitionsLocked() (n int, bytes int64) {
+	for _, e := range c.partitions {
+		if isReady(e.ready) {
+			n++
+			bytes += int64(e.part.Bytes())
+		}
+	}
+	return n, bytes
+}
+
+// AcquirePartition returns a pinned handle on the inmem stripe partition of
+// datasets a and b at the given distance, building it if the pair's current
+// state has none. Both current generations and their delta heads are pinned
+// under one lock acquisition — one consistent two-dataset view — and the
+// partition covers base + delta of each side with the §VIII expansion
+// applied, so a join over it equals a full rebuild by construction.
+// Concurrent acquisitions of one state share one build (single-flight). The
+// build cannot fail and ignores ctx: a builder whose request has expired
+// still publishes for the waiters, and its own join then stops at its next
+// context check. A pair too large for the planner to route to inmem is built
+// for the joins waiting on it and not kept. The caller must Release the
+// handle when done.
+func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance float64) (*PartitionHandle, error) {
+	if err := validExpand(distance); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	dsA, dsB := c.datasets[a], c.datasets[b]
+	if dsA == nil || dsB == nil {
+		c.mu.Unlock()
+		missing := a
+		if dsA != nil {
+			missing = b
+		}
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, missing)
+	}
+	ga, gb := dsA.cur, dsB.cur
+	key := partKey{genA: ga, genB: gb, epochA: ga.deltaEpoch, epochB: gb.deltaEpoch, distance: distance}
+	h := &PartitionHandle{
+		cat: c, pinned: true,
+		VersionA: ga.version, VersionB: gb.version,
+		EpochA: ga.deltaEpoch, EpochB: gb.deltaEpoch,
+		DeltaA: len(ga.delta), DeltaB: len(gb.delta),
+	}
+	c.acquires++
+	c.clock++
+	if e, ok := c.partitions[key]; ok {
+		c.indexHits++
+		e.refs++
+		e.lastUse = c.clock
+		c.mu.Unlock()
+		<-e.ready // single-flight: wait for the (possibly in-flight) build
+		h.entry, h.Partition, h.Hit = e, e.part, true
+		return h, nil
+	}
+
+	// First acquirer builds; later ones take the branch above and wait.
+	elements := len(ga.elems) + len(ga.delta) + len(gb.elems) + len(gb.delta)
+	e := &partEntry{
+		key: key, ready: make(chan struct{}), refs: 1, lastUse: c.clock,
+		once: elements > planner.DefaultMaxInMemoryElements,
+	}
+	c.partitions[key] = e
+	c.builds++
+	// Full-slice-expression headers, as in Snapshot: appends past len land
+	// where this build never reads, so it runs outside the lock.
+	baseA, deltaA := ga.elems, ga.delta[:len(ga.delta):len(ga.delta)]
+	baseB, deltaB := gb.elems, gb.delta[:len(gb.delta):len(gb.delta)]
+	observer := c.buildObserver
+	c.mu.Unlock()
+
+	_, span := obs.Start(ctx, "partition-build")
+	start := time.Now()
+	part := inmem.Partition(partitionInput(baseA, deltaA, distance), partitionInput(baseB, deltaB, distance), inmem.Config{})
+	h.Build = time.Since(start)
+	span.End()
+	span.Add("elements", int64(elements))
+	if observer != nil {
+		observer(h.Build, true)
+	}
+
+	c.mu.Lock()
+	e.part = part
+	close(e.ready)
+	c.evictLocked()
+	c.mu.Unlock()
+	h.entry, h.Partition = e, part
+	return h, nil
+}
+
+// partitionInput is one side of a partition build: base + delta with every
+// box grown by distance/2 per side, in a single copy. With no delta and no
+// distance there is nothing to combine and the catalog's own base slice is
+// returned — inmem.Partition never writes to its inputs.
+func partitionInput(base, delta []transformers.Element, distance float64) []transformers.Element {
+	if len(delta) == 0 && distance == 0 {
+		return base
+	}
+	out := make([]transformers.Element, 0, len(base)+len(delta))
+	out = append(append(out, base...), delta...)
+	if distance > 0 {
+		for i := range out {
+			out[i].Box = out[i].Box.Expand(distance / 2)
+		}
+	}
+	return out
+}

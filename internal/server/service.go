@@ -236,6 +236,9 @@ func NewService(cfg Config) *Service {
 		merging:     make(map[string]bool),
 		corrector:   planner.NewCorrector(),
 	}
+	// A write drops, in one invalidation, the dataset's resident partitions
+	// (inside the catalog) and its cached join results (here).
+	cat.SetWriteObserver(s.cache.DropDataset)
 	s.obs = newServiceObs(s, cfg)
 	// Every executed (non-cached) sample teaches the corrector its engine's
 	// measured/predicted ratio for that dataset pair; Observe ignores
@@ -511,11 +514,14 @@ func (s *Service) plannerConfig(a, b string, shardTiles, workers int) planner.Co
 // engine name, consulting the planner on "auto". The planner prices the
 // TRANSFORMERS engine without a build phase (its indexes live in the
 // catalog) while every other engine pays a per-request build — the serving
-// economics, not just the algorithmic ones. The plan must describe the
-// execution that would actually run: a pinned shard tile count is priced as
-// pinned, shard fan-out is priced at this join's resolved worker count
-// (workers <= 0 means all cores, the planner's default budget), and a
-// distance join is priced over distance-expanded statistics.
+// economics, not just the algorithmic ones. The inmem engine's partition is
+// catalog-resident too, but whether a given join finds it there depends on
+// the writes and joins before it, so the planner keeps pricing the build and
+// the per-pair drift corrector learns how often it is actually paid. The
+// plan must describe the execution that would actually run: a pinned shard
+// tile count is priced as pinned, shard fan-out is priced at this join's
+// resolved worker count (workers <= 0 means all cores, the planner's default
+// budget), and a distance join is priced over distance-expanded statistics.
 func (s *Service) resolveAlgorithm(a, b string, requested string, distance float64, shardTiles, workers int) (string, *PlannerInfo, error) {
 	algo := requested
 	if algo == "" {
@@ -752,20 +758,33 @@ func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Co
 	return exec, err
 }
 
+// execution is what one executed (non-cached) join hands back to Join and
+// JoinStream: the engine result, the cache key of the state it actually ran
+// on, and the per-request facts the summary reports.
+type execution struct {
+	res   *engine.Result
+	key   JoinKey
+	stale bool
+	delta *DeltaSummary
+	// span is the "execute" span (nil when untraced or never admitted), so
+	// the streaming path can attach its emit record after the fact.
+	span *obs.Span
+	// part is the (already released) partition an inmem join ran on; nil for
+	// every other engine. Forget it when the result was stored.
+	part *PartitionHandle
+}
+
 // executeJoin runs the planned join inside one pool slot, so admission
-// control bounds all expensive work — including the single-flight index
-// builds acquisition can trigger (a distance join builds expanded variants
-// of both sides, §VIII) and the per-request builds of non-catalog engines.
-// Waiting on another request's in-flight build consumes this slot but never
-// needs a second one, so slots cannot deadlock.
-func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, exec execFunc) (*engine.Result, JoinKey, bool, *DeltaSummary, *obs.Span, error) {
-	var res *engine.Result
-	var key JoinKey
-	var stale bool
-	var delta *DeltaSummary
-	var exSpan *obs.Span
-	var err error
-	if jp.algo == engine.Transformers {
+// control bounds all expensive work — including the single-flight index and
+// partition builds acquisition can trigger (a distance join builds expanded
+// variants of both sides, §VIII) and the per-request builds of the other
+// engines. Waiting on another request's in-flight build consumes this slot
+// but never needs a second one, so slots cannot deadlock.
+func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, exec execFunc) (execution, error) {
+	var ex execution
+	var run func(ctx context.Context) error
+	switch jp.algo {
+	case engine.Transformers:
 		// Catalog path: reuse the prebuilt (and, for distance joins,
 		// pre-expanded) indexes through the registry's prebuilt option. A
 		// non-empty delta buffer composes on top: the prebuilt indexes cover
@@ -773,7 +792,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 		// the same pinned generation — the handles fix which (base, delta)
 		// snapshot this join describes even if a merge installs a successor
 		// generation mid-join.
-		exSpan, err = s.admitted(ctx, jp.cost, func(ctx context.Context) error {
+		run = func(ctx context.Context) error {
 			cctx, cat := obs.Start(ctx, "catalog")
 			ha, err := s.cat.Acquire(cctx, a, p.Distance)
 			if err != nil {
@@ -787,28 +806,70 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				return err
 			}
 			defer hb.Release()
-			stale = ha.Stale || hb.Stale
-			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, stale)
+			ex.stale = ha.Stale || hb.Stale
+			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, ex.stale)
 			baseA, deltaA, epochA := s.cat.DeltaView(ha)
 			baseB, deltaB, epochB := s.cat.DeltaView(hb)
-			key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
-			res, err = exec(ctx, jp.algo, nil, nil, engine.Options{
+			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
+			ex.res, err = exec(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
 				Concurrent:  true,
 				PageSize:    s.cfg.PageSize,
 				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
 			})
 			if err == nil && len(deltaA)+len(deltaB) > 0 {
-				delta, err = s.deltaJoin(ctx, res, baseA, baseB, deltaA, deltaB, p, jp, exec)
+				ex.delta, err = s.deltaJoin(ctx, ex.res, baseA, baseB, deltaA, deltaB, p, jp, exec)
 			}
 			return err
-		})
-	} else {
+		}
+	case engine.InMem:
+		// Catalog path of the in-memory engine: its index is the stripe
+		// partition of the dataset pair, built by the first join of the
+		// pair's current state and reused until a write. The partition
+		// covers base + delta with the distance expansion applied, so only
+		// the kernel runs here — no composition, no Options.Distance.
+		run = func(ctx context.Context) error {
+			pctx, span := obs.Start(ctx, "partition")
+			h, err := s.cat.AcquirePartition(pctx, a, b, p.Distance)
+			span.End()
+			if err != nil {
+				return err
+			}
+			defer h.Release()
+			ex.part = h
+			if span != nil {
+				hit := int64(0)
+				if h.Hit {
+					hit = 1
+				}
+				span.Add("hit", hit)
+				span.Add("bytes", int64(h.Partition.Bytes()))
+				span.Add("stripes", int64(h.Partition.Stripes()))
+			}
+			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo, jp.keyTiles)
+			ex.res, err = exec(ctx, jp.algo, nil, nil, engine.Options{
+				Parallelism: jp.parallelism,
+				PageSize:    s.cfg.PageSize,
+				Prebuilt:    &engine.Prebuilt{Partition: h.Partition},
+			})
+			if err != nil {
+				return err
+			}
+			// The build this request paid: the partition's, or none.
+			ex.res.Stats.BuildWall += h.Build
+			ex.res.Stats.BuildTotal += h.Build
+			if h.DeltaA+h.DeltaB > 0 {
+				ex.delta = &DeltaSummary{ElementsA: h.DeltaA, ElementsB: h.DeltaB}
+				s.deltaJoins.Add(1)
+			}
+			return nil
+		}
+	default:
 		// Registry path: the engine indexes private element copies per
 		// request (distance expansion included), inside the same slot. The
 		// snapshot folds any delta into the copy, so per-request indexing
 		// engines see exactly what a full rebuild would — no composition.
-		exSpan, err = s.admitted(ctx, jp.cost, func(ctx context.Context) error {
+		run = func(ctx context.Context) error {
 			ea, verA, epochA, dlA, err := s.cat.Snapshot(a)
 			if err != nil {
 				return err
@@ -817,24 +878,35 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			if err != nil {
 				return err
 			}
-			key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
-			res, err = exec(ctx, jp.algo, ea, eb, engine.Options{
+			ex.key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
+			ex.res, err = exec(ctx, jp.algo, ea, eb, engine.Options{
 				Distance:    p.Distance,
 				Parallelism: jp.parallelism,
 				PageSize:    s.cfg.PageSize,
 				ShardTiles:  jp.execTiles,
 			})
 			if err == nil && dlA+dlB > 0 {
-				delta = &DeltaSummary{ElementsA: dlA, ElementsB: dlB}
+				ex.delta = &DeltaSummary{ElementsA: dlA, ElementsB: dlB}
 				s.deltaJoins.Add(1)
 			}
 			return err
-		})
+		}
 	}
+	var err error
+	ex.span, err = s.admitted(ctx, jp.cost, run)
 	if err != nil {
 		s.noteOutcome(ctx, err, 0, false)
 	}
-	return res, key, stale, delta, exSpan, err
+	return ex, err
+}
+
+// storeResult caches an executed join's result and settles its partition: a
+// partition is retained exactly when its result is not, because a stored
+// result answers every repeat until the next write makes both unreachable.
+func (s *Service) storeResult(ex execution, res *CachedJoin) {
+	if s.cache.Put(ex.key, res) {
+		ex.part.Forget()
+	}
 }
 
 // deltaJoin composes the append-delta sub-joins of one prebuilt-path join:
@@ -939,29 +1011,29 @@ func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOut
 			cacheSpan.Add("hit", 1)
 			summary := res.Summary
 			summary.Planner = jp.plan // report this request's planning, not the filler's
-			s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), true)
+			s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), true, false)
 			return &JoinOutcome{Pairs: res.Pairs, Summary: summary, Cached: true}, nil
 		}
 	}
-	res, key, stale, deltaSum, _, err := s.executeJoin(ctx, a, b, p, jp, func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error) {
+	ex, err := s.executeJoin(ctx, a, b, p, jp, func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error) {
 		return engine.Run(ctx, algo, ea, eb, opt)
 	})
 	if err != nil {
 		return nil, err
 	}
-	summary := s.summarize(jp.algo, res)
+	summary := s.summarize(jp.algo, ex.res)
 	// The delta composition is part of the cached content — the key pins the
 	// epochs it composed at — unlike the planner report and staleness below.
-	summary.Delta = deltaSum
+	summary.Delta = ex.delta
 	if !p.NoCache {
 		// Cache without the planner report or staleness: the key carries the
 		// served versions, and hits splice in their own request context.
-		s.cache.Put(key, &CachedJoin{Pairs: res.Pairs, Summary: summary})
+		s.storeResult(ex, &CachedJoin{Pairs: ex.res.Pairs, Summary: summary})
 	}
 	summary.Planner = jp.plan
-	summary.Stale = stale
-	s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), false)
-	return &JoinOutcome{Pairs: res.Pairs, Summary: summary}, nil
+	summary.Stale = ex.stale
+	s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
+	return &JoinOutcome{Pairs: ex.res.Pairs, Summary: summary}, nil
 }
 
 // annotatePlan attaches the resolved plan to the "plan" span; nil-safe.
@@ -978,22 +1050,25 @@ func annotatePlan(span *obs.Span, jp joinPlan) {
 
 // recordPlannerSample feeds one served join into the planner accuracy
 // recorder. Cache hits replay the cached summary's measurements and are
-// flagged so aggregation keeps but does not average them; the measured cost
+// flagged so aggregation keeps but does not average them; an inmem join that
+// found its partition resident is flagged too, because its measured cost has
+// no build while the prediction still prices one. The measured cost
 // is the modeled execution currency the planner predicts in
 // (build + join wall + modeled I/O), so predicted and measured compare like
 // for like.
-func (s *Service) recordPlannerSample(ctx context.Context, a, b string, p JoinParams, jp joinPlan, summary JoinSummary, wall time.Duration, cacheHit bool) {
+func (s *Service) recordPlannerSample(ctx context.Context, a, b string, p JoinParams, jp joinPlan, summary JoinSummary, wall time.Duration, cacheHit, partitionHit bool) {
 	sample := obs.PlannerSample{
-		Time:        time.Now(),
-		RequestID:   obs.FromContext(ctx).ID(),
-		Predicate:   "intersects",
-		Distance:    p.Distance,
-		Engine:      jp.algo,
-		Auto:        jp.plan != nil,
-		PredictedMS: jp.predictedMS,
-		MeasuredMS:  summary.BuildMS + summary.JoinWallMS + summary.ModeledIOMS,
-		WallMS:      float64(wall) / float64(time.Millisecond),
-		CacheHit:    cacheHit,
+		Time:         time.Now(),
+		RequestID:    obs.FromContext(ctx).ID(),
+		Predicate:    "intersects",
+		Distance:     p.Distance,
+		Engine:       jp.algo,
+		Auto:         jp.plan != nil,
+		PredictedMS:  jp.predictedMS,
+		MeasuredMS:   summary.BuildMS + summary.JoinWallMS + summary.ModeledIOMS,
+		WallMS:       float64(wall) / float64(time.Millisecond),
+		CacheHit:     cacheHit,
+		PartitionHit: partitionHit,
 	}
 	if p.Distance > 0 {
 		sample.Predicate = "distance"
@@ -1065,7 +1140,7 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 			s.streamedPairs.Add(uint64(len(res.Pairs)))
 			summary := res.Summary
 			summary.Planner = jp.plan
-			s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), true)
+			s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), true, false)
 			return &JoinOutcome{Summary: summary, Cached: true}, nil
 		}
 	}
@@ -1083,7 +1158,7 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 	// two clock reads per pair, and none at all untraced.
 	traced := obs.Enabled(ctx)
 	var emitDur time.Duration
-	res, key, stale, deltaSum, exSpan, err := s.executeJoin(ctx, a, b, p, jp, func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error) {
+	ex, err := s.executeJoin(ctx, a, b, p, jp, func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error) {
 		return engine.RunStream(ctx, algo, ea, eb, opt, func(pr transformers.Pair) error {
 			if caching {
 				if len(buf) < maxCache {
@@ -1108,8 +1183,8 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 			return nil
 		})
 	})
-	if exSpan != nil {
-		exSpan.Record("stream-emit", emitDur).Add("pairs", int64(streamed))
+	if ex.span != nil {
+		ex.span.Record("stream-emit", emitDur).Add("pairs", int64(streamed))
 	}
 	s.streamedPairs.Add(streamed)
 	if err != nil {
@@ -1123,14 +1198,14 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 		}
 		return nil, err
 	}
-	summary := s.summarize(jp.algo, res)
-	summary.Delta = deltaSum
+	summary := s.summarize(jp.algo, ex.res)
+	summary.Delta = ex.delta
 	if caching {
-		s.cache.Put(key, &CachedJoin{Pairs: buf, Summary: summary})
+		s.storeResult(ex, &CachedJoin{Pairs: buf, Summary: summary})
 	}
 	summary.Planner = jp.plan
-	summary.Stale = stale
-	s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), false)
+	summary.Stale = ex.stale
+	s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
 	return &JoinOutcome{Summary: summary}, nil
 }
 
