@@ -352,6 +352,67 @@ func TestCorrectorSingleOutlierNeverFlips(t *testing.T) {
 	}
 }
 
+// TestCorrectorShardInheritsInnerDrift: a sharded engine with no series of its
+// own on a pair is corrected by its inner engine's factor, so an inner engine
+// whose measured cost settles right at its uncorrected sharded form's price
+// keeps its place in the ranking; a sharded engine that has run uses what it
+// measured, and nothing else inherits anything.
+func TestCorrectorShardInheritsInnerDrift(t *testing.T) {
+	c := NewCorrector()
+	for i := 0; i < 100; i++ {
+		c.Observe("a", "b", engine.InMem, 10, 20)
+	}
+	inner := c.Factor("a", "b", engine.InMem)
+	if math.Abs(inner-2) > 0.05 {
+		t.Fatalf("inmem factor %.3f, want ~2", inner)
+	}
+	if f := c.Factor("a", "b", engine.ShardInMem); f != inner {
+		t.Errorf("unobserved shard-inmem factor %.3f, want the inner's %.3f", f, inner)
+	}
+	for name, f := range map[string]float64{
+		"shard-grid on the same pair":  c.Factor("a", "b", engine.ShardGrid),
+		"grid on the same pair":        c.Factor("a", "b", engine.Grid),
+		"shard-inmem on another pair":  c.Factor("a", "c", engine.ShardInMem),
+		"shard-inmem, sides exchanged": c.Factor("b", "a", engine.ShardInMem),
+	} {
+		if f != 1 {
+			t.Errorf("%s: factor %.3f, want 1", name, f)
+		}
+	}
+	if c.Len() != 1 {
+		t.Errorf("a lookup created a series: %d tracked, want 1", c.Len())
+	}
+
+	// On a real plan: inmem leads its sharded form, and a measured cost just
+	// past the sharded form's price must not hand the pair to it.
+	a := Analyze(datagen.DenseCluster(datagen.Config{N: 30000, Seed: 6}))
+	b := Analyze(datagen.DenseCluster(datagen.Config{N: 30000, Seed: 7}))
+	cfg := Config{ShardWorkers: 1}
+	base := Plan(a, b, cfg)
+	if base.Engine != engine.InMem {
+		t.Fatalf("baseline chose %q, want inmem", base.Engine)
+	}
+	inmemMS, shardMS := scoreOf(t, base, engine.InMem), scoreOf(t, base, engine.ShardInMem)
+	cc := NewCorrector()
+	for i := 0; i < 100; i++ {
+		cc.Observe("a", "b", engine.InMem, inmemMS, shardMS*1.02)
+	}
+	cfg.Correct = cc.Bind("a", "b")
+	d := Plan(a, b, cfg)
+	if d.Engine == engine.ShardInMem {
+		t.Errorf("drift of inmem alone handed the pair to shard-inmem: %+v", d.Scores)
+	}
+	if got, want := scoreOf(t, d, engine.ShardInMem)/scoreOf(t, d, engine.InMem), shardMS/inmemMS; math.Abs(got-want)/want > 1e-9 {
+		t.Errorf("shard-inmem/inmem cost ratio %.4f after correction, want the model's %.4f", got, want)
+	}
+
+	// Its own measurements replace the inherited factor.
+	cc.Observe("a", "b", engine.ShardInMem, shardMS, shardMS)
+	if f := cc.Factor("a", "b", engine.ShardInMem); f != 1 {
+		t.Errorf("observed shard-inmem factor %.3f, want its own series' 1", f)
+	}
+}
+
 // TestCorrectorBoundsAndHygiene: clamped factors, ignored degenerate inputs,
 // bounded key space, nil safety, and a stable snapshot.
 func TestCorrectorBounds(t *testing.T) {
