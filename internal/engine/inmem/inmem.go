@@ -21,7 +21,6 @@
 package inmem
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -130,8 +129,9 @@ func Partition(a, b []geom.Element, cfg Config) *Partitioned {
 	// Sorting 16-byte (key, index) records instead of the 56-byte elements
 	// themselves roughly halves the partition cost, and leaves the input
 	// slices untouched.
-	permA := sweepOrder(a, p.sweepDim)
-	permB := sweepOrder(b, p.sweepDim)
+	var ks geom.KeySorter
+	permA := sweepOrder(a, p.sweepDim, &ks)
+	permB := sweepOrder(b, p.sweepDim, &ks)
 
 	cuts := quantileCuts(a, b, p.splitDim, stripes)
 	p.stripes = len(cuts) + 1
@@ -140,88 +140,17 @@ func Partition(a, b []geom.Element, cfg Config) *Partitioned {
 	return p
 }
 
-// sortKey pairs one element's sweep-dimension lower bound (in the sortable
-// bit transform of floatSortable) with its position, so the global sort moves
-// 16-byte records instead of whole elements.
-type sortKey struct {
-	k uint64
-	i int32
-}
-
-// floatSortable maps a float64 to a uint64 whose unsigned order matches the
-// float order: negative values flip entirely (more negative -> smaller),
-// non-negative values just set the sign bit above every flipped negative.
-func floatSortable(f float64) uint64 {
-	u := math.Float64bits(f)
-	if u&(1<<63) != 0 {
-		return ^u
-	}
-	return u | 1<<63
-}
-
 // sweepOrder returns elems's indexes in ascending order of the sweep
-// dimension's lower bound. Tie order is unspecified — the sweep handles equal
-// lower bounds regardless of which side scans. Large inputs sort by LSD radix
-// passes over the key bits (no comparator calls, linear time); small ones use
-// the comparison sort whose constant factor wins there.
-func sweepOrder(elems []geom.Element, sweep int) []sortKey {
-	perm := make([]sortKey, len(elems))
+// dimension's lower bound, as geom.SortKey records (the sort shared with the
+// STR bulk-load). The sweep handles equal lower bounds regardless of which
+// side scans, so it does not depend on how ties come out.
+func sweepOrder(elems []geom.Element, sweep int, ks *geom.KeySorter) []geom.SortKey {
+	perm := make([]geom.SortKey, len(elems))
 	for i := range elems {
-		perm[i] = sortKey{k: floatSortable(elems[i].Box.Lo[sweep]), i: int32(i)}
+		perm[i] = geom.SortKey{K: geom.FloatSortable(elems[i].Box.Lo[sweep]), I: int32(i)}
 	}
-	if len(perm) < radixMinLen {
-		slices.SortFunc(perm, func(x, y sortKey) int {
-			switch {
-			case x.k < y.k:
-				return -1
-			case x.k > y.k:
-				return 1
-			}
-			return 0
-		})
-		return perm
-	}
-	radixSortKeys(perm)
+	ks.Sort(perm)
 	return perm
-}
-
-// radixMinLen is the input size where the radix sort's fixed costs (scratch
-// buffer, 4 histogram+scatter passes) start beating the comparison sort.
-const radixMinLen = 2048
-
-// radixSortKeys sorts perm by k with 4 LSD passes of 16 bits. Passes where
-// every key shares one digit are skipped, so keys spanning a narrow range
-// (one dataset's world extent, typically) pay only the passes that
-// discriminate. The pass loop ping-pongs between perm and one scratch buffer
-// and copies back if it ends on the scratch side.
-func radixSortKeys(perm []sortKey) {
-	buf := make([]sortKey, len(perm))
-	counts := make([]uint32, 1<<16)
-	src, dst := perm, buf
-	for shift := 0; shift < 64; shift += 16 {
-		clear(counts)
-		for _, sk := range src {
-			counts[(sk.k>>shift)&0xFFFF]++
-		}
-		if counts[(src[0].k>>shift)&0xFFFF] == uint32(len(src)) {
-			continue // all keys share this digit
-		}
-		var total uint32
-		for d := range counts {
-			c := counts[d]
-			counts[d] = total
-			total += c
-		}
-		for _, sk := range src {
-			d := (sk.k >> shift) & 0xFFFF
-			dst[counts[d]] = sk
-			counts[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &perm[0] {
-		copy(perm, src)
-	}
 }
 
 // chooseDims picks the split and sweep dimensions: the two highest ratios of
@@ -322,13 +251,13 @@ func stripeOf(cuts []float64, v float64) int {
 // its first stripe and the crossing segment of every later stripe it spans.
 // seg has 2*stripes+1 offsets; replicated is the copy count beyond
 // len(elems).
-func fillSoA(elems []geom.Element, perm []sortKey, cuts []float64, stripes, split int) (arena *geom.SoA, seg []int32, replicated int) {
+func fillSoA(elems []geom.Element, perm []geom.SortKey, cuts []float64, stripes, split int) (arena *geom.SoA, seg []int32, replicated int) {
 	nseg := 2 * stripes
 	counts := make([]int32, nseg)
 	first := make([]int32, len(elems))
 	last := make([]int32, len(elems))
 	for pi := range perm {
-		e := &elems[perm[pi].i]
+		e := &elems[perm[pi].I]
 		f := stripeOf(cuts, e.Box.Lo[split])
 		l := stripeOf(cuts, e.Box.Hi[split])
 		first[pi], last[pi] = int32(f), int32(l)
@@ -348,7 +277,7 @@ func fillSoA(elems []geom.Element, perm []sortKey, cuts []float64, stripes, spli
 	cur := make([]int32, nseg)
 	copy(cur, seg[:nseg])
 	for pi := range perm {
-		e := elems[perm[pi].i]
+		e := elems[perm[pi].I]
 		arena.Set(int(cur[2*first[pi]]), e)
 		cur[2*first[pi]]++
 		for t := first[pi] + 1; t <= last[pi]; t++ {

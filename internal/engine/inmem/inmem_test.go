@@ -188,12 +188,12 @@ func TestInMemKernelStop(t *testing.T) {
 	}
 }
 
-// TestSweepOrderRadix: the radix path (inputs past radixMinLen) must produce
+// TestSweepOrderRadix: the radix path (inputs past geom.RadixMinLen) must produce
 // the same ascending order as the comparison sort across sign changes,
-// zeroes, and duplicate keys — the floatSortable transform is only correct if
+// zeroes, and duplicate keys — the geom.FloatSortable transform is only correct if
 // negative keys flip entirely.
 func TestSweepOrderRadix(t *testing.T) {
-	n := radixMinLen * 3
+	n := geom.RadixMinLen * 3
 	elems := make([]geom.Element, n)
 	for i := range elems {
 		// Deterministic mix of negative, zero and positive keys with
@@ -208,23 +208,23 @@ func TestSweepOrderRadix(t *testing.T) {
 		elems[i] = geom.Element{ID: uint64(i), Box: geom.NewBox(
 			geom.Point{v, 0, 0}, geom.Point{v + 1, 1, 1})}
 	}
-	perm := sweepOrder(elems, 0)
+	perm := sweepOrder(elems, 0, new(geom.KeySorter))
 	if len(perm) != n {
 		t.Fatalf("perm length %d, want %d", len(perm), n)
 	}
 	seen := make([]bool, n)
 	for pi := 1; pi < n; pi++ {
-		prev := elems[perm[pi-1].i].Box.Lo[0]
-		cur := elems[perm[pi].i].Box.Lo[0]
+		prev := elems[perm[pi-1].I].Box.Lo[0]
+		cur := elems[perm[pi].I].Box.Lo[0]
 		if prev > cur {
 			t.Fatalf("order violated at %d: %g > %g", pi, prev, cur)
 		}
 	}
 	for _, sk := range perm {
-		if seen[sk.i] {
-			t.Fatalf("index %d appears twice", sk.i)
+		if seen[sk.I] {
+			t.Fatalf("index %d appears twice", sk.I)
 		}
-		seen[sk.i] = true
+		seen[sk.I] = true
 	}
 }
 
@@ -317,7 +317,7 @@ func BenchmarkInMemJoin(bm *testing.B) {
 // base slices it also hands to concurrent readers. Large enough for the radix
 // sort path, multi-stripe so crossing replicas are made.
 func TestInMemPartitionLeavesInputsUntouched(t *testing.T) {
-	a, b := enginetest.UniformPair(radixMinLen*2, 9501, 9502)
+	a, b := enginetest.UniformPair(geom.RadixMinLen*2, 9501, 9502)
 	enginetest.Inflate(a, 6)
 	wantA, wantB := enginetest.Copy(a), enginetest.Copy(b)
 	Partition(a, b, Config{Stripes: 16})

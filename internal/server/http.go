@@ -31,6 +31,8 @@ func (b boxDTO) box() transformers.Box {
 
 func toBoxDTO(b transformers.Box) boxDTO { return boxDTO{Lo: b.Lo, Hi: b.Hi} }
 
+// elementDTO is an element as range responses encode it; uploads and appends
+// are decoded without it (see decodeIngest).
 type elementDTO struct {
 	ID  uint64 `json:"id"`
 	Box boxDTO `json:"box"`
@@ -66,9 +68,10 @@ func (g generateSpec) elements() ([]transformers.Element, error) {
 	}
 }
 
+// datasetRequest is the body of POST /datasets next to its "elements"
+// member, which decodeIngest streams into []transformers.Element itself.
 type datasetRequest struct {
 	Name     string        `json:"name"`
-	Elements []elementDTO  `json:"elements,omitempty"`
 	Generate *generateSpec `json:"generate,omitempty"`
 	// TimeoutMS bounds this registration (build included); the server
 	// default applies when zero.
@@ -77,9 +80,9 @@ type datasetRequest struct {
 
 // appendRequest lands elements in a dataset's delta buffer (POST
 // /datasets/{name}/append): visible to joins immediately, merged into the
-// main index in the background.
+// main index in the background. As with datasetRequest, the "elements"
+// member is decoded apart.
 type appendRequest struct {
-	Elements []elementDTO `json:"elements"`
 	// TimeoutMS bounds the request; the server default applies when zero.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -351,37 +354,65 @@ func badRequest(w http.ResponseWriter, rid, msg string) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg, RequestID: rid})
 }
 
+// bodyErrorStatus maps a request-body decoding error to its answer: the body
+// cap is a 413, an ingest body's invalid box a 400 with the decoder's own
+// message, everything else a 400 "bad request body".
+func bodyErrorStatus(err error) (status int, msg string) {
+	var tooLarge *http.MaxBytesError
+	var ie *ingestError
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)
+	case errors.As(err, &ie) && ie.kind == ingestInvalidBox:
+		return http.StatusBadRequest, ie.msg
+	}
+	return http.StatusBadRequest, "bad request body: " + err.Error()
+}
+
 func decodeBody(w http.ResponseWriter, r *http.Request, rid string, v any, maxBytes int64) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), RequestID: rid})
-			return false
-		}
-		badRequest(w, rid, "bad request body: "+err.Error())
+		status, msg := bodyErrorStatus(err)
+		writeJSON(w, status, errorResponse{Error: msg, RequestID: rid})
 		return false
 	}
 	return true
+}
+
+// decodeIngestBody decodes an upload or append body (see decodeIngest) under
+// the body cap, records how long that took — reading the body off the
+// connection included — and answers the request itself when the body is
+// refused.
+func decodeIngestBody(svc *Service, w http.ResponseWriter, r *http.Request, rid string, meta any) (elems []transformers.Element, took time.Duration, ok bool) {
+	start := time.Now()
+	elems, err := decodeIngest(http.MaxBytesReader(w, r.Body, svc.cfg.MaxBodyBytes), meta)
+	took = time.Since(start)
+	if err != nil {
+		svc.obs.decodeHist.Observe("error", took.Seconds())
+		status, msg := bodyErrorStatus(err)
+		writeJSON(w, status, errorResponse{Error: msg, RequestID: rid})
+		return nil, took, false
+	}
+	svc.obs.decodeHist.Observe("ok", took.Seconds())
+	return elems, took, true
 }
 
 func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 	rid := requestIDFrom(r)
 	w.Header().Set("X-Request-ID", rid)
 	var req datasetRequest
-	if !decodeBody(w, r, rid, &req, svc.cfg.MaxBodyBytes) {
+	elems, decode, ok := decodeIngestBody(svc, w, r, rid, &req)
+	if !ok {
 		return
 	}
 	if req.Name == "" {
 		badRequest(w, rid, "dataset name is required")
 		return
 	}
-	var elems []transformers.Element
 	switch {
-	case req.Generate != nil && len(req.Elements) > 0:
+	case req.Generate != nil && len(elems) > 0:
 		badRequest(w, rid, "provide either elements or generate, not both")
 		return
 	case req.Generate != nil:
@@ -394,17 +425,7 @@ func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 			badRequest(w, rid, err.Error())
 			return
 		}
-	case len(req.Elements) > 0:
-		elems = make([]transformers.Element, len(req.Elements))
-		for i, e := range req.Elements {
-			b := e.Box.box()
-			if !b.Valid() {
-				badRequest(w, rid, fmt.Sprintf("element %d: invalid box (lo > hi)", i))
-				return
-			}
-			elems[i] = transformers.Element{ID: e.ID, Box: b}
-		}
-	default:
+	case len(elems) == 0:
 		badRequest(w, rid, "provide elements or generate")
 		return
 	}
@@ -415,6 +436,7 @@ func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, rid, nil)
 		return
 	}
+	info.DecodeMS = float64(decode) / float64(time.Millisecond)
 	writeJSON(w, http.StatusCreated, info)
 }
 
@@ -423,21 +445,13 @@ func handleAppend(svc *Service, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-ID", rid)
 	name := r.PathValue("name")
 	var req appendRequest
-	if !decodeBody(w, r, rid, &req, svc.cfg.MaxBodyBytes) {
+	elems, _, ok := decodeIngestBody(svc, w, r, rid, &req)
+	if !ok {
 		return
 	}
-	if len(req.Elements) == 0 {
+	if len(elems) == 0 {
 		badRequest(w, rid, "append: elements are required")
 		return
-	}
-	elems := make([]transformers.Element, len(req.Elements))
-	for i, e := range req.Elements {
-		b := e.Box.box()
-		if !b.Valid() {
-			badRequest(w, rid, fmt.Sprintf("element %d: invalid box (lo > hi)", i))
-			return
-		}
-		elems[i] = transformers.Element{ID: e.ID, Box: b}
 	}
 	ctx, cancel := requestContext(svc, r, req.TimeoutMS)
 	defer cancel()

@@ -24,12 +24,13 @@ const (
 // the planner accuracy recorder behind /debug/planner. Always non-nil on a
 // Service — recording costs a few atomic reads when nothing scrapes.
 type serviceObs struct {
-	reg       *obs.Registry
-	joinHist  *obs.Histogram // per-engine join latency, seconds
-	buildHist *obs.Histogram // catalog index build latency, seconds
-	ring      *obs.JoinRing
-	recorder  *obs.PlannerRecorder
-	slow      time.Duration // joins slower than this land in the ring; <0 = all
+	reg        *obs.Registry
+	joinHist   *obs.Histogram // per-engine join latency, seconds
+	buildHist  *obs.Histogram // catalog index build latency, seconds
+	decodeHist *obs.Histogram // upload/append body read+decode latency, seconds
+	ring       *obs.JoinRing
+	recorder   *obs.PlannerRecorder
+	slow       time.Duration // joins slower than this land in the ring; <0 = all
 }
 
 // newServiceObs assembles the observability state and registers the
@@ -58,6 +59,8 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		"End-to-end join latency by engine, cache hits included.", "engine", nil)
 	o.buildHist = r.Histogram("spatialjoin_build_duration_seconds",
 		"Catalog index build latency by outcome (ok/error).", "outcome", nil)
+	o.decodeHist = r.Histogram("spatialjoin_ingest_decode_seconds",
+		"Upload and append body read+decode latency by outcome (ok/error): the half of ingest before the build.", "outcome", nil)
 
 	r.GaugeFunc("spatialjoin_uptime_seconds", "Seconds since service start.",
 		func() float64 { return time.Since(s.start).Seconds() })

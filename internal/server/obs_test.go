@@ -645,3 +645,45 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestObsIngestAttribution: the two halves of an upload's cost are readable
+// off the daemon itself. The POST /datasets response carries decode_ms (body
+// read + decode) beside build_ms (registration + index build), and /metrics
+// has spatialjoin_ingest_decode_seconds next to
+// spatialjoin_build_duration_seconds, with refused bodies under
+// outcome="error".
+func TestObsIngestAttribution(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	code, doc := postJSON(t, ts.URL+"/datasets", string(uploadBody("up", transformers.GenerateUniform(2000, 431))))
+	if code != http.StatusCreated {
+		t.Fatalf("upload: %d %v", code, doc)
+	}
+	decodeMS, okD := doc["decode_ms"].(float64)
+	buildMS, okB := doc["build_ms"].(float64)
+	if !okD || !okB || decodeMS <= 0 || buildMS <= 0 {
+		t.Fatalf("upload response decode_ms=%v build_ms=%v, want both positive", doc["decode_ms"], doc["build_ms"])
+	}
+	if code, _ := postJSON(t, ts.URL+"/datasets/up/append", `{"elements":[{"id":1,"box":{"lo":[0,0,0],"hi":[1,1,1]}}]}`); code != http.StatusOK {
+		t.Fatalf("append: %d", code)
+	}
+	if code, _ := postJSON(t, ts.URL+"/datasets", `{"name":"bad","elements":[{"id":1,"box":{"lo":[0,0]}}]}`); code != http.StatusBadRequest {
+		t.Fatalf("malformed upload: %d, want 400", code)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range []string{
+		"# TYPE spatialjoin_ingest_decode_seconds histogram",
+		`spatialjoin_ingest_decode_seconds_count{outcome="ok"} 2`,
+		`spatialjoin_ingest_decode_seconds_count{outcome="error"} 1`,
+		`spatialjoin_build_duration_seconds_count{outcome="ok"} 1`,
+	} {
+		if !strings.Contains(string(raw), line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}

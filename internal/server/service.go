@@ -307,6 +307,10 @@ type BuildInfo struct {
 	Units    int     `json:"units"`
 	Nodes    int     `json:"nodes"`
 	BuildMS  float64 `json:"build_ms"`
+	// DecodeMS is what the HTTP handler spent reading and decoding the
+	// request body before the registration that BuildMS times began; with
+	// it the two halves of an upload's cost read off the response.
+	DecodeMS float64 `json:"decode_ms"`
 	// SkewCV and ClusterFraction are the planner signals computed at
 	// registration (cached per version; see planner.DatasetStats).
 	SkewCV          float64 `json:"skew_cv"`

@@ -8,6 +8,10 @@
 // The partitioner sorts elements by the x-coordinate of their centers and
 // cuts them into vertical slabs, sorts each slab by y and cuts rows, then
 // sorts each row by z and cuts final partitions of the requested capacity.
+// Every sort orders 16-byte (center key, index) records with the radix sort
+// the inmem partitioner uses (geom.KeySorter) and then moves each element
+// once, in place; the slabs, which share nothing after the x-cut, are processed on as
+// many goroutines as there are processors.
 // Besides the tight MBB of each partition's element boxes (the page MBB),
 // it derives the gap-free region each partition covers from the splitting
 // planes (the partition MBB of the paper): regions of sibling partitions
@@ -18,7 +22,9 @@ package str
 import (
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -44,7 +50,12 @@ func (p Partition) Count() int { return p.End - p.Start }
 // Split reorders elems in place into STR order and returns the partitions,
 // each holding at most capacity elements. The world box bounds the outermost
 // partition regions; it is grown to cover all element centers if necessary.
-// Split panics when capacity < 1 (a programming error).
+// Every level orders elements by center coordinate, then ID, then the
+// position the previous level left them in (input position at the first), so
+// the result is a function of the input alone — whatever GOMAXPROCS is and
+// even when IDs repeat. Centers are assumed not to be NaN. Split allocates
+// some 32 bytes of sort records per element, and panics when capacity < 1
+// (a programming error).
 func Split(elems []geom.Element, capacity int, world geom.Box) []Partition {
 	if capacity < 1 {
 		panic(fmt.Sprintf("str: capacity %d < 1", capacity))
@@ -64,47 +75,120 @@ func Split(elems []geom.Element, capacity int, world geom.Box) []Partition {
 	if s < 1 {
 		s = 1
 	}
-
-	var out []Partition
-	// Slab sizes: distribute n over s slabs as evenly as possible while
-	// keeping slab boundaries multiples of whole elements. Splitting-plane
-	// coordinates must be captured right after each sort, before the next
-	// sort level shuffles elements within the cut ranges.
-	sortByDim(elems, 0)
 	slabSize := (n + s - 1) / s
+
+	// Splitting-plane coordinates are read right after each level's sort,
+	// before the next level reorders elements within the cut ranges.
+	keys := make([]geom.SortKey, n)
+	sortByDim(elems, keys, 0, new(geom.KeySorter))
 	xCuts, xPlanes := cuts(elems, slabSize, 0, world.Lo[0], world.Hi[0])
-	for si := 0; si+1 < len(xCuts); si++ {
-		slabStart, slabEnd := xCuts[si], xCuts[si+1]
-		slab := elems[slabStart:slabEnd]
-		xLo, xHi := xPlanes[si], xPlanes[si+1]
 
-		sortByDim(slab, 1)
-		rowSize := (len(slab) + s - 1) / s
-		yCuts, yPlanes := cuts(slab, rowSize, 1, world.Lo[1], world.Hi[1])
-		for ri := 0; ri+1 < len(yCuts); ri++ {
-			rowStart, rowEnd := yCuts[ri], yCuts[ri+1]
-			row := slab[rowStart:rowEnd]
-			yLo, yHi := yPlanes[ri], yPlanes[ri+1]
-
-			sortByDim(row, 2)
-			zCuts, zPlanes := cuts(row, capacity, 2, world.Lo[2], world.Hi[2])
-			for pi := 0; pi+1 < len(zCuts); pi++ {
-				pStart, pEnd := zCuts[pi], zCuts[pi+1]
-				members := row[pStart:pEnd]
-				globalStart := slabStart + rowStart + pStart
-				out = append(out, Partition{
-					Start:   globalStart,
-					End:     globalStart + len(members),
-					PageMBB: geom.MBBOf(members),
-					Region: geom.Box{
-						Lo: geom.Point{xLo, yLo, zPlanes[pi]},
-						Hi: geom.Point{xHi, yHi, zPlanes[pi+1]},
-					},
-				})
+	// Slabs own disjoint ranges of elems and keys, so the workers share no
+	// memory they write; slabParts keeps their partitions in slab
+	// order, whichever worker got to a slab.
+	slabParts := make([][]Partition, len(xCuts)-1)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(slabParts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ks geom.KeySorter
+			for si := int(next.Add(1)) - 1; si < len(slabParts); si = int(next.Add(1)) - 1 {
+				lo, hi := xCuts[si], xCuts[si+1]
+				slabParts[si] = splitSlab(elems[lo:hi], keys[lo:hi], lo, s, capacity,
+					world, xPlanes[si], xPlanes[si+1], &ks)
 			}
+		}()
+	}
+	wg.Wait()
+
+	out := make([]Partition, 0, numParts)
+	for _, ps := range slabParts {
+		out = append(out, ps...)
+	}
+	return out
+}
+
+// splitSlab finishes one x-slab: slab is the slab's range of the element
+// slice, keys the same range of the record slice, and base the range's
+// offset, which partitions report their positions against.
+func splitSlab(slab []geom.Element, keys []geom.SortKey, base, s, capacity int,
+	world geom.Box, xLo, xHi float64, ks *geom.KeySorter) []Partition {
+	var out []Partition
+	sortByDim(slab, keys, 1, ks)
+	rowSize := (len(slab) + s - 1) / s
+	yCuts, yPlanes := cuts(slab, rowSize, 1, world.Lo[1], world.Hi[1])
+	for ri := 0; ri+1 < len(yCuts); ri++ {
+		rowStart, rowEnd := yCuts[ri], yCuts[ri+1]
+		row := slab[rowStart:rowEnd]
+		sortByDim(row, keys[rowStart:rowEnd], 2, ks)
+		zCuts, zPlanes := cuts(row, capacity, 2, world.Lo[2], world.Hi[2])
+		for pi := 0; pi+1 < len(zCuts); pi++ {
+			pStart, pEnd := zCuts[pi], zCuts[pi+1]
+			out = append(out, Partition{
+				Start:   base + rowStart + pStart,
+				End:     base + rowStart + pEnd,
+				PageMBB: geom.MBBOf(row[pStart:pEnd]),
+				Region: geom.Box{
+					Lo: geom.Point{xLo, yPlanes[ri], zPlanes[pi]},
+					Hi: geom.Point{xHi, yPlanes[ri+1], zPlanes[pi+1]},
+				},
+			})
 		}
 	}
 	return out
+}
+
+// sortByDim orders elems by center coordinate of the given dimension, then
+// ID, then the position they came in. keys is scratch of the same length:
+// the sort runs on it, and the elements are then moved once each. Equal
+// coordinates are what the key sort leaves in arrival order; those runs are
+// sorted again with the ID as the key, which — that sort being stable —
+// leaves equal IDs in arrival order.
+func sortByDim(elems []geom.Element, keys []geom.SortKey, dim int, ks *geom.KeySorter) {
+	for i := range elems {
+		c := (elems[i].Box.Lo[dim] + elems[i].Box.Hi[dim]) / 2
+		if c == 0 {
+			c = 0 // -0 and +0 are one coordinate, and must be one key
+		}
+		keys[i] = geom.SortKey{K: geom.FloatSortable(c), I: int32(i)}
+	}
+	ks.Sort(keys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].K == keys[lo].K {
+			hi++
+		}
+		if run := keys[lo:hi]; len(run) > 1 {
+			for j := range run {
+				run[j].K = elems[run[j].I].ID
+			}
+			ks.Sort(run)
+		}
+		lo = hi
+	}
+	// Apply the permutation in place, cycle by cycle: position i takes the
+	// element from keys[i].I, whose place is filled from the next position
+	// of the cycle, until the cycle returns to i. A placed position is
+	// marked by pointing its key at itself.
+	for i := range keys {
+		if int(keys[i].I) == i {
+			continue
+		}
+		first := elems[i]
+		j := i
+		for {
+			from := int(keys[j].I)
+			keys[j].I = int32(j)
+			if from == i {
+				elems[j] = first
+				break
+			}
+			elems[j] = elems[from]
+			j = from
+		}
+	}
 }
 
 // cuts computes the cut positions for chunks of chunkSize elements over the
@@ -123,23 +207,4 @@ func cuts(sorted []geom.Element, chunkSize, dim int, worldLo, worldHi float64) (
 	positions = append(positions, len(sorted))
 	planes = append(planes, worldHi)
 	return positions, planes
-}
-
-// sortByDim sorts elements by center coordinate of the given dimension,
-// breaking ties by ID so partitioning is deterministic.
-func sortByDim(elems []geom.Element, dim int) {
-	sort.Slice(elems, func(i, j int) bool {
-		ci, cj := elems[i].Box.Center()[dim], elems[j].Box.Center()[dim]
-		if ci != cj {
-			return ci < cj
-		}
-		return elems[i].ID < elems[j].ID
-	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
