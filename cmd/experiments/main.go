@@ -41,7 +41,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	parallel := flag.Int("parallel", 1, "TRANSFORMERS join worker count (1 = paper-faithful)")
 	shardTiles := flag.Int("shard-tiles", 0, "tile count K for the shard-* engines (0 = statistics-driven)")
-	stream := flag.Bool("stream", false, "drive engines through the emit-based streaming path (measures its overhead)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results on stdout (tables go to stderr)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
@@ -67,7 +66,7 @@ func main() {
 	}
 
 	if !*jsonOut {
-		cfg := bench.Config{Scale: *scale, Out: os.Stdout, Seed: *seed, Parallel: *parallel, Algos: algos, ShardTiles: *shardTiles, Stream: *stream}
+		cfg := bench.Config{Scale: *scale, Out: os.Stdout, Seed: *seed, Parallel: *parallel, Algos: algos, ShardTiles: *shardTiles}
 		if err := bench.RunByID(*exp, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
@@ -105,7 +104,6 @@ func main() {
 			Parallel:   *parallel,
 			Algos:      algos,
 			ShardTiles: *shardTiles,
-			Stream:     *stream,
 			Sink:       func(s bench.Sample) { res.Samples = append(res.Samples, s) },
 		}
 		start := time.Now()

@@ -114,12 +114,7 @@ func streamJoin(algo string, a, b []transformers.Element, opt transformers.RunOp
 	bw := bufio.NewWriterSize(os.Stdout, 64<<10)
 	enc := json.NewEncoder(bw)
 	rep, err := transformers.RunStream(context.Background(), transformers.Algorithm(algo), a, b, opt,
-		func(p transformers.Pair) error {
-			return enc.Encode(struct {
-				A uint64 `json:"a"`
-				B uint64 `json:"b"`
-			}{p.A, p.B})
-		})
+		func(p transformers.Pair) error { return enc.Encode(p) })
 	if ferr := bw.Flush(); err == nil {
 		err = ferr
 	}

@@ -95,8 +95,6 @@ func main() {
 	faults := flag.String("faults", "", "DEV ONLY: fault-injection scenario for soak testing, e.g. 'read-error,slow-read:delay=2ms' (see internal/faultinject)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for randomized parameters of -faults clauses")
 	slowJoinMS := flag.Int64("slow-join-ms", server.DefaultSlowJoinThreshold.Milliseconds(), "joins slower than this land in /debug/joins with their span tree (negative = record every join)")
-	debugJoins := flag.Int("debug-joins", 0, "slow-join ring capacity (0 = default)")
-	plannerSamples := flag.Int("planner-samples", 0, "planner accuracy ring capacity (0 = default)")
 	plannerLog := flag.String("planner-log", "", "append every planner accuracy sample to this file as NDJSON")
 	plannerCalib := flag.String("planner-calibration", "", "load fitted planner cost constants from this JSON file (cmd/plannerfit output)")
 	deltaMax := flag.Int("delta-max-elements", 0, "append-delta size that triggers a background merge into the main index (0 = default 8192, negative = never merge automatically)")
@@ -123,8 +121,6 @@ func main() {
 		TenantSlots:         *tenantSlots,
 		TenantQueue:         *tenantQueue,
 		DefaultTimeout:      *defaultTimeout,
-		DebugJoins:          *debugJoins,
-		PlannerSamples:      *plannerSamples,
 		DeltaMaxElements:    *deltaMax,
 	}
 	if *slowJoinMS < 0 {

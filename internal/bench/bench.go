@@ -49,11 +49,6 @@ type Config struct {
 	// engine's statistics-driven choice). The feed behind
 	// `cmd/experiments -shard-tiles`.
 	ShardTiles int
-	// Stream drives every engine execution through the emit-based streaming
-	// path (engine.RunStream with a counting sink) instead of the collected
-	// one, so the harness measures the streaming machinery's overhead. The
-	// feed behind `cmd/experiments -stream`.
-	Stream bool
 
 	// experiment is the id currently running; runOne stamps it so samples
 	// carry their provenance.
@@ -435,22 +430,17 @@ func count(n uint64) string {
 	}
 }
 
-// executeEngine runs one engine execution through the collected or
-// (Config.Stream) emit-based path — the single execution step behind runAlgo
-// and the experiments that stamp their own samples, so -stream covers every
-// engine run the harness performs. In streaming mode pairs are consumed by a
-// counting sink and cross-checked against the engine's Refinements counter.
-func executeEngine(cfg Config, name string, a, b []transformers.Element, opt engine.Options) (*engine.Result, error) {
-	opt.DiscardPairs = true // the harness only needs the counters
-	if !cfg.Stream {
-		return engine.Run(context.Background(), name, a, b, opt)
-	}
-	var streamed uint64
+// executeEngine is the single execution step behind runAlgo and the
+// experiments that stamp their own samples. The harness only needs the
+// counters, so pairs are counted as they are emitted, never collected, and
+// the count is cross-checked against the engine's Refinements counter.
+func executeEngine(name string, a, b []transformers.Element, opt engine.Options) (*engine.Result, error) {
+	var emitted uint64
 	res, err := engine.RunStream(context.Background(), name, a, b, opt,
-		func(geom.Pair) error { streamed++; return nil })
-	if err == nil && streamed != res.Stats.Refinements {
-		return nil, fmt.Errorf("bench: %s streamed %d pairs but reports %d refinements",
-			name, streamed, res.Stats.Refinements)
+		func(geom.Pair) error { emitted++; return nil })
+	if err == nil && emitted != res.Stats.Refinements {
+		return nil, fmt.Errorf("bench: %s emitted %d pairs but reports %d refinements",
+			name, emitted, res.Stats.Refinements)
 	}
 	return res, err
 }
@@ -467,7 +457,7 @@ func runAlgo(cfg Config, name string, genA, genB func() []transformers.Element, 
 	if opt.ShardTiles == 0 {
 		opt.ShardTiles = cfg.ShardTiles
 	}
-	res, err := executeEngine(cfg, name, genA(), genB(), opt)
+	res, err := executeEngine(name, genA(), genB(), opt)
 	if err != nil {
 		return nil, err
 	}

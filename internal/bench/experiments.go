@@ -421,9 +421,8 @@ func runEngines(cfg Config) error {
 				continue
 			}
 			// Not via runAlgo: the sample needs the workload and
-			// prediction stamps, so record it here instead (executeEngine
-			// still honors Config.Stream).
-			rep, err := executeEngine(cfg, name, w.genA(), w.genB(),
+			// prediction stamps, so record it here instead.
+			rep, err := executeEngine(name, w.genA(), w.genB(),
 				engine.Options{PBSMTilesPerDim: cfg.pbsmTiles(10), Parallelism: cfg.Parallel,
 					ShardTiles: cfg.ShardTiles})
 			if err != nil {

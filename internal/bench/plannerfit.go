@@ -100,7 +100,7 @@ func runPlannerFit(cfg Config) error {
 				c.terms[t.Name] = t.MS
 			}
 			for r := 0; r < plannerFitTrainReps+plannerFitEvalReps+1; r++ {
-				res, err := executeEngine(cfg, name, w.genA(), w.genB(), opt)
+				res, err := executeEngine(name, w.genA(), w.genB(), opt)
 				if err != nil {
 					return err
 				}

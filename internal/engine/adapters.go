@@ -61,19 +61,13 @@ func init() {
 
 // transformersEngine runs the paper's adaptive join (§III–§VI): sequential,
 // parallel (Options.Parallelism) and distance (Options.Distance) execution
-// through one adapter, reusing prebuilt catalog indexes when supplied. Both
-// the collected and the streaming path run the same kernel; Join only adds
-// the pair slice.
+// through one adapter, reusing prebuilt catalog indexes when supplied.
 type transformersEngine struct{}
 
 func (transformersEngine) Name() string { return Transformers }
 
 func (transformersEngine) Capabilities() Capabilities {
 	return Capabilities{Parallel: true, Adaptive: true, PrebuiltIndexes: true}
-}
-
-func (e transformersEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	return CollectStream(ctx, e, a, b, opt)
 }
 
 func (transformersEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
@@ -83,9 +77,6 @@ func (transformersEngine) JoinStream(ctx context.Context, a, b []geom.Element, o
 		// Catalog fast path: the indexes exist (distance expansion
 		// included), only the join runs. Options.Distance must be zero —
 		// the catalog applies expansion at build time.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if opt.Disk == (storage.DiskModel{}) {
 			opt.Disk = storage.DefaultDiskModel()
 		}
@@ -151,10 +142,6 @@ type pbsmEngine struct{}
 func (pbsmEngine) Name() string               { return PBSM }
 func (pbsmEngine) Capabilities() Capabilities { return Capabilities{} }
 
-func (e pbsmEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	return CollectStream(ctx, e, a, b, opt)
-}
-
 func (pbsmEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
 	if err != nil {
@@ -209,10 +196,6 @@ type rtreeEngine struct{}
 func (rtreeEngine) Name() string               { return RTree }
 func (rtreeEngine) Capabilities() Capabilities { return Capabilities{} }
 
-func (e rtreeEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	return CollectStream(ctx, e, a, b, opt)
-}
-
 func (rtreeEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
 	if err != nil {
@@ -260,10 +243,6 @@ type gipsyEngine struct{}
 
 func (gipsyEngine) Name() string               { return GIPSY }
 func (gipsyEngine) Capabilities() Capabilities { return Capabilities{} }
-
-func (e gipsyEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	return CollectStream(ctx, e, a, b, opt)
-}
 
 func (gipsyEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
@@ -319,10 +298,6 @@ type gridEngine struct{}
 
 func (gridEngine) Name() string               { return Grid }
 func (gridEngine) Capabilities() Capabilities { return Capabilities{InMemory: true} }
-
-func (e gridEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	return CollectStream(ctx, e, a, b, opt)
-}
 
 func (gridEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
@@ -383,10 +358,6 @@ func (inmemEngine) Capabilities() Capabilities {
 	return Capabilities{Parallel: true, InMemory: true, PrebuiltIndexes: true}
 }
 
-func (e inmemEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	return CollectStream(ctx, e, a, b, opt)
-}
-
 func (inmemEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	res := &Result{Engine: InMem}
 	var p *inmem.Partitioned
@@ -426,20 +397,13 @@ func (inmemEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Opti
 }
 
 // naiveEngine is the O(|A|·|B|) nested loop — the trivially correct
-// reference every other engine is validated against.
+// reference every other engine is validated against. Pairs surface in scan
+// order, not naive.Join's sorted order: engine results carry no ordering
+// contract (SortPairs is the canonical comparison order).
 type naiveEngine struct{}
 
 func (naiveEngine) Name() string               { return Naive }
 func (naiveEngine) Capabilities() Capabilities { return Capabilities{InMemory: true, Reference: true} }
-
-func (e naiveEngine) Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error) {
-	// Scan order on both paths — not naive.Join's sorted order — so a
-	// result cached from a streamed execution is indistinguishable from a
-	// collected one. Engine results carry no ordering contract (SortPairs
-	// is the canonical comparison order); the sorted reference lives in the
-	// naive package.
-	return CollectStream(ctx, e, a, b, opt)
-}
 
 func (naiveEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)

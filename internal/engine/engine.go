@@ -250,17 +250,22 @@ type Result struct {
 	Stats Stats
 }
 
-// Joiner is one spatial join implementation. Join inputs may be reordered in
-// place by partitioning engines — pass copies if the caller retains them.
-// Implementations must be safe for concurrent use by multiple goroutines
-// (they keep no per-call state).
+// Joiner is one spatial join implementation. Pairs leave an engine one way:
+// through emit, as they are found, so a skewed join whose output approaches
+// |A|·|B| runs in memory bounded by the engine's working state, not its
+// result size. Inputs may be reordered in place by partitioning engines — pass
+// copies if the caller retains them. Implementations must be safe for
+// concurrent use by multiple goroutines (they keep no per-call state).
 type Joiner interface {
 	// Name is the stable registry key (e.g. "transformers", "pbsm").
 	Name() string
 	// Capabilities describes the engine's execution profile.
 	Capabilities() Capabilities
-	// Join executes the engine end to end on the two element sets.
-	Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error)
+	// JoinStream executes the engine end to end on the two element sets,
+	// reporting each result pair through emit. An emit error (including one
+	// caused by context cancellation) aborts the join early and is returned.
+	// The returned Result carries the Stats; Pairs stays nil.
+	JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error)
 }
 
 // registry is the process-wide engine registry. Engines register in init;
@@ -321,23 +326,58 @@ func All() []Joiner {
 	return out
 }
 
-// Run resolves name and executes the engine — the one-call form every layer
-// above uses. An empty input short-circuits to an empty result (after option
-// validation) through the same guard RunStream uses (emptyInputResult), so
-// the collected and streaming paths cannot diverge on degenerate inputs.
+// Run resolves name and executes the engine with its pairs collected into
+// Result.Pairs — the one-call collected form every layer above uses.
 func Run(ctx context.Context, name string, a, b []geom.Element, opt Options) (*Result, error) {
 	j, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
+	return Collect(ctx, j, a, b, opt)
+}
+
+// RunStream resolves name and executes the engine, delivering each pair to
+// emit — the one-call streaming form the serving layer and the CLIs use.
+func RunStream(ctx context.Context, name string, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
+	j, err := Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, j, a, b, opt, emit)
+}
+
+// Collect executes j — registered or not — and gathers what it emits into
+// Result.Pairs: the one place an engine result is materialized, and the only
+// reader of Options.DiscardPairs (which leaves Pairs nil and keeps the
+// counters).
+func Collect(ctx context.Context, j Joiner, a, b []geom.Element, opt Options) (*Result, error) {
+	var pairs []geom.Pair
+	emit := func(p geom.Pair) error { pairs = append(pairs, p); return nil }
+	if opt.DiscardPairs {
+		emit = func(geom.Pair) error { return nil }
+	}
+	res, err := run(ctx, j, a, b, opt, emit)
+	if err != nil {
+		return nil, err
+	}
+	res.Pairs = pairs
+	return res, nil
+}
+
+// run is the single execution step under Run, RunStream and Collect. An
+// empty input short-circuits (after option validation) to a zero-pair result
+// with valid Stats without calling emit, so collected and streamed executions
+// cannot diverge on degenerate inputs.
+func run(ctx context.Context, j Joiner, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	name := j.Name()
 	if res, done, err := emptyInputResult(name, a, b, opt); done {
 		return res, err
 	}
 	ctx, span := obs.Start(ctx, "engine:"+name)
-	res, err := j.Join(ctx, a, b, opt)
+	res, err := j.JoinStream(ctx, a, b, opt, emit)
 	span.End()
 	annotateEngineSpan(span, res)
 	return res, err

@@ -222,7 +222,7 @@ type stubEngine struct{}
 
 func (stubEngine) Name() string                      { return "stub-shard" }
 func (stubEngine) Capabilities() engine.Capabilities { return engine.Capabilities{} }
-func (stubEngine) Join(ctx context.Context, a, b []geom.Element, opt engine.Options) (*engine.Result, error) {
+func (stubEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	return &engine.Result{Engine: "stub-shard"}, nil
 }
 

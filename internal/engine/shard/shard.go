@@ -96,14 +96,7 @@ func (e *Engine) Capabilities() engine.Capabilities {
 // them to materialize its output.
 const StreamBuffer = 256
 
-// Join implements engine.Joiner: the thin collected wrapper over JoinStream,
-// appending emitted pairs into a slice. Both paths share the partition /
-// fan-out / dedup machinery, so their pair multisets cannot diverge.
-func (e *Engine) Join(ctx context.Context, a, b []geom.Element, opt engine.Options) (*engine.Result, error) {
-	return engine.CollectStream(ctx, e, a, b, opt)
-}
-
-// JoinStream implements engine.StreamJoiner: partition, fan out, and merge
+// JoinStream implements engine.Joiner: partition, fan out, and merge
 // the per-tile streams through the reference-point dedup filter on the fly.
 func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	if _, err := engine.Get(e.inner); err != nil {
@@ -173,10 +166,8 @@ func (e *Engine) single(ctx context.Context, a, b []geom.Element, opt engine.Opt
 }
 
 // innerOptions derives the per-tile option set: same pricing and sizing, the
-// whole world (PBSM-style inners need it to cover both tile subsets), one
-// thread per tile (the pool provides the parallelism), and pairs never
-// discarded — dedup filters the inner streams, so every inner pair must
-// surface even when the caller discards the merged result.
+// whole world (PBSM-style inners need it to cover both tile subsets) and one
+// thread per tile (the pool provides the parallelism).
 func (e *Engine) innerOptions(opt engine.Options) engine.Options {
 	inner := opt
 	inner.World = opt.World
@@ -184,7 +175,6 @@ func (e *Engine) innerOptions(opt engine.Options) engine.Options {
 	inner.Parallelism = 1
 	inner.ShardTiles = 0
 	inner.Prebuilt = nil
-	inner.DiscardPairs = false
 	return inner
 }
 

@@ -258,7 +258,7 @@ func TestEmptyInputShardRecord(t *testing.T) {
 			res, err = engine.Run(context.Background(), engine.ShardTransformers, nil, a, engine.Options{})
 		} else {
 			j, _ := engine.Get(engine.ShardTransformers)
-			res, err = j.Join(context.Background(), nil, a, engine.Options{})
+			res, err = j.JoinStream(context.Background(), nil, a, engine.Options{}, func(geom.Pair) error { return nil })
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", via, err)
@@ -281,7 +281,7 @@ func TestUnknownInner(t *testing.T) {
 		t.Fatalf("naming: %q / %q", e.Name(), e.Inner())
 	}
 	a, _ := enginetest.UniformPair(10, 92, 93)
-	if _, err := e.Join(context.Background(), a, a, engine.Options{}); err == nil {
+	if _, err := engine.Collect(context.Background(), e, a, a, engine.Options{}); err == nil {
 		t.Fatal("unknown inner engine must error")
 	}
 }
@@ -297,7 +297,7 @@ func TestCanceledContext(t *testing.T) {
 			t.Fatal(err)
 		}
 		j, _ := engine.Get(engine.ShardTransformers)
-		if _, err := j.Join(ctx, enginetest.Copy(a), enginetest.Copy(b), engine.Options{ShardTiles: k}); err == nil {
+		if _, err := engine.Collect(ctx, j, enginetest.Copy(a), enginetest.Copy(b), engine.Options{ShardTiles: k}); err == nil {
 			t.Errorf("K=%d: canceled context must abort", k)
 		}
 	}
@@ -311,7 +311,7 @@ func TestNegativeDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := enginetest.UniformPair(10, 96, 97)
-	if _, err := j.Join(context.Background(), a, b, engine.Options{Distance: -1}); err == nil {
+	if _, err := engine.Collect(context.Background(), j, a, b, engine.Options{Distance: -1}); err == nil {
 		t.Fatal("negative distance must fail")
 	}
 }

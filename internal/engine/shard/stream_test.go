@@ -42,18 +42,6 @@ func (countingInner) Capabilities() engine.Capabilities {
 	return engine.Capabilities{InMemory: true, Reference: true}
 }
 
-func (c countingInner) Join(ctx context.Context, a, b []geom.Element, opt engine.Options) (*engine.Result, error) {
-	var pairs []geom.Pair
-	res, err := c.JoinStream(ctx, a, b, opt, func(p geom.Pair) error { pairs = append(pairs, p); return nil })
-	if err != nil {
-		return nil, err
-	}
-	if !opt.DiscardPairs {
-		res.Pairs = pairs
-	}
-	return res, nil
-}
-
 func (c countingInner) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	a, b, _, err := engine.Prepare(ctx, a, b, opt)
 	if err != nil {
@@ -118,7 +106,7 @@ func TestStreamBoundedBuffering(t *testing.T) {
 	// Collected run first: totals (unique pairs + dedup drops) tell us what
 	// "ran to completion" would mean for the stalled run below.
 	sh := shard.New("counting-naive")
-	collected, err := sh.Join(context.Background(), enginetest.Copy(a), enginetest.Copy(b),
+	collected, err := engine.Collect(context.Background(), sh, enginetest.Copy(a), enginetest.Copy(b),
 		engine.Options{ShardTiles: tiles, Parallelism: workers})
 	if err != nil {
 		t.Fatal(err)

@@ -7,83 +7,22 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // EmitFunc receives one result pair as the engine finds it. Returning a
 // non-nil error aborts the join: the engine stops within its worker budget
 // (each worker finishes at most its current pivot/tile/probe row) and the
-// streaming entry point returns the error. Engines never call an EmitFunc
-// concurrently — parallel emitters are serialized — so an emit body may
-// write to a response stream or append to a slice without its own locking.
+// entry point returns the error. Engines never call an EmitFunc concurrently
+// — parallel emitters are serialized — so an emit body may write to a
+// response stream or append to a slice without its own locking.
 type EmitFunc func(geom.Pair) error
 
-// StreamJoiner is the streaming capability of an engine: pairs are produced
-// through emit as they are found instead of being materialized in
-// Result.Pairs, so a skewed join whose output approaches |A|·|B| runs in
-// memory bounded by the engine's working state, not its result size. The
-// returned Result carries the usual Stats with Pairs nil. Every built-in
-// engine (and the sharded meta-engines) implements it; the collected
-// Joiner.Join of those engines is a thin wrapper that appends emitted pairs
-// into a slice, so Result and Stats semantics are identical on both paths.
-type StreamJoiner interface {
-	Joiner
-	// JoinStream executes the engine, reporting each result pair through
-	// emit. An emit error (including one caused by context cancellation)
-	// aborts the join early and is returned.
-	JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error)
-}
-
-// RunStream resolves name and executes the engine's streaming path — the
-// one-call form the serving layer and the CLIs use. The empty-input guard of
-// Run applies identically here: an empty side short-circuits (after option
-// validation) to a zero-pair result with valid Stats and emit is never
-// called. Engines registered without the StreamJoiner capability fall back
-// to a collected Join whose pairs are replayed through emit — correct, but
-// buffering the full result; every built-in engine streams natively.
-func RunStream(ctx context.Context, name string, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	j, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if res, done, err := emptyInputResult(name, a, b, opt); done {
-		return res, err
-	}
-	ctx, span := obs.Start(ctx, "engine:"+name)
-	defer span.End()
-	if sj, ok := j.(StreamJoiner); ok {
-		res, err := sj.JoinStream(ctx, a, b, opt, emit)
-		span.End()
-		annotateEngineSpan(span, res)
-		return res, err
-	}
-	// DiscardPairs is a collected-path switch; on the fallback the collected
-	// pairs ARE the stream, so they must be produced to be replayed.
-	opt.DiscardPairs = false
-	res, err := j.Join(ctx, a, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range res.Pairs {
-		if err := emit(p); err != nil {
-			return nil, err
-		}
-	}
-	res.Pairs = nil
-	span.End()
-	annotateEngineSpan(span, res)
-	return res, nil
-}
-
-// emptyInputResult is the shared empty-input short-circuit of Run and
-// RunStream: a join with an empty side has no pairs by definition, and the
-// partitioning engines cannot build structures over an empty, boundless
-// world. done reports whether the short-circuit applies; when it does, the
-// result (possibly nil with an error) is final. The prebuilt-index path (nil
-// element slices by design) is exempt.
+// emptyInputResult is run's empty-input short-circuit: a join with an empty
+// side has no pairs by definition, and the partitioning engines cannot build
+// structures over an empty, boundless world. done reports whether the
+// short-circuit applies; when it does, the result (possibly nil with an
+// error) is final. The prebuilt-index path (nil element slices by design) is
+// exempt.
 func emptyInputResult(name string, a, b []geom.Element, opt Options) (res *Result, done bool, err error) {
 	if (len(a) != 0 && len(b) != 0) || opt.Prebuilt != nil {
 		return nil, false, nil
@@ -100,26 +39,6 @@ func emptyInputResult(name string, a, b []geom.Element, opt Options) (res *Resul
 	}
 	res.Stats.finish(opt.Disk)
 	return res, true, nil
-}
-
-// CollectStream runs an engine's streaming path with an emit that appends
-// into a slice — the single implementation behind every built-in engine's
-// (and the shard meta-engine's) collected Join, so the two paths cannot
-// drift apart.
-func CollectStream(ctx context.Context, j StreamJoiner, a, b []geom.Element, opt Options) (*Result, error) {
-	var pairs []geom.Pair
-	emit := func(p geom.Pair) error { pairs = append(pairs, p); return nil }
-	if opt.DiscardPairs {
-		emit = func(geom.Pair) error { return nil }
-	}
-	res, err := j.JoinStream(ctx, a, b, opt, emit)
-	if err != nil {
-		return nil, err
-	}
-	if !opt.DiscardPairs {
-		res.Pairs = pairs
-	}
-	return res, nil
 }
 
 // sink adapts an element-pair emit callback (what the native join kernels
@@ -139,8 +58,8 @@ type sink struct {
 }
 
 // newSink wraps emit; parallel selects mutex serialization for engines whose
-// workers emit concurrently (mirrors the collected path's locking rule: any
-// Parallelism other than 0 or 1, including negative = all cores).
+// workers emit concurrently (any Parallelism other than 0 or 1, including
+// negative = all cores).
 func newSink(emit EmitFunc, parallel bool, opt Options) *sink {
 	return &sink{out: emit, locked: parallel && opt.Parallelism != 0 && opt.Parallelism != 1}
 }

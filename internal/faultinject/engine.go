@@ -38,22 +38,12 @@ func (e *Engine) Capabilities() engine.Capabilities {
 	return engine.Capabilities{}
 }
 
-// Join implements engine.Joiner via the streaming path, like every built-in
-// engine.
-func (e *Engine) Join(ctx context.Context, a, b []geom.Element, opt engine.Options) (*engine.Result, error) {
-	return engine.CollectStream(ctx, e, a, b, opt)
-}
-
-// JoinStream implements engine.StreamJoiner: the inner engine streams
-// through a fault-wrapped emit.
+// JoinStream implements engine.Joiner: the inner engine emits through a
+// fault-wrapped emit.
 func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	j, err := engine.Get(e.inner)
 	if err != nil {
 		return nil, err
-	}
-	sj, ok := j.(engine.StreamJoiner)
-	if !ok {
-		return nil, fmt.Errorf("faultinject: inner engine %q does not stream", e.inner)
 	}
 	wrapped := func(p geom.Pair) error {
 		if _, fire := e.sc.fire(OpEmitError); fire {
@@ -69,7 +59,7 @@ func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine
 		}
 		return emit(p)
 	}
-	res, err := sj.JoinStream(ctx, a, b, opt, wrapped)
+	res, err := j.JoinStream(ctx, a, b, opt, wrapped)
 	if err != nil {
 		return nil, err
 	}

@@ -229,7 +229,7 @@ func TestEngineFaultFreePassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := sc.Engine("fi-test-passthrough", engine.Transformers)
-	res, err := e.Join(context.Background(), a, b, engine.Options{})
+	res, err := engine.Collect(context.Background(), e, a, b, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestEngineEmitError(t *testing.T) {
 	a, b := joinInputs()
 	sc := New(Fault{Op: OpEmitError, After: 10, Times: 1})
 	e := sc.Engine("fi-test-emit", engine.Transformers)
-	_, err := e.Join(context.Background(), a, b, engine.Options{})
+	_, err := engine.Collect(context.Background(), e, a, b, engine.Options{})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -271,7 +271,7 @@ func TestEngineStallUnblocksOnCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Join(ctx, a, b, engine.Options{})
+		_, err := engine.Collect(ctx, e, a, b, engine.Options{})
 		done <- err
 	}()
 	select {

@@ -262,7 +262,10 @@ func MBBOf(elems []Element) Box {
 // Pair is one result of the filtering step: the IDs of two elements, one
 // from each joined dataset, whose MBBs intersect. A is always the element
 // from the first dataset passed to the join, B from the second, regardless
-// of any internal role switching an algorithm performs.
+// of any internal role switching an algorithm performs. The JSON tags are the
+// {"a":…,"b":…} pair wire format of the daemon's responses and the CLI's
+// NDJSON output, declared here once.
 type Pair struct {
-	A, B uint64
+	A uint64 `json:"a"`
+	B uint64 `json:"b"`
 }

@@ -114,19 +114,14 @@ type joinRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-type pairDTO struct {
-	A uint64 `json:"a"`
-	B uint64 `json:"b"`
-}
-
 type joinResponse struct {
-	A         string        `json:"a"`
-	B         string        `json:"b"`
-	RequestID string        `json:"request_id"`
-	Cached    bool          `json:"cached"`
-	Summary   JoinSummary   `json:"summary"`
-	Pairs     []pairDTO     `json:"pairs,omitempty"`
-	Trace     *obs.TraceDTO `json:"trace,omitempty"`
+	A         string              `json:"a"`
+	B         string              `json:"b"`
+	RequestID string              `json:"request_id"`
+	Cached    bool                `json:"cached"`
+	Summary   JoinSummary         `json:"summary"`
+	Pairs     []transformers.Pair `json:"pairs,omitempty"`
+	Trace     *obs.TraceDTO       `json:"trace,omitempty"`
 }
 
 type rangeRequest struct {
@@ -463,14 +458,6 @@ func handleAppend(svc *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// predicateOf names the join predicate for traces and planner samples.
-func predicateOf(distance bool) string {
-	if distance {
-		return "distance"
-	}
-	return "intersects"
-}
-
 // wantTrace reports whether the client asked for the span tree in the
 // response body — via the request field or the X-Trace header.
 func wantTrace(req joinRequest, r *http.Request) bool {
@@ -479,6 +466,45 @@ func wantTrace(req joinRequest, r *http.Request) bool {
 	}
 	v := strings.TrimSpace(r.Header.Get("X-Trace"))
 	return v != "" && v != "0"
+}
+
+// joinCall is one validated join request on its way to either answer shape —
+// one JSON body or an NDJSON stream.
+type joinCall struct {
+	svc    *Service
+	req    joinRequest
+	params JoinParams
+	rid    string
+	tr     *obs.Trace
+	echo   bool // the client asked for the span tree
+}
+
+// finish closes the request's trace and assembles the record observeJoin
+// files it under: engine is what Service.join resolved ("" when it failed
+// before planning did), out its outcome (nil on error), pairs what the
+// response carries. It returns the span tree to echo too — nil unless the
+// client asked for it.
+func (c *joinCall) finish(ctx context.Context, engine string, out *JoinOutcome, err error, pairs int64, wall time.Duration) (obs.JoinRecord, *obs.TraceDTO) {
+	dto := c.tr.Finish()
+	rec := obs.JoinRecord{
+		Time:      time.Now(),
+		RequestID: c.rid,
+		Tenant:    TenantFrom(ctx).ID,
+		A:         c.req.A,
+		B:         c.req.B,
+		Predicate: predicateOf(c.params.Distance),
+		Engine:    engine,
+		Cached:    out != nil && out.Cached,
+		Pairs:     pairs,
+		Outcome:   outcomeOf(err),
+		Status:    http.StatusOK,
+		WallMS:    float64(wall.Microseconds()) / 1000,
+		Trace:     dto,
+	}
+	if !c.echo {
+		dto = nil
+	}
+	return rec, dto
 }
 
 func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance bool) {
@@ -509,53 +535,29 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 	defer cancel()
 	// Every join is traced: the span tree is what /debug/joins records for
 	// slow ones. Echoing it in the response stays opt-in.
-	tr := obs.New(rid)
-	ctx = obs.NewContext(ctx, tr)
-	echo := wantTrace(req, r)
-	tenant := tenantFromHeaders(r).ID
-
+	call := &joinCall{svc: svc, req: req, params: params, rid: rid, tr: obs.New(rid), echo: wantTrace(req, r)}
+	ctx = obs.NewContext(ctx, call.tr)
 	if req.Stream {
-		streamJoin(svc, ctx, w, r, req, params, rid, tr, echo, distance)
+		call.stream(ctx, w)
 		return
 	}
 	start := time.Now()
-	out, err := svc.Join(ctx, req.A, req.B, params)
+	out, engine, err := svc.join(ctx, req.A, req.B, params, nil)
 	wall := time.Since(start)
-	dto := tr.Finish()
-	rec := obs.JoinRecord{
-		Time:      time.Now(),
-		RequestID: rid,
-		Tenant:    tenant,
-		A:         req.A,
-		B:         req.B,
-		Predicate: predicateOf(distance),
-		Outcome:   outcomeOf(err),
-		WallMS:    float64(wall.Microseconds()) / 1000,
-		Trace:     dto,
+	var pairs int64
+	if err == nil {
+		pairs = int64(out.Summary.Results)
 	}
+	rec, trace := call.finish(ctx, engine, out, err, pairs, wall)
 	if err != nil {
-		var echoed *obs.TraceDTO
-		if echo {
-			echoed = dto
-		}
-		rec.Status = writeError(w, err, rid, echoed)
+		rec.Status = writeError(w, err, rid, trace)
 		svc.observeJoin(rec, wall)
 		return
 	}
-	rec.Status = http.StatusOK
-	rec.Engine = out.Summary.Algorithm
-	rec.Cached = out.Cached
-	rec.Pairs = int64(out.Summary.Results)
 	svc.observeJoin(rec, wall)
-	resp := joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary}
-	if echo {
-		resp.Trace = dto
-	}
+	resp := joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary, Trace: trace}
 	if req.IncludePairs {
-		resp.Pairs = make([]pairDTO, len(out.Pairs))
-		for i, p := range out.Pairs {
-			resp.Pairs[i] = pairDTO{A: p.A, B: p.B}
-		}
+		resp.Pairs = out.Pairs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -592,15 +594,14 @@ type streamTrailer struct {
 	Trace     *obs.TraceDTO `json:"trace,omitempty"`
 }
 
-// streamJoin runs the join through the service's streaming path and writes
-// NDJSON as pairs surface: one pair object per line, then one final trailer
-// line. Writes happen under the engine's backpressure — a slow consumer
-// slows the join instead of growing a buffer — and a failed write (client
-// gone) aborts the underlying join. Errors before the first pair still get a
-// proper HTTP status; later ones are reported in the trailer with
-// aborted:true, so clients can always distinguish truncation from
-// completion.
-func streamJoin(svc *Service, ctx context.Context, w http.ResponseWriter, r *http.Request, req joinRequest, params JoinParams, rid string, tr *obs.Trace, echo bool, distance bool) {
+// stream runs the join with the response as its consumer and writes NDJSON as
+// pairs surface: one pair object per line, then one final trailer line.
+// Writes happen under the engine's backpressure — a slow consumer slows the
+// join instead of growing a buffer — and a failed write (client gone) aborts
+// the underlying join. Errors before the first pair still get a proper HTTP
+// status; later ones are reported in the trailer with aborted:true, so
+// clients can always distinguish truncation from completion.
+func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
@@ -625,9 +626,9 @@ func streamJoin(svc *Service, ctx context.Context, w http.ResponseWriter, r *htt
 	}
 	n := 0
 	begin := time.Now()
-	out, err := svc.JoinStream(ctx, req.A, req.B, params, func(p transformers.Pair) error {
+	out, engine, err := c.svc.join(ctx, c.req.A, c.req.B, c.params, func(p transformers.Pair) error {
 		start()
-		if err := enc.Encode(pairDTO{A: p.A, B: p.B}); err != nil {
+		if err := enc.Encode(p); err != nil {
 			return err
 		}
 		n++
@@ -643,27 +644,11 @@ func streamJoin(svc *Service, ctx context.Context, w http.ResponseWriter, r *htt
 		return nil
 	})
 	wall := time.Since(begin)
-	dto := tr.Finish()
-	var echoed *obs.TraceDTO
-	if echo {
-		echoed = dto
-	}
-	rec := obs.JoinRecord{
-		Time:      time.Now(),
-		RequestID: rid,
-		Tenant:    tenantFromHeaders(r).ID,
-		A:         req.A,
-		B:         req.B,
-		Predicate: predicateOf(distance),
-		Outcome:   outcomeOf(err),
-		Pairs:     int64(n),
-		WallMS:    float64(wall.Microseconds()) / 1000,
-		Trace:     dto,
-	}
+	rec, trace := c.finish(ctx, engine, out, err, int64(n), wall)
 	if err != nil {
 		if !started {
-			rec.Status = writeError(w, err, rid, echoed)
-			svc.observeJoin(rec, wall)
+			rec.Status = writeError(w, err, c.rid, trace)
+			c.svc.observeJoin(rec, wall)
 			return
 		}
 		// The status line is gone; the NDJSON trailer carries the error. A
@@ -673,20 +658,16 @@ func streamJoin(svc *Service, ctx context.Context, w http.ResponseWriter, r *htt
 		if rec.Outcome == "error" {
 			rec.Outcome = "aborted"
 		}
-		rec.Status = http.StatusOK
-		svc.observeJoin(rec, wall)
+		c.svc.observeJoin(rec, wall)
 		arm()
-		_ = enc.Encode(streamTrailer{RequestID: rid, Error: err.Error(), Aborted: true, Pairs: n, Trace: echoed})
+		_ = enc.Encode(streamTrailer{RequestID: c.rid, Error: err.Error(), Aborted: true, Pairs: n, Trace: trace})
 		_ = bw.Flush()
 		return
 	}
-	rec.Status = http.StatusOK
-	rec.Engine = out.Summary.Algorithm
-	rec.Cached = out.Cached
-	svc.observeJoin(rec, wall)
+	c.svc.observeJoin(rec, wall)
 	start() // a zero-pair join still answers with the NDJSON trailer
 	arm()
-	_ = enc.Encode(streamTrailer{Summary: &out.Summary, RequestID: rid, Cached: out.Cached, Pairs: n, Trace: echoed})
+	_ = enc.Encode(streamTrailer{Summary: &out.Summary, RequestID: c.rid, Cached: out.Cached, Pairs: n, Trace: trace})
 	_ = bw.Flush()
 	if flusher != nil {
 		flusher.Flush()

@@ -1,0 +1,481 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/transformers"
+)
+
+// JoinParams selects a join execution.
+type JoinParams struct {
+	// Distance > 0 runs the distance join of §VIII: pairs whose boxes come
+	// within the given Chebyshev distance. 0 is the plain intersection join.
+	Distance float64
+	// Parallelism overrides the per-join worker count (service default when
+	// zero, all cores when negative). Only engines whose capabilities
+	// report Parallel honor it.
+	Parallelism int
+	// NoCache bypasses the result cache (both lookup and fill).
+	NoCache bool
+	// Algorithm names the engine to run: any engine.Names() entry,
+	// AlgorithmAuto to let the planner pick, or empty for the service
+	// default.
+	Algorithm string
+	// ShardTiles pins the tile count K of the sharded meta-engines (0 =
+	// the engine's statistics-driven choice); other engines ignore it.
+	ShardTiles int
+}
+
+// JoinOutcome is one join result: pairs in A/B orientation, the cost
+// summary, and whether the cache served it.
+type JoinOutcome struct {
+	Pairs   []transformers.Pair
+	Summary JoinSummary
+	Cached  bool
+}
+
+// joinKey assembles the cache key for one join execution. ShardTiles is part
+// of the key: the pair set is invariant in it (a tested property), but the
+// cached cost summary describes one concrete fan-out, and serving a K=4
+// execution record for a K=16 request would misreport what ran. The delta
+// epochs pin the append-buffer state the result composed, so an append is an
+// immediate cache miss without a version bump.
+func joinKey(a, b string, va, vb, ea, eb uint64, distance float64, algorithm string, shardTiles int) JoinKey {
+	return JoinKey{A: a, B: b, VersionA: va, VersionB: vb, DeltaEpochA: ea, DeltaEpochB: eb, Predicate: predicateOf(distance), Distance: distance, Algorithm: algorithm, ShardTiles: shardTiles}
+}
+
+// predicateOf names a join's predicate in cache keys, join records and
+// planner samples.
+func predicateOf(distance float64) string {
+	if distance > 0 {
+		return "distance"
+	}
+	return "intersects"
+}
+
+// admitted runs fn inside one pool slot, bracketing the queue wait with an
+// "admission-wait" span (queue depth and slot cost at arrival) and the slot
+// time with a top-level "execute" span whose context fn receives, so engine
+// and catalog spans nest under it. The execute span is returned (nil when
+// untraced or never admitted) so a streamed join can attach its emit record
+// to it after the fact.
+func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Context) error) (*obs.Span, error) {
+	_, wait := obs.Start(ctx, "admission-wait")
+	if wait != nil {
+		wait.Add("queue_depth", int64(s.pool.QueueDepth()))
+		wait.Add("cost_units", int64(cost))
+	}
+	var exec *obs.Span
+	err := s.pool.Do(ctx, admission(ctx, cost), func() error {
+		wait.End()
+		ectx, ex := obs.Start(ctx, "execute")
+		exec = ex
+		defer ex.End()
+		return fn(ectx)
+	})
+	wait.End() // idempotent: closes the span when admission failed
+	return exec, err
+}
+
+// execution is what one executed (non-cached) join hands back: the engine
+// result, the cache key of the state it actually ran on, and the per-request
+// facts the summary reports.
+type execution struct {
+	res   *engine.Result
+	key   JoinKey
+	stale bool
+	delta *DeltaSummary
+	// span is the "execute" span (nil when untraced or never admitted).
+	span *obs.Span
+	// part is the (already released) partition an inmem join ran on; nil for
+	// every other engine. Forget it when the result was stored.
+	part *PartitionHandle
+}
+
+// executeJoin runs the planned join inside one pool slot, so admission
+// control bounds all expensive work — including the single-flight index and
+// partition builds acquisition can trigger (a distance join builds expanded
+// variants of both sides, §VIII) and the per-request builds of the other
+// engines. Waiting on another request's in-flight build consumes this slot
+// but never needs a second one, so slots cannot deadlock. Every pair, of
+// every branch and of the delta sub-joins, leaves through emit.
+func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (execution, error) {
+	var ex execution
+	var run func(ctx context.Context) error
+	switch jp.algo {
+	case engine.Transformers:
+		// Catalog path: reuse the prebuilt (and, for distance joins,
+		// pre-expanded) indexes through the registry's prebuilt option. A
+		// non-empty delta buffer composes on top: the prebuilt indexes cover
+		// base×base, and the delta sub-joins run inmem afterwards against
+		// the same pinned generation — the handles fix which (base, delta)
+		// snapshot this join describes even if a merge installs a successor
+		// generation mid-join.
+		run = func(ctx context.Context) error {
+			cctx, cat := obs.Start(ctx, "catalog")
+			ha, err := s.cat.Acquire(cctx, a, p.Distance)
+			if err != nil {
+				cat.End()
+				return err
+			}
+			defer ha.Release()
+			hb, err := s.cat.Acquire(cctx, b, p.Distance)
+			cat.End()
+			if err != nil {
+				return err
+			}
+			defer hb.Release()
+			ex.stale = ha.Stale || hb.Stale
+			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, ex.stale)
+			baseA, deltaA, epochA := s.cat.DeltaView(ha)
+			baseB, deltaB, epochB := s.cat.DeltaView(hb)
+			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo, jp.tiles)
+			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
+				Parallelism: jp.parallelism,
+				Concurrent:  true,
+				PageSize:    s.cfg.PageSize,
+				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
+			}, emit)
+			if err == nil && len(deltaA)+len(deltaB) > 0 {
+				ex.delta, err = s.deltaJoin(ctx, ex.res, baseA, baseB, deltaA, deltaB, p, jp, emit)
+			}
+			return err
+		}
+	case engine.InMem:
+		// Catalog path of the in-memory engine: its index is the stripe
+		// partition of the dataset pair, built by the first join of the
+		// pair's current state and reused until a write. The partition
+		// covers base + delta with the distance expansion applied, so only
+		// the kernel runs here — no composition, no Options.Distance.
+		run = func(ctx context.Context) error {
+			pctx, span := obs.Start(ctx, "partition")
+			h, err := s.cat.AcquirePartition(pctx, a, b, p.Distance)
+			span.End()
+			if err != nil {
+				return err
+			}
+			defer h.Release()
+			ex.part = h
+			if span != nil {
+				hit := int64(0)
+				if h.Hit {
+					hit = 1
+				}
+				span.Add("hit", hit)
+				span.Add("bytes", int64(h.Partition.Bytes()))
+				span.Add("stripes", int64(h.Partition.Stripes()))
+			}
+			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo, jp.tiles)
+			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
+				Parallelism: jp.parallelism,
+				PageSize:    s.cfg.PageSize,
+				Prebuilt:    &engine.Prebuilt{Partition: h.Partition},
+			}, emit)
+			if err != nil {
+				return err
+			}
+			// The build this request paid: the partition's, or none.
+			ex.res.Stats.BuildWall += h.Build
+			ex.res.Stats.BuildTotal += h.Build
+			if h.DeltaA+h.DeltaB > 0 {
+				ex.delta = &DeltaSummary{ElementsA: h.DeltaA, ElementsB: h.DeltaB}
+				s.deltaJoins.Add(1)
+			}
+			return nil
+		}
+	default:
+		// Registry path: the engine indexes private element copies per
+		// request (distance expansion included), inside the same slot. The
+		// snapshot folds any delta into the copy, so per-request indexing
+		// engines see exactly what a full rebuild would — no composition.
+		run = func(ctx context.Context) error {
+			ea, verA, epochA, dlA, err := s.cat.Snapshot(a)
+			if err != nil {
+				return err
+			}
+			eb, verB, epochB, dlB, err := s.cat.Snapshot(b)
+			if err != nil {
+				return err
+			}
+			ex.key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo, jp.tiles)
+			ex.res, err = engine.RunStream(ctx, jp.algo, ea, eb, engine.Options{
+				Distance:    p.Distance,
+				Parallelism: jp.parallelism,
+				PageSize:    s.cfg.PageSize,
+				ShardTiles:  jp.tiles,
+			}, emit)
+			if err == nil && dlA+dlB > 0 {
+				ex.delta = &DeltaSummary{ElementsA: dlA, ElementsB: dlB}
+				s.deltaJoins.Add(1)
+			}
+			return err
+		}
+	}
+	var err error
+	ex.span, err = s.admitted(ctx, jp.cost, run)
+	if err != nil {
+		s.noteOutcome(ctx, err, 0, false)
+	}
+	return ex, err
+}
+
+// storeResult caches an executed join's result and settles its partition: a
+// partition is retained exactly when its result is not, because a stored
+// result answers every repeat until the next write makes both unreachable.
+func (s *Service) storeResult(ex execution, res *CachedJoin) {
+	if s.cache.Put(ex.key, res) {
+		ex.part.Forget()
+	}
+}
+
+// deltaJoin composes the append-delta sub-joins of one prebuilt-path join:
+// base×delta, delta×base and delta×delta run through the inmem engine on the
+// pinned generation's snapshot, into the same emit as the base join — so
+// buffering and delivery apply to delta pairs exactly as to base pairs. The
+// three sub-joins partition the non-base×base pairs of
+// (baseA ∪ deltaA)×(baseB ∪ deltaB), so the composed result is multiset-equal
+// to a full rebuild by construction; empty sides are skipped. Distance joins
+// pass Options.Distance so the inmem engine expands the delta inputs exactly
+// as the catalog pre-expanded the base indexes.
+func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, p JoinParams, jp joinPlan, emit engine.EmitFunc) (*DeltaSummary, error) {
+	dctx, span := obs.Start(ctx, "delta-join")
+	sum := &DeltaSummary{ElementsA: len(deltaA), ElementsB: len(deltaB)}
+	opt := engine.Options{
+		Distance:    p.Distance,
+		Parallelism: jp.parallelism,
+		PageSize:    s.cfg.PageSize,
+	}
+	var pairs uint64
+	for _, sj := range [3]struct{ ea, eb []transformers.Element }{
+		{baseA, deltaB},
+		{deltaA, baseB},
+		{deltaA, deltaB},
+	} {
+		if len(sj.ea) == 0 || len(sj.eb) == 0 {
+			continue
+		}
+		sub, err := engine.RunStream(dctx, engine.InMem, sj.ea, sj.eb, opt, emit)
+		if err != nil {
+			span.End()
+			return nil, err
+		}
+		mergeDeltaStats(&res.Stats, sub.Stats)
+		pairs += sub.Stats.Refinements
+		sum.SubJoins++
+	}
+	span.End()
+	span.Add("delta_a", int64(len(deltaA)))
+	span.Add("delta_b", int64(len(deltaB)))
+	span.Add("sub_joins", int64(sum.SubJoins))
+	span.Add("pairs", int64(pairs))
+	sum.Pairs = pairs
+	s.deltaJoins.Add(1)
+	return sum, nil
+}
+
+// mergeDeltaStats folds one delta sub-join's cost into the composed result's
+// stats, so the summary (and the planner accuracy sample derived from it)
+// prices the work that actually ran, not just the base join.
+func mergeDeltaStats(dst *engine.Stats, sub engine.Stats) {
+	dst.BuildWall += sub.BuildWall
+	dst.BuildIOTime += sub.BuildIOTime
+	dst.BuildTotal += sub.BuildTotal
+	dst.IndexedPages += sub.IndexedPages
+	dst.JoinWall += sub.JoinWall
+	dst.JoinIOTime += sub.JoinIOTime
+	dst.JoinTotal += sub.JoinTotal
+	dst.PagesRead += sub.PagesRead
+	dst.Candidates += sub.Candidates
+	dst.MetaComparisons += sub.MetaComparisons
+	dst.Refinements += sub.Refinements
+}
+
+// summarize flattens one executed result into the cacheable cost summary and
+// tallies the per-engine and shard counters.
+func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
+	s.countEngineJoin(algo)
+	s.countShardJoin(res.Stats.Shard)
+	return JoinSummary{
+		Algorithm:       algo,
+		Results:         res.Stats.Refinements,
+		Comparisons:     res.Stats.Candidates,
+		MetaComparisons: res.Stats.MetaComparisons,
+		JoinWallMS:      float64(res.Stats.JoinWall) / float64(time.Millisecond),
+		ModeledIOMS:     float64(res.Stats.JoinIOTime) / float64(time.Millisecond),
+		Reads:           res.Stats.PagesRead,
+		BuildMS:         float64(res.Stats.BuildTotal) / float64(time.Millisecond),
+		Shard:           res.Stats.Shard,
+	}
+}
+
+// Join runs (or serves from cache) the join of datasets a and b through the
+// requested (or planned) engine. Pair orientation follows the argument
+// order. The returned pair slice may be shared with the cache — callers must
+// not mutate it.
+func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOutcome, error) {
+	out, _, err := s.join(ctx, a, b, p, nil)
+	return out, err
+}
+
+// JoinStream runs the join of datasets a and b, delivering each result pair
+// to emit as the engine finds it instead of returning the result. A cache hit
+// replays the cached pairs; a miss hands emit the engine's pairs as they
+// surface, so server-side pair buffering is bounded by the engine's worker
+// budget plus the cache fill (see collector). An emit error (a slow consumer
+// gone away, the request context canceled) aborts the underlying join and is
+// returned. The returned outcome carries the summary with Pairs nil.
+func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emit func(transformers.Pair) error) (*JoinOutcome, error) {
+	out, _, err := s.join(ctx, a, b, p, emit)
+	return out, err
+}
+
+// collector is where every pair of a served join lands — the one place the
+// service appends a result pair. Its buffer is the collected answer and the
+// cache fill at once: unbounded for a collected join (consumer nil: the
+// caller gets the slice, and so does the cache if it fits), capped at the
+// cache's per-entry threshold for a streamed one and dropped the moment the
+// result provably exceeds it, so an arbitrarily large join streams in bounded
+// memory and is simply not cached. The engine layer serializes emit calls and
+// completes them before the join returns, so the state needs no locking.
+type collector struct {
+	pairs []transformers.Pair
+	keep  bool // still buffering
+	max   int  // buffer cap; negative = unbounded
+
+	consumer func(transformers.Pair) error
+	// timed accumulates the time spent inside consumer in emitDur — two clock
+	// reads per pair, paid by traced requests only.
+	timed    bool
+	emitDur  time.Duration
+	streamed uint64 // pairs consumer accepted
+	failed   bool   // consumer refused one
+}
+
+func (c *collector) emit(pr transformers.Pair) error {
+	if c.keep {
+		if c.max < 0 || len(c.pairs) < c.max {
+			c.pairs = append(c.pairs, pr)
+		} else {
+			c.keep, c.pairs = false, nil // over threshold: never cached
+		}
+	}
+	if c.consumer == nil {
+		return nil
+	}
+	var err error
+	if c.timed {
+		t0 := time.Now()
+		err = c.consumer(pr)
+		c.emitDur += time.Since(t0)
+	} else {
+		err = c.consumer(pr)
+	}
+	if err != nil {
+		c.failed = true
+		return err
+	}
+	c.streamed++
+	return nil
+}
+
+// settleStream books what a streamed join (executed or replayed) delivered.
+// aborted_streams means the consumer ended a stream that had begun: its emit
+// failed, or its context went away after pairs flowed. Server-side execution
+// failures and cancellations before the first pair (e.g. a client giving up
+// while queued) are not aborts.
+func (s *Service) settleStream(c *collector, err error) {
+	s.streamedPairs.Add(c.streamed)
+	ctxGone := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if c.failed || (c.streamed > 0 && ctxGone) {
+		s.abortedStreams.Add(1)
+	}
+}
+
+// join is the one join path under Join (consumer nil: the pairs come back in
+// the outcome) and JoinStream (each pair goes to consumer): plan, cache,
+// execute, summarize, record. Beside the outcome it names the resolved
+// engine, which an error raised after planning still has — a join that dies
+// at its deadline is observed under the engine that was running it.
+func (s *Service) join(ctx context.Context, a, b string, p JoinParams, consumer func(transformers.Pair) error) (*JoinOutcome, string, error) {
+	start := time.Now()
+	_, planSpan := obs.Start(ctx, "plan")
+	jp, err := s.planJoin(a, b, p)
+	planSpan.End()
+	if err != nil {
+		return nil, "", err
+	}
+	annotatePlan(planSpan, jp)
+	streaming := consumer != nil
+	if !p.NoCache {
+		_, cacheSpan := obs.Start(ctx, "cache")
+		res, ok := s.cache.Get(joinKey(a, b, jp.a.version, jp.b.version, jp.a.epoch, jp.b.epoch, p.Distance, jp.algo, jp.tiles))
+		cacheSpan.End()
+		if ok {
+			cacheSpan.Add("hit", 1)
+			out := &JoinOutcome{Summary: res.Summary, Cached: true}
+			out.Summary.Planner = jp.plan // report this request's planning, not the filler's
+			if !streaming {
+				out.Pairs = res.Pairs // the cached slice itself: no replay, no copy
+			} else if err := s.replay(ctx, res.Pairs, consumer); err != nil {
+				return nil, jp.algo, err
+			}
+			s.recordPlannerSample(ctx, p, jp, out.Summary, time.Since(start), true, false)
+			return out, jp.algo, nil
+		}
+	}
+
+	sink := &collector{keep: !streaming || !p.NoCache, max: -1, consumer: consumer}
+	if streaming {
+		sink.max = s.cache.MaxPairs()
+		sink.timed = obs.Enabled(ctx)
+	}
+	ex, err := s.executeJoin(ctx, a, b, p, jp, sink.emit)
+	if streaming {
+		// The accumulated consumer time hangs off the execute span as one
+		// "stream-emit" child.
+		if ex.span != nil {
+			ex.span.Record("stream-emit", sink.emitDur).Add("pairs", int64(sink.streamed))
+		}
+		s.settleStream(sink, err)
+	}
+	if err != nil {
+		return nil, jp.algo, err
+	}
+	summary := s.summarize(jp.algo, ex.res)
+	// The delta composition is part of the cached content — the key pins the
+	// epochs it composed at — unlike the planner report and staleness below.
+	summary.Delta = ex.delta
+	if sink.keep && !p.NoCache {
+		// Cache without the planner report or staleness: the key carries the
+		// served versions, and hits splice in their own request context.
+		s.storeResult(ex, &CachedJoin{Pairs: sink.pairs, Summary: summary})
+	}
+	summary.Planner = jp.plan
+	summary.Stale = ex.stale
+	s.recordPlannerSample(ctx, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
+	out := &JoinOutcome{Summary: summary}
+	if !streaming {
+		out.Pairs = sink.pairs
+	}
+	return out, jp.algo, nil
+}
+
+// replay delivers a cached result to a streaming consumer.
+func (s *Service) replay(ctx context.Context, pairs []transformers.Pair, consumer func(transformers.Pair) error) error {
+	_, span := obs.Start(ctx, "replay")
+	sink := &collector{consumer: consumer}
+	var err error
+	for _, pr := range pairs {
+		if err = sink.emit(pr); err != nil {
+			break
+		}
+	}
+	span.End()
+	span.Add("pairs", int64(sink.streamed))
+	s.settleStream(sink, err)
+	return err
+}

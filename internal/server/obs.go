@@ -40,18 +40,10 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 	if slow == 0 {
 		slow = DefaultSlowJoinThreshold
 	}
-	debugJoins := cfg.DebugJoins
-	if debugJoins <= 0 {
-		debugJoins = DefaultDebugJoins
-	}
-	plannerSamples := cfg.PlannerSamples
-	if plannerSamples <= 0 {
-		plannerSamples = DefaultPlannerSamples
-	}
 	o := &serviceObs{
 		reg:      obs.NewRegistry(),
-		ring:     obs.NewJoinRing(debugJoins),
-		recorder: obs.NewPlannerRecorder(plannerSamples, cfg.PlannerLog),
+		ring:     obs.NewJoinRing(DefaultDebugJoins),
+		recorder: obs.NewPlannerRecorder(DefaultPlannerSamples, cfg.PlannerLog),
 		slow:     slow,
 	}
 	r := o.reg
@@ -61,6 +53,12 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		"Catalog index build latency by outcome (ok/error).", "outcome", nil)
 	o.decodeHist = r.Histogram("spatialjoin_ingest_decode_seconds",
 		"Upload and append body read+decode latency by outcome (ok/error): the half of ingest before the build.", "outcome", nil)
+
+	// counter registers a single-series monotone count: a _total family must
+	// say "# TYPE … counter", or rate() over it is flagged.
+	counter := func(name, help string, fn func() float64) {
+		r.Func(name, help, "counter", func() []obs.Sample { return []obs.Sample{{V: fn()}} })
+	}
 
 	r.GaugeFunc("spatialjoin_uptime_seconds", "Seconds since service start.",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -110,17 +108,17 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 			s.engineMu.Unlock()
 			return out
 		})
-	r.GaugeFunc("spatialjoin_joins_total", "Join requests accepted for planning.",
+	counter("spatialjoin_joins_total", "Join requests accepted for planning.",
 		func() float64 { return float64(s.joins.Load()) })
-	r.GaugeFunc("spatialjoin_streamed_pairs_total", "Pairs delivered to streaming consumers.",
+	counter("spatialjoin_streamed_pairs_total", "Pairs delivered to streaming consumers.",
 		func() float64 { return float64(s.streamedPairs.Load()) })
-	r.GaugeFunc("spatialjoin_aborted_streams_total", "Streaming joins ended early by the consumer.",
+	counter("spatialjoin_aborted_streams_total", "Streaming joins ended early by the consumer.",
 		func() float64 { return float64(s.abortedStreams.Load()) })
-	r.GaugeFunc("spatialjoin_slow_joins_total", "Joins recorded in the /debug/joins ring.",
+	counter("spatialjoin_slow_joins_total", "Joins recorded in the /debug/joins ring.",
 		func() float64 { return float64(o.ring.Total()) })
 	r.GaugeFunc("spatialjoin_delta_elements", "Elements buffered in dataset delta buffers awaiting merge.",
 		func() float64 { return float64(s.cat.Stats().DeltaElements) })
-	r.GaugeFunc("spatialjoin_delta_merges_total", "Completed background delta merges.",
+	counter("spatialjoin_delta_merges_total", "Completed background delta merges.",
 		func() float64 { return float64(s.cat.Stats().Merges) })
 	r.GaugeFunc("spatialjoin_planner_correction_pairs", "Tracked (dataset pair, engine) drift-correction series.",
 		func() float64 { return float64(s.corrector.Len()) })
@@ -177,7 +175,7 @@ func (s *Service) SlowJoinThreshold() time.Duration { return s.obs.slow }
 func (s *Service) observeJoin(rec obs.JoinRecord, wall time.Duration) {
 	engineLabel := rec.Engine
 	if engineLabel == "" {
-		engineLabel = "none" // failed before an engine was resolved
+		engineLabel = "none" // failed before planning resolved an engine
 	}
 	s.obs.joinHist.Observe(engineLabel, wall.Seconds())
 	if s.obs.slow < 0 || wall >= s.obs.slow {

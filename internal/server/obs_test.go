@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/transformers"
@@ -285,6 +286,17 @@ func TestMetricsHistogramCountsMatchServedJoins(t *testing.T) {
 			t.Fatalf("family %s missing from exposition", family)
 		}
 	}
+	// Monotone counts are exposed as counters: rate() over a gauge-typed
+	// _total family is flagged by Prometheus.
+	for _, family := range []string{
+		"spatialjoin_joins_total", "spatialjoin_streamed_pairs_total", "spatialjoin_aborted_streams_total",
+		"spatialjoin_slow_joins_total", "spatialjoin_delta_merges_total",
+		"spatialjoin_engine_joins_total", "spatialjoin_tenant_admitted_total",
+	} {
+		if !strings.Contains(string(raw), "# TYPE "+family+" counter\n") {
+			t.Fatalf("family %s is not exposed as a counter\n%s", family, raw)
+		}
+	}
 	// Two dataset registrations → at least two successful builds observed.
 	if !strings.Contains(string(raw), `spatialjoin_build_duration_seconds_count{outcome="ok"}`) {
 		t.Fatal("build histogram has no ok observations")
@@ -352,6 +364,40 @@ func TestObsDeadlineJoin(t *testing.T) {
 	recs := svc.SlowJoins().Snapshot()
 	if len(recs) != 1 || recs[0].Outcome != "deadline" || recs[0].Status != http.StatusGatewayTimeout {
 		t.Fatalf("ring = %+v, want one deadline/504 record", recs)
+	}
+	waitPoolDrained(t, svc)
+
+	// A join that fails after planning is filed under the engine that was
+	// running it — the slow engine's histogram must hold its worst outcomes —
+	// collected or streamed; only a failure before planning resolved an engine
+	// (here: an unknown algorithm) is filed under "none".
+	if recs[0].Engine != engine.Transformers {
+		t.Fatalf("deadline record engine = %q, want %q", recs[0].Engine, engine.Transformers)
+	}
+	resp, err := http.Post(ts.URL+"/join", "application/json",
+		strings.NewReader(`{"a":"a","b":"b","no_cache":true,"stream":true,"timeout_ms":1,"algorithm":"pbsm"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if code, _, _ = postTraced(t, ts.URL+"/join", `{"a":"a","b":"b","algorithm":"no-such-engine"}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("unknown algorithm: status = %d, want 400", code)
+	}
+	recs = svc.SlowJoins().Snapshot() // newest first
+	if len(recs) != 3 || recs[1].Engine != engine.PBSM || recs[1].Outcome != "deadline" || recs[0].Engine != "" || recs[0].Outcome != "error" {
+		t.Fatalf("ring = %+v, want pbsm's deadline then an engine-less error", recs)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, label := range []string{engine.Transformers, engine.PBSM, "none"} {
+		if line := fmt.Sprintf("spatialjoin_join_duration_seconds_count{engine=%q} 1\n", label); !strings.Contains(string(raw), line) {
+			t.Fatalf("exposition lacks %q\n%s", line, raw)
+		}
 	}
 	waitPoolDrained(t, svc)
 }

@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/naive"
+	"repro/internal/engine"
 	"repro/transformers"
 )
 
@@ -39,49 +39,117 @@ func addDataset(t *testing.T, svc *Service, name string, elems []transformers.El
 	}
 }
 
-// TestServiceJoinStreamMatchesJoin: the streamed pair sequence must be the
-// collected result exactly — live on the first call, replayed from the
-// cache on the second — and the /stats streaming counters must advance.
+// TestServiceJoinStreamMatchesJoin pins what the single join path must not
+// lose, for every executeJoin branch: collected and streamed answers are
+// multiset-equal to naive on a miss and on a hit, whichever of the two filled
+// the cache; a collected hit hands out the cached slice itself; and the
+// streaming counters move for streamed joins only.
 func TestServiceJoinStreamMatchesJoin(t *testing.T) {
-	svc := NewService(Config{})
-	a := transformers.GenerateUniform(1500, 61)
-	b := transformers.GenerateDenseCluster(1500, 62)
-	want := naive.Join(append([]transformers.Element(nil), a...), append([]transformers.Element(nil), b...))
-	addDataset(t, svc, "a", a)
-	addDataset(t, svc, "b", b)
-
-	collect := func() ([]transformers.Pair, *JoinOutcome) {
-		var got []transformers.Pair
-		out, err := svc.JoinStream(context.Background(), "a", "b", JoinParams{},
-			func(p transformers.Pair) error { got = append(got, p); return nil })
-		if err != nil {
-			t.Fatal(err)
+	baseA, baseB := overlapElems(600, 61, 1), overlapElems(600, 62, 1)
+	deltaA, deltaB := overlapElems(80, 63, 1<<20), overlapElems(60, 64, 1<<20)
+	cases := []struct {
+		name, algo string
+		delta      bool
+	}{
+		{"transformers", engine.Transformers, false},
+		{"transformers+delta", engine.Transformers, true},
+		{"inmem+delta", engine.InMem, true},
+		{"grid", engine.Grid, false},
+		{"shard-inmem", engine.ShardInMem, false},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		for _, first := range []string{"collected", "streamed"} {
+			t.Run(tc.name+"/"+first+"-first", func(t *testing.T) {
+				// Automatic merges off: a delta stays a delta for the whole case.
+				svc := NewService(Config{DeltaMaxElements: -1})
+				addDataset(t, svc, "a", cpElems(baseA))
+				addDataset(t, svc, "b", cpElems(baseB))
+				allA, allB := baseA, baseB
+				if tc.delta {
+					if _, err := svc.Append(ctx, "a", cpElems(deltaA)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := svc.Append(ctx, "b", cpElems(deltaB)); err != nil {
+						t.Fatal(err)
+					}
+					allA, allB = append(cpElems(baseA), deltaA...), append(cpElems(baseB), deltaB...)
+				}
+				want := naiveRef(allA, allB, 0)
+				if len(want) == 0 {
+					t.Fatal("workload has no pairs")
+				}
+				p := JoinParams{Algorithm: tc.algo, ShardTiles: 4}
+				var streams uint64
+				join := func(mode string, cached bool) *JoinOutcome {
+					t.Helper()
+					var got []transformers.Pair
+					var out *JoinOutcome
+					var err error
+					if mode == "collected" {
+						out, err = svc.Join(ctx, "a", "b", p)
+						if err == nil {
+							got = out.Pairs
+						}
+					} else {
+						streams++
+						out, err = svc.JoinStream(ctx, "a", "b", p,
+							func(pr transformers.Pair) error { got = append(got, pr); return nil })
+						if err == nil && out.Pairs != nil {
+							t.Fatal("streaming outcome materialized pairs")
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Cached != cached {
+						t.Fatalf("%s: cached = %v, want %v", mode, out.Cached, cached)
+					}
+					if !pairsMatch(got, want) || out.Summary.Results != uint64(len(want)) {
+						t.Fatalf("%s (cached %v): %d pairs, summary %d, naive has %d", mode, cached, len(got), out.Summary.Results, len(want))
+					}
+					if tc.delta && (out.Summary.Delta == nil || out.Summary.Delta.ElementsA != len(deltaA)) {
+						t.Fatalf("%s: delta summary %+v", mode, out.Summary.Delta)
+					}
+					return out
+				}
+				join(first, false)
+				hit1, hit2 := join("collected", true), join("collected", true)
+				if &hit1.Pairs[0] != &hit2.Pairs[0] {
+					t.Fatal("collected cache hits copied the cached pairs")
+				}
+				if st := svc.Stats(); first == "collected" && (st.StreamedPairs != 0 || st.AbortedStreams != 0) {
+					t.Fatalf("collected joins moved the streaming counters: %d pairs, %d aborts", st.StreamedPairs, st.AbortedStreams)
+				}
+				join("streamed", true)
+				st := svc.Stats()
+				if st.StreamedPairs != streams*uint64(len(want)) || st.AbortedStreams != 0 {
+					t.Fatalf("streamed_pairs = %d (want %d), aborted_streams = %d", st.StreamedPairs, streams*uint64(len(want)), st.AbortedStreams)
+				}
+			})
 		}
-		return got, out
 	}
-	got, out := collect()
-	if out.Cached {
-		t.Fatal("first stream reported cached")
-	}
-	if !naive.Equal(got, append([]transformers.Pair(nil), want...)) {
-		t.Fatalf("streamed %d pairs, naive has %d — set diverges", len(got), len(want))
-	}
-	if out.Pairs != nil {
-		t.Fatal("streaming outcome materialized pairs")
-	}
-	got2, out2 := collect()
-	if !out2.Cached {
-		t.Fatal("second stream missed the cache")
-	}
-	if !naive.Equal(got2, append([]transformers.Pair(nil), want...)) {
-		t.Fatal("cache replay diverges from live stream")
-	}
-	st := svc.Stats()
-	if st.StreamedPairs != uint64(2*len(want)) {
-		t.Fatalf("streamed_pairs = %d, want %d", st.StreamedPairs, 2*len(want))
-	}
-	if st.AbortedStreams != 0 {
-		t.Fatalf("aborted_streams = %d, want 0", st.AbortedStreams)
+
+	// Over the cache's per-entry threshold a collected result still comes
+	// back whole, a streamed one still streams whole, and neither is cached:
+	// the next request is a miss again.
+	svc := NewService(Config{CacheMaxPairs: 10})
+	addDataset(t, svc, "a", cpElems(baseA))
+	addDataset(t, svc, "b", cpElems(baseB))
+	want := naiveRef(baseA, baseB, 0)
+	for i := 0; i < 2; i++ {
+		out, err := svc.Join(ctx, "a", "b", JoinParams{})
+		if err != nil || out.Cached || !pairsMatch(out.Pairs, want) {
+			t.Fatalf("collected over threshold, round %d: err %v, cached %v, %d of %d pairs", i, err, out != nil && out.Cached, len(out.Pairs), len(want))
+		}
+		var got []transformers.Pair
+		out, err = svc.JoinStream(ctx, "a", "b", JoinParams{}, func(pr transformers.Pair) error { got = append(got, pr); return nil })
+		if err != nil || out.Cached || !pairsMatch(got, want) {
+			t.Fatalf("streamed over threshold, round %d: err %v, cached %v, %d of %d pairs", i, err, out != nil && out.Cached, len(got), len(want))
+		}
+		if n := svc.Stats().Cache.Entries; n != 0 {
+			t.Fatalf("round %d: %d cache entries for an over-threshold result", i, n)
+		}
 	}
 }
 
