@@ -83,13 +83,6 @@ func runPlannerFit(cfg Config) error {
 			handScores[s.Engine] = s
 		}
 		for _, name := range algos {
-			j, err := engine.Get(name)
-			if err != nil {
-				return err
-			}
-			if j.Capabilities().Reference && float64(n)*float64(n) > 1e9 {
-				continue
-			}
 			hs, ok := handScores[name]
 			if !ok || math.IsInf(hs.CostMS, 0) || math.IsNaN(hs.CostMS) {
 				fmt.Fprintf(cfg.Out, "(skipping %s on %s: %s)\n", name, w.name, hs.Reason)

@@ -14,8 +14,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Built-in engine names. The registry serves these seven; Register accepts
-// more.
+// Built-in engine names, registered below; internal/engine/shard registers
+// the three sharded forms and Register accepts more.
 const (
 	Transformers = "transformers"
 	PBSM         = "pbsm"
@@ -65,10 +65,6 @@ func init() {
 type transformersEngine struct{}
 
 func (transformersEngine) Name() string { return Transformers }
-
-func (transformersEngine) Capabilities() Capabilities {
-	return Capabilities{Parallel: true, Adaptive: true, PrebuiltIndexes: true}
-}
 
 func (transformersEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	res := &Result{Engine: Transformers}
@@ -139,8 +135,7 @@ func (transformersEngine) JoinStream(ctx context.Context, a, b []geom.Element, o
 // round-robin partitions, multiple assignment, reference-tile dedup.
 type pbsmEngine struct{}
 
-func (pbsmEngine) Name() string               { return PBSM }
-func (pbsmEngine) Capabilities() Capabilities { return Capabilities{} }
+func (pbsmEngine) Name() string { return PBSM }
 
 func (pbsmEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
@@ -193,8 +188,7 @@ func (pbsmEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Optio
 // STR-bulkloaded trees [10].
 type rtreeEngine struct{}
 
-func (rtreeEngine) Name() string               { return RTree }
-func (rtreeEngine) Capabilities() Capabilities { return Capabilities{} }
+func (rtreeEngine) Name() string { return RTree }
 
 func (rtreeEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
@@ -241,8 +235,7 @@ func (rtreeEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Opti
 // orientation is restored to the caller's A/B.
 type gipsyEngine struct{}
 
-func (gipsyEngine) Name() string               { return GIPSY }
-func (gipsyEngine) Capabilities() Capabilities { return Capabilities{} }
+func (gipsyEngine) Name() string { return GIPSY }
 
 func (gipsyEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
@@ -296,8 +289,7 @@ func (gipsyEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Opti
 // and probes with the larger, which bounds the replicated build structure.
 type gridEngine struct{}
 
-func (gridEngine) Name() string               { return Grid }
-func (gridEngine) Capabilities() Capabilities { return Capabilities{InMemory: true} }
+func (gridEngine) Name() string { return Grid }
 
 func (gridEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)
@@ -354,10 +346,6 @@ type inmemEngine struct{}
 
 func (inmemEngine) Name() string { return InMem }
 
-func (inmemEngine) Capabilities() Capabilities {
-	return Capabilities{Parallel: true, InMemory: true, PrebuiltIndexes: true}
-}
-
 func (inmemEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	res := &Result{Engine: InMem}
 	var p *inmem.Partitioned
@@ -402,8 +390,7 @@ func (inmemEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Opti
 // contract (SortPairs is the canonical comparison order).
 type naiveEngine struct{}
 
-func (naiveEngine) Name() string               { return Naive }
-func (naiveEngine) Capabilities() Capabilities { return Capabilities{InMemory: true, Reference: true} }
+func (naiveEngine) Name() string { return Naive }
 
 func (naiveEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	a, b, opt, err := prepare(ctx, a, b, opt)

@@ -46,8 +46,9 @@ type Options struct {
 	// with every box grown by Distance/2 per side before the join, so the
 	// engine reports exactly the pairs within Chebyshev distance Distance.
 	Distance float64
-	// Parallelism sets the worker count for engines whose Capabilities
-	// report Parallel; others run single-threaded regardless.
+	// Parallelism sets the worker count of the engines that run in parallel
+	// (transformers, inmem and the sharded forms); others run single-threaded
+	// regardless.
 	Parallelism int
 	// Concurrent marks prebuilt indexes as shared with other goroutines
 	// (the serving layer); reads then go through private reader views.
@@ -75,9 +76,8 @@ type Options struct {
 
 	// Prebuilt supplies what the serving catalog built once and reuses
 	// across joins: TRANSFORMERS indexes for the transformers engine, a
-	// stripe partition for the inmem engine. Engines whose Capabilities
-	// report PrebuiltIndexes honor the field they understand and then ignore
-	// the raw element inputs entirely.
+	// stripe partition for the inmem engine. Each honors the field it
+	// understands and then ignores the raw element inputs entirely.
 	Prebuilt *Prebuilt
 }
 
@@ -89,25 +89,6 @@ type Prebuilt struct {
 	A, B *core.Index
 	// Partition is the stripe partition of the input pair (inmem engine).
 	Partition *inmem.Partitioned
-}
-
-// Capabilities describes what an engine can do; the planner and the serving
-// layer use it to route work.
-type Capabilities struct {
-	// Parallel: the engine honors Options.Parallelism > 1.
-	Parallel bool
-	// Adaptive: the engine adapts its strategy to the data at runtime
-	// (no fixed layout to degrade on non-uniform inputs).
-	Adaptive bool
-	// InMemory: the engine joins without building a paged index (no
-	// modeled I/O; costs are pure CPU).
-	InMemory bool
-	// Reference: trivially correct but asymptotically unserious; the
-	// planner only considers it for tiny inputs.
-	Reference bool
-	// PrebuiltIndexes: the engine can reuse catalog-built structures passed
-	// via Options.Prebuilt.
-	PrebuiltIndexes bool
 }
 
 // Stats is the uniform per-run cost record every engine reports: the paper's
@@ -259,8 +240,6 @@ type Result struct {
 type Joiner interface {
 	// Name is the stable registry key (e.g. "transformers", "pbsm").
 	Name() string
-	// Capabilities describes the engine's execution profile.
-	Capabilities() Capabilities
 	// JoinStream executes the engine end to end on the two element sets,
 	// reporting each result pair through emit. An emit error (including one
 	// caused by context cancellation) aborts the join early and is returned.

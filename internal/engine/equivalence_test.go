@@ -117,34 +117,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := Get("nope"); err == nil {
 		t.Fatal("Get of unknown engine must fail")
 	}
-	caps, _ := Get(Transformers)
-	if c := caps.Capabilities(); !c.Parallel || !c.Adaptive || !c.PrebuiltIndexes {
-		t.Errorf("transformers capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, Naive).Capabilities(); !c.Reference || !c.InMemory {
-		t.Errorf("naive capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, ShardTransformers).Capabilities(); !c.Parallel || !c.Adaptive || c.InMemory {
-		t.Errorf("shard-transformers capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, ShardGrid).Capabilities(); !c.Parallel || !c.InMemory {
-		t.Errorf("shard-grid capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, InMem).Capabilities(); !c.Parallel || !c.InMemory || c.Reference {
-		t.Errorf("inmem capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, ShardInMem).Capabilities(); !c.Parallel || !c.InMemory {
-		t.Errorf("shard-inmem capabilities wrong: %+v", c)
-	}
-}
-
-func mustGet(t *testing.T, name string) Joiner {
-	t.Helper()
-	j, err := Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
 }
 
 func TestEngineContextCancellation(t *testing.T) {

@@ -499,13 +499,11 @@ func (c *Corrector) Snapshot() []Correction {
 // grows by the expansion radius distance/2 per side (matching
 // transformers.ExpandForDistance), so Plan prices the join that will actually
 // run. Count is unchanged — expansion adds no elements, and the in-memory
-// cap keys on cardinality — while extent, density and the occupancy signals
-// inflate:
+// cap keys on cardinality — while the MBB grows by the expansion directly and
+// the clustering signals inflate with f, the factor by which each element's
+// expanded box covers more analysis-grid cells (the product over dimensions
+// of min(1 + d/cellSide, GridDim)):
 //
-//   - MBB and AvgExtent grow by the expansion directly.
-//   - Each element's expanded box covers ~f more analysis-grid cells, where
-//     f multiplies the per-dimension coverage growth min(1 + d/cellSide,
-//     GridDim). MaxCellCount and the density histogram shift by f.
 //   - ClusterFraction approaches 1 as expansion merges neighborhoods into
 //     dense cells: cf' = 1 - (1-cf)/f.
 //   - SkewCV is recomputed against the *base* cell mean: expansion multiplies
@@ -521,33 +519,9 @@ func ExpandStats(st DatasetStats, distance float64) DatasetStats {
 	}
 	out := st
 	out.MBB = st.MBB.Expand(distance / 2)
-	out.AvgExtent = st.AvgExtent + distance
-	vol := out.MBB.Volume()
-	if vol <= 0 {
-		vol = 1e-12
-	}
-	out.VolumePerElem = vol / float64(st.Count)
-
 	f := expansionFactor(st, distance)
 	if f <= 1 {
 		return out
-	}
-	if mc := float64(st.MaxCellCount) * f; mc < float64(st.Count) {
-		out.MaxCellCount = int(math.Ceil(mc))
-	} else {
-		out.MaxCellCount = st.Count
-	}
-	if len(st.Histogram) > 0 {
-		shift := int(math.Round(math.Log2(f)))
-		hist := make([]int, len(st.Histogram))
-		for k, c := range st.Histogram {
-			nk := k + shift
-			if nk >= len(hist) {
-				nk = len(hist) - 1
-			}
-			hist[nk] += c
-		}
-		out.Histogram = hist
 	}
 	out.ClusterFraction = 1 - (1-st.ClusterFraction)/f
 	out.SkewCV = st.SkewCV * f

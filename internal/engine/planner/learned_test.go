@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -183,21 +184,75 @@ func TestCalibrationParseAndValidate(t *testing.T) {
 		t.Errorf("nil calibration must validate: %v", err)
 	}
 
-	for name, doc := range map[string]string{
-		"malformed":     `{"engines":`,
-		"zero":          `{"engines":{"grid":{"multipliers":{"probe":0}}}}`,
-		"negative":      `{"engines":{"grid":{"multipliers":{"probe":-2}}}}`,
-		"over-band":     `{"engines":{"grid":{"multipliers":{"probe":51}}}}`,
-		"under-band":    `{"engines":{"grid":{"multipliers":{"probe":0.01}}}}`,
-		"wrong-file":    `{"probe":-3}`,
-		"no-engines":    `{"samples":4,"engines":{}}`,
-		"empty-doc":     `{}`,
-		"unknown-field": `{"samples":4,"engines":{"grid":{"multipliers":{"probe":1.5}}},"extra":1}`,
-	} {
+	for name, doc := range malformedCalibrations {
 		if _, err := ParseCalibration([]byte(doc)); err == nil {
 			t.Errorf("%s calibration must be rejected", name)
 		}
 	}
+}
+
+// malformedCalibrations are documents ParseCalibration must reject; they also
+// seed FuzzParseCalibration.
+var malformedCalibrations = map[string]string{
+	"malformed":     `{"engines":`,
+	"zero":          `{"engines":{"grid":{"multipliers":{"probe":0}}}}`,
+	"negative":      `{"engines":{"grid":{"multipliers":{"probe":-2}}}}`,
+	"over-band":     `{"engines":{"grid":{"multipliers":{"probe":51}}}}`,
+	"under-band":    `{"engines":{"grid":{"multipliers":{"probe":0.01}}}}`,
+	"wrong-file":    `{"probe":-3}`,
+	"no-engines":    `{"samples":4,"engines":{}}`,
+	"empty-doc":     `{}`,
+	"unknown-field": `{"samples":4,"engines":{"grid":{"multipliers":{"probe":1.5}}},"extra":1}`,
+}
+
+// FuzzParseCalibration: the daemon's startup parser never panics, and any
+// document it accepts passes Validate and leaves every engine the hand-tuned
+// constants price with a finite, positive cost — a calibration file can bend
+// the ranking, never break it. Seeded with a fitted document laid out as
+// cmd/plannerfit writes it and with the documents the parser must reject.
+func FuzzParseCalibration(f *testing.F) {
+	fitted, err := Fit([]FitSample{
+		{Engine: engine.InMem, Terms: map[string]float64{"partition": 40, "sweep": 5, "sweep_cluster": 3}, MeasuredMS: 61},
+		{Engine: engine.Transformers, Terms: map[string]float64{"io": 300, "cpu": 12}, MeasuredMS: 240},
+		{Engine: engine.ShardInMem, Terms: map[string]float64{"inner": 30, "partition": 50}, MeasuredMS: 95},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	doc, err := json.MarshalIndent(fitted, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(doc, '\n'))
+	for _, doc := range malformedCalibrations {
+		f.Add([]byte(doc))
+	}
+
+	// Under the in-memory cap, so all six priced engines carry a cost.
+	a := DatasetStats{Count: 60_000, SkewCV: 2.7, ClusterFraction: 0.8}
+	b := DatasetStats{Count: 40_000, SkewCV: 0.4, ClusterFraction: 0}
+	cfg := Config{PrebuiltTransformers: true, ShardWorkers: 2}
+	priced := make(map[string]bool)
+	for _, s := range Plan(a, b, cfg).Scores {
+		priced[s.Engine] = !math.IsInf(s.CostMS, 0)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ParseCalibration(data)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted calibration fails Validate: %v", err)
+		}
+		cfg := cfg
+		cfg.Calibration = c
+		for _, s := range Plan(a, b, cfg).Scores {
+			if priced[s.Engine] && !(s.CostMS > 0 && !math.IsInf(s.CostMS, 0)) {
+				t.Fatalf("%s priced at %v under an accepted calibration", s.Engine, s.CostMS)
+			}
+		}
+	})
 }
 
 // TestPlanAppliesCalibration: a calibration that inflates the would-be
@@ -276,6 +331,15 @@ func TestPlanAppliesCorrection(t *testing.T) {
 	for _, s := range d.Scores {
 		if s.Engine == engine.InMem && !strings.Contains(s.Reason, "drift") {
 			t.Errorf("corrected score reason %q does not mark the drift factor", s.Reason)
+		}
+		// The score carries the factor it was multiplied by: what Correct
+		// returned for a priced engine, nothing for an excluded one.
+		want := inflate(s.Engine)
+		if math.IsInf(s.CostMS, 1) {
+			want = 0
+		}
+		if s.Correction != want {
+			t.Errorf("%s: Score.Correction = %v, want %v", s.Engine, s.Correction, want)
 		}
 	}
 	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
@@ -481,7 +545,7 @@ func TestCorrectorKeyBound(t *testing.T) {
 }
 
 // TestExpandStatsIdentityAndShape: zero/degenerate distances are identity;
-// positive distances keep cardinality but inflate extent, occupancy and skew
+// positive distances keep cardinality but inflate extent, clustering and skew
 // monotonically.
 func TestExpandStats(t *testing.T) {
 	st := Analyze(datagen.DenseCluster(datagen.Config{N: 30000, Seed: 7}))
@@ -490,14 +554,11 @@ func TestExpandStats(t *testing.T) {
 			t.Errorf("distance %v must be identity", d)
 		}
 	}
-	prevSkew, prevCluster, prevMax := st.SkewCV, st.ClusterFraction, st.MaxCellCount
+	prevSkew, prevCluster := st.SkewCV, st.ClusterFraction
 	for _, d := range []float64{1, 10, 50, 200} {
 		ex := ExpandStats(st, d)
 		if ex.Count != st.Count || ex.GridDim != st.GridDim || ex.TotalCells != st.TotalCells {
 			t.Fatalf("d=%v: expansion changed cardinality/grid shape", d)
-		}
-		if ex.AvgExtent != st.AvgExtent+d {
-			t.Errorf("d=%v: AvgExtent %v, want %v", d, ex.AvgExtent, st.AvgExtent+d)
 		}
 		for dim := 0; dim < 3; dim++ {
 			if ex.MBB.Side(dim) < st.MBB.Side(dim)+d*0.99 {
@@ -510,17 +571,7 @@ func TestExpandStats(t *testing.T) {
 		if ex.ClusterFraction < prevCluster || ex.ClusterFraction > 1 {
 			t.Errorf("d=%v: ClusterFraction %v out of band (prev %v)", d, ex.ClusterFraction, prevCluster)
 		}
-		if ex.MaxCellCount < prevMax || ex.MaxCellCount > ex.Count {
-			t.Errorf("d=%v: MaxCellCount %v out of band (prev %v, count %v)", d, ex.MaxCellCount, prevMax, ex.Count)
-		}
-		total := 0
-		for _, c := range ex.Histogram {
-			total += c
-		}
-		if total != st.OccupiedCells {
-			t.Errorf("d=%v: histogram mass %d, want %d", d, total, st.OccupiedCells)
-		}
-		prevSkew, prevCluster, prevMax = ex.SkewCV, ex.ClusterFraction, ex.MaxCellCount
+		prevSkew, prevCluster = ex.SkewCV, ex.ClusterFraction
 	}
 	if empty := ExpandStats(DatasetStats{}, 10); empty.Count != 0 {
 		t.Error("empty stats must stay empty")
@@ -601,8 +652,9 @@ func TestExpandedPlanFlipsAndImproves(t *testing.T) {
 // candidate set is ever selected. With TRANSFORMERS in a custom set the
 // margin rule applies as usual.
 func TestPlanCustomCandidateSetNoSilentFallback(t *testing.T) {
-	a := Analyze(datagen.DenseCluster(datagen.Config{N: 160_000, Seed: 6}))
-	b := Analyze(datagen.DenseCluster(datagen.Config{N: 160_000, Seed: 7}))
+	// Under the in-memory cap, so every candidate below carries a price.
+	a := Analyze(datagen.DenseCluster(datagen.Config{N: 60_000, Seed: 6}))
+	b := Analyze(datagen.DenseCluster(datagen.Config{N: 60_000, Seed: 7}))
 	get := func(name string) engine.Joiner {
 		j, err := engine.Get(name)
 		if err != nil {
@@ -611,17 +663,18 @@ func TestPlanCustomCandidateSetNoSilentFallback(t *testing.T) {
 		return j
 	}
 
-	// Clustered data above the in-memory cap: the full registry would fall
-	// back to TRANSFORMERS here (fixed layouts degrade on clusters).
-	full := Plan(a, b, Config{PrebuiltTransformers: true})
-	if full.Engine != engine.Transformers && full.Engine != engine.ShardTransformers {
-		t.Fatalf("full registry chose %q, want the transformers family", full.Engine)
+	// The full registry picks the stripe join here, an engine the restricted
+	// set below does not hold.
+	full := Plan(a, b, Config{PrebuiltTransformers: true, ShardWorkers: 1})
+	if full.Engine != engine.InMem {
+		t.Fatalf("full registry chose %q, want inmem", full.Engine)
 	}
 
-	// The same workload restricted to fixed-layout engines: the cheapest of
-	// the candidates must win, with no fallback and no out-of-set engine.
-	restricted := Plan(a, b, Config{Engines: []engine.Joiner{get(engine.PBSM), get(engine.RTree)}})
-	if restricted.Engine != engine.PBSM && restricted.Engine != engine.RTree {
+	// The same workload restricted to the hash join and its sharded form:
+	// the cheapest of the candidates must win, with no fallback and no
+	// out-of-set engine.
+	restricted := Plan(a, b, Config{Engines: []engine.Joiner{get(engine.Grid), get(engine.ShardGrid)}, ShardWorkers: 1})
+	if restricted.Engine != engine.Grid && restricted.Engine != engine.ShardGrid {
 		t.Fatalf("restricted plan chose %q, outside the candidate set", restricted.Engine)
 	}
 	if restricted.Fallback {
@@ -631,18 +684,26 @@ func TestPlanCustomCandidateSetNoSilentFallback(t *testing.T) {
 		t.Errorf("restricted plan must take the cheapest candidate, got %q vs %q",
 			restricted.Engine, restricted.Scores[0].Engine)
 	}
-	if len(restricted.Scores) != 2 {
-		t.Errorf("scores for %d engines, want the 2 candidates", len(restricted.Scores))
+	if len(restricted.Scores) != 2 || math.IsInf(restricted.Scores[1].CostMS, 0) {
+		t.Errorf("want both candidates priced, got %+v", restricted.Scores)
 	}
 
-	// TRANSFORMERS in a custom set keeps its robust-default role: on this
-	// workload the margin rule must hand it the decision over the fragile
-	// candidate even if the fragile one prices slightly cheaper.
-	withT := Plan(a, b, Config{
-		Engines:              []engine.Joiner{get(engine.PBSM), get(engine.Transformers)},
-		PrebuiltTransformers: true,
-	})
-	if withT.Engine != engine.Transformers {
-		t.Errorf("custom set with transformers chose %q\nscores: %+v", withT.Engine, withT.Scores)
+	// TRANSFORMERS in a custom set keeps its robust-default role: grid wins
+	// while it is clear of the margin, and loses the decision once it prices
+	// only slightly cheaper.
+	withT := Config{Engines: []engine.Joiner{get(engine.Grid), get(engine.Transformers)}, PrebuiltTransformers: true}
+	base := Plan(a, b, withT)
+	if base.Engine != engine.Grid || base.Fallback {
+		t.Fatalf("custom set with transformers chose %q (fallback %v)\nscores: %+v", base.Engine, base.Fallback, base.Scores)
+	}
+	near := 0.9 * scoreOf(t, base, engine.Transformers) / scoreOf(t, base, engine.Grid)
+	withT.Correct = func(name string) float64 {
+		if name == engine.Grid {
+			return near
+		}
+		return 1
+	}
+	if d := Plan(a, b, withT); d.Engine != engine.Transformers || !d.Fallback {
+		t.Errorf("grid 10%% under transformers: chose %q (fallback %v)\nscores: %+v", d.Engine, d.Fallback, d.Scores)
 	}
 }

@@ -17,26 +17,13 @@ import (
 type Config struct {
 	// PageSize prices index pages; storage.DefaultPageSize when zero.
 	PageSize int
-	// Disk prices page I/O the same way the benchmark currency does;
-	// storage.DefaultDiskModel() when zero.
-	Disk storage.DiskModel
 	// Engines is the candidate set; the full registry when nil.
 	Engines []engine.Joiner
 	// PrebuiltTransformers marks the TRANSFORMERS indexes as already built
 	// (the serving catalog builds them at dataset registration), so the
 	// transformers engine is priced without its build phase while the
-	// fixed-layout engines pay a per-request build.
+	// in-memory engines pay a per-request build.
 	PrebuiltTransformers bool
-	// MaxReferenceProduct bounds |A|·|B| for Reference engines (naive);
-	// above it they are excluded from selection outright. 4e6 when zero.
-	MaxReferenceProduct float64
-	// MaxInMemoryElements bounds |A|+|B| for InMemory engines (grid,
-	// naive): they rebuild their whole structure per request with no
-	// index reuse and no paging, so under concurrent serving traffic
-	// large inputs turn into unbounded per-request allocations. Above the
-	// cap they are excluded from auto-selection (still requestable
-	// explicitly). DefaultMaxInMemoryElements when zero.
-	MaxInMemoryElements int
 	// ShardWorkers is the worker budget sharded meta-engines are priced
 	// at — the fan-out speedup can never exceed it. runtime.GOMAXPROCS(0)
 	// when zero (the shard engine's own default worker-pool size).
@@ -59,19 +46,16 @@ type Config struct {
 }
 
 // DefaultMaxInMemoryElements is the combined-cardinality cap above which the
-// planner stops auto-selecting in-memory engines.
+// planner stops auto-selecting in-memory engines: they rebuild their whole
+// structure per request with no paging, so under concurrent serving traffic
+// large inputs turn into unbounded per-request allocations. Above the cap
+// they are still requestable explicitly.
 const DefaultMaxInMemoryElements = 250_000
 
-// FitsInMemory reports whether both datasets together fit under the
-// in-memory element cap (maxElements, or DefaultMaxInMemoryElements when
-// non-positive). It is the single gate shared by the planner's
-// in-memory-engine exclusion and the in-memory fast-path cost branch, so the
-// two can never disagree about what "RAM-resident" means.
-func FitsInMemory(a, b DatasetStats, maxElements int) bool {
-	if maxElements <= 0 {
-		maxElements = DefaultMaxInMemoryElements
-	}
-	return a.Count+b.Count <= maxElements
+// FitsInMemory reports whether both datasets together fit under
+// DefaultMaxInMemoryElements.
+func FitsInMemory(a, b DatasetStats) bool {
+	return a.Count+b.Count <= DefaultMaxInMemoryElements
 }
 
 // CostTerm is one named component of an engine's predicted cost, in
@@ -98,6 +82,11 @@ type Score struct {
 	// excluded engines). Kept off the JSON wire — the planner accuracy
 	// recorder mirrors the chosen engine's terms into its samples instead.
 	Terms []CostTerm `json:"-"`
+	// Correction is the Config.Correct drift factor CostMS was multiplied
+	// by: 1 when none applied, 0 for excluded engines. Off the wire like
+	// Terms, and recorded from here so a sample names the factor that priced
+	// the decision it describes.
+	Correction float64 `json:"-"`
 }
 
 // MarshalJSON keeps Score wire-safe: encoding/json rejects +Inf, so
@@ -140,13 +129,9 @@ type Decision struct {
 const (
 	// tComp prices one element-element MBB intersection test.
 	tComp = 8e-9
-	// tWalk prices one GIPSY directed walk (per guide element): queue
-	// churn plus descriptor tests, measured ~20µs at bench scale.
-	tWalk = 20e-6
 	// tBuildPerElem prices STR-style partitioning per element (sort +
-	// assignment); grid assignment (PBSM) is cheaper.
-	tBuildPerElem      = 2e-7
-	tGridAssignPerElem = 1.2e-7
+	// assignment).
+	tBuildPerElem = 2e-7
 	// transformersOverhead is the adaptive-exploration surcharge on top of
 	// the data cost (paper §VII-C2 measures ~17%).
 	transformersOverhead = 1.17
@@ -171,29 +156,19 @@ const (
 	shardPoolEfficiency = 0.85
 )
 
-// Plan prices every candidate engine on the two datasets' statistics and
-// selects the cheapest, with TRANSFORMERS as the robust fallback. The
-// decision is deterministic in the inputs.
+// Plan prices the candidate engines that have a cost formula on the two
+// datasets' statistics and selects the cheapest, with TRANSFORMERS as the
+// robust fallback. The decision is deterministic in the inputs.
 func Plan(a, b DatasetStats, cfg Config) Decision {
 	pageSize := cfg.PageSize
 	if pageSize <= 0 {
 		pageSize = storage.DefaultPageSize
 	}
-	disk := cfg.Disk
-	if disk == (storage.DiskModel{}) {
-		disk = storage.DefaultDiskModel()
-	}
+	// Page I/O is priced the way the benchmark currency prices it.
+	disk := storage.DefaultDiskModel()
 	engines := cfg.Engines
 	if engines == nil {
 		engines = engine.All()
-	}
-	maxRef := cfg.MaxReferenceProduct
-	if maxRef <= 0 {
-		maxRef = 4e6
-	}
-	maxInMem := cfg.MaxInMemoryElements
-	if maxInMem <= 0 {
-		maxInMem = DefaultMaxInMemoryElements
 	}
 	shardWorkers := cfg.ShardWorkers
 	if shardWorkers <= 0 {
@@ -207,10 +182,7 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 		seek:         disk.Seek.Seconds(),
 		skew:         math.Max(a.SkewCV, b.SkewCV),
 		cluster:      math.Max(a.ClusterFraction, b.ClusterFraction),
-		contrast:     DensityContrast(a, b),
 		prebuilt:     cfg.PrebuiltTransformers,
-		maxRef:       maxRef,
-		maxInMem:     maxInMem,
 		shardWorkers: shardWorkers,
 		shardTiles:   cfg.ShardTiles,
 		calib:        cfg.Calibration,
@@ -224,6 +196,7 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 		if cfg.Correct != nil && !math.IsInf(s.CostMS, 0) && !math.IsNaN(s.CostMS) {
 			if f := cfg.Correct(s.Engine); f > 0 && f != 1 && !math.IsInf(f, 0) && !math.IsNaN(f) {
 				s.CostMS *= f
+				s.Correction = f
 				s.Reason = fmt.Sprintf("%s [drift x%.2f]", s.Reason, f)
 			}
 		}
@@ -244,11 +217,11 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 		return d
 	}
 	d.Engine = scores[0].Engine
-	// Robust fallback: a fixed-layout or in-memory engine must beat
-	// TRANSFORMERS by a clear margin, otherwise prediction error could
-	// hand a skew-fragile engine a workload it degrades on. The sharded
-	// adaptive join is the same algorithm per tile, so it counts as robust:
-	// no fallback is needed when it wins.
+	// Robust fallback: an in-memory engine must beat TRANSFORMERS by a clear
+	// margin, otherwise prediction error could hand a skew-fragile engine a
+	// workload it degrades on. The sharded adaptive join is the same
+	// algorithm per tile, so it counts as robust: no fallback is needed when
+	// it wins.
 	//
 	// The fallback only exists when TRANSFORMERS is in the candidate set: a
 	// caller-supplied Config.Engines without it has opted out of the robust
@@ -296,10 +269,7 @@ type model struct {
 	seek         float64 // seconds per random access
 	skew         float64
 	cluster      float64
-	contrast     float64
 	prebuilt     bool
-	maxRef       float64
-	maxInMem     int
 	shardWorkers int
 	shardTiles   int
 	calib        *Calibration // nil = hand-tuned constants (all multipliers 1)
@@ -307,18 +277,22 @@ type model struct {
 
 func (m model) pages(n int) float64 { return math.Ceil(float64(n) / m.perPage) }
 
-// score prices one engine. Engines without a formula (external
-// registrations) are never auto-selected but stay listed, so operators see
-// them in the ranking and can request them explicitly.
+// score prices one engine. Engines without a formula — the paper's
+// per-request-indexing baselines (pbsm, rtree, gipsy), the naive reference and
+// external registrations — are never auto-selected but stay listed, so
+// operators see them in the ranking and can request them explicitly.
 func (m model) score(j engine.Joiner) Score {
 	nA, nB := float64(m.a.Count), float64(m.b.Count)
 	pagesBoth := m.pages(m.a.Count) + m.pages(m.b.Count)
 	// The in-memory cap binds sharded in-memory engines too: tiles run as
 	// threads of one process, so sharding parallelizes the work without
 	// shrinking the resident footprint the cap protects.
-	if j.Capabilities().InMemory && !FitsInMemory(m.a, m.b, m.maxInMem) {
-		return Score{Engine: j.Name(), CostMS: math.Inf(1),
-			Reason: fmt.Sprintf("in-memory engine, |A|+|B|=%d over the %d cap", m.a.Count+m.b.Count, m.maxInMem)}
+	switch strings.TrimPrefix(j.Name(), engine.ShardPrefix) {
+	case engine.Grid, engine.InMem:
+		if !FitsInMemory(m.a, m.b) {
+			return Score{Engine: j.Name(), CostMS: math.Inf(1),
+				Reason: fmt.Sprintf("in-memory engine, |A|+|B|=%d over the %d cap", m.a.Count+m.b.Count, DefaultMaxInMemoryElements)}
+		}
 	}
 	switch j.Name() {
 	case engine.Transformers:
@@ -336,42 +310,6 @@ func (m model) score(j engine.Joiner) Score {
 		}
 		return m.priced(j, "batched sequential reads, adapts to skew",
 			term{"io", io}, term{"cpu", cpu}, term{"build", build})
-	case engine.PBSM:
-		// Partition pages interleave on disk, so the join phase is random
-		// reads over both datasets, inflated by replication; skewed tiles
-		// also inflate the in-memory comparisons (§VII-C1/C3). The
-		// replication surcharge is its own term so the fitter can learn the
-		// blow-up coefficient separately from the base I/O.
-		replication := 1 + 1.5*m.cluster + 0.1*m.skew
-		ioBase := pagesBoth*(m.tio+m.seek) + pagesBoth*m.tio
-		return m.priced(j, fmt.Sprintf("random partition reads, replication x%.2f", replication),
-			term{"io", ioBase},
-			term{"io_repl", (replication - 1) * ioBase},
-			term{"cpu", (nA + nB) * 12 * replication * tComp},
-			term{"build", (nA + nB) * tGridAssignPerElem})
-	case engine.RTree:
-		// Synchronized traversal: random node reads; node overlap grows
-		// with clustering and multiplies visited pairs (§VII-A).
-		overlap := 1.1 + 1.2*m.cluster + 0.1*m.skew
-		ioUnit := pagesBoth * (m.tio + m.seek)
-		return m.priced(j, fmt.Sprintf("sync traversal, overlap x%.2f", overlap),
-			term{"io", 1.1 * ioUnit},
-			term{"io_overlap", (overlap - 1.1) * ioUnit},
-			term{"cpu", (nA + nB) * 20 * overlap * tComp},
-			term{"build", (nA+nB)*tBuildPerElem*1.5 + pagesBoth*m.tio})
-	case engine.GIPSY:
-		// One directed walk per guide (smaller-side) element; the pages a
-		// crawl touches (and the candidates it tests) shrink with the
-		// §VI-A density contrast, the walk cost does not — GIPSY only
-		// pays off when the contrast is extreme (§VII-C1).
-		nG := math.Min(nA, nB)
-		pagesDense := math.Max(m.pages(m.a.Count), m.pages(m.b.Count))
-		focus := math.Sqrt(m.contrast) // crawl footprint shrinks with contrast
-		return m.priced(j, fmt.Sprintf("per-element walks, contrast %.0fx", m.contrast),
-			term{"walk", nG * tWalk},
-			term{"cpu", nG * m.perPage * tComp / focus},
-			term{"io", math.Min(pagesDense, nG) * 0.9 * (m.tio + 0.8*m.seek) / focus},
-			term{"build", math.Max(nA, nB)*tBuildPerElem + pagesDense*m.tio})
 	case engine.Grid:
 		// Pure CPU: hash the smaller side, probe with the larger. Dense
 		// cells turn probes quadratic, so clustering and skew are the
@@ -402,12 +340,6 @@ func (m model) score(j engine.Joiner) Score {
 			term{"sweep", sweep},
 			term{"sweep_cluster", sweep * 2 * m.cluster},
 			term{"sweep_skew", sweep * 0.3 * m.skew})
-	case engine.Naive:
-		if nA*nB > m.maxRef {
-			return Score{Engine: j.Name(), CostMS: math.Inf(1),
-				Reason: fmt.Sprintf("reference engine, |A|·|B|=%.2g over cap", nA*nB)}
-		}
-		return m.priced(j, "nested loop on tiny inputs", term{"product", nA * nB * 3e-9})
 	default:
 		if inner, ok := strings.CutPrefix(j.Name(), engine.ShardPrefix); ok {
 			return m.scoreShard(j, inner)
@@ -421,8 +353,7 @@ func (m model) score(j engine.Joiner) Score {
 // plus the partitioning pass. The inner is priced without the prebuilt
 // discount — sharding re-partitions raw elements, so catalog indexes do not
 // help it. The combined in-memory cap was already applied by the caller (it
-// binds sharded in-memory engines too); the inner is priced past it so the
-// per-tile formula stays meaningful under the cap.
+// binds sharded in-memory engines too), so an in-memory inner is under it.
 //
 // Calibration note: the "inner" term is the inner engine's *calibrated* cost
 // (so fitted inner constants propagate into the fan-out price), which makes
@@ -439,7 +370,6 @@ func (m model) scoreShard(j engine.Joiner, inner string) Score {
 	n := m.a.Count + m.b.Count
 	mi := m
 	mi.prebuilt = false
-	mi.maxInMem = math.MaxInt
 	is := mi.score(ij)
 	if math.IsInf(is.CostMS, 0) || math.IsNaN(is.CostMS) {
 		return Score{Engine: j.Name(), CostMS: math.Inf(1),
@@ -474,7 +404,7 @@ type term struct {
 // the fitter treats a missing term as zero, and keeping them out makes the
 // recorded feature rows smaller and the fit better conditioned.
 func (m model) priced(j engine.Joiner, reason string, terms ...term) Score {
-	s := Score{Engine: j.Name(), Reason: reason}
+	s := Score{Engine: j.Name(), Reason: reason, Correction: 1}
 	var calibrated float64
 	for _, t := range terms {
 		if t.sec == 0 {

@@ -36,30 +36,6 @@ func TestAnalyzeSignals(t *testing.T) {
 	if skewed.ClusterFraction < 0.5 {
 		t.Errorf("massive cluster fraction %.2f, want > 0.5", skewed.ClusterFraction)
 	}
-	// Histogram buckets must account for every occupied cell.
-	total := 0
-	for _, c := range skewed.Histogram {
-		total += c
-	}
-	if total != skewed.OccupiedCells {
-		t.Errorf("histogram cells %d != occupied %d", total, skewed.OccupiedCells)
-	}
-}
-
-func TestDensityContrast(t *testing.T) {
-	dense := Analyze(datagen.Uniform(datagen.Config{N: 50000, Seed: 4}))
-	sparse := Analyze(datagen.Uniform(datagen.Config{N: 500, Seed: 5}))
-	c := DensityContrast(sparse, dense)
-	if c < 50 || c > 200 {
-		t.Errorf("contrast of a 100x cardinality gap = %.1f, want ~100", c)
-	}
-	if got := DensityContrast(dense, sparse); math.Abs(got-c) > 1e-9 {
-		t.Errorf("contrast must be symmetric: %v vs %v", got, c)
-	}
-	same := DensityContrast(dense, dense)
-	if same != 1 {
-		t.Errorf("self contrast = %v, want 1", same)
-	}
 }
 
 // scoreOf returns the predicted cost of one engine in a decision.
@@ -75,13 +51,12 @@ func scoreOf(t *testing.T, d Decision, name string) float64 {
 }
 
 // TestPlanChoosesTransformersOnNonUniform is the acceptance property: on
-// clustered and on skewed serving-scale datasets the planner must predict
-// every fixed-layout engine slower and select the adaptive join — either
-// single-node TRANSFORMERS or its sharded form (whichever the worker budget
-// favors; both run the same robust algorithm).
+// clustered and on skewed serving-scale datasets the planner must select the
+// adaptive join — either single-node TRANSFORMERS or its sharded form
+// (whichever the worker budget favors; both run the same robust algorithm).
 func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 	// Serving scale: above the in-memory cap, so the choice is among the
-	// disk-based engines.
+	// paged engines.
 	n := 160_000
 	clusteredA, clusteredB := enginetest.ClusteredPair(n, 6, 7)
 	skewedA, skewedB := enginetest.SkewedPair(n, 8, 9)
@@ -98,22 +73,15 @@ func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 			if d.Engine != engine.Transformers && d.Engine != engine.ShardTransformers {
 				t.Errorf("%s (prebuilt=%v): planner chose %q, want the transformers family\nscores: %+v",
 					w.name, prebuilt, d.Engine, d.Scores)
-				continue
-			}
-			tr := scoreOf(t, d, engine.Transformers)
-			for _, fixed := range []string{engine.PBSM, engine.RTree, engine.GIPSY} {
-				if got := scoreOf(t, d, fixed); got <= tr {
-					t.Errorf("%s: %s predicted %.1fms <= transformers %.1fms",
-						w.name, fixed, got, tr)
-				}
 			}
 		}
 	}
 }
 
-// TestPlanMeasuredAgreement closes the loop on the acceptance property: the
-// engines the planner predicts slower on clustered and skewed data must
-// measure slower too, in the repository's modeled-time currency. The
+// TestPlanMeasuredAgreement is the measured premise of leaving the
+// fixed-layout baselines unpriced: on clustered and skewed data each of them
+// must measure slower than TRANSFORMERS, in the repository's modeled-time
+// currency, so a planner that never selects them gives nothing up. The
 // comparison uses modeled I/O time (deterministic page counters priced by
 // the disk model) so the assertion cannot flake on machine load, plus the
 // end-to-end total as a sanity check with a generous margin.
@@ -175,23 +143,21 @@ func TestPlanSmallUniformPrefersInMemory(t *testing.T) {
 	}
 }
 
-// TestFitsInMemory: the shared cap gate — boundary-inclusive, defaulting,
-// and symmetric in its inputs.
+// TestFitsInMemory: the cap gate — boundary-inclusive and symmetric in its
+// inputs.
 func TestFitsInMemory(t *testing.T) {
 	at := func(n int) DatasetStats { return DatasetStats{Count: n} }
-	if !FitsInMemory(at(100), at(100), 200) {
+	half := DefaultMaxInMemoryElements / 2
+	if !FitsInMemory(at(half), at(half)) {
 		t.Error("sum equal to the cap must fit")
 	}
-	if FitsInMemory(at(101), at(100), 200) {
+	if FitsInMemory(at(half+1), at(half)) {
 		t.Error("sum over the cap must not fit")
 	}
-	if !FitsInMemory(at(DefaultMaxInMemoryElements/2), at(DefaultMaxInMemoryElements/2), 0) {
-		t.Error("non-positive cap must default to DefaultMaxInMemoryElements")
+	if FitsInMemory(at(DefaultMaxInMemoryElements), at(1)) {
+		t.Error("the cap must bind the combined cardinality")
 	}
-	if FitsInMemory(at(DefaultMaxInMemoryElements), at(1), -1) {
-		t.Error("default cap must bind the combined cardinality")
-	}
-	if FitsInMemory(at(100), at(101), 200) != FitsInMemory(at(101), at(100), 200) {
+	if FitsInMemory(at(half), at(half+1)) != FitsInMemory(at(half+1), at(half)) {
 		t.Error("gate must be symmetric in a and b")
 	}
 }
@@ -220,8 +186,7 @@ func TestPlanInMemoryCap(t *testing.T) {
 // stubEngine is an externally registered engine with no planner formula.
 type stubEngine struct{}
 
-func (stubEngine) Name() string                      { return "stub-shard" }
-func (stubEngine) Capabilities() engine.Capabilities { return engine.Capabilities{} }
+func (stubEngine) Name() string { return "stub-shard" }
 func (stubEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	return &engine.Result{Engine: "stub-shard"}, nil
 }

@@ -1,17 +1,19 @@
 // Shard fan-out pricing tests. This file lives in the external test package
 // so it can import the shard meta-engine (which imports the planner); its
-// registration side effect puts shard-transformers/shard-grid into the
-// registry for the whole planner test binary.
+// registration side effect puts the three sharded forms into the registry for
+// the whole planner test binary.
 package planner_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
 	"repro/internal/engine/planner"
 	_ "repro/internal/engine/shard"
+	"repro/internal/geom"
 )
 
 // TestShardTilesSelection: tile count tracks cardinality and doubles on
@@ -109,6 +111,43 @@ func TestPlanShardGridKeepsInMemoryCap(t *testing.T) {
 	d = planner.Plan(planner.Analyze(unA), planner.Analyze(unB), planner.Config{ShardWorkers: 8})
 	if sg, g := scoreIn(t, d, engine.ShardGrid), scoreIn(t, d, engine.Grid); !(sg > g) {
 		t.Errorf("smooth data: partitioning overhead must keep shard-grid %.1fms above grid %.1fms", sg, g)
+	}
+}
+
+// TestPlanDaemonSweepNeverIndexesPerRequest sweeps the statistics space in the
+// daemon's configuration (catalog-resident TRANSFORMERS indexes) at every
+// worker budget: auto must resolve to an engine that reuses a catalog
+// structure or runs in memory, never to one that builds a paged index per
+// request. The MBB axis varies the volume-per-element ratio of the two sides,
+// the signal under which a priced gipsy took the high-contrast cells.
+func TestPlanDaemonSweepNeverIndexesPerRequest(t *testing.T) {
+	stats := func(n int, skew, cluster, side float64) planner.DatasetStats {
+		return planner.DatasetStats{Count: n, SkewCV: skew, ClusterFraction: cluster,
+			MBB: geom.Box{Hi: geom.Point{side, side, side}}, GridDim: 32, TotalCells: 32 * 32 * 32}
+	}
+	cards := []int{10, 100, 1_000, 10_000, 100_000, 500_000, 1_000_000, 5_000_000}
+	for _, w := range []int{1, 2, 4, 8, 16} {
+		cfg := planner.Config{PrebuiltTransformers: true, ShardWorkers: w}
+		bad := make(map[string]int)
+		for _, na := range cards {
+			for _, nb := range cards {
+				for _, skew := range []float64{0.3, 1, 2, 4, 8} {
+					for _, cluster := range []float64{0, 0.1, 0.5, 0.9} {
+						for _, side := range []float64{1000, 464, 100} {
+							d := planner.Plan(stats(na, skew, cluster, 1000), stats(nb, skew, cluster, side), cfg)
+							switch strings.TrimPrefix(d.Engine, engine.ShardPrefix) {
+							case engine.Transformers, engine.InMem, engine.Grid:
+							default:
+								bad[d.Engine]++
+							}
+						}
+					}
+				}
+			}
+		}
+		if len(bad) > 0 {
+			t.Errorf("%d workers: auto resolved to per-request-indexing engines in %v of 3840 cells", w, bad)
+		}
 	}
 }
 

@@ -1,30 +1,28 @@
 // Package planner selects a join engine per request from cheap dataset
 // statistics. The paper's thesis is that no fixed data layout is robust to
-// non-uniform distributions (§I, §VII); the planner is the serving-side
-// consequence: it prices every registered engine on a handful of signals a
-// single O(n) pass extracts — cardinality, an MBR density histogram over a
-// coarse grid, skew and clustering coefficients, and the §VI-A density
-// contrast the adaptive join itself steers by — and picks the cheapest,
-// falling back to TRANSFORMERS whenever the prediction is inconclusive.
+// non-uniform distributions (§I, §VII), and its serving property is that an
+// index is built once and reused by every join (§III); the planner is the
+// serving-side consequence of both. It prices the engines that reuse a catalog
+// structure or run in memory — transformers, inmem, grid and their sharded
+// forms — from three signals a single O(n) pass extracts (cardinality, a skew
+// coefficient and a clustering fraction over a coarse grid) and picks the
+// cheapest, falling back to TRANSFORMERS whenever the prediction is
+// inconclusive. The paper's per-request-indexing baselines (pbsm, rtree,
+// gipsy) and the naive reference carry no formula: they stay listed, unpriced,
+// and run only when a request names them.
 //
 // The cost formulas are calibrated against the recorded cross-engine
-// comparison in BENCH_1.json (and the BENCH_0.json baseline): modeled disk
-// time is dominated by random page reads (~5ms each under the default disk
-// model), which is exactly what sinks the fixed-layout engines on skewed
-// data, while the in-memory engines price as pure CPU.
+// comparison in BENCH_1.json (and the BENCH_0.json baseline): TRANSFORMERS
+// prices as batched, mostly sequential page reads under the default disk
+// model, the in-memory engines as pure CPU.
 package planner
 
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/hilbert"
 )
-
-// histBuckets is the size of the density histogram: bucket k counts occupied
-// grid cells holding [2^k, 2^(k+1)) element centers.
-const histBuckets = 16
 
 // DatasetStats is the cheap statistical fingerprint of one dataset. It is
 // computed in one pass plus a coarse-grid aggregation and cached by the
@@ -32,21 +30,14 @@ const histBuckets = 16
 type DatasetStats struct {
 	// Count is the dataset cardinality.
 	Count int `json:"count"`
-	// MBB is the tight bounding box of the dataset.
+	// MBB is the tight bounding box of the dataset. With GridDim and
+	// TotalCells it sizes the analysis grid's cells, which is what
+	// ExpandStats measures a distance join's expansion against.
 	MBB geom.Box `json:"-"`
-	// AvgExtent is the mean element side length over all dimensions.
-	AvgExtent float64 `json:"avg_extent"`
-	// VolumePerElem is MBB volume / Count — the sparseness measure whose
-	// ratio between two datasets is the §VI-A density contrast.
-	VolumePerElem float64 `json:"volume_per_elem"`
-	// GridDim is the per-dimension resolution of the analysis grid.
-	GridDim int `json:"grid_dim"`
-	// OccupiedCells counts grid cells holding at least one element center;
+	// GridDim is the per-dimension resolution of the analysis grid;
 	// TotalCells is GridDim^3.
-	OccupiedCells int `json:"occupied_cells"`
-	TotalCells    int `json:"total_cells"`
-	// MaxCellCount is the densest cell's center count.
-	MaxCellCount int `json:"max_cell_count"`
+	GridDim    int `json:"grid_dim"`
+	TotalCells int `json:"total_cells"`
 	// SkewCV is the coefficient of variation (stddev/mean) of per-cell
 	// center counts over all grid cells. Uniform data stays near the
 	// Poisson floor 1/sqrt(mean); clustered data runs far above it.
@@ -55,9 +46,6 @@ type DatasetStats struct {
 	// cell denser than 4x the mean — the mass a space-oriented partitioner
 	// replicates and a fixed tree overlaps on.
 	ClusterFraction float64 `json:"cluster_fraction"`
-	// Histogram is the MBR density histogram: Histogram[k] counts occupied
-	// cells with [2^k, 2^(k+1)) centers.
-	Histogram []int `json:"histogram"`
 }
 
 // Analyze computes the statistical fingerprint of a dataset in one pass over
@@ -65,21 +53,8 @@ type DatasetStats struct {
 func Analyze(elems []geom.Element) DatasetStats {
 	st := DatasetStats{Count: len(elems), MBB: geom.MBBOf(elems)}
 	if len(elems) == 0 {
-		st.Histogram = make([]int, histBuckets)
 		return st
 	}
-	var extent float64
-	for _, e := range elems {
-		for d := 0; d < geom.Dims; d++ {
-			extent += e.Box.Side(d)
-		}
-	}
-	st.AvgExtent = extent / float64(len(elems)*geom.Dims)
-	vol := st.MBB.Volume()
-	if vol <= 0 {
-		vol = 1e-12
-	}
-	st.VolumePerElem = vol / float64(len(elems))
 
 	// Coarse grid sized so uniform data averages ~8 centers per cell,
 	// clamped to keep both tiny datasets and the aggregation pass cheap.
@@ -115,24 +90,11 @@ func Analyze(elems []geom.Element) DatasetStats {
 
 	mean := float64(len(elems)) / float64(st.TotalCells)
 	var variance float64
-	st.Histogram = make([]int, histBuckets)
 	clusterThreshold := 4 * mean
 	clustered := 0
 	for _, c := range counts {
 		d := float64(c) - mean
 		variance += d * d
-		if c == 0 {
-			continue
-		}
-		st.OccupiedCells++
-		if c > st.MaxCellCount {
-			st.MaxCellCount = c
-		}
-		bucket := int(math.Log2(float64(c)))
-		if bucket >= histBuckets {
-			bucket = histBuckets - 1
-		}
-		st.Histogram[bucket]++
 		if float64(c) > clusterThreshold {
 			clustered += c
 		}
@@ -151,7 +113,7 @@ func Analyze(elems []geom.Element) DatasetStats {
 // weight array small enough to build per join.
 const ShardGridOrder = 5
 
-// HilbertWeights is the spatial form of Analyze's density histogram: the
+// HilbertWeights is the spatial form of Analyze's density grid: the
 // element-center count of every cell of the order-`order` Hilbert grid over
 // world, indexed by Hilbert value. Contiguous ranges of this array are
 // contiguous Hilbert-order runs of space, which is exactly what the shard
@@ -194,20 +156,4 @@ func ShardTiles(a, b DatasetStats) int {
 		k = MaxShardTiles
 	}
 	return k
-}
-
-// DensityContrast returns the §VI-A density contrast between two datasets:
-// max(r, 1/r) of the volume-per-element ratio. 1 means identical density;
-// the paper's Fig. 10 sweeps this from 1x to 1000x.
-func DensityContrast(a, b DatasetStats) float64 {
-	if a.Count == 0 || b.Count == 0 {
-		return 1
-	}
-	// core.DensityRatio is the same volume-per-element comparison the
-	// adaptive join's cost model steers role switches by (Eq. 5).
-	r := core.DensityRatio(a.MBB.Volume(), a.Count, b.MBB.Volume(), b.Count)
-	if r < 1 {
-		r = 1 / r
-	}
-	return r
 }

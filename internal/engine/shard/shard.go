@@ -76,18 +76,6 @@ func (e *Engine) Name() string { return engine.ShardPrefix + e.inner }
 // Inner returns the name of the engine that runs per tile.
 func (e *Engine) Inner() string { return e.inner }
 
-// Capabilities reports the inner engine's profile with Parallel set: the
-// fan-out honors Options.Parallelism regardless of the inner engine.
-func (e *Engine) Capabilities() engine.Capabilities {
-	caps := engine.Capabilities{Parallel: true}
-	if ij, err := engine.Get(e.inner); err == nil {
-		ic := ij.Capabilities()
-		caps.Adaptive = ic.Adaptive
-		caps.InMemory = ic.InMemory
-	}
-	return caps
-}
-
 // StreamBuffer is the per-worker bound on pairs parked between a tile's
 // inner engine and the caller's emit during a streaming fan-out: the merged
 // output channel holds at most workers×StreamBuffer pairs, so engine-side

@@ -38,9 +38,6 @@ func registerCountingInner() {
 }
 
 func (countingInner) Name() string { return "counting-naive" }
-func (countingInner) Capabilities() engine.Capabilities {
-	return engine.Capabilities{InMemory: true, Reference: true}
-}
 
 func (c countingInner) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	a, b, _, err := engine.Prepare(ctx, a, b, opt)

@@ -29,15 +29,6 @@ func (s *Scenario) Engine(name, inner string) *Engine {
 // Name implements engine.Joiner.
 func (e *Engine) Name() string { return e.name }
 
-// Capabilities reports the inner engine's capabilities (the wrapper changes
-// failure behavior, not execution shape).
-func (e *Engine) Capabilities() engine.Capabilities {
-	if j, err := engine.Get(e.inner); err == nil {
-		return j.Capabilities()
-	}
-	return engine.Capabilities{}
-}
-
 // JoinStream implements engine.Joiner: the inner engine emits through a
 // fault-wrapped emit.
 func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {

@@ -239,18 +239,6 @@ func TestEngineFaultFreePassthrough(t *testing.T) {
 	if res.Engine != "fi-test-passthrough" {
 		t.Fatalf("result engine = %q", res.Engine)
 	}
-	if e.Capabilities() != mustGet(t, engine.Transformers).Capabilities() {
-		t.Fatal("capabilities differ from inner engine")
-	}
-}
-
-func mustGet(t *testing.T, name string) engine.Joiner {
-	t.Helper()
-	j, err := engine.Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
 }
 
 func TestEngineEmitError(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/naive"
 	"repro/transformers"
 )
@@ -340,5 +342,67 @@ func TestHTTPDistanceJoinWithEngine(t *testing.T) {
 	rPb := pb["summary"].(map[string]any)["results"].(float64)
 	if rTr != rPb || rTr == 0 {
 		t.Fatalf("distance joins disagree: transformers=%v pbsm=%v", rTr, rPb)
+	}
+}
+
+// TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests: on a small × large
+// pair — the density contrast GIPSY was designed for — "auto" resolves to the
+// catalog-resident TRANSFORMERS indexes, the planner report lists gipsy with a
+// reason and no price, and naming gipsy still runs it, to the same pairs.
+func TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	postJSON(t, ts.URL+"/datasets", `{"name":"small","generate":{"kind":"uniform","n":1000,"seed":77}}`)
+	postJSON(t, ts.URL+"/datasets", `{"name":"large","generate":{"kind":"uniform","n":300000,"seed":78}}`)
+
+	sortedPairs := func(doc map[string]any) []geom.Pair {
+		t.Helper()
+		raw, err := json.Marshal(doc["pairs"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pairs []geom.Pair
+		if err := json.Unmarshal(raw, &pairs); err != nil {
+			t.Fatal(err)
+		}
+		engine.SortPairs(pairs)
+		return pairs
+	}
+	join := func(algo string) map[string]any {
+		t.Helper()
+		code, doc := postJSON(t, ts.URL+"/join/distance",
+			`{"a":"small","b":"large","distance":10,"algorithm":"`+algo+`","parallelism":1,"include_pairs":true,"no_cache":true}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s join = %d: %v", algo, code, doc)
+		}
+		return doc
+	}
+
+	auto := join("auto")
+	sum := auto["summary"].(map[string]any)
+	if sum["algorithm"] != engine.Transformers {
+		t.Fatalf("auto resolved to %v, want transformers (planner: %v)", sum["algorithm"], sum["planner"])
+	}
+	listed := false
+	for _, s := range sum["planner"].(map[string]any)["scores"].([]any) {
+		score := s.(map[string]any)
+		if score["engine"] != engine.GIPSY {
+			continue
+		}
+		listed = true
+		if _, priced := score["cost_ms"]; priced || score["reason"] == "" {
+			t.Errorf("gipsy must be listed with a reason and no cost_ms: %v", score)
+		}
+	}
+	if !listed {
+		t.Error("gipsy missing from the planner scores")
+	}
+
+	want := sortedPairs(auto)
+	if len(want) == 0 {
+		t.Fatal("degenerate workload")
+	}
+	got := sortedPairs(join(engine.GIPSY))
+	if !slices.Equal(got, want) {
+		t.Errorf("explicit gipsy: %d pairs, transformers %d — pair sets differ", len(got), len(want))
 	}
 }

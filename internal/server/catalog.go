@@ -712,35 +712,6 @@ func (c *Catalog) DatasetStats(name string) (planner.DatasetStats, uint64, error
 	return ds.cur.stats, ds.cur.version, nil
 }
 
-// Elements returns a private copy of a dataset's raw elements and the copied
-// version. Engines that build their own per-request index reorder inputs in
-// place, so they must never see the catalog's slice.
-func (c *Catalog) Elements(name string) ([]transformers.Element, uint64, error) {
-	c.mu.Lock()
-	ds := c.datasets[name]
-	if ds == nil {
-		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	elems, version := ds.cur.elems, ds.cur.version
-	c.mu.Unlock()
-	// The O(n) copy runs outside the lock: Put replaces the generation
-	// wholesale and nothing mutates the old slice, so the snapshot taken
-	// above stays immutable even if the dataset is replaced mid-copy.
-	return append([]transformers.Element(nil), elems...), version, nil
-}
-
-// Version returns the current version of a dataset.
-func (c *Catalog) Version(name string) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds := c.datasets[name]
-	if ds == nil {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	return ds.cur.version, nil
-}
-
 // VersionEpoch returns the current version, delta epoch and delta size of a
 // dataset in one consistent snapshot — the cache fast path keys lookups on
 // (version, epoch), and the planner folds the delta cardinality into its

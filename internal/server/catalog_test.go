@@ -18,8 +18,8 @@ func TestCatalogUnknownDataset(t *testing.T) {
 	if _, err := c.Acquire(context.Background(), "nope", 0); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("err = %v, want ErrUnknownDataset", err)
 	}
-	if _, err := c.Version("nope"); !errors.Is(err, ErrUnknownDataset) {
-		t.Fatalf("Version err = %v, want ErrUnknownDataset", err)
+	if _, _, _, err := c.VersionEpoch("nope"); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("VersionEpoch err = %v, want ErrUnknownDataset", err)
 	}
 }
 

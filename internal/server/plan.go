@@ -119,9 +119,10 @@ type joinPlan struct {
 // versions, admission price — from one fetch of both inputs' statistics and
 // one planner.Plan call, whether the planner chooses the engine ("auto") or
 // only prices the one the request names. The planner prices the TRANSFORMERS
-// engine without a build phase (its indexes live in the catalog) while every
-// other engine pays a per-request build — the serving economics, not just
-// the algorithmic ones. The inmem engine's partition is catalog-resident
+// engine without a build phase (its indexes live in the catalog) while the
+// in-memory engines pay a per-request build — the serving economics, not just
+// the algorithmic ones — and gives the per-request-indexing baselines no price
+// at all: a request that names one is admitted at the whole pool. The inmem engine's partition is catalog-resident
 // too, but whether a given join finds it there depends on the writes and
 // joins before it, so the planner keeps pricing the build and the per-pair
 // drift corrector learns how often it is actually paid. The plan must
@@ -200,9 +201,10 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 
 // priceJoin converts the planner's predicted cost of the resolved engine
 // into the request's admission price in slot units: 1 + CostMS/DefaultCostUnitMS,
-// so a predicted-quadratic join occupies many slots (the pool clamps to its
-// capacity — such a join runs alone) while typical joins stay at unit price,
-// as does an engine the planner has no score for.
+// so an expensive join occupies many slots (the pool clamps to its capacity —
+// such a join runs alone) while typical joins stay at unit price. An engine
+// the planner lists without a price (the per-request-indexing baselines, an
+// in-memory engine over the cap) takes the whole pool.
 func (s *Service) priceJoin(jp *joinPlan) {
 	jp.cost = 1
 	jp.predictedMS = -1
@@ -235,7 +237,7 @@ func (s *Service) priceJoin(jp *joinPlan) {
 					jp.terms[t.Name] = t.MS
 				}
 			}
-			jp.correction = s.corrector.Factor(jp.a.name, jp.b.name, jp.algo)
+			jp.correction = sc.Correction
 			if c := 1 + int(sc.CostMS/DefaultCostUnitMS); c > jp.cost {
 				jp.cost = c
 			}

@@ -59,7 +59,7 @@ func TestServiceDistanceJoinPlanning(t *testing.T) {
 }
 
 // TestServiceRecordsExcludedCandidates: candidates the planner refuses to
-// price finitely (here: naive over its |A|·|B| cap) must land in the
+// price finitely (here: naive, which has no cost formula) must land in the
 // sample's Excluded map with their reason, and the chosen engine's raw term
 // decomposition must ride along for the offline fitter.
 func TestServiceRecordsExcludedCandidates(t *testing.T) {
@@ -79,8 +79,8 @@ func TestServiceRecordsExcludedCandidates(t *testing.T) {
 		t.Fatalf("got %d samples, want 1", len(samples))
 	}
 	s := samples[0]
-	// 3000·3000 = 9e6 > the 4e6 reference cap: naive must be excluded with
-	// a reason, and must not appear among the finite scores.
+	// naive must be excluded with a reason, and must not appear among the
+	// finite scores.
 	if s.Excluded[engine.Naive] == "" {
 		t.Fatalf("sample lacks an exclusion reason for naive: %+v", s.Excluded)
 	}

@@ -292,7 +292,7 @@ func TestAddDatasetRejectedLeavesDatasetIntact(t *testing.T) {
 	if _, err := svc.AddDataset(context.Background(), "a", transformers.GenerateUniform(500, 26)); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := svc.Catalog().Version("a")
+	v1, _, _, err := svc.Catalog().VersionEpoch("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestAddDatasetRejectedLeavesDatasetIntact(t *testing.T) {
 	if _, err := svc.AddDataset(ctx, "a", transformers.GenerateUniform(100, 27)); err == nil {
 		t.Fatal("canceled registration succeeded")
 	}
-	v2, err := svc.Catalog().Version("a")
+	v2, _, _, err := svc.Catalog().VersionEpoch("a")
 	if err != nil {
 		t.Fatal(err)
 	}

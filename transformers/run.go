@@ -9,10 +9,10 @@ import (
 	"repro/internal/engine"
 	"repro/internal/storage"
 
-	// Register the sharded meta-engines (shard-transformers, shard-grid)
-	// with the registry: every layer above — the CLI tools, the bench
-	// harness, the serving daemon — imports this facade, so the import here
-	// makes the sharded tier reachable everywhere by name.
+	// Register the sharded meta-engines (shard-transformers, shard-grid,
+	// shard-inmem) with the registry: every layer above — the CLI tools, the
+	// bench harness, the serving daemon — imports this facade, so the import
+	// here makes the sharded tier reachable everywhere by name.
 	_ "repro/internal/engine/shard"
 )
 
@@ -66,7 +66,7 @@ type RunOptions struct {
 	// RTreeFanout caps R-tree node fanout; page capacity when zero.
 	RTreeFanout int
 	// ShardTiles sets the tile count K of the sharded meta-engines
-	// (shard-transformers, shard-grid); 0 picks K from dataset statistics.
+	// ("shard-<inner>"); 0 picks K from dataset statistics.
 	ShardTiles int
 	// Join forwards TRANSFORMERS-specific knobs.
 	Join JoinOptions
