@@ -21,7 +21,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -112,9 +111,11 @@ func streamJoin(algo string, a, b []transformers.Element, opt transformers.RunOp
 		fatalIf(fmt.Errorf("-stream needs one engine, not \"all\""))
 	}
 	bw := bufio.NewWriterSize(os.Stdout, 64<<10)
-	enc := json.NewEncoder(bw)
 	rep, err := transformers.RunStream(context.Background(), transformers.Algorithm(algo), a, b, opt,
-		func(p transformers.Pair) error { return enc.Encode(p) })
+		func(p transformers.Pair) error {
+			_, err := bw.Write(append(p.AppendJSON(bw.AvailableBuffer()), '\n'))
+			return err
+		})
 	if ferr := bw.Flush(); err == nil {
 		err = ferr
 	}

@@ -35,6 +35,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/btree"
@@ -126,6 +127,10 @@ type Index struct {
 	// nodeOrder lists node IDs in Hilbert order of their centers: the pivot
 	// visit order, which keeps consecutive walks short.
 	nodeOrder []int32
+	// sides pools the per-run state of joins and range queries over this
+	// index (*side, see acquireSide), so its scratch outlives one run. The
+	// pool dies with the index and gives idle entries back to the collector.
+	sides sync.Pool
 }
 
 // BuildStats reports indexing cost.

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -101,18 +102,22 @@ type JoinStats struct {
 	TSUFinal, TSOFinal, CfltFinal float64
 }
 
-// side is the per-dataset state of one join run.
+// side is the per-dataset state of one join run (and of one range query). A
+// side is taken from its index's pool and put back when the run ends, so the
+// arrays sized by the index and every buffer a pivot fills — decoded element
+// batches, candidate unit lists, the page-MBB filter's marks and boxes, the
+// in-memory grid — are allocated by the first joins over an index and reset,
+// not reallocated, by the ones after.
 type side struct {
 	idx        *Index
-	st         storage.Store // LRU view over idx.st
-	checked    []bool        // per node: fully processed as pivot
-	remaining  int           // unchecked node count
-	cursor     int           // position in idx.nodeOrder
-	lastNode   int32         // node-walk position
-	lastUnit   int32         // unit-walk position (-1 until set)
+	st         *storage.LRU // buffer pool over the run's store view; cold at acquire
+	checked    []bool       // per node: fully processed as pivot
+	remaining  int          // unchecked node count
+	cursor     int          // position in idx.nodeOrder
+	lastNode   int32        // node-walk position
+	lastUnit   int32        // unit-walk position (-1 until set)
 	nodeWalker *walker
 	unitWalker *walker
-	buf        []byte
 	isA        bool
 	// readThroughGap is the largest gap (in pages) a batch read streams
 	// through rather than seeking over: the break-even point seek/transfer
@@ -133,25 +138,45 @@ type side struct {
 	// exploration bounded. Sequential runs never set it.
 	scoped   bool
 	scopeBox geom.Box
+
+	// Per-pivot scratch, each valid until the side's next use of it.
+	elems []geom.Element // the decoded batch of this side's pages
+	cand  []int32        // units a crawl of this side collected
+	kept  []int32        // units surviving the page-MBB filter
+	keep  []bool         // the filter's marks, by position in refs
+	refs  []geom.Element // the filter's input: unit page MBBs
+	grid  grid.Grid      // in-memory join built over this side's batch
 }
 
-// newSide assembles per-run dataset state reading through base (the index's
-// own store for the sequential join, a private concurrent reader for each
-// parallel worker).
-func newSide(idx *Index, base storage.Store, cachePages int, isA bool) *side {
-	return &side{
-		idx:        idx,
-		st:         storage.NewLRU(base, cachePages),
-		checked:    make([]bool, len(idx.nodes)),
-		remaining:  len(idx.nodes),
-		lastUnit:   -1,
-		nodeWalker: newWalker(len(idx.nodes)),
-		unitWalker: newWalker(len(idx.units)),
-		buf:        make([]byte, idx.st.PageSize()),
-		isA:        isA,
-		readMark:   make([]uint32, len(idx.units)),
+// acquireSide takes a side of idx from the index's pool (or builds the first
+// one) and readies it for a run reading through base (the index's own store
+// for the sequential join, a private concurrent reader for each parallel
+// worker and each range query): nothing checked, walks unpositioned, buffer
+// pool cold. release hands it back.
+func acquireSide(idx *Index, base storage.Store, cachePages int, isA bool) *side {
+	s, _ := idx.sides.Get().(*side)
+	if s == nil {
+		s = &side{
+			idx:        idx,
+			st:         storage.NewLRU(nil, 0),
+			checked:    make([]bool, len(idx.nodes)),
+			nodeWalker: newWalker(len(idx.nodes)),
+			unitWalker: newWalker(len(idx.units)),
+			readMark:   make([]uint32, len(idx.units)),
+		}
 	}
+	s.st.Reset(base, cachePages)
+	clear(s.checked)
+	s.remaining = len(idx.nodes)
+	s.cursor, s.lastNode, s.lastUnit = 0, 0, -1
+	s.isA = isA
+	s.scoped, s.scopeBox = false, geom.Box{}
+	return s
 }
+
+// release returns the side to its index's pool; the caller must not use it
+// (or any slice it got from it) afterwards.
+func (s *side) release() { s.idx.sides.Put(s) }
 
 // nextUnchecked returns the next pivot node in Hilbert order, skipping
 // checked nodes. The caller guarantees remaining > 0.
@@ -212,13 +237,21 @@ func (s *side) nodeStart(target geom.Box) int32 {
 	return byTree
 }
 
-// readUnit loads one space unit's elements through the side's cache.
-func (s *side) readUnit(ui int32, dst []geom.Element) ([]geom.Element, error) {
-	return storage.ReadElementPage(s.st, s.idx.units[ui].Page, dst, s.buf)
+// readUnit loads one space unit's elements through the side's cache into
+// s.elems, replacing what it held.
+func (s *side) readUnit(ui int32) (err error) {
+	s.elems, err = storage.ReadElementPage(s.st, s.idx.units[ui].Page, s.elems[:0], nil)
+	return err
 }
 
 // beginReadTally starts a fresh distinct-read count for one pivot.
-func (s *side) beginReadTally() { s.readEpoch++ }
+func (s *side) beginReadTally() {
+	s.readEpoch++
+	if s.readEpoch == 0 { // wrapped around on a long-pooled side
+		clear(s.readMark)
+		s.readEpoch = 1
+	}
+}
 
 // tallyRead marks unit ui as read for the current pivot and reports whether
 // this was its first read.
@@ -233,36 +266,37 @@ func (s *side) tallyRead(ui int32) bool {
 // sortByPage orders unit IDs by their physical page so batch reads run
 // sequentially over the disk.
 func (s *side) sortByPage(units []int32) {
-	sort.Slice(units, func(i, j int) bool {
-		return s.idx.units[units[i]].Page < s.idx.units[units[j]].Page
+	slices.SortFunc(units, func(a, b int32) int {
+		return cmp.Compare(s.idx.units[a].Page, s.idx.units[b].Page)
 	})
 }
 
 // readBatch reads the given units' pages in physical order, streaming
-// through short gaps, and appends all their elements to dst. The unit slice
-// is reordered (sorted by page).
-func (s *side) readBatch(units []int32, dst []geom.Element) ([]geom.Element, error) {
+// through short gaps, into s.elems, replacing what it held. The unit slice is
+// reordered (sorted by page).
+func (s *side) readBatch(units []int32) error {
 	s.sortByPage(units)
+	s.elems = s.elems[:0]
 	var last storage.PageID
 	haveLast := false
 	for _, ui := range units {
 		p := s.idx.units[ui].Page
 		if haveLast && p > last && p-last <= s.readThroughGap {
 			for q := last + 1; q < p; q++ {
-				if err := s.st.Read(q, s.buf); err != nil {
-					return dst, err
+				if _, err := s.st.View(q); err != nil {
+					return err
 				}
 			}
 		}
 		var err error
-		dst, err = storage.ReadElementPage(s.st, p, dst, s.buf)
+		s.elems, err = storage.ReadElementPage(s.st, p, s.elems, nil)
 		if err != nil {
-			return dst, err
+			return err
 		}
 		last = p
 		haveLast = true
 	}
-	return dst, nil
+	return nil
 }
 
 // debugTrace, when set by tests, receives a trace of exploration decisions.
@@ -291,14 +325,15 @@ type joinRun struct {
 // newJoinRun assembles one run's state: sides reading through stA/stB, the
 // cost model, read-through gaps and walk bounds. The sequential join passes
 // the indexes' own stores; each parallel worker passes its private readers.
+// The caller releases the run when it is done with it.
 func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA, stB storage.Store) *joinRun {
 	r := &joinRun{cfg: cfg, emit: emit}
 	cachePages := cfg.CachePages
 	if cachePages <= 0 {
 		cachePages = DefaultCachePages
 	}
-	r.sides[0] = newSide(ia, stA, cachePages, true)
-	r.sides[1] = newSide(ib, stB, cachePages, false)
+	r.sides[0] = acquireSide(ia, stA, cachePages, true)
+	r.sides[1] = acquireSide(ib, stB, cachePages, false)
 	r.model = newCostModel(cfg, ia, ib)
 	for _, s := range r.sides {
 		s.readThroughGap = storage.PageID(r.model.seek / (m2s(s.idx.st.PageSize(), cfg) + 1e-12))
@@ -313,6 +348,12 @@ func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA
 		}
 	}
 	return r
+}
+
+// release hands the run's sides back to their indexes' pools.
+func (r *joinRun) release() {
+	r.sides[0].release()
+	r.sides[1].release()
 }
 
 // aborted reports whether the run should stop before its next pivot: the
@@ -371,6 +412,7 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 		}
 	}
 	r := newJoinRun(ia, ib, cfg, emit, stA, stB)
+	defer r.release()
 
 	start := time.Now()
 	beforeA := stA.Stats()
@@ -503,7 +545,7 @@ func (r *joinRun) nodeLevelCandidates(g, f int, pn, found int32) (keptG, keptF [
 	target := pivot.PageMBB
 
 	t0 := time.Now()
-	var candUnits []int32
+	F.cand = F.cand[:0]
 	visited := F.nodeWalker.crawl(nodeGraph{F.idx}, found, target, func(nd int32) {
 		if F.checked[nd] {
 			return // every pair with nd was emitted when nd was the pivot
@@ -516,7 +558,7 @@ func (r *joinRun) nodeLevelCandidates(g, f int, pn, found int32) (keptG, keptF [
 		for _, ui := range n.Units {
 			r.stats.MetaComparisons++
 			if F.idx.units[ui].PageMBB.Intersects(pivot.PageMBB) {
-				candUnits = append(candUnits, ui)
+				F.cand = append(F.cand, ui)
 			}
 		}
 	})
@@ -524,34 +566,37 @@ func (r *joinRun) nodeLevelCandidates(g, f int, pn, found int32) (keptG, keptF [
 
 	// Page-MBB filter between the guide's and the follower's candidate
 	// units: only pages that intersect a page of the other side are read.
-	keepG := make([]bool, len(pivot.Units))
-	keepF := make([]bool, len(candUnits))
-	gRefs := make([]geom.Element, len(pivot.Units))
-	for i, ui := range pivot.Units {
-		gRefs[i] = geom.Element{ID: uint64(i), Box: G.idx.units[ui].PageMBB}
-	}
-	fRefs := make([]geom.Element, len(candUnits))
-	for i, ui := range candUnits {
-		fRefs[i] = geom.Element{ID: uint64(i), Box: F.idx.units[ui].PageMBB}
-	}
-	r.stats.MetaComparisons += sweep.Join(gRefs, fRefs, func(a, b geom.Element) {
-		keepG[a.ID] = true
-		keepF[b.ID] = true
+	G.loadFilter(pivot.Units)
+	F.loadFilter(F.cand)
+	r.stats.MetaComparisons += sweep.Join(G.refs, F.refs, func(a, b geom.Element) {
+		G.keep[a.ID] = true
+		F.keep[b.ID] = true
 	})
-	keptG = make([]int32, 0, len(pivot.Units))
-	for i, ui := range pivot.Units {
-		if keepG[i] {
-			keptG = append(keptG, ui)
-		}
-	}
-	keptF = make([]int32, 0, len(candUnits))
-	for i, ui := range candUnits {
-		if keepF[i] {
-			keptF = append(keptF, ui)
-		}
-	}
+	keptG, keptF = G.filtered(pivot.Units), F.filtered(F.cand)
 	r.stats.ExploreWall += time.Since(t0)
 	return keptG, keptF
+}
+
+// loadFilter readies the side's half of the page-MBB filter over units: refs
+// holds their page MBBs under their positions as IDs, keep is all false.
+func (s *side) loadFilter(units []int32) {
+	s.refs = s.refs[:0]
+	for i, ui := range units {
+		s.refs = append(s.refs, geom.Element{ID: uint64(i), Box: s.idx.units[ui].PageMBB})
+	}
+	s.keep = slices.Grow(s.keep[:0], len(units))[:len(units)]
+	clear(s.keep)
+}
+
+// filtered returns, in s.kept, the units whose position the filter marked.
+func (s *side) filtered(units []int32) []int32 {
+	s.kept = s.kept[:0]
+	for i, ui := range units {
+		if s.keep[i] {
+			s.kept = append(s.kept, ui)
+		}
+	}
+	return s.kept
 }
 
 // processNodeLevel joins a pivot node against the follower at the coarse
@@ -565,15 +610,13 @@ func (r *joinRun) processNodeLevel(g, f int, pn, found int32) error {
 	// Read the surviving pages of both sides in physical page order,
 	// streaming through short gaps, so the runs stay sequential.
 	tj := time.Now()
-	gElems, err := G.readBatch(keptG, nil)
-	if err != nil {
+	if err := G.readBatch(keptG); err != nil {
 		return err
 	}
-	fElems, err := F.readBatch(keptF, nil)
-	if err != nil {
+	if err := F.readBatch(keptF); err != nil {
 		return err
 	}
-	comps := grid.Join(gElems, fElems, r.cfg.GridCfg, func(ge, fe geom.Element) {
+	comps := G.grid.Join(G.elems, F.elems, r.cfg.GridCfg, func(ge, fe geom.Element) {
 		r.emitOriented(g, ge, fe)
 	})
 	dt := time.Since(tj)
@@ -619,7 +662,6 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 	// worker's reads are counted, and safe to read without synchronization.
 	randBefore := F.st.Stats().RandReads
 
-	var gElems []geom.Element
 	for _, ui := range pivot.Units {
 		if r.cfg.Stop != nil && r.cfg.Stop.Load() {
 			break // abort between pivot units, not just between pivots
@@ -661,7 +703,7 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 		// Unit-level crawl and join: collect follower units whose pages can
 		// intersect the pivot unit, read them, grid-join.
 		tc := time.Now()
-		var cands []int32
+		F.cand = F.cand[:0]
 		visited := F.unitWalker.crawl(unitGraph{F.idx}, wres.found, utarget, func(fu int32) {
 			fd := &F.idx.units[fu]
 			r.stats.MetaComparisons++
@@ -669,31 +711,28 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 				return
 			}
 			if fd.PageMBB.Intersects(u.PageMBB) {
-				cands = append(cands, fu)
+				F.cand = append(F.cand, fu)
 			}
 		})
 		r.stats.MetaComparisons += visited
-		for _, fu := range cands {
+		for _, fu := range F.cand {
 			if F.tallyRead(fu) {
 				distinctRead++
 			}
 		}
 		r.stats.ExploreWall += time.Since(tc)
-		if len(cands) == 0 {
+		if len(F.cand) == 0 {
 			continue
 		}
 
 		tj := time.Now()
-		gElems = gElems[:0]
-		var err error
-		if gElems, err = G.readUnit(ui, gElems); err != nil {
+		if err := G.readUnit(ui); err != nil {
 			return err
 		}
-		fElems, err := F.readBatch(cands, nil)
-		if err != nil {
+		if err := F.readBatch(F.cand); err != nil {
 			return err
 		}
-		comps := grid.Join(gElems, fElems, r.cfg.GridCfg, func(ge, fe geom.Element) {
+		comps := G.grid.Join(G.elems, F.elems, r.cfg.GridCfg, func(ge, fe geom.Element) {
 			r.emitOriented(g, ge, fe)
 		})
 		dt = time.Since(tj)
@@ -719,15 +758,13 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 	G, F := r.sides[g], r.sides[f]
 
 	tj := time.Now()
-	pivots, err := G.readUnit(ui, nil)
-	if err != nil {
+	if err := G.readUnit(ui); err != nil {
 		return 0, err
 	}
 	r.stats.JoinWall += time.Since(tj)
 
 	cur := startU
-	var fElems []geom.Element
-	for _, e := range pivots {
+	for _, e := range G.elems {
 		etarget := e.Box
 
 		tw := time.Now()
@@ -744,7 +781,7 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 		}
 
 		tc := time.Now()
-		var cands []int32
+		F.cand = F.cand[:0]
 		visited := F.unitWalker.crawl(unitGraph{F.idx}, wres.found, etarget, func(fu int32) {
 			fd := &F.idx.units[fu]
 			r.stats.MetaComparisons++
@@ -752,11 +789,11 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 				return
 			}
 			if fd.PageMBB.Intersects(e.Box) {
-				cands = append(cands, fu)
+				F.cand = append(F.cand, fu)
 			}
 		})
 		r.stats.MetaComparisons += visited
-		for _, fu := range cands {
+		for _, fu := range F.cand {
 			if F.tallyRead(fu) {
 				distinctRead++
 			}
@@ -764,12 +801,11 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 		r.stats.ExploreWall += time.Since(tc)
 
 		te := time.Now()
-		fElems = fElems[:0]
-		if fElems, err = F.readBatch(cands, fElems); err != nil {
+		if err := F.readBatch(F.cand); err != nil {
 			return distinctRead, err
 		}
 		var comps uint64
-		for _, fe := range fElems {
+		for _, fe := range F.elems {
 			comps++
 			if fe.Box.Intersects(e.Box) {
 				r.emitOriented(g, e, fe)

@@ -96,6 +96,7 @@ func joinParallel(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (
 
 	var stats JoinStats
 	for i, r := range runs {
+		r.release()
 		stats = mergeStats(stats, r.stats)
 		stats.IO = stats.IO.Add(readersA[i].Stats())
 		if !sharedStore {

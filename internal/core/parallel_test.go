@@ -163,12 +163,10 @@ func TestParallelEdgeCases(t *testing.T) {
 func TestParallelPropagatesStorageErrors(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 800, Seed: 65, MaxSide: 10})
 	b := datagen.Uniform(datagen.Config{N: 800, Seed: 66, MaxSide: 10})
-	// noReader hides the embedded MemStore's ReaderOpener so the parallel
-	// join takes the locked fallback and every worker's reads route through
-	// the countdown injection.
-	type noReader struct{ storage.Store }
-	fs := &failingStore{MemStore: storage.NewMemStore(0), countdown: 1 << 30}
-	st := noReader{fs}
+	// failingStore is no ReaderOpener, so the parallel join takes the locked
+	// fallback and every worker's reads route through the countdown
+	// injection.
+	st := &failingStore{st: storage.NewMemStore(0), countdown: 1 << 30}
 	ia, _, err := BuildIndex(st, a, IndexConfig{World: datagen.DefaultWorld(), UnitCapacity: 40, NodeCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +175,7 @@ func TestParallelPropagatesStorageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.countdown = 5
+	st.countdown = 5
 	_, err = Join(ia, ib, JoinConfig{Parallelism: 4}, func(geom.Element, geom.Element) {})
 	if err == nil {
 		t.Fatal("parallel join swallowed a storage error")
@@ -234,4 +232,88 @@ func BenchmarkJoinParallelScaling(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestPooledSidesStartEveryRunCold: the per-side state of a run is taken from
+// the index's pool and handed back, so a run may inherit a side that a
+// parallel worker restricted to its chunk, a forced-transformation join
+// scribbled all over, or a range query walked with. Every run in a mixed
+// sequence over one index pair — and over the same indexes from several
+// goroutines at once — must still find the naive pair set and count exactly
+// what the same run counts over freshly built indexes: nothing checked, walks
+// unpositioned, buffer pool cold, cache size its own.
+func TestPooledSidesStartEveryRunCold(t *testing.T) {
+	a := datagen.MassiveCluster(datagen.Config{N: 3000, Seed: 81, MaxSide: 8})
+	b := datagen.Uniform(datagen.Config{N: 2500, Seed: 82, MaxSide: 8})
+	icfg := IndexConfig{UnitCapacity: 30, NodeCapacity: 6}
+	want := naive.Join(a, b)
+	type counts struct {
+		results, comparisons, meta, walk, switches, nodeSplits, unitSplits uint64
+		io                                                                 storage.Stats
+	}
+	run := func(ia, ib *Index, cfg JoinConfig) (counts, []geom.Pair) {
+		t.Helper()
+		var mu sync.Mutex
+		var pairs []geom.Pair
+		s, err := Join(ia, ib, cfg, func(x, y geom.Element) {
+			mu.Lock()
+			pairs = append(pairs, geom.Pair{A: x.ID, B: y.ID})
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Error(err) // run is also called off the test goroutine
+		}
+		return counts{s.Results, s.Comparisons, s.MetaComparisons, s.WalkSteps, s.RoleSwitches, s.NodeSplits, s.UnitSplits, s.IO}, pairs
+	}
+	cfgs := []JoinConfig{
+		{Concurrent: true, FixedThresholds: true, Parallelism: 4},
+		{Concurrent: true, FixedThresholds: true},
+		{Concurrent: true, FixedThresholds: true, TSU: 1.5, TSO: 1.5},
+		{Concurrent: true, FixedThresholds: true, GuideB: true, CachePages: 2},
+		{Concurrent: true, DisableTransforms: true},
+		{Concurrent: true, FixedThresholds: true},
+	}
+	fresh := make([]counts, len(cfgs))
+	for i, cfg := range cfgs {
+		var pairs []geom.Pair
+		fresh[i], pairs = run(buildIndex(t, a, icfg), buildIndex(t, b, icfg), cfg)
+		if !naive.Equal(pairs, naive.Join(a, b)) {
+			t.Fatalf("config %d over fresh indexes disagrees with naive", i)
+		}
+	}
+	if fresh[1] != fresh[5] || fresh[1].io.Reads == fresh[3].io.Reads {
+		t.Fatalf("fixture does not tell runs apart: %+v / %+v / %+v", fresh[1], fresh[3], fresh[5])
+	}
+
+	ia, ib := buildIndex(t, a, icfg), buildIndex(t, b, icfg)
+	query := geom.Box{Lo: geom.Point{200, 200, 200}, Hi: geom.Point{700, 700, 700}}
+	for round := 0; round < 2; round++ {
+		for i, cfg := range cfgs {
+			got, pairs := run(ia, ib, cfg)
+			if got != fresh[i] {
+				t.Fatalf("round %d config %d on pooled sides counted\n %+v, over fresh indexes\n %+v", round, i, got, fresh[i])
+			}
+			if !naive.Equal(pairs, append([]geom.Pair(nil), want...)) {
+				t.Fatalf("round %d config %d on pooled sides disagrees with naive", round, i)
+			}
+			if elems, _, err := ia.RangeQuery(query, nil); err != nil || len(elems) != len(naiveRange(a, query)) {
+				t.Fatalf("range query between joins: %d elements, err %v", len(elems), err)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				i := (w + k) % len(cfgs)
+				if got, _ := run(ia, ib, cfgs[i]); got != fresh[i] {
+					t.Errorf("goroutine %d: config %d counted %+v, over fresh indexes %+v", w, i, got, fresh[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

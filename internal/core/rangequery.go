@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/geom"
@@ -42,7 +41,8 @@ type RangeStats struct {
 // and returned in page order; element order within a page is the stored STR
 // order.
 //
-// The query allocates private walker state and reads pages through a private
+// The query runs on a side of its own from the index's pool — private walker
+// state and scratch, the join's page read path — over a private
 // storage.OpenReaders view, so any number of RangeQuery calls may run
 // concurrently with each other and with joins on the same index.
 //
@@ -62,7 +62,9 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 		return dst, rs, nil
 	}
 	rd := storage.OpenReaders(idx.st, 1)[0]
-	w := newWalker(len(idx.nodes))
+	s := acquireSide(idx, rd, DefaultCachePages, true)
+	defer s.release()
+	w := s.nodeWalker
 
 	// Walk start: the B+-tree's nearest node by Hilbert value of the query
 	// center (§V — the tree only provides the exploration's starting point).
@@ -82,7 +84,7 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 
 	// Crawl the connected footprint of Nav-intersecting nodes, collecting the
 	// space units whose page MBB can hold a result.
-	var cands []int32
+	s.cand = s.cand[:0]
 	visited := w.crawl(nodeGraph{idx}, wres.found, query, func(nd int32) {
 		rs.NodesVisited++
 		n := &idx.nodes[nd]
@@ -93,7 +95,7 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 		for _, ui := range n.Units {
 			rs.MetaComparisons++
 			if idx.units[ui].PageMBB.Intersects(query) {
-				cands = append(cands, ui)
+				s.cand = append(s.cand, ui)
 			}
 		}
 	})
@@ -101,20 +103,13 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 
 	// Read the candidate pages in physical order (sequential on disk) and
 	// filter the member elements by the query box.
-	sort.Slice(cands, func(i, j int) bool {
-		return idx.units[cands[i]].Page < idx.units[cands[j]].Page
-	})
-	buf := make([]byte, idx.st.PageSize())
-	var scratch []geom.Element
-	for _, ui := range cands {
-		scratch = scratch[:0]
-		var err error
-		scratch, err = storage.ReadElementPage(rd, idx.units[ui].Page, scratch, buf)
-		if err != nil {
+	s.sortByPage(s.cand)
+	for _, ui := range s.cand {
+		if err := s.readUnit(ui); err != nil {
 			return dst, rs, err
 		}
 		rs.UnitsRead++
-		for _, e := range scratch {
+		for _, e := range s.elems {
 			rs.Comparisons++
 			if e.Box.Intersects(query) {
 				dst = append(dst, e)

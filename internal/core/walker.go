@@ -48,8 +48,9 @@ func (g unitGraph) neighbors(i int32, visit func(int32)) {
 }
 
 // walker runs Algorithm 1 (adaptive walk) and the crawl phase over a graph.
-// The visited set is an epoch array so consecutive walks reuse the
-// allocation.
+// The visited set is an epoch array and the queue is read by position rather
+// than resliced, so consecutive walks — and, the walker being part of a
+// pooled side, consecutive joins — reuse both allocations.
 type walker struct {
 	visited []uint32
 	epoch   uint32
@@ -60,6 +61,12 @@ func newWalker(n int) *walker { return &walker{visited: make([]uint32, n)} }
 
 func (w *walker) reset() {
 	w.epoch++
+	if w.epoch == 0 {
+		// A long-lived walker wrapped around: marks of 2^32 walks ago would
+		// read as current.
+		clear(w.visited)
+		w.epoch = 1
+	}
 	w.queue = w.queue[:0]
 }
 
@@ -91,9 +98,8 @@ func (w *walker) walk(g graph, start int32, target geom.Box, maxSteps int) walkR
 	res := walkResult{found: -1, nearest: start}
 	closestDist := g.nav(start).DistSq(target)
 	lastExpandDist := closestDist
-	for len(w.queue) > 0 {
-		fr := w.queue[0]
-		w.queue = w.queue[1:]
+	for head := 0; head < len(w.queue); head++ {
+		fr := w.queue[head]
 		res.steps++
 		d := g.nav(fr).DistSq(target)
 		if d == 0 {
@@ -105,7 +111,7 @@ func (w *walker) walk(g graph, start int32, target geom.Box, maxSteps int) walkR
 			closestDist = d
 			res.nearest = fr
 		}
-		if len(w.queue) == 0 {
+		if head+1 == len(w.queue) {
 			// isMovingAway (Algorithm 1): stop when the last expansion
 			// failed to move the walk closer to the target.
 			if (closestDist >= lastExpandDist && res.steps > 1) || int(res.steps) > maxSteps {
@@ -135,9 +141,8 @@ func (w *walker) crawl(g graph, from int32, target geom.Box, collect func(int32)
 	w.mark(from)
 	w.queue = append(w.queue, from)
 	var visited uint64
-	for len(w.queue) > 0 {
-		u := w.queue[0]
-		w.queue = w.queue[1:]
+	for head := 0; head < len(w.queue); head++ {
+		u := w.queue[head]
 		visited++
 		collect(u)
 		if g.nav(u).Intersects(target) {

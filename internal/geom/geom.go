@@ -11,6 +11,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Dims is the dimensionality of the space. The paper evaluates on
@@ -262,10 +263,25 @@ func MBBOf(elems []Element) Box {
 // Pair is one result of the filtering step: the IDs of two elements, one
 // from each joined dataset, whose MBBs intersect. A is always the element
 // from the first dataset passed to the join, B from the second, regardless
-// of any internal role switching an algorithm performs. The JSON tags are the
-// {"a":…,"b":…} pair wire format of the daemon's responses and the CLI's
-// NDJSON output, declared here once.
+// of any internal role switching an algorithm performs. {"a":…,"b":…} is the
+// pair wire format of the daemon's responses and the CLI's NDJSON output:
+// AppendJSON writes it, the JSON tags let clients decode it.
 type Pair struct {
 	A uint64 `json:"a"`
 	B uint64 `json:"b"`
+}
+
+// PairJSONMax is the longest AppendJSON output: two 20-digit IDs.
+const PairJSONMax = len(`{"a":,"b":}`) + 2*20
+
+// AppendJSON appends the pair's wire form to dst — byte for byte what
+// encoding/json makes of a Pair, without its reflection or its buffer — and
+// returns the extended slice. It allocates nothing when dst has PairJSONMax
+// bytes to spare.
+func (p Pair) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"a":`...)
+	dst = strconv.AppendUint(dst, p.A, 10)
+	dst = append(dst, `,"b":`...)
+	dst = strconv.AppendUint(dst, p.B, 10)
+	return append(dst, '}')
 }

@@ -1,5 +1,7 @@
 package geom
 
+import "slices"
+
 // SoA is a struct-of-arrays MBB buffer: one flat float64 slice per dimension
 // per bound, plus the element IDs, all sharing one index space. The layout
 // exists for batched filtering — testing one query box against a run of
@@ -25,11 +27,25 @@ func NewSoA(n int) *SoA {
 
 // MakeSoA copies elems into a freshly allocated SoA, preserving order.
 func MakeSoA(elems []Element) *SoA {
-	s := NewSoA(len(elems))
+	s := &SoA{}
+	s.Load(elems)
+	return s
+}
+
+// Load replaces the buffer's contents with elems, preserving order and
+// reusing the arrays it already holds: a buffer loaded over and over (the
+// grid a join rebuilds per pivot) stops allocating once it has seen its
+// largest batch.
+func (s *SoA) Load(elems []Element) {
+	n := len(elems)
+	s.ID = slices.Grow(s.ID[:0], n)[:n]
+	for d := 0; d < Dims; d++ {
+		s.Lo[d] = slices.Grow(s.Lo[d][:0], n)[:n]
+		s.Hi[d] = slices.Grow(s.Hi[d][:0], n)[:n]
+	}
 	for i, e := range elems {
 		s.Set(i, e)
 	}
-	return s
 }
 
 // Len returns the number of elements in the buffer.

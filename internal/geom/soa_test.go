@@ -18,17 +18,27 @@ func randomElements(r *rand.Rand, n int) []Element {
 	return out
 }
 
+// TestSoARoundTrip: MakeSoA, and Load over a buffer that already held a
+// longer or a shorter batch, hold exactly the elements given, in order — and a
+// reload that fits allocates nothing.
 func TestSoARoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	elems := randomElements(r, 200)
-	s := MakeSoA(elems)
-	if s.Len() != len(elems) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(elems))
-	}
-	for i, e := range elems {
-		if got := s.Element(i); got != e {
-			t.Fatalf("element %d round-trips to %+v, want %+v", i, got, e)
+	s := MakeSoA(randomElements(r, 200))
+	for _, n := range []int{200, 30, 0, 500, 200} {
+		elems := randomElements(r, n)
+		s.Load(elems)
+		if s.Len() != len(elems) {
+			t.Fatalf("Len = %d, want %d", s.Len(), len(elems))
 		}
+		for i, e := range elems {
+			if got := s.Element(i); got != e {
+				t.Fatalf("element %d of %d round-trips to %+v, want %+v", i, n, got, e)
+			}
+		}
+	}
+	elems := randomElements(r, 400)
+	if avg := testing.AllocsPerRun(10, func() { s.Load(elems) }); avg != 0 {
+		t.Fatalf("reloading a buffer that fits allocates %.1f times, want 0", avg)
 	}
 }
 

@@ -11,6 +11,7 @@ package grid
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -24,18 +25,26 @@ const maxCells = 1 << 22
 // counter. The parallel TRANSFORMERS join relies on this layout — every
 // worker builds its own grids (Join constructs a private one per call), so
 // comparison counting needs no atomics and stays off the shared-memory bus.
+//
+// The zero Grid is empty and ready for Reset, which rebuilds it over another
+// element set inside the arrays it already holds: a join that builds one grid
+// per pivot keeps a single Grid and stops allocating once it has seen its
+// largest build set.
 type Grid struct {
 	origin   geom.Point
 	cellSize [3]float64
 	dims     [3]int
 	extent   geom.Box // origin + dims*cellSize per dimension
-	cells    [][]int32
-	elems    []geom.Element
+	// Cell ci lists the build elements items[starts[ci]:starts[ci+1]], in
+	// element order: every cell in one flat array, sized exactly.
+	starts []int32
+	items  []int32
+	elems  []geom.Element
 	// soa mirrors elems in struct-of-arrays layout so Probe's per-cell
 	// candidate scan runs as a batched filter over flat bound arrays; hits
 	// is its reused survivor scratch (single-goroutine confinement makes a
 	// plain field safe).
-	soa  *geom.SoA
+	soa  geom.SoA
 	hits []int32
 	// Comparisons counts element MBB intersection tests performed by probes
 	// against this grid (the paper's "#intersection tests" metric).
@@ -55,13 +64,26 @@ type Config struct {
 // Build constructs a grid over the build-side elements. An empty build set
 // yields a usable empty grid.
 func Build(elems []geom.Element, cfg Config) *Grid {
-	g := &Grid{elems: elems, soa: geom.MakeSoA(elems)}
+	g := &Grid{}
+	g.Reset(elems, cfg)
+	return g
+}
+
+// Reset rebuilds g over elems, which it keeps a reference to, and zeroes
+// Comparisons.
+func (g *Grid) Reset(elems []geom.Element, cfg Config) {
+	g.elems = elems
+	g.soa.Load(elems)
+	g.Comparisons = 0
 	mbb := geom.MBBOf(elems)
 	if len(elems) == 0 {
+		g.origin = geom.Point{}
 		g.dims = [3]int{1, 1, 1}
 		g.cellSize = [3]float64{1, 1, 1}
-		g.cells = make([][]int32, 1)
-		return g
+		g.extent = geom.Box{}
+		g.starts = append(g.starts[:0], 0, 0)
+		g.items = g.items[:0]
+		return
 	}
 	g.origin = mbb.Lo
 
@@ -115,13 +137,28 @@ func Build(elems []geom.Element, cfg Config) *Grid {
 	for d := 0; d < geom.Dims; d++ {
 		g.extent.Hi[d] = g.origin[d] + float64(g.dims[d])*g.cellSize[d]
 	}
-	g.cells = make([][]int32, total)
+	// Counting sort of (cell, element) assignments: count per cell, prefix
+	// sum into start offsets, then place — each cell's run ends up in element
+	// order, as appending per cell would leave it.
+	g.starts = slices.Grow(g.starts[:0], total+1)[:total+1]
+	clear(g.starts)
+	for _, e := range elems {
+		g.visitCells(e.Box, func(ci int) { g.starts[ci+1]++ })
+	}
+	for ci := 0; ci < total; ci++ {
+		g.starts[ci+1] += g.starts[ci]
+	}
+	n := int(g.starts[total])
+	g.items = slices.Grow(g.items[:0], n)[:n]
 	for i, e := range elems {
 		g.visitCells(e.Box, func(ci int) {
-			g.cells[ci] = append(g.cells[ci], int32(i))
+			g.items[g.starts[ci]] = int32(i)
+			g.starts[ci]++
 		})
 	}
-	return g
+	// Placing advanced every start to its cell's end: shift back by one cell.
+	copy(g.starts[1:], g.starts[:total])
+	g.starts[0] = 0
 }
 
 // averageSide returns the mean box extent over all dimensions and elements.
@@ -193,7 +230,7 @@ func (g *Grid) cellOf(p geom.Point) int {
 // once, via emit.
 func (g *Grid) Probe(q geom.Element, emit func(build geom.Element)) {
 	g.visitCells(q.Box, func(ci int) {
-		cell := g.cells[ci]
+		cell := g.items[g.starts[ci]:g.starts[ci+1]]
 		g.Comparisons += uint64(len(cell))
 		g.hits = g.soa.FilterGather(q.Box, cell, g.hits[:0])
 		for _, bi := range g.hits {
@@ -233,7 +270,12 @@ func clampIntoGrid(g *Grid, p geom.Point) geom.Point {
 // emitting each intersecting (build, probe) pair exactly once. It returns
 // the number of element comparisons performed.
 func Join(build, probe []geom.Element, cfg Config, emit func(b, p geom.Element)) uint64 {
-	g := Build(build, cfg)
+	return new(Grid).Join(build, probe, cfg, emit)
+}
+
+// Join is the package-level Join run inside g's arrays (see Reset).
+func (g *Grid) Join(build, probe []geom.Element, cfg Config, emit func(b, p geom.Element)) uint64 {
+	g.Reset(build, cfg)
 	for _, q := range probe {
 		g.Probe(q, func(b geom.Element) { emit(b, q) })
 	}

@@ -126,6 +126,44 @@ func TestPropJoinMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestGridReuseMatchesFreshBuild: one Grid joined over a sequence of build
+// sets of every shape — large, tiny, empty, large again — emits the pairs, in
+// the order, and counts the comparisons a fresh grid per join does, and once
+// it has seen its largest build set it allocates nothing.
+func TestGridReuseMatchesFreshBuild(t *testing.T) {
+	probe := datagen.Uniform(datagen.Config{N: 600, Seed: 21, MaxSide: 25})
+	var builds [][]geom.Element
+	for i, n := range []int{900, 7, 0, 300, 900, 1} {
+		builds = append(builds, datagen.Uniform(datagen.Config{N: n, Seed: int64(30 + i), MaxSide: 25}))
+	}
+	var reused Grid
+	for i, build := range builds {
+		var got, want []geom.Pair
+		gotComps := reused.Join(build, probe, Config{}, func(b, p geom.Element) {
+			got = append(got, geom.Pair{A: b.ID, B: p.ID})
+		})
+		wantComps := Join(build, probe, Config{}, func(b, p geom.Element) {
+			want = append(want, geom.Pair{A: b.ID, B: p.ID})
+		})
+		if gotComps != wantComps || len(got) != len(want) {
+			t.Fatalf("build %d: reused grid made %d comparisons for %d pairs, a fresh one %d for %d", i, gotComps, len(got), wantComps, len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("build %d: pair %d is %+v on the reused grid, %+v on a fresh one", i, k, got[k], want[k])
+			}
+		}
+	}
+	sink := func(geom.Element, geom.Element) {}
+	if avg := testing.AllocsPerRun(5, func() {
+		for _, build := range builds {
+			reused.Join(build, probe, Config{}, sink)
+		}
+	}); avg != 0 {
+		t.Fatalf("a warm grid allocates %.1f times per round of joins, want 0", avg)
+	}
+}
+
 func BenchmarkJoinUniform100k(b *testing.B) {
 	build := datagen.Uniform(datagen.Config{N: 100000, Seed: 1, MaxSide: 2})
 	probe := datagen.Uniform(datagen.Config{N: 100000, Seed: 2, MaxSide: 2})

@@ -1,0 +1,145 @@
+package server
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"runtime/metrics"
+	"strings"
+	"testing"
+
+	"repro/transformers"
+)
+
+// TestCollectorBuffersOnlyForReaders: the pairs of a join are buffered for
+// whoever reads them afterwards and for nobody else. A summary-only no_cache
+// join (selective's request shape) buffers nothing; with the cache on it
+// buffers the cache's flat copy and no more; a collecting caller finds the
+// whole answer in the sink, in chunks when uncached; and the library Join
+// still returns every pair either way.
+func TestCollectorBuffersOnlyForReaders(t *testing.T) {
+	svc := NewService(Config{})
+	addDataset(t, svc, "a", bigOverlapDataset(600, 61))
+	addDataset(t, svc, "b", bigOverlapDataset(600, 62))
+	ctx := context.Background()
+
+	lib, err := svc.Join(ctx, "a", "b", JoinParams{NoCache: true})
+	if err != nil || len(lib.Pairs) == 0 || uint64(len(lib.Pairs)) != lib.Summary.Results {
+		t.Fatalf("library Join: %d pairs for %d results, err %v", len(lib.Pairs), lib.Summary.Results, err)
+	}
+	results := len(lib.Pairs)
+	if results <= pairChunkLen {
+		t.Fatalf("fixture joins to %d pairs, want more than a chunk", results)
+	}
+
+	summary := &collector{}
+	out, _, err := svc.join(ctx, "a", "b", JoinParams{NoCache: true}, summary)
+	if err != nil || int(out.Summary.Results) != results {
+		t.Fatalf("summary-only join: %+v, err %v", out, err)
+	}
+	if summary.keep || summary.len() != 0 || len(summary.chunks) != 0 {
+		t.Fatalf("a summary-only no_cache join buffered %d pairs in %d chunks", summary.len(), len(summary.chunks))
+	}
+
+	collected := &collector{collect: true}
+	if _, _, err := svc.join(ctx, "a", "b", JoinParams{NoCache: true}, collected); err != nil {
+		t.Fatal(err)
+	}
+	if collected.shared != nil || collected.len() != results || len(collected.chunks) != (results+pairChunkLen-1)/pairChunkLen {
+		t.Fatalf("uncached collected join: %d pairs in %d chunks, shared=%v", collected.len(), len(collected.chunks), collected.shared != nil)
+	}
+	got := collected.pairs()
+	collected.release()
+	if len(got) != results || cap(got) != results || collected.len() != 0 {
+		t.Fatalf("pairs() made %d pairs (cap %d) of %d; %d left after release", len(got), cap(got), results, collected.len())
+	}
+	for i := range got {
+		if got[i] != lib.Pairs[i] {
+			t.Fatalf("pair %d: sink has %+v, library Join returned %+v", i, got[i], lib.Pairs[i])
+		}
+	}
+
+	// Cache on: the fill is the one flat copy, chunks given back, and both a
+	// collecting caller and the next hit read that very slice.
+	fill := &collector{}
+	if _, _, err := svc.join(ctx, "a", "b", JoinParams{}, fill); err != nil {
+		t.Fatal(err)
+	}
+	if len(fill.chunks) != 0 || len(fill.shared) != results {
+		t.Fatalf("cache fill left %d chunks and a %d-pair flat copy", len(fill.chunks), len(fill.shared))
+	}
+	hit, err := svc.Join(ctx, "a", "b", JoinParams{})
+	if err != nil || !hit.Cached || len(hit.Pairs) != results || &hit.Pairs[0] != &fill.shared[0] {
+		t.Fatalf("cache hit: cached=%v, %d pairs, shares the filled slice: %v (err %v)", hit.Cached, len(hit.Pairs), err == nil && &hit.Pairs[0] == &fill.shared[0], err)
+	}
+}
+
+// discardResponse is a ResponseWriter that counts the body and keeps nothing.
+type discardResponse struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+func (d *discardResponse) WriteHeader(s int)   { d.status = s }
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// TestCollectedJoinBytesBounded is the allocation guard of the collected
+// path, in bytes the runtime counted rather than RSS the host reports: once
+// warm, one collected transformers join over the catalog's prebuilt indexes —
+// request decode to last body byte, on the spine's collect-heavy pair — may
+// allocate twice its answer plus 1 MB. Before pages were read by reference,
+// per-side scratch kept across joins and the body written from the
+// collector's chunks, the same request allocated 14.4 MB for a 0.76 MB
+// answer. The best of several joins is judged: under the race detector
+// sync.Pool drops a quarter of what it is given.
+func TestCollectedJoinBytesBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 30K-element indexes")
+	}
+	svc := NewService(Config{Parallelism: 1})
+	addDataset(t, svc, "ax", transformers.GenerateAxons(32_000, 6))
+	addDataset(t, svc, "dn", transformers.GenerateDendrites(24_000, 106))
+	h := NewHandler(svc)
+	const body = `{"a":"ax","b":"dn","distance":25,"include_pairs":true,"no_cache":true}`
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	join := func() (allocated uint64, bodyBytes int) {
+		t.Helper()
+		w := &discardResponse{header: http.Header{}}
+		req := httptest.NewRequest(http.MethodPost, "/join/distance", strings.NewReader(body))
+		metrics.Read(sample)
+		before := sample[0].Value.Uint64()
+		h.ServeHTTP(w, req)
+		metrics.Read(sample)
+		if w.status != http.StatusOK {
+			t.Fatalf("collected join answered %d", w.status)
+		}
+		return sample[0].Value.Uint64() - before, w.n
+	}
+	for i := 0; i < 3; i++ {
+		join() // indexes built, pools filled
+	}
+	out, err := svc.Join(context.Background(), "ax", "dn", JoinParams{Distance: 25, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := uint64(len(out.Pairs)) * 16
+	if answer < 500_000 {
+		t.Fatalf("answer is %d bytes: not the heavy pair", answer)
+	}
+	best, bodyBytes := join()
+	for i := 0; i < 9; i++ {
+		if got, _ := join(); got < best {
+			best = got
+		}
+	}
+	bound := 2*answer + 1<<20
+	t.Logf("answer %d B (%d pairs), body %d B, best of 10 warmed joins allocated %d B (bound %d)", answer, len(out.Pairs), bodyBytes, best, bound)
+	if best > bound {
+		t.Fatalf("a warmed collected join allocated %d bytes for a %d-byte answer, want at most 2x + 1 MB = %d", best, answer, bound)
+	}
+}

@@ -291,6 +291,70 @@ type debugPlannerResponse struct {
 	Recent      []obs.PlannerSample  `json:"recent"`
 }
 
+// responseBufBytes sizes the buffer pairs are encoded into on their way out —
+// an NDJSON stream's lines and a collected body's "pairs" array alike: the
+// response is written a bufferful at a time and never exists whole.
+const responseBufBytes = 64 << 10
+
+// pairRoom makes room in bw for one encoded pair and a separator, so the pair
+// is encoded straight into bw.AvailableBuffer() without a copy.
+func pairRoom(bw *bufio.Writer) error {
+	if bw.Available() > geom.PairJSONMax {
+		return nil
+	}
+	return bw.Flush()
+}
+
+// writeJoinResponse answers a collected join: the bytes
+// json.NewEncoder(w).Encode(resp) would write with resp.Pairs holding the
+// sink's pairs — joinResponse stays the one declaration of the body — except
+// that the pairs are encoded from where the sink holds them through a
+// bufferful at a time, so neither a second pair slice nor the body is built.
+func writeJoinResponse(w http.ResponseWriter, resp joinResponse, sink *collector) {
+	// Encode around the pairs: everything before them, then the trace after.
+	trace := resp.Trace
+	resp.Pairs, resp.Trace = nil, nil
+	head, err := json.Marshal(resp)
+	var tail []byte
+	if err == nil && trace != nil {
+		tail, err = json.Marshal(trace)
+	}
+	if err != nil {
+		writeError(w, err, resp.RequestID, nil)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Write errors mean the client is gone; like writeJSON, nothing to do.
+	bw := bufio.NewWriterSize(w, responseBufBytes)
+	_, _ = bw.Write(head[:len(head)-1]) // reopen the object
+	if sink.collect && sink.len() > 0 {
+		_, _ = bw.WriteString(`,"pairs":[`)
+		sep := false
+		_ = sink.each(func(run []transformers.Pair) error {
+			for _, p := range run {
+				if err := pairRoom(bw); err != nil {
+					return err
+				}
+				b := bw.AvailableBuffer()
+				if sep {
+					b = append(b, ',')
+				}
+				sep = true
+				_, _ = bw.Write(p.AppendJSON(b))
+			}
+			return nil
+		})
+		_ = bw.WriteByte(']')
+	}
+	if tail != nil {
+		_, _ = bw.WriteString(`,"trace":`)
+		_, _ = bw.Write(tail)
+	}
+	_, _ = bw.WriteString("}\n")
+	_ = bw.Flush()
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -541,8 +605,12 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 		call.stream(ctx, w)
 		return
 	}
+	// The answer stays in the sink until the body is written from it, then
+	// its buffers go back for the next request.
+	sink := &collector{collect: req.IncludePairs}
+	defer sink.release()
 	start := time.Now()
-	out, engine, err := svc.join(ctx, req.A, req.B, params, nil)
+	out, engine, err := svc.join(ctx, req.A, req.B, params, sink)
 	wall := time.Since(start)
 	var pairs int64
 	if err == nil {
@@ -555,18 +623,14 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 		return
 	}
 	svc.observeJoin(rec, wall)
-	resp := joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary, Trace: trace}
-	if req.IncludePairs {
-		resp.Pairs = out.Pairs
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJoinResponse(w, joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary, Trace: trace}, sink)
 }
 
 // streamFlushEvery is the pair interval between explicit flushes of a
 // streaming join response: small enough that a consumer sees progress (and a
 // gone consumer is noticed) promptly, large enough to amortize the flush.
-// The 64KB bufio layer flushes on its own in between, so response-path
-// buffering is bounded either way.
+// The bufio layer flushes on its own in between, so response-path buffering
+// is bounded either way.
 const streamFlushEvery = 512
 
 // streamWriteTimeout is the rolling per-flush write deadline of a streaming
@@ -602,7 +666,7 @@ type streamTrailer struct {
 // status; later ones are reported in the trailer with aborted:true, so
 // clients can always distinguish truncation from completion.
 func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
-	bw := bufio.NewWriterSize(w, 64<<10)
+	bw := bufio.NewWriterSize(w, responseBufBytes)
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	// Rolling write deadline: armed before the response starts and re-armed
@@ -614,7 +678,7 @@ func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
 	// net/http will not re-arm it between requests, and a stale deadline
 	// would time out the keep-alive connection's next response.
 	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
-	enc := json.NewEncoder(bw)
+	enc := json.NewEncoder(bw) // the trailer's; pair lines are appended, not reflected
 	started := false
 	start := func() {
 		if !started {
@@ -626,9 +690,12 @@ func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
 	}
 	n := 0
 	begin := time.Now()
-	out, engine, err := c.svc.join(ctx, c.req.A, c.req.B, c.params, func(p transformers.Pair) error {
+	sink := &collector{consumer: func(p transformers.Pair) error {
 		start()
-		if err := enc.Encode(p); err != nil {
+		if err := pairRoom(bw); err != nil {
+			return err
+		}
+		if _, err := bw.Write(append(p.AppendJSON(bw.AvailableBuffer()), '\n')); err != nil {
 			return err
 		}
 		n++
@@ -642,7 +709,9 @@ func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
 			}
 		}
 		return nil
-	})
+	}}
+	defer sink.release()
+	out, engine, err := c.svc.join(ctx, c.req.A, c.req.B, c.params, sink)
 	wall := time.Since(begin)
 	rec, trace := c.finish(ctx, engine, out, err, int64(n), wall)
 	if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -317,8 +318,14 @@ func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 // order. The returned pair slice may be shared with the cache — callers must
 // not mutate it.
 func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOutcome, error) {
-	out, _, err := s.join(ctx, a, b, p, nil)
-	return out, err
+	sink := &collector{collect: true}
+	defer sink.release()
+	out, _, err := s.join(ctx, a, b, p, sink)
+	if err != nil {
+		return nil, err
+	}
+	out.Pairs = sink.pairs()
+	return out, nil
 }
 
 // JoinStream runs the join of datasets a and b, delivering each result pair
@@ -329,24 +336,48 @@ func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOut
 // gone away, the request context canceled) aborts the underlying join and is
 // returned. The returned outcome carries the summary with Pairs nil.
 func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emit func(transformers.Pair) error) (*JoinOutcome, error) {
-	out, _, err := s.join(ctx, a, b, p, emit)
+	sink := &collector{consumer: emit}
+	defer sink.release()
+	out, _, err := s.join(ctx, a, b, p, sink)
 	return out, err
 }
 
-// collector is where every pair of a served join lands — the one place the
-// service appends a result pair. Its buffer is the collected answer and the
-// cache fill at once: unbounded for a collected join (consumer nil: the
-// caller gets the slice, and so does the cache if it fits), capped at the
-// cache's per-entry threshold for a streamed one and dropped the moment the
-// result provably exceeds it, so an arbitrarily large join streams in bounded
-// memory and is simply not cached. The engine layer serializes emit calls and
-// completes them before the join returns, so the state needs no locking.
-type collector struct {
-	pairs []transformers.Pair
-	keep  bool // still buffering
-	max   int  // buffer cap; negative = unbounded
+// pairChunk is the unit the collector buffers in: 4096 pairs, 64 KB. A
+// buffered answer is a list of them, so it never regrows — what it allocates
+// is its size rounded up to a chunk — and released chunks serve the next
+// answer instead of the collector. The pool holds no chunk past two
+// collections of an idle daemon.
+type pairChunk [pairChunkLen]transformers.Pair
 
+const pairChunkLen = 4096
+
+var pairChunks = sync.Pool{New: func() any { return new(pairChunk) }}
+
+// collector is where every pair of a served join lands — the one place the
+// service buffers a result pair — and what the join's caller reads the answer
+// from. The caller says how the pairs leave: to consumer as they are found (a
+// streamed join), to itself afterwards (collect: the library Join, an
+// include_pairs response), or not at all (a summary). join buffers only for
+// who will read: unbounded for a collecting caller, up to the cache's
+// per-entry threshold for the cache alone — dropped the moment the result
+// provably exceeds it, so an arbitrarily large join streams in bounded memory
+// and is simply not cached — and nothing when neither reads. The engine layer
+// serializes emit calls and completes them before the join returns, so the
+// state needs no locking.
+type collector struct {
 	consumer func(transformers.Pair) error
+	collect  bool
+
+	// The buffered pairs: in chunks (all full but the last) as emit gathered
+	// them, or — once the cache holds the result, or served it — the cache's
+	// own flat slice, which must not be mutated.
+	chunks []*pairChunk
+	n      int
+	shared []transformers.Pair
+
+	keep bool // still buffering
+	max  int  // buffer cap; negative = unbounded
+
 	// timed accumulates the time spent inside consumer in emitDur — two clock
 	// reads per pair, paid by traced requests only.
 	timed    bool
@@ -357,10 +388,16 @@ type collector struct {
 
 func (c *collector) emit(pr transformers.Pair) error {
 	if c.keep {
-		if c.max < 0 || len(c.pairs) < c.max {
-			c.pairs = append(c.pairs, pr)
+		if c.max < 0 || c.n < c.max {
+			k := c.n % pairChunkLen
+			if k == 0 {
+				c.chunks = append(c.chunks, pairChunks.Get().(*pairChunk))
+			}
+			c.chunks[len(c.chunks)-1][k] = pr
+			c.n++
 		} else {
-			c.keep, c.pairs = false, nil // over threshold: never cached
+			c.keep = false // over threshold: never cached
+			c.release()
 		}
 	}
 	if c.consumer == nil {
@@ -382,6 +419,53 @@ func (c *collector) emit(pr transformers.Pair) error {
 	return nil
 }
 
+// each calls yield with the buffered pairs in emit order, a run at a time.
+func (c *collector) each(yield func([]transformers.Pair) error) error {
+	if c.shared != nil {
+		return yield(c.shared)
+	}
+	left := c.n
+	for _, ch := range c.chunks {
+		run := ch[:min(left, len(ch))]
+		if err := yield(run); err != nil {
+			return err
+		}
+		left -= len(run)
+	}
+	return nil
+}
+
+// len counts the buffered pairs.
+func (c *collector) len() int {
+	if c.shared != nil {
+		return len(c.shared)
+	}
+	return c.n
+}
+
+// pairs returns the buffered pairs as one slice the caller may keep: the
+// cache's, or an exact-size copy of the chunks (nil when there are none).
+func (c *collector) pairs() []transformers.Pair {
+	if c.shared != nil || c.n == 0 {
+		return c.shared
+	}
+	flat := make([]transformers.Pair, 0, c.n)
+	_ = c.each(func(run []transformers.Pair) error {
+		flat = append(flat, run...)
+		return nil
+	})
+	return flat
+}
+
+// release gives the chunks back; the collector then holds no pairs of its
+// own. Every caller of join defers it.
+func (c *collector) release() {
+	for _, ch := range c.chunks {
+		pairChunks.Put(ch)
+	}
+	c.chunks, c.n = nil, 0
+}
+
 // settleStream books what a streamed join (executed or replayed) delivered.
 // aborted_streams means the consumer ended a stream that had begun: its emit
 // failed, or its context went away after pairs flowed. Server-side execution
@@ -395,12 +479,13 @@ func (s *Service) settleStream(c *collector, err error) {
 	}
 }
 
-// join is the one join path under Join (consumer nil: the pairs come back in
-// the outcome) and JoinStream (each pair goes to consumer): plan, cache,
-// execute, summarize, record. Beside the outcome it names the resolved
-// engine, which an error raised after planning still has — a join that dies
-// at its deadline is observed under the engine that was running it.
-func (s *Service) join(ctx context.Context, a, b string, p JoinParams, consumer func(transformers.Pair) error) (*JoinOutcome, string, error) {
+// join is the one join path under Join, JoinStream and the HTTP handlers:
+// plan, cache, execute, summarize, record. The pairs go where sink says (see
+// collector), and a collecting caller reads them from sink afterwards; the
+// outcome's Pairs stays nil. Beside the outcome it names the resolved engine,
+// which an error raised after planning still has — a join that dies at its
+// deadline is observed under the engine that was running it.
+func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *collector) (*JoinOutcome, string, error) {
 	start := time.Now()
 	_, planSpan := obs.Start(ctx, "plan")
 	jp, err := s.planJoin(a, b, p)
@@ -409,7 +494,7 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, consumer 
 		return nil, "", err
 	}
 	annotatePlan(planSpan, jp)
-	streaming := consumer != nil
+	streaming := sink.consumer != nil
 	if !p.NoCache {
 		_, cacheSpan := obs.Start(ctx, "cache")
 		res, ok := s.cache.Get(joinKey(a, b, jp.a.version, jp.b.version, jp.a.epoch, jp.b.epoch, p.Distance, jp.algo, jp.tiles))
@@ -418,21 +503,25 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, consumer 
 			cacheSpan.Add("hit", 1)
 			out := &JoinOutcome{Summary: res.Summary, Cached: true}
 			out.Summary.Planner = jp.plan // report this request's planning, not the filler's
-			if !streaming {
-				out.Pairs = res.Pairs // the cached slice itself: no replay, no copy
-			} else if err := s.replay(ctx, res.Pairs, consumer); err != nil {
-				return nil, jp.algo, err
+			if streaming {
+				if err := s.replay(ctx, res.Pairs, sink); err != nil {
+					return nil, jp.algo, err
+				}
+			} else if sink.collect {
+				sink.shared = res.Pairs // the cached slice itself: no replay, no copy
 			}
 			s.recordPlannerSample(ctx, p, jp, out.Summary, time.Since(start), true, false)
 			return out, jp.algo, nil
 		}
 	}
 
-	sink := &collector{keep: !streaming || !p.NoCache, max: -1, consumer: consumer}
-	if streaming {
+	// Buffer for whoever reads the pairs afterwards: all of them for a
+	// collecting caller, a cacheable result's worth for the cache alone.
+	sink.keep, sink.max = sink.collect || !p.NoCache, -1
+	if !sink.collect {
 		sink.max = s.cache.MaxPairs()
-		sink.timed = obs.Enabled(ctx)
 	}
+	sink.timed = streaming && obs.Enabled(ctx)
 	ex, err := s.executeJoin(ctx, a, b, p, jp, sink.emit)
 	if streaming {
 		// The accumulated consumer time hangs off the execute span as one
@@ -449,25 +538,23 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, consumer 
 	// The delta composition is part of the cached content — the key pins the
 	// epochs it composed at — unlike the planner report and staleness below.
 	summary.Delta = ex.delta
-	if sink.keep && !p.NoCache {
+	if sink.keep && !p.NoCache && sink.n <= s.cache.MaxPairs() {
 		// Cache without the planner report or staleness: the key carries the
-		// served versions, and hits splice in their own request context.
-		s.storeResult(ex, &CachedJoin{Pairs: sink.pairs, Summary: summary})
+		// served versions, and hits splice in their own request context. The
+		// cache takes the one flat copy; a collecting caller shares it.
+		sink.shared = sink.pairs()
+		sink.release()
+		s.storeResult(ex, &CachedJoin{Pairs: sink.shared, Summary: summary})
 	}
 	summary.Planner = jp.plan
 	summary.Stale = ex.stale
 	s.recordPlannerSample(ctx, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
-	out := &JoinOutcome{Summary: summary}
-	if !streaming {
-		out.Pairs = sink.pairs
-	}
-	return out, jp.algo, nil
+	return &JoinOutcome{Summary: summary}, jp.algo, nil
 }
 
 // replay delivers a cached result to a streaming consumer.
-func (s *Service) replay(ctx context.Context, pairs []transformers.Pair, consumer func(transformers.Pair) error) error {
+func (s *Service) replay(ctx context.Context, pairs []transformers.Pair, sink *collector) error {
 	_, span := obs.Start(ctx, "replay")
-	sink := &collector{consumer: consumer}
 	var err error
 	for _, pr := range pairs {
 		if err = sink.emit(pr); err != nil {

@@ -113,12 +113,15 @@ func WriteElementRun(st Store, elems []geom.Element, perPage int) (PageID, int, 
 	return first, numPages, nil
 }
 
-// ReadElementPage reads and decodes a single data page.
+// ReadElementPage reads and decodes a single data page, appending its
+// elements to dst. The page is decoded where ViewPage finds it: in place over
+// an in-memory store, out of buf (one page long) over any other.
 func ReadElementPage(st Store, id PageID, dst []geom.Element, buf []byte) ([]geom.Element, error) {
-	if err := st.Read(id, buf); err != nil {
+	page, err := ViewPage(st, id, buf)
+	if err != nil {
 		return dst, err
 	}
-	return DecodeElementsPage(dst, buf)
+	return DecodeElementsPage(dst, page)
 }
 
 // ReadElementRun reads numPages consecutive data pages starting at first.

@@ -67,8 +67,8 @@ func fallbackMutex(st Store) *sync.Mutex {
 }
 
 // memReader is a lock-free read-only view of a MemStore. Page contents are
-// shared with the parent (reads copy out of the page slices), so views cost
-// O(1) memory each.
+// shared with the parent (View hands the page slices out, Read copies out of
+// them), so views cost O(1) memory each.
 type memReader struct {
 	pages    [][]byte
 	pageSize int
@@ -90,12 +90,14 @@ func (r *memReader) Read(id PageID, buf []byte) error {
 	if len(buf) != r.pageSize {
 		return ErrPageSize
 	}
-	if int(id) >= len(r.pages) {
-		return fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, len(r.pages))
-	}
-	copy(buf, r.pages[id])
-	r.trk.noteRead(id, len(buf))
-	return nil
+	page, err := r.View(id)
+	copy(buf, page)
+	return err
+}
+
+// View implements PageViewer.
+func (r *memReader) View(id PageID) ([]byte, error) {
+	return viewMemPage(r.pages, &r.trk, id)
 }
 
 func (r *memReader) NumPages() int { return len(r.pages) }

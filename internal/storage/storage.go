@@ -107,6 +107,29 @@ type Store interface {
 	ResetStats()
 }
 
+// PageViewer is implemented by stores that hold their pages in memory and can
+// hand one out by reference. View accounts for the access exactly as Read
+// does (one page read, classified sequential or random) and returns the
+// page's bytes without copying them. The caller must not modify the slice; it
+// stays valid, and changes only when the page is written.
+type PageViewer interface {
+	View(id PageID) ([]byte, error)
+}
+
+// ViewPage returns the bytes of page id: by reference from a PageViewer, read
+// into buf (one page long) from any other store. It is the one page-read
+// primitive under ReadElementPage and the LRU; buf may be nil when st is
+// known to be a PageViewer.
+func ViewPage(st Store, id PageID, buf []byte) ([]byte, error) {
+	if v, ok := st.(PageViewer); ok {
+		return v.View(id)
+	}
+	if err := st.Read(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // tracker maintains Stats with sequential/random classification.
 type tracker struct {
 	stats         Stats
@@ -197,12 +220,24 @@ func (m *MemStore) Read(id PageID, buf []byte) error {
 	if len(buf) != m.pageSize {
 		return ErrPageSize
 	}
-	if int(id) >= len(m.pages) {
-		return fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, len(m.pages))
+	page, err := m.View(id)
+	copy(buf, page)
+	return err
+}
+
+// View implements PageViewer.
+func (m *MemStore) View(id PageID) ([]byte, error) {
+	return viewMemPage(m.pages, &m.trk, id)
+}
+
+// viewMemPage is View for a MemStore and its readers: the page slice itself,
+// counted as one read.
+func viewMemPage(pages [][]byte, trk *tracker, id PageID) ([]byte, error) {
+	if int(id) >= len(pages) {
+		return nil, fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, len(pages))
 	}
-	copy(buf, m.pages[id])
-	m.trk.noteRead(id, len(buf))
-	return nil
+	trk.noteRead(id, len(pages[id]))
+	return pages[id], nil
 }
 
 // NumPages implements Store.
