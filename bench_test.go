@@ -29,8 +29,9 @@ func benchScale() float64 {
 }
 
 // runExperiment runs one experiment per benchmark iteration, discarding the
-// printed table (the numbers of record live in EXPERIMENTS.md; the benchmark
-// measures end-to-end experiment cost and exercises the full code path).
+// printed table (the numbers of record live in BENCH_0.json, see README
+// "Experiment CLI"; the benchmark measures end-to-end experiment cost and
+// exercises the full code path).
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	cfg := bench.Config{Scale: benchScale(), Out: io.Discard, Seed: 11}

@@ -6,16 +6,15 @@
 //	experiments -list
 //	experiments -exp fig10
 //	experiments -exp all -scale 0.0005
-//	experiments -exp scaling -parallel 8
 //	experiments -exp all -json > BENCH_baseline.json
 //
 // Scale multiplies the paper's element counts (default 1/1000); absolute
 // times differ from the paper's 2016 testbed, the shapes (who wins, by what
-// factor) are what the run demonstrates. See EXPERIMENTS.md for recorded
-// results and the paper-vs-measured comparison.
+// factor) are what the run demonstrates. See README "Experiment CLI" and
+// BENCH_0.json for recorded results.
 //
 // -parallel sets the TRANSFORMERS join worker count (default 1, the paper's
-// single-threaded execution; the scaling experiment sweeps its own counts).
+// single-threaded execution).
 // -json suppresses the human tables (they go to stderr) and emits one JSON
 // document on stdout with per-experiment wall time and one sample per
 // algorithm execution, so perf trajectories can be tracked in BENCH_*.json.

@@ -34,9 +34,7 @@
 //	GET  /debug/joins    ring of slow joins (-slow-join-ms; negative = all)
 //	                     with their full request span trees
 //	GET  /debug/planner  planner prediction-vs-reality report, learned drift
-//	                     corrections and recent samples (-planner-log mirrors
-//	                     them as NDJSON; -planner-calibration loads fitted
-//	                     cost constants produced by cmd/plannerfit)
+//	                     corrections and recent samples with their cost terms
 //
 // Joins are traced end to end (admission wait, planning, catalog access,
 // per-tile execution, stream emission); send X-Trace: 1 or "trace": true to
@@ -69,7 +67,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/engine/planner"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 )
@@ -95,8 +92,6 @@ func main() {
 	faults := flag.String("faults", "", "DEV ONLY: fault-injection scenario for soak testing, e.g. 'read-error,slow-read:delay=2ms' (see internal/faultinject)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for randomized parameters of -faults clauses")
 	slowJoinMS := flag.Int64("slow-join-ms", server.DefaultSlowJoinThreshold.Milliseconds(), "joins slower than this land in /debug/joins with their span tree (negative = record every join)")
-	plannerLog := flag.String("planner-log", "", "append every planner accuracy sample to this file as NDJSON")
-	plannerCalib := flag.String("planner-calibration", "", "load fitted planner cost constants from this JSON file (cmd/plannerfit output)")
 	deltaMax := flag.Int("delta-max-elements", 0, "append-delta size that triggers a background merge into the main index (0 = default 8192, negative = never merge automatically)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty = disabled)")
 	flag.Parse()
@@ -127,26 +122,6 @@ func main() {
 		cfg.SlowJoinThreshold = -1 // record every join in /debug/joins
 	} else {
 		cfg.SlowJoinThreshold = time.Duration(*slowJoinMS) * time.Millisecond
-	}
-	if *plannerLog != "" {
-		f, err := os.OpenFile(*plannerLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("-planner-log: %v", err)
-		}
-		defer f.Close()
-		cfg.PlannerLog = f
-	}
-	if *plannerCalib != "" {
-		data, err := os.ReadFile(*plannerCalib)
-		if err != nil {
-			log.Fatalf("-planner-calibration: %v", err)
-		}
-		calib, err := planner.ParseCalibration(data)
-		if err != nil {
-			log.Fatalf("-planner-calibration %s: %v", *plannerCalib, err)
-		}
-		cfg.PlannerCalibration = calib
-		log.Printf("planner calibration loaded: %d engines fitted from %d samples", len(calib.Engines), calib.Samples)
 	}
 	if *faults != "" {
 		sc, err := faultinject.Parse(*faults, *faultSeed)

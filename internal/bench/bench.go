@@ -35,8 +35,7 @@ type Config struct {
 	Seed int64
 	// Parallel sets the TRANSFORMERS join worker count the experiments use
 	// (0/1 = the paper-faithful single thread, so reproduced numbers stay
-	// comparable; the scaling experiment sweeps its own worker counts
-	// regardless).
+	// comparable).
 	Parallel int
 	// Sink, when set, receives one Sample per algorithm execution — the
 	// machine-readable feed behind `cmd/experiments -json`.
@@ -74,28 +73,18 @@ type Sample struct {
 	// PlannerCostMS is the planner's predicted cost for this engine on
 	// this workload, recorded by the "engines" experiment so BENCH files
 	// double as the planner's empirical calibration record.
-	PlannerCostMS float64 `json:"planner_cost_ms,omitempty"`
-	// PlannerCalibratedMS, MeasuredCostMS and the rel_err pair are recorded
-	// by the "plannerfit" experiment: the hand-tuned prediction
-	// (PlannerCostMS) and the calibrated + drift-corrected one, each compared
-	// against the same held-out execution measured in the planner's cost
-	// currency (build + join wall + modeled I/O). Samples with workload
-	// "aggregate" carry the per-engine mean errors across distributions.
-	PlannerCalibratedMS float64 `json:"planner_calibrated_ms,omitempty"`
-	MeasuredCostMS      float64 `json:"measured_cost_ms,omitempty"`
-	RelErrHandTuned     float64 `json:"rel_err_hand_tuned,omitempty"`
-	RelErrCalibrated    float64 `json:"rel_err_calibrated,omitempty"`
-	Parallel            int     `json:"parallel,omitempty"`
-	BuildTotalMS        float64 `json:"build_total_ms"`
-	JoinWallMS          float64 `json:"join_wall_ms"`
-	JoinIOTimeMS        float64 `json:"join_io_ms"`
-	JoinTotalMS         float64 `json:"join_total_ms"`
-	Comparisons         uint64  `json:"comparisons"`
-	MetaComparisons     uint64  `json:"meta_comparisons"`
-	Results             uint64  `json:"results"`
-	Reads               uint64  `json:"io_reads"`
-	RandReads           uint64  `json:"io_rand_reads"`
-	BytesRead           uint64  `json:"io_bytes_read"`
+	PlannerCostMS   float64 `json:"planner_cost_ms,omitempty"`
+	Parallel        int     `json:"parallel,omitempty"`
+	BuildTotalMS    float64 `json:"build_total_ms"`
+	JoinWallMS      float64 `json:"join_wall_ms"`
+	JoinIOTimeMS    float64 `json:"join_io_ms"`
+	JoinTotalMS     float64 `json:"join_total_ms"`
+	Comparisons     uint64  `json:"comparisons"`
+	MetaComparisons uint64  `json:"meta_comparisons"`
+	Results         uint64  `json:"results"`
+	Reads           uint64  `json:"io_reads"`
+	RandReads       uint64  `json:"io_rand_reads"`
+	BytesRead       uint64  `json:"io_bytes_read"`
 
 	// Shard fan-out detail, present when a sharded meta-engine ran: the
 	// cut, the boundary replication it cost, what dedup dropped, and how
@@ -111,13 +100,6 @@ type Sample struct {
 	// the effective cut and the boundary replication it cost.
 	InMemStripes    int `json:"inmem_stripes,omitempty"`
 	InMemReplicated int `json:"inmem_replicated,omitempty"`
-
-	// Incremental-ingest detail, recorded by the "deltas" experiment: the
-	// append landing rate into the catalog's delta buffer, the delta size a
-	// composed join carried, and the merge compaction's wall time.
-	AppendRatePerSec float64 `json:"append_rate_per_sec,omitempty"`
-	DeltaElements    int     `json:"delta_elements,omitempty"`
-	MergeWallMS      float64 `json:"merge_wall_ms,omitempty"`
 }
 
 // ms converts a duration to fractional milliseconds for JSON output.
@@ -130,24 +112,6 @@ func (c Config) record(s Sample) {
 	}
 	s.Experiment = c.experiment
 	c.Sink(s)
-}
-
-// sampleFromJoin flattens one direct transformers.Join execution (no build
-// phase) into a Sample.
-func sampleFromJoin(algorithm string, parallel int, res *transformers.JoinResult) Sample {
-	return Sample{
-		Algorithm:       algorithm,
-		Parallel:        parallel,
-		JoinWallMS:      ms(res.Stats.Wall),
-		JoinIOTimeMS:    ms(res.ModeledIOTime),
-		JoinTotalMS:     ms(res.TotalTime),
-		Comparisons:     res.Stats.Comparisons,
-		MetaComparisons: res.Stats.MetaComparisons,
-		Results:         res.Stats.Results,
-		Reads:           res.Stats.IO.Reads,
-		RandReads:       res.Stats.IO.RandReads,
-		BytesRead:       res.Stats.IO.BytesRead,
-	}
 }
 
 // sampleFromResult flattens an engine result into a Sample.
@@ -287,46 +251,10 @@ func Experiments() []Experiment {
 			Run:         runFig14,
 		},
 		{
-			ID:          "abl-disk",
-			Paper:       "extension (§VI-C)",
-			Description: "ablation: cost-model recalibration across disk hardware (NVMe/SAS/NAS)",
-			Run:         runAblationDisk,
-		},
-		{
-			ID:          "abl-cache",
-			Paper:       "extension",
-			Description: "ablation: buffer-pool size sensitivity of the TRANSFORMERS join",
-			Run:         runAblationCache,
-		},
-		{
-			ID:          "abl-granularity",
-			Paper:       "extension (§VI-B)",
-			Description: "ablation: space-unit capacity sweep around the page-aligned default",
-			Run:         runAblationGranularity,
-		},
-		{
-			ID:          "scaling",
-			Paper:       "extension (parallel join)",
-			Description: "parallel speedup: TRANSFORMERS join wall time vs worker count, uniform and clustered data",
-			Run:         runScaling,
-		},
-		{
 			ID:          "engines",
 			Paper:       "extension (engine planner)",
 			Description: "cross-engine comparison on uniform/clustered/skewed data, every registered engine, with planner predictions",
 			Run:         runEngines,
-		},
-		{
-			ID:          "plannerfit",
-			Paper:       "extension (self-correcting planner)",
-			Description: "planner accuracy on held-out executions: hand-tuned constants vs fitted calibration + online drift correction",
-			Run:         runPlannerFit,
-		},
-		{
-			ID:          "deltas",
-			Paper:       "extension (incremental ingest)",
-			Description: "append throughput into the delta buffer, merge compaction cost, and delta-composed vs merged join cost across delta fractions",
-			Run:         runDeltas,
 		},
 	}
 }

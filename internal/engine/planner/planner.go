@@ -33,11 +33,6 @@ type Config struct {
 	// statistics-driven ShardTiles selection the engines default to. The
 	// plan must describe the execution the caller will actually run.
 	ShardTiles int
-	// Calibration, when non-nil, replaces the hand-tuned cost constants
-	// with fitted per-engine term multipliers (see Fit and cmd/plannerfit).
-	// Cost terms are always reported raw in Score.Terms so a future refit
-	// regresses against the same feature space.
-	Calibration *Calibration
 	// Correct, when non-nil, returns a multiplicative drift-correction
 	// factor for an engine's final predicted cost — the online corrector's
 	// per-(dataset-pair, engine) EWMA of measured/predicted (see Corrector).
@@ -59,10 +54,9 @@ func FitsInMemory(a, b DatasetStats) bool {
 }
 
 // CostTerm is one named component of an engine's predicted cost, in
-// milliseconds of modeled time, priced at the hand-tuned constants — raw,
-// before calibration multipliers and drift correction. The term vector is the
-// feature row the offline fitter (Fit) regresses measured cost against, so it
-// must stay stable across calibration generations.
+// milliseconds of modeled time, before drift correction. The term vector is
+// the operator-facing breakdown of a prediction: where the model thinks the
+// time goes.
 type CostTerm struct {
 	Name string  `json:"name"`
 	MS   float64 `json:"ms"`
@@ -73,12 +67,12 @@ type Score struct {
 	Engine string `json:"engine"`
 	// CostMS is the predicted end-to-end cost in milliseconds of modeled
 	// time (in-memory work + modeled disk I/O — the repository's benchmark
-	// currency), after calibration multipliers and drift correction.
-	// math.Inf for engines the planner refuses to auto-select.
+	// currency), after drift correction; math.Inf for engines the planner
+	// refuses to auto-select.
 	CostMS float64 `json:"cost_ms"`
 	// Reason explains the dominant term of the prediction.
 	Reason string `json:"reason"`
-	// Terms is the raw decomposition CostMS was assembled from (empty for
+	// Terms is the decomposition CostMS was assembled from (empty for
 	// excluded engines). Kept off the JSON wire — the planner accuracy
 	// recorder mirrors the chosen engine's terms into its samples instead.
 	Terms []CostTerm `json:"-"`
@@ -185,14 +179,13 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 		prebuilt:     cfg.PrebuiltTransformers,
 		shardWorkers: shardWorkers,
 		shardTiles:   cfg.ShardTiles,
-		calib:        cfg.Calibration,
 	}
 
 	scores := make([]Score, 0, len(engines))
 	for _, j := range engines {
 		s := m.score(j)
-		// Online drift correction biases the final calibrated cost of each
-		// priced engine; the raw terms stay untouched so refits are stable.
+		// Online drift correction biases the final cost of each priced
+		// engine; the terms stay as the model priced them.
 		if cfg.Correct != nil && !math.IsInf(s.CostMS, 0) && !math.IsNaN(s.CostMS) {
 			if f := cfg.Correct(s.Engine); f > 0 && f != 1 && !math.IsInf(f, 0) && !math.IsNaN(f) {
 				s.CostMS *= f
@@ -272,7 +265,6 @@ type model struct {
 	prebuilt     bool
 	shardWorkers int
 	shardTiles   int
-	calib        *Calibration // nil = hand-tuned constants (all multipliers 1)
 }
 
 func (m model) pages(n int) float64 { return math.Ceil(float64(n) / m.perPage) }
@@ -308,7 +300,7 @@ func (m model) score(j engine.Joiner) Score {
 		if !m.prebuilt {
 			build = (nA+nB)*tBuildPerElem + pagesBoth*m.tio
 		}
-		return m.priced(j, "batched sequential reads, adapts to skew",
+		return priced(j, "batched sequential reads, adapts to skew",
 			term{"io", io}, term{"cpu", cpu}, term{"build", build})
 	case engine.Grid:
 		// Pure CPU: hash the smaller side, probe with the larger. Dense
@@ -317,12 +309,11 @@ func (m model) score(j engine.Joiner) Score {
 		// element extent, which clustered data defeats). The per-probe
 		// factor covers the multi-cell walk and dedup check around each
 		// candidate test, not just the MBB compare (BENCH_2 measures
-		// ~2.3e-7s per probe on uniform 100K). Splitting the blow-up into
-		// cluster and skew terms is what lets the fitter learn the blow-up
-		// coefficients (6 and 0.5) and not just a global tComp multiplier.
+		// ~2.3e-7s per probe on uniform 100K). The blow-up is split into
+		// cluster and skew terms so a sample shows which one priced it.
 		blowup := 1 + 6*m.cluster + 0.5*m.skew
 		probe := math.Max(nA, nB) * 24 * tComp
-		return m.priced(j, fmt.Sprintf("in-memory hash, dense-cell blow-up x%.2f", blowup),
+		return priced(j, fmt.Sprintf("in-memory hash, dense-cell blow-up x%.2f", blowup),
 			term{"build", (nA + nB) * 1.5e-7},
 			term{"probe", probe},
 			term{"probe_cluster", probe * 6 * m.cluster},
@@ -335,7 +326,7 @@ func (m model) score(j engine.Joiner) Score {
 		// sweep only visits pairs that genuinely overlap on one axis.
 		blowup := 1 + 2*m.cluster + 0.3*m.skew
 		sweep := math.Max(nA, nB) * 4 * tComp
-		return m.priced(j, fmt.Sprintf("cache-resident SoA sweep, overlap blow-up x%.2f", blowup),
+		return priced(j, fmt.Sprintf("cache-resident SoA sweep, overlap blow-up x%.2f", blowup),
 			term{"partition", (nA + nB) * tInMemPartition},
 			term{"sweep", sweep},
 			term{"sweep_cluster", sweep * 2 * m.cluster},
@@ -354,12 +345,6 @@ func (m model) score(j engine.Joiner) Score {
 // discount — sharding re-partitions raw elements, so catalog indexes do not
 // help it. The combined in-memory cap was already applied by the caller (it
 // binds sharded in-memory engines too), so an in-memory inner is under it.
-//
-// Calibration note: the "inner" term is the inner engine's *calibrated* cost
-// (so fitted inner constants propagate into the fan-out price), which makes
-// the shard engines' own multipliers corrections on top of the current inner
-// calibration — refit shard engines from logs recorded under the calibration
-// generation that will serve them.
 func (m model) scoreShard(j engine.Joiner, inner string) Score {
 	ij, err := engine.Get(inner)
 	if err != nil {
@@ -386,7 +371,7 @@ func (m model) scoreShard(j engine.Joiner, inner string) Score {
 	if eff < 1 {
 		eff = 1
 	}
-	return m.priced(j, fmt.Sprintf("%s over %d tiles on %d workers, replication x%.2f",
+	return priced(j, fmt.Sprintf("%s over %d tiles on %d workers, replication x%.2f",
 		inner, k, m.shardWorkers, replication),
 		term{"inner", innerCost * replication / eff},
 		term{"partition", float64(n) * tShardPartition})
@@ -398,21 +383,19 @@ type term struct {
 	sec  float64
 }
 
-// priced assembles an engine's Score from its term decomposition: raw terms
-// (ms) for the fitter, and the calibrated total (per-term multipliers from
-// the Calibration, 1 when absent) as CostMS. Zero-valued terms are dropped —
-// the fitter treats a missing term as zero, and keeping them out makes the
-// recorded feature rows smaller and the fit better conditioned.
-func (m model) priced(j engine.Joiner, reason string, terms ...term) Score {
+// priced assembles an engine's Score from its term decomposition: the terms
+// in ms and their sum as CostMS. Zero-valued terms are dropped, which keeps
+// recorded samples small.
+func priced(j engine.Joiner, reason string, terms ...term) Score {
 	s := Score{Engine: j.Name(), Reason: reason, Correction: 1}
-	var calibrated float64
+	var total float64
 	for _, t := range terms {
 		if t.sec == 0 {
 			continue
 		}
 		s.Terms = append(s.Terms, CostTerm{Name: t.name, MS: t.sec * 1e3})
-		calibrated += t.sec * m.calib.Multiplier(j.Name(), t.name)
+		total += t.sec
 	}
-	s.CostMS = float64(time.Duration(calibrated*float64(time.Second))) / float64(time.Millisecond)
+	s.CostMS = float64(time.Duration(total*float64(time.Second))) / float64(time.Millisecond)
 	return s
 }

@@ -228,8 +228,7 @@ func TestJoinRing(t *testing.T) {
 }
 
 func TestPlannerRecorderReport(t *testing.T) {
-	var log bytes.Buffer
-	rec := NewPlannerRecorder(16, &log)
+	rec := NewPlannerRecorder(16, nil)
 	shape := func(engine string, pred, meas float64, hit bool) PlannerSample {
 		return PlannerSample{
 			A: DatasetFeatures{Name: "a", Version: 1}, B: DatasetFeatures{Name: "b", Version: 1},
@@ -267,18 +266,6 @@ func TestPlannerRecorderReport(t *testing.T) {
 	}
 	if tf.Wins != 0 || tf.Losses != 1 || tf.MeanRelError != 0.25 {
 		t.Fatalf("transformers acc: %+v", tf)
-	}
-	// NDJSON mirror: one line per sample, parseable.
-	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("ndjson lines = %d", len(lines))
-	}
-	var s PlannerSample
-	if err := json.Unmarshal([]byte(lines[0]), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Engine != "grid" {
-		t.Fatalf("first line: %+v", s)
 	}
 }
 
@@ -335,9 +322,9 @@ func TestPlannerRecorderCacheHitsCannotSkew(t *testing.T) {
 // the seam the serving path hangs the online corrector on — including cache
 // hits (the observer does its own filtering), and a nil recorder stays inert.
 func TestPlannerRecorderObserver(t *testing.T) {
-	rec := NewPlannerRecorder(4, nil)
+	var rec *PlannerRecorder
 	var seen []PlannerSample
-	rec.SetObserver(func(s PlannerSample) {
+	rec = NewPlannerRecorder(4, func(s PlannerSample) {
 		// Reentrancy: the observer may consult the recorder.
 		_ = rec.Total()
 		seen = append(seen, s)
@@ -348,15 +335,14 @@ func TestPlannerRecorderObserver(t *testing.T) {
 		t.Fatalf("observer saw %+v", seen)
 	}
 	var nilRec *PlannerRecorder
-	nilRec.SetObserver(func(PlannerSample) { t.Fatal("nil recorder observer fired") })
 	nilRec.Record(PlannerSample{})
 }
 
 // TestPlannerSampleExcludedRoundTrip: exclusion reasons and term vectors ride
-// the NDJSON mirror so offline fitters can tell "excluded" from "missing".
+// a retained sample's JSON (what /debug/planner serves), so a reader can tell
+// "excluded" from "missing".
 func TestPlannerSampleExcludedRoundTrip(t *testing.T) {
-	var log bytes.Buffer
-	rec := NewPlannerRecorder(2, &log)
+	rec := NewPlannerRecorder(2, nil)
 	rec.Record(PlannerSample{
 		Engine:           "transformers",
 		Scores:           map[string]float64{"transformers": 12},
@@ -365,8 +351,12 @@ func TestPlannerSampleExcludedRoundTrip(t *testing.T) {
 		CorrectionFactor: 1.25,
 		MeasuredMS:       14,
 	})
+	doc, err := json.Marshal(rec.Snapshot()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	var back PlannerSample
-	if err := json.Unmarshal(log.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(doc, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Excluded["naive"] == "" || back.Terms["io"] != 8 || back.CorrectionFactor != 1.25 {

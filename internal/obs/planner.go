@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -11,9 +9,8 @@ import (
 
 // The planner accuracy recorder: every executed join contributes a
 // (stats features, candidate scores, chosen engine, predicted cost, measured
-// cost) sample — the training-data seam for a learned planner. Samples live
-// in a bounded ring served at /debug/planner and can be mirrored as NDJSON
-// to a log file for offline analysis.
+// cost) sample — what the online drift corrector learns from. Samples live
+// in a bounded ring served at /debug/planner.
 
 // DatasetFeatures are the planner-relevant statistics of one join input.
 type DatasetFeatures struct {
@@ -34,13 +31,11 @@ type PlannerSample struct {
 	Distance  float64            `json:"distance,omitempty"`
 	Scores    map[string]float64 `json:"scores,omitempty"` // candidate engine → predicted cost (ms)
 	// Excluded records the candidates the planner refused to price finitely
-	// (engine → reason), so the training log shows *why* an engine is absent
-	// from Scores instead of silently dropping it. Fitters must ignore these
-	// — an excluded candidate has no usable prediction.
+	// (engine → reason), so a sample shows *why* an engine is absent from
+	// Scores instead of silently dropping it.
 	Excluded map[string]string `json:"excluded,omitempty"`
-	// Terms is the chosen engine's raw cost-term decomposition in ms, priced
-	// at the hand-tuned constants before calibration and drift correction —
-	// the feature row the offline fitter regresses MeasuredMS against.
+	// Terms is the chosen engine's cost-term decomposition in ms, before drift
+	// correction — the operator-facing breakdown of PredictedMS.
 	Terms map[string]float64 `json:"terms,omitempty"`
 	// CorrectionFactor is the online drift-correction multiplier that was
 	// applied to the chosen engine's predicted cost (0 when no corrector ran,
@@ -61,50 +56,33 @@ type PlannerSample struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// PartitionHit samples ran the inmem kernel on a catalog-resident
 	// partition: MeasuredMS has no build phase while PredictedMS and Terms
-	// still price one. Real executions — the online drift corrector learns
-	// from them — but not rows an offline term fit can use.
+	// still price one. Real executions: the online drift corrector learns
+	// from them.
 	PartitionHit bool `json:"partition_hit,omitempty"`
 }
 
-// PlannerRecorder is the bounded sample ring plus an optional NDJSON mirror.
+// PlannerRecorder is the bounded sample ring.
 type PlannerRecorder struct {
 	mu       sync.Mutex
 	buf      []PlannerSample
 	next     int
 	full     bool
 	total    int64
-	log      io.Writer
-	enc      *json.Encoder
 	observer func(PlannerSample)
 }
 
-// NewPlannerRecorder holds the last n samples (n<=0 → 1); log, when non-nil,
-// receives every sample as one NDJSON line.
-func NewPlannerRecorder(n int, log io.Writer) *PlannerRecorder {
+// NewPlannerRecorder holds the last n samples (n<=0 → 1). observer, when
+// non-nil, is invoked with every recorded sample — the read seam feeding the
+// online planner corrector. It runs outside the recorder lock (it may consult
+// the recorder) and must do its own filtering (e.g. skip cache hits).
+func NewPlannerRecorder(n int, observer func(PlannerSample)) *PlannerRecorder {
 	if n <= 0 {
 		n = 1
 	}
-	r := &PlannerRecorder{buf: make([]PlannerSample, n), log: log}
-	if log != nil {
-		r.enc = json.NewEncoder(log)
-	}
-	return r
+	return &PlannerRecorder{buf: make([]PlannerSample, n), observer: observer}
 }
 
-// SetObserver registers a callback invoked with every recorded sample —
-// the read seam feeding the online planner corrector. The observer runs
-// outside the recorder lock (it may consult the recorder) and must do its
-// own filtering (e.g. skip cache hits). Call before serving traffic; the
-// registration is not synchronized against concurrent Record calls.
-func (r *PlannerRecorder) SetObserver(fn func(PlannerSample)) {
-	if r == nil {
-		return
-	}
-	r.observer = fn
-}
-
-// Record appends a sample; nil-safe. Mirror write errors are dropped — the
-// log is an observer, never a reason to fail a join.
+// Record appends a sample; nil-safe.
 func (r *PlannerRecorder) Record(s PlannerSample) {
 	if r == nil {
 		return
@@ -117,13 +95,9 @@ func (r *PlannerRecorder) Record(s PlannerSample) {
 		r.full = true
 	}
 	r.total++
-	if r.enc != nil {
-		_ = r.enc.Encode(s)
-	}
-	observer := r.observer
 	r.mu.Unlock()
-	if observer != nil {
-		observer(s)
+	if r.observer != nil {
+		r.observer(s)
 	}
 }
 

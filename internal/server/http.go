@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -255,23 +256,38 @@ func NewHandler(svc *Service) http.Handler {
 		if len(samples) > debugPlannerSamples {
 			samples = samples[:debugPlannerSamples]
 		}
-		corr := svc.PlannerCorrections()
-		if len(corr) > debugPlannerSamples {
-			corr = corr[:debugPlannerSamples]
-		}
 		writeJSON(w, http.StatusOK, debugPlannerResponse{
 			Report:      rep,
-			Calibrated:  svc.cfg.PlannerCalibration != nil,
-			Corrections: corr,
+			Corrections: largestCorrections(svc.PlannerCorrections(), debugPlannerSamples),
 			Recent:      samples,
 		})
 	})
 	return mux
 }
 
-// debugPlannerSamples caps the raw samples echoed by /debug/planner; the full
-// ring still feeds the aggregate report (and the NDJSON mirror, if enabled).
+// debugPlannerSamples caps the raw samples and the correction series echoed
+// by /debug/planner; the full ring still feeds the aggregate report.
 const debugPlannerSamples = 100
+
+// largestCorrections keeps the n most-sampled series of a snapshot sorted by
+// pair and engine, ties going to the earlier name, in that same order.
+func largestCorrections(corr []planner.Correction, n int) []planner.Correction {
+	if len(corr) <= n {
+		return corr
+	}
+	idx := make([]int, len(corr))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return corr[idx[i]].Samples > corr[idx[j]].Samples })
+	keep := idx[:n]
+	sort.Ints(keep)
+	out := make([]planner.Correction, n)
+	for i, k := range keep {
+		out[i] = corr[k]
+	}
+	return out
+}
 
 type debugJoinsResponse struct {
 	// ThresholdMS is the slow-join bound; negative means every join is
@@ -283,10 +299,8 @@ type debugJoinsResponse struct {
 
 type debugPlannerResponse struct {
 	Report obs.PlannerReport `json:"report"`
-	// Calibrated reports whether fitted cost constants are loaded;
 	// Corrections lists the online drift corrector's learned factors
 	// (capped like Recent — the largest series, not all of them).
-	Calibrated  bool                 `json:"calibrated"`
 	Corrections []planner.Correction `json:"corrections,omitempty"`
 	Recent      []obs.PlannerSample  `json:"recent"`
 }

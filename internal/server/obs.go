@@ -41,10 +41,17 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		slow = DefaultSlowJoinThreshold
 	}
 	o := &serviceObs{
-		reg:      obs.NewRegistry(),
-		ring:     obs.NewJoinRing(DefaultDebugJoins),
-		recorder: obs.NewPlannerRecorder(DefaultPlannerSamples, cfg.PlannerLog),
-		slow:     slow,
+		reg:  obs.NewRegistry(),
+		ring: obs.NewJoinRing(DefaultDebugJoins),
+		// Every executed (non-cached) sample teaches the corrector its
+		// engine's measured/predicted ratio for that dataset pair; Observe
+		// ignores unpriced samples (PredictedMS < 0) on its own.
+		recorder: obs.NewPlannerRecorder(DefaultPlannerSamples, func(ps obs.PlannerSample) {
+			if !ps.CacheHit {
+				s.corrector.Observe(ps.A.Name, ps.B.Name, ps.Engine, ps.PredictedMS, ps.MeasuredMS)
+			}
+		}),
+		slow: slow,
 	}
 	r := o.reg
 	o.joinHist = r.Histogram("spatialjoin_join_duration_seconds",
@@ -122,13 +129,6 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		func() float64 { return float64(s.cat.Stats().Merges) })
 	r.GaugeFunc("spatialjoin_planner_correction_pairs", "Tracked (dataset pair, engine) drift-correction series.",
 		func() float64 { return float64(s.corrector.Len()) })
-	r.GaugeFunc("spatialjoin_planner_calibrated", "1 when a fitted planner calibration is loaded, 0 otherwise.",
-		func() float64 {
-			if s.cfg.PlannerCalibration != nil {
-				return 1
-			}
-			return 0
-		})
 	r.GaugeFunc("go_goroutines", "Current goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.GaugeFunc("go_heap_alloc_bytes", "Live heap allocation.",

@@ -539,8 +539,7 @@ func TestObsAbortedStreamRecorded(t *testing.T) {
 // of being dropped, and the /debug/planner report counts it separately from
 // the error aggregation.
 func TestPlannerRecorderSurvivesCacheHits(t *testing.T) {
-	var ndjson bytes.Buffer
-	ts, svc := newTestServer(t, Config{PlannerLog: &ndjson})
+	ts, svc := newTestServer(t, Config{})
 	addDataset(t, svc, "a", transformers.GenerateUniform(1500, 413))
 	addDataset(t, svc, "b", transformers.GenerateUniform(1500, 414))
 
@@ -580,9 +579,6 @@ func TestPlannerRecorderSurvivesCacheHits(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("executed samples in report = %d, want 1 (cache hits excluded from error stats)", n)
-	}
-	if got := strings.Count(ndjson.String(), "\n"); got != 2 {
-		t.Fatalf("NDJSON mirror has %d lines, want 2", got)
 	}
 
 	// /debug/planner serves the same picture.

@@ -72,14 +72,13 @@ func deltaAdjusted(st planner.DatasetStats, delta int) planner.DatasetStats {
 
 // plannerConfig assembles one join's planner configuration: the serving
 // economics (prebuilt TRANSFORMERS, pinned tiles, resolved workers) plus the
-// service's fitted calibration and the pair's learned drift corrections.
+// pair's learned drift corrections.
 func (s *Service) plannerConfig(a, b string, shardTiles, workers int) planner.Config {
 	return planner.Config{
 		PageSize:             s.cfg.PageSize,
 		PrebuiltTransformers: true,
 		ShardTiles:           shardTiles,
 		ShardWorkers:         workers,
-		Calibration:          s.cfg.PlannerCalibration,
 		Correct:              s.corrector.Bind(a, b),
 	}
 }
@@ -107,9 +106,9 @@ type joinPlan struct {
 	predictedMS float64
 	scores      []planner.Score
 	// excluded names the candidates the planner refused to price finitely
-	// (engine → reason); terms is the chosen engine's raw cost-term
-	// decomposition and correction the drift factor applied to its score —
-	// the planner sample fields the offline fitter trains on.
+	// (engine → reason); terms is the chosen engine's cost-term decomposition
+	// and correction the drift factor applied to its score — the planner
+	// sample fields that say why the prediction was what it was.
 	excluded   map[string]string
 	terms      map[string]float64
 	correction float64
@@ -210,8 +209,8 @@ func (s *Service) priceJoin(jp *joinPlan) {
 	jp.predictedMS = -1
 	for _, sc := range jp.scores {
 		// Non-finitely priced candidates are recorded with their reason, not
-		// silently dropped: the accuracy log must show *why* an engine is
-		// absent from the score map (fitters ignore excluded candidates).
+		// silently dropped: the accuracy sample must show *why* an engine is
+		// absent from the score map.
 		if math.IsInf(sc.CostMS, 0) || math.IsNaN(sc.CostMS) {
 			if jp.excluded == nil {
 				jp.excluded = make(map[string]string)

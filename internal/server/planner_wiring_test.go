@@ -2,6 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
@@ -60,8 +64,8 @@ func TestServiceDistanceJoinPlanning(t *testing.T) {
 
 // TestServiceRecordsExcludedCandidates: candidates the planner refuses to
 // price finitely (here: naive, which has no cost formula) must land in the
-// sample's Excluded map with their reason, and the chosen engine's raw term
-// decomposition must ride along for the offline fitter.
+// sample's Excluded map with their reason, and the chosen engine's term
+// decomposition must ride along for /debug/planner's reader.
 func TestServiceRecordsExcludedCandidates(t *testing.T) {
 	svc := NewService(Config{})
 	ctx := context.Background()
@@ -195,41 +199,47 @@ func TestServiceCorrectorLearnsFromJoins(t *testing.T) {
 	}
 }
 
-// TestServiceAppliesCalibration: a loaded calibration must change the auto
-// decision end to end — inflating the winning in-memory engines 50x makes
-// the planner route the same pair elsewhere.
-func TestServiceAppliesCalibration(t *testing.T) {
-	elemsA := transformers.GenerateUniform(3000, 65)
-	elemsB := transformers.GenerateUniform(3000, 66)
-	resolve := func(calib *planner.Calibration) string {
-		svc := NewService(Config{PlannerCalibration: calib})
-		ctx := context.Background()
-		if _, err := svc.AddDataset(ctx, "a", append([]transformers.Element(nil), elemsA...)); err != nil {
-			t.Fatal(err)
+// TestDebugPlannerKeepsLargestCorrections: past its cap /debug/planner lists
+// the most-sampled correction series — ties going to the earlier name — and
+// still in pair/engine order, not the first hundred names.
+func TestDebugPlannerKeepsLargestCorrections(t *testing.T) {
+	ts, svc := newTestServer(t, Config{})
+	// 150 series in name order: the first 60 observed once, the last 90 five
+	// times, so the cap keeps those 90 plus the first 10 names of the rest.
+	const series, light, limit = 150, 60, debugPlannerSamples
+	name := func(i int) string { return fmt.Sprintf("d%03d", i) }
+	for i := 0; i < series; i++ {
+		n := 5
+		if i < light {
+			n = 1
 		}
-		if _, err := svc.AddDataset(ctx, "b", append([]transformers.Element(nil), elemsB...)); err != nil {
-			t.Fatal(err)
+		for j := 0; j < n; j++ {
+			svc.corrector.Observe(name(i), "b", engine.InMem, 10, 20)
 		}
-		jp, err := svc.planJoin("a", "b", JoinParams{Algorithm: AlgorithmAuto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jp.algo
 	}
-	plain := resolve(nil)
-	if plain != engine.InMem {
-		t.Fatalf("uncalibrated service chose %q, want inmem", plain)
-	}
-	inflate := map[string]float64{"partition": 50, "sweep": 50, "sweep_cluster": 50, "sweep_skew": 50}
-	calib := &planner.Calibration{Engines: map[string]planner.EngineCalibration{
-		engine.InMem:      {Multipliers: inflate},
-		engine.ShardInMem: {Multipliers: map[string]float64{"inner": 50, "partition": 50}},
-	}}
-	if err := calib.Validate(); err != nil {
+	resp, err := http.Get(ts.URL + "/debug/planner")
+	if err != nil {
 		t.Fatal(err)
 	}
-	calibrated := resolve(calib)
-	if calibrated == plain {
-		t.Fatalf("50x-inflated calibration did not change the decision from %q", plain)
+	defer resp.Body.Close()
+	var doc struct {
+		Corrections []planner.Correction `json:"corrections"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < limit-(series-light); i++ {
+		want = append(want, name(i))
+	}
+	for i := light; i < series; i++ {
+		want = append(want, name(i))
+	}
+	var got []string
+	for _, c := range doc.Corrections {
+		got = append(got, c.A)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/debug/planner corrections = %v\nwant the %d most-sampled series in name order: %v", got, limit, want)
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/engine/planner"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/transformers"
 )
@@ -77,14 +75,6 @@ type Config struct {
 	// the /debug/joins ring: slower-than-threshold only. Zero selects
 	// DefaultSlowJoinThreshold; negative records every join.
 	SlowJoinThreshold time.Duration
-	// PlannerLog, when non-nil, receives every planner accuracy sample as
-	// one NDJSON line (the -planner-log file).
-	PlannerLog io.Writer
-	// PlannerCalibration, when non-nil, replaces the planner's hand-tuned
-	// cost constants with fitted per-engine term multipliers (the
-	// -planner-calibration file, produced by cmd/plannerfit from a
-	// -planner-log recording).
-	PlannerCalibration *planner.Calibration
 	// DeltaMaxElements is the append-delta size at which a background merge
 	// compacts a dataset's delta buffer into its main index
 	// (DefaultDeltaMaxElements when zero, negative disables automatic
@@ -168,7 +158,7 @@ type Service struct {
 
 	// corrector tracks per-(dataset pair, engine) measured/predicted drift
 	// from executed joins and biases future Plan calls. Always non-nil; fed
-	// by the planner recorder's observer hook.
+	// by the planner recorder's observer.
 	corrector *planner.Corrector
 }
 
@@ -227,15 +217,6 @@ func NewService(cfg Config) *Service {
 	// (inside the catalog) and its cached join results (here).
 	cat.SetWriteObserver(s.cache.DropDataset)
 	s.obs = newServiceObs(s, cfg)
-	// Every executed (non-cached) sample teaches the corrector its engine's
-	// measured/predicted ratio for that dataset pair; Observe ignores
-	// unpriced samples (PredictedMS < 0) on its own.
-	s.obs.recorder.SetObserver(func(ps obs.PlannerSample) {
-		if ps.CacheHit {
-			return
-		}
-		s.corrector.Observe(ps.A.Name, ps.B.Name, ps.Engine, ps.PredictedMS, ps.MeasuredMS)
-	})
 	cat.SetBuildObserver(func(d time.Duration, ok bool) {
 		outcome := "ok"
 		if !ok {
