@@ -2,13 +2,12 @@
 //
 // TRANSFORMERS indexes the Hilbert value of the center point of every space
 // node with a B+-tree (paper §V): the tree is used only to find a walk start
-// descriptor near a pivot, so the operations that matter are bulk insertion,
-// exact and nearest-key lookup, and ordered range scans. The paper picks a
-// B+-tree over an R-tree precisely to avoid overlap and to make index
-// construction cheap.
+// descriptor near a pivot, so the operations that matter are bulk insertion
+// and exact and nearest-key lookup. The paper picks a B+-tree over an R-tree
+// precisely to avoid overlap and to make index construction cheap.
 //
 // Duplicate keys are allowed (two space nodes can share a Hilbert cell);
-// all entries with equal keys are retained and visited by scans.
+// all entries with equal keys are retained.
 package btree
 
 import (
@@ -229,64 +228,4 @@ func (t *Tree) Nearest(key uint64) (Entry, bool) {
 		return lo, true
 	}
 	return hi, true
-}
-
-// Range visits all entries with lo <= Key <= hi in ascending key order.
-// Iteration stops early when fn returns false.
-func (t *Tree) Range(lo, hi uint64, fn func(Entry) bool) {
-	n, i := t.seek(lo)
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return
-			}
-			if !fn(Entry{Key: n.keys[i], Value: n.vals[i]}) {
-				return
-			}
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// Delete removes one entry with the exact key (the first in scan order) and
-// reports whether an entry was removed. Underflowed nodes are not rebalanced
-// — the indexes in this repository are bulk-built and rarely shrink — but
-// ordering and scan invariants are fully preserved.
-func (t *Tree) Delete(key uint64) bool {
-	if !t.delete(t.root, key) {
-		return false
-	}
-	t.size--
-	// Collapse a root with a single child.
-	for !t.root.leaf() && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-	}
-	return true
-}
-
-func (t *Tree) delete(n *node, key uint64) bool {
-	if n.leaf() {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-		if i >= len(n.keys) || n.keys[i] != key {
-			return false
-		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		return true
-	}
-	ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-	if t.delete(n.children[ci], key) {
-		return true
-	}
-	// Duplicates equal to a separator may remain in subtrees left of that
-	// separator (a leaf split keeps equal keys on both sides); retry
-	// leftwards across every child whose right boundary equals the key.
-	for ci > 0 && n.keys[ci-1] == key {
-		ci--
-		if t.delete(n.children[ci], key) {
-			return true
-		}
-	}
-	return false
 }

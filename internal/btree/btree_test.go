@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// scan walks the leaf chain: every entry in ascending key order.
+func scan(t *Tree) []Entry {
+	var out []Entry
+	for n := t.first; n != nil; n = n.next {
+		for i, k := range n.keys {
+			out = append(out, Entry{Key: k, Value: n.vals[i]})
+		}
+	}
+	return out
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := New(4)
 	if tr.Len() != 0 {
@@ -23,9 +34,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if _, ok := tr.Nearest(7); ok {
 		t.Fatal("Nearest on empty tree should miss")
-	}
-	if tr.Delete(1) {
-		t.Fatal("Delete on empty tree should report false")
 	}
 }
 
@@ -54,46 +62,6 @@ func TestInsertGetSmallOrder(t *testing.T) {
 	}
 	if _, ok := tr.Get(n + 1); ok {
 		t.Fatal("absent key found")
-	}
-}
-
-func TestRangeOrdered(t *testing.T) {
-	tr := New(4)
-	keys := []uint64{50, 10, 30, 70, 20, 90, 60, 40, 80, 0}
-	for _, k := range keys {
-		tr.Insert(k, k*2)
-	}
-	var got []uint64
-	tr.Range(15, 75, func(e Entry) bool {
-		got = append(got, e.Key)
-		if e.Value != e.Key*2 {
-			t.Fatalf("value mismatch for key %d: %d", e.Key, e.Value)
-		}
-		return true
-	})
-	want := []uint64{20, 30, 40, 50, 60, 70}
-	if len(got) != len(want) {
-		t.Fatalf("Range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRangeEarlyStop(t *testing.T) {
-	tr := New(4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(uint64(i), uint64(i))
-	}
-	count := 0
-	tr.Range(0, 99, func(e Entry) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("early stop visited %d entries", count)
 	}
 }
 
@@ -142,21 +110,13 @@ func TestDuplicateKeys(t *testing.T) {
 	tr.Insert(41, 100)
 	tr.Insert(43, 200)
 	seen := make(map[uint64]bool)
-	tr.Range(42, 42, func(e Entry) bool {
-		seen[e.Value] = true
-		return true
-	})
-	if len(seen) != dups {
-		t.Fatalf("expected %d duplicates, scanned %d", dups, len(seen))
-	}
-	// Delete all duplicates one by one.
-	for i := 0; i < dups; i++ {
-		if !tr.Delete(42) {
-			t.Fatalf("delete %d of %d failed", i, dups)
+	for _, e := range scan(tr) {
+		if e.Key == 42 {
+			seen[e.Value] = true
 		}
 	}
-	if tr.Delete(42) {
-		t.Fatal("extra delete succeeded")
+	if len(seen) != dups {
+		t.Fatalf("expected %d duplicates, scanned %d", dups, len(seen))
 	}
 	if _, ok := tr.Get(41); !ok {
 		t.Fatal("neighbor key 41 lost")
@@ -164,42 +124,8 @@ func TestDuplicateKeys(t *testing.T) {
 	if _, ok := tr.Get(43); !ok {
 		t.Fatal("neighbor key 43 lost")
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
-	}
-}
-
-func TestDeleteRandom(t *testing.T) {
-	tr := New(5)
-	r := rand.New(rand.NewSource(11))
-	ref := make(map[uint64]int)
-	var keys []uint64
-	for i := 0; i < 2000; i++ {
-		k := uint64(r.Intn(500))
-		tr.Insert(k, k)
-		ref[k]++
-		keys = append(keys, k)
-	}
-	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for _, k := range keys[:1000] {
-		if !tr.Delete(k) {
-			t.Fatalf("delete existing key %d failed", k)
-		}
-		ref[k]--
-	}
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	// Remaining multiset must match.
-	got := make(map[uint64]int)
-	tr.Range(0, ^uint64(0), func(e Entry) bool {
-		got[e.Key]++
-		return true
-	})
-	for k, c := range ref {
-		if c != got[k] {
-			t.Fatalf("key %d: ref %d, tree %d", k, c, got[k])
-		}
+	if tr.Len() != dups+2 {
+		t.Fatalf("Len = %d, want %d", tr.Len(), dups+2)
 	}
 }
 
@@ -217,16 +143,12 @@ func TestPropBehavesLikeSortedMultiset(t *testing.T) {
 		}
 		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
 		// Full scan must equal sorted reference.
-		var scan []uint64
-		tr.Range(0, ^uint64(0), func(e Entry) bool {
-			scan = append(scan, e.Key)
-			return true
-		})
-		if len(scan) != len(ref) {
+		all := scan(tr)
+		if len(all) != len(ref) {
 			return false
 		}
 		for i := range ref {
-			if scan[i] != ref[i] {
+			if all[i].Key != ref[i] {
 				return false
 			}
 		}
@@ -273,10 +195,8 @@ func TestLargeSequentialInsert(t *testing.T) {
 	if !ok || e.Key != n-1 {
 		t.Fatalf("Nearest beyond max = %v, %v", e, ok)
 	}
-	count := 0
-	tr.Range(1000, 1999, func(Entry) bool { count++; return true })
-	if count != 1000 {
-		t.Fatalf("range count = %d", count)
+	if all := scan(tr); len(all) != n || all[0].Key != 0 || all[n-1].Key != n-1 {
+		t.Fatalf("leaf chain holds %d entries", len(all))
 	}
 }
 

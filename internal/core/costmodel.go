@@ -129,10 +129,7 @@ func newCostModel(cfg JoinConfig, a, b *Index) *costModel {
 	if nodes > 0 {
 		m.nSU = float64(units) / float64(nodes)
 	}
-	disk := cfg.Disk
-	if disk == (storage.DiskModel{}) {
-		disk = storage.DefaultDiskModel()
-	}
+	disk := storage.DefaultDiskModel()
 	pageRead := storage.Stats{Reads: 1, SeqReads: 1, BytesRead: uint64(a.st.PageSize())}
 	m.tio = disk.ReadTime(pageRead).Seconds()
 	m.seek = disk.Seek.Seconds()
@@ -236,24 +233,6 @@ func clampThreshold(t float64) float64 {
 		return maxThreshold
 	}
 	return t
-}
-
-// DensityRatio exposes the §VI-A sparseness comparison to the engine
-// planner: the volume-per-element ratio between two datasets (or dataset
-// regions), the signal the adaptive join itself steers by. Values far from 1
-// mean contrasting densities (GIPSY's home turf); values near 1 mean similar
-// densities.
-func DensityRatio(volumeA float64, countA int, volumeB float64, countB int) float64 {
-	clamp := func(n int) int32 {
-		if n < 1 {
-			return 1
-		}
-		if n > math.MaxInt32 {
-			return math.MaxInt32
-		}
-		return int32(n)
-	}
-	return densityRatio(volumeA, clamp(countA), volumeB, clamp(countB))
 }
 
 // densityRatio returns the guide/follower sparseness ratio of §VI-A

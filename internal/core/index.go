@@ -60,9 +60,6 @@ type IndexConfig struct {
 	// indexes joined together may use different worlds — indexes are built
 	// per dataset and reused across joins (§III).
 	World geom.Box
-	// HilbertOrder sets the resolution of the walk-start index;
-	// hilbert.DefaultOrder when zero.
-	HilbertOrder int
 }
 
 // unitDescSize is the serialized size of a space-unit descriptor: id (4) +
@@ -176,10 +173,6 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 		// which the walk convergence and crawl completeness proofs rely on.
 		world = world.Union(geom.MBBOf(elems))
 	}
-	order := cfg.HilbertOrder
-	if order <= 0 {
-		order = hilbert.DefaultOrder
-	}
 
 	idx := &Index{st: st, world: world, size: len(elems)}
 	var bs BuildStats
@@ -254,7 +247,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 
 	// Walk-start index: B+-tree over Hilbert values of node centers, and
 	// the pivot visit order (nodes sorted by the same key).
-	idx.mapper = hilbert.NewMapper(world, order)
+	idx.mapper = hilbert.NewMapper(world, hilbert.DefaultOrder)
 	idx.tree = btree.New(0)
 	keys := make([]uint64, len(idx.nodes))
 	idx.nodeOrder = make([]int32, len(idx.nodes))

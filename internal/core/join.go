@@ -36,14 +36,6 @@ type JoinConfig struct {
 	GuideB bool
 	// CachePages sizes the per-dataset page cache; 256 when zero.
 	CachePages int
-	// GridCfg tunes the in-memory grid hash join.
-	GridCfg grid.Config
-	// Disk prices page reads for the cost model; DefaultDiskModel when
-	// zero.
-	Disk storage.DiskModel
-	// MaxWalkSteps bounds one directed walk defensively; 4x the follower's
-	// descriptor count when zero.
-	MaxWalkSteps int
 	// Parallelism sets the number of worker goroutines processing pivot
 	// nodes. 0 or 1 run the single-threaded join — byte-for-byte the
 	// paper-faithful sequential execution. Values > 1 split the guide's
@@ -315,7 +307,7 @@ type joinRun struct {
 	model   *costModel
 	stats   JoinStats
 	emit    func(a, b geom.Element)
-	maxWalk [2]int // per side, bounds walks over that side's graphs
+	maxWalk [2]int // per side, a defensive bound on one walk over its graphs: 4x its descriptors
 	// stop, when set (parallel runs), is the fleet-wide abort flag: a worker
 	// that fails raises it and the others bail at their next pivot instead
 	// of finishing whole chunks after the join is already lost.
@@ -335,17 +327,12 @@ func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA
 	r.sides[0] = acquireSide(ia, stA, cachePages, true)
 	r.sides[1] = acquireSide(ib, stB, cachePages, false)
 	r.model = newCostModel(cfg, ia, ib)
-	for _, s := range r.sides {
-		s.readThroughGap = storage.PageID(r.model.seek / (m2s(s.idx.st.PageSize(), cfg) + 1e-12))
+	for i, s := range r.sides {
+		s.readThroughGap = storage.PageID(r.model.seek / (pageTransferSeconds(s.idx.st.PageSize()) + 1e-12))
 		if s.readThroughGap > 64 {
 			s.readThroughGap = 64
 		}
-	}
-	for i, s := range r.sides {
-		r.maxWalk[i] = cfg.MaxWalkSteps
-		if r.maxWalk[i] <= 0 {
-			r.maxWalk[i] = 4 * (len(s.idx.units) + len(s.idx.nodes))
-		}
+		r.maxWalk[i] = 4 * (len(s.idx.units) + len(s.idx.nodes))
 	}
 	return r
 }
@@ -441,16 +428,10 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 	return r.stats, nil
 }
 
-// m2s returns the modeled transfer seconds for one page of the given size.
-func m2s(pageSize int, cfg JoinConfig) float64 {
-	disk := cfg.Disk
-	if disk == (storage.DiskModel{}) {
-		disk = storage.DefaultDiskModel()
-	}
-	if disk.TransferBytesPerSec <= 0 {
-		return 0
-	}
-	return float64(pageSize) / disk.TransferBytesPerSec
+// pageTransferSeconds is the modeled transfer time of one page of the given
+// size on the default disk.
+func pageTransferSeconds(pageSize int) float64 {
+	return float64(pageSize) / storage.DefaultDiskModel().TransferBytesPerSec
 }
 
 // emitOriented reports one result pair found with the guide on side g,
@@ -616,7 +597,7 @@ func (r *joinRun) processNodeLevel(g, f int, pn, found int32) error {
 	if err := F.readBatch(keptF); err != nil {
 		return err
 	}
-	comps := G.grid.Join(G.elems, F.elems, r.cfg.GridCfg, func(ge, fe geom.Element) {
+	comps := G.grid.Join(G.elems, F.elems, grid.Config{}, func(ge, fe geom.Element) {
 		r.emitOriented(g, ge, fe)
 	})
 	dt := time.Since(tj)
@@ -732,7 +713,7 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 		if err := F.readBatch(F.cand); err != nil {
 			return err
 		}
-		comps := G.grid.Join(G.elems, F.elems, r.cfg.GridCfg, func(ge, fe geom.Element) {
+		comps := G.grid.Join(G.elems, F.elems, grid.Config{}, func(ge, fe geom.Element) {
 			r.emitOriented(g, ge, fe)
 		})
 		dt = time.Since(tj)

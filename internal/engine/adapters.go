@@ -47,101 +47,133 @@ const (
 // cache) normalize with the same bound so equal executions share entries.
 const ShardMaxTiles = 256
 
-func init() {
-	// Registration order is the wire-visible Names() order: the paper's
-	// presentation order, then the in-memory references.
-	Register(transformersEngine{})
-	Register(pbsmEngine{})
-	Register(rtreeEngine{})
-	Register(gipsyEngine{})
-	Register(gridEngine{})
-	Register(inmemEngine{})
-	Register(naiveEngine{})
+// builtin is one built-in engine: a build step that indexes the prepared
+// inputs and the kernel that joins what was built — the two phases §VII
+// measures for every algorithm. Everything between them is builtin.JoinStream.
+type builtin struct {
+	name string
+	// parallel marks a kernel whose workers emit concurrently (one that honors
+	// Options.Parallelism); its sink serializes them.
+	parallel bool
+	// prebuilt returns the kernel over the catalog-owned structures this
+	// engine understands, or nil when opt.Prebuilt carries none of them. Nil
+	// for the engines that always build.
+	prebuilt func(opt Options) kernel
+	// build indexes a and b — prepared, both non-empty — books the indexing
+	// cost into st (Stats.paged for a paged index) and returns the kernel over
+	// the result.
+	build func(a, b []geom.Element, opt Options, st *Stats) (kernel, error)
 }
 
-// transformersEngine runs the paper's adaptive join (§III–§VI): sequential,
-// parallel (Options.Parallelism) and distance (Options.Distance) execution
-// through one adapter, reusing prebuilt catalog indexes when supplied.
-type transformersEngine struct{}
+// kernel is an engine's join phase: it reports pairs through s, stops early
+// once s's abort flag is raised, and books its cost with st.joined.
+type kernel func(s *sink, st *Stats) error
 
-func (transformersEngine) Name() string { return Transformers }
+func (e builtin) Name() string { return e.name }
 
-func (transformersEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	res := &Result{Engine: Transformers}
-	var ia, ib *core.Index
-	if opt.Prebuilt != nil && opt.Prebuilt.A != nil && opt.Prebuilt.B != nil {
-		// Catalog fast path: the indexes exist (distance expansion
-		// included), only the join runs. Options.Distance must be zero —
-		// the catalog applies expansion at build time.
-		if opt.Disk == (storage.DiskModel{}) {
-			opt.Disk = storage.DefaultDiskModel()
-		}
-		ia, ib = opt.Prebuilt.A, opt.Prebuilt.B
-	} else {
+// JoinStream is the one execution protocol of the built-ins: prepare and build
+// (or take the prebuilt structures and skip both — the raw inputs are then
+// ignored, nil by design), honor a cancellation that arrived during the build,
+// run the kernel into a sink that watches ctx, and resolve the outcome. An
+// empty input joins nothing and builds nothing: its result is the finished
+// zero Stats, emit never called.
+func (e builtin) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
+	res := &Result{Engine: e.name}
+	var join kernel
+	if e.prebuilt != nil && opt.Prebuilt != nil {
+		join = e.prebuilt(opt)
+	}
+	if join == nil {
 		var err error
-		a, b, opt, err = prepare(ctx, a, b, opt)
-		if err != nil {
+		if a, b, opt, err = Prepare(ctx, a, b, opt); err != nil {
 			return nil, err
 		}
-		stA := storage.NewMemStore(opt.PageSize)
-		stB := storage.NewMemStore(opt.PageSize)
-		var bsA, bsB core.BuildStats
-		ia, bsA, err = core.BuildIndex(stA, a, core.IndexConfig{World: opt.World})
-		if err != nil {
+		if len(a) == 0 || len(b) == 0 {
+			res.Stats.Finish()
+			return res, nil
+		}
+		if join, err = e.build(a, b, opt, &res.Stats); err != nil {
 			return nil, err
 		}
-		ib, bsB, err = core.BuildIndex(stB, b, core.IndexConfig{World: opt.World})
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.BuildWall = bsA.Wall + bsB.Wall
-		res.Stats.BuildIO = bsA.IO.Add(bsB.IO)
-		res.Stats.IndexedPages = stA.NumPages() + stB.NumPages()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := newSink(emit, true, opt)
+	s := newSink(emit, e.parallel, opt)
 	defer s.watch(ctx)()
-	js, err := core.Join(ia, ib, core.JoinConfig{
-		DisableTransforms: opt.DisableTransforms,
-		TSU:               opt.TSU,
-		TSO:               opt.TSO,
-		FixedThresholds:   opt.FixedThresholds,
-		GuideB:            opt.GuideB,
-		Disk:              opt.Disk,
-		CachePages:        opt.CachePages,
-		Parallelism:       opt.Parallelism,
-		Concurrent:        opt.Concurrent,
-		Stop:              s.flag(),
-	}, s.send)
-	if err != nil {
+	if err := join(s, &res.Stats); err != nil {
 		return nil, err
 	}
 	if err := s.finish(ctx); err != nil {
 		return nil, err
 	}
-	res.Stats.Transformers = js
-	res.Stats.JoinWall = js.Wall
-	res.Stats.JoinIO = js.IO
-	res.Stats.Candidates = js.Comparisons
-	res.Stats.MetaComparisons = js.MetaComparisons
-	res.Stats.Refinements = js.Results
-	res.Stats.finish(opt.Disk)
+	res.Stats.Finish()
 	return res, nil
 }
 
-// pbsmEngine is the Partition Based Spatial-Merge join [3]: uniform tiles,
-// round-robin partitions, multiple assignment, reference-tile dedup.
-type pbsmEngine struct{}
+func init() {
+	// Registration order is the wire-visible Names() order: the paper's
+	// presentation order, then the in-memory references.
+	for _, e := range []builtin{
+		{name: Transformers, parallel: true, prebuilt: transformersPrebuilt, build: transformersBuild},
+		{name: PBSM, build: pbsmBuild},
+		{name: RTree, build: rtreeBuild},
+		{name: GIPSY, build: gipsyBuild},
+		{name: Grid, build: gridBuild},
+		{name: InMem, parallel: true, prebuilt: inmemPrebuilt, build: inmemBuild},
+		{name: Naive, build: naiveBuild},
+	} {
+		Register(e)
+	}
+}
 
-func (pbsmEngine) Name() string { return PBSM }
+// transformers is the paper's adaptive join (§III–§VI): sequential, parallel
+// (Options.Parallelism) and distance (Options.Distance) execution through one
+// kernel, over catalog indexes when Options.Prebuilt supplies both — distance
+// expansion included, the catalog applies it at build time.
+func transformersPrebuilt(opt Options) kernel {
+	if opt.Prebuilt.A == nil || opt.Prebuilt.B == nil {
+		return nil
+	}
+	return transformersKernel(opt.Prebuilt.A, opt.Prebuilt.B, opt)
+}
 
-func (pbsmEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	a, b, opt, err := prepare(ctx, a, b, opt)
+func transformersBuild(a, b []geom.Element, opt Options, st *Stats) (kernel, error) {
+	cfg := core.IndexConfig{World: opt.World}
+	stA, stB := storage.NewMemStore(opt.PageSize), storage.NewMemStore(opt.PageSize)
+	ia, bsA, err := core.BuildIndex(stA, a, cfg)
 	if err != nil {
 		return nil, err
 	}
+	ib, bsB, err := core.BuildIndex(stB, b, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.paged(stA, bsA.Wall, bsA.IO)
+	st.paged(stB, bsB.Wall, bsB.IO)
+	return transformersKernel(ia, ib, opt), nil
+}
+
+func transformersKernel(ia, ib *core.Index, opt Options) kernel {
+	return func(s *sink, st *Stats) error {
+		js, err := core.Join(ia, ib, core.JoinConfig{
+			DisableTransforms: opt.DisableTransforms,
+			TSU:               opt.TSU,
+			TSO:               opt.TSO,
+			FixedThresholds:   opt.FixedThresholds,
+			Parallelism:       opt.Parallelism,
+			Concurrent:        opt.Concurrent,
+			Stop:              s.flag(),
+		}, s.send)
+		st.Transformers = js
+		st.joined(js.Wall, js.IO, js.Comparisons, js.MetaComparisons, js.Results)
+		return err
+	}
+}
+
+// pbsm is the Partition Based Spatial-Merge join [3]: uniform tiles,
+// round-robin partitions, multiple assignment, reference-tile dedup.
+func pbsmBuild(a, b []geom.Element, opt Options, st *Stats) (kernel, error) {
 	tiles := opt.PBSMTilesPerDim
 	if tiles <= 0 {
 		tiles = 10
@@ -150,9 +182,7 @@ func (pbsmEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Engine: PBSM}
-	stA := storage.NewMemStore(opt.PageSize)
-	stB := storage.NewMemStore(opt.PageSize)
+	stA, stB := storage.NewMemStore(opt.PageSize), storage.NewMemStore(opt.PageSize)
 	ia, bsA, err := pbsm.BuildIndex(stA, a, tl)
 	if err != nil {
 		return nil, err
@@ -161,262 +191,138 @@ func (pbsmEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.BuildWall = bsA.Wall + bsB.Wall
-	res.Stats.BuildIO = bsA.IO.Add(bsB.IO)
-	res.Stats.IndexedPages = stA.NumPages() + stB.NumPages()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := newSink(emit, false, opt)
-	defer s.watch(ctx)()
-	js, err := pbsm.Join(ia, ib, pbsm.JoinConfig{Stop: s.flag()}, s.send)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.finish(ctx); err != nil {
-		return nil, err
-	}
-	res.Stats.JoinWall = js.Wall
-	res.Stats.JoinIO = js.IO
-	res.Stats.Candidates = js.Comparisons
-	res.Stats.Refinements = js.Results
-	res.Stats.finish(opt.Disk)
-	return res, nil
+	st.paged(stA, bsA.Wall, bsA.IO)
+	st.paged(stB, bsB.Wall, bsB.IO)
+	return func(s *sink, st *Stats) error {
+		js, err := pbsm.Join(ia, ib, pbsm.JoinConfig{Stop: s.flag()}, s.send)
+		st.joined(js.Wall, js.IO, js.Comparisons, 0, js.Results)
+		return err
+	}, nil
 }
 
-// rtreeEngine is the synchronized R-tree traversal join [2] over
-// STR-bulkloaded trees [10].
-type rtreeEngine struct{}
-
-func (rtreeEngine) Name() string { return RTree }
-
-func (rtreeEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	a, b, opt, err := prepare(ctx, a, b, opt)
+// rtree is the synchronized R-tree traversal join [2] over STR-bulkloaded
+// trees [10].
+func rtreeBuild(a, b []geom.Element, opt Options, st *Stats) (kernel, error) {
+	cfg := rtree.Config{World: opt.World}
+	stA, stB := storage.NewMemStore(opt.PageSize), storage.NewMemStore(opt.PageSize)
+	ta, bsA, err := rtree.Bulkload(stA, a, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Engine: RTree}
-	stA := storage.NewMemStore(opt.PageSize)
-	stB := storage.NewMemStore(opt.PageSize)
-	ta, bsA, err := rtree.Bulkload(stA, a, rtree.Config{Fanout: opt.RTreeFanout, World: opt.World})
+	tb, bsB, err := rtree.Bulkload(stB, b, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tb, bsB, err := rtree.Bulkload(stB, b, rtree.Config{Fanout: opt.RTreeFanout, World: opt.World})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.BuildWall = bsA.Wall + bsB.Wall
-	res.Stats.BuildIO = bsA.IO.Add(bsB.IO)
-	res.Stats.IndexedPages = stA.NumPages() + stB.NumPages()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := newSink(emit, false, opt)
-	defer s.watch(ctx)()
-	js, err := rtree.SyncJoin(ta, tb, rtree.JoinConfig{CachePages: opt.CachePages, Stop: s.flag()}, s.send)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.finish(ctx); err != nil {
-		return nil, err
-	}
-	res.Stats.JoinWall = js.Wall
-	res.Stats.JoinIO = js.IO
-	res.Stats.Candidates = js.Comparisons
-	res.Stats.MetaComparisons = js.MetaComparisons
-	res.Stats.Refinements = js.Results
-	res.Stats.finish(opt.Disk)
-	return res, nil
+	st.paged(stA, bsA.Wall, bsA.IO)
+	st.paged(stB, bsB.Wall, bsB.IO)
+	return func(s *sink, st *Stats) error {
+		js, err := rtree.SyncJoin(ta, tb, rtree.JoinConfig{Stop: s.flag()}, s.send)
+		st.joined(js.Wall, js.IO, js.Comparisons, js.MetaComparisons, js.Results)
+		return err
+	}, nil
 }
 
-// gipsyEngine is the crawling join for contrasting densities [4]. The
-// smaller input is the (required) predetermined sparse guide; result
-// orientation is restored to the caller's A/B.
-type gipsyEngine struct{}
-
-func (gipsyEngine) Name() string { return GIPSY }
-
-func (gipsyEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	a, b, opt, err := prepare(ctx, a, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	sparse, dense := a, b
-	sparseIsA := true
+// gipsy is the crawling join for contrasting densities [4]: the larger input
+// is indexed, the smaller is the (required) predetermined sparse guide.
+func gipsyBuild(a, b []geom.Element, opt Options, st *Stats) (kernel, error) {
+	sparse, dense, sparseIsA := a, b, true
 	if len(a) > len(b) {
-		sparse, dense = b, a
-		sparseIsA = false
+		sparse, dense, sparseIsA = b, a, false
 	}
-	res := &Result{Engine: GIPSY}
-	st := storage.NewMemStore(opt.PageSize)
-	idx, bs, err := gipsy.BuildIndex(st, dense, gipsy.Config{World: opt.World})
+	store := storage.NewMemStore(opt.PageSize)
+	idx, bs, err := gipsy.BuildIndex(store, dense, gipsy.Config{World: opt.World})
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.BuildWall = bs.Wall
-	res.Stats.BuildIO = bs.IO
-	res.Stats.IndexedPages = st.NumPages()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := newSink(emit, false, opt)
-	defer s.watch(ctx)()
-	js, err := gipsy.Join(sparse, idx, gipsy.JoinConfig{CachePages: opt.CachePages, Stop: s.flag()}, func(sp, d geom.Element) {
-		if sparseIsA {
-			s.send(sp, d)
-		} else {
-			s.send(d, sp)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.finish(ctx); err != nil {
-		return nil, err
-	}
-	res.Stats.JoinWall = js.Wall
-	res.Stats.JoinIO = js.IO
-	res.Stats.Candidates = js.Comparisons
-	res.Stats.MetaComparisons = js.MetaComparisons
-	res.Stats.Refinements = js.Results
-	res.Stats.finish(opt.Disk)
-	return res, nil
+	st.paged(store, bs.Wall, bs.IO)
+	return func(s *sink, st *Stats) error {
+		js, err := gipsy.Join(sparse, idx, gipsy.JoinConfig{Stop: s.flag()}, s.oriented(sparseIsA))
+		st.joined(js.Wall, js.IO, js.Comparisons, js.MetaComparisons, js.Results)
+		return err
+	}, nil
 }
 
-// gridEngine is the in-memory grid hash join of [11] run directly on the
-// element sets — no paged index, no modeled I/O. It hashes the smaller side
-// and probes with the larger, which bounds the replicated build structure.
-type gridEngine struct{}
-
-func (gridEngine) Name() string { return Grid }
-
-func (gridEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	a, b, opt, err := prepare(ctx, a, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	build, probe := a, b
-	buildIsA := true
+// grid is the in-memory grid hash join of [11] run directly on the element
+// sets — no paged index, no modeled I/O. It hashes the smaller side and probes
+// with the larger, which bounds the replicated build structure.
+func gridBuild(a, b []geom.Element, _ Options, st *Stats) (kernel, error) {
+	build, probe, buildIsA := a, b, true
 	if len(a) > len(b) {
-		build, probe = b, a
-		buildIsA = false
+		build, probe, buildIsA = b, a, false
 	}
-	res := &Result{Engine: Grid}
 	start := time.Now()
 	g := grid.Build(build, grid.Config{})
-	res.Stats.BuildWall = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := newSink(emit, false, opt)
-	defer s.watch(ctx)()
-	start = time.Now()
-	for _, q := range probe {
-		if s.failed() {
-			break // abort between probe rows: the adapter owns this loop
-		}
-		g.Probe(q, func(hit geom.Element) {
-			res.Stats.Refinements++
-			if buildIsA {
-				s.send(hit, q)
-			} else {
-				s.send(q, hit)
-			}
-		})
-	}
-	res.Stats.JoinWall = time.Since(start)
-	if err := s.finish(ctx); err != nil {
-		return nil, err
-	}
-	res.Stats.Candidates = g.Comparisons
-	res.Stats.finish(opt.Disk)
-	return res, nil
-}
-
-// inmemEngine is the cache-resident in-memory fast path: struct-of-arrays
-// MBR buffers partitioned into cache-sized stripes on one dimension, joined
-// per stripe with a forward-scan sweep, mini-join decomposition keeping
-// every pair exactly once with no dedup pass (internal/engine/inmem). Pure
-// CPU — no paged index, no modeled I/O — and the only engine besides
-// transformers that honors Options.Parallelism. A catalog-resident partition
-// passed as Options.Prebuilt.Partition skips the copy and partition phase:
-// only the kernel runs, and BuildWall stays zero.
-type inmemEngine struct{}
-
-func (inmemEngine) Name() string { return InMem }
-
-func (inmemEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	res := &Result{Engine: InMem}
-	var p *inmem.Partitioned
-	if opt.Prebuilt != nil && opt.Prebuilt.Partition != nil {
-		p = opt.Prebuilt.Partition
-		if opt.Disk == (storage.DiskModel{}) {
-			opt.Disk = storage.DefaultDiskModel()
-		}
-	} else {
-		var err error
-		a, b, opt, err = prepare(ctx, a, b, opt)
-		if err != nil {
-			return nil, err
-		}
+	st.BuildWall = time.Since(start)
+	return func(s *sink, st *Stats) error {
+		emit := s.oriented(buildIsA)
+		var results uint64
 		start := time.Now()
-		p = inmem.Partition(a, b, inmem.Config{})
-		res.Stats.BuildWall = time.Since(start)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := newSink(emit, true, opt)
-	defer s.watch(ctx)()
-	js := p.Join(inmem.JoinConfig{Parallelism: opt.Parallelism, Stop: s.flag()}, s.sendIDs)
-	if err := s.finish(ctx); err != nil {
-		return nil, err
-	}
-	res.Stats.JoinWall = js.Wall
-	res.Stats.Candidates = js.Comparisons
-	res.Stats.Refinements = js.Results
-	res.Stats.InMem = &InMemStats{
-		Stripes: js.Stripes, SplitDim: js.SplitDim, SweepDim: js.SweepDim,
-		ReplicatedA: js.ReplicatedA, ReplicatedB: js.ReplicatedB,
-	}
-	res.Stats.finish(opt.Disk)
-	return res, nil
+		for _, q := range probe {
+			if s.failed() {
+				break // abort between probe rows: this loop is the kernel
+			}
+			g.Probe(q, func(hit geom.Element) {
+				results++
+				emit(hit, q)
+			})
+		}
+		st.joined(time.Since(start), storage.Stats{}, g.Comparisons, 0, results)
+		return nil
+	}, nil
 }
 
-// naiveEngine is the O(|A|·|B|) nested loop — the trivially correct
-// reference every other engine is validated against. Pairs surface in scan
+// inmem is the cache-resident in-memory fast path: struct-of-arrays MBR
+// buffers partitioned into cache-sized stripes on one dimension, joined per
+// stripe with a forward-scan sweep, mini-join decomposition keeping every pair
+// exactly once with no dedup pass (internal/engine/inmem). Pure CPU — no paged
+// index, no modeled I/O. A catalog-resident partition in
+// Options.Prebuilt.Partition skips the copy and partition phase.
+func inmemPrebuilt(opt Options) kernel {
+	if opt.Prebuilt.Partition == nil {
+		return nil
+	}
+	return inmemKernel(opt.Prebuilt.Partition, opt)
+}
+
+func inmemBuild(a, b []geom.Element, opt Options, st *Stats) (kernel, error) {
+	start := time.Now()
+	p := inmem.Partition(a, b, inmem.Config{})
+	st.BuildWall = time.Since(start)
+	return inmemKernel(p, opt), nil
+}
+
+func inmemKernel(p *inmem.Partitioned, opt Options) kernel {
+	return func(s *sink, st *Stats) error {
+		js := p.Join(inmem.JoinConfig{Parallelism: opt.Parallelism, Stop: s.flag()}, s.sendIDs)
+		st.joined(js.Wall, storage.Stats{}, js.Comparisons, 0, js.Results)
+		st.InMem = &InMemStats{
+			Stripes: js.Stripes, SplitDim: js.SplitDim, SweepDim: js.SweepDim,
+			ReplicatedA: js.ReplicatedA, ReplicatedB: js.ReplicatedB,
+		}
+		return nil
+	}
+}
+
+// naive is the O(|A|·|B|) nested loop — the trivially correct reference every
+// other engine is validated against; it builds nothing. Pairs surface in scan
 // order, not naive.Join's sorted order: engine results carry no ordering
 // contract (SortPairs is the canonical comparison order).
-type naiveEngine struct{}
-
-func (naiveEngine) Name() string { return Naive }
-
-func (naiveEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
-	a, b, opt, err := prepare(ctx, a, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Engine: Naive}
-	s := newSink(emit, false, opt)
-	defer s.watch(ctx)()
-	start := time.Now()
-	for _, ea := range a {
-		if s.failed() {
-			break // abort between outer rows
-		}
-		for _, eb := range b {
-			if ea.Box.Intersects(eb.Box) {
-				res.Stats.Refinements++
-				s.send(ea, eb)
+func naiveBuild(a, b []geom.Element, _ Options, _ *Stats) (kernel, error) {
+	return func(s *sink, st *Stats) error {
+		var results uint64
+		start := time.Now()
+		for _, ea := range a {
+			if s.failed() {
+				break // abort between outer rows
+			}
+			for _, eb := range b {
+				if ea.Box.Intersects(eb.Box) {
+					results++
+					s.send(ea, eb)
+				}
 			}
 		}
-	}
-	res.Stats.JoinWall = time.Since(start)
-	if err := s.finish(ctx); err != nil {
-		return nil, err
-	}
-	res.Stats.Candidates = uint64(len(a)) * uint64(len(b))
-	res.Stats.finish(opt.Disk)
-	return res, nil
+		st.joined(time.Since(start), storage.Stats{}, uint64(len(a))*uint64(len(b)), 0, results)
+		return nil
+	}, nil
 }

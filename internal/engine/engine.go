@@ -39,9 +39,6 @@ type Options struct {
 	// World bounds space partitioning; the union of the dataset MBBs when
 	// zero. PBSM requires it to cover both datasets.
 	World geom.Box
-	// Disk prices I/O for modeled times; storage.DefaultDiskModel() when
-	// zero.
-	Disk storage.DiskModel
 	// Distance > 0 runs the distance join of §VIII: both inputs are copied
 	// with every box grown by Distance/2 per side before the join, so the
 	// engine reports exactly the pairs within Chebyshev distance Distance.
@@ -61,13 +58,9 @@ type Options struct {
 	DisableTransforms bool
 	TSU, TSO          float64
 	FixedThresholds   bool
-	GuideB            bool
-	CachePages        int
 
 	// PBSMTilesPerDim sets PBSM's tile grid resolution; 10 when zero.
 	PBSMTilesPerDim int
-	// RTreeFanout caps R-tree node fanout; page capacity when zero.
-	RTreeFanout int
 
 	// ShardTiles sets the tile count K of sharded meta-engines
 	// ("shard-<inner>"); 0 lets the engine pick K from the datasets'
@@ -77,7 +70,8 @@ type Options struct {
 	// Prebuilt supplies what the serving catalog built once and reuses
 	// across joins: TRANSFORMERS indexes for the transformers engine, a
 	// stripe partition for the inmem engine. Each honors the field it
-	// understands and then ignores the raw element inputs entirely.
+	// understands and then ignores the raw element inputs entirely (nil by
+	// design); an engine handed nothing it understands builds as usual.
 	Prebuilt *Prebuilt
 }
 
@@ -180,14 +174,6 @@ type ShardStats struct {
 	PerTile []TileStats `json:"per_tile,omitempty"`
 }
 
-// DegenerateShardStats is the fan-out record of a sharded join that had
-// nothing to fan out (an empty input): one nominal tile, one worker. The
-// single source for both the registry's empty-input short-circuit and the
-// shard engine's own empty branch, so the two paths cannot drift apart.
-func DegenerateShardStats(inner string) *ShardStats {
-	return &ShardStats{Inner: inner, Tiles: 1, Workers: 1}
-}
-
 // TileStats records one tile's measured execution — the per-tile feedback the
 // planner's fan-out pricing is calibrated against.
 type TileStats struct {
@@ -206,13 +192,25 @@ type TileStats struct {
 	ModeledIOMS float64 `json:"modeled_io_ms"`
 }
 
-// Finish derives the modeled-I/O and total fields from the raw counters —
-// exported for meta-engines (shard) that merge inner Stats records outside
-// this package.
-func (s *Stats) Finish(disk storage.DiskModel) { s.finish(disk) }
+// paged books one paged index build: its wall time, its I/O, and the pages
+// the index occupies on its store.
+func (s *Stats) paged(st storage.Store, wall time.Duration, io storage.Stats) {
+	s.BuildWall += wall
+	s.BuildIO = s.BuildIO.Add(io)
+	s.IndexedPages += st.NumPages()
+}
 
-// finish derives the modeled-I/O and total fields from the raw counters.
-func (s *Stats) finish(disk storage.DiskModel) {
+// joined books a kernel's join phase.
+func (s *Stats) joined(wall time.Duration, io storage.Stats, candidates, meta, results uint64) {
+	s.JoinWall, s.JoinIO = wall, io
+	s.Candidates, s.MetaComparisons, s.Refinements = candidates, meta, results
+}
+
+// Finish derives the modeled-I/O and total fields from the raw counters,
+// pricing I/O on the paper's disk (storage.DefaultDiskModel). Every built-in
+// ends with it; it is exported for engines outside this package.
+func (s *Stats) Finish() {
+	disk := storage.DefaultDiskModel()
 	s.BuildIOTime = disk.IOTime(s.BuildIO)
 	s.BuildTotal = s.BuildWall + s.BuildIOTime
 	s.JoinIOTime = disk.IOTime(s.JoinIO)
@@ -235,8 +233,10 @@ type Result struct {
 // through emit, as they are found, so a skewed join whose output approaches
 // |A|·|B| runs in memory bounded by the engine's working state, not its
 // result size. Inputs may be reordered in place by partitioning engines — pass
-// copies if the caller retains them. Implementations must be safe for
-// concurrent use by multiple goroutines (they keep no per-call state).
+// copies if the caller retains them; an empty input is a valid join with no
+// pairs (finished zero Stats, emit never called), not an error.
+// Implementations must be safe for concurrent use by multiple goroutines (they
+// keep no per-call state).
 type Joiner interface {
 	// Name is the stable registry key (e.g. "transformers", "pbsm").
 	Name() string
@@ -343,19 +343,12 @@ func Collect(ctx context.Context, j Joiner, a, b []geom.Element, opt Options) (*
 	return res, nil
 }
 
-// run is the single execution step under Run, RunStream and Collect. An
-// empty input short-circuits (after option validation) to a zero-pair result
-// with valid Stats without calling emit, so collected and streamed executions
-// cannot diverge on degenerate inputs.
+// run is the single execution step under Run, RunStream and Collect.
 func run(ctx context.Context, j Joiner, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	name := j.Name()
-	if res, done, err := emptyInputResult(name, a, b, opt); done {
-		return res, err
-	}
-	ctx, span := obs.Start(ctx, "engine:"+name)
+	ctx, span := obs.Start(ctx, "engine:"+j.Name())
 	res, err := j.JoinStream(ctx, a, b, opt, emit)
 	span.End()
 	annotateEngineSpan(span, res)
@@ -381,56 +374,28 @@ func annotateEngineSpan(s *obs.Span, res *Result) {
 	}
 }
 
-// normalize fills Options defaults shared by all engines.
-func (opt Options) normalize(a, b []geom.Element) (Options, error) {
-	if opt.Distance < 0 {
-		return opt, fmt.Errorf("engine: negative distance %v", opt.Distance)
+// Prepare is every engine's first step: it validates Options.Distance, fills
+// the world box (the union of the dataset MBBs when unset) and applies the
+// §VIII enlarged-objects reduction, copying the inputs when it does so the
+// caller's elements keep their boxes. The built-ins run it inside their
+// JoinStream; meta-engines outside this package (shard) call it themselves to
+// partition the already-expanded boxes, so replication and dedup see the
+// geometry the join does. The returned Options still carry the original
+// Distance; callers running inner engines on the returned elements must zero
+// it so the reduction is not applied twice.
+func Prepare(ctx context.Context, a, b []geom.Element, opt Options) ([]geom.Element, []geom.Element, Options, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, opt, err
 	}
-	if opt.Disk == (storage.DiskModel{}) {
-		opt.Disk = storage.DefaultDiskModel()
+	if opt.Distance < 0 {
+		return nil, nil, opt, fmt.Errorf("engine: negative distance %v", opt.Distance)
 	}
 	if !opt.World.Valid() || opt.World.Volume() == 0 {
 		opt.World = geom.MBBOf(a).Union(geom.MBBOf(b))
 	}
-	return opt, nil
-}
-
-// expandForDistance applies the §VIII enlarged-objects reduction: a distance
-// join is a spatial join on boxes grown by d/2 per side. Inputs are copied —
-// the caller's elements keep their original boxes.
-func expandForDistance(elems []geom.Element, d float64) []geom.Element {
-	out := make([]geom.Element, len(elems))
-	for i, e := range elems {
-		out[i] = geom.Element{ID: e.ID, Box: e.Box.Expand(d / 2)}
-	}
-	return out
-}
-
-// Prepare is the exported form of the adapters' shared first step — option
-// normalization (disk model, world box, distance validation) plus the §VIII
-// enlarged-objects reduction, with inputs copied when expansion applies. It
-// exists for meta-engines outside this package (shard) that must partition
-// the already-expanded boxes so replication and dedup see the same geometry
-// the join does. The returned Options still carry the original Distance;
-// callers running inner engines on the returned elements must zero it so
-// the reduction is not applied twice.
-func Prepare(ctx context.Context, a, b []geom.Element, opt Options) ([]geom.Element, []geom.Element, Options, error) {
-	return prepare(ctx, a, b, opt)
-}
-
-// prepare normalizes options and applies distance expansion; every adapter
-// calls it first.
-func prepare(ctx context.Context, a, b []geom.Element, opt Options) ([]geom.Element, []geom.Element, Options, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, opt, err
-	}
-	opt, err := opt.normalize(a, b)
-	if err != nil {
-		return nil, nil, opt, err
-	}
 	if opt.Distance > 0 {
-		a = expandForDistance(a, opt.Distance)
-		b = expandForDistance(b, opt.Distance)
+		a = geom.ExpandedForDistance(a, opt.Distance)
+		b = geom.ExpandedForDistance(b, opt.Distance)
 		// The world must cover the grown boxes, or PBSM/GIPSY clamp
 		// protruding elements into boundary tiles more than necessary.
 		opt.World = opt.World.Expand(opt.Distance / 2)

@@ -90,10 +90,10 @@ func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine
 	if _, err := engine.Get(e.inner); err != nil {
 		return nil, fmt.Errorf("shard: inner %w", err)
 	}
-	// The shared adapter preamble applies the §VIII enlarged-objects
-	// reduction before partitioning, so tiling, replication and reference
-	// points all see the grown boxes; the inner engines then run a plain
-	// intersection join on them (Distance zeroed below).
+	// engine.Prepare applies the §VIII enlarged-objects reduction before
+	// partitioning, so tiling, replication and reference points all see the
+	// grown boxes; the inner engines then run a plain intersection join on
+	// them (Distance zeroed below).
 	a, b, opt, err := engine.Prepare(ctx, a, b, opt)
 	if err != nil {
 		return nil, err
@@ -102,8 +102,9 @@ func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine
 	name := e.Name()
 	if len(a) == 0 || len(b) == 0 {
 		res := &engine.Result{Engine: name}
-		res.Stats.Shard = engine.DegenerateShardStats(e.inner)
-		res.Stats.Finish(opt.Disk)
+		// Nothing to fan out: one nominal tile, one worker.
+		res.Stats.Shard = &engine.ShardStats{Inner: e.inner, Tiles: 1, Workers: 1}
+		res.Stats.Finish()
 		return res, nil
 	}
 

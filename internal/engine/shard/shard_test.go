@@ -246,9 +246,9 @@ func TestAutoTileCount(t *testing.T) {
 	}
 }
 
-// TestEmptyInputShardRecord: the registry's empty-input short-circuit must
-// keep the sharded response shape — a degenerate fan-out record matching the
-// engine's own empty branch — so callers see one schema on both paths.
+// TestEmptyInputShardRecord: an empty input keeps the sharded response shape
+// — the degenerate fan-out record of the engine's empty branch — whether the
+// engine is run through the registry or called directly.
 func TestEmptyInputShardRecord(t *testing.T) {
 	a, _ := enginetest.UniformPair(50, 98, 99)
 	for _, via := range []string{"registry", "direct"} {

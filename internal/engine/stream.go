@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,30 +15,6 @@ import (
 // — parallel emitters are serialized — so an emit body may write to a
 // response stream or append to a slice without its own locking.
 type EmitFunc func(geom.Pair) error
-
-// emptyInputResult is run's empty-input short-circuit: a join with an empty
-// side has no pairs by definition, and the partitioning engines cannot build
-// structures over an empty, boundless world. done reports whether the
-// short-circuit applies; when it does, the result (possibly nil with an
-// error) is final. The prebuilt-index path (nil element slices by design) is
-// exempt.
-func emptyInputResult(name string, a, b []geom.Element, opt Options) (res *Result, done bool, err error) {
-	if (len(a) != 0 && len(b) != 0) || opt.Prebuilt != nil {
-		return nil, false, nil
-	}
-	if _, err := opt.normalize(a, b); err != nil {
-		return nil, true, err
-	}
-	res = &Result{Engine: name}
-	// Keep the response shape of the engine that would have run: a sharded
-	// name reports the same degenerate fan-out record its own empty-input
-	// branch produces.
-	if inner, ok := strings.CutPrefix(name, ShardPrefix); ok {
-		res.Stats.Shard = DegenerateShardStats(inner)
-	}
-	res.Stats.finish(opt.Disk)
-	return res, true, nil
-}
 
 // sink adapts an element-pair emit callback (what the native join kernels
 // produce) to a caller's EmitFunc: it serializes concurrent emitters, turns
@@ -67,6 +42,16 @@ func newSink(emit EmitFunc, parallel bool, opt Options) *sink {
 // send forwards one element pair to the caller's emit unless the sink has
 // already failed.
 func (s *sink) send(a, b geom.Element) { s.sendIDs(a.ID, b.ID) }
+
+// oriented is send for kernels that pick their own first side (gipsy's sparse
+// guide, grid's build set): firstIsA tells whether the kernel's first element
+// comes from the caller's A, and the caller's A/B order is restored when not.
+func (s *sink) oriented(firstIsA bool) func(x, y geom.Element) {
+	if firstIsA {
+		return s.send
+	}
+	return func(x, y geom.Element) { s.send(y, x) }
+}
 
 // sendIDs is send for kernels that work on flat ID arrays (the SoA in-memory
 // join) instead of materialized elements — same serialization, same sticky

@@ -15,6 +15,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -89,9 +90,10 @@ func TestStreamConformance(t *testing.T) {
 	}
 }
 
-// TestStreamEmptyInputGuard: the empty-input short-circuit must cover the
-// streaming path exactly as it covers the collected one — valid zero-pair
-// Stats, no emit calls, and the degenerate shard record for sharded names.
+// TestStreamEmptyInputGuard: every engine answers an empty input itself (the
+// built-ins in their one skeleton, the sharded forms in their own branch) and
+// all must answer alike — valid zero-pair Stats, no emit calls, options still
+// validated, and the degenerate shard record for sharded names.
 func TestStreamEmptyInputGuard(t *testing.T) {
 	nonEmpty := []geom.Element{{ID: 1, Box: geom.NewBox(geom.Point{1, 1, 1}, geom.Point{2, 2, 2})}}
 	cases := []struct {
@@ -126,6 +128,63 @@ func TestStreamEmptyInputGuard(t *testing.T) {
 			if _, err := engine.RunStream(context.Background(), name, tc.a, tc.b,
 				engine.Options{Distance: -1}, func(geom.Pair) error { return nil }); err == nil {
 				t.Errorf("%s/%s: negative distance accepted on streaming empty path", name, tc.name)
+			}
+		}
+	}
+}
+
+// cancelAtErr is a context that cancels itself the moment its Err method is
+// asked for the n-th time: the engines consult ctx.Err() at fixed points
+// (engine.run's entry, Prepare's, the skeleton's check between build and
+// kernel), so n places a cancellation at exactly one of them.
+type cancelAtErr struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int32
+	n      int32
+}
+
+func (c *cancelAtErr) Err() error {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestStreamCancelBeforeKernel: a cancellation that lands before an engine's
+// kernel starts — before the run, before the build, or (the built-ins' one
+// post-build check) between build and kernel — ends the join with
+// context.Canceled and without a single emit, on inputs full of pairs. The
+// sharded forms fan out under a derived context, so only the first two points
+// are theirs; mid-kernel cancellation and emit errors are
+// TestPropertyStreamCancel and TestPropertyStreamAbort.
+func TestStreamCancelBeforeKernel(t *testing.T) {
+	w := enginetest.Workloads(600, 9900)[0]
+	enginetest.Inflate(w.A, 25)
+	if n := len(naive.Join(w.A, w.B)); n < 100 {
+		t.Fatalf("workload has %d pairs, too few to tell an early emit", n)
+	}
+	for _, name := range engine.Names() {
+		points := []int32{1, 2, 3}
+		opt := engine.Options{}
+		if isShardName(name) {
+			points, opt.ShardTiles = points[:2], 7
+		}
+		for _, n := range points {
+			inner, cancel := context.WithCancel(context.Background())
+			ctx := &cancelAtErr{Context: inner, cancel: cancel, n: n}
+			emitted := 0
+			res, err := engine.RunStream(ctx, name, enginetest.Copy(w.A), enginetest.Copy(w.B), opt,
+				func(geom.Pair) error { emitted++; return nil })
+			cancel()
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Errorf("%s canceled at Err call %d: res=%v err=%v, want context.Canceled", name, n, res, err)
+			}
+			if emitted != 0 {
+				t.Errorf("%s canceled at Err call %d: %d pairs emitted before the kernel could have started", name, n, emitted)
+			}
+			if got := ctx.calls.Load(); got != n {
+				t.Errorf("%s canceled at Err call %d: the engine went on to call Err %d times", name, n, got)
 			}
 		}
 	}

@@ -36,21 +36,6 @@ func (p Point) Scale(s float64) Point {
 	return Point{p[0] * s, p[1] * s, p[2] * s}
 }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	return math.Sqrt(p.DistSq(q))
-}
-
-// DistSq returns the squared Euclidean distance between p and q.
-func (p Point) DistSq(q Point) float64 {
-	var s float64
-	for d := 0; d < Dims; d++ {
-		v := p[d] - q[d]
-		s += v * v
-	}
-	return s
-}
-
 // Box is an axis-aligned three-dimensional box, the MBB approximation used
 // throughout the filtering step of a spatial join. A Box is valid when
 // Lo[d] <= Hi[d] for every dimension d.
@@ -206,27 +191,6 @@ func (b Box) DistSq(o Box) float64 {
 	return s
 }
 
-// Dist returns the minimum distance between b and o (zero when intersecting).
-func (b Box) Dist(o Box) float64 {
-	return math.Sqrt(b.DistSq(o))
-}
-
-// DistSqToPoint returns the squared minimum distance from the box to p.
-func (b Box) DistSqToPoint(p Point) float64 {
-	var s float64
-	for d := 0; d < Dims; d++ {
-		var gap float64
-		switch {
-		case p[d] > b.Hi[d]:
-			gap = p[d] - b.Hi[d]
-		case p[d] < b.Lo[d]:
-			gap = b.Lo[d] - p[d]
-		}
-		s += gap * gap
-	}
-	return s
-}
-
 // String implements fmt.Stringer for diagnostics.
 func (b Box) String() string {
 	return fmt.Sprintf("[%.3g,%.3g,%.3g]-[%.3g,%.3g,%.3g]",
@@ -258,6 +222,25 @@ func MBBOf(elems []Element) Box {
 		mbb = mbb.Union(e.Box)
 	}
 	return mbb
+}
+
+// ExpandForDistance grows every box of elems by d/2 per side, in place: the
+// §VIII enlarged-objects reduction, under which a spatial join of two sets
+// grown this way reports exactly the pairs whose original boxes lie within
+// Chebyshev distance d of each other.
+func ExpandForDistance(elems []Element, d float64) {
+	for i := range elems {
+		elems[i].Box = elems[i].Box.Expand(d / 2)
+	}
+}
+
+// ExpandedForDistance is ExpandForDistance into a copy; elems keeps its boxes.
+func ExpandedForDistance(elems []Element, d float64) []Element {
+	out := make([]Element, len(elems))
+	for i, e := range elems {
+		out[i] = Element{ID: e.ID, Box: e.Box.Expand(d / 2)}
+	}
+	return out
 }
 
 // Pair is one result of the filtering step: the IDs of two elements, one

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -129,31 +128,31 @@ func TestExpand(t *testing.T) {
 	if b != box(-0.5, -0.5, -0.5, 1.5, 1.5, 1.5) {
 		t.Fatalf("Expand = %v", b)
 	}
+	// The distance reduction grows by d/2 per side; the copying form leaves
+	// its input alone, the in-place form is the same growth.
+	elems := []Element{{ID: 7, Box: box(0, 0, 0, 1, 1, 1)}}
+	grown := ExpandedForDistance(elems, 1)
+	if grown[0] != (Element{ID: 7, Box: b}) || elems[0].Box != box(0, 0, 0, 1, 1, 1) {
+		t.Fatalf("ExpandedForDistance = %v, input now %v", grown, elems)
+	}
+	if ExpandForDistance(elems, 1); elems[0] != grown[0] {
+		t.Fatalf("ExpandForDistance = %v, want %v", elems, grown)
+	}
 }
 
 func TestDist(t *testing.T) {
 	a := box(0, 0, 0, 1, 1, 1)
-	if d := a.Dist(box(0.5, 0.5, 0.5, 2, 2, 2)); d != 0 {
+	if d := a.DistSq(box(0.5, 0.5, 0.5, 2, 2, 2)); d != 0 {
 		t.Fatalf("intersecting boxes should have distance 0, got %v", d)
 	}
-	if d := a.Dist(box(1, 0, 0, 2, 1, 1)); d != 0 {
+	if d := a.DistSq(box(1, 0, 0, 2, 1, 1)); d != 0 {
 		t.Fatalf("touching boxes should have distance 0, got %v", d)
 	}
-	if d := a.Dist(box(4, 0, 0, 5, 1, 1)); d != 3 {
-		t.Fatalf("axis gap distance = %v, want 3", d)
+	if d := a.DistSq(box(4, 0, 0, 5, 1, 1)); d != 9 {
+		t.Fatalf("axis gap distance squared = %v, want 9", d)
 	}
 	if d := a.DistSq(box(2, 2, 2, 3, 3, 3)); d != 3 {
 		t.Fatalf("corner gap distance squared = %v, want 3", d)
-	}
-}
-
-func TestDistSqToPoint(t *testing.T) {
-	b := box(0, 0, 0, 1, 1, 1)
-	if d := b.DistSqToPoint(Point{0.5, 0.5, 0.5}); d != 0 {
-		t.Fatalf("inside point distance = %v", d)
-	}
-	if d := b.DistSqToPoint(Point{2, 1, 1}); d != 1 {
-		t.Fatalf("outside point distance = %v, want 1", d)
 	}
 }
 
@@ -168,9 +167,6 @@ func TestPointArithmetic(t *testing.T) {
 	}
 	if p.Scale(2) != (Point{2, 4, 6}) {
 		t.Fatalf("Scale = %v", p.Scale(2))
-	}
-	if d := p.Dist(q); math.Abs(d-math.Sqrt(50)) > 1e-12 {
-		t.Fatalf("Dist = %v", d)
 	}
 }
 

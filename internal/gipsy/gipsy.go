@@ -133,15 +133,11 @@ func (idx *Index) Len() int { return idx.size }
 // Units returns the number of partitions.
 func (idx *Index) Units() int { return len(idx.units) }
 
+// cachePages sizes the join's page cache.
+const cachePages = 256
+
 // JoinConfig controls the crawling join.
 type JoinConfig struct {
-	// CachePages sizes the page cache that keeps recently crawled pages hot
-	// across consecutive guide elements; 256 when zero.
-	CachePages int
-	// MaxWalkSteps aborts a directed walk that stopped converging; walks
-	// terminate on their own, this is a defensive bound. 0 means 4x the
-	// number of units.
-	MaxWalkSteps int
 	// Stop, when non-nil, is a cooperative abort flag: once raised, no
 	// further guide element is processed and Join returns normally with
 	// partial stats (streaming callers abort through it).
@@ -175,14 +171,11 @@ func Join(sparse []geom.Element, dense *Index, cfg JoinConfig, emit func(s, d ge
 	}
 	start := time.Now()
 	before := dense.st.Stats()
-	cachePages := cfg.CachePages
-	if cachePages <= 0 {
-		cachePages = 256
-	}
-	maxSteps := cfg.MaxWalkSteps
-	if maxSteps <= 0 {
-		maxSteps = 4 * len(dense.units)
-	}
+	// Walks terminate on their own; maxSteps is a defensive bound on one that
+	// stopped converging.
+	maxSteps := 4 * len(dense.units)
+	// The page cache keeps recently crawled pages hot across consecutive
+	// guide elements.
 	cached := storage.NewLRU(dense.st, cachePages)
 	buf := make([]byte, dense.st.PageSize())
 

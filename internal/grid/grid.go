@@ -16,6 +16,11 @@ import (
 	"repro/internal/geom"
 )
 
+// targetPerCell is the number of build elements automatic sizing aims for per
+// occupied cell, per the guidance of [11] (cells comparable to element extent,
+// few elements per cell).
+const targetPerCell = 4
+
 // maxCells caps the grid so degenerate configurations cannot exhaust memory.
 const maxCells = 1 << 22
 
@@ -53,10 +58,6 @@ type Grid struct {
 
 // Config tunes grid construction.
 type Config struct {
-	// TargetPerCell aims for this many build elements per occupied cell;
-	// 4 when zero, per the sizing guidance of [11] (cells comparable to
-	// element extent, few elements per cell).
-	TargetPerCell float64
 	// CellSize overrides automatic sizing when positive.
 	CellSize float64
 }
@@ -87,11 +88,7 @@ func (g *Grid) Reset(elems []geom.Element, cfg Config) {
 	}
 	g.origin = mbb.Lo
 
-	target := cfg.TargetPerCell
-	if target <= 0 {
-		target = 4
-	}
-	wantCells := float64(len(elems)) / target
+	wantCells := float64(len(elems)) / targetPerCell
 	if wantCells < 1 {
 		wantCells = 1
 	}

@@ -160,9 +160,6 @@ func NewMapper(world geom.Box, order int) *Mapper {
 	return m
 }
 
-// Order returns the curve order of the mapper.
-func (m *Mapper) Order() int { return m.order }
-
 // World returns the world box of the mapper.
 func (m *Mapper) World() geom.Box { return m.world }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -63,11 +62,7 @@ type PlannerSample struct {
 
 // PlannerRecorder is the bounded sample ring.
 type PlannerRecorder struct {
-	mu       sync.Mutex
-	buf      []PlannerSample
-	next     int
-	full     bool
-	total    int64
+	ring     ring[PlannerSample]
 	observer func(PlannerSample)
 }
 
@@ -76,10 +71,7 @@ type PlannerRecorder struct {
 // online planner corrector. It runs outside the recorder lock (it may consult
 // the recorder) and must do its own filtering (e.g. skip cache hits).
 func NewPlannerRecorder(n int, observer func(PlannerSample)) *PlannerRecorder {
-	if n <= 0 {
-		n = 1
-	}
-	return &PlannerRecorder{buf: make([]PlannerSample, n), observer: observer}
+	return &PlannerRecorder{ring: newRing[PlannerSample](n), observer: observer}
 }
 
 // Record appends a sample; nil-safe.
@@ -87,15 +79,7 @@ func (r *PlannerRecorder) Record(s PlannerSample) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.total++
-	r.mu.Unlock()
+	r.ring.add(s)
 	if r.observer != nil {
 		r.observer(s)
 	}
@@ -106,9 +90,7 @@ func (r *PlannerRecorder) Total() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.ring.count()
 }
 
 // Snapshot returns retained samples, newest first.
@@ -116,21 +98,7 @@ func (r *PlannerRecorder) Snapshot() []PlannerSample {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]PlannerSample, 0, n)
-	for i := 0; i < n; i++ {
-		idx := r.next - 1 - i
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		out = append(out, r.buf[idx])
-	}
-	return out
+	return r.ring.snapshot()
 }
 
 // EngineAccuracy aggregates prediction error for one engine.

@@ -256,8 +256,6 @@ type JoinStats struct {
 
 // JoinConfig controls the partition-merge join.
 type JoinConfig struct {
-	// Grid tunes the in-memory hash join run per partition.
-	Grid grid.Config
 	// Stop, when non-nil, is a cooperative abort flag: once raised, the
 	// in-memory join of the current partition stops at its next probe
 	// element, no further partition is joined, and Join returns normally
@@ -305,7 +303,7 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 		// The in-memory join, probe loop inlined (vs grid.Join) so the abort
 		// flag is honored between probe elements, not just between
 		// partitions — under skew one partition is nearly the whole join.
-		g := grid.Build(ea, cfg.Grid)
+		g := grid.Build(ea, grid.Config{})
 		for _, q := range eb {
 			if cfg.stopped() {
 				break

@@ -188,12 +188,13 @@ func (t *Tree) search(st storage.Store, id storage.PageID, level int, q geom.Box
 	return nil
 }
 
+// cachePages sizes the buffer pool shared by both trees during the join: 8MB
+// at the default page size, enough to pin the hot upper levels as a real
+// traversal would.
+const cachePages = 1024
+
 // JoinConfig controls the synchronized traversal join.
 type JoinConfig struct {
-	// CachePages sizes the buffer pool shared by both trees during the
-	// join; 1024 pages (8MB at the default page size) when zero, enough to
-	// pin the hot upper levels as a real traversal would.
-	CachePages int
 	// Stop, when non-nil, is a cooperative abort flag: once raised, the
 	// traversal descends into no further node pair and SyncJoin returns
 	// normally with partial stats (streaming callers abort through it).
@@ -219,10 +220,6 @@ type JoinStats struct {
 // trees, emitting every intersecting element pair exactly once (a from ta,
 // b from tb).
 func SyncJoin(ta, tb *Tree, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStats, error) {
-	cachePages := cfg.CachePages
-	if cachePages <= 0 {
-		cachePages = 1024
-	}
 	var stats JoinStats
 	start := time.Now()
 	beforeA := ta.st.Stats()
@@ -308,33 +305,4 @@ func syncJoin(ta, tb *Tree, stA, stB storage.Store, pa, pb storage.PageID, la, l
 		}
 	}
 	return nil
-}
-
-// IndexedNestedLoop joins the outer elements against the tree by issuing one
-// window query per outer element (reference [5] of the paper). It is only
-// competitive when the outer set is tiny compared to the indexed set.
-func IndexedNestedLoop(t *Tree, outer []geom.Element, cfg JoinConfig, emit func(indexed, outer geom.Element)) (JoinStats, error) {
-	cachePages := cfg.CachePages
-	if cachePages <= 0 {
-		cachePages = 1024
-	}
-	var stats JoinStats
-	start := time.Now()
-	before := t.st.Stats()
-	cached := storage.NewLRU(t.st, cachePages)
-	buf := make([]byte, t.st.PageSize())
-	for _, o := range outer {
-		var s SearchStats
-		if err := t.search(cached, t.root, t.height-1, o.Box, buf, &s, func(e geom.Element) {
-			stats.Results++
-			emit(e, o)
-		}); err != nil {
-			return stats, err
-		}
-		stats.Comparisons += s.Comparisons
-		stats.MetaComparisons += s.MetaComparisons
-	}
-	stats.Wall = time.Since(start)
-	stats.IO = t.st.Stats().Sub(before)
-	return stats, nil
 }

@@ -194,26 +194,6 @@ func TestSyncJoinNoDuplicates(t *testing.T) {
 	}
 }
 
-func TestIndexedNestedLoop(t *testing.T) {
-	idx := datagen.Uniform(datagen.Config{N: 3000, Seed: 14, MaxSide: 10})
-	outer := datagen.Uniform(datagen.Config{N: 60, Seed: 15, MaxSide: 10})
-	want := naive.Join(idx, outer)
-	tree := build(t, append([]geom.Element(nil), idx...), 32)
-	var got []geom.Pair
-	stats, err := IndexedNestedLoop(tree, outer, JoinConfig{}, func(i, o geom.Element) {
-		got = append(got, geom.Pair{A: i.ID, B: o.ID})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !naive.Equal(got, want) {
-		t.Fatalf("INL disagrees with naive: %d vs %d", len(got), len(want))
-	}
-	if stats.Results != uint64(len(want)) {
-		t.Fatalf("Results = %d", stats.Results)
-	}
-}
-
 func TestJoinIOCounted(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 2000, Seed: 16, MaxSide: 10})
 	b := datagen.Uniform(datagen.Config{N: 2000, Seed: 17, MaxSide: 10})

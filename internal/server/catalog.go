@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/engine/planner"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/transformers"
@@ -463,47 +464,20 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 	e.lastUse = c.clock
 	gen.indexes[expand] = e
 	c.builds++
-	// BuildIndex reorders its input in place, and ExpandForDistance must not
-	// observe a concurrent reorder — always build from a private copy taken
-	// under the lock.
-	elems := append([]transformers.Element(nil), gen.elems...)
-	pageSize := c.pageSize
-	policy := c.retry
-	factory := c.storeFactory
-	observer := c.buildObserver
+	base := gen.elems
 	c.mu.Unlock()
 
+	// BuildIndex reorders its input in place, so it gets a private copy —
+	// grown for a distance variant — taken outside the lock: a generation's
+	// elems never change once it is installed.
+	var elems []transformers.Element
 	if expand > 0 {
-		var err error
-		if elems, err = transformers.ExpandForDistance(elems, expand); err != nil {
-			// A geometry error is permanent: no retry, no fallback masking.
-			c.finishBuild(ds, gen, e, nil, err, 0)
-			return nil, err
-		}
+		elems = geom.ExpandedForDistance(base, expand)
+	} else {
+		elems = append(elems, base...)
 	}
-	var idx *transformers.Index
-	_, buildSpan := obs.Start(ctx, "catalog-build")
-	buildStart := time.Now()
-	buildErr, retries := retryTransient(ctx, policy, storage.IsTransient, func() error {
-		var st storage.Store
-		if factory != nil {
-			st = factory(pageSize)
-		}
-		var err error
-		// BuildIndex only reads elems after the STR reorder, and a failed
-		// attempt leaves them reordered but intact — safe to reuse across
-		// attempts.
-		idx, err = transformers.BuildIndex(elems, transformers.IndexOptions{PageSize: pageSize, Store: st})
-		return err
-	})
-	buildSpan.End()
-	buildSpan.Add("retries", int64(retries))
-	if observer != nil {
-		observer(time.Since(buildStart), buildErr == nil)
-	}
-	if buildErr != nil {
-		buildErr = &BuildError{Attempts: retries + 1, Err: buildErr}
-	}
+	idx, span, retries, buildErr := c.buildIndex(ctx, "catalog-build", elems)
+	span.Add("retries", int64(retries))
 	c.finishBuild(ds, gen, e, idx, buildErr, retries)
 	if buildErr != nil {
 		if fb := c.lastGood(name, gen, expand); fb != nil {
@@ -512,6 +486,38 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 		return nil, buildErr
 	}
 	return &Handle{cat: c, entry: e, gen: gen, Index: idx, Name: name, Version: version, Retries: retries}, nil
+}
+
+// buildIndex is the one index build under Acquire and MergeDelta: elems
+// (reordered in place) indexed on a store from the catalog's factory, transient
+// storage failures retried under its policy, the outcome reported to its build
+// observer and a failure wrapped as a *BuildError. The span, named by the
+// caller, is returned ended for the caller's counters.
+func (c *Catalog) buildIndex(ctx context.Context, spanName string, elems []transformers.Element) (idx *transformers.Index, span *obs.Span, retries int, err error) {
+	c.mu.Lock()
+	pageSize, policy, factory, observer := c.pageSize, c.retry, c.storeFactory, c.buildObserver
+	c.mu.Unlock()
+	_, span = obs.Start(ctx, spanName)
+	start := time.Now()
+	err, retries = retryTransient(ctx, policy, storage.IsTransient, func() error {
+		var st storage.Store
+		if factory != nil {
+			st = factory(pageSize)
+		}
+		// BuildIndex only reads elems after the STR reorder, and a failed
+		// attempt leaves them reordered but intact — safe to reuse across
+		// attempts.
+		idx, err = transformers.BuildIndex(elems, transformers.IndexOptions{PageSize: pageSize, Store: st})
+		return err
+	})
+	span.End()
+	if observer != nil {
+		observer(time.Since(start), err == nil)
+	}
+	if err != nil {
+		err = &BuildError{Attempts: retries + 1, Err: err}
+	}
+	return idx, span, retries, err
 }
 
 // lastGood returns a pinned stale handle on dataset name's last-good
@@ -805,41 +811,20 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 		return 0, nil
 	}
 	ds.merging = true
-	merged := make([]transformers.Element, 0, len(gen.elems)+n)
-	merged = append(merged, gen.elems...)
-	merged = append(merged, gen.delta[:n]...)
-	pageSize := c.pageSize
-	policy := c.retry
-	factory := c.storeFactory
-	observer := c.buildObserver
+	// Header only: append never rewrites delta[0:n), so the copy below is
+	// safe outside the lock, like the base's.
+	base, delta := gen.elems, gen.delta[:n:n]
 	c.mu.Unlock()
 
-	// The O(n) statistics pass and the index build both run outside the
-	// lock; Analyze runs first because BuildIndex reorders merged in place
-	// (content-stable, so storing the reordered slice as the new
+	// The copy, the O(n) statistics pass and the index build all run outside
+	// the lock; Analyze runs first because BuildIndex reorders merged in
+	// place (content-stable, so storing the reordered slice as the new
 	// generation's elems is fine — every reader copies before building).
+	merged := append(append(make([]transformers.Element, 0, len(base)+n), base...), delta...)
 	stats := planner.Analyze(merged)
-	var idx *transformers.Index
-	_, mergeSpan := obs.Start(ctx, "delta-merge")
-	buildStart := time.Now()
-	buildErr, retries := retryTransient(ctx, policy, storage.IsTransient, func() error {
-		var st storage.Store
-		if factory != nil {
-			st = factory(pageSize)
-		}
-		var err error
-		idx, err = transformers.BuildIndex(merged, transformers.IndexOptions{PageSize: pageSize, Store: st})
-		return err
-	})
-	mergeSpan.End()
-	mergeSpan.Add("elements", int64(n))
-	mergeSpan.Add("retries", int64(retries))
-	if observer != nil {
-		observer(time.Since(buildStart), buildErr == nil)
-	}
-	if buildErr != nil {
-		buildErr = &BuildError{Attempts: retries + 1, Err: buildErr}
-	}
+	idx, span, retries, buildErr := c.buildIndex(ctx, "delta-merge", merged)
+	span.Add("elements", int64(n))
+	span.Add("retries", int64(retries))
 
 	c.mu.Lock()
 	ds.merging = false

@@ -2,6 +2,7 @@ package server
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/engine/planner"
@@ -133,9 +134,11 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.GaugeFunc("go_heap_alloc_bytes", "Live heap allocation.",
 		func() float64 {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return float64(m.HeapAlloc)
+			// MemStats.HeapAlloc, read without ReadMemStats stopping the
+			// world on every scrape.
+			heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+			metrics.Read(heap)
+			return float64(heap[0].Value.Uint64())
 		})
 	return o
 }

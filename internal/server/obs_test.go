@@ -264,15 +264,24 @@ func TestMetricsHistogramCountsMatchServedJoins(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 
-	total := 0.0
+	total, heap := 0.0, 0.0
 	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, "spatialjoin_join_duration_seconds_count{") {
-			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-			if err != nil {
-				t.Fatalf("bad count line %q: %v", line, err)
-			}
-			total += v
+		count := strings.HasPrefix(line, "spatialjoin_join_duration_seconds_count{")
+		if !count && !strings.HasPrefix(line, "go_heap_alloc_bytes ") {
+			continue
 		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		if count {
+			total += v
+		} else {
+			heap = v
+		}
+	}
+	if heap < 1<<16 {
+		t.Fatalf("go_heap_alloc_bytes = %v, want the live heap (runtime/metrics read)", heap)
 	}
 	if want := float64(goroutines * perG); total != want {
 		t.Fatalf("histogram counts sum to %v, want %v served joins\n%s", total, want, raw)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine/inmem"
 	"repro/internal/engine/planner"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/transformers"
 )
@@ -196,9 +197,7 @@ func partitionInput(base, delta []transformers.Element, distance float64) []tran
 	out := make([]transformers.Element, 0, len(base)+len(delta))
 	out = append(append(out, base...), delta...)
 	if distance > 0 {
-		for i := range out {
-			out[i].Box = out[i].Box.Expand(distance / 2)
-		}
+		geom.ExpandForDistance(out, distance)
 	}
 	return out
 }

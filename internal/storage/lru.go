@@ -23,9 +23,6 @@ type LRU struct {
 	slots    []lruSlot
 	head     int32 // most recently used slot; -1 when empty
 	tail     int32 // least recently used slot
-
-	hits   uint64
-	misses uint64
 }
 
 type lruSlot struct {
@@ -59,12 +56,10 @@ func (c *LRU) Reset(store Store, capacity int) {
 // View implements PageViewer, serving from cache when possible.
 func (c *LRU) View(id PageID) ([]byte, error) {
 	if i, ok := c.index[id]; ok {
-		c.hits++
 		c.unlink(i)
 		c.pushFront(i)
 		return c.slots[i].data, nil
 	}
-	c.misses++
 	var buf []byte
 	if c.copies {
 		buf = make([]byte, c.PageSize())
@@ -134,6 +129,3 @@ func (c *LRU) pushFront(i int32) {
 	}
 	c.head = i
 }
-
-// HitRate returns cache hits and misses since construction.
-func (c *LRU) HitRate() (hits, misses uint64) { return c.hits, c.misses }

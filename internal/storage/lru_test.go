@@ -85,11 +85,8 @@ func TestLRU(t *testing.T) {
 					first = page
 				}
 			}
-			if hits, misses := c.HitRate(); hits != 3 || misses != 5 {
-				t.Fatalf("hits=%d misses=%d, want 3 and 5", hits, misses)
-			}
 			if got := mem.Stats().Reads; got != 5 {
-				t.Fatalf("store saw %d reads, want the 5 misses", got)
+				t.Fatalf("store saw %d reads, want the 5 misses of 8 views", got)
 			}
 			if byRef := &first[0] == &mem.pages[0][0]; byRef != (tc.name == "by-reference") {
 				t.Fatalf("page held by reference: %v", byRef)
@@ -127,12 +124,11 @@ func TestLRU(t *testing.T) {
 			fillStore(t, other, 8)
 			other.ResetStats()
 			c.Reset(tc.wrap(other), 1)
-			_, missesBefore := c.HitRate()
 			view(4)
 			view(5) // evicts 4: capacity is 1 now
 			view(4)
-			if _, misses := c.HitRate(); misses-missesBefore != 3 || other.Stats().Reads != 3 {
-				t.Fatalf("after Reset: %d misses, %d reads of the new store, want 3 and 3", misses-missesBefore, other.Stats().Reads)
+			if got := other.Stats().Reads; got != 3 {
+				t.Fatalf("after Reset: %d reads of the new store, want 3 misses", got)
 			}
 
 			// No capacity, no caching: every view reaches the store.

@@ -63,19 +63,3 @@ func sortByLoX(elems []geom.Element) {
 		return elems[i].ID < elems[j].ID
 	})
 }
-
-// JoinSelf emits every intersecting unordered pair within elems exactly once
-// (used for connectivity self-joins in tests and tools).
-func JoinSelf(elems []geom.Element, emit func(a, b geom.Element)) uint64 {
-	sortByLoX(elems)
-	var comparisons uint64
-	for i := range elems {
-		for k := i + 1; k < len(elems) && elems[k].Box.Lo[0] <= elems[i].Box.Hi[0]; k++ {
-			comparisons++
-			if overlapsYZ(elems[i].Box, elems[k].Box) {
-				emit(elems[i], elems[k])
-			}
-		}
-	}
-	return comparisons
-}

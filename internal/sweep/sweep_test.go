@@ -79,34 +79,6 @@ func TestComparisonsBeatNestedLoopWhenSparse(t *testing.T) {
 	}
 }
 
-func TestJoinSelf(t *testing.T) {
-	elems := datagen.Uniform(datagen.Config{N: 300, Seed: 6, MaxSide: 40})
-	var got []geom.Pair
-	JoinSelf(elems, func(a, b geom.Element) {
-		if a.ID < b.ID {
-			got = append(got, geom.Pair{A: a.ID, B: b.ID})
-		} else {
-			got = append(got, geom.Pair{A: b.ID, B: a.ID})
-		}
-	})
-	// Reference: naive self join, unordered pairs, no self-pairs.
-	var want []geom.Pair
-	for i := range elems {
-		for j := i + 1; j < len(elems); j++ {
-			if elems[i].Box.Intersects(elems[j].Box) {
-				p := geom.Pair{A: elems[i].ID, B: elems[j].ID}
-				if p.A > p.B {
-					p.A, p.B = p.B, p.A
-				}
-				want = append(want, p)
-			}
-		}
-	}
-	if !naive.Equal(got, want) {
-		t.Fatalf("self join disagrees: %d vs %d pairs", len(got), len(want))
-	}
-}
-
 func TestPropJoinMatchesNaive(t *testing.T) {
 	f := func(seed int64, nA, nB uint8, sideRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))

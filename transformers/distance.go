@@ -1,6 +1,10 @@
 package transformers
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/geom"
+)
 
 // Distance joins. §VIII of the paper notes that "distance join approaches
 // can be trivially implemented as a variation of a spatial join (by
@@ -18,11 +22,7 @@ func ExpandForDistance(elems []Element, d float64) ([]Element, error) {
 	if d < 0 {
 		return nil, fmt.Errorf("transformers: negative distance %v", d)
 	}
-	out := make([]Element, len(elems))
-	for i, e := range elems {
-		out[i] = Element{ID: e.ID, Box: e.Box.Expand(d / 2)}
-	}
-	return out, nil
+	return geom.ExpandedForDistance(elems, d), nil
 }
 
 // DistanceJoin finds every pair of elements (a from as, b from bs) whose

@@ -58,13 +58,9 @@ type RunOptions struct {
 	// World bounds partitioning for all algorithms; union of the dataset
 	// MBBs when zero. PBSM requires it to cover both datasets.
 	World Box
-	// Disk prices I/O; storage.DefaultDiskModel() when zero.
-	Disk storage.DiskModel
 	// PBSMTilesPerDim sets PBSM's tile grid resolution (10 in the paper's
 	// synthetic experiments, 20 for neuroscience data); 10 when zero.
 	PBSMTilesPerDim int
-	// RTreeFanout caps R-tree node fanout; page capacity when zero.
-	RTreeFanout int
 	// ShardTiles sets the tile count K of the sharded meta-engines
 	// ("shard-<inner>"); 0 picks K from dataset statistics.
 	ShardTiles int
@@ -80,17 +76,13 @@ func (opt RunOptions) engineOptions() engine.Options {
 	return engine.Options{
 		PageSize:          opt.PageSize,
 		World:             opt.World,
-		Disk:              opt.Disk,
 		PBSMTilesPerDim:   opt.PBSMTilesPerDim,
-		RTreeFanout:       opt.RTreeFanout,
 		ShardTiles:        opt.ShardTiles,
 		DiscardPairs:      !opt.CollectPairs,
 		DisableTransforms: opt.Join.DisableTransforms,
 		TSU:               opt.Join.TSU,
 		TSO:               opt.Join.TSO,
 		FixedThresholds:   opt.Join.FixedThresholds,
-		GuideB:            opt.Join.GuideB,
-		CachePages:        opt.Join.CachePages,
 		Parallelism:       opt.Join.Parallelism,
 	}
 }

@@ -51,11 +51,6 @@ type (
 type IndexOptions struct {
 	// PageSize is the disk page size in bytes; 8KB when zero (§VII-A).
 	PageSize int
-	// UnitCapacity caps elements per space unit; page capacity when zero.
-	UnitCapacity int
-	// NodeCapacity caps space units per space node; descriptor-page
-	// capacity when zero.
-	NodeCapacity int
 	// World bounds the partition regions; the dataset MBB when zero. Give
 	// all indexes that will be joined the same world for best walk
 	// behaviour (not required for correctness).
@@ -93,11 +88,7 @@ func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 	if st == nil {
 		st = storage.NewMemStore(opt.PageSize)
 	}
-	idx, bs, err := core.BuildIndex(st, elems, core.IndexConfig{
-		UnitCapacity: opt.UnitCapacity,
-		NodeCapacity: opt.NodeCapacity,
-		World:        opt.World,
-	})
+	idx, bs, err := core.BuildIndex(st, elems, core.IndexConfig{World: opt.World})
 	if err != nil {
 		return nil, fmt.Errorf("transformers: build index: %w", err)
 	}
@@ -134,14 +125,6 @@ type JoinOptions struct {
 	// 8 and 27, §VII-D2); FixedThresholds disables runtime recalibration.
 	TSU, TSO        float64
 	FixedThresholds bool
-	// GuideB starts exploration with dataset B as the guide.
-	GuideB bool
-	// Disk prices page I/O for the cost model and the report;
-	// storage.DefaultDiskModel() when zero.
-	Disk storage.DiskModel
-	// CachePages sizes the per-dataset buffer pool of the join; 256 when
-	// zero.
-	CachePages int
 	// DiscardPairs skips collecting result pairs (benchmarks that only
 	// need counts).
 	DiscardPairs bool
@@ -171,7 +154,7 @@ type JoinResult struct {
 	Pairs []Pair
 	// Stats exposes the full cost counters of the run.
 	Stats core.JoinStats
-	// ModeledIOTime prices the join's I/O on the configured disk model;
+	// ModeledIOTime prices the join's I/O on the default disk model;
 	// TotalTime = Stats.Wall + ModeledIOTime approximates the paper's
 	// disk-based join time.
 	ModeledIOTime time.Duration
@@ -216,9 +199,6 @@ func Join(a, b *Index, opt JoinOptions) (*JoinResult, error) {
 		TSU:               opt.TSU,
 		TSO:               opt.TSO,
 		FixedThresholds:   opt.FixedThresholds,
-		GuideB:            opt.GuideB,
-		Disk:              opt.Disk,
-		CachePages:        opt.CachePages,
 		Parallelism:       opt.Parallelism,
 		Concurrent:        opt.Concurrent,
 	}, emit)
@@ -226,11 +206,7 @@ func Join(a, b *Index, opt JoinOptions) (*JoinResult, error) {
 		return nil, fmt.Errorf("transformers: join: %w", err)
 	}
 	res.Stats = stats
-	disk := opt.Disk
-	if disk == (storage.DiskModel{}) {
-		disk = storage.DefaultDiskModel()
-	}
-	res.ModeledIOTime = disk.IOTime(stats.IO)
+	res.ModeledIOTime = storage.DefaultDiskModel().IOTime(stats.IO)
 	res.TotalTime = stats.Wall + res.ModeledIOTime
 	return res, nil
 }
