@@ -14,10 +14,12 @@ import (
 )
 
 // TestInjectedReadFaultsSurface: a faultinject-wrapped store hands no page out
-// by reference, so joins and range queries over it take the copy-in path —
-// through Read, where the faults are. A scripted read error must come back
-// from Join (sequential and parallel) and RangeQuery as the injected error,
-// and scripted slow reads must be waited for, with the answer still right.
+// by reference — as bytes or as elements — and keeps none so, and neither do
+// its readers, so builds, joins and range queries over it take the encoded
+// copy-in path — through Write and Read, where the faults are. A scripted read
+// error must come back from Join (sequential and parallel) and RangeQuery as
+// the injected error, and scripted slow reads must be waited for, with the
+// answer still right.
 func TestInjectedReadFaultsSurface(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 1200, Seed: 91, MaxSide: 12})
 	b := datagen.Uniform(datagen.Config{N: 1200, Seed: 92, MaxSide: 12})
@@ -27,6 +29,17 @@ func TestInjectedReadFaultsSurface(t *testing.T) {
 		st := sc.WrapStore(storage.NewMemStore(0))
 		if _, ok := st.(storage.PageViewer); ok {
 			t.Fatal("a fault-wrapped store hands pages out by reference: its read faults would never fire")
+		}
+		// One layer up: were WriteElements or ViewElements promoted, the
+		// build would keep pages as elements and the join would take them
+		// without ever passing the wrapper's Read and its countdown.
+		if _, ok := st.(storage.ElementWriter); ok {
+			t.Fatal("a fault-wrapped store keeps element pages by reference: its write faults would never fire")
+		}
+		for _, rd := range storage.OpenReaders(st, 2) {
+			if _, ok := rd.(storage.PageViewer); ok {
+				t.Fatal("a reader of a fault-wrapped store hands pages out by reference")
+			}
 		}
 		ia, _, err := core.BuildIndex(st, append([]geom.Element(nil), a...), icfg)
 		if err != nil {

@@ -147,7 +147,12 @@ type BuildStats struct {
 // BuildIndex indexes elems: it partitions them into space units written to
 // the store, groups units into space nodes, computes connectivity and the
 // Hilbert B+-tree. The element slice is reordered in place (STR order,
-// which is also the sequential disk layout order).
+// which is also the sequential disk layout order) and belongs to the index
+// afterwards: over a store that keeps data pages by reference
+// (storage.ElementWriter — a MemStore) each unit's page is its range of
+// elems, not a copy, so the caller may read the slice but must not write to
+// it, or hand it to anything that does, while the index is in use. Any other
+// store receives encoded pages and elems is free again on return.
 func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index, BuildStats, error) {
 	start := time.Now()
 	before := st.Stats()
@@ -204,10 +209,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 			if err != nil {
 				return nil, BuildStats{}, err
 			}
-			if err := storage.EncodeElementsPage(buf, elems[p.Start:p.End]); err != nil {
-				return nil, BuildStats{}, err
-			}
-			if err := st.Write(id, buf); err != nil {
+			if err := storage.WriteElementPage(st, id, elems[p.Start:p.End], buf); err != nil {
 				return nil, BuildStats{}, err
 			}
 			bs.DataPages++
@@ -284,6 +286,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 // per node page, matching the page-aligned layout of §VI-B) purely to charge
 // the build with the metadata I/O a disk-resident index pays.
 func (idx *Index) writeMeta(buf []byte) (int, error) {
+	clear(buf) // it may hold the last data page encoded through it
 	perPage := len(buf) / unitDescSize
 	if perPage < 1 {
 		perPage = 1
@@ -295,10 +298,10 @@ func (idx *Index) writeMeta(buf []byte) (int, error) {
 			return pages, err
 		}
 		// The descriptor bytes themselves are not read back (descriptors
-		// stay in memory), so writing the zeroed page is enough to account
+		// stay in memory), so writing a zeroed page is enough to account
 		// for the traffic; serializing real bytes would not change any
 		// counter.
-		if err := idx.st.Write(id, buf[:cap(buf)]); err != nil {
+		if err := idx.st.Write(id, buf); err != nil {
 			return pages, err
 		}
 		pages++

@@ -275,7 +275,9 @@ func (s *side) readBatch(units []int32) error {
 		p := s.idx.units[ui].Page
 		if haveLast && p > last && p-last <= s.readThroughGap {
 			for q := last + 1; q < p; q++ {
-				if _, err := s.st.View(q); err != nil {
+				// Touched, not used: the form the page is held in counts
+				// like any other and materializes nothing.
+				if _, _, err := s.st.ViewElements(q); err != nil {
 					return err
 				}
 			}

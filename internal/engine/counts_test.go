@@ -2,8 +2,9 @@
 // intersection tests (§VII), so a change to how pages reach the join must
 // leave every count where it was. golden_test.go pins pair sets; this file
 // pins core.JoinStats — against committed values (testdata/counts.json) and
-// against a store that can only copy pages out, so the by-reference read path
-// and the copy-in path are shown to do the same accounting.
+// against a store that hands encoded pages out by reference and one that can
+// only copy them out, so the three read paths — elements by reference, bytes
+// by reference, copy-in — are shown to do the same accounting.
 //
 // Regenerate with:
 //
@@ -62,6 +63,19 @@ func (c copyOnlyStore) Stats() storage.Stats                       { return c.st
 func (c copyOnlyStore) ResetStats()                                { c.st.ResetStats() }
 func (c copyOnlyStore) OpenReader() storage.Store {
 	return copyOnlyStore{c.st.(storage.ReaderOpener).OpenReader()}
+}
+
+// byteViewStore is the same MemStore reachable through storage.Store and
+// storage.PageViewer: pages go down encoded and come back by reference as
+// bytes, never as the elements they were written from — the read path before
+// an in-memory store kept data pages as elements.
+type byteViewStore struct{ copyOnlyStore }
+
+func (b byteViewStore) View(id storage.PageID) ([]byte, error) {
+	return b.st.(storage.PageViewer).View(id)
+}
+func (b byteViewStore) OpenReader() storage.Store {
+	return byteViewStore{b.copyOnlyStore.OpenReader().(copyOnlyStore)}
 }
 
 // countCases are the pinned joins: the four golden fixtures under a small
@@ -125,9 +139,10 @@ func TestReproductionCounts(t *testing.T) {
 		}{{"sequential", 1}, {"parallel4", 4}} {
 			key := c.name + "/" + mode.name
 			byRef := run(storage.NewMemStore(0), c.a, c.b, c.icfg, mode.workers)
+			byBytes := run(byteViewStore{copyOnlyStore{storage.NewMemStore(0)}}, c.a, c.b, c.icfg, mode.workers)
 			copied := run(copyOnlyStore{storage.NewMemStore(0)}, c.a, c.b, c.icfg, mode.workers)
-			if byRef != copied {
-				t.Errorf("%s: counts differ between a MemStore and a copy-only view of one:\n by reference %+v\n copied       %+v", key, byRef, copied)
+			if byRef != copied || byRef != byBytes {
+				t.Errorf("%s: counts differ between a MemStore, a byte view and a copy-only view of one:\n elements by reference %+v\n bytes by reference    %+v\n copied                %+v", key, byRef, byBytes, copied)
 			}
 			if *updateGolden {
 				want[key] = byRef

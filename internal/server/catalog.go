@@ -163,6 +163,13 @@ type DatasetInfo struct {
 // successfully — the last-good predecessor, served stale when current builds
 // fail.
 type generation struct {
+	// elems is the generation's element multiset, which never changes. The
+	// slice header does, at most once per base (d = 0) index build: the build
+	// orders a copy and keeps it as its data pages, and finishBuild installs
+	// that copy here in place of the one it was taken from. Every access to
+	// the header is under the catalog lock; the arrays behind it, old and new,
+	// are never written once installed, so a header taken under the lock may
+	// be read outside it — and must only be read: the index's pages are it.
 	elems   []transformers.Element
 	version uint64
 	stats   planner.DatasetStats
@@ -467,9 +474,10 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 	base := gen.elems
 	c.mu.Unlock()
 
-	// BuildIndex reorders its input in place, so it gets a private copy —
-	// grown for a distance variant — taken outside the lock: a generation's
-	// elems never change once it is installed.
+	// BuildIndex reorders its input in place and keeps it as the index's data
+	// pages, so it gets a private copy — grown for a distance variant — taken
+	// outside the lock: the array behind a generation's elems is never written
+	// once it is installed.
 	var elems []transformers.Element
 	if expand > 0 {
 		elems = geom.ExpandedForDistance(base, expand)
@@ -478,7 +486,7 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 	}
 	idx, span, retries, buildErr := c.buildIndex(ctx, "catalog-build", elems)
 	span.Add("retries", int64(retries))
-	c.finishBuild(ds, gen, e, idx, buildErr, retries)
+	c.finishBuild(ds, gen, e, idx, elems, buildErr, retries)
 	if buildErr != nil {
 		if fb := c.lastGood(name, gen, expand); fb != nil {
 			return fb, nil
@@ -578,8 +586,11 @@ func (c *Catalog) TryAcquire(name string, expand float64) (*Handle, bool, error)
 // finishBuild publishes a build outcome and wakes the waiters. Failed builds
 // are removed from the generation so the next Acquire retries; a success on
 // the current generation clears the dataset's failing state and drops the
-// stale fallback.
-func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *transformers.Index, err error, retries int) {
+// stale fallback. indexed is the copy of the generation's elements the build
+// ordered and now reads its pages from: a successful base (d = 0) build's
+// becomes gen.elems, so the dataset is held once, and the array it replaces
+// goes when the readers that took its header before are done.
+func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *transformers.Index, indexed []transformers.Element, err error, retries int) {
 	c.mu.Lock()
 	e.idx, e.err = idx, err
 	close(e.ready)
@@ -594,6 +605,9 @@ func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *tr
 		}
 	} else {
 		gen.healthy = true
+		if e.expand == 0 {
+			gen.elems = indexed
+		}
 		if ds.cur == gen {
 			ds.failing = nil
 			ds.last = nil // cur proved healthy; the fallback has served its purpose
@@ -760,26 +774,27 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 
 // DeltaView returns the pinned generation's raw base elements, a private
 // copy of its delta buffer, and the delta epoch the copy corresponds to. The
-// base slice is the catalog's own storage: callers must treat it as
-// read-only and pass it only to engines that do not reorder their inputs
-// (the inmem delta sub-joins qualify; the distance path copies before
-// expanding either way). Reading through the handle's pinned generation —
-// not the dataset's current one — keeps the composition consistent with the
-// index the join actually runs on, even if a merge installs a successor
-// generation mid-join.
+// base slice is the catalog's own storage — the base index's data pages:
+// callers must treat it as read-only and pass it only to engines that do not
+// reorder their inputs (the inmem delta sub-joins qualify; the distance path
+// copies before expanding either way). Reading through the handle's pinned
+// generation — not the dataset's current one — keeps the composition
+// consistent with the index the join actually runs on, even if a merge
+// installs a successor generation mid-join.
 func (c *Catalog) DeltaView(h *Handle) (base, delta []transformers.Element, epoch uint64) {
 	if h == nil || h.gen == nil {
 		return nil, nil, 0
 	}
 	c.mu.Lock()
 	gen := h.gen
+	base = gen.elems
 	head := gen.delta[:len(gen.delta):len(gen.delta)]
 	epoch = gen.deltaEpoch
 	c.mu.Unlock()
 	if len(head) > 0 {
 		delta = append([]transformers.Element(nil), head...)
 	}
-	return gen.elems, delta, epoch
+	return base, delta, epoch
 }
 
 // MergeDelta compacts a dataset's delta buffer into its main index: the
@@ -818,8 +833,9 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 
 	// The copy, the O(n) statistics pass and the index build all run outside
 	// the lock; Analyze runs first because BuildIndex reorders merged in
-	// place (content-stable, so storing the reordered slice as the new
-	// generation's elems is fine — every reader copies before building).
+	// place. The reordered slice is both the new generation's elems and its
+	// base index's data pages — one array, which no reader writes to (every
+	// one copies before building).
 	merged := append(append(make([]transformers.Element, 0, len(base)+n), base...), delta...)
 	stats := planner.Analyze(merged)
 	idx, span, retries, buildErr := c.buildIndex(ctx, "delta-merge", merged)

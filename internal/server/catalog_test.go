@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 
@@ -191,5 +193,143 @@ func TestCatalogDistanceVariant(t *testing.T) {
 	h5b.Release()
 	if _, err := c.Acquire(context.Background(), "ds", -1); err == nil {
 		t.Fatal("negative expansion accepted")
+	}
+}
+
+// TestResidentDatasetHeldOnce: a resident dataset costs its elements once —
+// the generation's slice is the base index's data pages — plus descriptors:
+// after an upload, after an append and its merge, and after the base variant
+// was evicted and built again, the live heap grew by at most 1.3 x 56 bytes an
+// element (2.1 x when the index kept an encoded copy of every page).
+func TestResidentDatasetHeldOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("indexes 100K elements three times")
+	}
+	const n, extra = 100_000, 4096
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC() // pooled join state goes on the second cycle
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	ctx := context.Background()
+	svc := NewService(Config{Parallelism: 1, MaxIndexes: 1})
+	before := live()
+	check := func(after string, elements int) {
+		t.Helper()
+		grew, bound := live()-before, int64(1.3*56*float64(elements))
+		t.Logf("after %s: live heap grew %d B for %d elements (%.2f x 56 B each, bound 1.3)", after, grew, elements, float64(grew)/56/float64(elements))
+		if grew > bound {
+			t.Fatalf("after %s: %d elements hold %d bytes of live heap, want at most %d", after, elements, grew, bound)
+		}
+	}
+
+	addDataset(t, svc, "u", elemsN(n, 3))
+	check("upload", n)
+
+	if _, err := svc.Append(ctx, "u", elemsN(extra, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if merged, err := svc.Catalog().MergeDelta(ctx, "u"); err != nil || merged != extra {
+		t.Fatalf("merge compacted %d of %d elements: %v", merged, extra, err)
+	}
+	check("append and merge", n+extra)
+
+	// One index slot: acquiring a distance variant evicts the base variant,
+	// and acquiring the base variant again evicts that one.
+	cat := svc.Catalog()
+	for _, expand := range []float64{5, 0} {
+		h, err := cat.Acquire(ctx, "u", expand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	if st := cat.Stats(); st.Indexes != 1 || st.Evictions < 2 {
+		t.Fatalf("the base variant was not evicted and rebuilt: %+v", st)
+	}
+	check("evicting and re-acquiring the base variant", n+extra)
+	if out, err := svc.Join(ctx, "u", "u", JoinParams{NoCache: true, Algorithm: "transformers"}); err != nil || len(out.Pairs) < n+extra {
+		t.Fatalf("self-join over the rebuilt base index: %d pairs, err %v", len(out.Pairs), err)
+	}
+}
+
+// TestCatalogBaseRebuildRacesReaders: every base (d = 0) build replaces the
+// generation's element slice with the copy it indexed. Readers that take the
+// slice while such builds come and go — DeltaView over a pinned distance
+// variant (a distance join composing its delta), Snapshot, a partition build
+// — must each see the whole dataset, and (under -race) take the header under
+// the catalog lock.
+func TestCatalogBaseRebuildRacesReaders(t *testing.T) {
+	const n = 3000
+	ctx := context.Background()
+	c := NewCatalog(1, 0)
+	c.Put("ds", elemsN(n, 9))
+	var want uint64
+	for _, e := range elemsN(n, 9) {
+		want += e.ID
+	}
+	whole := func(elems []transformers.Element) bool {
+		var sum uint64
+		for _, e := range elems {
+			sum += e.ID
+		}
+		return len(elems) == n && sum == want
+	}
+	// The one index slot stays pinned by a distance variant, so the base
+	// variant is evicted at every release and built again at every acquire.
+	pinned, err := c.Acquire(ctx, "ds", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Release()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range []func() bool{
+		func() bool {
+			base, _, _ := c.DeltaView(pinned)
+			return whole(base)
+		},
+		func() bool {
+			snap, _, _, _, err := c.Snapshot("ds")
+			return err == nil && whole(snap)
+		},
+		func() bool {
+			ph, err := c.AcquirePartition(ctx, "ds", "ds", 0)
+			if err == nil {
+				ph.Release()
+			}
+			return err == nil
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !read() {
+					t.Error("a reader did not see the whole dataset")
+					return
+				}
+			}
+		}()
+	}
+	before := c.Stats().Builds
+	for round := 0; round < 30; round++ {
+		h, err := c.Acquire(ctx, "ds", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	close(done)
+	wg.Wait()
+	if st := c.Stats(); st.Builds-before < 30 {
+		t.Fatalf("the base variant was built %d times in 30 acquisitions, want every time: %+v", st.Builds-before, st)
 	}
 }

@@ -17,8 +17,8 @@ type JoinParams struct {
 	// within the given Chebyshev distance. 0 is the plain intersection join.
 	Distance float64
 	// Parallelism overrides the per-join worker count (service default when
-	// zero, all cores when negative). Only engines whose capabilities
-	// report Parallel honor it.
+	// zero, all cores when negative). Only the engines with a parallel
+	// kernel honor it: transformers, inmem and the shard- forms.
 	Parallelism int
 	// NoCache bypasses the result cache (both lookup and fill).
 	NoCache bool

@@ -76,64 +76,30 @@ func DecodeElementsPage(dst []geom.Element, buf []byte) ([]geom.Element, error) 
 	return dst, nil
 }
 
-// WriteElementRun writes elems to the store as a run of consecutive pages of
-// up to perPage elements each (perPage <= ElementsPerPage). It returns the
-// first page ID and the number of pages written. perPage <= 0 selects the
-// maximum page capacity.
-func WriteElementRun(st Store, elems []geom.Element, perPage int) (PageID, int, error) {
-	capacity := ElementsPerPage(st.PageSize())
-	if perPage <= 0 || perPage > capacity {
-		perPage = capacity
+// WriteElementPage writes elems as the single data page id: by reference into
+// an ElementWriter, which retains the slice (the caller must not modify it
+// afterwards), encoded through buf (one page long) into any other store.
+func WriteElementPage(st Store, id PageID, elems []geom.Element, buf []byte) error {
+	if w, ok := st.(ElementWriter); ok {
+		return w.WriteElements(id, elems)
 	}
-	numPages := (len(elems) + perPage - 1) / perPage
-	if numPages == 0 {
-		numPages = 1 // an empty run still occupies one (empty) page
+	if err := EncodeElementsPage(buf, elems); err != nil {
+		return err
 	}
-	first, err := st.Alloc(numPages)
-	if err != nil {
-		return 0, 0, err
-	}
-	buf := make([]byte, st.PageSize())
-	for p := 0; p < numPages; p++ {
-		lo := p * perPage
-		hi := lo + perPage
-		if lo > len(elems) {
-			lo = len(elems)
-		}
-		if hi > len(elems) {
-			hi = len(elems)
-		}
-		if err := EncodeElementsPage(buf, elems[lo:hi]); err != nil {
-			return 0, 0, err
-		}
-		if err := st.Write(first+PageID(p), buf); err != nil {
-			return 0, 0, err
-		}
-	}
-	return first, numPages, nil
+	return st.Write(id, buf)
 }
 
-// ReadElementPage reads and decodes a single data page, appending its
-// elements to dst. The page is decoded where ViewPage finds it: in place over
-// an in-memory store, out of buf (one page long) over any other.
+// ReadElementPage reads a single data page, appending its elements to dst.
+// The page is taken where the store holds it: copied from the elements it was
+// written from over an ElementViewer that kept them, decoded in place over any
+// other in-memory store, decoded out of buf (one page long) over the rest.
 func ReadElementPage(st Store, id PageID, dst []geom.Element, buf []byte) ([]geom.Element, error) {
-	page, err := ViewPage(st, id, buf)
+	p, err := viewHeld(st, id, buf)
 	if err != nil {
 		return dst, err
 	}
-	return DecodeElementsPage(dst, page)
-}
-
-// ReadElementRun reads numPages consecutive data pages starting at first.
-func ReadElementRun(st Store, first PageID, numPages int) ([]geom.Element, error) {
-	buf := make([]byte, st.PageSize())
-	var out []geom.Element
-	for p := 0; p < numPages; p++ {
-		var err error
-		out, err = ReadElementPage(st, first+PageID(p), out, buf)
-		if err != nil {
-			return nil, err
-		}
+	if p.data == nil {
+		return append(dst, p.elems...), nil
 	}
-	return out, nil
+	return DecodeElementsPage(dst, p.data)
 }

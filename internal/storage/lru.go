@@ -1,5 +1,7 @@
 package storage
 
+import "repro/internal/geom"
+
 // LRU is a page-granular read cache wrapping a Store. Reads served from the
 // cache do not touch the underlying store and are therefore invisible to its
 // I/O counters — exactly like a buffer pool in front of a disk. Writes go
@@ -11,10 +13,11 @@ package storage
 // of a TRANSFORMERS join reads through one.
 //
 // A page is held the way the wrapped store hands it out: by reference over a
-// PageViewer (an in-memory store: caching it costs one slot, no bytes), in a
-// buffer of its own over any other store. Slots and the index are reused
-// across evictions and Reset, so over an in-memory store a warm cache
-// allocates nothing.
+// PageViewer (an in-memory store: caching it costs one slot, no bytes) — as
+// the element slice it was written from over an ElementViewer that holds it
+// so — and in a buffer of its own over any other store. Slots and the index
+// are reused across evictions and Reset, so over an in-memory store a warm
+// cache allocates nothing.
 type LRU struct {
 	Store
 	copies   bool // the wrapped store is no PageViewer: misses read into new buffers
@@ -27,7 +30,7 @@ type LRU struct {
 
 type lruSlot struct {
 	id         PageID
-	data       []byte
+	page       memPage
 	prev, next int32
 }
 
@@ -55,18 +58,34 @@ func (c *LRU) Reset(store Store, capacity int) {
 
 // View implements PageViewer, serving from cache when possible.
 func (c *LRU) View(id PageID) ([]byte, error) {
+	p, err := c.view(id)
+	if err != nil {
+		return nil, err
+	}
+	return p.bytes(c.PageSize()), nil
+}
+
+// ViewElements implements ElementViewer, serving from cache when possible.
+func (c *LRU) ViewElements(id PageID) ([]geom.Element, []byte, error) {
+	p, err := c.view(id)
+	return p.elems, p.data, err
+}
+
+// view is the one cached page access: the page as the wrapped store holds it,
+// a hit invisible to the store and a miss counted there as one read.
+func (c *LRU) view(id PageID) (memPage, error) {
 	if i, ok := c.index[id]; ok {
 		c.unlink(i)
 		c.pushFront(i)
-		return c.slots[i].data, nil
+		return c.slots[i].page, nil
 	}
 	var buf []byte
 	if c.copies {
 		buf = make([]byte, c.PageSize())
 	}
-	data, err := ViewPage(c.Store, id, buf)
+	page, err := viewHeld(c.Store, id, buf)
 	if err != nil || c.capacity <= 0 {
-		return data, err
+		return page, err
 	}
 	i := c.tail
 	if len(c.slots) < c.capacity {
@@ -76,10 +95,10 @@ func (c *LRU) View(id PageID) ([]byte, error) {
 		c.unlink(i)
 		delete(c.index, c.slots[i].id)
 	}
-	c.slots[i].id, c.slots[i].data = id, data
+	c.slots[i].id, c.slots[i].page = id, page
 	c.pushFront(i)
 	c.index[id] = i
-	return data, nil
+	return page, nil
 }
 
 // Read implements Store, serving from cache when possible.
@@ -87,8 +106,10 @@ func (c *LRU) Read(id PageID, buf []byte) error {
 	if len(buf) != c.PageSize() {
 		return ErrPageSize
 	}
-	data, err := c.View(id)
-	copy(buf, data)
+	p, err := c.view(id)
+	if err == nil {
+		p.copyTo(buf)
+	}
 	return err
 }
 
@@ -98,7 +119,12 @@ func (c *LRU) Write(id PageID, data []byte) error {
 		return err
 	}
 	if i, ok := c.index[id]; ok {
-		copy(c.slots[i].data, data)
+		p := &c.slots[i].page
+		if p.data == nil {
+			// Held as elements the write just replaced in the store.
+			p.data, p.elems = make([]byte, len(data)), nil
+		}
+		copy(p.data, data)
 		c.unlink(i)
 		c.pushFront(i)
 	}

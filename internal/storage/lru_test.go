@@ -1,8 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // TestViewCountsLikeRead: a page taken by reference is accounted exactly as a
@@ -33,7 +38,7 @@ func TestViewCountsLikeRead(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if &page[0] != &byView.pages[id][0] {
+				if &page[0] != &byView.pages[id].data[0] {
 					t.Fatalf("page %d was copied, not viewed", id)
 				}
 			}
@@ -88,7 +93,7 @@ func TestLRU(t *testing.T) {
 			if got := mem.Stats().Reads; got != 5 {
 				t.Fatalf("store saw %d reads, want the 5 misses of 8 views", got)
 			}
-			if byRef := &first[0] == &mem.pages[0][0]; byRef != (tc.name == "by-reference") {
+			if byRef := &first[0] == &mem.pages[0].data[0]; byRef != (tc.name == "by-reference") {
 				t.Fatalf("page held by reference: %v", byRef)
 			}
 			// A page handed out stays what it was while others come and go.
@@ -115,7 +120,7 @@ func TestLRU(t *testing.T) {
 			if err := c.Write(3, buf); err != nil {
 				t.Fatal(err)
 			}
-			if page, _ := c.View(3); page[5] != 0xEE || mem.pages[3][5] != 0xEE {
+			if page, _ := c.View(3); page[5] != 0xEE || mem.pages[3].data[5] != 0xEE {
 				t.Fatal("write did not reach the cached page and the store")
 			}
 
@@ -143,21 +148,140 @@ func TestLRU(t *testing.T) {
 	}
 }
 
+// TestElementPageByReference: a data page written through WriteElementPage
+// into a MemStore is the caller's slice, not a copy of it — through the store,
+// a reader of it and a cold or warm LRU over one; every access is counted as
+// the same access to an encoded page is; a byte Read or View encodes it on
+// demand; and a later byte Write replaces it, in a cache that held it too.
+func TestElementPageByReference(t *testing.T) {
+	const pageSize = 512
+	per := ElementsPerPage(pageSize)
+	src := randomElements(rand.New(rand.NewSource(11)), 3*per)
+	orig := slices.Clone(src)
+	unit := func(id PageID) []geom.Element {
+		if id == 3 {
+			return nil // allocated, never written
+		}
+		return src[int(id)*per : (int(id)+1)*per]
+	}
+	byRef, encoded := NewMemStore(pageSize), NewMemStore(pageSize)
+	buf := make([]byte, pageSize)
+	for _, st := range []Store{byRef, plainStore{encoded}} {
+		if _, err := st.Alloc(4); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []PageID{0, 2, 1} {
+			if err := WriteElementPage(st, id, unit(id), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if byRef.Stats() != encoded.Stats() || byRef.Stats().BytesWritten != 3*pageSize {
+		t.Fatalf("writes by reference counted %v, encoded %v", byRef.Stats(), encoded.Stats())
+	}
+	if byRef.pages[0].data != nil || encoded.pages[0].elems != nil {
+		t.Fatal("the page went down in the wrong form")
+	}
+	if err := byRef.WriteElements(3, orig[:per+1]); err == nil {
+		t.Fatal("a page of more elements than fit was accepted")
+	}
+
+	order := []PageID{0, 1, 2, 0, 1, 3, 2}
+	for _, v := range []struct {
+		name     string
+		ref, enc Store
+	}{
+		{"store", byRef, encoded},
+		{"reader", byRef.OpenReader(), encoded.OpenReader()},
+		{"lru", NewLRU(byRef.OpenReader(), 2), NewLRU(encoded.OpenReader(), 2)},
+	} {
+		v.ref.ResetStats()
+		v.enc.ResetStats()
+		for _, id := range order {
+			elems, page, err := v.ref.(ElementViewer).ViewElements(id)
+			if err != nil || page != nil || len(elems) != len(unit(id)) {
+				t.Fatalf("%s: page %d: %d elements, page %v, err %v", v.name, id, len(elems), page != nil, err)
+			}
+			if len(elems) > 0 && &elems[0] != &unit(id)[0] {
+				t.Fatalf("%s: page %d was copied, not kept", v.name, id)
+			}
+			got, err := ReadElementPage(v.enc, id, nil, buf)
+			if err != nil || !slices.Equal(got, elems) {
+				t.Fatalf("%s: page %d decodes to other elements than were kept (err %v)", v.name, id, err)
+			}
+		}
+		if v.ref.Stats() != v.enc.Stats() || v.ref.Stats().Reads == 0 {
+			t.Fatalf("%s: by reference counted %v, encoded %v", v.name, v.ref.Stats(), v.enc.Stats())
+		}
+	}
+
+	// Generic consumers read bytes: the page encodes on demand.
+	want, got := make([]byte, pageSize), make([]byte, pageSize)
+	for id := PageID(0); id < 4; id++ {
+		if err := EncodeElementsPage(want, unit(id)); err != nil {
+			t.Fatal(err)
+		}
+		page, err := byRef.OpenReader().(PageViewer).View(id)
+		if err != nil || !bytes.Equal(page, want) {
+			t.Fatalf("View of page %d differs from its encoding (err %v)", id, err)
+		}
+		if err := byRef.Read(id, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Read of page %d differs from its encoding (err %v)", id, err)
+		}
+	}
+
+	// A byte write replaces the kept elements, in the store and in a cache
+	// holding them, and leaves the caller's slice alone.
+	c := NewLRU(byRef, 2)
+	if _, _, err := c.ViewElements(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeElementsPage(want, unit(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(1, want); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]Store{"cache": c, "store": byRef} {
+		elems, page, err := st.(ElementViewer).ViewElements(1)
+		if err != nil || elems != nil || !bytes.Equal(page, want) {
+			t.Fatalf("%s: page 1 after a byte write: %d elements kept, err %v", name, len(elems), err)
+		}
+		if got, err := ReadElementPage(st, 1, nil, nil); err != nil || !slices.Equal(got, unit(0)) {
+			t.Fatalf("%s: page 1 does not read back what was written (err %v)", name, err)
+		}
+	}
+	if !slices.Equal(src, orig) {
+		t.Fatal("the caller's elements were written to")
+	}
+}
+
 // TestLRUWarmByReferenceAllocFree: over an in-memory store, a cache that has
 // seen its working set once — through evictions and across Reset — allocates
-// nothing.
+// nothing, whether the pages are held as bytes or as elements.
 func TestLRUWarmByReferenceAllocFree(t *testing.T) {
 	mem := NewMemStore(256)
 	fillStore(t, mem, 64)
+	elems := randomElements(rand.New(rand.NewSource(5)), 64)
+	for id := PageID(0); id < 64; id += 2 {
+		if err := mem.WriteElements(id, elems[id:id+2]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c := NewLRU(mem, 16)
 	scan := func() {
 		c.Reset(mem, 16)
 		for id := PageID(0); id < 64; id++ {
-			if _, err := c.View(id); err != nil {
+			if _, _, err := c.ViewElements(id); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.View(id / 2); err != nil {
+			if _, _, err := c.ViewElements(id / 2); err != nil {
 				t.Fatal(err)
+			}
+			if id%2 == 1 { // a byte page: View is by reference too
+				if _, err := c.View(id); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"repro/internal/geom"
 )
 
 // ErrReadOnly is returned by writes and allocations on a store reader.
@@ -66,11 +68,12 @@ func fallbackMutex(st Store) *sync.Mutex {
 	return mu.(*sync.Mutex)
 }
 
-// memReader is a lock-free read-only view of a MemStore. Page contents are
-// shared with the parent (View hands the page slices out, Read copies out of
-// them), so views cost O(1) memory each.
+// memReader is a lock-free read-only view of a MemStore, and the read side of
+// the MemStore itself. Page contents are shared with the parent (View and
+// ViewElements hand the page slices out, Read copies out of them), so views
+// cost O(1) memory each.
 type memReader struct {
-	pages    [][]byte
+	pages    []memPage
 	pageSize int
 	trk      tracker
 }
@@ -90,14 +93,36 @@ func (r *memReader) Read(id PageID, buf []byte) error {
 	if len(buf) != r.pageSize {
 		return ErrPageSize
 	}
-	page, err := r.View(id)
-	copy(buf, page)
+	p, err := r.view(id)
+	if err == nil {
+		p.copyTo(buf)
+	}
 	return err
 }
 
 // View implements PageViewer.
 func (r *memReader) View(id PageID) ([]byte, error) {
-	return viewMemPage(r.pages, &r.trk, id)
+	p, err := r.view(id)
+	if err != nil {
+		return nil, err
+	}
+	return p.bytes(r.pageSize), nil
+}
+
+// ViewElements implements ElementViewer.
+func (r *memReader) ViewElements(id PageID) ([]geom.Element, []byte, error) {
+	p, err := r.view(id)
+	return p.elems, p.data, err
+}
+
+// view is the one page access of a MemStore and its readers: the page as it
+// is held, counted as one read of a page's bytes.
+func (r *memReader) view(id PageID) (memPage, error) {
+	if int(id) >= len(r.pages) {
+		return memPage{}, fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, len(r.pages))
+	}
+	r.trk.noteRead(id, r.pageSize)
+	return r.pages[id], nil
 }
 
 func (r *memReader) NumPages() int { return len(r.pages) }

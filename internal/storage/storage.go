@@ -18,6 +18,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/geom"
 )
 
 // DefaultPageSize is the disk page size used in the paper's evaluation
@@ -116,6 +118,30 @@ type PageViewer interface {
 	View(id PageID) ([]byte, error)
 }
 
+// ElementViewer is the by-reference element path of a store that holds its
+// pages in memory: a data page written through an ElementWriter is kept as the
+// element slice it was written from, and ViewElements hands it back so. The
+// access is accounted exactly as a Read or View of the page is — one page of
+// PageSize() bytes, sequential or random — whichever form the page is in.
+type ElementViewer interface {
+	PageViewer
+	// ViewElements returns page id the way the store holds it: the page's
+	// bytes when it was written as bytes, and a nil page with the written
+	// elements (none for a page never written) when it was written by
+	// reference. The caller must not modify either slice.
+	ViewElements(id PageID) (elems []geom.Element, page []byte, err error)
+}
+
+// ElementWriter is implemented by stores that can keep a data page as the
+// caller's element slice. WriteElements is accounted exactly as a Write of
+// one page is and retains elems (at most ElementsPerPage(PageSize()) of them)
+// without copying: the caller must not modify them afterwards. A byte Read or
+// View of the page encodes it on demand (EncodeElementsPage), and a later
+// byte Write replaces it.
+type ElementWriter interface {
+	WriteElements(id PageID, elems []geom.Element) error
+}
+
 // ViewPage returns the bytes of page id: by reference from a PageViewer, read
 // into buf (one page long) from any other store. It is the one page-read
 // primitive under ReadElementPage and the LRU; buf may be nil when st is
@@ -128,6 +154,17 @@ func ViewPage(st Store, id PageID, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// viewHeld is ViewPage in whichever form st holds page id: the elements it was
+// written from over an ElementViewer that kept them, its bytes otherwise.
+func viewHeld(st Store, id PageID, buf []byte) (p memPage, err error) {
+	if ev, ok := st.(ElementViewer); ok {
+		p.elems, p.data, err = ev.ViewElements(id)
+		return p, err
+	}
+	p.data, err = ViewPage(st, id, buf)
+	return p, err
 }
 
 // tracker maintains Stats with sequential/random classification.
@@ -170,12 +207,43 @@ func (t *tracker) reset() {
 }
 
 // MemStore is an in-memory Store that simulates a disk: page contents are
-// held as byte slices and all accesses are counted. It is the store the
-// benchmark harness uses, paired with a DiskModel for modeled I/O time.
+// held in memory — as byte slices, or as the caller's element slices when
+// written through WriteElements — and all accesses are counted. It is the
+// store the benchmark harness uses, paired with a DiskModel for modeled I/O
+// time. Its read side — PageSize, Read, View, ViewElements, NumPages and the
+// counters — is that of the views it opens (memReader), over its own pages.
 type MemStore struct {
-	pageSize int
-	pages    [][]byte
-	trk      tracker
+	memReader
+}
+
+// memPage is one page as an in-memory store holds it: its bytes once a byte
+// Write reached it, else the elements it was written from by reference — none
+// for a page only allocated, which reads as the zeroed page either way.
+type memPage struct {
+	data  []byte
+	elems []geom.Element
+}
+
+// copyTo fills buf (one page long) with the page's bytes, encoding elems when
+// that is how it is held.
+func (p memPage) copyTo(buf []byte) {
+	if p.data != nil {
+		copy(buf, p.data)
+		return
+	}
+	// WriteElements checked the capacity: the encode cannot fail.
+	_ = EncodeElementsPage(buf, p.elems)
+}
+
+// bytes returns the page as bytes: its own, or elems encoded into a new
+// buffer.
+func (p memPage) bytes(pageSize int) []byte {
+	if p.data != nil {
+		return p.data
+	}
+	buf := make([]byte, pageSize)
+	p.copyTo(buf)
+	return buf
 }
 
 // NewMemStore returns an empty MemStore with the given page size
@@ -184,11 +252,8 @@ func NewMemStore(pageSize int) *MemStore {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &MemStore{pageSize: pageSize}
+	return &MemStore{memReader{pageSize: pageSize}}
 }
-
-// PageSize implements Store.
-func (m *MemStore) PageSize() int { return m.pageSize }
 
 // Alloc implements Store.
 func (m *MemStore) Alloc(n int) (PageID, error) {
@@ -196,9 +261,7 @@ func (m *MemStore) Alloc(n int) (PageID, error) {
 		return 0, fmt.Errorf("storage: negative allocation %d", n)
 	}
 	first := PageID(len(m.pages))
-	for i := 0; i < n; i++ {
-		m.pages = append(m.pages, make([]byte, m.pageSize))
-	}
+	m.pages = append(m.pages, make([]memPage, n)...)
 	return first, nil
 }
 
@@ -210,44 +273,27 @@ func (m *MemStore) Write(id PageID, data []byte) error {
 	if int(id) >= len(m.pages) {
 		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, id, len(m.pages))
 	}
-	copy(m.pages[id], data)
+	p := &m.pages[id]
+	if p.data == nil {
+		p.data, p.elems = make([]byte, m.pageSize), nil
+	}
+	copy(p.data, data)
 	m.trk.noteWrite(id, len(data))
 	return nil
 }
 
-// Read implements Store.
-func (m *MemStore) Read(id PageID, buf []byte) error {
-	if len(buf) != m.pageSize {
-		return ErrPageSize
+// WriteElements implements ElementWriter.
+func (m *MemStore) WriteElements(id PageID, elems []geom.Element) error {
+	if max := ElementsPerPage(m.pageSize); len(elems) > max {
+		return fmt.Errorf("storage: %d elements exceed page capacity %d", len(elems), max)
 	}
-	page, err := m.View(id)
-	copy(buf, page)
-	return err
-}
-
-// View implements PageViewer.
-func (m *MemStore) View(id PageID) ([]byte, error) {
-	return viewMemPage(m.pages, &m.trk, id)
-}
-
-// viewMemPage is View for a MemStore and its readers: the page slice itself,
-// counted as one read.
-func viewMemPage(pages [][]byte, trk *tracker, id PageID) ([]byte, error) {
-	if int(id) >= len(pages) {
-		return nil, fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, len(pages))
+	if int(id) >= len(m.pages) {
+		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, id, len(m.pages))
 	}
-	trk.noteRead(id, len(pages[id]))
-	return pages[id], nil
+	m.pages[id] = memPage{elems: elems[:len(elems):len(elems)]}
+	m.trk.noteWrite(id, m.pageSize)
+	return nil
 }
-
-// NumPages implements Store.
-func (m *MemStore) NumPages() int { return len(m.pages) }
-
-// Stats implements Store.
-func (m *MemStore) Stats() Stats { return m.trk.stats }
-
-// ResetStats implements Store.
-func (m *MemStore) ResetStats() { m.trk.reset() }
 
 // FileStore is a Store backed by a single file, for running the system
 // against a real filesystem. It performs no caching of its own.

@@ -216,50 +216,6 @@ func TestElementPageOverflow(t *testing.T) {
 	}
 }
 
-func TestElementRunRoundTrip(t *testing.T) {
-	st := NewMemStore(512)
-	elems := randomElements(rand.New(rand.NewSource(3)), 100)
-	first, n, err := WriteElementRun(st, elems, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perPage := ElementsPerPage(512)
-	wantPages := (100 + perPage - 1) / perPage
-	if n != wantPages {
-		t.Fatalf("pages written = %d, want %d", n, wantPages)
-	}
-	got, err := ReadElementRun(st, first, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(elems) {
-		t.Fatalf("read back %d of %d elements", len(got), len(elems))
-	}
-	for i := range got {
-		if got[i] != elems[i] {
-			t.Fatalf("element %d mismatch", i)
-		}
-	}
-}
-
-func TestElementRunEmpty(t *testing.T) {
-	st := NewMemStore(512)
-	first, n, err := WriteElementRun(st, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("empty run should occupy one page, got %d", n)
-	}
-	got, err := ReadElementRun(st, first, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty run decoded %d elements", len(got))
-	}
-}
-
 func TestPropElementPageRoundTrip(t *testing.T) {
 	buf := make([]byte, 1024)
 	f := func(seed int64, nRaw uint8) bool {

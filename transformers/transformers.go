@@ -15,7 +15,9 @@
 //
 // Indexes are built once per dataset and can be reused across joins with any
 // other indexed dataset — the adaptivity lives in the join, not in the
-// partitioning (paper §III).
+// partitioning (paper §III). An index owns the slice it was built from (a and
+// b above are its data pages, in STR order): read them freely, do not write
+// to them while the index is in use.
 //
 // For cross-algorithm comparisons (the paper's experiments), use Run, which
 // executes any Algorithm end to end on raw elements and returns uniform cost
@@ -82,7 +84,13 @@ type BuildReport struct {
 }
 
 // BuildIndex indexes a dataset for TRANSFORMERS joins. The input slice is
-// reordered in place (STR order).
+// reordered in place (STR order) and belongs to the index afterwards: over the
+// default in-memory store the index's data pages are ranges of elems, not
+// copies of them — a resident dataset is held once. The caller may keep
+// reading the slice, but must not write to it, or pass it to anything that
+// does (Run and a second BuildIndex reorder their inputs), while the index is
+// in use; index a copy to keep the original. Over a Store that holds encoded
+// pages (a storage.FileStore) nothing of elems is retained.
 func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 	st := opt.Store
 	if st == nil {

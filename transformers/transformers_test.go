@@ -39,6 +39,50 @@ func TestBuildAndJoinQuickstart(t *testing.T) {
 	}
 }
 
+// TestIndexOwnsItsElements: BuildIndex reorders the slice it is given and, over
+// the default store, keeps it as the index's data pages. The index stays right
+// for as long as the caller only reads the slice — a naive join over the
+// reordered slice, between two index joins, is such a reader — and the slice
+// still holds what was handed over.
+func TestIndexOwnsItsElements(t *testing.T) {
+	a := GenerateUniformCluster(4000, 5)
+	b := GenerateDenseCluster(4000, 6)
+	want := naive.Join(a, b)
+	sum := func(elems []Element) (s uint64) {
+		for _, e := range elems {
+			s += e.ID
+		}
+		return s
+	}
+	sumA := sum(a)
+
+	ia, err := BuildIndex(a, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := BuildIndex(b, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		res, err := Join(ia, ib, JoinOptions{Parallelism: 1 + round})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !naive.Equal(res.Pairs, want) {
+			t.Fatalf("round %d: index join found %d pairs, naive %d", round, len(res.Pairs), len(want))
+		}
+		if got := naive.Join(a, b); !naive.Equal(got, want) || sum(a) != sumA {
+			t.Fatalf("round %d: the slices handed to BuildIndex no longer hold the datasets", round)
+		}
+	}
+	q := Box{Lo: Point{100, 100, 100}, Hi: Point{700, 700, 700}}
+	got, _, err := ia.RangeQuery(q)
+	if err != nil || len(got) != len(naiveRangeScan(a, q)) {
+		t.Fatalf("range query after the joins: %d elements, want %d (err %v)", len(got), len(naiveRangeScan(a, q)), err)
+	}
+}
+
 func TestJoinDiscardAndStream(t *testing.T) {
 	a := GenerateUniform(500, 3)
 	b := GenerateUniform(500, 4)
