@@ -215,11 +215,25 @@ type Element struct {
 }
 
 // MBBOf returns the tight bounding box of a set of elements, or EmptyBox()
-// for an empty slice.
+// for an empty slice. It takes each bound by comparison where Union goes
+// through math.Min/Max — index builds and the planner's Analyze spend a
+// quarter to a half of their time here — and that is the same box: Min/Max
+// differ from < and > only on NaN, which no dataset carries (the upload
+// format is JSON numbers, which have no literal for it, and the generators
+// produce finite coordinates), and in which of -0 and +0 they keep, which
+// compare equal.
 func MBBOf(elems []Element) Box {
 	mbb := EmptyBox()
-	for _, e := range elems {
-		mbb = mbb.Union(e.Box)
+	for i := range elems {
+		b := &elems[i].Box
+		for d := 0; d < Dims; d++ {
+			if b.Lo[d] < mbb.Lo[d] {
+				mbb.Lo[d] = b.Lo[d]
+			}
+			if b.Hi[d] > mbb.Hi[d] {
+				mbb.Hi[d] = b.Hi[d]
+			}
+		}
 	}
 	return mbb
 }

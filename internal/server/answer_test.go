@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,5 +142,80 @@ func TestCollectedJoinBytesBounded(t *testing.T) {
 	t.Logf("answer %d B (%d pairs), body %d B, best of 10 warmed joins allocated %d B (bound %d)", answer, len(out.Pairs), bodyBytes, best, bound)
 	if best > bound {
 		t.Fatalf("a warmed collected join allocated %d bytes for a %d-byte answer, want at most 2x + 1 MB = %d", best, answer, bound)
+	}
+}
+
+// TestSummaryJoinBytesBounded: a summary-only join — selective's request
+// shape, a few hundred bytes of answer — allocates for its plan, its summary
+// and its span tree, not a response buffer: with one 64 KB bufio.Writer made
+// per response it allocated ~90 KB, 85 KB of them that buffer, and a daemon
+// holding a constant 24 MB collected once a second for it. The median of 200
+// warmed requests is judged, each measured alone: a GC cycle empties the
+// pool, and under the race detector sync.Pool drops a quarter of what it is
+// given, so some requests do allocate a buffer.
+func TestSummaryJoinBytesBounded(t *testing.T) {
+	svc := NewService(Config{Parallelism: 1})
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 1))
+	addDataset(t, svc, "b", transformers.GenerateDenseCluster(2000, 2))
+	h := NewHandler(svc)
+	const body = `{"a":"a","b":"b","algorithm":"inmem","no_cache":true}`
+	join := func() uint64 {
+		w := &discardResponse{header: http.Header{}}
+		req := httptest.NewRequest(http.MethodPost, "/join", strings.NewReader(body))
+		allocated := allocatedBy(func() { h.ServeHTTP(w, req) })
+		if w.status != http.StatusOK {
+			t.Fatalf("join answered %d", w.status)
+		}
+		return allocated
+	}
+	join() // partition built, pools filled
+	got := make([]uint64, 200)
+	for i := range got {
+		got[i] = join()
+	}
+	slices.Sort(got)
+	const bound = 16 << 10
+	median := got[len(got)/2]
+	t.Logf("a warmed summary-only join allocated %d B (median of %d; min %d, max %d)", median, len(got), got[0], got[len(got)-1])
+	if median > bound {
+		t.Fatalf("a warmed summary-only join allocated %d bytes, want at most %d: is a response buffer allocated per response?", median, bound)
+	}
+}
+
+// TestRegistrationCollectsOnce: POST /datasets forces one collection when the
+// dataset is registered, so the heap goal the joins after it run under is
+// sized to what stays resident and not to the decode and build scratch the
+// last collection inside the registration happened to find live; a refused
+// registration and a join force none. (What that is worth is a benchmark
+// figure — stream-heavy's peak RSS, see CHANGES PR 21 — this holds the
+// mechanism.)
+func TestRegistrationCollectsOnce(t *testing.T) {
+	h := NewHandler(NewService(Config{Parallelism: 1}))
+	sample := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+	forcedBy := func(path, body string, status int) uint64 {
+		t.Helper()
+		w := &discardResponse{header: http.Header{}}
+		metrics.Read(sample)
+		before := sample[0].Value.Uint64()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		metrics.Read(sample)
+		if w.status != status {
+			t.Fatalf("POST %s answered %d, want %d", path, w.status, status)
+		}
+		return sample[0].Value.Uint64() - before
+	}
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		forced     uint64
+	}{
+		{"/datasets", `{"name":"a","generate":{"kind":"uniform","n":2000,"seed":1}}`, http.StatusCreated, 1},
+		{"/datasets", `{"name":"b","elements":[{"id":1,"box":{"lo":[0,0,0],"hi":[1,1,1]}}]}`, http.StatusCreated, 1},
+		{"/datasets", `{"name":"c","elements":[{"id":1,"box":{"lo":[2,0,0],"hi":[1,1,1]}}]}`, http.StatusBadRequest, 0},
+		{"/join", `{"a":"a","b":"b","no_cache":true}`, http.StatusOK, 0},
+	} {
+		if got := forcedBy(tc.path, tc.body, tc.status); got != tc.forced {
+			t.Errorf("POST %s %s forced %d collections, want %d", tc.path, tc.body, got, tc.forced)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -74,6 +76,8 @@ type ingestDecoder struct {
 	pos, end int
 	base     int64  // stream offset of buf[0], for error messages
 	member   []byte // one non-"elements" member, as handed to encoding/json
+
+	generalOnly bool // tests: never offer an element to canonical
 
 	chunks [][]transformers.Element // the output so far, ingestChunk elements each
 	count  int                      // how many of them the last "elements" member holds
@@ -289,14 +293,18 @@ func (d *ingestDecoder) key() ([]byte, error) {
 // number consumes a JSON number and returns it, its text valid until the
 // next read.
 func (d *ingestDecoder) number() (numberLit, error) {
-	start := d.pos
-	i := d.pos
+	lit, n, ok := scanNumber(d.buf[d.pos:d.end])
+	if i := d.pos + n; ok && i < d.end && !numberByte(d.buf[i]) {
+		d.pos = i
+		return lit, nil
+	}
+	// The literal touches the end of what is read, or is malformed: find where
+	// its run of number bytes ends, reading on, and scan that run again.
+	start, i := d.pos, d.pos+n
 scan:
 	for {
 		for ; i < d.end; i++ {
-			switch c := d.buf[i]; {
-			case '0' <= c && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			default:
+			if !numberByte(d.buf[i]) {
 				break scan
 			}
 		}
@@ -310,76 +318,88 @@ scan:
 			return numberLit{}, err
 		}
 	}
-	d.pos = i
-	lit, ok := parseNumber(d.buf[start:i])
-	if !ok {
-		d.pos = start
-		if i == start {
-			c, err := d.peek()
-			if err != nil {
-				return numberLit{}, unexpectedEOF(err)
-			}
-			return numberLit{}, d.errorf(ingestSyntax, "invalid character %q looking for a number", c)
-		}
-		return numberLit{}, d.errorf(ingestSyntax, "invalid number literal %q", lit.text)
+	text := d.buf[start:i]
+	if lit, n, ok = scanNumber(text); ok && n == len(text) {
+		d.pos = i
+		return lit, nil
 	}
-	return lit, nil
+	d.pos = start
+	if i == start {
+		c, err := d.peek()
+		if err != nil {
+			return numberLit{}, unexpectedEOF(err)
+		}
+		return numberLit{}, d.errorf(ingestSyntax, "invalid character %q looking for a number", c)
+	}
+	return numberLit{}, d.errorf(ingestSyntax, "invalid number literal %q", text)
+}
+
+// numberByte reports whether c can stand in a JSON number: a literal ends at
+// the first byte that cannot, whatever the grammar made of the bytes before.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 // numberLit is a number of the JSON grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and what one pass over it
-// learns: when short is set the literal is exactly ±mant × 10^exp with mant
-// below 2^53 and |exp| at most 22, which is when float64 arithmetic converts
-// it without error (the exact case of strconv's own ParseFloat; every other
-// literal goes to ParseFloat).
+// learns: when fits is set the literal is exactly ±mant × 10^exp, its digits
+// (at most 19, not counting a lone integer 0) folded into mant without
+// overflow.
 type numberLit struct {
-	text  []byte
-	mant  uint64
-	exp   int
-	neg   bool
-	short bool
+	text []byte
+	mant uint64
+	exp  int
+	neg  bool
+	fits bool
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-func parseNumber(s []byte) (lit numberLit, ok bool) {
-	lit.text = s
+// maxMantDigits is how many decimal digits always fit in a uint64.
+const maxMantDigits = 19
+
+// scanNumber reads the longest number of the JSON grammar s starts with —
+// grammar and mantissa in one visit per byte — and reports where it stopped.
+// It is not ok when s does not start with a number, or stops inside one (after
+// a sign, a point or an exponent mark). What follows s[:n] is the caller's to
+// judge: more of s, or more input, may belong to the same token.
+func scanNumber(s []byte) (lit numberLit, n int, ok bool) {
 	i := 0
 	if i < len(s) && s[i] == '-' {
 		lit.neg = true
 		i++
 	}
-	// digits consumes [0-9]*, folding them into mant while they fit in 19
-	// digits, and reports how many there were.
-	fits := true
-	digits := func() int {
-		start := i
-		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
-			if lit.mant >= 1e18 {
-				fits = false
-				continue
-			}
-			lit.mant = lit.mant*10 + uint64(s[i]-'0')
-		}
-		return i - start
+	if i == len(s) {
+		return lit, i, false
 	}
-	switch {
-	case i == len(s):
-		return lit, false
-	case s[i] == '0':
+	// Every digit is folded into mant, which wraps harmlessly once there are
+	// more than maxMantDigits of them.
+	var mant uint64
+	digits := 0
+	if s[i] == '0' {
 		i++
-	case digits() == 0:
-		return lit, false
+	} else {
+		start := i
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(s[i]-'0')
+		}
+		if digits = i - start; digits == 0 {
+			return lit, i, false
+		}
 	}
 	if i < len(s) && s[i] == '.' {
 		i++
-		n := digits()
-		if n == 0 {
-			return lit, false
+		start := i
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(s[i]-'0')
 		}
-		lit.exp = -n
+		if i == start {
+			return lit, i, false
+		}
+		lit.exp = start - i
+		digits += i - start
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
 		i++
@@ -389,38 +409,77 @@ func parseNumber(s []byte) (lit numberLit, ok bool) {
 			i++
 		}
 		start, e := i, 0
-		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
 			if e < 1000 {
 				e = e*10 + int(s[i]-'0')
 			}
 		}
 		if i == start {
-			return lit, false
+			return lit, i, false
 		}
 		if expNeg {
 			e = -e
 		}
 		lit.exp += e
 	}
-	lit.short = fits && lit.mant < 1<<53 && -len(pow10) < lit.exp && lit.exp < len(pow10)
-	return lit, i == len(s)
+	lit.text, lit.mant, lit.fits = s[:i], mant, digits <= maxMantDigits
+	return lit, i, true
 }
 
-// float converts the literal exactly as strconv.ParseFloat does.
+// float converts the literal exactly as strconv.ParseFloat does: by float64
+// arithmetic where that is exact (strconv's own exact case), by one 128-bit
+// division for the other fractions of up to 19 digits — every shortest-form
+// coordinate of 16 digits or more — and by ParseFloat itself for what is left:
+// exponents out of these ranges and longer mantissas.
 func (lit numberLit) float() (float64, error) {
-	if !lit.short {
+	var f float64
+	switch {
+	case lit.fits && lit.mant < 1<<53 && -len(pow10) < lit.exp && lit.exp < len(pow10):
+		f = float64(lit.mant)
+		if lit.exp < 0 {
+			f /= pow10[-lit.exp]
+		} else {
+			f *= pow10[lit.exp]
+		}
+	case lit.fits && -maxMantDigits <= lit.exp && lit.exp <= 0:
+		f = divPow10(lit.mant, -lit.exp)
+	default:
 		return strconv.ParseFloat(string(lit.text), 64)
-	}
-	f := float64(lit.mant)
-	if lit.exp < 0 {
-		f /= pow10[-lit.exp]
-	} else {
-		f *= pow10[lit.exp]
 	}
 	if lit.neg {
 		f = -f
 	}
 	return f, nil
+}
+
+// divPow10 returns the float64 nearest m / 10^k, ties to even, for m >= 1 and
+// 0 <= k <= 19: exact for every such input. Both operands are shifted until
+// their top bits are set, so that the one division bits.Div64 does yields a
+// quotient of 63 or 64 significant bits — a float64's 53, a rounding bit and
+// more — and a remainder that says whether anything lies below them.
+func divPow10(m uint64, k int) float64 {
+	den := uint64(pow10[k]) // exact: 10^19 < 2^64
+	lm, ld := bits.LeadingZeros64(m), bits.LeadingZeros64(den)
+	m <<= lm
+	den <<= ld
+	// m/den lies in (1/2, 2); q = floor(m/den × 2^63), and m>>1 < 2^63 <= den
+	// is what Div64 requires.
+	q, rem := bits.Div64(m>>1, m<<63, den)
+	e := ld - lm - 63 // m₀/10^k = (q + rem/den) × 2^e
+	if q>>63 == 0 {
+		// The bit shifted in is not the quotient's next one; rem != 0 stands
+		// for it below, and rounding compares against an even half.
+		q <<= 1
+		e--
+	}
+	const roundBits = 11
+	mant, low := q>>roundBits, q&(1<<roundBits-1)
+	if half := uint64(1) << (roundBits - 1); low > half || low == half && (rem != 0 || mant&1 == 1) {
+		mant++ // to 2^53 at most, which the sum below carries into the exponent
+	}
+	// mant × 2^(e+roundBits) with mant in [2^52, 2^53]: its top bit is the
+	// implicit one, and adds the 1 the biased exponent is short of.
+	return math.Float64frombits(uint64(e+roundBits+1074)<<52 + mant)
 }
 
 // body decodes the top-level value: the request object, or null, which
@@ -625,8 +684,10 @@ func (d *ingestDecoder) elements() error {
 	}
 	for i := 0; ; i++ {
 		e := d.slot(i)
-		if err := d.element(e, i); err != nil {
-			return err
+		if d.generalOnly || !d.canonical(e) {
+			if err := d.element(e, i); err != nil {
+				return err
+			}
 		}
 		if !e.Box.Valid() {
 			return ingestErrorf(ingestInvalidBox, "element %d: invalid box (lo > hi)", i)
@@ -645,6 +706,61 @@ func (d *ingestDecoder) elements() error {
 			return d.errorf(ingestSyntax, "invalid character %q after element %d", c, i)
 		}
 	}
+}
+
+// canonical decodes the element at the read position over *e if it is
+// spelled the one way every client in the tree writes it, which is what
+// encoding/json makes of the wire structs:
+//
+//	{"id":N,"box":{"lo":[x,y,z],"hi":[x,y,z]}}
+//
+// that member order, no whitespace, N without a leading zero, all of it
+// already in the buffer. Anything else — another byte anywhere, a token that
+// touches the end of what is read, a number float refuses — it declines,
+// having consumed and stored nothing, and element reads the same bytes from
+// the first: the recogniser adds no spelling to the wire format and words no
+// error. Where it accepts, it stores what element would have (every member is
+// present, so nothing of a previous occupant of *e survives either way).
+func (d *ingestDecoder) canonical(e *transformers.Element) bool {
+	const open, lo, hi, end = `{"id":`, `,"box":{"lo":[`, `],"hi":[`, `]}}`
+	s := d.buf[d.pos:d.end]
+	if !hasPrefixAt(s, 0, open) {
+		return false
+	}
+	i := len(open)
+	id, n, ok := idDigits(s[i:])
+	if !ok || n == 0 || s[i] == '0' && n > 1 {
+		return false
+	}
+	i += n
+	var coords [6]float64 // lo, then hi
+	for c, before := range [...]string{lo, ",", ",", hi, ",", ","} {
+		if !hasPrefixAt(s, i, before) {
+			return false
+		}
+		i += len(before)
+		lit, n, ok := scanNumber(s[i:])
+		if !ok {
+			return false
+		}
+		f, err := lit.float()
+		if err != nil {
+			return false
+		}
+		coords[c] = f
+		i += n
+	}
+	if !hasPrefixAt(s, i, end) {
+		return false
+	}
+	*e = transformers.Element{ID: id, Box: transformers.Box{Lo: transformers.Point(coords[:3]), Hi: transformers.Point(coords[3:])}}
+	d.pos += i + len(end)
+	return true
+}
+
+// hasPrefixAt reports whether s[i:] starts with lit.
+func hasPrefixAt(s []byte, i int, lit string) bool {
+	return len(s)-i >= len(lit) && string(s[i:i+len(lit)]) == lit
 }
 
 // element decodes one {"id":…,"box":…} over *e.
@@ -682,16 +798,25 @@ func (d *ingestDecoder) id(id *uint64, i int) error {
 	if err != nil {
 		return err
 	}
-	var v uint64
-	for _, c := range lit.text {
-		digit := uint64(c - '0')
-		if c < '0' || c > '9' || v > (1<<64-1-digit)/10 {
-			return ingestErrorf(ingestSyntax, "element %d: id %s is not an integer in [0, 2^64)", i, lit.text)
-		}
-		v = v*10 + digit
+	v, n, ok := idDigits(lit.text)
+	if !ok || n != len(lit.text) {
+		return ingestErrorf(ingestSyntax, "element %d: id %s is not an integer in [0, 2^64)", i, lit.text)
 	}
 	*id = v
 	return nil
+}
+
+// idDigits folds the decimal digits s starts with into an id and reports how
+// many they are; it is not ok when they pass 2^64-1.
+func idDigits(s []byte) (id uint64, n int, ok bool) {
+	for ; n < len(s) && s[n]-'0' <= 9; n++ {
+		digit := uint64(s[n] - '0')
+		if id > (1<<64-1-digit)/10 {
+			return 0, n, false
+		}
+		id = id*10 + digit
+	}
+	return id, n, true
 }
 
 func (d *ingestDecoder) box(b *transformers.Box, i int) error {
