@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -298,20 +299,25 @@ func TestJoinStatsConsistency(t *testing.T) {
 	}
 }
 
-// failingStore wraps a MemStore and fails reads after a countdown, for
-// failure-injection testing. The store sits in a field, not embedded: an
-// embedded MemStore would promote View, and the join would read its pages by
-// reference without ever reaching the countdown in Read.
+// failingStore wraps a MemStore and fails reads after a countdown its views
+// share, for failure-injection testing. The store sits in a field, not
+// embedded: an embedded MemStore would promote ViewElements, and the join would
+// read its pages by reference without ever reaching the countdown in Read.
 type failingStore struct {
-	st        *storage.MemStore
-	countdown int
+	st        storage.Store
+	countdown *atomic.Int64 // reads left before every further one fails
+}
+
+func newFailingStore() *failingStore {
+	f := &failingStore{st: storage.NewMemStore(0), countdown: new(atomic.Int64)}
+	f.countdown.Store(1 << 30)
+	return f
 }
 
 var errInjected = errors.New("injected read failure")
 
 func (f *failingStore) Read(id storage.PageID, buf []byte) error {
-	f.countdown--
-	if f.countdown <= 0 {
+	if f.countdown.Add(-1) <= 0 {
 		return errInjected
 	}
 	return f.st.Read(id, buf)
@@ -322,12 +328,14 @@ func (f *failingStore) Alloc(n int) (storage.PageID, error)        { return f.st
 func (f *failingStore) Write(id storage.PageID, data []byte) error { return f.st.Write(id, data) }
 func (f *failingStore) NumPages() int                              { return f.st.NumPages() }
 func (f *failingStore) Stats() storage.Stats                       { return f.st.Stats() }
-func (f *failingStore) ResetStats()                                { f.st.ResetStats() }
+func (f *failingStore) OpenReader() storage.Store {
+	return &failingStore{st: f.st.OpenReader(), countdown: f.countdown}
+}
 
 func TestJoinPropagatesStorageErrors(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 800, Seed: 25, MaxSide: 10})
 	b := datagen.Uniform(datagen.Config{N: 800, Seed: 26, MaxSide: 10})
-	fs := &failingStore{st: storage.NewMemStore(0), countdown: 1 << 30}
+	fs := newFailingStore()
 	ia, _, err := BuildIndex(fs, a, IndexConfig{World: datagen.DefaultWorld(), UnitCapacity: 40, NodeCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +344,7 @@ func TestJoinPropagatesStorageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.countdown = 5 // fail the fifth read of the join
+	fs.countdown.Store(5) // fail the fifth read of the join
 	_, err = Join(ia, ib, JoinConfig{}, func(geom.Element, geom.Element) {})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("expected injected error, got %v", err)

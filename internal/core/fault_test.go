@@ -27,17 +27,17 @@ func TestInjectedReadFaultsSurface(t *testing.T) {
 	build := func(sc *faultinject.Scenario) (ia, ib *core.Index) {
 		t.Helper()
 		st := sc.WrapStore(storage.NewMemStore(0))
-		if _, ok := st.(storage.PageViewer); ok {
+		// Were WriteElements or ViewElements promoted, the build would keep
+		// pages as elements and the join would take them without ever passing
+		// the wrapper's Read and its countdown.
+		if _, ok := st.(storage.ElementViewer); ok {
 			t.Fatal("a fault-wrapped store hands pages out by reference: its read faults would never fire")
 		}
-		// One layer up: were WriteElements or ViewElements promoted, the
-		// build would keep pages as elements and the join would take them
-		// without ever passing the wrapper's Read and its countdown.
 		if _, ok := st.(storage.ElementWriter); ok {
 			t.Fatal("a fault-wrapped store keeps element pages by reference: its write faults would never fire")
 		}
 		for _, rd := range storage.OpenReaders(st, 2) {
-			if _, ok := rd.(storage.PageViewer); ok {
+			if _, ok := rd.(storage.ElementViewer); ok {
 				t.Fatal("a reader of a fault-wrapped store hands pages out by reference")
 			}
 		}

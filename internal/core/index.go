@@ -16,8 +16,12 @@
 // navigation; regions tile space, so the adaptive walk never falls into dead
 // space between pages). Space nodes carry the union of their units' regions
 // and page MBBs, plus the neighbor list computed by a spatial self-join over
-// node regions; units inherit connectivity from their parent node. A B+-tree
-// over the Hilbert values of node centers provides walk starting points.
+// node regions; units inherit connectivity from their parent node. The
+// Hilbert values of node centers, sorted, provide walk starting points: §V's
+// B+-tree "only provides the starting point of the exploration", and the
+// index is built once and never updated (§IV), so of the tree only its leaf
+// level — what bulk-loading sorted keys produces — is ever used. That level
+// is kept as an array (Index.orderKeys) and searched by bisection.
 //
 // # Join (§V–§VI)
 //
@@ -33,12 +37,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/hilbert"
@@ -117,13 +122,15 @@ type Index struct {
 	st     storage.Store
 	units  []UnitDesc
 	nodes  []NodeDesc
-	tree   *btree.Tree
 	mapper *hilbert.Mapper
 	world  geom.Box
 	size   int
-	// nodeOrder lists node IDs in Hilbert order of their centers: the pivot
-	// visit order, which keeps consecutive walks short.
+	// nodeOrder lists node IDs in Hilbert order of their centers (equal keys
+	// by node ID): the pivot visit order, which keeps consecutive walks short.
+	// orderKeys holds the Hilbert value of each listed node; nearestNode
+	// searches it.
 	nodeOrder []int32
+	orderKeys []uint64
 	// sides pools the per-run state of joins and range queries over this
 	// index (*side, see acquireSide), so its scratch outlives one run. The
 	// pool dies with the index and gives idle entries back to the collector.
@@ -146,9 +153,9 @@ type BuildStats struct {
 
 // BuildIndex indexes elems: it partitions them into space units written to
 // the store, groups units into space nodes, computes connectivity and the
-// Hilbert B+-tree. The element slice is reordered in place (STR order,
-// which is also the sequential disk layout order) and belongs to the index
-// afterwards: over a store that keeps data pages by reference
+// Hilbert order of the nodes. The element slice is reordered in place (STR
+// order, which is also the sequential disk layout order) and belongs to the
+// index afterwards: over a store that keeps data pages by reference
 // (storage.ElementWriter — a MemStore) each unit's page is its range of
 // elems, not a copy, so the caller may read the slice but must not write to
 // it, or hand it to anything that does, while the index is in use. Any other
@@ -247,24 +254,14 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 		idx.nodes[j].Neighbors = append(idx.nodes[j].Neighbors, int32(i))
 	})
 
-	// Walk-start index: B+-tree over Hilbert values of node centers, and
-	// the pivot visit order (nodes sorted by the same key).
+	// Walk-start index and pivot visit order: the nodes sorted by the Hilbert
+	// value of their centers.
 	idx.mapper = hilbert.NewMapper(world, hilbert.DefaultOrder)
-	idx.tree = btree.New(0)
 	keys := make([]uint64, len(idx.nodes))
-	idx.nodeOrder = make([]int32, len(idx.nodes))
 	for i := range idx.nodes {
 		keys[i] = idx.mapper.Value(idx.nodes[i].Region.Center())
-		idx.tree.Insert(keys[i], uint64(i))
-		idx.nodeOrder[i] = int32(i)
 	}
-	sort.Slice(idx.nodeOrder, func(a, b int) bool {
-		ka, kb := keys[idx.nodeOrder[a]], keys[idx.nodeOrder[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return idx.nodeOrder[a] < idx.nodeOrder[b]
-	})
+	idx.setNodeOrder(keys)
 
 	// Persist the descriptor tables so indexing I/O and on-disk size are
 	// honest; the join keeps descriptors in memory (§VI-B notes metadata
@@ -280,6 +277,41 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 	bs.Units = len(idx.units)
 	bs.Nodes = len(idx.nodes)
 	return idx, bs, nil
+}
+
+// setNodeOrder sorts the node IDs by keys[node], equal keys by node ID, into
+// nodeOrder and lists their keys alongside in orderKeys.
+func (idx *Index) setNodeOrder(keys []uint64) {
+	idx.nodeOrder = make([]int32, len(keys))
+	for i := range idx.nodeOrder {
+		idx.nodeOrder[i] = int32(i)
+	}
+	slices.SortFunc(idx.nodeOrder, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+	})
+	idx.orderKeys = make([]uint64, len(keys))
+	for i, n := range idx.nodeOrder {
+		idx.orderKeys[i] = keys[n]
+	}
+}
+
+// nearestNode returns the node whose key is closest to key — the last one at
+// or below it unless the first one at or above it is strictly closer — and
+// false for an index without nodes. It is the lookup of a B+-tree over the
+// keys (floor, ceiling, the nearer of the two), on its leaf level.
+func (idx *Index) nearestNode(key uint64) (int32, bool) {
+	keys := idx.orderKeys
+	hi := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
+	lo := sort.Search(len(keys), func(i int) bool { return keys[i] > key }) - 1
+	switch {
+	case len(keys) == 0:
+		return 0, false
+	case lo < 0:
+		lo = hi
+	case hi < len(keys) && keys[hi]-key < key-keys[lo]:
+		lo = hi
+	}
+	return idx.nodeOrder[lo], true
 }
 
 // writeMeta serializes the unit descriptors to pages (nodeCap descriptors

@@ -50,7 +50,7 @@ type JoinConfig struct {
 	// Concurrent marks the indexes as shared with other goroutines (the
 	// serving layer runs many joins and range queries over one catalog
 	// index concurrently). Page reads then go through private
-	// storage.OpenReaders views instead of the indexes' own stores, whose
+	// Store.OpenReader views instead of the indexes' own stores, whose
 	// I/O trackers are unsynchronized. Results are identical; only the
 	// sequential/random classification stream starts fresh per join.
 	// Parallel joins (Parallelism > 1) always read through private views.
@@ -107,7 +107,6 @@ type side struct {
 	remaining  int          // unchecked node count
 	cursor     int          // position in idx.nodeOrder
 	lastNode   int32        // node-walk position
-	lastUnit   int32        // unit-walk position (-1 until set)
 	nodeWalker *walker
 	unitWalker *walker
 	isA        bool
@@ -160,7 +159,7 @@ func acquireSide(idx *Index, base storage.Store, cachePages int, isA bool) *side
 	s.st.Reset(base, cachePages)
 	clear(s.checked)
 	s.remaining = len(idx.nodes)
-	s.cursor, s.lastNode, s.lastUnit = 0, 0, -1
+	s.cursor, s.lastNode = 0, 0
 	s.isA = isA
 	s.scoped, s.scopeBox = false, geom.Box{}
 	return s
@@ -213,20 +212,16 @@ func (s *side) restrictTo(lo, hi int) {
 	s.scopeBox = box
 }
 
-// nodeStart picks the walk start for a target: the B+-tree's nearest node by
-// Hilbert value of the target center, or the previous walk position,
-// whichever region is closer (§V: the B+-tree only provides the starting
-// point of the exploration).
+// nodeStart picks the walk start for a target: the nearest node by Hilbert
+// value of the target center, or the previous walk position, whichever region
+// is closer (§V: the B+-tree only provides the starting point of the
+// exploration).
 func (s *side) nodeStart(target geom.Box) int32 {
-	e, ok := s.idx.tree.Nearest(s.idx.mapper.Value(target.Center()))
-	if !ok {
+	byKey, ok := s.idx.nearestNode(s.idx.mapper.Value(target.Center()))
+	if !ok || s.idx.nodes[s.lastNode].Nav.DistSq(target) <= s.idx.nodes[byKey].Nav.DistSq(target) {
 		return s.lastNode
 	}
-	byTree := int32(e.Value)
-	if s.idx.nodes[s.lastNode].Nav.DistSq(target) <= s.idx.nodes[byTree].Nav.DistSq(target) {
-		return s.lastNode
-	}
-	return byTree
+	return byKey
 }
 
 // readUnit loads one space unit's elements through the side's cache into
@@ -393,11 +388,11 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 	// over shared indexes never touch the same unsynchronized tracker.
 	stA, stB := ia.st, ib.st
 	if cfg.Concurrent {
-		stA = storage.OpenReaders(ia.st, 1)[0]
+		stA = ia.st.OpenReader()
 		if ia.st == ib.st {
 			stB = stA
 		} else {
-			stB = storage.OpenReaders(ib.st, 1)[0]
+			stB = ib.st.OpenReader()
 		}
 	}
 	r := newJoinRun(ia, ib, cfg, emit, stA, stB)
@@ -447,6 +442,59 @@ func (r *joinRun) emitOriented(g int, guideElem, followerElem geom.Element) {
 	}
 }
 
+// bookWalk accounts for one adaptive walk begun at t0: its steps are walk steps
+// and metadata comparisons, its time is exploration, and the cost model's Tae
+// measures both.
+func (r *joinRun) bookWalk(t0 time.Time, res walkResult) walkResult {
+	dt := time.Since(t0)
+	r.stats.WalkSteps += res.steps
+	r.stats.MetaComparisons += res.steps
+	r.stats.ExploreWall += dt
+	r.model.observeWalk(res.steps, dt)
+	return res
+}
+
+// crawlUnits crawls the follower's unit graph from found, collecting in F.cand
+// the units of unchecked nodes whose page can intersect target, and returns
+// how many of them the current pivot's read tally had not seen.
+func (r *joinRun) crawlUnits(f int, found int32, target geom.Box) (firstReads int) {
+	F := r.sides[f]
+	t0 := time.Now()
+	F.cand = F.cand[:0]
+	visited := F.unitWalker.crawl(unitGraph{F.idx}, found, target, func(fu int32) {
+		fd := &F.idx.units[fu]
+		r.stats.MetaComparisons++
+		if F.checked[fd.Node] {
+			return // every pair with that node was emitted when it was the pivot
+		}
+		if fd.PageMBB.Intersects(target) {
+			F.cand = append(F.cand, fu)
+		}
+	})
+	r.stats.MetaComparisons += visited
+	for _, fu := range F.cand {
+		if F.tallyRead(fu) {
+			firstReads++
+		}
+	}
+	r.stats.ExploreWall += time.Since(t0)
+	return firstReads
+}
+
+// joinBatches grid-joins the element batches the two sides hold and books the
+// comparisons and the time since t0 — the reads that filled the batches
+// included — as join cost.
+func (r *joinRun) joinBatches(g, f int, t0 time.Time) {
+	G, F := r.sides[g], r.sides[f]
+	comps := G.grid.Join(G.elems, F.elems, grid.Config{}, func(ge, fe geom.Element) {
+		r.emitOriented(g, ge, fe)
+	})
+	dt := time.Since(t0)
+	r.stats.Comparisons += comps
+	r.stats.JoinWall += dt
+	r.model.observeJoin(comps, dt)
+}
+
 // processPivot handles one pivot space node of the guide: it walks the
 // follower to the pivot, applies transformations (§VI), and joins. It
 // returns switched=true when a role transformation made the old follower
@@ -467,14 +515,9 @@ func (r *joinRun) processPivot(g, f int, pn int32) (switched bool, err error) {
 	}
 
 	t0 := time.Now()
-	wres := F.nodeWalker.walk(nodeGraph{F.idx}, F.nodeStart(target), target, r.maxWalk[f])
+	wres := r.bookWalk(t0, F.nodeWalker.walk(nodeGraph{F.idx}, F.nodeStart(target), target, r.maxWalk[f]))
 	tracef("pivot side=%d node=%d found=%d", g, pn, wres.found)
 	F.lastNode = wres.nearest
-	dt := time.Since(t0)
-	r.stats.WalkSteps += wres.steps
-	r.stats.MetaComparisons += wres.steps
-	r.stats.ExploreWall += dt
-	r.model.observeWalk(wres.steps, dt)
 	if wres.found < 0 {
 		// No follower Nav box intersects the pivot, so no follower element
 		// can: the pivot joins nothing.
@@ -599,13 +642,7 @@ func (r *joinRun) processNodeLevel(g, f int, pn, found int32) error {
 	if err := F.readBatch(keptF); err != nil {
 		return err
 	}
-	comps := G.grid.Join(G.elems, F.elems, grid.Config{}, func(ge, fe geom.Element) {
-		r.emitOriented(g, ge, fe)
-	})
-	dt := time.Since(tj)
-	r.stats.Comparisons += comps
-	r.stats.JoinWall += dt
-	r.model.observeJoin(comps, dt)
+	r.joinBatches(g, f, tj)
 	return nil
 }
 
@@ -620,12 +657,8 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 
 	// Position the follower's unit walk near the pivot node first.
 	t0 := time.Now()
-	nres := F.nodeWalker.walk(nodeGraph{F.idx}, F.nodeStart(target), target, r.maxWalk[f])
+	nres := r.bookWalk(t0, F.nodeWalker.walk(nodeGraph{F.idx}, F.nodeStart(target), target, r.maxWalk[f]))
 	F.lastNode = nres.nearest
-	r.stats.WalkSteps += nres.steps
-	r.stats.MetaComparisons += nres.steps
-	r.model.observeWalk(nres.steps, time.Since(t0))
-	r.stats.ExploreWall += time.Since(t0)
 	if nres.found < 0 {
 		return nil
 	}
@@ -653,14 +686,8 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 		utarget := u.PageMBB
 
 		tw := time.Now()
-		wres := F.unitWalker.walk(unitGraph{F.idx}, cur, utarget, r.maxWalk[f])
+		wres := r.bookWalk(tw, F.unitWalker.walk(unitGraph{F.idx}, cur, utarget, r.maxWalk[f]))
 		cur = wres.nearest
-		F.lastUnit = wres.nearest
-		dt := time.Since(tw)
-		r.stats.WalkSteps += wres.steps
-		r.stats.MetaComparisons += wres.steps
-		r.stats.ExploreWall += dt
-		r.model.observeWalk(wres.steps, dt)
 		if wres.found < 0 {
 			tracef("unit walk FAILED side=%d unit=%d", g, ui)
 			continue
@@ -685,25 +712,7 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 
 		// Unit-level crawl and join: collect follower units whose pages can
 		// intersect the pivot unit, read them, grid-join.
-		tc := time.Now()
-		F.cand = F.cand[:0]
-		visited := F.unitWalker.crawl(unitGraph{F.idx}, wres.found, utarget, func(fu int32) {
-			fd := &F.idx.units[fu]
-			r.stats.MetaComparisons++
-			if F.checked[fd.Node] {
-				return
-			}
-			if fd.PageMBB.Intersects(u.PageMBB) {
-				F.cand = append(F.cand, fu)
-			}
-		})
-		r.stats.MetaComparisons += visited
-		for _, fu := range F.cand {
-			if F.tallyRead(fu) {
-				distinctRead++
-			}
-		}
-		r.stats.ExploreWall += time.Since(tc)
+		distinctRead += r.crawlUnits(f, wres.found, utarget)
 		if len(F.cand) == 0 {
 			continue
 		}
@@ -715,13 +724,7 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 		if err := F.readBatch(F.cand); err != nil {
 			return err
 		}
-		comps := G.grid.Join(G.elems, F.elems, grid.Config{}, func(ge, fe geom.Element) {
-			r.emitOriented(g, ge, fe)
-		})
-		dt = time.Since(tj)
-		r.stats.Comparisons += comps
-		r.stats.JoinWall += dt
-		r.model.observeJoin(comps, dt)
+		r.joinBatches(g, f, tj)
 	}
 	// Feed the realized costs back into the cost model (§VI-C): the filter
 	// fraction (the fine-grained layout avoided reading
@@ -751,37 +754,12 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 		etarget := e.Box
 
 		tw := time.Now()
-		wres := F.unitWalker.walk(unitGraph{F.idx}, cur, etarget, r.maxWalk[f])
+		wres := r.bookWalk(tw, F.unitWalker.walk(unitGraph{F.idx}, cur, etarget, r.maxWalk[f]))
 		cur = wres.nearest
-		F.lastUnit = wres.nearest
-		dt := time.Since(tw)
-		r.stats.WalkSteps += wres.steps
-		r.stats.MetaComparisons += wres.steps
-		r.stats.ExploreWall += dt
-		r.model.observeWalk(wres.steps, dt)
 		if wres.found < 0 {
 			continue
 		}
-
-		tc := time.Now()
-		F.cand = F.cand[:0]
-		visited := F.unitWalker.crawl(unitGraph{F.idx}, wres.found, etarget, func(fu int32) {
-			fd := &F.idx.units[fu]
-			r.stats.MetaComparisons++
-			if F.checked[fd.Node] {
-				return
-			}
-			if fd.PageMBB.Intersects(e.Box) {
-				F.cand = append(F.cand, fu)
-			}
-		})
-		r.stats.MetaComparisons += visited
-		for _, fu := range F.cand {
-			if F.tallyRead(fu) {
-				distinctRead++
-			}
-		}
-		r.stats.ExploreWall += time.Since(tc)
+		distinctRead += r.crawlUnits(f, wres.found, etarget)
 
 		te := time.Now()
 		if err := F.readBatch(F.cand); err != nil {
@@ -794,7 +772,7 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 				r.emitOriented(g, e, fe)
 			}
 		}
-		dt = time.Since(te)
+		dt := time.Since(te)
 		r.stats.Comparisons += comps
 		r.stats.JoinWall += dt
 		r.model.observeJoin(comps, dt)

@@ -163,10 +163,9 @@ func TestParallelEdgeCases(t *testing.T) {
 func TestParallelPropagatesStorageErrors(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 800, Seed: 65, MaxSide: 10})
 	b := datagen.Uniform(datagen.Config{N: 800, Seed: 66, MaxSide: 10})
-	// failingStore is no ReaderOpener, so the parallel join takes the locked
-	// fallback and every worker's reads route through the countdown
-	// injection.
-	st := &failingStore{st: storage.NewMemStore(0), countdown: 1 << 30}
+	// Every worker's view shares the countdown, so the fifth read of the
+	// fleet fails whichever worker issues it.
+	st := newFailingStore()
 	ia, _, err := BuildIndex(st, a, IndexConfig{World: datagen.DefaultWorld(), UnitCapacity: 40, NodeCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,7 @@ func TestParallelPropagatesStorageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.countdown = 5
+	st.countdown.Store(5)
 	_, err = Join(ia, ib, JoinConfig{Parallelism: 4}, func(geom.Element, geom.Element) {})
 	if err == nil {
 		t.Fatal("parallel join swallowed a storage error")

@@ -8,7 +8,7 @@ import (
 )
 
 // Range and probe queries over a built index. The paper's index (§IV) is a
-// join-support structure, but the same machinery — the Hilbert B+-tree walk
+// join-support structure, but the same machinery — the Hilbert-order walk
 // start, the adaptive walk of Algorithm 1 and the neighborhood crawl of §V —
 // answers spatial selections: walk the node graph to the query box, crawl the
 // connected footprint of intersecting Nav boxes, and read exactly the space
@@ -43,7 +43,7 @@ type RangeStats struct {
 //
 // The query runs on a side of its own from the index's pool — private walker
 // state and scratch, the join's page read path — over a private
-// storage.OpenReaders view, so any number of RangeQuery calls may run
+// Store.OpenReader view, so any number of RangeQuery calls may run
 // concurrently with each other and with joins on the same index.
 //
 // Completeness follows from the index invariants: every element box is
@@ -61,17 +61,14 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 	if idx.size == 0 || len(idx.nodes) == 0 || !query.Valid() {
 		return dst, rs, nil
 	}
-	rd := storage.OpenReaders(idx.st, 1)[0]
+	rd := idx.st.OpenReader()
 	s := acquireSide(idx, rd, DefaultCachePages, true)
 	defer s.release()
 	w := s.nodeWalker
 
-	// Walk start: the B+-tree's nearest node by Hilbert value of the query
-	// center (§V — the tree only provides the exploration's starting point).
-	startNode := int32(0)
-	if e, ok := idx.tree.Nearest(idx.mapper.Value(query.Center())); ok {
-		startNode = int32(e.Value)
-	}
+	// Walk start: the nearest node by Hilbert value of the query center
+	// (there is one: the index has nodes).
+	startNode, _ := idx.nearestNode(idx.mapper.Value(query.Center()))
 	maxSteps := 4 * (len(idx.nodes) + len(idx.units))
 	wres := w.walk(nodeGraph{idx}, startNode, query, maxSteps)
 	rs.WalkSteps = wres.steps

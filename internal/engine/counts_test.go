@@ -60,19 +60,16 @@ func (c copyOnlyStore) Write(id storage.PageID, data []byte) error { return c.st
 func (c copyOnlyStore) Read(id storage.PageID, buf []byte) error   { return c.st.Read(id, buf) }
 func (c copyOnlyStore) NumPages() int                              { return c.st.NumPages() }
 func (c copyOnlyStore) Stats() storage.Stats                       { return c.st.Stats() }
-func (c copyOnlyStore) ResetStats()                                { c.st.ResetStats() }
-func (c copyOnlyStore) OpenReader() storage.Store {
-	return copyOnlyStore{c.st.(storage.ReaderOpener).OpenReader()}
-}
+func (c copyOnlyStore) OpenReader() storage.Store                  { return copyOnlyStore{c.st.OpenReader()} }
 
 // byteViewStore is the same MemStore reachable through storage.Store and
-// storage.PageViewer: pages go down encoded and come back by reference as
-// bytes, never as the elements they were written from — the read path before
-// an in-memory store kept data pages as elements.
+// storage.ElementViewer but no storage.ElementWriter: pages go down encoded
+// and come back by reference as bytes, never as the elements they were written
+// from — the read path before an in-memory store kept data pages as elements.
 type byteViewStore struct{ copyOnlyStore }
 
-func (b byteViewStore) View(id storage.PageID) ([]byte, error) {
-	return b.st.(storage.PageViewer).View(id)
+func (b byteViewStore) ViewElements(id storage.PageID) ([]geom.Element, []byte, error) {
+	return b.st.(storage.ElementViewer).ViewElements(id)
 }
 func (b byteViewStore) OpenReader() storage.Store {
 	return byteViewStore{b.copyOnlyStore.OpenReader().(copyOnlyStore)}

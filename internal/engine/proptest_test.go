@@ -136,6 +136,15 @@ func identicalBoxes(r *rand.Rand, n int, idBase uint64) []geom.Element {
 	return out
 }
 
+// repeatIDs folds the IDs of elems onto [0, mod): nothing at ingest requires an
+// ID to be unique, and a join's answer is then a multiset of ID pairs.
+func repeatIDs(elems []geom.Element, mod uint64) []geom.Element {
+	for i := range elems {
+		elems[i].ID %= mod
+	}
+	return elems
+}
+
 // adversarialCases builds the dataset-pair corpus for one seed. Sizes are
 // kept small enough that the naive reference stays instant while every
 // engine still partitions, replicates and dedups.
@@ -155,6 +164,7 @@ func adversarialCases(seed int64) []enginetest.Workload {
 		{Name: "skew-vs-uniform", A: genClustered(r, 700, 4, 5, 4, 0), B: genUniformBoxes(r, 700, 6, 0)},
 		{Name: "mixed-bag", A: append(genGiants(r, 10, 0), genClustered(r, 500, 5, 6, 4, 100)...),
 			B: append(genUniformBoxes(r, 400, 5, 0), identicalBoxes(r, 80, 5000)...)},
+		{Name: "repeated-ids", A: repeatIDs(genUniformBoxes(r, 600, 120, 0), 50), B: repeatIDs(genUniformBoxes(r, 600, 120, 0), 7)},
 	}
 }
 

@@ -19,9 +19,10 @@
 // and any worker count. The classic reference-point method (PBSM [3], SOLAR)
 // lifted from uniform grids to Hilbert-balanced tiles.
 //
-// Element IDs must be unique within each dataset (the repository-wide
-// invariant): dedup maps result IDs back to boxes to locate reference
-// points.
+// Element IDs play no part in it: a tile's inner engine joins copies labelled
+// by their position in the tile, and dedup maps a result's positions back to
+// the caller's elements — boxes for the reference point, IDs for the answer —
+// so datasets whose IDs repeat join like any other.
 package shard
 
 import (
@@ -247,10 +248,18 @@ func (t *tiling) tileOfPoint(p geom.Point) int {
 
 // assign distributes elements to every tile whose cells their box overlaps,
 // using a generation-stamped scratch array to dedupe tile hits per element.
-// Returns the per-tile element slices and the number of extra copies.
-func (t *tiling) assign(elems []geom.Element) (tiles [][]geom.Element, replicated int) {
+// A tile receives a copy whose ID is its position in the tile — the inner
+// engine owns that slice and may reorder it (core.BuildIndex does) — and src
+// keeps, by that position, which of elems it is. Returns both and the number
+// of extra copies.
+func (t *tiling) assign(elems []geom.Element) (tiles [][]geom.Element, src [][]int32, replicated int) {
 	k := t.tiles()
 	tiles = make([][]geom.Element, k)
+	src = make([][]int32, k)
+	place := func(ti, i int) {
+		tiles[ti] = append(tiles[ti], geom.Element{ID: uint64(len(tiles[ti])), Box: elems[i].Box})
+		src[ti] = append(src[ti], int32(i))
+	}
 	stamp := make([]int, k)
 	for i := range stamp {
 		stamp[i] = -1
@@ -262,8 +271,8 @@ func (t *tiling) assign(elems []geom.Element) (tiles [][]geom.Element, replicate
 		if span > maxCoverCells {
 			// Cross-shard giant: replicate everywhere rather than walk
 			// thousands of cells. Dedup keeps the result exact.
-			for i := 0; i < k; i++ {
-				tiles[i] = append(tiles[i], e)
+			for ti := 0; ti < k; ti++ {
+				place(ti, gen)
 			}
 			replicated += k - 1
 			continue
@@ -275,7 +284,7 @@ func (t *tiling) assign(elems []geom.Element) (tiles [][]geom.Element, replicate
 					ti := t.tileOf(hilbert.Encode(t.order, x, y, z))
 					if stamp[ti] != gen {
 						stamp[ti] = gen
-						tiles[ti] = append(tiles[ti], e)
+						place(ti, gen)
 						n++
 					}
 				}
@@ -283,7 +292,7 @@ func (t *tiling) assign(elems []geom.Element) (tiles [][]geom.Element, replicate
 		}
 		replicated += n - 1
 	}
-	return tiles, replicated
+	return tiles, src, replicated
 }
 
 // fanout is the K>1 path: cut, assign, run tiles on the pool, and merge
@@ -300,10 +309,8 @@ func (e *Engine) fanout(ctx context.Context, a, b []geom.Element, opt engine.Opt
 	_, partSpan := obs.Start(ctx, "shard-partition")
 	partStart := time.Now()
 	tl := newTiling(a, b, opt.World, k)
-	tilesA, replA := tl.assign(a)
-	tilesB, replB := tl.assign(b)
-	boxesA := boxesByID(a)
-	boxesB := boxesByID(b)
+	tilesA, srcA, replA := tl.assign(a)
+	tilesB, srcB, replB := tl.assign(b)
 	partWall := time.Since(partStart)
 	partSpan.End()
 	partSpan.Add("tiles", int64(k))
@@ -360,13 +367,14 @@ func (e *Engine) fanout(ctx context.Context, a, b []geom.Element, opt engine.Opt
 					func(p geom.Pair) error {
 						// Reference-point dedup on the fly: forward exactly
 						// the pairs whose intersection's low corner falls in
-						// this tile.
-						if tl.tileOfPoint(refPoint(boxesA[p.A], boxesB[p.B])) != ti {
+						// this tile, under the caller's IDs.
+						ea, eb := a[srcA[ti][p.A]], b[srcB[ti][p.B]]
+						if tl.tileOfPoint(refPoint(ea.Box, eb.Box)) != ti {
 							dropped++
 							return nil
 						}
 						select {
-						case out <- p:
+						case out <- geom.Pair{A: ea.ID, B: eb.ID}:
 							kept++
 							return nil
 						case <-cctx.Done():
@@ -523,13 +531,4 @@ func refPoint(a, b geom.Box) geom.Point {
 		}
 	}
 	return p
-}
-
-// boxesByID indexes a dataset's boxes by element ID for dedup lookups.
-func boxesByID(elems []geom.Element) map[uint64]geom.Box {
-	m := make(map[uint64]geom.Box, len(elems))
-	for _, e := range elems {
-		m[e.ID] = e.Box
-	}
-	return m
 }

@@ -152,11 +152,7 @@ func TestWrapStoreReadersShareTriggers(t *testing.T) {
 	}
 	sc := New(Fault{Op: OpReadError, After: 1, Times: 1})
 	ws := sc.WrapStore(st)
-	ro, ok := ws.(storage.ReaderOpener)
-	if !ok {
-		t.Fatal("wrapped store lost ReaderOpener")
-	}
-	r1, r2 := ro.OpenReader(), ro.OpenReader()
+	r1, r2 := ws.OpenReader(), ws.OpenReader()
 	buf := make([]byte, st.PageSize())
 	if err := r1.Read(id, buf); err != nil {
 		t.Fatalf("reader 1: %v", err)

@@ -70,18 +70,10 @@ func (f *faultStore) NumPages() int { return f.st.NumPages() }
 
 func (f *faultStore) Stats() storage.Stats { return f.st.Stats() }
 
-func (f *faultStore) ResetStats() { f.st.ResetStats() }
-
-// OpenReader implements storage.ReaderOpener: readers share the scenario,
-// and wrap the inner store's native reader when it has one (falling back to
-// the store itself, whose own Read path remains concurrency-safe only as far
-// as the inner store is — the repo's stores all implement ReaderOpener).
+// OpenReader implements storage.Store: a view of the inner store that shares
+// the scenario's triggers.
 func (f *faultStore) OpenReader() storage.Store {
-	inner := f.st
-	if ro, ok := inner.(storage.ReaderOpener); ok {
-		inner = ro.OpenReader()
-	}
-	return &faultStore{st: inner, sc: f.sc}
+	return &faultStore{st: f.st.OpenReader(), sc: f.sc}
 }
 
 // brokenStore fails every write and allocation: an index build attempt on it
@@ -106,4 +98,4 @@ func (b *brokenStore) NumPages() int { return b.st.NumPages() }
 
 func (b *brokenStore) Stats() storage.Stats { return b.st.Stats() }
 
-func (b *brokenStore) ResetStats() { b.st.ResetStats() }
+func (b *brokenStore) OpenReader() storage.Store { return &brokenStore{st: b.st.OpenReader()} }

@@ -354,10 +354,10 @@ type AppendInfo struct {
 // ownership of its own.
 func (c *Catalog) Append(name string, elems []transformers.Element) (AppendInfo, error) {
 	c.mu.Lock()
-	ds := c.datasets[name]
-	if ds == nil {
+	ds, err := c.datasetLocked(name)
+	if err != nil {
 		c.mu.Unlock()
-		return AppendInfo{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+		return AppendInfo{}, err
 	}
 	gen := ds.cur
 	notify := func() {}
@@ -438,10 +438,10 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 		return nil, err
 	}
 	c.mu.Lock()
-	ds := c.datasets[name]
-	if ds == nil {
+	ds, err := c.datasetLocked(name)
+	if err != nil {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+		return nil, err
 	}
 	gen := ds.cur
 	version := gen.version
@@ -561,9 +561,9 @@ func (c *Catalog) TryAcquire(name string, expand float64) (*Handle, bool, error)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ds := c.datasets[name]
-	if ds == nil {
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	ds, err := c.datasetLocked(name)
+	if err != nil {
+		return nil, false, err
 	}
 	gen, stale := ds.cur, false
 	e, ok := gen.indexes[expand]
@@ -719,31 +719,32 @@ func isReady(ready chan struct{}) bool {
 	}
 }
 
-// DatasetStats returns the cached planner statistics of a dataset and the
-// version they describe. Statistics are computed once per Put, so this is a
-// map lookup — cheap enough for every "auto" join to call.
-func (c *Catalog) DatasetStats(name string) (planner.DatasetStats, uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds := c.datasets[name]
-	if ds == nil {
-		return planner.DatasetStats{}, 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+// datasetLocked returns the named dataset, or ErrUnknownDataset for a name
+// never registered. The caller holds c.mu.
+func (c *Catalog) datasetLocked(name string) (*dataset, error) {
+	if ds := c.datasets[name]; ds != nil {
+		return ds, nil
 	}
-	return ds.cur.stats, ds.cur.version, nil
+	return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 }
 
-// VersionEpoch returns the current version, delta epoch and delta size of a
-// dataset in one consistent snapshot — the cache fast path keys lookups on
-// (version, epoch), and the planner folds the delta cardinality into its
-// pricing.
-func (c *Catalog) VersionEpoch(name string) (version, epoch uint64, deltaLen int, err error) {
+// joinInput snapshots what planning a join reads of a dataset — the planner
+// statistics cached per version, the version they describe, the delta epoch
+// and the delta size — from one generation under one lock, so a Put between
+// two reads can never pair one version's statistics with the next one's
+// number. It is a map lookup that acquires no index: a cache hit must not pay
+// the (re)build of an evicted variant. A replacement, append or merge racing
+// between this and the later acquisition only turns a hit into a safe miss
+// (the stored key uses the state actually served).
+func (c *Catalog) joinInput(name string) (joinInput, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ds := c.datasets[name]
-	if ds == nil {
-		return 0, 0, 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	ds, err := c.datasetLocked(name)
+	if err != nil {
+		return joinInput{}, err
 	}
-	return ds.cur.version, ds.cur.deltaEpoch, len(ds.cur.delta), nil
+	gen := ds.cur
+	return joinInput{name: name, stats: gen.stats, version: gen.version, epoch: gen.deltaEpoch, delta: len(gen.delta)}, nil
 }
 
 // Snapshot returns a private combined copy of a dataset's base elements plus
@@ -753,10 +754,10 @@ func (c *Catalog) VersionEpoch(name string) (version, epoch uint64, deltaLen int
 // results identical to a full rebuild by construction.
 func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, epoch uint64, deltaLen int, err error) {
 	c.mu.Lock()
-	ds := c.datasets[name]
-	if ds == nil {
+	ds, err := c.datasetLocked(name)
+	if err != nil {
 		c.mu.Unlock()
-		return nil, 0, 0, 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+		return nil, 0, 0, 0, err
 	}
 	gen := ds.cur
 	base := gen.elems
@@ -810,10 +811,10 @@ func (c *Catalog) DeltaView(h *Handle) (base, delta []transformers.Element, epoc
 // the delta was empty or the dataset was replaced mid-merge).
 func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	c.mu.Lock()
-	ds := c.datasets[name]
-	if ds == nil {
+	ds, err := c.datasetLocked(name)
+	if err != nil {
 		c.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+		return 0, err
 	}
 	if ds.merging {
 		c.mu.Unlock()

@@ -20,8 +20,39 @@ func TestCatalogUnknownDataset(t *testing.T) {
 	if _, err := c.Acquire(context.Background(), "nope", 0); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("err = %v, want ErrUnknownDataset", err)
 	}
-	if _, _, _, err := c.VersionEpoch("nope"); !errors.Is(err, ErrUnknownDataset) {
-		t.Fatalf("VersionEpoch err = %v, want ErrUnknownDataset", err)
+	if _, err := c.joinInput("nope"); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("joinInput err = %v, want ErrUnknownDataset", err)
+	}
+}
+
+// TestCatalogJoinInputIsOneGeneration: the statistics, version and delta size a
+// join is planned on describe one generation, however the read interleaves
+// with replacements — odd versions hold 100 elements here, even ones 200.
+func TestCatalogJoinInputIsOneGeneration(t *testing.T) {
+	c := NewCatalog(0, 0)
+	small, large := elemsN(100, 1), elemsN(200, 2)
+	c.Put("ds", small)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 400; i++ {
+			c.Put("ds", large)
+			c.Put("ds", small)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		in, err := c.joinInput("ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 100 + 100*int(1-in.version%2); in.stats.Count != want || in.delta != 0 {
+			t.Fatalf("version %d planned on statistics of %d elements (delta %d), want %d", in.version, in.stats.Count, in.delta, want)
+		}
 	}
 }
 

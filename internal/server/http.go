@@ -162,28 +162,36 @@ type errorResponse struct {
 // itself bounds the damage of).
 const maxTenantLen = 64
 
-// tenantFromHeaders reads the request's tenant identity: X-Tenant names the
-// tenant (default tenant when absent), X-Priority: batch selects the batch
-// admission lane.
-func tenantFromHeaders(r *http.Request) TenantInfo {
-	id := strings.TrimSpace(r.Header.Get("X-Tenant"))
+// headerID reads an identifier a client chose from the named header, fit to
+// be echoed, logged and used as a key: trimmed, capped at maxTenantLen bytes,
+// control characters stripped. Empty when the header is absent or nothing of
+// it survives.
+func headerID(r *http.Request, header string) string {
+	id := strings.TrimSpace(r.Header.Get(header))
 	if len(id) > maxTenantLen {
 		id = id[:maxTenantLen]
 	}
-	clean := strings.Map(func(c rune) rune {
+	return strings.Map(func(c rune) rune {
 		if c < 0x20 || c == 0x7f {
 			return -1
 		}
 		return c
 	}, id)
-	if clean == "" {
-		clean = DefaultTenant
+}
+
+// tenantFromHeaders reads the request's tenant identity: X-Tenant names the
+// tenant (default tenant when absent), X-Priority: batch selects the batch
+// admission lane.
+func tenantFromHeaders(r *http.Request) TenantInfo {
+	id := headerID(r, "X-Tenant")
+	if id == "" {
+		id = DefaultTenant
 	}
 	pr := Interactive
 	if strings.EqualFold(strings.TrimSpace(r.Header.Get("X-Priority")), "batch") {
 		pr = Batch
 	}
-	return TenantInfo{ID: clean, Priority: pr}
+	return TenantInfo{ID: id, Priority: pr}
 }
 
 // requestIDFrom honors the client's X-Request-ID (sanitized the same way as
@@ -191,20 +199,10 @@ func tenantFromHeaders(r *http.Request) TenantInfo {
 // with the caller's own logs, and mints one otherwise. The resolved ID is
 // echoed on every response — success, error, or stream trailer.
 func requestIDFrom(r *http.Request) string {
-	id := strings.TrimSpace(r.Header.Get("X-Request-ID"))
-	if len(id) > maxTenantLen {
-		id = id[:maxTenantLen]
+	if id := headerID(r, "X-Request-ID"); id != "" {
+		return id
 	}
-	id = strings.Map(func(c rune) rune {
-		if c < 0x20 || c == 0x7f {
-			return -1
-		}
-		return c
-	}, id)
-	if id == "" {
-		id = obs.NewRequestID()
-	}
-	return id
+	return obs.NewRequestID()
 }
 
 // requestContext derives the working context of one request: tenant identity

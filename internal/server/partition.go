@@ -1,8 +1,8 @@
 package server
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/engine/inmem"
@@ -123,14 +123,11 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 		return nil, err
 	}
 	c.mu.Lock()
-	dsA, dsB := c.datasets[a], c.datasets[b]
-	if dsA == nil || dsB == nil {
+	dsA, errA := c.datasetLocked(a)
+	dsB, errB := c.datasetLocked(b)
+	if err := cmp.Or(errA, errB); err != nil {
 		c.mu.Unlock()
-		missing := a
-		if dsA != nil {
-			missing = b
-		}
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, missing)
+		return nil, err
 	}
 	ga, gb := dsA.cur, dsB.cur
 	key := partKey{genA: ga, genB: gb, epochA: ga.deltaEpoch, epochB: gb.deltaEpoch, distance: distance}

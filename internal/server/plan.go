@@ -13,8 +13,8 @@ import (
 )
 
 // joinInput is one side of a join as the catalog describes it when the
-// request is planned — fetched once, and read by the planner, the cache fast
-// path and the planner accuracy sample alike.
+// request is planned — fetched once (Catalog.joinInput), and read by the
+// planner, the cache fast path and the planner accuracy sample alike.
 type joinInput struct {
 	name string
 	// stats is the statistics cached at registration, one per version.
@@ -23,21 +23,6 @@ type joinInput struct {
 	// size, folded into the statistics the planner prices.
 	version, epoch uint64
 	delta          int
-}
-
-// joinInput snapshots name's planning inputs. Both lookups are cheap catalog
-// reads that acquire no index: a cache hit must not pay the (re)build of an
-// evicted variant. A replacement, append or merge racing between this and
-// the later acquisition only turns a hit into a safe miss (the stored key
-// uses the state actually served).
-func (s *Service) joinInput(name string) (joinInput, error) {
-	in := joinInput{name: name}
-	var err error
-	if in.stats, _, err = s.cat.DatasetStats(name); err != nil {
-		return joinInput{}, err
-	}
-	in.version, in.epoch, in.delta, err = s.cat.VersionEpoch(name)
-	return in, err
 }
 
 // planned adjusts the input's statistics for the join that will actually
@@ -148,10 +133,10 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 		}
 	}
 	var err error
-	if jp.a, err = s.joinInput(a); err != nil {
+	if jp.a, err = s.cat.joinInput(a); err != nil {
 		return joinPlan{}, err
 	}
-	if jp.b, err = s.joinInput(b); err != nil {
+	if jp.b, err = s.cat.joinInput(b); err != nil {
 		return joinPlan{}, err
 	}
 

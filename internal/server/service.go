@@ -327,9 +327,9 @@ func (s *Service) AddDataset(ctx context.Context, name string, elems []transform
 		Nodes:    br.Nodes,
 		BuildMS:  float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if st, _, err := s.cat.DatasetStats(name); err == nil {
-		info.SkewCV = st.SkewCV
-		info.ClusterFraction = st.ClusterFraction
+	if in, err := s.cat.joinInput(name); err == nil {
+		info.SkewCV = in.stats.SkewCV
+		info.ClusterFraction = in.stats.ClusterFraction
 	}
 	return info, nil
 }

@@ -12,15 +12,15 @@ import "repro/internal/geom"
 // guide elements crawling the same pages do not re-read them, and every side
 // of a TRANSFORMERS join reads through one.
 //
-// A page is held the way the wrapped store hands it out: by reference over a
-// PageViewer (an in-memory store: caching it costs one slot, no bytes) — as
-// the element slice it was written from over an ElementViewer that holds it
-// so — and in a buffer of its own over any other store. Slots and the index
-// are reused across evictions and Reset, so over an in-memory store a warm
-// cache allocates nothing.
+// A page is held the way the wrapped store hands it out: by reference over an
+// ElementViewer (an in-memory store: caching it costs one slot, no bytes —
+// the element slice it was written from when the store holds it so) and in a
+// buffer of its own over any other store. Slots and the index are reused
+// across evictions and Reset, so over an in-memory store a warm cache
+// allocates nothing.
 type LRU struct {
 	Store
-	copies   bool // the wrapped store is no PageViewer: misses read into new buffers
+	copies   bool // the wrapped store is no ElementViewer: misses read into new buffers
 	capacity int
 	index    map[PageID]int32 // page → slot
 	slots    []lruSlot
@@ -48,21 +48,12 @@ func NewLRU(store Store, capacity int) *LRU {
 func (c *LRU) Reset(store Store, capacity int) {
 	c.Store = store
 	c.capacity = capacity
-	_, byRef := store.(PageViewer)
+	_, byRef := store.(ElementViewer)
 	c.copies = !byRef
 	clear(c.index)
 	clear(c.slots) // let go of the pages
 	c.slots = c.slots[:0]
 	c.head, c.tail = -1, -1
-}
-
-// View implements PageViewer, serving from cache when possible.
-func (c *LRU) View(id PageID) ([]byte, error) {
-	p, err := c.view(id)
-	if err != nil {
-		return nil, err
-	}
-	return p.bytes(c.PageSize()), nil
 }
 
 // ViewElements implements ElementViewer, serving from cache when possible.

@@ -10,6 +10,11 @@ import (
 	"repro/internal/geom"
 )
 
+// plainStore hides the by-reference methods (ViewElements, WriteElements) of
+// the store it wraps, so pages go through it encoded, by Write and Read — the
+// path a FileStore or a fault-injecting wrapper takes.
+type plainStore struct{ Store }
+
 // TestViewCountsLikeRead: a page taken by reference is accounted exactly as a
 // page copied out — same counters, same sequential/random classification —
 // on a MemStore and on a reader of one, and the bytes are the store's own.
@@ -27,14 +32,12 @@ func TestViewCountsLikeRead(t *testing.T) {
 			fillStore(t, byRead, 10)
 			fillStore(t, byView, 10)
 			rd, vw := open.view(byRead), open.view(byView)
-			rd.ResetStats()
-			vw.ResetStats()
 			buf := make([]byte, 256)
 			for _, id := range order {
 				if err := rd.Read(id, buf); err != nil {
 					t.Fatal(err)
 				}
-				page, err := ViewPage(vw, id, nil)
+				_, page, err := vw.(ElementViewer).ViewElements(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -45,7 +48,7 @@ func TestViewCountsLikeRead(t *testing.T) {
 			if rd.Stats() != vw.Stats() || vw.Stats().Reads != uint64(len(order)) {
 				t.Fatalf("read counted %v, view counted %v", rd.Stats(), vw.Stats())
 			}
-			if _, err := ViewPage(vw, 10, nil); !errors.Is(err, ErrPageOutOfRange) {
+			if _, _, err := vw.(ElementViewer).ViewElements(10); !errors.Is(err, ErrPageOutOfRange) {
 				t.Fatalf("out-of-range view: %v", err)
 			}
 		})
@@ -53,7 +56,7 @@ func TestViewCountsLikeRead(t *testing.T) {
 }
 
 // TestLRU drives the cache over a store it can view and over one it can only
-// copy from (plainStore hides View): identical contents, hits, misses,
+// copy from (plainStore hides ViewElements): identical contents, hits, misses,
 // eviction order and store traffic either way; pages by reference over the
 // first, in buffers of the cache's own over the second; writes stay coherent;
 // Reset leaves a cold cache of the new capacity over the new store.
@@ -68,11 +71,10 @@ func TestLRU(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := NewMemStore(256)
 			fillStore(t, mem, 8)
-			mem.ResetStats()
 			c := NewLRU(tc.wrap(mem), 3)
 			view := func(id PageID) []byte {
 				t.Helper()
-				page, err := c.View(id)
+				_, page, err := c.ViewElements(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +111,7 @@ func TestLRU(t *testing.T) {
 			if err := c.Read(3, buf[:10]); !errors.Is(err, ErrPageSize) {
 				t.Fatalf("short-buffer read: %v", err)
 			}
-			if _, err := c.View(99); !errors.Is(err, ErrPageOutOfRange) {
+			if _, _, err := c.ViewElements(99); !errors.Is(err, ErrPageOutOfRange) {
 				t.Fatalf("out-of-range view: %v", err)
 			}
 
@@ -120,14 +122,13 @@ func TestLRU(t *testing.T) {
 			if err := c.Write(3, buf); err != nil {
 				t.Fatal(err)
 			}
-			if page, _ := c.View(3); page[5] != 0xEE || mem.pages[3].data[5] != 0xEE {
+			if _, page, _ := c.ViewElements(3); page[5] != 0xEE || mem.pages[3].data[5] != 0xEE {
 				t.Fatal("write did not reach the cached page and the store")
 			}
 
 			// Reset: cold, re-sized, re-pointed.
 			other := NewMemStore(256)
 			fillStore(t, other, 8)
-			other.ResetStats()
 			c.Reset(tc.wrap(other), 1)
 			view(4)
 			view(5) // evicts 4: capacity is 1 now
@@ -138,11 +139,11 @@ func TestLRU(t *testing.T) {
 
 			// No capacity, no caching: every view reaches the store.
 			c.Reset(tc.wrap(other), 0)
-			other.ResetStats()
+			before := other.Stats()
 			view(6)
 			view(6)
-			if other.Stats().Reads != 2 {
-				t.Fatalf("capacity 0 cached a page: %d store reads, want 2", other.Stats().Reads)
+			if got := other.Stats().Sub(before).Reads; got != 2 {
+				t.Fatalf("capacity 0 cached a page: %d store reads, want 2", got)
 			}
 		})
 	}
@@ -151,8 +152,7 @@ func TestLRU(t *testing.T) {
 // TestElementPageByReference: a data page written through WriteElementPage
 // into a MemStore is the caller's slice, not a copy of it — through the store,
 // a reader of it and a cold or warm LRU over one; every access is counted as
-// the same access to an encoded page is; a byte Read or View encodes it on
-// demand; and a later byte Write replaces it, in a cache that held it too.
+// the same access to an encoded page is; a byte Read encodes it on demand; and a later byte Write replaces it, in a cache that held it too.
 func TestElementPageByReference(t *testing.T) {
 	const pageSize = 512
 	per := ElementsPerPage(pageSize)
@@ -195,8 +195,6 @@ func TestElementPageByReference(t *testing.T) {
 		{"reader", byRef.OpenReader(), encoded.OpenReader()},
 		{"lru", NewLRU(byRef.OpenReader(), 2), NewLRU(encoded.OpenReader(), 2)},
 	} {
-		v.ref.ResetStats()
-		v.enc.ResetStats()
 		for _, id := range order {
 			elems, page, err := v.ref.(ElementViewer).ViewElements(id)
 			if err != nil || page != nil || len(elems) != len(unit(id)) {
@@ -220,10 +218,6 @@ func TestElementPageByReference(t *testing.T) {
 	for id := PageID(0); id < 4; id++ {
 		if err := EncodeElementsPage(want, unit(id)); err != nil {
 			t.Fatal(err)
-		}
-		page, err := byRef.OpenReader().(PageViewer).View(id)
-		if err != nil || !bytes.Equal(page, want) {
-			t.Fatalf("View of page %d differs from its encoding (err %v)", id, err)
 		}
 		if err := byRef.Read(id, got); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Read of page %d differs from its encoding (err %v)", id, err)
@@ -277,11 +271,6 @@ func TestLRUWarmByReferenceAllocFree(t *testing.T) {
 			}
 			if _, _, err := c.ViewElements(id / 2); err != nil {
 				t.Fatal(err)
-			}
-			if id%2 == 1 { // a byte page: View is by reference too
-				if _, err := c.View(id); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 	}

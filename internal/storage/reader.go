@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -13,74 +12,29 @@ import (
 // ErrReadOnly is returned by writes and allocations on a store reader.
 var ErrReadOnly = errors.New("storage: store reader is read-only")
 
-// ReaderOpener is implemented by stores that can hand out independent
-// read-only views for concurrent use. Each view carries its own I/O counters
-// and its own sequential/random classification stream — the right model for
-// one worker owning one disk queue: interleaved reads from other workers do
-// not turn a worker's sequential scan into "random" accesses, and no lock
-// sits on the page-read hot path.
-//
-// A reader is valid only while the parent store is not concurrently written
-// to or grown (Alloc); the join phase is read-only, which is exactly the
-// phase the parallel join fans out.
-type ReaderOpener interface {
-	// OpenReader returns a read-only Store view over the current contents.
-	// Write and Alloc on the view fail with ErrReadOnly.
-	OpenReader() Store
-}
-
-// OpenReaders returns n stores that can serve reads concurrently over st,
-// each with independent I/O counters starting at zero. Stores implementing
-// ReaderOpener (MemStore, FileStore) hand out native lock-free views; any
-// other Store is serialized behind one mutex shared by every reader of that
-// store — across OpenReaders calls too, so independent concurrent joins and
-// range queries over the same index (the serving workload) stay serialized
-// against each other, not just within one call's reader set.
+// OpenReaders returns n independent read-only views of st (Store.OpenReader),
+// one per concurrent consumer; at least one.
 func OpenReaders(st Store, n int) []Store {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]Store, n)
-	if ro, ok := st.(ReaderOpener); ok {
-		for i := range out {
-			out[i] = ro.OpenReader()
-		}
-		return out
-	}
-	mu := fallbackMutex(st)
+	out := make([]Store, max(n, 1))
 	for i := range out {
-		out[i] = &lockedReader{st: st, mu: mu}
+		out[i] = st.OpenReader()
 	}
 	return out
 }
 
-// fallbackMutexes maps a non-ReaderOpener store to its shared reader mutex.
-// Entries live as long as the process (one pointer per distinct store that
-// ever took the fallback path — the repo's own stores all implement
-// ReaderOpener, so the registry stays empty unless callers bring their own).
-var fallbackMutexes sync.Map // Store -> *sync.Mutex
-
-func fallbackMutex(st Store) *sync.Mutex {
-	if mu, ok := fallbackMutexes.Load(st); ok {
-		return mu.(*sync.Mutex)
-	}
-	mu, _ := fallbackMutexes.LoadOrStore(st, new(sync.Mutex))
-	return mu.(*sync.Mutex)
-}
-
 // memReader is a lock-free read-only view of a MemStore, and the read side of
-// the MemStore itself. Page contents are shared with the parent (View and
-// ViewElements hand the page slices out, Read copies out of them), so views
-// cost O(1) memory each.
+// the MemStore itself. Page contents are shared with the parent (ViewElements
+// hands the page slices out, Read copies out of them), so views cost O(1)
+// memory each.
 type memReader struct {
 	pages    []memPage
 	pageSize int
 	trk      tracker
 }
 
-// OpenReader implements ReaderOpener.
-func (m *MemStore) OpenReader() Store {
-	return &memReader{pages: m.pages, pageSize: m.pageSize}
+// OpenReader implements Store, for the MemStore and for its views alike.
+func (r *memReader) OpenReader() Store {
+	return &memReader{pages: r.pages, pageSize: r.pageSize}
 }
 
 func (r *memReader) PageSize() int { return r.pageSize }
@@ -98,15 +52,6 @@ func (r *memReader) Read(id PageID, buf []byte) error {
 		p.copyTo(buf)
 	}
 	return err
-}
-
-// View implements PageViewer.
-func (r *memReader) View(id PageID) ([]byte, error) {
-	p, err := r.view(id)
-	if err != nil {
-		return nil, err
-	}
-	return p.bytes(r.pageSize), nil
 }
 
 // ViewElements implements ElementViewer.
@@ -129,8 +74,6 @@ func (r *memReader) NumPages() int { return len(r.pages) }
 
 func (r *memReader) Stats() Stats { return r.trk.stats }
 
-func (r *memReader) ResetStats() { r.trk.reset() }
-
 // fileReader is a read-only view of a FileStore. os.File.ReadAt is safe for
 // concurrent use, so reads take no lock; the page count is snapshotted at
 // open time.
@@ -141,7 +84,7 @@ type fileReader struct {
 	trk      tracker
 }
 
-// OpenReader implements ReaderOpener.
+// OpenReader implements Store.
 func (s *FileStore) OpenReader() Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,42 +115,6 @@ func (r *fileReader) NumPages() int { return r.numPages }
 
 func (r *fileReader) Stats() Stats { return r.trk.stats }
 
-func (r *fileReader) ResetStats() { r.trk.reset() }
-
-// lockedReader serializes reads over a store with no native concurrent view
-// support. Counters are still per-reader (the tracker is touched only by the
-// owning worker), so I/O attribution matches the lock-free readers; the
-// wrapped store's own counters advance as well, which is harmless since the
-// parallel join reports reader counters only.
-type lockedReader struct {
-	st  Store
-	mu  *sync.Mutex
-	trk tracker
+func (r *fileReader) OpenReader() Store {
+	return &fileReader{f: r.f, pageSize: r.pageSize, numPages: r.numPages}
 }
-
-func (r *lockedReader) PageSize() int { return r.st.PageSize() }
-
-func (r *lockedReader) Alloc(int) (PageID, error) { return 0, ErrReadOnly }
-
-func (r *lockedReader) Write(PageID, []byte) error { return ErrReadOnly }
-
-func (r *lockedReader) Read(id PageID, buf []byte) error {
-	r.mu.Lock()
-	err := r.st.Read(id, buf)
-	r.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.trk.noteRead(id, len(buf))
-	return nil
-}
-
-func (r *lockedReader) NumPages() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.st.NumPages()
-}
-
-func (r *lockedReader) Stats() Stats { return r.trk.stats }
-
-func (r *lockedReader) ResetStats() { r.trk.reset() }

@@ -25,32 +25,15 @@ func fillStore(t *testing.T, st Store, n int) {
 	}
 }
 
-// plainStore hides any ReaderOpener implementation of the wrapped store so
-// OpenReaders takes the locked-fallback path.
-type plainStore struct{ Store }
-
-func testConcurrentReaders(t *testing.T, st Store, wantNative bool) {
+func testConcurrentReaders(t *testing.T, st Store) {
 	t.Helper()
 	const pages = 64
 	fillStore(t, st, pages)
-	st.ResetStats()
 
 	const workers = 8
 	readers := OpenReaders(st, workers)
 	if len(readers) != workers {
 		t.Fatalf("got %d readers, want %d", len(readers), workers)
-	}
-	switch readers[0].(type) {
-	case *memReader, *fileReader:
-		if !wantNative {
-			t.Fatal("expected locked fallback reader")
-		}
-	case *lockedReader:
-		if wantNative {
-			t.Fatal("expected native lock-free reader")
-		}
-	default:
-		t.Fatalf("unexpected reader type %T", readers[0])
 	}
 
 	var wg sync.WaitGroup
@@ -121,7 +104,7 @@ func testConcurrentReaders(t *testing.T, st Store, wantNative bool) {
 }
 
 func TestMemStoreConcurrentReaders(t *testing.T) {
-	testConcurrentReaders(t, NewMemStore(512), true)
+	testConcurrentReaders(t, NewMemStore(512))
 }
 
 func TestFileStoreConcurrentReaders(t *testing.T) {
@@ -130,11 +113,7 @@ func TestFileStoreConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	testConcurrentReaders(t, fs, true)
-}
-
-func TestLockedFallbackReaders(t *testing.T) {
-	testConcurrentReaders(t, plainStore{NewMemStore(512)}, false)
+	testConcurrentReaders(t, fs)
 }
 
 func TestReaderSequentialClassification(t *testing.T) {
@@ -162,33 +141,4 @@ func TestReaderSequentialClassification(t *testing.T) {
 	if s1.SeqReads != 0 || s1.RandReads != 32 {
 		t.Fatalf("backward scan classified seq=%d rand=%d", s1.SeqReads, s1.RandReads)
 	}
-}
-
-// TestLockedFallbackSharedAcrossOpens: separate OpenReaders calls on the
-// same non-ReaderOpener store must share one mutex, or concurrent joins on a
-// shared index through the fallback path would race on the parent store's
-// tracker. Run under -race this test is the regression gate.
-func TestLockedFallbackSharedAcrossOpens(t *testing.T) {
-	st := plainStore{NewMemStore(0)}
-	fillStore(t, st, 16)
-	r1 := OpenReaders(st, 1)[0]
-	r2 := OpenReaders(st, 1)[0]
-	if r1.(*lockedReader).mu != r2.(*lockedReader).mu {
-		t.Fatal("independent OpenReaders calls got independent mutexes")
-	}
-	var wg sync.WaitGroup
-	for _, r := range []Store{r1, r2} {
-		wg.Add(1)
-		go func(r Store) {
-			defer wg.Done()
-			buf := make([]byte, r.PageSize())
-			for i := 0; i < 200; i++ {
-				if err := r.Read(PageID(i%16), buf); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
 }

@@ -89,9 +89,12 @@ func (s Stats) String() string {
 
 // Store is a page-granular storage device. A Store itself only needs to be
 // safe for use from a single goroutine (the I/O trackers are unsynchronized);
-// concurrent consumers — the parallel TRANSFORMERS join in particular — take
-// independent read-only views via OpenReaders, each with its own counters and
-// no lock on the read path.
+// concurrent consumers — the parallel TRANSFORMERS join in particular — each
+// take a view from OpenReader. A view carries its own I/O counters and its own
+// sequential/random classification stream — the right model for one worker
+// owning one disk queue: interleaved reads from other workers do not turn a
+// worker's sequential scan into "random" accesses, and no lock sits on the
+// page-read hot path.
 type Store interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
@@ -103,68 +106,55 @@ type Store interface {
 	Read(id PageID, buf []byte) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// Stats returns the I/O counters accumulated since the last ResetStats.
+	// Stats returns the I/O counters accumulated since the store (or view)
+	// was made; a phase is measured as Stats().Sub(before).
 	Stats() Stats
-	// ResetStats zeroes the I/O counters.
-	ResetStats()
+	// OpenReader returns a read-only view over the current contents with
+	// counters starting at zero; Write and Alloc on it fail (ErrReadOnly from
+	// this package's stores). A view is valid only while the parent is not
+	// concurrently written to or grown (Alloc); the join phase is read-only,
+	// which is exactly the phase the parallel join fans out.
+	OpenReader() Store
 }
 
-// PageViewer is implemented by stores that hold their pages in memory and can
-// hand one out by reference. View accounts for the access exactly as Read
-// does (one page read, classified sequential or random) and returns the
-// page's bytes without copying them. The caller must not modify the slice; it
-// stays valid, and changes only when the page is written.
-type PageViewer interface {
-	View(id PageID) ([]byte, error)
-}
-
-// ElementViewer is the by-reference element path of a store that holds its
-// pages in memory: a data page written through an ElementWriter is kept as the
-// element slice it was written from, and ViewElements hands it back so. The
-// access is accounted exactly as a Read or View of the page is — one page of
-// PageSize() bytes, sequential or random — whichever form the page is in.
+// ElementViewer is the by-reference read path of a store that holds its pages
+// in memory: ViewElements hands a page out as the slice it is, without copying
+// — a data page written through an ElementWriter as the element slice it was
+// written from. The access is accounted exactly as a Read of the page is — one
+// page of PageSize() bytes, sequential or random — whichever form the page is
+// in.
 type ElementViewer interface {
-	PageViewer
 	// ViewElements returns page id the way the store holds it: the page's
 	// bytes when it was written as bytes, and a nil page with the written
 	// elements (none for a page never written) when it was written by
-	// reference. The caller must not modify either slice.
+	// reference. The caller must not modify either slice; both stay valid,
+	// and change only when the page is written.
 	ViewElements(id PageID) (elems []geom.Element, page []byte, err error)
 }
 
 // ElementWriter is implemented by stores that can keep a data page as the
 // caller's element slice. WriteElements is accounted exactly as a Write of
 // one page is and retains elems (at most ElementsPerPage(PageSize()) of them)
-// without copying: the caller must not modify them afterwards. A byte Read or
-// View of the page encodes it on demand (EncodeElementsPage), and a later
-// byte Write replaces it.
+// without copying: the caller must not modify them afterwards. A byte Read of
+// the page encodes it on demand (EncodeElementsPage), and a later byte Write
+// replaces it.
 type ElementWriter interface {
 	WriteElements(id PageID, elems []geom.Element) error
 }
 
-// ViewPage returns the bytes of page id: by reference from a PageViewer, read
-// into buf (one page long) from any other store. It is the one page-read
-// primitive under ReadElementPage and the LRU; buf may be nil when st is
-// known to be a PageViewer.
-func ViewPage(st Store, id PageID, buf []byte) ([]byte, error) {
-	if v, ok := st.(PageViewer); ok {
-		return v.View(id)
-	}
-	if err := st.Read(id, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// viewHeld is ViewPage in whichever form st holds page id: the elements it was
-// written from over an ElementViewer that kept them, its bytes otherwise.
+// viewHeld is the one page-read primitive under ReadElementPage and the LRU:
+// page id in the form st holds it — by reference from an ElementViewer, read
+// into buf (one page long; nil when st is known to be an ElementViewer) from
+// any other store.
 func viewHeld(st Store, id PageID, buf []byte) (p memPage, err error) {
 	if ev, ok := st.(ElementViewer); ok {
 		p.elems, p.data, err = ev.ViewElements(id)
 		return p, err
 	}
-	p.data, err = ViewPage(st, id, buf)
-	return p, err
+	if err := st.Read(id, buf); err != nil {
+		return memPage{}, err
+	}
+	return memPage{data: buf}, nil
 }
 
 // tracker maintains Stats with sequential/random classification.
@@ -200,18 +190,13 @@ func (t *tracker) noteWrite(id PageID, n int) {
 	t.haveLastWrite = true
 }
 
-func (t *tracker) reset() {
-	t.stats = Stats{}
-	t.haveLastRead = false
-	t.haveLastWrite = false
-}
-
 // MemStore is an in-memory Store that simulates a disk: page contents are
 // held in memory — as byte slices, or as the caller's element slices when
 // written through WriteElements — and all accesses are counted. It is the
 // store the benchmark harness uses, paired with a DiskModel for modeled I/O
-// time. Its read side — PageSize, Read, View, ViewElements, NumPages and the
-// counters — is that of the views it opens (memReader), over its own pages.
+// time. Its read side — PageSize, Read, ViewElements, NumPages, OpenReader and
+// the counters — is that of the views it opens (memReader), over its own
+// pages.
 type MemStore struct {
 	memReader
 }
@@ -233,17 +218,6 @@ func (p memPage) copyTo(buf []byte) {
 	}
 	// WriteElements checked the capacity: the encode cannot fail.
 	_ = EncodeElementsPage(buf, p.elems)
-}
-
-// bytes returns the page as bytes: its own, or elems encoded into a new
-// buffer.
-func (p memPage) bytes(pageSize int) []byte {
-	if p.data != nil {
-		return p.data
-	}
-	buf := make([]byte, pageSize)
-	p.copyTo(buf)
-	return buf
 }
 
 // NewMemStore returns an empty MemStore with the given page size
@@ -381,13 +355,6 @@ func (s *FileStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.trk.stats
-}
-
-// ResetStats implements Store.
-func (s *FileStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.trk.reset()
 }
 
 // Close closes the underlying file.

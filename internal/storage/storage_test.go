@@ -90,14 +90,14 @@ func TestStatsSequentialVsRandom(t *testing.T) {
 		t.Fatalf("bytes read = %d", s.BytesRead)
 	}
 
-	st.ResetStats()
+	before := s
 	// Backwards scan: every read is a seek.
 	for i := 9; i >= 0; i-- {
 		if err := st.Read(PageID(i), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s = st.Stats()
+	s = st.Stats().Sub(before)
 	if s.RandReads != 10 || s.SeqReads != 0 {
 		t.Fatalf("backward scan stats: %+v", s)
 	}

@@ -53,18 +53,11 @@ func EngineNames() []string { return engine.Names() }
 
 // RunOptions configures an end-to-end Run.
 type RunOptions struct {
-	// PageSize is the disk page size; 8KB when zero.
-	PageSize int
-	// World bounds partitioning for all algorithms; union of the dataset
-	// MBBs when zero. PBSM requires it to cover both datasets.
-	World Box
-	// PBSMTilesPerDim sets PBSM's tile grid resolution (10 in the paper's
-	// synthetic experiments, 20 for neuroscience data); 10 when zero.
-	PBSMTilesPerDim int
 	// ShardTiles sets the tile count K of the sharded meta-engines
 	// ("shard-<inner>"); 0 picks K from dataset statistics.
 	ShardTiles int
-	// Join forwards TRANSFORMERS-specific knobs.
+	// Join carries the join's worker count: Run reads Join.Parallelism and
+	// nothing else of it.
 	Join JoinOptions
 	// CollectPairs returns the result pairs in the report (costs memory on
 	// big joins; counts are always reported).
@@ -74,16 +67,9 @@ type RunOptions struct {
 // engineOptions translates RunOptions into the registry's option set.
 func (opt RunOptions) engineOptions() engine.Options {
 	return engine.Options{
-		PageSize:          opt.PageSize,
-		World:             opt.World,
-		PBSMTilesPerDim:   opt.PBSMTilesPerDim,
-		ShardTiles:        opt.ShardTiles,
-		DiscardPairs:      !opt.CollectPairs,
-		DisableTransforms: opt.Join.DisableTransforms,
-		TSU:               opt.Join.TSU,
-		TSO:               opt.Join.TSO,
-		FixedThresholds:   opt.Join.FixedThresholds,
-		Parallelism:       opt.Join.Parallelism,
+		ShardTiles:   opt.ShardTiles,
+		DiscardPairs: !opt.CollectPairs,
+		Parallelism:  opt.Join.Parallelism,
 	}
 }
 

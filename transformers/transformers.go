@@ -65,7 +65,6 @@ type IndexOptions struct {
 // Index is an indexed dataset ready for TRANSFORMERS joins.
 type Index struct {
 	core  *core.Index
-	store storage.Store
 	build BuildReport
 }
 
@@ -101,8 +100,7 @@ func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 		return nil, fmt.Errorf("transformers: build index: %w", err)
 	}
 	return &Index{
-		core:  idx,
-		store: st,
+		core: idx,
 		build: BuildReport{
 			Elements:      idx.Len(),
 			Units:         idx.Units(),
@@ -127,12 +125,6 @@ func (idx *Index) Len() int { return idx.core.Len() }
 
 // JoinOptions controls a TRANSFORMERS join.
 type JoinOptions struct {
-	// DisableTransforms runs the static (No-TR) variant of §VII-D1.
-	DisableTransforms bool
-	// TSU and TSO override the initial transformation thresholds (defaults
-	// 8 and 27, §VII-D2); FixedThresholds disables runtime recalibration.
-	TSU, TSO        float64
-	FixedThresholds bool
 	// DiscardPairs skips collecting result pairs (benchmarks that only
 	// need counts).
 	DiscardPairs bool
@@ -203,12 +195,8 @@ func Join(a, b *Index, opt JoinOptions) (*JoinResult, error) {
 			}
 		})
 	stats, err := core.Join(a.core, b.core, core.JoinConfig{
-		DisableTransforms: opt.DisableTransforms,
-		TSU:               opt.TSU,
-		TSO:               opt.TSO,
-		FixedThresholds:   opt.FixedThresholds,
-		Parallelism:       opt.Parallelism,
-		Concurrent:        opt.Concurrent,
+		Parallelism: opt.Parallelism,
+		Concurrent:  opt.Concurrent,
 	}, emit)
 	if err != nil {
 		return nil, fmt.Errorf("transformers: join: %w", err)
