@@ -271,12 +271,15 @@ func gridBuild(a, b []geom.Element, _ Options, st *Stats) (kernel, error) {
 	}, nil
 }
 
-// inmem is the cache-resident in-memory fast path: struct-of-arrays MBR
-// buffers partitioned into cache-sized stripes on one dimension, joined per
-// stripe with a forward-scan sweep, mini-join decomposition keeping every pair
+// inmem is the cache-resident in-memory fast path: both inputs assigned to
+// cache-sized stripes on one dimension as float32 outward bounds, joined per
+// stripe with a forward-scan sweep over those columns and an exact test on the
+// source elements of what passes it, mini-join decomposition keeping every pair
 // exactly once with no dedup pass (internal/engine/inmem). Pure CPU — no paged
-// index, no modeled I/O. A catalog-resident partition in
-// Options.Prebuilt.Partition skips the copy and partition phase.
+// index, no modeled I/O. The partition reads a and b by reference for as long
+// as the kernel runs; they are the caller's prepared inputs, which nothing
+// else writes. A catalog-resident partition in Options.Prebuilt.Partition
+// skips the partition phase.
 func inmemPrebuilt(opt Options) kernel {
 	if opt.Prebuilt.Partition == nil {
 		return nil

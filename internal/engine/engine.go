@@ -139,7 +139,7 @@ type InMemStats struct {
 	// SplitDim is the striped dimension, SweepDim the plane-sweep one.
 	SplitDim int `json:"split_dim"`
 	SweepDim int `json:"sweep_dim"`
-	// ReplicatedA/ReplicatedB count extra SoA element copies made because a
+	// ReplicatedA/ReplicatedB count the extra assignments made because a
 	// box's split-dimension interval crosses stripe boundaries.
 	ReplicatedA int `json:"replicated_a"`
 	ReplicatedB int `json:"replicated_b"`

@@ -140,9 +140,11 @@ const (
 	// shard benchmarks.
 	tShardPartition = 2.5e-7
 	// tInMemPartition prices the inmem engine's stripe partitioning per
-	// element: the radix sweep-order sort plus the counting fill into the
-	// SoA arena (BenchmarkInMemJoin partition+join minus join, and the
-	// build column of the BENCH_2 engines comparison).
+	// element: the radix sweep-order sort plus the counting fill of the
+	// float32 bound columns. BenchmarkInMemJoin partition+join minus join
+	// reads 4.6–5.5 ms for 40K elements, 1.2–1.4e-7 s each, as it did when
+	// the fill copied float64 boxes; the build column of the BENCH_2 engines
+	// comparison reads 2.8–3.5e-7 at 200K, and the constant sits between.
 	tInMemPartition = 2e-7
 	// shardPoolEfficiency discounts the ideal fan-out speedup for pool
 	// scheduling, result merging and tile imbalance the density-balanced

@@ -7,22 +7,11 @@ import "slices"
 // exists for batched filtering — testing one query box against a run of
 // candidates touches only the six bound arrays, sequentially, with no
 // per-element struct loads, so the loop stays branch-light and vectorizable.
-// The in-memory join kernel (internal/engine/inmem) stores its stripe
-// segments in this layout, and the grid hash join batches its per-cell
-// candidate scans through FilterGather.
+// The grid hash join batches its per-cell candidate scans through
+// FilterGather.
 type SoA struct {
 	Lo, Hi [Dims][]float64
 	ID     []uint64
-}
-
-// NewSoA returns an SoA with capacity and length n, ready for Set.
-func NewSoA(n int) *SoA {
-	s := &SoA{ID: make([]uint64, n)}
-	for d := 0; d < Dims; d++ {
-		s.Lo[d] = make([]float64, n)
-		s.Hi[d] = make([]float64, n)
-	}
-	return s
 }
 
 // MakeSoA copies elems into a freshly allocated SoA, preserving order.
@@ -58,16 +47,6 @@ func (s *SoA) Set(i int, e Element) {
 		s.Lo[d][i] = e.Box.Lo[d]
 		s.Hi[d][i] = e.Box.Hi[d]
 	}
-}
-
-// Element reconstructs the element at index i.
-func (s *SoA) Element(i int) Element {
-	e := Element{ID: s.ID[i]}
-	for d := 0; d < Dims; d++ {
-		e.Box.Lo[d] = s.Lo[d][i]
-		e.Box.Hi[d] = s.Hi[d][i]
-	}
-	return e
 }
 
 // FilterIntersect appends to out the indexes in [from, to) whose boxes

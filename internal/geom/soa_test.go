@@ -31,7 +31,11 @@ func TestSoARoundTrip(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", s.Len(), len(elems))
 		}
 		for i, e := range elems {
-			if got := s.Element(i); got != e {
+			got := Element{ID: s.ID[i]}
+			for d := 0; d < Dims; d++ {
+				got.Box.Lo[d], got.Box.Hi[d] = s.Lo[d][i], s.Hi[d][i]
+			}
+			if got != e {
 				t.Fatalf("element %d of %d round-trips to %+v, want %+v", i, n, got, e)
 			}
 		}

@@ -170,7 +170,10 @@ type generation struct {
 	// the header is under the catalog lock; the arrays behind it, old and new,
 	// are never written once installed, so a header taken under the lock may
 	// be read outside it — and must only be read: the index's pages are it.
-	elems   []transformers.Element
+	elems []transformers.Element
+	// ordered marks elems as an array a base build ordered (a merge's
+	// included), as opposed to the one the generation was registered with.
+	ordered bool
 	version uint64
 	stats   planner.DatasetStats
 	indexes map[float64]*idxEntry
@@ -270,16 +273,22 @@ func (c *Catalog) SetWriteObserver(f func(name string)) {
 // to be made once c.mu is released.
 func (c *Catalog) invalidateLocked(name string, gen *generation) (notify func()) {
 	if gen != nil {
-		for k := range c.partitions {
-			if k.genA == gen || k.genB == gen {
-				delete(c.partitions, k)
-			}
-		}
+		c.dropPartitionsLocked(gen)
 	}
 	observer := c.writeObserver
 	return func() {
 		if observer != nil {
 			observer(name)
+		}
+	}
+}
+
+// dropPartitionsLocked forgets every partition, built or building, that reads
+// gen's arrays. Joins running on one keep it alive until they return.
+func (c *Catalog) dropPartitionsLocked(gen *generation) {
+	for k := range c.partitions {
+		if k.genA == gen || k.genB == gen {
+			delete(c.partitions, k)
 		}
 	}
 }
@@ -589,7 +598,8 @@ func (c *Catalog) TryAcquire(name string, expand float64) (*Handle, bool, error)
 // stale fallback. indexed is the copy of the generation's elements the build
 // ordered and now reads its pages from: a successful base (d = 0) build's
 // becomes gen.elems, so the dataset is held once, and the array it replaces
-// goes when the readers that took its header before are done.
+// goes when the readers that took its header before are done — the
+// generation's resident partitions among them, which a rebuild drops.
 func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *transformers.Index, indexed []transformers.Element, err error, retries int) {
 	c.mu.Lock()
 	e.idx, e.err = idx, err
@@ -606,7 +616,14 @@ func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *tr
 	} else {
 		gen.healthy = true
 		if e.expand == 0 {
-			gen.elems = indexed
+			// A partition pins the array it was built from. When this is a
+			// rebuild after eviction, one left over the array this replaces
+			// would hold the dataset a second time; the registered array the
+			// first build replaces is let go at the next write instead.
+			if gen.ordered {
+				c.dropPartitionsLocked(gen)
+			}
+			gen.elems, gen.ordered = indexed, true
 		}
 		if ds.cur == gen {
 			ds.failing = nil
@@ -773,11 +790,13 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 	return out, version, epoch, len(delta), nil
 }
 
-// DeltaView returns the pinned generation's raw base elements, a private
-// copy of its delta buffer, and the delta epoch the copy corresponds to. The
-// base slice is the catalog's own storage — the base index's data pages:
-// callers must treat it as read-only and pass it only to engines that do not
-// reorder their inputs (the inmem delta sub-joins qualify; the distance path
+// DeltaView returns the pinned generation's raw base elements, its delta
+// buffer, and the delta epoch that buffer corresponds to. Both slices are the
+// catalog's own storage — base is the base index's data pages, delta the
+// capped header of the append buffer, whose elements are never rewritten
+// (later appends land past its length or on a fresh array). Both are
+// read-only: callers must pass them only to engines that neither reorder nor
+// write their inputs (the inmem delta sub-joins qualify; the distance path
 // copies before expanding either way). Reading through the handle's pinned
 // generation — not the dataset's current one — keeps the composition
 // consistent with the index the join actually runs on, even if a merge
@@ -787,15 +806,9 @@ func (c *Catalog) DeltaView(h *Handle) (base, delta []transformers.Element, epoc
 		return nil, nil, 0
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	gen := h.gen
-	base = gen.elems
-	head := gen.delta[:len(gen.delta):len(gen.delta)]
-	epoch = gen.deltaEpoch
-	c.mu.Unlock()
-	if len(head) > 0 {
-		delta = append([]transformers.Element(nil), head...)
-	}
-	return base, delta, epoch
+	return gen.elems, gen.delta[:len(gen.delta):len(gen.delta)], gen.deltaEpoch
 }
 
 // MergeDelta compacts a dataset's delta buffer into its main index: the
@@ -866,6 +879,7 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	e.lastUse = c.clock
 	ds.cur = &generation{
 		elems:   merged,
+		ordered: true,
 		version: gen.version + 1,
 		stats:   stats,
 		indexes: map[float64]*idxEntry{0: e},

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine/inmem"
 	"repro/transformers"
 )
 
@@ -284,6 +285,102 @@ func TestResidentDatasetHeldOnce(t *testing.T) {
 	if out, err := svc.Join(ctx, "u", "u", JoinParams{NoCache: true, Algorithm: "transformers"}); err != nil || len(out.Pairs) < n+extra {
 		t.Fatalf("self-join over the rebuilt base index: %d pairs, err %v", len(out.Pairs), err)
 	}
+}
+
+// TestResidentPartitionIsAFilter: a resident inmem partition costs 28 bytes
+// an assignment — float32 bounds and a position — and reads the exact boxes
+// and IDs from the generations' own arrays: the live heap grows by at most
+// 0.6 x 56 bytes an assignment over the two datasets (1.03 x when the
+// partition was a full-precision copy), at distance 0, at distance 5 and with a delta
+// on one side, for which no grown or combined copy is kept either. A
+// partition pins the arrays it was built from, so a base rebuild after
+// eviction, which installs a new one, drops it.
+func TestResidentPartitionIsAFilter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("indexes 100K elements three times")
+	}
+	const n, extra = 100_000, 4096
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC() // pooled join state goes on the second cycle
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	ctx := context.Background()
+	// Two slots: a partition and one index variant fit side by side.
+	svc := NewService(Config{Parallelism: 1, MaxIndexes: 2})
+	cat := svc.Catalog()
+	empty := live()
+	addDataset(t, svc, "u", transformers.GenerateUniform(n, 3))
+	addDataset(t, svc, "d", transformers.GenerateDenseCluster(n, 4))
+	uploaded := live()
+
+	// partition acquires the pair's partition at distance, joins on it once
+	// and holds it to the byte formula and to 0.6 x 56 B an assignment (an
+	// element, and once more per stripe boundary it crosses) of live heap
+	// beyond base.
+	partition := func(what string, distance float64, elements int, base int64) *PartitionHandle {
+		t.Helper()
+		h, err := cat.AcquirePartition(ctx, "u", "d", distance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Hit {
+			t.Fatalf("%s: the partition was already resident", what)
+		}
+		js := h.Partition.Join(inmem.JoinConfig{Parallelism: 1}, func(uint64, uint64) {})
+		assignments, offsets := elements+js.ReplicatedA+js.ReplicatedB, 2*(2*js.Stripes+1)
+		if got, want := cat.Stats().PartitionBytes, int64(28*assignments+4*offsets); got != want {
+			t.Fatalf("%s: partition_bytes = %d, want 28 x %d assignments + 4 x %d offsets = %d", what, got, assignments, offsets, want)
+		}
+		grew, bound := live()-base, int64(0.6*56*float64(assignments))
+		t.Logf("%s: live heap grew %d B for %d assignments of %d elements (%.2f x 56 B each, bound 0.6), %d results", what, grew, assignments, elements, float64(grew)/56/float64(assignments), js.Results)
+		if grew > bound {
+			t.Fatalf("%s: a partition of %d assignments holds %d bytes of live heap, want at most %d", what, assignments, grew, bound)
+		}
+		h.Release()
+		return h
+	}
+	partition("distance 0", 0, 2*n, uploaded).Forget()
+	partition("distance 5", 5, 2*n, uploaded).Forget()
+	if _, err := svc.Append(ctx, "u", elemsN(extra, 5)); err != nil {
+		t.Fatal(err)
+	}
+	appended := live()
+	partition("distance 5 over a delta", 5, 2*n+extra, appended)
+
+	// Evict u's base variant and build it again, with the partition resident
+	// and used more recently than any index variant.
+	reacquire := func(name string, expand float64) {
+		t.Helper()
+		h, err := cat.Acquire(ctx, name, expand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	for _, expand := range []float64{5, 0} {
+		hp, err := cat.AcquirePartition(ctx, "u", "d", 5)
+		if err != nil || !hp.Hit {
+			t.Fatalf("the partition did not stay resident (err=%v): %+v", err, cat.Stats())
+		}
+		hp.Release()
+		reacquire("u", expand)
+	}
+	if st := cat.Stats(); st.Partitions != 0 || st.Indexes != 2 {
+		t.Fatalf("a partition over the replaced array stayed resident: %+v", st)
+	}
+	// d's base variant takes the slot of u's distance variant, and of the
+	// grown copy that one indexed.
+	reacquire("d", 0)
+	elements := 2*n + extra
+	grew, bound := live()-empty, int64(1.3*56*float64(elements))
+	t.Logf("after the base rebuild: live heap grew %d B (%.2f x 56 B an element, bound 1.3)", grew, float64(grew)/56/float64(elements))
+	if grew > bound {
+		t.Fatalf("after the base rebuild the datasets hold %d bytes of live heap, want at most %d: the replaced array is still pinned", grew, bound)
+	}
+	partition("distance 5 rebuilt", 5, elements, live())
 }
 
 // TestCatalogBaseRebuildRacesReaders: every base (d = 0) build replaces the

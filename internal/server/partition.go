@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/engine/inmem"
 	"repro/internal/engine/planner"
-	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/transformers"
 )
 
 // partKey identifies one pair partition by exactly what it was built from:
@@ -157,16 +155,18 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 	}
 	c.partitions[key] = e
 	c.builds++
-	// Full-slice-expression headers, as in Snapshot: appends past len land
-	// where this build never reads, so it runs outside the lock.
-	baseA, deltaA := ga.elems, ga.delta[:len(ga.delta):len(ga.delta)]
-	baseB, deltaB := gb.elems, gb.delta[:len(gb.delta):len(gb.delta)]
+	// The partition reads these arrays for as long as it lives and copies
+	// neither: a generation's elems are never written once installed, and the
+	// full-slice-expression delta headers, as in Snapshot, end where appends
+	// begin. The §VIII expansion is the inputs' Grow, applied as they are read.
+	inA := inmem.Input{Base: ga.elems, Delta: ga.delta[:len(ga.delta):len(ga.delta)], Grow: distance / 2}
+	inB := inmem.Input{Base: gb.elems, Delta: gb.delta[:len(gb.delta):len(gb.delta)], Grow: distance / 2}
 	observer := c.buildObserver
 	c.mu.Unlock()
 
 	_, span := obs.Start(ctx, "partition-build")
 	start := time.Now()
-	part := inmem.Partition(partitionInput(baseA, deltaA, distance), partitionInput(baseB, deltaB, distance), inmem.Config{})
+	part := inmem.PartitionInputs(inA, inB, inmem.Config{})
 	h.Build = time.Since(start)
 	span.End()
 	span.Add("elements", int64(elements))
@@ -181,20 +181,4 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 	c.mu.Unlock()
 	h.entry, h.Partition = e, part
 	return h, nil
-}
-
-// partitionInput is one side of a partition build: base + delta with every
-// box grown by distance/2 per side, in a single copy. With no delta and no
-// distance there is nothing to combine and the catalog's own base slice is
-// returned — inmem.Partition never writes to its inputs.
-func partitionInput(base, delta []transformers.Element, distance float64) []transformers.Element {
-	if len(delta) == 0 && distance == 0 {
-		return base
-	}
-	out := make([]transformers.Element, 0, len(base)+len(delta))
-	out = append(append(out, base...), delta...)
-	if distance > 0 {
-		geom.ExpandForDistance(out, distance)
-	}
-	return out
 }
