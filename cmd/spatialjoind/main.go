@@ -74,7 +74,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pageSize := flag.Int("page-size", 0, "index page size in bytes (0 = 8KB default)")
-	maxIndexes := flag.Int("max-indexes", 0, "max built indexes kept before LRU eviction (0 = default)")
+	maxIndexes := flag.Int("max-indexes", 0, "max resident inmem pair partitions kept before LRU eviction (0 = default); a dataset's index lives as long as the dataset")
 	cacheEntries := flag.Int("cache-entries", 0, "join result cache entries (0 = default)")
 	cacheMaxPairs := flag.Int("cache-max-pairs", 0, "largest result size the cache stores (0 = default)")
 	joinWorkers := flag.Int("join-workers", 0, "max concurrently executing joins and index builds (0 = GOMAXPROCS)")

@@ -23,6 +23,19 @@
 // level — what bulk-loading sorted keys produces — is ever used. That level
 // is kept as an array (Index.orderKeys) and searched by bisection.
 //
+// # Distance joins (§VIII)
+//
+// A distance join at d is the spatial join of both datasets' boxes enlarged
+// by r = d/2, and Index.Grown(r) serves it from the index that is already
+// built. Enlarging moves no centre, so the STR order, the pages and the
+// hierarchy are the ungrown index's. The MBB of grown boxes is the grown MBB,
+// bit for bit (Box.Expand is one subtraction and one addition per bound, both
+// monotone), so every data bound is its own Expand(r), the regions grown the
+// same way still cover the grown world (navigation needs cover, not the
+// disjointness they lose), and elements grow as they are read. Only
+// connectivity changes — grown Navs touch more of each other — and it is
+// re-derived by the same self-join over a few hundred nodes.
+//
 // # Join (§V–§VI)
 //
 // Given two indexed datasets, adaptive exploration visits the guide
@@ -131,10 +144,14 @@ type Index struct {
 	// searches it.
 	nodeOrder []int32
 	orderKeys []uint64
+	// grow is what Grown added to every descriptor box and what a side adds
+	// to each element it reads; zero for a built index.
+	grow float64
 	// sides pools the per-run state of joins and range queries over this
-	// index (*side, see acquireSide), so its scratch outlives one run. The
-	// pool dies with the index and gives idle entries back to the collector.
-	sides sync.Pool
+	// index and its Grown views (*side, see acquireSide), so its scratch
+	// outlives one run. The pool dies with them and gives idle entries back
+	// to the collector.
+	sides *sync.Pool
 }
 
 // BuildStats reports indexing cost.
@@ -186,7 +203,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 		world = world.Union(geom.MBBOf(elems))
 	}
 
-	idx := &Index{st: st, world: world, size: len(elems)}
+	idx := &Index{st: st, world: world, size: len(elems), sides: new(sync.Pool)}
 	var bs BuildStats
 
 	// Level 1: space units — STR partitions of elements (element ranges and
@@ -239,29 +256,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 		idx.nodes = append(idx.nodes, node)
 	}
 
-	// Connectivity: self-join the node Nav boxes (touch-inclusive). §IV
-	// uses PBSM for this self join and notes any spatial join works; the
-	// in-memory grid join here is the same kernel PBSM uses per partition.
-	// Linking on Nav (rather than the bare region) guarantees that any two
-	// nodes owning geometrically adjacent or overlapping units are linked,
-	// which unit-level connectivity inheritance depends on.
-	navs := make([]geom.Box, len(idx.nodes))
-	for i := range idx.nodes {
-		navs[i] = idx.nodes[i].Nav
-	}
-	bs.ConnectivityComparisons = grid.SelfPairs(navs, func(i, j int) {
-		idx.nodes[i].Neighbors = append(idx.nodes[i].Neighbors, int32(j))
-		idx.nodes[j].Neighbors = append(idx.nodes[j].Neighbors, int32(i))
-	})
-
-	// Walk-start index and pivot visit order: the nodes sorted by the Hilbert
-	// value of their centers.
-	idx.mapper = hilbert.NewMapper(world, hilbert.DefaultOrder)
-	keys := make([]uint64, len(idx.nodes))
-	for i := range idx.nodes {
-		keys[i] = idx.mapper.Value(idx.nodes[i].Region.Center())
-	}
-	idx.setNodeOrder(keys)
+	bs.ConnectivityComparisons = idx.link()
 
 	// Persist the descriptor tables so indexing I/O and on-disk size are
 	// honest; the join keeps descriptors in memory (§VI-B notes metadata
@@ -277,6 +272,74 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 	bs.Units = len(idx.units)
 	bs.Nodes = len(idx.nodes)
 	return idx, bs, nil
+}
+
+// link derives what an index holds besides its descriptors' boxes and members,
+// from the Navs, Regions and world set before the call: each node's Neighbors
+// and the nodes' Hilbert order. It returns the box tests of the self-join.
+func (idx *Index) link() (comparisons uint64) {
+	// Connectivity: self-join the node Nav boxes (touch-inclusive). §IV
+	// uses PBSM for this self join and notes any spatial join works; the
+	// in-memory grid join here is the same kernel PBSM uses per partition.
+	// Linking on Nav (rather than the bare region) guarantees that any two
+	// nodes owning geometrically adjacent or overlapping units are linked,
+	// which unit-level connectivity inheritance depends on.
+	navs := make([]geom.Box, len(idx.nodes))
+	for i := range idx.nodes {
+		navs[i] = idx.nodes[i].Nav
+	}
+	comparisons = grid.SelfPairs(navs, func(i, j int) {
+		idx.nodes[i].Neighbors = append(idx.nodes[i].Neighbors, int32(j))
+		idx.nodes[j].Neighbors = append(idx.nodes[j].Neighbors, int32(i))
+	})
+
+	// Walk-start index and pivot visit order: the nodes sorted by the Hilbert
+	// value of their centers.
+	idx.mapper = hilbert.NewMapper(idx.world, hilbert.DefaultOrder)
+	keys := make([]uint64, len(idx.nodes))
+	for i := range idx.nodes {
+		keys[i] = idx.mapper.Value(idx.nodes[i].Region.Center())
+	}
+	idx.setNodeOrder(keys)
+	return comparisons
+}
+
+// Grown returns the index as a distance join at d = 2r reads it: it joins as
+// BuildIndex over the same elements with every box Expand(r)-ed would, without
+// the copy and the sort. The view shares the index's store, pages, member
+// lists and side pool; its descriptors are copies with every box grown by r,
+// its connectivity and node order are derived from those as BuildIndex derives
+// them, and its sides grow each element they read. Making one costs a pass
+// over the descriptors (≈ 1.3 B per element), so callers make it per join. An
+// r that is not positive returns the index itself; idx must be a built index,
+// not a view.
+func (idx *Index) Grown(r float64) *Index {
+	if !(r > 0) {
+		return idx
+	}
+	if idx.grow > 0 {
+		panic("core: Grown of a grown index")
+	}
+	v := &Index{
+		st:    idx.st,
+		units: slices.Clone(idx.units),
+		nodes: slices.Clone(idx.nodes),
+		world: idx.world.Expand(r),
+		size:  idx.size,
+		grow:  r,
+		sides: idx.sides,
+	}
+	for i := range v.units {
+		u := &v.units[i]
+		u.PageMBB, u.Region, u.Nav = u.PageMBB.Expand(r), u.Region.Expand(r), u.Nav.Expand(r)
+	}
+	for i := range v.nodes {
+		n := &v.nodes[i]
+		n.MBB, n.PageMBB, n.Region, n.Nav = n.MBB.Expand(r), n.PageMBB.Expand(r), n.Region.Expand(r), n.Nav.Expand(r)
+		n.Neighbors = nil
+	}
+	v.link()
+	return v
 }
 
 // setNodeOrder sorts the node IDs by keys[node], equal keys by node ID, into

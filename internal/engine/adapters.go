@@ -130,7 +130,7 @@ func init() {
 // transformers is the paper's adaptive join (§III–§VI): sequential, parallel
 // (Options.Parallelism) and distance (Options.Distance) execution through one
 // kernel, over catalog indexes when Options.Prebuilt supplies both — distance
-// expansion included, the catalog applies it at build time.
+// expansion included, the catalog hands over views grown by it.
 func transformersPrebuilt(opt Options) kernel {
 	if opt.Prebuilt.A == nil || opt.Prebuilt.B == nil {
 		return nil

@@ -77,7 +77,8 @@ type Options struct {
 
 // Prebuilt carries catalog-owned structures into a join so the engine skips
 // its build phase. Distance expansion must already be applied to them (the
-// catalog keys variants by expansion), so Options.Distance must be zero.
+// catalog hands over index views grown by half the distance, and keys
+// partitions by it), so Options.Distance must be zero.
 type Prebuilt struct {
 	// A, B are the built TRANSFORMERS indexes of the two inputs.
 	A, B *core.Index

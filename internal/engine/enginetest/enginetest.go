@@ -7,8 +7,10 @@
 package enginetest
 
 import (
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // Workload is one named dataset pair.
@@ -79,4 +81,15 @@ func Copy(elems []geom.Element) []geom.Element {
 // helpers sort their arguments in place.
 func CopyPairs(pairs []geom.Pair) []geom.Pair {
 	return append([]geom.Pair(nil), pairs...)
+}
+
+// Index builds the TRANSFORMERS index of a copy of elems, as the serving
+// catalog holds a dataset: engine.Prebuilt takes two of them, grown by half
+// the distance (core.Index.Grown) for a distance join.
+func Index(elems []geom.Element) *core.Index {
+	idx, _, err := core.BuildIndex(storage.NewMemStore(0), Copy(elems), core.IndexConfig{})
+	if err != nil {
+		panic(err) // a MemStore build fails on a page size too small only
+	}
+	return idx
 }

@@ -4,9 +4,11 @@
 // set, on the canonical uniform/clustered/skewed workloads, under both the
 // intersects and the distance predicate, at parallelism 1 and 8 (and, for
 // the sharded engines, at every fixed tile count the property harness
-// pins). The collected Join of every built-in is a thin wrapper over the
-// stream, but this suite is what holds the two paths together if an engine
-// ever grows a divergent fast path.
+// pins; for transformers under the distance predicate, also through grown
+// views of prebuilt indexes, the catalog's form of the join). The collected
+// Join of every built-in is a thin wrapper over the stream, but this suite is
+// what holds the two paths together if an engine ever grows a divergent fast
+// path.
 //
 // The file lives in the external test package so the shard meta-engines'
 // registration side effect is in force (see proptest_test.go).
@@ -64,12 +66,26 @@ func TestStreamConformance(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			for _, name := range engine.Names() {
 				for _, distance := range []float64{0, 12} {
-					for _, opt := range conformanceRuns(name, distance) {
+					runs := conformanceRuns(name, distance)
+					if name == engine.Transformers && distance > 0 {
+						// As the catalog runs it: indexes over the unexpanded
+						// boxes read through grown views, no Options.Distance.
+						runs = append(runs, engine.Options{Parallelism: 8, Prebuilt: &engine.Prebuilt{
+							A: enginetest.Index(w.A).Grown(distance / 2), B: enginetest.Index(w.B).Grown(distance / 2)}})
+					}
+					var first []geom.Pair
+					for i, opt := range runs {
 						collected, err := engine.Run(context.Background(), name,
 							enginetest.Copy(w.A), enginetest.Copy(w.B), opt)
 						if err != nil {
 							t.Fatalf("%s (d=%v K=%d par=%d): Join: %v",
 								name, distance, opt.ShardTiles, opt.Parallelism, err)
+						}
+						if i == 0 {
+							first = enginetest.CopyPairs(collected.Pairs)
+						} else if !naive.Equal(enginetest.CopyPairs(collected.Pairs), first) {
+							t.Errorf("%s (d=%v) on %s: run %d collected %d pairs, run 0 %d — one engine, one predicate, two multisets",
+								name, distance, w.Name, i, len(collected.Pairs), len(first))
 						}
 						streamed, sres := streamPairs(t, name,
 							enginetest.Copy(w.A), enginetest.Copy(w.B), opt)

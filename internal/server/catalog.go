@@ -7,19 +7,20 @@
 // of joins (§III); the catalog turns that property into a serving primitive:
 // clients upload or generate datasets once, then issue joins, distance joins
 // and range queries against the built indexes for as long as the daemon
-// lives. Builds are single-flight (concurrent requests for the same index
-// wait for one build) and retry transient storage faults with jittered
-// backoff; while a replacement build keeps failing, the catalog serves the
-// last-good dataset version instead of erroring. Indexes are ref-counted
-// while queries run on them, and cold indexes are evicted LRU when the
-// catalog exceeds its cap — they rebuild transparently on next use, because
-// the raw elements stay.
+// lives. A dataset version has one index, which lives as long as the version
+// does; a distance join reads it through a view grown by half the distance
+// (§VIII), made per request, so no distance builds, copies or holds anything.
+// Builds are single-flight (concurrent requests for the same index wait for
+// one build) and retry transient storage faults with jittered backoff; while
+// a replacement build keeps failing, the catalog serves the last-good dataset
+// version instead of erroring.
 //
-// The same holds for the in-memory engine's index, which belongs to a pair
-// of datasets rather than to one: the stripe partition of (A, B, distance)
-// is built by the first inmem join of that pair's current state and reused by
-// every later one (partition.go). It shares the index cap and LRU order, and
-// a write to either dataset drops it at once.
+// The in-memory engine's index belongs to a pair of datasets rather than to
+// one: the stripe partition of (A, B, distance) is built by the first inmem
+// join of that pair's current state and reused by every later one
+// (partition.go). Partitions are what the catalog's cap bounds — pinned while
+// joins run on them, evicted LRU beyond it — and a write to either dataset
+// drops its partitions at once.
 package server
 
 import (
@@ -27,12 +28,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/engine/planner"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/transformers"
@@ -46,8 +47,9 @@ var ErrUnknownDataset = errors.New("server: unknown dataset")
 // dataset is still running — merges are single-flight per dataset.
 var ErrMergeInFlight = errors.New("server: delta merge already in flight")
 
-// DefaultMaxIndexes caps the built indexes the catalog keeps before evicting
-// cold ones.
+// DefaultMaxIndexes caps the resident pair partitions — the inmem engine's
+// index of a dataset pair — the catalog keeps before evicting cold ones. A
+// dataset's own index is not counted: it is the dataset.
 const DefaultMaxIndexes = 64
 
 // BuildError reports an index build that failed even after retrying.
@@ -64,10 +66,8 @@ func (e *BuildError) Error() string {
 
 func (e *BuildError) Unwrap() error { return e.Err }
 
-// Catalog maps dataset names to raw elements and lazily built indexes. One
-// dataset can carry several index variants, keyed by the distance-join
-// expansion applied to its boxes (0 = the base index); each variant is built
-// at most once concurrently and evicted independently.
+// Catalog maps dataset names to raw elements and the index built over them,
+// one per dataset version, built at most once concurrently.
 type Catalog struct {
 	mu         sync.Mutex
 	maxIndexes int
@@ -106,7 +106,11 @@ type Catalog struct {
 
 // CatalogStats is a point-in-time snapshot of catalog activity.
 type CatalogStats struct {
-	Datasets  int    `json:"datasets"`
+	Datasets int `json:"datasets"`
+	// Indexes counts the generations holding a built index (a dataset's
+	// current one, plus its last-good one while a replacement is failing);
+	// Builds the index and partition builds started; Evictions the partitions
+	// evicted by the cap.
 	Indexes   int    `json:"indexes"`
 	Builds    uint64 `json:"builds"`
 	Evictions uint64 `json:"evictions"`
@@ -121,8 +125,8 @@ type CatalogStats struct {
 	// ratio's numerator.
 	Acquires  uint64 `json:"acquires"`
 	IndexHits uint64 `json:"index_hits"`
-	// Partitions counts the resident inmem pair partitions (they share the
-	// index cap with Indexes) and PartitionBytes their heap footprint.
+	// Partitions counts the resident inmem pair partitions (what the cap
+	// bounds) and PartitionBytes their heap footprint.
 	Partitions     int   `json:"partitions"`
 	PartitionBytes int64 `json:"partition_bytes"`
 	// DeltaElements is the current total of elements buffered in append
@@ -141,7 +145,8 @@ type DatasetInfo struct {
 	Name     string `json:"name"`
 	Elements int    `json:"elements"`
 	Version  uint64 `json:"version"`
-	Indexes  int    `json:"indexes"`
+	// Indexes is 1 once the current version's index is built or building.
+	Indexes int `json:"indexes"`
 	// Degraded marks a dataset whose current version is failing to build
 	// (queries may be served from the last-good version).
 	Degraded bool `json:"degraded,omitempty"`
@@ -158,29 +163,23 @@ type DatasetInfo struct {
 }
 
 // generation is one uploaded version of a dataset: its elements, planner
-// fingerprint and built index variants. The catalog keeps at most two per
-// dataset: the current one, and — while the current one has never built
-// successfully — the last-good predecessor, served stale when current builds
-// fail.
+// fingerprint and index. The catalog keeps at most two per dataset: the
+// current one, and — while the current one has never built successfully — the
+// last-good predecessor, served stale when current builds fail.
 type generation struct {
 	// elems is the generation's element multiset, which never changes. The
-	// slice header does, at most once per base (d = 0) index build: the build
-	// orders a copy and keeps it as its data pages, and finishBuild installs
-	// that copy here in place of the one it was taken from. Every access to
-	// the header is under the catalog lock; the arrays behind it, old and new,
-	// are never written once installed, so a header taken under the lock may
-	// be read outside it — and must only be read: the index's pages are it.
-	elems []transformers.Element
-	// ordered marks elems as an array a base build ordered (a merge's
-	// included), as opposed to the one the generation was registered with.
-	ordered bool
+	// slice header does, once: the index build orders a copy and keeps it as
+	// its data pages, and finishBuild installs that copy here in place of the
+	// one it was taken from. Every access to the header is under the catalog
+	// lock; the arrays behind it, old and new, are never written once
+	// installed, so a header taken under the lock may be read outside it — and
+	// must only be read: the index's pages are it.
+	elems   []transformers.Element
 	version uint64
 	stats   planner.DatasetStats
-	indexes map[float64]*idxEntry
-	// healthy is set on the generation's first successful index build:
-	// only generations that proved buildable are worth keeping as
-	// last-good fallbacks.
-	healthy bool
+	// index is the generation's one index, built or building; nil until the
+	// first Acquire and again after a failed build, so the next one retries.
+	index *idxEntry
 	// delta is the append buffer: elements landed after this generation's
 	// elems were registered, visible to joins through delta composition and
 	// compacted into a successor generation by MergeDelta. Whole batches
@@ -214,16 +213,21 @@ type dataset struct {
 	mergeErr error
 }
 
-// idxEntry is one built (or building) index variant. ready is closed when
-// the build finishes; refs pins the entry against eviction while queries
-// run on it.
+// idxEntry is one built (or building) index. ready is closed when the build
+// finishes, after idx and err are set.
 type idxEntry struct {
-	expand  float64
-	ready   chan struct{}
-	idx     *transformers.Index
-	err     error
-	refs    int
-	lastUse uint64
+	ready chan struct{}
+	idx   *transformers.Index
+	err   error
+}
+
+// built returns the generation's index once its build has succeeded, else
+// nil. The caller holds c.mu.
+func (g *generation) built() *transformers.Index {
+	if e := g.index; e != nil && isReady(e.ready) && e.err == nil {
+		return e.idx
+	}
+	return nil
 }
 
 // NewCatalog returns an empty catalog. maxIndexes <= 0 selects
@@ -303,7 +307,7 @@ func (c *Catalog) SetRetryPolicy(p RetryPolicy) {
 
 // Put registers (or replaces) a named dataset. The previous generation stays
 // behind as the last-good fallback if it ever built successfully; its index
-// variants remain pinned-valid for running queries, and cached join results
+// stays valid for the queries running on it, and cached join results
 // keyed by the old version can never be served for the new one because the
 // version is bumped. The element slice is owned by the catalog afterwards.
 func (c *Catalog) Put(name string, elems []transformers.Element) uint64 {
@@ -320,15 +324,14 @@ func (c *Catalog) Put(name string, elems []transformers.Element) uint64 {
 	prev := ds.cur
 	if prev != nil {
 		version = prev.version + 1
-		if prev.healthy {
-			ds.last = prev
+		if prev.built() != nil {
+			ds.last = prev // only a generation that proved buildable is a fallback
 		}
 	}
 	ds.cur = &generation{
 		elems:   elems,
 		version: version,
 		stats:   stats,
-		indexes: make(map[float64]*idxEntry),
 	}
 	ds.failing = nil
 	ds.mergeErr = nil
@@ -388,15 +391,16 @@ func (c *Catalog) Append(name string, elems []transformers.Element) (AppendInfo,
 	return info, nil
 }
 
-// Handle pins one built index until Release is called.
+// Handle is one acquisition of a dataset's index, as the join at the acquired
+// distance reads it.
 type Handle struct {
-	cat   *Catalog
-	entry *idxEntry
 	// gen is the generation the handle serves — DeltaView reads its base
 	// elements and delta buffer, so a join composes against exactly the
-	// generation whose index it pinned even if a merge or replacement
+	// generation whose index it runs on even if a merge or replacement
 	// installs a successor mid-join.
-	gen     *generation
+	gen *generation
+	// Index is the generation's index grown by half the acquired distance
+	// (the index itself at distance 0).
 	Index   *transformers.Index
 	Name    string
 	Version uint64
@@ -409,39 +413,38 @@ type Handle struct {
 	Retries int
 }
 
-// Release unpins the index; idempotent.
-func (h *Handle) Release() {
-	if h == nil || h.cat == nil {
-		return
-	}
-	cat, e := h.cat, h.entry
-	h.cat, h.entry = nil, nil
-	cat.mu.Lock()
-	e.refs--
-	cat.clock++
-	e.lastUse = cat.clock
-	cat.evictLocked()
-	cat.mu.Unlock()
+// Release does nothing: an index lives as long as its generation and the
+// collector frees both when the last join over them returns. It remains for
+// the callers that pair every Acquire with it.
+func (h *Handle) Release() {}
+
+// newHandle views gen's built index at distance expand; stale says gen is the
+// last-good generation, not the current one. Called outside c.mu: making the
+// view is a pass over the index's descriptors.
+func newHandle(name string, gen *generation, idx *transformers.Index, expand float64, stale bool) *Handle {
+	return &Handle{gen: gen, Index: idx.Grown(expand / 2), Name: name, Version: gen.version, Stale: stale}
 }
 
 func validExpand(expand float64) error {
-	// NaN must be rejected, not just negatives: a NaN map key can never be
-	// looked up or deleted again, which would defeat single-flight and make
-	// the eviction loop spin on an unremovable victim.
+	// A negative distance has no meaning. NaN compares false with everything,
+	// so it would be served as distance 0 without a word; an infinite one
+	// grows every descriptor to Inf - Inf.
 	if expand < 0 || math.IsNaN(expand) || math.IsInf(expand, 0) {
 		return fmt.Errorf("server: invalid expansion %v", expand)
 	}
 	return nil
 }
 
-// Acquire returns a pinned handle on the index of dataset name with every
-// box expanded by expand/2 per side (expand 0 = the base index), building it
-// if needed. Concurrent acquisitions of the same variant share one build
-// (single-flight) including its retries; transient build failures are retried
-// with jittered backoff, and when the build still fails, the last-good
-// generation's variant is served stale if it exists. The caller must Release
-// the handle when done. ctx bounds only the backoff waits of a build this
-// caller performs, never a wait on another caller's in-flight build.
+// Acquire returns a handle on the index of dataset name as a distance join at
+// expand reads it — every box grown by expand/2 per side, the index itself at
+// 0 — building the dataset's index first if it has none. A distance never
+// builds: the handle's view is made from the one index (core.Index.Grown).
+// Concurrent acquisitions share one build (single-flight) including its
+// retries; transient build failures are retried with jittered backoff, and
+// when the build still fails, the last-good generation's index is served stale
+// if it exists. ctx bounds the backoff waits of a build this caller performs
+// and its wait on another caller's in-flight build, which goes on for the
+// other waiters.
 func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Handle, error) {
 	if err := validExpand(expand); err != nil {
 		return nil, err
@@ -453,56 +456,42 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 		return nil, err
 	}
 	gen := ds.cur
-	version := gen.version
 	c.acquires++
-	if e, ok := gen.indexes[expand]; ok {
+	e, retries := gen.index, 0
+	if e != nil {
 		c.indexHits++
-		e.refs++
-		c.clock++
-		e.lastUse = c.clock
 		c.mu.Unlock()
-		<-e.ready // single-flight: wait for the (possibly in-flight) build
-		if e.err != nil {
-			err := e.err
-			h := &Handle{cat: c, entry: e}
-			h.Release()
-			if fb := c.lastGood(name, gen, expand); fb != nil {
-				return fb, nil
-			}
-			return nil, err
+		select {
+		case <-e.ready: // single-flight: wait for the (possibly in-flight) build
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return &Handle{cat: c, entry: e, gen: gen, Index: e.idx, Name: name, Version: version}, nil
-	}
-
-	// First acquirer builds; later ones take the branch above and wait.
-	e := &idxEntry{expand: expand, ready: make(chan struct{}), refs: 1}
-	c.clock++
-	e.lastUse = c.clock
-	gen.indexes[expand] = e
-	c.builds++
-	base := gen.elems
-	c.mu.Unlock()
-
-	// BuildIndex reorders its input in place and keeps it as the index's data
-	// pages, so it gets a private copy — grown for a distance variant — taken
-	// outside the lock: the array behind a generation's elems is never written
-	// once it is installed.
-	var elems []transformers.Element
-	if expand > 0 {
-		elems = geom.ExpandedForDistance(base, expand)
 	} else {
-		elems = append(elems, base...)
+		// First acquirer builds; later ones take the branch above and wait.
+		e = &idxEntry{ready: make(chan struct{})}
+		gen.index = e
+		c.builds++
+		base := gen.elems
+		c.mu.Unlock()
+
+		// BuildIndex reorders its input in place and keeps it as the index's
+		// data pages, so it gets a private copy, taken outside the lock: the
+		// array behind a generation's elems is never written once installed.
+		elems := slices.Clone(base)
+		idx, span, n, err := c.buildIndex(ctx, "catalog-build", elems)
+		span.Add("retries", int64(n))
+		c.finishBuild(ds, gen, e, idx, elems, err, n)
+		retries = n
 	}
-	idx, span, retries, buildErr := c.buildIndex(ctx, "catalog-build", elems)
-	span.Add("retries", int64(retries))
-	c.finishBuild(ds, gen, e, idx, elems, buildErr, retries)
-	if buildErr != nil {
+	if e.err != nil {
 		if fb := c.lastGood(name, gen, expand); fb != nil {
 			return fb, nil
 		}
-		return nil, buildErr
+		return nil, e.err
 	}
-	return &Handle{cat: c, entry: e, gen: gen, Index: idx, Name: name, Version: version, Retries: retries}, nil
+	h := newHandle(name, gen, e.idx, expand, false)
+	h.Retries = retries
+	return h, nil
 }
 
 // buildIndex is the one index build under Acquire and MergeDelta: elems
@@ -537,99 +526,73 @@ func (c *Catalog) buildIndex(ctx context.Context, spanName string, elems []trans
 	return idx, span, retries, err
 }
 
-// lastGood returns a pinned stale handle on dataset name's last-good
-// generation variant, if failedGen is still the current generation and the
-// fallback variant is built and healthy. Last-good variants are served as
-// built, never built on demand — an unbuilt fallback is no fallback.
+// lastGood returns a stale handle on dataset name's last-good generation, at
+// any distance, if failedGen is still the current generation and a last-good
+// one exists (it is kept only once built).
 func (c *Catalog) lastGood(name string, failedGen *generation, expand float64) *Handle {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ds := c.datasets[name]
 	if ds == nil || ds.cur != failedGen || ds.last == nil {
+		c.mu.Unlock()
 		return nil
 	}
-	e, ok := ds.last.indexes[expand]
-	if !ok || !isReady(e.ready) || e.err != nil {
-		return nil
-	}
-	e.refs++
-	c.clock++
-	e.lastUse = c.clock
+	gen, idx := ds.last, ds.last.built() // Put keeps only a built generation as last
 	c.lastGoodServes++
-	return &Handle{cat: c, entry: e, gen: ds.last, Index: e.idx, Name: name, Version: ds.last.version, Stale: true}
+	c.mu.Unlock()
+	return newHandle(name, gen, idx, expand, true)
 }
 
-// TryAcquire returns a pinned handle only when the variant is already built
-// and healthy — from the current generation, or stale from the last-good one
-// while the current generation is failing. ok=false means the caller must go
-// through Acquire (and should do so under build admission control —
-// TryAcquire never builds and never blocks on an in-flight build).
+// TryAcquire returns a handle only when the dataset's index is already built
+// — the current generation's, or stale the last-good one's while the current
+// generation is failing. ok=false means the caller must go through Acquire
+// (and should do so under build admission control — TryAcquire never builds
+// and never blocks on an in-flight build).
 func (c *Catalog) TryAcquire(name string, expand float64) (*Handle, bool, error) {
 	if err := validExpand(expand); err != nil {
 		return nil, false, err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ds, err := c.datasetLocked(name)
 	if err != nil {
+		c.mu.Unlock()
 		return nil, false, err
 	}
-	gen, stale := ds.cur, false
-	e, ok := gen.indexes[expand]
-	if (!ok || !isReady(e.ready) || e.err != nil) && ds.failing != nil && ds.last != nil {
-		gen, stale = ds.last, true
-		e, ok = gen.indexes[expand]
+	gen, idx, failing := ds.cur, ds.cur.built(), ds.failing != nil
+	c.mu.Unlock()
+	if idx != nil {
+		return newHandle(name, gen, idx, expand, false), true, nil
 	}
-	if !ok || !isReady(e.ready) || e.err != nil {
-		return nil, false, nil
+	if failing {
+		if fb := c.lastGood(name, gen, expand); fb != nil {
+			return fb, true, nil
+		}
 	}
-	e.refs++
-	c.clock++
-	e.lastUse = c.clock
-	if stale {
-		c.lastGoodServes++
-	}
-	return &Handle{cat: c, entry: e, gen: gen, Index: e.idx, Name: name, Version: gen.version, Stale: stale}, true, nil
+	return nil, false, nil
 }
 
-// finishBuild publishes a build outcome and wakes the waiters. Failed builds
-// are removed from the generation so the next Acquire retries; a success on
-// the current generation clears the dataset's failing state and drops the
-// stale fallback. indexed is the copy of the generation's elements the build
-// ordered and now reads its pages from: a successful base (d = 0) build's
-// becomes gen.elems, so the dataset is held once, and the array it replaces
-// goes when the readers that took its header before are done — the
-// generation's resident partitions among them, which a rebuild drops.
+// finishBuild publishes a build outcome and wakes the waiters. A failed build
+// is forgotten so the next Acquire retries; a success on the current
+// generation clears the dataset's failing state and drops the stale fallback.
+// indexed is the copy of the generation's elements the build ordered and now
+// reads its pages from: it becomes gen.elems, so the dataset is held once, and
+// the array it replaces goes when the readers that took its header before —
+// a partition built in between among them, until the next write — are done.
 func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *transformers.Index, indexed []transformers.Element, err error, retries int) {
 	c.mu.Lock()
 	e.idx, e.err = idx, err
 	close(e.ready)
 	c.retries += uint64(retries)
 	if err != nil {
-		e.refs-- // drop the builder's pin; waiters drop theirs on wake
-		if cur, ok := gen.indexes[e.expand]; ok && cur == e {
-			delete(gen.indexes, e.expand)
-		}
+		gen.index = nil
 		if ds.cur == gen {
 			ds.failing = err
 		}
 	} else {
-		gen.healthy = true
-		if e.expand == 0 {
-			// A partition pins the array it was built from. When this is a
-			// rebuild after eviction, one left over the array this replaces
-			// would hold the dataset a second time; the registered array the
-			// first build replaces is let go at the next write instead.
-			if gen.ordered {
-				c.dropPartitionsLocked(gen)
-			}
-			gen.elems, gen.ordered = indexed, true
-		}
+		gen.elems = indexed
 		if ds.cur == gen {
 			ds.failing = nil
 			ds.last = nil // cur proved healthy; the fallback has served its purpose
 		}
-		c.evictLocked()
 	}
 	c.mu.Unlock()
 }
@@ -659,74 +622,6 @@ func (c *Catalog) Degraded() []string {
 	return out
 }
 
-// evictLocked drops least-recently-used unpinned indexes — index variants and
-// pair partitions alike, in one LRU order — until the built count is within
-// the cap. Pinned or still-building entries are never evicted, and neither
-// is the last-good fallback of a failing dataset (it may be the only
-// servable copy); if everything is protected the catalog temporarily
-// overflows.
-func (c *Catalog) evictLocked() {
-	for {
-		parts, _ := c.readyPartitionsLocked()
-		if c.countReadyLocked()+parts <= c.maxIndexes {
-			return
-		}
-		var victimGen *generation
-		var victimKey float64
-		var victim *idxEntry
-		for _, ds := range c.datasets {
-			for _, gen := range []*generation{ds.cur, ds.last} {
-				if gen == nil || (gen == ds.last && ds.failing != nil) {
-					continue
-				}
-				for k, e := range gen.indexes {
-					if e.refs > 0 || !isReady(e.ready) || e.err != nil {
-						continue
-					}
-					if victim == nil || e.lastUse < victim.lastUse {
-						victimGen, victimKey, victim = gen, k, e
-					}
-				}
-			}
-		}
-		var victimPart *partEntry
-		for _, e := range c.partitions {
-			if e.refs > 0 || !isReady(e.ready) {
-				continue
-			}
-			if victimPart == nil || e.lastUse < victimPart.lastUse {
-				victimPart = e
-			}
-		}
-		switch {
-		case victimPart != nil && (victim == nil || victimPart.lastUse < victim.lastUse):
-			delete(c.partitions, victimPart.key)
-		case victim != nil:
-			delete(victimGen.indexes, victimKey)
-		default:
-			return
-		}
-		c.evictions++
-	}
-}
-
-func (c *Catalog) countReadyLocked() int {
-	n := 0
-	for _, ds := range c.datasets {
-		for _, gen := range []*generation{ds.cur, ds.last} {
-			if gen == nil {
-				continue
-			}
-			for _, e := range gen.indexes {
-				if isReady(e.ready) && e.err == nil {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 func isReady(ready chan struct{}) bool {
 	select {
 	case <-ready:
@@ -749,10 +644,9 @@ func (c *Catalog) datasetLocked(name string) (*dataset, error) {
 // statistics cached per version, the version they describe, the delta epoch
 // and the delta size — from one generation under one lock, so a Put between
 // two reads can never pair one version's statistics with the next one's
-// number. It is a map lookup that acquires no index: a cache hit must not pay
-// the (re)build of an evicted variant. A replacement, append or merge racing
-// between this and the later acquisition only turns a hit into a safe miss
-// (the stored key uses the state actually served).
+// number. It is a map lookup that acquires no index. A replacement, append or
+// merge racing between this and the later acquisition only turns a hit into a
+// safe miss (the stored key uses the state actually served).
 func (c *Catalog) joinInput(name string) (joinInput, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -790,14 +684,14 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 	return out, version, epoch, len(delta), nil
 }
 
-// DeltaView returns the pinned generation's raw base elements, its delta
+// DeltaView returns the handle's generation's raw base elements, its delta
 // buffer, and the delta epoch that buffer corresponds to. Both slices are the
 // catalog's own storage — base is the base index's data pages, delta the
 // capped header of the append buffer, whose elements are never rewritten
 // (later appends land past its length or on a fresh array). Both are
 // read-only: callers must pass them only to engines that neither reorder nor
 // write their inputs (the inmem delta sub-joins qualify; the distance path
-// copies before expanding either way). Reading through the handle's pinned
+// copies before expanding either way). Reading through the handle's
 // generation — not the dataset's current one — keeps the composition
 // consistent with the index the join actually runs on, even if a merge
 // installs a successor generation mid-join.
@@ -873,17 +767,13 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 		c.mu.Unlock()
 		return 0, buildErr
 	}
-	e := &idxEntry{expand: 0, ready: make(chan struct{}), idx: idx}
+	e := &idxEntry{ready: make(chan struct{}), idx: idx}
 	close(e.ready)
-	c.clock++
-	e.lastUse = c.clock
 	ds.cur = &generation{
 		elems:   merged,
-		ordered: true,
 		version: gen.version + 1,
 		stats:   stats,
-		indexes: map[float64]*idxEntry{0: e},
-		healthy: true,
+		index:   e,
 		// Appends that landed during the merge carry over; the epoch
 		// travels with them so cache keys stay content-faithful.
 		delta:      append([]transformers.Element(nil), gen.delta[n:]...),
@@ -893,7 +783,6 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	ds.mergeErr = nil
 	ds.last = nil
 	c.merges++
-	c.evictLocked()
 	notify := c.invalidateLocked(name, gen)
 	c.mu.Unlock()
 	notify()
@@ -904,16 +793,21 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 func (c *Catalog) Stats() CatalogStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deltaElems := 0
+	deltaElems, indexes := 0, 0
 	for _, ds := range c.datasets {
 		deltaElems += len(ds.cur.delta)
+		for _, gen := range []*generation{ds.cur, ds.last} {
+			if gen != nil && gen.built() != nil {
+				indexes++
+			}
+		}
 	}
 	parts, partBytes := c.readyPartitionsLocked()
 	return CatalogStats{
 		Datasets:       len(c.datasets),
 		Partitions:     parts,
 		PartitionBytes: partBytes,
-		Indexes:        c.countReadyLocked(),
+		Indexes:        indexes,
 		Builds:         c.builds,
 		Evictions:      c.evictions,
 		Retries:        c.retries,
@@ -933,11 +827,15 @@ func (c *Catalog) Datasets() []DatasetInfo {
 	defer c.mu.Unlock()
 	out := make([]DatasetInfo, 0, len(c.datasets))
 	for _, ds := range c.datasets {
+		indexes := 0
+		if ds.cur.index != nil {
+			indexes = 1
+		}
 		out = append(out, DatasetInfo{
 			Name:            ds.name,
 			Elements:        len(ds.cur.elems),
 			Version:         ds.cur.version,
-			Indexes:         len(ds.cur.indexes),
+			Indexes:         indexes,
 			Degraded:        ds.failing != nil || ds.mergeErr != nil,
 			SkewCV:          ds.cur.stats.SkewCV,
 			ClusterFraction: ds.cur.stats.ClusterFraction,

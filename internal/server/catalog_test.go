@@ -3,17 +3,28 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"runtime/metrics"
 	"sync"
 	"testing"
 
 	"repro/internal/engine/inmem"
+	"repro/internal/naive"
 	"repro/transformers"
 )
 
 func elemsN(n int, seed int64) []transformers.Element {
 	return transformers.GenerateUniform(n, seed)
+}
+
+// liveHeap is the heap's live object bytes after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC() // pooled join state goes on the second cycle
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	return int64(sample[0].Value.Uint64())
 }
 
 func TestCatalogUnknownDataset(t *testing.T) {
@@ -76,7 +87,6 @@ func TestCatalogSingleFlight(t *testing.T) {
 				return
 			}
 			indexes[i] = h.Index
-			h.Release()
 		}(i)
 	}
 	wg.Wait()
@@ -95,68 +105,12 @@ func TestCatalogBuildOnceQueryMany(t *testing.T) {
 	c := NewCatalog(0, 0)
 	c.Put("ds", elemsN(2000, 2))
 	for i := 0; i < 10; i++ {
-		h, err := c.Acquire(context.Background(), "ds", 0)
-		if err != nil {
+		if _, err := c.Acquire(context.Background(), "ds", 0); err != nil {
 			t.Fatal(err)
 		}
-		h.Release()
 	}
 	if got := c.Stats().Builds; got != 1 {
 		t.Fatalf("builds = %d after 10 acquisitions, want 1", got)
-	}
-}
-
-// TestCatalogRefCountedEviction: pinned indexes survive eviction pressure,
-// unpinned LRU ones are dropped and rebuild on next use.
-func TestCatalogRefCountedEviction(t *testing.T) {
-	c := NewCatalog(1, 0) // room for one built index
-	c.Put("a", elemsN(1000, 3))
-	c.Put("b", elemsN(1000, 4))
-
-	ha, err := c.Acquire(context.Background(), "a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second build overflows the cap, but "a" is pinned and "b" is the one
-	// being acquired — nothing evictable yet.
-	hb, err := c.Acquire(context.Background(), "b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Indexes; got != 2 {
-		t.Fatalf("indexes = %d while both pinned, want 2 (overflow)", got)
-	}
-	if got := c.Stats().Evictions; got != 0 {
-		t.Fatalf("evictions = %d while pinned, want 0", got)
-	}
-
-	// Releasing "b" makes it evictable; the cap forces it out while the
-	// still-pinned "a" survives.
-	hb.Release()
-	if got := c.Stats().Indexes; got != 1 {
-		t.Fatalf("indexes = %d after release, want 1", got)
-	}
-	if got := c.Stats().Evictions; got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	// "a" is still served without a rebuild...
-	ha2, err := c.Acquire(context.Background(), "a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha2.Release()
-	ha.Release()
-	if got := c.Stats().Builds; got != 2 {
-		t.Fatalf("builds = %d, want 2 (a kept)", got)
-	}
-	// ...and "b" transparently rebuilds.
-	hb2, err := c.Acquire(context.Background(), "b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb2.Release()
-	if got := c.Stats().Builds; got != 3 {
-		t.Fatalf("builds = %d, want 3 (b rebuilt)", got)
 	}
 }
 
@@ -186,19 +140,19 @@ func TestCatalogReplaceBumpsVersion(t *testing.T) {
 	if h2.Index.Len() != 500 {
 		t.Fatalf("new index has %d elements, want 500", h2.Index.Len())
 	}
-	// The pre-replacement handle stays valid until released.
+	// The pre-replacement handle stays valid.
 	if h1.Index.Len() != 1000 {
 		t.Fatalf("old handle sees %d elements, want 1000", h1.Index.Len())
 	}
-	h1.Release()
-	h2.Release()
 }
 
-// TestCatalogDistanceVariant: expanded indexes are separate variants of the
-// same dataset, built independently and reused.
+// TestCatalogDistanceVariant: a distance is served by a view of the dataset's
+// one index — a distinct Index over the same elements, never a build — and a
+// join through two such views is the naive answer on expanded copies.
 func TestCatalogDistanceVariant(t *testing.T) {
 	c := NewCatalog(0, 0)
-	c.Put("ds", elemsN(800, 7))
+	elems := overlapElems(800, 7, 1)
+	c.Put("ds", cpElems(elems))
 	h0, err := c.Acquire(context.Background(), "ds", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -207,50 +161,121 @@ func TestCatalogDistanceVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h0.Index == h5.Index {
-		t.Fatal("distance variant shares the base index")
+	if h0.Index == h5.Index || h5.Index.Len() != h0.Index.Len() {
+		t.Fatalf("distance handle: same index %v, %d of %d elements", h0.Index == h5.Index, h5.Index.Len(), h0.Index.Len())
 	}
 	h5b, err := c.Acquire(context.Background(), "ds", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h5b.Index != h5.Index {
-		t.Fatal("distance variant was rebuilt")
+	if st := c.Stats(); st.Builds != 1 || st.Indexes != 1 {
+		t.Fatalf("three acquisitions at two distances: %+v, want one build and one index", st)
 	}
-	if got := c.Stats().Builds; got != 2 {
-		t.Fatalf("builds = %d, want 2", got)
+	res, err := transformers.Join(h5.Index, h5b.Index, transformers.JoinOptions{Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h0.Release()
-	h5.Release()
-	h5b.Release()
-	if _, err := c.Acquire(context.Background(), "ds", -1); err == nil {
-		t.Fatal("negative expansion accepted")
+	if want := naiveRef(elems, elems, 5); !pairsMatch(res.Pairs, want) || len(want) <= len(elems) {
+		t.Fatalf("self-join through two distance handles: %d pairs, naive on expanded copies has %d", len(res.Pairs), len(want))
+	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := c.Acquire(context.Background(), "ds", bad); err == nil {
+			t.Fatalf("expansion %v accepted", bad)
+		}
 	}
 }
 
+// TestDistanceSweepHoldsOneIndex: 32 transformers joins at 32 distinct
+// distances over two 50K datasets build nothing and keep nothing — the
+// catalog's builds and indexes stay at the uploads' two and the live heap
+// grows by at most a fifth of 56 bytes an element (one expanded, indexed copy
+// per distance per side when each distance had its own index) — and every
+// answer is the naive one on expanded copies: free of duplicates, every pair
+// within the distance, and on every hundredth element of A, where the
+// quadratic reference is affordable, complete.
+func TestDistanceSweepHoldsOneIndex(t *testing.T) {
+	if testing.Short() {
+		t.Skip("indexes two 50K datasets")
+	}
+	const n, distances, maxDistance = 50_000, 32, 16.0
+	ctx := context.Background()
+	a, b := transformers.GenerateUniform(n, 31), transformers.GenerateDenseCluster(n, 32)
+	boxA, boxB := make(map[uint64]transformers.Box, n), make(map[uint64]transformers.Box, n)
+	var sample []transformers.Element
+	sampled := make(map[uint64]bool)
+	for i, e := range a {
+		boxA[e.ID] = e.Box
+		if i%100 == 0 {
+			sample, sampled[e.ID] = append(sample, e), true
+		}
+	}
+	for _, e := range b {
+		boxB[e.ID] = e.Box
+	}
+	// Box.Expand is monotone in its argument, so the sample's pairs at the
+	// largest distance contain its pairs at every smaller one.
+	candidates := naiveRef(sample, b, maxDistance)
+
+	svc := NewService(Config{Parallelism: 1})
+	addDataset(t, svc, "a", cpElems(a))
+	addDataset(t, svc, "b", cpElems(b))
+	uploaded := liveHeap()
+	for i := 1; i <= distances; i++ {
+		d := maxDistance * float64(i) / distances
+		out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: "transformers", Distance: d, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		within := func(p transformers.Pair) bool {
+			return boxA[p.A].Expand(d / 2).Intersects(boxB[p.B].Expand(d / 2))
+		}
+		var got, want []transformers.Pair
+		for _, p := range out.Pairs {
+			if !within(p) {
+				t.Fatalf("distance %v: pair %+v is farther apart", d, p)
+			}
+			if sampled[p.A] {
+				got = append(got, p)
+			}
+		}
+		for _, p := range candidates {
+			if within(p) {
+				want = append(want, p)
+			}
+		}
+		if sorted := cpElemsPairs(out.Pairs); len(naive.Dedup(sorted)) != len(out.Pairs) || !pairsMatch(got, want) {
+			t.Fatalf("distance %v: %d pairs with duplicates, or %d on the sample where naive has %d", d, len(out.Pairs), len(got), len(want))
+		}
+	}
+	if st := svc.Stats().Catalog; st.Builds != 2 || st.Indexes != 2 {
+		t.Fatalf("after %d distinct distances: %+v, want 2 builds and 2 indexes", distances, st)
+	}
+	grew, bound := liveHeap()-uploaded, int64(0.2*56*2*n)
+	t.Logf("%d distinct distances: live heap grew %d B over two %d-element uploads (bound %d)", distances, grew, n, bound)
+	if grew > bound {
+		t.Fatalf("%d distinct distances hold %d bytes of live heap, want at most %d", distances, grew, bound)
+	}
+	// What was live at the first measurement stays so until the second.
+	runtime.KeepAlive([]any{svc, a, b, boxA, boxB, sampled, candidates})
+}
+
 // TestResidentDatasetHeldOnce: a resident dataset costs its elements once —
-// the generation's slice is the base index's data pages — plus descriptors:
-// after an upload, after an append and its merge, and after the base variant
-// was evicted and built again, the live heap grew by at most 1.3 x 56 bytes an
-// element (2.1 x when the index kept an encoded copy of every page).
+// the generation's slice is the index's data pages — plus descriptors: after
+// an upload, after an append and its merge, and after 16 joins at 16 distinct
+// distances, the live heap grew by at most 1.3 x 56 bytes an element (2.1 x
+// when the index kept an encoded copy of every page, one more per distance
+// when each had an index of its own).
 func TestResidentDatasetHeldOnce(t *testing.T) {
 	if testing.Short() {
-		t.Skip("indexes 100K elements three times")
+		t.Skip("indexes 100K elements twice")
 	}
 	const n, extra = 100_000, 4096
-	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	live := func() int64 {
-		runtime.GC()
-		runtime.GC() // pooled join state goes on the second cycle
-		metrics.Read(sample)
-		return int64(sample[0].Value.Uint64())
-	}
 	ctx := context.Background()
 	svc := NewService(Config{Parallelism: 1, MaxIndexes: 1})
-	before := live()
+	before := liveHeap()
 	check := func(after string, elements int) {
 		t.Helper()
-		grew, bound := live()-before, int64(1.3*56*float64(elements))
+		grew, bound := liveHeap()-before, int64(1.3*56*float64(elements))
 		t.Logf("after %s: live heap grew %d B for %d elements (%.2f x 56 B each, bound 1.3)", after, grew, elements, float64(grew)/56/float64(elements))
 		if grew > bound {
 			t.Fatalf("after %s: %d elements hold %d bytes of live heap, want at most %d", after, elements, grew, bound)
@@ -268,23 +293,17 @@ func TestResidentDatasetHeldOnce(t *testing.T) {
 	}
 	check("append and merge", n+extra)
 
-	// One index slot: acquiring a distance variant evicts the base variant,
-	// and acquiring the base variant again evicts that one.
-	cat := svc.Catalog()
-	for _, expand := range []float64{5, 0} {
-		h, err := cat.Acquire(ctx, "u", expand)
-		if err != nil {
-			t.Fatal(err)
+	for d := 1; d <= 16; d++ {
+		p := JoinParams{NoCache: true, Algorithm: "transformers", Distance: float64(d) / 64}
+		if out, err := svc.Join(ctx, "u", "u", p); err != nil || len(out.Pairs) < n+extra {
+			t.Fatalf("self-join at distance %v: %d pairs, err %v", p.Distance, len(out.Pairs), err)
 		}
-		h.Release()
 	}
-	if st := cat.Stats(); st.Indexes != 1 || st.Evictions < 2 {
-		t.Fatalf("the base variant was not evicted and rebuilt: %+v", st)
+	if st := svc.Catalog().Stats(); st.Indexes != 1 || st.Builds != 2 {
+		t.Fatalf("after 16 distinct-distance joins: %+v, want the upload's and the merge's builds and one index", st)
 	}
-	check("evicting and re-acquiring the base variant", n+extra)
-	if out, err := svc.Join(ctx, "u", "u", JoinParams{NoCache: true, Algorithm: "transformers"}); err != nil || len(out.Pairs) < n+extra {
-		t.Fatalf("self-join over the rebuilt base index: %d pairs, err %v", len(out.Pairs), err)
-	}
+	check("16 distinct-distance joins", n+extra)
+	runtime.KeepAlive(svc) // or the last check measures a heap the service has left
 }
 
 // TestResidentPartitionIsAFilter: a resident inmem partition costs 28 bytes
@@ -292,29 +311,18 @@ func TestResidentDatasetHeldOnce(t *testing.T) {
 // and IDs from the generations' own arrays: the live heap grows by at most
 // 0.6 x 56 bytes an assignment over the two datasets (1.03 x when the
 // partition was a full-precision copy), at distance 0, at distance 5 and with a delta
-// on one side, for which no grown or combined copy is kept either. A
-// partition pins the arrays it was built from, so a base rebuild after
-// eviction, which installs a new one, drops it.
+// on one side, for which no grown or combined copy is kept either.
 func TestResidentPartitionIsAFilter(t *testing.T) {
 	if testing.Short() {
-		t.Skip("indexes 100K elements three times")
+		t.Skip("indexes 100K elements twice")
 	}
 	const n, extra = 100_000, 4096
-	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	live := func() int64 {
-		runtime.GC()
-		runtime.GC() // pooled join state goes on the second cycle
-		metrics.Read(sample)
-		return int64(sample[0].Value.Uint64())
-	}
 	ctx := context.Background()
-	// Two slots: a partition and one index variant fit side by side.
-	svc := NewService(Config{Parallelism: 1, MaxIndexes: 2})
+	svc := NewService(Config{Parallelism: 1, MaxIndexes: 1})
 	cat := svc.Catalog()
-	empty := live()
 	addDataset(t, svc, "u", transformers.GenerateUniform(n, 3))
 	addDataset(t, svc, "d", transformers.GenerateDenseCluster(n, 4))
-	uploaded := live()
+	uploaded := liveHeap()
 
 	// partition acquires the pair's partition at distance, joins on it once
 	// and holds it to the byte formula and to 0.6 x 56 B an assignment (an
@@ -334,7 +342,7 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 		if got, want := cat.Stats().PartitionBytes, int64(28*assignments+4*offsets); got != want {
 			t.Fatalf("%s: partition_bytes = %d, want 28 x %d assignments + 4 x %d offsets = %d", what, got, assignments, offsets, want)
 		}
-		grew, bound := live()-base, int64(0.6*56*float64(assignments))
+		grew, bound := liveHeap()-base, int64(0.6*56*float64(assignments))
 		t.Logf("%s: live heap grew %d B for %d assignments of %d elements (%.2f x 56 B each, bound 0.6), %d results", what, grew, assignments, elements, float64(grew)/56/float64(assignments), js.Results)
 		if grew > bound {
 			t.Fatalf("%s: a partition of %d assignments holds %d bytes of live heap, want at most %d", what, assignments, grew, bound)
@@ -347,49 +355,15 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 	if _, err := svc.Append(ctx, "u", elemsN(extra, 5)); err != nil {
 		t.Fatal(err)
 	}
-	appended := live()
-	partition("distance 5 over a delta", 5, 2*n+extra, appended)
-
-	// Evict u's base variant and build it again, with the partition resident
-	// and used more recently than any index variant.
-	reacquire := func(name string, expand float64) {
-		t.Helper()
-		h, err := cat.Acquire(ctx, name, expand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Release()
-	}
-	for _, expand := range []float64{5, 0} {
-		hp, err := cat.AcquirePartition(ctx, "u", "d", 5)
-		if err != nil || !hp.Hit {
-			t.Fatalf("the partition did not stay resident (err=%v): %+v", err, cat.Stats())
-		}
-		hp.Release()
-		reacquire("u", expand)
-	}
-	if st := cat.Stats(); st.Partitions != 0 || st.Indexes != 2 {
-		t.Fatalf("a partition over the replaced array stayed resident: %+v", st)
-	}
-	// d's base variant takes the slot of u's distance variant, and of the
-	// grown copy that one indexed.
-	reacquire("d", 0)
-	elements := 2*n + extra
-	grew, bound := live()-empty, int64(1.3*56*float64(elements))
-	t.Logf("after the base rebuild: live heap grew %d B (%.2f x 56 B an element, bound 1.3)", grew, float64(grew)/56/float64(elements))
-	if grew > bound {
-		t.Fatalf("after the base rebuild the datasets hold %d bytes of live heap, want at most %d: the replaced array is still pinned", grew, bound)
-	}
-	partition("distance 5 rebuilt", 5, elements, live())
+	partition("distance 5 over a delta", 5, 2*n+extra, liveHeap())
 }
 
-// TestCatalogBaseRebuildRacesReaders: every base (d = 0) build replaces the
-// generation's element slice with the copy it indexed. Readers that take the
-// slice while such builds come and go — DeltaView over a pinned distance
-// variant (a distance join composing its delta), Snapshot, a partition build
-// — must each see the whole dataset, and (under -race) take the header under
-// the catalog lock.
-func TestCatalogBaseRebuildRacesReaders(t *testing.T) {
+// TestCatalogFirstBuildRacesReaders: a generation's one index build replaces
+// its element slice with the copy it indexed. Readers that take the slice
+// while such a build is in flight — Snapshot, a partition build, a distance
+// acquisition waiting on the build and then DeltaView — must each see the
+// whole dataset, and (under -race) take the header under the catalog lock.
+func TestCatalogFirstBuildRacesReaders(t *testing.T) {
 	const n = 3000
 	ctx := context.Background()
 	c := NewCatalog(1, 0)
@@ -405,19 +379,16 @@ func TestCatalogBaseRebuildRacesReaders(t *testing.T) {
 		}
 		return len(elems) == n && sum == want
 	}
-	// The one index slot stays pinned by a distance variant, so the base
-	// variant is evicted at every release and built again at every acquire.
-	pinned, err := c.Acquire(ctx, "ds", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pinned.Release()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, read := range []func() bool{
 		func() bool {
-			base, _, _ := c.DeltaView(pinned)
-			return whole(base)
+			h, err := c.Acquire(ctx, "ds", 7)
+			if err != nil {
+				return false
+			}
+			base, _, _ := c.DeltaView(h)
+			return whole(base) && h.Index.Len() == n
 		},
 		func() bool {
 			snap, _, _, _, err := c.Snapshot("ds")
@@ -447,17 +418,14 @@ func TestCatalogBaseRebuildRacesReaders(t *testing.T) {
 			}
 		}()
 	}
-	before := c.Stats().Builds
+	// Every replacement is a generation whose first acquirer — this loop or
+	// the distance reader — builds and installs while the others read.
 	for round := 0; round < 30; round++ {
-		h, err := c.Acquire(ctx, "ds", 0)
-		if err != nil {
-			t.Fatal(err)
+		version := c.Put("ds", elemsN(n, 9))
+		if h, err := c.Acquire(ctx, "ds", 0); err != nil || h.Version < version || h.Index.Len() != n {
+			t.Fatalf("round %d: acquisition after a replacement: %+v, err %v", round, h, err)
 		}
-		h.Release()
 	}
 	close(done)
 	wg.Wait()
-	if st := c.Stats(); st.Builds-before < 30 {
-		t.Fatalf("the base variant was built %d times in 30 acquisitions, want every time: %+v", st.Builds-before, st)
-	}
 }

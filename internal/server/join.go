@@ -99,21 +99,21 @@ type execution struct {
 
 // executeJoin runs the planned join inside one pool slot, so admission
 // control bounds all expensive work — including the single-flight index and
-// partition builds acquisition can trigger (a distance join builds expanded
-// variants of both sides, §VIII) and the per-request builds of the other
-// engines. Waiting on another request's in-flight build consumes this slot
-// but never needs a second one, so slots cannot deadlock. Every pair, of
-// every branch and of the delta sub-joins, leaves through emit.
+// partition builds acquisition can trigger and the per-request builds of the
+// other engines. Waiting on another request's in-flight build consumes this
+// slot, for no longer than the request's own deadline, and never needs a
+// second one, so slots cannot deadlock. Every pair, of every branch and of the
+// delta sub-joins, leaves through emit.
 func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (execution, error) {
 	var ex execution
 	var run func(ctx context.Context) error
 	switch jp.algo {
 	case engine.Transformers:
-		// Catalog path: reuse the prebuilt (and, for distance joins,
-		// pre-expanded) indexes through the registry's prebuilt option. A
-		// non-empty delta buffer composes on top: the prebuilt indexes cover
+		// Catalog path: reuse the prebuilt indexes (for distance joins, their
+		// grown views) through the registry's prebuilt option. A non-empty
+		// delta buffer composes on top: the prebuilt indexes cover
 		// base×base, and the delta sub-joins run inmem afterwards against
-		// the same pinned generation — the handles fix which (base, delta)
+		// the same generation — the handles fix which (base, delta)
 		// snapshot this join describes even if a merge installs a successor
 		// generation mid-join.
 		run = func(ctx context.Context) error {
@@ -123,13 +123,11 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				cat.End()
 				return err
 			}
-			defer ha.Release()
 			hb, err := s.cat.Acquire(cctx, b, p.Distance)
 			cat.End()
 			if err != nil {
 				return err
 			}
-			defer hb.Release()
 			ex.stale = ha.Stale || hb.Stale
 			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, ex.stale)
 			baseA, deltaA, epochA := s.cat.DeltaView(ha)

@@ -94,7 +94,7 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 			}
 			return 0
 		})
-	r.GaugeFunc("spatialjoin_index_cache_hit_ratio", "Catalog acquisitions served by an existing index or pair partition.",
+	r.GaugeFunc("spatialjoin_index_cache_hit_ratio", "Catalog acquisitions that started no build: a dataset's one index at any distance, or a resident pair partition.",
 		func() float64 {
 			cs := s.cat.Stats()
 			if cs.Acquires > 0 {

@@ -23,8 +23,9 @@ type partKey struct {
 }
 
 // partEntry is one built (or building) pair partition: the inmem engine's
-// counterpart of idxEntry. ready is closed when the build finishes; refs pins
-// the entry against eviction while joins run on it.
+// counterpart of idxEntry, and unlike it a second structure over the data,
+// worth evicting. ready is closed when the build finishes; refs pins the entry
+// against eviction while joins run on it.
 type partEntry struct {
 	key     partKey
 	ready   chan struct{}
@@ -104,6 +105,28 @@ func (c *Catalog) readyPartitionsLocked() (n int, bytes int64) {
 	return n, bytes
 }
 
+// evictLocked drops least-recently-used unpinned partitions until the built
+// count is within the cap. Pinned or still-building ones are never evicted;
+// if everything is protected the catalog temporarily overflows.
+func (c *Catalog) evictLocked() {
+	for {
+		if parts, _ := c.readyPartitionsLocked(); parts <= c.maxIndexes {
+			return
+		}
+		var victim *partEntry
+		for _, e := range c.partitions {
+			if e.refs == 0 && isReady(e.ready) && (victim == nil || e.lastUse < victim.lastUse) {
+				victim = e
+			}
+		}
+		if victim == nil {
+			return
+		}
+		delete(c.partitions, victim.key)
+		c.evictions++
+	}
+}
+
 // AcquirePartition returns a pinned handle on the inmem stripe partition of
 // datasets a and b at the given distance, building it if the pair's current
 // state has none. Both current generations and their delta heads are pinned
@@ -113,9 +136,9 @@ func (c *Catalog) readyPartitionsLocked() (n int, bytes int64) {
 // Concurrent acquisitions of one state share one build (single-flight). The
 // build cannot fail and ignores ctx: a builder whose request has expired
 // still publishes for the waiters, and its own join then stops at its next
-// context check. A pair too large for the planner to route to inmem is built
-// for the joins waiting on it and not kept. The caller must Release the
-// handle when done.
+// context check; a waiter whose request expires gives up its pin and leaves.
+// A pair too large for the planner to route to inmem is built for the joins
+// waiting on it and not kept. The caller must Release the handle when done.
 func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance float64) (*PartitionHandle, error) {
 	if err := validExpand(distance); err != nil {
 		return nil, err
@@ -142,8 +165,14 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 		e.refs++
 		e.lastUse = c.clock
 		c.mu.Unlock()
-		<-e.ready // single-flight: wait for the (possibly in-flight) build
-		h.entry, h.Partition, h.Hit = e, e.part, true
+		h.entry = e
+		select {
+		case <-e.ready: // single-flight: wait for the (possibly in-flight) build
+		case <-ctx.Done():
+			h.Release()
+			return nil, ctx.Err()
+		}
+		h.Partition, h.Hit = e.part, true
 		return h, nil
 	}
 

@@ -84,10 +84,16 @@ func TestPartitionLifecycleModel(t *testing.T) {
 				}
 			default:
 				p := JoinParams{
-					Algorithm: []string{engine.InMem, AlgorithmAuto}[rng.Intn(2)],
+					Algorithm: []string{engine.InMem, AlgorithmAuto, engine.Transformers}[rng.Intn(3)],
 					Distance:  []float64{0, 0, 12}[rng.Intn(3)],
 					NoCache:   rng.Intn(2) == 0,
 				}
+				if p.Algorithm == engine.Transformers {
+					// A distance nobody asked for before: served by a view of
+					// the dataset's one index, so nothing is built.
+					p.Distance = 1 + 20*rng.Float64()
+				}
+				builds := svc.Stats().Catalog.Builds
 				desc = fmt.Sprintf("%s join %+v", desc, p)
 				liveKeys[fmt.Sprint(p.Distance)] = true
 				want := naiveRef(model["a"], model["b"], p.Distance)
@@ -127,6 +133,9 @@ func TestPartitionLifecycleModel(t *testing.T) {
 				}
 				if !pairsMatch(got, want) {
 					t.Fatalf("%s: %d pairs, naive over the model has %d", desc, len(got), len(want))
+				}
+				if now := svc.Stats().Catalog.Builds; p.Algorithm == engine.Transformers && now != builds {
+					t.Fatalf("%s: builds moved %d -> %d, want them to move on a Put or a merge only", desc, builds, now)
 				}
 			}
 			st := svc.Stats()
@@ -373,43 +382,48 @@ func TestPartitionsBoundedAcrossAppends(t *testing.T) {
 	}
 }
 
-// TestPartitionShareIndexCap: resident partitions count against -max-indexes
-// and leave in the same LRU order as index variants.
-func TestPartitionShareIndexCap(t *testing.T) {
-	cat := NewCatalog(2, 0)
+// TestIndexCapBoundsPartitionsOnly: -max-indexes caps the resident partitions,
+// which leave in LRU order; a dataset's index is not counted against it and
+// never leaves — MaxIndexes: 1 keeps one partition beside any number of them.
+func TestIndexCapBoundsPartitionsOnly(t *testing.T) {
+	cat := NewCatalog(1, 0)
 	ctx := context.Background()
-	cat.Put("a", overlapElems(100, 13, 1))
-	cat.Put("b", overlapElems(100, 14, 10_000))
+	for i, name := range []string{"a", "b", "c"} {
+		cat.Put(name, overlapElems(100, int64(13+i), uint64(1+10_000*i)))
+		if _, err := cat.Acquire(ctx, name, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquire := func(d float64) *PartitionHandle {
+		t.Helper()
+		h, err := cat.AcquirePartition(ctx, "a", "b", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		return h
+	}
 	for _, d := range []float64{0, 1, 2, 3} {
-		h, err := cat.AcquirePartition(ctx, "a", "b", d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Release()
+		acquire(d)
 	}
-	st := cat.Stats()
-	if st.Partitions != 2 || st.Evictions != 2 {
-		t.Fatalf("4 partitions under a cap of 2: %+v, want 2 resident and 2 evicted", st)
+	if st := cat.Stats(); st.Partitions != 1 || st.Evictions != 3 || st.Indexes != 3 || st.Builds != 3+4 {
+		t.Fatalf("4 partitions and 3 datasets under a cap of 1: %+v, want 1 partition, 3 evicted, 3 indexes", st)
 	}
-	// The survivors are the two most recently used.
-	for _, d := range []float64{2, 3} {
-		h, err := cat.AcquirePartition(ctx, "a", "b", d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !h.Hit {
-			t.Fatalf("distance %v was evicted ahead of older partitions", d)
-		}
-		h.Release()
+	// The survivor is the most recently used, and a pinned one is not evicted.
+	if !acquire(3).Hit || acquire(2).Hit {
+		t.Fatal("the partition kept is not the most recently used")
 	}
-	// An index variant evicts the least recently used partition.
-	hi, err := cat.Acquire(ctx, "a", 0)
-	if err != nil {
-		t.Fatal(err)
+	pinned, err := cat.AcquirePartition(ctx, "a", "b", 2)
+	if err != nil || !pinned.Hit {
+		t.Fatalf("re-acquiring the resident partition: hit=%v err=%v", pinned != nil && pinned.Hit, err)
 	}
-	hi.Release()
-	if st := cat.Stats(); st.Indexes != 1 || st.Partitions != 1 {
-		t.Fatalf("index build under a full cap: %+v, want 1 index and 1 partition", st)
+	acquire(4)
+	if st := cat.Stats(); st.Partitions != 1 || st.Indexes != 3 {
+		t.Fatalf("with one partition pinned: %+v, want it resident and 3 indexes", st)
+	}
+	pinned.Release()
+	if !acquire(2).Hit {
+		t.Fatal("a pinned partition was evicted")
 	}
 }
 

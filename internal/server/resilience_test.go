@@ -198,6 +198,96 @@ func TestLastGoodServedWhileRebuildFails(t *testing.T) {
 	waitPoolDrained(t, svc)
 }
 
+// TestLastGoodServedAtAnyDistance: the last-good version answers at every
+// distance, not only at those somebody joined at before the replacement
+// started failing — a distance needs no build, so none can fail.
+func TestLastGoodServedAtAnyDistance(t *testing.T) {
+	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, After: 2, Times: 0})
+	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
+	a, bOld := overlapElems(400, 221, 1), overlapElems(300, 222, 10_000)
+	addDataset(t, svc, "a", cpElems(a))
+	addDataset(t, svc, "b", cpElems(bOld))
+	if _, err := svc.AddDataset(context.Background(), "b", overlapElems(100, 223, 20_000)); err == nil {
+		t.Fatal("the replacement's failing build went unreported")
+	}
+	out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: engine.Transformers, Distance: 7})
+	if err != nil {
+		t.Fatalf("distance join against a failing dataset: %v", err)
+	}
+	if !out.Summary.Stale || !pairsMatch(out.Pairs, naiveRef(a, bOld, 7)) {
+		t.Fatalf("stale=%v with %d pairs, want the last-good version's answer at distance 7", out.Summary.Stale, len(out.Pairs))
+	}
+	waitPoolDrained(t, svc)
+}
+
+// TestDeadlineBoundsWaitOnBuild: a request waiting on another request's
+// index build gives up at its own deadline and frees its slot, the build goes
+// on for whoever else waits, and nothing is left behind; the same for a
+// waiter on a partition build, which also gives up its pin.
+func TestDeadlineBoundsWaitOnBuild(t *testing.T) {
+	before := runtime.NumGoroutine()
+	gate := make(chan struct{})
+	svc := NewService(Config{Workers: 4, StoreFactory: func(pageSize int) storage.Store {
+		<-gate
+		return storage.NewMemStore(pageSize)
+	}})
+	cat := svc.Catalog()
+	// expires sends a self-join of ds with 20 ms to live behind a build that
+	// is not going to finish in that time.
+	expires := func(behind string, p JoinParams) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		p.NoCache = true
+		done := make(chan error, 1)
+		go func() {
+			_, err := svc.Join(ctx, "ds", "ds", p)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("a 20 ms request behind %s: err = %v, want DeadlineExceeded", behind, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("a 20 ms request is still waiting on %s after 2 s", behind)
+		}
+	}
+
+	built := make(chan error, 1)
+	go func() {
+		_, err := svc.AddDataset(context.Background(), "ds", overlapElems(500, 224, 1))
+		built <- err
+	}()
+	waitFor(t, "the gated build to start", func() bool { return cat.Stats().Builds == 1 })
+	expires("another request's index build", JoinParams{Algorithm: engine.Transformers, Distance: 3})
+	close(gate)
+	if err := <-built; err != nil || t.Failed() {
+		t.Fatalf("the build the waiter left: %v", err)
+	}
+	if h, err := cat.Acquire(context.Background(), "ds", 3); err != nil || h.Index.Len() != 500 || cat.Stats().Builds != 1 {
+		t.Fatalf("acquisition after the build: %+v, err %v, %+v", h, err, cat.Stats())
+	}
+
+	// A partition build cannot be gated from outside, so one that never
+	// finishes is planted under the key the acquisition will look up.
+	cat.mu.Lock()
+	gen := cat.datasets["ds"].cur
+	stuck := &partEntry{key: partKey{genA: gen, genB: gen, distance: 3}, ready: make(chan struct{})}
+	cat.partitions[stuck.key] = stuck
+	cat.mu.Unlock()
+	expires("another request's partition build", JoinParams{Algorithm: engine.InMem, Distance: 3})
+	cat.mu.Lock()
+	refs := stuck.refs
+	delete(cat.partitions, stuck.key)
+	cat.mu.Unlock()
+	if refs != 0 || t.Failed() {
+		t.Fatalf("the waiter that left holds %d pins on the partition", refs)
+	}
+	waitPoolDrained(t, svc)
+	checkGoroutines(t, before)
+}
+
 // TestDeadlineAbortsJoin: an expired request deadline aborts the join
 // cooperatively — typed error, slot released, no goroutine left behind, and
 // the abort attributed to the request's tenant.

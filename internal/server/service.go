@@ -27,8 +27,8 @@ type Config struct {
 	// PageSize is the page size of catalog index stores; storage default
 	// when zero.
 	PageSize int
-	// MaxIndexes caps built indexes kept in the catalog
-	// (DefaultMaxIndexes when zero).
+	// MaxIndexes caps the resident pair partitions — the inmem engine's
+	// indexes — kept in the catalog (DefaultMaxIndexes when zero).
 	MaxIndexes int
 	// CacheEntries and CacheMaxPairs size the join-result cache
 	// (DefaultCacheEntries / DefaultCacheMaxPairs when zero).
@@ -307,7 +307,6 @@ func (s *Service) AddDataset(ctx context.Context, name string, elems []transform
 			// back to the previous one. The dataset is registered (joins
 			// will serve last-good) but the registration must report the
 			// failure, not describe the stale index.
-			h.Release()
 			h = nil
 			return fmt.Errorf("server: dataset %q version %d registered, but its index build is failing; queries serve the last-good version", name, version)
 		}
@@ -317,7 +316,6 @@ func (s *Service) AddDataset(ctx context.Context, name string, elems []transform
 		return BuildInfo{}, err
 	}
 	s.noteOutcome(ctx, nil, h.Retries, false)
-	defer h.Release()
 	br := h.Index.BuildReport()
 	info := BuildInfo{
 		Name:     name,
@@ -396,9 +394,9 @@ func (s *Service) Quiesce() { s.mergeWG.Wait() }
 
 // RangeQuery returns the elements of a cataloged dataset intersecting the
 // query box. The hot path — index already built — bypasses the join pool
-// entirely (a few page reads, interactive latency); only a cold index whose
-// rebuild the query would trigger goes through pool admission, so range
-// traffic against evicted datasets cannot stampede unbounded builds.
+// entirely (a few page reads, interactive latency); only a dataset whose
+// build failed, which the query would retry, goes through pool admission, so
+// range traffic against failing datasets cannot stampede unbounded builds.
 func (s *Service) RangeQuery(ctx context.Context, dataset string, query transformers.Box) ([]transformers.Element, transformers.RangeStats, error) {
 	s.rangeQueries.Add(1)
 	h, ok, err := s.cat.TryAcquire(dataset, 0)
@@ -416,7 +414,6 @@ func (s *Service) RangeQuery(ctx context.Context, dataset string, query transfor
 		}
 	}
 	s.noteOutcome(ctx, nil, h.Retries, h.Stale)
-	defer h.Release()
 	return h.Index.RangeQuery(query)
 }
 

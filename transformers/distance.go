@@ -25,6 +25,17 @@ func ExpandForDistance(elems []Element, d float64) ([]Element, error) {
 	return geom.ExpandedForDistance(elems, d), nil
 }
 
+// Grown returns the index as a distance join at d = 2r reads it — every box
+// enlarged by r, as ExpandForDistance(elems, 2r) enlarges them — sharing the
+// index's pages: nothing is copied or sorted, and joins over the index and any
+// number of its views may run at once. r <= 0 returns the index itself.
+func (idx *Index) Grown(r float64) *Index {
+	if !(r > 0) {
+		return idx
+	}
+	return &Index{core: idx.core.Grown(r), build: idx.build}
+}
+
 // DistanceJoin finds every pair of elements (a from as, b from bs) whose
 // boxes are within Chebyshev distance d of each other, using the given
 // algorithm end to end. It is the enlarged-objects spatial join of §VIII.
