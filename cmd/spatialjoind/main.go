@@ -20,9 +20,11 @@
 //	                     into the main index by a background merge once the
 //	                     delta exceeds -delta-max-elements
 //	POST /join           {"a","b","algorithm"?,"stream"?,"include_pairs"?,"parallelism"?}
-//	                     algorithm: any registered engine, or "auto" (the
-//	                     statistics-driven planner picks; the response reports
-//	                     the choice and the ranked scores)
+//	                     algorithm: a served engine — transformers (the
+//	                     dataset's index) or inmem (the pair's resident
+//	                     partition) — or "auto" (the statistics-driven planner
+//	                     picks between them; the response reports the choice
+//	                     and the ranked scores); any other name is a 400
 //	POST /join/distance  same plus "distance": d (Chebyshev, §VIII)
 //	POST /query/range    {"dataset","box":{"lo":[x,y,z],"hi":[x,y,z]},"stream"?}
 //	GET  /healthz        liveness; "degraded" with reasons while a tenant
@@ -37,7 +39,7 @@
 //	                     corrections and recent samples with their cost terms
 //
 // Joins are traced end to end (admission wait, planning, catalog access,
-// per-tile execution, stream emission); send X-Trace: 1 or "trace": true to
+// engine execution, stream emission); send X-Trace: 1 or "trace": true to
 // get the span tree back in the response or NDJSON trailer. Every response
 // carries X-Request-ID (honored from the request when present). -debug-addr
 // serves net/http/pprof on a separate listener, kept off the serving port.
@@ -66,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 )
@@ -81,7 +82,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", server.DefaultMaxQueue, "max queued joins before 503 (0 = default, negative = unbounded; use 1 for near-immediate backpressure)")
 	parallel := flag.Int("parallel", 1, "default per-join worker count (negative = all cores)")
 	defaultAlgo := flag.String("default-algorithm", "",
-		"engine for joins that do not name one: "+strings.Join(engine.Names(), ", ")+
+		"engine for joins that do not name one: "+strings.Join(server.ServedEngines(), ", ")+
 			", or auto (planner; default transformers)")
 	maxGenerate := flag.Int("max-generate", 0, "largest server-side generated dataset (0 = default 5M elements)")
 	maxBody := flag.Int64("max-body-bytes", 0, "largest accepted request body (0 = default 256MB)")
@@ -89,15 +90,15 @@ func main() {
 	tenantSlots := flag.Int("tenant-slots", 0, "max concurrently executing slot units per tenant while others wait (0 = no per-tenant cap)")
 	tenantQueue := flag.Int("tenant-queue", 0, "max queued requests per tenant before 429 (0 = no per-tenant cap)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "default per-request deadline when a request sets no timeout_ms (0 = none)")
-	faults := flag.String("faults", "", "DEV ONLY: fault-injection scenario for soak testing, e.g. 'read-error,slow-read:delay=2ms' (see internal/faultinject)")
+	faults := flag.String("faults", "", "DEV ONLY: fault-injection scenario for the catalog's page stores (read-error, write-error, slow-read, build-fail), e.g. 'read-error,slow-read:delay=2ms' (see internal/faultinject)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for randomized parameters of -faults clauses")
 	slowJoinMS := flag.Int64("slow-join-ms", server.DefaultSlowJoinThreshold.Milliseconds(), "joins slower than this land in /debug/joins with their span tree (negative = record every join)")
 	deltaMax := flag.Int("delta-max-elements", 0, "append-delta size that triggers a background merge into the main index (0 = default 8192, negative = never merge automatically)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty = disabled)")
 	flag.Parse()
 
-	if *defaultAlgo != "" && *defaultAlgo != server.AlgorithmAuto {
-		if _, err := engine.Get(*defaultAlgo); err != nil {
+	if *defaultAlgo != "" {
+		if err := server.CheckAlgorithm(*defaultAlgo); err != nil {
 			log.Fatalf("-default-algorithm: %v", err)
 		}
 	}
@@ -129,11 +130,8 @@ func main() {
 			log.Fatalf("-faults: %v", err)
 		}
 		// Catalog index builds (and the joins reading those indexes) run on
-		// fault-injecting stores; the faulty engine wraps the default
-		// TRANSFORMERS engine with the emit/stall faults and is selectable
-		// via "algorithm": "faulty".
+		// fault-injecting stores.
 		cfg.StoreFactory = sc.StoreFactory
-		engine.Register(sc.Engine("faulty", engine.Transformers))
 		log.Printf("FAULT INJECTION ACTIVE (dev only): scenario %v, seed %d", sc, *faultSeed)
 	}
 	svc := server.NewService(cfg)

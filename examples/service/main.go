@@ -92,11 +92,11 @@ func main() {
 	fmt.Printf("auto join: planner chose %v (%d engines scored)\n",
 		sum["algorithm"], len(plan["scores"].([]any)))
 
-	// 3b. Explicit engine: the same join through PBSM, for comparison.
-	doc = post(base, "/join", `{"a":"axons","b":"dendrites","algorithm":"pbsm","no_cache":true}`)
-	fmt.Printf("pbsm join: %v pairs (engine builds per request: build_ms=%.1f)\n",
-		doc["summary"].(map[string]any)["results"],
-		doc["summary"].(map[string]any)["build_ms"])
+	// 3b. Explicit engine: the same join through the TRANSFORMERS indexes the
+	// catalog built at upload (the daemon serves transformers and inmem).
+	doc = post(base, "/join", `{"a":"axons","b":"dendrites","algorithm":"transformers","no_cache":true}`)
+	fmt.Printf("transformers join: %v pairs (indexes built at upload: no build_ms)\n",
+		doc["summary"].(map[string]any)["results"])
 
 	// 4. Distance join: pairs within 5 units (boxes enlarged by d/2, §VIII).
 	doc = post(base, "/join/distance", `{"a":"axons","b":"dendrites","distance":5}`)

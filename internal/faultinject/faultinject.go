@@ -1,12 +1,11 @@
 // Package faultinject injects scripted, seedable faults into the spatial
-// join serving stack so graceful degradation is proven, not assumed. A
-// Scenario wraps storage stores (read errors, write errors, slow reads,
-// failing index builds) and join engines (emit errors, stalled workers) with
-// faults that fire at scripted operation counts; the engine, property and
-// server test suites — and the spatialjoind -faults flag — run real traffic
-// through it and assert that every scenario ends in correct results, a clean
-// typed error, or a well-formed 429/503, never a hang, a leaked goroutine,
-// or a wrong pair set.
+// join serving stack's storage so graceful degradation is proven, not
+// assumed. A Scenario wraps storage stores with faults — read errors, write
+// errors, slow reads, failing index builds — that fire at scripted operation
+// counts; the server test suite and the spatialjoind -faults flag run real
+// traffic through it and assert that every scenario ends in correct results,
+// a clean typed error, or a well-formed 429/503, never a hang, a leaked
+// goroutine, or a wrong pair set.
 //
 // Scenarios are scripted as comma-separated fault clauses:
 //
@@ -45,14 +44,9 @@ const (
 	// OpBuildFail hands out stores whose writes fail, per build (the
 	// trigger counts StoreFactory calls, not pages).
 	OpBuildFail = "build-fail"
-	// OpEmitError fails a join's pair emission.
-	OpEmitError = "emit-error"
-	// OpStall blocks a join's pair emission until its context is canceled
-	// (a stalled worker; only a deadline or disconnect unblocks it).
-	OpStall = "stall"
 )
 
-var opKinds = []string{OpReadError, OpWriteError, OpSlowRead, OpBuildFail, OpEmitError, OpStall}
+var opKinds = []string{OpReadError, OpWriteError, OpSlowRead, OpBuildFail}
 
 // trigger decides, per operation, whether a fault fires: operations 1..After
 // pass clean, then every Every-th operation faults, at most Times times
@@ -104,8 +98,8 @@ func (f *Fault) String() string {
 	return s
 }
 
-// Scenario is one scripted fault configuration, shared by every store and
-// engine it wraps. Safe for concurrent use.
+// Scenario is one scripted fault configuration, shared by every store it
+// wraps. Safe for concurrent use.
 type Scenario struct {
 	seed   int64
 	faults map[string]*Fault
@@ -164,7 +158,7 @@ func (s *Scenario) String() string {
 // Parse compiles a scenario spec: comma-separated clauses of
 // op[:param=value...], with parameters after, times, every, and delay
 // (a time.Duration). Omitted parameters are drawn deterministically from
-// seed, so "read-error,stall" with a logged seed is a complete reproduction
+// seed, so "read-error,slow-read" with a logged seed is a complete reproduction
 // recipe. An empty spec is a valid no-fault scenario.
 func Parse(spec string, seed int64) (*Scenario, error) {
 	sc := &Scenario{seed: seed, faults: make(map[string]*Fault)}
@@ -239,12 +233,6 @@ func defaultFault(op string, rng *rand.Rand) *Fault {
 	case OpBuildFail:
 		f.After = 0
 		f.Times = 1 + rng.Int63n(2)
-	case OpEmitError:
-		f.After = rng.Int63n(128)
-		f.Times = 1
-	case OpStall:
-		f.After = rng.Int63n(128)
-		f.Times = 1
 	}
 	return f
 }

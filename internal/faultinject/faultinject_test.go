@@ -1,17 +1,12 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/geom"
-	"repro/internal/naive"
 	"repro/internal/storage"
-	"repro/transformers"
 )
 
 func TestTriggerSemantics(t *testing.T) {
@@ -68,25 +63,25 @@ func TestParseExplicitParams(t *testing.T) {
 	if sr == nil || sr.Every != 7 || sr.Delay != 2*time.Millisecond {
 		t.Fatalf("slow-read = %+v", sr)
 	}
-	if sc.fault(OpStall) != nil {
+	if sc.fault(OpBuildFail) != nil {
 		t.Fatal("unscripted op present")
 	}
 }
 
 func TestParseSeedDeterminism(t *testing.T) {
 	// Omitted parameters are drawn from the seed: same seed, same scenario.
-	a, err := Parse("read-error,stall,slow-read", 42)
+	a, err := Parse("read-error,write-error,slow-read", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Parse("read-error,stall,slow-read", 42)
+	b, err := Parse("read-error,write-error,slow-read", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different scenarios:\n%s\n%s", a, b)
 	}
-	c, _ := Parse("read-error,stall,slow-read", 43)
+	c, _ := Parse("read-error,write-error,slow-read", 43)
 	if a.String() == c.String() {
 		t.Fatalf("different seeds produced identical scenarios: %s", a)
 	}
@@ -207,64 +202,6 @@ func TestStoreFactoryBuildFail(t *testing.T) {
 		} else if err != nil {
 			t.Fatalf("factory call %d: %v", call, err)
 		}
-	}
-}
-
-// joinInputs yields a self-join: every element matches itself, so the pair
-// count is at least 400 and the emit-path faults always reach their triggers.
-func joinInputs() (a, b []geom.Element) {
-	a = transformers.GenerateUniform(400, 5)
-	return a, a
-}
-
-func TestEngineFaultFreePassthrough(t *testing.T) {
-	a, b := joinInputs()
-	want := naive.Join(a, b)
-	sc, err := Parse("", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sc.Engine("fi-test-passthrough", engine.Transformers)
-	res, err := engine.Collect(context.Background(), e, a, b, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !naive.Equal(append([]geom.Pair(nil), res.Pairs...), want) {
-		t.Fatalf("pass-through join: %d pairs, want %d", len(res.Pairs), len(want))
-	}
-	if res.Engine != "fi-test-passthrough" {
-		t.Fatalf("result engine = %q", res.Engine)
-	}
-}
-
-func TestEngineEmitError(t *testing.T) {
-	a, b := joinInputs()
-	sc := New(Fault{Op: OpEmitError, After: 10, Times: 1})
-	e := sc.Engine("fi-test-emit", engine.Transformers)
-	_, err := engine.Collect(context.Background(), e, a, b, engine.Options{})
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-}
-
-func TestEngineStallUnblocksOnCancel(t *testing.T) {
-	a, b := joinInputs()
-	sc := New(Fault{Op: OpStall, After: 5, Times: 1})
-	e := sc.Engine("fi-test-stall", engine.Transformers)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := engine.Collect(ctx, e, a, b, engine.Options{})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want DeadlineExceeded", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stalled join did not unblock on context cancellation")
 	}
 }
 

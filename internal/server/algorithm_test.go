@@ -3,19 +3,23 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/planner"
 	"repro/internal/geom"
 	"repro/internal/naive"
 	"repro/transformers"
 )
 
-// TestJoinExplicitEngines drives every registered engine through the service
-// and asserts they all report the naive pair count — the serving-layer
-// counterpart of the engine equivalence property.
+// TestJoinExplicitEngines drives every served engine through the service and
+// asserts they all report the naive pair count — the serving-layer
+// counterpart of the engine equivalence property, which holds every
+// registered engine to naive in-process.
 func TestJoinExplicitEngines(t *testing.T) {
 	svc := NewService(Config{})
 	a := transformers.GenerateDenseCluster(1500, 61)
@@ -36,7 +40,7 @@ func TestJoinExplicitEngines(t *testing.T) {
 	if _, err := svc.AddDataset(context.Background(), "b", b); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range engine.Names() {
+	for _, name := range ServedEngines() {
 		out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: name, NoCache: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -52,7 +56,7 @@ func TestJoinExplicitEngines(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	for _, name := range engine.Names() {
+	for _, name := range ServedEngines() {
 		if st.EngineJoins[name] != 1 {
 			t.Errorf("engine_joins[%s] = %d, want 1", name, st.EngineJoins[name])
 		}
@@ -82,8 +86,8 @@ func TestJoinAutoReportsPlanAndChoice(t *testing.T) {
 	if out.Summary.Planner.Requested != AlgorithmAuto {
 		t.Errorf("planner requested = %q", out.Summary.Planner.Requested)
 	}
-	if len(out.Summary.Planner.Scores) < len(engine.Names()) {
-		t.Errorf("planner scores incomplete: %d entries", len(out.Summary.Planner.Scores))
+	if len(out.Summary.Planner.Scores) != len(ServedEngines()) {
+		t.Errorf("planner scores: %d entries, want one per served engine", len(out.Summary.Planner.Scores))
 	}
 	if out.Summary.Algorithm == "" || out.Summary.Algorithm == AlgorithmAuto {
 		t.Errorf("auto must resolve to a concrete engine, got %q", out.Summary.Algorithm)
@@ -153,9 +157,7 @@ func TestJoinAutoCacheSharing(t *testing.T) {
 
 // TestJoinAutoPrefersTransformersOnSkewedData is the serving-side acceptance
 // check: with clustered + skewed catalog datasets big enough to rule out the
-// in-memory engines, "auto" must pick the robust adaptive join — single-node
-// TRANSFORMERS or its sharded form, depending on the machine's worker budget
-// (both run the same algorithm per tile).
+// in-memory engine, "auto" must pick the robust adaptive join.
 func TestJoinAutoPrefersTransformersOnSkewedData(t *testing.T) {
 	svc := NewService(Config{})
 	a := transformers.GenerateMassiveCluster(140_000, 67)
@@ -170,83 +172,9 @@ func TestJoinAutoPrefersTransformersOnSkewedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Summary.Algorithm; got != engine.Transformers && got != engine.ShardTransformers {
-		t.Errorf("auto on skewed catalog data chose %q, want the transformers family (scores: %+v)",
+	if got := out.Summary.Algorithm; got != engine.Transformers {
+		t.Errorf("auto on skewed catalog data chose %q, want transformers (scores: %+v)",
 			got, out.Summary.Planner.Scores)
-	}
-}
-
-// TestJoinShardEngine drives an explicit sharded join through the service:
-// the pair set matches the single-node inner engine, the summary carries the
-// fan-out record, and /stats aggregates it.
-func TestJoinShardEngine(t *testing.T) {
-	svc := NewService(Config{})
-	a := transformers.GenerateDenseCluster(2500, 75)
-	b := transformers.GenerateUniformCluster(2500, 76)
-	for i := range a {
-		a[i].Box = a[i].Box.Expand(2)
-	}
-	for i := range b {
-		b[i].Box = b[i].Box.Expand(2)
-	}
-	if _, err := svc.AddDataset(context.Background(), "a", a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.AddDataset(context.Background(), "b", b); err != nil {
-		t.Fatal(err)
-	}
-	single, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.Transformers, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.ShardTransformers, ShardTiles: 6, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sharded.Pairs) != len(single.Pairs) || sharded.Summary.Results != single.Summary.Results {
-		t.Errorf("sharded join: %d pairs, single-node has %d", len(sharded.Pairs), len(single.Pairs))
-	}
-	sh := sharded.Summary.Shard
-	if sh == nil {
-		t.Fatal("shard summary missing")
-	}
-	if sh.Tiles != 6 || sh.Inner != engine.Transformers {
-		t.Errorf("shard summary: %+v", sh)
-	}
-
-	// A different fan-out must not be served the K=6 execution record.
-	again, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.ShardTransformers, ShardTiles: 3, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cached {
-		t.Error("K=3 request must not hit the K=6 cache entry")
-	}
-	if again.Summary.Shard == nil || again.Summary.Shard.Tiles != 3 {
-		t.Errorf("K=3 summary: %+v", again.Summary.Shard)
-	}
-	// Same fan-out does hit.
-	hit, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.ShardTransformers, ShardTiles: 3, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Cached {
-		t.Error("identical shard request must be served from cache")
-	}
-
-	st := svc.Stats()
-	if st.Shard.Joins != 2 {
-		t.Errorf("stats.shard.joins = %d, want 2 (cache hit excluded)", st.Shard.Joins)
-	}
-	if st.Shard.TilesRun == 0 {
-		t.Error("stats.shard.tiles_run must aggregate executed tiles")
-	}
-	if st.EngineJoins[engine.ShardTransformers] != 2 {
-		t.Errorf("engine_joins[shard-transformers] = %d", st.EngineJoins[engine.ShardTransformers])
 	}
 }
 
@@ -256,8 +184,116 @@ func TestJoinUnknownAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := svc.Join(context.Background(), "a", "a", JoinParams{Algorithm: "quantum"})
-	if err == nil {
-		t.Fatal("unknown algorithm must fail")
+	if !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Fatalf("unknown algorithm: err = %v, want ErrUnknownAlgorithm", err)
+	}
+}
+
+// TestUnservedEnginesAreBadRequests: every registered engine outside
+// ServedEngines is refused by CheckAlgorithm (what spatialjoind checks
+// -default-algorithm with) and is a 400 naming the served ones, on both join
+// endpoints, that never reaches the pool; the sharded engines' tile pin is an
+// unknown field; /stats lists the served engines plus auto.
+func TestUnservedEnginesAreBadRequests(t *testing.T) {
+	ts, svc := newTestServer(t, Config{})
+	postJSON(t, ts.URL+"/datasets", `{"name":"a","generate":{"kind":"uniform","n":500,"seed":79}}`)
+	postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"dense_cluster","n":500,"seed":80}}`)
+	completed := svc.Stats().Pool.Completed
+
+	for _, name := range append(engine.Names(), AlgorithmAuto) {
+		err := CheckAlgorithm(name)
+		if slices.Contains(ServedEngines(), name) || name == AlgorithmAuto {
+			if err != nil {
+				t.Errorf("CheckAlgorithm(%q) = %v, want nil", name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrUnknownAlgorithm) || !strings.Contains(err.Error(), "transformers, inmem") {
+			t.Errorf("CheckAlgorithm(%q) = %v, want an ErrUnknownAlgorithm naming the served engines", name, err)
+		}
+		for _, path := range []string{"/join", "/join/distance"} {
+			body := `{"a":"a","b":"b","algorithm":"` + name + `"`
+			if path == "/join/distance" {
+				body += `,"distance":25`
+			}
+			code, doc := postJSON(t, ts.URL+path, body+"}")
+			msg, _ := doc["error"].(string)
+			if code != http.StatusBadRequest || !strings.Contains(msg, "transformers, inmem") {
+				t.Errorf("%s %s = %d %q, want a 400 naming the served engines", path, name, code, msg)
+			}
+			if st := svc.Stats().Pool; st.Active != 0 || st.Queued != 0 || st.Completed != completed {
+				t.Fatalf("%s %s reached the pool: %+v", path, name, st)
+			}
+		}
+	}
+	code, doc := postJSON(t, ts.URL+"/join", `{"a":"a","b":"b","algorithm":"auto","shard_tiles":4}`)
+	if msg, _ := doc["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "shard_tiles") {
+		t.Errorf("shard_tiles = %d %q, want an unknown-field 400", code, msg)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Algorithms []string `json:"algorithms"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"transformers", "inmem", "auto"}; !slices.Equal(st.Algorithms, want) {
+		t.Errorf("stats.algorithms = %v, want %v", st.Algorithms, want)
+	}
+}
+
+// TestAutoPlansOnlyServedEngines: on a pair where the full registry's plan,
+// priced at the service's two workers, picks a sharded engine, "auto"
+// resolves to a served engine, ranks the served engines only, and answers
+// the naive pairs.
+func TestAutoPlansOnlyServedEngines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 14K x 14K join of about a million pairs, checked against naive")
+	}
+	const distance = 100
+	svc := NewService(Config{Parallelism: 2})
+	a := transformers.GenerateMassiveCluster(14_000, 2)
+	b := transformers.GenerateDendrites(14_000, 2)
+	addDataset(t, svc, "a", cpElems(a))
+	addDataset(t, svc, "b", cpElems(b))
+
+	ia, err := svc.cat.joinInput("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := svc.cat.joinInput("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := planner.Plan(ia.planned(distance), ib.planned(distance), planner.Config{PrebuiltTransformers: true, ShardWorkers: 2})
+	if !strings.HasPrefix(full.Engine, engine.ShardPrefix) {
+		t.Fatalf("precondition: the full registry's plan picks %q, want a sharded engine", full.Engine)
+	}
+
+	out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: AlgorithmAuto, Distance: distance, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ServedEngines(), out.Summary.Algorithm) {
+		t.Errorf("auto resolved to %q, want a served engine (the full registry picks %q)", out.Summary.Algorithm, full.Engine)
+	}
+	var scored []string
+	for _, sc := range out.Summary.Planner.Scores {
+		scored = append(scored, sc.Engine)
+	}
+	want := ServedEngines()
+	slices.Sort(scored)
+	slices.Sort(want)
+	if !slices.Equal(scored, want) {
+		t.Errorf("planner scores name %v, want exactly %v", scored, want)
+	}
+	if ref := naiveRef(a, b, distance); !pairsMatch(out.Pairs, ref) {
+		t.Errorf("auto (%s): %d pairs, naive has %d", out.Summary.Algorithm, len(out.Pairs), len(ref))
 	}
 }
 
@@ -268,13 +304,13 @@ func TestHTTPJoinAlgorithm(t *testing.T) {
 	postJSON(t, ts.URL+"/datasets", `{"name":"a","generate":{"kind":"massive_cluster","n":2000,"seed":71}}`)
 	postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"uniform","n":2000,"seed":72}}`)
 
-	code, doc := postJSON(t, ts.URL+"/join", `{"a":"a","b":"b","algorithm":"pbsm","no_cache":true}`)
+	code, doc := postJSON(t, ts.URL+"/join", `{"a":"a","b":"b","algorithm":"inmem","no_cache":true}`)
 	if code != http.StatusOK {
-		t.Fatalf("explicit pbsm join = %d: %v", code, doc)
+		t.Fatalf("explicit inmem join = %d: %v", code, doc)
 	}
 	sum := doc["summary"].(map[string]any)
-	if sum["algorithm"] != "pbsm" {
-		t.Errorf("summary.algorithm = %v, want pbsm", sum["algorithm"])
+	if sum["algorithm"] != engine.InMem {
+		t.Errorf("summary.algorithm = %v, want inmem", sum["algorithm"])
 	}
 
 	code, doc = postJSON(t, ts.URL+"/join", `{"a":"a","b":"b","algorithm":"auto","no_cache":true}`)
@@ -301,7 +337,7 @@ func TestHTTPJoinAlgorithm(t *testing.T) {
 		t.Fatalf("unknown algorithm = %d (%v), want 400", code, doc)
 	}
 
-	// /stats reports the engine vocabulary and per-engine counters.
+	// /stats reports the per-engine counters and the default.
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -311,11 +347,8 @@ func TestHTTPJoinAlgorithm(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Algorithms) < 7 { // six engines + auto
-		t.Errorf("stats.algorithms = %v", st.Algorithms)
-	}
-	if st.EngineJoins["pbsm"] == 0 {
-		t.Errorf("stats.engine_joins missing pbsm: %v", st.EngineJoins)
+	if st.EngineJoins[engine.InMem] == 0 {
+		t.Errorf("stats.engine_joins missing inmem: %v", st.EngineJoins)
 	}
 	if st.DefaultAlgorithm != engine.Transformers {
 		t.Errorf("stats.default_algorithm = %q", st.DefaultAlgorithm)
@@ -323,8 +356,8 @@ func TestHTTPJoinAlgorithm(t *testing.T) {
 }
 
 // TestHTTPDistanceJoinWithEngine: the distance predicate composes with
-// explicit engines — the engine layer applies the §VIII expansion itself and
-// must agree with the catalog's pre-expanded transformers variant.
+// either served engine — the inmem partition grows the boxes as it is built
+// and must agree with the transformers join through the grown index view.
 func TestHTTPDistanceJoinWithEngine(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	postJSON(t, ts.URL+"/datasets", `{"name":"a","generate":{"kind":"uniform","n":1200,"seed":73}}`)
@@ -334,21 +367,23 @@ func TestHTTPDistanceJoinWithEngine(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("transformers distance join = %d", code)
 	}
-	code, pb := postJSON(t, ts.URL+"/join/distance", `{"a":"a","b":"b","distance":25,"algorithm":"pbsm"}`)
+	code, im := postJSON(t, ts.URL+"/join/distance", `{"a":"a","b":"b","distance":25,"algorithm":"inmem"}`)
 	if code != http.StatusOK {
-		t.Fatalf("pbsm distance join = %d", code)
+		t.Fatalf("inmem distance join = %d", code)
 	}
 	rTr := tr["summary"].(map[string]any)["results"].(float64)
-	rPb := pb["summary"].(map[string]any)["results"].(float64)
-	if rTr != rPb || rTr == 0 {
-		t.Fatalf("distance joins disagree: transformers=%v pbsm=%v", rTr, rPb)
+	rIm := im["summary"].(map[string]any)["results"].(float64)
+	if rTr != rIm || rTr == 0 {
+		t.Fatalf("distance joins disagree: transformers=%v inmem=%v", rTr, rIm)
 	}
 }
 
 // TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests: on a small × large
-// pair — the density contrast GIPSY was designed for — "auto" resolves to the
-// catalog-resident TRANSFORMERS indexes, the planner report lists gipsy with a
-// reason and no price, and naming gipsy still runs it, to the same pairs.
+// pair over the in-memory cap, "auto" resolves to the catalog-resident
+// TRANSFORMERS indexes, the planner report lists inmem — whose partition such
+// a pair builds per request — with a reason and no price, and naming inmem
+// still runs it, to the same pairs. An engine the daemon does not serve, such
+// as GIPSY, is refused.
 func TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	postJSON(t, ts.URL+"/datasets", `{"name":"small","generate":{"kind":"uniform","n":1000,"seed":77}}`)
@@ -367,17 +402,17 @@ func TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests(t *testing.T) {
 		engine.SortPairs(pairs)
 		return pairs
 	}
-	join := func(algo string) map[string]any {
+	join := func(algo string, status int) map[string]any {
 		t.Helper()
 		code, doc := postJSON(t, ts.URL+"/join/distance",
 			`{"a":"small","b":"large","distance":10,"algorithm":"`+algo+`","parallelism":1,"include_pairs":true,"no_cache":true}`)
-		if code != http.StatusOK {
-			t.Fatalf("%s join = %d: %v", algo, code, doc)
+		if code != status {
+			t.Fatalf("%s join = %d, want %d: %v", algo, code, status, doc)
 		}
 		return doc
 	}
 
-	auto := join("auto")
+	auto := join("auto", http.StatusOK)
 	sum := auto["summary"].(map[string]any)
 	if sum["algorithm"] != engine.Transformers {
 		t.Fatalf("auto resolved to %v, want transformers (planner: %v)", sum["algorithm"], sum["planner"])
@@ -385,24 +420,25 @@ func TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests(t *testing.T) {
 	listed := false
 	for _, s := range sum["planner"].(map[string]any)["scores"].([]any) {
 		score := s.(map[string]any)
-		if score["engine"] != engine.GIPSY {
+		if score["engine"] != engine.InMem {
 			continue
 		}
 		listed = true
 		if _, priced := score["cost_ms"]; priced || score["reason"] == "" {
-			t.Errorf("gipsy must be listed with a reason and no cost_ms: %v", score)
+			t.Errorf("inmem over the cap must be listed with a reason and no cost_ms: %v", score)
 		}
 	}
 	if !listed {
-		t.Error("gipsy missing from the planner scores")
+		t.Error("inmem missing from the planner scores")
 	}
 
 	want := sortedPairs(auto)
 	if len(want) == 0 {
 		t.Fatal("degenerate workload")
 	}
-	got := sortedPairs(join(engine.GIPSY))
+	got := sortedPairs(join(engine.InMem, http.StatusOK))
 	if !slices.Equal(got, want) {
-		t.Errorf("explicit gipsy: %d pairs, transformers %d — pair sets differ", len(got), len(want))
+		t.Errorf("explicit inmem: %d pairs, transformers %d — pair sets differ", len(got), len(want))
 	}
+	join(engine.GIPSY, http.StatusBadRequest)
 }

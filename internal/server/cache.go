@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/engine/planner"
 	"repro/transformers"
 )
@@ -37,11 +36,6 @@ type JoinKey struct {
 	Predicate                string // "intersects" or "distance"
 	Distance                 float64
 	Algorithm                string // resolved engine name
-	// ShardTiles is the executed fan-out of a sharded engine — the resolved
-	// tile count, not the request's pin — so an explicit request at K and an
-	// auto request that resolves to K share one entry. The pair set is
-	// invariant in it, but the cached cost summary is not.
-	ShardTiles int
 }
 
 // PlannerInfo reports how an "auto" request was resolved.
@@ -51,10 +45,8 @@ type PlannerInfo struct {
 	// Fallback is set when the robust default won over a nominally
 	// cheaper engine (see planner.Decision).
 	Fallback bool `json:"fallback,omitempty"`
-	// ShardTiles is the tile count the sharded engines were priced at; a
-	// sharded execution reuses it so the plan and the run agree.
-	ShardTiles int `json:"shard_tiles,omitempty"`
-	// Scores is the full ranked prediction, cheapest first.
+	// Scores is the ranked prediction over the served engines, cheapest
+	// first.
 	Scores []planner.Score `json:"scores"`
 }
 
@@ -73,10 +65,6 @@ type JoinSummary struct {
 	// transformers path, whose indexes live in the catalog, and on an inmem
 	// join that found its partition resident there.
 	BuildMS float64 `json:"build_ms,omitempty"`
-	// Shard is the fan-out record when a sharded meta-engine executed the
-	// join: tiles, replication, dedup drops, worker utilization (per-tile
-	// detail included).
-	Shard *engine.ShardStats `json:"shard,omitempty"`
 	// Delta reports the append-buffer composition when either input carried
 	// a non-empty delta at execution time. Cached — it describes the keyed
 	// content, which pins the epochs it was composed at.
@@ -92,9 +80,9 @@ type JoinSummary struct {
 // DeltaSummary reports how one executed join composed its inputs' append
 // deltas: the delta sizes at execution time, and — on the prebuilt
 // TRANSFORMERS path — how many inmem sub-joins ran and what they
-// contributed. Engines that index per request, and the inmem partition,
-// fold the delta into their inputs instead, so SubJoins stays 0 and the
-// sub-join pair count is not separable from the base result.
+// contributed. The inmem partition folds the delta into its input instead,
+// so SubJoins stays 0 and the sub-join pair count is not separable from the
+// base result.
 type DeltaSummary struct {
 	ElementsA int `json:"elements_a"`
 	ElementsB int `json:"elements_b"`

@@ -660,9 +660,9 @@ func (c *Catalog) joinInput(name string) (joinInput, error) {
 
 // Snapshot returns a private combined copy of a dataset's base elements plus
 // its delta buffer, with the version, delta epoch and delta size the copy
-// corresponds to — one atomic consistent view. Engines that build their own
-// per-request index run on the combined slice directly, which makes their
-// results identical to a full rebuild by construction.
+// corresponds to — one atomic consistent view. The service never copies a
+// dataset to join it; the benchmark's in-process layer rows
+// (benchmark/layers.go) are the one caller, timing what such a copy costs.
 func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, epoch uint64, deltaLen int, err error) {
 	c.mu.Lock()
 	ds, err := c.datasetLocked(name)

@@ -94,18 +94,15 @@ type appendRequest struct {
 type joinRequest struct {
 	A string `json:"a"`
 	B string `json:"b"`
-	// Algorithm names the engine: any registered engine name, "auto" (the
+	// Algorithm names the engine: a ServedEngines entry, "auto" (the
 	// planner picks from cached dataset statistics), or empty for the
 	// daemon default. The response reports the resolved choice.
-	Algorithm string  `json:"algorithm,omitempty"`
-	Distance  float64 `json:"distance,omitempty"`
-	// ShardTiles pins the tile count of the sharded engines (0 = the
-	// statistics-driven choice); other engines ignore it.
-	ShardTiles   int  `json:"shard_tiles,omitempty"`
-	Parallelism  int  `json:"parallelism,omitempty"`
-	Stream       bool `json:"stream,omitempty"`
-	IncludePairs bool `json:"include_pairs,omitempty"`
-	NoCache      bool `json:"no_cache,omitempty"`
+	Algorithm    string  `json:"algorithm,omitempty"`
+	Distance     float64 `json:"distance,omitempty"`
+	Parallelism  int     `json:"parallelism,omitempty"`
+	Stream       bool    `json:"stream,omitempty"`
+	IncludePairs bool    `json:"include_pairs,omitempty"`
+	NoCache      bool    `json:"no_cache,omitempty"`
 	// TimeoutMS bounds this join end to end: on expiry the kernels abort
 	// cooperatively, the slot is released, and the request answers 504 (or
 	// an aborted NDJSON trailer if the stream already started). The server
@@ -626,7 +623,7 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 		badRequest(w, rid, "both dataset names a and b are required")
 		return
 	}
-	params := JoinParams{Parallelism: req.Parallelism, NoCache: req.NoCache, Algorithm: req.Algorithm, ShardTiles: req.ShardTiles}
+	params := JoinParams{Parallelism: req.Parallelism, NoCache: req.NoCache, Algorithm: req.Algorithm}
 	if distance {
 		// NaN fails every comparison, so `<= 0` alone would wave it (and the
 		// infinities) through to fail deep in planning as a generic 500.

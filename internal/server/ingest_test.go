@@ -181,50 +181,6 @@ func TestAppendInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestCacheKeySharedAcrossAutoAndPinnedTiles pins the satellite bugfix: an
-// unpinned sharded run (tiles resolved from statistics) and an explicit
-// request pinning the same K must share one cache entry — the key carries
-// the executed fan-out, not the request's pin.
-func TestCacheKeySharedAcrossAutoAndPinnedTiles(t *testing.T) {
-	svc := NewService(Config{Workers: 2})
-	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 307))
-	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 308))
-
-	out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: engine.ShardInMem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cached || out.Summary.Shard == nil {
-		t.Fatalf("unpinned sharded run: cached=%v shard=%+v", out.Cached, out.Summary.Shard)
-	}
-	k := out.Summary.Shard.Tiles
-	if k <= 0 {
-		t.Fatalf("resolved tile count = %d", k)
-	}
-
-	pinned, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: engine.ShardInMem, ShardTiles: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pinned.Cached {
-		t.Fatalf("explicit pin at the resolved K=%d missed the unpinned run's cache entry", k)
-	}
-
-	// A different fan-out is a different execution record: it must not share.
-	if k+1 <= engine.ShardMaxTiles {
-		other, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: engine.ShardInMem, ShardTiles: k + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if other.Cached {
-			t.Fatalf("pin at K=%d shared the K=%d entry", k+1, k)
-		}
-		if !pairsMatch(other.Pairs, out.Pairs) {
-			t.Fatal("pair set varied with tile count")
-		}
-	}
-}
-
 // TestAppendRacingStreamingJoin: an append landing while a streaming join is
 // in flight must not tear the stream — the join serves exactly its pinned
 // pre-append snapshot, and the next join sees the post-append state.

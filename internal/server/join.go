@@ -17,18 +17,14 @@ type JoinParams struct {
 	// within the given Chebyshev distance. 0 is the plain intersection join.
 	Distance float64
 	// Parallelism overrides the per-join worker count (service default when
-	// zero, all cores when negative). Only the engines with a parallel
-	// kernel honor it: transformers, inmem and the shard- forms.
+	// zero, all cores when negative).
 	Parallelism int
 	// NoCache bypasses the result cache (both lookup and fill).
 	NoCache bool
-	// Algorithm names the engine to run: any engine.Names() entry,
+	// Algorithm names the engine to run: a ServedEngines entry,
 	// AlgorithmAuto to let the planner pick, or empty for the service
 	// default.
 	Algorithm string
-	// ShardTiles pins the tile count K of the sharded meta-engines (0 =
-	// the engine's statistics-driven choice); other engines ignore it.
-	ShardTiles int
 }
 
 // JoinOutcome is one join result: pairs in A/B orientation, the cost
@@ -39,14 +35,11 @@ type JoinOutcome struct {
 	Cached  bool
 }
 
-// joinKey assembles the cache key for one join execution. ShardTiles is part
-// of the key: the pair set is invariant in it (a tested property), but the
-// cached cost summary describes one concrete fan-out, and serving a K=4
-// execution record for a K=16 request would misreport what ran. The delta
-// epochs pin the append-buffer state the result composed, so an append is an
+// joinKey assembles the cache key for one join execution. The delta epochs
+// pin the append-buffer state the result composed, so an append is an
 // immediate cache miss without a version bump.
-func joinKey(a, b string, va, vb, ea, eb uint64, distance float64, algorithm string, shardTiles int) JoinKey {
-	return JoinKey{A: a, B: b, VersionA: va, VersionB: vb, DeltaEpochA: ea, DeltaEpochB: eb, Predicate: predicateOf(distance), Distance: distance, Algorithm: algorithm, ShardTiles: shardTiles}
+func joinKey(a, b string, va, vb, ea, eb uint64, distance float64, algorithm string) JoinKey {
+	return JoinKey{A: a, B: b, VersionA: va, VersionB: vb, DeltaEpochA: ea, DeltaEpochB: eb, Predicate: predicateOf(distance), Distance: distance, Algorithm: algorithm}
 }
 
 // predicateOf names a join's predicate in cache keys, join records and
@@ -99,11 +92,12 @@ type execution struct {
 
 // executeJoin runs the planned join inside one pool slot, so admission
 // control bounds all expensive work — including the single-flight index and
-// partition builds acquisition can trigger and the per-request builds of the
-// other engines. Waiting on another request's in-flight build consumes this
-// slot, for no longer than the request's own deadline, and never needs a
-// second one, so slots cannot deadlock. Every pair, of every branch and of the
-// delta sub-joins, leaves through emit.
+// partition builds acquisition can trigger. Waiting on another request's
+// in-flight build consumes this slot, for no longer than the request's own
+// deadline, and never needs a second one, so slots cannot deadlock. There is
+// one branch per served engine (planJoin admits no other), each reading what
+// the catalog holds. Every pair, of both branches and of the delta sub-joins,
+// leaves through emit.
 func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (execution, error) {
 	var ex execution
 	var run func(ctx context.Context) error
@@ -132,7 +126,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, ex.stale)
 			baseA, deltaA, epochA := s.cat.DeltaView(ha)
 			baseB, deltaB, epochB := s.cat.DeltaView(hb)
-			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo, jp.tiles)
+			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
 				Concurrent:  true,
@@ -168,7 +162,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				span.Add("bytes", int64(h.Partition.Bytes()))
 				span.Add("stripes", int64(h.Partition.Stripes()))
 			}
-			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo, jp.tiles)
+			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
 				PageSize:    s.cfg.PageSize,
@@ -185,33 +179,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				s.deltaJoins.Add(1)
 			}
 			return nil
-		}
-	default:
-		// Registry path: the engine indexes private element copies per
-		// request (distance expansion included), inside the same slot. The
-		// snapshot folds any delta into the copy, so per-request indexing
-		// engines see exactly what a full rebuild would — no composition.
-		run = func(ctx context.Context) error {
-			ea, verA, epochA, dlA, err := s.cat.Snapshot(a)
-			if err != nil {
-				return err
-			}
-			eb, verB, epochB, dlB, err := s.cat.Snapshot(b)
-			if err != nil {
-				return err
-			}
-			ex.key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo, jp.tiles)
-			ex.res, err = engine.RunStream(ctx, jp.algo, ea, eb, engine.Options{
-				Distance:    p.Distance,
-				Parallelism: jp.parallelism,
-				PageSize:    s.cfg.PageSize,
-				ShardTiles:  jp.tiles,
-			}, emit)
-			if err == nil && dlA+dlB > 0 {
-				ex.delta = &DeltaSummary{ElementsA: dlA, ElementsB: dlB}
-				s.deltaJoins.Add(1)
-			}
-			return err
 		}
 	}
 	var err error
@@ -294,10 +261,9 @@ func mergeDeltaStats(dst *engine.Stats, sub engine.Stats) {
 }
 
 // summarize flattens one executed result into the cacheable cost summary and
-// tallies the per-engine and shard counters.
+// tallies the per-engine counter.
 func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 	s.countEngineJoin(algo)
-	s.countShardJoin(res.Stats.Shard)
 	return JoinSummary{
 		Algorithm:       algo,
 		Results:         res.Stats.Refinements,
@@ -307,7 +273,6 @@ func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 		ModeledIOMS:     float64(res.Stats.JoinIOTime) / float64(time.Millisecond),
 		Reads:           res.Stats.PagesRead,
 		BuildMS:         float64(res.Stats.BuildTotal) / float64(time.Millisecond),
-		Shard:           res.Stats.Shard,
 	}
 }
 
@@ -495,7 +460,7 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 	streaming := sink.consumer != nil
 	if !p.NoCache {
 		_, cacheSpan := obs.Start(ctx, "cache")
-		res, ok := s.cache.Get(joinKey(a, b, jp.a.version, jp.b.version, jp.a.epoch, jp.b.epoch, p.Distance, jp.algo, jp.tiles))
+		res, ok := s.cache.Get(joinKey(a, b, jp.a.version, jp.b.version, jp.a.epoch, jp.b.epoch, p.Distance, jp.algo))
 		cacheSpan.End()
 		if ok {
 			cacheSpan.Add("hit", 1)

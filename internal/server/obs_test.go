@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/transformers"
 )
@@ -384,7 +384,7 @@ func TestObsDeadlineJoin(t *testing.T) {
 		t.Fatalf("deadline record engine = %q, want %q", recs[0].Engine, engine.Transformers)
 	}
 	resp, err := http.Post(ts.URL+"/join", "application/json",
-		strings.NewReader(`{"a":"a","b":"b","no_cache":true,"stream":true,"timeout_ms":1,"algorithm":"pbsm"}`))
+		strings.NewReader(`{"a":"a","b":"b","no_cache":true,"stream":true,"timeout_ms":1,"algorithm":"inmem"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +394,8 @@ func TestObsDeadlineJoin(t *testing.T) {
 		t.Fatalf("unknown algorithm: status = %d, want 400", code)
 	}
 	recs = svc.SlowJoins().Snapshot() // newest first
-	if len(recs) != 3 || recs[1].Engine != engine.PBSM || recs[1].Outcome != "deadline" || recs[0].Engine != "" || recs[0].Outcome != "error" {
-		t.Fatalf("ring = %+v, want pbsm's deadline then an engine-less error", recs)
+	if len(recs) != 3 || recs[1].Engine != engine.InMem || recs[1].Outcome != "deadline" || recs[0].Engine != "" || recs[0].Outcome != "error" {
+		t.Fatalf("ring = %+v, want inmem's deadline then an engine-less error", recs)
 	}
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -403,7 +403,7 @@ func TestObsDeadlineJoin(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, label := range []string{engine.Transformers, engine.PBSM, "none"} {
+	for _, label := range []string{engine.Transformers, engine.InMem, "none"} {
 		if line := fmt.Sprintf("spatialjoin_join_duration_seconds_count{engine=%q} 1\n", label); !strings.Contains(string(raw), line) {
 			t.Fatalf("exposition lacks %q\n%s", line, raw)
 		}
@@ -415,22 +415,19 @@ func TestObsDeadlineJoin(t *testing.T) {
 // shed) and 503 (pool saturated, no queue) both answer with the request ID
 // and land in the ring with outcomes "shed" and "busy".
 func TestObsShedAndBusyJoins(t *testing.T) {
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpStall, Times: 1})
-	algo := registerFaultEngine(sc)
 	ts, svc := newTestServer(t, Config{Workers: 1, TenantQueue: 1, SlowJoinThreshold: -1})
 	addDataset(t, svc, "a", bigOverlapDataset(800, 409))
 	addDataset(t, svc, "b", bigOverlapDataset(800, 410))
 
-	// One stalled join holds the single slot until its deadline.
+	// One streamed join whose client stops reading holds the single slot
+	// until the test releases it.
+	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		body := fmt.Sprintf(`{"a":"a","b":"b","no_cache":true,"algorithm":%q,"timeout_ms":1000}`, algo)
-		resp, err := http.Post(ts.URL+"/join", "application/json", strings.NewReader(body))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+		req := httptest.NewRequest(http.MethodPost, "/join",
+			strings.NewReader(`{"a":"a","b":"b","no_cache":true,"stream":true}`))
+		NewHandler(svc).ServeHTTP(&faultyWriter{stall: func() { <-release }}, req)
 	}()
 	waitFor(t, "stalled join active", func() bool { return svc.Stats().Pool.Active > 0 })
 
@@ -468,16 +465,16 @@ func TestObsShedAndBusyJoins(t *testing.T) {
 	// Swap in a queue-less pool: saturation now rejects immediately with 503.
 	svc.pool = NewPool(PoolConfig{Capacity: 1, MaxQueue: 0})
 	block := make(chan struct{})
-	release := make(chan struct{})
+	unblock := make(chan struct{})
 	go svc.pool.Do(t.Context(), Request{Tenant: "x", Cost: 1}, func() error {
 		close(block)
-		<-release
+		<-unblock
 		return nil
 	})
 	<-block
 	code, out, _ = postTraced(t, ts.URL+"/join", `{"a":"a","b":"b","no_cache":true}`,
 		map[string]string{"X-Request-ID": "rid-503"})
-	close(release)
+	close(unblock)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 (%s)", code, out.Error)
 	}
@@ -493,48 +490,34 @@ func TestObsShedAndBusyJoins(t *testing.T) {
 	if !found {
 		t.Fatalf("ring = %+v, want a busy record", svc.SlowJoins().Snapshot())
 	}
+	close(release)
 	<-done
 	<-queued
 }
 
-// TestObsAbortedStreamRecorded: a stream that dies mid-flight (engine emit
-// error after pairs flowed) ends in an aborted trailer carrying the request
-// ID, and the ring records outcome "aborted".
+// TestObsAbortedStreamRecorded: a stream that dies mid-flight (a write to the
+// client failing after pairs flowed) is recorded in the ring with outcome
+// "aborted" and the request ID. The failed write ends the response, so no
+// trailer reaches this client; TestHTTPStreamDeadlineTrailer holds the
+// aborted trailer a still-connected client gets.
 func TestObsAbortedStreamRecorded(t *testing.T) {
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpEmitError, After: 50, Times: 1})
-	algo := registerFaultEngine(sc)
-	ts, svc := newTestServer(t, Config{SlowJoinThreshold: -1})
+	svc := NewService(Config{SlowJoinThreshold: -1})
 	addDataset(t, svc, "a", bigOverlapDataset(800, 411))
 	addDataset(t, svc, "b", bigOverlapDataset(800, 412))
 
-	body := fmt.Sprintf(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":%q}`, algo)
-	req, err := http.NewRequest("POST", ts.URL+"/join", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := &faultyWriter{failAfter: 16 << 10}
+	req := httptest.NewRequest(http.MethodPost, "/join",
+		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true}`))
 	req.Header.Set("X-Request-ID", "rid-abort")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	NewHandler(svc).ServeHTTP(w, req)
+	if w.status != http.StatusOK || !w.failed.Load() || w.body.Len() == 0 {
+		t.Fatalf("status = %d, write failed = %v after %d bytes: want a stream that started and then lost its client", w.status, w.failed.Load(), w.body.Len())
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (stream had started)", resp.StatusCode)
+	if bytes.Contains(w.body.Bytes(), []byte(`"request_id"`)) {
+		t.Fatalf("a trailer was written past the failed write: %q", w.body.Bytes())
 	}
-	var trailer *streamTrailer
-	sc2 := bufio.NewScanner(resp.Body)
-	sc2.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc2.Scan() {
-		line := sc2.Bytes()
-		if bytes.Contains(line, []byte(`"request_id"`)) {
-			trailer = &streamTrailer{}
-			if err := json.Unmarshal(line, trailer); err != nil {
-				t.Fatalf("trailer %q: %v", line, err)
-			}
-		}
-	}
-	if trailer == nil || !trailer.Aborted || trailer.RequestID != "rid-abort" {
-		t.Fatalf("trailer = %+v, want aborted with the request ID", trailer)
+	if st := svc.Stats(); st.AbortedStreams != 1 {
+		t.Fatalf("aborted_streams = %d, want 1", st.AbortedStreams)
 	}
 	recs := svc.SlowJoins().Snapshot()
 	if len(recs) != 1 || recs[0].Outcome != "aborted" || recs[0].RequestID != "rid-abort" {
@@ -658,7 +641,7 @@ func TestPlannerReportConcurrent(t *testing.T) {
 func TestStatsDeterministicAndUptime(t *testing.T) {
 	svc := NewService(Config{})
 	addDataset(t, svc, "a", transformers.GenerateUniform(500, 416))
-	for _, algo := range []string{"", "pbsm", "grid"} {
+	for _, algo := range []string{"", engine.InMem, AlgorithmAuto} {
 		if _, err := svc.Join(t.Context(), "a", "a", JoinParams{Algorithm: algo, NoCache: true}); err != nil {
 			t.Fatal(err)
 		}

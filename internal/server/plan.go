@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/engine/planner"
 	"repro/internal/obs"
 )
@@ -56,14 +54,13 @@ func deltaAdjusted(st planner.DatasetStats, delta int) planner.DatasetStats {
 }
 
 // plannerConfig assembles one join's planner configuration: the serving
-// economics (prebuilt TRANSFORMERS, pinned tiles, resolved workers) plus the
-// pair's learned drift corrections.
-func (s *Service) plannerConfig(a, b string, shardTiles, workers int) planner.Config {
+// economics (the served engines, prebuilt TRANSFORMERS) plus the pair's
+// learned drift corrections.
+func (s *Service) plannerConfig(a, b string) planner.Config {
 	return planner.Config{
 		PageSize:             s.cfg.PageSize,
+		Engines:              s.served,
 		PrebuiltTransformers: true,
-		ShardTiles:           shardTiles,
-		ShardWorkers:         workers,
 		Correct:              s.corrector.Bind(a, b),
 	}
 }
@@ -74,10 +71,6 @@ type joinPlan struct {
 	algo        string
 	plan        *PlannerInfo
 	parallelism int
-	// tiles is the fan-out a sharded engine executes and is cached under —
-	// the request's pin, or the planner's statistics-driven choice when
-	// unpinned — and zero for every other engine.
-	tiles int
 	// a and b are the inputs as planned; their versions and delta epochs are
 	// the cache fast path's key components.
 	a, b joinInput
@@ -99,20 +92,17 @@ type joinPlan struct {
 	correction float64
 }
 
-// planJoin validates the request and resolves it — engine, fan-out, input
-// versions, admission price — from one fetch of both inputs' statistics and
-// one planner.Plan call, whether the planner chooses the engine ("auto") or
-// only prices the one the request names. The planner prices the TRANSFORMERS
-// engine without a build phase (its indexes live in the catalog) while the
-// in-memory engines pay a per-request build — the serving economics, not just
-// the algorithmic ones — and gives the per-request-indexing baselines no price
-// at all: a request that names one is admitted at the whole pool. The inmem engine's partition is catalog-resident
-// too, but whether a given join finds it there depends on the writes and
-// joins before it, so the planner keeps pricing the build and the per-pair
-// drift corrector learns how often it is actually paid. The plan must
-// describe the execution that would actually run: a pinned shard tile count
-// is priced as pinned, shard fan-out is priced at this join's resolved worker
-// count, and a distance join is priced over distance-expanded statistics.
+// planJoin validates the request and resolves it — engine, input versions,
+// admission price — from one fetch of both inputs' statistics and one
+// planner.Plan call over the served engines, whether the planner chooses the
+// engine ("auto") or only prices the one the request names; any other name is
+// an ErrUnknownAlgorithm (CheckAlgorithm). The planner prices the
+// TRANSFORMERS engine without a build phase (its indexes live in the
+// catalog). The inmem engine's partition is catalog-resident too, but whether
+// a given join finds it there depends on the writes and joins before it, so
+// the planner keeps pricing the build and the per-pair drift corrector learns
+// how often it is actually paid. A distance join is priced over
+// distance-expanded statistics, the workload that actually runs.
 func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if p.Distance < 0 || math.IsNaN(p.Distance) || math.IsInf(p.Distance, 0) {
 		return joinPlan{}, fmt.Errorf("server: invalid distance %v", p.Distance)
@@ -126,12 +116,10 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if jp.parallelism == 0 {
 		jp.parallelism = s.cfg.Parallelism
 	}
-	auto := jp.algo == AlgorithmAuto
-	if !auto {
-		if _, err := engine.Get(jp.algo); err != nil {
-			return joinPlan{}, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, jp.algo)
-		}
+	if err := CheckAlgorithm(jp.algo); err != nil {
+		return joinPlan{}, err
 	}
+	auto := jp.algo == AlgorithmAuto
 	var err error
 	if jp.a, err = s.cat.joinInput(a); err != nil {
 		return joinPlan{}, err
@@ -140,25 +128,7 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 		return joinPlan{}, err
 	}
 
-	// Normalize the tile pin to the engine contract up front — negatives
-	// mean auto, larger pins clamp to the tile cap — so planning, caching
-	// and execution all describe the same fan-out. The pin only means
-	// something to the sharded engines: it is priced when one may run (auto,
-	// or a sharded engine named) and dropped otherwise, which also keeps the
-	// cache from splitting byte-identical results of the other engines over
-	// an ignored field.
-	pin := p.ShardTiles
-	if pin < 0 || !(auto || strings.HasPrefix(jp.algo, engine.ShardPrefix)) {
-		pin = 0
-	}
-	if pin > engine.ShardMaxTiles {
-		pin = engine.ShardMaxTiles
-	}
-	workers := jp.parallelism
-	if workers < 0 {
-		workers = 0 // all cores: the planner's own default budget
-	}
-	d := planner.Plan(jp.a.planned(p.Distance), jp.b.planned(p.Distance), s.plannerConfig(a, b, pin, workers))
+	d := planner.Plan(jp.a.planned(p.Distance), jp.b.planned(p.Distance), s.plannerConfig(a, b))
 	jp.scores = d.Scores
 	if auto {
 		// Resolved before the cache: the decision is deterministic per
@@ -166,18 +136,7 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 		// requests for the same engine.
 		s.autoJoins.Add(1)
 		jp.algo = d.Engine
-		jp.plan = &PlannerInfo{Requested: AlgorithmAuto, Fallback: d.Fallback, ShardTiles: d.ShardTiles, Scores: d.Scores}
-	}
-	if strings.HasPrefix(jp.algo, engine.ShardPrefix) {
-		// An unpinned sharded execution reuses the tile count the planner
-		// priced, so the engine never repeats the O(n) statistics pass on the
-		// serving path — and the cache keys on the fan-out that executes, not
-		// the request's pin: an auto request resolving to K and an explicit
-		// request pinning the same K run identically and share one entry.
-		jp.tiles = pin
-		if jp.tiles == 0 {
-			jp.tiles = d.ShardTiles
-		}
+		jp.plan = &PlannerInfo{Requested: AlgorithmAuto, Fallback: d.Fallback, Scores: d.Scores}
 	}
 	s.priceJoin(&jp)
 	return jp, nil
@@ -187,8 +146,8 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 // into the request's admission price in slot units: 1 + CostMS/DefaultCostUnitMS,
 // so an expensive join occupies many slots (the pool clamps to its capacity —
 // such a join runs alone) while typical joins stay at unit price. An engine
-// the planner lists without a price (the per-request-indexing baselines, an
-// in-memory engine over the cap) takes the whole pool.
+// the planner lists without a price (inmem over the in-memory cap) takes the
+// whole pool.
 func (s *Service) priceJoin(jp *joinPlan) {
 	jp.cost = 1
 	jp.predictedMS = -1
@@ -237,9 +196,6 @@ func annotatePlan(span *obs.Span, jp joinPlan) {
 	}
 	span.Add("candidates", int64(len(jp.scores)))
 	span.Add("cost_units", int64(jp.cost))
-	if jp.tiles > 0 {
-		span.Add("shard_tiles", int64(jp.tiles))
-	}
 }
 
 // recordPlannerSample feeds one served join into the planner accuracy

@@ -63,16 +63,17 @@ func TestServiceDistanceJoinPlanning(t *testing.T) {
 }
 
 // TestServiceRecordsExcludedCandidates: candidates the planner refuses to
-// price finitely (here: naive, which has no cost formula) must land in the
+// price finitely (here: inmem, over the in-memory cap) must land in the
 // sample's Excluded map with their reason, and the chosen engine's term
 // decomposition must ride along for /debug/planner's reader.
 func TestServiceRecordsExcludedCandidates(t *testing.T) {
 	svc := NewService(Config{})
 	ctx := context.Background()
-	if _, err := svc.AddDataset(ctx, "a", transformers.GenerateUniform(3000, 61)); err != nil {
+	n := planner.DefaultMaxInMemoryElements/2 + 1
+	if _, err := svc.AddDataset(ctx, "a", transformers.GenerateUniform(n, 61)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddDataset(ctx, "b", transformers.GenerateUniform(3000, 62)); err != nil {
+	if _, err := svc.AddDataset(ctx, "b", transformers.GenerateUniform(n, 62)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true}); err != nil {
@@ -83,13 +84,13 @@ func TestServiceRecordsExcludedCandidates(t *testing.T) {
 		t.Fatalf("got %d samples, want 1", len(samples))
 	}
 	s := samples[0]
-	// naive must be excluded with a reason, and must not appear among the
+	// inmem must be excluded with a reason, and must not appear among the
 	// finite scores.
-	if s.Excluded[engine.Naive] == "" {
-		t.Fatalf("sample lacks an exclusion reason for naive: %+v", s.Excluded)
+	if s.Excluded[engine.InMem] == "" {
+		t.Fatalf("sample lacks an exclusion reason for inmem: %+v", s.Excluded)
 	}
-	if _, ok := s.Scores[engine.Naive]; ok {
-		t.Fatalf("naive is both scored and excluded: %+v", s.Scores)
+	if _, ok := s.Scores[engine.InMem]; ok {
+		t.Fatalf("inmem is both scored and excluded: %+v", s.Scores)
 	}
 	if len(s.Terms) == 0 {
 		t.Fatalf("sample lacks the chosen engine's term decomposition: %+v", s)

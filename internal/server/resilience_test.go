@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,17 +27,34 @@ import (
 // fastRetry keeps the retry loops of these tests in the low milliseconds.
 var fastRetry = RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Budget: time.Second}
 
-// faultEngineSeq makes fault-engine registrations unique: engine.Register
-// panics on duplicate names, and counted test runs (-count=2) re-execute in
-// one process.
-var faultEngineSeq atomic.Int64
+// errConsumerFailed is what a faultyConsumer scripted to fail returns.
+var errConsumerFailed = errors.New("consumer failed")
 
-// registerFaultEngine registers sc's engine wrapper around the TRANSFORMERS
-// engine under a fresh name and returns it.
-func registerFaultEngine(sc *faultinject.Scenario) string {
-	name := fmt.Sprintf("fi-resilience-%d", faultEngineSeq.Add(1))
-	engine.Register(sc.Engine(name, engine.Transformers))
-	return name
+// JoinStream consumer faults, the ones a client brings to the place where the
+// pairs leave the service.
+const (
+	consumerClean = iota // accepts every pair
+	consumerFail         // fails: errConsumerFailed
+	consumerStall        // stops reading until the request is over
+)
+
+// faultyConsumer is a JoinStream consumer that accepts after pairs and then
+// applies fault once: it fails the next pair, or blocks on it until ctx is
+// done and then accepts it — the deadline, not the consumer, ends the join.
+func faultyConsumer(ctx context.Context, fault, after int) func(transformers.Pair) error {
+	n := 0
+	return func(transformers.Pair) error {
+		if n++; n != after+1 {
+			return nil
+		}
+		switch fault {
+		case consumerFail:
+			return errConsumerFailed
+		case consumerStall:
+			<-ctx.Done()
+		}
+		return nil
+	}
 }
 
 // checkGoroutines fails the test if the goroutine count does not settle back
@@ -353,26 +370,25 @@ func TestHTTPDeadlineMapsTo504(t *testing.T) {
 // status line is long gone — the NDJSON trailer must still arrive, carrying
 // the error, aborted:true, and the count of pairs that preceded it.
 func TestHTTPStreamDeadlineTrailer(t *testing.T) {
-	// A scripted stall after 50 emitted pairs guarantees the stream has
-	// started before the deadline fires — no timing dependence.
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpStall, After: 50, Times: 1})
-	algo := registerFaultEngine(sc)
-	ts, svc := newTestServer(t, Config{Workers: 2})
+	const timeout = 200 * time.Millisecond
+	svc := NewService(Config{Workers: 2})
 	addDataset(t, svc, "a", bigOverlapDataset(800, 215))
 	addDataset(t, svc, "b", bigOverlapDataset(800, 216))
 
-	body := fmt.Sprintf(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":%q,"timeout_ms":200}`, algo)
-	resp, err := http.Post(ts.URL+"/join", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (stream had started)", resp.StatusCode)
+	// The client stalls its first read for twice the request's deadline: the
+	// stream has started (the stalled write carries its first pairs) before
+	// the deadline fires — no timing dependence.
+	w := &faultyWriter{stall: func() { time.Sleep(2 * timeout) }}
+	req := httptest.NewRequest(http.MethodPost, "/join", strings.NewReader(
+		fmt.Sprintf(`{"a":"a","b":"b","stream":true,"no_cache":true,"timeout_ms":%d}`, timeout.Milliseconds())))
+	req.Header.Set("X-Request-ID", "rid-deadline")
+	NewHandler(svc).ServeHTTP(w, req)
+	if w.status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (stream had started)", w.status)
 	}
 	var last map[string]any
 	pairLines := 0
-	scanner := bufio.NewScanner(resp.Body)
+	scanner := bufio.NewScanner(&w.body)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for scanner.Scan() {
 		line := scanner.Bytes()
@@ -396,8 +412,8 @@ func TestHTTPStreamDeadlineTrailer(t *testing.T) {
 	if last["aborted"] != true {
 		t.Fatalf("trailer = %v, want aborted:true", last)
 	}
-	if msg, _ := last["error"].(string); !strings.Contains(msg, "deadline") {
-		t.Fatalf("trailer error = %q, want the deadline error", msg)
+	if msg, _ := last["error"].(string); !strings.Contains(msg, "deadline") || last["request_id"] != "rid-deadline" {
+		t.Fatalf("trailer error = %q, request_id = %v, want the deadline error and the request ID", msg, last["request_id"])
 	}
 	if int(last["pairs"].(float64)) != pairLines {
 		t.Fatalf("trailer pairs = %v, but %d pair lines were sent", last["pairs"], pairLines)
@@ -495,30 +511,26 @@ func TestSlowReadJoinStaysCorrect(t *testing.T) {
 	}
 }
 
-// TestEmitErrorReleasesSlot: a failure in the middle of pair emission
-// surfaces as the join error and releases everything it held.
+// TestEmitErrorReleasesSlot: a consumer failing in the middle of pair
+// emission fails the join with its error and releases everything it held.
 func TestEmitErrorReleasesSlot(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpEmitError, After: 20, Times: 1})
-	algo := registerFaultEngine(sc)
 	svc := NewService(Config{Workers: 2})
 	elems := transformers.GenerateUniform(500, 223)
 	addDataset(t, svc, "a", elems)
 
-	_, err := svc.Join(context.Background(), "a", "a", JoinParams{NoCache: true, Algorithm: algo})
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
+	_, err := svc.JoinStream(context.Background(), "a", "a", JoinParams{NoCache: true}, faultyConsumer(context.Background(), consumerFail, 20))
+	if !errors.Is(err, errConsumerFailed) {
+		t.Fatalf("err = %v, want the consumer's error", err)
 	}
 	waitPoolDrained(t, svc)
 	checkGoroutines(t, before)
 }
 
-// TestStallAbortedByDeadline: a stalled worker pins its emit path until the
+// TestStallAbortedByDeadline: a stalled consumer pins the emit path until the
 // deadline cancels the request — then every slot and goroutine unwinds.
 func TestStallAbortedByDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpStall, After: 20, Times: 1})
-	algo := registerFaultEngine(sc)
 	svc := NewService(Config{Workers: 2})
 	elems := transformers.GenerateUniform(500, 224)
 	addDataset(t, svc, "a", elems)
@@ -526,7 +538,7 @@ func TestStallAbortedByDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := svc.Join(ctx, "a", "a", JoinParams{NoCache: true, Algorithm: algo})
+	_, err := svc.JoinStream(ctx, "a", "a", JoinParams{NoCache: true}, faultyConsumer(ctx, consumerStall, 20))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -673,10 +685,8 @@ func TestChaosScenarios(t *testing.T) {
 	}
 	want := naive.Join(elems, elems)
 
-	ops := []string{
-		faultinject.OpReadError, faultinject.OpWriteError, faultinject.OpSlowRead,
-		faultinject.OpBuildFail, faultinject.OpEmitError, faultinject.OpStall,
-	}
+	ops := []string{faultinject.OpReadError, faultinject.OpWriteError, faultinject.OpSlowRead, faultinject.OpBuildFail}
+	consumerFaults := []string{consumerClean: "clean", consumerFail: "fail", consumerStall: "stall"}
 	const rounds = 4
 	for round := 0; round < rounds; round++ {
 		// 1-3 distinct fault ops per round, parameters drawn from the seed.
@@ -695,7 +705,10 @@ func TestChaosScenarios(t *testing.T) {
 		t.Logf("round %d: scenario %v (spec %q, seed %d)", round, sc, spec, scSeed)
 
 		svc := NewService(Config{Workers: 2, StoreFactory: sc.StoreFactory, Retry: fastRetry})
-		algo := registerFaultEngine(sc)
+		// The consumer of the streamed join brings its own fault, drawn from
+		// the same seed.
+		fault, after := rng.Intn(len(consumerFaults)), rng.Intn(128)
+		t.Logf("round %d: consumer %s after %d pairs", round, consumerFaults[fault], after)
 
 		// Registration may fail cleanly under write/build faults; the
 		// invariant is a typed error, not success.
@@ -708,34 +721,47 @@ func TestChaosScenarios(t *testing.T) {
 			continue
 		}
 
-		// One catalog-path join (storage faults active) and one through the
-		// fault engine (emit faults active), both deadline-bounded so a
-		// scripted stall cannot outlive its request.
+		// One collected join (storage faults active) and one streamed to the
+		// faulty consumer (storage faults too), both deadline-bounded so a
+		// stalled consumer cannot outlive its request.
 		runs := []struct {
 			label   string
-			params  JoinParams
 			timeout time.Duration
+			stream  bool
 		}{
-			{"catalog", JoinParams{NoCache: true}, 5 * time.Second},
-			{"fault-engine", JoinParams{NoCache: true, Algorithm: algo}, 500 * time.Millisecond},
+			{"collected", 5 * time.Second, false},
+			{"consumer", 500 * time.Millisecond, true},
 		}
 		for _, r := range runs {
 			ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
-			out, err := svc.Join(ctx, "d", "d", r.params)
+			var got []transformers.Pair
+			var err error
+			if !r.stream {
+				var out *JoinOutcome
+				if out, err = svc.Join(ctx, "d", "d", JoinParams{NoCache: true}); err == nil {
+					got = out.Pairs
+				}
+			} else {
+				consume := faultyConsumer(ctx, fault, after)
+				_, err = svc.JoinStream(ctx, "d", "d", JoinParams{NoCache: true}, func(p transformers.Pair) error {
+					got = append(got, p)
+					return consume(p)
+				})
+			}
 			cancel()
 			if err != nil {
-				// A clean abort: transient fault, injected emit error, or
+				// A clean abort: transient fault, the consumer's error, or
 				// the deadline clearing a stall.
-				if !storage.IsTransient(err) && !errors.Is(err, faultinject.ErrInjected) &&
+				if !storage.IsTransient(err) && !errors.Is(err, errConsumerFailed) &&
 					!errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("round %d %s: unclean error: %v", round, r.label, err)
 				}
 				t.Logf("round %d %s: clean error: %v", round, r.label, err)
 				continue
 			}
-			if !naive.Equal(append([]transformers.Pair(nil), out.Pairs...), want) {
+			if !naive.Equal(got, want) {
 				t.Fatalf("round %d %s: wrong pair set: %d pairs, want %d",
-					round, r.label, len(out.Pairs), len(want))
+					round, r.label, len(got), len(want))
 			}
 		}
 		waitPoolDrained(t, svc)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,13 +16,34 @@ import (
 	"repro/transformers"
 )
 
-// ErrUnknownAlgorithm is returned when a join names an engine the registry
+// ErrUnknownAlgorithm is returned when a join names an engine the service
 // does not serve.
 var ErrUnknownAlgorithm = errors.New("server: unknown algorithm")
 
 // AlgorithmAuto asks the planner to pick the engine from the datasets'
 // cached statistics.
 const AlgorithmAuto = "auto"
+
+// servedEngines are the engines a join may name, and the ones "auto" plans
+// over: those whose index the catalog holds — a dataset's TRANSFORMERS index,
+// a pair's inmem partition — so no request copies or indexes a dataset. The
+// other registered engines run in-process only (the CLIs, the experiments and
+// the equivalence suites).
+var servedEngines = []string{engine.Transformers, engine.InMem}
+
+// ServedEngines returns the engines a join may name besides AlgorithmAuto.
+func ServedEngines() []string { return slices.Clone(servedEngines) }
+
+// CheckAlgorithm reports whether a join may name algorithm: a served engine or
+// AlgorithmAuto. Any other name is an ErrUnknownAlgorithm naming the served
+// engines.
+func CheckAlgorithm(algorithm string) error {
+	if algorithm == AlgorithmAuto || slices.Contains(servedEngines, algorithm) {
+		return nil
+	}
+	return fmt.Errorf("%w %q: the served engines are %s (or %q)",
+		ErrUnknownAlgorithm, algorithm, strings.Join(servedEngines, ", "), AlgorithmAuto)
+}
 
 // Config sizes the service.
 type Config struct {
@@ -50,7 +73,7 @@ type Config struct {
 	MaxGenerateElements int
 	MaxBodyBytes        int64
 	// DefaultAlgorithm is the engine used when a join request does not
-	// name one: any engine.Names() entry or AlgorithmAuto ("auto", the
+	// name one: a ServedEngines entry or AlgorithmAuto ("auto", the
 	// planner picks per request). engine.Transformers when empty.
 	DefaultAlgorithm string
 	// TenantSlots caps one tenant's concurrently executing slot units
@@ -137,11 +160,8 @@ type Service struct {
 	streamedPairs  atomic.Uint64
 	abortedStreams atomic.Uint64
 
-	// Shard fan-out aggregates across executed sharded joins.
-	shardJoins      atomic.Uint64
-	shardTiles      atomic.Uint64
-	shardReplicated atomic.Uint64
-	shardDedupDrops atomic.Uint64
+	// served holds the ServedEngines, the planner's candidate set.
+	served []engine.Joiner
 
 	// engineJoins counts executed (non-cached) joins per engine name.
 	engineMu    sync.Mutex
@@ -212,6 +232,13 @@ func NewService(cfg Config) *Service {
 		tenants:     make(map[string]*tenantCounters),
 		merging:     make(map[string]bool),
 		corrector:   planner.NewCorrector(),
+	}
+	for _, name := range servedEngines {
+		j, err := engine.Get(name)
+		if err != nil {
+			panic(err) // both are built-ins
+		}
+		s.served = append(s.served, j)
 	}
 	// A write drops, in one invalidation, the dataset's resident partitions
 	// (inside the catalog) and its cached join results (here).

@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/storage"
 )
 
@@ -12,18 +11,6 @@ func (s *Service) countEngineJoin(name string) {
 	s.engineMu.Lock()
 	s.engineJoins[name]++
 	s.engineMu.Unlock()
-}
-
-// countShardJoin aggregates one sharded execution's fan-out record for
-// /stats (no-op for non-sharded engines).
-func (s *Service) countShardJoin(sh *engine.ShardStats) {
-	if sh == nil {
-		return
-	}
-	s.shardJoins.Add(1)
-	s.shardTiles.Add(uint64(sh.TilesRun))
-	s.shardReplicated.Add(uint64(sh.ReplicatedA + sh.ReplicatedB))
-	s.shardDedupDrops.Add(sh.DedupDropped)
 }
 
 // Stats is the /stats document.
@@ -52,8 +39,6 @@ type Stats struct {
 	// early — consumer write failure or mid-stream disconnect.
 	StreamedPairs  uint64 `json:"streamed_pairs"`
 	AbortedStreams uint64 `json:"aborted_streams"`
-	// Shard aggregates fan-out activity across executed sharded joins.
-	Shard ShardAggregate `json:"shard"`
 	// Algorithms lists the engines a join may name, plus "auto";
 	// DefaultAlgorithm is what an unnamed request gets.
 	Algorithms       []string      `json:"algorithms"`
@@ -76,18 +61,6 @@ type TenantStats struct {
 	DeadlineAborts uint64 `json:"deadline_aborts"`
 	Retries        uint64 `json:"retries"`
 	LastGoodServes uint64 `json:"last_good_serves"`
-}
-
-// ShardAggregate is the /stats roll-up of sharded executions.
-type ShardAggregate struct {
-	// Joins counts executed (non-cached) sharded joins; TilesRun the tiles
-	// they actually executed.
-	Joins    uint64 `json:"joins"`
-	TilesRun uint64 `json:"tiles_run"`
-	// Replicated counts boundary element copies; DedupDrops the duplicate
-	// pairs reference-point dedup discarded.
-	Replicated uint64 `json:"replicated"`
-	DedupDrops uint64 `json:"dedup_drops"`
 }
 
 // Stats returns a snapshot of service activity.
@@ -132,13 +105,7 @@ func (s *Service) Stats() Stats {
 		EngineJoins:      engineJoins,
 		StreamedPairs:    s.streamedPairs.Load(),
 		AbortedStreams:   s.abortedStreams.Load(),
-		Shard: ShardAggregate{
-			Joins:      s.shardJoins.Load(),
-			TilesRun:   s.shardTiles.Load(),
-			Replicated: s.shardReplicated.Load(),
-			DedupDrops: s.shardDedupDrops.Load(),
-		},
-		Algorithms:       append(engine.Names(), AlgorithmAuto),
+		Algorithms:       append(ServedEngines(), AlgorithmAuto),
 		DefaultAlgorithm: s.cfg.DefaultAlgorithm,
 		Catalog:          s.cat.Stats(),
 		Cache:            s.cache.Stats(),

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,11 +26,41 @@ import (
 // cross join of two draws yields a large result (~n²·0.027 pairs) — the
 // streaming tests need results far larger than any server-side buffer.
 func bigOverlapDataset(n int, seed int64) []transformers.Element {
+	return grownUniform(n, 75, seed)
+}
+
+// stripedDataset builds n uniformly spread boxes grown by 40: two draws of
+// 5000 make ~90K pairs and an inmem partition of three stripes (the stripe
+// count is sized on 56 B an element against inmem.DefaultCacheBytes, so
+// bigOverlapDataset's fewer, larger boxes make one), and an inmem join at
+// Parallelism 2 or 3 over it runs that many workers emitting at once.
+func stripedDataset(n int, seed int64) []transformers.Element {
+	return grownUniform(n, 40, seed)
+}
+
+func grownUniform(n int, grow float64, seed int64) []transformers.Element {
 	elems := transformers.GenerateUniform(n, seed)
 	for i := range elems {
-		elems[i].Box = elems[i].Box.Expand(75)
+		elems[i].Box = elems[i].Box.Expand(grow)
 	}
 	return elems
+}
+
+// requireStripes fails the test unless the resident inmem partition of a×b
+// has at least want stripes, so that a join over it at Parallelism want runs
+// want workers.
+func requireStripes(t *testing.T, svc *Service, a, b string, want int) {
+	t.Helper()
+	h, err := svc.cat.AcquirePartition(context.Background(), a, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	got := h.Partition.Stripes()
+	if got < want {
+		t.Fatalf("the inmem partition of %s x %s has %d stripes, want at least %d: the join would not run %d workers", a, b, got, want, want)
+	}
+	t.Logf("the inmem partition of %s x %s has %d stripes", a, b, got)
 }
 
 func addDataset(t *testing.T, svc *Service, name string, elems []transformers.Element) {
@@ -54,8 +85,6 @@ func TestServiceJoinStreamMatchesJoin(t *testing.T) {
 		{"transformers", engine.Transformers, false},
 		{"transformers+delta", engine.Transformers, true},
 		{"inmem+delta", engine.InMem, true},
-		{"grid", engine.Grid, false},
-		{"shard-inmem", engine.ShardInMem, false},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
@@ -79,7 +108,7 @@ func TestServiceJoinStreamMatchesJoin(t *testing.T) {
 				if len(want) == 0 {
 					t.Fatal("workload has no pairs")
 				}
-				p := JoinParams{Algorithm: tc.algo, ShardTiles: 4}
+				p := JoinParams{Algorithm: tc.algo}
 				var streams uint64
 				join := func(mode string, cached bool) *JoinOutcome {
 					t.Helper()
@@ -155,17 +184,19 @@ func TestServiceJoinStreamMatchesJoin(t *testing.T) {
 
 // TestServiceStreamDisconnectCancelsJoin: a consumer that cancels its
 // context mid-stream (the service-level picture of a client disconnect) must
-// get context.Canceled back, free its pool slot, and bump aborted_streams.
+// get context.Canceled back, free its pool slot, and bump aborted_streams —
+// and so must one whose emit fails while three inmem workers are emitting.
 func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 	svc := NewService(Config{CacheMaxPairs: 100})
-	addDataset(t, svc, "a", bigOverlapDataset(1200, 71))
-	addDataset(t, svc, "b", bigOverlapDataset(1200, 72))
+	addDataset(t, svc, "a", stripedDataset(5000, 71))
+	addDataset(t, svc, "b", stripedDataset(5000, 72))
+	requireStripes(t, svc, "a", "b", 3)
 
-	for _, algo := range []string{"transformers", "shard-grid"} {
+	for _, algo := range ServedEngines() {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		_, err := svc.JoinStream(ctx, "a", "b",
-			JoinParams{NoCache: true, Algorithm: algo, ShardTiles: 7, Parallelism: 3},
+			JoinParams{NoCache: true, Algorithm: algo, Parallelism: 3},
 			func(transformers.Pair) error {
 				n++
 				if n == 40 {
@@ -182,7 +213,7 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 	// An emit error (write failure) must abort the same way.
 	sentinel := errors.New("consumer write failed")
 	_, err := svc.JoinStream(context.Background(), "a", "b",
-		JoinParams{NoCache: true, Algorithm: "grid"},
+		JoinParams{NoCache: true, Algorithm: engine.InMem, Parallelism: 3},
 		func(transformers.Pair) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("emit error: got %v, want sentinel", err)
@@ -197,7 +228,7 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 	}
 	// The slots really are free: a fresh join must be admitted and succeed.
 	if _, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{NoCache: true, Algorithm: "grid"}); err != nil {
+		JoinParams{NoCache: true, Algorithm: engine.InMem}); err != nil {
 		t.Fatalf("join after aborted streams: %v", err)
 	}
 }
@@ -205,27 +236,29 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 // TestHTTPStreamBackpressureSlowReader: a large NDJSON join read by a slow
 // client must complete without unbounded server-side buffering — the result
 // is far over the cache threshold, so the only unbounded place it could sit
-// is a response buffer, and the engine-side bound is pinned by
-// shard.TestStreamBoundedBuffering. The stream must deliver every pair and
-// close with the summary line.
+// is a response buffer; the join runs on two inmem workers, whose emits the
+// engine serializes. The stream must deliver every pair and close with the
+// summary line.
 func TestHTTPStreamBackpressureSlowReader(t *testing.T) {
 	// CacheMaxPairs 500: the ~100K-pair result must not be pinned in memory
 	// by the cache tee either.
 	ts, svc := newTestServer(t, Config{CacheMaxPairs: 500, Parallelism: 2})
-	addDataset(t, svc, "a", bigOverlapDataset(1600, 81))
-	addDataset(t, svc, "b", bigOverlapDataset(1600, 82))
+	addDataset(t, svc, "a", stripedDataset(5000, 81))
+	addDataset(t, svc, "b", stripedDataset(5000, 82))
+	requireStripes(t, svc, "a", "b", 2)
 
 	want, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{NoCache: true, Algorithm: "shard-grid", ShardTiles: 7})
+		JoinParams{NoCache: true, Algorithm: engine.InMem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Summary.Results < 50_000 {
 		t.Fatalf("workload too small for a backpressure test: %d pairs", want.Summary.Results)
 	}
+	t.Logf("%d pairs", want.Summary.Results)
 
 	resp, err := http.Post(ts.URL+"/join", "application/json",
-		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"shard-grid","shard_tiles":7}`))
+		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"inmem"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,48 +301,65 @@ func TestHTTPStreamBackpressureSlowReader(t *testing.T) {
 	}
 }
 
-// brokenPipeWriter fails every write after failAfter bytes and cancels the
-// request context, mimicking what net/http does when the peer vanishes
-// mid-response.
-type brokenPipeWriter struct {
-	hdr       http.Header
-	written   int
-	failAfter int
-	cancel    context.CancelFunc
-	failed    atomic.Bool
+// faultyWriter is a client connection as the handler sees it, with the
+// faults a client can inject where the pairs leave the service: the write that
+// takes the response past stallAfter bytes first blocks in stall (once), and
+// every write past failAfter bytes fails — cancelling the request, when cancel
+// is set, as net/http does when the peer vanishes. A nil stall or a zero
+// failAfter disables that fault. The accepted bytes are kept in body.
+type faultyWriter struct {
+	hdr        http.Header
+	status     int
+	body       bytes.Buffer
+	written    int
+	stallAfter int
+	stall      func()
+	failAfter  int
+	cancel     context.CancelFunc
+	failed     atomic.Bool
 }
 
-func (w *brokenPipeWriter) Header() http.Header {
+func (w *faultyWriter) Header() http.Header {
 	if w.hdr == nil {
 		w.hdr = make(http.Header)
 	}
 	return w.hdr
 }
-func (w *brokenPipeWriter) WriteHeader(int) {}
-func (w *brokenPipeWriter) Write(p []byte) (int, error) {
-	if w.written += len(p); w.written > w.failAfter {
+func (w *faultyWriter) WriteHeader(status int) { w.status = status }
+func (w *faultyWriter) Flush()                 {}
+func (w *faultyWriter) Write(p []byte) (int, error) {
+	w.written += len(p)
+	if w.stall != nil && w.written > w.stallAfter {
+		stall := w.stall
+		w.stall = nil
+		stall()
+	}
+	if w.failAfter > 0 && w.written > w.failAfter {
 		w.failed.Store(true)
-		w.cancel()
+		if w.cancel != nil {
+			w.cancel()
+		}
 		return 0, fmt.Errorf("write tcp: broken pipe")
 	}
-	return len(p), nil
+	return w.body.Write(p)
 }
 
 // TestHTTPStreamClientDisconnect: a mid-stream disconnect (failing writes +
-// canceled request context) must abort the underlying join, release the pool
-// slot, and count one aborted stream.
+// canceled request context) under three emitting inmem workers must abort
+// the underlying join, release the pool slot, and count one aborted stream.
 func TestHTTPStreamClientDisconnect(t *testing.T) {
 	svc := NewService(Config{CacheMaxPairs: 100})
-	addDataset(t, svc, "a", bigOverlapDataset(1200, 91))
-	addDataset(t, svc, "b", bigOverlapDataset(1200, 92))
+	addDataset(t, svc, "a", stripedDataset(5000, 91))
+	addDataset(t, svc, "b", stripedDataset(5000, 92))
+	requireStripes(t, svc, "a", "b", 3)
 	h := NewHandler(svc)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/join",
-		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"shard-grid","shard_tiles":7,"parallelism":3}`)).
+		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"inmem","parallelism":3}`)).
 		WithContext(ctx)
-	w := &brokenPipeWriter{failAfter: 128 << 10, cancel: cancel}
+	w := &faultyWriter{failAfter: 128 << 10, cancel: cancel}
 	h.ServeHTTP(w, req) // must return despite the gone client
 
 	if !w.failed.Load() {
@@ -323,7 +373,7 @@ func TestHTTPStreamClientDisconnect(t *testing.T) {
 		t.Fatalf("pool slot not released after disconnect: %+v", st.Pool)
 	}
 	if _, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{NoCache: true, Algorithm: "grid"}); err != nil {
+		JoinParams{NoCache: true, Algorithm: engine.InMem}); err != nil {
 		t.Fatalf("join after disconnect: %v", err)
 	}
 }
