@@ -28,7 +28,7 @@
 //	POST /join/distance  same plus "distance": d (Chebyshev, §VIII)
 //	POST /query/range    {"dataset","box":{"lo":[x,y,z],"hi":[x,y,z]},"stream"?}
 //	GET  /healthz        liveness; "degraded" with reasons while a tenant
-//	                     queue sheds or a dataset serves a stale last-good
+//	                     queue sheds or a dataset's delta merge is failing
 //	GET  /stats          catalog / cache / pool / per-tenant counters
 //	GET  /metrics        Prometheus-style text exposition: latency histograms,
 //	                     queue/utilization gauges, per-tenant shed counters,

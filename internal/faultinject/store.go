@@ -25,7 +25,8 @@ func (s *Scenario) WrapStore(st storage.Store) storage.Store {
 // factory call: a triggered build gets a store whose writes fail before the
 // first page lands, failing that build attempt in its entirety — the shape
 // of a build landing on a briefly unavailable backend, and the fault the
-// catalog's retry/last-good machinery exists for.
+// catalog's build retry exists for (a build that still fails installs
+// nothing, so the previous version goes on serving).
 func (s *Scenario) StoreFactory(pageSize int) storage.Store {
 	st := storage.Store(storage.NewMemStore(pageSize))
 	if _, fire := s.fire(OpBuildFail); fire {

@@ -71,10 +71,6 @@ type JoinSummary struct {
 	Delta *DeltaSummary `json:"delta,omitempty"`
 	// Planner is present when the request asked for "auto".
 	Planner *PlannerInfo `json:"planner,omitempty"`
-	// Stale marks a result served from a last-good dataset generation
-	// while the current one was failing to build. Per-request, never
-	// cached (the cache key pins the versions actually served).
-	Stale bool `json:"stale,omitempty"`
 }
 
 // DeltaSummary reports how one executed join composed its inputs' append

@@ -10,10 +10,10 @@
 // lives. A dataset version has one index, which lives as long as the version
 // does; a distance join reads it through a view grown by half the distance
 // (§VIII), made per request, so no distance builds, copies or holds anything.
-// Builds are single-flight (concurrent requests for the same index wait for
-// one build) and retry transient storage faults with jittered backoff; while
-// a replacement build keeps failing, the catalog serves the last-good dataset
-// version instead of erroring.
+// A version is installed built: an upload or a delta merge builds its index
+// first, retrying transient storage faults with jittered backoff, and only a
+// build that succeeds becomes the dataset's next version — one that fails
+// changes nothing, and the previous version goes on serving.
 //
 // The in-memory engine's index belongs to a pair of datasets rather than to
 // one: the stripe partition of (A, B, distance) is built by the first inmem
@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,7 +66,7 @@ func (e *BuildError) Error() string {
 func (e *BuildError) Unwrap() error { return e.Err }
 
 // Catalog maps dataset names to raw elements and the index built over them,
-// one per dataset version, built at most once concurrently.
+// one per dataset version.
 type Catalog struct {
 	mu         sync.Mutex
 	maxIndexes int
@@ -83,15 +82,14 @@ type Catalog struct {
 	// the -faults flag install fault-injecting factories here.
 	storeFactory func(pageSize int) storage.Store
 
-	builds         uint64
-	evictions      uint64
-	retries        uint64
-	lastGoodServes uint64
-	acquires       uint64
-	indexHits      uint64
-	appends        uint64
-	merges         uint64
-	mergeFailures  uint64
+	builds        uint64
+	evictions     uint64
+	retries       uint64
+	acquires      uint64
+	indexHits     uint64
+	appends       uint64
+	merges        uint64
+	mergeFailures uint64
 
 	// buildObserver, when set, receives every index build's duration and
 	// whether it succeeded — the observability seam for build histograms.
@@ -106,23 +104,18 @@ type Catalog struct {
 
 // CatalogStats is a point-in-time snapshot of catalog activity.
 type CatalogStats struct {
+	// Datasets counts the cataloged datasets, each holding one built index.
 	Datasets int `json:"datasets"`
-	// Indexes counts the generations holding a built index (a dataset's
-	// current one, plus its last-good one while a replacement is failing);
-	// Builds the index and partition builds started; Evictions the partitions
-	// evicted by the cap.
-	Indexes   int    `json:"indexes"`
+	// Builds counts the index builds installed and the partition builds
+	// started; Evictions the partitions evicted by the cap.
 	Builds    uint64 `json:"builds"`
 	Evictions uint64 `json:"evictions"`
-	// Retries counts index build attempts beyond each build's first;
-	// LastGoodServes counts acquisitions satisfied by a stale last-good
-	// generation while the current one was failing to build.
-	Retries        uint64 `json:"retries"`
-	LastGoodServes uint64 `json:"last_good_serves"`
+	// Retries counts index build attempts beyond each build's first.
+	Retries uint64 `json:"retries"`
 	// Acquires counts Acquire and AcquirePartition calls; IndexHits the ones
-	// satisfied by an already-present entry (possibly waiting on its
-	// in-flight build) rather than starting a build — the index-cache hit
-	// ratio's numerator.
+	// satisfied by an already-present index or partition (possibly waiting on
+	// the partition's in-flight build) rather than starting a build — the
+	// index-cache hit ratio's numerator.
 	Acquires  uint64 `json:"acquires"`
 	IndexHits uint64 `json:"index_hits"`
 	// Partitions counts the resident inmem pair partitions (what the cap
@@ -132,7 +125,7 @@ type CatalogStats struct {
 	// DeltaElements is the current total of elements buffered in append
 	// deltas across all datasets; Appends counts Append calls, Merges
 	// completed delta compactions, MergeFailures compactions whose combined
-	// build failed (the delta is retained — last-good semantics).
+	// build failed (the delta is retained and keeps serving).
 	DeltaElements int    `json:"delta_elements"`
 	Appends       uint64 `json:"appends"`
 	Merges        uint64 `json:"merges"`
@@ -145,10 +138,8 @@ type DatasetInfo struct {
 	Name     string `json:"name"`
 	Elements int    `json:"elements"`
 	Version  uint64 `json:"version"`
-	// Indexes is 1 once the current version's index is built or building.
-	Indexes int `json:"indexes"`
-	// Degraded marks a dataset whose current version is failing to build
-	// (queries may be served from the last-good version).
+	// Degraded marks a dataset whose delta merge is failing (the delta keeps
+	// serving, uncompacted).
 	Degraded bool `json:"degraded,omitempty"`
 	// SkewCV and ClusterFraction are the planner's cached distribution
 	// signals (see planner.DatasetStats).
@@ -162,24 +153,18 @@ type DatasetInfo struct {
 	DeltaEpoch    uint64 `json:"delta_epoch,omitempty"`
 }
 
-// generation is one uploaded version of a dataset: its elements, planner
-// fingerprint and index. The catalog keeps at most two per dataset: the
-// current one, and — while the current one has never built successfully — the
-// last-good predecessor, served stale when current builds fail.
+// generation is one installed version of a dataset: its elements, planner
+// fingerprint and built index.
 type generation struct {
-	// elems is the generation's element multiset, which never changes. The
-	// slice header does, once: the index build orders a copy and keeps it as
-	// its data pages, and finishBuild installs that copy here in place of the
-	// one it was taken from. Every access to the header is under the catalog
-	// lock; the arrays behind it, old and new, are never written once
-	// installed, so a header taken under the lock may be read outside it — and
-	// must only be read: the index's pages are it.
+	// elems is the generation's element multiset in the order the index build
+	// left it: the index's data pages are this array. It is never written once
+	// installed, so it may be read outside the catalog lock — and must only be
+	// read.
 	elems   []transformers.Element
 	version uint64
 	stats   planner.DatasetStats
-	// index is the generation's one index, built or building; nil until the
-	// first Acquire and again after a failed build, so the next one retries.
-	index *idxEntry
+	// index is the generation's one index, built before it was installed.
+	index *transformers.Index
 	// delta is the append buffer: elements landed after this generation's
 	// elems were registered, visible to joins through delta composition and
 	// compacted into a successor generation by MergeDelta. Whole batches
@@ -198,36 +183,12 @@ type generation struct {
 type dataset struct {
 	name string
 	cur  *generation
-	// last is the previous healthy generation, kept as the stale fallback
-	// until cur proves healthy; nil otherwise.
-	last *generation
-	// failing is the latest build failure of cur (nil once a build
-	// succeeds or a new version is uploaded). While set, acquisitions fall
-	// back to last and health reports the dataset degraded.
-	failing error
 	// merging marks an in-flight delta merge (single-flight per dataset);
 	// mergeErr is the last merge failure, cleared when a merge succeeds or
 	// the dataset is replaced. While set, health reports the dataset
 	// degraded — the delta keeps serving, but it is not compacting.
 	merging  bool
 	mergeErr error
-}
-
-// idxEntry is one built (or building) index. ready is closed when the build
-// finishes, after idx and err are set.
-type idxEntry struct {
-	ready chan struct{}
-	idx   *transformers.Index
-	err   error
-}
-
-// built returns the generation's index once its build has succeeded, else
-// nil. The caller holds c.mu.
-func (g *generation) built() *transformers.Index {
-	if e := g.index; e != nil && isReady(e.ready) && e.err == nil {
-		return e.idx
-	}
-	return nil
 }
 
 // NewCatalog returns an empty catalog. maxIndexes <= 0 selects
@@ -305,40 +266,96 @@ func (c *Catalog) SetRetryPolicy(p RetryPolicy) {
 	c.mu.Unlock()
 }
 
-// Put registers (or replaces) a named dataset. The previous generation stays
-// behind as the last-good fallback if it ever built successfully; its index
-// stays valid for the queries running on it, and cached join results
-// keyed by the old version can never be served for the new one because the
-// version is bumped. The element slice is owned by the catalog afterwards.
-func (c *Catalog) Put(name string, elems []transformers.Element) uint64 {
-	// The O(n) statistics pass runs before the lock: planning signals are
-	// version-scoped and must not stall concurrent catalog traffic.
-	stats := planner.Analyze(elems)
+// Put registers (or replaces) a named dataset, built: it analyzes elems and
+// builds their index — under context.Background(), so the retry policy's
+// budget bounds the backoff — and only then installs them as the dataset's
+// next version. A failed build returns its *BuildError and registers,
+// replaces and invalidates nothing: the previous version, if any, goes on
+// serving. The element slice is owned by the catalog afterwards (the build
+// orders it in place and the index reads its pages from it), and no reader
+// sees it before it is installed. The replaced generation's index stays valid
+// for the queries running on it, and cached join results keyed by the old
+// version can never be served for the new one because the version is bumped.
+// An append that lands while the replacement builds rides the generation
+// being replaced, and goes with it, exactly as an append before the Put does.
+func (c *Catalog) Put(name string, elems []transformers.Element) (uint64, error) {
+	gen, err := c.put(name, elems)
+	if err != nil {
+		return 0, err
+	}
+	return gen.version, nil
+}
+
+// put is Put returning the generation it installed.
+func (c *Catalog) put(name string, elems []transformers.Element) (*generation, error) {
+	gen, err := c.build(context.Background(), elems)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	ds := c.datasets[name]
 	if ds == nil {
 		ds = &dataset{name: name}
 		c.datasets[name] = ds
 	}
-	version := uint64(1)
-	prev := ds.cur
-	if prev != nil {
-		version = prev.version + 1
-		if prev.built() != nil {
-			ds.last = prev // only a generation that proved buildable is a fallback
-		}
-	}
-	ds.cur = &generation{
-		elems:   elems,
-		version: version,
-		stats:   stats,
-	}
-	ds.failing = nil
-	ds.mergeErr = nil
-	notify := c.invalidateLocked(name, prev)
+	notify := c.installLocked(ds, gen)
 	c.mu.Unlock()
 	notify()
-	return version
+	return gen, nil
+}
+
+// build is the first half of the one build-then-install step under Put and
+// MergeDelta: elems analyzed, then indexed (reordered in place) on a store
+// from the catalog's factory, transient storage failures retried under its
+// policy, the outcome reported to its build observer and a failure wrapped as
+// a *BuildError. It returns the generation to install, versionless.
+func (c *Catalog) build(ctx context.Context, elems []transformers.Element) (*generation, error) {
+	// The O(n) statistics pass runs first, on the caller's order, and outside
+	// the lock like the build: planning signals are version-scoped and must
+	// not stall concurrent catalog traffic.
+	stats := planner.Analyze(elems)
+	c.mu.Lock()
+	pageSize, policy, factory, observer := c.pageSize, c.retry, c.storeFactory, c.buildObserver
+	c.mu.Unlock()
+	start := time.Now()
+	var idx *transformers.Index
+	err, retries := retryTransient(ctx, policy, storage.IsTransient, func() error {
+		var st storage.Store
+		if factory != nil {
+			st = factory(pageSize)
+		}
+		// BuildIndex only reads elems after the STR reorder, and a failed
+		// attempt leaves them reordered but intact — safe to reuse across
+		// attempts.
+		var err error
+		idx, err = transformers.BuildIndex(elems, transformers.IndexOptions{PageSize: pageSize, Store: st})
+		return err
+	})
+	if observer != nil {
+		observer(time.Since(start), err == nil)
+	}
+	c.mu.Lock()
+	c.retries += uint64(retries)
+	c.mu.Unlock()
+	if err != nil {
+		return nil, &BuildError{Attempts: retries + 1, Err: err}
+	}
+	return &generation{elems: elems, stats: stats, index: idx}, nil
+}
+
+// installLocked is the second half: gen, built, becomes ds's current
+// generation at the next version, and the returned call — made once c.mu is
+// released — tells the write observer. The caller holds c.mu.
+func (c *Catalog) installLocked(ds *dataset, gen *generation) (notify func()) {
+	prev := ds.cur
+	gen.version = 1
+	if prev != nil {
+		gen.version = prev.version + 1
+	}
+	ds.cur = gen
+	ds.mergeErr = nil
+	c.builds++
+	return c.invalidateLocked(ds.name, prev)
 }
 
 // AppendInfo reports one append (or the append state after a merge trigger).
@@ -404,26 +421,12 @@ type Handle struct {
 	Index   *transformers.Index
 	Name    string
 	Version uint64
-	// Stale marks a handle served from the last-good generation while the
-	// current one is failing to build; Version is then the stale
-	// generation's version.
-	Stale bool
-	// Retries is the number of build retries this acquisition performed
-	// (0 for cache hits and waiters).
-	Retries int
 }
 
 // Release does nothing: an index lives as long as its generation and the
 // collector frees both when the last join over them returns. It remains for
 // the callers that pair every Acquire with it.
 func (h *Handle) Release() {}
-
-// newHandle views gen's built index at distance expand; stale says gen is the
-// last-good generation, not the current one. Called outside c.mu: making the
-// view is a pass over the index's descriptors.
-func newHandle(name string, gen *generation, idx *transformers.Index, expand float64, stale bool) *Handle {
-	return &Handle{gen: gen, Index: idx.Grown(expand / 2), Name: name, Version: gen.version, Stale: stale}
-}
 
 func validExpand(expand float64) error {
 	// A negative distance has no meaning. NaN compares false with everything,
@@ -435,17 +438,12 @@ func validExpand(expand float64) error {
 	return nil
 }
 
-// Acquire returns a handle on the index of dataset name as a distance join at
-// expand reads it — every box grown by expand/2 per side, the index itself at
-// 0 — building the dataset's index first if it has none. A distance never
-// builds: the handle's view is made from the one index (core.Index.Grown).
-// Concurrent acquisitions share one build (single-flight) including its
-// retries; transient build failures are retried with jittered backoff, and
-// when the build still fails, the last-good generation's index is served stale
-// if it exists. ctx bounds the backoff waits of a build this caller performs
-// and its wait on another caller's in-flight build, which goes on for the
-// other waiters.
-func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Handle, error) {
+// Acquire returns a handle on the index of dataset name's current version as
+// a distance join at expand reads it — every box grown by expand/2 per side,
+// the index itself at 0. The index was built before the version was
+// installed, and a distance is a view of it (core.Index.Grown), so Acquire
+// builds nothing and waits on nothing; ctx is unused.
+func (c *Catalog) Acquire(_ context.Context, name string, expand float64) (*Handle, error) {
 	if err := validExpand(expand); err != nil {
 		return nil, err
 	}
@@ -457,148 +455,14 @@ func (c *Catalog) Acquire(ctx context.Context, name string, expand float64) (*Ha
 	}
 	gen := ds.cur
 	c.acquires++
-	e, retries := gen.index, 0
-	if e != nil {
-		c.indexHits++
-		c.mu.Unlock()
-		select {
-		case <-e.ready: // single-flight: wait for the (possibly in-flight) build
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		// First acquirer builds; later ones take the branch above and wait.
-		e = &idxEntry{ready: make(chan struct{})}
-		gen.index = e
-		c.builds++
-		base := gen.elems
-		c.mu.Unlock()
-
-		// BuildIndex reorders its input in place and keeps it as the index's
-		// data pages, so it gets a private copy, taken outside the lock: the
-		// array behind a generation's elems is never written once installed.
-		elems := slices.Clone(base)
-		idx, span, n, err := c.buildIndex(ctx, "catalog-build", elems)
-		span.Add("retries", int64(n))
-		c.finishBuild(ds, gen, e, idx, elems, err, n)
-		retries = n
-	}
-	if e.err != nil {
-		if fb := c.lastGood(name, gen, expand); fb != nil {
-			return fb, nil
-		}
-		return nil, e.err
-	}
-	h := newHandle(name, gen, e.idx, expand, false)
-	h.Retries = retries
-	return h, nil
-}
-
-// buildIndex is the one index build under Acquire and MergeDelta: elems
-// (reordered in place) indexed on a store from the catalog's factory, transient
-// storage failures retried under its policy, the outcome reported to its build
-// observer and a failure wrapped as a *BuildError. The span, named by the
-// caller, is returned ended for the caller's counters.
-func (c *Catalog) buildIndex(ctx context.Context, spanName string, elems []transformers.Element) (idx *transformers.Index, span *obs.Span, retries int, err error) {
-	c.mu.Lock()
-	pageSize, policy, factory, observer := c.pageSize, c.retry, c.storeFactory, c.buildObserver
+	c.indexHits++
 	c.mu.Unlock()
-	_, span = obs.Start(ctx, spanName)
-	start := time.Now()
-	err, retries = retryTransient(ctx, policy, storage.IsTransient, func() error {
-		var st storage.Store
-		if factory != nil {
-			st = factory(pageSize)
-		}
-		// BuildIndex only reads elems after the STR reorder, and a failed
-		// attempt leaves them reordered but intact — safe to reuse across
-		// attempts.
-		idx, err = transformers.BuildIndex(elems, transformers.IndexOptions{PageSize: pageSize, Store: st})
-		return err
-	})
-	span.End()
-	if observer != nil {
-		observer(time.Since(start), err == nil)
-	}
-	if err != nil {
-		err = &BuildError{Attempts: retries + 1, Err: err}
-	}
-	return idx, span, retries, err
+	// Outside the lock: making the view is a pass over the index's descriptors.
+	return &Handle{gen: gen, Index: gen.index.Grown(expand / 2), Name: name, Version: gen.version}, nil
 }
 
-// lastGood returns a stale handle on dataset name's last-good generation, at
-// any distance, if failedGen is still the current generation and a last-good
-// one exists (it is kept only once built).
-func (c *Catalog) lastGood(name string, failedGen *generation, expand float64) *Handle {
-	c.mu.Lock()
-	ds := c.datasets[name]
-	if ds == nil || ds.cur != failedGen || ds.last == nil {
-		c.mu.Unlock()
-		return nil
-	}
-	gen, idx := ds.last, ds.last.built() // Put keeps only a built generation as last
-	c.lastGoodServes++
-	c.mu.Unlock()
-	return newHandle(name, gen, idx, expand, true)
-}
-
-// TryAcquire returns a handle only when the dataset's index is already built
-// — the current generation's, or stale the last-good one's while the current
-// generation is failing. ok=false means the caller must go through Acquire
-// (and should do so under build admission control — TryAcquire never builds
-// and never blocks on an in-flight build).
-func (c *Catalog) TryAcquire(name string, expand float64) (*Handle, bool, error) {
-	if err := validExpand(expand); err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	ds, err := c.datasetLocked(name)
-	if err != nil {
-		c.mu.Unlock()
-		return nil, false, err
-	}
-	gen, idx, failing := ds.cur, ds.cur.built(), ds.failing != nil
-	c.mu.Unlock()
-	if idx != nil {
-		return newHandle(name, gen, idx, expand, false), true, nil
-	}
-	if failing {
-		if fb := c.lastGood(name, gen, expand); fb != nil {
-			return fb, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// finishBuild publishes a build outcome and wakes the waiters. A failed build
-// is forgotten so the next Acquire retries; a success on the current
-// generation clears the dataset's failing state and drops the stale fallback.
-// indexed is the copy of the generation's elements the build ordered and now
-// reads its pages from: it becomes gen.elems, so the dataset is held once, and
-// the array it replaces goes when the readers that took its header before —
-// a partition built in between among them, until the next write — are done.
-func (c *Catalog) finishBuild(ds *dataset, gen *generation, e *idxEntry, idx *transformers.Index, indexed []transformers.Element, err error, retries int) {
-	c.mu.Lock()
-	e.idx, e.err = idx, err
-	close(e.ready)
-	c.retries += uint64(retries)
-	if err != nil {
-		gen.index = nil
-		if ds.cur == gen {
-			ds.failing = err
-		}
-	} else {
-		gen.elems = indexed
-		if ds.cur == gen {
-			ds.failing = nil
-			ds.last = nil // cur proved healthy; the fallback has served its purpose
-		}
-	}
-	c.mu.Unlock()
-}
-
-// Degraded lists the datasets whose current generation is failing to build,
-// for health reporting.
+// Degraded lists the datasets whose delta merge is failing, for health
+// reporting.
 func (c *Catalog) Degraded() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -608,27 +472,9 @@ func (c *Catalog) Degraded() []string {
 			out = append(out, fmt.Sprintf("dataset %q: delta merge failing, %d delta elements retained: %v",
 				name, len(ds.cur.delta), ds.mergeErr))
 		}
-		if ds.failing == nil {
-			continue
-		}
-		if ds.last != nil {
-			out = append(out, fmt.Sprintf("dataset %q: serving last-good version %d (build failing: %v)",
-				name, ds.last.version, ds.failing))
-		} else {
-			out = append(out, fmt.Sprintf("dataset %q: builds failing: %v", name, ds.failing))
-		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-func isReady(ready chan struct{}) bool {
-	select {
-	case <-ready:
-		return true
-	default:
-		return false
-	}
 }
 
 // datasetLocked returns the named dataset, or ErrUnknownDataset for a name
@@ -706,16 +552,15 @@ func (c *Catalog) DeltaView(h *Handle) (base, delta []transformers.Element, epoc
 }
 
 // MergeDelta compacts a dataset's delta buffer into its main index: the
-// base and delta elements are combined, indexed (with the same retry policy,
-// store factory and build observer regular builds use) and installed as a
-// new generation whose version is bumped — the LSM-style background merge.
-// Merges are single-flight per dataset (ErrMergeInFlight otherwise).
-// Elements appended while the merge runs carry over into the new
-// generation's delta, and the delta epoch carries with them. On build
-// failure the delta is retained untouched — joins keep composing against it
-// (last-good semantics) and health reports the dataset degraded until a
-// merge succeeds. Returns the number of delta elements compacted (0 when
-// the delta was empty or the dataset was replaced mid-merge).
+// base and delta elements are combined and go through the same
+// build-then-install step as a Put, as a new generation whose version is
+// bumped — the LSM-style background merge. Merges are single-flight per
+// dataset (ErrMergeInFlight otherwise). Elements appended while the merge runs
+// carry over into the new generation's delta, and the delta epoch carries with
+// them. On build failure the delta is retained untouched — joins keep
+// composing against it — and health reports the dataset degraded until a
+// merge succeeds. Returns the number of delta elements compacted (0 when the
+// delta was empty or the dataset was replaced mid-merge).
 func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	c.mu.Lock()
 	ds, err := c.datasetLocked(name)
@@ -739,21 +584,17 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	base, delta := gen.elems, gen.delta[:n:n]
 	c.mu.Unlock()
 
-	// The copy, the O(n) statistics pass and the index build all run outside
-	// the lock; Analyze runs first because BuildIndex reorders merged in
-	// place. The reordered slice is both the new generation's elems and its
-	// base index's data pages — one array, which no reader writes to (every
-	// one copies before building).
+	// The copy and the build run outside the lock. The copy is the new
+	// generation's elems, which the build orders in place: no reader sees it
+	// before it is installed.
 	merged := append(append(make([]transformers.Element, 0, len(base)+n), base...), delta...)
-	stats := planner.Analyze(merged)
-	idx, span, retries, buildErr := c.buildIndex(ctx, "delta-merge", merged)
+	_, span := obs.Start(ctx, "delta-merge")
+	next, buildErr := c.build(ctx, merged)
+	span.End()
 	span.Add("elements", int64(n))
-	span.Add("retries", int64(retries))
 
 	c.mu.Lock()
 	ds.merging = false
-	c.retries += uint64(retries)
-	c.builds++
 	if ds.cur != gen {
 		// A Put replaced the dataset mid-merge: the merged snapshot
 		// describes a lineage that no longer exists. Discard it quietly —
@@ -767,23 +608,12 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 		c.mu.Unlock()
 		return 0, buildErr
 	}
-	e := &idxEntry{ready: make(chan struct{}), idx: idx}
-	close(e.ready)
-	ds.cur = &generation{
-		elems:   merged,
-		version: gen.version + 1,
-		stats:   stats,
-		index:   e,
-		// Appends that landed during the merge carry over; the epoch
-		// travels with them so cache keys stay content-faithful.
-		delta:      append([]transformers.Element(nil), gen.delta[n:]...),
-		deltaEpoch: gen.deltaEpoch,
-	}
-	ds.failing = nil
-	ds.mergeErr = nil
-	ds.last = nil
+	// Appends that landed during the merge carry over; the epoch travels
+	// with them so cache keys stay content-faithful.
+	next.delta = append([]transformers.Element(nil), gen.delta[n:]...)
+	next.deltaEpoch = gen.deltaEpoch
+	notify := c.installLocked(ds, next)
 	c.merges++
-	notify := c.invalidateLocked(name, gen)
 	c.mu.Unlock()
 	notify()
 	return n, nil
@@ -793,25 +623,18 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 func (c *Catalog) Stats() CatalogStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deltaElems, indexes := 0, 0
+	deltaElems := 0
 	for _, ds := range c.datasets {
 		deltaElems += len(ds.cur.delta)
-		for _, gen := range []*generation{ds.cur, ds.last} {
-			if gen != nil && gen.built() != nil {
-				indexes++
-			}
-		}
 	}
 	parts, partBytes := c.readyPartitionsLocked()
 	return CatalogStats{
 		Datasets:       len(c.datasets),
 		Partitions:     parts,
 		PartitionBytes: partBytes,
-		Indexes:        indexes,
 		Builds:         c.builds,
 		Evictions:      c.evictions,
 		Retries:        c.retries,
-		LastGoodServes: c.lastGoodServes,
 		Acquires:       c.acquires,
 		IndexHits:      c.indexHits,
 		DeltaElements:  deltaElems,
@@ -827,16 +650,11 @@ func (c *Catalog) Datasets() []DatasetInfo {
 	defer c.mu.Unlock()
 	out := make([]DatasetInfo, 0, len(c.datasets))
 	for _, ds := range c.datasets {
-		indexes := 0
-		if ds.cur.index != nil {
-			indexes = 1
-		}
 		out = append(out, DatasetInfo{
 			Name:            ds.name,
 			Elements:        len(ds.cur.elems),
 			Version:         ds.cur.version,
-			Indexes:         indexes,
-			Degraded:        ds.failing != nil || ds.mergeErr != nil,
+			Degraded:        ds.mergeErr != nil,
 			SkewCV:          ds.cur.stats.SkewCV,
 			ClusterFraction: ds.cur.stats.ClusterFraction,
 			DeltaElements:   len(ds.cur.delta),

@@ -8,6 +8,7 @@ import (
 	"runtime/metrics"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/engine/inmem"
 	"repro/internal/naive"
@@ -64,38 +65,6 @@ func TestCatalogJoinInputIsOneGeneration(t *testing.T) {
 		}
 		if want := 100 + 100*int(1-in.version%2); in.stats.Count != want || in.delta != 0 {
 			t.Fatalf("version %d planned on statistics of %d elements (delta %d), want %d", in.version, in.stats.Count, in.delta, want)
-		}
-	}
-}
-
-// TestCatalogSingleFlight checks that N concurrent acquisitions of a cold
-// index trigger exactly one build.
-func TestCatalogSingleFlight(t *testing.T) {
-	c := NewCatalog(0, 0)
-	c.Put("ds", elemsN(3000, 1))
-
-	const workers = 16
-	var wg sync.WaitGroup
-	indexes := make([]*transformers.Index, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h, err := c.Acquire(context.Background(), "ds", 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			indexes[i] = h.Index
-		}(i)
-	}
-	wg.Wait()
-	if got := c.Stats().Builds; got != 1 {
-		t.Fatalf("builds = %d, want 1 (single-flight)", got)
-	}
-	for i := 1; i < workers; i++ {
-		if indexes[i] != indexes[0] {
-			t.Fatalf("worker %d got a different index instance", i)
 		}
 	}
 }
@@ -168,8 +137,8 @@ func TestCatalogDistanceVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Builds != 1 || st.Indexes != 1 {
-		t.Fatalf("three acquisitions at two distances: %+v, want one build and one index", st)
+	if st := c.Stats(); st.Builds != 1 || st.Datasets != 1 {
+		t.Fatalf("three acquisitions at two distances: %+v, want one build and one dataset", st)
 	}
 	res, err := transformers.Join(h5.Index, h5b.Index, transformers.JoinOptions{Concurrent: true})
 	if err != nil {
@@ -247,8 +216,8 @@ func TestDistanceSweepHoldsOneIndex(t *testing.T) {
 			t.Fatalf("distance %v: %d pairs with duplicates, or %d on the sample where naive has %d", d, len(out.Pairs), len(got), len(want))
 		}
 	}
-	if st := svc.Stats().Catalog; st.Builds != 2 || st.Indexes != 2 {
-		t.Fatalf("after %d distinct distances: %+v, want 2 builds and 2 indexes", distances, st)
+	if st := svc.Stats().Catalog; st.Builds != 2 || st.Datasets != 2 {
+		t.Fatalf("after %d distinct distances: %+v, want 2 builds and 2 datasets", distances, st)
 	}
 	grew, bound := liveHeap()-uploaded, int64(0.2*56*2*n)
 	t.Logf("%d distinct distances: live heap grew %d B over two %d-element uploads (bound %d)", distances, grew, n, bound)
@@ -299,8 +268,8 @@ func TestResidentDatasetHeldOnce(t *testing.T) {
 			t.Fatalf("self-join at distance %v: %d pairs, err %v", p.Distance, len(out.Pairs), err)
 		}
 	}
-	if st := svc.Catalog().Stats(); st.Indexes != 1 || st.Builds != 2 {
-		t.Fatalf("after 16 distinct-distance joins: %+v, want the upload's and the merge's builds and one index", st)
+	if st := svc.Catalog().Stats(); st.Datasets != 1 || st.Builds != 2 {
+		t.Fatalf("after 16 distinct-distance joins: %+v, want the upload's and the merge's builds and one dataset", st)
 	}
 	check("16 distinct-distance joins", n+extra)
 	runtime.KeepAlive(svc) // or the last check measures a heap the service has left
@@ -358,16 +327,18 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 	partition("distance 5 over a delta", 5, 2*n+extra, liveHeap())
 }
 
-// TestCatalogFirstBuildRacesReaders: a generation's one index build replaces
-// its element slice with the copy it indexed. Readers that take the slice
-// while such a build is in flight — Snapshot, a partition build, a distance
-// acquisition waiting on the build and then DeltaView — must each see the
-// whole dataset, and (under -race) take the header under the catalog lock.
-func TestCatalogFirstBuildRacesReaders(t *testing.T) {
+// TestCatalogReplacementRacesReaders: a replacement is built before it is
+// installed, so readers racing a stream of them — a distance acquisition and
+// its DeltaView, Snapshot, a partition build — each see one whole version of
+// the dataset, and (under -race) the catalog's installation publishes the
+// generation they read.
+func TestCatalogReplacementRacesReaders(t *testing.T) {
 	const n = 3000
 	ctx := context.Background()
 	c := NewCatalog(1, 0)
-	c.Put("ds", elemsN(n, 9))
+	if _, err := c.Put("ds", elemsN(n, 9)); err != nil {
+		t.Fatal(err)
+	}
 	var want uint64
 	for _, e := range elemsN(n, 9) {
 		want += e.ID
@@ -418,14 +389,81 @@ func TestCatalogFirstBuildRacesReaders(t *testing.T) {
 			}
 		}()
 	}
-	// Every replacement is a generation whose first acquirer — this loop or
-	// the distance reader — builds and installs while the others read.
 	for round := 0; round < 30; round++ {
-		version := c.Put("ds", elemsN(n, 9))
+		version, err := c.Put("ds", elemsN(n, 9))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if h, err := c.Acquire(ctx, "ds", 0); err != nil || h.Version < version || h.Index.Len() != n {
 			t.Fatalf("round %d: acquisition after a replacement: %+v, err %v", round, h, err)
 		}
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestPutHoldsItsUpload: Put installs the slice it was given — the build
+// orders it in place and the index reads its pages from it — and copies none
+// of it. With one P, so that the build's allocations do not vary with the
+// core count, a 100K-element Put allocates at least 56 B an element (the
+// copy) less than the 10 811 584 B (10 850 288 B under the race detector)
+// that a Put and the first Acquire allocated when that Acquire built the
+// index over a clone of the upload.
+func TestPutHoldsItsUpload(t *testing.T) {
+	const n = 100_000
+	cloned := uint64(10_811_584)
+	if raceEnabled {
+		cloned = 10_850_288
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	alloc := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ { // the least of three: nothing else allocates in it
+		c := NewCatalog(0, 0)
+		elems := elemsN(n, 41)
+		alloc = min(alloc, allocatedBy(func() {
+			if _, err := c.Put("ds", elems); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		c.mu.Lock()
+		installed := c.datasets["ds"].cur.elems
+		c.mu.Unlock()
+		if unsafe.SliceData(installed) != unsafe.SliceData(elems) || len(installed) != n {
+			t.Fatal("the installed generation does not hold the uploaded array")
+		}
+	}
+	bound := cloned - 56*n
+	t.Logf("Put of %d elements allocated %d B (%.1f B each); Put + first Acquire over a clone allocated %d B; bound %d B", n, alloc, float64(alloc)/n, cloned, bound)
+	if alloc > bound {
+		t.Fatalf("Put of %d elements allocated %d B, want at most %d", n, alloc, bound)
+	}
+}
+
+// TestBuildInfoDescribesItsOwnUpload: two uploads racing under one name each
+// get the report of the version they installed — their own element count
+// beside a version number nobody else was given.
+func TestBuildInfoDescribesItsOwnUpload(t *testing.T) {
+	const rounds = 50
+	svc := NewService(Config{Workers: 4})
+	sizes := [2]int{200, 300}
+	versions := make(map[uint64]bool)
+	for round := 0; round < rounds; round++ {
+		var infos [2]BuildInfo
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i, n := range sizes {
+			wg.Add(1)
+			go func(i, n int) {
+				defer wg.Done()
+				infos[i], errs[i] = svc.AddDataset(context.Background(), "ds", elemsN(n, int64(round)))
+			}(i, n)
+		}
+		wg.Wait()
+		for i, info := range infos {
+			if errs[i] != nil || info.Elements != sizes[i] || versions[info.Version] {
+				t.Fatalf("round %d: upload of %d elements answered %+v, err %v (versions so far %v)", round, sizes[i], info, errs[i], versions)
+			}
+			versions[info.Version] = true
+		}
+	}
 }

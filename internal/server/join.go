@@ -81,7 +81,6 @@ func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Co
 type execution struct {
 	res   *engine.Result
 	key   JoinKey
-	stale bool
 	delta *DeltaSummary
 	// span is the "execute" span (nil when untraced or never admitted).
 	span *obs.Span
@@ -91,13 +90,13 @@ type execution struct {
 }
 
 // executeJoin runs the planned join inside one pool slot, so admission
-// control bounds all expensive work — including the single-flight index and
-// partition builds acquisition can trigger. Waiting on another request's
-// in-flight build consumes this slot, for no longer than the request's own
-// deadline, and never needs a second one, so slots cannot deadlock. There is
-// one branch per served engine (planJoin admits no other), each reading what
-// the catalog holds. Every pair, of both branches and of the delta sub-joins,
-// leaves through emit.
+// control bounds all expensive work — including the single-flight partition
+// build an inmem acquisition can trigger. Waiting on another request's
+// in-flight partition build consumes this slot, for no longer than the
+// request's own deadline, and never needs a second one, so slots cannot
+// deadlock. There is one branch per served engine (planJoin admits no other),
+// each reading what the catalog holds. Every pair, of both branches and of the
+// delta sub-joins, leaves through emit.
 func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (execution, error) {
 	var ex execution
 	var run func(ctx context.Context) error
@@ -122,8 +121,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			if err != nil {
 				return err
 			}
-			ex.stale = ha.Stale || hb.Stale
-			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, ex.stale)
 			baseA, deltaA, epochA := s.cat.DeltaView(ha)
 			baseB, deltaB, epochB := s.cat.DeltaView(hb)
 			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo)
@@ -184,7 +181,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 	var err error
 	ex.span, err = s.admitted(ctx, jp.cost, run)
 	if err != nil {
-		s.noteOutcome(ctx, err, 0, false)
+		s.noteOutcome(ctx, err)
 	}
 	return ex, err
 }
@@ -499,18 +496,17 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 	}
 	summary := s.summarize(jp.algo, ex.res)
 	// The delta composition is part of the cached content — the key pins the
-	// epochs it composed at — unlike the planner report and staleness below.
+	// epochs it composed at — unlike the planner report below.
 	summary.Delta = ex.delta
 	if sink.keep && !p.NoCache && sink.n <= s.cache.MaxPairs() {
-		// Cache without the planner report or staleness: the key carries the
-		// served versions, and hits splice in their own request context. The
-		// cache takes the one flat copy; a collecting caller shares it.
+		// Cache without the planner report: hits splice in their own request
+		// context. The cache takes the one flat copy; a collecting caller
+		// shares it.
 		sink.shared = sink.pairs()
 		sink.release()
 		s.storeResult(ex, &CachedJoin{Pairs: sink.shared, Summary: summary})
 	}
 	summary.Planner = jp.plan
-	summary.Stale = ex.stale
 	s.recordPlannerSample(ctx, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
 	return &JoinOutcome{Summary: summary}, jp.algo, nil
 }

@@ -23,9 +23,9 @@ type partKey struct {
 }
 
 // partEntry is one built (or building) pair partition: the inmem engine's
-// counterpart of idxEntry, and unlike it a second structure over the data,
-// worth evicting. ready is closed when the build finishes; refs pins the entry
-// against eviction while joins run on it.
+// counterpart of a dataset's index, and unlike it built on first use and a
+// second structure over the data, worth evicting. ready is closed when the
+// build finishes; refs pins the entry against eviction while joins run on it.
 type partEntry struct {
 	key     partKey
 	ready   chan struct{}
@@ -103,6 +103,15 @@ func (c *Catalog) readyPartitionsLocked() (n int, bytes int64) {
 		}
 	}
 	return n, bytes
+}
+
+func isReady(ready chan struct{}) bool {
+	select {
+	case <-ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // evictLocked drops least-recently-used unpinned partitions until the built

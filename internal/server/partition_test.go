@@ -406,8 +406,8 @@ func TestIndexCapBoundsPartitionsOnly(t *testing.T) {
 	for _, d := range []float64{0, 1, 2, 3} {
 		acquire(d)
 	}
-	if st := cat.Stats(); st.Partitions != 1 || st.Evictions != 3 || st.Indexes != 3 || st.Builds != 3+4 {
-		t.Fatalf("4 partitions and 3 datasets under a cap of 1: %+v, want 1 partition, 3 evicted, 3 indexes", st)
+	if st := cat.Stats(); st.Partitions != 1 || st.Evictions != 3 || st.Datasets != 3 || st.Builds != 3+4 {
+		t.Fatalf("4 partitions and 3 datasets under a cap of 1: %+v, want 1 partition, 3 evicted, 3 datasets", st)
 	}
 	// The survivor is the most recently used, and a pinned one is not evicted.
 	if !acquire(3).Hit || acquire(2).Hit {
@@ -418,8 +418,8 @@ func TestIndexCapBoundsPartitionsOnly(t *testing.T) {
 		t.Fatalf("re-acquiring the resident partition: hit=%v err=%v", pinned != nil && pinned.Hit, err)
 	}
 	acquire(4)
-	if st := cat.Stats(); st.Partitions != 1 || st.Indexes != 3 {
-		t.Fatalf("with one partition pinned: %+v, want it resident and 3 indexes", st)
+	if st := cat.Stats(); st.Partitions != 1 || st.Datasets != 3 {
+		t.Fatalf("with one partition pinned: %+v, want it resident and 3 datasets", st)
 	}
 	pinned.Release()
 	if !acquire(2).Hit {

@@ -95,7 +95,7 @@ func waitPoolDrained(t *testing.T, svc *Service) {
 
 // TestRetryTransientBuildSucceeds: an index build that fails transiently
 // twice succeeds on the third attempt — one registration, no error surfaced,
-// retries counted per catalog and per tenant.
+// retries counted by the catalog.
 func TestRetryTransientBuildSucceeds(t *testing.T) {
 	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, Times: 2})
 	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
@@ -112,9 +112,6 @@ func TestRetryTransientBuildSucceeds(t *testing.T) {
 	if cat.Builds != 1 {
 		t.Fatalf("builds = %d, want 1 (retries are not extra builds)", cat.Builds)
 	}
-	if got := svc.Stats().Tenants[DefaultTenant].Retries; got != 2 {
-		t.Fatalf("tenant retries = %d, want 2", got)
-	}
 	// The recovered index serves correct results.
 	out, err := svc.Join(context.Background(), "a", "a", JoinParams{})
 	if err != nil {
@@ -122,9 +119,6 @@ func TestRetryTransientBuildSucceeds(t *testing.T) {
 	}
 	if !naive.Equal(append([]transformers.Pair(nil), out.Pairs...), want) {
 		t.Fatalf("join after recovered build: %d pairs, want %d", len(out.Pairs), len(want))
-	}
-	if out.Summary.Stale {
-		t.Fatal("healthy build reported stale")
 	}
 	if svc.Health().Status != "ok" {
 		t.Fatalf("health = %+v, want ok", svc.Health())
@@ -150,141 +144,83 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	waitPoolDrained(t, svc)
 }
 
-// TestLastGoodServedWhileRebuildFails: replacing a dataset with a version
-// whose build fails keeps the previous version serving — joins and range
-// queries answer from last-good, marked stale, while /healthz degrades.
-func TestLastGoodServedWhileRebuildFails(t *testing.T) {
-	// Two clean factory calls build the initial datasets; every later build
-	// attempt fails.
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, After: 2, Times: 0})
-	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
-
-	a := transformers.GenerateUniform(400, 203)
-	bOld := transformers.GenerateDenseCluster(300, 204)
-	want := naive.Join(a, bOld)
-	addDataset(t, svc, "a", a)
-	addDataset(t, svc, "b", bOld)
-
-	// The replacement registers but reports its failing build.
-	_, err := svc.AddDataset(context.Background(), "b", transformers.GenerateUniform(100, 205))
-	if err == nil || !strings.Contains(err.Error(), "last-good") {
-		t.Fatalf("err = %v, want a failing-build registration error naming last-good", err)
-	}
-
-	// Joins serve the last-good version: the old pair set, marked stale.
-	out, err := svc.Join(context.Background(), "a", "b", JoinParams{})
-	if err != nil {
-		t.Fatalf("join against failing dataset: %v", err)
-	}
-	if !out.Summary.Stale {
-		t.Fatal("last-good serve not marked stale")
-	}
-	if !naive.Equal(append([]transformers.Pair(nil), out.Pairs...), want) {
-		t.Fatalf("stale join: %d pairs, want the last-good %d", len(out.Pairs), len(want))
-	}
-
-	// Range queries fall back the same way, without a pool trip.
-	elems, _, err := svc.RangeQuery(context.Background(), "b", transformers.World())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(elems) != len(bOld) {
-		t.Fatalf("range served %d elements, want the last-good %d", len(elems), len(bOld))
-	}
-
-	h := svc.Health()
-	if h.Status != "degraded" {
-		t.Fatalf("health = %+v, want degraded", h)
-	}
-	found := false
-	for _, r := range h.Reasons {
-		if strings.Contains(r, `"b"`) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("degraded reasons %v do not name dataset b", h.Reasons)
-	}
-	st := svc.Stats()
-	if st.Catalog.LastGoodServes == 0 {
-		t.Fatal("catalog last_good_serves = 0")
-	}
-	if st.Tenants[DefaultTenant].LastGoodServes == 0 {
-		t.Fatal("tenant last_good_serves = 0")
-	}
-	waitPoolDrained(t, svc)
-}
-
-// TestLastGoodServedAtAnyDistance: the last-good version answers at every
-// distance, not only at those somebody joined at before the replacement
-// started failing — a distance needs no build, so none can fail.
-func TestLastGoodServedAtAnyDistance(t *testing.T) {
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, After: 2, Times: 0})
-	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
+// TestFailedReplacementChangesNothing: a replacement whose build fails even
+// after retrying is refused with its BuildError and installs nothing — the
+// previous version keeps its number, its cached results, its resident
+// partition and its answers at every distance, and health stays ok.
+func TestFailedReplacementChangesNothing(t *testing.T) {
+	// Two clean factory calls build a and b; the replacement's every attempt
+	// fails, and the upload after it builds clean.
+	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, After: 2, Times: int64(fastRetry.Attempts)})
+	ts, svc := newTestServer(t, Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
+	ctx := context.Background()
 	a, bOld := overlapElems(400, 221, 1), overlapElems(300, 222, 10_000)
 	addDataset(t, svc, "a", cpElems(a))
 	addDataset(t, svc, "b", cpElems(bOld))
-	if _, err := svc.AddDataset(context.Background(), "b", overlapElems(100, 223, 20_000)); err == nil {
-		t.Fatal("the replacement's failing build went unreported")
+	joinAB := JoinParams{Algorithm: engine.Transformers}
+	if _, err := svc.Join(ctx, "a", "b", joinAB); err != nil {
+		t.Fatal(err)
 	}
-	out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: engine.Transformers, Distance: 7})
+	if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: engine.InMem, NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	before := svc.Stats().Catalog
+	if before.Partitions != 1 {
+		t.Fatalf("after an inmem join: %+v, want one resident partition", before)
+	}
+
+	code, doc := postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"uniform","n":100,"seed":223}}`)
+	msg, _ := doc["error"].(string)
+	if code < 500 || !strings.Contains(msg, fmt.Sprintf("after %d attempts", fastRetry.Attempts)) || !strings.Contains(msg, "injected fault") {
+		t.Fatalf("failing replacement: %d %v, want a 5xx carrying the BuildError's attempts and cause", code, doc)
+	}
+	if ds := svc.Catalog().Datasets(); ds[1].Name != "b" || ds[1].Version != 1 || ds[1].Elements != len(bOld) {
+		t.Fatalf("after a failed replacement: %+v, want b still at version 1", ds)
+	}
+	out, err := svc.Join(ctx, "a", "b", joinAB)
+	if err != nil || !out.Cached {
+		t.Fatalf("repeat join after a failed replacement: cached=%v err %v, want a cache hit", out != nil && out.Cached, err)
+	}
+	if st := svc.Stats().Catalog; st.Builds != before.Builds || st.Partitions != before.Partitions {
+		t.Fatalf("after a failed replacement: %+v, want the builds and partitions of %+v", st, before)
+	}
+	out, err = svc.Join(ctx, "a", "b", JoinParams{Algorithm: engine.Transformers, Distance: 7})
+	if err != nil || !pairsMatch(out.Pairs, naiveRef(a, bOld, 7)) {
+		t.Fatalf("distance-7 join after a failed replacement: err %v, want the old b's answer", err)
+	}
+	if raw, _ := json.Marshal(out.Summary); strings.Contains(string(raw), `"stale"`) {
+		t.Fatalf("summary %s names staleness", raw)
+	}
+	elems, _, err := svc.RangeQuery(ctx, "b", transformers.World())
+	if err != nil || len(elems) != len(bOld) {
+		t.Fatalf("range after a failed replacement: %d elements, err %v, want the old b's %d", len(elems), err, len(bOld))
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
-		t.Fatalf("distance join against a failing dataset: %v", err)
+		t.Fatal(err)
 	}
-	if !out.Summary.Stale || !pairsMatch(out.Pairs, naiveRef(a, bOld, 7)) {
-		t.Fatalf("stale=%v with %d pairs, want the last-good version's answer at distance 7", out.Summary.Stale, len(out.Pairs))
+	var h Health
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after a failed replacement: %+v, err %v, want ok", h, err)
+	}
+
+	if code, doc := postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"uniform","n":100,"seed":223}}`); code != http.StatusCreated || doc["version"] != float64(2) {
+		t.Fatalf("the next good upload of b: %d %v, want version 2", code, doc)
 	}
 	waitPoolDrained(t, svc)
 }
 
 // TestDeadlineBoundsWaitOnBuild: a request waiting on another request's
-// index build gives up at its own deadline and frees its slot, the build goes
-// on for whoever else waits, and nothing is left behind; the same for a
-// waiter on a partition build, which also gives up its pin.
+// partition build gives up at its own deadline, frees its slot and its pin,
+// and leaves nothing behind. (No join waits on an index build: a dataset
+// version is installed built.)
 func TestDeadlineBoundsWaitOnBuild(t *testing.T) {
 	before := runtime.NumGoroutine()
-	gate := make(chan struct{})
-	svc := NewService(Config{Workers: 4, StoreFactory: func(pageSize int) storage.Store {
-		<-gate
-		return storage.NewMemStore(pageSize)
-	}})
+	svc := NewService(Config{Workers: 4})
 	cat := svc.Catalog()
-	// expires sends a self-join of ds with 20 ms to live behind a build that
-	// is not going to finish in that time.
-	expires := func(behind string, p JoinParams) {
-		t.Helper()
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		p.NoCache = true
-		done := make(chan error, 1)
-		go func() {
-			_, err := svc.Join(ctx, "ds", "ds", p)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("a 20 ms request behind %s: err = %v, want DeadlineExceeded", behind, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Errorf("a 20 ms request is still waiting on %s after 2 s", behind)
-		}
-	}
-
-	built := make(chan error, 1)
-	go func() {
-		_, err := svc.AddDataset(context.Background(), "ds", overlapElems(500, 224, 1))
-		built <- err
-	}()
-	waitFor(t, "the gated build to start", func() bool { return cat.Stats().Builds == 1 })
-	expires("another request's index build", JoinParams{Algorithm: engine.Transformers, Distance: 3})
-	close(gate)
-	if err := <-built; err != nil || t.Failed() {
-		t.Fatalf("the build the waiter left: %v", err)
-	}
-	if h, err := cat.Acquire(context.Background(), "ds", 3); err != nil || h.Index.Len() != 500 || cat.Stats().Builds != 1 {
-		t.Fatalf("acquisition after the build: %+v, err %v, %+v", h, err, cat.Stats())
-	}
+	addDataset(t, svc, "ds", overlapElems(500, 224, 1))
 
 	// A partition build cannot be gated from outside, so one that never
 	// finishes is planted under the key the acquisition will look up.
@@ -293,12 +229,26 @@ func TestDeadlineBoundsWaitOnBuild(t *testing.T) {
 	stuck := &partEntry{key: partKey{genA: gen, genB: gen, distance: 3}, ready: make(chan struct{})}
 	cat.partitions[stuck.key] = stuck
 	cat.mu.Unlock()
-	expires("another request's partition build", JoinParams{Algorithm: engine.InMem, Distance: 3})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Join(ctx, "ds", "ds", JoinParams{Algorithm: engine.InMem, Distance: 3, NoCache: true})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("a 20 ms request behind a partition build: err = %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a 20 ms request is still waiting on a partition build after 2 s")
+	}
 	cat.mu.Lock()
 	refs := stuck.refs
 	delete(cat.partitions, stuck.key)
 	cat.mu.Unlock()
-	if refs != 0 || t.Failed() {
+	if refs != 0 {
 		t.Fatalf("the waiter that left holds %d pins on the partition", refs)
 	}
 	waitPoolDrained(t, svc)

@@ -185,8 +185,6 @@ type Service struct {
 // tenantCounters tallies one tenant's resilience events at the service layer.
 type tenantCounters struct {
 	deadlineAborts uint64
-	retries        uint64
-	lastGoodServes uint64
 }
 
 // NewService assembles a service from the config.
@@ -267,21 +265,15 @@ func (s *Service) tenantCounter(ctx context.Context) *tenantCounters {
 	return tc
 }
 
-// noteOutcome attributes a request outcome to its tenant: deadline aborts,
-// build retries, and stale last-good serves.
-func (s *Service) noteOutcome(ctx context.Context, err error, retries int, stale bool) {
-	if err == nil && retries == 0 && !stale {
+// noteOutcome attributes a failed request's outcome to its tenant: a deadline
+// abort.
+func (s *Service) noteOutcome(ctx context.Context, err error) {
+	if !errors.Is(err, context.DeadlineExceeded) {
 		return
 	}
 	tc := s.tenantCounter(ctx)
 	s.tenantMu.Lock()
-	if errors.Is(err, context.DeadlineExceeded) {
-		tc.deadlineAborts++
-	}
-	tc.retries += uint64(retries)
-	if stale {
-		tc.lastGoodServes++
-	}
+	tc.deadlineAborts++
 	s.tenantMu.Unlock()
 }
 
@@ -312,51 +304,39 @@ type BuildInfo struct {
 	ClusterFraction float64 `json:"cluster_fraction"`
 }
 
-// AddDataset registers (or replaces) a named dataset and eagerly builds its
-// base index, so the first query pays no build latency. The build runs under
-// the pool's admission control — a registration storm gets ErrBusy like any
-// other expensive work. The element slice is owned by the service afterwards.
+// AddDataset registers (or replaces) a named dataset, its index built before
+// it is installed (Catalog.Put), so the first query pays no build latency. The
+// build runs under the pool's admission control — a registration storm gets
+// ErrBusy like any other expensive work. The element slice is owned by the
+// service afterwards. The report describes the version this call installed,
+// whatever other uploads of the name land around it.
 func (s *Service) AddDataset(ctx context.Context, name string, elems []transformers.Element) (BuildInfo, error) {
 	if name == "" {
 		return BuildInfo{}, fmt.Errorf("server: empty dataset name")
 	}
 	start := time.Now()
-	var h *Handle
-	var version uint64
+	var gen *generation
 	// Put happens inside admission: a registration rejected with ErrBusy (or
 	// abandoned by the client) must not have replaced the dataset.
 	if err := s.pool.Do(ctx, admission(ctx, 1), func() error {
-		version = s.cat.Put(name, elems)
-		var aerr error
-		h, aerr = s.cat.Acquire(ctx, name, 0)
-		if aerr == nil && h.Stale {
-			// The new version's eager build failed and the catalog fell
-			// back to the previous one. The dataset is registered (joins
-			// will serve last-good) but the registration must report the
-			// failure, not describe the stale index.
-			h = nil
-			return fmt.Errorf("server: dataset %q version %d registered, but its index build is failing; queries serve the last-good version", name, version)
-		}
-		return aerr
+		var err error
+		gen, err = s.cat.put(name, elems)
+		return err
 	}); err != nil {
-		s.noteOutcome(ctx, err, 0, false)
+		s.noteOutcome(ctx, err)
 		return BuildInfo{}, err
 	}
-	s.noteOutcome(ctx, nil, h.Retries, false)
-	br := h.Index.BuildReport()
-	info := BuildInfo{
-		Name:     name,
-		Elements: br.Elements,
-		Version:  version,
-		Units:    br.Units,
-		Nodes:    br.Nodes,
-		BuildMS:  float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if in, err := s.cat.joinInput(name); err == nil {
-		info.SkewCV = in.stats.SkewCV
-		info.ClusterFraction = in.stats.ClusterFraction
-	}
-	return info, nil
+	br := gen.index.BuildReport()
+	return BuildInfo{
+		Name:            name,
+		Elements:        br.Elements,
+		Version:         gen.version,
+		Units:           br.Units,
+		Nodes:           br.Nodes,
+		BuildMS:         float64(time.Since(start)) / float64(time.Millisecond),
+		SkewCV:          gen.stats.SkewCV,
+		ClusterFraction: gen.stats.ClusterFraction,
+	}, nil
 }
 
 // Append lands elems in name's delta buffer: they become visible to joins
@@ -420,27 +400,14 @@ func (s *Service) triggerMerge(name string) bool {
 func (s *Service) Quiesce() { s.mergeWG.Wait() }
 
 // RangeQuery returns the elements of a cataloged dataset intersecting the
-// query box. The hot path — index already built — bypasses the join pool
-// entirely (a few page reads, interactive latency); only a dataset whose
-// build failed, which the query would retry, goes through pool admission, so
-// range traffic against failing datasets cannot stampede unbounded builds.
+// query box. It bypasses the join pool entirely: the index is built before its
+// version is installed, so a query is a few page reads at interactive latency.
 func (s *Service) RangeQuery(ctx context.Context, dataset string, query transformers.Box) ([]transformers.Element, transformers.RangeStats, error) {
 	s.rangeQueries.Add(1)
-	h, ok, err := s.cat.TryAcquire(dataset, 0)
+	h, err := s.cat.Acquire(ctx, dataset, 0)
 	if err != nil {
 		return nil, transformers.RangeStats{}, err
 	}
-	if !ok {
-		if err := s.pool.Do(ctx, admission(ctx, 1), func() error {
-			var aerr error
-			h, aerr = s.cat.Acquire(ctx, dataset, 0)
-			return aerr
-		}); err != nil {
-			s.noteOutcome(ctx, err, 0, false)
-			return nil, transformers.RangeStats{}, err
-		}
-	}
-	s.noteOutcome(ctx, nil, h.Retries, h.Stale)
 	return h.Index.RangeQuery(query)
 }
 

@@ -59,8 +59,6 @@ type TenantStats struct {
 	Queued         int    `json:"queued"`
 	Shed           uint64 `json:"shed"`
 	DeadlineAborts uint64 `json:"deadline_aborts"`
-	Retries        uint64 `json:"retries"`
-	LastGoodServes uint64 `json:"last_good_serves"`
 }
 
 // Stats returns a snapshot of service activity.
@@ -85,8 +83,6 @@ func (s *Service) Stats() Stats {
 	for name, tc := range s.tenants {
 		ts := tenants[name]
 		ts.DeadlineAborts = tc.deadlineAborts
-		ts.Retries = tc.retries
-		ts.LastGoodServes = tc.lastGoodServes
 		tenants[name] = ts
 	}
 	s.tenantMu.Unlock()
@@ -117,8 +113,7 @@ func (s *Service) Stats() Stats {
 }
 
 // Health is the /healthz document: ok, or degraded with the reasons — a
-// tenant queue actively shedding, or a dataset serving a stale last-good
-// version while its build fails.
+// tenant queue actively shedding, or a dataset whose delta merge is failing.
 type Health struct {
 	Status  string   `json:"status"`
 	Reasons []string `json:"reasons,omitempty"`
