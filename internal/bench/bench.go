@@ -63,7 +63,7 @@ func (c Config) normalize() Config {
 
 // Sample is the machine-readable record of one algorithm execution inside an
 // experiment: the paper's three join-phase metrics plus I/O detail, for
-// tracking the perf trajectory across PRs (BENCH_*.json).
+// tracking the perf trajectory across commits.
 type Sample struct {
 	Experiment string `json:"experiment"`
 	Algorithm  string `json:"algorithm"`
@@ -71,8 +71,8 @@ type Sample struct {
 	// several (the cross-engine "engines" comparison).
 	Workload string `json:"workload,omitempty"`
 	// PlannerCostMS is the planner's predicted cost for this engine on
-	// this workload, recorded by the "engines" experiment so BENCH files
-	// double as the planner's empirical calibration record.
+	// this workload, recorded by the "engines" experiment so a JSON
+	// record sets prediction beside measurement.
 	PlannerCostMS   float64 `json:"planner_cost_ms,omitempty"`
 	Parallel        int     `json:"parallel,omitempty"`
 	BuildTotalMS    float64 `json:"build_total_ms"`

@@ -390,10 +390,9 @@ func enginesWorkloads(cfg Config, n int) []struct {
 }
 
 // runEngines drives every registered engine over the three distributions and
-// prints measured cost next to the planner's prediction — the recorded
-// empirical basis of the planner's scoring (BENCH_1.json). One sample per
-// engine per workload feeds the sink, stamped with the workload and the
-// predicted cost.
+// prints measured cost next to the planner's prediction for the engines it
+// prices; the others read "excluded". One sample per engine per workload
+// feeds the sink, stamped with the workload and the predicted cost.
 func runEngines(cfg Config) error {
 	n := cfg.scaled(20 * paperM)
 	algos := cfg.filterAlgos(engine.Names())
@@ -401,12 +400,7 @@ func runEngines(cfg Config) error {
 	for _, w := range enginesWorkloads(cfg, n) {
 		sa := planner.Analyze(w.genA())
 		sb := planner.Analyze(w.genB())
-		// The prediction must describe the execution the loop below runs:
-		// same tile pin, same worker budget (0 = all cores on both sides).
-		decision := planner.Plan(sa, sb, planner.Config{
-			ShardTiles:   cfg.ShardTiles,
-			ShardWorkers: cfg.Parallel,
-		})
+		decision := planner.Plan(sa, sb, planner.Config{})
 		predicted := make(map[string]float64, len(decision.Scores))
 		for _, s := range decision.Scores {
 			predicted[s.Engine] = s.CostMS
@@ -431,7 +425,7 @@ func runEngines(cfg Config) error {
 			predCol := "excluded"
 			s := sampleFromResult(rep, 0)
 			s.Workload = w.name
-			if p := predicted[name]; !math.IsInf(p, 0) {
+			if p, ok := predicted[name]; ok && !math.IsInf(p, 0) {
 				predCol = fmt.Sprintf("%.1fms", p)
 				s.PlannerCostMS = p
 			}

@@ -28,8 +28,7 @@ const (
 
 // Sharded meta-engine names. The engines themselves live in
 // internal/engine/shard (imported for side effect by the layers above); the
-// names are declared here so the planner can price shard fan-out without
-// importing the meta-engine (which imports the planner).
+// names are declared here so callers can name them without importing it.
 const (
 	// ShardPrefix prefixes every sharded meta-engine name; the suffix is
 	// the inner engine that runs per tile.
@@ -41,11 +40,6 @@ const (
 	// ShardInMem shards the cache-resident stripe-partition join.
 	ShardInMem = ShardPrefix + InMem
 )
-
-// ShardMaxTiles is the contract bound on Options.ShardTiles: sharded engines
-// clamp larger pins to it, and layers that key work by the pin (the serving
-// cache) normalize with the same bound so equal executions share entries.
-const ShardMaxTiles = 256
 
 // builtin is one built-in engine: a build step that indexes the prepared
 // inputs and the kernel that joins what was built — the two phases §VII

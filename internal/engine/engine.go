@@ -63,8 +63,8 @@ type Options struct {
 	PBSMTilesPerDim int
 
 	// ShardTiles sets the tile count K of sharded meta-engines
-	// ("shard-<inner>"); 0 lets the engine pick K from the datasets'
-	// statistics (planner.ShardTiles). Other engines ignore it.
+	// ("shard-<inner>"), clamped to shard.MaxTiles; 0 lets the engine pick K
+	// from the datasets' statistics. Other engines ignore it.
 	ShardTiles int
 
 	// Prebuilt supplies what the serving catalog built once and reuses

@@ -17,10 +17,7 @@ package planner
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
-
-	"repro/internal/engine"
 )
 
 // Online drift-correction constants.
@@ -123,24 +120,13 @@ func (c *Corrector) Observe(a, b, engine string, predictedMS, measuredMS float64
 
 // Factor returns the correction multiplier for one engine on one dataset
 // pair: e^EWMA clamped to [1/correctorMaxFactor, correctorMaxFactor]; 1 for
-// untracked keys. A sharded engine that has not run on the pair yet takes its
-// inner engine's factor: its price is the inner's price over tiles (see
-// scoreShard), so whatever makes the inner slower or faster than modeled on
-// this pair applies to it too. Without that, an inner engine whose measured
-// cost settles near twice its prediction sits exactly on the boundary with
-// its own uncorrected sharded form, and which of the two a join runs is
-// decided by measurement noise. Nil-safe.
+// untracked keys. Nil-safe.
 func (c *Corrector) Factor(a, b, name string) float64 {
 	if c == nil {
 		return 1
 	}
 	c.mu.Lock()
 	st := c.m[correctionKey{a, b, name}]
-	if st == nil {
-		if inner, ok := strings.CutPrefix(name, engine.ShardPrefix); ok {
-			st = c.m[correctionKey{a, b, inner}]
-		}
-	}
 	var lr float64
 	if st != nil {
 		lr = st.logRatio

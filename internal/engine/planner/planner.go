@@ -4,35 +4,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/storage"
 )
 
+// engines are the engines Plan prices, in scoring order: TRANSFORMERS, which
+// joins a dataset's catalog index, and inmem, which joins a pair's resident
+// partition. They are the engines the daemon serves (server.ServedEngines);
+// every other registered engine runs in-process only and is never planned.
+var engines = []string{engine.Transformers, engine.InMem}
+
+// Engines returns the engines Plan prices.
+func Engines() []string { return slices.Clone(engines) }
+
 // Config parameterizes one planning pass.
 type Config struct {
 	// PageSize prices index pages; storage.DefaultPageSize when zero.
 	PageSize int
-	// Engines is the candidate set; the full registry when nil.
-	Engines []engine.Joiner
 	// PrebuiltTransformers marks the TRANSFORMERS indexes as already built
 	// (the serving catalog builds them at dataset registration), so the
-	// transformers engine is priced without its build phase while the
-	// in-memory engines pay a per-request build.
+	// transformers engine is priced without its build phase while inmem
+	// pays a per-request partition.
 	PrebuiltTransformers bool
-	// ShardWorkers is the worker budget sharded meta-engines are priced
-	// at — the fan-out speedup can never exceed it. runtime.GOMAXPROCS(0)
-	// when zero (the shard engine's own default worker-pool size).
+	// ShardWorkers is ignored: Plan prices no sharded engine. It stays because
+	// the benchmark module's planner row sets it.
 	ShardWorkers int
-	// ShardTiles pins the tile count sharded meta-engines are priced at,
-	// matching a request that pins its fan-out; 0 prices the
-	// statistics-driven ShardTiles selection the engines default to. The
-	// plan must describe the execution the caller will actually run.
-	ShardTiles int
 	// Correct, when non-nil, returns a multiplicative drift-correction
 	// factor for an engine's final predicted cost — the online corrector's
 	// per-(dataset-pair, engine) EWMA of measured/predicted (see Corrector).
@@ -41,10 +41,10 @@ type Config struct {
 }
 
 // DefaultMaxInMemoryElements is the combined-cardinality cap above which the
-// planner stops auto-selecting in-memory engines: they rebuild their whole
-// structure per request with no paging, so under concurrent serving traffic
-// large inputs turn into unbounded per-request allocations. Above the cap
-// they are still requestable explicitly.
+// planner stops auto-selecting inmem: its partition holds both inputs with no
+// paging, so under concurrent serving traffic large inputs turn into
+// unbounded per-request allocations. Above the cap it is still requestable
+// explicitly.
 const DefaultMaxInMemoryElements = 250_000
 
 // FitsInMemory reports whether both datasets together fit under
@@ -104,57 +104,41 @@ func (s Score) MarshalJSON() ([]byte, error) {
 type Decision struct {
 	Engine string `json:"engine"`
 	// Fallback reports that the robust default (TRANSFORMERS) was chosen
-	// over a nominally cheaper engine because the predicted advantage was
+	// over a nominally cheaper inmem because the predicted advantage was
 	// within the model's error margin.
 	Fallback bool `json:"fallback,omitempty"`
-	// ShardTiles is the tile count the sharded engines were priced at
-	// (the Config pin, or the statistics-driven selection). Callers that
-	// execute a sharded engine should pass it through to the execution so
-	// the O(n) statistics pass is not repeated — and so what runs is what
-	// was priced. Zero when no sharded engine was scored.
-	ShardTiles int `json:"shard_tiles,omitempty"`
 	// Scores is sorted by ascending predicted cost.
 	Scores []Score `json:"scores"`
 }
 
-// Cost model constants, calibrated against the cross-engine comparison
-// recorded in BENCH_1.json (see that file and internal/bench's "engines"
-// experiment). Time unit: seconds.
+// Cost model constants. Time unit: seconds.
 const (
-	// tComp prices one element-element MBB intersection test.
+	// tComp prices one element-element MBB intersection test. Uncalibrated:
+	// a nominal figure the drift corrector trims per pair.
 	tComp = 8e-9
 	// tBuildPerElem prices STR-style partitioning per element (sort +
-	// assignment).
+	// assignment), the TRANSFORMERS build when the index is not prebuilt.
+	// Uncalibrated.
 	tBuildPerElem = 2e-7
 	// transformersOverhead is the adaptive-exploration surcharge on top of
 	// the data cost (paper §VII-C2 measures ~17%).
 	transformersOverhead = 1.17
-	// fallbackMargin is the minimum predicted advantage another engine
-	// must show over TRANSFORMERS before the planner leaves the robust
-	// default (cost-model predictions are rough; robustness is the tie
-	// breaker, §VII).
+	// fallbackMargin is the minimum predicted advantage inmem must show over
+	// TRANSFORMERS before the planner leaves the robust default (cost-model
+	// predictions are rough; robustness is the tie breaker, §VII). A policy
+	// margin, not a measurement.
 	fallbackMargin = 1.25
-	// tShardPartition prices the shard meta-engine's partitioning pass per
-	// element: a Hilbert-cell mapping plus tile assignment (and, for
-	// border-straddling MBRs, a few extra cell probes), measured on the
-	// shard benchmarks.
-	tShardPartition = 2.5e-7
 	// tInMemPartition prices the inmem engine's stripe partitioning per
 	// element: the radix sweep-order sort plus the counting fill of the
 	// float32 bound columns. BenchmarkInMemJoin partition+join minus join
-	// reads 4.6–5.5 ms for 40K elements, 1.2–1.4e-7 s each, as it did when
-	// the fill copied float64 boxes; the build column of the BENCH_2 engines
-	// comparison reads 2.8–3.5e-7 at 200K, and the constant sits between.
+	// reads 4.6–5.5 ms for 40K elements, 1.2–1.4e-7 s each; the constant
+	// leaves headroom for the larger, cache-colder inputs the daemon joins.
 	tInMemPartition = 2e-7
-	// shardPoolEfficiency discounts the ideal fan-out speedup for pool
-	// scheduling, result merging and tile imbalance the density-balanced
-	// cut could not remove.
-	shardPoolEfficiency = 0.85
 )
 
-// Plan prices the candidate engines that have a cost formula on the two
-// datasets' statistics and selects the cheapest, with TRANSFORMERS as the
-// robust fallback. The decision is deterministic in the inputs.
+// Plan prices the engines on the two datasets' statistics and selects the
+// cheapest, with TRANSFORMERS as the robust fallback. The decision is
+// deterministic in the inputs.
 func Plan(a, b DatasetStats, cfg Config) Decision {
 	pageSize := cfg.PageSize
 	if pageSize <= 0 {
@@ -162,30 +146,19 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 	}
 	// Page I/O is priced the way the benchmark currency prices it.
 	disk := storage.DefaultDiskModel()
-	engines := cfg.Engines
-	if engines == nil {
-		engines = engine.All()
-	}
-	shardWorkers := cfg.ShardWorkers
-	if shardWorkers <= 0 {
-		shardWorkers = runtime.GOMAXPROCS(0)
-	}
-
 	m := model{
 		a: a, b: b,
-		perPage:      float64(storage.ElementsPerPage(pageSize)),
-		tio:          disk.ReadTime(storage.Stats{Reads: 1, SeqReads: 1, BytesRead: uint64(pageSize)}).Seconds(),
-		seek:         disk.Seek.Seconds(),
-		skew:         math.Max(a.SkewCV, b.SkewCV),
-		cluster:      math.Max(a.ClusterFraction, b.ClusterFraction),
-		prebuilt:     cfg.PrebuiltTransformers,
-		shardWorkers: shardWorkers,
-		shardTiles:   cfg.ShardTiles,
+		perPage:  float64(storage.ElementsPerPage(pageSize)),
+		tio:      disk.ReadTime(storage.Stats{Reads: 1, SeqReads: 1, BytesRead: uint64(pageSize)}).Seconds(),
+		seek:     disk.Seek.Seconds(),
+		skew:     math.Max(a.SkewCV, b.SkewCV),
+		cluster:  math.Max(a.ClusterFraction, b.ClusterFraction),
+		prebuilt: cfg.PrebuiltTransformers,
 	}
 
 	scores := make([]Score, 0, len(engines))
-	for _, j := range engines {
-		s := m.score(j)
+	for _, name := range engines {
+		s := m.score(name)
 		// Online drift correction biases the final cost of each priced
 		// engine; the terms stay as the model priced them.
 		if cfg.Correct != nil && !math.IsInf(s.CostMS, 0) && !math.IsNaN(s.CostMS) {
@@ -199,102 +172,44 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 	}
 	sort.SliceStable(scores, func(i, j int) bool { return scores[i].CostMS < scores[j].CostMS })
 
-	d := Decision{Scores: scores}
-	for _, j := range engines {
-		if strings.HasPrefix(j.Name(), engine.ShardPrefix) {
-			d.ShardTiles = m.pricedShardTiles()
-			break
-		}
-	}
-	if len(scores) == 0 {
-		d.Engine = engine.Transformers
-		d.Fallback = true
-		return d
-	}
-	d.Engine = scores[0].Engine
-	// Robust fallback: an in-memory engine must beat TRANSFORMERS by a clear
-	// margin, otherwise prediction error could hand a skew-fragile engine a
-	// workload it degrades on. The sharded adaptive join is the same
-	// algorithm per tile, so it counts as robust: no fallback is needed when
-	// it wins.
-	//
-	// The fallback only exists when TRANSFORMERS is in the candidate set: a
-	// caller-supplied Config.Engines without it has opted out of the robust
-	// default, so the cheapest candidate stands and Decision.Fallback stays
-	// false by construction — there is nothing to fall back to.
-	if !robustEngine(d.Engine) {
-		for _, s := range scores {
-			if s.Engine != engine.Transformers {
-				continue
-			}
-			if !(s.CostMS > scores[0].CostMS*fallbackMargin) {
-				d.Engine = engine.Transformers
-				d.Fallback = true
-			}
-			break
+	d := Decision{Engine: scores[0].Engine, Scores: scores}
+	// Robust fallback: inmem must beat TRANSFORMERS by a clear margin,
+	// otherwise prediction error could hand a skew-fragile engine a workload
+	// it degrades on.
+	if d.Engine != engine.Transformers {
+		tr := scores[slices.IndexFunc(scores, func(s Score) bool { return s.Engine == engine.Transformers })]
+		if !(tr.CostMS > scores[0].CostMS*fallbackMargin) {
+			d.Engine = engine.Transformers
+			d.Fallback = true
 		}
 	}
 	return d
 }
 
-// robustEngine reports whether name runs the adaptive TRANSFORMERS join —
-// directly or per shard tile — and therefore needs no robust fallback.
-func robustEngine(name string) bool {
-	return name == engine.Transformers || name == engine.ShardTransformers
-}
-
-// pricedShardTiles is the tile count this pass prices sharded engines at:
-// the Config pin clamped to the engines' tile cap (what would actually
-// run), or the statistics-driven selection.
-func (m model) pricedShardTiles() int {
-	if m.shardTiles > 0 {
-		if m.shardTiles > engine.ShardMaxTiles {
-			return engine.ShardMaxTiles
-		}
-		return m.shardTiles
-	}
-	return ShardTiles(m.a, m.b)
-}
-
 // model holds the shared signals one planning pass prices engines on.
 type model struct {
-	a, b         DatasetStats
-	perPage      float64 // elements per disk page
-	tio          float64 // seconds per sequential page read
-	seek         float64 // seconds per random access
-	skew         float64
-	cluster      float64
-	prebuilt     bool
-	shardWorkers int
-	shardTiles   int
+	a, b     DatasetStats
+	perPage  float64 // elements per disk page
+	tio      float64 // seconds per sequential page read
+	seek     float64 // seconds per random access
+	skew     float64
+	cluster  float64
+	prebuilt bool
 }
 
 func (m model) pages(n int) float64 { return math.Ceil(float64(n) / m.perPage) }
 
-// score prices one engine. Engines without a formula — the paper's
-// per-request-indexing baselines (pbsm, rtree, gipsy), the naive reference and
-// external registrations — are never auto-selected but stay listed, so
-// operators see them in the ranking and can request them explicitly.
-func (m model) score(j engine.Joiner) Score {
+// score prices one of the engines.
+func (m model) score(name string) Score {
 	nA, nB := float64(m.a.Count), float64(m.b.Count)
-	pagesBoth := m.pages(m.a.Count) + m.pages(m.b.Count)
-	// The in-memory cap binds sharded in-memory engines too: tiles run as
-	// threads of one process, so sharding parallelizes the work without
-	// shrinking the resident footprint the cap protects.
-	switch strings.TrimPrefix(j.Name(), engine.ShardPrefix) {
-	case engine.Grid, engine.InMem:
-		if !FitsInMemory(m.a, m.b) {
-			return Score{Engine: j.Name(), CostMS: math.Inf(1),
-				Reason: fmt.Sprintf("in-memory engine, |A|+|B|=%d over the %d cap", m.a.Count+m.b.Count, DefaultMaxInMemoryElements)}
-		}
-	}
-	switch j.Name() {
+	switch name {
 	case engine.Transformers:
 		// Batched, mostly sequential reads; re-reads at finer granularity
-		// scale with clustering but stay sequential (BENCH_0: <5% random
-		// even on DenseCluster). Robustness: no skew blow-up term. The
+		// scale with clustering but stay sequential (the 3% random share is
+		// uncalibrated). Robustness: no skew blow-up term. The
 		// adaptive-exploration overhead is folded into the io/cpu terms so
 		// the decomposition sums to the same total the single formula gave.
+		pagesBoth := m.pages(m.a.Count) + m.pages(m.b.Count)
 		reread := 1.5 + m.cluster
 		io := (pagesBoth*reread*m.tio + pagesBoth*0.03*m.seek) * transformersOverhead
 		cpu := (nA + nB) * 12 * tComp * transformersOverhead
@@ -302,81 +217,26 @@ func (m model) score(j engine.Joiner) Score {
 		if !m.prebuilt {
 			build = (nA+nB)*tBuildPerElem + pagesBoth*m.tio
 		}
-		return priced(j, "batched sequential reads, adapts to skew",
+		return priced(name, "batched sequential reads, adapts to skew",
 			term{"io", io}, term{"cpu", cpu}, term{"build", build})
-	case engine.Grid:
-		// Pure CPU: hash the smaller side, probe with the larger. Dense
-		// cells turn probes quadratic, so clustering and skew are the
-		// dominant penalty (the BICOD '15 sizing caps cells at the mean
-		// element extent, which clustered data defeats). The per-probe
-		// factor covers the multi-cell walk and dedup check around each
-		// candidate test, not just the MBB compare (BENCH_2 measures
-		// ~2.3e-7s per probe on uniform 100K). The blow-up is split into
-		// cluster and skew terms so a sample shows which one priced it.
-		blowup := 1 + 6*m.cluster + 0.5*m.skew
-		probe := math.Max(nA, nB) * 24 * tComp
-		return priced(j, fmt.Sprintf("in-memory hash, dense-cell blow-up x%.2f", blowup),
-			term{"build", (nA + nB) * 1.5e-7},
-			term{"probe", probe},
-			term{"probe_cluster", probe * 6 * m.cluster},
-			term{"probe_skew", probe * 0.5 * m.skew})
 	case engine.InMem:
-		// Pure CPU, cache-resident: quantile stripe partition, then
-		// forward sweeps over SoA arrays. Clustering lengthens the sweep's
-		// active window and skew unbalances stripes — both inflate
-		// comparisons, but far less than grid's dense cells, because the
-		// sweep only visits pairs that genuinely overlap on one axis.
+		if !FitsInMemory(m.a, m.b) {
+			return Score{Engine: name, CostMS: math.Inf(1),
+				Reason: fmt.Sprintf("in-memory engine, |A|+|B|=%d over the %d cap", m.a.Count+m.b.Count, DefaultMaxInMemoryElements)}
+		}
+		// Pure CPU, cache-resident: quantile stripe partition, then forward
+		// sweeps over SoA arrays. Clustering lengthens the sweep's active
+		// window and skew unbalances stripes — both inflate comparisons, but
+		// only for pairs that genuinely overlap on one axis.
 		blowup := 1 + 2*m.cluster + 0.3*m.skew
 		sweep := math.Max(nA, nB) * 4 * tComp
-		return priced(j, fmt.Sprintf("cache-resident SoA sweep, overlap blow-up x%.2f", blowup),
+		return priced(name, fmt.Sprintf("cache-resident SoA sweep, overlap blow-up x%.2f", blowup),
 			term{"partition", (nA + nB) * tInMemPartition},
 			term{"sweep", sweep},
 			term{"sweep_cluster", sweep * 2 * m.cluster},
 			term{"sweep_skew", sweep * 0.3 * m.skew})
-	default:
-		if inner, ok := strings.CutPrefix(j.Name(), engine.ShardPrefix); ok {
-			return m.scoreShard(j, inner)
-		}
-		return Score{Engine: j.Name(), CostMS: math.Inf(1), Reason: "no cost model; request explicitly"}
 	}
-}
-
-// scoreShard prices a sharded meta-engine: the inner engine's cost on the
-// full data (replication-inflated) divided by the effective fan-out speedup,
-// plus the partitioning pass. The inner is priced without the prebuilt
-// discount — sharding re-partitions raw elements, so catalog indexes do not
-// help it. The combined in-memory cap was already applied by the caller (it
-// binds sharded in-memory engines too), so an in-memory inner is under it.
-func (m model) scoreShard(j engine.Joiner, inner string) Score {
-	ij, err := engine.Get(inner)
-	if err != nil {
-		return Score{Engine: j.Name(), CostMS: math.Inf(1),
-			Reason: fmt.Sprintf("inner engine %q not registered", inner)}
-	}
-	k := m.pricedShardTiles()
-	n := m.a.Count + m.b.Count
-	mi := m
-	mi.prebuilt = false
-	is := mi.score(ij)
-	if math.IsInf(is.CostMS, 0) || math.IsNaN(is.CostMS) {
-		return Score{Engine: j.Name(), CostMS: math.Inf(1),
-			Reason: fmt.Sprintf("inner engine excluded: %s", is.Reason)}
-	}
-	innerCost := is.CostMS / 1e3 // back to the model's seconds
-	// Boundary replication grows with the tiles' surface-to-volume ratio;
-	// the effective speedup is capped by the worker budget and discounted
-	// for pool overhead. K=1 degenerates to the inner engine plus the
-	// partitioning pass — never cheaper than running the inner directly,
-	// so tiny inputs keep their single-node plan.
-	replication := 1 + 0.05*math.Cbrt(float64(k))
-	eff := shardPoolEfficiency * math.Min(float64(k), float64(m.shardWorkers))
-	if eff < 1 {
-		eff = 1
-	}
-	return priced(j, fmt.Sprintf("%s over %d tiles on %d workers, replication x%.2f",
-		inner, k, m.shardWorkers, replication),
-		term{"inner", innerCost * replication / eff},
-		term{"partition", float64(n) * tShardPartition})
+	panic("planner: no cost formula for " + name)
 }
 
 // term is one named cost component in the model's native seconds.
@@ -388,8 +248,8 @@ type term struct {
 // priced assembles an engine's Score from its term decomposition: the terms
 // in ms and their sum as CostMS. Zero-valued terms are dropped, which keeps
 // recorded samples small.
-func priced(j engine.Joiner, reason string, terms ...term) Score {
-	s := Score{Engine: j.Name(), Reason: reason, Correction: 1}
+func priced(name, reason string, terms ...term) Score {
+	s := Score{Engine: name, Reason: reason, Correction: 1}
 	var total float64
 	for _, t := range terms {
 		if t.sec == 0 {

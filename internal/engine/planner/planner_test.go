@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -52,11 +53,9 @@ func scoreOf(t *testing.T, d Decision, name string) float64 {
 
 // TestPlanChoosesTransformersOnNonUniform is the acceptance property: on
 // clustered and on skewed serving-scale datasets the planner must select the
-// adaptive join — either single-node TRANSFORMERS or its sharded form
-// (whichever the worker budget favors; both run the same robust algorithm).
+// adaptive join.
 func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
-	// Serving scale: above the in-memory cap, so the choice is among the
-	// paged engines.
+	// Serving scale: above the in-memory cap.
 	n := 160_000
 	clusteredA, clusteredB := enginetest.ClusteredPair(n, 6, 7)
 	skewedA, skewedB := enginetest.SkewedPair(n, 8, 9)
@@ -70,8 +69,8 @@ func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 	for _, w := range workloads {
 		for _, prebuilt := range []bool{false, true} {
 			d := Plan(w.a, w.b, Config{PrebuiltTransformers: prebuilt})
-			if d.Engine != engine.Transformers && d.Engine != engine.ShardTransformers {
-				t.Errorf("%s (prebuilt=%v): planner chose %q, want the transformers family\nscores: %+v",
+			if d.Engine != engine.Transformers {
+				t.Errorf("%s (prebuilt=%v): planner chose %q, want transformers\nscores: %+v",
 					w.name, prebuilt, d.Engine, d.Scores)
 			}
 		}
@@ -128,18 +127,14 @@ func TestPlanMeasuredAgreement(t *testing.T) {
 
 // TestPlanSmallUniformPrefersInMemory: below the in-memory cap on smooth
 // data the cache-resident stripe join is genuinely cheapest (no paged index,
-// no I/O, no per-candidate hash probing) and the planner should say so —
-// selection is statistics-driven, not a hardcoded default. Grid must still
-// rank as a finite (selectable) alternative.
+// no I/O) and the planner should say so — selection is statistics-driven, not
+// a hardcoded default.
 func TestPlanSmallUniformPrefersInMemory(t *testing.T) {
 	a := Analyze(datagen.Uniform(datagen.Config{N: 8000, Seed: 14}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 8000, Seed: 15}))
 	d := Plan(a, b, Config{})
 	if d.Engine != engine.InMem {
 		t.Errorf("small uniform: chose %q, want inmem\nscores: %+v", d.Engine, d.Scores)
-	}
-	if g := scoreOf(t, d, engine.Grid); math.IsInf(g, 1) {
-		t.Errorf("grid under the cap must stay selectable, got +Inf")
 	}
 }
 
@@ -162,48 +157,87 @@ func TestFitsInMemory(t *testing.T) {
 	}
 }
 
-// TestPlanInMemoryCap: the same distribution above the cap must exclude the
-// in-memory engines and fall to the robust disk-based default (single-node
-// or sharded, depending on the worker budget).
+// TestPlanInMemoryCap: the same distribution above the cap must exclude
+// inmem and fall to the robust disk-based default.
 func TestPlanInMemoryCap(t *testing.T) {
 	a := Analyze(datagen.Uniform(datagen.Config{N: 200_000, Seed: 16}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 200_000, Seed: 17}))
 	d := Plan(a, b, Config{})
-	if d.Engine != engine.Transformers && d.Engine != engine.ShardTransformers {
-		t.Errorf("above cap: chose %q, want the transformers family\nscores: %+v", d.Engine, d.Scores)
-	}
-	if g := scoreOf(t, d, engine.Grid); !math.IsInf(g, 1) {
-		t.Errorf("grid over the cap must score +Inf, got %v", g)
+	if d.Engine != engine.Transformers {
+		t.Errorf("above cap: chose %q, want transformers\nscores: %+v", d.Engine, d.Scores)
 	}
 	if im := scoreOf(t, d, engine.InMem); !math.IsInf(im, 1) {
 		t.Errorf("inmem over the cap must score +Inf, got %v", im)
-	}
-	if im := scoreOf(t, d, engine.ShardInMem); !math.IsInf(im, 1) {
-		t.Errorf("shard-inmem over the cap must score +Inf, got %v", im)
 	}
 }
 
 // stubEngine is an externally registered engine with no planner formula.
 type stubEngine struct{}
 
-func (stubEngine) Name() string { return "stub-shard" }
+func (stubEngine) Name() string { return "stub" }
 func (stubEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
-	return &engine.Result{Engine: "stub-shard"}, nil
+	return &engine.Result{Engine: "stub"}, nil
 }
 
-// TestPlanUnknownEngineNeverAutoSelected: engines the registry serves but
-// the cost model cannot price stay listed (operators can request them) but
-// are never chosen by auto.
+// TestPlanUnknownEngineNeverAutoSelected: Plan scores exactly Engines,
+// whatever else the registry holds — an external registration, the paper's
+// baselines, the sharded forms — so auto never selects any of them.
 func TestPlanUnknownEngineNeverAutoSelected(t *testing.T) {
+	if _, err := engine.Get("stub"); err != nil {
+		engine.Register(stubEngine{})
+	}
 	a := Analyze(datagen.Uniform(datagen.Config{N: 1000, Seed: 18}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 1000, Seed: 19}))
-	all := append(engine.All(), stubEngine{})
-	d := Plan(a, b, Config{Engines: all})
-	if d.Engine == "stub-shard" {
-		t.Fatal("auto selected an unpriced engine")
+	d := Plan(a, b, Config{})
+	var scored []string
+	for _, s := range d.Scores {
+		scored = append(scored, s.Engine)
 	}
-	if s := scoreOf(t, d, "stub-shard"); !math.IsInf(s, 1) {
-		t.Errorf("unpriced engine must score +Inf, got %v", s)
+	slices.Sort(scored)
+	want := Engines()
+	slices.Sort(want)
+	if !slices.Equal(scored, want) {
+		t.Errorf("Plan scored %v, want exactly %v", scored, want)
+	}
+	if !slices.Contains(want, d.Engine) {
+		t.Errorf("auto selected %q, outside %v", d.Engine, want)
+	}
+}
+
+// TestPlanDaemonSweepNeverIndexesPerRequest sweeps the statistics space in the
+// daemon's configuration (catalog-resident TRANSFORMERS indexes): auto must
+// resolve to one of Engines — a catalog structure reused, never a paged index
+// built per request — and to inmem only under the in-memory cap. The MBB axis
+// varies the volume-per-element ratio of the two sides, the signal under which
+// a priced gipsy once took the high-contrast cells.
+func TestPlanDaemonSweepNeverIndexesPerRequest(t *testing.T) {
+	stats := func(n int, skew, cluster, side float64) DatasetStats {
+		return DatasetStats{Count: n, SkewCV: skew, ClusterFraction: cluster,
+			MBB: geom.Box{Hi: geom.Point{side, side, side}}, GridDim: 32, TotalCells: 32 * 32 * 32}
+	}
+	cards := []int{10, 100, 1_000, 10_000, 100_000, 500_000, 1_000_000, 5_000_000}
+	cfg := Config{PrebuiltTransformers: true}
+	bad := make(map[string]int)
+	for _, na := range cards {
+		for _, nb := range cards {
+			for _, skew := range []float64{0.3, 1, 2, 4, 8} {
+				for _, cluster := range []float64{0, 0.1, 0.5, 0.9} {
+					for _, side := range []float64{1000, 464, 100} {
+						a, b := stats(na, skew, cluster, 1000), stats(nb, skew, cluster, side)
+						d := Plan(a, b, cfg)
+						switch {
+						case d.Engine == engine.Transformers:
+						case d.Engine == engine.InMem && FitsInMemory(a, b):
+						default:
+							bad[d.Engine]++
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Errorf("auto resolved outside the served engines or the cap in %v of 3840 cells", bad)
 	}
 }
 

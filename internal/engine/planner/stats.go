@@ -2,26 +2,19 @@
 // statistics. The paper's thesis is that no fixed data layout is robust to
 // non-uniform distributions (§I, §VII), and its serving property is that an
 // index is built once and reused by every join (§III); the planner is the
-// serving-side consequence of both. It prices the engines that reuse a catalog
-// structure or run in memory — transformers, inmem, grid and their sharded
-// forms — from three signals a single O(n) pass extracts (cardinality, a skew
-// coefficient and a clustering fraction over a coarse grid) and picks the
-// cheapest, falling back to TRANSFORMERS whenever the prediction is
-// inconclusive. The paper's per-request-indexing baselines (pbsm, rtree,
-// gipsy) and the naive reference carry no formula: they stay listed, unpriced,
-// and run only when a request names them.
-//
-// The cost formulas are calibrated against the recorded cross-engine
-// comparison in BENCH_1.json (and the BENCH_0.json baseline): TRANSFORMERS
-// prices as batched, mostly sequential page reads under the default disk
-// model, the in-memory engines as pure CPU.
+// serving-side consequence of both. It prices the two engines the daemon
+// serves — transformers over a dataset's catalog index, inmem over a pair's
+// resident partition — from three signals a single O(n) pass extracts
+// (cardinality, a skew coefficient and a clustering fraction over a coarse
+// grid) and picks the cheaper, falling back to TRANSFORMERS whenever the
+// prediction is inconclusive. TRANSFORMERS prices as batched, mostly
+// sequential page reads under the default disk model, inmem as pure CPU.
 package planner
 
 import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/hilbert"
 )
 
 // DatasetStats is the cheap statistical fingerprint of one dataset. It is
@@ -105,55 +98,4 @@ func Analyze(elems []geom.Element) DatasetStats {
 	}
 	st.ClusterFraction = float64(clustered) / float64(len(elems))
 	return st
-}
-
-// ShardGridOrder is the Hilbert-curve order of the tiling analysis grid the
-// sharded meta-engines cut the space on: order 5 gives 32³ = 32768 cells,
-// matching the upper resolution of Analyze's density grid while keeping the
-// weight array small enough to build per join.
-const ShardGridOrder = 5
-
-// HilbertWeights is the spatial form of Analyze's density grid: the
-// element-center count of every cell of the order-`order` Hilbert grid over
-// world, indexed by Hilbert value. Contiguous ranges of this array are
-// contiguous Hilbert-order runs of space, which is exactly what the shard
-// engine needs to place density-balanced tile boundaries — equal-weight cuts
-// of this array keep a clustered dataset from producing one hot shard.
-// Centers outside world are clamped to its boundary cells.
-func HilbertWeights(elems []geom.Element, world geom.Box, order int) []uint32 {
-	m := hilbert.NewMapper(world, order)
-	w := make([]uint32, uint64(1)<<uint(3*order))
-	for _, e := range elems {
-		w[m.Value(e.Box.Center())]++
-	}
-	return w
-}
-
-// shardTargetPerTile is the combined per-tile cardinality the tile-count
-// selection aims for: small enough that per-tile index builds stay cheap and
-// the worker pool has slack to balance, large enough that partitioning
-// overhead and boundary replication stay a small fraction of the join.
-const shardTargetPerTile = 24_000
-
-// MaxShardTiles bounds the automatic tile count.
-const MaxShardTiles = 64
-
-// ShardTiles selects the tile count K a sharded meta-engine should fan out
-// to, from the same cheap statistics the planner prices engines on:
-// cardinality sets the baseline (one tile per ~24K combined elements), and
-// skewed data doubles it — smaller tiles give the density-balanced cut the
-// resolution to split hot clusters across workers instead of handing one
-// worker the whole cluster. Returns at least 1 (inputs too small to shard).
-func ShardTiles(a, b DatasetStats) int {
-	k := (a.Count + b.Count) / shardTargetPerTile
-	if k < 1 {
-		return 1
-	}
-	if math.Max(a.SkewCV, b.SkewCV) > 2 {
-		k *= 2
-	}
-	if k > MaxShardTiles {
-		k = MaxShardTiles
-	}
-	return k
 }

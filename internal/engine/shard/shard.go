@@ -5,7 +5,7 @@
 // exactly once.
 //
 // The cut is density-balanced: tile boundaries are equal-weight cuts of the
-// planner's Hilbert-cell histogram over both datasets, so a clustered
+// Hilbert-cell histogram of both datasets, so a clustered
 // distribution — the paper's whole subject — is split across tiles instead
 // of landing in one hot shard. Because a Hilbert range is a contiguous run
 // of space, each tile is a union of grid cells with good locality, and an
@@ -28,6 +28,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -41,10 +42,57 @@ import (
 	"repro/internal/obs"
 )
 
-// MaxTiles caps the configured tile count: far above any useful fan-out, low
-// enough that per-tile bookkeeping stays trivial. It aliases the engine-level
-// contract constant so cache keying above normalizes with the same bound.
-const MaxTiles = engine.ShardMaxTiles
+// MaxTiles caps the configured tile count (Options.ShardTiles): far above any
+// useful fan-out, low enough that per-tile bookkeeping stays trivial. Larger
+// pins are clamped to it.
+const MaxTiles = 256
+
+// targetPerTile is the combined per-tile cardinality the automatic tile count
+// aims for: small enough that per-tile index builds stay cheap and the worker
+// pool has slack to balance, large enough that partitioning overhead and
+// boundary replication stay a small fraction of the join.
+const targetPerTile = 24_000
+
+// maxAutoTiles bounds the automatic tile count.
+const maxAutoTiles = 64
+
+// autoTiles selects the tile count K when the caller pins none, from the
+// planner's cheap statistics: cardinality sets the baseline (one tile per ~24K
+// combined elements), and skewed data doubles it — smaller tiles give the
+// density-balanced cut the resolution to split hot clusters across workers
+// instead of handing one worker the whole cluster. Returns at least 1 (inputs
+// too small to shard).
+func autoTiles(a, b planner.DatasetStats) int {
+	k := (a.Count + b.Count) / targetPerTile
+	if k < 1 {
+		return 1
+	}
+	if math.Max(a.SkewCV, b.SkewCV) > 2 {
+		k *= 2
+	}
+	return min(k, maxAutoTiles)
+}
+
+// gridOrder is the Hilbert-curve order of the tiling grid: order 5 gives
+// 32³ = 32768 cells, matching the upper resolution of planner.Analyze's
+// density grid while keeping the weight array small enough to build per join.
+const gridOrder = 5
+
+// hilbertWeights is the spatial form of planner.Analyze's density grid: the
+// element-center count of every cell of the order-`order` Hilbert grid over
+// world, indexed by Hilbert value. Contiguous ranges of this array are
+// contiguous Hilbert-order runs of space, so equal-weight cuts of it are
+// density-balanced tile boundaries that keep a clustered dataset from
+// producing one hot shard. Centers outside world are clamped to its boundary
+// cells.
+func hilbertWeights(elems []geom.Element, world geom.Box, order int) []uint32 {
+	m := hilbert.NewMapper(world, order)
+	w := make([]uint32, uint64(1)<<uint(3*order))
+	for _, e := range elems {
+		w[m.Value(e.Box.Center())]++
+	}
+	return w
+}
 
 // maxCoverCells bounds the per-element cell walk during assignment: an MBR
 // covering more analysis cells than this (a cross-shard giant) is replicated
@@ -111,7 +159,7 @@ func (e *Engine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine
 
 	k := opt.ShardTiles
 	if k <= 0 {
-		k = planner.ShardTiles(planner.Analyze(a), planner.Analyze(b))
+		k = autoTiles(planner.Analyze(a), planner.Analyze(b))
 	}
 	if k > MaxTiles {
 		k = MaxTiles
@@ -185,9 +233,9 @@ type tiling struct {
 // Hilbert-cell histogram of both datasets. Tiles beyond the data's Hilbert
 // span come out empty — harmless, they are skipped at execution.
 func newTiling(a, b []geom.Element, world geom.Box, k int) *tiling {
-	order := planner.ShardGridOrder
-	w := planner.HilbertWeights(a, world, order)
-	for h, c := range planner.HilbertWeights(b, world, order) {
+	order := gridOrder
+	w := hilbertWeights(a, world, order)
+	for h, c := range hilbertWeights(b, world, order) {
 		w[h] += c
 	}
 	var total uint64

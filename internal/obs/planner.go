@@ -109,9 +109,9 @@ type EngineAccuracy struct {
 	// samples with a positive measured cost.
 	MeanRelError float64 `json:"mean_rel_error"`
 	// Wins/Losses compare against the best engine in hindsight among joins
-	// of the same shape (dataset versions + predicate) executed on at least
-	// two distinct engines: a win means this engine's mean measured cost was
-	// the group minimum when chosen.
+	// of the same shape (dataset versions and counts + predicate) executed on
+	// at least two distinct engines: a win means this engine's mean measured
+	// cost was the group minimum when chosen.
 	Wins   int `json:"wins"`
 	Losses int `json:"losses"`
 }
@@ -147,10 +147,12 @@ func (r *PlannerRecorder) Report() PlannerReport {
 	}
 
 	// Group executed (non-cache) samples by join shape to find the
-	// best-in-hindsight engine per shape.
+	// best-in-hindsight engine per shape. The counts tell apart the delta
+	// states of one version: within a version, every append grows them.
 	type groupKey struct {
 		a, b      string
 		va, vb    int64
+		ca, cb    int
 		predicate string
 		distance  float64
 	}
@@ -178,7 +180,7 @@ func (r *PlannerRecorder) Report() PlannerReport {
 			a.relSum += math.Abs(s.PredictedMS-s.MeasuredMS) / s.MeasuredMS
 			a.relN++
 		}
-		k := groupKey{s.A.Name, s.B.Name, s.A.Version, s.B.Version, s.Predicate, s.Distance}
+		k := groupKey{s.A.Name, s.B.Name, s.A.Version, s.B.Version, s.A.Count, s.B.Count, s.Predicate, s.Distance}
 		g := groups[k]
 		if g == nil {
 			g = make(map[string]*engCost)

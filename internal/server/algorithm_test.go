@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -247,10 +248,9 @@ func TestUnservedEnginesAreBadRequests(t *testing.T) {
 	}
 }
 
-// TestAutoPlansOnlyServedEngines: on a pair where the full registry's plan,
-// priced at the service's two workers, picks a sharded engine, "auto"
-// resolves to a served engine, ranks the served engines only, and answers
-// the naive pairs.
+// TestAutoPlansOnlyServedEngines: on a heavy clustered distance join, "auto"
+// resolves to a served engine, ranks the served engines only, and answers the
+// naive pairs.
 func TestAutoPlansOnlyServedEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 14K x 14K join of about a million pairs, checked against naive")
@@ -262,25 +262,12 @@ func TestAutoPlansOnlyServedEngines(t *testing.T) {
 	addDataset(t, svc, "a", cpElems(a))
 	addDataset(t, svc, "b", cpElems(b))
 
-	ia, err := svc.cat.joinInput("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib, err := svc.cat.joinInput("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := planner.Plan(ia.planned(distance), ib.planned(distance), planner.Config{PrebuiltTransformers: true, ShardWorkers: 2})
-	if !strings.HasPrefix(full.Engine, engine.ShardPrefix) {
-		t.Fatalf("precondition: the full registry's plan picks %q, want a sharded engine", full.Engine)
-	}
-
 	out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: AlgorithmAuto, Distance: distance, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Contains(ServedEngines(), out.Summary.Algorithm) {
-		t.Errorf("auto resolved to %q, want a served engine (the full registry picks %q)", out.Summary.Algorithm, full.Engine)
+		t.Errorf("auto resolved to %q, want a served engine", out.Summary.Algorithm)
 	}
 	var scored []string
 	for _, sc := range out.Summary.Planner.Scores {
@@ -294,6 +281,37 @@ func TestAutoPlansOnlyServedEngines(t *testing.T) {
 	}
 	if ref := naiveRef(a, b, distance); !pairsMatch(out.Pairs, ref) {
 		t.Errorf("auto (%s): %d pairs, naive has %d", out.Summary.Algorithm, len(out.Pairs), len(ref))
+	}
+}
+
+// TestServedEnginesArePriced: the engines a join may name are the engines the
+// planner prices. On a pair under the in-memory cap each served engine gets a
+// finite price, and each is the decision once the other is priced high.
+func TestServedEnginesArePriced(t *testing.T) {
+	a := planner.Analyze(transformers.GenerateUniform(8000, 81))
+	b := planner.Analyze(transformers.GenerateDenseCluster(8000, 82))
+	served := ServedEngines()
+	if !slices.Equal(served, planner.Engines()) {
+		t.Fatalf("served %v, priced %v", served, planner.Engines())
+	}
+	for _, name := range served {
+		d := planner.Plan(a, b, planner.Config{PrebuiltTransformers: true, Correct: func(e string) float64 {
+			if e == name {
+				return 1
+			}
+			return 1e6
+		}})
+		if d.Engine != name {
+			t.Errorf("%s: chose %q with every other engine priced high\nscores: %+v", name, d.Engine, d.Scores)
+		}
+		if len(d.Scores) != len(served) {
+			t.Fatalf("%d scores for %d served engines: %+v", len(d.Scores), len(served), d.Scores)
+		}
+		for _, sc := range d.Scores {
+			if !slices.Contains(served, sc.Engine) || math.IsInf(sc.CostMS, 0) || math.IsNaN(sc.CostMS) || sc.CostMS <= 0 {
+				t.Errorf("%s: score %+v, want a finite price for a served engine", name, sc)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -588,6 +589,45 @@ func TestPlannerRecorderSurvivesCacheHits(t *testing.T) {
 	resp.Body.Close()
 	if doc.Report.Total != 2 || len(doc.Recent) != 2 {
 		t.Fatalf("/debug/planner = %+v", doc.Report)
+	}
+}
+
+// TestPlannerSampleCountsTheDelta: a planner sample describes the input the
+// planner priced, base plus append delta, and the hindsight report keys its
+// join shapes on those counts. Two joins of one version on either side of an
+// append joined different inputs, so neither wins or loses against the other.
+func TestPlannerSampleCountsTheDelta(t *testing.T) {
+	svc := NewService(Config{})
+	ctx := context.Background()
+	addDataset(t, svc, "a", transformers.GenerateUniform(1500, 418))
+	addDataset(t, svc, "b", transformers.GenerateUniform(1500, 419))
+	join := func(algo string) {
+		t.Helper()
+		if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: algo, NoCache: true}); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+	}
+	join(engine.Transformers)
+	extra := transformers.GenerateUniform(300, 420)
+	for i := range extra {
+		extra[i].ID += 1 << 20
+	}
+	if _, err := svc.Append(ctx, "a", extra); err != nil {
+		t.Fatal(err)
+	}
+	join(engine.InMem)
+
+	samples := svc.PlannerRecorder().Snapshot() // newest first
+	if len(samples) != 2 {
+		t.Fatalf("recorder has %d samples, want 2", len(samples))
+	}
+	if after, before := samples[0].A, samples[1].A; after.Count != 1800 || before.Count != 1500 || after.Version != before.Version {
+		t.Errorf("a's features: %+v after the append, %+v before; want counts 1800 and 1500 of one version", after, before)
+	}
+	for _, e := range svc.PlannerRecorder().Report().Engines {
+		if e.Wins != 0 || e.Losses != 0 {
+			t.Errorf("%s: %d wins, %d losses across two delta states, want none", e.Engine, e.Wins, e.Losses)
+		}
 	}
 }
 

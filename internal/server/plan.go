@@ -32,14 +32,17 @@ func (in joinInput) planned(distance float64) planner.DatasetStats {
 	return planner.ExpandStats(deltaAdjusted(in.stats, in.delta), distance)
 }
 
-// features is the input as a planner accuracy sample records it.
+// features is the input as a planner accuracy sample records it: the
+// delta-adjusted statistics the planner priced, before any distance expansion
+// (the sample records the distance beside them).
 func (in joinInput) features() obs.DatasetFeatures {
+	st := deltaAdjusted(in.stats, in.delta)
 	return obs.DatasetFeatures{
 		Name:            in.name,
 		Version:         int64(in.version),
-		Count:           in.stats.Count,
-		SkewCV:          in.stats.SkewCV,
-		ClusterFraction: in.stats.ClusterFraction,
+		Count:           st.Count,
+		SkewCV:          st.SkewCV,
+		ClusterFraction: st.ClusterFraction,
 	}
 }
 
@@ -54,12 +57,11 @@ func deltaAdjusted(st planner.DatasetStats, delta int) planner.DatasetStats {
 }
 
 // plannerConfig assembles one join's planner configuration: the serving
-// economics (the served engines, prebuilt TRANSFORMERS) plus the pair's
-// learned drift corrections.
+// economics (prebuilt TRANSFORMERS) plus the pair's learned drift
+// corrections.
 func (s *Service) plannerConfig(a, b string) planner.Config {
 	return planner.Config{
 		PageSize:             s.cfg.PageSize,
-		Engines:              s.served,
 		PrebuiltTransformers: true,
 		Correct:              s.corrector.Bind(a, b),
 	}

@@ -24,25 +24,23 @@ var ErrUnknownAlgorithm = errors.New("server: unknown algorithm")
 // cached statistics.
 const AlgorithmAuto = "auto"
 
-// servedEngines are the engines a join may name, and the ones "auto" plans
-// over: those whose index the catalog holds — a dataset's TRANSFORMERS index,
-// a pair's inmem partition — so no request copies or indexes a dataset. The
-// other registered engines run in-process only (the CLIs, the experiments and
-// the equivalence suites).
-var servedEngines = []string{engine.Transformers, engine.InMem}
-
-// ServedEngines returns the engines a join may name besides AlgorithmAuto.
-func ServedEngines() []string { return slices.Clone(servedEngines) }
+// ServedEngines returns the engines a join may name besides AlgorithmAuto,
+// which are the ones "auto" plans over (planner.Engines): those whose index the
+// catalog holds — a dataset's TRANSFORMERS index, a pair's inmem partition —
+// so no request copies or indexes a dataset. The other registered engines run
+// in-process only (the CLIs, the experiments and the equivalence suites).
+func ServedEngines() []string { return planner.Engines() }
 
 // CheckAlgorithm reports whether a join may name algorithm: a served engine or
 // AlgorithmAuto. Any other name is an ErrUnknownAlgorithm naming the served
 // engines.
 func CheckAlgorithm(algorithm string) error {
-	if algorithm == AlgorithmAuto || slices.Contains(servedEngines, algorithm) {
+	served := ServedEngines()
+	if algorithm == AlgorithmAuto || slices.Contains(served, algorithm) {
 		return nil
 	}
 	return fmt.Errorf("%w %q: the served engines are %s (or %q)",
-		ErrUnknownAlgorithm, algorithm, strings.Join(servedEngines, ", "), AlgorithmAuto)
+		ErrUnknownAlgorithm, algorithm, strings.Join(served, ", "), AlgorithmAuto)
 }
 
 // Config sizes the service.
@@ -160,9 +158,6 @@ type Service struct {
 	streamedPairs  atomic.Uint64
 	abortedStreams atomic.Uint64
 
-	// served holds the ServedEngines, the planner's candidate set.
-	served []engine.Joiner
-
 	// engineJoins counts executed (non-cached) joins per engine name.
 	engineMu    sync.Mutex
 	engineJoins map[string]uint64
@@ -230,13 +225,6 @@ func NewService(cfg Config) *Service {
 		tenants:     make(map[string]*tenantCounters),
 		merging:     make(map[string]bool),
 		corrector:   planner.NewCorrector(),
-	}
-	for _, name := range servedEngines {
-		j, err := engine.Get(name)
-		if err != nil {
-			panic(err) // both are built-ins
-		}
-		s.served = append(s.served, j)
 	}
 	// A write drops, in one invalidation, the dataset's resident partitions
 	// (inside the catalog) and its cached join results (here).
