@@ -178,6 +178,19 @@ type BuildStats struct {
 // it, or hand it to anything that does, while the index is in use. Any other
 // store receives encoded pages and elems is free again on return.
 func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index, BuildStats, error) {
+	idx, _, bs, err := BuildIndexPieces(st, [][]geom.Element{elems}, geom.MBBOf(elems), cfg)
+	return idx, bs, err
+}
+
+// BuildIndexPieces is BuildIndex over the concatenation of pieces, whose
+// geom.MBBOf the caller has and passes as bounds: the build makes no pass of
+// its own for it. It returns the array the index keeps, in STR order (see
+// str.SplitPieces): one piece is that array, reordered in place and owned by
+// the index as BuildIndex's elems is; several are only read, gathered into a
+// new one, and the slice of them is cleared. The array is returned even when
+// a later step of the build fails, so that a retry can pass it as the one
+// piece and not gather again.
+func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box, cfg IndexConfig) (*Index, []geom.Element, BuildStats, error) {
 	start := time.Now()
 	before := st.Stats()
 
@@ -190,27 +203,31 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 		nodeCap = max
 	}
 	if nodeCap < 2 {
-		return nil, BuildStats{}, fmt.Errorf("core: page size %d too small for node capacity 2", st.PageSize())
+		return nil, nil, BuildStats{}, fmt.Errorf("core: page size %d too small for node capacity 2", st.PageSize())
+	}
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
 	}
 	world := cfg.World
 	if !world.Valid() || world.Volume() == 0 {
-		world = geom.MBBOf(elems)
+		world = bounds
 	}
-	if len(elems) > 0 {
+	if n > 0 {
 		// Grow the world to cover full element boxes (not just centers):
 		// the partition regions then tile a space containing all data,
 		// which the walk convergence and crawl completeness proofs rely on.
-		world = world.Union(geom.MBBOf(elems))
+		world = world.Union(bounds)
 	}
 
-	idx := &Index{st: st, world: world, size: len(elems), sides: new(sync.Pool)}
+	idx := &Index{st: st, world: world, size: n, sides: new(sync.Pool)}
 	var bs BuildStats
 
 	// Level 1: space units — STR partitions of elements (element ranges and
 	// boxes only; pages are written after node grouping so that a node's
 	// pages end up physically contiguous and node-batched reads during the
 	// join stay sequential).
-	parts := str.Split(elems, unitCap, world)
+	elems, parts := str.SplitPieces(pieces, unitCap, world)
 
 	// Level 0: space nodes — STR over the unit descriptors (each unit
 	// represented by its region, partitioned by region center).
@@ -231,10 +248,10 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 			p := parts[ref.ID]
 			id, err := st.Alloc(1)
 			if err != nil {
-				return nil, BuildStats{}, err
+				return nil, elems, BuildStats{}, err
 			}
 			if err := storage.WriteElementPage(st, id, elems[p.Start:p.End], buf); err != nil {
-				return nil, BuildStats{}, err
+				return nil, elems, BuildStats{}, err
 			}
 			bs.DataPages++
 			ui := int32(len(idx.units))
@@ -263,7 +280,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 	// comparisons are cheap).
 	metaPages, err := idx.writeMeta(buf)
 	if err != nil {
-		return nil, BuildStats{}, err
+		return nil, elems, BuildStats{}, err
 	}
 	bs.MetaPages = metaPages
 
@@ -271,7 +288,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 	bs.IO = st.Stats().Sub(before)
 	bs.Units = len(idx.units)
 	bs.Nodes = len(idx.nodes)
-	return idx, bs, nil
+	return idx, elems, bs, nil
 }
 
 // link derives what an index holds besides its descriptors' boxes and members,

@@ -44,14 +44,24 @@ type DatasetStats struct {
 // Analyze computes the statistical fingerprint of a dataset in one pass over
 // the elements plus one pass over a coarse grid (at most 32^3 cells).
 func Analyze(elems []geom.Element) DatasetStats {
-	st := DatasetStats{Count: len(elems), MBB: geom.MBBOf(elems)}
-	if len(elems) == 0 {
+	return AnalyzePieces([][]geom.Element{elems}, geom.MBBOf(elems))
+}
+
+// AnalyzePieces is Analyze of the concatenation of pieces, whose MBB
+// (geom.MBBOf of the concatenation) the caller has and passes: the pieces are
+// read once, to count centers into the grid.
+func AnalyzePieces(pieces [][]geom.Element, mbb geom.Box) DatasetStats {
+	st := DatasetStats{MBB: mbb}
+	for _, p := range pieces {
+		st.Count += len(p)
+	}
+	if st.Count == 0 {
 		return st
 	}
 
 	// Coarse grid sized so uniform data averages ~8 centers per cell,
 	// clamped to keep both tiny datasets and the aggregation pass cheap.
-	dim := int(math.Cbrt(float64(len(elems)) / 8))
+	dim := int(math.Cbrt(float64(st.Count) / 8))
 	if dim < 4 {
 		dim = 4
 	}
@@ -61,27 +71,29 @@ func Analyze(elems []geom.Element) DatasetStats {
 	st.GridDim = dim
 	st.TotalCells = dim * dim * dim
 	counts := make([]int, st.TotalCells)
-	for _, e := range elems {
-		c := e.Box.Center()
-		idx := 0
-		for d := 0; d < geom.Dims; d++ {
-			side := st.MBB.Side(d) / float64(dim)
-			i := 0
-			if side > 0 {
-				i = int((c[d] - st.MBB.Lo[d]) / side)
+	for _, p := range pieces {
+		for _, e := range p {
+			c := e.Box.Center()
+			idx := 0
+			for d := 0; d < geom.Dims; d++ {
+				side := st.MBB.Side(d) / float64(dim)
+				i := 0
+				if side > 0 {
+					i = int((c[d] - st.MBB.Lo[d]) / side)
+				}
+				if i < 0 {
+					i = 0
+				}
+				if i >= dim {
+					i = dim - 1
+				}
+				idx = idx*dim + i
 			}
-			if i < 0 {
-				i = 0
-			}
-			if i >= dim {
-				i = dim - 1
-			}
-			idx = idx*dim + i
+			counts[idx]++
 		}
-		counts[idx]++
 	}
 
-	mean := float64(len(elems)) / float64(st.TotalCells)
+	mean := float64(st.Count) / float64(st.TotalCells)
 	var variance float64
 	clusterThreshold := 4 * mean
 	clustered := 0
@@ -96,6 +108,6 @@ func Analyze(elems []geom.Element) DatasetStats {
 	if mean > 0 {
 		st.SkewCV = math.Sqrt(variance) / mean
 	}
-	st.ClusterFraction = float64(clustered) / float64(len(elems))
+	st.ClusterFraction = float64(clustered) / float64(st.Count)
 	return st
 }

@@ -238,6 +238,22 @@ func MBBOf(elems []Element) Box {
 	return mbb
 }
 
+// Cover returns b grown to cover o by MBBOf's comparisons: a bound moves only
+// where o's lies strictly beyond it. So the MBBOf of consecutive slices,
+// folded in order with Cover, is the MBBOf of their concatenation bit for bit
+// — which of -0 and +0 a bound keeps included — where Union may differ.
+func (b Box) Cover(o Box) Box {
+	for d := 0; d < Dims; d++ {
+		if o.Lo[d] < b.Lo[d] {
+			b.Lo[d] = o.Lo[d]
+		}
+		if o.Hi[d] > b.Hi[d] {
+			b.Hi[d] = o.Hi[d]
+		}
+	}
+	return b
+}
+
 // ExpandForDistance grows every box of elems by d/2 per side, in place: the
 // §VIII enlarged-objects reduction, under which a spatial join of two sets
 // grown this way reports exactly the pairs whose original boxes lie within

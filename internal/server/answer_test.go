@@ -220,41 +220,3 @@ func TestSummaryJoinBytesBounded(t *testing.T) {
 		}
 	}
 }
-
-// TestRegistrationCollectsOnce: POST /datasets forces one collection when the
-// dataset is registered, so the heap goal the joins after it run under is
-// sized to what stays resident and not to the decode and build scratch the
-// last collection inside the registration happened to find live; a refused
-// registration and a join force none. (What that is worth is a benchmark
-// figure — stream-heavy's peak RSS, see CHANGES PR 21 — this holds the
-// mechanism.)
-func TestRegistrationCollectsOnce(t *testing.T) {
-	h := NewHandler(NewService(Config{Parallelism: 1}))
-	sample := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
-	forcedBy := func(path, body string, status int) uint64 {
-		t.Helper()
-		w := &discardResponse{header: http.Header{}}
-		metrics.Read(sample)
-		before := sample[0].Value.Uint64()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		metrics.Read(sample)
-		if w.status != status {
-			t.Fatalf("POST %s answered %d, want %d", path, w.status, status)
-		}
-		return sample[0].Value.Uint64() - before
-	}
-	for _, tc := range []struct {
-		path, body string
-		status     int
-		forced     uint64
-	}{
-		{"/datasets", `{"name":"a","generate":{"kind":"uniform","n":2000,"seed":1}}`, http.StatusCreated, 1},
-		{"/datasets", `{"name":"b","elements":[{"id":1,"box":{"lo":[0,0,0],"hi":[1,1,1]}}]}`, http.StatusCreated, 1},
-		{"/datasets", `{"name":"c","elements":[{"id":1,"box":{"lo":[2,0,0],"hi":[1,1,1]}}]}`, http.StatusBadRequest, 0},
-		{"/join", `{"a":"a","b":"b","no_cache":true}`, http.StatusOK, 0},
-	} {
-		if got := forcedBy(tc.path, tc.body, tc.status); got != tc.forced {
-			t.Errorf("POST %s %s forced %d collections, want %d", tc.path, tc.body, got, tc.forced)
-		}
-	}
-}

@@ -28,11 +28,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/engine/planner"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/transformers"
@@ -279,16 +281,40 @@ func (c *Catalog) SetRetryPolicy(p RetryPolicy) {
 // An append that lands while the replacement builds rides the generation
 // being replaced, and goes with it, exactly as an append before the Put does.
 func (c *Catalog) Put(name string, elems []transformers.Element) (uint64, error) {
-	gen, err := c.put(name, elems)
+	gen, err := c.put(name, batchOf(elems))
 	if err != nil {
 		return 0, err
 	}
 	return gen.version, nil
 }
 
-// put is Put returning the generation it installed.
-func (c *Catalog) put(name string, elems []transformers.Element) (*generation, error) {
-	gen, err := c.build(context.Background(), elems)
+// batch is a dataset's elements as they reach the catalog: the pieces they
+// arrived in, in order — an upload's decoded blocks, a merge's base and delta
+// — and their bounding box, geom.MBBOf of the pieces' concatenation.
+type batch struct {
+	pieces [][]transformers.Element
+	mbb    transformers.Box
+}
+
+// batchOf is the batch of one slice.
+func batchOf(elems []transformers.Element) batch {
+	return batch{pieces: [][]transformers.Element{elems}, mbb: geom.MBBOf(elems)}
+}
+
+// len returns how many elements the batch holds.
+func (b batch) len() int {
+	n := 0
+	for _, p := range b.pieces {
+		n += len(p)
+	}
+	return n
+}
+
+// put is Put of a batch, returning the generation it installed. A batch of
+// one piece is owned by the catalog afterwards, as Put's slice is; several
+// are only read, and gathered into the generation's array by the build.
+func (c *Catalog) put(name string, b batch) (*generation, error) {
+	gen, err := c.build(context.Background(), b)
 	if err != nil {
 		return nil, err
 	}
@@ -305,30 +331,45 @@ func (c *Catalog) put(name string, elems []transformers.Element) (*generation, e
 }
 
 // build is the first half of the one build-then-install step under Put and
-// MergeDelta: elems analyzed, then indexed (reordered in place) on a store
-// from the catalog's factory, transient storage failures retried under its
-// policy, the outcome reported to its build observer and a failure wrapped as
-// a *BuildError. It returns the generation to install, versionless.
-func (c *Catalog) build(ctx context.Context, elems []transformers.Element) (*generation, error) {
-	// The O(n) statistics pass runs first, on the caller's order, and outside
-	// the lock like the build: planning signals are version-scoped and must
-	// not stall concurrent catalog traffic.
-	stats := planner.Analyze(elems)
+// MergeDelta: b analyzed and indexed — its pieces gathered into the one array
+// the generation keeps, in STR order — on a store from the catalog's factory,
+// transient storage failures retried under its policy, the outcome reported to
+// its build observer and a failure wrapped as a *BuildError. It returns the
+// generation to install, versionless.
+func (c *Catalog) build(ctx context.Context, b batch) (*generation, error) {
+	// The statistics pass reads the pieces outside the lock, like the build:
+	// planning signals are version-scoped and must not stall concurrent
+	// catalog traffic. Beside a build of several pieces, which only reads
+	// their elements, it runs on a goroutine of its own — on the core the
+	// build's serial first level leaves idle — over its own copy of the slice
+	// of them, which the build clears. One piece the build reorders in place,
+	// so that is analyzed first.
+	stats := make(chan planner.DatasetStats, 1)
+	analyze := func(pieces [][]transformers.Element) { stats <- planner.AnalyzePieces(pieces, b.mbb) }
+	if len(b.pieces) == 1 {
+		analyze(b.pieces)
+	} else {
+		go analyze(slices.Clone(b.pieces))
+	}
 	c.mu.Lock()
 	pageSize, policy, factory, observer := c.pageSize, c.retry, c.storeFactory, c.buildObserver
 	c.mu.Unlock()
 	start := time.Now()
 	var idx *transformers.Index
+	var elems []transformers.Element
+	pieces := b.pieces
 	err, retries := retryTransient(ctx, policy, storage.IsTransient, func() error {
 		var st storage.Store
 		if factory != nil {
 			st = factory(pageSize)
 		}
-		// BuildIndex only reads elems after the STR reorder, and a failed
-		// attempt leaves them reordered but intact — safe to reuse across
-		// attempts.
+		// A failed attempt leaves the array it ordered intact: the next one
+		// takes it as its one piece, reordered in place, and gathers nothing.
 		var err error
-		idx, err = transformers.BuildIndex(elems, transformers.IndexOptions{PageSize: pageSize, Store: st})
+		idx, elems, err = transformers.BuildIndexPieces(pieces, b.mbb, transformers.IndexOptions{PageSize: pageSize, Store: st})
+		if elems != nil {
+			pieces = [][]transformers.Element{elems}
+		}
 		return err
 	})
 	if observer != nil {
@@ -337,10 +378,11 @@ func (c *Catalog) build(ctx context.Context, elems []transformers.Element) (*gen
 	c.mu.Lock()
 	c.retries += uint64(retries)
 	c.mu.Unlock()
+	st := <-stats
 	if err != nil {
 		return nil, &BuildError{Attempts: retries + 1, Err: err}
 	}
-	return &generation{elems: elems, stats: stats, index: idx}, nil
+	return &generation{elems: elems, stats: st, index: idx}, nil
 }
 
 // installLocked is the second half: gen, built, becomes ds's current
@@ -375,13 +417,13 @@ type AppendInfo struct {
 	MergeTriggered bool `json:"merge_triggered,omitempty"`
 }
 
-// Append lands elements in the dataset's delta buffer: they become visible
-// to joins immediately (delta composition) without rebuilding the main
-// index, and the delta epoch bump invalidates cached join results. The
-// batch is all-or-nothing — concurrent snapshots see none or all of it,
-// never a torn prefix. The element slice is copied; the caller keeps
-// ownership of its own.
-func (c *Catalog) Append(name string, elems []transformers.Element) (AppendInfo, error) {
+// Append lands elements — the concatenation of pieces — in the dataset's
+// delta buffer: they become visible to joins immediately (delta composition)
+// without rebuilding the main index, and the delta epoch bump invalidates
+// cached join results. The batch is all-or-nothing — concurrent snapshots see
+// none or all of it, never a torn prefix. The elements are copied; the caller
+// keeps ownership of its slices.
+func (c *Catalog) Append(name string, pieces ...[]transformers.Element) (AppendInfo, error) {
 	c.mu.Lock()
 	ds, err := c.datasetLocked(name)
 	if err != nil {
@@ -390,15 +432,18 @@ func (c *Catalog) Append(name string, elems []transformers.Element) (AppendInfo,
 	}
 	gen := ds.cur
 	notify := func() {}
-	if len(elems) > 0 {
-		gen.delta = append(gen.delta, elems...)
+	n := len(gen.delta)
+	for _, p := range pieces {
+		gen.delta = append(gen.delta, p...)
+	}
+	if n = len(gen.delta) - n; n > 0 {
 		gen.deltaEpoch++
 		c.appends++
 		notify = c.invalidateLocked(name, gen)
 	}
 	info := AppendInfo{
 		Name:          name,
-		Appended:      len(elems),
+		Appended:      n,
 		DeltaElements: len(gen.delta),
 		Version:       gen.version,
 		DeltaEpoch:    gen.deltaEpoch,
@@ -579,17 +624,17 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 		return 0, nil
 	}
 	ds.merging = true
-	// Header only: append never rewrites delta[0:n), so the copy below is
-	// safe outside the lock, like the base's.
+	// Header only: append never rewrites delta[0:n), so the build below may
+	// read it outside the lock, like the base.
 	base, delta := gen.elems, gen.delta[:n:n]
 	c.mu.Unlock()
 
-	// The copy and the build run outside the lock. The copy is the new
-	// generation's elems, which the build orders in place: no reader sees it
-	// before it is installed.
-	merged := append(append(make([]transformers.Element, 0, len(base)+n), base...), delta...)
+	// The build runs outside the lock. Base and delta are its two pieces,
+	// which it only reads: it gathers them into the new generation's array,
+	// which no reader sees before it is installed. The base's bounds are its
+	// statistics'.
 	_, span := obs.Start(ctx, "delta-merge")
-	next, buildErr := c.build(ctx, merged)
+	next, buildErr := c.build(ctx, batch{pieces: [][]transformers.Element{base, delta}, mbb: gen.stats.MBB.Cover(geom.MBBOf(delta))})
 	span.End()
 	span.Add("elements", int64(n))
 

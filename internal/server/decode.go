@@ -7,9 +7,12 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 
+	"repro/internal/geom"
 	"repro/transformers"
 )
 
@@ -20,6 +23,20 @@ import (
 // no intermediate wire structs, box validity checked as each element lands —
 // and hands every other member, verbatim, to encoding/json, so name /
 // generate / timeout_ms decode exactly as the other endpoints' bodies do.
+//
+// A long "elements" array decodes on every core (blocks): the request
+// goroutine frames it into blocks of maxIngestToken bytes cut after an
+// element's closing "]}}," and GOMAXPROCS workers run the canonical-element
+// recogniser over them. What a worker verifies — every element of its block
+// canonical, valid and followed by its comma, and every block before it the
+// same — is exactly what the serial decoder would have read there; at the
+// first element that is not, the serial decoder takes over with that
+// element's index and offset, so results and errors are the serial path's.
+// The output stays in the pieces it was decoded in — the workers' chunks,
+// then the serial path's — for the index build to gather into the one array
+// it keeps. Beside that output, decoding holds the read buffer, at most one
+// member's bytes and 2×GOMAXPROCS+1 blocks in flight, however long the body
+// is; a body whose rest fits in one block starts no worker.
 //
 // Within "elements" the grammar is JSON's and the wire format is exact:
 //
@@ -41,8 +58,7 @@ import (
 
 // maxIngestToken is the decoder's read buffer size and so the longest number
 // or key it can hold; a member handed to encoding/json is capped at the same
-// size. With it, decoding allocates the output (see ingestChunk), this one
-// buffer and at most one member's bytes, however long the body is.
+// size, and the blocks of the parallel path are as long.
 const maxIngestToken = 64 << 10
 
 // ingestErrKind says which rule a refused body broke. The handler maps all
@@ -78,34 +94,69 @@ type ingestDecoder struct {
 	member   []byte // one non-"elements" member, as handed to encoding/json
 
 	generalOnly bool // tests: never offer an element to canonical
+	// block is the size in bytes of the blocks the parallel path cuts an
+	// "elements" array into, at most len(buf); zero, or generalOnly, decodes
+	// every element on the calling goroutine.
+	block int
 
-	chunks [][]transformers.Element // the output so far, ingestChunk elements each
-	count  int                      // how many of them the last "elements" member holds
+	// pieces hold the output so far, in element order: blocks' elements as
+	// the workers decoded them, then chunks of ingestChunk. count is how
+	// many of them the last "elements" member holds. slot is at pieces[cur],
+	// whose first element is element curStart.
+	pieces        [][]transformers.Element
+	count         int
+	cur, curStart int
+	// pieces[:mbbPieces] are the workers', bounded by mbb, which they took as
+	// they decoded; the serial path's chunks follow them.
+	mbb       transformers.Box
+	mbbPieces int
 }
 
 // decodeIngest reads one ingest body from r. The "elements" member is
-// returned; every other member is decoded into meta (a pointer to a struct
-// with json tags) by encoding/json with unknown fields disallowed. A
+// returned as a batch; every other member is decoded into meta (a pointer to
+// a struct with json tags) by encoding/json with unknown fields disallowed. A
 // *ingestError reports a body the wire format refuses; any other error is
 // r's own.
-func decodeIngest(r io.Reader, meta any) ([]transformers.Element, error) {
-	d := &ingestDecoder{r: r, buf: make([]byte, maxIngestToken)}
-	return d.decode(meta)
+func decodeIngest(r io.Reader, meta any) (batch, error) {
+	d := &ingestDecoder{r: r, buf: make([]byte, maxIngestToken), block: maxIngestToken}
+	return d.decodeBatch(meta)
 }
 
-func (d *ingestDecoder) decode(meta any) ([]transformers.Element, error) {
-	elems, err := d.body(meta)
-	if err != nil {
-		return nil, err
+func (d *ingestDecoder) decodeBatch(meta any) (batch, error) {
+	if err := d.body(meta); err != nil {
+		return batch{}, err
 	}
 	switch c, err := d.skipSpace(); {
 	case err == io.EOF:
-		return elems, nil
+		return d.batch(), nil
 	case err != nil:
-		return nil, err
+		return batch{}, err
 	default:
-		return nil, d.errorf(ingestTrailing, "invalid character %q after top-level value", c)
+		return batch{}, d.errorf(ingestTrailing, "invalid character %q after top-level value", c)
 	}
+}
+
+// batch returns the first d.count decoded elements, in the pieces they were
+// decoded in, and their bounds: the workers' for the blocks, one pass over
+// the rest.
+func (d *ingestDecoder) batch() batch {
+	out, left := d.pieces[:0], d.count
+	for _, p := range d.pieces {
+		if left == 0 {
+			break
+		}
+		p = p[:min(left, len(p))]
+		out = append(out, p)
+		left -= len(p)
+	}
+	mbb := transformers.Box(geom.EmptyBox())
+	if d.mbbPieces > 0 {
+		mbb = d.mbb
+	}
+	for _, p := range out[min(d.mbbPieces, len(out)):] {
+		mbb = mbb.Cover(geom.MBBOf(p))
+	}
+	return batch{pieces: out, mbb: mbb}
 }
 
 func (d *ingestDecoder) errorf(kind ingestErrKind, format string, args ...any) error {
@@ -484,28 +535,24 @@ func divPow10(m uint64, k int) float64 {
 
 // body decodes the top-level value: the request object, or null, which
 // encoding/json takes for an empty one.
-func (d *ingestDecoder) body(meta any) ([]transformers.Element, error) {
+func (d *ingestDecoder) body(meta any) error {
 	c, err := d.skipSpace()
 	switch {
 	case err == io.EOF:
-		return nil, ingestErrorf(ingestSyntax, "EOF")
+		return ingestErrorf(ingestSyntax, "EOF")
 	case err != nil:
-		return nil, err
+		return err
 	case c == 'n':
-		return nil, d.null()
+		return d.null()
 	case c != '{':
-		return nil, d.errorf(ingestSyntax, "invalid character %q: the request body must be a JSON object", c)
+		return d.errorf(ingestSyntax, "invalid character %q: the request body must be a JSON object", c)
 	}
-	err = d.members(func(key []byte) error {
+	return d.members(func(key []byte) error {
 		if string(key) == "elements" {
 			return d.elements()
 		}
 		return d.metaMember(key, meta)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return d.flatten(), nil
 }
 
 // metaMember captures the member whose value comes next and decodes
@@ -619,55 +666,56 @@ func (d *ingestDecoder) captureValue() error {
 
 // ingestChunk is how many elements one chunk of the output holds (448 KB).
 // The decoder cannot know the element count before the array ends and takes
-// no hint from the client, so it fills chunks that never move and copies
-// them once into a slice of the exact length: twice the output allocated in
-// total and nothing retained beyond it, where growing one slice by append
-// allocates it nearly six times over and keeps up to a quarter spare.
+// no hint from the client, so it fills chunks that never move, which the
+// index build gathers into the one array it keeps (str.SplitPieces): nothing
+// is copied on the way, where growing one slice by append allocates it
+// nearly six times over and keeps up to a quarter spare.
 const ingestChunk = 8192
 
 // slot returns the place of element i, which is zero unless an earlier
-// "elements" member of the same body decoded an element there.
+// "elements" member of the same body decoded an element there. Each member
+// asks for 0, 1, 2 and on.
 func (d *ingestDecoder) slot(i int) *transformers.Element {
-	ci, off := i/ingestChunk, i%ingestChunk
-	if ci == len(d.chunks) {
-		var chunk []transformers.Element
-		if ci > 0 { // not a small upload: skip the growing
-			chunk = make([]transformers.Element, 0, ingestChunk)
+	if i == 0 {
+		d.cur, d.curStart = 0, 0
+	}
+	if d.cur < len(d.pieces) {
+		p := d.pieces[d.cur]
+		off := i - d.curStart
+		switch {
+		case off < len(p):
+			return &p[off]
+		case d.cur+1 < len(d.pieces):
+			d.cur, d.curStart = d.cur+1, i
+			return &d.pieces[d.cur][0]
+		case off < cap(p) || d.cur == d.mbbPieces && off < ingestChunk:
+			d.pieces[d.cur] = append(p, transformers.Element{})
+			return &d.pieces[d.cur][off]
 		}
-		d.chunks = append(d.chunks, chunk)
 	}
-	if off == len(d.chunks[ci]) {
-		d.chunks[ci] = append(d.chunks[ci], transformers.Element{})
+	// The first chunk after the blocks' pieces grows by append: a small
+	// upload, or the tail the blocks left, takes no whole chunk.
+	var chunk []transformers.Element
+	if len(d.pieces) > d.mbbPieces {
+		chunk = make([]transformers.Element, 0, ingestChunk)
 	}
-	return &d.chunks[ci][off]
+	d.pieces = append(d.pieces, append(chunk, transformers.Element{}))
+	d.cur, d.curStart = len(d.pieces)-1, i
+	return &d.pieces[d.cur][0]
 }
 
-// flatten returns the first d.count decoded elements as one slice.
-func (d *ingestDecoder) flatten() []transformers.Element {
-	if d.count <= ingestChunk {
-		if len(d.chunks) == 0 {
-			return nil
-		}
-		return d.chunks[0][:d.count]
-	}
-	out := make([]transformers.Element, 0, d.count)
-	for _, chunk := range d.chunks {
-		out = append(out, chunk[:min(len(chunk), d.count-len(out))]...)
-	}
-	return out
-}
-
-// elements decodes the "elements" array into the chunks and sets d.count.
+// elements decodes the "elements" array into the pieces and sets d.count.
 // Like encoding/json, a repeated member decodes over the elements the
 // previous one left and truncates to its own length, and null or an empty
 // array drop them.
 func (d *ingestDecoder) elements() error {
+	d.mbbPieces = 0
 	c, err := d.token()
 	if err != nil {
 		return err
 	}
 	if c == 'n' {
-		d.chunks, d.count = nil, 0
+		d.pieces, d.count = nil, 0
 		return d.null()
 	}
 	if c != '[' {
@@ -679,10 +727,14 @@ func (d *ingestDecoder) elements() error {
 	}
 	if c == ']' {
 		d.pos++
-		d.chunks, d.count = nil, 0
+		d.pieces, d.count = nil, 0
 		return nil
 	}
-	for i := 0; ; i++ {
+	i := 0
+	if d.block > 0 && !d.generalOnly && len(d.pieces) == 0 {
+		i = d.blocks()
+	}
+	for ; ; i++ {
 		e := d.slot(i)
 		if d.generalOnly || !d.canonical(e) {
 			if err := d.element(e, i); err != nil {
@@ -706,6 +758,206 @@ func (d *ingestDecoder) elements() error {
 			return d.errorf(ingestSyntax, "invalid character %q after element %d", c, i)
 		}
 	}
+}
+
+// elementEnd ends every canonical element and the comma after it: where the
+// framer cuts blocks.
+var elementEnd = []byte("]}},")
+
+// ingestBlock is one block of an "elements" array as the framer cut it —
+// text, which ends in elementEnd — and what a worker made of it.
+type ingestBlock struct {
+	buf  []byte // the pooled buffer the text is the head of
+	text []byte
+	off  int64 // stream offset of text[0]
+	// Set by the worker before it signals done: the elements it verified,
+	// as pieces of its chunks, their bounds, and how many bytes of text
+	// they and their commas span — all of it when the block verified whole.
+	pieces [][]transformers.Element
+	mbb    transformers.Box
+	used   int
+	done   chan struct{} // one signal per decode; the block is reused
+}
+
+// decode runs the recogniser over the block: every element must be
+// canonical, valid and followed by a comma, and the first that is not ends
+// the block's verified prefix. The elements land in *chunk, a fresh
+// ingestChunk-element array whenever the last one fills: chunks of the size
+// the serial path fills, so that the holes they leave once gathered take the
+// same allocations theirs do.
+func (b *ingestBlock) decode(chunk *[]transformers.Element) {
+	r := ingestDecoder{buf: b.text, end: len(b.text)}
+	b.pieces, b.mbb = b.pieces[:0], geom.EmptyBox()
+	keep := func(start int) {
+		c := *chunk
+		if start < len(c) {
+			p := c[start:len(c):len(c)] // capped: no append lands in the rest of the chunk
+			b.pieces = append(b.pieces, p)
+			b.mbb = b.mbb.Cover(geom.MBBOf(p))
+		}
+	}
+	start := len(*chunk)
+	for r.pos < r.end {
+		if len(*chunk) == cap(*chunk) {
+			keep(start)
+			*chunk, start = make([]transformers.Element, 0, ingestChunk), 0
+		}
+		c := *chunk
+		e, at := &c[:len(c)+1][len(c)], r.pos
+		if !r.canonical(e) || !e.Box.Valid() || r.pos == r.end || r.buf[r.pos] != ',' {
+			r.pos = at
+			break
+		}
+		r.pos++
+		*chunk = c[:len(c)+1]
+	}
+	keep(start)
+	b.used = r.pos
+}
+
+// failedReader answers every read with the error its reader failed with.
+type failedReader struct{ err error }
+
+func (r failedReader) Read([]byte) (int, error) { return 0, r.err }
+
+// blocks decodes the "elements" array from its first element, at the read
+// position, on GOMAXPROCS workers, and returns how many elements they
+// verified: the serial loop decodes on from there, d reading the rest of the
+// body from the first byte the workers did not verify. It decodes nothing when
+// the rest of the body fits in one block, and starts no goroutine then.
+//
+// The calling goroutine frames: it reads the body into pooled block buffers
+// and cuts each after the last elementEnd it holds, the bytes after the cut
+// starting the next block. Workers verify the blocks (ingestBlock.decode),
+// and the framer takes their elements in stream order while every block
+// verifies whole. The first block starts at an element, and a block that
+// verified whole ends after an element and its comma, so the next starts at
+// an element too: the cuts are proven by induction, however the framer
+// placed them — a cut inside a key only makes a worker decline. At the first
+// block that does not verify whole, or when the body ends, or a full block
+// holds no elementEnd, the serial loop takes over: at the element the worker
+// declined, with that element's index and stream offset, reading that
+// block's bytes, the blocks cut after it, the bytes not yet cut and the rest
+// of the body, in order, and a read error where the body failed. So every
+// element, error and offset is the serial decoder's by construction. The
+// pool bounds the blocks in flight, and so what decoding holds beyond its
+// output, at 2×GOMAXPROCS+1 buffers of d.block bytes.
+func (d *ingestDecoder) blocks() int {
+	if d.pos > 0 {
+		copy(d.buf, d.buf[d.pos:d.end])
+		d.end -= d.pos
+		d.base += int64(d.pos)
+		d.pos = 0
+	}
+	for d.end < d.block {
+		n, err := d.r.Read(d.buf[d.end:])
+		d.end += n
+		if err != nil {
+			d.r = failedReader{err}
+			return 0
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	pool := make([]*ingestBlock, 0, 2*workers+1) // blocks free to fill
+	allocated := 0
+	work := make(chan *ingestBlock, cap(pool))
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var chunk []transformers.Element
+			for b := range work {
+				b.decode(&chunk)
+				b.done <- struct{}{}
+			}
+		}()
+	}
+
+	var (
+		pending  = bytes.Clone(d.buf[:d.end]) // read, not yet in a block
+		carry    []byte                       // the bytes after the last cut
+		off      = d.base                     // stream offset of carry[0], or pending[0]
+		queue    []*ingestBlock               // dispatched, not yet taken
+		verified int
+		readErr  error
+	)
+	// take waits for the oldest block out, keeps what it verified and reports
+	// whether that was all of it: only then is its buffer free again, and the
+	// next block trusted.
+	take := func() bool {
+		b := queue[0]
+		<-b.done
+		for _, p := range b.pieces {
+			d.pieces = append(d.pieces, p)
+			verified += len(p)
+		}
+		d.mbb = d.mbb.Cover(b.mbb)
+		if b.used < len(b.text) {
+			return false
+		}
+		queue = queue[1:]
+		pool = append(pool, b)
+		return true
+	}
+	d.mbb = geom.EmptyBox()
+	trusted := true
+	for trusted {
+		var b *ingestBlock
+		switch {
+		case len(pool) > 0:
+			b, pool = pool[len(pool)-1], pool[:len(pool)-1]
+		case allocated < cap(pool):
+			b = &ingestBlock{buf: make([]byte, d.block), done: make(chan struct{}, 1)}
+			allocated++
+		default:
+			if trusted = take(); !trusted {
+				continue
+			}
+			b, pool = pool[len(pool)-1], pool[:len(pool)-1]
+		}
+		n := copy(b.buf, carry)
+		m := copy(b.buf[n:], pending)
+		pending, n = pending[m:], n+m
+		for n < len(b.buf) && readErr == nil {
+			m, readErr = d.r.Read(b.buf[n:])
+			n += m
+		}
+		cut := bytes.LastIndex(b.buf[:n], elementEnd) + len(elementEnd)
+		if n < len(b.buf) || cut < len(elementEnd) {
+			carry = b.buf[:n] // the body ended, or no element ends in a full block
+			break
+		}
+		b.text, b.off = b.buf[:cut], off
+		queue = append(queue, b)
+		work <- b
+		carry, off = b.buf[cut:n], off+int64(cut)
+	}
+	for trusted && len(queue) > 0 {
+		trusted = take()
+	}
+	close(work)
+	wg.Wait()
+
+	rest := make([]io.Reader, 0, len(queue)+3)
+	resume := off
+	for i, b := range queue {
+		text := b.text
+		if i == 0 { // the block a worker declined in
+			text, resume = text[b.used:], b.off+int64(b.used)
+		}
+		rest = append(rest, bytes.NewReader(text))
+	}
+	rest = append(rest, bytes.NewReader(carry), bytes.NewReader(pending))
+	if readErr != nil {
+		rest = append(rest, failedReader{readErr})
+	} else {
+		rest = append(rest, d.r)
+	}
+	d.r = io.MultiReader(rest...)
+	d.pos, d.end, d.base = 0, 0, resume
+	d.cur, d.curStart, d.mbbPieces = len(d.pieces), verified, len(d.pieces)
+	return verified
 }
 
 // canonical decodes the element at the read position over *e if it is

@@ -12,11 +12,13 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/geom"
 	"repro/transformers"
 )
 
@@ -206,13 +208,14 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestIngestMemoryBounded: what a refused upload allocates is the elements
-// it decoded before the refusal, in chunks, and one fixed read buffer —
-// whatever the body's length, and whatever its Content-Length says. A 64 MB
-// body of whitespace allocates the buffer; a million-element body that breaks
-// off mid-element allocates a million elements once over. Both are refused:
-// 400, or 413 under a body cap they exceed. (An accepted upload allocates its
-// elements twice, chunks and then the exact slice: BenchmarkDecodeElements
-// reports 13.2 MB for 100K elements of 56 bytes.)
+// it decoded before the refusal, in chunks, one fixed read buffer and the
+// blocks in flight — a constant times GOMAXPROCS — whatever the body's
+// length, and whatever its Content-Length says. A 64 MB body of whitespace
+// allocates the buffer; a million-element body that breaks off mid-element
+// allocates a million elements once over. Both are refused: 400, or 413
+// under a body cap they exceed. An accepted upload allocates its elements
+// twice — the decoded blocks, and the one array its index keeps, which the
+// build gathers them into — beside the build's sort records and descriptors.
 func TestIngestMemoryBounded(t *testing.T) {
 	const (
 		n           = 1 << 20
@@ -222,7 +225,15 @@ func TestIngestMemoryBounded(t *testing.T) {
 		// KB and so allocates about five times that; one chunk not yet full;
 		// and what the handler allocates around the decoder.
 		fixed = maxIngestToken + 6*ingestChunk*elementSize + 64<<10
+		// What an index build allocates beside the array it keeps: the first
+		// level's sort records and their radix scratch (32 bytes an
+		// element), the slab workers' scratch (at most 16 more, however many
+		// workers there are), descriptors and the planner's grid.
+		build = 48
 	)
+	// The block pipeline's buffers and the bytes not yet cut, and each
+	// worker's chunk not yet full.
+	blocks := uint64(2*runtime.GOMAXPROCS(0)+2)*maxIngestToken + uint64(runtime.GOMAXPROCS(0))*ingestChunk*elementSize
 	whitespace := func() io.Reader {
 		return io.LimitReader(&repeatReader{pattern: []byte(" \n\t\r")}, 64<<20)
 	}
@@ -230,6 +241,8 @@ func TestIngestMemoryBounded(t *testing.T) {
 		return io.MultiReader(strings.NewReader(`{"name":"t","elements":[`),
 			io.LimitReader(&repeatReader{pattern: []byte(element)}, int64(n*len(element)+10)))
 	}
+	const accepted = 100_000
+	upload := uploadBody("u", transformers.GenerateUniform(accepted, 1))
 	svc := NewService(Config{})
 	capped := NewService(Config{MaxBodyBytes: 1 << 20})
 	for _, tc := range []struct {
@@ -242,19 +255,22 @@ func TestIngestMemoryBounded(t *testing.T) {
 	}{
 		{"64 MB of whitespace", svc, whitespace(), 64 << 20, http.StatusBadRequest, fixed},
 		{"64 MB of whitespace over a 1 MB cap", capped, whitespace(), 64 << 20, http.StatusRequestEntityTooLarge, fixed},
-		{"1M elements, truncated, declared as 1 TB", svc, truncated(), 1 << 40, http.StatusBadRequest, n*elementSize + fixed},
-		{"1M elements, truncated, over a 1 MB cap", capped, truncated(), -1, http.StatusRequestEntityTooLarge, uint64(1<<20/len(element))*elementSize + fixed},
+		{"1M elements, truncated, declared as 1 TB", svc, truncated(), 1 << 40, http.StatusBadRequest, n*elementSize + fixed + blocks},
+		{"1M elements, truncated, over a 1 MB cap", capped, truncated(), -1, http.StatusRequestEntityTooLarge, uint64(1<<20/len(element))*elementSize + fixed + blocks},
+		{"100K elements, accepted", svc, bytes.NewReader(upload), int64(len(upload)), http.StatusCreated, accepted*(2*elementSize+build) + fixed + blocks},
 	} {
 		req := httptest.NewRequest(http.MethodPost, "/datasets", tc.body)
 		req.ContentLength = tc.declared
 		rec := httptest.NewRecorder()
 		h := NewHandler(tc.svc)
-		if got := allocatedBy(func() { h.ServeHTTP(rec, req) }); rec.Code != tc.status || got > tc.bound {
+		got := allocatedBy(func() { h.ServeHTTP(rec, req) })
+		t.Logf("%s: %d bytes allocated, bound %d", tc.name, got, tc.bound)
+		if rec.Code != tc.status || got > tc.bound {
 			t.Errorf("%s: status %d, %d bytes allocated; want %d within %d bytes", tc.name, rec.Code, got, tc.status, tc.bound)
 		}
 	}
-	if ds := svc.Stats().Datasets; len(ds) != 0 {
-		t.Errorf("refused uploads registered datasets: %+v", ds)
+	if ds := svc.Stats().Datasets; len(ds) != 1 {
+		t.Errorf("the uploads registered datasets %+v, want the accepted one alone", ds)
 	}
 }
 
@@ -374,13 +390,26 @@ func FuzzDecodeElements(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req datasetRequest
-		elems, err := decodeIngest(bytes.NewReader(data), &req)
+		b, err := decodeIngest(bytes.NewReader(data), &req)
+		elems := slices.Concat(b.pieces...)
+		if err == nil && !sameBox(b.mbb, geom.MBBOf(elems)) {
+			t.Fatalf("bounds %v, the elements' are %v", b.mbb, geom.MBBOf(elems))
+		}
 
 		var generalReq datasetRequest
 		general := &ingestDecoder{r: bytes.NewReader(data), buf: make([]byte, maxIngestToken), generalOnly: true}
 		generalElems, generalErr := general.decode(&generalReq)
 		if !sameError(err, generalErr) || !reflect.DeepEqual(req, generalReq) || !sameElements(elems, generalElems) {
 			t.Fatalf("the recogniser changed the result:\nwith:    %+v %v %v\nwithout: %+v %v %v", req, elems, err, generalReq, generalElems, generalErr)
+		}
+
+		// Blocks of a few dozen bytes, so that a fuzzed body is cut into
+		// several wherever an element ends.
+		var blockReq datasetRequest
+		blocks := &ingestDecoder{r: bytes.NewReader(data), buf: make([]byte, maxIngestToken), block: 16 + len(data)%48}
+		blockElems, blockErr := blocks.decode(&blockReq)
+		if !sameError(err, blockErr) || !reflect.DeepEqual(req, blockReq) || !sameElements(elems, blockElems) {
+			t.Fatalf("blocks changed the result:\nserial: %+v %v %v\nblocks: %+v %v %v", req, elems, err, blockReq, blockElems, blockErr)
 		}
 
 		var smallReq datasetRequest
@@ -442,10 +471,45 @@ func BenchmarkDecodeElements(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var req datasetRequest
 				elems, err := decodeIngest(bytes.NewReader(body), &req)
-				if err != nil || len(elems) != len(in.elems) || req.Name != in.name {
-					b.Fatalf("decoded %d elements of %q: %v", len(elems), req.Name, err)
+				if err != nil || elems.len() != len(in.elems) || req.Name != in.name {
+					b.Fatalf("decoded %d elements of %q: %v", elems.len(), req.Name, err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkUpload measures an upload whole, in process: the body posted
+// through NewHandler until the dataset is installed — decode, statistics,
+// index build and the registration's collection — on the two bodies the
+// benchmark's selective workload posts. decode_ms and build_ms are the
+// response's own halves of it.
+func BenchmarkUpload(b *testing.B) {
+	for _, in := range []struct {
+		name  string
+		elems []transformers.Element
+	}{
+		{"uniform-100K", transformers.GenerateUniform(100000, 1)},
+		{"dense_cluster-100K", transformers.GenerateDenseCluster(100000, 2)},
+	} {
+		body := uploadBody(in.name, in.elems)
+		b.Run(in.name, func(b *testing.B) {
+			h := NewHandler(NewService(Config{}))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			var decodeMS, buildMS float64
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/datasets", bytes.NewReader(body)))
+				var info BuildInfo
+				if err := json.Unmarshal(w.Body.Bytes(), &info); w.Code != http.StatusCreated || err != nil || info.Elements != len(in.elems) {
+					b.Fatalf("upload answered %d: %s", w.Code, w.Body.Bytes())
+				}
+				decodeMS += info.DecodeMS
+				buildMS += info.BuildMS
+			}
+			b.ReportMetric(decodeMS/float64(b.N), "decode_ms")
+			b.ReportMetric(buildMS/float64(b.N), "build_ms")
 		})
 	}
 }

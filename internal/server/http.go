@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -476,7 +475,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, rid string, v any, maxBy
 // the body cap, records how long that took — reading the body off the
 // connection included — and answers the request itself when the body is
 // refused.
-func decodeIngestBody(svc *Service, w http.ResponseWriter, r *http.Request, rid string, meta any) (elems []transformers.Element, took time.Duration, ok bool) {
+func decodeIngestBody(svc *Service, w http.ResponseWriter, r *http.Request, rid string, meta any) (elems batch, took time.Duration, ok bool) {
 	start := time.Now()
 	elems, err := decodeIngest(http.MaxBytesReader(w, r.Body, svc.cfg.MaxBodyBytes), meta)
 	took = time.Since(start)
@@ -484,7 +483,7 @@ func decodeIngestBody(svc *Service, w http.ResponseWriter, r *http.Request, rid 
 		svc.obs.decodeHist.Observe("error", took.Seconds())
 		status, msg := bodyErrorStatus(err)
 		writeJSON(w, status, errorResponse{Error: msg, RequestID: rid})
-		return nil, took, false
+		return batch{}, took, false
 	}
 	svc.obs.decodeHist.Observe("ok", took.Seconds())
 	return elems, took, true
@@ -503,7 +502,7 @@ func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case req.Generate != nil && len(elems) > 0:
+	case req.Generate != nil && elems.len() > 0:
 		badRequest(w, rid, "provide either elements or generate, not both")
 		return
 	case req.Generate != nil:
@@ -511,32 +510,24 @@ func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 			badRequest(w, rid, fmt.Sprintf("generate: n %d exceeds the %d-element cap", req.Generate.N, svc.cfg.MaxGenerateElements))
 			return
 		}
-		var err error
-		if elems, err = req.Generate.elements(); err != nil {
+		generated, err := req.Generate.elements()
+		if err != nil {
 			badRequest(w, rid, err.Error())
 			return
 		}
-	case len(elems) == 0:
+		elems = batchOf(generated)
+	case elems.len() == 0:
 		badRequest(w, rid, "provide elements or generate")
 		return
 	}
 	ctx, cancel := requestContext(svc, r, req.TimeoutMS)
 	defer cancel()
-	info, err := svc.AddDataset(ctx, req.Name, elems)
+	info, err := svc.addDataset(ctx, req.Name, elems)
 	if err != nil {
 		writeError(w, err, rid, nil)
 		return
 	}
 	info.DecodeMS = float64(decode) / float64(time.Millisecond)
-	// A registration is the daemon's largest transient — decode chunks and
-	// build scratch, several times what stays — and the heap goal the joins
-	// after it run under is set by whichever collection ran last inside it:
-	// one that finds the scratch live doubles the goal, and since a join
-	// allocates a few KB (see responseWriters) nothing corrects it for
-	// seconds. Collect once now, with the scratch dead, so the goal is sized
-	// to what stays. The resident data is pointer-free element arrays: the
-	// cycle takes 0.5–1.6 ms with two 100K-element datasets held.
-	runtime.GC()
 	writeJSON(w, http.StatusCreated, info)
 }
 
@@ -549,13 +540,13 @@ func handleAppend(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(elems) == 0 {
+	if elems.len() == 0 {
 		badRequest(w, rid, "append: elements are required")
 		return
 	}
 	ctx, cancel := requestContext(svc, r, req.TimeoutMS)
 	defer cancel()
-	info, err := svc.Append(ctx, name, elems)
+	info, err := svc.Append(ctx, name, elems.pieces...)
 	if err != nil {
 		writeError(w, err, rid, nil)
 		return

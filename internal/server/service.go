@@ -299,6 +299,11 @@ type BuildInfo struct {
 // service afterwards. The report describes the version this call installed,
 // whatever other uploads of the name land around it.
 func (s *Service) AddDataset(ctx context.Context, name string, elems []transformers.Element) (BuildInfo, error) {
+	return s.addDataset(ctx, name, batchOf(elems))
+}
+
+// addDataset is AddDataset of a batch: an upload as the decoder left it.
+func (s *Service) addDataset(ctx context.Context, name string, b batch) (BuildInfo, error) {
 	if name == "" {
 		return BuildInfo{}, fmt.Errorf("server: empty dataset name")
 	}
@@ -308,7 +313,7 @@ func (s *Service) AddDataset(ctx context.Context, name string, elems []transform
 	// abandoned by the client) must not have replaced the dataset.
 	if err := s.pool.Do(ctx, admission(ctx, 1), func() error {
 		var err error
-		gen, err = s.cat.put(name, elems)
+		gen, err = s.cat.put(name, b)
 		return err
 	}); err != nil {
 		s.noteOutcome(ctx, err)
@@ -327,20 +332,20 @@ func (s *Service) AddDataset(ctx context.Context, name string, elems []transform
 	}, nil
 }
 
-// Append lands elems in name's delta buffer: they become visible to joins
-// immediately (the next join composes them through delta sub-joins) without
-// an index rebuild or a version bump. When the delta reaches the configured
-// merge threshold, a background merge is triggered — single-flight per
-// dataset — and the returned info notes it. Appends are cheap (a slice
-// append under the catalog lock) and bypass pool admission; only the merge
-// they may trigger pays for a build, at Batch priority.
-func (s *Service) Append(ctx context.Context, name string, elems []transformers.Element) (AppendInfo, error) {
-	info, err := s.cat.Append(name, elems)
+// Append lands the concatenation of pieces in name's delta buffer: they
+// become visible to joins immediately (the next join composes them through
+// delta sub-joins) without an index rebuild or a version bump. When the delta
+// reaches the configured merge threshold, a background merge is triggered —
+// single-flight per dataset — and the returned info notes it. Appends are
+// cheap (a slice append under the catalog lock) and bypass pool admission;
+// only the merge they may trigger pays for a build, at Batch priority.
+func (s *Service) Append(ctx context.Context, name string, pieces ...[]transformers.Element) (AppendInfo, error) {
+	info, err := s.cat.Append(name, pieces...)
 	if err != nil {
 		return AppendInfo{}, err
 	}
 	s.appends.Add(1)
-	s.appendedElements.Add(uint64(len(elems)))
+	s.appendedElements.Add(uint64(info.Appended))
 	if max := s.cfg.DeltaMaxElements; max > 0 && info.DeltaElements >= max {
 		if s.triggerMerge(name) {
 			info.MergeTriggered = true

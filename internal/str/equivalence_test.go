@@ -226,3 +226,53 @@ func TestSplitMatchesReference(t *testing.T) {
 		t.Fatalf("one-partition input differs from the reference (%d partitions)", len(gotParts))
 	}
 }
+
+// TestSplitPiecesMatchesSplit: split in pieces, an input is gathered into the
+// array Split would have reordered it into, with the same partitions, bit for
+// bit — on every input family, cut into pieces of one element, of a few
+// hundred (as the upload decoder's blocks are) with empty ones between, and
+// in two — and the pieces' elements are only read, the slice of them cleared.
+func TestSplitPiecesMatchesSplit(t *testing.T) {
+	const capacity = 20
+	world := geom.Box{Lo: geom.Point{0, 0, 0}, Hi: geom.Point{1000, 1000, 1000}}
+	cut := func(elems []geom.Element, sizes func(i int) int) [][]geom.Element {
+		var pieces [][]geom.Element
+		for i := 0; len(elems) > 0; i++ {
+			k := min(sizes(i), len(elems))
+			pieces = append(pieces, slices.Clone(elems[:k]))
+			elems = elems[k:]
+		}
+		return pieces
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, in := range equivalenceInputs {
+		for _, n := range []int{1, 500, 5 * geom.RadixMinLen, 3 * gatherMin} {
+			want := in.gen(n)
+			wantParts := Split(want, capacity, world)
+			for _, shape := range []struct {
+				name  string
+				sizes func(i int) int
+			}{
+				{"ones", func(int) int { return 1 }},
+				{"blocks", func(i int) int { return []int{0, 461, 0, 0, 397, 503}[i%6] }},
+				{"halves", func(int) int { return (n + 1) / 2 }},
+			} {
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					pieces := cut(in.gen(n), shape.sizes)
+					held, before := slices.Clone(pieces), slices.Concat(pieces...)
+					got, gotParts := SplitPieces(pieces, capacity, world)
+					if !slices.Equal(got, want) || !slices.Equal(gotParts, wantParts) {
+						t.Fatalf("%s n=%d %s GOMAXPROCS=%d: gathered pieces differ from Split", in.name, n, shape.name, procs)
+					}
+					if !slices.Equal(slices.Concat(held...), before) {
+						t.Fatalf("%s n=%d %s: SplitPieces wrote its pieces", in.name, n, shape.name)
+					}
+					if len(pieces) > 1 && slices.ContainsFunc(pieces, func(p []geom.Element) bool { return p != nil }) {
+						t.Fatalf("%s n=%d %s: SplitPieces left its pieces in the slice", in.name, n, shape.name)
+					}
+				}
+			}
+		}
+	}
+}

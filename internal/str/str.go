@@ -10,7 +10,9 @@
 // sorts each row by z and cuts final partitions of the requested capacity.
 // Every sort orders 16-byte (center key, index) records with the radix sort
 // the inmem partitioner uses (geom.KeySorter) and then moves each element
-// once, in place; the slabs, which share nothing after the x-cut, are processed on as
+// once: in place, or — when the input comes in several pieces, as an upload
+// is decoded — by gathering the pieces into the one array the partitions
+// index. The slabs, which share nothing after the x-cut, are processed on as
 // many goroutines as there are processors.
 // Besides the tight MBB of each partition's element boxes (the page MBB),
 // it derives the gap-free region each partition covers from the splitting
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,19 +60,30 @@ func (p Partition) Count() int { return p.End - p.Start }
 // some 32 bytes of sort records per element, and panics when capacity < 1
 // (a programming error).
 func Split(elems []geom.Element, capacity int, world geom.Box) []Partition {
+	_, parts := SplitPieces([][]geom.Element{elems}, capacity, world)
+	return parts
+}
+
+// SplitPieces is Split over the concatenation of pieces, and returns the
+// array the partitions index with them. One piece is that array, reordered in
+// place as Split reorders it. Several are only read — the caller may read
+// their elements while SplitPieces runs — and the first level gathers them in
+// its sorted order into a new exact-length array, on as many goroutines as
+// there are processors: the one move each element makes into the array,
+// where flattening the pieces first would make two. It then clears pieces,
+// the slice of them, so that for the rest of the split nothing its callers
+// hold through that slice keeps the pieces alive.
+func SplitPieces(pieces [][]geom.Element, capacity int, world geom.Box) ([]geom.Element, []Partition) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("str: capacity %d < 1", capacity))
 	}
-	if len(elems) == 0 {
-		return nil
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
 	}
-	// Ensure every center is inside the world so regions tile all the data.
-	for _, e := range elems {
-		c := e.Box.Center()
-		world = world.Union(geom.Box{Lo: c, Hi: c})
+	if n == 0 {
+		return nil, nil
 	}
-
-	n := len(elems)
 	numParts := (n + capacity - 1) / capacity
 	s := int(math.Ceil(math.Cbrt(float64(numParts))))
 	if s < 1 {
@@ -77,10 +91,30 @@ func Split(elems []geom.Element, capacity int, world geom.Box) []Partition {
 	}
 	slabSize := (n + s - 1) / s
 
+	// The first level's records, in input order; the same pass ensures every
+	// center is inside the world, so that regions tile all the data.
+	keys := make([]geom.SortKey, n)
+	i := 0
+	for _, p := range pieces {
+		for k := range p {
+			c := p[k].Box.Center()
+			world = world.Union(geom.Box{Lo: c, Hi: c})
+			keys[i] = geom.SortKey{K: centerKey(c[0]), I: int32(i)}
+			i++
+		}
+	}
+	var elems []geom.Element
+	if len(pieces) == 1 {
+		elems = pieces[0]
+		orderKeys(keys, new(geom.KeySorter), func(i int32) uint64 { return elems[i].ID })
+		permute(elems, keys)
+	} else {
+		orderKeys(keys, new(geom.KeySorter), idOf(pieces))
+		elems = gather(pieces, keys)
+		clear(pieces)
+	}
 	// Splitting-plane coordinates are read right after each level's sort,
 	// before the next level reorders elements within the cut ranges.
-	keys := make([]geom.SortKey, n)
-	sortByDim(elems, keys, 0, new(geom.KeySorter))
 	xCuts, xPlanes := cuts(elems, slabSize, 0, world.Lo[0], world.Hi[0])
 
 	// Slabs own disjoint ranges of elems and keys, so the workers share no
@@ -107,8 +141,58 @@ func Split(elems []geom.Element, capacity int, world geom.Box) []Partition {
 	for _, ps := range slabParts {
 		out = append(out, ps...)
 	}
+	return elems, out
+}
+
+// idOf returns the ID of element i of the pieces' concatenation. It finds the
+// piece by binary search: the first level asks only for elements that tie on
+// their center.
+func idOf(pieces [][]geom.Element) func(i int32) uint64 {
+	starts := make([]int, len(pieces)) // starts[k]: position of pieces[k][0]
+	for k := 1; k < len(pieces); k++ {
+		starts[k] = starts[k-1] + len(pieces[k-1])
+	}
+	return func(i int32) uint64 {
+		k := sort.SearchInts(starts, int(i)+1) - 1 // the last piece starting at or before i
+		return pieces[k][int(i)-starts[k]].ID
+	}
+}
+
+// gather returns the pieces' concatenation as a new array in the order keys
+// gives: element keys[j].I at position j. The sort has freed each record's K,
+// which first takes the rank of the element the record's own position names;
+// then the workers each read a range of the pieces in order and write every
+// element straight to its rank.
+func gather(pieces [][]geom.Element, keys []geom.SortKey) []geom.Element {
+	for j := range keys {
+		keys[keys[j].I].K = uint64(j)
+	}
+	out := make([]geom.Element, len(keys))
+	workers := min(runtime.GOMAXPROCS(0), (len(keys)+gatherMin-1)/gatherMin)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := len(keys)*w/workers, len(keys)*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := 0 // position of p[0]
+			for _, p := range pieces {
+				from, to := max(lo-start, 0), min(hi-start, len(p))
+				for k := from; k < to; k++ {
+					out[keys[start+k].K] = p[k]
+				}
+				if start += len(p); start >= hi {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	return out
 }
+
+// gatherMin is the fewest elements a gather worker is started for.
+const gatherMin = 1 << 14
 
 // splitSlab finishes one x-slab: slab is the slab's range of the element
 // slice, keys the same range of the record slice, and base the range's
@@ -142,18 +226,28 @@ func splitSlab(slab []geom.Element, keys []geom.SortKey, base, s, capacity int,
 
 // sortByDim orders elems by center coordinate of the given dimension, then
 // ID, then the position they came in. keys is scratch of the same length:
-// the sort runs on it, and the elements are then moved once each. Equal
-// coordinates are what the key sort leaves in arrival order; those runs are
-// sorted again with the ID as the key, which — that sort being stable —
-// leaves equal IDs in arrival order.
+// the sort runs on it, and the elements are then moved once each.
 func sortByDim(elems []geom.Element, keys []geom.SortKey, dim int, ks *geom.KeySorter) {
 	for i := range elems {
-		c := (elems[i].Box.Lo[dim] + elems[i].Box.Hi[dim]) / 2
-		if c == 0 {
-			c = 0 // -0 and +0 are one coordinate, and must be one key
-		}
-		keys[i] = geom.SortKey{K: geom.FloatSortable(c), I: int32(i)}
+		keys[i] = geom.SortKey{K: centerKey((elems[i].Box.Lo[dim] + elems[i].Box.Hi[dim]) / 2), I: int32(i)}
 	}
+	orderKeys(keys, ks, func(i int32) uint64 { return elems[i].ID })
+	permute(elems, keys)
+}
+
+// centerKey is the sort key of a center coordinate.
+func centerKey(c float64) uint64 {
+	if c == 0 {
+		c = 0 // -0 and +0 are one coordinate, and must be one key
+	}
+	return geom.FloatSortable(c)
+}
+
+// orderKeys sorts records built in ascending I by key, then by the ID id
+// returns for their I, then by I. Equal keys are what the key sort leaves in
+// arrival order; those runs are sorted again with the ID as the key, which —
+// that sort being stable — leaves equal IDs in arrival order.
+func orderKeys(keys []geom.SortKey, ks *geom.KeySorter, id func(i int32) uint64) {
 	ks.Sort(keys)
 	for lo := 0; lo < len(keys); {
 		hi := lo + 1
@@ -162,16 +256,19 @@ func sortByDim(elems []geom.Element, keys []geom.SortKey, dim int, ks *geom.KeyS
 		}
 		if run := keys[lo:hi]; len(run) > 1 {
 			for j := range run {
-				run[j].K = elems[run[j].I].ID
+				run[j].K = id(run[j].I)
 			}
 			ks.Sort(run)
 		}
 		lo = hi
 	}
-	// Apply the permutation in place, cycle by cycle: position i takes the
-	// element from keys[i].I, whose place is filled from the next position
-	// of the cycle, until the cycle returns to i. A placed position is
-	// marked by pointing its key at itself.
+}
+
+// permute applies the order keys give to elems in place, cycle by cycle:
+// position i takes the element from keys[i].I, whose place is filled from the
+// next position of the cycle, until the cycle returns to i. A placed position
+// is marked by pointing its key at itself.
+func permute(elems []geom.Element, keys []geom.SortKey) {
 	for i := range keys {
 		if int(keys[i].I) == i {
 			continue

@@ -91,13 +91,25 @@ type BuildReport struct {
 // in use; index a copy to keep the original. Over a Store that holds encoded
 // pages (a storage.FileStore) nothing of elems is retained.
 func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
+	idx, _, err := BuildIndexPieces([][]Element{elems}, geom.MBBOf(elems), opt)
+	return idx, err
+}
+
+// BuildIndexPieces indexes the concatenation of pieces — a dataset as it
+// arrived, in parts — whose bounding box (geom.MBBOf of the concatenation)
+// the caller passes as bounds. It returns the array the index keeps, in STR
+// order: one piece is that array, reordered in place as BuildIndex reorders
+// elems; several are only read, gathered into a new one, and the slice of
+// them is cleared. The array is returned with a build error too, for a retry
+// to pass as its one piece.
+func BuildIndexPieces(pieces [][]Element, bounds Box, opt IndexOptions) (*Index, []Element, error) {
 	st := opt.Store
 	if st == nil {
 		st = storage.NewMemStore(opt.PageSize)
 	}
-	idx, bs, err := core.BuildIndex(st, elems, core.IndexConfig{World: opt.World})
+	idx, elems, bs, err := core.BuildIndexPieces(st, pieces, bounds, core.IndexConfig{World: opt.World})
 	if err != nil {
-		return nil, fmt.Errorf("transformers: build index: %w", err)
+		return nil, elems, fmt.Errorf("transformers: build index: %w", err)
 	}
 	return &Index{
 		core: idx,
@@ -109,7 +121,7 @@ func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 			IO:            bs.IO,
 			ModeledIOTime: storage.DefaultDiskModel().IOTime(bs.IO),
 		},
-	}, nil
+	}, elems, nil
 }
 
 // BuildReport returns the index build report.
