@@ -300,9 +300,7 @@ func TestJoinStatsConsistency(t *testing.T) {
 }
 
 // failingStore wraps a MemStore and fails reads after a countdown its views
-// share, for failure-injection testing. The store sits in a field, not
-// embedded: an embedded MemStore would promote ViewElements, and the join would
-// read its pages by reference without ever reaching the countdown in Read.
+// share, for failure-injection testing.
 type failingStore struct {
 	st        storage.Store
 	countdown *atomic.Int64 // reads left before every further one fails
@@ -316,18 +314,19 @@ func newFailingStore() *failingStore {
 
 var errInjected = errors.New("injected read failure")
 
-func (f *failingStore) Read(id storage.PageID, buf []byte) error {
+func (f *failingStore) View(id storage.PageID) ([]geom.Element, error) {
 	if f.countdown.Add(-1) <= 0 {
-		return errInjected
+		return nil, errInjected
 	}
-	return f.st.Read(id, buf)
+	return f.st.View(id)
 }
 
-func (f *failingStore) PageSize() int                              { return f.st.PageSize() }
-func (f *failingStore) Alloc(n int) (storage.PageID, error)        { return f.st.Alloc(n) }
-func (f *failingStore) Write(id storage.PageID, data []byte) error { return f.st.Write(id, data) }
-func (f *failingStore) NumPages() int                              { return f.st.NumPages() }
-func (f *failingStore) Stats() storage.Stats                       { return f.st.Stats() }
+func (f *failingStore) PageSize() int { return f.st.PageSize() }
+func (f *failingStore) Append(elems []geom.Element) (storage.PageID, error) {
+	return f.st.Append(elems)
+}
+func (f *failingStore) NumPages() int        { return f.st.NumPages() }
+func (f *failingStore) Stats() storage.Stats { return f.st.Stats() }
 func (f *failingStore) OpenReader() storage.Store {
 	return &failingStore{st: f.st.OpenReader(), countdown: f.countdown}
 }

@@ -13,34 +13,37 @@ import (
 	"repro/internal/storage"
 )
 
-// TestInjectedReadFaultsSurface: a faultinject-wrapped store hands no page out
-// by reference — as bytes or as elements — and keeps none so, and neither do
-// its readers, so builds, joins and range queries over it take the encoded
-// copy-in path — through Write and Read, where the faults are. A scripted read
-// error must come back from Join (sequential and parallel) and RangeQuery as
-// the injected error, and scripted slow reads must be waited for, with the
-// answer still right.
+// TestInjectedReadFaultsSurface: builds, joins and range queries over a
+// faultinject-wrapped store take the path they take over a bare one — one
+// Append per page written, one View per page read — and the faults sit on it.
+// A scripted write error fires per page, not per allocation and write; a
+// scripted read error must come back from Join (sequential and parallel) and
+// RangeQuery as the injected error, and scripted slow reads must be waited
+// for, with the answer still right.
 func TestInjectedReadFaultsSurface(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 1200, Seed: 91, MaxSide: 12})
 	b := datagen.Uniform(datagen.Config{N: 1200, Seed: 92, MaxSide: 12})
 	icfg := core.IndexConfig{World: datagen.DefaultWorld(), UnitCapacity: 40, NodeCapacity: 8}
+
+	_, bs, err := core.BuildIndex(storage.NewMemStore(0), append([]geom.Element(nil), a...), icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := int64(bs.DataPages + bs.MetaPages)
+	for _, after := range []int64{pages - 1, pages} {
+		st := faultinject.New(faultinject.Fault{Op: faultinject.OpWriteError, After: after, Times: 1}).WrapStore(storage.NewMemStore(0))
+		_, wbs, err := core.BuildIndex(st, append([]geom.Element(nil), a...), icfg)
+		if fails := after < pages; errors.Is(err, faultinject.ErrInjected) != fails {
+			t.Fatalf("a write error after %d of a %d-page build: %v", after, pages, err)
+		}
+		if err == nil && wbs.IO != bs.IO {
+			t.Fatalf("a fault-wrapped build counted %v, a bare one %v", wbs.IO, bs.IO)
+		}
+	}
+
 	build := func(sc *faultinject.Scenario) (ia, ib *core.Index) {
 		t.Helper()
 		st := sc.WrapStore(storage.NewMemStore(0))
-		// Were WriteElements or ViewElements promoted, the build would keep
-		// pages as elements and the join would take them without ever passing
-		// the wrapper's Read and its countdown.
-		if _, ok := st.(storage.ElementViewer); ok {
-			t.Fatal("a fault-wrapped store hands pages out by reference: its read faults would never fire")
-		}
-		if _, ok := st.(storage.ElementWriter); ok {
-			t.Fatal("a fault-wrapped store keeps element pages by reference: its write faults would never fire")
-		}
-		for _, rd := range storage.OpenReaders(st, 2) {
-			if _, ok := rd.(storage.ElementViewer); ok {
-				t.Fatal("a reader of a fault-wrapped store hands pages out by reference")
-			}
-		}
 		ia, _, err := core.BuildIndex(st, append([]geom.Element(nil), a...), icfg)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +72,7 @@ func TestInjectedReadFaultsSurface(t *testing.T) {
 	ia, ib := build(faultinject.New(faultinject.Fault{Op: faultinject.OpSlowRead, Times: slowReads, Delay: delay}))
 	var got []geom.Pair
 	start := time.Now()
-	_, err := core.Join(ia, ib, core.JoinConfig{Concurrent: true}, func(x, y geom.Element) {
+	_, err = core.Join(ia, ib, core.JoinConfig{Concurrent: true}, func(x, y geom.Element) {
 		got = append(got, geom.Pair{A: x.ID, B: y.ID})
 	})
 	if took := time.Since(start); err != nil || took < slowReads*delay {

@@ -172,11 +172,9 @@ type BuildStats struct {
 // the store, groups units into space nodes, computes connectivity and the
 // Hilbert order of the nodes. The element slice is reordered in place (STR
 // order, which is also the sequential disk layout order) and belongs to the
-// index afterwards: over a store that keeps data pages by reference
-// (storage.ElementWriter — a MemStore) each unit's page is its range of
-// elems, not a copy, so the caller may read the slice but must not write to
-// it, or hand it to anything that does, while the index is in use. Any other
-// store receives encoded pages and elems is free again on return.
+// index afterwards: each unit's page is its range of elems, not a copy, so the
+// caller may read the slice but must not write to it, or hand it to anything
+// that does, while the index is in use.
 func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index, BuildStats, error) {
 	idx, _, bs, err := BuildIndexPieces(st, [][]geom.Element{elems}, geom.MBBOf(elems), cfg)
 	return idx, bs, err
@@ -236,7 +234,6 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 		unitRefs[i] = geom.Element{ID: uint64(i), Box: p.Region}
 	}
 	nodeParts := str.Split(unitRefs, nodeCap, world)
-	buf := make([]byte, st.PageSize())
 	for ni, np := range nodeParts {
 		node := NodeDesc{
 			MBB:     geom.EmptyBox(),
@@ -246,11 +243,8 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 		nav := np.Region
 		for _, ref := range unitRefs[np.Start:np.End] {
 			p := parts[ref.ID]
-			id, err := st.Alloc(1)
+			id, err := st.Append(elems[p.Start:p.End])
 			if err != nil {
-				return nil, elems, BuildStats{}, err
-			}
-			if err := storage.WriteElementPage(st, id, elems[p.Start:p.End], buf); err != nil {
 				return nil, elems, BuildStats{}, err
 			}
 			bs.DataPages++
@@ -278,7 +272,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 	// Persist the descriptor tables so indexing I/O and on-disk size are
 	// honest; the join keeps descriptors in memory (§VI-B notes metadata
 	// comparisons are cheap).
-	metaPages, err := idx.writeMeta(buf)
+	metaPages, err := idx.writeMeta()
 	if err != nil {
 		return nil, elems, BuildStats{}, err
 	}
@@ -394,26 +388,16 @@ func (idx *Index) nearestNode(key uint64) (int32, bool) {
 	return idx.nodeOrder[lo], true
 }
 
-// writeMeta serializes the unit descriptors to pages (nodeCap descriptors
-// per node page, matching the page-aligned layout of §VI-B) purely to charge
-// the build with the metadata I/O a disk-resident index pays.
-func (idx *Index) writeMeta(buf []byte) (int, error) {
-	clear(buf) // it may hold the last data page encoded through it
-	perPage := len(buf) / unitDescSize
-	if perPage < 1 {
-		perPage = 1
-	}
+// writeMeta charges the build with the metadata I/O a disk-resident index
+// pays: one page per page-size worth of unit descriptors, matching the
+// page-aligned layout of §VI-B. The descriptors are not read back (they stay
+// in memory), so each page is appended empty; a page of any content counts
+// the same.
+func (idx *Index) writeMeta() (int, error) {
+	perPage := max(idx.st.PageSize()/unitDescSize, 1)
 	pages := 0
 	for start := 0; start < len(idx.units); start += perPage {
-		id, err := idx.st.Alloc(1)
-		if err != nil {
-			return pages, err
-		}
-		// The descriptor bytes themselves are not read back (descriptors
-		// stay in memory), so writing a zeroed page is enough to account
-		// for the traffic; serializing real bytes would not change any
-		// counter.
-		if err := idx.st.Write(id, buf); err != nil {
+		if _, err := idx.st.Append(nil); err != nil {
 			return pages, err
 		}
 		pages++

@@ -14,7 +14,7 @@ import (
 )
 
 // DefaultCachePages sizes the per-dataset (and, in parallel joins,
-// per-worker) buffer pool when JoinConfig.CachePages is zero.
+// per-worker) buffer pool.
 const DefaultCachePages = 256
 
 // JoinConfig controls the adaptive exploration join.
@@ -34,8 +34,6 @@ type JoinConfig struct {
 	// GuideB starts with dataset B as the guide; the paper assigns the
 	// initial roles randomly, adaptation makes the choice irrelevant.
 	GuideB bool
-	// CachePages sizes the per-dataset page cache; 256 when zero.
-	CachePages int
 	// Parallelism sets the number of worker goroutines processing pivot
 	// nodes. 0 or 1 run the single-threaded join — byte-for-byte the
 	// paper-faithful sequential execution. Values > 1 split the guide's
@@ -45,7 +43,7 @@ type JoinConfig struct {
 	// shared through atomics); a negative value uses runtime.GOMAXPROCS(0).
 	// When more than one worker runs, the join's emit callback may be
 	// invoked from multiple goroutines concurrently and must be safe for
-	// that; each CachePages-sized buffer pool is per worker per side.
+	// that; each DefaultCachePages-sized buffer pool is per worker per side.
 	Parallelism int
 	// Concurrent marks the indexes as shared with other goroutines (the
 	// serving layer runs many joins and range queries over one catalog
@@ -86,7 +84,7 @@ type JoinStats struct {
 	// ExploreWall is the adaptive-exploration share of Wall: walking,
 	// crawling and metadata filtering (the "Overhead" series of Fig. 14).
 	ExploreWall time.Duration
-	// JoinWall is the data share of Wall: page reads, decoding and the
+	// JoinWall is the data share of Wall: page reads, batch copies and the
 	// in-memory joins (the "Join cost" series of Fig. 14).
 	JoinWall time.Duration
 	// TSUFinal, TSOFinal and CfltFinal expose the cost model's state after
@@ -96,7 +94,7 @@ type JoinStats struct {
 
 // side is the per-dataset state of one join run (and of one range query). A
 // side is taken from its index's pool and put back when the run ends, so the
-// arrays sized by the index and every buffer a pivot fills — decoded element
+// arrays sized by the index and every buffer a pivot fills — element
 // batches, candidate unit lists, the page-MBB filter's marks and boxes, the
 // in-memory grid — are allocated by the first joins over an index and reset,
 // not reallocated, by the ones after.
@@ -131,7 +129,7 @@ type side struct {
 	scopeBox geom.Box
 
 	// Per-pivot scratch, each valid until the side's next use of it.
-	elems []geom.Element // the decoded batch of this side's pages
+	elems []geom.Element // the copied-out batch of this side's pages
 	cand  []int32        // units a crawl of this side collected
 	kept  []int32        // units surviving the page-MBB filter
 	keep  []bool         // the filter's marks, by position in refs
@@ -146,7 +144,7 @@ type side struct {
 // pool cold. The pool is shared with idx's Grown views, whose descriptor
 // counts are idx's, so the side may last have served another of them. release
 // hands it back.
-func acquireSide(idx *Index, base storage.Store, cachePages int, isA bool) *side {
+func acquireSide(idx *Index, base storage.Store, isA bool) *side {
 	s, _ := idx.sides.Get().(*side)
 	if s == nil {
 		s = &side{
@@ -158,7 +156,7 @@ func acquireSide(idx *Index, base storage.Store, cachePages int, isA bool) *side
 		}
 	}
 	s.idx = idx
-	s.st.Reset(base, cachePages)
+	s.st.Reset(base, DefaultCachePages)
 	clear(s.checked)
 	s.remaining = len(idx.nodes)
 	s.cursor, s.lastNode = 0, 0
@@ -228,9 +226,13 @@ func (s *side) nodeStart(target geom.Box) int32 {
 
 // readPage appends one data page's elements to s.elems through the side's
 // cache, grown by what the index is (Index.Grown).
-func (s *side) readPage(p storage.PageID) (err error) {
+func (s *side) readPage(p storage.PageID) error {
+	page, err := s.st.View(p)
+	if err != nil {
+		return err
+	}
 	n := len(s.elems)
-	s.elems, err = storage.ReadElementPage(s.st, p, s.elems, nil)
+	s.elems = append(s.elems, page...)
 	if r := s.idx.grow; r > 0 {
 		// Box.Expand's arithmetic, in place: assigning its result copies each
 		// box out and back, 4 % of a join's time where this is 0.4.
@@ -242,7 +244,7 @@ func (s *side) readPage(p storage.PageID) (err error) {
 			}
 		}
 	}
-	return err
+	return nil
 }
 
 // readUnit loads one space unit's elements into s.elems, replacing what it
@@ -291,9 +293,9 @@ func (s *side) readBatch(units []int32) error {
 		p := s.idx.units[ui].Page
 		if haveLast && p > last && p-last <= s.readThroughGap {
 			for q := last + 1; q < p; q++ {
-				// Touched, not used: the form the page is held in counts
-				// like any other and materializes nothing.
-				if _, _, err := s.st.ViewElements(q); err != nil {
+				// Touched, not used: counted like any other read, and
+				// nothing is copied.
+				if _, err := s.st.View(q); err != nil {
 					return err
 				}
 			}
@@ -336,12 +338,8 @@ type joinRun struct {
 // The caller releases the run when it is done with it.
 func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA, stB storage.Store) *joinRun {
 	r := &joinRun{cfg: cfg, emit: emit}
-	cachePages := cfg.CachePages
-	if cachePages <= 0 {
-		cachePages = DefaultCachePages
-	}
-	r.sides[0] = acquireSide(ia, stA, cachePages, true)
-	r.sides[1] = acquireSide(ib, stB, cachePages, false)
+	r.sides[0] = acquireSide(ia, stA, true)
+	r.sides[1] = acquireSide(ib, stB, false)
 	r.model = newCostModel(cfg, ia, ib)
 	for i, s := range r.sides {
 		s.readThroughGap = storage.PageID(r.model.seek / (pageTransferSeconds(s.idx.st.PageSize()) + 1e-12))

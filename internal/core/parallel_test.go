@@ -268,7 +268,7 @@ func TestPooledSidesStartEveryRunCold(t *testing.T) {
 		{Concurrent: true, FixedThresholds: true, Parallelism: 4},
 		{Concurrent: true, FixedThresholds: true},
 		{Concurrent: true, FixedThresholds: true, TSU: 1.5, TSO: 1.5},
-		{Concurrent: true, FixedThresholds: true, GuideB: true, CachePages: 2},
+		{Concurrent: true, FixedThresholds: true, GuideB: true},
 		{Concurrent: true, DisableTransforms: true},
 		{Concurrent: true, FixedThresholds: true},
 	}

@@ -62,7 +62,7 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 		return dst, rs, nil
 	}
 	rd := idx.st.OpenReader()
-	s := acquireSide(idx, rd, DefaultCachePages, true)
+	s := acquireSide(idx, rd, true)
 	defer s.release()
 	w := s.nodeWalker
 

@@ -4,10 +4,7 @@
 // golden_test.go pins pair sets; this file pins, against committed values
 // (testdata/counts.json), core.JoinStats, the I/O of every core.BuildIndex,
 // and the build and join I/O of the paged baselines (pbsm, rtree, gipsy) on
-// the same fixtures. The core joins are also run against a store that hands
-// encoded pages out by reference and one that can only copy them out, so the
-// three read paths — elements by reference, bytes by reference, copy-in — are
-// shown to do the same accounting.
+// the same fixtures.
 //
 // Regenerate with:
 //
@@ -108,32 +105,6 @@ type committedCounts struct {
 // TRANSFORMERS.
 var pagedBaselines = []string{engine.PBSM, engine.RTree, engine.GIPSY}
 
-// copyOnlyStore is a MemStore reachable through storage.Store alone: held in
-// a field, not embedded, so no by-reference read method is promoted and every
-// page is copied out through Read. Its readers are wrapped the same way.
-type copyOnlyStore struct{ st storage.Store }
-
-func (c copyOnlyStore) PageSize() int                              { return c.st.PageSize() }
-func (c copyOnlyStore) Alloc(n int) (storage.PageID, error)        { return c.st.Alloc(n) }
-func (c copyOnlyStore) Write(id storage.PageID, data []byte) error { return c.st.Write(id, data) }
-func (c copyOnlyStore) Read(id storage.PageID, buf []byte) error   { return c.st.Read(id, buf) }
-func (c copyOnlyStore) NumPages() int                              { return c.st.NumPages() }
-func (c copyOnlyStore) Stats() storage.Stats                       { return c.st.Stats() }
-func (c copyOnlyStore) OpenReader() storage.Store                  { return copyOnlyStore{c.st.OpenReader()} }
-
-// byteViewStore is the same MemStore reachable through storage.Store and
-// storage.ElementViewer but no storage.ElementWriter: pages go down encoded
-// and come back by reference as bytes, never as the elements they were written
-// from — the read path before an in-memory store kept data pages as elements.
-type byteViewStore struct{ copyOnlyStore }
-
-func (b byteViewStore) ViewElements(id storage.PageID) ([]geom.Element, []byte, error) {
-	return b.st.(storage.ElementViewer).ViewElements(id)
-}
-func (b byteViewStore) OpenReader() storage.Store {
-	return byteViewStore{b.copyOnlyStore.OpenReader().(copyOnlyStore)}
-}
-
 // countCases are the pinned joins: the four golden fixtures under a small
 // page fan-out (so a 250-element fixture still has nodes to walk, crawl and
 // split) and the spine's heavy pair — axons 32K × dendrites 24K within
@@ -185,10 +156,10 @@ func TestReproductionCounts(t *testing.T) {
 		}
 		return idx, buildCounts{IO: ioOf(bs.IO), DataPages: bs.DataPages, MetaPages: bs.MetaPages, Units: bs.Units, Nodes: bs.Nodes}
 	}
-	run := func(mk func() storage.Store, a, b []geom.Element, icfg core.IndexConfig, workers int) (joinCounts, [2]buildCounts) {
+	run := func(a, b []geom.Element, icfg core.IndexConfig, workers int) (joinCounts, [2]buildCounts) {
 		t.Helper()
 		var builds [2]buildCounts
-		st := mk() // both sides on one store, B's pages after A's
+		st := storage.NewMemStore(0) // both sides on one store, B's pages after A's
 		ia, ba := build(st, a, icfg)
 		ib, bb := build(st, b, icfg)
 		builds[0], builds[1] = ba, bb
@@ -204,13 +175,8 @@ func TestReproductionCounts(t *testing.T) {
 			workers int
 		}{{"sequential", 1}, {"parallel4", 4}} {
 			key := c.name + "/" + mode.name
-			byRef, builds := run(func() storage.Store { return storage.NewMemStore(0) }, c.a, c.b, c.icfg, mode.workers)
-			byBytes, _ := run(func() storage.Store { return byteViewStore{copyOnlyStore{storage.NewMemStore(0)}} }, c.a, c.b, c.icfg, mode.workers)
-			copied, _ := run(func() storage.Store { return copyOnlyStore{storage.NewMemStore(0)} }, c.a, c.b, c.icfg, mode.workers)
-			if byRef != copied || byRef != byBytes {
-				t.Errorf("%s: counts differ between a MemStore, a byte view and a copy-only view of one:\n elements by reference %+v\n bytes by reference    %+v\n copied                %+v", key, byRef, byBytes, copied)
-			}
-			got.Joins[key] = byRef
+			js, builds := run(c.a, c.b, c.icfg, mode.workers)
+			got.Joins[key] = js
 			got.Builds[c.name+"/a"], got.Builds[c.name+"/b"] = builds[0], builds[1]
 		}
 		for _, name := range pagedBaselines {

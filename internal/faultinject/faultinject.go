@@ -37,11 +37,11 @@ var ErrInjected = fmt.Errorf("faultinject: injected fault: %w", storage.ErrTrans
 const (
 	// OpReadError fails store page reads.
 	OpReadError = "read-error"
-	// OpWriteError fails store page writes and allocations.
+	// OpWriteError fails store page appends.
 	OpWriteError = "write-error"
 	// OpSlowRead delays store page reads.
 	OpSlowRead = "slow-read"
-	// OpBuildFail hands out stores whose writes fail, per build (the
+	// OpBuildFail hands out stores whose appends fail, per build (the
 	// trigger counts StoreFactory calls, not pages).
 	OpBuildFail = "build-fail"
 )

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
@@ -111,78 +112,76 @@ func TestParseErrors(t *testing.T) {
 
 func TestWrapStoreReadError(t *testing.T) {
 	st := storage.NewMemStore(0)
-	id, err := st.Alloc(1)
+	id, err := st.Append([]geom.Element{{ID: 1}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write(id, make([]byte, st.PageSize())); err != nil {
 		t.Fatal(err)
 	}
 	sc := New(Fault{Op: OpReadError, After: 1, Times: 1})
 	ws := sc.WrapStore(st)
-	buf := make([]byte, st.PageSize())
-	if err := ws.Read(id, buf); err != nil {
+	if _, err := ws.View(id); err != nil {
 		t.Fatalf("read 1 (clean): %v", err)
 	}
-	err = ws.Read(id, buf)
+	_, err = ws.View(id)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("read 2 = %v, want ErrInjected", err)
 	}
 	if !storage.IsTransient(err) {
 		t.Fatal("injected read error not classified transient")
 	}
-	if err := ws.Read(id, buf); err != nil {
+	if _, err := ws.View(id); err != nil {
 		t.Fatalf("read 3 (times exhausted): %v", err)
 	}
 }
 
 func TestWrapStoreReadersShareTriggers(t *testing.T) {
 	st := storage.NewMemStore(0)
-	id, err := st.Alloc(1)
+	id, err := st.Append([]geom.Element{{ID: 1}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write(id, make([]byte, st.PageSize())); err != nil {
 		t.Fatal(err)
 	}
 	sc := New(Fault{Op: OpReadError, After: 1, Times: 1})
 	ws := sc.WrapStore(st)
 	r1, r2 := ws.OpenReader(), ws.OpenReader()
-	buf := make([]byte, st.PageSize())
-	if err := r1.Read(id, buf); err != nil {
+	if _, err := r1.View(id); err != nil {
 		t.Fatalf("reader 1: %v", err)
 	}
 	// The second reader sees the shared count: its first read is operation 2.
-	if err := r2.Read(id, buf); !errors.Is(err, ErrInjected) {
+	if _, err := r2.View(id); !errors.Is(err, ErrInjected) {
 		t.Fatalf("reader 2 = %v, want shared trigger to fire", err)
 	}
 }
 
+// TestWrapStoreWriteError: a write fault counts appends, one per page, and a
+// refused append leaves no page behind.
 func TestWrapStoreWriteError(t *testing.T) {
-	sc := New(Fault{Op: OpWriteError, Times: 1})
-	ws := sc.WrapStore(storage.NewMemStore(0))
-	if _, err := ws.Alloc(1); !errors.Is(err, ErrInjected) {
-		t.Fatalf("alloc = %v, want ErrInjected", err)
+	sc := New(Fault{Op: OpWriteError, After: 1, Times: 1})
+	mem := storage.NewMemStore(0)
+	ws := sc.WrapStore(mem)
+	if _, err := ws.Append(nil); err != nil {
+		t.Fatalf("append 1 (clean): %v", err)
 	}
-	if _, err := ws.Alloc(1); err != nil {
-		t.Fatalf("alloc after exhaustion: %v", err)
+	if _, err := ws.Append(nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append 2 = %v, want ErrInjected", err)
+	}
+	if id, err := ws.Append(nil); err != nil || id != 1 {
+		t.Fatalf("append after exhaustion: page %d, %v", id, err)
+	}
+	if s := mem.Stats(); mem.NumPages() != 2 || s.Writes != 2 {
+		t.Fatalf("a refused append reached the store: %d pages, %v", mem.NumPages(), s)
 	}
 }
 
 func TestWrapStoreSlowRead(t *testing.T) {
 	st := storage.NewMemStore(0)
-	id, err := st.Alloc(1)
+	id, err := st.Append([]geom.Element{{ID: 1}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write(id, make([]byte, st.PageSize())); err != nil {
 		t.Fatal(err)
 	}
 	const delay = 20 * time.Millisecond
 	sc := New(Fault{Op: OpSlowRead, Times: 1, Delay: delay})
 	ws := sc.WrapStore(st)
 	start := time.Now()
-	if err := ws.Read(id, make([]byte, st.PageSize())); err != nil {
+	if _, err := ws.View(id); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < delay {
@@ -194,10 +193,10 @@ func TestStoreFactoryBuildFail(t *testing.T) {
 	sc := New(Fault{Op: OpBuildFail, Times: 2})
 	for call := 1; call <= 3; call++ {
 		st := sc.StoreFactory(0)
-		_, err := st.Alloc(1)
+		_, err := st.Append(nil)
 		if call <= 2 {
 			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("factory call %d: alloc = %v, want broken store", call, err)
+				t.Fatalf("factory call %d: append = %v, want broken store", call, err)
 			}
 		} else if err != nil {
 			t.Fatalf("factory call %d: %v", call, err)

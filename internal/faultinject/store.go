@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
 // WrapStore wraps a page store with the scenario's storage faults: reads
 // fail at the scripted operation counts (OpReadError), crawl (OpSlowRead),
-// and writes/allocations fail (OpWriteError). Readers opened from the
-// wrapped store share the scenario's triggers, so a fault scripted "after
-// 100 reads" counts reads across every concurrent worker — exactly how one
-// flaky device behaves under a parallel join.
+// and appends fail (OpWriteError). Pages pass through by reference both ways,
+// so a wrapped store holds and reads them exactly as the one it wraps.
+// Readers opened from the wrapped store share the scenario's triggers, so a
+// fault scripted "after 100 reads" counts reads across every concurrent
+// worker — exactly how one flaky device behaves under a parallel join.
 func (s *Scenario) WrapStore(st storage.Store) storage.Store {
 	if s == nil {
 		return st
@@ -22,7 +24,7 @@ func (s *Scenario) WrapStore(st storage.Store) storage.Store {
 
 // StoreFactory is a catalog store factory (server.Config.StoreFactory shape)
 // producing scenario-wrapped in-memory stores. OpBuildFail triggers per
-// factory call: a triggered build gets a store whose writes fail before the
+// factory call: a triggered build gets a store whose appends fail before the
 // first page lands, failing that build attempt in its entirety — the shape
 // of a build landing on a briefly unavailable backend, and the fault the
 // catalog's build retry exists for (a build that still fails installs
@@ -43,28 +45,21 @@ type faultStore struct {
 
 func (f *faultStore) PageSize() int { return f.st.PageSize() }
 
-func (f *faultStore) Alloc(n int) (storage.PageID, error) {
+func (f *faultStore) Append(elems []geom.Element) (storage.PageID, error) {
 	if _, fire := f.sc.fire(OpWriteError); fire {
-		return 0, fmt.Errorf("faultinject: alloc %d pages: %w", n, ErrInjected)
+		return 0, fmt.Errorf("faultinject: append page %d: %w", f.st.NumPages(), ErrInjected)
 	}
-	return f.st.Alloc(n)
+	return f.st.Append(elems)
 }
 
-func (f *faultStore) Write(id storage.PageID, data []byte) error {
-	if _, fire := f.sc.fire(OpWriteError); fire {
-		return fmt.Errorf("faultinject: write page %d: %w", id, ErrInjected)
-	}
-	return f.st.Write(id, data)
-}
-
-func (f *faultStore) Read(id storage.PageID, buf []byte) error {
+func (f *faultStore) View(id storage.PageID) ([]geom.Element, error) {
 	if fault, fire := f.sc.fire(OpSlowRead); fire {
 		time.Sleep(fault.Delay)
 	}
 	if _, fire := f.sc.fire(OpReadError); fire {
-		return fmt.Errorf("faultinject: read page %d: %w", id, ErrInjected)
+		return nil, fmt.Errorf("faultinject: read page %d: %w", id, ErrInjected)
 	}
-	return f.st.Read(id, buf)
+	return f.st.View(id)
 }
 
 func (f *faultStore) NumPages() int { return f.st.NumPages() }
@@ -77,23 +72,19 @@ func (f *faultStore) OpenReader() storage.Store {
 	return &faultStore{st: f.st.OpenReader(), sc: f.sc}
 }
 
-// brokenStore fails every write and allocation: an index build attempt on it
-// cannot get a single page down. Reads pass through (nothing was written).
+// brokenStore fails every append: an index build attempt on it cannot get a
+// single page down. Reads pass through (nothing was written).
 type brokenStore struct {
 	st storage.Store
 }
 
 func (b *brokenStore) PageSize() int { return b.st.PageSize() }
 
-func (b *brokenStore) Alloc(n int) (storage.PageID, error) {
-	return 0, fmt.Errorf("faultinject: alloc %d pages on failed build: %w", n, ErrInjected)
+func (b *brokenStore) Append([]geom.Element) (storage.PageID, error) {
+	return 0, fmt.Errorf("faultinject: append page %d on failed build: %w", b.st.NumPages(), ErrInjected)
 }
 
-func (b *brokenStore) Write(id storage.PageID, data []byte) error {
-	return fmt.Errorf("faultinject: write page %d on failed build: %w", id, ErrInjected)
-}
-
-func (b *brokenStore) Read(id storage.PageID, buf []byte) error { return b.st.Read(id, buf) }
+func (b *brokenStore) View(id storage.PageID) ([]geom.Element, error) { return b.st.View(id) }
 
 func (b *brokenStore) NumPages() int { return b.st.NumPages() }
 

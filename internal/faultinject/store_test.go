@@ -2,19 +2,19 @@ package faultinject
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
 // TestEveryStoreOpensIndependentViews holds every Store the tree constructs —
-// the two real stores, their views, a cache over each, and this package's two
+// the in-memory store, its views, a cache over one, and this package's two
 // wrappers — to what the join relies on from OpenReader: a view counts from
 // zero and classifies its own stream as sequential or random, whatever its
 // parent and its sibling read meanwhile; the parent's counters see none of a
-// view's reads; a view of a view is a view; and no view takes a Write or an
-// Alloc.
+// view's reads; a view of a view is a view; every page is handed out as the
+// slice it was appended from; and no view takes an Append.
 func TestEveryStoreOpensIndependentViews(t *testing.T) {
 	const pageSize, pages = 256, 8
 	mem := func() *storage.MemStore {
@@ -22,41 +22,36 @@ func TestEveryStoreOpensIndependentViews(t *testing.T) {
 		fill(t, m, pages)
 		return m
 	}
-	file := func() *storage.FileStore {
-		f, err := storage.NewFileStore(filepath.Join(t.TempDir(), "pages.db"), pageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		fill(t, f, pages)
-		return f
-	}
 	for _, tc := range []struct {
 		name    string
 		st      storage.Store
-		refusal error // what a view answers a Write or an Alloc with
+		refusal error // what a view answers an Append with
 	}{
 		{"mem", mem(), storage.ErrReadOnly},
 		{"mem-reader", mem().OpenReader(), storage.ErrReadOnly},
-		{"file", file(), storage.ErrReadOnly},
-		{"file-reader", file().OpenReader(), storage.ErrReadOnly},
 		{"lru-mem", storage.NewLRU(mem(), 4), storage.ErrReadOnly},
-		{"lru-file", storage.NewLRU(file(), 4), storage.ErrReadOnly},
 		{"fault", New().WrapStore(mem()), storage.ErrReadOnly},
 		{"broken", &brokenStore{st: mem()}, ErrInjected},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, buf := tc.st, make([]byte, pageSize)
+			st := tc.st
+			var first *geom.Element // page 2 as the parent hands it out
 			read := func(s storage.Store, id int) {
 				t.Helper()
-				if err := s.Read(storage.PageID(id), buf); err != nil {
+				page, err := s.View(storage.PageID(id))
+				if err != nil {
 					t.Fatal(err)
 				}
-				if buf[0] != byte(id) || buf[pageSize-1] != byte(id) {
+				if len(page) != 1 || page[0].ID != uint64(id) {
 					t.Fatalf("page %d read back with the wrong contents", id)
+				}
+				if id == 2 && first != nil && &page[0] != first {
+					t.Fatal("page 2 was copied, not handed out by reference")
 				}
 			}
 			read(st, 2) // the parent has a history the views must not inherit
+			page, _ := st.View(2)
+			first = &page[0]
 			before := st.Stats()
 			fwd, back := st.OpenReader(), st.OpenReader()
 			if fwd.Stats() != (storage.Stats{}) || back.Stats() != (storage.Stats{}) {
@@ -87,11 +82,8 @@ func TestEveryStoreOpensIndependentViews(t *testing.T) {
 				t.Errorf("a view of a view counted %v, its parent %v", s, fwd.Stats())
 			}
 			for _, v := range []storage.Store{fwd, again} {
-				if err := v.Write(0, buf); !errors.Is(err, tc.refusal) {
-					t.Errorf("Write on a view: %v, want %v", err, tc.refusal)
-				}
-				if _, err := v.Alloc(1); !errors.Is(err, tc.refusal) {
-					t.Errorf("Alloc on a view: %v, want %v", err, tc.refusal)
+				if _, err := v.Append(nil); !errors.Is(err, tc.refusal) {
+					t.Errorf("Append on a view: %v, want %v", err, tc.refusal)
 				}
 				if v.NumPages() != pages || v.Stats().Writes != 0 {
 					t.Errorf("a refused write left %d pages, %d writes counted", v.NumPages(), v.Stats().Writes)
@@ -101,18 +93,11 @@ func TestEveryStoreOpensIndependentViews(t *testing.T) {
 	}
 }
 
-// fill allocates n pages in st, page i holding byte(i) throughout.
+// fill appends n pages to st, page i holding one element of ID i.
 func fill(t *testing.T, st storage.Store, n int) {
 	t.Helper()
-	if _, err := st.Alloc(n); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, st.PageSize())
 	for i := 0; i < n; i++ {
-		for j := range buf {
-			buf[j] = byte(i)
-		}
-		if err := st.Write(storage.PageID(i), buf); err != nil {
+		if _, err := st.Append([]geom.Element{{ID: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

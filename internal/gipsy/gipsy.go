@@ -74,7 +74,8 @@ type BuildStats struct {
 
 // BuildIndex partitions the dense dataset and computes connectivity. The
 // element slice is reordered in place (STR order, which is also the disk
-// layout order).
+// layout order) and belongs to the index afterwards: each page is its range
+// of elems, so the caller must not write to it while the index is in use.
 func BuildIndex(st storage.Store, elems []geom.Element, cfg Config) (*Index, BuildStats, error) {
 	start := time.Now()
 	before := st.Stats()
@@ -95,16 +96,9 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg Config) (*Index, Bui
 		}
 	}
 	parts := str.Split(elems, capacity, world)
-	buf := make([]byte, st.PageSize())
 	for _, p := range parts {
-		id, err := st.Alloc(1)
+		id, err := st.Append(elems[p.Start:p.End])
 		if err != nil {
-			return nil, BuildStats{}, err
-		}
-		if err := storage.EncodeElementsPage(buf, elems[p.Start:p.End]); err != nil {
-			return nil, BuildStats{}, err
-		}
-		if err := st.Write(id, buf); err != nil {
 			return nil, BuildStats{}, err
 		}
 		idx.units = append(idx.units, unitDesc{page: id, pageMBB: p.PageMBB, region: p.Region})
@@ -177,7 +171,6 @@ func Join(sparse []geom.Element, dense *Index, cfg JoinConfig, emit func(s, d ge
 	// The page cache keeps recently crawled pages hot across consecutive
 	// guide elements.
 	cached := storage.NewLRU(dense.st, cachePages)
-	buf := make([]byte, dense.st.PageSize())
 
 	// Visit guide elements in Hilbert order: consecutive elements are
 	// spatially close, so each walk starts near its target.
@@ -205,7 +198,7 @@ func Join(sparse []geom.Element, dense *Index, cfg JoinConfig, emit func(s, d ge
 		// Crawl from the intersection record, then test candidate pages.
 		candidates := walker.crawl(dense.units, found, g.Box, target, &stats)
 		for _, ui := range candidates {
-			elems, err := storage.ReadElementPage(cached, dense.units[ui].page, nil, buf)
+			elems, err := cached.View(dense.units[ui].page)
 			if err != nil {
 				return stats, err
 			}

@@ -23,6 +23,7 @@ package pbsm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -166,19 +167,14 @@ func BuildIndex(st storage.Store, elems []geom.Element, tiling *Tiling) (*Index,
 	}
 	perPage := storage.ElementsPerPage(st.PageSize())
 	buffers := make([][]geom.Element, tiling.partitions)
-	pageBuf := make([]byte, st.PageSize())
 	scratch := make([]bool, tiling.partitions)
 	copies := 0
 
 	flush := func(p int) error {
-		id, err := st.Alloc(1)
+		// The store keeps what it is given and the buffer is refilled: it
+		// gets a copy.
+		id, err := st.Append(slices.Clone(buffers[p]))
 		if err != nil {
-			return err
-		}
-		if err := storage.EncodeElementsPage(pageBuf, buffers[p]); err != nil {
-			return err
-		}
-		if err := st.Write(id, pageBuf); err != nil {
 			return err
 		}
 		idx.pages[p] = append(idx.pages[p], id)
@@ -227,15 +223,16 @@ func (idx *Index) Len() int { return idx.size }
 // Tiling returns the tiling the index was built with.
 func (idx *Index) Tiling() *Tiling { return idx.tiling }
 
-// readPartition loads every element copy of partition p.
-func (idx *Index) readPartition(p int, buf []byte) ([]geom.Element, error) {
+// readPartition loads every element copy of partition p into one new slice,
+// which the caller may reorder.
+func (idx *Index) readPartition(p int) ([]geom.Element, error) {
 	out := make([]geom.Element, 0, idx.counts[p])
 	for _, id := range idx.pages[p] {
-		var err error
-		out, err = storage.ReadElementPage(idx.st, id, out, buf)
+		page, err := idx.st.View(id)
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, page...)
 	}
 	return out, nil
 }
@@ -282,8 +279,6 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 	if !shared {
 		beforeB = ib.st.Stats()
 	}
-	bufA := make([]byte, ia.st.PageSize())
-	bufB := make([]byte, ib.st.PageSize())
 	tl := ia.tiling
 	for p := 0; p < tl.partitions; p++ {
 		if cfg.stopped() {
@@ -292,11 +287,11 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 		if ia.counts[p] == 0 || ib.counts[p] == 0 {
 			continue
 		}
-		ea, err := ia.readPartition(p, bufA)
+		ea, err := ia.readPartition(p)
 		if err != nil {
 			return stats, err
 		}
-		eb, err := ib.readPartition(p, bufB)
+		eb, err := ib.readPartition(p)
 		if err != nil {
 			return stats, err
 		}

@@ -11,6 +11,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +54,9 @@ type BuildStats struct {
 }
 
 // Bulkload builds an R-tree over elems using STR packing. The element slice
-// is reordered in place.
+// is reordered in place and belongs to the tree afterwards: each leaf page is
+// its range of elems, so the caller must not write to it while the tree is in
+// use.
 func Bulkload(st storage.Store, elems []geom.Element, cfg Config) (*Tree, BuildStats, error) {
 	start := time.Now()
 	before := st.Stats()
@@ -75,16 +78,9 @@ func Bulkload(st storage.Store, elems []geom.Element, cfg Config) (*Tree, BuildS
 	// Level 0: STR-pack the elements into leaf pages.
 	level := make([]geom.Element, 0) // entries describing the current level
 	parts := str.Split(elems, fanout, world)
-	buf := make([]byte, st.PageSize())
 	writeNode := func(entries []geom.Element) (storage.PageID, error) {
-		id, err := st.Alloc(1)
+		id, err := st.Append(entries)
 		if err != nil {
-			return 0, err
-		}
-		if err := storage.EncodeElementsPage(buf, entries); err != nil {
-			return 0, err
-		}
-		if err := st.Write(id, buf); err != nil {
 			return 0, err
 		}
 		pages++
@@ -142,9 +138,11 @@ func (t *Tree) MBB() geom.Box { return t.mbb }
 func (t *Tree) Store() storage.Store { return t.st }
 
 // readNode reads the entries of one node page through the given store view
-// (which may be a cache wrapping the tree's store).
-func (t *Tree) readNode(st storage.Store, id storage.PageID, buf []byte) ([]geom.Element, error) {
-	return storage.ReadElementPage(st, id, nil, buf)
+// (which may be a cache wrapping the tree's store) into a slice of their own:
+// the join's plane sweep sorts them in place.
+func (t *Tree) readNode(st storage.Store, id storage.PageID) ([]geom.Element, error) {
+	page, err := st.View(id)
+	return slices.Clone(page), err
 }
 
 // SearchStats counts the work of window queries.
@@ -157,13 +155,12 @@ type SearchStats struct {
 // Search emits every indexed element whose MBB intersects q.
 func (t *Tree) Search(q geom.Box, emit func(geom.Element)) (SearchStats, error) {
 	var stats SearchStats
-	buf := make([]byte, t.st.PageSize())
-	err := t.search(t.st, t.root, t.height-1, q, buf, &stats, emit)
+	err := t.search(t.st, t.root, t.height-1, q, &stats, emit)
 	return stats, err
 }
 
-func (t *Tree) search(st storage.Store, id storage.PageID, level int, q geom.Box, buf []byte, stats *SearchStats, emit func(geom.Element)) error {
-	entries, err := t.readNode(st, id, buf)
+func (t *Tree) search(st storage.Store, id storage.PageID, level int, q geom.Box, stats *SearchStats, emit func(geom.Element)) error {
+	entries, err := t.readNode(st, id)
 	if err != nil {
 		return err
 	}
@@ -180,7 +177,7 @@ func (t *Tree) search(st storage.Store, id storage.PageID, level int, q geom.Box
 	for _, c := range entries {
 		stats.MetaComparisons++
 		if c.Box.Intersects(q) {
-			if err := t.search(st, storage.PageID(c.ID), level-1, q, buf, stats, emit); err != nil {
+			if err := t.search(st, storage.PageID(c.ID), level-1, q, stats, emit); err != nil {
 				return err
 			}
 		}
@@ -238,9 +235,7 @@ func SyncJoin(ta, tb *Tree, cfg JoinConfig, emit func(a, b geom.Element)) (JoinS
 		stA = storage.NewLRU(ta.st, cachePages/2)
 		stB = storage.NewLRU(tb.st, cachePages/2)
 	}
-	bufA := make([]byte, ta.st.PageSize())
-	bufB := make([]byte, tb.st.PageSize())
-	err := syncJoin(ta, tb, stA, stB, ta.root, tb.root, ta.height-1, tb.height-1, bufA, bufB, cfg.Stop, &stats, emit)
+	err := syncJoin(ta, tb, stA, stB, ta.root, tb.root, ta.height-1, tb.height-1, cfg.Stop, &stats, emit)
 	stats.Wall = time.Since(start)
 	stats.IO = ta.st.Stats().Sub(beforeA)
 	if !sharedStore {
@@ -249,15 +244,15 @@ func SyncJoin(ta, tb *Tree, cfg JoinConfig, emit func(a, b geom.Element)) (JoinS
 	return stats, err
 }
 
-func syncJoin(ta, tb *Tree, stA, stB storage.Store, pa, pb storage.PageID, la, lb int, bufA, bufB []byte, stop *atomic.Bool, stats *JoinStats, emit func(a, b geom.Element)) error {
+func syncJoin(ta, tb *Tree, stA, stB storage.Store, pa, pb storage.PageID, la, lb int, stop *atomic.Bool, stats *JoinStats, emit func(a, b geom.Element)) error {
 	if stop != nil && stop.Load() {
 		return nil
 	}
-	ea, err := ta.readNode(stA, pa, bufA)
+	ea, err := ta.readNode(stA, pa)
 	if err != nil {
 		return err
 	}
-	eb, err := tb.readNode(stB, pb, bufB)
+	eb, err := tb.readNode(stB, pb)
 	if err != nil {
 		return err
 	}
@@ -277,7 +272,7 @@ func syncJoin(ta, tb *Tree, stA, stB storage.Store, pa, pb storage.PageID, la, l
 			pairs = append(pairs, pair{storage.PageID(a.ID), storage.PageID(b.ID)})
 		})
 		for _, p := range pairs {
-			if err := syncJoin(ta, tb, stA, stB, p.a, p.b, la-1, lb-1, bufA, bufB, stop, stats, emit); err != nil {
+			if err := syncJoin(ta, tb, stA, stB, p.a, p.b, la-1, lb-1, stop, stats, emit); err != nil {
 				return err
 			}
 		}
@@ -287,7 +282,7 @@ func syncJoin(ta, tb *Tree, stA, stB storage.Store, pa, pb storage.PageID, la, l
 		for _, c := range ea {
 			stats.MetaComparisons++
 			if c.Box.Intersects(mbbB) {
-				if err := syncJoin(ta, tb, stA, stB, storage.PageID(c.ID), pb, la-1, lb, bufA, bufB, stop, stats, emit); err != nil {
+				if err := syncJoin(ta, tb, stA, stB, storage.PageID(c.ID), pb, la-1, lb, stop, stats, emit); err != nil {
 					return err
 				}
 			}
@@ -298,7 +293,7 @@ func syncJoin(ta, tb *Tree, stA, stB storage.Store, pa, pb storage.PageID, la, l
 		for _, c := range eb {
 			stats.MetaComparisons++
 			if c.Box.Intersects(mbbA) {
-				if err := syncJoin(ta, tb, stA, stB, pa, storage.PageID(c.ID), la, lb-1, bufA, bufB, stop, stats, emit); err != nil {
+				if err := syncJoin(ta, tb, stA, stB, pa, storage.PageID(c.ID), la, lb-1, stop, stats, emit); err != nil {
 					return err
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/engine/inmem"
+	"repro/internal/faultinject"
 	"repro/internal/naive"
 	"repro/transformers"
 )
@@ -233,14 +234,31 @@ func TestDistanceSweepHoldsOneIndex(t *testing.T) {
 // an upload, after an append and its merge, and after 16 joins at 16 distinct
 // distances, the live heap grew by at most 1.3 x 56 bytes an element (2.1 x
 // when the index kept an encoded copy of every page, one more per distance
-// when each had an index of its own).
+// when each had an index of its own). The bound holds over the catalog's own
+// stores and over the fault-injecting ones a -faults daemon builds on, with
+// no fault scheduled: those run the same page path.
 func TestResidentDatasetHeldOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("indexes 100K elements twice")
 	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"memstore", Config{}},
+		{"faultinject", Config{StoreFactory: faultinject.New().StoreFactory}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Parallelism, tc.cfg.MaxIndexes = 1, 1
+			residentDatasetHeldOnce(t, tc.cfg)
+		})
+	}
+}
+
+func residentDatasetHeldOnce(t *testing.T, cfg Config) {
 	const n, extra = 100_000, 4096
 	ctx := context.Background()
-	svc := NewService(Config{Parallelism: 1, MaxIndexes: 1})
+	svc := NewService(cfg)
 	before := liveHeap()
 	check := func(after string, elements int) {
 		t.Helper()

@@ -4,23 +4,20 @@ import "repro/internal/geom"
 
 // LRU is a page-granular read cache wrapping a Store. Reads served from the
 // cache do not touch the underlying store and are therefore invisible to its
-// I/O counters — exactly like a buffer pool in front of a disk. Writes go
-// through to the store and update the cached copy.
+// I/O counters — exactly like a buffer pool in front of a disk. Appends go
+// through to the store; a page never changes once written, so a cached page
+// never goes stale.
 //
 // The R-tree join uses it to keep hot inner nodes pinned (the synchronized
 // traversal revisits them constantly), GIPSY uses a small one so consecutive
 // guide elements crawling the same pages do not re-read them, and every side
 // of a TRANSFORMERS join reads through one.
 //
-// A page is held the way the wrapped store hands it out: by reference over an
-// ElementViewer (an in-memory store: caching it costs one slot, no bytes —
-// the element slice it was written from when the store holds it so) and in a
-// buffer of its own over any other store. Slots and the index are reused
-// across evictions and Reset, so over an in-memory store a warm cache
-// allocates nothing.
+// A cached page is the slice the wrapped store handed out, so caching it costs
+// one slot and no bytes. Slots and the index are reused across evictions and
+// Reset, so a warm cache allocates nothing.
 type LRU struct {
 	Store
-	copies   bool // the wrapped store is no ElementViewer: misses read into new buffers
 	capacity int
 	index    map[PageID]int32 // page → slot
 	slots    []lruSlot
@@ -30,7 +27,7 @@ type LRU struct {
 
 type lruSlot struct {
 	id         PageID
-	page       memPage
+	page       []geom.Element
 	prev, next int32
 }
 
@@ -48,33 +45,21 @@ func NewLRU(store Store, capacity int) *LRU {
 func (c *LRU) Reset(store Store, capacity int) {
 	c.Store = store
 	c.capacity = capacity
-	_, byRef := store.(ElementViewer)
-	c.copies = !byRef
 	clear(c.index)
 	clear(c.slots) // let go of the pages
 	c.slots = c.slots[:0]
 	c.head, c.tail = -1, -1
 }
 
-// ViewElements implements ElementViewer, serving from cache when possible.
-func (c *LRU) ViewElements(id PageID) ([]geom.Element, []byte, error) {
-	p, err := c.view(id)
-	return p.elems, p.data, err
-}
-
-// view is the one cached page access: the page as the wrapped store holds it,
-// a hit invisible to the store and a miss counted there as one read.
-func (c *LRU) view(id PageID) (memPage, error) {
+// View implements Store, serving from cache when possible: a hit is invisible
+// to the wrapped store, a miss is counted there as one read.
+func (c *LRU) View(id PageID) ([]geom.Element, error) {
 	if i, ok := c.index[id]; ok {
 		c.unlink(i)
 		c.pushFront(i)
 		return c.slots[i].page, nil
 	}
-	var buf []byte
-	if c.copies {
-		buf = make([]byte, c.PageSize())
-	}
-	page, err := viewHeld(c.Store, id, buf)
+	page, err := c.Store.View(id)
 	if err != nil || c.capacity <= 0 {
 		return page, err
 	}
@@ -90,36 +75,6 @@ func (c *LRU) view(id PageID) (memPage, error) {
 	c.pushFront(i)
 	c.index[id] = i
 	return page, nil
-}
-
-// Read implements Store, serving from cache when possible.
-func (c *LRU) Read(id PageID, buf []byte) error {
-	if len(buf) != c.PageSize() {
-		return ErrPageSize
-	}
-	p, err := c.view(id)
-	if err == nil {
-		p.copyTo(buf)
-	}
-	return err
-}
-
-// Write implements Store, keeping the cache coherent.
-func (c *LRU) Write(id PageID, data []byte) error {
-	if err := c.Store.Write(id, data); err != nil {
-		return err
-	}
-	if i, ok := c.index[id]; ok {
-		p := &c.slots[i].page
-		if p.data == nil {
-			// Held as elements the write just replaced in the store.
-			p.data, p.elems = make([]byte, len(data)), nil
-		}
-		copy(p.data, data)
-		c.unlink(i)
-		c.pushFront(i)
-	}
-	return nil
 }
 
 func (c *LRU) unlink(i int32) {

@@ -1,32 +1,27 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
-	"path/filepath"
+	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/geom"
 )
 
-// fillStore allocates n pages with recognizable contents.
+// fillStore appends n pages with recognizable contents: page i holds one
+// element of ID i.
 func fillStore(t *testing.T, st Store, n int) {
 	t.Helper()
-	buf := make([]byte, st.PageSize())
-	if _, err := st.Alloc(n); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < n; i++ {
-		for j := range buf {
-			buf[j] = byte(i)
-		}
-		if err := st.Write(PageID(i), buf); err != nil {
+		if _, err := st.Append([]geom.Element{{ID: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func testConcurrentReaders(t *testing.T, st Store) {
-	t.Helper()
+func TestMemStoreConcurrentReaders(t *testing.T) {
+	st := NewMemStore(512)
 	const pages = 64
 	fillStore(t, st, pages)
 
@@ -42,20 +37,16 @@ func testConcurrentReaders(t *testing.T, st Store) {
 		wg.Add(1)
 		go func(r Store, w int) {
 			defer wg.Done()
-			buf := make([]byte, r.PageSize())
-			want := make([]byte, r.PageSize())
 			for rep := 0; rep < 4; rep++ {
 				for i := 0; i < pages; i++ {
 					p := (i + w) % pages
-					if err := r.Read(PageID(p), buf); err != nil {
+					page, err := r.View(PageID(p))
+					if err != nil {
 						errc <- err
 						return
 					}
-					for j := range want {
-						want[j] = byte(p)
-					}
-					if !bytes.Equal(buf, want) {
-						errc <- errors.New("reader returned wrong page contents")
+					if len(page) != 1 || page[0].ID != uint64(p) {
+						errc <- fmt.Errorf("reader returned wrong contents for page %d", p)
 						return
 					}
 				}
@@ -83,37 +74,17 @@ func testConcurrentReaders(t *testing.T, st Store) {
 	}
 
 	// Readers are read-only.
-	if _, err := readers[0].Alloc(1); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Alloc on reader: %v", err)
-	}
-	if err := readers[0].Write(0, make([]byte, st.PageSize())); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Write on reader: %v", err)
+	if _, err := readers[0].Append(nil); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Append on reader: %v", err)
 	}
 	if got := readers[0].NumPages(); got != pages {
 		t.Fatalf("reader NumPages = %d, want %d", got, pages)
 	}
 
-	// Out-of-range and wrong-size reads still fail like the parent store.
-	buf := make([]byte, st.PageSize())
-	if err := readers[0].Read(PageID(pages), buf); !errors.Is(err, ErrPageOutOfRange) {
+	// Out-of-range reads still fail like the parent store.
+	if _, err := readers[0].View(PageID(pages)); !errors.Is(err, ErrPageOutOfRange) {
 		t.Fatalf("out-of-range read: %v", err)
 	}
-	if err := readers[0].Read(0, buf[:1]); !errors.Is(err, ErrPageSize) {
-		t.Fatalf("short-buffer read: %v", err)
-	}
-}
-
-func TestMemStoreConcurrentReaders(t *testing.T) {
-	testConcurrentReaders(t, NewMemStore(512))
-}
-
-func TestFileStoreConcurrentReaders(t *testing.T) {
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "pages.db"), 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	testConcurrentReaders(t, fs)
 }
 
 func TestReaderSequentialClassification(t *testing.T) {
@@ -123,14 +94,12 @@ func TestReaderSequentialClassification(t *testing.T) {
 	st := NewMemStore(256)
 	fillStore(t, st, 32)
 	readers := OpenReaders(st, 2)
-	buf0 := make([]byte, 256)
-	buf1 := make([]byte, 256)
 	for i := 0; i < 32; i++ {
-		if err := readers[0].Read(PageID(i), buf0); err != nil {
+		if _, err := readers[0].View(PageID(i)); err != nil {
 			t.Fatal(err)
 		}
 		// Reader 1 reads the same pages backwards, interleaved.
-		if err := readers[1].Read(PageID(31-i), buf1); err != nil {
+		if _, err := readers[1].View(PageID(31 - i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@ package storage
 import (
 	"errors"
 	"math/rand"
-	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,72 +13,59 @@ import (
 
 func TestMemStoreRoundTrip(t *testing.T) {
 	st := NewMemStore(512)
-	id, err := st.Alloc(3)
-	if err != nil {
-		t.Fatal(err)
+	pages := [][]geom.Element{
+		randomElements(rand.New(rand.NewSource(1)), 3),
+		nil, // a page that only occupies space
+		randomElements(rand.New(rand.NewSource(2)), ElementsPerPage(512)),
 	}
-	if id != 0 || st.NumPages() != 3 {
-		t.Fatalf("alloc: id=%d pages=%d", id, st.NumPages())
-	}
-	page := make([]byte, 512)
-	for i := range page {
-		page[i] = byte(i)
-	}
-	if err := st.Write(1, page); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 512)
-	if err := st.Read(1, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != byte(i) {
-			t.Fatalf("byte %d mismatch: %d", i, got[i])
+	for i, p := range pages {
+		id, err := st.Append(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != PageID(i) {
+			t.Fatalf("page %d appended as %d", i, id)
 		}
 	}
-	// Unwritten page reads as zeros.
-	if err := st.Read(2, got); err != nil {
-		t.Fatal(err)
+	if st.NumPages() != len(pages) {
+		t.Fatalf("NumPages = %d, want %d", st.NumPages(), len(pages))
 	}
-	for i := range got {
-		if got[i] != 0 {
-			t.Fatalf("fresh page should be zeroed at byte %d", i)
+	for i, p := range pages {
+		got, err := st.View(PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, p) {
+			t.Fatalf("page %d reads back %d elements, want %d", i, len(got), len(p))
 		}
 	}
 }
 
 func TestMemStoreErrors(t *testing.T) {
 	st := NewMemStore(256)
-	if _, err := st.Alloc(-1); err == nil {
-		t.Fatal("negative alloc should fail")
+	if _, err := st.View(0); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("view of an empty store: %v", err)
 	}
-	buf := make([]byte, 256)
-	if err := st.Read(0, buf); !errors.Is(err, ErrPageOutOfRange) {
-		t.Fatalf("read unallocated: %v", err)
+	if _, err := st.Append(randomElements(rand.New(rand.NewSource(3)), ElementsPerPage(256)+1)); err == nil {
+		t.Fatal("a page of more elements than fit was accepted")
 	}
-	if err := st.Write(0, buf); !errors.Is(err, ErrPageOutOfRange) {
-		t.Fatalf("write unallocated: %v", err)
+	if st.NumPages() != 0 || st.Stats() != (Stats{}) {
+		t.Fatalf("a refused append left %d pages and counted %v", st.NumPages(), st.Stats())
 	}
-	if _, err := st.Alloc(1); err != nil {
+	if _, err := st.Append(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Read(0, make([]byte, 100)); !errors.Is(err, ErrPageSize) {
-		t.Fatalf("short buffer: %v", err)
-	}
-	if err := st.Write(0, make([]byte, 300)); !errors.Is(err, ErrPageSize) {
-		t.Fatalf("long buffer: %v", err)
+	if _, err := st.View(1); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("view past the end: %v", err)
 	}
 }
 
 func TestStatsSequentialVsRandom(t *testing.T) {
 	st := NewMemStore(128)
-	if _, err := st.Alloc(10); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 128)
+	fillStore(t, st, 10)
 	// Sequential scan 0..9: first read is random (initial seek), rest sequential.
 	for i := 0; i < 10; i++ {
-		if err := st.Read(PageID(i), buf); err != nil {
+		if _, err := st.View(PageID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +80,7 @@ func TestStatsSequentialVsRandom(t *testing.T) {
 	before := s
 	// Backwards scan: every read is a seek.
 	for i := 9; i >= 0; i-- {
-		if err := st.Read(PageID(i), buf); err != nil {
+		if _, err := st.View(PageID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,22 +90,22 @@ func TestStatsSequentialVsRandom(t *testing.T) {
 	}
 }
 
+// TestStatsWriteClassification: appends land on consecutive pages, so the
+// first is a seek and the rest stream; every page costs its full size,
+// however few elements it holds.
 func TestStatsWriteClassification(t *testing.T) {
 	st := NewMemStore(128)
-	if _, err := st.Alloc(4); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 128)
-	order := []PageID{0, 1, 3, 2}
-	for _, id := range order {
-		if err := st.Write(id, buf); err != nil {
+	for _, n := range []int{2, 0, 1, 2} {
+		if _, err := st.Append(randomElements(rand.New(rand.NewSource(int64(n))), n)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := st.Stats()
-	// 0 rand, 1 seq, 3 rand, 2 rand.
-	if s.Writes != 4 || s.SeqWrites != 1 || s.RandWrites != 3 {
+	if s.Writes != 4 || s.SeqWrites != 3 || s.RandWrites != 1 || s.BytesWritten != 4*128 {
 		t.Fatalf("write stats: %+v", s)
+	}
+	if s.Reads != 0 {
+		t.Fatalf("appends counted reads: %+v", s)
 	}
 }
 
@@ -132,38 +119,6 @@ func TestStatsAddSub(t *testing.T) {
 	diff := sum.Sub(b)
 	if diff != a {
 		t.Fatalf("Sub: %+v != %+v", diff, a)
-	}
-}
-
-func TestFileStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	st, err := NewFileStore(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Alloc(5); err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, 256)
-	for i := range page {
-		page[i] = 0xAB
-	}
-	if err := st.Write(4, page); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 256)
-	if err := st.Read(4, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xAB || got[255] != 0xAB {
-		t.Fatalf("file round trip failed: %x %x", got[0], got[255])
-	}
-	if err := st.Read(5, got); !errors.Is(err, ErrPageOutOfRange) {
-		t.Fatalf("out of range read: %v", err)
-	}
-	if st.NumPages() != 5 {
-		t.Fatalf("NumPages = %d", st.NumPages())
 	}
 }
 
@@ -188,18 +143,21 @@ func TestDiskModel(t *testing.T) {
 	}
 }
 
+// TestElementPageRoundTrip: a full default-size page reads back element for
+// element, bit for bit.
 func TestElementPageRoundTrip(t *testing.T) {
-	buf := make([]byte, DefaultPageSize)
+	st := NewMemStore(DefaultPageSize)
 	elems := randomElements(rand.New(rand.NewSource(7)), ElementsPerPage(DefaultPageSize))
-	if err := EncodeElementsPage(buf, elems); err != nil {
+	id, err := st.Append(elems)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeElementsPage(nil, buf)
+	got, err := st.View(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(elems) {
-		t.Fatalf("decoded %d of %d elements", len(got), len(elems))
+		t.Fatalf("read %d of %d elements", len(got), len(elems))
 	}
 	for i := range got {
 		if got[i] != elems[i] {
@@ -208,33 +166,45 @@ func TestElementPageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestElementPageOverflow: a page holds ElementsPerPage elements and no more,
+// at any page size.
 func TestElementPageOverflow(t *testing.T) {
-	buf := make([]byte, 256)
-	tooMany := randomElements(rand.New(rand.NewSource(1)), ElementsPerPage(256)+1)
-	if err := EncodeElementsPage(buf, tooMany); err == nil {
-		t.Fatal("expected overflow error")
+	for _, size := range []int{256, 1024, DefaultPageSize} {
+		st := NewMemStore(size)
+		per := ElementsPerPage(size)
+		elems := randomElements(rand.New(rand.NewSource(1)), per+1)
+		if _, err := st.Append(elems[:per]); err != nil {
+			t.Fatalf("page size %d: a full page was refused: %v", size, err)
+		}
+		if _, err := st.Append(elems); err == nil {
+			t.Fatalf("page size %d: %d elements accepted, capacity %d", size, per+1, per)
+		}
 	}
 }
 
+// TestPropElementPageRoundTrip: any run of pages of any fill reads back as
+// written, each access counted as one page.
 func TestPropElementPageRoundTrip(t *testing.T) {
-	buf := make([]byte, 1024)
-	f := func(seed int64, nRaw uint8) bool {
+	f := func(seed int64, fills []uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := int(nRaw) % (ElementsPerPage(1024) + 1)
-		elems := randomElements(r, n)
-		if err := EncodeElementsPage(buf, elems); err != nil {
-			return false
+		st := NewMemStore(1024)
+		var want [][]geom.Element
+		for _, raw := range fills {
+			elems := randomElements(r, int(raw)%(ElementsPerPage(1024)+1))
+			if _, err := st.Append(elems); err != nil {
+				return false
+			}
+			want = append(want, elems)
 		}
-		got, err := DecodeElementsPage(nil, buf)
-		if err != nil || len(got) != n {
-			return false
-		}
-		for i := range got {
-			if got[i] != elems[i] {
+		for i, w := range want {
+			got, err := st.View(PageID(i))
+			if err != nil || !slices.Equal(got, w) {
 				return false
 			}
 		}
-		return true
+		s := st.Stats()
+		return s.Writes == uint64(len(want)) && s.Reads == uint64(len(want)) &&
+			s.BytesWritten == uint64(len(want))*1024 && s.BytesRead == s.BytesWritten
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

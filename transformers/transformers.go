@@ -57,8 +57,9 @@ type IndexOptions struct {
 	// all indexes that will be joined the same world for best walk
 	// behaviour (not required for correctness).
 	World Box
-	// Store overrides the backing page store (e.g. a storage.FileStore);
-	// an in-memory simulated disk when nil.
+	// Store overrides the backing page store (e.g. a fault-injecting wrapper
+	// of one); a new storage.MemStore, the in-memory simulated disk, when
+	// nil.
 	Store storage.Store
 }
 
@@ -83,13 +84,12 @@ type BuildReport struct {
 }
 
 // BuildIndex indexes a dataset for TRANSFORMERS joins. The input slice is
-// reordered in place (STR order) and belongs to the index afterwards: over the
-// default in-memory store the index's data pages are ranges of elems, not
-// copies of them — a resident dataset is held once. The caller may keep
-// reading the slice, but must not write to it, or pass it to anything that
-// does (Run and a second BuildIndex reorder their inputs), while the index is
-// in use; index a copy to keep the original. Over a Store that holds encoded
-// pages (a storage.FileStore) nothing of elems is retained.
+// reordered in place (STR order) and belongs to the index afterwards: the
+// index's data pages are ranges of elems, not copies of them — a resident
+// dataset is held once. The caller may keep reading the slice, but must not
+// write to it, or pass it to anything that does (Run and a second BuildIndex
+// reorder their inputs), while the index is in use; index a copy to keep the
+// original.
 func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 	idx, _, err := BuildIndexPieces([][]Element{elems}, geom.MBBOf(elems), opt)
 	return idx, err
