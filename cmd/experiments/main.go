@@ -38,7 +38,6 @@ func main() {
 	scale := flag.Float64("scale", 0.001, "fraction of the paper's element counts")
 	seed := flag.Int64("seed", 1, "workload seed")
 	parallel := flag.Int("parallel", 1, "TRANSFORMERS join worker count (1 = paper-faithful)")
-	shardTiles := flag.Int("shard-tiles", 0, "tile count K for the shard-* engines (0 = statistics-driven)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results on stdout (tables go to stderr)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
@@ -64,7 +63,7 @@ func main() {
 	}
 
 	if !*jsonOut {
-		cfg := bench.Config{Scale: *scale, Out: os.Stdout, Seed: *seed, Parallel: *parallel, Algos: algos, ShardTiles: *shardTiles}
+		cfg := bench.Config{Scale: *scale, Out: os.Stdout, Seed: *seed, Parallel: *parallel, Algos: algos}
 		if err := bench.RunByID(*exp, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
@@ -96,13 +95,12 @@ func main() {
 	for _, id := range ids {
 		res := expResult{ID: id, Samples: []bench.Sample{}}
 		cfg := bench.Config{
-			Scale:      *scale,
-			Out:        os.Stderr,
-			Seed:       *seed,
-			Parallel:   *parallel,
-			Algos:      algos,
-			ShardTiles: *shardTiles,
-			Sink:       func(s bench.Sample) { res.Samples = append(res.Samples, s) },
+			Scale:    *scale,
+			Out:      os.Stderr,
+			Seed:     *seed,
+			Parallel: *parallel,
+			Algos:    algos,
+			Sink:     func(s bench.Sample) { res.Samples = append(res.Samples, s) },
 		}
 		start := time.Now()
 		if err := bench.RunByID(id, cfg); err != nil {

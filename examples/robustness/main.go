@@ -6,10 +6,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
+	"repro/internal/engine"
 	"repro/transformers"
 )
 
@@ -20,7 +22,7 @@ func main() {
 	// The paper's schedule: dataset A grows while B shrinks, combined size
 	// roughly constant, so the density ratio sweeps 1000x..1x..1000x.
 	ratios := []int{1000, 100, 50, 10, 1, 10, 50, 100, 1000}
-	algos := transformers.Algorithms()
+	algos := []string{engine.Transformers, engine.PBSM, engine.RTree, engine.GIPSY}
 
 	fmt.Printf("%-16s%7s", "A : B", "ratio")
 	for _, alg := range algos {
@@ -38,11 +40,11 @@ func main() {
 		for _, alg := range algos {
 			a := transformers.GenerateUniform(nA, int64(i))
 			b := transformers.GenerateUniform(nB, int64(i+100))
-			rep, err := transformers.Run(alg, a, b, transformers.RunOptions{})
+			res, err := engine.Run(context.Background(), alg, a, b, engine.Options{DiscardPairs: true})
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%15s", rep.JoinTotal.Round(1e6).String())
+			fmt.Printf("%15s", res.Stats.JoinTotal.Round(1e6).String())
 		}
 		fmt.Println()
 	}

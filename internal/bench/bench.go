@@ -1,6 +1,6 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (§VII). Each experiment builds its scaled
-// workload, runs the competing algorithms through the public facade, and
+// workload, runs the competing algorithms through the engine registry, and
 // prints the same rows/series the paper reports.
 //
 // Scaling: the paper joins 100M–1300M elements on a machine with four SAS
@@ -44,10 +44,6 @@ type Config struct {
 	// (names from engine.Names()); empty keeps each experiment's default
 	// set. The feed behind `cmd/experiments -algo`.
 	Algos []string
-	// ShardTiles pins the tile count of sharded meta-engines (0 = the
-	// engine's statistics-driven choice). The feed behind
-	// `cmd/experiments -shard-tiles`.
-	ShardTiles int
 
 	// experiment is the id currently running; runOne stamps it so samples
 	// carry their provenance.
@@ -86,16 +82,6 @@ type Sample struct {
 	RandReads       uint64  `json:"io_rand_reads"`
 	BytesRead       uint64  `json:"io_bytes_read"`
 
-	// Shard fan-out detail, present when a sharded meta-engine ran: the
-	// cut, the boundary replication it cost, what dedup dropped, and how
-	// busy the worker pool stayed.
-	ShardTiles       int     `json:"shard_tiles,omitempty"`
-	ShardTilesRun    int     `json:"shard_tiles_run,omitempty"`
-	ShardWorkers     int     `json:"shard_workers,omitempty"`
-	ShardReplicated  int     `json:"shard_replicated,omitempty"`
-	ShardDedupDrops  uint64  `json:"shard_dedup_drops,omitempty"`
-	ShardUtilization float64 `json:"shard_utilization_pct,omitempty"`
-
 	// In-memory stripe-partition detail, present when the inmem engine ran:
 	// the effective cut and the boundary replication it cost.
 	InMemStripes    int `json:"inmem_stripes,omitempty"`
@@ -129,14 +115,6 @@ func sampleFromResult(res *engine.Result, parallel int) Sample {
 		Reads:           res.Stats.JoinIO.Reads,
 		RandReads:       res.Stats.JoinIO.RandReads,
 		BytesRead:       res.Stats.JoinIO.BytesRead,
-	}
-	if sh := res.Stats.Shard; sh != nil {
-		s.ShardTiles = sh.Tiles
-		s.ShardTilesRun = sh.TilesRun
-		s.ShardWorkers = sh.Workers
-		s.ShardReplicated = sh.ReplicatedA + sh.ReplicatedB
-		s.ShardDedupDrops = sh.DedupDropped
-		s.ShardUtilization = sh.UtilizationPct
 	}
 	if im := res.Stats.InMem; im != nil {
 		s.InMemStripes = im.Stripes
@@ -381,9 +359,6 @@ func executeEngine(name string, a, b []transformers.Element, opt engine.Options)
 func runAlgo(cfg Config, name string, genA, genB func() []transformers.Element, opt engine.Options) (*engine.Result, error) {
 	if opt.Parallelism == 0 {
 		opt.Parallelism = cfg.Parallel
-	}
-	if opt.ShardTiles == 0 {
-		opt.ShardTiles = cfg.ShardTiles
 	}
 	res, err := executeEngine(name, genA(), genB(), opt)
 	if err != nil {

@@ -396,7 +396,7 @@ func enginesWorkloads(cfg Config, n int) []struct {
 func runEngines(cfg Config) error {
 	n := cfg.scaled(20 * paperM)
 	algos := cfg.filterAlgos(engine.Names())
-	t := &table{header: []string{"workload", "engine", "predicted", "build", "join total", "candidates", "pages", "shard", "planner pick"}}
+	t := &table{header: []string{"workload", "engine", "predicted", "build", "join total", "candidates", "pages", "planner pick"}}
 	for _, w := range enginesWorkloads(cfg, n) {
 		sa := planner.Analyze(w.genA())
 		sb := planner.Analyze(w.genB())
@@ -413,8 +413,7 @@ func runEngines(cfg Config) error {
 			// Not via runAlgo: the sample needs the workload and
 			// prediction stamps, so record it here instead.
 			rep, err := executeEngine(name, w.genA(), w.genB(),
-				engine.Options{PBSMTilesPerDim: cfg.pbsmTiles(10), Parallelism: cfg.Parallel,
-					ShardTiles: cfg.ShardTiles})
+				engine.Options{PBSMTilesPerDim: cfg.pbsmTiles(10), Parallelism: cfg.Parallel})
 			if err != nil {
 				return err
 			}
@@ -429,13 +428,8 @@ func runEngines(cfg Config) error {
 				predCol = fmt.Sprintf("%.1fms", p)
 				s.PlannerCostMS = p
 			}
-			shardCol := "-"
-			if sh := rep.Stats.Shard; sh != nil {
-				shardCol = fmt.Sprintf("K=%d repl=%d drop=%d util=%.0f%%",
-					sh.Tiles, sh.ReplicatedA+sh.ReplicatedB, sh.DedupDropped, sh.UtilizationPct)
-			}
 			t.addRow(w.name, name, predCol, dur(rep.Stats.BuildTotal),
-				dur(rep.Stats.JoinTotal), count(rep.Stats.Candidates), count(rep.Stats.PagesRead), shardCol, pick)
+				dur(rep.Stats.JoinTotal), count(rep.Stats.Candidates), count(rep.Stats.PagesRead), pick)
 			cfg.record(s)
 		}
 	}

@@ -185,9 +185,7 @@ func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index
 // its own for it. It returns the array the index keeps, in STR order (see
 // str.SplitPieces): one piece is that array, reordered in place and owned by
 // the index as BuildIndex's elems is; several are only read, gathered into a
-// new one, and the slice of them is cleared. The array is returned even when
-// a later step of the build fails, so that a retry can pass it as the one
-// piece and not gather again.
+// new one, and the slice of them is cleared.
 func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box, cfg IndexConfig) (*Index, []geom.Element, BuildStats, error) {
 	start := time.Now()
 	before := st.Stats()
@@ -245,7 +243,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 			p := parts[ref.ID]
 			id, err := st.Append(elems[p.Start:p.End])
 			if err != nil {
-				return nil, elems, BuildStats{}, err
+				return nil, nil, BuildStats{}, err
 			}
 			bs.DataPages++
 			ui := int32(len(idx.units))
@@ -274,7 +272,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 	// comparisons are cheap).
 	metaPages, err := idx.writeMeta()
 	if err != nil {
-		return nil, elems, BuildStats{}, err
+		return nil, nil, BuildStats{}, err
 	}
 	bs.MetaPages = metaPages
 

@@ -27,8 +27,9 @@ const (
 )
 
 // Sharded meta-engine names. The engines themselves live in
-// internal/engine/shard (imported for side effect by the layers above); the
-// names are declared here so callers can name them without importing it.
+// internal/engine/shard, registered wherever it is imported for side effect
+// (the engine suites and the benchmark module); the names are declared here
+// so callers can name them without importing it.
 const (
 	// ShardPrefix prefixes every sharded meta-engine name; the suffix is
 	// the inner engine that runs per tile.

@@ -149,8 +149,8 @@ type InMemStats struct {
 // ShardStats is the per-execution record of a sharded meta-engine: how the
 // space was cut, how much boundary replication the cut cost, and what the
 // reference-point dedup dropped. It lives in the engine package (not the
-// shard package) so Result.Stats, the serving layer and the bench JSON can
-// all carry it without importing the meta-engine.
+// shard package) so Result.Stats can carry it without importing the
+// meta-engine.
 type ShardStats struct {
 	// Inner is the engine that ran per tile.
 	Inner string `json:"inner"`

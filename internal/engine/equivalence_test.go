@@ -15,9 +15,27 @@ import (
 // engine must produce the identical sorted pair set on every distribution
 // (the shared enginetest workloads: uniform, clustered, skewed). This is
 // what catches silent divergence in the adapters — a dedup bug, a lost
-// orientation, a partition-boundary miss — the moment it appears.
+// orientation, a partition-boundary miss — the moment it appears. Four more
+// pairs ride along, inflated like those until they produce pairs: dense
+// against uniform clusters, a dense pair, a massive cluster against uniform
+// data, and a dense A against a sparse B, which GIPSY crawls from B and must
+// report as (A, B).
 func TestEngineEquivalence(t *testing.T) {
-	for _, w := range enginetest.Workloads(1500, 10) {
+	workloads := append(enginetest.Workloads(1500, 10),
+		enginetest.Workload{Name: "dense-uniformcluster",
+			A: enginetest.Inflate(datagen.DenseCluster(datagen.Config{N: 1500, Seed: 5}), 3),
+			B: enginetest.Inflate(datagen.UniformCluster(datagen.Config{N: 1500, Seed: 6}), 3)},
+		enginetest.Workload{Name: "dense-dense",
+			A: enginetest.Inflate(datagen.DenseCluster(datagen.Config{N: 2000, Seed: 201}), 3),
+			B: enginetest.Inflate(datagen.DenseCluster(datagen.Config{N: 2000, Seed: 202}), 3)},
+		enginetest.Workload{Name: "massive-uniform",
+			A: enginetest.Inflate(datagen.MassiveCluster(datagen.Config{N: 2000, Seed: 203}), 3),
+			B: enginetest.Inflate(datagen.Uniform(datagen.Config{N: 2000, Seed: 204}), 3)},
+		enginetest.Workload{Name: "dense-a-sparse-b",
+			A: datagen.Uniform(datagen.Config{N: 3000, Seed: 8}),
+			B: enginetest.Inflate(datagen.Uniform(datagen.Config{N: 40, Seed: 7}), 40)},
+	)
+	for _, w := range workloads {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			reference := naive.Join(w.A, w.B)
@@ -47,45 +65,69 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceDistance runs the same property through the distance
-// predicate: the §VIII enlarged-objects reduction must agree across engines
-// and with a reference computed on explicitly expanded boxes.
+// predicate at d = 0, 6 and 25: the §VIII enlarged-objects reduction must
+// agree across engines and with a reference computed on explicitly expanded
+// boxes; that reference must be exactly the pairs within Chebyshev distance d
+// of each other (so d = 0 is the plain join), and its size must grow with d.
 func TestEngineEquivalenceDistance(t *testing.T) {
-	const d = 6.0
-	a := datagen.MassiveCluster(datagen.Config{N: 1200, Seed: 21})
+	a := enginetest.Inflate(datagen.MassiveCluster(datagen.Config{N: 1200, Seed: 21}), 6)
 	b := datagen.Uniform(datagen.Config{N: 1200, Seed: 22})
-	ea := make([]geom.Element, len(a))
-	for i, e := range a {
-		ea[i] = geom.Element{ID: e.ID, Box: e.Box.Expand(d / 2)}
+	prev := -1
+	for _, d := range []float64{0, 6, 25} {
+		t.Run(fmt.Sprintf("d=%g", d), func(t *testing.T) {
+			reference := naive.Join(geom.ExpandedForDistance(a, d), geom.ExpandedForDistance(b, d))
+			var within []geom.Pair
+			for _, x := range a {
+				for _, y := range b {
+					if chebyshev(x.Box, y.Box) <= d {
+						within = append(within, geom.Pair{A: x.ID, B: y.ID})
+					}
+				}
+			}
+			if !naive.Equal(within, append([]geom.Pair(nil), reference...)) {
+				t.Fatalf("expanded boxes join %d pairs, %d are within distance %g", len(reference), len(within), d)
+			}
+			if len(reference) == 0 {
+				t.Fatal("degenerate distance workload")
+			}
+			if len(reference) < prev {
+				t.Fatalf("%d pairs within %g, fewer than the %d at a shorter distance", len(reference), d, prev)
+			}
+			prev = len(reference)
+			type run struct {
+				label, engine string
+				opt           Options
+			}
+			// The catalog's form of the join first: indexes over the
+			// unexpanded boxes read through views grown by d/2, and no
+			// Options.Distance.
+			runs := []run{{"transformers through grown views", Transformers,
+				Options{Prebuilt: &Prebuilt{A: enginetest.Index(a).Grown(d / 2), B: enginetest.Index(b).Grown(d / 2)}}}}
+			for _, name := range Names() {
+				runs = append(runs, run{name, name, Options{Distance: d}})
+			}
+			for _, r := range runs {
+				res, err := Run(context.Background(), r.engine,
+					append([]geom.Element(nil), a...), append([]geom.Element(nil), b...), r.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", r.label, err)
+				}
+				if !naive.Equal(res.Pairs, append([]geom.Pair(nil), reference...)) {
+					t.Errorf("%s: distance join diverges (%d vs %d pairs)", r.label, len(res.Pairs), len(reference))
+				}
+			}
+		})
 	}
-	eb := make([]geom.Element, len(b))
-	for i, e := range b {
-		eb[i] = geom.Element{ID: e.ID, Box: e.Box.Expand(d / 2)}
+}
+
+// chebyshev is the Chebyshev (largest per-axis gap) distance of two boxes, 0
+// when they intersect.
+func chebyshev(a, b geom.Box) float64 {
+	var worst float64
+	for d := 0; d < 3; d++ {
+		worst = max(worst, b.Lo[d]-a.Hi[d], a.Lo[d]-b.Hi[d])
 	}
-	reference := naive.Join(ea, eb)
-	if len(reference) == 0 {
-		t.Fatal("degenerate distance workload")
-	}
-	type run struct {
-		label, engine string
-		opt           Options
-	}
-	// The catalog's form of the join first: indexes over the unexpanded boxes
-	// read through views grown by d/2, and no Options.Distance.
-	runs := []run{{"transformers through grown views", Transformers,
-		Options{Prebuilt: &Prebuilt{A: enginetest.Index(a).Grown(d / 2), B: enginetest.Index(b).Grown(d / 2)}}}}
-	for _, name := range Names() {
-		runs = append(runs, run{name, name, Options{Distance: d}})
-	}
-	for _, r := range runs {
-		res, err := Run(context.Background(), r.engine,
-			append([]geom.Element(nil), a...), append([]geom.Element(nil), b...), r.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", r.label, err)
-		}
-		if !naive.Equal(res.Pairs, append([]geom.Pair(nil), reference...)) {
-			t.Errorf("%s: distance join diverges (%d vs %d pairs)", r.label, len(res.Pairs), len(reference))
-		}
-	}
+	return worst
 }
 
 // TestEngineEquivalenceParallel: the transformers engine must produce the
@@ -127,6 +169,9 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := Get("nope"); err == nil {
 		t.Fatal("Get of unknown engine must fail")
+	}
+	if _, err := Run(context.Background(), "nope", nil, nil, Options{}); err == nil {
+		t.Fatal("Run of unknown engine must fail")
 	}
 }
 

@@ -23,8 +23,6 @@ func Engines() []string { return slices.Clone(engines) }
 
 // Config parameterizes one planning pass.
 type Config struct {
-	// PageSize prices index pages; storage.DefaultPageSize when zero.
-	PageSize int
 	// PrebuiltTransformers marks the TRANSFORMERS indexes as already built
 	// (the serving catalog builds them at dataset registration), so the
 	// transformers engine is priced without its build phase while inmem
@@ -140,16 +138,13 @@ const (
 // cheapest, with TRANSFORMERS as the robust fallback. The decision is
 // deterministic in the inputs.
 func Plan(a, b DatasetStats, cfg Config) Decision {
-	pageSize := cfg.PageSize
-	if pageSize <= 0 {
-		pageSize = storage.DefaultPageSize
-	}
-	// Page I/O is priced the way the benchmark currency prices it.
+	// Page I/O is priced the way the benchmark currency prices it, on the
+	// pages every index is built of.
 	disk := storage.DefaultDiskModel()
 	m := model{
 		a: a, b: b,
-		perPage:  float64(storage.ElementsPerPage(pageSize)),
-		tio:      disk.ReadTime(storage.Stats{Reads: 1, SeqReads: 1, BytesRead: uint64(pageSize)}).Seconds(),
+		perPage:  float64(storage.ElementsPerPage(storage.DefaultPageSize)),
+		tio:      disk.ReadTime(storage.Stats{Reads: 1, SeqReads: 1, BytesRead: storage.DefaultPageSize}).Seconds(),
 		seek:     disk.Seek.Seconds(),
 		skew:     math.Max(a.SkewCV, b.SkewCV),
 		cluster:  math.Max(a.ClusterFraction, b.ClusterFraction),

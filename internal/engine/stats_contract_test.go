@@ -16,10 +16,11 @@ import (
 // TestStatsContract pins what every engine's Stats record guarantees, whatever
 // the engine books into it: the derived totals are the sums of their parts,
 // PagesRead mirrors the join-phase reads, Refinements counts the pairs that
-// were emitted, and IndexedPages is non-zero exactly for the engines that
-// build paged indexes. The built-ins get all of it from one skeleton
-// (builtin.JoinStream); the sharded forms, run at a fixed tile count, book
-// their own record and must agree. A Prebuilt run — nil element slices, as the
+// were emitted and no more than the Candidates tested, and IndexedPages is
+// non-zero exactly for the engines that build paged indexes, which (unsharded)
+// also count the pages their build wrote and their join read. The built-ins
+// get all of it from one skeleton (builtin.JoinStream); the sharded forms, run
+// at a fixed tile count, book their own record and must agree. A Prebuilt run — nil element slices, as the
 // serving catalog calls it — reports no build and the built run's pairs.
 func TestStatsContract(t *testing.T) {
 	ctx := context.Background()
@@ -56,6 +57,13 @@ func TestStatsContract(t *testing.T) {
 		}
 		if (st.IndexedPages > 0) != paged[name] {
 			t.Errorf("%s: IndexedPages %d, paged index expected: %v", name, st.IndexedPages, paged[name])
+		}
+		if st.Candidates < st.Refinements {
+			t.Errorf("%s: %d candidates tested for %d pairs", name, st.Candidates, st.Refinements)
+		}
+		// A sharded form books its tiles' builds inside its join phase.
+		if paged[name] && !isShardName(name) && (st.BuildIO.Writes == 0 || st.JoinIO.Reads == 0) {
+			t.Errorf("%s: build wrote %d pages, join read %d", name, st.BuildIO.Writes, st.JoinIO.Reads)
 		}
 	}
 

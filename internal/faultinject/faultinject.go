@@ -5,7 +5,9 @@
 // counts; the server test suite and the spatialjoind -faults flag run real
 // traffic through it and assert that every scenario ends in correct results,
 // a clean typed error, or a well-formed 429/503, never a hang, a leaked
-// goroutine, or a wrong pair set.
+// goroutine, or a wrong pair set. Nothing retries an injected fault: an
+// upload whose build it fails answers 5xx and installs nothing, a merge it
+// fails keeps its delta, and a join it fails returns the error.
 //
 // Scenarios are scripted as comma-separated fault clauses:
 //
@@ -16,6 +18,7 @@
 package faultinject
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -23,15 +26,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/storage"
 )
 
-// ErrInjected marks every fault this package injects. It wraps
-// storage.ErrTransient: injected storage faults model exactly the flaky-
-// device failures the serving retry loops exist for, so the retry layer must
-// classify them as retryable.
-var ErrInjected = fmt.Errorf("faultinject: injected fault: %w", storage.ErrTransient)
+// ErrInjected marks every fault this package injects: a failure it caused
+// wraps it, so a test tells an injected fault from any other error with
+// errors.Is.
+var ErrInjected = errors.New("faultinject: injected fault")
 
 // Fault operation kinds.
 const (

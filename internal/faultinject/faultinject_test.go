@@ -125,9 +125,6 @@ func TestWrapStoreReadError(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("read 2 = %v, want ErrInjected", err)
 	}
-	if !storage.IsTransient(err) {
-		t.Fatal("injected read error not classified transient")
-	}
 	if _, err := ws.View(id); err != nil {
 		t.Fatalf("read 3 (times exhausted): %v", err)
 	}
@@ -192,7 +189,7 @@ func TestWrapStoreSlowRead(t *testing.T) {
 func TestStoreFactoryBuildFail(t *testing.T) {
 	sc := New(Fault{Op: OpBuildFail, Times: 2})
 	for call := 1; call <= 3; call++ {
-		st := sc.StoreFactory(0)
+		st := sc.StoreFactory()
 		_, err := st.Append(nil)
 		if call <= 2 {
 			if !errors.Is(err, ErrInjected) {

@@ -25,12 +25,12 @@ func (s *Scenario) WrapStore(st storage.Store) storage.Store {
 // StoreFactory is a catalog store factory (server.Config.StoreFactory shape)
 // producing scenario-wrapped in-memory stores. OpBuildFail triggers per
 // factory call: a triggered build gets a store whose appends fail before the
-// first page lands, failing that build attempt in its entirety — the shape
-// of a build landing on a briefly unavailable backend, and the fault the
-// catalog's build retry exists for (a build that still fails installs
-// nothing, so the previous version goes on serving).
-func (s *Scenario) StoreFactory(pageSize int) storage.Store {
-	st := storage.Store(storage.NewMemStore(pageSize))
+// first page lands, failing that build in its entirety — the shape of a build
+// landing on a briefly unavailable backend. The catalog makes one attempt per
+// build, so the upload or merge fails and installs nothing, and the previous
+// version goes on serving.
+func (s *Scenario) StoreFactory() storage.Store {
+	st := storage.Store(storage.NewMemStore(0))
 	if _, fire := s.fire(OpBuildFail); fire {
 		return &brokenStore{st: st}
 	}

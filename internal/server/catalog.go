@@ -11,9 +11,10 @@
 // does; a distance join reads it through a view grown by half the distance
 // (§VIII), made per request, so no distance builds, copies or holds anything.
 // A version is installed built: an upload or a delta merge builds its index
-// first, retrying transient storage faults with jittered backoff, and only a
-// build that succeeds becomes the dataset's next version — one that fails
-// changes nothing, and the previous version goes on serving.
+// first, in one attempt on one store, and only a build that succeeds becomes
+// the dataset's next version. One that fails is not retried: it changes
+// nothing, the upload answers a 5xx naming the cause, a merge keeps its delta,
+// and the previous version goes on serving.
 //
 // The in-memory engine's index belongs to a pair of datasets rather than to
 // one: the stripe partition of (A, B, distance) is built by the first inmem
@@ -53,40 +54,22 @@ var ErrMergeInFlight = errors.New("server: delta merge already in flight")
 // dataset's own index is not counted: it is the dataset.
 const DefaultMaxIndexes = 64
 
-// BuildError reports an index build that failed even after retrying.
-type BuildError struct {
-	// Attempts is the number of build attempts made (retries + 1).
-	Attempts int
-	// Err is the last attempt's error.
-	Err error
-}
-
-func (e *BuildError) Error() string {
-	return fmt.Sprintf("server: index build failed after %d attempts: %v", e.Attempts, e.Err)
-}
-
-func (e *BuildError) Unwrap() error { return e.Err }
-
 // Catalog maps dataset names to raw elements and the index built over them,
 // one per dataset version.
 type Catalog struct {
 	mu         sync.Mutex
 	maxIndexes int
-	pageSize   int
 	clock      uint64
 	datasets   map[string]*dataset
 	// partitions holds the resident inmem pair partitions (partition.go).
 	partitions map[partKey]*partEntry
-	retry      RetryPolicy
-	// storeFactory builds the page store behind each index build attempt
-	// (a fresh store per attempt, so a half-written store from a failed
-	// attempt is never reused). Nil selects an in-memory store; tests and
-	// the -faults flag install fault-injecting factories here.
-	storeFactory func(pageSize int) storage.Store
+	// storeFactory builds the page store behind each index build (a fresh
+	// store per build). Nil selects an in-memory store; tests and the -faults
+	// flag install fault-injecting factories here.
+	storeFactory func() storage.Store
 
 	builds        uint64
 	evictions     uint64
-	retries       uint64
 	acquires      uint64
 	indexHits     uint64
 	appends       uint64
@@ -112,8 +95,6 @@ type CatalogStats struct {
 	// started; Evictions the partitions evicted by the cap.
 	Builds    uint64 `json:"builds"`
 	Evictions uint64 `json:"evictions"`
-	// Retries counts index build attempts beyond each build's first.
-	Retries uint64 `json:"retries"`
 	// Acquires counts Acquire and AcquirePartition calls; IndexHits the ones
 	// satisfied by an already-present index or partition (possibly waiting on
 	// the partition's in-flight build) rather than starting a build — the
@@ -194,23 +175,22 @@ type dataset struct {
 }
 
 // NewCatalog returns an empty catalog. maxIndexes <= 0 selects
-// DefaultMaxIndexes; pageSize <= 0 selects the storage default.
-func NewCatalog(maxIndexes, pageSize int) *Catalog {
+// DefaultMaxIndexes. The second parameter is unused: every index page is
+// storage.DefaultPageSize bytes.
+func NewCatalog(maxIndexes, _ int) *Catalog {
 	if maxIndexes <= 0 {
 		maxIndexes = DefaultMaxIndexes
 	}
 	return &Catalog{
 		maxIndexes: maxIndexes,
-		pageSize:   pageSize,
 		datasets:   make(map[string]*dataset),
 		partitions: make(map[partKey]*partEntry),
 	}
 }
 
 // SetStoreFactory overrides the page store behind index builds (nil restores
-// the in-memory default). Each build attempt gets a fresh store from the
-// factory.
-func (c *Catalog) SetStoreFactory(f func(pageSize int) storage.Store) {
+// the in-memory default). Each build gets a fresh store from the factory.
+func (c *Catalog) SetStoreFactory(f func() storage.Store) {
 	c.mu.Lock()
 	c.storeFactory = f
 	c.mu.Unlock()
@@ -260,22 +240,13 @@ func (c *Catalog) dropPartitionsLocked(gen *generation) {
 	}
 }
 
-// SetRetryPolicy overrides the build retry policy (zero fields take
-// defaults).
-func (c *Catalog) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	c.retry = p
-	c.mu.Unlock()
-}
-
 // Put registers (or replaces) a named dataset, built: it analyzes elems and
-// builds their index — under context.Background(), so the retry policy's
-// budget bounds the backoff — and only then installs them as the dataset's
-// next version. A failed build returns its *BuildError and registers,
-// replaces and invalidates nothing: the previous version, if any, goes on
-// serving. The element slice is owned by the catalog afterwards (the build
-// orders it in place and the index reads its pages from it), and no reader
-// sees it before it is installed. The replaced generation's index stays valid
+// builds their index, and only then installs them as the dataset's next
+// version. A failed build returns its error and registers, replaces and
+// invalidates nothing: the previous version, if any, goes on serving. The
+// element slice is owned by the catalog afterwards (the build orders it in
+// place and the index reads its pages from it), and no reader sees it before
+// it is installed. The replaced generation's index stays valid
 // for the queries running on it, and cached join results keyed by the old
 // version can never be served for the new one because the version is bumped.
 // An append that lands while the replacement builds rides the generation
@@ -314,7 +285,7 @@ func (b batch) len() int {
 // one piece is owned by the catalog afterwards, as Put's slice is; several
 // are only read, and gathered into the generation's array by the build.
 func (c *Catalog) put(name string, b batch) (*generation, error) {
-	gen, err := c.build(context.Background(), b)
+	gen, err := c.build(b)
 	if err != nil {
 		return nil, err
 	}
@@ -332,11 +303,11 @@ func (c *Catalog) put(name string, b batch) (*generation, error) {
 
 // build is the first half of the one build-then-install step under Put and
 // MergeDelta: b analyzed and indexed — its pieces gathered into the one array
-// the generation keeps, in STR order — on a store from the catalog's factory,
-// transient storage failures retried under its policy, the outcome reported to
-// its build observer and a failure wrapped as a *BuildError. It returns the
-// generation to install, versionless.
-func (c *Catalog) build(ctx context.Context, b batch) (*generation, error) {
+// the generation keeps, in STR order — in one attempt on one store from the
+// catalog's factory, the outcome reported to its build observer. It returns
+// the generation to install, versionless, or "server: index build: <cause>",
+// which the handlers answer with a 5xx.
+func (c *Catalog) build(b batch) (*generation, error) {
 	// The statistics pass reads the pieces outside the lock, like the build:
 	// planning signals are version-scoped and must not stall concurrent
 	// catalog traffic. Beside a build of several pieces, which only reads
@@ -352,37 +323,22 @@ func (c *Catalog) build(ctx context.Context, b batch) (*generation, error) {
 		go analyze(slices.Clone(b.pieces))
 	}
 	c.mu.Lock()
-	pageSize, policy, factory, observer := c.pageSize, c.retry, c.storeFactory, c.buildObserver
+	factory, observer := c.storeFactory, c.buildObserver
 	c.mu.Unlock()
+	var st storage.Store
+	if factory != nil {
+		st = factory()
+	}
 	start := time.Now()
-	var idx *transformers.Index
-	var elems []transformers.Element
-	pieces := b.pieces
-	err, retries := retryTransient(ctx, policy, storage.IsTransient, func() error {
-		var st storage.Store
-		if factory != nil {
-			st = factory(pageSize)
-		}
-		// A failed attempt leaves the array it ordered intact: the next one
-		// takes it as its one piece, reordered in place, and gathers nothing.
-		var err error
-		idx, elems, err = transformers.BuildIndexPieces(pieces, b.mbb, transformers.IndexOptions{PageSize: pageSize, Store: st})
-		if elems != nil {
-			pieces = [][]transformers.Element{elems}
-		}
-		return err
-	})
+	idx, elems, err := transformers.BuildIndexPieces(b.pieces, b.mbb, transformers.IndexOptions{Store: st})
 	if observer != nil {
 		observer(time.Since(start), err == nil)
 	}
-	c.mu.Lock()
-	c.retries += uint64(retries)
-	c.mu.Unlock()
-	st := <-stats
+	ds := <-stats
 	if err != nil {
-		return nil, &BuildError{Attempts: retries + 1, Err: err}
+		return nil, fmt.Errorf("server: index build: %w", err)
 	}
-	return &generation{elems: elems, stats: st, index: idx}, nil
+	return &generation{elems: elems, stats: ds, index: idx}, nil
 }
 
 // installLocked is the second half: gen, built, becomes ds's current
@@ -634,7 +590,7 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	// which no reader sees before it is installed. The base's bounds are its
 	// statistics'.
 	_, span := obs.Start(ctx, "delta-merge")
-	next, buildErr := c.build(ctx, batch{pieces: [][]transformers.Element{base, delta}, mbb: gen.stats.MBB.Cover(geom.MBBOf(delta))})
+	next, buildErr := c.build(batch{pieces: [][]transformers.Element{base, delta}, mbb: gen.stats.MBB.Cover(geom.MBBOf(delta))})
 	span.End()
 	span.Add("elements", int64(n))
 
@@ -679,7 +635,6 @@ func (c *Catalog) Stats() CatalogStats {
 		PartitionBytes: partBytes,
 		Builds:         c.builds,
 		Evictions:      c.evictions,
-		Retries:        c.retries,
 		Acquires:       c.acquires,
 		IndexHits:      c.indexHits,
 		DeltaElements:  deltaElems,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/naive"
 	"repro/transformers"
 )
@@ -182,8 +183,8 @@ func TestHTTPDistanceJoin(t *testing.T) {
 	a := transformers.GenerateUniform(1200, 61)
 	b := transformers.GenerateUniform(1200, 62)
 	const d = 6.0
-	ea, _ := transformers.ExpandForDistance(a, d)
-	eb, _ := transformers.ExpandForDistance(b, d)
+	ea := geom.ExpandedForDistance(a, d)
+	eb := geom.ExpandedForDistance(b, d)
 	want := naive.Join(ea, eb)
 
 	postJSON(t, ts.URL+"/datasets", `{"name":"a","generate":{"kind":"uniform","n":1200,"seed":61}}`)

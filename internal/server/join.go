@@ -127,7 +127,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
 				Concurrent:  true,
-				PageSize:    s.cfg.PageSize,
 				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
 			}, emit)
 			if err == nil && len(deltaA)+len(deltaB) > 0 {
@@ -162,7 +161,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
-				PageSize:    s.cfg.PageSize,
 				Prebuilt:    &engine.Prebuilt{Partition: h.Partition},
 			}, emit)
 			if err != nil {
@@ -210,7 +208,6 @@ func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, base
 	opt := engine.Options{
 		Distance:    p.Distance,
 		Parallelism: jp.parallelism,
-		PageSize:    s.cfg.PageSize,
 	}
 	var pairs uint64
 	for _, sj := range [3]struct{ ea, eb []transformers.Element }{

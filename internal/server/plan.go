@@ -61,7 +61,6 @@ func deltaAdjusted(st planner.DatasetStats, delta int) planner.DatasetStats {
 // corrections.
 func (s *Service) plannerConfig(a, b string) planner.Config {
 	return planner.Config{
-		PageSize:             s.cfg.PageSize,
 		PrebuiltTransformers: true,
 		Correct:              s.corrector.Bind(a, b),
 	}

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,9 +24,6 @@ import (
 	"repro/internal/storage"
 	"repro/transformers"
 )
-
-// fastRetry keeps the retry loops of these tests in the low milliseconds.
-var fastRetry = RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Budget: time.Second}
 
 // errConsumerFailed is what a faultyConsumer scripted to fail returns.
 var errConsumerFailed = errors.New("consumer failed")
@@ -93,66 +91,53 @@ func waitPoolDrained(t *testing.T, svc *Service) {
 	}
 }
 
-// TestRetryTransientBuildSucceeds: an index build that fails transiently
-// twice succeeds on the third attempt — one registration, no error surfaced,
-// retries counted by the catalog.
-func TestRetryTransientBuildSucceeds(t *testing.T) {
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, Times: 2})
-	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
+// TestFailedUploadBuildsOnce: an upload whose index build fails is not
+// retried. One build-fail fault makes POST /datasets answer a 5xx naming the
+// injected fault after exactly one store from the factory; nothing is
+// installed, and the next upload of the same name builds.
+func TestFailedUploadBuildsOnce(t *testing.T) {
+	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, Times: 1})
+	var stores atomic.Int64
+	factory := func() storage.Store {
+		stores.Add(1)
+		return sc.StoreFactory()
+	}
+	ts, svc := newTestServer(t, Config{StoreFactory: factory})
+	const body = `{"name":"a","generate":{"kind":"uniform","n":200,"seed":202}}`
 
-	elems := transformers.GenerateUniform(500, 201)
-	want := naive.Join(elems, elems)
-	if _, err := svc.AddDataset(context.Background(), "a", elems); err != nil {
-		t.Fatalf("AddDataset with transient build failures: %v", err)
+	code, doc := postJSON(t, ts.URL+"/datasets", body)
+	msg, _ := doc["error"].(string)
+	if code < 500 || !strings.Contains(msg, "server: index build") || !strings.Contains(msg, "injected fault") {
+		t.Fatalf("upload over a failing build: %d %v, want a 5xx naming the index build and the injected fault", code, doc)
 	}
-	cat := svc.Stats().Catalog
-	if cat.Retries != 2 {
-		t.Fatalf("catalog retries = %d, want 2", cat.Retries)
+	if n := stores.Load(); n != 1 {
+		t.Fatalf("the failed upload took %d stores from the factory, want 1 (one attempt)", n)
 	}
-	if cat.Builds != 1 {
-		t.Fatalf("builds = %d, want 1 (retries are not extra builds)", cat.Builds)
+	if st := svc.Stats().Catalog; st.Datasets != 0 || st.Builds != 0 {
+		t.Fatalf("after a failed upload: %+v, want nothing installed", st)
 	}
-	// The recovered index serves correct results.
-	out, err := svc.Join(context.Background(), "a", "a", JoinParams{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := svc.Join(context.Background(), "a", "a", JoinParams{}); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("join of the failed upload: %v, want ErrUnknownDataset", err)
 	}
-	if !naive.Equal(append([]transformers.Pair(nil), out.Pairs...), want) {
-		t.Fatalf("join after recovered build: %d pairs, want %d", len(out.Pairs), len(want))
-	}
-	if svc.Health().Status != "ok" {
-		t.Fatalf("health = %+v, want ok", svc.Health())
-	}
-}
 
-// TestRetryBudgetExhausted: a build that keeps failing surfaces a BuildError
-// wrapping the cause after the configured attempts, not an infinite loop.
-func TestRetryBudgetExhausted(t *testing.T) {
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, Times: 0}) // forever
-	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
-	_, err := svc.AddDataset(context.Background(), "a", transformers.GenerateUniform(200, 202))
-	var be *BuildError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want BuildError", err)
+	if code, doc := postJSON(t, ts.URL+"/datasets", body); code != http.StatusCreated || doc["version"] != float64(1) {
+		t.Fatalf("the next upload of a: %d %v, want version 1", code, doc)
 	}
-	if be.Attempts != fastRetry.Attempts {
-		t.Fatalf("attempts = %d, want %d", be.Attempts, fastRetry.Attempts)
-	}
-	if !storage.IsTransient(err) {
-		t.Fatal("build error lost its transient cause")
+	if n := stores.Load(); n != 2 {
+		t.Fatalf("two uploads took %d stores, want 2", n)
 	}
 	waitPoolDrained(t, svc)
 }
 
-// TestFailedReplacementChangesNothing: a replacement whose build fails even
-// after retrying is refused with its BuildError and installs nothing — the
+// TestFailedReplacementChangesNothing: a replacement whose build fails is
+// refused with a 5xx naming the cause and installs nothing — the
 // previous version keeps its number, its cached results, its resident
 // partition and its answers at every distance, and health stays ok.
 func TestFailedReplacementChangesNothing(t *testing.T) {
-	// Two clean factory calls build a and b; the replacement's every attempt
+	// Two clean factory calls build a and b; the replacement's one build
 	// fails, and the upload after it builds clean.
-	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, After: 2, Times: int64(fastRetry.Attempts)})
-	ts, svc := newTestServer(t, Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
+	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpBuildFail, After: 2, Times: 1})
+	ts, svc := newTestServer(t, Config{StoreFactory: sc.StoreFactory})
 	ctx := context.Background()
 	a, bOld := overlapElems(400, 221, 1), overlapElems(300, 222, 10_000)
 	addDataset(t, svc, "a", cpElems(a))
@@ -171,8 +156,8 @@ func TestFailedReplacementChangesNothing(t *testing.T) {
 
 	code, doc := postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"uniform","n":100,"seed":223}}`)
 	msg, _ := doc["error"].(string)
-	if code < 500 || !strings.Contains(msg, fmt.Sprintf("after %d attempts", fastRetry.Attempts)) || !strings.Contains(msg, "injected fault") {
-		t.Fatalf("failing replacement: %d %v, want a 5xx carrying the BuildError's attempts and cause", code, doc)
+	if code < 500 || !strings.Contains(msg, "server: index build") || !strings.Contains(msg, "injected fault") {
+		t.Fatalf("failing replacement: %d %v, want a 5xx naming the index build and its cause", code, doc)
 	}
 	if ds := svc.Catalog().Datasets(); ds[1].Name != "b" || ds[1].Version != 1 || ds[1].Elements != len(bOld) {
 		t.Fatalf("after a failed replacement: %+v, want b still at version 1", ds)
@@ -414,13 +399,13 @@ func TestHTTPStreamCompleteTrailer(t *testing.T) {
 }
 
 // TestJoinReadErrorFailsCleanly: a store that starts failing reads after the
-// index is built fails the join with a clean transient error — and the next
+// index is built fails the join with the injected error — and the next
 // join, past the fault's times cap, succeeds.
 func TestJoinReadErrorFailsCleanly(t *testing.T) {
 	// Builds only write; reads happen at join time. The first join trips the
 	// fault, the next one runs clean.
 	sc := faultinject.New(faultinject.Fault{Op: faultinject.OpReadError, Times: 1})
-	svc := NewService(Config{StoreFactory: sc.StoreFactory, Retry: fastRetry})
+	svc := NewService(Config{StoreFactory: sc.StoreFactory})
 	elems := transformers.GenerateUniform(600, 221)
 	want := naive.Join(elems, elems)
 	addDataset(t, svc, "a", elems)
@@ -429,8 +414,8 @@ func TestJoinReadErrorFailsCleanly(t *testing.T) {
 	if err == nil {
 		t.Fatal("join over a failing store succeeded")
 	}
-	if !storage.IsTransient(err) {
-		t.Fatalf("err = %v, want a transient storage error", err)
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want the injected storage error", err)
 	}
 	waitPoolDrained(t, svc)
 
@@ -654,7 +639,7 @@ func TestChaosScenarios(t *testing.T) {
 		}
 		t.Logf("round %d: scenario %v (spec %q, seed %d)", round, sc, spec, scSeed)
 
-		svc := NewService(Config{Workers: 2, StoreFactory: sc.StoreFactory, Retry: fastRetry})
+		svc := NewService(Config{Workers: 2, StoreFactory: sc.StoreFactory})
 		// The consumer of the streamed join brings its own fault, drawn from
 		// the same seed.
 		fault, after := rng.Intn(len(consumerFaults)), rng.Intn(128)
@@ -663,8 +648,8 @@ func TestChaosScenarios(t *testing.T) {
 		// Registration may fail cleanly under write/build faults; the
 		// invariant is a typed error, not success.
 		if _, err := svc.AddDataset(context.Background(), "d", append([]transformers.Element(nil), elems...)); err != nil {
-			if !storage.IsTransient(err) && !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("round %d: registration failed non-transiently: %v", round, err)
+			if !errors.Is(err, faultinject.ErrInjected) && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("round %d: registration failed on something not injected: %v", round, err)
 			}
 			t.Logf("round %d: registration failed cleanly: %v", round, err)
 			waitPoolDrained(t, svc)
@@ -700,9 +685,9 @@ func TestChaosScenarios(t *testing.T) {
 			}
 			cancel()
 			if err != nil {
-				// A clean abort: transient fault, the consumer's error, or
+				// A clean abort: an injected fault, the consumer's error, or
 				// the deadline clearing a stall.
-				if !storage.IsTransient(err) && !errors.Is(err, errConsumerFailed) &&
+				if !errors.Is(err, faultinject.ErrInjected) && !errors.Is(err, errConsumerFailed) &&
 					!errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("round %d %s: unclean error: %v", round, r.label, err)
 				}

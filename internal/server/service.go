@@ -45,9 +45,6 @@ func CheckAlgorithm(algorithm string) error {
 
 // Config sizes the service.
 type Config struct {
-	// PageSize is the page size of catalog index stores; storage default
-	// when zero.
-	PageSize int
 	// MaxIndexes caps the resident pair partitions — the inmem engine's
 	// indexes — kept in the catalog (DefaultMaxIndexes when zero).
 	MaxIndexes int
@@ -86,12 +83,10 @@ type Config struct {
 	// ShedWindow is how long after a shed event /healthz keeps reporting
 	// the tenant's queue degraded (DefaultShedWindow when zero).
 	ShedWindow time.Duration
-	// Retry bounds the catalog build retry loop (defaults when zero).
-	Retry RetryPolicy
 	// StoreFactory overrides the page store behind catalog index builds
 	// (in-memory when nil); the -faults flag installs fault-injecting
 	// stores here.
-	StoreFactory func(pageSize int) storage.Store
+	StoreFactory func() storage.Store
 	// SlowJoinThreshold bounds which joins land (with their span trees) in
 	// the /debug/joins ring: slower-than-threshold only. Zero selects
 	// DefaultSlowJoinThreshold; negative records every join.
@@ -205,8 +200,7 @@ func NewService(cfg Config) *Service {
 	if cfg.DeltaMaxElements == 0 {
 		cfg.DeltaMaxElements = DefaultDeltaMaxElements
 	}
-	cat := NewCatalog(cfg.MaxIndexes, cfg.PageSize)
-	cat.SetRetryPolicy(cfg.Retry)
+	cat := NewCatalog(cfg.MaxIndexes, 0)
 	if cfg.StoreFactory != nil {
 		cat.SetStoreFactory(cfg.StoreFactory)
 	}

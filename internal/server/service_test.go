@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/naive"
 	"repro/transformers"
 )
@@ -160,8 +161,8 @@ func TestServiceJoinMatchesNaive(t *testing.T) {
 
 	// Distance join vs naive on expanded boxes.
 	const d = 4.0
-	ea, _ := transformers.ExpandForDistance(a, d)
-	eb, _ := transformers.ExpandForDistance(b, d)
+	ea := geom.ExpandedForDistance(a, d)
+	eb := geom.ExpandedForDistance(b, d)
 	wantDist := naive.Join(ea, eb)
 	outD, err := svc.Join(context.Background(), "a", "b", JoinParams{Distance: d})
 	if err != nil {

@@ -2,8 +2,6 @@ package server
 
 import (
 	"time"
-
-	"repro/internal/storage"
 )
 
 // countEngineJoin tallies one executed join per engine for /stats.
@@ -47,7 +45,6 @@ type Stats struct {
 	Cache            CacheStats    `json:"cache"`
 	Pool             PoolStats     `json:"pool"`
 	Datasets         []DatasetInfo `json:"datasets"`
-	PageSize         int           `json:"page_size"`
 	// Tenants merges pool admission counters with the service's
 	// resilience counters, per tenant.
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
@@ -63,10 +60,6 @@ type TenantStats struct {
 
 // Stats returns a snapshot of service activity.
 func (s *Service) Stats() Stats {
-	pageSize := s.cfg.PageSize
-	if pageSize <= 0 {
-		pageSize = storage.DefaultPageSize
-	}
 	s.engineMu.Lock()
 	engineJoins := make(map[string]uint64, len(s.engineJoins))
 	for k, v := range s.engineJoins {
@@ -107,7 +100,6 @@ func (s *Service) Stats() Stats {
 		Cache:            s.cache.Stats(),
 		Pool:             pool,
 		Datasets:         s.cat.Datasets(),
-		PageSize:         pageSize,
 		Tenants:          tenants,
 	}
 }

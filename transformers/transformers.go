@@ -19,9 +19,10 @@
 // b above are its data pages, in STR order): read them freely, do not write
 // to them while the index is in use.
 //
-// For cross-algorithm comparisons (the paper's experiments), use Run, which
-// executes any Algorithm end to end on raw elements and returns uniform cost
-// reports.
+// The paper's cross-algorithm comparisons — TRANSFORMERS against PBSM, the
+// synchronized R-tree and GIPSY, end to end on raw elements — are run by
+// cmd/spatialjoin and cmd/experiments; this package is the TRANSFORMERS index
+// and join themselves.
 package transformers
 
 import (
@@ -87,8 +88,8 @@ type BuildReport struct {
 // reordered in place (STR order) and belongs to the index afterwards: the
 // index's data pages are ranges of elems, not copies of them — a resident
 // dataset is held once. The caller may keep reading the slice, but must not
-// write to it, or pass it to anything that does (Run and a second BuildIndex
-// reorder their inputs), while the index is in use; index a copy to keep the
+// write to it, or pass it to anything that does (an engine run and a second
+// BuildIndex reorder their inputs), while the index is in use; index a copy to keep the
 // original.
 func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 	idx, _, err := BuildIndexPieces([][]Element{elems}, geom.MBBOf(elems), opt)
@@ -100,8 +101,7 @@ func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
 // the caller passes as bounds. It returns the array the index keeps, in STR
 // order: one piece is that array, reordered in place as BuildIndex reorders
 // elems; several are only read, gathered into a new one, and the slice of
-// them is cleared. The array is returned with a build error too, for a retry
-// to pass as its one piece.
+// them is cleared.
 func BuildIndexPieces(pieces [][]Element, bounds Box, opt IndexOptions) (*Index, []Element, error) {
 	st := opt.Store
 	if st == nil {
@@ -109,7 +109,7 @@ func BuildIndexPieces(pieces [][]Element, bounds Box, opt IndexOptions) (*Index,
 	}
 	idx, elems, bs, err := core.BuildIndexPieces(st, pieces, bounds, core.IndexConfig{World: opt.World})
 	if err != nil {
-		return nil, elems, fmt.Errorf("transformers: build index: %w", err)
+		return nil, nil, fmt.Errorf("transformers: build index: %w", err)
 	}
 	return &Index{
 		core: idx,

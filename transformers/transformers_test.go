@@ -107,109 +107,6 @@ func TestJoinDiscardAndStream(t *testing.T) {
 	}
 }
 
-func TestRunAllAlgorithmsAgree(t *testing.T) {
-	a := GenerateDenseCluster(1500, 5)
-	b := GenerateUniformCluster(1500, 6)
-	var reference []Pair
-	for _, alg := range append(Algorithms(), AlgoNaive) {
-		rep, err := Run(alg, append([]Element(nil), a...), append([]Element(nil), b...),
-			RunOptions{CollectPairs: true})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if reference == nil {
-			reference = rep.Pairs
-			continue
-		}
-		if !naive.Equal(rep.Pairs, reference) {
-			t.Fatalf("%s disagrees: %d vs %d pairs", alg, len(rep.Pairs), len(reference))
-		}
-	}
-}
-
-// TestCrossAlgorithmConsistency asserts all four disk-based algorithms
-// report the naive pair count on clustered and on skewed generated data —
-// the distributions whose non-uniformity the paper targets, and where
-// partition-boundary bugs (duplicates, missed pairs) would show up first.
-func TestCrossAlgorithmConsistency(t *testing.T) {
-	workloads := []struct {
-		name string
-		a, b []Element
-	}{
-		{"clustered", GenerateDenseCluster(2000, 201), GenerateDenseCluster(2000, 202)},
-		{"skewed", GenerateMassiveCluster(2000, 203), GenerateUniform(2000, 204)},
-	}
-	for _, w := range workloads {
-		t.Run(w.name, func(t *testing.T) {
-			want := uint64(len(naive.Join(w.a, w.b)))
-			for _, alg := range Algorithms() {
-				rep, err := Run(alg, append([]Element(nil), w.a...), append([]Element(nil), w.b...), RunOptions{})
-				if err != nil {
-					t.Fatalf("%s: %v", alg, err)
-				}
-				if rep.Results != want {
-					t.Errorf("%s on %s: %d results, naive reports %d", alg, w.name, rep.Results, want)
-				}
-			}
-		})
-	}
-}
-
-func TestRunGipsyOrientsPairs(t *testing.T) {
-	// GIPSY internally swaps sparse/dense; Run must restore A/B order.
-	sparse := GenerateUniform(40, 7)
-	dense := GenerateUniform(3000, 8)
-	want := naive.Join(dense, sparse) // dense passed as A
-	rep, err := Run(AlgoGIPSY, append([]Element(nil), dense...), append([]Element(nil), sparse...),
-		RunOptions{CollectPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !naive.Equal(rep.Pairs, want) {
-		t.Fatal("gipsy orientation wrong")
-	}
-}
-
-func TestRunReportsCosts(t *testing.T) {
-	a := GenerateUniform(2000, 9)
-	b := GenerateUniform(2000, 10)
-	// Inflate the boxes so the workload produces results to count (2000
-	// unit-sized boxes in a 1000^3 world intersect essentially never).
-	for i := range a {
-		a[i].Box = a[i].Box.Expand(15)
-	}
-	for i := range b {
-		b[i].Box = b[i].Box.Expand(15)
-	}
-	for _, alg := range Algorithms() {
-		rep, err := Run(alg, append([]Element(nil), a...), append([]Element(nil), b...), RunOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if rep.BuildIO.Writes == 0 {
-			t.Errorf("%s: no build writes reported", alg)
-		}
-		if rep.JoinIO.Reads == 0 {
-			t.Errorf("%s: no join reads reported", alg)
-		}
-		if rep.Comparisons == 0 {
-			t.Errorf("%s: no comparisons reported", alg)
-		}
-		if rep.JoinTotal < rep.JoinIOTime {
-			t.Errorf("%s: join total < IO time", alg)
-		}
-		if rep.Results == 0 {
-			t.Errorf("%s: no results on overlapping data", alg)
-		}
-	}
-}
-
-func TestRunUnknownAlgorithm(t *testing.T) {
-	if _, err := Run("nope", nil, nil, RunOptions{}); err == nil {
-		t.Fatal("unknown algorithm should fail")
-	}
-}
-
 func TestGenerators(t *testing.T) {
 	if n := len(GenerateAxons(1000, 1)); n != 1000 {
 		t.Fatalf("axons: %d", n)
@@ -260,16 +157,5 @@ func TestJoinParallelism(t *testing.T) {
 		if uint64(streamed) != res.Stats.Results {
 			t.Fatalf("Parallelism=%d streamed %d of %d", workers, streamed, res.Stats.Results)
 		}
-	}
-
-	// Run facade: parallel pair collection matches too.
-	rep, err := Run(AlgoTransformers,
-		append([]Element(nil), a...), append([]Element(nil), b...),
-		RunOptions{CollectPairs: true, Join: JoinOptions{Parallelism: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !naive.Equal(append([]Pair(nil), rep.Pairs...), want) {
-		t.Fatal("Run with Parallelism=4 disagrees with naive")
 	}
 }
