@@ -1,85 +1,49 @@
 package transformers
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"repro/internal/naive"
+	"repro/internal/engine"
+	"repro/internal/geom"
 )
 
-// chebDist computes the Chebyshev (max per-axis gap) distance of two boxes.
-func chebDist(a, b Box) float64 {
-	var worst float64
-	for d := 0; d < 3; d++ {
-		var gap float64
-		switch {
-		case b.Lo[d] > a.Hi[d]:
-			gap = b.Lo[d] - a.Hi[d]
-		case a.Lo[d] > b.Hi[d]:
-			gap = a.Lo[d] - b.Hi[d]
-		}
-		if gap > worst {
-			worst = gap
-		}
-	}
-	return worst
-}
-
-func TestDistanceJoinMatchesPredicate(t *testing.T) {
-	a := GenerateUniform(800, 31)
-	b := GenerateUniform(800, 32)
-	const d = 25.0
-	// Reference: all pairs within Chebyshev distance d.
-	var want []Pair
-	for _, x := range a {
-		for _, y := range b {
-			if chebDist(x.Box, y.Box) <= d {
-				want = append(want, Pair{A: x.ID, B: y.ID})
-			}
-		}
-	}
-	for _, alg := range []Algorithm{AlgoTransformers, AlgoPBSM} {
-		rep, err := DistanceJoin(alg, a, b, d, RunOptions{CollectPairs: true})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if !naive.Equal(rep.Pairs, append([]Pair(nil), want...)) {
-			t.Fatalf("%s distance join: %d pairs, want %d", alg, len(rep.Pairs), len(want))
-		}
-	}
-}
-
-func TestDistanceJoinZeroIsPlainJoin(t *testing.T) {
-	a := GenerateDenseCluster(600, 33)
-	b := GenerateDenseCluster(600, 34)
-	plain, err := Run(AlgoTransformers, append([]Element(nil), a...), append([]Element(nil), b...),
-		RunOptions{CollectPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := DistanceJoin(AlgoTransformers, a, b, 0, RunOptions{CollectPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !naive.Equal(plain.Pairs, dist.Pairs) {
-		t.Fatal("distance 0 should equal the plain join")
-	}
-}
-
+// TestDistanceJoinMonotone joins grown views of two indexes at growing
+// distances: the pair count must never shrink, and must match the distance
+// join engine.Run computes from the raw elements.
 func TestDistanceJoinMonotone(t *testing.T) {
 	a := GenerateUniform(400, 35)
 	b := GenerateUniform(400, 36)
+	ia, err := BuildIndex(append([]Element(nil), a...), IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := BuildIndex(append([]Element(nil), b...), IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := -1
 	for _, d := range []float64{0, 10, 50, 200} {
-		rep, err := DistanceJoin(AlgoTransformers, a, b, d, RunOptions{})
+		res, err := Join(ia.Grown(d/2), ib.Grown(d/2), JoinOptions{DiscardPairs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(rep.Results) < prev {
+		if int(res.Stats.Results) < prev {
 			t.Fatalf("result count must grow with distance: %d after %d at d=%v",
-				rep.Results, prev, d)
+				res.Stats.Results, prev, d)
 		}
-		prev = int(rep.Results)
+		prev = int(res.Stats.Results)
+		ref, err := engine.Run(context.Background(), engine.Transformers,
+			append([]Element(nil), a...), append([]Element(nil), b...),
+			engine.Options{Distance: d, DiscardPairs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Stats.Refinements != res.Stats.Results {
+			t.Fatalf("d=%v: grown indexes join %d pairs, engine distance join %d",
+				d, res.Stats.Results, ref.Stats.Refinements)
+		}
 	}
 	if prev == 0 {
 		t.Fatal("largest radius found nothing")
@@ -87,13 +51,10 @@ func TestDistanceJoinMonotone(t *testing.T) {
 }
 
 func TestExpandForDistanceValidation(t *testing.T) {
-	if _, err := ExpandForDistance(nil, -1); err == nil {
+	if _, _, _, err := engine.Prepare(context.Background(), nil, nil, engine.Options{Distance: -1}); err == nil {
 		t.Fatal("negative distance should fail")
 	}
-	out, err := ExpandForDistance([]Element{{ID: 1, Box: Box{Lo: Point{0, 0, 0}, Hi: Point{1, 1, 1}}}}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := geom.ExpandedForDistance([]Element{{ID: 1, Box: Box{Lo: Point{0, 0, 0}, Hi: Point{1, 1, 1}}}}, 4)
 	if math.Abs(out[0].Box.Lo[0]+2) > 1e-12 || math.Abs(out[0].Box.Hi[0]-3) > 1e-12 {
 		t.Fatalf("expanded box wrong: %v", out[0].Box)
 	}

@@ -1,10 +1,16 @@
 package transformers
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/naive"
 )
+
+// diskEngines are the four disk-based algorithms of the paper's evaluation,
+// run end to end on raw elements through engine.Run.
+var diskEngines = []string{engine.Transformers, engine.PBSM, engine.RTree, engine.GIPSY}
 
 func TestBuildAndJoinQuickstart(t *testing.T) {
 	a := GenerateUniform(3000, 1)
@@ -104,6 +110,78 @@ func TestJoinDiscardAndStream(t *testing.T) {
 	}
 	if uint64(streamed) != res.Stats.Results {
 		t.Fatalf("streamed %d of %d results", streamed, res.Stats.Results)
+	}
+}
+
+// TestCrossAlgorithmConsistency asserts all four disk-based algorithms
+// report the naive pair count on clustered and on skewed generated data —
+// the distributions whose non-uniformity the paper targets, and where
+// partition-boundary bugs (duplicates, missed pairs) would show up first.
+func TestCrossAlgorithmConsistency(t *testing.T) {
+	workloads := []struct {
+		name string
+		a, b []Element
+	}{
+		{"clustered", GenerateDenseCluster(2000, 201), GenerateDenseCluster(2000, 202)},
+		{"skewed", GenerateMassiveCluster(2000, 203), GenerateUniform(2000, 204)},
+	}
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			want := uint64(len(naive.Join(w.a, w.b)))
+			for _, alg := range diskEngines {
+				res, err := engine.Run(context.Background(), alg,
+					append([]Element(nil), w.a...), append([]Element(nil), w.b...), engine.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", alg, err)
+				}
+				if res.Stats.Refinements != want || uint64(len(res.Pairs)) != want {
+					t.Errorf("%s on %s: %d results (%d pairs), naive reports %d",
+						alg, w.name, res.Stats.Refinements, len(res.Pairs), want)
+				}
+			}
+		})
+	}
+}
+
+func TestRunReportsCosts(t *testing.T) {
+	a := GenerateUniform(2000, 9)
+	b := GenerateUniform(2000, 10)
+	// Inflate the boxes so the workload produces results to count (2000
+	// unit-sized boxes in a 1000^3 world intersect essentially never).
+	for i := range a {
+		a[i].Box = a[i].Box.Expand(15)
+	}
+	for i := range b {
+		b[i].Box = b[i].Box.Expand(15)
+	}
+	for _, alg := range diskEngines {
+		res, err := engine.Run(context.Background(), alg,
+			append([]Element(nil), a...), append([]Element(nil), b...), engine.Options{DiscardPairs: true})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		st := res.Stats
+		if st.BuildIO.Writes == 0 {
+			t.Errorf("%s: no build writes reported", alg)
+		}
+		if st.JoinIO.Reads == 0 {
+			t.Errorf("%s: no join reads reported", alg)
+		}
+		if st.Candidates == 0 {
+			t.Errorf("%s: no comparisons reported", alg)
+		}
+		if st.JoinTotal < st.JoinIOTime {
+			t.Errorf("%s: join total < IO time", alg)
+		}
+		if st.Refinements == 0 {
+			t.Errorf("%s: no results on overlapping data", alg)
+		}
+	}
+}
+
+func TestRunUnknownAlgorithm(t *testing.T) {
+	if _, err := engine.Run(context.Background(), "nope", nil, nil, engine.Options{}); err == nil {
+		t.Fatal("unknown algorithm should fail")
 	}
 }
 
