@@ -32,7 +32,7 @@
 // bit for bit (Box.Expand is one subtraction and one addition per bound, both
 // monotone), so every data bound is its own Expand(r), the regions grown the
 // same way still cover the grown world (navigation needs cover, not the
-// disjointness they lose), and elements grow as they are read. Only
+// disjointness they lose), and elements grow where a join uses them. Only
 // connectivity changes — grown Navs touch more of each other — and it is
 // re-derived by the same self-join over a few hundred nodes.
 //
@@ -41,7 +41,9 @@
 // Given two indexed datasets, adaptive exploration visits the guide
 // dataset's areas one pivot at a time, walks the follower's connectivity
 // graph to the pivot's location (Algorithm 1), and crawls the neighborhood
-// to collect the candidate pages to join in memory. Before each crawl,
+// to collect the candidate pages to join in memory — in place: the grid hash
+// join loads its build side from the pages the store holds and probes with
+// the other side's pages as they are, copying no batch. Before each crawl,
 // TRANSFORMERS compares the local volumes of guide and follower: when the
 // follower is locally sparser it switches the datasets' roles, and when the
 // density contrast exceeds the cost-model thresholds it splits the pivot to
@@ -144,8 +146,8 @@ type Index struct {
 	// searches it.
 	nodeOrder []int32
 	orderKeys []uint64
-	// grow is what Grown added to every descriptor box and what a side adds
-	// to each element it reads; zero for a built index.
+	// grow is what Grown added to every descriptor box and what a join adds
+	// to each element where it uses it; zero for a built index.
 	grow float64
 	// sides pools the per-run state of joins and range queries over this
 	// index and its Grown views (*side, see acquireSide), so its scratch
@@ -318,10 +320,10 @@ func (idx *Index) link() (comparisons uint64) {
 // the copy and the sort. The view shares the index's store, pages, member
 // lists and side pool; its descriptors are copies with every box grown by r,
 // its connectivity and node order are derived from those as BuildIndex derives
-// them, and its sides grow each element they read. Making one costs a pass
-// over the descriptors (≈ 1.3 B per element), so callers make it per join. An
-// r that is not positive returns the index itself; idx must be a built index,
-// not a view.
+// them, and its joins grow each element where they use it. Making one costs a
+// pass over the descriptors (≈ 1.3 B per element), so callers make it per
+// join. An r that is not positive returns the index itself; idx must be a
+// built index, not a view.
 func (idx *Index) Grown(r float64) *Index {
 	if !(r > 0) {
 		return idx

@@ -84,7 +84,7 @@ type JoinStats struct {
 	// ExploreWall is the adaptive-exploration share of Wall: walking,
 	// crawling and metadata filtering (the "Overhead" series of Fig. 14).
 	ExploreWall time.Duration
-	// JoinWall is the data share of Wall: page reads, batch copies and the
+	// JoinWall is the data share of Wall: page reads, grid builds and the
 	// in-memory joins (the "Join cost" series of Fig. 14).
 	JoinWall time.Duration
 	// TSUFinal, TSOFinal and CfltFinal expose the cost model's state after
@@ -94,10 +94,16 @@ type JoinStats struct {
 
 // side is the per-dataset state of one join run (and of one range query). A
 // side is taken from its index's pool and put back when the run ends, so the
-// arrays sized by the index and every buffer a pivot fills — element
-// batches, candidate unit lists, the page-MBB filter's marks and boxes, the
-// in-memory grid — are allocated by the first joins over an index and reset,
-// not reallocated, by the ones after.
+// arrays sized by the index and every buffer a pivot fills — batch run lists,
+// candidate unit lists, the page-MBB filter's marks and boxes, the in-memory
+// grid — are allocated by the first joins over an index and reset, not
+// reallocated, by the ones after.
+//
+// A side copies no element. The batch a pivot reads is the list of page views
+// the store handed out — the catalog's own element arrays — and a grown view's
+// radius is added where an element is used: as the grid loads its build
+// side, as a probe or an element-level test takes an element, as a range
+// query reports one.
 type side struct {
 	idx        *Index
 	st         *storage.LRU // buffer pool over the run's store view; cold at acquire
@@ -129,12 +135,12 @@ type side struct {
 	scopeBox geom.Box
 
 	// Per-pivot scratch, each valid until the side's next use of it.
-	elems []geom.Element // the copied-out batch of this side's pages
-	cand  []int32        // units a crawl of this side collected
-	kept  []int32        // units surviving the page-MBB filter
-	keep  []bool         // the filter's marks, by position in refs
-	refs  []geom.Element // the filter's input: unit page MBBs
-	grid  grid.Grid      // in-memory join built over this side's batch
+	runs [][]geom.Element // the pages of this side's batch, as read
+	cand []int32          // units a crawl of this side collected
+	kept []int32          // units surviving the page-MBB filter
+	keep []bool           // the filter's marks, by position in refs
+	refs []geom.Element   // the filter's input: unit page MBBs
+	grid grid.Grid        // in-memory join built over this side's batch
 }
 
 // acquireSide takes a side of idx from the index's pool (or builds the first
@@ -224,34 +230,27 @@ func (s *side) nodeStart(target geom.Box) int32 {
 	return byKey
 }
 
-// readPage appends one data page's elements to s.elems through the side's
-// cache, grown by what the index is (Index.Grown).
+// readPage appends one data page, read through the side's cache, to the
+// batch: the view itself, its elements as stored (ungrown).
 func (s *side) readPage(p storage.PageID) error {
 	page, err := s.st.View(p)
 	if err != nil {
 		return err
 	}
-	n := len(s.elems)
-	s.elems = append(s.elems, page...)
-	if r := s.idx.grow; r > 0 {
-		// Box.Expand's arithmetic, in place: assigning its result copies each
-		// box out and back, 4 % of a join's time where this is 0.4.
-		for i := n; i < len(s.elems); i++ {
-			b := &s.elems[i].Box
-			for d := range b.Lo {
-				b.Lo[d] -= r
-				b.Hi[d] += r
-			}
-		}
-	}
+	s.runs = append(s.runs, page)
 	return nil
 }
 
-// readUnit loads one space unit's elements into s.elems, replacing what it
-// held.
+// readUnit makes one space unit's page the batch, replacing what it held.
 func (s *side) readUnit(ui int32) error {
-	s.elems = s.elems[:0]
+	s.runs = s.runs[:0]
 	return s.readPage(s.idx.units[ui].Page)
+}
+
+// batch is what the side read, as the grid joins it: the page views, grown by
+// what the index is (Index.Grown).
+func (s *side) batch() grid.Batch {
+	return grid.Batch{Runs: s.runs, Grow: s.idx.grow}
 }
 
 // beginReadTally starts a fresh distinct-read count for one pivot.
@@ -281,12 +280,12 @@ func (s *side) sortByPage(units []int32) {
 	})
 }
 
-// readBatch reads the given units' pages in physical order, streaming
-// through short gaps, into s.elems, replacing what it held. The unit slice is
-// reordered (sorted by page).
+// readBatch makes the given units' pages the batch, replacing what it held,
+// reading them in physical order and streaming through short gaps. The unit
+// slice is reordered (sorted by page).
 func (s *side) readBatch(units []int32) error {
 	s.sortByPage(units)
-	s.elems = s.elems[:0]
+	s.runs = s.runs[:0]
 	var last storage.PageID
 	haveLast := false
 	for _, ui := range units {
@@ -294,7 +293,7 @@ func (s *side) readBatch(units []int32) error {
 		if haveLast && p > last && p-last <= s.readThroughGap {
 			for q := last + 1; q < p; q++ {
 				// Touched, not used: counted like any other read, and
-				// nothing is copied.
+				// not part of the batch.
 				if _, err := s.st.View(q); err != nil {
 					return err
 				}
@@ -503,7 +502,7 @@ func (r *joinRun) crawlUnits(f int, found int32, target geom.Box) (firstReads in
 // included — as join cost.
 func (r *joinRun) joinBatches(g, f int, t0 time.Time) {
 	G, F := r.sides[g], r.sides[f]
-	comps := G.grid.Join(G.elems, F.elems, grid.Config{}, func(ge, fe geom.Element) {
+	comps := G.grid.Join(G.batch(), F.batch(), grid.Config{}, func(ge, fe geom.Element) {
 		r.emitOriented(g, ge, fe)
 	})
 	dt := time.Since(t0)
@@ -767,7 +766,8 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 	r.stats.JoinWall += time.Since(tj)
 
 	cur := startU
-	for _, e := range G.elems {
+	for _, e := range G.runs[0] { // readUnit read one page
+		e.Box.Grow(G.idx.grow)
 		etarget := e.Box
 
 		tw := time.Now()
@@ -783,10 +783,13 @@ func (r *joinRun) processUnitAtElementLevel(g, f int, ui, startU int32) (distinc
 			return distinctRead, err
 		}
 		var comps uint64
-		for _, fe := range F.elems {
-			comps++
-			if fe.Box.Intersects(e.Box) {
-				r.emitOriented(g, e, fe)
+		for _, run := range F.runs {
+			for _, fe := range run {
+				comps++
+				fe.Box.Grow(F.idx.grow)
+				if fe.Box.Intersects(e.Box) {
+					r.emitOriented(g, e, fe)
+				}
 			}
 		}
 		dt := time.Since(te)

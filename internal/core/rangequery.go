@@ -106,8 +106,9 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 			return dst, rs, err
 		}
 		rs.UnitsRead++
-		for _, e := range s.elems {
+		for _, e := range s.runs[0] {
 			rs.Comparisons++
+			e.Box.Grow(idx.grow)
 			if e.Box.Intersects(query) {
 				dst = append(dst, e)
 			}

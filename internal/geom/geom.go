@@ -173,6 +173,19 @@ func (b Box) Expand(eps float64) Box {
 	return r
 }
 
+// Grow is Expand(r) in place for r > 0 — the same arithmetic, without copying
+// the box out and back — and leaves b as it is for any other r (Expand(0)
+// would turn a -0 upper bound into +0). A join reading an element of a grown
+// index view grows it this way where it uses it.
+func (b *Box) Grow(r float64) {
+	if r > 0 {
+		for d := 0; d < Dims; d++ {
+			b.Lo[d] -= r
+			b.Hi[d] += r
+		}
+	}
+}
+
 // DistSq returns the squared minimum distance between b and o; zero when the
 // boxes intersect or touch. This is the distance measure Algorithm 1 of the
 // paper uses to steer the adaptive walk towards the pivot.

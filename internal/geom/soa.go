@@ -25,15 +25,28 @@ func MakeSoA(elems []Element) *SoA {
 // reusing the arrays it already holds: a buffer loaded over and over (the
 // grid a join rebuilds per pivot) stops allocating once it has seen its
 // largest batch.
-func (s *SoA) Load(elems []Element) {
-	n := len(elems)
+func (s *SoA) Load(elems []Element) { s.LoadGrown([][]Element{elems}, 0) }
+
+// LoadGrown is Load over the concatenation of runs, each box grown by r as
+// Box.Grow grows it: a join loads the pages it read, by reference, without
+// first copying them into one batch.
+func (s *SoA) LoadGrown(runs [][]Element, r float64) {
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
 	s.ID = slices.Grow(s.ID[:0], n)[:n]
 	for d := 0; d < Dims; d++ {
 		s.Lo[d] = slices.Grow(s.Lo[d][:0], n)[:n]
 		s.Hi[d] = slices.Grow(s.Hi[d][:0], n)[:n]
 	}
-	for i, e := range elems {
-		s.Set(i, e)
+	i := 0
+	for _, run := range runs {
+		for _, e := range run {
+			e.Box.Grow(r)
+			s.Set(i, e)
+			i++
+		}
 	}
 }
 

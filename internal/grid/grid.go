@@ -7,6 +7,12 @@
 // elements; duplicate candidate pairs arising from multi-cell overlap are
 // suppressed with the reference-point method (a pair is reported only in the
 // cell that contains the low corner of the pair's MBB intersection).
+//
+// A Grid keeps no element slice of its own: Reset loads the build side's
+// boxes and IDs into a struct-of-arrays straight from the runs it is handed —
+// a TRANSFORMERS join hands it the pages it read, by reference, grown by the
+// distance view's radius on the way in — and probes emit build elements
+// rebuilt from those arrays.
 package grid
 
 import (
@@ -44,11 +50,10 @@ type Grid struct {
 	// element order: every cell in one flat array, sized exactly.
 	starts []int32
 	items  []int32
-	elems  []geom.Element
-	// soa mirrors elems in struct-of-arrays layout so Probe's per-cell
-	// candidate scan runs as a batched filter over flat bound arrays; hits
-	// is its reused survivor scratch (single-goroutine confinement makes a
-	// plain field safe).
+	// soa holds the build elements, in struct-of-arrays layout so Probe's
+	// per-cell candidate scan runs as a batched filter over flat bound
+	// arrays; hits is its reused survivor scratch (single-goroutine
+	// confinement makes a plain field safe).
 	soa  geom.SoA
 	hits []int32
 	// Comparisons counts element MBB intersection tests performed by probes
@@ -62,22 +67,30 @@ type Config struct {
 	CellSize float64
 }
 
+// Batch is one side of a join as the join reads it in place: the elements of
+// Runs, in order, each box grown by Grow as geom.Box.Grow grows it (Grow 0
+// takes them as stored). The runs are only read.
+type Batch struct {
+	Runs [][]geom.Element
+	Grow float64
+}
+
 // Build constructs a grid over the build-side elements. An empty build set
 // yields a usable empty grid.
 func Build(elems []geom.Element, cfg Config) *Grid {
 	g := &Grid{}
-	g.Reset(elems, cfg)
+	g.Reset(Batch{Runs: [][]geom.Element{elems}}, cfg)
 	return g
 }
 
-// Reset rebuilds g over elems, which it keeps a reference to, and zeroes
+// Reset rebuilds g over build, keeping no reference to its runs, and zeroes
 // Comparisons.
-func (g *Grid) Reset(elems []geom.Element, cfg Config) {
-	g.elems = elems
-	g.soa.Load(elems)
+func (g *Grid) Reset(build Batch, cfg Config) {
+	g.soa.LoadGrown(build.Runs, build.Grow)
 	g.Comparisons = 0
-	mbb := geom.MBBOf(elems)
-	if len(elems) == 0 {
+	n := g.soa.Len()
+	mbb := g.mbb()
+	if n == 0 {
 		g.origin = geom.Point{}
 		g.dims = [3]int{1, 1, 1}
 		g.cellSize = [3]float64{1, 1, 1}
@@ -88,7 +101,7 @@ func (g *Grid) Reset(elems []geom.Element, cfg Config) {
 	}
 	g.origin = mbb.Lo
 
-	wantCells := float64(len(elems)) / targetPerCell
+	wantCells := float64(n) / targetPerCell
 	if wantCells < 1 {
 		wantCells = 1
 	}
@@ -105,7 +118,7 @@ func (g *Grid) Reset(elems []geom.Element, cfg Config) {
 			vol = 1
 		}
 		side = math.Cbrt(vol / wantCells)
-		if avg := averageSide(elems); side < avg {
+		if avg := g.averageSide(); side < avg {
 			side = avg
 		}
 	}
@@ -139,34 +152,74 @@ func (g *Grid) Reset(elems []geom.Element, cfg Config) {
 	// order, as appending per cell would leave it.
 	g.starts = slices.Grow(g.starts[:0], total+1)[:total+1]
 	clear(g.starts)
-	for _, e := range elems {
-		g.visitCells(e.Box, func(ci int) { g.starts[ci+1]++ })
+	// Both passes read the runs, grown again, not the SoA: one element's box
+	// is one cache line there and six scattered loads here.
+	for _, run := range build.Runs {
+		for _, e := range run {
+			e.Box.Grow(build.Grow)
+			g.visitCells(e.Box, func(ci int) { g.starts[ci+1]++ })
+		}
 	}
 	for ci := 0; ci < total; ci++ {
 		g.starts[ci+1] += g.starts[ci]
 	}
-	n := int(g.starts[total])
-	g.items = slices.Grow(g.items[:0], n)[:n]
-	for i, e := range elems {
-		g.visitCells(e.Box, func(ci int) {
-			g.items[g.starts[ci]] = int32(i)
-			g.starts[ci]++
-		})
+	assigned := int(g.starts[total])
+	g.items = slices.Grow(g.items[:0], assigned)[:assigned]
+	i := int32(0)
+	for _, run := range build.Runs {
+		for _, e := range run {
+			e.Box.Grow(build.Grow)
+			g.visitCells(e.Box, func(ci int) {
+				g.items[g.starts[ci]] = i
+				g.starts[ci]++
+			})
+			i++
+		}
 	}
 	// Placing advanced every start to its cell's end: shift back by one cell.
 	copy(g.starts[1:], g.starts[:total])
 	g.starts[0] = 0
 }
 
-// averageSide returns the mean box extent over all dimensions and elements.
-func averageSide(elems []geom.Element) float64 {
-	var s float64
-	for _, e := range elems {
-		for d := 0; d < geom.Dims; d++ {
-			s += e.Box.Side(d)
+// elem returns build element i as Reset loaded it.
+func (g *Grid) elem(i int32) geom.Element {
+	s := &g.soa
+	return geom.Element{ID: s.ID[i], Box: geom.Box{
+		Lo: geom.Point{s.Lo[0][i], s.Lo[1][i], s.Lo[2][i]},
+		Hi: geom.Point{s.Hi[0][i], s.Hi[1][i], s.Hi[2][i]},
+	}}
+}
+
+// mbb is geom.MBBOf of the build elements, by MBBOf's comparisons in element
+// order, so every bound is the one MBBOf returns bit for bit.
+func (g *Grid) mbb() geom.Box {
+	mbb := geom.EmptyBox()
+	for d := 0; d < geom.Dims; d++ {
+		for _, v := range g.soa.Lo[d] {
+			if v < mbb.Lo[d] {
+				mbb.Lo[d] = v
+			}
+		}
+		for _, v := range g.soa.Hi[d] {
+			if v > mbb.Hi[d] {
+				mbb.Hi[d] = v
+			}
 		}
 	}
-	return s / float64(len(elems)*geom.Dims)
+	return mbb
+}
+
+// averageSide returns the mean box extent over all dimensions and build
+// elements, summed element by element as a loop over the elements would.
+func (g *Grid) averageSide() float64 {
+	var s float64
+	n := g.soa.Len()
+	for i := 0; i < n; i++ {
+		for d := 0; d < geom.Dims; d++ {
+			s += g.soa.Hi[d][i] - g.soa.Lo[d][i]
+		}
+	}
+	return s / float64(n*geom.Dims)
 }
 
 // cellRange returns the inclusive cell index range overlapped by the box in
@@ -235,12 +288,14 @@ func (g *Grid) Probe(q geom.Element, emit func(build geom.Element)) {
 			// intersection's low corner — the componentwise max of the two
 			// low bounds, since survivors are known to intersect. The corner
 			// always lies inside the grid, since both boxes overlap cells.
+			// (The builtin max is math.Max, NaN and signed zeros included,
+			// without the call.)
 			var lo geom.Point
 			for d := 0; d < geom.Dims; d++ {
-				lo[d] = math.Max(g.soa.Lo[d][bi], q.Box.Lo[d])
+				lo[d] = max(g.soa.Lo[d][bi], q.Box.Lo[d])
 			}
 			if g.cellOf(clampIntoGrid(g, lo)) == ci {
-				emit(g.elems[bi])
+				emit(g.elem(bi))
 			}
 		}
 	})
@@ -251,8 +306,7 @@ func (g *Grid) Probe(q geom.Element, emit func(build geom.Element)) {
 // probe box protrudes) are still attributed to exactly one cell.
 func clampIntoGrid(g *Grid, p geom.Point) geom.Point {
 	for d := 0; d < geom.Dims; d++ {
-		lo := g.origin[d]
-		hi := g.origin[d] + float64(g.dims[d])*g.cellSize[d]
+		lo, hi := g.extent.Lo[d], g.extent.Hi[d]
 		if p[d] < lo {
 			p[d] = lo
 		}
@@ -267,14 +321,19 @@ func clampIntoGrid(g *Grid, p geom.Point) geom.Point {
 // emitting each intersecting (build, probe) pair exactly once. It returns
 // the number of element comparisons performed.
 func Join(build, probe []geom.Element, cfg Config, emit func(b, p geom.Element)) uint64 {
-	return new(Grid).Join(build, probe, cfg, emit)
+	return new(Grid).Join(Batch{Runs: [][]geom.Element{build}}, Batch{Runs: [][]geom.Element{probe}}, cfg, emit)
 }
 
-// Join is the package-level Join run inside g's arrays (see Reset).
-func (g *Grid) Join(build, probe []geom.Element, cfg Config, emit func(b, p geom.Element)) uint64 {
+// Join is the package-level Join over two batches, run inside g's arrays (see
+// Reset). Each probe element is grown as it is probed; both sides' elements
+// reach emit grown.
+func (g *Grid) Join(build, probe Batch, cfg Config, emit func(b, p geom.Element)) uint64 {
 	g.Reset(build, cfg)
-	for _, q := range probe {
-		g.Probe(q, func(b geom.Element) { emit(b, q) })
+	for _, run := range probe.Runs {
+		for _, q := range run {
+			q.Box.Grow(probe.Grow)
+			g.Probe(q, func(b geom.Element) { emit(b, q) })
+		}
 	}
 	return g.Comparisons
 }

@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,9 +139,10 @@ func TestGridReuseMatchesFreshBuild(t *testing.T) {
 		builds = append(builds, datagen.Uniform(datagen.Config{N: n, Seed: int64(30 + i), MaxSide: 25}))
 	}
 	var reused Grid
+	batch := func(elems []geom.Element) Batch { return Batch{Runs: [][]geom.Element{elems}} }
 	for i, build := range builds {
 		var got, want []geom.Pair
-		gotComps := reused.Join(build, probe, Config{}, func(b, p geom.Element) {
+		gotComps := reused.Join(batch(build), batch(probe), Config{}, func(b, p geom.Element) {
 			got = append(got, geom.Pair{A: b.ID, B: p.ID})
 		})
 		wantComps := Join(build, probe, Config{}, func(b, p geom.Element) {
@@ -155,12 +158,86 @@ func TestGridReuseMatchesFreshBuild(t *testing.T) {
 		}
 	}
 	sink := func(geom.Element, geom.Element) {}
+	batches := make([]Batch, len(builds))
+	for i, build := range builds {
+		batches[i] = batch(build)
+	}
+	probes := batch(probe)
 	if avg := testing.AllocsPerRun(5, func() {
-		for _, build := range builds {
-			reused.Join(build, probe, Config{}, sink)
+		for _, build := range batches {
+			reused.Join(build, probes, Config{}, sink)
 		}
 	}); avg != 0 {
 		t.Fatalf("a warm grid allocates %.1f times per round of joins, want 0", avg)
+	}
+}
+
+// TestBatchIsTheGrownConcatenation: a join over batches — runs of every
+// length, empty ones included, grown by a radius on the way in — emits the
+// same pairs, in the same order and with the same boxes, and counts the same
+// comparisons as the join over one concatenated copy with every box grown;
+// a radius of 0 takes the boxes as stored, -0 bounds included.
+func TestBatchIsTheGrownConcatenation(t *testing.T) {
+	build := datagen.Uniform(datagen.Config{N: 700, Seed: 41, MaxSide: 20})
+	probe := datagen.DenseCluster(datagen.Config{N: 500, Seed: 42, MaxSide: 20})
+	// A -0 bound, which Expand(0) would flip, on an element that joins.
+	build[3].Box.Lo[0], build[3].Box.Hi[0] = -1, math.Copysign(0, -1)
+	probe = append(probe, geom.Element{ID: 9000, Box: build[3].Box.Expand(1)})
+	split := func(elems []geom.Element) [][]geom.Element {
+		var runs [][]geom.Element
+		for i, n := 0, 1; i < len(elems); i, n = i+n, n*2%97 {
+			runs = append(runs, elems[i:min(i+n, len(elems))], nil)
+		}
+		return runs
+	}
+	type hit struct{ b, p geom.Element }
+	bits := func(h hit) (out [14]uint64) {
+		for i, e := range []geom.Element{h.b, h.p} {
+			out[7*i] = e.ID
+			for d := 0; d < geom.Dims; d++ {
+				out[7*i+1+d], out[7*i+4+d] = math.Float64bits(e.Box.Lo[d]), math.Float64bits(e.Box.Hi[d])
+			}
+		}
+		return out
+	}
+	same := func(x, y hit) bool { return bits(x) == bits(y) }
+	for _, r := range []float64{0, 0.5, 7} {
+		grow := func(elems []geom.Element) []geom.Element {
+			out := slices.Clone(elems)
+			for i := range out {
+				if r > 0 {
+					out[i].Box = out[i].Box.Expand(r)
+				}
+			}
+			return out
+		}
+		var got, want []hit
+		gotComps := new(Grid).Join(Batch{Runs: split(build), Grow: r}, Batch{Runs: split(probe), Grow: r}, Config{}, func(b, p geom.Element) {
+			got = append(got, hit{b, p})
+		})
+		wantComps := Join(grow(build), grow(probe), Config{}, func(b, p geom.Element) {
+			want = append(want, hit{b, p})
+		})
+		if gotComps != wantComps || !slices.EqualFunc(got, want, same) {
+			t.Fatalf("r=%v: batches made %d comparisons for %d pairs, the grown copy %d for %d, or the pairs differ", r, gotComps, len(got), wantComps, len(want))
+		}
+		// Both joins load through the same code: hold the emitted boxes to
+		// the copies Expand grew, bit for bit, as well.
+		grownB, grownP := map[uint64]geom.Element{}, map[uint64]geom.Element{}
+		for _, e := range grow(build) {
+			grownB[e.ID] = e
+		}
+		for _, e := range grow(probe) {
+			grownP[e.ID] = e
+		}
+		for _, h := range got {
+			if !same(h, hit{grownB[h.b.ID], grownP[h.p.ID]}) {
+				t.Fatalf("r=%v: pair (%d, %d) emitted boxes %v and %v, grown copies are %v and %v", r, h.b.ID, h.p.ID, h.b.Box, h.p.Box, grownB[h.b.ID].Box, grownP[h.p.ID].Box)
+			}
+		}
+		if r == 0 && len(want) == 0 {
+			t.Fatal("fixture joins to nothing")
+		}
 	}
 }
 

@@ -362,18 +362,16 @@ func writeJoinResponse(w http.ResponseWriter, resp joinResponse, sink *collector
 	if sink.collect && sink.len() > 0 {
 		_, _ = bw.WriteString(`,"pairs":[`)
 		sep := false
-		_ = sink.each(func(run []transformers.Pair) error {
-			for _, p := range run {
-				if err := pairRoom(bw); err != nil {
-					return err
-				}
-				b := bw.AvailableBuffer()
-				if sep {
-					b = append(b, ',')
-				}
-				sep = true
-				_, _ = bw.Write(p.AppendJSON(b))
+		_ = sink.each(func(p transformers.Pair) error {
+			if err := pairRoom(bw); err != nil {
+				return err
 			}
+			b := bw.AvailableBuffer()
+			if sep {
+				b = append(b, ',')
+			}
+			sep = true
+			_, _ = bw.Write(p.AppendJSON(b))
 			return nil
 		})
 		_ = bw.WriteByte(']')

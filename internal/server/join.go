@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -299,17 +298,6 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 	return out, err
 }
 
-// pairChunk is the unit the collector buffers in: 4096 pairs, 64 KB. A
-// buffered answer is a list of them, so it never regrows — what it allocates
-// is its size rounded up to a chunk — and released chunks serve the next
-// answer instead of the collector. The pool holds no chunk past two
-// collections of an idle daemon.
-type pairChunk [pairChunkLen]transformers.Pair
-
-const pairChunkLen = 4096
-
-var pairChunks = sync.Pool{New: func() any { return new(pairChunk) }}
-
 // collector is where every pair of a served join lands — the one place the
 // service buffers a result pair — and what the join's caller reads the answer
 // from. The caller says how the pairs leave: to consumer as they are found (a
@@ -325,11 +313,10 @@ type collector struct {
 	consumer func(transformers.Pair) error
 	collect  bool
 
-	// The buffered pairs: in chunks (all full but the last) as emit gathered
-	// them, or — once the cache holds the result, or served it — the cache's
-	// own flat slice, which must not be mutated.
-	chunks []*pairChunk
-	n      int
+	// The buffered pairs: encoded in pooled chunks as emit gathered them, or —
+	// once the cache holds the result, or served it — the cache's own flat
+	// slice, which must not be mutated.
+	runs   pairRuns
 	shared []transformers.Pair
 
 	keep bool // still buffering
@@ -345,13 +332,8 @@ type collector struct {
 
 func (c *collector) emit(pr transformers.Pair) error {
 	if c.keep {
-		if c.max < 0 || c.n < c.max {
-			k := c.n % pairChunkLen
-			if k == 0 {
-				c.chunks = append(c.chunks, pairChunks.Get().(*pairChunk))
-			}
-			c.chunks[len(c.chunks)-1][k] = pr
-			c.n++
+		if c.max < 0 || c.runs.n < c.max {
+			c.runs.add(pr)
 		} else {
 			c.keep = false // over threshold: never cached
 			c.release()
@@ -376,20 +358,18 @@ func (c *collector) emit(pr transformers.Pair) error {
 	return nil
 }
 
-// each calls yield with the buffered pairs in emit order, a run at a time.
-func (c *collector) each(yield func([]transformers.Pair) error) error {
+// each calls yield with the buffered pairs in emit order, stopping at the
+// first error, which it returns.
+func (c *collector) each(yield func(transformers.Pair) error) error {
 	if c.shared != nil {
-		return yield(c.shared)
-	}
-	left := c.n
-	for _, ch := range c.chunks {
-		run := ch[:min(left, len(ch))]
-		if err := yield(run); err != nil {
-			return err
+		for _, p := range c.shared {
+			if err := yield(p); err != nil {
+				return err
+			}
 		}
-		left -= len(run)
+		return nil
 	}
-	return nil
+	return c.runs.each(yield)
 }
 
 // len counts the buffered pairs.
@@ -397,18 +377,18 @@ func (c *collector) len() int {
 	if c.shared != nil {
 		return len(c.shared)
 	}
-	return c.n
+	return c.runs.n
 }
 
 // pairs returns the buffered pairs as one slice the caller may keep: the
-// cache's, or an exact-size copy of the chunks (nil when there are none).
+// cache's, or an exact-size decoding of the chunks (nil when there are none).
 func (c *collector) pairs() []transformers.Pair {
-	if c.shared != nil || c.n == 0 {
+	if c.shared != nil || c.runs.n == 0 {
 		return c.shared
 	}
-	flat := make([]transformers.Pair, 0, c.n)
-	_ = c.each(func(run []transformers.Pair) error {
-		flat = append(flat, run...)
+	flat := make([]transformers.Pair, 0, c.runs.n)
+	_ = c.runs.each(func(p transformers.Pair) error {
+		flat = append(flat, p)
 		return nil
 	})
 	return flat
@@ -416,12 +396,7 @@ func (c *collector) pairs() []transformers.Pair {
 
 // release gives the chunks back; the collector then holds no pairs of its
 // own. Every caller of join defers it.
-func (c *collector) release() {
-	for _, ch := range c.chunks {
-		pairChunks.Put(ch)
-	}
-	c.chunks, c.n = nil, 0
-}
+func (c *collector) release() { c.runs.release() }
 
 // settleStream books what a streamed join (executed or replayed) delivered.
 // aborted_streams means the consumer ended a stream that had begun: its emit
@@ -495,7 +470,7 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 	// The delta composition is part of the cached content — the key pins the
 	// epochs it composed at — unlike the planner report below.
 	summary.Delta = ex.delta
-	if sink.keep && !p.NoCache && sink.n <= s.cache.MaxPairs() {
+	if sink.keep && !p.NoCache && sink.runs.n <= s.cache.MaxPairs() {
 		// Cache without the planner report: hits splice in their own request
 		// context. The cache takes the one flat copy; a collecting caller
 		// shares it.

@@ -58,8 +58,8 @@ func reencode[T any](t *testing.T, raw []byte) (T, []byte) {
 // hit, and with the trace echoed after the pairs.
 func TestWireFormatGolden(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
-	addDataset(t, svc, "a", bigOverlapDataset(700, 51))
-	addDataset(t, svc, "b", bigOverlapDataset(700, 52))
+	addDataset(t, svc, "a", bigOverlapDataset(1800, 51))
+	addDataset(t, svc, "b", bigOverlapDataset(1800, 52))
 	// Two sparse draws of tiny boxes: their join is empty.
 	addDataset(t, svc, "s1", transformers.GenerateUniform(50, 53))
 	addDataset(t, svc, "s2", transformers.GenerateUniform(50, 54))
@@ -87,8 +87,14 @@ func TestWireFormatGolden(t *testing.T) {
 		}
 		if results < 0 {
 			results = int(resp.Summary.Results)
-			if results <= 2*pairChunkLen || results*20 <= 2*responseBufBytes {
-				t.Fatalf("fixture joins to %d pairs: too few to span collector chunks and response buffers", results)
+			var runs pairRuns
+			for _, p := range resp.Pairs {
+				runs.add(p)
+			}
+			chunks := len(runs.chunks)
+			runs.release()
+			if chunks <= 2 || results*20 <= 2*responseBufBytes {
+				t.Fatalf("fixture joins to %d pairs in %d collector chunks: too few to span chunks and response buffers", results, chunks)
 			}
 		}
 		wantPairs := 0

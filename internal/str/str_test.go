@@ -219,13 +219,18 @@ func BenchmarkSplit(b *testing.B) {
 			}
 		})
 		b.Run(in.name+"-pieces", func(b *testing.B) {
-			var pieces [][]geom.Element
+			// SplitPieces clears the slice of pieces it is given: each
+			// iteration gets a fresh one, made outside the timer.
+			var upload, pieces [][]geom.Element
 			for rest := in.elems; len(rest) > 0; rest = rest[min(460, len(rest)):] {
-				pieces = append(pieces, rest[:min(460, len(rest))])
+				upload = append(upload, rest[:min(460, len(rest))])
 			}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(in.elems)) * 56)
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pieces = append(pieces[:0], upload...)
+				b.StartTimer()
 				SplitPieces(pieces, 146, world())
 			}
 		})
