@@ -417,7 +417,7 @@ func BenchmarkBuildIndex(b *testing.B) {
 
 // BenchmarkJoinPrebuilt measures the join kernel alone, as the daemon runs it:
 // indexes built once with the defaults, then joined over and over through
-// private reader views (Concurrent), nothing collected. The inputs are the
+// private reader views, nothing collected. The inputs are the
 // serving benchmark's heavy pair — axons 32K × dendrites 24K within distance
 // 25, ~48K pairs — plus a uniform pair whose join is exploration, not output.
 // pages/op is the modeled I/O (a count: it must not move with the clock), and
@@ -454,7 +454,7 @@ func BenchmarkJoinPrebuilt(b *testing.B) {
 				b.ReportAllocs()
 				var pages, results uint64
 				for i := 0; i < b.N; i++ {
-					stats, err := Join(ia, ib, JoinConfig{Concurrent: true, Parallelism: workers}, func(geom.Element, geom.Element) {})
+					stats, err := Join(ia, ib, JoinConfig{Parallelism: workers}, func(geom.Element, geom.Element) {})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -36,8 +36,7 @@ const (
 //
 // after transformations execute. Role switches use tsuRole = 1/tsu (Eq. 5).
 type costModel struct {
-	tsu, tso float64
-	fixed    bool // keep the configured thresholds (OverFit/UnderFit runs)
+	fixed bool // keep the configured thresholds (OverFit/UnderFit runs)
 
 	nSO float64 // average elements per space unit
 	nSU float64 // average units per space node
@@ -52,17 +51,17 @@ type costModel struct {
 	comps     uint64
 	compTime  time.Duration
 	seek      float64 // seconds per random access under the disk model
-	cflt      float64 // exponential moving average of the filter fraction
+	cflt      float64 // this worker's last value of the shared filter-fraction EMA
 	observed  bool    // a transformation has produced filter feedback
 	// fineRandReads/fineUnits estimate the realized random accesses each
 	// fine-grained (split) unit triggers — the I/O share of Tae.
 	fineRandReads uint64
 	fineUnits     uint64
-	// shared, when non-nil, links this model to the other workers of a
-	// parallel join: recalibrations publish the new thresholds, threshold
-	// reads load the latest global value, and filter feedback folds into a
-	// global cflt — so adaptation stays global even though measurement is
-	// per worker. Nil for the sequential join, whose behavior is untouched.
+	// shared holds the thresholds in force, linking this model to the join's
+	// other workers (none at Parallelism 1): recalibrations publish the new
+	// thresholds, threshold reads load the latest global value, and filter
+	// feedback folds into a global cflt — so adaptation stays global even
+	// though measurement is per worker.
 	shared *sharedCalib
 }
 
@@ -72,7 +71,7 @@ type atomicFloat64 struct{ bits atomic.Uint64 }
 func (a *atomicFloat64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat64) Load() float64   { return math.Float64frombits(a.bits.Load()) }
 
-// sharedCalib is the cross-worker cost-model state of a parallel join. The
+// sharedCalib is the cross-worker cost-model state of a join. The
 // thresholds and filter fraction are plain atomics: workers race to publish,
 // every reader sees some recently calibrated value, and no lock is taken on
 // the pivot-processing path. Threshold values only steer strategy (which
@@ -82,45 +81,32 @@ type sharedCalib struct {
 	tsu, tso, cflt atomicFloat64
 }
 
-// newSharedCalib seeds the shared state from a freshly initialized model.
-func newSharedCalib(m *costModel) *sharedCalib {
+// newSharedCalib seeds the shared state with the configured thresholds
+// (the defaults where unset) and a prior filter fraction of 0.5.
+func newSharedCalib(cfg JoinConfig) *sharedCalib {
+	tsu, tso := cfg.TSU, cfg.TSO
+	if tsu <= 0 {
+		tsu = DefaultTSU
+	}
+	if tso <= 0 {
+		tso = DefaultTSO
+	}
 	s := &sharedCalib{}
-	s.tsu.Store(m.tsu)
-	s.tso.Store(m.tso)
-	s.cflt.Store(m.cflt)
+	s.tsu.Store(tsu)
+	s.tso.Store(tso)
+	s.cflt.Store(0.5)
 	return s
 }
 
-// curTSU returns the node-split threshold currently in force: the globally
-// published value in a parallel join, the local one otherwise.
-func (m *costModel) curTSU() float64 {
-	if m.shared != nil {
-		return m.shared.tsu.Load()
-	}
-	return m.tsu
-}
+// curTSU returns the node-split threshold currently in force: the last one
+// any worker published.
+func (m *costModel) curTSU() float64 { return m.shared.tsu.Load() }
 
 // curTSO returns the unit-split threshold currently in force.
-func (m *costModel) curTSO() float64 {
-	if m.shared != nil {
-		return m.shared.tso.Load()
-	}
-	return m.tso
-}
+func (m *costModel) curTSO() float64 { return m.shared.tso.Load() }
 
-func newCostModel(cfg JoinConfig, a, b *Index) *costModel {
-	m := &costModel{
-		tsu:   cfg.TSU,
-		tso:   cfg.TSO,
-		fixed: cfg.FixedThresholds,
-		cflt:  0.5,
-	}
-	if m.tsu <= 0 {
-		m.tsu = DefaultTSU
-	}
-	if m.tso <= 0 {
-		m.tso = DefaultTSO
-	}
+func newCostModel(cfg JoinConfig, a, b *Index, shared *sharedCalib) *costModel {
+	m := &costModel{fixed: cfg.FixedThresholds, shared: shared}
 	units := a.Units() + b.Units()
 	if units > 0 {
 		m.nSO = float64(a.Len()+b.Len()) / float64(units)
@@ -171,18 +157,12 @@ func (m *costModel) observeFilter(skipped, total int) {
 		frac = 0.002 // keep the threshold finite when filtering fails
 	}
 	const alpha = 0.2
-	base := m.cflt
-	if m.shared != nil {
-		// Fold into the global EMA so every worker's filter feedback shapes
-		// one shared estimate. The read-modify-write is not atomic as a unit;
-		// a lost update just weights the EMA slightly differently, which the
-		// moving average absorbs.
-		base = m.shared.cflt.Load()
-	}
-	m.cflt = (1-alpha)*base + alpha*frac
-	if m.shared != nil {
-		m.shared.cflt.Store(m.cflt)
-	}
+	// Fold into the global EMA so every worker's filter feedback shapes one
+	// shared estimate. The read-modify-write is not atomic as a unit; a lost
+	// update just weights the EMA slightly differently, which the moving
+	// average absorbs.
+	m.cflt = (1-alpha)*m.shared.cflt.Load() + alpha*frac
+	m.shared.cflt.Store(m.cflt)
 	m.observed = true
 	m.recalibrate()
 }
@@ -215,13 +195,10 @@ func (m *costModel) recalibrate() {
 	if denom <= 0 {
 		return
 	}
-	m.tsu = clampThreshold(tae / denom)
+	tsu := clampThreshold(tae / denom)
+	m.shared.tsu.Store(tsu)
 	if m.nSU > 0 {
-		m.tso = clampThreshold(m.tsu * m.nSO / m.nSU)
-	}
-	if m.shared != nil {
-		m.shared.tsu.Store(m.tsu)
-		m.shared.tso.Store(m.tso)
+		m.shared.tso.Store(clampThreshold(tsu * m.nSO / m.nSU))
 	}
 }
 

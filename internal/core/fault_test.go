@@ -72,7 +72,7 @@ func TestInjectedReadFaultsSurface(t *testing.T) {
 	ia, ib := build(faultinject.New(faultinject.Fault{Op: faultinject.OpSlowRead, Times: slowReads, Delay: delay}))
 	var got []geom.Pair
 	start := time.Now()
-	_, err = core.Join(ia, ib, core.JoinConfig{Concurrent: true}, func(x, y geom.Element) {
+	_, err = core.Join(ia, ib, core.JoinConfig{}, func(x, y geom.Element) {
 		got = append(got, geom.Pair{A: x.ID, B: y.ID})
 	})
 	if took := time.Since(start); err != nil || took < slowReads*delay {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// DefaultCachePages sizes the per-dataset (and, in parallel joins,
-// per-worker) buffer pool.
+// DefaultCachePages sizes the buffer pool of each side of each join worker
+// (one worker per side at Parallelism 1) and of each range query.
 const DefaultCachePages = 256
 
 // JoinConfig controls the adaptive exploration join.
@@ -44,15 +45,10 @@ type JoinConfig struct {
 	// When more than one worker runs, the join's emit callback may be
 	// invoked from multiple goroutines concurrently and must be safe for
 	// that; each DefaultCachePages-sized buffer pool is per worker per side.
+	// At every setting the join reads through private Store.OpenReader
+	// views, never the indexes' own stores, so joins and range queries over
+	// shared indexes may run concurrently.
 	Parallelism int
-	// Concurrent marks the indexes as shared with other goroutines (the
-	// serving layer runs many joins and range queries over one catalog
-	// index concurrently). Page reads then go through private
-	// Store.OpenReader views instead of the indexes' own stores, whose
-	// I/O trackers are unsynchronized. Results are identical; only the
-	// sequential/random classification stream starts fresh per join.
-	// Parallel joins (Parallelism > 1) always read through private views.
-	Concurrent bool
 	// Stop, when non-nil, is a cooperative abort flag: raising it makes
 	// every pivot loop (sequential or parallel) exit before its next pivot,
 	// and the unit-level loops exit before their next pivot unit. The join
@@ -144,12 +140,11 @@ type side struct {
 }
 
 // acquireSide takes a side of idx from the index's pool (or builds the first
-// one) and readies it for a run reading through base (the index's own store
-// for the sequential join, a private concurrent reader for each parallel
-// worker and each range query): nothing checked, walks unpositioned, buffer
-// pool cold. The pool is shared with idx's Grown views, whose descriptor
-// counts are idx's, so the side may last have served another of them. release
-// hands it back.
+// one) and readies it for a run reading through base (the private store
+// reader of one join worker or one range query): nothing checked, walks
+// unpositioned, buffer pool cold. The pool is shared with idx's Grown views,
+// whose descriptor counts are idx's, so the side may last have served another
+// of them. release hands it back.
 func acquireSide(idx *Index, base storage.Store, isA bool) *side {
 	s, _ := idx.sides.Get().(*side)
 	if s == nil {
@@ -325,21 +320,21 @@ type joinRun struct {
 	stats   JoinStats
 	emit    func(a, b geom.Element)
 	maxWalk [2]int // per side, a defensive bound on one walk over its graphs: 4x its descriptors
-	// stop, when set (parallel runs), is the fleet-wide abort flag: a worker
-	// that fails raises it and the others bail at their next pivot instead
-	// of finishing whole chunks after the join is already lost.
+	// stop is the join's fleet-wide abort flag: a worker that fails raises
+	// it and the others bail at their next pivot instead of finishing whole
+	// chunks after the join is already lost.
 	stop *atomic.Bool
 }
 
-// newJoinRun assembles one run's state: sides reading through stA/stB, the
-// cost model, read-through gaps and walk bounds. The sequential join passes
-// the indexes' own stores; each parallel worker passes its private readers.
-// The caller releases the run when it is done with it.
-func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA, stB storage.Store) *joinRun {
-	r := &joinRun{cfg: cfg, emit: emit}
+// newJoinRun assembles one worker's state: sides reading through the worker's
+// private readers stA/stB, a cost model publishing to the join's calibration,
+// the join's abort flag, read-through gaps and walk bounds. The caller
+// releases the run when it is done with it.
+func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA, stB storage.Store, calib *sharedCalib, stop *atomic.Bool) *joinRun {
+	r := &joinRun{cfg: cfg, emit: emit, stop: stop}
 	r.sides[0] = acquireSide(ia, stA, true)
 	r.sides[1] = acquireSide(ib, stB, false)
-	r.model = newCostModel(cfg, ia, ib)
+	r.model = newCostModel(cfg, ia, ib, calib)
 	for i, s := range r.sides {
 		s.readThroughGap = storage.PageID(r.model.seek / (pageTransferSeconds(s.idx.st.PageSize()) + 1e-12))
 		if s.readThroughGap > 64 {
@@ -357,9 +352,9 @@ func (r *joinRun) release() {
 }
 
 // aborted reports whether the run should stop before its next pivot: the
-// parallel fleet's failure flag or the caller's cooperative Stop.
+// fleet's failure flag or the caller's cooperative Stop.
 func (r *joinRun) aborted() bool {
-	return (r.stop != nil && r.stop.Load()) || (r.cfg.Stop != nil && r.cfg.Stop.Load())
+	return r.stop.Load() || (r.cfg.Stop != nil && r.cfg.Stop.Load())
 }
 
 // loop drives the pivot loop of Algorithm 2 until either side's unchecked
@@ -387,6 +382,18 @@ func (r *joinRun) loop(g, f int) error {
 // cfg.Parallelism > 1 the pivots are processed by concurrent workers and
 // emit may be called from multiple goroutines; the result pair set is
 // identical to the sequential join's.
+//
+// Every worker count runs the same driver: the guide's nodeOrder is cut into
+// one contiguous Hilbert-order chunk per worker (chunkGuide), and each worker
+// is a complete sequential join run — private sides, walkers, buffers,
+// buffer pools and store readers — whose guide universe is its chunk (see
+// side.restrictTo for why the union of the workers' results is exactly the
+// sequential pair set). A single chunk is the whole universe and runs inline,
+// the paper-faithful sequential execution. The only state the workers share
+// is the atomically published cost-model calibration, so no lock sits on the
+// page-read or pivot-processing hot paths. Reading through private views
+// also makes any number of joins and range queries over the same indexes
+// safe to run at once.
 func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStats, error) {
 	if ia.size == 0 || ib.size == 0 || len(ia.nodes) == 0 || len(ib.nodes) == 0 {
 		return JoinStats{}, nil
@@ -394,51 +401,73 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 	if cfg.Parallelism < 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Parallelism > 1 {
-		return joinParallel(ia, ib, cfg, emit)
-	}
-
-	// Default: read through the indexes' own stores (their counters keep
-	// accumulating, matching the seed's accounting). A Concurrent join takes
-	// private reader views instead, so simultaneous joins and range queries
-	// over shared indexes never touch the same unsynchronized tracker.
-	stA, stB := ia.st, ib.st
-	if cfg.Concurrent {
-		stA = ia.st.OpenReader()
-		if ia.st == ib.st {
-			stB = stA
-		} else {
-			stB = ib.st.OpenReader()
-		}
-	}
-	r := newJoinRun(ia, ib, cfg, emit, stA, stB)
-	defer r.release()
-
-	start := time.Now()
-	beforeA := stA.Stats()
-	shared := stA == stB
-	var beforeB storage.Stats
-	if !shared {
-		beforeB = stB.Stats()
-	}
-
 	g, f := 0, 1
 	if cfg.GuideB {
 		g, f = 1, 0
 	}
-	if err := r.loop(g, f); err != nil {
-		return r.stats, err
+	chunks := chunkGuide([2]*Index{ia, ib}[g], max(cfg.Parallelism, 1))
+	workers := len(chunks)
+
+	readersA := storage.OpenReaders(ia.st, workers)
+	readersB := readersA
+	sharedStore := ia.st == ib.st
+	if !sharedStore {
+		readersB = storage.OpenReaders(ib.st, workers)
 	}
 
-	r.stats.Wall = time.Since(start)
-	r.stats.IO = stA.Stats().Sub(beforeA)
-	if !shared {
-		r.stats.IO = r.stats.IO.Add(stB.Stats().Sub(beforeB))
+	var stop atomic.Bool
+	calib := newSharedCalib(cfg)
+	runs := make([]*joinRun, workers)
+	for i := range runs {
+		runs[i] = newJoinRun(ia, ib, cfg, emit, readersA[i], readersB[i], calib, &stop)
+		if workers > 1 {
+			runs[i].sides[g].restrictTo(chunks[i][0], chunks[i][1])
+		}
 	}
-	r.stats.TSUFinal = r.model.tsu
-	r.stats.TSOFinal = r.model.tso
-	r.stats.CfltFinal = r.model.cflt
-	return r.stats, nil
+	errs := make([]error, workers)
+	work := func(i int) {
+		if err := runs[i].loop(g, f); err != nil {
+			errs[i] = err
+			stop.Store(true)
+		}
+	}
+	start := time.Now()
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(i)
+			}()
+		}
+		wg.Wait()
+	}
+
+	var stats JoinStats
+	for i, r := range runs {
+		r.release()
+		stats = mergeStats(stats, r.stats)
+		stats.IO = stats.IO.Add(readersA[i].Stats())
+		if !sharedStore {
+			stats.IO = stats.IO.Add(readersB[i].Stats())
+		}
+	}
+	// Wall is elapsed time of the whole join; with several workers
+	// ExploreWall and JoinWall sum their shares and may exceed it (CPU-time
+	// semantics).
+	stats.Wall = time.Since(start)
+	stats.TSUFinal = calib.tsu.Load()
+	stats.TSOFinal = calib.tso.Load()
+	stats.CfltFinal = calib.cflt.Load()
+	for _, err := range errs {
+		if err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
 }
 
 // pageTransferSeconds is the modeled transfer time of one page of the given
@@ -502,7 +531,7 @@ func (r *joinRun) crawlUnits(f int, found int32, target geom.Box) (firstReads in
 // included — as join cost.
 func (r *joinRun) joinBatches(g, f int, t0 time.Time) {
 	G, F := r.sides[g], r.sides[f]
-	comps := G.grid.Join(G.batch(), F.batch(), grid.Config{}, func(ge, fe geom.Element) {
+	comps := G.grid.Join(G.batch(), F.batch(), func(ge, fe geom.Element) {
 		r.emitOriented(g, ge, fe)
 	})
 	dt := time.Since(t0)
@@ -688,10 +717,9 @@ func (r *joinRun) processNodeAtUnitLevel(g, f int, pn int32) error {
 	wouldRead := len(wouldF)
 	F.beginReadTally()
 	distinctRead := 0
-	// The delta is taken on the side's own store view: sequentially that is
-	// the LRU over the index store (same counters as idx.st), and in a
-	// parallel worker it is the private reader — the only place this
-	// worker's reads are counted, and safe to read without synchronization.
+	// The delta is taken on the side's own store view, the LRU over this
+	// worker's private reader — the only place the worker's reads are
+	// counted, and safe to read without synchronization.
 	randBefore := F.st.Stats().RandReads
 
 	for _, ui := range pivot.Units {

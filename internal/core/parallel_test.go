@@ -139,8 +139,8 @@ func TestParallelStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestParallelEdgeCases covers the fallback paths: more workers than pivot
-// nodes, negative parallelism (GOMAXPROCS), and empty inputs.
+// TestParallelEdgeCases covers more workers than pivot nodes, negative
+// parallelism (GOMAXPROCS), and empty inputs.
 func TestParallelEdgeCases(t *testing.T) {
 	a := datagen.Uniform(datagen.Config{N: 300, Seed: 63, MaxSide: 12})
 	b := datagen.Uniform(datagen.Config{N: 280, Seed: 64, MaxSide: 12})
@@ -265,12 +265,12 @@ func TestPooledSidesStartEveryRunCold(t *testing.T) {
 		return counts{s.Results, s.Comparisons, s.MetaComparisons, s.WalkSteps, s.RoleSwitches, s.NodeSplits, s.UnitSplits, s.IO}, pairs
 	}
 	cfgs := []JoinConfig{
-		{Concurrent: true, FixedThresholds: true, Parallelism: 4},
-		{Concurrent: true, FixedThresholds: true},
-		{Concurrent: true, FixedThresholds: true, TSU: 1.5, TSO: 1.5},
-		{Concurrent: true, FixedThresholds: true, GuideB: true},
-		{Concurrent: true, DisableTransforms: true},
-		{Concurrent: true, FixedThresholds: true},
+		{FixedThresholds: true, Parallelism: 4},
+		{FixedThresholds: true},
+		{FixedThresholds: true, TSU: 1.5, TSO: 1.5},
+		{FixedThresholds: true, GuideB: true},
+		{DisableTransforms: true},
+		{FixedThresholds: true},
 	}
 	fresh := make([]counts, len(cfgs))
 	for i, cfg := range cfgs {
@@ -315,4 +315,59 @@ func TestPooledSidesStartEveryRunCold(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestSharedIndexJoinsNeedNoFlag: joins over the same two indexes may run at
+// once with no option set, at any worker count. Each run reads through
+// private store views, so four concurrent runs and a repeat after them each
+// find the naive pair set and count exactly the page reads — and the
+// sequential/random split — of a lone run. The inputs are two uniform sets of
+// like density: no transformation fires, so thresholds never recalibrate and
+// a run's reads do not depend on timing.
+func TestSharedIndexJoinsNeedNoFlag(t *testing.T) {
+	a := datagen.Uniform(datagen.Config{N: 3000, Seed: 91, MaxSide: 12})
+	b := datagen.Uniform(datagen.Config{N: 2500, Seed: 92, MaxSide: 12})
+	icfg := IndexConfig{UnitCapacity: 30, NodeCapacity: 6}
+	ia, ib := buildIndex(t, a, icfg), buildIndex(t, b, icfg)
+	want := naive.Join(a, b)
+	run := func(cfg JoinConfig) (JoinStats, error) {
+		var mu sync.Mutex
+		var pairs []geom.Pair
+		stats, err := Join(ia, ib, cfg, func(x, y geom.Element) {
+			mu.Lock()
+			pairs = append(pairs, geom.Pair{A: x.ID, B: y.ID})
+			mu.Unlock()
+		})
+		if err == nil && !naive.Equal(pairs, append([]geom.Pair(nil), want...)) {
+			err = fmt.Errorf("%d pairs disagree with the naive %d", len(pairs), len(want))
+		}
+		return stats, err
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := JoinConfig{Parallelism: workers}
+		lone, err := run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d lone run: %v", workers, err)
+		}
+		if lone.IO.SeqReads == 0 || lone.IO.RandReads == 0 || lone.RoleSwitches+lone.NodeSplits+lone.UnitSplits != 0 {
+			t.Fatalf("workers=%d: fixture reads %v and transforms: %+v", workers, lone.IO, lone)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				stats, err := run(cfg)
+				if err != nil {
+					t.Errorf("workers=%d goroutine %d: %v", workers, g, err)
+				} else if stats.IO != lone.IO {
+					t.Errorf("workers=%d goroutine %d counted %v, a lone run %v", workers, g, stats.IO, lone.IO)
+				}
+			}(g)
+		}
+		wg.Wait()
+		if stats, err := run(cfg); err != nil || stats.IO != lone.IO {
+			t.Fatalf("workers=%d repeat counted %v (err %v), a lone run %v", workers, stats.IO, err, lone.IO)
+		}
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/storage"
 )
 
-// Range and probe queries over a built index. The paper's index (§IV) is a
+// Range queries over a built index. The paper's index (§IV) is a
 // join-support structure, but the same machinery — the Hilbert-order walk
 // start, the adaptive walk of Algorithm 1 and the neighborhood crawl of §V —
 // answers spatial selections: walk the node graph to the query box, crawl the
@@ -16,7 +16,7 @@ import (
 // as well as joins, which is what the serving layer's build-once/query-many
 // catalog exploits.
 
-// RangeStats reports the cost of one range or probe query.
+// RangeStats reports the cost of one range query.
 type RangeStats struct {
 	// Results counts elements intersecting the query box.
 	Results int
@@ -117,10 +117,4 @@ func (idx *Index) RangeQuery(query geom.Box, dst []geom.Element) ([]geom.Element
 	rs.IO = rd.Stats()
 	rs.Results = len(dst) - base
 	return dst, rs, nil
-}
-
-// ProbeQuery returns every indexed element whose box contains the point p
-// (boundary-inclusive): a range query with a degenerate box.
-func (idx *Index) ProbeQuery(p geom.Point, dst []geom.Element) ([]geom.Element, RangeStats, error) {
-	return idx.RangeQuery(geom.Box{Lo: p, Hi: p}, dst)
 }

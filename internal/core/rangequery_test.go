@@ -123,20 +123,22 @@ func TestRangeQueryReadsFewPages(t *testing.T) {
 	}
 }
 
-// TestProbeQuery checks the degenerate-box probe against a naive point scan.
+// TestProbeQuery checks point probes — range queries over a degenerate box —
+// against a naive point scan.
 func TestProbeQuery(t *testing.T) {
 	elems := datagen.DenseCluster(datagen.Config{N: 4000, Seed: 21})
 	idx := buildIndex(t, elems, IndexConfig{})
 	// Probe element centers (guaranteed hits) and a far-away miss.
 	for i := 0; i < 50; i++ {
 		p := elems[i*37%len(elems)].Box.Center()
-		got, _, err := idx.ProbeQuery(p, nil)
+		pt := geom.Box{Lo: p, Hi: p}
+		got, _, err := idx.RangeQuery(pt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []geom.Element
 		for _, e := range elems {
-			if e.Box.ContainsPoint(p) {
+			if e.Box.Contains(pt) {
 				want = append(want, e)
 			}
 		}
@@ -145,7 +147,8 @@ func TestProbeQuery(t *testing.T) {
 			t.Fatal("probe at element center found nothing")
 		}
 	}
-	got, _, err := idx.ProbeQuery(geom.Point{-500, -500, -500}, nil)
+	far := geom.Point{-500, -500, -500}
+	got, _, err := idx.RangeQuery(geom.Box{Lo: far, Hi: far}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestRangeQueryConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := Join(idx, ib, JoinConfig{Concurrent: true}, func(a, b geom.Element) {}); err != nil {
+		if _, err := Join(idx, ib, JoinConfig{}, func(a, b geom.Element) {}); err != nil {
 			errc <- err
 		}
 	}()

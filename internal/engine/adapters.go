@@ -157,7 +157,6 @@ func transformersKernel(ia, ib *core.Index, opt Options) kernel {
 			TSO:               opt.TSO,
 			FixedThresholds:   opt.FixedThresholds,
 			Parallelism:       opt.Parallelism,
-			Concurrent:        opt.Concurrent,
 			Stop:              s.flag(),
 		}, s.send)
 		st.Transformers = js
@@ -246,7 +245,7 @@ func gridBuild(a, b []geom.Element, _ Options, st *Stats) (kernel, error) {
 		build, probe, buildIsA = b, a, false
 	}
 	start := time.Now()
-	g := grid.Build(build, grid.Config{})
+	g := grid.Build(build)
 	st.BuildWall = time.Since(start)
 	return func(s *sink, st *Stats) error {
 		emit := s.oriented(buildIsA)

@@ -47,8 +47,9 @@ type Options struct {
 	// (transformers, inmem and the sharded forms); others run single-threaded
 	// regardless.
 	Parallelism int
-	// Concurrent marks prebuilt indexes as shared with other goroutines
-	// (the serving layer); reads then go through private reader views.
+	// Concurrent is ignored: every engine that joins prebuilt indexes reads
+	// them through private reader views, so they may always be shared with
+	// other goroutines. It stays declared for callers that still set it.
 	Concurrent bool
 	// DiscardPairs skips pair collection (benchmarks that only need the
 	// counters).

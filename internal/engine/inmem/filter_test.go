@@ -106,7 +106,7 @@ func grownNaive(a, b []geom.Element, ga, gb float64) map[geom.Pair]int {
 }
 
 // TestInMemPartitionInputsMatchExpandedCopy: PartitionInputs over (base, delta,
-// grow) is Partition over the concatenated ExpandForDistance copy — the pairs,
+// grow) is Partition over the concatenated ExpandedForDistance copy — the pairs,
 // and the plan: dimensions, stripes, replicas and the candidates the sweep
 // tested — on the four canonical distributions, paired as the experiments and
 // the benchmark pair them, and on a pair with repeated IDs.

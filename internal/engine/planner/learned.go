@@ -206,7 +206,7 @@ func (c *Corrector) Snapshot() []Correction {
 // ExpandStats derives the statistics of a dataset's §VIII distance-expanded
 // form from its base fingerprint, without touching the elements: every box
 // grows by the expansion radius distance/2 per side (matching
-// transformers.ExpandForDistance), so Plan prices the join that will actually
+// geom.ExpandedForDistance), so Plan prices the join that will actually
 // run. Count is unchanged — expansion adds no elements, and the in-memory
 // cap keys on cardinality — while the MBB grows by the expansion directly and
 // the clustering signals inflate with f, the factor by which each element's

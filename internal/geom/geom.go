@@ -106,31 +106,10 @@ func (b Box) Intersects(o Box) bool {
 	return true
 }
 
-// IntersectsStrict reports whether b and o overlap with positive measure in
-// every dimension (touching does not count).
-func (b Box) IntersectsStrict(o Box) bool {
-	for d := 0; d < Dims; d++ {
-		if b.Lo[d] >= o.Hi[d] || o.Lo[d] >= b.Hi[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether b fully contains o.
 func (b Box) Contains(o Box) bool {
 	for d := 0; d < Dims; d++ {
 		if o.Lo[d] < b.Lo[d] || o.Hi[d] > b.Hi[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsPoint reports whether the point p lies inside b (boundary counts).
-func (b Box) ContainsPoint(p Point) bool {
-	for d := 0; d < Dims; d++ {
-		if p[d] < b.Lo[d] || p[d] > b.Hi[d] {
 			return false
 		}
 	}
@@ -267,17 +246,10 @@ func (b Box) Cover(o Box) Box {
 	return b
 }
 
-// ExpandForDistance grows every box of elems by d/2 per side, in place: the
-// §VIII enlarged-objects reduction, under which a spatial join of two sets
-// grown this way reports exactly the pairs whose original boxes lie within
-// Chebyshev distance d of each other.
-func ExpandForDistance(elems []Element, d float64) {
-	for i := range elems {
-		elems[i].Box = elems[i].Box.Expand(d / 2)
-	}
-}
-
-// ExpandedForDistance is ExpandForDistance into a copy; elems keeps its boxes.
+// ExpandedForDistance returns a copy of elems with every box grown by d/2 per
+// side: the §VIII enlarged-objects reduction, under which a spatial join of
+// two sets grown this way reports exactly the pairs whose original boxes lie
+// within Chebyshev distance d of each other. elems keeps its boxes.
 func ExpandedForDistance(elems []Element, d float64) []Element {
 	out := make([]Element, len(elems))
 	for i, e := range elems {

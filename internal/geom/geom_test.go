@@ -51,16 +51,16 @@ func TestCenter(t *testing.T) {
 
 func TestIntersects(t *testing.T) {
 	cases := []struct {
-		a, b         Box
-		want, strict bool
-		descr        string
+		a, b  Box
+		want  bool
+		descr string
 	}{
-		{box(0, 0, 0, 1, 1, 1), box(0.5, 0.5, 0.5, 2, 2, 2), true, true, "overlap"},
-		{box(0, 0, 0, 1, 1, 1), box(1, 0, 0, 2, 1, 1), true, false, "face touch"},
-		{box(0, 0, 0, 1, 1, 1), box(1, 1, 1, 2, 2, 2), true, false, "corner touch"},
-		{box(0, 0, 0, 1, 1, 1), box(1.1, 0, 0, 2, 1, 1), false, false, "disjoint x"},
-		{box(0, 0, 0, 1, 1, 1), box(0, 0, 2, 1, 1, 3), false, false, "disjoint z"},
-		{box(0, 0, 0, 3, 3, 3), box(1, 1, 1, 2, 2, 2), true, true, "containment"},
+		{box(0, 0, 0, 1, 1, 1), box(0.5, 0.5, 0.5, 2, 2, 2), true, "overlap"},
+		{box(0, 0, 0, 1, 1, 1), box(1, 0, 0, 2, 1, 1), true, "face touch"},
+		{box(0, 0, 0, 1, 1, 1), box(1, 1, 1, 2, 2, 2), true, "corner touch"},
+		{box(0, 0, 0, 1, 1, 1), box(1.1, 0, 0, 2, 1, 1), false, "disjoint x"},
+		{box(0, 0, 0, 1, 1, 1), box(0, 0, 2, 1, 1, 3), false, "disjoint z"},
+		{box(0, 0, 0, 3, 3, 3), box(1, 1, 1, 2, 2, 2), true, "containment"},
 	}
 	for _, c := range cases {
 		if got := c.a.Intersects(c.b); got != c.want {
@@ -68,9 +68,6 @@ func TestIntersects(t *testing.T) {
 		}
 		if got := c.b.Intersects(c.a); got != c.want {
 			t.Errorf("%s (swapped): Intersects = %v, want %v", c.descr, got, c.want)
-		}
-		if got := c.a.IntersectsStrict(c.b); got != c.strict {
-			t.Errorf("%s: IntersectsStrict = %v, want %v", c.descr, got, c.strict)
 		}
 	}
 }
@@ -85,12 +82,6 @@ func TestContains(t *testing.T) {
 	}
 	if outer.Contains(box(1, 1, 1, 11, 9, 9)) {
 		t.Errorf("protruding box should not be contained")
-	}
-	if !outer.ContainsPoint(Point{0, 0, 0}) || !outer.ContainsPoint(Point{10, 5, 5}) {
-		t.Errorf("boundary points should be contained")
-	}
-	if outer.ContainsPoint(Point{10.01, 5, 5}) {
-		t.Errorf("outside point should not be contained")
 	}
 }
 
@@ -128,15 +119,12 @@ func TestExpand(t *testing.T) {
 	if b != box(-0.5, -0.5, -0.5, 1.5, 1.5, 1.5) {
 		t.Fatalf("Expand = %v", b)
 	}
-	// The distance reduction grows by d/2 per side; the copying form leaves
-	// its input alone, the in-place form is the same growth.
+	// The distance reduction grows a copy by d/2 per side and leaves its
+	// input alone.
 	elems := []Element{{ID: 7, Box: box(0, 0, 0, 1, 1, 1)}}
 	grown := ExpandedForDistance(elems, 1)
 	if grown[0] != (Element{ID: 7, Box: b}) || elems[0].Box != box(0, 0, 0, 1, 1, 1) {
 		t.Fatalf("ExpandedForDistance = %v, input now %v", grown, elems)
-	}
-	if ExpandForDistance(elems, 1); elems[0] != grown[0] {
-		t.Fatalf("ExpandForDistance = %v, want %v", elems, grown)
 	}
 }
 
@@ -197,8 +185,7 @@ func TestPropIntersectionSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomBox(r), randomBox(r)
-		return a.Intersects(b) == b.Intersects(a) &&
-			a.IntersectsStrict(b) == b.IntersectsStrict(a)
+		return a.Intersects(b) == b.Intersects(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -225,7 +212,7 @@ func TestPropIntersectionBoxContained(t *testing.T) {
 		a, b := randomBox(r), randomBox(r)
 		inter, ok := a.Intersection(b)
 		if !ok {
-			return !a.IntersectsStrict(b)
+			return !a.Intersects(b)
 		}
 		return a.Contains(inter) && b.Contains(inter)
 	}
@@ -250,7 +237,8 @@ func TestPropCenterInsideBox(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := randomBox(r)
-		return b.ContainsPoint(b.Center())
+		c := b.Center()
+		return b.Contains(Box{Lo: c, Hi: c})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -61,12 +61,6 @@ type Grid struct {
 	Comparisons uint64
 }
 
-// Config tunes grid construction.
-type Config struct {
-	// CellSize overrides automatic sizing when positive.
-	CellSize float64
-}
-
 // Batch is one side of a join as the join reads it in place: the elements of
 // Runs, in order, each box grown by Grow as geom.Box.Grow grows it (Grow 0
 // takes them as stored). The runs are only read.
@@ -77,15 +71,15 @@ type Batch struct {
 
 // Build constructs a grid over the build-side elements. An empty build set
 // yields a usable empty grid.
-func Build(elems []geom.Element, cfg Config) *Grid {
+func Build(elems []geom.Element) *Grid {
 	g := &Grid{}
-	g.Reset(Batch{Runs: [][]geom.Element{elems}}, cfg)
+	g.Reset(Batch{Runs: [][]geom.Element{elems}})
 	return g
 }
 
 // Reset rebuilds g over build, keeping no reference to its runs, and zeroes
 // Comparisons.
-func (g *Grid) Reset(build Batch, cfg Config) {
+func (g *Grid) Reset(build Batch) {
 	g.soa.LoadGrown(build.Runs, build.Grow)
 	g.Comparisons = 0
 	n := g.soa.Len()
@@ -108,19 +102,16 @@ func (g *Grid) Reset(build Batch, cfg Config) {
 	if wantCells > maxCells {
 		wantCells = maxCells
 	}
-	side := cfg.CellSize
-	if side <= 0 {
-		// Cube cells sized so the grid over the data MBB has ~wantCells
-		// cells, but never smaller than the average element extent — cells
-		// much smaller than elements explode replication for no gain [11].
-		vol := mbb.Volume()
-		if vol <= 0 {
-			vol = 1
-		}
-		side = math.Cbrt(vol / wantCells)
-		if avg := g.averageSide(); side < avg {
-			side = avg
-		}
+	// Cube cells sized so the grid over the data MBB has ~wantCells cells,
+	// but never smaller than the average element extent — cells much smaller
+	// than elements explode replication for no gain [11].
+	vol := mbb.Volume()
+	if vol <= 0 {
+		vol = 1
+	}
+	side := math.Cbrt(vol / wantCells)
+	if avg := g.averageSide(); side < avg {
+		side = avg
 	}
 	total := 1
 	for d := 0; d < geom.Dims; d++ {
@@ -320,15 +311,15 @@ func clampIntoGrid(g *Grid, p geom.Point) geom.Point {
 // Join builds a grid over build and probes it with every element of probe,
 // emitting each intersecting (build, probe) pair exactly once. It returns
 // the number of element comparisons performed.
-func Join(build, probe []geom.Element, cfg Config, emit func(b, p geom.Element)) uint64 {
-	return new(Grid).Join(Batch{Runs: [][]geom.Element{build}}, Batch{Runs: [][]geom.Element{probe}}, cfg, emit)
+func Join(build, probe []geom.Element, emit func(b, p geom.Element)) uint64 {
+	return new(Grid).Join(Batch{Runs: [][]geom.Element{build}}, Batch{Runs: [][]geom.Element{probe}}, emit)
 }
 
 // Join is the package-level Join over two batches, run inside g's arrays (see
 // Reset). Each probe element is grown as it is probed; both sides' elements
 // reach emit grown.
-func (g *Grid) Join(build, probe Batch, cfg Config, emit func(b, p geom.Element)) uint64 {
-	g.Reset(build, cfg)
+func (g *Grid) Join(build, probe Batch, emit func(b, p geom.Element)) uint64 {
+	g.Reset(build)
 	for _, run := range probe.Runs {
 		for _, q := range run {
 			q.Box.Grow(probe.Grow)

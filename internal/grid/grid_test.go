@@ -12,9 +12,9 @@ import (
 	"repro/internal/naive"
 )
 
-func collect(build, probe []geom.Element, cfg Config) []geom.Pair {
+func collect(build, probe []geom.Element) []geom.Pair {
 	var pairs []geom.Pair
-	Join(build, probe, cfg, func(b, p geom.Element) {
+	Join(build, probe, func(b, p geom.Element) {
 		pairs = append(pairs, geom.Pair{A: b.ID, B: p.ID})
 	})
 	return pairs
@@ -23,7 +23,7 @@ func collect(build, probe []geom.Element, cfg Config) []geom.Pair {
 func TestJoinMatchesNaiveUniform(t *testing.T) {
 	build := datagen.Uniform(datagen.Config{N: 800, Seed: 1, MaxSide: 20})
 	probe := datagen.Uniform(datagen.Config{N: 700, Seed: 2, MaxSide: 20})
-	got := collect(build, probe, Config{})
+	got := collect(build, probe)
 	want := naive.Join(build, probe)
 	if !naive.Equal(got, want) {
 		t.Fatalf("grid join disagrees with naive: %d vs %d pairs", len(got), len(want))
@@ -33,7 +33,7 @@ func TestJoinMatchesNaiveUniform(t *testing.T) {
 func TestJoinMatchesNaiveClustered(t *testing.T) {
 	build := datagen.MassiveCluster(datagen.Config{N: 1000, Seed: 3, MaxSide: 5})
 	probe := datagen.DenseCluster(datagen.Config{N: 900, Seed: 4, MaxSide: 5})
-	got := collect(build, probe, Config{})
+	got := collect(build, probe)
 	want := naive.Join(build, probe)
 	if !naive.Equal(got, want) {
 		t.Fatalf("grid join disagrees with naive: %d vs %d pairs", len(got), len(want))
@@ -45,7 +45,10 @@ func TestJoinNoDuplicatesWithLargeElements(t *testing.T) {
 	// report each pair exactly once.
 	build := datagen.Uniform(datagen.Config{N: 200, Seed: 5, MaxSide: 300})
 	probe := datagen.Uniform(datagen.Config{N: 200, Seed: 6, MaxSide: 300})
-	got := collect(build, probe, Config{CellSize: 50}) // force multi-cell spans
+	if g := Build(build); len(g.items) <= len(build) {
+		t.Fatalf("%d cell assignments for %d elements: no element spans several cells", len(g.items), len(build))
+	}
+	got := collect(build, probe)
 	deduped := naive.Dedup(append([]geom.Pair(nil), got...))
 	if len(deduped) != len(got) {
 		t.Fatalf("grid join emitted %d duplicates", len(got)-len(deduped))
@@ -58,10 +61,10 @@ func TestJoinNoDuplicatesWithLargeElements(t *testing.T) {
 
 func TestJoinEmptySides(t *testing.T) {
 	probe := datagen.Uniform(datagen.Config{N: 10, Seed: 7})
-	if got := collect(nil, probe, Config{}); len(got) != 0 {
+	if got := collect(nil, probe); len(got) != 0 {
 		t.Fatalf("empty build side produced %d pairs", len(got))
 	}
-	if got := collect(probe, nil, Config{}); len(got) != 0 {
+	if got := collect(probe, nil); len(got) != 0 {
 		t.Fatalf("empty probe side produced %d pairs", len(got))
 	}
 }
@@ -71,7 +74,7 @@ func TestJoinDisjointSets(t *testing.T) {
 	worldB := geom.Box{Lo: geom.Point{500, 500, 500}, Hi: geom.Point{600, 600, 600}}
 	a := datagen.Uniform(datagen.Config{N: 100, Seed: 8, World: worldA})
 	b := datagen.Uniform(datagen.Config{N: 100, Seed: 9, World: worldB})
-	if got := collect(a, b, Config{}); len(got) != 0 {
+	if got := collect(a, b); len(got) != 0 {
 		t.Fatalf("disjoint sets produced %d pairs", len(got))
 	}
 }
@@ -79,7 +82,7 @@ func TestJoinDisjointSets(t *testing.T) {
 func TestProbeCountsComparisons(t *testing.T) {
 	build := datagen.Uniform(datagen.Config{N: 500, Seed: 10, MaxSide: 10})
 	probe := datagen.Uniform(datagen.Config{N: 500, Seed: 11, MaxSide: 10})
-	comparisons := Join(build, probe, Config{}, func(geom.Element, geom.Element) {})
+	comparisons := Join(build, probe, func(geom.Element, geom.Element) {})
 	if comparisons == 0 {
 		t.Fatal("expected nonzero comparisons")
 	}
@@ -97,7 +100,7 @@ func TestIdenticalBoxes(t *testing.T) {
 		build = append(build, geom.Element{ID: uint64(i), Box: b})
 		probe = append(probe, geom.Element{ID: uint64(100 + i), Box: b})
 	}
-	got := collect(build, probe, Config{})
+	got := collect(build, probe)
 	if len(got) != 400 {
 		t.Fatalf("identical boxes: got %d pairs, want 400", len(got))
 	}
@@ -109,7 +112,7 @@ func TestIdenticalBoxes(t *testing.T) {
 func TestTouchingBoxesCount(t *testing.T) {
 	build := []geom.Element{{ID: 1, Box: geom.Box{Lo: geom.Point{0, 0, 0}, Hi: geom.Point{1, 1, 1}}}}
 	probe := []geom.Element{{ID: 2, Box: geom.Box{Lo: geom.Point{1, 0, 0}, Hi: geom.Point{2, 1, 1}}}}
-	got := collect(build, probe, Config{})
+	got := collect(build, probe)
 	if len(got) != 1 {
 		t.Fatalf("touching boxes should join, got %d pairs", len(got))
 	}
@@ -121,7 +124,7 @@ func TestPropJoinMatchesNaive(t *testing.T) {
 		side := float64(sideRaw%100) + 1
 		a := datagen.Uniform(datagen.Config{N: int(nA)%100 + 1, Seed: r.Int63(), MaxSide: side})
 		b := datagen.Uniform(datagen.Config{N: int(nB)%100 + 1, Seed: r.Int63(), MaxSide: side})
-		return naive.Equal(collect(a, b, Config{}), naive.Join(a, b))
+		return naive.Equal(collect(a, b), naive.Join(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -142,10 +145,10 @@ func TestGridReuseMatchesFreshBuild(t *testing.T) {
 	batch := func(elems []geom.Element) Batch { return Batch{Runs: [][]geom.Element{elems}} }
 	for i, build := range builds {
 		var got, want []geom.Pair
-		gotComps := reused.Join(batch(build), batch(probe), Config{}, func(b, p geom.Element) {
+		gotComps := reused.Join(batch(build), batch(probe), func(b, p geom.Element) {
 			got = append(got, geom.Pair{A: b.ID, B: p.ID})
 		})
-		wantComps := Join(build, probe, Config{}, func(b, p geom.Element) {
+		wantComps := Join(build, probe, func(b, p geom.Element) {
 			want = append(want, geom.Pair{A: b.ID, B: p.ID})
 		})
 		if gotComps != wantComps || len(got) != len(want) {
@@ -165,7 +168,7 @@ func TestGridReuseMatchesFreshBuild(t *testing.T) {
 	probes := batch(probe)
 	if avg := testing.AllocsPerRun(5, func() {
 		for _, build := range batches {
-			reused.Join(build, probes, Config{}, sink)
+			reused.Join(build, probes, sink)
 		}
 	}); avg != 0 {
 		t.Fatalf("a warm grid allocates %.1f times per round of joins, want 0", avg)
@@ -212,10 +215,10 @@ func TestBatchIsTheGrownConcatenation(t *testing.T) {
 			return out
 		}
 		var got, want []hit
-		gotComps := new(Grid).Join(Batch{Runs: split(build), Grow: r}, Batch{Runs: split(probe), Grow: r}, Config{}, func(b, p geom.Element) {
+		gotComps := new(Grid).Join(Batch{Runs: split(build), Grow: r}, Batch{Runs: split(probe), Grow: r}, func(b, p geom.Element) {
 			got = append(got, hit{b, p})
 		})
-		wantComps := Join(grow(build), grow(probe), Config{}, func(b, p geom.Element) {
+		wantComps := Join(grow(build), grow(probe), func(b, p geom.Element) {
 			want = append(want, hit{b, p})
 		})
 		if gotComps != wantComps || !slices.EqualFunc(got, want, same) {
@@ -246,6 +249,6 @@ func BenchmarkJoinUniform100k(b *testing.B) {
 	probe := datagen.Uniform(datagen.Config{N: 100000, Seed: 2, MaxSide: 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Join(build, probe, Config{}, func(geom.Element, geom.Element) {})
+		Join(build, probe, func(geom.Element, geom.Element) {})
 	}
 }

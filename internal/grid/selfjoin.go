@@ -11,7 +11,7 @@ func SelfPairs(boxes []geom.Box, emit func(i, j int)) uint64 {
 	for i, b := range boxes {
 		elems[i] = geom.Element{ID: uint64(i), Box: b}
 	}
-	g := Build(elems, Config{})
+	g := Build(elems)
 	for i, e := range elems {
 		g.Probe(e, func(other geom.Element) {
 			if other.ID < uint64(i) {

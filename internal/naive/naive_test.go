@@ -12,7 +12,7 @@ import (
 // (build, probe) orientation, matching Join(as, bs).
 func gridJoinPairs(as, bs []geom.Element) []geom.Pair {
 	var out []geom.Pair
-	grid.Join(as, bs, grid.Config{}, func(a, b geom.Element) {
+	grid.Join(as, bs, func(a, b geom.Element) {
 		out = append(out, geom.Pair{A: a.ID, B: b.ID})
 	})
 	return out

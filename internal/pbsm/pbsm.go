@@ -298,7 +298,7 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 		// The in-memory join, probe loop inlined (vs grid.Join) so the abort
 		// flag is honored between probe elements, not just between
 		// partitions — under skew one partition is nearly the whole join.
-		g := grid.Build(ea, grid.Config{})
+		g := grid.Build(ea)
 		for _, q := range eb {
 			if cfg.stopped() {
 				break

@@ -141,7 +141,7 @@ func TestCatalogDistanceVariant(t *testing.T) {
 	if st := c.Stats(); st.Builds != 1 || st.Datasets != 1 {
 		t.Fatalf("three acquisitions at two distances: %+v, want one build and one dataset", st)
 	}
-	res, err := transformers.Join(h5.Index, h5b.Index, transformers.JoinOptions{Concurrent: true})
+	res, err := transformers.Join(h5.Index, h5b.Index, transformers.JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

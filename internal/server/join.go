@@ -125,7 +125,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
-				Concurrent:  true,
 				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
 			}, emit)
 			if err == nil && len(deltaA)+len(deltaB) > 0 {

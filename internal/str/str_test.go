@@ -11,6 +11,16 @@ import (
 
 func world() geom.Box { return datagen.DefaultWorld() }
 
+// containsPoint reports whether p lies inside b, boundary included.
+func containsPoint(b geom.Box, p geom.Point) bool { return b.Contains(geom.Box{Lo: p, Hi: p}) }
+
+// overlapsStrictly reports whether a and b share positive volume: touching
+// faces, edges or corners do not count.
+func overlapsStrictly(a, b geom.Box) bool {
+	in, ok := a.Intersection(b)
+	return ok && in.Volume() > 0
+}
+
 func TestSplitEmpty(t *testing.T) {
 	if got := Split(nil, 10, world()); got != nil {
 		t.Fatalf("empty input should produce nil, got %v", got)
@@ -66,7 +76,7 @@ func checkInvariants(t *testing.T, elems []geom.Element, parts []Partition, capa
 		}
 		// 3. Every member's center lies inside the partition region.
 		for j := p.Start; j < p.End; j++ {
-			if !p.Region.ContainsPoint(elems[j].Box.Center()) {
+			if !containsPoint(p.Region, elems[j].Box.Center()) {
 				t.Fatalf("partition %d: element %d center %v outside region %v",
 					i, j, elems[j].Box.Center(), p.Region)
 			}
@@ -78,7 +88,7 @@ func checkInvariants(t *testing.T, elems []geom.Element, parts []Partition, capa
 	// 4. Regions are mutually non-overlapping (strictly) — they tile space.
 	for i := range parts {
 		for j := i + 1; j < len(parts); j++ {
-			if parts[i].Region.IntersectsStrict(parts[j].Region) {
+			if overlapsStrictly(parts[i].Region, parts[j].Region) {
 				t.Fatalf("regions %d and %d overlap: %v vs %v",
 					i, j, parts[i].Region, parts[j].Region)
 			}
@@ -117,7 +127,7 @@ func TestRegionsTileWorld(t *testing.T) {
 		p := geom.Point{r.Float64() * 1000, r.Float64() * 1000, r.Float64() * 1000}
 		covered := false
 		for _, part := range parts {
-			if part.Region.ContainsPoint(p) {
+			if containsPoint(part.Region, p) {
 				covered = true
 				break
 			}
@@ -179,7 +189,7 @@ func TestPropSplitInvariants(t *testing.T) {
 				return false
 			}
 			for j := p.Start; j < p.End; j++ {
-				if !p.Region.ContainsPoint(elems[j].Box.Center()) {
+				if !containsPoint(p.Region, elems[j].Box.Center()) {
 					return false
 				}
 			}

@@ -10,7 +10,7 @@ package transformers
 // predicate a refinement step would verify.
 
 // Grown returns the index as a distance join at d = 2r reads it — every box
-// enlarged by r, as geom.ExpandForDistance(elems, 2r) enlarges them — sharing
+// enlarged by r, as geom.ExpandedForDistance(elems, 2r) enlarges them — sharing
 // the index's pages: nothing is copied or sorted, and joins over the index and
 // any number of its views may run at once. r <= 0 returns the index itself.
 func (idx *Index) Grown(r float64) *Index {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// RangeStats reports the cost of one range or probe query (walk steps,
+// RangeStats reports the cost of one range query (walk steps,
 // descriptor tests, pages read, I/O counters, wall time).
 type RangeStats = core.RangeStats
 
@@ -17,22 +17,12 @@ type RangeStats = core.RangeStats
 // selections as well as joins.
 //
 // RangeQuery is safe to call from any number of goroutines concurrently, and
-// concurrently with Concurrent joins on the same index: every call uses
-// private walker state and a private storage reader view.
+// concurrently with joins on the same index: every call uses private walker
+// state and a private storage reader view, as every join does.
 func (idx *Index) RangeQuery(query Box) ([]Element, RangeStats, error) {
 	elems, rs, err := idx.core.RangeQuery(query, nil)
 	if err != nil {
 		return nil, rs, fmt.Errorf("transformers: range query: %w", err)
-	}
-	return elems, rs, nil
-}
-
-// Probe returns every indexed element whose box contains the point p
-// (boundary-inclusive): a range query with a degenerate box.
-func (idx *Index) Probe(p Point) ([]Element, RangeStats, error) {
-	elems, rs, err := idx.core.ProbeQuery(p, nil)
-	if err != nil {
-		return nil, rs, fmt.Errorf("transformers: probe: %w", err)
 	}
 	return elems, rs, nil
 }

@@ -59,13 +59,14 @@ func TestProbeFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := elems[123].Box.Center()
-	got, _, err := idx.Probe(p)
+	pt := Box{Lo: p, Hi: p}
+	got, _, err := idx.RangeQuery(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, e := range got {
-		if !e.Box.ContainsPoint(p) {
+		if !e.Box.Contains(pt) {
 			t.Fatalf("probe returned non-containing element %d", e.ID)
 		}
 		if e.ID == elems[123].ID {
@@ -78,7 +79,7 @@ func TestProbeFacade(t *testing.T) {
 }
 
 // TestConcurrentJoinsSharedIndex is the serving-layer contract: many joins
-// and range queries over the same built indexes at once (Concurrent option),
+// and range queries over the same built indexes at once, with no option set,
 // verified under -race by CI.
 func TestConcurrentJoinsSharedIndex(t *testing.T) {
 	a := GenerateUniform(2000, 45)
@@ -101,7 +102,7 @@ func TestConcurrentJoinsSharedIndex(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := Join(ia, ib, JoinOptions{Concurrent: true, Parallelism: 1 + w%2})
+			res, err := Join(ia, ib, JoinOptions{Parallelism: 1 + w%2})
 			if err != nil {
 				t.Error(err)
 				return

@@ -152,10 +152,10 @@ type JoinOptions struct {
 	// worker, pair collection and OnPair delivery are serialized internally,
 	// so OnPair never runs concurrently with itself.
 	Parallelism int
-	// Concurrent marks the indexes as shared with other goroutines: page
-	// reads then go through private reader views so several joins (and
-	// range queries) may run on the same indexes simultaneously. Results
-	// are identical. The serving layer sets this on every join.
+	// Concurrent is ignored: every join reads through private reader views,
+	// so several joins (and range queries) may always run on the same
+	// indexes simultaneously. It stays declared for callers that still set
+	// it.
 	Concurrent bool
 }
 
@@ -208,7 +208,6 @@ func Join(a, b *Index, opt JoinOptions) (*JoinResult, error) {
 		})
 	stats, err := core.Join(a.core, b.core, core.JoinConfig{
 		Parallelism: opt.Parallelism,
-		Concurrent:  opt.Concurrent,
 	}, emit)
 	if err != nil {
 		return nil, fmt.Errorf("transformers: join: %w", err)
