@@ -287,3 +287,14 @@ func TestScoreJSONSafeOnInf(t *testing.T) {
 		t.Error("infinite cost must serialize as absent")
 	}
 }
+
+// BenchmarkAnalyze measures the statistics pass the catalog runs beside each
+// upload's index build, on a 100K uniform upload.
+func BenchmarkAnalyze(b *testing.B) {
+	elems := datagen.Uniform(datagen.Config{N: 100000, Seed: 1})
+	mbb := geom.MBBOf(elems)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		AnalyzePieces([][]geom.Element{elems}, mbb)
+	}
+}

@@ -71,25 +71,17 @@ func AnalyzePieces(pieces [][]geom.Element, mbb geom.Box) DatasetStats {
 	st.GridDim = dim
 	st.TotalCells = dim * dim * dim
 	counts := make([]int, st.TotalCells)
+	// One variable a dimension, not a Point: the compiler keeps these in
+	// registers, where it keeps an array in memory.
+	lx, ly, lz := st.MBB.Lo[0], st.MBB.Lo[1], st.MBB.Lo[2]
+	sx, sy, sz := st.MBB.Side(0)/float64(dim), st.MBB.Side(1)/float64(dim), st.MBB.Side(2)/float64(dim)
 	for _, p := range pieces {
-		for _, e := range p {
-			c := e.Box.Center()
-			idx := 0
-			for d := 0; d < geom.Dims; d++ {
-				side := st.MBB.Side(d) / float64(dim)
-				i := 0
-				if side > 0 {
-					i = int((c[d] - st.MBB.Lo[d]) / side)
-				}
-				if i < 0 {
-					i = 0
-				}
-				if i >= dim {
-					i = dim - 1
-				}
-				idx = idx*dim + i
-			}
-			counts[idx]++
+		for k := range p {
+			b := &p[k].Box
+			x := cellOf((b.Lo[0]+b.Hi[0])/2, lx, sx, dim)
+			y := cellOf((b.Lo[1]+b.Hi[1])/2, ly, sy, dim)
+			z := cellOf((b.Lo[2]+b.Hi[2])/2, lz, sz, dim)
+			counts[(x*dim+y)*dim+z]++
 		}
 	}
 
@@ -110,4 +102,15 @@ func AnalyzePieces(pieces [][]geom.Element, mbb geom.Box) DatasetStats {
 	}
 	st.ClusterFraction = float64(clustered) / float64(st.Count)
 	return st
+}
+
+// cellOf returns the cell of a grid of dim cells of extent side, starting at
+// lo, that the center coordinate c falls in; coordinates outside the grid
+// fall in its first or last cell.
+func cellOf(c, lo, side float64, dim int) int {
+	i := 0
+	if side > 0 {
+		i = int((c - lo) / side)
+	}
+	return min(max(i, 0), dim-1)
 }

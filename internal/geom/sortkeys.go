@@ -2,7 +2,10 @@ package geom
 
 import (
 	"math"
+	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // SortKey pairs one float64 sort key (in the bit transform of FloatSortable)
@@ -28,27 +31,39 @@ func FloatSortable(f float64) uint64 {
 	return u | 1<<63
 }
 
-// RadixMinLen is the input size where the radix sort's fixed costs (4
-// histogram+scatter passes over 64K counters) start beating the comparison
-// sort.
-const RadixMinLen = 2048
+// RadixMinLen is the input size where the radix sort's fixed costs (a
+// counting pass and up to four prefix sums over 256 counters) start beating
+// the comparison sort.
+const RadixMinLen = 256
+
+// ParallelMin is the fewest keys per worker the radix sort starts a
+// goroutine for: below it, the two waits of each pass cost more than the
+// worker saves.
+const ParallelMin = 1 << 15
+
+// radixBytes is how many key bytes one radix sort orders: the most
+// significant ones that vary. Keys that tie on all of them are rare on
+// coordinates, and sorted again on the bytes below.
+const radixBytes = 4
 
 // KeySorter sorts SortKey records and keeps its scratch (the radix ping-pong
-// buffer and the digit histogram) between calls, so a caller sorting many
-// slices pays for them once. The zero value is ready to use; a KeySorter
-// must not be used from two goroutines at once.
+// buffer) between calls, so a caller sorting many slices pays for it once.
+// The zero value is ready to use; a KeySorter must not be used from two
+// goroutines at once.
 type KeySorter struct {
-	buf    []SortKey
-	counts []uint32
+	buf []SortKey
 }
 
 // Sort orders keys ascending by K. The keys must arrive in ascending I (as
 // one pass over the elements builds them); records with equal K then leave
-// in ascending I on both paths — the radix passes are stable and the
+// in ascending I on every path — the radix passes are stable and the
 // comparison sort orders by (K, I) — so the result is a deterministic
-// function of the input. Large inputs sort by LSD radix passes over the key
-// bits (no comparator calls, linear time); small ones use the comparison
-// sort whose constant factor wins there.
+// function of the input. Small inputs use the comparison sort, whose
+// constant factor wins there. Large ones sort by LSD radix passes over the
+// radixBytes most significant key bytes that vary (no comparator calls,
+// linear time), on up to GOMAXPROCS workers of at least ParallelMin keys
+// each; the runs of keys that tie on those bytes leave the passes in
+// ascending I, and are then sorted on the bytes below.
 func (s *KeySorter) Sort(keys []SortKey) {
 	if len(keys) < RadixMinLen {
 		slices.SortFunc(keys, func(x, y SortKey) int {
@@ -62,45 +77,172 @@ func (s *KeySorter) Sort(keys []SortKey) {
 		})
 		return
 	}
-	s.radix(keys)
-}
-
-// radix sorts keys by K with 4 LSD passes of 16 bits. Passes where every key
-// shares one digit are skipped, so keys spanning a narrow range (one
-// dataset's world extent, typically) pay only the passes that discriminate.
-// The pass loop ping-pongs between keys and the scratch buffer and copies
-// back if it ends on the scratch side.
-func (s *KeySorter) radix(keys []SortKey) {
 	if cap(s.buf) < len(keys) {
 		s.buf = make([]SortKey, len(keys))
 	}
-	if s.counts == nil {
-		s.counts = make([]uint32, 1<<16)
+	buf := s.buf[:len(keys)]
+	var low uint
+	if workers := min(runtime.GOMAXPROCS(0), len(keys)/ParallelMin); workers > 1 {
+		low = radixParallel(keys, buf, workers)
+	} else {
+		low = radix(keys, buf)
 	}
-	counts := s.counts
-	src, dst := keys, s.buf[:len(keys)]
-	for shift := 0; shift < 64; shift += 16 {
-		clear(counts)
-		for _, sk := range src {
-			counts[(sk.K>>shift)&0xFFFF]++
+	if low == 0 {
+		return
+	}
+	for lo := 0; lo < len(keys); {
+		hi, high := lo+1, keys[lo].K>>low
+		for hi < len(keys) && keys[hi].K>>low == high {
+			hi++
 		}
-		if counts[(src[0].K>>shift)&0xFFFF] == uint32(len(src)) {
-			continue // all keys share this digit
+		if hi-lo > 1 {
+			s.Sort(keys[lo:hi])
 		}
-		var total uint32
-		for d := range counts {
-			c := counts[d]
-			counts[d] = total
-			total += c
+		lo = hi
+	}
+}
+
+// digitCounts holds a histogram of each of a key's 8 bytes, least
+// significant first.
+type digitCounts [8][256]uint32
+
+// add counts every byte of every key in one read pass.
+func (c *digitCounts) add(keys []SortKey) {
+	for _, sk := range keys {
+		k := sk.K
+		c[0][uint8(k)]++
+		c[1][uint8(k>>8)]++
+		c[2][uint8(k>>16)]++
+		c[3][uint8(k>>24)]++
+		c[4][uint8(k>>32)]++
+		c[5][uint8(k>>40)]++
+		c[6][uint8(k>>48)]++
+		c[7][uint8(k>>56)]++
+	}
+}
+
+// passes returns the bytes a radix sort of the n keys c counts makes passes
+// over, as a mask: the radixBytes most significant ones where the keys
+// differ from k, one of them. low is the shift of the lowest of them, or 0
+// when fewer vary: keys equal in K>>low are the ones the passes leave tied.
+func (c *digitCounts) passes(k uint64, n int) (mask uint8, low uint) {
+	for b := 7; b >= 0; b-- {
+		if c[b][uint8(k>>(8*b))] == uint32(n) {
+			continue
 		}
-		for _, sk := range src {
-			d := (sk.K >> shift) & 0xFFFF
-			dst[counts[d]] = sk
-			counts[d]++
+		if mask |= 1 << b; bits.OnesCount8(mask) == radixBytes {
+			return mask, 8 * uint(b)
 		}
+	}
+	return mask, 0
+}
+
+// scatter moves src's records to dst by the key byte at shift, each to the
+// next free position its byte's counter names, so records sharing a byte keep
+// their order.
+func scatter(dst, src []SortKey, shift uint, next *[256]uint32) {
+	for _, sk := range src {
+		d := uint8(sk.K >> shift)
+		dst[next[d]] = sk
+		next[d]++
+	}
+}
+
+// radix makes Sort's passes, ping-ponging between keys and buf (of the same
+// length), and returns low as passes gives it. One read pass counts all 8
+// bytes, so the pass over a byte is a prefix sum and a scatter. It copies
+// back if the passes end on buf's side.
+func radix(keys, buf []SortKey) (low uint) {
+	var c digitCounts
+	c.add(keys)
+	mask, low := c.passes(keys[0].K, len(keys))
+	src, dst := keys, buf
+	for pass := range c {
+		if mask&(1<<pass) == 0 {
+			continue
+		}
+		next := &c[pass]
+		var at uint32
+		for d, n := range next {
+			next[d] = at
+			at += n
+		}
+		scatter(dst, src, uint(8*pass), next)
 		src, dst = dst, src
 	}
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
+	return low
+}
+
+// radixParallel is radix on workers goroutines, each owning a contiguous
+// range of the records. A pass gives range w of byte d the positions after
+// every smaller byte and after byte d in the ranges before w (digit-major
+// offsets), so the scatter stays stable. The first counting pass counts all
+// 8 bytes of each range; after the first scatter the ranges hold other
+// records, and each later pass counts its byte again.
+func radixParallel(keys, buf []SortKey, workers int) (low uint) {
+	counts := make([]digitCounts, workers)
+	part := func(s []SortKey, w int) []SortKey { return s[len(s)*w/workers : len(s)*(w+1)/workers] }
+	ForEachWorker(workers, func(w int) { counts[w].add(part(keys, w)) })
+	var total digitCounts
+	for w := range counts {
+		for b := range total {
+			for d, n := range counts[w][b] {
+				total[b][d] += n
+			}
+		}
+	}
+	mask, low := total.passes(keys[0].K, len(keys))
+	src, dst := keys, buf
+	recount := false
+	for pass := range total {
+		if mask&(1<<pass) == 0 {
+			continue
+		}
+		shift := uint(8 * pass)
+		if recount {
+			ForEachWorker(workers, func(w int) {
+				next := &counts[w][pass]
+				clear(next[:])
+				for _, sk := range part(src, w) {
+					next[uint8(sk.K>>shift)]++
+				}
+			})
+		}
+		var at uint32
+		for d := 0; d < 256; d++ {
+			for w := range counts {
+				n := counts[w][pass][d]
+				counts[w][pass][d] = at
+				at += n
+			}
+		}
+		ForEachWorker(workers, func(w int) { scatter(dst, part(src, w), shift, &counts[w][pass]) })
+		src, dst = dst, src
+		recount = true
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+	return low
+}
+
+// ForEachWorker runs fn(0) … fn(workers-1) on a goroutine each, or fn(0)
+// inline for one worker, and returns when all have.
+func ForEachWorker(workers int, fn func(w int)) {
+	if workers == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
 }

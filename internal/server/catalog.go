@@ -311,10 +311,9 @@ func (c *Catalog) build(b batch) (*generation, error) {
 	// The statistics pass reads the pieces outside the lock, like the build:
 	// planning signals are version-scoped and must not stall concurrent
 	// catalog traffic. Beside a build of several pieces, which only reads
-	// their elements, it runs on a goroutine of its own — on the core the
-	// build's serial first level leaves idle — over its own copy of the slice
-	// of them, which the build clears. One piece the build reorders in place,
-	// so that is analyzed first.
+	// their elements, it runs on a goroutine of its own over its own copy of
+	// the slice of them, which the build clears. One piece the build reorders
+	// in place, so that is analyzed first.
 	stats := make(chan planner.DatasetStats, 1)
 	analyze := func(pieces [][]transformers.Element) { stats <- planner.AnalyzePieces(pieces, b.mbb) }
 	if len(b.pieces) == 1 {

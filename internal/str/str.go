@@ -12,8 +12,10 @@
 // the inmem partitioner uses (geom.KeySorter) and then moves each element
 // once: in place, or — when the input comes in several pieces, as an upload
 // is decoded — by gathering the pieces into the one array the partitions
-// index. The slabs, which share nothing after the x-cut, are processed on as
-// many goroutines as there are processors.
+// index. Every level runs on as many goroutines as there are processors: the
+// first level's key pass, sort and gather each split the elements into
+// ranges, and the slabs, which share nothing after the x-cut, are processed
+// one per goroutine at a time.
 // Besides the tight MBB of each partition's element boxes (the page MBB),
 // it derives the gap-free region each partition covers from the splitting
 // planes (the partition MBB of the paper): regions of sibling partitions
@@ -26,7 +28,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -91,18 +92,9 @@ func SplitPieces(pieces [][]geom.Element, capacity int, world geom.Box) ([]geom.
 	}
 	slabSize := (n + s - 1) / s
 
-	// The first level's records, in input order; the same pass ensures every
-	// center is inside the world, so that regions tile all the data.
-	keys := make([]geom.SortKey, n)
-	i := 0
-	for _, p := range pieces {
-		for k := range p {
-			c := p[k].Box.Center()
-			world = world.Union(geom.Box{Lo: c, Hi: c})
-			keys[i] = geom.SortKey{K: centerKey(c[0]), I: int32(i)}
-			i++
-		}
-	}
+	// The first level's records, in input order, and the world grown to
+	// every center, so that regions tile all the data.
+	keys, world := firstKeys(pieces, n, world)
 	var elems []geom.Element
 	if len(pieces) == 1 {
 		elems = pieces[0]
@@ -122,20 +114,14 @@ func SplitPieces(pieces [][]geom.Element, capacity int, world geom.Box) ([]geom.
 	// order, whichever worker got to a slab.
 	slabParts := make([][]Partition, len(xCuts)-1)
 	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(slabParts)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ks geom.KeySorter
-			for si := int(next.Add(1)) - 1; si < len(slabParts); si = int(next.Add(1)) - 1 {
-				lo, hi := xCuts[si], xCuts[si+1]
-				slabParts[si] = splitSlab(elems[lo:hi], keys[lo:hi], lo, s, capacity,
-					world, xPlanes[si], xPlanes[si+1], &ks)
-			}
-		}()
-	}
-	wg.Wait()
+	geom.ForEachWorker(min(runtime.GOMAXPROCS(0), len(slabParts)), func(int) {
+		var ks geom.KeySorter
+		for si := int(next.Add(1)) - 1; si < len(slabParts); si = int(next.Add(1)) - 1 {
+			lo, hi := xCuts[si], xCuts[si+1]
+			slabParts[si] = splitSlab(elems[lo:hi], keys[lo:hi], lo, s, capacity,
+				world, xPlanes[si], xPlanes[si+1], &ks)
+		}
+	})
 
 	out := make([]Partition, 0, numParts)
 	for _, ps := range slabParts {
@@ -158,41 +144,90 @@ func idOf(pieces [][]geom.Element) func(i int32) uint64 {
 	}
 }
 
+// firstKeys returns the first level's records, in input order, and world
+// grown to cover every center. The workers each take a range of the pieces
+// and bound its centers with min and max, which keep -0 where Union does, so
+// the union of their boxes is the world Union would give center by center.
+func firstKeys(pieces [][]geom.Element, n int, world geom.Box) ([]geom.SortKey, geom.Box) {
+	keys := make([]geom.SortKey, n)
+	bounds := make([]geom.Box, workersFor(n))
+	for w := range bounds {
+		bounds[w] = world
+	}
+	inRanges(pieces, len(bounds), func(w, at int, p []geom.Element) {
+		// One variable a coordinate, not a Point: the compiler keeps these
+		// in registers, where it keeps an array in memory.
+		lx, ly, lz := bounds[w].Lo[0], bounds[w].Lo[1], bounds[w].Lo[2]
+		hx, hy, hz := bounds[w].Hi[0], bounds[w].Hi[1], bounds[w].Hi[2]
+		for k := range p {
+			b := &p[k].Box
+			x, y, z := (b.Lo[0]+b.Hi[0])/2, (b.Lo[1]+b.Hi[1])/2, (b.Lo[2]+b.Hi[2])/2
+			lx, ly, lz = min(lx, x), min(ly, y), min(lz, z)
+			hx, hy, hz = max(hx, x), max(hy, y), max(hz, z)
+			keys[at+k] = geom.SortKey{K: centerKey(x), I: int32(at + k)}
+		}
+		bounds[w] = geom.Box{Lo: geom.Point{lx, ly, lz}, Hi: geom.Point{hx, hy, hz}}
+	})
+	for _, b := range bounds {
+		world = world.Union(b)
+	}
+	return keys, world
+}
+
 // gather returns the pieces' concatenation as a new array in the order keys
 // gives: element keys[j].I at position j. The sort has freed each record's K,
 // which first takes the rank of the element the record's own position names;
 // then the workers each read a range of the pieces in order and write every
-// element straight to its rank.
+// element straight to its rank. Both passes split the records over the same
+// workers: a rank pass worker reads the I of its own records and writes the
+// K of others, which no worker reads.
 func gather(pieces [][]geom.Element, keys []geom.SortKey) []geom.Element {
-	for j := range keys {
-		keys[keys[j].I].K = uint64(j)
-	}
+	workers := workersFor(len(keys))
+	geom.ForEachWorker(workers, func(w int) {
+		for j := len(keys) * w / workers; j < len(keys)*(w+1)/workers; j++ {
+			keys[keys[j].I].K = uint64(j)
+		}
+	})
 	out := make([]geom.Element, len(keys))
-	workers := min(runtime.GOMAXPROCS(0), (len(keys)+gatherMin-1)/gatherMin)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := len(keys)*w/workers, len(keys)*(w+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start := 0 // position of p[0]
-			for _, p := range pieces {
-				from, to := max(lo-start, 0), min(hi-start, len(p))
-				for k := from; k < to; k++ {
-					out[keys[start+k].K] = p[k]
-				}
-				if start += len(p); start >= hi {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	inRanges(pieces, workers, func(_, at int, p []geom.Element) {
+		for k := range p {
+			out[keys[at+k].K] = p[k]
+		}
+	})
 	return out
 }
 
-// gatherMin is the fewest elements a gather worker is started for.
+// gatherMin is the fewest elements a worker of the first level's passes over
+// the elements is started for.
 const gatherMin = 1 << 14
+
+// workersFor returns how many workers the first level's passes over n
+// elements use.
+func workersFor(n int) int {
+	return max(min(runtime.GOMAXPROCS(0), n/gatherMin), 1)
+}
+
+// inRanges cuts the concatenation of pieces into workers ranges and calls
+// fn(w, at, p) on worker w's goroutine for each piece's share p of range w,
+// in order, with at the position of p[0] in the concatenation.
+func inRanges(pieces [][]geom.Element, workers int, fn func(w, at int, p []geom.Element)) {
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
+	}
+	geom.ForEachWorker(workers, func(w int) {
+		lo, hi := n*w/workers, n*(w+1)/workers
+		start := 0 // position of p[0]
+		for _, p := range pieces {
+			if from, to := max(lo-start, 0), min(hi-start, len(p)); from < to {
+				fn(w, start+from, p[from:to])
+			}
+			if start += len(p); start >= hi {
+				return
+			}
+		}
+	})
+}
 
 // splitSlab finishes one x-slab: slab is the slab's range of the element
 // slice, keys the same range of the record slice, and base the range's
