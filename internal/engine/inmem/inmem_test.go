@@ -193,7 +193,7 @@ func TestInMemKernelStop(t *testing.T) {
 // zeroes, and duplicate keys — the geom.FloatSortable transform is only correct if
 // negative keys flip entirely.
 func TestSweepOrderRadix(t *testing.T) {
-	n := geom.RadixMinLen * 3
+	n := 6144 // several times geom.RadixMinLen
 	elems := make([]geom.Element, n)
 	for i := range elems {
 		// Deterministic mix of negative, zero and positive keys with
@@ -333,7 +333,7 @@ func BenchmarkInMemJoin(bm *testing.B) {
 // base slices it also hands to concurrent readers. Large enough for the radix
 // sort path, multi-stripe so crossing replicas are made.
 func TestInMemPartitionLeavesInputsUntouched(t *testing.T) {
-	a, b := enginetest.UniformPair(geom.RadixMinLen*2, 9501, 9502)
+	a, b := enginetest.UniformPair(4096, 9501, 9502)
 	enginetest.Inflate(a, 6)
 	wantA, wantB := enginetest.Copy(a), enginetest.Copy(b)
 	Partition(a, b, Config{Stripes: 16})

@@ -3,9 +3,7 @@ package geom
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // SortKey pairs one float64 sort key (in the bit transform of FloatSortable)
@@ -36,11 +34,6 @@ func FloatSortable(f float64) uint64 {
 // the comparison sort.
 const RadixMinLen = 256
 
-// ParallelMin is the fewest keys per worker the radix sort starts a
-// goroutine for: below it, the two waits of each pass cost more than the
-// worker saves.
-const ParallelMin = 1 << 15
-
 // radixBytes is how many key bytes one radix sort orders: the most
 // significant ones that vary. Keys that tie on all of them are rare on
 // coordinates, and sorted again on the bytes below.
@@ -61,8 +54,7 @@ type KeySorter struct {
 // function of the input. Small inputs use the comparison sort, whose
 // constant factor wins there. Large ones sort by LSD radix passes over the
 // radixBytes most significant key bytes that vary (no comparator calls,
-// linear time), on up to GOMAXPROCS workers of at least ParallelMin keys
-// each; the runs of keys that tie on those bytes leave the passes in
+// linear time); the runs of keys that tie on those bytes leave the passes in
 // ascending I, and are then sorted on the bytes below.
 func (s *KeySorter) Sort(keys []SortKey) {
 	if len(keys) < RadixMinLen {
@@ -80,13 +72,7 @@ func (s *KeySorter) Sort(keys []SortKey) {
 	if cap(s.buf) < len(keys) {
 		s.buf = make([]SortKey, len(keys))
 	}
-	buf := s.buf[:len(keys)]
-	var low uint
-	if workers := min(runtime.GOMAXPROCS(0), len(keys)/ParallelMin); workers > 1 {
-		low = radixParallel(keys, buf, workers)
-	} else {
-		low = radix(keys, buf)
-	}
+	low := radix(keys, s.buf[:len(keys)])
 	if low == 0 {
 		return
 	}
@@ -137,21 +123,12 @@ func (c *digitCounts) passes(k uint64, n int) (mask uint8, low uint) {
 	return mask, 0
 }
 
-// scatter moves src's records to dst by the key byte at shift, each to the
-// next free position its byte's counter names, so records sharing a byte keep
-// their order.
-func scatter(dst, src []SortKey, shift uint, next *[256]uint32) {
-	for _, sk := range src {
-		d := uint8(sk.K >> shift)
-		dst[next[d]] = sk
-		next[d]++
-	}
-}
-
 // radix makes Sort's passes, ping-ponging between keys and buf (of the same
 // length), and returns low as passes gives it. One read pass counts all 8
-// bytes, so the pass over a byte is a prefix sum and a scatter. It copies
-// back if the passes end on buf's side.
+// bytes, so the pass over a byte is a prefix sum and a scatter that moves
+// each record to the next free position its byte's counter names (records
+// sharing a byte keep their order). It copies back if the passes end on
+// buf's side.
 func radix(keys, buf []SortKey) (low uint) {
 	var c digitCounts
 	c.add(keys)
@@ -167,82 +144,16 @@ func radix(keys, buf []SortKey) (low uint) {
 			next[d] = at
 			at += n
 		}
-		scatter(dst, src, uint(8*pass), next)
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-	return low
-}
-
-// radixParallel is radix on workers goroutines, each owning a contiguous
-// range of the records. A pass gives range w of byte d the positions after
-// every smaller byte and after byte d in the ranges before w (digit-major
-// offsets), so the scatter stays stable. The first counting pass counts all
-// 8 bytes of each range; after the first scatter the ranges hold other
-// records, and each later pass counts its byte again.
-func radixParallel(keys, buf []SortKey, workers int) (low uint) {
-	counts := make([]digitCounts, workers)
-	part := func(s []SortKey, w int) []SortKey { return s[len(s)*w/workers : len(s)*(w+1)/workers] }
-	ForEachWorker(workers, func(w int) { counts[w].add(part(keys, w)) })
-	var total digitCounts
-	for w := range counts {
-		for b := range total {
-			for d, n := range counts[w][b] {
-				total[b][d] += n
-			}
-		}
-	}
-	mask, low := total.passes(keys[0].K, len(keys))
-	src, dst := keys, buf
-	recount := false
-	for pass := range total {
-		if mask&(1<<pass) == 0 {
-			continue
-		}
 		shift := uint(8 * pass)
-		if recount {
-			ForEachWorker(workers, func(w int) {
-				next := &counts[w][pass]
-				clear(next[:])
-				for _, sk := range part(src, w) {
-					next[uint8(sk.K>>shift)]++
-				}
-			})
+		for _, sk := range src {
+			d := uint8(sk.K >> shift)
+			dst[next[d]] = sk
+			next[d]++
 		}
-		var at uint32
-		for d := 0; d < 256; d++ {
-			for w := range counts {
-				n := counts[w][pass][d]
-				counts[w][pass][d] = at
-				at += n
-			}
-		}
-		ForEachWorker(workers, func(w int) { scatter(dst, part(src, w), shift, &counts[w][pass]) })
 		src, dst = dst, src
-		recount = true
 	}
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
 	return low
-}
-
-// ForEachWorker runs fn(0) … fn(workers-1) on a goroutine each, or fn(0)
-// inline for one worker, and returns when all have.
-func ForEachWorker(workers int, fn func(w int)) {
-	if workers == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	wg.Wait()
 }

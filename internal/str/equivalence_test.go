@@ -222,14 +222,14 @@ func sameParts(a, b []Partition) bool {
 // TestSplitMatchesReference holds Split to the sort.Slice implementation it
 // replaced: the same element order and the same partitions, bit for bit, on
 // every input family, at sizes on either side of the radix threshold, of one
-// partition and of a first level sorted and gathered on several workers, and
-// whatever GOMAXPROCS is. CI runs it under -race, which checks that the
+// partition and of a first level keyed on several workers, and whatever
+// GOMAXPROCS is. CI runs it under -race, which checks that the
 // workers write disjoint memory.
 func TestSplitMatchesReference(t *testing.T) {
 	const capacity = 20
 	world := geom.Box{Lo: geom.Point{0, 0, 0}, Hi: geom.Point{1000, 1000, 1000}}
 	sizes := []int{1, capacity, capacity + 1, 500,
-		geom.RadixMinLen - 1, geom.RadixMinLen + 1, 5 * geom.RadixMinLen, 2*geom.ParallelMin + 1}
+		geom.RadixMinLen - 1, geom.RadixMinLen + 1, 10240, 3*gatherMin + 1}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, in := range equivalenceInputs {
 		sortFn := sort.Slice
@@ -281,7 +281,7 @@ func TestSplitPiecesMatchesSplit(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, in := range equivalenceInputs {
-		for _, n := range []int{1, 500, 5 * geom.RadixMinLen, 3 * gatherMin} {
+		for _, n := range []int{1, 500, 10240, 3 * gatherMin} {
 			want := in.gen(n)
 			wantParts := Split(want, capacity, world)
 			for _, shape := range []struct {

@@ -12,10 +12,10 @@
 // the inmem partitioner uses (geom.KeySorter) and then moves each element
 // once: in place, or — when the input comes in several pieces, as an upload
 // is decoded — by gathering the pieces into the one array the partitions
-// index. Every level runs on as many goroutines as there are processors: the
-// first level's key pass, sort and gather each split the elements into
-// ranges, and the slabs, which share nothing after the x-cut, are processed
-// one per goroutine at a time.
+// index. The first level's key pass and gather split the elements into
+// ranges, one per processor, and its sort runs on one goroutine; the slabs,
+// which share nothing after the x-cut, are processed one per goroutine at a
+// time.
 // Besides the tight MBB of each partition's element boxes (the page MBB),
 // it derives the gap-free region each partition covers from the splitting
 // planes (the partition MBB of the paper): regions of sibling partitions
@@ -28,6 +28,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -114,7 +115,7 @@ func SplitPieces(pieces [][]geom.Element, capacity int, world geom.Box) ([]geom.
 	// order, whichever worker got to a slab.
 	slabParts := make([][]Partition, len(xCuts)-1)
 	var next atomic.Int32
-	geom.ForEachWorker(min(runtime.GOMAXPROCS(0), len(slabParts)), func(int) {
+	forEachWorker(min(runtime.GOMAXPROCS(0), len(slabParts)), func(int) {
 		var ks geom.KeySorter
 		for si := int(next.Add(1)) - 1; si < len(slabParts); si = int(next.Add(1)) - 1 {
 			lo, hi := xCuts[si], xCuts[si+1]
@@ -183,7 +184,7 @@ func firstKeys(pieces [][]geom.Element, n int, world geom.Box) ([]geom.SortKey, 
 // K of others, which no worker reads.
 func gather(pieces [][]geom.Element, keys []geom.SortKey) []geom.Element {
 	workers := workersFor(len(keys))
-	geom.ForEachWorker(workers, func(w int) {
+	forEachWorker(workers, func(w int) {
 		for j := len(keys) * w / workers; j < len(keys)*(w+1)/workers; j++ {
 			keys[keys[j].I].K = uint64(j)
 		}
@@ -215,7 +216,7 @@ func inRanges(pieces [][]geom.Element, workers int, fn func(w, at int, p []geom.
 	for _, p := range pieces {
 		n += len(p)
 	}
-	geom.ForEachWorker(workers, func(w int) {
+	forEachWorker(workers, func(w int) {
 		lo, hi := n*w/workers, n*(w+1)/workers
 		start := 0 // position of p[0]
 		for _, p := range pieces {
@@ -339,4 +340,22 @@ func cuts(sorted []geom.Element, chunkSize, dim int, worldLo, worldHi float64) (
 	positions = append(positions, len(sorted))
 	planes = append(planes, worldHi)
 	return positions, planes
+}
+
+// forEachWorker runs fn(0) … fn(workers-1) on a goroutine each, or fn(0)
+// inline for one worker, and returns when all have.
+func forEachWorker(workers int, fn func(w int)) {
+	if workers == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
 }
