@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime/metrics"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -19,11 +22,14 @@ var raceEnabled bool
 
 // TestCollectorBuffersOnlyForReaders: the pairs of a join are buffered for
 // whoever reads them afterwards and for nobody else. A summary-only no_cache
-// join (selective's request shape) buffers nothing; with the cache on it
-// buffers the cache's flat copy and no more; a collecting caller finds the
-// whole answer in the sink, encoded in chunks when uncached — as many as its
-// bytes need, every one but the last filled to within a pair — and the
-// library Join still returns every pair either way.
+// join (selective's request shape) buffers nothing; a collecting caller finds
+// the whole answer in the sink, encoded in chunks when uncached — as many as
+// its bytes need, every one but the last filled to within a pair — and the
+// library Join still returns every pair either way. With the cache on, the
+// filler's chunks move into the entry (the last cut to its length) and no
+// flat copy is made: the filler keeps no chunk, the library hit decodes its
+// own exact-size slice, and a collected HTTP hit writes the body from the
+// entry without allocating anything the size of the answer.
 func TestCollectorBuffersOnlyForReaders(t *testing.T) {
 	svc := NewService(Config{})
 	addDataset(t, svc, "a", bigOverlapDataset(1200, 61))
@@ -41,8 +47,8 @@ func TestCollectorBuffersOnlyForReaders(t *testing.T) {
 	if err != nil || int(out.Summary.Results) != results {
 		t.Fatalf("summary-only join: %+v, err %v", out, err)
 	}
-	if summary.keep || summary.len() != 0 || len(summary.runs.chunks) != 0 {
-		t.Fatalf("a summary-only no_cache join buffered %d pairs in %d chunks", summary.len(), len(summary.runs.chunks))
+	if summary.keep || summary.runs.n != 0 || len(summary.runs.chunks) != 0 {
+		t.Fatalf("a summary-only no_cache join buffered %d pairs in %d chunks", summary.runs.n, len(summary.runs.chunks))
 	}
 
 	collected := &collector{collect: true}
@@ -53,14 +59,14 @@ func TestCollectorBuffersOnlyForReaders(t *testing.T) {
 	if chunks < 2 {
 		t.Fatalf("fixture's answer encodes to %d bytes, want more than a chunk", size)
 	}
-	if collected.shared != nil || collected.len() != results || size > chunks*pairChunkBytes || size <= (chunks-1)*(pairChunkBytes-maxPairBytes) {
-		t.Fatalf("uncached collected join: %d pairs in %d bytes and %d chunks, shared=%v", collected.len(), size, chunks, collected.shared != nil)
+	if collected.runs.sealed || collected.runs.n != results || size > chunks*pairChunkBytes || size <= (chunks-1)*(pairChunkBytes-maxPairBytes) {
+		t.Fatalf("uncached collected join: %d pairs in %d bytes and %d chunks, sealed=%v", collected.runs.n, size, chunks, collected.runs.sealed)
 	}
 	t.Logf("%d pairs in %d chunks: %.2f B a pair", results, chunks, float64(size)/float64(results))
 	got := collected.pairs()
 	collected.release()
-	if len(got) != results || cap(got) != results || collected.len() != 0 || len(collected.runs.chunks) != 0 {
-		t.Fatalf("pairs() made %d pairs (cap %d) of %d; %d pairs in %d chunks left after release", len(got), cap(got), results, collected.len(), len(collected.runs.chunks))
+	if len(got) != results || cap(got) != results || collected.runs.n != 0 || len(collected.runs.chunks) != 0 {
+		t.Fatalf("pairs() made %d pairs (cap %d) of %d; %d pairs in %d chunks left after release", len(got), cap(got), results, collected.runs.n, len(collected.runs.chunks))
 	}
 	for i := range got {
 		if got[i] != lib.Pairs[i] {
@@ -68,18 +74,57 @@ func TestCollectorBuffersOnlyForReaders(t *testing.T) {
 		}
 	}
 
-	// Cache on: the fill is the one flat copy, chunks given back, and both a
-	// collecting caller and the next hit read that very slice.
+	// Cache on: the fill moves its chunks into the entry and keeps none; the
+	// entry holds the encoded answer, its last chunk cut to length.
 	fill := &collector{}
-	if _, _, err := svc.join(ctx, "a", "b", JoinParams{}, fill); err != nil {
+	out, _, err = svc.join(ctx, "a", "b", JoinParams{}, fill)
+	if err != nil || out.Cached {
+		t.Fatalf("cache fill: %+v, err %v", out, err)
+	}
+	if fill.runs.n != 0 || len(fill.runs.chunks) != 0 {
+		t.Fatalf("cache fill left %d pairs in %d chunks in the filler's collector", fill.runs.n, len(fill.runs.chunks))
+	}
+	key := JoinKey{A: "a", B: "b", VersionA: 1, VersionB: 1, Predicate: "intersects", Algorithm: out.Summary.Algorithm}
+	entry, ok := svc.cache.Get(key)
+	if !ok || entry.Pairs != nil || !entry.runs.sealed || entry.runs.n != results || entry.runs.bytes() != (chunks-1)*pairChunkBytes+entry.runs.used {
+		t.Fatalf("cache entry: found %v, flat copy %v, sealed %v, %d pairs in %d bytes", ok, ok && entry.Pairs != nil, ok && entry.runs.sealed, entry.runs.n, entry.runs.bytes())
+	}
+	if st := svc.cache.Stats(); st.Bytes != entry.runs.bytes() {
+		t.Fatalf("cache.bytes = %d, the one entry holds %d", st.Bytes, entry.runs.bytes())
+	}
+
+	// The library hit decodes its own exact-size slice of the entry.
+	hit, err := svc.Join(ctx, "a", "b", JoinParams{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fill.runs.chunks) != 0 || len(fill.shared) != results {
-		t.Fatalf("cache fill left %d chunks and a %d-pair flat copy", len(fill.runs.chunks), len(fill.shared))
+	if !hit.Cached || !slices.Equal(hit.Pairs, lib.Pairs) || cap(hit.Pairs) != results {
+		t.Fatalf("cache hit: cached=%v, %d pairs (cap %d) of %d", hit.Cached, len(hit.Pairs), cap(hit.Pairs), results)
 	}
-	hit, err := svc.Join(ctx, "a", "b", JoinParams{})
-	if err != nil || !hit.Cached || len(hit.Pairs) != results || &hit.Pairs[0] != &fill.shared[0] {
-		t.Fatalf("cache hit: cached=%v, %d pairs, shares the filled slice: %v (err %v)", hit.Cached, len(hit.Pairs), err == nil && &hit.Pairs[0] == &fill.shared[0], err)
+
+	// A collected HTTP hit allocates nothing per pair: no more allocations
+	// than a summary-only hit, and far fewer bytes than a flat copy.
+	h := NewHandler(svc)
+	request := func(body string) func() {
+		return func() {
+			w := &discardResponse{header: http.Header{}}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/join", strings.NewReader(body)))
+			if w.status != http.StatusOK {
+				t.Fatalf("%s answered %d", body, w.status)
+			}
+		}
+	}
+	collectedHit, summaryHit := request(`{"a":"a","b":"b","include_pairs":true}`), request(`{"a":"a","b":"b"}`)
+	collectedHit() // pools filled
+	summaryHit()
+	allocs, base := testing.AllocsPerRun(50, collectedHit), testing.AllocsPerRun(50, summaryHit)
+	allocated := allocatedBy(collectedHit)
+	t.Logf("collected hit: %.0f allocs (summary-only hit %.0f), %d B for %d pairs", allocs, base, allocated, results)
+	if !raceEnabled && allocs > base {
+		t.Fatalf("a collected hit made %.0f allocations, a summary-only hit %.0f: the pairs were copied", allocs, base)
+	}
+	if flat := uint64(results) * 16; allocated >= flat/2 {
+		t.Fatalf("a collected hit allocated %d B; a flat copy of its %d pairs is %d", allocated, results, flat)
 	}
 }
 
@@ -229,3 +274,193 @@ func TestSummaryJoinBytesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRacesChurn: streamed and collected hits on one entry — over the
+// handler and through the library calls — run while appends to one side drop
+// the pair's entries, joins at other distances evict them from a two-entry
+// cache, and misses refill them with chunks from the pool. Every answer is
+// multiset-equal to naive (the appended boxes lie far from every other), and
+// an entry a reader took before the churn holds the same bytes after it: a
+// dropped or evicted entry's chunks never go back to the pool.
+func TestReplayRacesChurn(t *testing.T) {
+	svc := NewService(Config{CacheEntries: 2, DeltaMaxElements: -1})
+	baseA, baseB := bigOverlapDataset(1200, 61), bigOverlapDataset(1200, 62)
+	addDataset(t, svc, "a", cpElems(baseA))
+	addDataset(t, svc, "b", cpElems(baseB))
+	want := naiveRef(baseA, baseB, 0)
+	h := NewHandler(svc)
+	ctx := context.Background()
+
+	out, err := svc.Join(ctx, "a", "b", JoinParams{})
+	if err != nil || !pairsMatch(out.Pairs, want) {
+		t.Fatalf("fill: err %v", err)
+	}
+	held, ok := svc.cache.Get(JoinKey{A: "a", B: "b", VersionA: 1, VersionB: 1, Predicate: "intersects", Algorithm: out.Summary.Algorithm})
+	if !ok || len(held.runs.chunks) < 2 {
+		t.Fatalf("the entry is not cached in more than one chunk (found %v)", ok)
+	}
+	before := make([][]byte, len(held.runs.chunks))
+	for i, ch := range held.runs.chunks {
+		before[i] = slices.Clone(ch)
+	}
+
+	post := func(body string) []byte {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/join", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Errorf("%s answered %d", body, w.Code)
+		}
+		return w.Body.Bytes()
+	}
+	readers := []func() ([]transformers.Pair, error){
+		func() ([]transformers.Pair, error) { // streamed over HTTP
+			lines := bytes.Split(bytes.TrimSuffix(post(`{"a":"a","b":"b","stream":true}`), []byte("\n")), []byte("\n"))
+			got := make([]transformers.Pair, len(lines)-1)
+			for i, line := range lines[:len(got)] {
+				if err := json.Unmarshal(line, &got[i]); err != nil {
+					return nil, err
+				}
+			}
+			return got, nil
+		},
+		func() ([]transformers.Pair, error) { // collected over HTTP
+			var resp joinResponse
+			err := json.Unmarshal(post(`{"a":"a","b":"b","include_pairs":true}`), &resp)
+			return resp.Pairs, err
+		},
+		func() ([]transformers.Pair, error) {
+			out, err := svc.Join(ctx, "a", "b", JoinParams{})
+			if err != nil {
+				return nil, err
+			}
+			return out.Pairs, nil
+		},
+		func() ([]transformers.Pair, error) {
+			var got []transformers.Pair
+			_, err := svc.JoinStream(ctx, "a", "b", JoinParams{}, func(p transformers.Pair) error {
+				got = append(got, p)
+				return nil
+			})
+			return got, err
+		},
+	}
+
+	var wg sync.WaitGroup
+	for g := range readers {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				got, err := readers[(g+i)%len(readers)]()
+				if err != nil || !pairsMatch(got, want) {
+					t.Errorf("reader %d, round %d: %d pairs, naive has %d (err %v)", g, i, len(got), len(want), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 12; i++ {
+			far := transformers.Element{ID: 1_000_000 + uint64(i), Box: transformers.Box{Lo: [3]float64{-9e5, -9e5, -9e5}, Hi: [3]float64{-8e5, -8e5, -8e5}}}
+			if _, err := svc.Append(ctx, "a", []transformers.Element{far}); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, d := range []float64{1, 2} {
+				if _, err := svc.Join(ctx, "a", "b", JoinParams{Distance: d + float64(i%3)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+
+	if len(held.runs.chunks) != len(before) {
+		t.Fatalf("the held entry has %d chunks, had %d", len(held.runs.chunks), len(before))
+	}
+	for i, ch := range held.runs.chunks {
+		if !bytes.Equal(ch, before[i]) {
+			t.Fatalf("chunk %d of an entry a reader holds changed under the churn", i)
+		}
+	}
+	st := svc.cache.Stats()
+	t.Logf("cache after the churn: %+v", st)
+	if st.Entries > 2 {
+		t.Fatalf("cache holds %d entries, capacity 2", st.Entries)
+	}
+}
+
+// BenchmarkReplay measures a cache hit on the spine's heavy pair — axons 32K
+// × dendrites 24K at distance 25 — through NewHandler, streamed and collected
+// (include_pairs), through the library JoinStream, and the entry's decoding
+// alone, which that JoinStream hit runs into its emit. Rows report ns a pair
+// and what the entry holds a pair.
+func BenchmarkReplay(b *testing.B) {
+	svc := NewService(Config{Parallelism: 1})
+	for _, ds := range []struct {
+		name  string
+		elems []transformers.Element
+	}{{"ax", transformers.GenerateAxons(32_000, 6)}, {"dn", transformers.GenerateDendrites(24_000, 106)}} {
+		if _, err := svc.AddDataset(context.Background(), ds.name, ds.elems); err != nil {
+			b.Fatal(err)
+		}
+	}
+	out, err := svc.Join(context.Background(), "ax", "dn", JoinParams{Distance: 25})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entry, ok := svc.cache.Get(JoinKey{A: "ax", B: "dn", VersionA: 1, VersionB: 1, Predicate: "distance", Distance: 25, Algorithm: out.Summary.Algorithm})
+	if !ok {
+		b.Fatal("the join was not cached")
+	}
+	pairs := entry.runs.n
+	perPair := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+		b.ReportMetric(float64(entry.runs.bytes())/float64(pairs), "entry-B/pair")
+	}
+	h := NewHandler(svc)
+	for _, shape := range []struct{ name, body string }{
+		{"streamed", `{"a":"ax","b":"dn","distance":25,"stream":true}`},
+		{"collected", `{"a":"ax","b":"dn","distance":25,"include_pairs":true}`},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := &discardResponse{header: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/join/distance", strings.NewReader(shape.body)))
+				if w.status != http.StatusOK || w.n < 20*pairs {
+					b.Fatalf("%s answered %d with %d B for %d pairs", shape.body, w.status, w.n, pairs)
+				}
+			}
+			perPair(b)
+		})
+	}
+	b.Run("JoinStream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			if _, err := svc.JoinStream(context.Background(), "ax", "dn", JoinParams{Distance: 25}, func(transformers.Pair) error { n++; return nil }); err != nil || n != pairs {
+				b.Fatalf("JoinStream hit: %d pairs of %d, err %v", n, pairs, err)
+			}
+		}
+		perPair(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		var sum uint64
+		for i := 0; i < b.N; i++ {
+			_ = entry.runs.each(func(p transformers.Pair) error {
+				sum += p.A ^ p.B
+				return nil
+			})
+		}
+		perPair(b)
+		replaySum = sum
+	})
+}
+
+// replaySum keeps BenchmarkReplay's decoding from being optimised away.
+var replaySum uint64

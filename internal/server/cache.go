@@ -89,10 +89,14 @@ type DeltaSummary struct {
 	Pairs uint64 `json:"pairs,omitempty"`
 }
 
-// CachedJoin is one cached result.
+// CachedJoin is one cached result. The cache holds its pairs in the sealed
+// pairRuns a join's collector gathered them in (~2–3 B a pair). Pairs is how
+// a caller outside the service hands Put an answer: Put encodes it once and
+// clears it.
 type CachedJoin struct {
 	Pairs   []transformers.Pair
 	Summary JoinSummary
+	runs    pairRuns
 }
 
 // JoinCache is a concurrency-safe LRU of join results.
@@ -104,6 +108,7 @@ type JoinCache struct {
 	order    *list.List // front = most recently used
 	hits     uint64
 	misses   uint64
+	bytes    int // the encoded answers the entries hold
 }
 
 type cacheEntry struct {
@@ -116,6 +121,8 @@ type CacheStats struct {
 	Entries int    `json:"entries"`
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
+	// Bytes is the memory the entries' encoded answers take.
+	Bytes int `json:"bytes"`
 }
 
 // NewJoinCache returns an LRU join cache. capacity <= 0 selects
@@ -158,15 +165,24 @@ func (c *JoinCache) Get(key JoinKey) (*CachedJoin, bool) {
 
 // Put stores a join result, evicting the least-recently-used entry when over
 // capacity, and reports whether it was stored: results exceeding the pair cap
-// are dropped.
+// are dropped. Put takes res over; a non-nil res.Pairs is encoded into it.
 func (c *JoinCache) Put(key JoinKey, res *CachedJoin) bool {
-	if len(res.Pairs) > c.maxPairs {
+	if len(res.Pairs) > c.maxPairs || res.runs.n > c.maxPairs {
 		return false
+	}
+	if res.Pairs != nil {
+		for _, p := range res.Pairs {
+			res.runs.add(p)
+		}
+		res.runs, res.Pairs = res.runs.seal(), nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += res.runs.bytes()
 	if le, ok := c.entries[key]; ok {
-		le.Value.(*cacheEntry).res = res
+		e := le.Value.(*cacheEntry)
+		c.bytes -= e.res.runs.bytes()
+		e.res = res
 		c.order.MoveToFront(le)
 		return true
 	}
@@ -175,11 +191,19 @@ func (c *JoinCache) Put(key JoinKey, res *CachedJoin) bool {
 		if back == nil {
 			break
 		}
-		delete(c.entries, back.Value.(*cacheEntry).key)
-		c.order.Remove(back)
+		c.removeLocked(back)
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
 	return true
+}
+
+// removeLocked drops one entry. Its chunks are left to the GC: a replay may
+// still be reading them.
+func (c *JoinCache) removeLocked(le *list.Element) {
+	e := le.Value.(*cacheEntry)
+	c.bytes -= e.res.runs.bytes()
+	delete(c.entries, e.key)
+	c.order.Remove(le)
 }
 
 // DropDataset removes every cached result that has the named dataset on
@@ -190,8 +214,7 @@ func (c *JoinCache) DropDataset(name string) {
 	defer c.mu.Unlock()
 	for key, le := range c.entries {
 		if key.A == name || key.B == name {
-			delete(c.entries, key)
-			c.order.Remove(le)
+			c.removeLocked(le)
 		}
 	}
 }
@@ -200,5 +223,5 @@ func (c *JoinCache) DropDataset(name string) {
 func (c *JoinCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Entries: len(c.entries), Hits: c.hits, Misses: c.misses}
+	return CacheStats{Entries: len(c.entries), Hits: c.hits, Misses: c.misses, Bytes: c.bytes}
 }

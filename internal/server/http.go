@@ -335,6 +335,39 @@ func pairRoom(bw *bufio.Writer) error {
 	return bw.Flush()
 }
 
+// writePairs writes the pairs of r to bw, joined by sep, a bufferful at a
+// time: they are decoded straight into bw.AvailableBuffer() as JSON objects,
+// and each full buffer is written through, calling before (when not nil)
+// first. It answers how many pairs it handed bw and the first write error.
+func writePairs(bw *bufio.Writer, r *pairRuns, sep byte, before func()) (int, error) {
+	d := r.reader()
+	b := bw.AvailableBuffer()
+	done := 0
+	for i := 0; i < r.n; i++ {
+		if cap(b)-len(b) <= geom.PairJSONMax {
+			if _, err := bw.Write(b); err != nil {
+				return done, err
+			}
+			done = i
+			if before != nil {
+				before()
+			}
+			if err := bw.Flush(); err != nil {
+				return done, err
+			}
+			b = bw.AvailableBuffer()
+		}
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = d.next().AppendJSON(b)
+	}
+	if _, err := bw.Write(b); err != nil {
+		return done, err
+	}
+	return r.n, nil
+}
+
 // writeJoinResponse answers a collected join: the bytes
 // json.NewEncoder(w).Encode(resp) would write with resp.Pairs holding the
 // sink's pairs — joinResponse stays the one declaration of the body — except
@@ -359,21 +392,9 @@ func writeJoinResponse(w http.ResponseWriter, resp joinResponse, sink *collector
 	bw := responseWriter(w)
 	defer putResponseWriter(bw)
 	_, _ = bw.Write(head[:len(head)-1]) // reopen the object
-	if sink.collect && sink.len() > 0 {
+	if sink.collect && sink.runs.n > 0 {
 		_, _ = bw.WriteString(`,"pairs":[`)
-		sep := false
-		_ = sink.each(func(p transformers.Pair) error {
-			if err := pairRoom(bw); err != nil {
-				return err
-			}
-			b := bw.AvailableBuffer()
-			if sep {
-				b = append(b, ',')
-			}
-			sep = true
-			_, _ = bw.Write(p.AppendJSON(b))
-			return nil
-		})
+		_, _ = writePairs(bw, &sink.runs, ',', nil)
 		_ = bw.WriteByte(']')
 	}
 	if tail != nil {
@@ -656,14 +677,15 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 	writeJoinResponse(w, joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary, Trace: trace}, sink)
 }
 
-// streamFlushEvery is the pair interval between explicit flushes of a
-// streaming join response: small enough that a consumer sees progress (and a
+// streamFlushEvery is the pair interval between explicit flushes of an
+// executed streaming join: small enough that a consumer sees progress (and a
 // gone consumer is noticed) promptly, large enough to amortize the flush.
 // The bufio layer flushes on its own in between, so response-path buffering
-// is bounded either way.
+// is bounded either way. A cache hit has its whole answer at hand and is
+// written a bufferful at a time, with one explicit flush at the trailer.
 const streamFlushEvery = 512
 
-// streamWriteTimeout is the rolling per-flush write deadline of a streaming
+// streamWriteTimeout is the rolling per-write deadline of a streaming
 // response. The join runs inside a pool slot while its pairs are written, so
 // a connected-but-stalled client (slow-loris) would otherwise pin the slot
 // forever: the request context only cancels on disconnect, and the daemon
@@ -701,9 +723,10 @@ func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	// Rolling write deadline: armed before the response starts and re-armed
-	// at every explicit flush, it also bounds the bufio layer's implicit
-	// flushes in between. Best-effort — writers without deadline support
-	// (tests, exotic middleware) just decline.
+	// at every explicit flush and before every bufferful of a replay, it also
+	// bounds the bufio layer's implicit flushes in between. Best-effort —
+	// writers without deadline support (tests, exotic middleware) just
+	// decline.
 	arm := func() { _ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) }
 	// Clear the deadline on every exit: the server has no WriteTimeout, so
 	// net/http will not re-arm it between requests, and a stale deadline
@@ -741,6 +764,15 @@ func (c *joinCall) stream(ctx context.Context, w http.ResponseWriter) {
 		}
 		return nil
 	}}
+	sink.replayRuns = func(r *pairRuns) (int, error) {
+		start()
+		k, err := writePairs(bw, r, '\n', arm)
+		n += k
+		if err == nil && k > 0 {
+			err = bw.WriteByte('\n')
+		}
+		return k, err
+	}
 	defer sink.release()
 	out, engine, err := c.svc.join(ctx, c.req.A, c.req.B, c.params, sink)
 	wall := time.Since(begin)

@@ -26,8 +26,8 @@ type JoinParams struct {
 	Algorithm string
 }
 
-// JoinOutcome is one join result: pairs in A/B orientation, the cost
-// summary, and whether the cache served it.
+// JoinOutcome is one join result: pairs in A/B orientation (the caller's
+// own slice), the cost summary, and whether the cache served it.
 type JoinOutcome struct {
 	Pairs   []transformers.Pair
 	Summary JoinSummary
@@ -270,8 +270,7 @@ func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 
 // Join runs (or serves from cache) the join of datasets a and b through the
 // requested (or planned) engine. Pair orientation follows the argument
-// order. The returned pair slice may be shared with the cache — callers must
-// not mutate it.
+// order. The pairs are decoded once into the returned slice.
 func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOutcome, error) {
 	sink := &collector{collect: true}
 	defer sink.release()
@@ -285,9 +284,9 @@ func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOut
 
 // JoinStream runs the join of datasets a and b, delivering each result pair
 // to emit as the engine finds it instead of returning the result. A cache hit
-// replays the cached pairs; a miss hands emit the engine's pairs as they
-// surface, so server-side pair buffering is bounded by the engine's worker
-// budget plus the cache fill (see collector). An emit error (a slow consumer
+// decodes the cached pairs into emit; a miss hands emit the engine's pairs as
+// they surface, so server-side pair buffering is bounded by the engine's
+// worker budget plus the cache fill (see collector). An emit error (a slow consumer
 // gone away, the request context canceled) aborts the underlying join and is
 // returned. The returned outcome carries the summary with Pairs nil.
 func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emit func(transformers.Pair) error) (*JoinOutcome, error) {
@@ -311,12 +310,14 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 type collector struct {
 	consumer func(transformers.Pair) error
 	collect  bool
+	// replayRuns, when set, takes a streamed cache hit whole instead of
+	// consumer taking it pair by pair, and answers how many pairs it took.
+	replayRuns func(*pairRuns) (int, error)
 
 	// The buffered pairs: encoded in pooled chunks as emit gathered them, or —
-	// once the cache holds the result, or served it — the cache's own flat
-	// slice, which must not be mutated.
-	runs   pairRuns
-	shared []transformers.Pair
+	// for a collecting caller once the cache holds the result, or served it —
+	// the cache entry's sealed runs.
+	runs pairRuns
 
 	keep bool // still buffering
 	max  int  // buffer cap; negative = unbounded
@@ -357,44 +358,22 @@ func (c *collector) emit(pr transformers.Pair) error {
 	return nil
 }
 
-// each calls yield with the buffered pairs in emit order, stopping at the
-// first error, which it returns.
-func (c *collector) each(yield func(transformers.Pair) error) error {
-	if c.shared != nil {
-		for _, p := range c.shared {
-			if err := yield(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return c.runs.each(yield)
-}
-
-// len counts the buffered pairs.
-func (c *collector) len() int {
-	if c.shared != nil {
-		return len(c.shared)
-	}
-	return c.runs.n
-}
-
-// pairs returns the buffered pairs as one slice the caller may keep: the
-// cache's, or an exact-size decoding of the chunks (nil when there are none).
+// pairs returns the buffered pairs decoded into one exact-size slice the
+// caller may keep (nil when there are none).
 func (c *collector) pairs() []transformers.Pair {
-	if c.shared != nil || c.runs.n == 0 {
-		return c.shared
-	}
-	flat := make([]transformers.Pair, 0, c.runs.n)
-	_ = c.runs.each(func(p transformers.Pair) error {
-		flat = append(flat, p)
+	if c.runs.n == 0 {
 		return nil
-	})
+	}
+	flat := make([]transformers.Pair, c.runs.n)
+	d := c.runs.reader()
+	for i := range flat {
+		flat[i] = d.next()
+	}
 	return flat
 }
 
-// release gives the chunks back; the collector then holds no pairs of its
-// own. Every caller of join defers it.
+// release gives the chunks back, unless they are the cache's; the collector
+// then holds no pairs. Every caller of join defers it.
 func (c *collector) release() { c.runs.release() }
 
 // settleStream books what a streamed join (executed or replayed) delivered.
@@ -435,11 +414,11 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 			out := &JoinOutcome{Summary: res.Summary, Cached: true}
 			out.Summary.Planner = jp.plan // report this request's planning, not the filler's
 			if streaming {
-				if err := s.replay(ctx, res.Pairs, sink); err != nil {
+				if err := s.replay(ctx, &res.runs, sink); err != nil {
 					return nil, jp.algo, err
 				}
 			} else if sink.collect {
-				sink.shared = res.Pairs // the cached slice itself: no replay, no copy
+				sink.runs = res.runs // read in place: sealed, never given back
 			}
 			s.recordPlannerSample(ctx, p, jp, out.Summary, time.Since(start), true, false)
 			return out, jp.algo, nil
@@ -471,25 +450,30 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 	summary.Delta = ex.delta
 	if sink.keep && !p.NoCache && sink.runs.n <= s.cache.MaxPairs() {
 		// Cache without the planner report: hits splice in their own request
-		// context. The cache takes the one flat copy; a collecting caller
-		// shares it.
-		sink.shared = sink.pairs()
-		sink.release()
-		s.storeResult(ex, &CachedJoin{Pairs: sink.shared, Summary: summary})
+		// context. The entry takes the chunks; a collecting caller reads them
+		// there.
+		res := &CachedJoin{runs: sink.runs.seal(), Summary: summary}
+		if sink.collect {
+			sink.runs = res.runs
+		}
+		s.storeResult(ex, res)
 	}
 	summary.Planner = jp.plan
 	s.recordPlannerSample(ctx, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
 	return &JoinOutcome{Summary: summary}, jp.algo, nil
 }
 
-// replay delivers a cached result to a streaming consumer.
-func (s *Service) replay(ctx context.Context, pairs []transformers.Pair, sink *collector) error {
+// replay delivers a cached result to a streaming consumer: whole to its
+// replayRuns when it has one, else decoded pair by pair into emit.
+func (s *Service) replay(ctx context.Context, runs *pairRuns, sink *collector) error {
 	_, span := obs.Start(ctx, "replay")
 	var err error
-	for _, pr := range pairs {
-		if err = sink.emit(pr); err != nil {
-			break
-		}
+	if sink.replayRuns != nil {
+		var n int
+		n, err = sink.replayRuns(runs)
+		sink.streamed, sink.failed = uint64(n), err != nil
+	} else {
+		err = runs.each(sink.emit)
 	}
 	span.End()
 	span.Add("pairs", int64(sink.streamed))

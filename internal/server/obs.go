@@ -94,6 +94,8 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 			}
 			return 0
 		})
+	r.GaugeFunc("spatialjoin_join_cache_bytes", "Encoded join answers the result cache holds.",
+		func() float64 { return float64(s.cache.Stats().Bytes) })
 	r.GaugeFunc("spatialjoin_index_cache_hit_ratio", "Catalog acquisitions that started no build: a dataset's one index at any distance, or a resident pair partition.",
 		func() float64 {
 			cs := s.cat.Stats()

@@ -289,7 +289,7 @@ func TestMetricsHistogramCountsMatchServedJoins(t *testing.T) {
 	}
 	for _, family := range []string{
 		"spatialjoin_build_duration_seconds", "spatialjoin_pool_queue_depth",
-		"spatialjoin_join_cache_hit_ratio", "spatialjoin_index_cache_hit_ratio",
+		"spatialjoin_join_cache_hit_ratio", "spatialjoin_join_cache_bytes", "spatialjoin_index_cache_hit_ratio",
 		"spatialjoin_tenant_admitted_total", "go_goroutines", "spatialjoin_uptime_seconds",
 	} {
 		if !strings.Contains(string(raw), "# TYPE "+family+" ") {

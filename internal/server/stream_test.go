@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,8 +74,9 @@ func addDataset(t *testing.T, svc *Service, name string, elems []transformers.El
 // TestServiceJoinStreamMatchesJoin pins what the single join path must not
 // lose, for every executeJoin branch: collected and streamed answers are
 // multiset-equal to naive on a miss and on a hit, whichever of the two filled
-// the cache; a collected hit hands out the cached slice itself; and the
-// streaming counters move for streamed joins only.
+// the cache; a collected hit hands out its own decoding of the entry, so a
+// caller that writes to it changes no later hit; and the streaming counters
+// move for streamed joins only.
 func TestServiceJoinStreamMatchesJoin(t *testing.T) {
 	baseA, baseB := overlapElems(600, 61, 1), overlapElems(600, 62, 1)
 	deltaA, deltaB := overlapElems(80, 63, 1<<20), overlapElems(60, 64, 1<<20)
@@ -143,9 +145,11 @@ func TestServiceJoinStreamMatchesJoin(t *testing.T) {
 					return out
 				}
 				join(first, false)
-				hit1, hit2 := join("collected", true), join("collected", true)
-				if &hit1.Pairs[0] != &hit2.Pairs[0] {
-					t.Fatal("collected cache hits copied the cached pairs")
+				hit1 := join("collected", true)
+				kept := slices.Clone(hit1.Pairs)
+				hit1.Pairs[0].A++
+				if hit2 := join("collected", true); !slices.Equal(hit2.Pairs, kept) || cap(hit2.Pairs) != len(kept) {
+					t.Fatal("a collected cache hit's pairs differ from the last hit's once the caller wrote to those")
 				}
 				if st := svc.Stats(); first == "collected" && (st.StreamedPairs != 0 || st.AbortedStreams != 0) {
 					t.Fatalf("collected joins moved the streaming counters: %d pairs, %d aborts", st.StreamedPairs, st.AbortedStreams)

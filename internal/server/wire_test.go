@@ -55,7 +55,8 @@ func reencode[T any](t *testing.T, raw []byte) (T, []byte) {
 // for byte, what encoding/json writes for joinResponse, geom.Pair and
 // streamTrailer: with pairs (more than one collector chunk and one response
 // bufferful of them), without include_pairs, with none to include, on a cache
-// hit, and with the trace echoed after the pairs.
+// hit, and with the trace echoed after the pairs; and a replayed stream's
+// pair lines are those of the stream that filled the cache.
 func TestWireFormatGolden(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
 	addDataset(t, svc, "a", bigOverlapDataset(1800, 51))
@@ -113,8 +114,15 @@ func TestWireFormatGolden(t *testing.T) {
 		t.Errorf("zero pairs: body %.300s, encoding/json writes %.300s", raw, want)
 	}
 
-	// NDJSON, executed and replayed: pair lines, then the trailer.
-	for _, body := range []string{`{"a":"a","b":"b","stream":true,"no_cache":true}`, `{"a":"a","b":"b","stream":true}`} {
+	// NDJSON, executed and replayed: pair lines, then the trailer. A replay
+	// writes the pair lines of the stream that filled the cache byte for byte.
+	var filled []byte
+	for i, body := range []string{
+		`{"a":"a","b":"b","stream":true,"no_cache":true}`,
+		`{"a":"a","b":"b","stream":true}`, // replays the collected fill above
+		`{"a":"b","b":"a","stream":true}`, // fills
+		`{"a":"b","b":"a","stream":true}`, // replays that fill
+	} {
 		lines := bytes.SplitAfter(rawPost(t, ts.URL+"/join", body, map[string]string{"X-Trace": "1"}), []byte("\n"))
 		if last := len(lines) - 1; len(lines[last]) == 0 {
 			lines = lines[:last]
@@ -127,8 +135,16 @@ func TestWireFormatGolden(t *testing.T) {
 				t.Fatalf("%s: pair line %d is %q, json.Marshal(pair)+\"\\n\" is %q", body, i, line, want)
 			}
 		}
+		switch pairLines := bytes.Join(lines[:results], nil); i {
+		case 2:
+			filled = pairLines
+		case 3:
+			if !bytes.Equal(pairLines, filled) {
+				t.Errorf("%s: the replayed pair lines differ from the filling stream's", body)
+			}
+		}
 		trailer, want := reencode[streamTrailer](t, lines[results])
-		if !bytes.Equal(lines[results], want) || trailer.Pairs != results || trailer.Aborted || trailer.Summary == nil || trailer.Trace == nil {
+		if !bytes.Equal(lines[results], want) || trailer.Pairs != results || trailer.Aborted || trailer.Cached != (i%2 == 1) || trailer.Summary == nil || trailer.Trace == nil {
 			t.Errorf("%s: trailer %.300s, encoding/json writes %.300s", body, lines[results], want)
 		}
 	}
