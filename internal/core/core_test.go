@@ -419,8 +419,10 @@ func BenchmarkBuildIndex(b *testing.B) {
 // indexes built once with the defaults, then joined over and over through
 // private reader views, nothing collected. The inputs are the
 // serving benchmark's heavy pair — axons 32K × dendrites 24K within distance
-// 25, ~48K pairs — plus a uniform pair whose join is exploration, not output.
-// pages/op is the modeled I/O (a count: it must not move with the clock), and
+// 25, ~48K pairs — plus a uniform pair whose join is exploration, not output,
+// and the serving benchmark's selective pair (uniform 100K x dense_cluster
+// 100K at d = 0, a handful of pairs). pages/op is the modeled I/O and cmp/op
+// the intersection tests (counts: they must not move with the clock), and
 // with -benchmem B/op is what one join over warm indexes allocates. The -view
 // rows join the same heavy pair as the catalog serves it: indexes built over
 // the ungrown boxes, read through Grown views made once.
@@ -447,12 +449,15 @@ func BenchmarkJoinPrebuilt(b *testing.B) {
 		{"uniform-100K",
 			grow(datagen.Uniform(datagen.Config{N: 100000, Seed: 1}), 2),
 			grow(datagen.Uniform(datagen.Config{N: 100000, Seed: 2}), 2), 0},
+		{"selective",
+			datagen.Uniform(datagen.Config{N: 100000, Seed: 1}),
+			datagen.DenseCluster(datagen.Config{N: 100000, Seed: 2}), 0},
 	} {
 		ia, ib := buildIndex(b, in.a, IndexConfig{}).Grown(in.view), buildIndex(b, in.b, IndexConfig{}).Grown(in.view)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", in.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
-				var pages, results uint64
+				var pages, results, comparisons uint64
 				for i := 0; i < b.N; i++ {
 					stats, err := Join(ia, ib, JoinConfig{Parallelism: workers}, func(geom.Element, geom.Element) {})
 					if err != nil {
@@ -460,9 +465,11 @@ func BenchmarkJoinPrebuilt(b *testing.B) {
 					}
 					pages += stats.IO.Reads
 					results += stats.Results
+					comparisons += stats.Comparisons
 				}
 				b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 				b.ReportMetric(float64(results)/float64(b.N), "pairs/op")
+				b.ReportMetric(float64(comparisons)/float64(b.N), "cmp/op")
 			})
 		}
 	}

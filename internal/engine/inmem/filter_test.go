@@ -23,20 +23,21 @@ func ord(f float32) int64 {
 	return b
 }
 
-// TestInMemOutwardRounding: roundDown and roundUp bracket every float64 — zeroes,
-// denormals of both widths, the edges of float32's range and what lies beyond
-// it, both sides of every power of two, and two million seeded values — and
-// stay within 6 float32 ulps of each other wherever both are finite.
+// TestInMemOutwardRounding: geom.RoundDown32 and RoundUp32, the bounds a
+// partition stores, bracket every float64 — zeroes, denormals of both widths,
+// the edges of float32's range and what lies beyond it, both sides of every
+// power of two, and two million seeded values — and stay within 6 float32
+// ulps of each other wherever both are finite.
 func TestInMemOutwardRounding(t *testing.T) {
 	check := func(v float64) {
 		t.Helper()
-		lo, hi := roundDown(v), roundUp(v)
+		lo, hi := geom.RoundDown32(v), geom.RoundUp32(v)
 		if !(float64(lo) <= v && v <= float64(hi)) {
-			t.Fatalf("v = %g (%#x): roundDown %g, roundUp %g do not bracket it", v, math.Float64bits(v), lo, hi)
+			t.Fatalf("v = %g (%#x): RoundDown32 %g, RoundUp32 %g do not bracket it", v, math.Float64bits(v), lo, hi)
 		}
 		finite := !math.IsInf(float64(lo), 0) && !math.IsInf(float64(hi), 0)
 		if gap := ord(hi) - ord(lo); finite && math.Abs(v) < math.MaxFloat32 && gap > 6 {
-			t.Fatalf("v = %g (%#x): roundDown %g and roundUp %g are %d ulps apart", v, math.Float64bits(v), lo, hi, gap)
+			t.Fatalf("v = %g (%#x): RoundDown32 %g and RoundUp32 %g are %d ulps apart", v, math.Float64bits(v), lo, hi, gap)
 		}
 	}
 	both := func(v float64) {
@@ -57,14 +58,14 @@ func TestInMemOutwardRounding(t *testing.T) {
 	}
 	// MaxFloat32 itself and the value just inside it keep a finite bound on
 	// the inner side and may only lose the outer one to ±Inf.
-	if lo := roundDown(math.MaxFloat32); math.IsInf(float64(lo), 0) {
-		t.Fatalf("roundDown(MaxFloat32) = %g", lo)
+	if lo := geom.RoundDown32(math.MaxFloat32); math.IsInf(float64(lo), 0) {
+		t.Fatalf("geom.RoundDown32(MaxFloat32) = %g", lo)
 	}
-	if hi := roundUp(1e39); !math.IsInf(float64(hi), 1) {
-		t.Fatalf("roundUp(1e39) = %g, want +Inf", hi)
+	if hi := geom.RoundUp32(1e39); !math.IsInf(float64(hi), 1) {
+		t.Fatalf("geom.RoundUp32(1e39) = %g, want +Inf", hi)
 	}
-	if lo := roundDown(1e39); lo != math.MaxFloat32 {
-		t.Fatalf("roundDown(1e39) = %g, want MaxFloat32", lo)
+	if lo := geom.RoundDown32(1e39); lo != math.MaxFloat32 {
+		t.Fatalf("geom.RoundDown32(1e39) = %g, want MaxFloat32", lo)
 	}
 
 	rng := rand.New(rand.NewSource(23))
@@ -93,7 +94,7 @@ func TestInMemRoundingMonotone(t *testing.T) {
 	}
 	slices.Sort(vs)
 	for i := 1; i < len(vs); i++ {
-		if roundDown(vs[i-1]) > roundDown(vs[i]) || roundUp(vs[i-1]) > roundUp(vs[i]) {
+		if geom.RoundDown32(vs[i-1]) > geom.RoundDown32(vs[i]) || geom.RoundUp32(vs[i-1]) > geom.RoundUp32(vs[i]) {
 			t.Fatalf("rounding is not monotone between %g (%#x) and %g (%#x)", vs[i-1], math.Float64bits(vs[i-1]), vs[i], math.Float64bits(vs[i]))
 		}
 	}

@@ -30,7 +30,6 @@
 package inmem
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -353,7 +352,7 @@ func fillSide(in Input, perm []geom.SortKey, cuts []float64, stripes, split int)
 		box := in.at(ref).Box.Expand(in.Grow)
 		var lo, hi [geom.Dims]float32
 		for d := 0; d < geom.Dims; d++ {
-			lo[d], hi[d] = roundDown(box.Lo[d]), roundUp(box.Hi[d])
+			lo[d], hi[d] = geom.RoundDown32(box.Lo[d]), geom.RoundUp32(box.Hi[d])
 		}
 		k := cur[2*first[ref]]
 		cur[2*first[ref]]++
@@ -371,35 +370,6 @@ func fillSide(in Input, perm []geom.SortKey, cuts []float64, stripes, split int)
 	}
 	return s
 }
-
-// slack is more than one float32 ulp of v — |v|·2⁻²³ is at least the ulp of
-// v's binade, and the smallest denormal covers the values below the normal
-// range, where that product vanishes. It is the same arithmetic for every v:
-// rounding to nearest and stepping to the neighbour only when the result fell
-// on the wrong side of v doubles the partition build, on the mispredicted
-// branch. The price is bounds one to two ulps wider than the tightest.
-func slack(v float64) float64 {
-	return math.Abs(v)*(1.0/(1<<23)) + math.SmallestNonzeroFloat32
-}
-
-// roundDown returns a float32 at or below v, within three ulps of it: v is
-// taken down by slack in float64, and rounding that to the nearest float32
-// brings it back up by half an ulp at most. Both steps are monotone. A value
-// beyond float32 clamps to the safe side; one that slack carries beyond it
-// converts to -Inf.
-func roundDown(v float64) float32 {
-	if math.Abs(v) > math.MaxFloat32 {
-		if v > 0 {
-			return math.MaxFloat32
-		}
-		return float32(math.Inf(-1))
-	}
-	return float32(v - slack(v))
-}
-
-// roundUp returns a float32 at or above v: roundDown mirrored, every step of
-// which is symmetric about zero.
-func roundUp(v float64) float32 { return -roundDown(-v) }
 
 // Stripes is the effective stripe count after cut deduplication.
 func (p *Partitioned) Stripes() int { return p.stripes }

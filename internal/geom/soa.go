@@ -1,20 +1,37 @@
 package geom
 
-import "slices"
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+)
 
-// SoA is a struct-of-arrays MBB buffer: one flat float64 slice per dimension
-// per bound, plus the element IDs, all sharing one index space. The layout
-// exists for batched filtering — testing one query box against a run of
-// candidates touches only the six bound arrays, sequentially, with no
-// per-element struct loads, so the loop stays branch-light and vectorizable.
-// The grid hash join batches its per-cell candidate scans through
-// FilterGather.
+// SoA is a filter over element runs it reads in place, which must not change
+// while it is loaded: per element, the box rounded outward to float32 — one
+// flat slice per dimension per bound — and a locator, run<<shift | offset, of
+// the element in its run. That is 28 bytes an element; the runs themselves
+// are not copied. The rounded box contains the exact one, so a query that
+// intersects the exact box intersects the rounded one, and the float32
+// columns are a filter that loses nothing: a batched scan over them touches
+// only the six bound arrays, with no per-element struct loads. Every
+// candidate that passes is then decided by the float64 test on the run's own
+// element, so the filters report exactly what Box.Intersects does. The grid
+// hash join batches its per-cell candidate scans through FilterGather.
 type SoA struct {
-	Lo, Hi [Dims][]float64
-	ID     []uint64
+	Lo, Hi [Dims][]float32
+	Loc    []uint32
+	// runs are what Loc points into, read-only, each element grown by grow
+	// where it is used; shift splits a locator.
+	runs  [][]Element
+	grow  float64
+	shift uint
+	// one is the run list of Load; split holds runs cut to 1<<shift
+	// elements when the runs as given cannot be numbered in 32 bits.
+	one   [1][]Element
+	split [][]Element
 }
 
-// MakeSoA copies elems into a freshly allocated SoA, preserving order.
+// MakeSoA loads elems into a fresh SoA, preserving order.
 func MakeSoA(elems []Element) *SoA {
 	s := &SoA{}
 	s.Load(elems)
@@ -24,42 +41,131 @@ func MakeSoA(elems []Element) *SoA {
 // Load replaces the buffer's contents with elems, preserving order and
 // reusing the arrays it already holds: a buffer loaded over and over (the
 // grid a join rebuilds per pivot) stops allocating once it has seen its
-// largest batch.
-func (s *SoA) Load(elems []Element) { s.LoadGrown([][]Element{elems}, 0) }
+// largest batch. The buffer reads elems until the next Load or Release.
+func (s *SoA) Load(elems []Element) {
+	s.one[0] = elems
+	s.LoadGrown(s.one[:], 0)
+}
 
 // LoadGrown is Load over the concatenation of runs, each box grown by r as
 // Box.Grow grows it: a join loads the pages it read, by reference, without
-// first copying them into one batch.
-func (s *SoA) LoadGrown(runs [][]Element, r float64) {
-	n := 0
+// copying them. It returns MBBOf of the grown boxes, bound for bound, and the
+// sum of their extents over every dimension, added element by element in
+// dimension order.
+func (s *SoA) LoadGrown(runs [][]Element, r float64) (mbb Box, sides float64) {
+	n, longest := 0, 0
 	for _, run := range runs {
 		n += len(run)
+		longest = max(longest, len(run))
 	}
-	s.ID = slices.Grow(s.ID[:0], n)[:n]
+	s.runs, s.grow = runs, r
+	s.shift = uint(bits.Len(uint(max(longest, 1) - 1)))
+	clear(s.split[:cap(s.split)])
+	if len(runs)<<s.shift > 1<<32 {
+		s.splitRuns()
+	}
+	s.Loc = growTo(s.Loc, n)
 	for d := 0; d < Dims; d++ {
-		s.Lo[d] = slices.Grow(s.Lo[d][:0], n)[:n]
-		s.Hi[d] = slices.Grow(s.Hi[d][:0], n)[:n]
+		s.Lo[d] = growTo(s.Lo[d], n)
+		s.Hi[d] = growTo(s.Hi[d], n)
 	}
+	mbb = EmptyBox()
 	i := 0
-	for _, run := range runs {
-		for _, e := range run {
-			e.Box.Grow(r)
-			s.Set(i, e)
+	for ri, run := range s.runs {
+		for off := range run {
+			b := run[off].Box
+			b.Grow(r)
+			for d := 0; d < Dims; d++ {
+				if b.Lo[d] < mbb.Lo[d] {
+					mbb.Lo[d] = b.Lo[d]
+				}
+				if b.Hi[d] > mbb.Hi[d] {
+					mbb.Hi[d] = b.Hi[d]
+				}
+				sides += b.Hi[d] - b.Lo[d]
+				s.Lo[d][i], s.Hi[d][i] = RoundDown32(b.Lo[d]), RoundUp32(b.Hi[d])
+			}
+			s.Loc[i] = uint32(ri)<<s.shift | uint32(off)
+			i++
+		}
+	}
+	return mbb, sides
+}
+
+// splitRuns cuts s.runs into pieces of 1<<shift elements, shrinking shift
+// until the pieces can be numbered in the bits it leaves.
+func (s *SoA) splitRuns() {
+	pieces := func(shift uint) int {
+		k := 0
+		for _, run := range s.runs {
+			k += (len(run) + 1<<shift - 1) >> shift
+		}
+		return k
+	}
+	for pieces(s.shift) > 1<<(32-s.shift) {
+		s.shift--
+	}
+	s.split = s.split[:0]
+	for _, run := range s.runs {
+		for len(run) > 0 {
+			k := min(len(run), 1<<s.shift)
+			s.split = append(s.split, run[:k])
+			run = run[k:]
+		}
+	}
+	s.runs = s.split
+}
+
+// growTo returns s resized to n, reallocated when it has no room: to n
+// exactly the first time, and to at least a quarter more than it held after
+// that, so a buffer reloaded with slowly growing batches reallocates rarely.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, cap(s)+cap(s)/4))
+	}
+	return s[:n]
+}
+
+// Locate writes Loc again as LoadGrown wrote it: between the two, a caller
+// may use the column as per-element scratch.
+func (s *SoA) Locate() {
+	i := 0
+	for ri, run := range s.runs {
+		for off := range run {
+			s.Loc[i] = uint32(ri)<<s.shift | uint32(off)
 			i++
 		}
 	}
 }
 
-// Len returns the number of elements in the buffer.
-func (s *SoA) Len() int { return len(s.ID) }
-
-// Set stores element e at index i.
-func (s *SoA) Set(i int, e Element) {
-	s.ID[i] = e.ID
+// Bytes is what the buffer's arrays hold, by capacity: 28 bytes an element
+// of the largest batch it was loaded with — up to a quarter more if it grew to
+// that batch from a smaller one — and a run header for each piece of a batch
+// it had to split.
+func (s *SoA) Bytes() int {
+	n := 4 * cap(s.Loc)
 	for d := 0; d < Dims; d++ {
-		s.Lo[d][i] = e.Box.Lo[d]
-		s.Hi[d][i] = e.Box.Hi[d]
+		n += 4 * (cap(s.Lo[d]) + cap(s.Hi[d]))
 	}
+	return n + int(unsafe.Sizeof(s.split[0]))*cap(s.split)
+}
+
+// Len returns the number of elements in the buffer.
+func (s *SoA) Len() int { return len(s.Loc) }
+
+// At returns element i, grown as it was loaded, read from its run.
+func (s *SoA) At(i int32) Element {
+	loc := s.Loc[i]
+	e := s.runs[loc>>s.shift][loc&(1<<s.shift-1)]
+	e.Box.Grow(s.grow)
+	return e
+}
+
+// Release drops the buffer's references to the runs it was loaded from,
+// keeping its arrays for the next load; At must not be called until then.
+func (s *SoA) Release() {
+	s.runs, s.one[0] = nil, nil
+	clear(s.split[:cap(s.split)])
 }
 
 // FilterIntersect appends to out the indexes in [from, to) whose boxes
@@ -67,17 +173,18 @@ func (s *SoA) Set(i int, e Element) {
 // extended slice. It allocates nothing when out has capacity — callers on hot
 // paths pass a reused scratch slice.
 func (s *SoA) FilterIntersect(q Box, from, to int, out []int32) []int32 {
-	lo0, hi0 := s.Lo[0], s.Hi[0]
-	lo1, hi1 := s.Lo[1], s.Hi[1]
-	lo2, hi2 := s.Lo[2], s.Hi[2]
+	start := len(out)
+	lo0, hi0 := s.Lo[0][:to], s.Hi[0][:to]
+	lo1, hi1 := s.Lo[1][:to], s.Hi[1][:to]
+	lo2, hi2 := s.Lo[2][:to], s.Hi[2][:to]
 	for i := from; i < to; i++ {
-		if q.Lo[0] <= hi0[i] && lo0[i] <= q.Hi[0] &&
-			q.Lo[1] <= hi1[i] && lo1[i] <= q.Hi[1] &&
-			q.Lo[2] <= hi2[i] && lo2[i] <= q.Hi[2] {
+		if b2i(q.Lo[0] <= float64(hi0[i]))&b2i(float64(lo0[i]) <= q.Hi[0])&
+			b2i(q.Lo[1] <= float64(hi1[i]))&b2i(float64(lo1[i]) <= q.Hi[1])&
+			b2i(q.Lo[2] <= float64(hi2[i]))&b2i(float64(lo2[i]) <= q.Hi[2]) != 0 {
 			out = append(out, int32(i))
 		}
 	}
-	return out
+	return s.exact(q, out, start)
 }
 
 // FilterGather is FilterIntersect over a gather list: idx holds candidate
@@ -85,15 +192,64 @@ func (s *SoA) FilterIntersect(q Box, from, to int, out []int32) []int32 {
 // survivors are appended to out as positions into the SoA, preserving idx
 // order. Like FilterIntersect it allocates nothing when out has capacity.
 func (s *SoA) FilterGather(q Box, idx []int32, out []int32) []int32 {
-	lo0, hi0 := s.Lo[0], s.Hi[0]
-	lo1, hi1 := s.Lo[1], s.Hi[1]
-	lo2, hi2 := s.Lo[2], s.Hi[2]
+	start := len(out)
+	// Every column has lo0's length: one bounds check covers all six.
+	lo0 := s.Lo[0]
+	n := len(lo0)
+	hi0, lo1, hi1, lo2, hi2 := s.Hi[0][:n], s.Lo[1][:n], s.Hi[1][:n], s.Lo[2][:n], s.Hi[2][:n]
 	for _, i := range idx {
-		if q.Lo[0] <= hi0[i] && lo0[i] <= q.Hi[0] &&
-			q.Lo[1] <= hi1[i] && lo1[i] <= q.Hi[1] &&
-			q.Lo[2] <= hi2[i] && lo2[i] <= q.Hi[2] {
+		if b2i(q.Lo[0] <= float64(hi0[i]))&b2i(float64(lo0[i]) <= q.Hi[0])&
+			b2i(q.Lo[1] <= float64(hi1[i]))&b2i(float64(lo1[i]) <= q.Hi[1])&
+			b2i(q.Lo[2] <= float64(hi2[i]))&b2i(float64(lo2[i]) <= q.Hi[2]) != 0 {
 			out = append(out, i)
 		}
 	}
-	return out
+	return s.exact(q, out, start)
 }
+
+// b2i is 1 for true, so the filters combine their six tests without a branch
+// for each.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// exact keeps, of the candidates out[start:], those whose element intersects
+// q, in order.
+func (s *SoA) exact(q Box, out []int32, start int) []int32 {
+	kept := out[:start]
+	for _, i := range out[start:] {
+		if e := s.At(i); e.Box.Intersects(q) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// slack is more than one float32 ulp of v — |v|·2⁻²³ is at least the ulp of
+// v's binade, and the smallest denormal covers the values below the normal
+// range, where that product vanishes. It is the same arithmetic for every v:
+// rounding to nearest and stepping to the neighbour only when the result fell
+// on the wrong side of v doubles the cost of a load, on the mispredicted
+// branch. The price is bounds one to two ulps wider than the tightest.
+func slack(v float64) float64 {
+	return math.Abs(v)*(1.0/(1<<23)) + math.SmallestNonzeroFloat32
+}
+
+// RoundDown32 returns a float32 at or below v, within three ulps of it: v is
+// taken down by slack in float64, and rounding that to the nearest float32
+// brings it back up by half an ulp at most. Both steps are monotone. A value
+// beyond float32 keeps to the safe side: MaxFloat32 above, and -Inf below,
+// where slack carries it past the last float32.
+func RoundDown32(v float64) float32 {
+	if v > math.MaxFloat32 {
+		return math.MaxFloat32
+	}
+	return float32(v - slack(v))
+}
+
+// RoundUp32 returns a float32 at or above v: RoundDown32 mirrored, every step
+// of which is symmetric about zero.
+func RoundUp32(v float64) float32 { return -RoundDown32(-v) }

@@ -19,8 +19,9 @@ func randomElements(r *rand.Rand, n int) []Element {
 }
 
 // TestSoARoundTrip: MakeSoA, and Load over a buffer that already held a
-// longer or a shorter batch, hold exactly the elements given, in order — and a
-// reload that fits allocates nothing.
+// longer or a shorter batch, locate exactly the elements given, in order,
+// inside float32 bounds that contain each box — and a reload that fits
+// allocates nothing.
 func TestSoARoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	s := MakeSoA(randomElements(r, 200))
@@ -31,18 +32,81 @@ func TestSoARoundTrip(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", s.Len(), len(elems))
 		}
 		for i, e := range elems {
-			got := Element{ID: s.ID[i]}
-			for d := 0; d < Dims; d++ {
-				got.Box.Lo[d], got.Box.Hi[d] = s.Lo[d][i], s.Hi[d][i]
-			}
-			if got != e {
+			if got := s.At(int32(i)); got != e {
 				t.Fatalf("element %d of %d round-trips to %+v, want %+v", i, n, got, e)
+			}
+			for d := 0; d < Dims; d++ {
+				if !(float64(s.Lo[d][i]) <= e.Box.Lo[d] && e.Box.Hi[d] <= float64(s.Hi[d][i])) {
+					t.Fatalf("element %d of %d: float32 bounds [%g, %g] miss [%g, %g] in dimension %d", i, n, s.Lo[d][i], s.Hi[d][i], e.Box.Lo[d], e.Box.Hi[d], d)
+				}
 			}
 		}
 	}
 	elems := randomElements(r, 400)
 	if avg := testing.AllocsPerRun(10, func() { s.Load(elems) }); avg != 0 {
 		t.Fatalf("reloading a buffer that fits allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestSoALocatesAcrossRuns: LoadGrown over runs of every length, empty ones
+// included, locates each element in its run, grown; the MBB and extent sum it
+// returns are MBBOf's and the element-order sum over the grown copies, bit for
+// bit; and runs too many to number in 32 bits are split, not misnumbered.
+func TestSoALocatesAcrossRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(75))
+	elems := randomElements(r, 700)
+	var runs [][]Element
+	for i, n := 0, 1; i < len(elems); i, n = i+n, n*3%61 {
+		runs = append(runs, elems[i:min(i+n, len(elems))], nil)
+	}
+	for _, grow := range []float64{0, 0.25, 3} {
+		var s SoA
+		mbb, sides := s.LoadGrown(runs, grow)
+		grown := make([]Element, len(elems))
+		var want float64
+		for i, e := range elems {
+			e.Box.Grow(grow)
+			grown[i] = e
+			for d := 0; d < Dims; d++ {
+				want += e.Box.Hi[d] - e.Box.Lo[d]
+			}
+		}
+		if mbb != MBBOf(grown) || sides != want {
+			t.Fatalf("grow %g: LoadGrown returned %v and %v, want %v and %v", grow, mbb, sides, MBBOf(grown), want)
+		}
+		for i, e := range grown {
+			if got := s.At(int32(i)); got != e {
+				t.Fatalf("grow %g: element %d is %+v, want %+v", grow, i, got, e)
+			}
+		}
+		s.Release()
+		if s.runs != nil {
+			t.Fatal("Release kept the runs")
+		}
+	}
+	// 2^16 one-element runs beside one of 2^16: run<<16 overflows 32 bits.
+	long := make([]Element, 1<<16)
+	for i := range long {
+		long[i].ID = uint64(i)
+	}
+	one := []Element{{ID: 1 << 40}}
+	many := [][]Element{long}
+	for len(many) <= 1<<16 {
+		many = append(many, one)
+	}
+	var s SoA
+	s.LoadGrown(many, 0)
+	if got := s.At(int32(len(long) - 1)).ID; got != uint64(len(long)-1) {
+		t.Fatalf("the long run's last element is %d", got)
+	}
+	if got := s.At(int32(s.Len() - 1)).ID; got != 1<<40 {
+		t.Fatalf("the last one-element run holds %d", got)
+	}
+	s.Release()
+	for _, run := range s.split[:cap(s.split)] {
+		if run != nil {
+			t.Fatal("Release kept a split run")
+		}
 	}
 }
 

@@ -8,11 +8,14 @@
 // suppressed with the reference-point method (a pair is reported only in the
 // cell that contains the low corner of the pair's MBB intersection).
 //
-// A Grid keeps no element slice of its own: Reset loads the build side's
-// boxes and IDs into a struct-of-arrays straight from the runs it is handed —
-// a TRANSFORMERS join hands it the pages it read, by reference, grown by the
-// distance view's radius on the way in — and probes emit build elements
-// rebuilt from those arrays.
+// A Grid keeps no copy of an element: Reset keeps, for each build element,
+// its grown box rounded outward to float32 and a locator of it in the runs it
+// is handed — 28 bytes an element, in a geom.SoA — and a TRANSFORMERS join
+// hands it the pages it read, by reference, grown by the distance view's
+// radius. A probe filters a cell's list on the float32 bounds and decides each
+// survivor by the float64 test on the run's own element, grown on the fly;
+// that element is what it emits. The candidates tested, the pairs and their
+// order are those of a grid over float64 copies.
 package grid
 
 import (
@@ -30,12 +33,16 @@ const targetPerCell = 4
 // maxCells caps the grid so degenerate configurations cannot exhaust memory.
 const maxCells = 1 << 22
 
+// spans marks, while Reset counts, an element that is not in exactly one cell.
+const spans = math.MaxUint32
+
 // Grid is a uniform spatial hash over one element set.
 //
 // A Grid is confined to one goroutine: Probe mutates the Comparisons
 // counter. The parallel TRANSFORMERS join relies on this layout — every
-// worker builds its own grids (Join constructs a private one per call), so
-// comparison counting needs no atomics and stays off the shared-memory bus.
+// worker builds its own grids (each of its pooled sides keeps one; the
+// package-level Join makes a private one per call), so comparison counting
+// needs no atomics and stays off the shared-memory bus.
 //
 // The zero Grid is empty and ready for Reset, which rebuilds it over another
 // element set inside the arrays it already holds: a join that builds one grid
@@ -45,15 +52,16 @@ type Grid struct {
 	origin   geom.Point
 	cellSize [3]float64
 	dims     [3]int
-	extent   geom.Box // origin + dims*cellSize per dimension
+	top      [3]float64 // dims, as floats
+	extent   geom.Box   // origin + dims*cellSize per dimension
 	// Cell ci lists the build elements items[starts[ci]:starts[ci+1]], in
 	// element order: every cell in one flat array, sized exactly.
 	starts []int32
 	items  []int32
-	// soa holds the build elements, in struct-of-arrays layout so Probe's
-	// per-cell candidate scan runs as a batched filter over flat bound
-	// arrays; hits is its reused survivor scratch (single-goroutine
-	// confinement makes a plain field safe).
+	// soa is the filter over the build elements: their float32 bounds in
+	// flat columns, so Probe's per-cell candidate scan is a batched filter,
+	// and their locators in the runs. hits is its reused survivor scratch
+	// (single-goroutine confinement makes a plain field safe).
 	soa  geom.SoA
 	hits []int32
 	// Comparisons counts element MBB intersection tests performed by probes
@@ -69,24 +77,24 @@ type Batch struct {
 	Grow float64
 }
 
-// Build constructs a grid over the build-side elements. An empty build set
-// yields a usable empty grid.
+// Build constructs a grid over the build-side elements, which it reads until
+// it is rebuilt. An empty build set yields a usable empty grid.
 func Build(elems []geom.Element) *Grid {
 	g := &Grid{}
 	g.Reset(Batch{Runs: [][]geom.Element{elems}})
 	return g
 }
 
-// Reset rebuilds g over build, keeping no reference to its runs, and zeroes
-// Comparisons.
+// Reset rebuilds g over build, which it reads until the next Reset or the end
+// of a Join, and zeroes Comparisons.
 func (g *Grid) Reset(build Batch) {
-	g.soa.LoadGrown(build.Runs, build.Grow)
+	mbb, sides := g.soa.LoadGrown(build.Runs, build.Grow)
 	g.Comparisons = 0
 	n := g.soa.Len()
-	mbb := g.mbb()
 	if n == 0 {
 		g.origin = geom.Point{}
 		g.dims = [3]int{1, 1, 1}
+		g.top = [3]float64{1, 1, 1}
 		g.cellSize = [3]float64{1, 1, 1}
 		g.extent = geom.Box{}
 		g.starts = append(g.starts[:0], 0, 0)
@@ -106,11 +114,11 @@ func (g *Grid) Reset(build Batch) {
 	// but never smaller than the average element extent — cells much smaller
 	// than elements explode replication for no gain [11].
 	vol := mbb.Volume()
-	if vol <= 0 {
+	if !(vol > 0) { // flat, or an infinite side times a zero one
 		vol = 1
 	}
 	side := math.Cbrt(vol / wantCells)
-	if avg := g.averageSide(); side < avg {
+	if avg := sides / float64(n*geom.Dims); side < avg {
 		side = avg
 	}
 	total := 1
@@ -136,19 +144,51 @@ func (g *Grid) Reset(build Batch) {
 	}
 	g.extent.Lo = g.origin
 	for d := 0; d < geom.Dims; d++ {
-		g.extent.Hi[d] = g.origin[d] + float64(g.dims[d])*g.cellSize[d]
+		g.top[d] = float64(g.dims[d])
+		// Rounding can leave origin + dims*cellSize short of the MBB; the
+		// extent still covers every build element.
+		g.extent.Hi[d] = max(g.origin[d]+float64(g.dims[d])*g.cellSize[d], mbb.Hi[d])
+	}
+	if total == 1 {
+		// One cell lists every element, as the passes below would: the
+		// extent covers the MBB, so every box (Lo <= Hi, no NaN) meets it.
+		g.starts = append(g.starts[:0], 0, int32(n))
+		g.items = slices.Grow(g.items[:0], n)[:n]
+		for i := range g.items {
+			g.items[i] = int32(i)
+		}
+		return
 	}
 	// Counting sort of (cell, element) assignments: count per cell, prefix
 	// sum into start offsets, then place — each cell's run ends up in element
-	// order, as appending per cell would leave it.
+	// order, as appending per cell would leave it. The cells come from the
+	// exact bounds, so the counting pass reads the runs, grown again, not the
+	// float32 columns. It leaves each element's cell, where it has one, in
+	// the locator column, and placing reads that back instead of the element
+	// before the locators are written again: most elements lie in one cell.
 	g.starts = slices.Grow(g.starts[:0], total+1)[:total+1]
 	clear(g.starts)
-	// Both passes read the runs, grown again, not the SoA: one element's box
-	// is one cache line there and six scattered loads here.
+	loc := g.soa.Loc
+	i := 0
 	for _, run := range build.Runs {
 		for _, e := range run {
 			e.Box.Grow(build.Grow)
-			g.visitCells(e.Box, func(ci int) { g.starts[ci+1]++ })
+			c := g.cells(&e.Box)
+			if c.x0 == c.x1 && c.y0 == c.y1 && c.z0 == c.z1 {
+				ci := g.cellIndex(c.x0, c.y0, c.z0)
+				g.starts[ci+1]++
+				loc[i] = uint32(ci)
+			} else {
+				for x := c.x0; x <= c.x1; x++ {
+					for y := c.y0; y <= c.y1; y++ {
+						for z, ci := c.z0, g.cellIndex(x, y, c.z0); z <= c.z1; z, ci = z+1, ci+1 {
+							g.starts[ci+1]++
+						}
+					}
+				}
+				loc[i] = spans
+			}
+			i++
 		}
 	}
 	for ci := 0; ci < total; ci++ {
@@ -156,156 +196,98 @@ func (g *Grid) Reset(build Batch) {
 	}
 	assigned := int(g.starts[total])
 	g.items = slices.Grow(g.items[:0], assigned)[:assigned]
-	i := int32(0)
+	i = 0
 	for _, run := range build.Runs {
-		for _, e := range run {
-			e.Box.Grow(build.Grow)
-			g.visitCells(e.Box, func(ci int) {
-				g.items[g.starts[ci]] = i
+		for k := range run {
+			if ci := loc[i]; ci != spans {
+				g.items[g.starts[ci]] = int32(i)
 				g.starts[ci]++
-			})
+				i++
+				continue
+			}
+			e := run[k]
+			e.Box.Grow(build.Grow)
+			c := g.cells(&e.Box)
+			for x := c.x0; x <= c.x1; x++ {
+				for y := c.y0; y <= c.y1; y++ {
+					for z, ci := c.z0, g.cellIndex(x, y, c.z0); z <= c.z1; z, ci = z+1, ci+1 {
+						g.items[g.starts[ci]] = int32(i)
+						g.starts[ci]++
+					}
+				}
+			}
 			i++
 		}
 	}
+	g.soa.Locate()
 	// Placing advanced every start to its cell's end: shift back by one cell.
 	copy(g.starts[1:], g.starts[:total])
 	g.starts[0] = 0
 }
 
-// elem returns build element i as Reset loaded it.
-func (g *Grid) elem(i int32) geom.Element {
-	s := &g.soa
-	return geom.Element{ID: s.ID[i], Box: geom.Box{
-		Lo: geom.Point{s.Lo[0][i], s.Lo[1][i], s.Lo[2][i]},
-		Hi: geom.Point{s.Hi[0][i], s.Hi[1][i], s.Hi[2][i]},
-	}}
-}
-
-// mbb is geom.MBBOf of the build elements, by MBBOf's comparisons in element
-// order, so every bound is the one MBBOf returns bit for bit.
-func (g *Grid) mbb() geom.Box {
-	mbb := geom.EmptyBox()
-	for d := 0; d < geom.Dims; d++ {
-		for _, v := range g.soa.Lo[d] {
-			if v < mbb.Lo[d] {
-				mbb.Lo[d] = v
-			}
-		}
-		for _, v := range g.soa.Hi[d] {
-			if v > mbb.Hi[d] {
-				mbb.Hi[d] = v
-			}
-		}
-	}
-	return mbb
-}
-
-// averageSide returns the mean box extent over all dimensions and build
-// elements, summed element by element as a loop over the elements would.
-func (g *Grid) averageSide() float64 {
-	var s float64
-	n := g.soa.Len()
-	for i := 0; i < n; i++ {
-		for d := 0; d < geom.Dims; d++ {
-			s += g.soa.Hi[d][i] - g.soa.Lo[d][i]
-		}
-	}
-	return s / float64(n*geom.Dims)
-}
-
-// cellRange returns the inclusive cell index range overlapped by the box in
-// dimension d, clamped to the grid on both sides so boxes that touch the
-// grid boundary (including its upper face) still map to the boundary cells.
-func (g *Grid) cellRange(b geom.Box, d int) (int, int) {
-	lo := int(math.Floor((b.Lo[d] - g.origin[d]) / g.cellSize[d]))
-	hi := int(math.Floor((b.Hi[d] - g.origin[d]) / g.cellSize[d]))
-	lo = clampIdx(lo, g.dims[d])
-	hi = clampIdx(hi, g.dims[d])
-	return lo, hi
-}
-
-func clampIdx(i, dim int) int {
-	if i < 0 {
+// cell returns the index of the cell holding coordinate v in dimension d,
+// clamped to the grid, so boxes that reach past it — its upper face
+// included — map to the boundary cells. The index is monotone in v.
+func (g *Grid) cell(v float64, d int) int {
+	switch x := (v - g.origin[d]) / g.cellSize[d]; {
+	case x >= g.top[d]:
+		return g.dims[d] - 1
+	case x >= 1:
+		return int(x)
+	default: // below the grid's second cell, or NaN
 		return 0
 	}
-	if i >= dim {
-		return dim - 1
-	}
-	return i
 }
 
-// visitCells calls fn with the linear index of every grid cell the box
-// overlaps (touch-inclusive). Boxes strictly outside the grid extent visit
-// nothing.
-func (g *Grid) visitCells(b geom.Box, fn func(ci int)) {
-	if !b.Intersects(g.extent) {
-		return
+// span is an inclusive range of cells in each dimension.
+type span struct{ x0, y0, z0, x1, y1, z1 int }
+
+// cells returns the cells b overlaps (touch-inclusive), an empty span when b
+// misses the grid's extent.
+func (g *Grid) cells(b *geom.Box) span {
+	if e := &g.extent; b.Lo[0] > e.Hi[0] || e.Lo[0] > b.Hi[0] ||
+		b.Lo[1] > e.Hi[1] || e.Lo[1] > b.Hi[1] ||
+		b.Lo[2] > e.Hi[2] || e.Lo[2] > b.Hi[2] {
+		return span{x0: 1}
 	}
-	x0, x1 := g.cellRange(b, 0)
-	y0, y1 := g.cellRange(b, 1)
-	z0, z1 := g.cellRange(b, 2)
-	for x := x0; x <= x1; x++ {
-		for y := y0; y <= y1; y++ {
-			for z := z0; z <= z1; z++ {
-				fn((x*g.dims[1]+y)*g.dims[2] + z)
-			}
-		}
+	return span{
+		g.cell(b.Lo[0], 0), g.cell(b.Lo[1], 1), g.cell(b.Lo[2], 2),
+		g.cell(b.Hi[0], 0), g.cell(b.Hi[1], 1), g.cell(b.Hi[2], 2),
 	}
 }
 
-// cellOf returns the linear index of the cell containing point p, or -1 when
-// p lies outside the grid.
-func (g *Grid) cellOf(p geom.Point) int {
-	var idx [3]int
-	for d := 0; d < geom.Dims; d++ {
-		i := int(math.Floor((p[d] - g.origin[d]) / g.cellSize[d]))
-		if i < 0 || i >= g.dims[d] {
-			return -1
-		}
-		idx[d] = i
-	}
-	return (idx[0]*g.dims[1]+idx[1])*g.dims[2] + idx[2]
-}
+func (g *Grid) cellIndex(x, y, z int) int { return (x*g.dims[1]+y)*g.dims[2] + z }
 
 // Probe reports every build element whose MBB intersects q's MBB, exactly
 // once, via emit.
 func (g *Grid) Probe(q geom.Element, emit func(build geom.Element)) {
-	g.visitCells(q.Box, func(ci int) {
-		cell := g.items[g.starts[ci]:g.starts[ci+1]]
-		g.Comparisons += uint64(len(cell))
-		g.hits = g.soa.FilterGather(q.Box, cell, g.hits[:0])
-		for _, bi := range g.hits {
-			// Reference-point dedup: report only in the cell holding the
-			// intersection's low corner — the componentwise max of the two
-			// low bounds, since survivors are known to intersect. The corner
-			// always lies inside the grid, since both boxes overlap cells.
-			// (The builtin max is math.Max, NaN and signed zeros included,
-			// without the call.)
-			var lo geom.Point
-			for d := 0; d < geom.Dims; d++ {
-				lo[d] = max(g.soa.Lo[d][bi], q.Box.Lo[d])
+	c := g.cells(&q.Box)
+	for x := c.x0; x <= c.x1; x++ {
+		for y := c.y0; y <= c.y1; y++ {
+			for z, ci := c.z0, g.cellIndex(x, y, c.z0); z <= c.z1; z, ci = z+1, ci+1 {
+				cell := g.items[g.starts[ci]:g.starts[ci+1]]
+				if len(cell) == 0 {
+					continue
+				}
+				g.Comparisons += uint64(len(cell))
+				g.hits = g.soa.FilterGather(q.Box, cell, g.hits[:0])
+				for _, bi := range g.hits {
+					// Reference-point dedup: report only in the cell holding
+					// the intersection's low corner, the componentwise max of
+					// the two low bounds. Cell indexes are monotone, so that
+					// cell is, per dimension, the later of the two boxes'
+					// first cells; both are at most this one, so it is this
+					// one where either box starts here.
+					b := g.soa.At(bi)
+					if (x == c.x0 || g.cell(b.Box.Lo[0], 0) == x) &&
+						(y == c.y0 || g.cell(b.Box.Lo[1], 1) == y) &&
+						(z == c.z0 || g.cell(b.Box.Lo[2], 2) == z) {
+						emit(b)
+					}
+				}
 			}
-			if g.cellOf(clampIntoGrid(g, lo)) == ci {
-				emit(g.elem(bi))
-			}
-		}
-	})
-}
-
-// clampIntoGrid pulls the reference point into the grid's extent so pairs
-// whose intersection corner falls outside the build MBB (possible when the
-// probe box protrudes) are still attributed to exactly one cell.
-func clampIntoGrid(g *Grid, p geom.Point) geom.Point {
-	for d := 0; d < geom.Dims; d++ {
-		lo, hi := g.extent.Lo[d], g.extent.Hi[d]
-		if p[d] < lo {
-			p[d] = lo
-		}
-		if p[d] >= hi {
-			p[d] = math.Nextafter(hi, math.Inf(-1))
 		}
 	}
-	return p
 }
 
 // Join builds a grid over build and probes it with every element of probe,
@@ -326,5 +308,6 @@ func (g *Grid) Join(build, probe Batch, emit func(b, p geom.Element)) uint64 {
 			g.Probe(q, func(b geom.Element) { emit(b, q) })
 		}
 	}
+	g.soa.Release()
 	return g.Comparisons
 }

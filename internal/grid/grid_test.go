@@ -1,11 +1,14 @@
 package grid
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/datagen"
 	"repro/internal/geom"
@@ -251,4 +254,192 @@ func BenchmarkJoinUniform100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Join(build, probe, func(geom.Element, geom.Element) {})
 	}
+}
+
+// boxesFrom reads up to 24 boxes of six float64s each from raw, skipping any
+// with a NaN or infinite coordinate; element i has ID i.
+func boxesFrom(raw []byte) []geom.Element {
+	var out []geom.Element
+	for ; len(raw) >= 48 && len(out) < 24; raw = raw[48:] {
+		var c [6]float64
+		ok := true
+		for i := range c {
+			c[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			ok = ok && !math.IsNaN(c[i]) && !math.IsInf(c[i], 0)
+		}
+		if ok {
+			out = append(out, geom.Element{
+				ID:  uint64(len(out)),
+				Box: geom.NewBox(geom.Point{c[0], c[1], c[2]}, geom.Point{c[3], c[4], c[5]}),
+			})
+		}
+	}
+	return out
+}
+
+// rawOf is boxesFrom's inverse, for the seed corpus.
+func rawOf(boxes ...geom.Box) []byte {
+	var raw []byte
+	for _, b := range boxes {
+		for _, p := range []geom.Point{b.Lo, b.Hi} {
+			for _, v := range p {
+				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+			}
+		}
+	}
+	return raw
+}
+
+// runsOf cuts elems into runs of one to four elements, with empty runs
+// between some of them, as the bits of cut choose.
+func runsOf(elems []geom.Element, cut uint8) [][]geom.Element {
+	var runs [][]geom.Element
+	for i := 0; i < len(elems); cut = cut>>3 | cut<<5 {
+		if cut&1 != 0 {
+			runs = append(runs, nil)
+		}
+		n := min(1+int(cut>>1&3), len(elems)-i)
+		runs = append(runs, elems[i:i+n])
+		i += n
+	}
+	return runs
+}
+
+// FuzzGridJoin: on boxes made of fuzzed bits — zero extent, shared faces,
+// coordinates one float64 ulp apart that one float32 holds both of, huge and
+// denormal magnitudes, -0 — cut into runs and grown or not, the grid join
+// emits every pair of the nested loop over Box.Expand-ed copies exactly once,
+// and nothing else: the float32 filter loses no pair and the exact test lets
+// none through. Its Comparisons are the lengths of the cell lists its probes
+// visited: for every (build, probe) pair, the number of cells both overlap.
+func FuzzGridJoin(f *testing.F) {
+	cube := func(lo, hi float64) geom.Box {
+		return geom.Box{Lo: geom.Point{lo, lo, lo}, Hi: geom.Point{hi, hi, hi}}
+	}
+	next := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	// Overlapping, nested and disjoint boxes of ordinary size.
+	f.Add(rawOf(cube(0, 10), cube(5, 6), cube(20, 30), cube(-3, 0), cube(40, 41), cube(2, 3)), rawOf(cube(9, 21), cube(5.5, 5.5), cube(100, 101), cube(0, 50)), 2.5, uint8(0x1b))
+	// Touching on faces and corners, across the cells of a grid of cubes.
+	f.Add(rawOf(cube(0, 1), cube(1, 2), cube(2, 3), cube(3, 4), cube(4, 5), cube(5, 6)), rawOf(cube(1, 1), cube(2, 4), cube(6, 7), cube(-1, 0)), 0.0, uint8(0x39))
+	// Apart in float32 rounded to nearest, touching in float64: the upper
+	// bound 1+2^-25 rounds to 1, below the probe's 1+2^-26.
+	f.Add(rawOf(cube(0, 1+0x1p-25), cube(16777215, 16777216)), rawOf(cube(1+0x1p-26, 2), cube(16777216, 16777219)), 0.0, uint8(0x05))
+	// Apart in float64, overlapping once rounded; and a gap closed by growing.
+	f.Add(rawOf(cube(16777215, 16777216), cube(0, 1)), rawOf(cube(16777217, 16777219), cube(next(1), 2)), 0.5, uint8(0xff))
+	// Zeroes of both signs, denormals of both widths, magnitudes beyond
+	// float32 and at the end of float64.
+	neg0 := math.Copysign(0, -1)
+	f.Add(
+		rawOf(cube(neg0, 0), cube(5e-324, 1e-310), cube(-1e-40, 1e-40), cube(-math.MaxFloat64, math.MaxFloat64), cube(1e39, 1e300)),
+		rawOf(cube(0, 0), cube(neg0, 5e-324), cube(1e-45, 1), cube(3e38, 1e39), cube(-1e300, -1e39), cube(math.MaxFloat32, next(math.MaxFloat32))),
+		1e-320, uint8(0x6c))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, grow float64, cut uint8) {
+		a, b := boxesFrom(rawA), boxesFrom(rawB)
+		if math.IsNaN(grow) || math.IsInf(grow, 0) {
+			grow = 1
+		}
+		for _, r := range []float64{0, math.Abs(grow)} {
+			grown := func(elems []geom.Element) []geom.Element {
+				out := slices.Clone(elems)
+				for i := range out {
+					out[i].Box.Grow(r)
+				}
+				return out
+			}
+			ga, gb := grown(a), grown(b)
+			got := map[geom.Pair]int{}
+			var g Grid
+			comps := g.Join(Batch{Runs: runsOf(a, cut), Grow: r}, Batch{Runs: runsOf(b, cut>>3), Grow: r}, func(x, y geom.Element) {
+				if x != ga[x.ID] || y != gb[y.ID] {
+					t.Fatalf("r=%g: emitted %+v and %+v, grown they are %+v and %+v", r, x, y, ga[x.ID], gb[y.ID])
+				}
+				got[geom.Pair{A: x.ID, B: y.ID}]++
+			})
+			want := 0
+			for _, x := range ga {
+				for _, y := range gb {
+					p := geom.Pair{A: x.ID, B: y.ID}
+					if x.Box.Intersects(y.Box) {
+						want++
+						if got[p] != 1 {
+							t.Fatalf("r=%g: pair %v (%v, %v) emitted %d times", r, p, x.Box, y.Box, got[p])
+						}
+					} else if got[p] != 0 {
+						t.Fatalf("r=%g: disjoint pair %v (%v, %v) emitted", r, p, x.Box, y.Box)
+					}
+				}
+			}
+			if len(got) != want {
+				t.Fatalf("r=%g: %d distinct pairs emitted, %d intersect", r, len(got), want)
+			}
+			g.Reset(Batch{Runs: [][]geom.Element{a}, Grow: r})
+			var shared uint64
+			for _, y := range gb {
+				q := g.cells(&y.Box)
+				for _, x := range ga {
+					e := g.cells(&x.Box)
+					shared += uint64(overlap(e.x0, e.x1, q.x0, q.x1) * overlap(e.y0, e.y1, q.y0, q.y1) * overlap(e.z0, e.z1, q.z0, q.z1))
+				}
+			}
+			if comps != shared {
+				t.Fatalf("r=%g: %d comparisons, but the probes share %d cells with the build elements", r, comps, shared)
+			}
+		}
+	})
+}
+
+// overlap is the number of integers in both [a0, a1] and [b0, b1].
+func overlap(a0, a1, b0, b1 int) int { return max(0, min(a1, b1)-max(a0, b0)+1) }
+
+// TestGridMemory: after Reset over N elements in k runs, the grid's own
+// arrays, counted by capacity, hold at most 28 bytes an element beside its
+// cell lists — no copy of a box or an ID — and after Join returns the grid
+// holds no reference to the runs it read, so a grid kept for the next join
+// (a pooled TRANSFORMERS side keeps one) pins no page it was handed.
+func TestGridMemory(t *testing.T) {
+	const n, k = 6000, 60
+	elems := datagen.Uniform(datagen.Config{N: n, Seed: 51, MaxSide: 20})
+	newRuns := func() ([][]geom.Element, []weak.Pointer[geom.Element]) {
+		runs := make([][]geom.Element, k)
+		refs := make([]weak.Pointer[geom.Element], k)
+		for i := range runs {
+			runs[i] = slices.Clone(elems[i*n/k : (i+1)*n/k])
+			refs[i] = weak.Make(&runs[i][0])
+		}
+		return runs, refs
+	}
+	pinned := func(refs []weak.Pointer[geom.Element]) int {
+		runtime.GC()
+		count := 0
+		for _, r := range refs {
+			if r.Value() != nil {
+				count++
+			}
+		}
+		return count
+	}
+	probe := Batch{Runs: [][]geom.Element{datagen.Uniform(datagen.Config{N: 2000, Seed: 52, MaxSide: 20})}, Grow: 1}
+
+	var g Grid
+	runs, refs := newRuns()
+	g.Reset(Batch{Runs: runs, Grow: 1})
+	if b := g.soa.Bytes(); b > 28*n {
+		t.Fatalf("%d elements in %d runs take %d bytes beside the cell lists, %.1f an element; want at most 28", n, k, b, float64(b)/n)
+	}
+	t.Logf("%d elements: %d bytes beside the cell lists, %d in them", n, g.soa.Bytes(), 4*(cap(g.starts)+cap(g.items)))
+	// Reset reads its runs until the grid is rebuilt: the check below sees
+	// a page the grid still holds.
+	runs = nil
+	if got := pinned(refs); got != k {
+		t.Fatalf("after Reset, %d of %d runs are still reachable; the grid reads them all", got, k)
+	}
+	runtime.KeepAlive(&g)
+
+	runs, refs = newRuns()
+	g.Join(Batch{Runs: runs, Grow: 1}, probe, func(geom.Element, geom.Element) {})
+	runs = nil
+	if got := pinned(refs); got != 0 {
+		t.Fatalf("after Join, the grid still pins %d of %d runs", got, k)
+	}
+	runtime.KeepAlive(&g)
 }
