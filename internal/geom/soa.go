@@ -15,8 +15,8 @@ import (
 // columns are a filter that loses nothing: a batched scan over them touches
 // only the six bound arrays, with no per-element struct loads. Every
 // candidate that passes is then decided by the float64 test on the run's own
-// element, so the filters report exactly what Box.Intersects does. The grid
-// hash join batches its per-cell candidate scans through FilterGather.
+// element, so FilterIntersect reports exactly what Box.Intersects does. The
+// grid hash join batches its per-cell candidate scans through Candidates.
 type SoA struct {
 	Lo, Hi [Dims][]float32
 	Loc    []uint32
@@ -116,12 +116,12 @@ func (s *SoA) splitRuns() {
 	s.runs = s.split
 }
 
-// growTo returns s resized to n, reallocated when it has no room: to n
-// exactly the first time, and to at least a quarter more than it held after
-// that, so a buffer reloaded with slowly growing batches reallocates rarely.
+// growTo returns s resized to n, reallocated to exactly n when it has no
+// room: a reloaded buffer holds what its largest batch needs and no more,
+// since it stops reallocating once it has seen that batch.
 func growTo[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n, max(n, cap(s)+cap(s)/4))
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -139,9 +139,8 @@ func (s *SoA) Locate() {
 }
 
 // Bytes is what the buffer's arrays hold, by capacity: 28 bytes an element
-// of the largest batch it was loaded with — up to a quarter more if it grew to
-// that batch from a smaller one — and a run header for each piece of a batch
-// it had to split.
+// of the largest batch it was loaded with, and a run header for each piece of
+// a batch it had to split.
 func (s *SoA) Bytes() int {
 	n := 4 * cap(s.Loc)
 	for d := 0; d < Dims; d++ {
@@ -184,15 +183,24 @@ func (s *SoA) FilterIntersect(q Box, from, to int, out []int32) []int32 {
 			out = append(out, int32(i))
 		}
 	}
-	return s.exact(q, out, start)
+	// Decide each candidate on its run's element.
+	kept := out[:start]
+	for _, i := range out[start:] {
+		if e := s.At(i); e.Box.Intersects(q) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
-// FilterGather is FilterIntersect over a gather list: idx holds candidate
-// positions (a grid cell's element list, a partition's candidate run) and the
-// survivors are appended to out as positions into the SoA, preserving idx
-// order. Like FilterIntersect it allocates nothing when out has capacity.
-func (s *SoA) FilterGather(q Box, idx []int32, out []int32) []int32 {
-	start := len(out)
+// Candidates is the float32 half of FilterIntersect over a gather list: idx
+// holds candidate positions (a grid cell's element list) and the positions
+// whose rounded boxes meet q are appended to out, in idx order. That is every
+// element whose box intersects q and possibly some a few float32 ulps short
+// of it: the caller decides each with At and Box.Intersects, as the grid join
+// does with the element it then emits. It allocates nothing when out has
+// capacity.
+func (s *SoA) Candidates(q Box, idx []int32, out []int32) []int32 {
 	// Every column has lo0's length: one bounds check covers all six.
 	lo0 := s.Lo[0]
 	n := len(lo0)
@@ -204,7 +212,7 @@ func (s *SoA) FilterGather(q Box, idx []int32, out []int32) []int32 {
 			out = append(out, i)
 		}
 	}
-	return s.exact(q, out, start)
+	return out
 }
 
 // b2i is 1 for true, so the filters combine their six tests without a branch
@@ -214,18 +222,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// exact keeps, of the candidates out[start:], those whose element intersects
-// q, in order.
-func (s *SoA) exact(q Box, out []int32, start int) []int32 {
-	kept := out[:start]
-	for _, i := range out[start:] {
-		if e := s.At(i); e.Box.Intersects(q) {
-			kept = append(kept, i)
-		}
-	}
-	return kept
 }
 
 // slack is more than one float32 ulp of v — |v|·2⁻²³ is at least the ulp of

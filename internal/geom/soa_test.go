@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -110,8 +111,9 @@ func TestSoALocatesAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSoAFilterMatchesIntersects: both filter forms agree exactly with
-// Box.Intersects — same touch-inclusive predicate, same order.
+// TestSoAFilterMatchesIntersects: FilterIntersect agrees exactly with
+// Box.Intersects — same touch-inclusive predicate, same order — and so do the
+// gather form's candidates once each is decided on its element.
 func TestSoAFilterMatchesIntersects(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
 	elems := randomElements(r, 500)
@@ -142,20 +144,26 @@ func TestSoAFilterMatchesIntersects(t *testing.T) {
 			}
 		}
 
-		out = s.FilterGather(query, idx, out[:0])
+		// Candidates is a superset, in idx order, that the exact test on
+		// each run element cuts to the same survivors.
+		out = s.Candidates(query, idx, out[:0])
 		want = want[:0]
 		for _, i := range idx {
 			if query.Intersects(elems[i].Box) {
 				want = append(want, i)
 			}
 		}
-		if len(out) != len(want) {
-			t.Fatalf("query %d gather: %d survivors, want %d", q, len(out), len(want))
-		}
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatalf("query %d gather: survivor %d = %d, want %d", q, i, out[i], want[i])
+		var kept []int32
+		for k, i := range out {
+			if k > 0 && i <= out[k-1] {
+				t.Fatalf("query %d gather: candidates out of order: %v", q, out)
 			}
+			if s.At(i).Box.Intersects(query) {
+				kept = append(kept, i)
+			}
+		}
+		if !slices.Equal(kept, want) {
+			t.Fatalf("query %d gather: exact survivors %v, want %v", q, kept, want)
 		}
 	}
 }
@@ -174,7 +182,7 @@ func TestSoAFilterAllocFree(t *testing.T) {
 	out := make([]int32, 0, s.Len())
 	if avg := testing.AllocsPerRun(20, func() {
 		out = s.FilterIntersect(q, 0, s.Len(), out[:0])
-		out = s.FilterGather(q, idx, out[:0])
+		out = s.Candidates(q, idx, out[:0])
 	}); avg != 0 {
 		t.Fatalf("filters allocate %.1f times per run, want 0", avg)
 	}

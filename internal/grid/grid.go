@@ -270,15 +270,18 @@ func (g *Grid) Probe(q geom.Element, emit func(build geom.Element)) {
 					continue
 				}
 				g.Comparisons += uint64(len(cell))
-				g.hits = g.soa.FilterGather(q.Box, cell, g.hits[:0])
+				g.hits = g.soa.Candidates(q.Box, cell, g.hits[:0])
 				for _, bi := range g.hits {
+					b := g.soa.At(bi)
+					if !b.Box.Intersects(q.Box) {
+						continue // the float32 bounds let it through
+					}
 					// Reference-point dedup: report only in the cell holding
 					// the intersection's low corner, the componentwise max of
 					// the two low bounds. Cell indexes are monotone, so that
 					// cell is, per dimension, the later of the two boxes'
 					// first cells; both are at most this one, so it is this
 					// one where either box starts here.
-					b := g.soa.At(bi)
 					if (x == c.x0 || g.cell(b.Box.Lo[0], 0) == x) &&
 						(y == c.y0 || g.cell(b.Box.Lo[1], 1) == y) &&
 						(z == c.z0 || g.cell(b.Box.Lo[2], 2) == z) {
