@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"math/bits"
-	"unsafe"
 )
 
 // SoA is a filter over element runs it reads in place, which must not change
@@ -136,17 +135,6 @@ func (s *SoA) Locate() {
 			i++
 		}
 	}
-}
-
-// Bytes is what the buffer's arrays hold, by capacity: 28 bytes an element
-// of the largest batch it was loaded with, and a run header for each piece of
-// a batch it had to split.
-func (s *SoA) Bytes() int {
-	n := 4 * cap(s.Loc)
-	for d := 0; d < Dims; d++ {
-		n += 4 * (cap(s.Lo[d]) + cap(s.Hi[d]))
-	}
-	return n + int(unsafe.Sizeof(s.split[0]))*cap(s.split)
 }
 
 // Len returns the number of elements in the buffer.

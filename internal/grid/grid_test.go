@@ -308,10 +308,11 @@ func runsOf(elems []geom.Element, cut uint8) [][]geom.Element {
 // FuzzGridJoin: on boxes made of fuzzed bits — zero extent, shared faces,
 // coordinates one float64 ulp apart that one float32 holds both of, huge and
 // denormal magnitudes, -0 — cut into runs and grown or not, the grid join
-// emits every pair of the nested loop over Box.Expand-ed copies exactly once,
-// and nothing else: the float32 filter loses no pair and the exact test lets
-// none through. Its Comparisons are the lengths of the cell lists its probes
-// visited: for every (build, probe) pair, the number of cells both overlap.
+// emits every pair of the nested loop over grown copies exactly once, as those
+// copies, and nothing else: the float32 filter loses no pair and the exact
+// test lets none through. Its Comparisons are the lengths of the cell lists
+// its probes visited: for every (build, probe) pair, the number of cells both
+// overlap.
 func FuzzGridJoin(f *testing.F) {
 	cube := func(lo, hi float64) geom.Box {
 		return geom.Box{Lo: geom.Point{lo, lo, lo}, Hi: geom.Point{hi, hi, hi}}
@@ -423,10 +424,16 @@ func TestGridMemory(t *testing.T) {
 	var g Grid
 	runs, refs := newRuns()
 	g.Reset(Batch{Runs: runs, Grow: 1})
-	if b := g.soa.Bytes(); b > 28*n {
-		t.Fatalf("%d elements in %d runs take %d bytes beside the cell lists, %.1f an element; want at most 28", n, k, b, float64(b)/n)
+	// Everything the grid allocates per element: the SoA's columns, and the
+	// probe scratch, which Reset does not touch.
+	held := 4*cap(g.soa.Loc) + 4*cap(g.hits)
+	for d := 0; d < geom.Dims; d++ {
+		held += 4 * (cap(g.soa.Lo[d]) + cap(g.soa.Hi[d]))
 	}
-	t.Logf("%d elements: %d bytes beside the cell lists, %d in them", n, g.soa.Bytes(), 4*(cap(g.starts)+cap(g.items)))
+	if held > 28*n {
+		t.Fatalf("%d elements in %d runs take %d bytes beside the cell lists, %.1f an element; want at most 28", n, k, held, float64(held)/n)
+	}
+	t.Logf("%d elements: %d bytes beside the cell lists, %d in them", n, held, 4*(cap(g.starts)+cap(g.items)))
 	// Reset reads its runs until the grid is rebuilt: the check below sees
 	// a page the grid still holds.
 	runs = nil
@@ -442,4 +449,16 @@ func TestGridMemory(t *testing.T) {
 		t.Fatalf("after Join, the grid still pins %d of %d runs", got, k)
 	}
 	runtime.KeepAlive(&g)
+}
+
+// TestJoinProbeReachingFarPastTheGrid: a probe box whose upper bound lies
+// more cells past the grid than an int holds still visits the cells up to the
+// grid's last, where its pairs are.
+func TestJoinProbeReachingFarPastTheGrid(t *testing.T) {
+	build := datagen.Uniform(datagen.Config{N: 500, Seed: 3, MaxSide: 5, World: geom.Box{Hi: geom.Point{100, 100, 100}}})
+	probe := []geom.Element{{ID: 1, Box: geom.Box{Lo: geom.Point{50, 50, 50}, Hi: geom.Point{1e300, 1e300, 1e300}}}}
+	got, want := collect(build, probe), naive.Join(build, probe)
+	if len(want) == 0 || !naive.Equal(got, want) {
+		t.Fatalf("grid join found %d pairs, naive %d", len(got), len(want))
+	}
 }
