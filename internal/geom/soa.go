@@ -24,10 +24,8 @@ type SoA struct {
 	runs  [][]Element
 	grow  float64
 	shift uint
-	// one is the run list of Load; split holds runs cut to 1<<shift
-	// elements when the runs as given cannot be numbered in 32 bits.
-	one   [1][]Element
-	split [][]Element
+	// one is the run list of Load.
+	one [1][]Element
 }
 
 // MakeSoA loads elems into a fresh SoA, preserving order.
@@ -59,9 +57,10 @@ func (s *SoA) LoadGrown(runs [][]Element, r float64) (mbb Box, sides float64) {
 	}
 	s.runs, s.grow = runs, r
 	s.shift = uint(bits.Len(uint(max(longest, 1) - 1)))
-	clear(s.split[:cap(s.split)])
+	// Full runs of one length, as full pages are, take fewer than twice their
+	// elements in locator slots, and the grid numbers its elements in int32s.
 	if len(runs)<<s.shift > 1<<32 {
-		s.splitRuns()
+		panic("geom: runs too many and too short for a 32-bit run<<shift|offset locator")
 	}
 	s.Loc = growTo(s.Loc, n)
 	for d := 0; d < Dims; d++ {
@@ -70,7 +69,7 @@ func (s *SoA) LoadGrown(runs [][]Element, r float64) (mbb Box, sides float64) {
 	}
 	mbb = EmptyBox()
 	i := 0
-	for ri, run := range s.runs {
+	for ri, run := range runs {
 		for off := range run {
 			b := run[off].Box
 			b.Grow(r)
@@ -91,30 +90,6 @@ func (s *SoA) LoadGrown(runs [][]Element, r float64) (mbb Box, sides float64) {
 	return mbb, sides
 }
 
-// splitRuns cuts s.runs into pieces of 1<<shift elements, shrinking shift
-// until the pieces can be numbered in the bits it leaves.
-func (s *SoA) splitRuns() {
-	pieces := func(shift uint) int {
-		k := 0
-		for _, run := range s.runs {
-			k += (len(run) + 1<<shift - 1) >> shift
-		}
-		return k
-	}
-	for pieces(s.shift) > 1<<(32-s.shift) {
-		s.shift--
-	}
-	s.split = s.split[:0]
-	for _, run := range s.runs {
-		for len(run) > 0 {
-			k := min(len(run), 1<<s.shift)
-			s.split = append(s.split, run[:k])
-			run = run[k:]
-		}
-	}
-	s.runs = s.split
-}
-
 // growTo returns s resized to n, reallocated to exactly n when it has no
 // room: a reloaded buffer holds what its largest batch needs and no more,
 // since it stops reallocating once it has seen that batch.
@@ -123,18 +98,6 @@ func growTo[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// Locate writes Loc again as LoadGrown wrote it: between the two, a caller
-// may use the column as per-element scratch.
-func (s *SoA) Locate() {
-	i := 0
-	for ri, run := range s.runs {
-		for off := range run {
-			s.Loc[i] = uint32(ri)<<s.shift | uint32(off)
-			i++
-		}
-	}
 }
 
 // Len returns the number of elements in the buffer.
@@ -152,7 +115,6 @@ func (s *SoA) At(i int32) Element {
 // keeping its arrays for the next load; At must not be called until then.
 func (s *SoA) Release() {
 	s.runs, s.one[0] = nil, nil
-	clear(s.split[:cap(s.split)])
 }
 
 // FilterIntersect appends to out the indexes in [from, to) whose boxes

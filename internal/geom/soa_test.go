@@ -52,7 +52,7 @@ func TestSoARoundTrip(t *testing.T) {
 // TestSoALocatesAcrossRuns: LoadGrown over runs of every length, empty ones
 // included, locates each element in its run, grown; the MBB and extent sum it
 // returns are MBBOf's and the element-order sum over the grown copies, bit for
-// bit; and runs too many to number in 32 bits are split, not misnumbered.
+// bit; and Release drops the runs.
 func TestSoALocatesAcrossRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(75))
 	elems := randomElements(r, 700)
@@ -83,30 +83,6 @@ func TestSoALocatesAcrossRuns(t *testing.T) {
 		s.Release()
 		if s.runs != nil {
 			t.Fatal("Release kept the runs")
-		}
-	}
-	// 2^16 one-element runs beside one of 2^16: run<<16 overflows 32 bits.
-	long := make([]Element, 1<<16)
-	for i := range long {
-		long[i].ID = uint64(i)
-	}
-	one := []Element{{ID: 1 << 40}}
-	many := [][]Element{long}
-	for len(many) <= 1<<16 {
-		many = append(many, one)
-	}
-	var s SoA
-	s.LoadGrown(many, 0)
-	if got := s.At(int32(len(long) - 1)).ID; got != uint64(len(long)-1) {
-		t.Fatalf("the long run's last element is %d", got)
-	}
-	if got := s.At(int32(s.Len() - 1)).ID; got != 1<<40 {
-		t.Fatalf("the last one-element run holds %d", got)
-	}
-	s.Release()
-	for _, run := range s.split[:cap(s.split)] {
-		if run != nil {
-			t.Fatal("Release kept a split run")
 		}
 	}
 }

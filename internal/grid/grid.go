@@ -33,9 +33,6 @@ const targetPerCell = 4
 // maxCells caps the grid so degenerate configurations cannot exhaust memory.
 const maxCells = 1 << 22
 
-// spans marks, while Reset counts, an element that is not in exactly one cell.
-const spans = math.MaxUint32
-
 // Grid is a uniform spatial hash over one element set.
 //
 // A Grid is confined to one goroutine: Probe mutates the Comparisons
@@ -162,33 +159,21 @@ func (g *Grid) Reset(build Batch) {
 	// Counting sort of (cell, element) assignments: count per cell, prefix
 	// sum into start offsets, then place — each cell's run ends up in element
 	// order, as appending per cell would leave it. The cells come from the
-	// exact bounds, so the counting pass reads the runs, grown again, not the
-	// float32 columns. It leaves each element's cell, where it has one, in
-	// the locator column, and placing reads that back instead of the element
-	// before the locators are written again: most elements lie in one cell.
+	// exact bounds, so both passes read the runs, grown again, not the
+	// float32 columns.
 	g.starts = slices.Grow(g.starts[:0], total+1)[:total+1]
 	clear(g.starts)
-	loc := g.soa.Loc
-	i := 0
 	for _, run := range build.Runs {
 		for _, e := range run {
 			e.Box.Grow(build.Grow)
 			c := g.cells(&e.Box)
-			if c.x0 == c.x1 && c.y0 == c.y1 && c.z0 == c.z1 {
-				ci := g.cellIndex(c.x0, c.y0, c.z0)
-				g.starts[ci+1]++
-				loc[i] = uint32(ci)
-			} else {
-				for x := c.x0; x <= c.x1; x++ {
-					for y := c.y0; y <= c.y1; y++ {
-						for z, ci := c.z0, g.cellIndex(x, y, c.z0); z <= c.z1; z, ci = z+1, ci+1 {
-							g.starts[ci+1]++
-						}
+			for x := c.x0; x <= c.x1; x++ {
+				for y := c.y0; y <= c.y1; y++ {
+					for z, ci := c.z0, g.cellIndex(x, y, c.z0); z <= c.z1; z, ci = z+1, ci+1 {
+						g.starts[ci+1]++
 					}
 				}
-				loc[i] = spans
 			}
-			i++
 		}
 	}
 	for ci := 0; ci < total; ci++ {
@@ -196,22 +181,15 @@ func (g *Grid) Reset(build Batch) {
 	}
 	assigned := int(g.starts[total])
 	g.items = slices.Grow(g.items[:0], assigned)[:assigned]
-	i = 0
+	i := int32(0)
 	for _, run := range build.Runs {
-		for k := range run {
-			if ci := loc[i]; ci != spans {
-				g.items[g.starts[ci]] = int32(i)
-				g.starts[ci]++
-				i++
-				continue
-			}
-			e := run[k]
+		for _, e := range run {
 			e.Box.Grow(build.Grow)
 			c := g.cells(&e.Box)
 			for x := c.x0; x <= c.x1; x++ {
 				for y := c.y0; y <= c.y1; y++ {
 					for z, ci := c.z0, g.cellIndex(x, y, c.z0); z <= c.z1; z, ci = z+1, ci+1 {
-						g.items[g.starts[ci]] = int32(i)
+						g.items[g.starts[ci]] = i
 						g.starts[ci]++
 					}
 				}
@@ -219,7 +197,6 @@ func (g *Grid) Reset(build Batch) {
 			i++
 		}
 	}
-	g.soa.Locate()
 	// Placing advanced every start to its cell's end: shift back by one cell.
 	copy(g.starts[1:], g.starts[:total])
 	g.starts[0] = 0

@@ -6,9 +6,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"weak"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/geom"
@@ -400,30 +401,31 @@ func overlap(a0, a1, b0, b1 int) int { return max(0, min(a1, b1)-max(a0, b0)+1) 
 func TestGridMemory(t *testing.T) {
 	const n, k = 6000, 60
 	elems := datagen.Uniform(datagen.Config{N: n, Seed: 51, MaxSide: 20})
-	newRuns := func() ([][]geom.Element, []weak.Pointer[geom.Element]) {
+	// newRuns clones elems into k runs and counts in freed the runs the
+	// collector finds unreachable, by a finalizer on each run's first
+	// element, the start of its allocation.
+	newRuns := func(freed *atomic.Int32) [][]geom.Element {
 		runs := make([][]geom.Element, k)
-		refs := make([]weak.Pointer[geom.Element], k)
 		for i := range runs {
 			runs[i] = slices.Clone(elems[i*n/k : (i+1)*n/k])
-			refs[i] = weak.Make(&runs[i][0])
+			runtime.SetFinalizer(&runs[i][0], func(*geom.Element) { freed.Add(1) })
 		}
-		return runs, refs
+		return runs
 	}
-	pinned := func(refs []weak.Pointer[geom.Element]) int {
-		runtime.GC()
-		count := 0
-		for _, r := range refs {
-			if r.Value() != nil {
-				count++
-			}
+	// sweep collects until all k runs are freed or it has tried 20 times, and
+	// returns how many were; finalizers run on a goroutine of their own.
+	sweep := func(freed *atomic.Int32) int {
+		for try := 0; try < 20 && freed.Load() < k; try++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
 		}
-		return count
+		return int(freed.Load())
 	}
 	probe := Batch{Runs: [][]geom.Element{datagen.Uniform(datagen.Config{N: 2000, Seed: 52, MaxSide: 20})}, Grow: 1}
 
 	var g Grid
-	runs, refs := newRuns()
-	g.Reset(Batch{Runs: runs, Grow: 1})
+	var freedReset, freedJoin atomic.Int32
+	g.Reset(Batch{Runs: newRuns(&freedReset), Grow: 1})
 	// Everything the grid allocates per element: the SoA's columns, and the
 	// probe scratch, which Reset does not touch.
 	held := 4*cap(g.soa.Loc) + 4*cap(g.hits)
@@ -436,17 +438,14 @@ func TestGridMemory(t *testing.T) {
 	t.Logf("%d elements: %d bytes beside the cell lists, %d in them", n, held, 4*(cap(g.starts)+cap(g.items)))
 	// Reset reads its runs until the grid is rebuilt: the check below sees
 	// a page the grid still holds.
-	runs = nil
-	if got := pinned(refs); got != k {
-		t.Fatalf("after Reset, %d of %d runs are still reachable; the grid reads them all", got, k)
+	if got := sweep(&freedReset); got != 0 {
+		t.Fatalf("after Reset, %d of %d runs were collected; the grid reads them all", got, k)
 	}
 	runtime.KeepAlive(&g)
 
-	runs, refs = newRuns()
-	g.Join(Batch{Runs: runs, Grow: 1}, probe, func(geom.Element, geom.Element) {})
-	runs = nil
-	if got := pinned(refs); got != 0 {
-		t.Fatalf("after Join, the grid still pins %d of %d runs", got, k)
+	g.Join(Batch{Runs: newRuns(&freedJoin), Grow: 1}, probe, func(geom.Element, geom.Element) {})
+	if got := sweep(&freedJoin); got != k {
+		t.Fatalf("after Join, the grid still pins %d of %d runs", k-got, k)
 	}
 	runtime.KeepAlive(&g)
 }
