@@ -113,8 +113,8 @@ func TestGrownJoinReadsInPlace(t *testing.T) {
 			got.Comparisons, got.MetaComparisons, got.IO.Reads, want.Comparisons, want.MetaComparisons, want.IO.Reads)
 	}
 
-	// The best of several warm joins is judged: a collection may empty the
-	// side pools, and under the race detector sync.Pool drops puts at random.
+	// The best of several warm joins is judged: a collection or the race
+	// detector's bookkeeping may allocate in the window.
 	var results uint64
 	count := func(geom.Element, geom.Element) { results++ }
 	best := uint64(math.MaxUint64)
@@ -146,13 +146,11 @@ func TestGrownJoinReadsInPlace(t *testing.T) {
 		}
 	}
 	runs := 0
-	for _, pool := range []*sync.Pool{ia.sides, ib.sides} {
-		s, _ := pool.Get().(*side)
-		if s == nil {
-			t.Log("a side pool is empty (collected, or dropped under the race detector)")
-			continue
+	for _, pool := range []*sidePool{ia.sides, ib.sides} {
+		if len(pool.idle) == 0 {
+			t.Fatal("an index holds no idle side after its joins returned")
 		}
-		for _, run := range s.runs {
+		for _, run := range pool.idle[0].runs {
 			if len(run) == 0 {
 				continue
 			}
@@ -161,9 +159,8 @@ func TestGrownJoinReadsInPlace(t *testing.T) {
 			}
 			runs++
 		}
-		pool.Put(s)
 	}
-	t.Logf("the pooled sides' last batches are %d page views", runs)
+	t.Logf("the idle sides' last batches are %d page views", runs)
 }
 
 // TestGrownExtremes: radii at the ends of float64 — half the largest distance
@@ -243,6 +240,68 @@ func TestGrownViewsShareSidePool(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSidesBuiltOnlyWhenNoneIdle: an index builds a side only when none of
+// its own or its views' sides is idle. Across joins at one to three workers,
+// through the index and through Grown views, a range query, and two
+// collections before each step (which empty a sync.Pool), each index has
+// built as many sides as one join held at once; and joins running
+// concurrently build no more than are in flight.
+func TestSidesBuiltOnlyWhenNoneIdle(t *testing.T) {
+	a := datagen.Uniform(datagen.Config{N: 30000, Seed: 91, MaxSide: 8})
+	b := datagen.DenseCluster(datagen.Config{N: 20000, Seed: 92, MaxSide: 8})
+	ia, ib := dataIndex(t, a), dataIndex(t, b)
+	built := func(idx *Index) int {
+		idx.sides.mu.Lock()
+		defer idx.sides.mu.Unlock()
+		return idx.sides.built
+	}
+	join := func(va, vb *Index, workers int) {
+		if _, err := Join(va, vb, JoinConfig{Parallelism: workers}, func(geom.Element, geom.Element) {}); err != nil {
+			t.Error(err)
+		}
+	}
+	held := 0 // the most sides of one index a single join has held
+	for _, step := range []struct {
+		r       float64
+		workers int
+	}{{0, 1}, {0, 1}, {4, 1}, {0, 3}, {4, 2}, {0, 1}, {4, 3}, {0, 2}} {
+		runtime.GC()
+		runtime.GC()
+		join(ia.Grown(step.r), ib.Grown(step.r), step.workers)
+		held = max(held, len(chunkGuide(ia, step.workers)))
+		if ga, gb := built(ia), built(ib); ga != held || gb != held {
+			t.Fatalf("after a join at r=%v over %d workers the indexes built %d and %d sides; at most %d were in use at once",
+				step.r, step.workers, ga, gb, held)
+		}
+	}
+	if held != 3 {
+		t.Fatalf("fixture: the guide splits into %d chunks at most, not 3", held)
+	}
+	runtime.GC()
+	if _, _, err := ia.Grown(2).RangeQuery(geom.NewBox(geom.Point{0, 0, 0}, geom.Point{500, 500, 500}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := built(ia); got != held {
+		t.Fatalf("a range query after the joins built a side: %d built", got)
+	}
+
+	const goroutines = 6
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				join(ia.Grown(float64(g%3)), ib.Grown(float64(g%3)), 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if ga, gb := built(ia), built(ib); ga > max(held, goroutines) || gb > max(held, goroutines) {
+		t.Fatalf("%d concurrent one-worker joins left %d and %d sides built", goroutines, ga, gb)
+	}
 }
 
 // BenchmarkGrown measures making one distance view: a pass over the

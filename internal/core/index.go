@@ -56,7 +56,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -149,11 +148,10 @@ type Index struct {
 	// grow is what Grown added to every descriptor box and what a join adds
 	// to each element where it uses it; zero for a built index.
 	grow float64
-	// sides pools the per-run state of joins and range queries over this
-	// index and its Grown views (*side, see acquireSide), so its scratch
-	// outlives one run. The pool dies with them and gives idle entries back
-	// to the collector.
-	sides *sync.Pool
+	// sides holds the idle per-run state of joins and range queries over
+	// this index and its Grown views (see acquireSide), so its scratch
+	// outlives one run. It dies with them.
+	sides *sidePool
 }
 
 // BuildStats reports indexing cost.
@@ -218,7 +216,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 		world = world.Union(bounds)
 	}
 
-	idx := &Index{st: st, world: world, size: n, sides: new(sync.Pool)}
+	idx := &Index{st: st, world: world, size: n, sides: new(sidePool)}
 	var bs BuildStats
 
 	// Level 1: space units — STR partitions of elements (element ranges and

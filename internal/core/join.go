@@ -102,6 +102,7 @@ type JoinStats struct {
 // query reports one.
 type side struct {
 	idx        *Index
+	pool       *sidePool    // the free list it returns to
 	st         *storage.LRU // buffer pool over the run's store view; cold at acquire
 	checked    []bool       // per node: fully processed as pivot
 	remaining  int          // unchecked node count
@@ -139,16 +140,36 @@ type side struct {
 	grid grid.Grid        // in-memory join built over this side's batch
 }
 
-// acquireSide takes a side of idx from the index's pool (or builds the first
-// one) and readies it for a run reading through base (the private store
-// reader of one join worker or one range query): nothing checked, walks
-// unpositioned, buffer pool cold. The pool is shared with idx's Grown views,
-// whose descriptor counts are idx's, so the side may last have served another
-// of them. release hands it back.
+// sidePool is the free list of an index's idle sides, shared with its Grown
+// views, whose descriptor counts are the index's. A side goes back on it when
+// its run ends and stays there until the index and its views are collected,
+// so a join takes any idle side whichever goroutine runs it, and the index
+// never builds more sides than were in use at once.
+type sidePool struct {
+	mu    sync.Mutex
+	idle  []*side
+	built int // sides ever made for the index
+}
+
+// acquireSide takes an idle side of idx (or builds one when none is idle)
+// and readies it for a run reading through base (the private store reader of
+// one join worker or one range query): nothing checked, walks unpositioned,
+// buffer pool cold. The side may last have served another of idx's views.
+// release hands it back.
 func acquireSide(idx *Index, base storage.Store, isA bool) *side {
-	s, _ := idx.sides.Get().(*side)
+	p := idx.sides
+	p.mu.Lock()
+	var s *side
+	if n := len(p.idle); n > 0 {
+		s, p.idle[n-1] = p.idle[n-1], nil
+		p.idle = p.idle[:n-1]
+	} else {
+		p.built++
+	}
+	p.mu.Unlock()
 	if s == nil {
 		s = &side{
+			pool:       p,
 			st:         storage.NewLRU(nil, 0),
 			checked:    make([]bool, len(idx.nodes)),
 			nodeWalker: newWalker(len(idx.nodes)),
@@ -166,9 +187,16 @@ func acquireSide(idx *Index, base storage.Store, isA bool) *side {
 	return s
 }
 
-// release returns the side to its index's pool; the caller must not use it
-// (or any slice it got from it) afterwards.
-func (s *side) release() { s.idx.sides.Put(s) }
+// release puts the side back on its free list; the caller must not use it
+// (or any slice it got from it) afterwards. The side forgets the view it
+// served, so an idle side pins no view's descriptors.
+func (s *side) release() {
+	s.idx = nil
+	p := s.pool
+	p.mu.Lock()
+	p.idle = append(p.idle, s)
+	p.mu.Unlock()
+}
 
 // nextUnchecked returns the next pivot node in Hilbert order, skipping
 // checked nodes. The caller guarantees remaining > 0.
@@ -345,7 +373,7 @@ func newJoinRun(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element), stA
 	return r
 }
 
-// release hands the run's sides back to their indexes' pools.
+// release hands the run's sides back to their indexes' free lists.
 func (r *joinRun) release() {
 	r.sides[0].release()
 	r.sides[1].release()
@@ -446,9 +474,13 @@ func Join(ia, ib *Index, cfg JoinConfig, emit func(a, b geom.Element)) (JoinStat
 		wg.Wait()
 	}
 
+	// Released last worker first, so the next join's worker i takes the
+	// sides this one's worker i held.
+	for i := len(runs) - 1; i >= 0; i-- {
+		runs[i].release()
+	}
 	var stats JoinStats
 	for i, r := range runs {
-		r.release()
 		stats = mergeStats(stats, r.stats)
 		stats.IO = stats.IO.Add(readersA[i].Stats())
 		if !sharedStore {

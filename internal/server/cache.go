@@ -75,15 +75,15 @@ type JoinSummary struct {
 
 // DeltaSummary reports how one executed join composed its inputs' append
 // deltas: the delta sizes at execution time, and — on the prebuilt
-// TRANSFORMERS path — how many inmem sub-joins ran and what they
+// TRANSFORMERS path — how many grid sub-joins ran and what they
 // contributed. The inmem partition folds the delta into its input instead,
 // so SubJoins stays 0 and the sub-join pair count is not separable from the
 // base result.
 type DeltaSummary struct {
 	ElementsA int `json:"elements_a"`
 	ElementsB int `json:"elements_b"`
-	// SubJoins counts the extra inmem sub-joins the composition ran
-	// (base×delta, delta×base, delta×delta — empty sides are skipped).
+	// SubJoins counts the grid sub-joins the composition ran (base×delta,
+	// delta×base, delta×delta — empty sides are skipped).
 	SubJoins int `json:"sub_joins,omitempty"`
 	// Pairs counts the result pairs the sub-joins contributed.
 	Pairs uint64 `json:"pairs,omitempty"`

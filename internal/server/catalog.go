@@ -535,9 +535,9 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 // catalog's own storage — base is the base index's data pages, delta the
 // capped header of the append buffer, whose elements are never rewritten
 // (later appends land past its length or on a fresh array). Both are
-// read-only: callers must pass them only to engines that neither reorder nor
-// write their inputs (the inmem delta sub-joins qualify; the distance path
-// copies before expanding either way). Reading through the handle's
+// read-only: callers must pass them only to joins that neither reorder nor
+// write their inputs (the delta sub-joins' grid reads them in place and grows
+// each box as it takes it). Reading through the handle's
 // generation — not the dataset's current one — keeps the composition
 // consistent with the index the join actually runs on, even if a merge
 // installs a successor generation mid-join.

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/transformers"
 )
@@ -104,9 +106,10 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 		// Catalog path: reuse the prebuilt indexes (for distance joins, their
 		// grown views) through the registry's prebuilt option. A non-empty
 		// delta buffer composes on top: the prebuilt indexes cover
-		// base×base, and the delta sub-joins run inmem afterwards against
-		// the same generation — the handles fix which (base, delta)
-		// snapshot this join describes even if a merge installs a successor
+		// base×base, and the delta sub-joins (deltaJoin: grid joins over the
+		// base arrays and deltas, read in place) run afterwards against the
+		// same generation — the handles fix which (base, delta) snapshot
+		// this join describes even if a merge installs a successor
 		// generation mid-join.
 		run = func(ctx context.Context) error {
 			cctx, cat := obs.Start(ctx, "catalog")
@@ -128,7 +131,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
 			}, emit)
 			if err == nil && len(deltaA)+len(deltaB) > 0 {
-				ex.delta, err = s.deltaJoin(ctx, ex.res, baseA, baseB, deltaA, deltaB, p, jp, emit)
+				ex.delta, err = s.deltaJoin(ctx, ex.res, baseA, baseB, deltaA, deltaB, p.Distance, emit)
 			}
 			return err
 		}
@@ -192,22 +195,36 @@ func (s *Service) storeResult(ex execution, res *CachedJoin) {
 }
 
 // deltaJoin composes the append-delta sub-joins of one prebuilt-path join:
-// base×delta, delta×base and delta×delta run through the inmem engine on the
-// pinned generation's snapshot, into the same emit as the base join — so
-// buffering and delivery apply to delta pairs exactly as to base pairs. The
-// three sub-joins partition the non-base×base pairs of
+// base×delta, delta×base and delta×delta, into the same emit as the base
+// join — so buffering and delivery apply to delta pairs exactly as to base
+// pairs. Each is a grid hash join, all three in one grid.Grid, built over the
+// smaller side and probed with the other, each pair emitted A-first. Both
+// sides are read in place — the pinned generation's base array and delta
+// header — with every box grown by distance/2 as the grid takes it, as the
+// base join's grown views grow theirs; so the composition allocates the grid
+// over the smaller side, never anything in proportion to the base. The three
+// sub-joins partition the non-base×base pairs of
 // (baseA ∪ deltaA)×(baseB ∪ deltaB), so the composed result is multiset-equal
-// to a full rebuild by construction; empty sides are skipped. Distance joins
-// pass Options.Distance so the inmem engine expands the delta inputs exactly
-// as the catalog pre-expanded the base indexes.
-func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, p JoinParams, jp joinPlan, emit engine.EmitFunc) (*DeltaSummary, error) {
-	dctx, span := obs.Start(ctx, "delta-join")
+// to a full rebuild by construction; empty sides are skipped. Their
+// comparisons, pairs and wall time are added to res's stats, which the
+// summary and the planner sample report.
+func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, distance float64, emit engine.EmitFunc) (*DeltaSummary, error) {
+	_, span := obs.Start(ctx, "delta-join")
 	sum := &DeltaSummary{ElementsA: len(deltaA), ElementsB: len(deltaB)}
-	opt := engine.Options{
-		Distance:    p.Distance,
-		Parallelism: jp.parallelism,
+	var (
+		g             grid.Grid
+		built, probed int
+		comparisons   uint64
+		err           error // the first emit error, or the context's
+	)
+	emitPair := func(a, b geom.Element) {
+		if err == nil {
+			if err = emit(geom.Pair{A: a.ID, B: b.ID}); err == nil {
+				sum.Pairs++
+			}
+		}
 	}
-	var pairs uint64
+	start := time.Now()
 	for _, sj := range [3]struct{ ea, eb []transformers.Element }{
 		{baseA, deltaB},
 		{deltaA, baseB},
@@ -216,40 +233,41 @@ func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, base
 		if len(sj.ea) == 0 || len(sj.eb) == 0 {
 			continue
 		}
-		sub, err := engine.RunStream(dctx, engine.InMem, sj.ea, sj.eb, opt, emit)
-		if err != nil {
-			span.End()
-			return nil, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		mergeDeltaStats(&res.Stats, sub.Stats)
-		pairs += sub.Stats.Refinements
+		a := grid.Batch{Runs: [][]geom.Element{sj.ea}, Grow: distance / 2}
+		b := grid.Batch{Runs: [][]geom.Element{sj.eb}, Grow: distance / 2}
+		if len(sj.ea) <= len(sj.eb) {
+			comparisons += g.Join(a, b, emitPair)
+		} else {
+			comparisons += g.Join(b, a, func(be, ae geom.Element) { emitPair(ae, be) })
+		}
+		built += min(len(sj.ea), len(sj.eb))
+		probed += max(len(sj.ea), len(sj.eb))
 		sum.SubJoins++
+		if err != nil {
+			break
+		}
 	}
+	wall := time.Since(start)
 	span.End()
 	span.Add("delta_a", int64(len(deltaA)))
 	span.Add("delta_b", int64(len(deltaB)))
 	span.Add("sub_joins", int64(sum.SubJoins))
-	span.Add("pairs", int64(pairs))
-	sum.Pairs = pairs
+	span.Add("build", int64(built))
+	span.Add("probe", int64(probed))
+	span.Add("comparisons", int64(comparisons))
+	span.Add("pairs", int64(sum.Pairs))
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Candidates += comparisons
+	res.Stats.Refinements += sum.Pairs
+	res.Stats.JoinWall += wall
+	res.Stats.JoinTotal += wall
 	s.deltaJoins.Add(1)
 	return sum, nil
-}
-
-// mergeDeltaStats folds one delta sub-join's cost into the composed result's
-// stats, so the summary (and the planner accuracy sample derived from it)
-// prices the work that actually ran, not just the base join.
-func mergeDeltaStats(dst *engine.Stats, sub engine.Stats) {
-	dst.BuildWall += sub.BuildWall
-	dst.BuildIOTime += sub.BuildIOTime
-	dst.BuildTotal += sub.BuildTotal
-	dst.IndexedPages += sub.IndexedPages
-	dst.JoinWall += sub.JoinWall
-	dst.JoinIOTime += sub.JoinIOTime
-	dst.JoinTotal += sub.JoinTotal
-	dst.PagesRead += sub.PagesRead
-	dst.Candidates += sub.Candidates
-	dst.MetaComparisons += sub.MetaComparisons
-	dst.Refinements += sub.Refinements
 }
 
 // summarize flattens one executed result into the cacheable cost summary and

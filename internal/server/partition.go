@@ -14,8 +14,10 @@ import (
 // the two generations (pointer identity — never (name, version), which two
 // catalogs in one process share), the delta prefix each side had absorbed,
 // and the distance whose §VIII expansion is baked into the boxes. Every
-// write changes a generation or an epoch, so a partition of overwritten
-// state can never be looked up again.
+// write retires it: a Put or a merge install changes that side's generation,
+// an append its delta epoch, so a partition of overwritten state can never be
+// looked up again. Since appends retire it too, "auto" leaves inmem for a
+// pair that has taken one (partitionRetired, plan.go).
 type partKey struct {
 	genA, genB     *generation
 	epochA, epochB uint64

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/engine/planner"
 	"repro/internal/obs"
 )
@@ -102,8 +104,10 @@ type joinPlan struct {
 // catalog). The inmem engine's partition is catalog-resident too, but whether
 // a given join finds it there depends on the writes and joins before it, so
 // the planner keeps pricing the build and the per-pair drift corrector learns
-// how often it is actually paid. A distance join is priced over
-// distance-expanded statistics, the workload that actually runs.
+// how often it is actually paid — except once either side has taken an
+// append since its last Put, when "auto" excludes inmem (partitionRetired).
+// A distance join is priced over distance-expanded statistics, the workload
+// that actually runs.
 func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if p.Distance < 0 || math.IsNaN(p.Distance) || math.IsInf(p.Distance, 0) {
 		return joinPlan{}, fmt.Errorf("server: invalid distance %v", p.Distance)
@@ -130,6 +134,9 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	}
 
 	d := planner.Plan(jp.a.planned(p.Distance), jp.b.planned(p.Distance), s.plannerConfig(a, b))
+	if auto && (jp.a.epoch > 0 || jp.b.epoch > 0) {
+		excludeInMem(&d)
+	}
 	jp.scores = d.Scores
 	if auto {
 		// Resolved before the cache: the decision is deterministic per
@@ -141,6 +148,27 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	}
 	s.priceJoin(&jp)
 	return jp, nil
+}
+
+// partitionRetired is why "auto" does not route a pair to inmem once either
+// side has taken an append since its last Put (a delta epoch above 0, which
+// merges carry): the pair partition is keyed on the delta epochs, so the next
+// append retires it and the join after re-partitions the whole pair. The
+// transformers path joins a delta against the resident index instead.
+const partitionRetired = "partition would be retired by the next append"
+
+// excludeInMem takes inmem out of an "auto" decision the way the planner's
+// in-memory cap does: its score is +Inf for partitionRetired (a cap's reason
+// stands), the scores are re-ranked, and TRANSFORMERS, the only engine left,
+// is chosen outright.
+func excludeInMem(d *planner.Decision) {
+	for i, sc := range d.Scores {
+		if sc.Engine == engine.InMem && !math.IsInf(sc.CostMS, 1) {
+			d.Scores[i] = planner.Score{Engine: engine.InMem, CostMS: math.Inf(1), Reason: partitionRetired}
+		}
+	}
+	sort.SliceStable(d.Scores, func(i, j int) bool { return d.Scores[i].CostMS < d.Scores[j].CostMS })
+	d.Engine, d.Fallback = engine.Transformers, false
 }
 
 // priceJoin converts the planner's predicted cost of the resolved engine
