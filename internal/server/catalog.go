@@ -387,11 +387,17 @@ func (c *Catalog) Append(name string, pieces ...[]transformers.Element) (AppendI
 	}
 	gen := ds.cur
 	notify := func() {}
-	n := len(gen.delta)
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
+	}
+	// Grown once by the total: a decoded upload comes in blocks of some 460
+	// elements, and growing by each in turn would copy the delta once a block.
+	gen.delta = slices.Grow(gen.delta, n)
 	for _, p := range pieces {
 		gen.delta = append(gen.delta, p...)
 	}
-	if n = len(gen.delta) - n; n > 0 {
+	if n > 0 {
 		gen.deltaEpoch++
 		c.appends++
 		notify = c.invalidateLocked(name, gen)

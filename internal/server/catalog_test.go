@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -18,6 +19,33 @@ import (
 
 func elemsN(n int, seed int64) []transformers.Element {
 	return transformers.GenerateUniform(n, seed)
+}
+
+// TestAppendGrowsDeltaOnce: an append of many pieces — the blocks an upload
+// decodes into — grows the delta once, by their total, so it allocates no more
+// than the same elements appended as one piece.
+func TestAppendGrowsDeltaOnce(t *testing.T) {
+	pieces := make([][]transformers.Element, 16)
+	for i := range pieces {
+		pieces[i] = elemsN(512, int64(i))
+	}
+	appended := func(pieces ...[]transformers.Element) uint64 {
+		c := NewCatalog(0, 0)
+		if _, err := c.Put("ds", elemsN(100, 1)); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		bytes := allocatedBy(func() { _, err = c.Append("ds", pieces...) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes
+	}
+	one, many := appended(slices.Concat(pieces...)), appended(pieces...)
+	t.Logf("one piece: %d bytes allocated; %d pieces: %d", one, len(pieces), many)
+	if many > one+one/8 {
+		t.Errorf("appending %d pieces allocated %d bytes, one piece of the same elements %d: the delta grew more than once", len(pieces), many, one)
+	}
 }
 
 // liveHeap is the heap's live object bytes after a collection.

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,9 +22,9 @@ import (
 // /datasets/{name}/append are one JSON object whose "elements" member is, at
 // some 140 bytes of text per element, nearly all of it. decodeIngest streams
 // that member straight into []transformers.Element — no whole-body buffer,
-// no intermediate wire structs, box validity checked as each element lands —
-// and hands every other member, verbatim, to encoding/json, so name /
-// generate / timeout_ms decode exactly as the other endpoints' bodies do.
+// box validity checked as each element lands — and hands every other member,
+// verbatim, to encoding/json, so name / generate / timeout_ms decode exactly
+// as the other endpoints' bodies do.
 //
 // A long "elements" array decodes on every core (blocks): the request
 // goroutine frames it into blocks of maxIngestToken bytes cut after an
@@ -42,7 +44,12 @@ import (
 //
 //	{"id": <uint64>, "box": {"lo": [x,y,z], "hi": [x,y,z]}}
 //
-// Members may come in any order, repeat (the last one wins, as in
+// An element comes one of two ways. The recogniser (canonical) takes the
+// spelling every client in the tree writes, in one pass over the read buffer;
+// an element it declines — any other spelling, or one that touches the end of
+// what is read — is captured whole and read by encoding/json (element), over
+// 30 times slower, which no client pays. Either way members may come in any
+// order, repeat (the last one wins, a repeated box merging, as in
 // encoding/json) or be absent (zero), and null stands for "absent" wherever
 // encoding/json takes it so. Refused, where encoding/json on the former wire
 // structs was lenient:
@@ -53,12 +60,12 @@ import (
 //     escapes (it matched field names case-insensitively);
 //   - an invalid box at the position it is read, even if a repeated
 //     "elements" member would have overwritten it later;
-//   - a number, a key or a whole non-"elements" member longer than
+//   - a key, a declined element or a whole non-"elements" member longer than
 //     maxIngestToken, which is what bounds the decoder's memory.
 
-// maxIngestToken is the decoder's read buffer size and so the longest number
-// or key it can hold; a member handed to encoding/json is capped at the same
-// size, and the blocks of the parallel path are as long.
+// maxIngestToken is the size of the decoder's read buffer, of the longest
+// text it hands to encoding/json at once — a declined element, a
+// non-"elements" member with its key — and of the parallel path's blocks.
 const maxIngestToken = 64 << 10
 
 // ingestErrKind says which rule a refused body broke. The handler maps all
@@ -72,7 +79,7 @@ const (
 	ingestTriple                            // lo/hi is not exactly three numbers
 	ingestTrailing                          // non-whitespace after the object
 	ingestInvalidBox                        // lo > hi in some dimension
-	ingestTooLong                           // a token or member over maxIngestToken
+	ingestTooLong                           // a captured key, element or member over maxIngestToken
 )
 
 type ingestError struct {
@@ -91,12 +98,11 @@ type ingestDecoder struct {
 	buf      []byte // fixed; buf[pos:end] is read and not yet consumed
 	pos, end int
 	base     int64  // stream offset of buf[0], for error messages
-	member   []byte // one non-"elements" member, as handed to encoding/json
+	member   []byte // a declined element or a non-"elements" member, as handed to encoding/json
 
-	generalOnly bool // tests: never offer an element to canonical
 	// block is the size in bytes of the blocks the parallel path cuts an
-	// "elements" array into, at most len(buf); zero, or generalOnly, decodes
-	// every element on the calling goroutine.
+	// "elements" array into, at most len(buf); zero decodes every element on
+	// the calling goroutine.
 	block int
 
 	// pieces hold the output so far, in element order: blocks' elements as
@@ -163,22 +169,14 @@ func (d *ingestDecoder) errorf(kind ingestErrKind, format string, args ...any) e
 	return ingestErrorf(kind, format+" (offset %d)", append(args, d.base+int64(d.pos))...)
 }
 
-// fill reads more input behind buf[keep:end], first sliding that tail — a
-// token the caller is in the middle of — to the front of the buffer. It
+// fill reads more input into the buffer, whose bytes are all consumed. It
 // returns io.EOF only with nothing read.
-func (d *ingestDecoder) fill(keep int) error {
-	if keep > 0 {
-		copy(d.buf, d.buf[keep:d.end])
-		d.pos -= keep
-		d.end -= keep
-		d.base += int64(keep)
-	}
-	if d.end == len(d.buf) {
-		return d.errorf(ingestTooLong, "number or key longer than %d bytes", len(d.buf))
-	}
+func (d *ingestDecoder) fill() error {
+	d.base += int64(d.end)
+	d.pos, d.end = 0, 0
 	for {
-		n, err := d.r.Read(d.buf[d.end:])
-		d.end += n
+		n, err := d.r.Read(d.buf)
+		d.end = n
 		if n > 0 {
 			return nil
 		}
@@ -191,7 +189,7 @@ func (d *ingestDecoder) fill(keep int) error {
 // peek returns the next byte without consuming it.
 func (d *ingestDecoder) peek() (byte, error) {
 	if d.pos == d.end {
-		if err := d.fill(d.pos); err != nil {
+		if err := d.fill(); err != nil {
 			return 0, err
 		}
 	}
@@ -210,7 +208,7 @@ func (d *ingestDecoder) skipSpace() (byte, error) {
 				return c, nil
 			}
 		}
-		if err := d.fill(d.pos); err != nil {
+		if err := d.fill(); err != nil {
 			return 0, err
 		}
 	}
@@ -245,150 +243,6 @@ func (d *ingestDecoder) null() error {
 		d.pos++
 	}
 	return nil
-}
-
-// members iterates the members of a JSON object whose opening brace is the
-// next byte: each is called with the member's key exactly as written between
-// its quotes, positioned at the member's value. The key is only valid until
-// each reads on.
-func (d *ingestDecoder) members(each func(key []byte) error) error {
-	d.pos++ // '{'
-	c, err := d.token()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		d.pos++
-		return nil
-	}
-	for {
-		if c != '"' {
-			return d.errorf(ingestSyntax, "invalid character %q looking for beginning of object key string", c)
-		}
-		key, err := d.key()
-		if err != nil {
-			return err
-		}
-		if err := each(key); err != nil {
-			return err
-		}
-		if c, err = d.token(); err != nil {
-			return err
-		}
-		switch c {
-		case '}':
-			d.pos++
-			return nil
-		case ',':
-			d.pos++
-			if c, err = d.token(); err != nil {
-				return err
-			}
-		default:
-			return d.errorf(ingestSyntax, "invalid character %q after object key:value pair", c)
-		}
-	}
-}
-
-// key consumes a string, whose opening quote is the next byte, and the colon
-// after it, and returns what stands between the quotes, escapes unresolved:
-// the wire format's keys have none, so a key that needs resolving is not one
-// of them. The key stays in the read buffer until the colon is found, so it
-// is valid until the next read.
-func (d *ingestDecoder) key() ([]byte, error) {
-	start := d.pos
-	i := start + 1
-	more := func() error {
-		err := d.fill(start)
-		i -= start
-		start = 0
-		return unexpectedEOF(err)
-	}
-	for closed := false; !closed; {
-		for ; i < d.end && !closed; i++ {
-			switch c := d.buf[i]; {
-			case c == '\\':
-				i++ // the escaped byte, possibly past end: the loop resumes after it
-			case c == '"':
-				closed = true
-			case c < ' ':
-				d.pos = i
-				return nil, d.errorf(ingestSyntax, "invalid character %q in string literal", c)
-			}
-		}
-		if !closed {
-			if err := more(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	keyLen := i - start - 2
-	for {
-		for ; i < d.end; i++ {
-			switch c := d.buf[i]; c {
-			case ' ', '\t', '\r', '\n':
-			case ':':
-				d.pos = i + 1
-				return d.buf[start+1 : start+1+keyLen], nil
-			default:
-				d.pos = i
-				return nil, d.errorf(ingestSyntax, "invalid character %q after object key", c)
-			}
-		}
-		if err := more(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// number consumes a JSON number and returns it, its text valid until the
-// next read.
-func (d *ingestDecoder) number() (numberLit, error) {
-	lit, n, ok := scanNumber(d.buf[d.pos:d.end])
-	if i := d.pos + n; ok && i < d.end && !numberByte(d.buf[i]) {
-		d.pos = i
-		return lit, nil
-	}
-	// The literal touches the end of what is read, or is malformed: find where
-	// its run of number bytes ends, reading on, and scan that run again.
-	start, i := d.pos, d.pos+n
-scan:
-	for {
-		for ; i < d.end; i++ {
-			if !numberByte(d.buf[i]) {
-				break scan
-			}
-		}
-		err := d.fill(start)
-		i -= start
-		start = 0
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return numberLit{}, err
-		}
-	}
-	text := d.buf[start:i]
-	if lit, n, ok = scanNumber(text); ok && n == len(text) {
-		d.pos = i
-		return lit, nil
-	}
-	d.pos = start
-	if i == start {
-		c, err := d.peek()
-		if err != nil {
-			return numberLit{}, unexpectedEOF(err)
-		}
-		return numberLit{}, d.errorf(ingestSyntax, "invalid character %q looking for a number", c)
-	}
-	return numberLit{}, d.errorf(ingestSyntax, "invalid number literal %q", text)
-}
-
-// numberByte reports whether c can stand in a JSON number: a literal ends at
-// the first byte that cannot, whatever the grammar made of the bytes before.
-func numberByte(c byte) bool {
-	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 // numberLit is a number of the JSON grammar,
@@ -534,7 +388,9 @@ func divPow10(m uint64, k int) float64 {
 }
 
 // body decodes the top-level value: the request object, or null, which
-// encoding/json takes for an empty one.
+// encoding/json takes for an empty one. Each member's key is captured as it
+// is written, escapes unresolved: "elements" needs none, so a key that has
+// one is another member's, for encoding/json to resolve.
 func (d *ingestDecoder) body(meta any) error {
 	c, err := d.skipSpace()
 	switch {
@@ -547,29 +403,79 @@ func (d *ingestDecoder) body(meta any) error {
 	case c != '{':
 		return d.errorf(ingestSyntax, "invalid character %q: the request body must be a JSON object", c)
 	}
-	return d.members(func(key []byte) error {
-		if string(key) == "elements" {
-			return d.elements()
+	d.pos++
+	if c, err = d.token(); err != nil {
+		return err
+	}
+	if c == '}' {
+		d.pos++
+		return nil
+	}
+	for {
+		if c != '"' {
+			return d.errorf(ingestSyntax, "invalid character %q looking for beginning of object key string", c)
 		}
-		return d.metaMember(key, meta)
-	})
+		d.member = append(d.member[:0], '{')
+		if err := d.captureValue(); err != nil {
+			return err
+		}
+		if c, err = d.token(); err != nil {
+			return err
+		}
+		if c != ':' {
+			return d.errorf(ingestSyntax, "invalid character %q after object key", c)
+		}
+		d.pos++
+		if string(d.member) == `{"elements"` {
+			err = d.elements()
+		} else {
+			err = d.metaMember(meta)
+		}
+		if err != nil {
+			return err
+		}
+		if c, err = d.token(); err != nil {
+			return err
+		}
+		switch c {
+		case '}':
+			d.pos++
+			return nil
+		case ',':
+			d.pos++
+			if c, err = d.token(); err != nil {
+				return err
+			}
+		default:
+			return d.errorf(ingestSyntax, "invalid character %q after object key:value pair", c)
+		}
+	}
 }
 
-// metaMember captures the member whose value comes next and decodes
-// {key: value} into meta with encoding/json. Successive members land in the
-// same meta, so repeats merge the way one Decode of the whole body merged
-// them.
-func (d *ingestDecoder) metaMember(key []byte, meta any) error {
-	d.member = append(d.member[:0], `{"`...)
-	d.member = append(d.member, key...)
-	d.member = append(d.member, `":`...)
+// metaMember captures the value that comes next behind the key d.member
+// holds and decodes {key: value} into meta with encoding/json. Successive
+// members land in the same meta, so repeats merge the way one Decode of the
+// whole body merged them.
+func (d *ingestDecoder) metaMember(meta any) error {
+	d.member = append(d.member, ':')
 	if err := d.captureValue(); err != nil {
 		return err
 	}
 	d.member = append(d.member, '}')
+	return d.decodeMember(meta)
+}
+
+// decodeMember decodes d.member, whole, into v with encoding/json, unknown
+// fields disallowed.
+func (d *ingestDecoder) decodeMember(v any) error {
 	dec := json.NewDecoder(bytes.NewReader(d.member))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(meta); err != nil {
+	err := dec.Decode(v)
+	var ie *ingestError
+	switch {
+	case errors.As(err, &ie): // from one of the wire types' UnmarshalJSON
+		return ie
+	case err != nil:
 		// encoding/json has no error type for an unknown field, only this
 		// message.
 		kind := ingestSyntax
@@ -577,8 +483,7 @@ func (d *ingestDecoder) metaMember(key []byte, meta any) error {
 			kind = ingestUnknownField
 		}
 		return ingestErrorf(kind, "%v", err)
-	}
-	if dec.InputOffset() != int64(len(d.member)) {
+	case dec.InputOffset() != int64(len(d.member)):
 		return d.errorf(ingestSyntax, "invalid member %s", d.member)
 	}
 	return nil
@@ -598,8 +503,8 @@ func (d *ingestDecoder) captureValue() error {
 		if err != nil {
 			return 0, unexpectedEOF(err)
 		}
-		if len(d.member) >= len(d.buf) {
-			return 0, d.errorf(ingestTooLong, "member longer than %d bytes", len(d.buf))
+		if len(d.member) >= maxIngestToken {
+			return 0, d.errorf(ingestTooLong, "member longer than %d bytes", maxIngestToken)
 		}
 		d.member = append(d.member, c)
 		d.pos++
@@ -731,12 +636,17 @@ func (d *ingestDecoder) elements() error {
 		return nil
 	}
 	i := 0
-	if d.block > 0 && !d.generalOnly && len(d.pieces) == 0 {
+	if d.block > 0 && len(d.pieces) == 0 {
 		i = d.blocks()
 	}
 	for ; ; i++ {
 		e := d.slot(i)
-		if d.generalOnly || !d.canonical(e) {
+		// The recogniser reads only what is in the buffer, which is empty
+		// where the serial path takes over from the blocks.
+		if _, err := d.token(); err != nil {
+			return err
+		}
+		if !d.canonical(e) {
 			if err := d.element(e, i); err != nil {
 				return err
 			}
@@ -758,6 +668,98 @@ func (d *ingestDecoder) elements() error {
 			return d.errorf(ingestSyntax, "invalid character %q after element %d", c, i)
 		}
 	}
+}
+
+// element decodes over *e an element the recogniser declined: captured whole
+// and read by encoding/json into a wireElement that starts from *e, so that
+// an absent or null member leaves what was there and a repeated box merges,
+// as on the former wire structs. encoding/json matches member names by
+// folding case and resolving escapes, which the wire format does not; once
+// the capture has decoded, its only strings are member names (wireID and
+// wireTriple take no other value), so each must be one of the four, spelled
+// exactly.
+func (d *ingestDecoder) element(e *transformers.Element, i int) error {
+	d.member = d.member[:0]
+	if err := d.captureValue(); err != nil {
+		return err
+	}
+	w := wireElement{ID: wireID(e.ID)}
+	w.Box.Lo, w.Box.Hi = wireTriple{"lo", e.Box.Lo}, wireTriple{"hi", e.Box.Hi}
+	err := d.decodeMember(&w)
+	for s := d.member; err == nil; {
+		open := bytes.IndexByte(s, '"')
+		if open < 0 {
+			break
+		}
+		s = s[open+1:]
+		n := 0
+		for ; s[n] != '"'; n++ {
+			if s[n] == '\\' {
+				n++
+			}
+		}
+		switch name := s[:n]; string(name) {
+		case "id", "box", "lo", "hi":
+		default:
+			err = ingestErrorf(ingestUnknownField, "json: unknown field %q", name)
+		}
+		s = s[n+1:]
+	}
+	if err != nil {
+		ie := err.(*ingestError)
+		return ingestErrorf(ie.kind, "element %d: %s", i, ie.msg)
+	}
+	*e = transformers.Element{ID: uint64(w.ID), Box: transformers.Box{Lo: w.Box.Lo.p, Hi: w.Box.Hi.p}}
+	return nil
+}
+
+// wireElement is what encoding/json decodes a declined element into. Its id
+// and triples check every occurrence of their member as it lands, so a
+// repeated member is checked each time, as the former wire structs' were.
+type wireElement struct {
+	ID  wireID `json:"id"`
+	Box struct {
+		Lo wireTriple `json:"lo"`
+		Hi wireTriple `json:"hi"`
+	} `json:"box"`
+}
+
+// wireID is an id: an integer in [0, 2^64). null leaves it as it was.
+type wireID uint64
+
+func (id *wireID) UnmarshalJSON(text []byte) error {
+	if string(text) == "null" {
+		return nil
+	}
+	v, n, ok := idDigits(text)
+	if !ok || n != len(text) {
+		return ingestErrorf(ingestSyntax, "id %s is not an integer in [0, 2^64)", text)
+	}
+	*id = wireID(v)
+	return nil
+}
+
+// wireTriple is lo or hi, named for its errors: exactly three numbers, null
+// refused.
+type wireTriple struct {
+	name string
+	p    transformers.Point
+}
+
+func (t *wireTriple) UnmarshalJSON(text []byte) error {
+	var xs []*float64
+	err := json.Unmarshal(text, &xs)
+	// Into *float64, only a number out of float64's range is the wrong type.
+	if te := (*json.UnmarshalTypeError)(nil); errors.As(err, &te) && strings.HasPrefix(te.Value, "number ") {
+		return ingestErrorf(ingestSyntax, "%s: %s out of range", t.name, te.Value)
+	}
+	if err != nil || len(xs) != len(t.p) || slices.Contains(xs, nil) {
+		return ingestErrorf(ingestTriple, "%s must be exactly three numbers", t.name)
+	}
+	for dim, x := range xs {
+		t.p[dim] = *x
+	}
+	return nil
 }
 
 // elementEnd ends every canonical element and the comma after it: where the
@@ -1015,49 +1017,6 @@ func hasPrefixAt(s []byte, i int, lit string) bool {
 	return len(s)-i >= len(lit) && string(s[i:i+len(lit)]) == lit
 }
 
-// element decodes one {"id":…,"box":…} over *e.
-func (d *ingestDecoder) element(e *transformers.Element, i int) error {
-	c, err := d.token()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.null()
-	}
-	if c != '{' {
-		return d.errorf(ingestSyntax, "element %d: invalid character %q: an element must be an object", i, c)
-	}
-	return d.members(func(key []byte) error {
-		switch string(key) {
-		case "id":
-			return d.id(&e.ID, i)
-		case "box":
-			return d.box(&e.Box, i)
-		}
-		return ingestErrorf(ingestUnknownField, "element %d: json: unknown field %q", i, key)
-	})
-}
-
-func (d *ingestDecoder) id(id *uint64, i int) error {
-	c, err := d.token()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.null()
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	v, n, ok := idDigits(lit.text)
-	if !ok || n != len(lit.text) {
-		return ingestErrorf(ingestSyntax, "element %d: id %s is not an integer in [0, 2^64)", i, lit.text)
-	}
-	*id = v
-	return nil
-}
-
 // idDigits folds the decimal digits s starts with into an id and reports how
 // many they are; it is not ok when they pass 2^64-1.
 func idDigits(s []byte) (id uint64, n int, ok bool) {
@@ -1069,68 +1028,4 @@ func idDigits(s []byte) (id uint64, n int, ok bool) {
 		id = id*10 + digit
 	}
 	return id, n, true
-}
-
-func (d *ingestDecoder) box(b *transformers.Box, i int) error {
-	c, err := d.token()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.null()
-	}
-	if c != '{' {
-		return d.errorf(ingestSyntax, "element %d: invalid character %q: a box must be an object", i, c)
-	}
-	return d.members(func(key []byte) error {
-		switch string(key) {
-		case "lo":
-			return d.triple(&b.Lo, i, "lo")
-		case "hi":
-			return d.triple(&b.Hi, i, "hi")
-		}
-		return ingestErrorf(ingestUnknownField, "element %d: json: unknown field %q", i, key)
-	})
-}
-
-// triple decodes [x,y,z]: exactly three numbers.
-func (d *ingestDecoder) triple(p *transformers.Point, i int, name string) error {
-	notThree := func() error {
-		return ingestErrorf(ingestTriple, "element %d: %s must be exactly three numbers", i, name)
-	}
-	c, err := d.token()
-	if err != nil {
-		return err
-	}
-	if c != '[' {
-		return notThree()
-	}
-	d.pos++
-	for dim := 0; ; dim++ {
-		if c, err = d.token(); err != nil {
-			return err
-		}
-		if dim == len(p) || !(c == '-' || '0' <= c && c <= '9') {
-			return notThree()
-		}
-		lit, err := d.number()
-		if err != nil {
-			return err
-		}
-		if p[dim], err = lit.float(); err != nil {
-			return ingestErrorf(ingestSyntax, "element %d: %s: number %s out of range", i, name, lit.text)
-		}
-		if c, err = d.token(); err != nil {
-			return err
-		}
-		d.pos++
-		switch {
-		case c == ']' && dim == len(p)-1:
-			return nil
-		case c == ',':
-		default:
-			d.pos--
-			return notThree()
-		}
-	}
 }
