@@ -22,9 +22,10 @@
 //	POST /join           {"a","b","algorithm"?,"stream"?,"include_pairs"?,"parallelism"?}
 //	                     algorithm: a served engine — transformers (the
 //	                     dataset's index) or inmem (the pair's resident
-//	                     partition) — or "auto" (the statistics-driven planner
-//	                     picks between them; the response reports the choice
-//	                     and the ranked scores); any other name is a 400
+//	                     partition) — or "auto" (the planner picks the one
+//	                     that measured the lower kernel wall on the pair; the
+//	                     response reports the choice and the ranked prices);
+//	                     any other name is a 400
 //	POST /join/distance  same plus "distance": d (Chebyshev, §VIII)
 //	POST /query/range    {"dataset","box":{"lo":[x,y,z],"hi":[x,y,z]},"stream"?}
 //	GET  /healthz        liveness; "degraded" with reasons while a tenant
@@ -35,8 +36,8 @@
 //	                     cache hit ratios, runtime gauges
 //	GET  /debug/joins    ring of slow joins (-slow-join-ms; negative = all)
 //	                     with their full request span trees
-//	GET  /debug/planner  planner prediction-vs-reality report, learned drift
-//	                     corrections and recent samples with their cost terms
+//	GET  /debug/planner  planner prediction-vs-reality report, the wall table
+//	                     it prices engines by, and recent samples
 //
 // Joins are traced end to end (admission wait, planning, catalog access,
 // engine execution, stream emission); send X-Trace: 1 or "trace": true to
@@ -68,7 +69,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/server"
 )
 
@@ -89,8 +89,6 @@ func main() {
 	tenantSlots := flag.Int("tenant-slots", 0, "max concurrently executing slot units per tenant while others wait (0 = no per-tenant cap)")
 	tenantQueue := flag.Int("tenant-queue", 0, "max queued requests per tenant before 429 (0 = no per-tenant cap)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "default per-request deadline when a request sets no timeout_ms (0 = none)")
-	faults := flag.String("faults", "", "DEV ONLY: fault-injection scenario for the catalog's page stores (read-error, write-error, slow-read, build-fail), e.g. 'read-error,slow-read:delay=2ms' (see internal/faultinject)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for randomized parameters of -faults clauses")
 	slowJoinMS := flag.Int64("slow-join-ms", server.DefaultSlowJoinThreshold.Milliseconds(), "joins slower than this land in /debug/joins with their span tree (negative = record every join)")
 	deltaMax := flag.Int("delta-max-elements", 0, "append-delta size that triggers a background merge into the main index (0 = default 8192, negative = never merge automatically)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty = disabled)")
@@ -121,16 +119,6 @@ func main() {
 		cfg.SlowJoinThreshold = -1 // record every join in /debug/joins
 	} else {
 		cfg.SlowJoinThreshold = time.Duration(*slowJoinMS) * time.Millisecond
-	}
-	if *faults != "" {
-		sc, err := faultinject.Parse(*faults, *faultSeed)
-		if err != nil {
-			log.Fatalf("-faults: %v", err)
-		}
-		// Catalog index builds (and the joins reading those indexes) run on
-		// fault-injecting stores.
-		cfg.StoreFactory = sc.StoreFactory
-		log.Printf("FAULT INJECTION ACTIVE (dev only): scenario %v, seed %d", sc, *faultSeed)
 	}
 	svc := server.NewService(cfg)
 	srv := &http.Server{

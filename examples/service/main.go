@@ -84,8 +84,9 @@ func main() {
 			run, sum["results"], doc["cached"], time.Since(t).Round(time.Microsecond))
 	}
 
-	// 3. Planner-selected join: "auto" resolves the engine from the cached
-	// dataset statistics and reports the ranked scoring.
+	// 3. Planner-selected join: "auto" resolves the engine by the kernel
+	// walls measured on the pair (a cold pair explores transformers first)
+	// and reports the ranked prices.
 	doc = post(base, "/join", `{"a":"axons","b":"dendrites","algorithm":"auto","no_cache":true}`)
 	sum := doc["summary"].(map[string]any)
 	plan := sum["planner"].(map[string]any)

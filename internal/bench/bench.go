@@ -65,11 +65,7 @@ type Sample struct {
 	Algorithm  string `json:"algorithm"`
 	// Workload names the data distribution when the experiment sweeps
 	// several (the cross-engine "engines" comparison).
-	Workload string `json:"workload,omitempty"`
-	// PlannerCostMS is the planner's predicted cost for this engine on
-	// this workload, recorded by the "engines" experiment so a JSON
-	// record sets prediction beside measurement.
-	PlannerCostMS   float64 `json:"planner_cost_ms,omitempty"`
+	Workload        string  `json:"workload,omitempty"`
 	Parallel        int     `json:"parallel,omitempty"`
 	BuildTotalMS    float64 `json:"build_total_ms"`
 	JoinWallMS      float64 `json:"join_wall_ms"`
@@ -230,8 +226,8 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:          "engines",
-			Paper:       "extension (engine planner)",
-			Description: "cross-engine comparison on uniform/clustered/skewed data, every registered engine, with planner predictions",
+			Paper:       "extension (engine comparison)",
+			Description: "cross-engine comparison on uniform/clustered/skewed data, every registered engine, join wall and modeled I/O apart",
 			Run:         runEngines,
 		},
 	}

@@ -12,7 +12,7 @@ const tinyScale = 0.00005
 
 func TestEveryExperimentRunsEndToEnd(t *testing.T) {
 	// The registry is the paper's eleven tables and figures plus the
-	// cross-engine comparison the planner constants cite. A new experiment
+	// cross-engine comparison. A new experiment
 	// has to argue its way into this list: what the serving benchmark
 	// (benchmark/) or a `go test -bench` cannot answer.
 	want := []string{

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/engine"
-	"repro/internal/engine/planner"
 	"repro/transformers"
 )
 
@@ -390,52 +388,35 @@ func enginesWorkloads(cfg Config, n int) []struct {
 }
 
 // runEngines drives every registered engine over the three distributions and
-// prints measured cost next to the planner's prediction for the engines it
-// prices; the others read "excluded". One sample per engine per workload
-// feeds the sink, stamped with the workload and the predicted cost.
+// prints each one's build, join wall and modeled join I/O apart: no column
+// adds modeled I/O to wall time. One sample per engine per workload feeds the
+// sink, stamped with the workload.
 func runEngines(cfg Config) error {
 	n := cfg.scaled(20 * paperM)
 	algos := cfg.filterAlgos(engine.Names())
-	t := &table{header: []string{"workload", "engine", "predicted", "build", "join total", "candidates", "pages", "planner pick"}}
+	t := &table{header: []string{"workload", "engine", "build", "join wall", "join I/O (modeled)", "candidates", "pages"}}
 	for _, w := range enginesWorkloads(cfg, n) {
-		sa := planner.Analyze(w.genA())
-		sb := planner.Analyze(w.genB())
-		decision := planner.Plan(sa, sb, planner.Config{})
-		predicted := make(map[string]float64, len(decision.Scores))
-		for _, s := range decision.Scores {
-			predicted[s.Engine] = s.CostMS
-		}
 		for _, name := range algos {
 			if name == engine.Naive && float64(n)*float64(n) > 1e9 {
 				fmt.Fprintf(cfg.Out, "(skipping %s: |A|·|B| too large at this scale)\n", name)
 				continue
 			}
-			// Not via runAlgo: the sample needs the workload and
-			// prediction stamps, so record it here instead.
+			// Not via runAlgo: the sample needs the workload stamp, so
+			// record it here instead.
 			rep, err := executeEngine(name, w.genA(), w.genB(),
 				engine.Options{PBSMTilesPerDim: cfg.pbsmTiles(10), Parallelism: cfg.Parallel})
 			if err != nil {
 				return err
 			}
-			pick := ""
-			if name == decision.Engine {
-				pick = "<== planned"
-			}
-			predCol := "excluded"
 			s := sampleFromResult(rep, 0)
 			s.Workload = w.name
-			if p, ok := predicted[name]; ok && !math.IsInf(p, 0) {
-				predCol = fmt.Sprintf("%.1fms", p)
-				s.PlannerCostMS = p
-			}
-			t.addRow(w.name, name, predCol, dur(rep.Stats.BuildTotal),
-				dur(rep.Stats.JoinTotal), count(rep.Stats.Candidates), count(rep.Stats.PagesRead), pick)
+			t.addRow(w.name, name, dur(rep.Stats.BuildTotal), dur(rep.Stats.JoinWall),
+				dur(rep.Stats.JoinIOTime), count(rep.Stats.Candidates), count(rep.Stats.PagesRead))
 			cfg.record(s)
 		}
 	}
 	t.write(cfg.Out)
-	fmt.Fprintln(cfg.Out, "\ncross-engine comparison on the planner's three canonical distributions;")
-	fmt.Fprintln(cfg.Out, "predictions come from internal/engine/planner and should preserve the")
-	fmt.Fprintln(cfg.Out, "measured ordering (the absolute values are rough by design).")
+	fmt.Fprintln(cfg.Out, "\ncross-engine comparison on uniform, clustered and skewed data; the join")
+	fmt.Fprintln(cfg.Out, "wall is measured, the join I/O priced by the disk model.")
 	return nil
 }

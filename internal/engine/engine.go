@@ -9,10 +9,10 @@
 // An engine takes two element sets and produces the intersecting (or
 // within-distance) ID pairs plus a uniform Stats record: pages read,
 // candidate tests, refinements (pairs surviving the MBB filter), and the
-// wall/modeled-I/O split the paper reports. The planner subpackage picks an
-// engine per request from cheap dataset statistics, with TRANSFORMERS as the
-// robust fallback — the serving counterpart of the paper's thesis that no
-// fixed layout wins everywhere.
+// wall/modeled-I/O split the paper reports. The planner subpackage picks one
+// of the two served engines per request by the kernel wall each measured on
+// the pair — the serving counterpart of the paper's thesis that no fixed
+// layout wins everywhere.
 package engine
 
 import (

@@ -1,161 +1,146 @@
-// Self-correcting planner: the two feedback mechanisms that close the loop
-// the accuracy recorder (internal/obs) opened.
-//
-//   - Corrector: a cheap online per-(dataset-pair, engine) EWMA of
-//     measured/predicted that biases future Plan calls. It is the planner's
-//     only learner: under a persistent bias anywhere in its [1/4, 4] band the
-//     factor is within 10% of it after 12-16 executed joins
-//     (TestCorrectorConverges).
-//   - ExpandStats: distance-join planning input — the base DatasetStats
-//     adjusted for the §VIII expansion the execution will actually join, so
-//     Plan prices the expanded workload instead of the plain intersect.
-//
-// LocationSpark's mistake-correcting query planner (PAPERS.md) is the
-// blueprint: supervision from executed joins.
+// The wall table: what Plan prices an engine by. Every executed, uncached
+// join records its kernel wall under (dataset pair, distance, engine); an
+// engine's price is the least of its last five walls there, available from
+// the second. Two walls, not one, because the first join of an engine on a
+// pair runs on cold caches; the least, because a join is slowed by a
+// collection or a busy host and never sped up, so the least wall is the
+// engine's own cost and one slow join does not move it. An engine that is
+// not chosen is not measured, so its price dates from whatever load it was
+// measured under: every wallRefresh-th wall of the chosen engine restarts
+// the others, and "auto" measures them afresh beside it. LocationSpark's
+// query planner (PAPERS.md) plans from the costs it recorded the same way.
+
 package planner
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Online drift-correction constants.
 const (
-	// correctorAlpha is the EWMA weight of one new observation.
-	correctorAlpha = 0.15
-	// correctorMaxObsRatio clamps one observation's measured/predicted ratio
-	// (log-space) before it enters the EWMA, so a single wild outlier moves
-	// the factor by at most alpha·ln(16) ≈ e^0.42 ≈ 1.5x from an unbiased
-	// state — the "no decision flip on one outlier" property relies on the
-	// planner's engine gaps exceeding that.
-	correctorMaxObsRatio = 16.0
-	// correctorMaxFactor bounds the applied correction factor to [1/x, x]:
-	// the corrector trims drift, it does not replace the cost model.
-	correctorMaxFactor = 4.0
-	// correctorMaxPairs bounds the tracked (dataset-pair, engine) keys;
-	// observations for new keys past the bound are dropped (the working set
-	// of hot pairs is what matters, and the bound keeps memory flat).
-	correctorMaxPairs = 4096
+	// wallWindow is how many of a series' latest walls its price is the
+	// least of.
+	wallWindow = 5
+	// wallRefresh is how many walls of one engine on a pair restart the
+	// other engines' walls there. Re-measuring costs two joins in about
+	// wallRefresh on the engine that lost (three under two concurrent
+	// clients): stream-heavy ran 4.5–4.8 % of its joins on inmem at 64,
+	// 2.4–2.7 % at 128.
+	wallRefresh = 128
+	// wallMaxSeries bounds the tracked (pair, distance, engine) keys; walls
+	// for new keys past the bound are dropped, so those pairs run
+	// TRANSFORMERS, the first engine, and the table's memory stays flat.
+	wallMaxSeries = 4096
 )
 
-// correctionKey identifies one (dataset pair, engine) drift series. The pair
-// is ordered as requested — A/B orientation changes the guide/walk sides, so
-// the drift need not be symmetric.
-type correctionKey struct {
-	a, b, engine string
+// wallKey identifies one series. The pair is ordered as requested — A/B
+// orientation changes the guide/walk sides — and the distance is part of it,
+// since a distance join joins boxes grown by it.
+type wallKey struct {
+	a, b     string
+	distance float64
+	engine   string
 }
 
-// Corrector is the planner's learner: a log-space EWMA of
-// measured/predicted per (dataset pair, engine), fed by the accuracy
-// recorder's samples and consulted (via Bind) by every Plan call. All methods
-// are safe for concurrent use and nil-safe.
+// wallSeries is one series: its latest walls, a ring, and how many it has
+// taken since it last (re)started.
+type wallSeries struct {
+	walls [wallWindow]float64
+	n     int64
+}
+
+// price is the least of the series' latest walls; 0 under two.
+func (s *wallSeries) price() float64 {
+	k := int(min(s.n, wallWindow))
+	if k < 2 {
+		return 0
+	}
+	return slices.Min(s.walls[:k])
+}
+
+// Corrector is the wall table; the name stays because the benchmark module's
+// planner row calls NewCorrector. All methods are safe for concurrent use and
+// nil-safe.
 type Corrector struct {
 	mu sync.Mutex
-	m  map[correctionKey]*driftState
+	m  map[wallKey]*wallSeries
 }
 
-// driftState is one series: the EWMA of ln(measured/predicted) and the
-// observation count.
-type driftState struct {
-	logRatio float64
-	n        int64
+// Wall is one tracked series, as /debug/planner lists it. MS is the price,
+// 0 until Samples reaches two; Samples counts the walls since the series
+// last (re)started.
+type Wall struct {
+	A        string  `json:"a"`
+	B        string  `json:"b"`
+	Distance float64 `json:"distance,omitempty"`
+	Engine   string  `json:"engine"`
+	MS       float64 `json:"wall_ms"`
+	Samples  int64   `json:"samples"`
 }
 
-// Correction is one tracked drift series, as exposed by /debug/planner.
-type Correction struct {
-	A      string `json:"a"`
-	B      string `json:"b"`
-	Engine string `json:"engine"`
-	// Ratio is the smoothed measured/predicted ratio; Factor is the clamped
-	// multiplier Plan applies.
-	Ratio   float64 `json:"ratio"`
-	Factor  float64 `json:"factor"`
-	Samples int64   `json:"samples"`
-}
-
-// NewCorrector returns an empty corrector.
+// NewCorrector returns an empty wall table.
 func NewCorrector() *Corrector {
-	return &Corrector{m: make(map[correctionKey]*driftState)}
+	return &Corrector{m: make(map[wallKey]*wallSeries)}
 }
 
-// Observe folds one executed join's (predicted, measured) pair into the
-// engine's drift series for the dataset pair. Non-positive or non-finite
-// inputs are ignored — cache-hit replays and unpriced executions never reach
-// the EWMA. The series starts at ratio 1 (trust the model) and each
-// observation blends in with weight correctorAlpha after log-clamping, so
-// convergence under a persistent bias is geometric while a single outlier
-// moves the factor by at most ~1.5x.
-func (c *Corrector) Observe(a, b, engine string, predictedMS, measuredMS float64) {
-	if c == nil || engine == "" {
+// Observe records one executed join's kernel wall. A wall that is not
+// positive and finite, or has no engine, is ignored. Every wallRefresh-th
+// wall of an engine on the pair restarts the other engines' priced series
+// there.
+func (c *Corrector) Observe(a, b string, distance float64, engine string, wallMS float64) {
+	if c == nil || engine == "" || !(wallMS > 0) || math.IsInf(wallMS, 0) {
 		return
 	}
-	if predictedMS <= 0 || measuredMS <= 0 ||
-		math.IsInf(predictedMS, 0) || math.IsNaN(predictedMS) ||
-		math.IsInf(measuredMS, 0) || math.IsNaN(measuredMS) {
-		return
-	}
-	lr := math.Log(measuredMS / predictedMS)
-	maxLog := math.Log(correctorMaxObsRatio)
-	if lr > maxLog {
-		lr = maxLog
-	} else if lr < -maxLog {
-		lr = -maxLog
-	}
-	key := correctionKey{a, b, engine}
+	key := wallKey{a, b, distance, engine}
 	c.mu.Lock()
-	st := c.m[key]
-	if st == nil {
-		if len(c.m) >= correctorMaxPairs {
-			c.mu.Unlock()
+	defer c.mu.Unlock()
+	s := c.m[key]
+	if s == nil {
+		if len(c.m) >= wallMaxSeries {
 			return
 		}
-		st = &driftState{}
-		c.m[key] = st
+		s = &wallSeries{}
+		c.m[key] = s
 	}
-	st.logRatio = (1-correctorAlpha)*st.logRatio + correctorAlpha*lr
-	st.n++
-	c.mu.Unlock()
+	s.walls[s.n%wallWindow] = wallMS
+	s.n++
+	if s.n%wallRefresh != 0 {
+		return
+	}
+	for _, e := range engines {
+		if o := c.m[wallKey{a, b, distance, e}]; e != engine && o != nil && o.n >= 2 {
+			o.n = 0
+		}
+	}
 }
 
-// Factor returns the correction multiplier for one engine on one dataset
-// pair: e^EWMA clamped to [1/correctorMaxFactor, correctorMaxFactor]; 1 for
-// untracked keys. Nil-safe.
-func (c *Corrector) Factor(a, b, name string) float64 {
+// Price returns the engine's price on the pair at the distance: 0 until it
+// has two walls.
+func (c *Corrector) Price(a, b string, distance float64, engine string) float64 {
 	if c == nil {
-		return 1
+		return 0
 	}
 	c.mu.Lock()
-	st := c.m[correctionKey{a, b, name}]
-	var lr float64
-	if st != nil {
-		lr = st.logRatio
+	defer c.mu.Unlock()
+	if s := c.m[wallKey{a, b, distance, engine}]; s != nil {
+		return s.price()
 	}
-	c.mu.Unlock()
-	if st == nil || lr == 0 {
-		return 1
-	}
-	f := math.Exp(lr)
-	if f > correctorMaxFactor {
-		return correctorMaxFactor
-	}
-	if f < 1/correctorMaxFactor {
-		return 1 / correctorMaxFactor
-	}
-	return f
+	return 0
 }
 
-// Bind returns a Config.Correct closure for one dataset pair — the seam
-// between the serving path (which knows the pair) and Plan (which consults
-// per engine). Nil-safe: a nil corrector binds to nil (no correction).
+// Bind returns the Config.Correct of an intersection join of a and b. The
+// server binds the distance too; Bind stays because the benchmark module's
+// planner row calls it. A nil table binds to nil.
 func (c *Corrector) Bind(a, b string) func(engine string) float64 {
 	if c == nil {
 		return nil
 	}
-	return func(engine string) float64 { return c.Factor(a, b, engine) }
+	return func(engine string) float64 { return c.Price(a, b, 0, engine) }
 }
 
-// Len reports the tracked series count. Nil-safe.
+// Len reports the tracked series count.
 func (c *Corrector) Len() int {
 	if c == nil {
 		return 0
@@ -165,101 +150,43 @@ func (c *Corrector) Len() int {
 	return len(c.m)
 }
 
-// Snapshot returns every tracked series, sorted by pair then engine for a
-// stable /debug/planner document. Nil-safe.
-func (c *Corrector) Snapshot() []Correction {
+// Snapshot returns every tracked series, sorted by pair, distance and
+// engine.
+func (c *Corrector) Snapshot() []Wall {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	out := make([]Correction, 0, len(c.m))
-	for k, st := range c.m {
-		out = append(out, Correction{
-			A: k.a, B: k.b, Engine: k.engine,
-			Ratio:   math.Exp(st.logRatio),
-			Samples: st.n,
-		})
+	out := make([]Wall, 0, len(c.m))
+	for k, s := range c.m {
+		out = append(out, Wall{A: k.a, B: k.b, Distance: k.distance, Engine: k.engine, MS: s.price(), Samples: s.n})
 	}
 	c.mu.Unlock()
-	for i := range out {
-		f := out[i].Ratio
-		if f > correctorMaxFactor {
-			f = correctorMaxFactor
-		}
-		if f < 1/correctorMaxFactor {
-			f = 1 / correctorMaxFactor
-		}
-		out[i].Factor = f
-	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+		x, y := out[i], out[j]
+		if x.A != y.A {
+			return x.A < y.A
 		}
-		if out[i].B != out[j].B {
-			return out[i].B < out[j].B
+		if x.B != y.B {
+			return x.B < y.B
 		}
-		return out[i].Engine < out[j].Engine
+		if x.Distance != y.Distance {
+			return x.Distance < y.Distance
+		}
+		return x.Engine < y.Engine
 	})
 	return out
 }
 
-// ExpandStats derives the statistics of a dataset's §VIII distance-expanded
-// form from its base fingerprint, without touching the elements: every box
-// grows by the expansion radius distance/2 per side (matching
-// geom.ExpandedForDistance), so Plan prices the join that will actually
-// run. Count is unchanged — expansion adds no elements, and the in-memory
-// cap keys on cardinality — while the MBB grows by the expansion directly and
-// the clustering signals inflate with f, the factor by which each element's
-// expanded box covers more analysis-grid cells (the product over dimensions
-// of min(1 + d/cellSide, GridDim)):
-//
-//   - ClusterFraction approaches 1 as expansion merges neighborhoods into
-//     dense cells: cf' = 1 - (1-cf)/f.
-//   - SkewCV is recomputed against the *base* cell mean: expansion multiplies
-//     every occupied cell's effective load by ~f while the element count
-//     (the planner's per-element work unit) is unchanged, so the effective
-//     variation the blow-up terms price scales with f.
-//
-// d <= 0 (or empty stats) returns the input unchanged, so intersect joins
-// plan exactly as before.
+// ExpandStats returns st with its MBB grown by a distance join's expansion,
+// distance/2 per side (geom.ExpandedForDistance). Count, which the in-memory
+// cap reads, is unchanged, and so are the distribution signals: nothing
+// prices them. d <= 0 (or empty stats) returns st unchanged. ExpandStats
+// stays because the benchmark module's planner row calls it.
 func ExpandStats(st DatasetStats, distance float64) DatasetStats {
 	if distance <= 0 || st.Count == 0 || math.IsInf(distance, 0) || math.IsNaN(distance) {
 		return st
 	}
-	out := st
-	out.MBB = st.MBB.Expand(distance / 2)
-	f := expansionFactor(st, distance)
-	if f <= 1 {
-		return out
-	}
-	out.ClusterFraction = 1 - (1-st.ClusterFraction)/f
-	out.SkewCV = st.SkewCV * f
-	return out
-}
-
-// expansionFactor estimates how many times more analysis-grid cells one
-// element's box covers after expanding each side by `distance`, clamped per
-// dimension to the grid resolution (a box cannot cover more cells than the
-// grid has).
-func expansionFactor(st DatasetStats, distance float64) float64 {
-	if st.GridDim <= 0 {
-		return 1
-	}
-	dim := float64(st.GridDim)
-	f := 1.0
-	for d := 0; d < 3; d++ {
-		side := st.MBB.Side(d) / dim
-		if side <= 0 {
-			continue // degenerate dimension: expansion cannot split cells
-		}
-		fd := 1 + distance/side
-		if fd > dim {
-			fd = dim
-		}
-		f *= fd
-	}
-	if total := float64(st.TotalCells); total > 0 && f > total {
-		f = total
-	}
-	return f
+	st.MBB = st.MBB.Expand(distance / 2)
+	return st
 }

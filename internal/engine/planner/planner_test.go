@@ -39,7 +39,18 @@ func TestAnalyzeSignals(t *testing.T) {
 	}
 }
 
-// scoreOf returns the predicted cost of one engine in a decision.
+// prices is a Config.Correct giving TRANSFORMERS and inmem the walls tr and
+// im (ms; 0 is unmeasured).
+func prices(tr, im float64) func(string) float64 {
+	return func(name string) float64 {
+		if name == engine.InMem {
+			return im
+		}
+		return tr
+	}
+}
+
+// scoreOf returns the price of one engine in a decision.
 func scoreOf(t *testing.T, d Decision, name string) float64 {
 	t.Helper()
 	for _, s := range d.Scores {
@@ -51,9 +62,9 @@ func scoreOf(t *testing.T, d Decision, name string) float64 {
 	return 0
 }
 
-// TestPlanChoosesTransformersOnNonUniform is the acceptance property: on
-// clustered and on skewed serving-scale datasets the planner must select the
-// adaptive join.
+// TestPlanChoosesTransformersOnNonUniform: on clustered and on skewed
+// serving-scale datasets, over the in-memory cap, the planner must select the
+// adaptive join — cold, and when inmem measured cheaper on the pair.
 func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 	// Serving scale: above the in-memory cap.
 	n := 160_000
@@ -67,11 +78,11 @@ func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 		{name: "skewed", a: Analyze(skewedA), b: Analyze(skewedB)},
 	}
 	for _, w := range workloads {
-		for _, prebuilt := range []bool{false, true} {
-			d := Plan(w.a, w.b, Config{PrebuiltTransformers: prebuilt})
+		for _, cfg := range []Config{{}, {Correct: prices(50, 5)}} {
+			d := Plan(w.a, w.b, cfg)
 			if d.Engine != engine.Transformers {
-				t.Errorf("%s (prebuilt=%v): planner chose %q, want transformers\nscores: %+v",
-					w.name, prebuilt, d.Engine, d.Scores)
+				t.Errorf("%s (measured=%v): planner chose %q, want transformers\nscores: %+v",
+					w.name, cfg.Correct != nil, d.Engine, d.Scores)
 			}
 		}
 	}
@@ -125,16 +136,15 @@ func TestPlanMeasuredAgreement(t *testing.T) {
 	}
 }
 
-// TestPlanSmallUniformPrefersInMemory: below the in-memory cap on smooth
-// data the cache-resident stripe join is genuinely cheapest (no paged index,
-// no I/O) and the planner should say so — selection is statistics-driven, not
-// a hardcoded default.
+// TestPlanSmallUniformPrefersInMemory: below the in-memory cap, once inmem
+// measured cheaper on the pair the planner chooses it — selection follows the
+// measurements, not a hardcoded default.
 func TestPlanSmallUniformPrefersInMemory(t *testing.T) {
 	a := Analyze(datagen.Uniform(datagen.Config{N: 8000, Seed: 14}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 8000, Seed: 15}))
-	d := Plan(a, b, Config{})
-	if d.Engine != engine.InMem {
-		t.Errorf("small uniform: chose %q, want inmem\nscores: %+v", d.Engine, d.Scores)
+	d := Plan(a, b, Config{Correct: prices(12, 3)})
+	if d.Engine != engine.InMem || scoreOf(t, d, engine.InMem) != 3 || scoreOf(t, d, engine.Transformers) != 12 {
+		t.Errorf("small uniform: chose %q, want inmem at its measured 3 ms\nscores: %+v", d.Engine, d.Scores)
 	}
 }
 
@@ -158,11 +168,12 @@ func TestFitsInMemory(t *testing.T) {
 }
 
 // TestPlanInMemoryCap: the same distribution above the cap must exclude
-// inmem and fall to the robust disk-based default.
+// inmem and fall to the robust disk-based default, however cheap inmem
+// measured.
 func TestPlanInMemoryCap(t *testing.T) {
 	a := Analyze(datagen.Uniform(datagen.Config{N: 200_000, Seed: 16}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 200_000, Seed: 17}))
-	d := Plan(a, b, Config{})
+	d := Plan(a, b, Config{Correct: prices(100, 1)})
 	if d.Engine != engine.Transformers {
 		t.Errorf("above cap: chose %q, want transformers\nscores: %+v", d.Engine, d.Scores)
 	}
@@ -204,19 +215,19 @@ func TestPlanUnknownEngineNeverAutoSelected(t *testing.T) {
 	}
 }
 
-// TestPlanDaemonSweepNeverIndexesPerRequest sweeps the statistics space in the
-// daemon's configuration (catalog-resident TRANSFORMERS indexes): auto must
-// resolve to one of Engines — a catalog structure reused, never a paged index
-// built per request — and to inmem only under the in-memory cap. The MBB axis
-// varies the volume-per-element ratio of the two sides, the signal under which
-// a priced gipsy once took the high-contrast cells.
+// TestPlanDaemonSweepNeverIndexesPerRequest sweeps the statistics space with
+// inmem measured cheaper on every pair: auto must resolve to one of Engines —
+// a catalog structure reused, never a paged index built per request — and to
+// inmem exactly under the in-memory cap. The MBB axis varies the
+// volume-per-element ratio of the two sides, the signal under which a priced
+// gipsy once took the high-contrast cells.
 func TestPlanDaemonSweepNeverIndexesPerRequest(t *testing.T) {
 	stats := func(n int, skew, cluster, side float64) DatasetStats {
 		return DatasetStats{Count: n, SkewCV: skew, ClusterFraction: cluster,
 			MBB: geom.Box{Hi: geom.Point{side, side, side}}, GridDim: 32, TotalCells: 32 * 32 * 32}
 	}
 	cards := []int{10, 100, 1_000, 10_000, 100_000, 500_000, 1_000_000, 5_000_000}
-	cfg := Config{PrebuiltTransformers: true}
+	cfg := Config{PrebuiltTransformers: true, Correct: prices(20, 10)}
 	bad := make(map[string]int)
 	for _, na := range cards {
 		for _, nb := range cards {
@@ -226,7 +237,7 @@ func TestPlanDaemonSweepNeverIndexesPerRequest(t *testing.T) {
 						a, b := stats(na, skew, cluster, 1000), stats(nb, skew, cluster, side)
 						d := Plan(a, b, cfg)
 						switch {
-						case d.Engine == engine.Transformers:
+						case d.Engine == engine.Transformers && !FitsInMemory(a, b):
 						case d.Engine == engine.InMem && FitsInMemory(a, b):
 						default:
 							bad[d.Engine]++
@@ -237,18 +248,18 @@ func TestPlanDaemonSweepNeverIndexesPerRequest(t *testing.T) {
 		}
 	}
 	if len(bad) > 0 {
-		t.Errorf("auto resolved outside the served engines or the cap in %v of 3840 cells", bad)
+		t.Errorf("auto resolved against the measured walls or the cap in %v of 3840 cells", bad)
 	}
 }
 
-// TestPlanDeterministic: same stats in, same decision out — the property the
-// cache keying of "auto" requests relies on.
+// TestPlanDeterministic: same stats and walls in, same decision out.
 func TestPlanDeterministic(t *testing.T) {
 	a := Analyze(datagen.MassiveCluster(datagen.Config{N: 50000, Seed: 20}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 50000, Seed: 21}))
-	first := Plan(a, b, Config{PrebuiltTransformers: true})
+	cfg := Config{Correct: prices(7, 0)}
+	first := Plan(a, b, cfg)
 	for i := 0; i < 3; i++ {
-		again := Plan(a, b, Config{PrebuiltTransformers: true})
+		again := Plan(a, b, cfg)
 		if again.Engine != first.Engine || len(again.Scores) != len(first.Scores) {
 			t.Fatal("planning is not deterministic")
 		}

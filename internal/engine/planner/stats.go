@@ -1,14 +1,13 @@
-// Package planner selects a join engine per request from cheap dataset
-// statistics. The paper's thesis is that no fixed data layout is robust to
-// non-uniform distributions (§I, §VII), and its serving property is that an
-// index is built once and reused by every join (§III); the planner is the
-// serving-side consequence of both. It prices the two engines the daemon
-// serves — transformers over a dataset's catalog index, inmem over a pair's
-// resident partition — from three signals a single O(n) pass extracts
-// (cardinality, a skew coefficient and a clustering fraction over a coarse
-// grid) and picks the cheaper, falling back to TRANSFORMERS whenever the
-// prediction is inconclusive. TRANSFORMERS prices as batched, mostly
-// sequential page reads under the default disk model, inmem as pure CPU.
+// Package planner selects a join engine per request. The paper's thesis is
+// that no fixed data layout is robust to non-uniform distributions (§I,
+// §VII), and its serving property is that an index is built once and reused
+// by every join (§III); the planner is the serving-side consequence of both.
+// It chooses between the two engines the daemon serves — transformers over a
+// dataset's catalog index, inmem over a pair's resident partition — by the
+// kernel wall each measured on the pair (the wall table, learned.go),
+// exploring an unmeasured one first. The statistics a single O(n) pass
+// extracts (cardinality, a skew coefficient and a clustering fraction over a
+// coarse grid) gate inmem by cardinality and describe each sample.
 package planner
 
 import (
@@ -23,9 +22,8 @@ import (
 type DatasetStats struct {
 	// Count is the dataset cardinality.
 	Count int `json:"count"`
-	// MBB is the tight bounding box of the dataset. With GridDim and
-	// TotalCells it sizes the analysis grid's cells, which is what
-	// ExpandStats measures a distance join's expansion against.
+	// MBB is the tight bounding box of the dataset; the analysis grid
+	// spans it.
 	MBB geom.Box `json:"-"`
 	// GridDim is the per-dimension resolution of the analysis grid;
 	// TotalCells is GridDim^3.

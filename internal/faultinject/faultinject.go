@@ -2,8 +2,8 @@
 // join serving stack's storage so graceful degradation is proven, not
 // assumed. A Scenario wraps storage stores with faults — read errors, write
 // errors, slow reads, failing index builds — that fire at scripted operation
-// counts; the server test suite and the spatialjoind -faults flag run real
-// traffic through it and assert that every scenario ends in correct results,
+// counts; the server test suite runs real traffic through it and asserts
+// that every scenario ends in correct results,
 // a clean typed error, or a well-formed 429/503, never a hang, a leaked
 // goroutine, or a wrong pair set. Nothing retries an injected fault: an
 // upload whose build it fails answers 5xx and installs nothing, a merge it

@@ -319,7 +319,7 @@ func TestPlannerRecorderCacheHitsCannotSkew(t *testing.T) {
 }
 
 // TestPlannerRecorderObserver: every recorded sample reaches the observer —
-// the seam the serving path hangs the online corrector on — including cache
+// the seam the serving path hangs the planner's wall table on — including cache
 // hits (the observer does its own filtering), and a nil recorder stays inert.
 func TestPlannerRecorderObserver(t *testing.T) {
 	var rec *PlannerRecorder
@@ -338,18 +338,17 @@ func TestPlannerRecorderObserver(t *testing.T) {
 	nilRec.Record(PlannerSample{})
 }
 
-// TestPlannerSampleExcludedRoundTrip: exclusion reasons and term vectors ride
-// a retained sample's JSON (what /debug/planner serves), so a reader can tell
+// TestPlannerSampleExcludedRoundTrip: exclusion reasons and prices ride a
+// retained sample's JSON (what /debug/planner serves), so a reader can tell
 // "excluded" from "missing".
 func TestPlannerSampleExcludedRoundTrip(t *testing.T) {
 	rec := NewPlannerRecorder(2, nil)
 	rec.Record(PlannerSample{
-		Engine:           "transformers",
-		Scores:           map[string]float64{"transformers": 12},
-		Excluded:         map[string]string{"naive": "reference engine over cap"},
-		Terms:            map[string]float64{"io": 8, "cpu": 4},
-		CorrectionFactor: 1.25,
-		MeasuredMS:       14,
+		Engine:      "transformers",
+		Scores:      map[string]float64{"transformers": 12},
+		Excluded:    map[string]string{"naive": "reference engine over cap"},
+		PredictedMS: 12,
+		MeasuredMS:  14,
 	})
 	doc, err := json.Marshal(rec.Snapshot()[0])
 	if err != nil {
@@ -359,7 +358,7 @@ func TestPlannerSampleExcludedRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(doc, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Excluded["naive"] == "" || back.Terms["io"] != 8 || back.CorrectionFactor != 1.25 {
+	if back.Excluded["naive"] == "" || back.Scores["transformers"] != 12 || back.PredictedMS != 12 || back.MeasuredMS != 14 {
 		t.Fatalf("round trip lost fields: %+v", back)
 	}
 }

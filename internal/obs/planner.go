@@ -8,8 +8,8 @@ import (
 
 // The planner accuracy recorder: every executed join contributes a
 // (stats features, candidate scores, chosen engine, predicted cost, measured
-// cost) sample — what the online drift corrector learns from. Samples live
-// in a bounded ring served at /debug/planner.
+// cost) sample — what the planner's wall table learns from. Samples live in
+// a bounded ring served at /debug/planner.
 
 // DatasetFeatures are the planner-relevant statistics of one join input.
 type DatasetFeatures struct {
@@ -28,23 +28,16 @@ type PlannerSample struct {
 	B         DatasetFeatures    `json:"b"`
 	Predicate string             `json:"predicate"`
 	Distance  float64            `json:"distance,omitempty"`
-	Scores    map[string]float64 `json:"scores,omitempty"` // candidate engine → predicted cost (ms)
+	Scores    map[string]float64 `json:"scores,omitempty"` // measured candidate engine → price (ms)
 	// Excluded records the candidates the planner refused to price finitely
 	// (engine → reason), so a sample shows *why* an engine is absent from
 	// Scores instead of silently dropping it.
 	Excluded map[string]string `json:"excluded,omitempty"`
-	// Terms is the chosen engine's cost-term decomposition in ms, before drift
-	// correction — the operator-facing breakdown of PredictedMS.
-	Terms map[string]float64 `json:"terms,omitempty"`
-	// CorrectionFactor is the online drift-correction multiplier that was
-	// applied to the chosen engine's predicted cost (0 when no corrector ran,
-	// 1 when it had nothing to say).
-	CorrectionFactor float64 `json:"correction_factor,omitempty"`
-	Engine           string  `json:"engine"` // chosen engine
-	Auto             bool    `json:"auto"`   // planner chose (vs explicit request)
-	// PredictedMS is the planner's cost estimate for the chosen engine;
-	// MeasuredMS is the comparable modeled execution cost
-	// (build + join wall + modeled I/O). WallMS is end-to-end request time.
+	Engine   string            `json:"engine"` // chosen engine
+	Auto     bool              `json:"auto"`   // planner chose (vs explicit request)
+	// PredictedMS is the chosen engine's price (-1 while unmeasured);
+	// MeasuredMS is the join's kernel wall, the currency it is priced in.
+	// WallMS is end-to-end request time.
 	PredictedMS float64 `json:"predicted_ms"`
 	MeasuredMS  float64 `json:"measured_ms"`
 	WallMS      float64 `json:"wall_ms"`
@@ -54,9 +47,7 @@ type PlannerSample struct {
 	// aggregation so replays don't drown real measurements.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// PartitionHit samples ran the inmem kernel on a catalog-resident
-	// partition: MeasuredMS has no build phase while PredictedMS and Terms
-	// still price one. Real executions: the online drift corrector learns
-	// from them.
+	// partition; neither price nor wall includes a partition build.
 	PartitionHit bool `json:"partition_hit,omitempty"`
 }
 
@@ -68,7 +59,7 @@ type PlannerRecorder struct {
 
 // NewPlannerRecorder holds the last n samples (n<=0 → 1). observer, when
 // non-nil, is invoked with every recorded sample — the read seam feeding the
-// online planner corrector. It runs outside the recorder lock (it may consult
+// planner's wall table. It runs outside the recorder lock (it may consult
 // the recorder) and must do its own filtering (e.g. skip cache hits).
 func NewPlannerRecorder(n int, observer func(PlannerSample)) *PlannerRecorder {
 	return &PlannerRecorder{ring: newRing[PlannerSample](n), observer: observer}

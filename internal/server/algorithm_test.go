@@ -141,9 +141,8 @@ func TestJoinAutoCacheSharing(t *testing.T) {
 		t.Error("explicit hit must not inherit the filler's planner report")
 	}
 	// A second auto request carries its own planner report, and when it
-	// resolves to the same engine (the first join trained the drift
-	// corrector, which may flip a near-tied ranking) it hits the shared
-	// entry.
+	// resolves to the same engine (a cache hit feeds the wall table nothing,
+	// so it does) it hits the shared entry.
 	third, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: AlgorithmAuto})
 	if err != nil {
 		t.Fatal(err)

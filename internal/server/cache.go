@@ -42,11 +42,7 @@ type JoinKey struct {
 type PlannerInfo struct {
 	// Requested echoes the request's algorithm field ("auto").
 	Requested string `json:"requested"`
-	// Fallback is set when the robust default won over a nominally
-	// cheaper engine (see planner.Decision).
-	Fallback bool `json:"fallback,omitempty"`
-	// Scores is the ranked prediction over the served engines, cheapest
-	// first.
+	// Scores is the ranked pricing of the served engines, cheapest first.
 	Scores []planner.Score `json:"scores"`
 }
 

@@ -64,8 +64,8 @@ type Catalog struct {
 	// partitions holds the resident inmem pair partitions (partition.go).
 	partitions map[partKey]*partEntry
 	// storeFactory builds the page store behind each index build (a fresh
-	// store per build). Nil selects an in-memory store; tests and the -faults
-	// flag install fault-injecting factories here.
+	// store per build). Nil selects an in-memory store; tests install
+	// fault-injecting factories here.
 	storeFactory func() storage.Store
 
 	builds        uint64

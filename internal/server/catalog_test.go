@@ -263,8 +263,8 @@ func TestDistanceSweepHoldsOneIndex(t *testing.T) {
 // distances, the live heap grew by at most 1.3 x 56 bytes an element (2.1 x
 // when the index kept an encoded copy of every page, one more per distance
 // when each had an index of its own). The bound holds over the catalog's own
-// stores and over the fault-injecting ones a -faults daemon builds on, with
-// no fault scheduled: those run the same page path.
+// stores and over fault-injecting ones with no fault scheduled: those run
+// the same page path.
 func TestResidentDatasetHeldOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("indexes 100K elements twice")

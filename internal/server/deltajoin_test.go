@@ -112,8 +112,9 @@ func FuzzDeltaJoin(f *testing.F) {
 // excluded for the reason partitionRetired in the response's planner report
 // and in the planner sample; a merge carries the epoch, so the pair stays
 // there, and a Put returns it to the planner. The same pair at rest —
-// selective's uniform × dense_cluster shape — resolves to inmem, and an
-// explicit inmem request on the written pair still runs inmem.
+// selective's uniform × dense_cluster shape, with transformers measured far
+// slower — resolves to inmem, and an explicit inmem request on the written
+// pair still runs inmem.
 func TestAutoLeavesInMemOnceAppended(t *testing.T) {
 	const n = 5000
 	ctx := context.Background()
@@ -149,7 +150,7 @@ func TestAutoLeavesInMemOnceAppended(t *testing.T) {
 			t.Fatalf("%s: the sample excludes inmem for %q", when, sample[1])
 		}
 		pl := out.Summary.Planner
-		if pl == nil || pl.Fallback || len(pl.Scores) != 2 || pl.Scores[0].Engine != engine.Transformers ||
+		if pl == nil || len(pl.Scores) != 2 || pl.Scores[0].Engine != engine.Transformers ||
 			pl.Scores[1].Engine != engine.InMem || !math.IsInf(pl.Scores[1].CostMS, 1) || pl.Scores[1].Reason != partitionRetired {
 			t.Fatalf("%s: planner report %+v", when, pl)
 		}
@@ -162,6 +163,9 @@ func TestAutoLeavesInMemOnceAppended(t *testing.T) {
 		}
 	}
 
+	for i := 0; i < 2; i++ {
+		svc.walls.Observe("u", "dc", 0, engine.Transformers, 1e6)
+	}
 	atRest("before any write")
 	if _, err := svc.Append(ctx, "dc", cpElems(extra[:250])); err != nil {
 		t.Fatal(err)

@@ -254,34 +254,34 @@ func NewHandler(svc *Service) http.Handler {
 			samples = samples[:debugPlannerSamples]
 		}
 		writeJSON(w, http.StatusOK, debugPlannerResponse{
-			Report:      rep,
-			Corrections: largestCorrections(svc.PlannerCorrections(), debugPlannerSamples),
-			Recent:      samples,
+			Report: rep,
+			Walls:  largestWalls(svc.PlannerWalls(), debugPlannerSamples),
+			Recent: samples,
 		})
 	})
 	return mux
 }
 
-// debugPlannerSamples caps the raw samples and the correction series echoed
-// by /debug/planner; the full ring still feeds the aggregate report.
+// debugPlannerSamples caps the raw samples and the wall series echoed by
+// /debug/planner; the full ring still feeds the aggregate report.
 const debugPlannerSamples = 100
 
-// largestCorrections keeps the n most-sampled series of a snapshot sorted by
-// pair and engine, ties going to the earlier name, in that same order.
-func largestCorrections(corr []planner.Correction, n int) []planner.Correction {
-	if len(corr) <= n {
-		return corr
+// largestWalls keeps the n most-sampled series of a sorted snapshot, ties
+// going to the earlier one, in that same order.
+func largestWalls(walls []planner.Wall, n int) []planner.Wall {
+	if len(walls) <= n {
+		return walls
 	}
-	idx := make([]int, len(corr))
+	idx := make([]int, len(walls))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return corr[idx[i]].Samples > corr[idx[j]].Samples })
+	sort.SliceStable(idx, func(i, j int) bool { return walls[idx[i]].Samples > walls[idx[j]].Samples })
 	keep := idx[:n]
 	sort.Ints(keep)
-	out := make([]planner.Correction, n)
+	out := make([]planner.Wall, n)
 	for i, k := range keep {
-		out[i] = corr[k]
+		out[i] = walls[k]
 	}
 	return out
 }
@@ -296,10 +296,10 @@ type debugJoinsResponse struct {
 
 type debugPlannerResponse struct {
 	Report obs.PlannerReport `json:"report"`
-	// Corrections lists the online drift corrector's learned factors
-	// (capped like Recent — the largest series, not all of them).
-	Corrections []planner.Correction `json:"corrections,omitempty"`
-	Recent      []obs.PlannerSample  `json:"recent"`
+	// Walls lists the wall table's series (capped like Recent — the
+	// most-sampled series, not all of them).
+	Walls  []planner.Wall      `json:"walls,omitempty"`
+	Recent []obs.PlannerSample `json:"recent"`
 }
 
 // responseBufBytes sizes the buffer pairs are encoded into on their way out —

@@ -340,12 +340,13 @@ func TestHTTPConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestHTTPGracefulShutdown starts a real http.Server, fires concurrent
-// requests, and shuts down mid-traffic: every accepted request must complete
-// with 200, Shutdown must return cleanly, and new connections must be
-// refused afterwards.
+// TestHTTPGracefulShutdown starts a real http.Server, fires eight streamed
+// joins, and shuts down once the pool has admitted all of them: every one
+// must stream to its end — a 200 and a trailer that is not aborted —
+// Shutdown must return cleanly, and new connections must be refused
+// afterwards.
 func TestHTTPGracefulShutdown(t *testing.T) {
-	svc := NewService(Config{})
+	svc := NewService(Config{Workers: 8})
 	srv := &http.Server{Handler: NewHandler(svc)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -355,38 +356,54 @@ func TestHTTPGracefulShutdown(t *testing.T) {
 	go func() { done <- srv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	resp, err := http.Post(base+"/datasets", "application/json",
-		strings.NewReader(`{"name":"a","generate":{"kind":"uniform","n":3000,"seed":91}}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		`{"name":"a","generate":{"kind":"uniform","n":20000,"seed":91}}`,
+		`{"name":"b","generate":{"kind":"uniform","n":20000,"seed":92}}`,
+	} {
+		resp, err := http.Post(base+"/datasets", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
-	resp, err = http.Post(base+"/datasets", "application/json",
-		strings.NewReader(`{"name":"b","generate":{"kind":"uniform","n":3000,"seed":92}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	admitted := func() uint64 { p := svc.Stats().Pool; return uint64(p.Active) + p.Completed }
+	before := admitted()
 
-	// In-flight traffic while Shutdown runs.
+	// In-flight traffic while Shutdown runs: distance joins of ~27K pairs
+	// each, streamed.
 	var wg sync.WaitGroup
-	results := make([]int, 8)
+	results := make([]string, 8)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := http.Post(base+"/join", "application/json",
-				strings.NewReader(`{"a":"a","b":"b","no_cache":true,"stream":true}`))
+			r, err := http.Post(base+"/join/distance", "application/json",
+				strings.NewReader(`{"a":"a","b":"b","distance":40,"no_cache":true,"stream":true}`))
 			if err != nil {
-				results[i] = -1
+				results[i] = err.Error()
 				return
 			}
-			io.Copy(io.Discard, r.Body)
-			r.Body.Close()
-			results[i] = r.StatusCode
+			defer r.Body.Close()
+			body, err := io.ReadAll(r.Body)
+			lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+			var tr streamTrailer
+			switch {
+			case err != nil:
+				results[i] = err.Error()
+			case r.StatusCode != http.StatusOK:
+				results[i] = r.Status
+			case json.Unmarshal(lines[len(lines)-1], &tr) != nil || tr.Aborted || tr.Pairs == 0 || tr.Pairs != len(lines)-1:
+				results[i] = fmt.Sprintf("stream cut: %d lines, last %.100q", len(lines), lines[len(lines)-1])
+			}
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond) // let the requests reach the server
+	// Every stream admitted: all eight started before Shutdown, and the drain
+	// must let each finish.
+	for deadline := time.Now().Add(30 * time.Second); admitted() < before+8; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 8 streams admitted after 30 s", admitted()-before)
+		}
+	}
 	shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
@@ -396,20 +413,10 @@ func TestHTTPGracefulShutdown(t *testing.T) {
 	if err := <-done; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
-	for i, code := range results {
-		if code != http.StatusOK && code != -1 {
-			t.Fatalf("request %d finished with %d during shutdown", i, code)
+	for i, res := range results {
+		if res != "" {
+			t.Errorf("stream %d did not survive the graceful drain: %s", i, res)
 		}
-	}
-	// The drain must have let at least some requests complete normally.
-	completed := 0
-	for _, code := range results {
-		if code == http.StatusOK {
-			completed++
-		}
-	}
-	if completed == 0 {
-		t.Fatal("no request survived the graceful drain")
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after shutdown")

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -478,6 +479,19 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 	}
 	summary.Planner = jp.plan
 	s.recordPlannerSample(ctx, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
+	if jp.plan != nil && ex.part != nil {
+		// An explored inmem join that lost keeps no partition resident:
+		// once the wall table prices TRANSFORMERS lower, "auto" does not
+		// come back to it. The partition was live at the last collection,
+		// so the heap goal counts it twice over; collecting once it is
+		// garbage sets the goal without it (about 2 MB of stream-heavy's
+		// peak RSS).
+		tr := s.walls.Price(a, b, p.Distance, engine.Transformers)
+		if tr > 0 && s.walls.Price(a, b, p.Distance, engine.InMem) > tr {
+			ex.part.Forget()
+			runtime.GC()
+		}
+	}
 	return &JoinOutcome{Summary: summary}, jp.algo, nil
 }
 

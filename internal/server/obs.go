@@ -44,12 +44,11 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 	o := &serviceObs{
 		reg:  obs.NewRegistry(),
 		ring: obs.NewJoinRing(DefaultDebugJoins),
-		// Every executed (non-cached) sample teaches the corrector its
-		// engine's measured/predicted ratio for that dataset pair; Observe
-		// ignores unpriced samples (PredictedMS < 0) on its own.
+		// Every executed (non-cached) sample gives the wall table its
+		// engine's kernel wall on that pair and distance.
 		recorder: obs.NewPlannerRecorder(DefaultPlannerSamples, func(ps obs.PlannerSample) {
 			if !ps.CacheHit {
-				s.corrector.Observe(ps.A.Name, ps.B.Name, ps.Engine, ps.PredictedMS, ps.MeasuredMS)
+				s.walls.Observe(ps.A.Name, ps.B.Name, ps.Distance, ps.Engine, ps.MeasuredMS)
 			}
 		}),
 		slow: slow,
@@ -130,8 +129,8 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		func() float64 { return float64(s.cat.Stats().DeltaElements) })
 	counter("spatialjoin_delta_merges_total", "Completed background delta merges.",
 		func() float64 { return float64(s.cat.Stats().Merges) })
-	r.GaugeFunc("spatialjoin_planner_correction_pairs", "Tracked (dataset pair, engine) drift-correction series.",
-		func() float64 { return float64(s.corrector.Len()) })
+	r.GaugeFunc("spatialjoin_planner_wall_series", "Tracked (dataset pair, distance, engine) series of the planner's wall table.",
+		func() float64 { return float64(s.walls.Len()) })
 	r.GaugeFunc("go_goroutines", "Current goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.GaugeFunc("go_heap_alloc_bytes", "Live heap allocation.",
@@ -165,9 +164,9 @@ func (s *Service) SlowJoins() *obs.JoinRing { return s.obs.ring }
 // PlannerRecorder exposes the planner accuracy recorder (/debug/planner).
 func (s *Service) PlannerRecorder() *obs.PlannerRecorder { return s.obs.recorder }
 
-// PlannerCorrections snapshots the online drift corrector's learned
-// per-(dataset pair, engine) factors, sorted (/debug/planner).
-func (s *Service) PlannerCorrections() []planner.Correction { return s.corrector.Snapshot() }
+// PlannerWalls snapshots the wall table's per-(dataset pair, distance,
+// engine) series, sorted (/debug/planner).
+func (s *Service) PlannerWalls() []planner.Wall { return s.walls.Snapshot() }
 
 // SlowJoinThreshold reports the resolved slow-join ring threshold.
 func (s *Service) SlowJoinThreshold() time.Duration { return s.obs.slow }

@@ -8,64 +8,67 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/engine/planner"
 	"repro/transformers"
 )
 
+// wallSamples returns how many walls the table holds per engine for one pair
+// at one distance.
+func wallSamples(svc *Service, a, b string, distance float64) map[string]int64 {
+	n := make(map[string]int64)
+	for _, w := range svc.PlannerWalls() {
+		if w.A == a && w.B == b && w.Distance == distance {
+			n[w.Engine] += w.Samples
+		}
+	}
+	return n
+}
+
 // TestServiceDistanceJoinPlanning: the planner must price the join that
-// actually runs. A distance join expands every box by distance/2 per side,
-// so the auto decision over base statistics (a tight clustered workload the
-// in-memory engine wins) must differ from the decision at a large distance,
-// where expansion multiplies the in-memory engine's candidate work past the
-// catalog-resident TRANSFORMERS indexes. Before expansion-adjusted planning
-// both requests resolved identically — the bug this PR fixes.
+// actually runs. A distance join joins boxes grown by the distance, so its
+// walls are a series of their own: a pair's intersection joins and its
+// distance joins each explore both engines, and each is priced by its own
+// walls.
 func TestServiceDistanceJoinPlanning(t *testing.T) {
 	svc := NewService(Config{Workers: 1, Parallelism: 1})
 	ctx := context.Background()
-	if _, err := svc.AddDataset(ctx, "ma", datagen.MassiveCluster(datagen.Config{N: 20000, Seed: 6})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.AddDataset(ctx, "mb", datagen.MassiveCluster(datagen.Config{N: 20000, Seed: 7})); err != nil {
-		t.Fatal(err)
-	}
+	addDataset(t, svc, "a", transformers.GenerateUniform(3000, 6))
+	addDataset(t, svc, "b", transformers.GenerateUniform(3000, 7))
 
-	base, err := svc.planJoin("ma", "mb", JoinParams{Algorithm: AlgorithmAuto})
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range []float64{0, 20} {
+		for i := 0; i < 4; i++ {
+			if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, Distance: d, NoCache: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	far, err := svc.planJoin("ma", "mb", JoinParams{Algorithm: AlgorithmAuto, Distance: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.algo != engine.InMem {
-		t.Fatalf("base join chose %q, want inmem\nscores: %+v", base.algo, base.scores)
-	}
-	if far.algo != engine.Transformers {
-		t.Fatalf("distance-300 join chose %q, want transformers\nscores: %+v", far.algo, far.scores)
-	}
-	if base.predictedMS <= 0 || far.predictedMS <= 0 {
-		t.Fatalf("predictions must be finite and positive: base %v, far %v", base.predictedMS, far.predictedMS)
-	}
-	// Expansion must also raise every engine's predicted cost, not just
-	// reorder them: the same work over denser, fatter boxes cannot get
-	// cheaper.
-	baseByEngine := make(map[string]float64, len(base.scores))
-	for _, sc := range base.scores {
-		baseByEngine[sc.Engine] = sc.CostMS
-	}
-	for _, sc := range far.scores {
-		if b, ok := baseByEngine[sc.Engine]; ok && sc.CostMS < b {
-			t.Fatalf("engine %s priced cheaper at distance 300 (%v) than at 0 (%v)", sc.Engine, sc.CostMS, b)
+	for _, d := range []float64{0, 20} {
+		if n := wallSamples(svc, "a", "b", d); n[engine.Transformers] != 2 || n[engine.InMem] != 2 {
+			t.Fatalf("distance %v: the table holds %v walls, want two of each engine", d, n)
+		}
+		jp, err := svc.planJoin("a", "b", JoinParams{Algorithm: AlgorithmAuto, Distance: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := svc.walls.Price("a", "b", d, jp.algo); jp.predictedMS != want || want <= 0 {
+			t.Fatalf("distance %v: %s planned at %v ms, the table prices it %v", d, jp.algo, jp.predictedMS, want)
+		}
+		for _, sc := range jp.scores {
+			if sc.CostMS > jp.predictedMS {
+				continue
+			}
+			if sc.Engine != jp.algo {
+				t.Fatalf("distance %v: chose %s over the cheaper %+v", d, jp.algo, sc)
+			}
 		}
 	}
 }
 
 // TestServiceRecordsExcludedCandidates: candidates the planner refuses to
 // price finitely (here: inmem, over the in-memory cap) must land in the
-// sample's Excluded map with their reason, and the chosen engine's term
-// decomposition must ride along for /debug/planner's reader.
+// sample's Excluded map with their reason; an engine not yet measured has no
+// price in the sample.
 func TestServiceRecordsExcludedCandidates(t *testing.T) {
 	svc := NewService(Config{})
 	ctx := context.Background()
@@ -84,104 +87,48 @@ func TestServiceRecordsExcludedCandidates(t *testing.T) {
 		t.Fatalf("got %d samples, want 1", len(samples))
 	}
 	s := samples[0]
-	// inmem must be excluded with a reason, and must not appear among the
-	// finite scores.
 	if s.Excluded[engine.InMem] == "" {
 		t.Fatalf("sample lacks an exclusion reason for inmem: %+v", s.Excluded)
 	}
-	if _, ok := s.Scores[engine.InMem]; ok {
-		t.Fatalf("inmem is both scored and excluded: %+v", s.Scores)
-	}
-	if len(s.Terms) == 0 {
-		t.Fatalf("sample lacks the chosen engine's term decomposition: %+v", s)
-	}
-	var sum float64
-	for name, ms := range s.Terms {
-		if ms < 0 {
-			t.Fatalf("negative term %s=%v", name, ms)
-		}
-		sum += ms
-	}
-	if sum <= 0 {
-		t.Fatalf("term decomposition sums to %v, want > 0", sum)
-	}
-	// First join ever: the corrector had no history, so the factor that was
-	// applied is exactly 1 (recorded as such — 0 would mean no corrector).
-	if s.CorrectionFactor != 1 {
-		t.Fatalf("first join's correction factor = %v, want 1", s.CorrectionFactor)
+	if len(s.Scores) != 0 || s.PredictedMS != -1 || s.MeasuredMS <= 0 {
+		t.Fatalf("first join on the pair: scores %v, predicted %v, measured %v; want no prices and a measured wall", s.Scores, s.PredictedMS, s.MeasuredMS)
 	}
 }
 
-// TestServiceCorrectorLearnsFromJoins: executed joins must feed the online
-// corrector through the recorder's observer, bias subsequent plans, and
-// surface in the corrections snapshot; cache hits must not train it.
+// TestServiceCorrectorLearnsFromJoins: executed joins feed the wall table
+// through the recorder's observer — a cold pair runs transformers twice and
+// inmem twice — and the next plan carries the learned price; cache hits do
+// not feed it.
 func TestServiceCorrectorLearnsFromJoins(t *testing.T) {
 	svc := NewService(Config{})
 	ctx := context.Background()
-	if _, err := svc.AddDataset(ctx, "a", transformers.GenerateUniform(2000, 63)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.AddDataset(ctx, "b", transformers.GenerateUniform(2000, 64)); err != nil {
-		t.Fatal(err)
-	}
-	var algo string
-	for i := 0; i < 3; i++ {
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 63))
+	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 64))
+	var ran []string
+	for i := 0; i < 4; i++ {
 		out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		algo = out.Summary.Algorithm
+		ran = append(ran, out.Summary.Algorithm)
 	}
-	corr := svc.PlannerCorrections()
-	if len(corr) == 0 {
-		t.Fatal("corrector learned nothing from three executed joins")
+	if want := []string{engine.Transformers, engine.Transformers, engine.InMem, engine.InMem}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("a cold pair ran %v, want %v", ran, want)
 	}
-	var got *planner.Correction
-	for i := range corr {
-		if corr[i].A == "a" && corr[i].B == "b" && corr[i].Engine == algo {
-			got = &corr[i]
-		}
-	}
-	if got == nil {
-		t.Fatalf("no correction series for (a, b, %s): %+v", algo, corr)
-	}
-	// Every executed join trains exactly one series; the learned bias may
-	// flip the auto choice between iterations (that is the corrector doing
-	// its job), so the training-count invariant is the TOTAL over the
-	// pair's series, not one engine holding all three.
-	pairSamples := func(corr []planner.Correction) (total int64) {
-		for i := range corr {
-			if corr[i].A == "a" && corr[i].B == "b" {
-				total += corr[i].Samples
-			}
-		}
-		return total
-	}
-	if total := pairSamples(corr); total != 3 {
-		t.Fatalf("pair's correction series hold %d samples, want 3: %+v", total, corr)
-	}
-	if got.Samples == 0 {
-		t.Fatalf("last executed engine %s recorded no sample: %+v", algo, corr)
-	}
-	if got.Factor <= 0 {
-		t.Fatalf("correction factor %v, want > 0", got.Factor)
+	if n := wallSamples(svc, "a", "b", 0); n[engine.Transformers] != 2 || n[engine.InMem] != 2 {
+		t.Fatalf("the table holds %v walls, want two of each engine", n)
 	}
 
-	// A fresh plan for the pair must carry the learned factor (and record it
-	// in its sample).
 	jp, err := svc.planJoin("a", "b", JoinParams{Algorithm: AlgorithmAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jp.algo == algo && jp.correction != got.Factor {
-		t.Fatalf("plan carries correction %v, corrector says %v", jp.correction, got.Factor)
+	if want := svc.walls.Price("a", "b", 0, jp.algo); jp.predictedMS != want || want <= 0 {
+		t.Fatalf("plan prices %s at %v ms, the table at %v", jp.algo, jp.predictedMS, want)
 	}
 
-	// Cache hits replay old measurements and must not train the corrector.
-	// The replay pins the filler's resolved engine: the key carries the
-	// executed algorithm, so a second auto request only hits if the (still
-	// learning) corrector resolves the same way twice — pinning makes the
-	// hit about the cache, not about plan stability.
+	// A cache fill is an execution and feeds the table; the hit replaying it
+	// does not.
 	filler, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto})
 	if err != nil {
 		t.Fatal(err)
@@ -193,16 +140,51 @@ func TestServiceCorrectorLearnsFromJoins(t *testing.T) {
 	if !hit.Cached {
 		t.Fatal("second cached join was not served from cache")
 	}
-	// 3 NoCache joins + 1 cache filler = 4 training samples across the
-	// pair's series; the cache hit must not be a 5th.
-	if total := pairSamples(svc.PlannerCorrections()); total != 4 {
-		t.Fatalf("pair's correction series hold %d samples after a cache hit, want 4", total)
+	total := int64(0)
+	for _, n := range wallSamples(svc, "a", "b", 0) {
+		total += n
+	}
+	if total != 5 {
+		t.Fatalf("the pair's series hold %d walls after a fill and a hit, want 5", total)
+	}
+}
+
+// TestExploredPartitionForgotten: once the inmem joins "auto" explores leave
+// the table pricing transformers lower, the pair's partition is not kept
+// resident; when inmem measures lower, it is.
+func TestExploredPartitionForgotten(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		wallTr float64 // the transformers wall the table is seeded with
+		kept   int
+	}{{1e-6, 0}, {1e6, 1}} {
+		svc := NewService(Config{})
+		addDataset(t, svc, "a", transformers.GenerateUniform(2000, 65))
+		addDataset(t, svc, "b", transformers.GenerateUniform(2000, 66))
+		for i := 0; i < 2; i++ {
+			svc.walls.Observe("a", "b", 0, engine.Transformers, tc.wallTr)
+		}
+		for i := 0; i < 2; i++ {
+			out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Summary.Algorithm != engine.InMem {
+				t.Fatalf("transformers at %v ms: join %d ran %s, want inmem explored", tc.wallTr, i+1, out.Summary.Algorithm)
+			}
+			if parts := svc.Catalog().Stats().Partitions; i == 0 && parts != 1 {
+				t.Fatalf("after the first explored inmem join %d partitions are resident, want 1", parts)
+			}
+		}
+		if parts := svc.Catalog().Stats().Partitions; parts != tc.kept {
+			t.Errorf("transformers at %v ms: %d partitions resident after exploring, want %d", tc.wallTr, parts, tc.kept)
+		}
 	}
 }
 
 // TestDebugPlannerKeepsLargestCorrections: past its cap /debug/planner lists
-// the most-sampled correction series — ties going to the earlier name — and
-// still in pair/engine order, not the first hundred names.
+// the most-sampled wall series — ties going to the earlier name — and still
+// in pair/engine order, not the first hundred names.
 func TestDebugPlannerKeepsLargestCorrections(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
 	// 150 series in name order: the first 60 observed once, the last 90 five
@@ -215,7 +197,7 @@ func TestDebugPlannerKeepsLargestCorrections(t *testing.T) {
 			n = 1
 		}
 		for j := 0; j < n; j++ {
-			svc.corrector.Observe(name(i), "b", engine.InMem, 10, 20)
+			svc.walls.Observe(name(i), "b", 0, engine.InMem, 20)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/debug/planner")
@@ -224,7 +206,7 @@ func TestDebugPlannerKeepsLargestCorrections(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Corrections []planner.Correction `json:"corrections"`
+		Walls []planner.Wall `json:"walls"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
@@ -237,10 +219,10 @@ func TestDebugPlannerKeepsLargestCorrections(t *testing.T) {
 		want = append(want, name(i))
 	}
 	var got []string
-	for _, c := range doc.Corrections {
-		got = append(got, c.A)
+	for _, w := range doc.Walls {
+		got = append(got, w.A)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("/debug/planner corrections = %v\nwant the %d most-sampled series in name order: %v", got, limit, want)
+		t.Fatalf("/debug/planner walls = %v\nwant the %d most-sampled series in name order: %v", got, limit, want)
 	}
 }

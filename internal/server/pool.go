@@ -51,10 +51,11 @@ type Request struct {
 	Tenant string
 	// Priority selects the admission lane.
 	Priority Priority
-	// Cost is the request's weight in slot units — the planner-predicted
-	// cost of a join prices it so one predicted-quadratic join counts as
-	// many slots. Values below 1 cost 1; values above the pool capacity
-	// are clamped to it (such a request runs alone, which is the point).
+	// Cost is the request's weight in slot units — a join's engine, priced
+	// by the kernel wall it measured on the pair, counts as many slots when
+	// that wall is long. Values below 1 cost 1; values above the pool
+	// capacity are clamped to it (such a request runs alone, which is the
+	// point).
 	Cost int
 }
 

@@ -446,6 +446,33 @@ func TestSlowReadJoinStaysCorrect(t *testing.T) {
 	}
 }
 
+// TestInertFaultScenarioReadsAsClean: under a fault scenario that never
+// fires (one read error after a billion reads) the catalog builds on the
+// fault-injecting stores, which hold and read pages as the plain ones do: the
+// same uploads and the same transformers distance join answer the same
+// results from the same number of page reads.
+func TestInertFaultScenarioReadsAsClean(t *testing.T) {
+	sc, err := faultinject.Parse("read-error:after=1000000000", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]JoinSummary
+	for i, cfg := range []Config{{}, {StoreFactory: sc.StoreFactory}} {
+		svc := NewService(cfg)
+		addDataset(t, svc, "a", transformers.GenerateUniform(20000, 1))
+		addDataset(t, svc, "b", transformers.GenerateDenseCluster(20000, 2))
+		out, err := svc.Join(context.Background(), "a", "b", JoinParams{Algorithm: engine.Transformers, Distance: 20, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = out.Summary
+	}
+	if got[1].Results != got[0].Results || got[1].Reads != got[0].Reads || got[0].Results == 0 || got[0].Reads == 0 {
+		t.Fatalf("inert faults: %d results from %d reads; clean stores: %d from %d",
+			got[1].Results, got[1].Reads, got[0].Results, got[0].Reads)
+	}
+}
+
 // TestEmitErrorReleasesSlot: a consumer failing in the middle of pair
 // emission fails the join with its error and releases everything it held.
 func TestEmitErrorReleasesSlot(t *testing.T) {

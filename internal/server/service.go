@@ -84,8 +84,7 @@ type Config struct {
 	// the tenant's queue degraded (DefaultShedWindow when zero).
 	ShedWindow time.Duration
 	// StoreFactory overrides the page store behind catalog index builds
-	// (in-memory when nil); the -faults flag installs fault-injecting
-	// stores here.
+	// (in-memory when nil); tests install fault-injecting stores here.
 	StoreFactory func() storage.Store
 	// SlowJoinThreshold bounds which joins land (with their span trees) in
 	// the /debug/joins ring: slower-than-threshold only. Zero selects
@@ -108,10 +107,11 @@ const (
 	// DefaultMaxBodyBytes caps one request body (256MB ≈ 2.5M uploaded
 	// elements in JSON).
 	DefaultMaxBodyBytes = 256 << 20
-	// DefaultCostUnitMS converts planner-predicted join cost into admission
-	// slot units: a join predicted to take N ms occupies 1 + N/DefaultCostUnitMS
-	// units, so one predicted-quadratic join cannot monopolize the pool at
-	// unit price while joins predicted under it run at unit price.
+	// DefaultCostUnitMS converts a join's price — the kernel wall its
+	// engine measured on the pair — into admission slot units: a join priced
+	// at N ms occupies 1 + N/DefaultCostUnitMS units, so one long join cannot
+	// monopolize the pool at unit price while joins priced under it, and
+	// joins of an engine not yet measured on the pair, run at unit price.
 	DefaultCostUnitMS = 500.0
 	// DefaultShedWindow is how long a shed event keeps /healthz degraded.
 	DefaultShedWindow = 10 * time.Second
@@ -166,10 +166,10 @@ type Service struct {
 	// planner accuracy recorder. Always non-nil.
 	obs *serviceObs
 
-	// corrector tracks per-(dataset pair, engine) measured/predicted drift
-	// from executed joins and biases future Plan calls. Always non-nil; fed
-	// by the planner recorder's observer.
-	corrector *planner.Corrector
+	// walls is the wall table Plan prices each engine by: the kernel walls of
+	// executed joins per (dataset pair, distance, engine). Always non-nil;
+	// fed by the planner recorder's observer.
+	walls *planner.Corrector
 }
 
 // tenantCounters tallies one tenant's resilience events at the service layer.
@@ -218,7 +218,7 @@ func NewService(cfg Config) *Service {
 		engineJoins: make(map[string]uint64),
 		tenants:     make(map[string]*tenantCounters),
 		merging:     make(map[string]bool),
-		corrector:   planner.NewCorrector(),
+		walls:       planner.NewCorrector(),
 	}
 	// A write drops, in one invalidation, the dataset's resident partitions
 	// (inside the catalog) and its cached join results (here).
