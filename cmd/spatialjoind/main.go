@@ -12,8 +12,8 @@
 // Endpoints (all request/response bodies are JSON):
 //
 //	POST /datasets       upload {"name","elements":[...]} or generate
-//	                     {"name","generate":{"kind","n","seed"}}; builds the index
-//	                     and caches the planner's dataset statistics
+//	                     {"name","generate":{"kind","n","seed"}}; builds the index,
+//	                     and restarts the planner's walls on the dataset
 //	POST /datasets/{name}/append
 //	                     land {"elements":[...]} in the dataset's delta buffer:
 //	                     visible to joins immediately (no rebuild), compacted
@@ -27,7 +27,8 @@
 //	                     response reports the choice and the ranked prices);
 //	                     any other name is a 400
 //	POST /join/distance  same plus "distance": d (Chebyshev, §VIII)
-//	POST /query/range    {"dataset","box":{"lo":[x,y,z],"hi":[x,y,z]},"stream"?}
+//	POST /query/range    {"dataset","box":{"lo":[x,y,z],"hi":[x,y,z]},"stream"?};
+//	                     appended elements included
 //	GET  /healthz        liveness; "degraded" with reasons while a tenant
 //	                     queue sheds or a dataset's delta merge is failing
 //	GET  /stats          catalog / cache / pool / per-tenant counters
@@ -36,8 +37,8 @@
 //	                     cache hit ratios, runtime gauges
 //	GET  /debug/joins    ring of slow joins (-slow-join-ms; negative = all)
 //	                     with their full request span trees
-//	GET  /debug/planner  planner prediction-vs-reality report, the wall table
-//	                     it prices engines by, and recent samples
+//	GET  /debug/planner  the wall table the planner prices engines by: each
+//	                     (pair, distance, engine) series' price and samples
 //
 // Joins are traced end to end (admission wait, planning, catalog access,
 // engine execution, stream emission); send X-Trace: 1 or "trace": true to

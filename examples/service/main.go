@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine/planner"
 	"repro/internal/server"
 )
 
@@ -157,7 +158,7 @@ func main() {
 		st["joins"], st["range_queries"], st["cache"], st["catalog"])
 
 	// 8. Observability surface: the Prometheus exposition and the planner's
-	// prediction-vs-reality report.
+	// wall table, the kernel walls "auto" prices each engine by.
 	mresp, err := http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
@@ -177,17 +178,14 @@ func main() {
 	}
 	praw, _ := io.ReadAll(presp.Body)
 	presp.Body.Close()
-	var pl map[string]any
+	var pl struct {
+		Walls []planner.Wall `json:"walls"`
+	}
 	_ = json.Unmarshal(praw, &pl)
-	if rep, ok := pl["report"].(map[string]any); ok {
-		fmt.Printf("planner accuracy: %v samples recorded\n", rep["total"])
-		if engines, ok := rep["engines"].([]any); ok {
-			for _, e := range engines {
-				em := e.(map[string]any)
-				fmt.Printf("  %-18v samples=%v mean_rel_error=%.2f\n",
-					em["engine"], em["samples"], em["mean_rel_error"])
-			}
-		}
+	fmt.Printf("planner walls: %d series\n", len(pl.Walls))
+	for _, w := range pl.Walls {
+		fmt.Printf("  %s x %s d=%v %-12s wall_ms=%.2f samples=%d\n",
+			w.A, w.B, w.Distance, w.Engine, w.MS, w.Samples)
 	}
 }
 

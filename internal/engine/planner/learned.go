@@ -7,7 +7,8 @@
 // engine's own cost and one slow join does not move it. An engine that is
 // not chosen is not measured, so its price dates from whatever load it was
 // measured under: every wallRefresh-th wall of the chosen engine restarts
-// the others, and "auto" measures them afresh beside it. LocationSpark's
+// the others, and "auto" measures them afresh beside it. Replacing a
+// dataset's contents drops every series naming it (Forget). LocationSpark's
 // query planner (PAPERS.md) plans from the costs it recorded the same way.
 
 package planner
@@ -138,6 +139,23 @@ func (c *Corrector) Bind(a, b string) func(engine string) float64 {
 		return nil
 	}
 	return func(engine string) float64 { return c.Price(a, b, 0, engine) }
+}
+
+// Forget drops every series naming dataset, as either side: walls measured on
+// a dataset's replaced contents do not price the contents that replaced it,
+// so the pair explores both engines again. A join that was running on the
+// replaced contents may still record its wall afterwards.
+func (c *Corrector) Forget(dataset string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.m {
+		if k.a == dataset || k.b == dataset {
+			delete(c.m, k)
+		}
+	}
 }
 
 // Len reports the tracked series count.

@@ -299,13 +299,11 @@ func TestScoreJSONSafeOnInf(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyze measures the statistics pass the catalog runs beside each
-// upload's index build, on a 100K uniform upload.
+// BenchmarkAnalyze measures the statistics pass on 100K uniform elements.
 func BenchmarkAnalyze(b *testing.B) {
 	elems := datagen.Uniform(datagen.Config{N: 100000, Seed: 1})
-	mbb := geom.MBBOf(elems)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		AnalyzePieces([][]geom.Element{elems}, mbb)
+		Analyze(elems)
 	}
 }

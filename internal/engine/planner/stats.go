@@ -5,9 +5,10 @@
 // It chooses between the two engines the daemon serves — transformers over a
 // dataset's catalog index, inmem over a pair's resident partition — by the
 // kernel wall each measured on the pair (the wall table, learned.go),
-// exploring an unmeasured one first. The statistics a single O(n) pass
-// extracts (cardinality, a skew coefficient and a clustering fraction over a
-// coarse grid) gate inmem by cardinality and describe each sample.
+// exploring an unmeasured one first; a pair's combined cardinality gates
+// inmem. Analyze's one O(n) pass also extracts a skew coefficient and a
+// clustering fraction over a coarse grid, which the sharded engine sizes its
+// tiles by.
 package planner
 
 import (
@@ -16,9 +17,8 @@ import (
 	"repro/internal/geom"
 )
 
-// DatasetStats is the cheap statistical fingerprint of one dataset. It is
-// computed in one pass plus a coarse-grid aggregation and cached by the
-// serving catalog per dataset version.
+// DatasetStats is the cheap statistical fingerprint of one dataset, computed
+// in one pass plus a coarse-grid aggregation. Plan reads only Count.
 type DatasetStats struct {
 	// Count is the dataset cardinality.
 	Count int `json:"count"`
@@ -42,17 +42,7 @@ type DatasetStats struct {
 // Analyze computes the statistical fingerprint of a dataset in one pass over
 // the elements plus one pass over a coarse grid (at most 32^3 cells).
 func Analyze(elems []geom.Element) DatasetStats {
-	return AnalyzePieces([][]geom.Element{elems}, geom.MBBOf(elems))
-}
-
-// AnalyzePieces is Analyze of the concatenation of pieces, whose MBB
-// (geom.MBBOf of the concatenation) the caller has and passes: the pieces are
-// read once, to count centers into the grid.
-func AnalyzePieces(pieces [][]geom.Element, mbb geom.Box) DatasetStats {
-	st := DatasetStats{MBB: mbb}
-	for _, p := range pieces {
-		st.Count += len(p)
-	}
+	st := DatasetStats{Count: len(elems), MBB: geom.MBBOf(elems)}
 	if st.Count == 0 {
 		return st
 	}
@@ -73,14 +63,12 @@ func AnalyzePieces(pieces [][]geom.Element, mbb geom.Box) DatasetStats {
 	// registers, where it keeps an array in memory.
 	lx, ly, lz := st.MBB.Lo[0], st.MBB.Lo[1], st.MBB.Lo[2]
 	sx, sy, sz := st.MBB.Side(0)/float64(dim), st.MBB.Side(1)/float64(dim), st.MBB.Side(2)/float64(dim)
-	for _, p := range pieces {
-		for k := range p {
-			b := &p[k].Box
-			x := cellOf((b.Lo[0]+b.Hi[0])/2, lx, sx, dim)
-			y := cellOf((b.Lo[1]+b.Hi[1])/2, ly, sy, dim)
-			z := cellOf((b.Lo[2]+b.Hi[2])/2, lz, sz, dim)
-			counts[(x*dim+y)*dim+z]++
-		}
+	for k := range elems {
+		b := &elems[k].Box
+		x := cellOf((b.Lo[0]+b.Hi[0])/2, lx, sx, dim)
+		y := cellOf((b.Lo[1]+b.Hi[1])/2, ly, sy, dim)
+		z := cellOf((b.Lo[2]+b.Hi[2])/2, lz, sz, dim)
+		counts[(x*dim+y)*dim+z]++
 	}
 
 	mean := float64(st.Count) / float64(st.TotalCells)

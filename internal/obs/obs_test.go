@@ -227,170 +227,6 @@ func TestJoinRing(t *testing.T) {
 	}
 }
 
-func TestPlannerRecorderReport(t *testing.T) {
-	rec := NewPlannerRecorder(16, nil)
-	shape := func(engine string, pred, meas float64, hit bool) PlannerSample {
-		return PlannerSample{
-			A: DatasetFeatures{Name: "a", Version: 1}, B: DatasetFeatures{Name: "b", Version: 1},
-			Predicate: "intersects", Engine: engine,
-			PredictedMS: pred, MeasuredMS: meas, CacheHit: hit,
-		}
-	}
-	// Same shape on two engines: grid measured cheaper → grid wins.
-	rec.Record(shape("grid", 10, 20, false))         // rel err 0.5
-	rec.Record(shape("grid", 30, 20, false))         // rel err 0.5
-	rec.Record(shape("transformers", 50, 40, false)) // rel err 0.25
-	rec.Record(shape("grid", 10, 20, true))          // cache hit: counted, not aggregated
-
-	rep := rec.Report()
-	if rep.Samples != 4 || rep.CacheHits != 1 {
-		t.Fatalf("samples=%d hits=%d", rep.Samples, rep.CacheHits)
-	}
-	if len(rep.Engines) != 2 {
-		t.Fatalf("engines: %+v", rep.Engines)
-	}
-	var grid, tf EngineAccuracy
-	for _, e := range rep.Engines {
-		switch e.Engine {
-		case "grid":
-			grid = e
-		case "transformers":
-			tf = e
-		}
-	}
-	if grid.Samples != 2 || grid.MeanRelError != 0.5 {
-		t.Fatalf("grid acc: %+v", grid)
-	}
-	if grid.Wins != 2 || grid.Losses != 0 {
-		t.Fatalf("grid win/loss: %+v", grid)
-	}
-	if tf.Wins != 0 || tf.Losses != 1 || tf.MeanRelError != 0.25 {
-		t.Fatalf("transformers acc: %+v", tf)
-	}
-}
-
-// TestPlannerRecorderCacheHitsCannotSkew is the regression test for the
-// best-in-hindsight audit: replayed cache hits — however many, however
-// extreme their recorded costs — must leave per-engine means and wins/losses
-// exactly where the executed (miss) samples put them.
-func TestPlannerRecorderCacheHitsCannotSkew(t *testing.T) {
-	shape := func(engine string, pred, meas float64, hit bool) PlannerSample {
-		return PlannerSample{
-			A: DatasetFeatures{Name: "a", Version: 1}, B: DatasetFeatures{Name: "b", Version: 1},
-			Predicate: "intersects", Engine: engine,
-			PredictedMS: pred, MeasuredMS: meas, CacheHit: hit,
-		}
-	}
-	misses := []PlannerSample{
-		shape("grid", 10, 20, false),         // rel err 0.5
-		shape("transformers", 30, 40, false), // rel err 0.25, loses hindsight
-		shape("grid", 30, 20, false),         // rel err 0.5, grid mean 20 wins
-	}
-	// A storm of replays interleaved with the misses: grid replays with an
-	// absurdly cheap measured cost and transformers with an absurdly dear
-	// one, so any leak into the aggregation would flip means AND hindsight.
-	rec := NewPlannerRecorder(64, nil)
-	for i, m := range misses {
-		for j := 0; j < 5; j++ {
-			rec.Record(shape("grid", 10, 0.001, true))
-			rec.Record(shape("transformers", 30, 1e9, true))
-		}
-		_ = i
-		rec.Record(m)
-	}
-	rep := rec.Report()
-	if rep.Samples != 33 || rep.CacheHits != 30 {
-		t.Fatalf("samples=%d hits=%d", rep.Samples, rep.CacheHits)
-	}
-	for _, e := range rep.Engines {
-		switch e.Engine {
-		case "grid":
-			if e.Samples != 2 || e.MeanRelError != 0.5 || e.Wins != 2 || e.Losses != 0 {
-				t.Fatalf("grid skewed by cache hits: %+v", e)
-			}
-		case "transformers":
-			if e.Samples != 1 || e.MeanRelError != 0.25 || e.Wins != 0 || e.Losses != 1 {
-				t.Fatalf("transformers skewed by cache hits: %+v", e)
-			}
-		default:
-			t.Fatalf("unexpected engine %+v", e)
-		}
-	}
-}
-
-// TestPlannerRecorderObserver: every recorded sample reaches the observer —
-// the seam the serving path hangs the planner's wall table on — including cache
-// hits (the observer does its own filtering), and a nil recorder stays inert.
-func TestPlannerRecorderObserver(t *testing.T) {
-	var rec *PlannerRecorder
-	var seen []PlannerSample
-	rec = NewPlannerRecorder(4, func(s PlannerSample) {
-		// Reentrancy: the observer may consult the recorder.
-		_ = rec.Total()
-		seen = append(seen, s)
-	})
-	rec.Record(PlannerSample{Engine: "grid", MeasuredMS: 5})
-	rec.Record(PlannerSample{Engine: "grid", MeasuredMS: 7, CacheHit: true})
-	if len(seen) != 2 || seen[0].MeasuredMS != 5 || !seen[1].CacheHit {
-		t.Fatalf("observer saw %+v", seen)
-	}
-	var nilRec *PlannerRecorder
-	nilRec.Record(PlannerSample{})
-}
-
-// TestPlannerSampleExcludedRoundTrip: exclusion reasons and prices ride a
-// retained sample's JSON (what /debug/planner serves), so a reader can tell
-// "excluded" from "missing".
-func TestPlannerSampleExcludedRoundTrip(t *testing.T) {
-	rec := NewPlannerRecorder(2, nil)
-	rec.Record(PlannerSample{
-		Engine:      "transformers",
-		Scores:      map[string]float64{"transformers": 12},
-		Excluded:    map[string]string{"naive": "reference engine over cap"},
-		PredictedMS: 12,
-		MeasuredMS:  14,
-	})
-	doc, err := json.Marshal(rec.Snapshot()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PlannerSample
-	if err := json.Unmarshal(doc, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Excluded["naive"] == "" || back.Scores["transformers"] != 12 || back.PredictedMS != 12 || back.MeasuredMS != 14 {
-		t.Fatalf("round trip lost fields: %+v", back)
-	}
-}
-
-func TestPlannerRecorderSingleEngineNoWinLoss(t *testing.T) {
-	rec := NewPlannerRecorder(8, nil)
-	rec.Record(PlannerSample{Engine: "grid", A: DatasetFeatures{Name: "a"}, B: DatasetFeatures{Name: "b"}, PredictedMS: 1, MeasuredMS: 1})
-	rep := rec.Report()
-	if rep.Engines[0].Wins != 0 || rep.Engines[0].Losses != 0 {
-		t.Fatalf("single-engine group must not count wins/losses: %+v", rep.Engines[0])
-	}
-}
-
-func TestPlannerRecorderBounded(t *testing.T) {
-	rec := NewPlannerRecorder(4, nil)
-	for i := 0; i < 10; i++ {
-		rec.Record(PlannerSample{Engine: "grid", WallMS: float64(i)})
-	}
-	snap := rec.Snapshot()
-	if len(snap) != 4 || snap[0].WallMS != 9 || snap[3].WallMS != 6 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-	if rec.Total() != 10 {
-		t.Fatalf("total = %d", rec.Total())
-	}
-	var nilRec *PlannerRecorder
-	nilRec.Record(PlannerSample{})
-	if nilRec.Snapshot() != nil {
-		t.Fatal("nil recorder should be inert")
-	}
-}
-
 func TestNewRequestID(t *testing.T) {
 	a, b := NewRequestID(), NewRequestID()
 	if len(a) != 16 || a == b {

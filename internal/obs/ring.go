@@ -26,29 +26,29 @@ type JoinRecord struct {
 	Trace   *TraceDTO `json:"trace,omitempty"`
 }
 
-// ring is a bounded, newest-wins buffer: the last len(buf) values added and a
-// lifetime count, under one mutex. JoinRing and PlannerRecorder are this ring
-// over their record types.
-type ring[T any] struct {
+// JoinRing is a bounded, newest-wins ring of join records: the last len(buf)
+// added and a lifetime count, under one mutex. Joins slower than the
+// service's slow-join threshold (or all joins when the threshold is negative)
+// land here regardless of whether the client asked for a trace. All methods
+// are nil-safe.
+type JoinRing struct {
 	mu    sync.Mutex
-	buf   []T
+	buf   []JoinRecord
 	next  int
 	full  bool
 	total int64
 }
 
-// newRing returns a ring holding the last n values (n<=0 → 1).
-func newRing[T any](n int) ring[T] {
-	if n <= 0 {
-		n = 1
-	}
-	return ring[T]{buf: make([]T, n)}
-}
+// NewJoinRing returns a ring holding the last n records (n<=0 → 1).
+func NewJoinRing(n int) *JoinRing { return &JoinRing{buf: make([]JoinRecord, max(n, 1))} }
 
-// add appends v, evicting the oldest value when full.
-func (r *ring[T]) add(v T) {
+// Add appends a record, evicting the oldest when full.
+func (r *JoinRing) Add(rec JoinRecord) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
-	r.buf[r.next] = v
+	r.buf[r.next] = rec
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -58,22 +58,28 @@ func (r *ring[T]) add(v T) {
 	r.mu.Unlock()
 }
 
-// count returns the lifetime number of values added (evicted ones included).
-func (r *ring[T]) count() int64 {
+// Total returns the lifetime record count (including evicted ones).
+func (r *JoinRing) Total() int64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// snapshot returns the retained values, newest first.
-func (r *ring[T]) snapshot() []T {
+// Snapshot returns the retained records, newest first.
+func (r *JoinRing) Snapshot() []JoinRecord {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.next
 	if r.full {
 		n = len(r.buf)
 	}
-	out := make([]T, 0, n)
+	out := make([]JoinRecord, 0, n)
 	for i := 0; i < n; i++ {
 		idx := r.next - 1 - i
 		if idx < 0 {
@@ -82,35 +88,4 @@ func (r *ring[T]) snapshot() []T {
 		out = append(out, r.buf[idx])
 	}
 	return out
-}
-
-// JoinRing is a bounded, newest-wins ring of join records. Joins slower than
-// the service's slow-join threshold (or all joins when the threshold is
-// negative) land here regardless of whether the client asked for a trace.
-type JoinRing struct{ ring ring[JoinRecord] }
-
-// NewJoinRing returns a ring holding the last n records (n<=0 → 1).
-func NewJoinRing(n int) *JoinRing { return &JoinRing{newRing[JoinRecord](n)} }
-
-// Add appends a record, evicting the oldest when full; nil-safe.
-func (r *JoinRing) Add(rec JoinRecord) {
-	if r != nil {
-		r.ring.add(rec)
-	}
-}
-
-// Total returns the lifetime record count (including evicted ones).
-func (r *JoinRing) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.ring.count()
-}
-
-// Snapshot returns the retained records, newest first.
-func (r *JoinRing) Snapshot() []JoinRecord {
-	if r == nil {
-		return nil
-	}
-	return r.ring.snapshot()
 }

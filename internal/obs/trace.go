@@ -1,8 +1,7 @@
 // Package obs is the serving path's observability layer: request-scoped span
-// traces, a Prometheus-style text metrics registry, a bounded ring of slow
-// joins, and the planner accuracy recorder — all dependency-free (stdlib
-// only) and nil-safe, so instrumented code paths cost one context lookup when
-// nothing is recording.
+// traces, a Prometheus-style text metrics registry and a bounded ring of slow
+// joins — all dependency-free (stdlib only) and nil-safe, so instrumented
+// code paths cost one context lookup when nothing is recording.
 //
 // The design contract is that the hot path pays nothing when untraced: Start
 // on a context without a trace returns a nil *Span without allocating, and

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine/planner"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -115,8 +114,7 @@ type CatalogStats struct {
 	MergeFailures uint64 `json:"merge_failures"`
 }
 
-// DatasetInfo describes one cataloged dataset for /stats, including the
-// planner signals cached for it.
+// DatasetInfo describes one cataloged dataset for /stats.
 type DatasetInfo struct {
 	Name     string `json:"name"`
 	Elements int    `json:"elements"`
@@ -124,10 +122,6 @@ type DatasetInfo struct {
 	// Degraded marks a dataset whose delta merge is failing (the delta keeps
 	// serving, uncompacted).
 	Degraded bool `json:"degraded,omitempty"`
-	// SkewCV and ClusterFraction are the planner's cached distribution
-	// signals (see planner.DatasetStats).
-	SkewCV          float64 `json:"skew_cv"`
-	ClusterFraction float64 `json:"cluster_fraction"`
 	// DeltaElements is the number of appended elements buffered in the
 	// current generation's delta (awaiting merge); DeltaEpoch counts the
 	// appends this generation has absorbed — the cache-key component that
@@ -136,8 +130,8 @@ type DatasetInfo struct {
 	DeltaEpoch    uint64 `json:"delta_epoch,omitempty"`
 }
 
-// generation is one installed version of a dataset: its elements, planner
-// fingerprint and built index.
+// generation is one installed version of a dataset: its elements, their
+// bounds and built index.
 type generation struct {
 	// elems is the generation's element multiset in the order the index build
 	// left it: the index's data pages are this array. It is never written once
@@ -145,7 +139,8 @@ type generation struct {
 	// read.
 	elems   []transformers.Element
 	version uint64
-	stats   planner.DatasetStats
+	// mbb bounds elems: the batch's, which a merge covers with its delta's.
+	mbb transformers.Box
 	// index is the generation's one index, built before it was installed.
 	index *transformers.Index
 	// delta is the append buffer: elements landed after this generation's
@@ -240,15 +235,15 @@ func (c *Catalog) dropPartitionsLocked(gen *generation) {
 	}
 }
 
-// Put registers (or replaces) a named dataset, built: it analyzes elems and
-// builds their index, and only then installs them as the dataset's next
-// version. A failed build returns its error and registers, replaces and
-// invalidates nothing: the previous version, if any, goes on serving. The
-// element slice is owned by the catalog afterwards (the build orders it in
-// place and the index reads its pages from it), and no reader sees it before
-// it is installed. The replaced generation's index stays valid
-// for the queries running on it, and cached join results keyed by the old
-// version can never be served for the new one because the version is bumped.
+// Put registers (or replaces) a named dataset, built: it builds the index of
+// elems, and only then installs them as the dataset's next version. A failed
+// build returns its error and registers, replaces and invalidates nothing:
+// the previous version, if any, goes on serving. The element slice is owned
+// by the catalog afterwards (the build orders it in place and the index reads
+// its pages from it), and no reader sees it before it is installed. The
+// replaced generation's index stays valid for the queries running on it, and
+// cached join results keyed by the old version can never be served for the
+// new one because the version is bumped.
 // An append that lands while the replacement builds rides the generation
 // being replaced, and goes with it, exactly as an append before the Put does.
 func (c *Catalog) Put(name string, elems []transformers.Element) (uint64, error) {
@@ -302,25 +297,12 @@ func (c *Catalog) put(name string, b batch) (*generation, error) {
 }
 
 // build is the first half of the one build-then-install step under Put and
-// MergeDelta: b analyzed and indexed — its pieces gathered into the one array
-// the generation keeps, in STR order — in one attempt on one store from the
+// MergeDelta: b indexed — its pieces gathered into the one array the
+// generation keeps, in STR order — in one attempt on one store from the
 // catalog's factory, the outcome reported to its build observer. It returns
 // the generation to install, versionless, or "server: index build: <cause>",
 // which the handlers answer with a 5xx.
 func (c *Catalog) build(b batch) (*generation, error) {
-	// The statistics pass reads the pieces outside the lock, like the build:
-	// planning signals are version-scoped and must not stall concurrent
-	// catalog traffic. Beside a build of several pieces, which only reads
-	// their elements, it runs on a goroutine of its own over its own copy of
-	// the slice of them, which the build clears. One piece the build reorders
-	// in place, so that is analyzed first.
-	stats := make(chan planner.DatasetStats, 1)
-	analyze := func(pieces [][]transformers.Element) { stats <- planner.AnalyzePieces(pieces, b.mbb) }
-	if len(b.pieces) == 1 {
-		analyze(b.pieces)
-	} else {
-		go analyze(slices.Clone(b.pieces))
-	}
 	c.mu.Lock()
 	factory, observer := c.storeFactory, c.buildObserver
 	c.mu.Unlock()
@@ -333,11 +315,10 @@ func (c *Catalog) build(b batch) (*generation, error) {
 	if observer != nil {
 		observer(time.Since(start), err == nil)
 	}
-	ds := <-stats
 	if err != nil {
 		return nil, fmt.Errorf("server: index build: %w", err)
 	}
-	return &generation{elems: elems, stats: ds, index: idx}, nil
+	return &generation{elems: elems, mbb: b.mbb, index: idx}, nil
 }
 
 // installLocked is the second half: gen, built, becomes ds's current
@@ -492,13 +473,13 @@ func (c *Catalog) datasetLocked(name string) (*dataset, error) {
 	return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 }
 
-// joinInput snapshots what planning a join reads of a dataset — the planner
-// statistics cached per version, the version they describe, the delta epoch
-// and the delta size — from one generation under one lock, so a Put between
-// two reads can never pair one version's statistics with the next one's
-// number. It is a map lookup that acquires no index. A replacement, append or
-// merge racing between this and the later acquisition only turns a hit into a
-// safe miss (the stored key uses the state actually served).
+// joinInput snapshots what planning a join reads of a dataset — its element
+// count, base plus delta, the version and the delta epoch — from one
+// generation under one lock, so a Put between two reads can never pair one
+// version's count with the next one's number. It is a map lookup that
+// acquires no index. A replacement, append or merge racing between this and
+// the later acquisition only turns a hit into a safe miss (the stored key
+// uses the state actually served).
 func (c *Catalog) joinInput(name string) (joinInput, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -507,7 +488,7 @@ func (c *Catalog) joinInput(name string) (joinInput, error) {
 		return joinInput{}, err
 	}
 	gen := ds.cur
-	return joinInput{name: name, stats: gen.stats, version: gen.version, epoch: gen.deltaEpoch, delta: len(gen.delta)}, nil
+	return joinInput{count: len(gen.elems) + len(gen.delta), version: gen.version, epoch: gen.deltaEpoch}, nil
 }
 
 // Snapshot returns a private combined copy of a dataset's base elements plus
@@ -592,10 +573,9 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 
 	// The build runs outside the lock. Base and delta are its two pieces,
 	// which it only reads: it gathers them into the new generation's array,
-	// which no reader sees before it is installed. The base's bounds are its
-	// statistics'.
+	// which no reader sees before it is installed.
 	_, span := obs.Start(ctx, "delta-merge")
-	next, buildErr := c.build(batch{pieces: [][]transformers.Element{base, delta}, mbb: gen.stats.MBB.Cover(geom.MBBOf(delta))})
+	next, buildErr := c.build(batch{pieces: [][]transformers.Element{base, delta}, mbb: gen.mbb.Cover(geom.MBBOf(delta))})
 	span.End()
 	span.Add("elements", int64(n))
 
@@ -656,14 +636,12 @@ func (c *Catalog) Datasets() []DatasetInfo {
 	out := make([]DatasetInfo, 0, len(c.datasets))
 	for _, ds := range c.datasets {
 		out = append(out, DatasetInfo{
-			Name:            ds.name,
-			Elements:        len(ds.cur.elems),
-			Version:         ds.cur.version,
-			Degraded:        ds.mergeErr != nil,
-			SkewCV:          ds.cur.stats.SkewCV,
-			ClusterFraction: ds.cur.stats.ClusterFraction,
-			DeltaElements:   len(ds.cur.delta),
-			DeltaEpoch:      ds.cur.deltaEpoch,
+			Name:          ds.name,
+			Elements:      len(ds.cur.elems),
+			Version:       ds.cur.version,
+			Degraded:      ds.mergeErr != nil,
+			DeltaElements: len(ds.cur.delta),
+			DeltaEpoch:    ds.cur.deltaEpoch,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

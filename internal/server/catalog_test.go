@@ -67,9 +67,9 @@ func TestCatalogUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestCatalogJoinInputIsOneGeneration: the statistics, version and delta size a
-// join is planned on describe one generation, however the read interleaves
-// with replacements — odd versions hold 100 elements here, even ones 200.
+// TestCatalogJoinInputIsOneGeneration: the count and version a join is
+// planned on describe one generation, however the read interleaves with
+// replacements — odd versions hold 100 elements here, even ones 200.
 func TestCatalogJoinInputIsOneGeneration(t *testing.T) {
 	c := NewCatalog(0, 0)
 	small, large := elemsN(100, 1), elemsN(200, 2)
@@ -92,8 +92,8 @@ func TestCatalogJoinInputIsOneGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 100 + 100*int(1-in.version%2); in.stats.Count != want || in.delta != 0 {
-			t.Fatalf("version %d planned on statistics of %d elements (delta %d), want %d", in.version, in.stats.Count, in.delta, want)
+		if want := 100 + 100*int(1-in.version%2); in.count != want {
+			t.Fatalf("version %d planned on %d elements, want %d", in.version, in.count, want)
 		}
 	}
 }

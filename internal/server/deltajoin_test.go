@@ -109,12 +109,11 @@ func FuzzDeltaJoin(f *testing.F) {
 
 // TestAutoLeavesInMemOnceAppended: "auto" resolves a pair either side of
 // which has taken an append since its last Put to transformers, with inmem
-// excluded for the reason partitionRetired in the response's planner report
-// and in the planner sample; a merge carries the epoch, so the pair stays
-// there, and a Put returns it to the planner. The same pair at rest —
-// selective's uniform × dense_cluster shape, with transformers measured far
-// slower — resolves to inmem, and an explicit inmem request on the written
-// pair still runs inmem.
+// excluded for the reason partitionRetired in the response's planner report;
+// a merge carries the epoch, so the pair stays there, and a Put returns it to
+// the planner. The same pair at rest — selective's uniform × dense_cluster
+// shape, with transformers measured far slower — resolves to inmem, and an
+// explicit inmem request on the written pair still runs inmem.
 func TestAutoLeavesInMemOnceAppended(t *testing.T) {
 	const n = 5000
 	ctx := context.Background()
@@ -127,53 +126,47 @@ func TestAutoLeavesInMemOnceAppended(t *testing.T) {
 	addDataset(t, svc, "u", cpElems(u))
 	addDataset(t, svc, "dc", cpElems(dc))
 
-	// join runs one join and returns its outcome, and the engine and inmem's
-	// exclusion reason its planner sample records.
-	join := func(algo string) (*JoinOutcome, []string) {
+	join := func(algo string) *JoinOutcome {
 		t.Helper()
 		out, err := svc.Join(ctx, "u", "dc", JoinParams{Algorithm: algo, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := svc.PlannerRecorder().Snapshot()[0] // newest first
-		return out, []string{s.Engine, s.Excluded[engine.InMem]}
+		return out
 	}
-	// routed checks that auto left inmem for partitionRetired, in the
-	// response and in the sample.
+	// routed checks that auto left inmem for partitionRetired.
 	routed := func(when string) {
 		t.Helper()
-		out, sample := join(AlgorithmAuto)
-		if out.Summary.Algorithm != engine.Transformers || sample[0] != engine.Transformers {
-			t.Fatalf("%s: auto ran %s (sample %s), want transformers", when, out.Summary.Algorithm, sample[0])
-		}
-		if sample[1] != partitionRetired {
-			t.Fatalf("%s: the sample excludes inmem for %q", when, sample[1])
-		}
+		out := join(AlgorithmAuto)
 		pl := out.Summary.Planner
-		if pl == nil || len(pl.Scores) != 2 || pl.Scores[0].Engine != engine.Transformers ||
+		if out.Summary.Algorithm != engine.Transformers || pl == nil || len(pl.Scores) != 2 || pl.Scores[0].Engine != engine.Transformers ||
 			pl.Scores[1].Engine != engine.InMem || !math.IsInf(pl.Scores[1].CostMS, 1) || pl.Scores[1].Reason != partitionRetired {
-			t.Fatalf("%s: planner report %+v", when, pl)
+			t.Fatalf("%s: auto ran %s, planner report %+v; want transformers with inmem excluded for %q", when, out.Summary.Algorithm, pl, partitionRetired)
 		}
 	}
+	// atRest measures transformers far slower on the pair — a Put restarts
+	// its walls — and checks that auto runs inmem, excluded for nothing.
 	atRest := func(when string) {
 		t.Helper()
-		out, sample := join(AlgorithmAuto)
-		if out.Summary.Algorithm != engine.InMem || sample[0] != engine.InMem || sample[1] != "" {
-			t.Fatalf("%s: auto ran %s (sample %s, inmem excluded for %q), want inmem", when, out.Summary.Algorithm, sample[0], sample[1])
+		for i := 0; i < 2; i++ {
+			svc.walls.Observe("u", "dc", 0, engine.Transformers, 1e6)
+		}
+		out := join(AlgorithmAuto)
+		pl := out.Summary.Planner
+		if out.Summary.Algorithm != engine.InMem || pl == nil || len(pl.Scores) != 2 || pl.Scores[0].Engine != engine.InMem ||
+			math.IsInf(pl.Scores[0].CostMS, 1) || pl.Scores[0].Reason == partitionRetired {
+			t.Fatalf("%s: auto ran %s, planner report %+v; want inmem", when, out.Summary.Algorithm, pl)
 		}
 	}
 
-	for i := 0; i < 2; i++ {
-		svc.walls.Observe("u", "dc", 0, engine.Transformers, 1e6)
-	}
 	atRest("before any write")
 	if _, err := svc.Append(ctx, "dc", cpElems(extra[:250])); err != nil {
 		t.Fatal(err)
 	}
 	routed("after an append to B")
-	out, sample := join(engine.InMem)
-	if out.Summary.Algorithm != engine.InMem || sample[0] != engine.InMem {
-		t.Fatalf("an explicit inmem request on the written pair ran %s (sample %s)", out.Summary.Algorithm, sample[0])
+	out := join(engine.InMem)
+	if out.Summary.Algorithm != engine.InMem {
+		t.Fatalf("an explicit inmem request on the written pair ran %s", out.Summary.Algorithm)
 	}
 	want := naiveRef(u, append(cpElems(dc), extra[:250]...), 0)
 	if !pairsMatch(out.Pairs, want) {
@@ -192,7 +185,7 @@ func TestAutoLeavesInMemOnceAppended(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed("after an append to A")
-	out, _ = join(AlgorithmAuto)
+	out = join(AlgorithmAuto)
 	if want := naiveRef(append(cpElems(u), extra[250:]...), dc, 0); !pairsMatch(out.Pairs, want) {
 		t.Fatalf("auto after an append to A: %d pairs, naive has %d", len(out.Pairs), len(want))
 	}

@@ -233,8 +233,7 @@ func NewHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, svc.Stats())
 	})
 	// Observability surface: Prometheus-style text exposition, the slow-join
-	// ring with full span trees, and the planner's prediction-vs-reality
-	// report.
+	// ring with full span trees, and the planner's wall table.
 	mux.Handle("GET /metrics", svc.Metrics())
 	mux.HandleFunc("GET /debug/joins", func(w http.ResponseWriter, r *http.Request) {
 		ms := svc.SlowJoinThreshold().Milliseconds()
@@ -248,23 +247,16 @@ func NewHandler(svc *Service) http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /debug/planner", func(w http.ResponseWriter, r *http.Request) {
-		rep := svc.PlannerRecorder().Report()
-		samples := svc.PlannerRecorder().Snapshot()
-		if len(samples) > debugPlannerSamples {
-			samples = samples[:debugPlannerSamples]
-		}
 		writeJSON(w, http.StatusOK, debugPlannerResponse{
-			Report: rep,
-			Walls:  largestWalls(svc.PlannerWalls(), debugPlannerSamples),
-			Recent: samples,
+			Walls: largestWalls(svc.PlannerWalls(), debugPlannerWalls),
 		})
 	})
 	return mux
 }
 
-// debugPlannerSamples caps the raw samples and the wall series echoed by
-// /debug/planner; the full ring still feeds the aggregate report.
-const debugPlannerSamples = 100
+// debugPlannerWalls caps the wall series echoed by /debug/planner; the
+// planner prices from all of them.
+const debugPlannerWalls = 100
 
 // largestWalls keeps the n most-sampled series of a sorted snapshot, ties
 // going to the earlier one, in that same order.
@@ -295,11 +287,8 @@ type debugJoinsResponse struct {
 }
 
 type debugPlannerResponse struct {
-	Report obs.PlannerReport `json:"report"`
-	// Walls lists the wall table's series (capped like Recent — the
-	// most-sampled series, not all of them).
-	Walls  []planner.Wall      `json:"walls,omitempty"`
-	Recent []obs.PlannerSample `json:"recent"`
+	// Walls lists the wall table's most-sampled series, not all of them.
+	Walls []planner.Wall `json:"walls"`
 }
 
 // responseBufBytes sizes the buffer pairs are encoded into on their way out —

@@ -44,8 +44,7 @@ func joinKey(a, b string, va, vb, ea, eb uint64, distance float64, algorithm str
 	return JoinKey{A: a, B: b, VersionA: va, VersionB: vb, DeltaEpochA: ea, DeltaEpochB: eb, Predicate: predicateOf(distance), Distance: distance, Algorithm: algorithm}
 }
 
-// predicateOf names a join's predicate in cache keys, join records and
-// planner samples.
+// predicateOf names a join's predicate in cache keys and join records.
 func predicateOf(distance float64) string {
 	if distance > 0 {
 		return "distance"
@@ -208,7 +207,7 @@ func (s *Service) storeResult(ex execution, res *CachedJoin) {
 // (baseA ∪ deltaA)×(baseB ∪ deltaB), so the composed result is multiset-equal
 // to a full rebuild by construction; empty sides are skipped. Their
 // comparisons, pairs and wall time are added to res's stats, which the
-// summary and the planner sample report.
+// summary reports and the wall table takes.
 func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, distance float64, emit engine.EmitFunc) (*DeltaSummary, error) {
 	_, span := obs.Start(ctx, "delta-join")
 	sum := &DeltaSummary{ElementsA: len(deltaA), ElementsB: len(deltaB)}
@@ -415,7 +414,6 @@ func (s *Service) settleStream(c *collector, err error) {
 // which an error raised after planning still has — a join that dies at its
 // deadline is observed under the engine that was running it.
 func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *collector) (*JoinOutcome, string, error) {
-	start := time.Now()
 	_, planSpan := obs.Start(ctx, "plan")
 	jp, err := s.planJoin(a, b, p)
 	planSpan.End()
@@ -439,7 +437,6 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 			} else if sink.collect {
 				sink.runs = res.runs // read in place: sealed, never given back
 			}
-			s.recordPlannerSample(ctx, p, jp, out.Summary, time.Since(start), true, false)
 			return out, jp.algo, nil
 		}
 	}
@@ -478,7 +475,10 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 		s.storeResult(ex, res)
 	}
 	summary.Planner = jp.plan
-	s.recordPlannerSample(ctx, p, jp, summary, time.Since(start), false, ex.part != nil && ex.part.Hit)
+	// The kernel wall (delta sub-joins included; modeled I/O and a partition
+	// build left out) is what the wall table prices the engine by. A cache
+	// hit replays another join's measurement and feeds it nothing.
+	s.walls.Observe(a, b, p.Distance, jp.algo, summary.JoinWallMS)
 	if jp.plan != nil && ex.part != nil {
 		// An explored inmem join that lost keeps no partition resident:
 		// once the wall table prices TRANSFORMERS lower, "auto" does not

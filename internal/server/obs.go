@@ -16,21 +16,18 @@ const (
 	DefaultSlowJoinThreshold = 500 * time.Millisecond
 	// DefaultDebugJoins is the slow-join ring capacity.
 	DefaultDebugJoins = 128
-	// DefaultPlannerSamples is the planner accuracy ring capacity.
-	DefaultPlannerSamples = 1024
 )
 
 // serviceObs bundles the service's observability state: the metrics registry
-// with its event-time histograms, the slow-join ring behind /debug/joins, and
-// the planner accuracy recorder behind /debug/planner. Always non-nil on a
-// Service — recording costs a few atomic reads when nothing scrapes.
+// with its event-time histograms and the slow-join ring behind /debug/joins.
+// Always non-nil on a Service — recording costs a few atomic reads when
+// nothing scrapes.
 type serviceObs struct {
 	reg        *obs.Registry
 	joinHist   *obs.Histogram // per-engine join latency, seconds
 	buildHist  *obs.Histogram // catalog index build latency, seconds
 	decodeHist *obs.Histogram // upload/append body read+decode latency, seconds
 	ring       *obs.JoinRing
-	recorder   *obs.PlannerRecorder
 	slow       time.Duration // joins slower than this land in the ring; <0 = all
 }
 
@@ -44,13 +41,6 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 	o := &serviceObs{
 		reg:  obs.NewRegistry(),
 		ring: obs.NewJoinRing(DefaultDebugJoins),
-		// Every executed (non-cached) sample gives the wall table its
-		// engine's kernel wall on that pair and distance.
-		recorder: obs.NewPlannerRecorder(DefaultPlannerSamples, func(ps obs.PlannerSample) {
-			if !ps.CacheHit {
-				s.walls.Observe(ps.A.Name, ps.B.Name, ps.Distance, ps.Engine, ps.MeasuredMS)
-			}
-		}),
 		slow: slow,
 	}
 	r := o.reg
@@ -160,9 +150,6 @@ func (s *Service) Metrics() *obs.Registry { return s.obs.reg }
 
 // SlowJoins exposes the slow-join ring (the /debug/joins handler).
 func (s *Service) SlowJoins() *obs.JoinRing { return s.obs.ring }
-
-// PlannerRecorder exposes the planner accuracy recorder (/debug/planner).
-func (s *Service) PlannerRecorder() *obs.PlannerRecorder { return s.obs.recorder }
 
 // PlannerWalls snapshots the wall table's per-(dataset pair, distance,
 // engine) series, sorted (/debug/planner).

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/engine/planner"
 	"repro/internal/obs"
 	"repro/transformers"
 )
@@ -527,11 +529,10 @@ func TestObsAbortedStreamRecorded(t *testing.T) {
 	waitPoolDrained(t, svc)
 }
 
-// TestPlannerRecorderSurvivesCacheHits: a cache-hit join still records a
-// planner sample (flagged, with the replayed summary's measured cost) instead
-// of being dropped, and the /debug/planner report counts it separately from
-// the error aggregation.
-func TestPlannerRecorderSurvivesCacheHits(t *testing.T) {
+// TestCacheHitFeedsNoWall: a cache hit replays another join's measurement,
+// so it adds no wall to the table — /debug/planner lists the one wall of the
+// join that filled the cache — while /stats counts both joins.
+func TestCacheHitFeedsNoWall(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
 	addDataset(t, svc, "a", transformers.GenerateUniform(1500, 413))
 	addDataset(t, svc, "b", transformers.GenerateUniform(1500, 414))
@@ -545,94 +546,66 @@ func TestPlannerRecorderSurvivesCacheHits(t *testing.T) {
 			t.Fatalf("join %d cached = %v", i, out.Cached)
 		}
 	}
-	samples := svc.PlannerRecorder().Snapshot()
-	if len(samples) != 2 {
-		t.Fatalf("recorder has %d samples, want 2 (cache hit dropped?)", len(samples))
-	}
-	hit, miss := samples[0], samples[1] // newest first
-	if !hit.CacheHit || miss.CacheHit {
-		t.Fatalf("cache-hit flags wrong: %+v / %+v", hit, miss)
-	}
-	if hit.Engine != miss.Engine || hit.Engine == "" {
-		t.Fatalf("engines: hit=%q miss=%q", hit.Engine, miss.Engine)
-	}
-	if hit.MeasuredMS != miss.MeasuredMS {
-		t.Fatalf("cache-hit measured=%v, want the replayed summary's %v", hit.MeasuredMS, miss.MeasuredMS)
-	}
-	if hit.A.Count != 1500 || hit.A.Version == 0 {
-		t.Fatalf("dataset features = %+v", hit.A)
-	}
-	rep := svc.PlannerRecorder().Report()
-	if rep.CacheHits != 1 || rep.Total != 2 {
-		t.Fatalf("report = %+v, want total=2 cache_hits=1", rep)
-	}
-	var n int
-	for _, eng := range rep.Engines {
-		n += eng.Samples
-	}
-	if n != 1 {
-		t.Fatalf("executed samples in report = %d, want 1 (cache hits excluded from error stats)", n)
-	}
-
-	// /debug/planner serves the same picture.
 	resp, err := http.Get(ts.URL + "/debug/planner")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Report obs.PlannerReport   `json:"report"`
-		Recent []obs.PlannerSample `json:"recent"`
-	}
+	var doc map[string][]planner.Wall
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if doc.Report.Total != 2 || len(doc.Recent) != 2 {
-		t.Fatalf("/debug/planner = %+v", doc.Report)
+	if len(doc) != 1 || len(doc["walls"]) != 1 {
+		t.Fatalf("/debug/planner = %+v, want only walls, one series", doc)
+	}
+	if w := doc["walls"][0]; w.A != "a" || w.B != "b" || w.Engine != engine.Transformers || w.Samples != 1 {
+		t.Fatalf("/debug/planner walls = %+v, want the filling join's one transformers wall", doc["walls"])
+	}
+	if st := svc.Stats(); st.Joins != 2 {
+		t.Fatalf("/stats joins = %d, want 2", st.Joins)
 	}
 }
 
-// TestPlannerSampleCountsTheDelta: a planner sample describes the input the
-// planner priced, base plus append delta, and the hindsight report keys its
-// join shapes on those counts. Two joins of one version on either side of an
-// append joined different inputs, so neither wins or loses against the other.
-func TestPlannerSampleCountsTheDelta(t *testing.T) {
-	svc := NewService(Config{})
+// TestPlannerCapCountsTheDelta: the in-memory cap reads what a join would
+// join, base plus append delta, so an append that pushes a pair over the cap
+// excludes inmem for the cap's reason, which the response's planner report
+// gives.
+func TestPlannerCapCountsTheDelta(t *testing.T) {
+	svc := NewService(Config{DeltaMaxElements: -1})
 	ctx := context.Background()
-	addDataset(t, svc, "a", transformers.GenerateUniform(1500, 418))
-	addDataset(t, svc, "b", transformers.GenerateUniform(1500, 419))
-	join := func(algo string) {
+	addDataset(t, svc, "a", transformers.GenerateUniform(planner.DefaultMaxInMemoryElements-10, 418))
+	addDataset(t, svc, "b", transformers.GenerateUniform(10, 419))
+	inmem := func() planner.Score {
 		t.Helper()
-		if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: algo, NoCache: true}); err != nil {
-			t.Fatalf("%s: %v", algo, err)
+		out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, sc := range out.Summary.Planner.Scores {
+			if sc.Engine == engine.InMem {
+				return sc
+			}
+		}
+		t.Fatalf("planner report %+v lists no inmem", out.Summary.Planner)
+		return planner.Score{}
 	}
-	join(engine.Transformers)
-	extra := transformers.GenerateUniform(300, 420)
-	for i := range extra {
-		extra[i].ID += 1 << 20
+	if sc := inmem(); math.IsInf(sc.CostMS, 1) {
+		t.Fatalf("at the cap inmem is excluded: %+v", sc)
 	}
-	if _, err := svc.Append(ctx, "a", extra); err != nil {
+	extra := transformers.GenerateUniform(1, 420)
+	extra[0].ID += 1 << 30
+	if _, err := svc.Append(ctx, "b", extra); err != nil {
 		t.Fatal(err)
 	}
-	join(engine.InMem)
-
-	samples := svc.PlannerRecorder().Snapshot() // newest first
-	if len(samples) != 2 {
-		t.Fatalf("recorder has %d samples, want 2", len(samples))
-	}
-	if after, before := samples[0].A, samples[1].A; after.Count != 1800 || before.Count != 1500 || after.Version != before.Version {
-		t.Errorf("a's features: %+v after the append, %+v before; want counts 1800 and 1500 of one version", after, before)
-	}
-	for _, e := range svc.PlannerRecorder().Report().Engines {
-		if e.Wins != 0 || e.Losses != 0 {
-			t.Errorf("%s: %d wins, %d losses across two delta states, want none", e.Engine, e.Wins, e.Losses)
-		}
+	want := fmt.Sprintf("|A|+|B|=%d over the %d cap", planner.DefaultMaxInMemoryElements+1, planner.DefaultMaxInMemoryElements)
+	if sc := inmem(); !math.IsInf(sc.CostMS, 1) || !strings.Contains(sc.Reason, want) {
+		t.Fatalf("one appended element over the cap: inmem %+v, want excluded for %q", sc, want)
 	}
 }
 
-// TestPlannerReportConcurrent: samples stream in while /debug/planner
-// aggregates — the recorder must be race-free (run under -race).
+// TestPlannerReportConcurrent: joins feed the wall table while
+// /debug/planner reads it — the table must be race-free (run under -race)
+// and take every join's wall.
 func TestPlannerReportConcurrent(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
 	addDataset(t, svc, "a", transformers.GenerateUniform(500, 415))
@@ -653,26 +626,26 @@ func TestPlannerReportConcurrent(t *testing.T) {
 		}()
 	}
 	stop := make(chan struct{})
+	read := make(chan struct{})
 	go func() {
+		defer close(read)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				svc.PlannerRecorder().Report()
+			}
+			if resp, err := http.Get(ts.URL + "/debug/planner"); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
 			}
 		}
 	}()
 	wg.Wait()
 	close(stop)
-	rep := svc.PlannerRecorder().Report()
-	if rep.Total != 24 {
-		t.Fatalf("recorder total = %d, want 24", rep.Total)
-	}
-	for _, eng := range rep.Engines {
-		if eng.Samples > 0 && eng.MeanRelError < 0 {
-			t.Fatalf("engine accuracy = %+v", eng)
-		}
+	<-read
+	if n := wallSamples(svc, "a", "a", 0); svc.Stats().Joins != 24 || len(n) != 1 || n[engine.Transformers] != 24 {
+		t.Fatalf("%d joins left walls %v, want 24 joins and 24 transformers walls", svc.Stats().Joins, n)
 	}
 }
 

@@ -469,8 +469,8 @@ func TestPartitionEmptySide(t *testing.T) {
 	}
 }
 
-// TestPartitionObservability: the trace, the summary, /stats, /metrics and
-// the planner sample all say whether a join paid the partition build.
+// TestPartitionObservability: the trace's partition span, the summary,
+// /stats and /metrics all say whether a join paid the partition build.
 func TestPartitionObservability(t *testing.T) {
 	svc := NewService(Config{})
 	addDataset(t, svc, "a", overlapElems(400, 18, 1))
@@ -524,11 +524,6 @@ func TestPartitionObservability(t *testing.T) {
 		if !strings.Contains(sb.String(), want+"\n") {
 			t.Fatalf("/metrics lacks %q", want)
 		}
-	}
-
-	samples := svc.PlannerRecorder().Snapshot() // newest first
-	if len(samples) != 2 || !samples[0].PartitionHit || samples[1].PartitionHit {
-		t.Fatalf("planner samples do not flag the partition hit: %+v", samples)
 	}
 }
 

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/engine/planner"
@@ -14,38 +12,13 @@ import (
 
 // joinInput is one side of a join as the catalog describes it when the
 // request is planned — fetched once (Catalog.joinInput), and read by the
-// planner, the cache fast path and the planner accuracy sample alike.
+// planner's in-memory cap and the cache fast path.
 type joinInput struct {
-	name string
-	// stats is the statistics cached at registration, one per version.
-	stats planner.DatasetStats
-	// version and epoch key the cache fast path; delta is the append buffer's
-	// size, folded into the count the in-memory cap reads.
+	// count is the elements a join reads: the base's plus the append
+	// buffer's.
+	count int
+	// version and epoch key the cache fast path.
 	version, epoch uint64
-	delta          int
-}
-
-// planned is the input's statistics with the delta's cardinality folded
-// in: what the planner's in-memory cap reads and what a planner sample
-// records. Only Count grows: the distribution signals are assumed
-// delta-alike — the delta is bounded by the merge threshold — and
-// recomputing them per request would put an O(delta) scan on every plan.
-func (in joinInput) planned() planner.DatasetStats {
-	st := in.stats
-	st.Count += in.delta
-	return st
-}
-
-// features is the input as a planner accuracy sample records it.
-func (in joinInput) features() obs.DatasetFeatures {
-	st := in.planned()
-	return obs.DatasetFeatures{
-		Name:            in.name,
-		Version:         int64(in.version),
-		Count:           st.Count,
-		SkewCV:          st.SkewCV,
-		ClusterFraction: st.ClusterFraction,
-	}
 }
 
 // joinPlan is the resolved execution of one join request — everything
@@ -60,19 +33,13 @@ type joinPlan struct {
 	// cost is the admission price in pool slot units, derived from the
 	// resolved engine's price.
 	cost int
-	// predictedMS is the resolved engine's price (-1 while it is unmeasured
-	// or excluded) and scores the full candidate set — the planner accuracy
-	// recorder's inputs, captured for explicit requests too, not just
-	// "auto".
-	predictedMS float64
-	scores      []planner.Score
-	// excluded names the candidates the planner refused to price finitely
-	// (engine → reason).
-	excluded map[string]string
+	// scores is the full candidate set, priced for explicit requests too,
+	// not just "auto".
+	scores []planner.Score
 }
 
 // planJoin validates the request and resolves it — engine, input versions,
-// admission price — from one fetch of both inputs' statistics and one
+// admission price — from one fetch of both inputs' counts and one
 // planner.Plan call over the served engines, whether the planner chooses the
 // engine ("auto") or only prices the one the request names; any other name is
 // an ErrUnknownAlgorithm (CheckAlgorithm). Each engine is priced by the
@@ -83,8 +50,6 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if p.Distance < 0 || math.IsNaN(p.Distance) || math.IsInf(p.Distance, 0) {
 		return joinPlan{}, fmt.Errorf("server: invalid distance %v", p.Distance)
 	}
-	s.joins.Add(1)
-
 	jp := joinPlan{algo: p.Algorithm, parallelism: p.Parallelism}
 	if jp.algo == "" {
 		jp.algo = s.cfg.DefaultAlgorithm
@@ -103,8 +68,9 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if jp.b, err = s.cat.joinInput(b); err != nil {
 		return joinPlan{}, err
 	}
+	s.joins.Add(1)
 
-	d := planner.Plan(jp.a.planned(), jp.b.planned(), planner.Config{
+	d := planner.Plan(planner.DatasetStats{Count: jp.a.count}, planner.DatasetStats{Count: jp.b.count}, planner.Config{
 		Correct: func(e string) float64 { return s.walls.Price(a, b, p.Distance, e) },
 	})
 	if auto && (jp.a.epoch > 0 || jp.b.epoch > 0) {
@@ -147,21 +113,11 @@ func excludeInMem(d *planner.Decision) {
 // admission price in slot units: 1 + CostMS/DefaultCostUnitMS, so an
 // expensive join occupies many slots (the pool clamps to its capacity — such
 // a join runs alone) while typical joins, and every join of an engine not yet
-// measured on the pair, stay at unit price.
+// measured on the pair or excluded from it, stay at unit price.
 func (s *Service) priceJoin(jp *joinPlan) {
 	jp.cost = 1
-	jp.predictedMS = -1
 	for _, sc := range jp.scores {
-		switch {
-		case math.IsInf(sc.CostMS, 1):
-			// Recorded with its reason, not silently dropped: the accuracy
-			// sample must show why an engine is absent from the score map.
-			if jp.excluded == nil {
-				jp.excluded = make(map[string]string)
-			}
-			jp.excluded[sc.Engine] = sc.Reason
-		case sc.Engine == jp.algo && sc.CostMS > 0:
-			jp.predictedMS = sc.CostMS
+		if sc.Engine == jp.algo && sc.CostMS > 0 && !math.IsInf(sc.CostMS, 1) {
 			jp.cost = 1 + int(sc.CostMS/DefaultCostUnitMS)
 		}
 	}
@@ -174,40 +130,4 @@ func annotatePlan(span *obs.Span, jp joinPlan) {
 	}
 	span.Add("candidates", int64(len(jp.scores)))
 	span.Add("cost_units", int64(jp.cost))
-}
-
-// recordPlannerSample feeds one served join into the planner accuracy
-// recorder, whose observer feeds an executed join's kernel wall to the wall
-// table. Cache hits replay the cached summary's measurements and are flagged
-// so neither aggregation nor the table takes them; an inmem join that found
-// its partition resident is flagged too. The measured cost is the kernel wall
-// (delta sub-joins included; modeled I/O and the partition build left out),
-// the currency the planner prices in, so predicted and measured compare like
-// for like.
-func (s *Service) recordPlannerSample(ctx context.Context, p JoinParams, jp joinPlan, summary JoinSummary, wall time.Duration, cacheHit, partitionHit bool) {
-	sample := obs.PlannerSample{
-		Time:         time.Now(),
-		RequestID:    obs.FromContext(ctx).ID(),
-		Predicate:    predicateOf(p.Distance),
-		Distance:     p.Distance,
-		Engine:       jp.algo,
-		Auto:         jp.plan != nil,
-		PredictedMS:  jp.predictedMS,
-		MeasuredMS:   summary.JoinWallMS,
-		WallMS:       float64(wall) / float64(time.Millisecond),
-		CacheHit:     cacheHit,
-		PartitionHit: partitionHit,
-		A:            jp.a.features(),
-		B:            jp.b.features(),
-		Excluded:     jp.excluded,
-	}
-	if len(jp.scores) > 0 {
-		sample.Scores = make(map[string]float64, len(jp.scores))
-		for _, sc := range jp.scores {
-			if sc.CostMS > 0 && !math.IsInf(sc.CostMS, 1) {
-				sample.Scores[sc.Engine] = sc.CostMS
-			}
-		}
-	}
-	s.obs.recorder.Record(sample)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -23,6 +25,16 @@ func wallSamples(svc *Service, a, b string, distance float64) map[string]int64 {
 		}
 	}
 	return n
+}
+
+// priceOf returns the price a plan gives its resolved engine.
+func priceOf(jp joinPlan) float64 {
+	for _, sc := range jp.scores {
+		if sc.Engine == jp.algo {
+			return sc.CostMS
+		}
+	}
+	return -1
 }
 
 // TestServiceDistanceJoinPlanning: the planner must price the join that
@@ -51,11 +63,11 @@ func TestServiceDistanceJoinPlanning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := svc.walls.Price("a", "b", d, jp.algo); jp.predictedMS != want || want <= 0 {
-			t.Fatalf("distance %v: %s planned at %v ms, the table prices it %v", d, jp.algo, jp.predictedMS, want)
+		if want := svc.walls.Price("a", "b", d, jp.algo); priceOf(jp) != want || want <= 0 {
+			t.Fatalf("distance %v: %s planned at %v ms, the table prices it %v", d, jp.algo, priceOf(jp), want)
 		}
 		for _, sc := range jp.scores {
-			if sc.CostMS > jp.predictedMS {
+			if sc.CostMS > priceOf(jp) {
 				continue
 			}
 			if sc.Engine != jp.algo {
@@ -66,9 +78,9 @@ func TestServiceDistanceJoinPlanning(t *testing.T) {
 }
 
 // TestServiceRecordsExcludedCandidates: candidates the planner refuses to
-// price finitely (here: inmem, over the in-memory cap) must land in the
-// sample's Excluded map with their reason; an engine not yet measured has no
-// price in the sample.
+// price finitely (here: inmem, over the in-memory cap) are listed in the
+// response's planner report with their reason; an engine not yet measured is
+// listed unpriced.
 func TestServiceRecordsExcludedCandidates(t *testing.T) {
 	svc := NewService(Config{})
 	ctx := context.Background()
@@ -79,26 +91,26 @@ func TestServiceRecordsExcludedCandidates(t *testing.T) {
 	if _, err := svc.AddDataset(ctx, "b", transformers.GenerateUniform(n, 62)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true}); err != nil {
+	out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	samples := svc.PlannerRecorder().Snapshot()
-	if len(samples) != 1 {
-		t.Fatalf("got %d samples, want 1", len(samples))
+	pl := out.Summary.Planner
+	if pl == nil || len(pl.Scores) != 2 {
+		t.Fatalf("planner report %+v, want both served engines", pl)
 	}
-	s := samples[0]
-	if s.Excluded[engine.InMem] == "" {
-		t.Fatalf("sample lacks an exclusion reason for inmem: %+v", s.Excluded)
+	tr, im := pl.Scores[0], pl.Scores[1]
+	if im.Engine != engine.InMem || !math.IsInf(im.CostMS, 1) || !strings.Contains(im.Reason, "cap") {
+		t.Fatalf("inmem score %+v, want excluded with the cap's reason", im)
 	}
-	if len(s.Scores) != 0 || s.PredictedMS != -1 || s.MeasuredMS <= 0 {
-		t.Fatalf("first join on the pair: scores %v, predicted %v, measured %v; want no prices and a measured wall", s.Scores, s.PredictedMS, s.MeasuredMS)
+	if tr.Engine != engine.Transformers || tr.CostMS != 0 || out.Summary.JoinWallMS <= 0 {
+		t.Fatalf("first join on the pair: transformers score %+v, wall %v ms; want it unpriced and a measured wall", tr, out.Summary.JoinWallMS)
 	}
 }
 
-// TestServiceCorrectorLearnsFromJoins: executed joins feed the wall table
-// through the recorder's observer — a cold pair runs transformers twice and
-// inmem twice — and the next plan carries the learned price; cache hits do
-// not feed it.
+// TestServiceCorrectorLearnsFromJoins: executed joins feed the wall table —
+// a cold pair runs transformers twice and inmem twice — and the next plan
+// carries the learned price; cache hits do not feed it.
 func TestServiceCorrectorLearnsFromJoins(t *testing.T) {
 	svc := NewService(Config{})
 	ctx := context.Background()
@@ -123,8 +135,8 @@ func TestServiceCorrectorLearnsFromJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := svc.walls.Price("a", "b", 0, jp.algo); jp.predictedMS != want || want <= 0 {
-		t.Fatalf("plan prices %s at %v ms, the table at %v", jp.algo, jp.predictedMS, want)
+	if want := svc.walls.Price("a", "b", 0, jp.algo); priceOf(jp) != want || want <= 0 {
+		t.Fatalf("plan prices %s at %v ms, the table at %v", jp.algo, priceOf(jp), want)
 	}
 
 	// A cache fill is an execution and feeds the table; the hit replaying it
@@ -146,6 +158,71 @@ func TestServiceCorrectorLearnsFromJoins(t *testing.T) {
 	}
 	if total != 5 {
 		t.Fatalf("the pair's series hold %d walls after a fill and a hit, want 5", total)
+	}
+}
+
+// TestPutRestartsWalls: walls measured on a dataset's contents do not price
+// the contents a Put replaces them with. A re-upload drops every series
+// naming the dataset — /debug/planner stops listing them and "auto" explores
+// the pair again, transformers first — and leaves the others; an append does
+// not restart them.
+func TestPutRestartsWalls(t *testing.T) {
+	ts, svc := newTestServer(t, Config{DeltaMaxElements: -1})
+	ctx := context.Background()
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 67))
+	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 68))
+	addDataset(t, svc, "c", transformers.GenerateUniform(2000, 69))
+	// Measured: inmem far cheaper on (a, b) and on (b, c).
+	for _, pair := range [][2]string{{"a", "b"}, {"b", "c"}} {
+		for i := 0; i < 2; i++ {
+			svc.walls.Observe(pair[0], pair[1], 0, engine.Transformers, 1e6)
+			svc.walls.Observe(pair[0], pair[1], 0, engine.InMem, 1)
+		}
+	}
+	listed := func() map[[2]string]bool {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/debug/planner")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Walls []planner.Wall `json:"walls"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[[2]string]bool)
+		for _, w := range doc.Walls {
+			out[[2]string{w.A, w.B}] = true
+		}
+		return out
+	}
+	auto := func() string {
+		t.Helper()
+		out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Summary.Algorithm
+	}
+
+	extra := transformers.GenerateUniform(10, 70)
+	for i := range extra {
+		extra[i].ID += 1 << 20
+	}
+	if _, err := svc.Append(ctx, "a", extra); err != nil {
+		t.Fatal(err)
+	}
+	if got := listed(); !got[[2]string{"a", "b"}] || !got[[2]string{"b", "c"}] {
+		t.Fatalf("after an append /debug/planner lists %v, want (a, b) and (b, c)", got)
+	}
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 71))
+	if got := listed(); got[[2]string{"a", "b"}] || !got[[2]string{"b", "c"}] {
+		t.Fatalf("after re-uploading a /debug/planner lists %v, want (b, c) alone", got)
+	}
+	if got := auto(); got != engine.Transformers {
+		t.Fatalf("the first auto join after re-uploading a ran %s, want transformers explored", got)
 	}
 }
 
@@ -189,7 +266,7 @@ func TestDebugPlannerKeepsLargestCorrections(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
 	// 150 series in name order: the first 60 observed once, the last 90 five
 	// times, so the cap keeps those 90 plus the first 10 names of the rest.
-	const series, light, limit = 150, 60, debugPlannerSamples
+	const series, light, limit = 150, 60, debugPlannerWalls
 	name := func(i int) string { return fmt.Sprintf("d%03d", i) }
 	for i := 0; i < series; i++ {
 		n := 5

@@ -162,13 +162,14 @@ type Service struct {
 	tenantMu sync.Mutex
 	tenants  map[string]*tenantCounters
 
-	// obs is the observability state: metric registry, slow-join ring,
-	// planner accuracy recorder. Always non-nil.
+	// obs is the observability state: metric registry and slow-join ring.
+	// Always non-nil.
 	obs *serviceObs
 
 	// walls is the wall table Plan prices each engine by: the kernel walls of
 	// executed joins per (dataset pair, distance, engine). Always non-nil;
-	// fed by the planner recorder's observer.
+	// fed by every executed, uncached join and restarted for a dataset each
+	// time a Put replaces it.
 	walls *planner.Corrector
 }
 
@@ -280,10 +281,6 @@ type BuildInfo struct {
 	// request body before the registration that BuildMS times began; with
 	// it the two halves of an upload's cost read off the response.
 	DecodeMS float64 `json:"decode_ms"`
-	// SkewCV and ClusterFraction are the planner signals computed at
-	// registration (cached per version; see planner.DatasetStats).
-	SkewCV          float64 `json:"skew_cv"`
-	ClusterFraction float64 `json:"cluster_fraction"`
 }
 
 // AddDataset registers (or replaces) a named dataset, its index built before
@@ -313,16 +310,17 @@ func (s *Service) addDataset(ctx context.Context, name string, b batch) (BuildIn
 		s.noteOutcome(ctx, err)
 		return BuildInfo{}, err
 	}
+	// Walls measured on the replaced data do not price the new data. Appends
+	// and merges keep them: they grow a dataset by at most a delta.
+	s.walls.Forget(name)
 	br := gen.index.BuildReport()
 	return BuildInfo{
-		Name:            name,
-		Elements:        br.Elements,
-		Version:         gen.version,
-		Units:           br.Units,
-		Nodes:           br.Nodes,
-		BuildMS:         float64(time.Since(start)) / float64(time.Millisecond),
-		SkewCV:          gen.stats.SkewCV,
-		ClusterFraction: gen.stats.ClusterFraction,
+		Name:     name,
+		Elements: br.Elements,
+		Version:  gen.version,
+		Units:    br.Units,
+		Nodes:    br.Nodes,
+		BuildMS:  float64(time.Since(start)) / float64(time.Millisecond),
 	}, nil
 }
 
@@ -387,15 +385,32 @@ func (s *Service) triggerMerge(name string) bool {
 func (s *Service) Quiesce() { s.mergeWG.Wait() }
 
 // RangeQuery returns the elements of a cataloged dataset intersecting the
-// query box. It bypasses the join pool entirely: the index is built before its
-// version is installed, so a query is a few page reads at interactive latency.
+// query box, appended ones included. It bypasses the join pool entirely: the
+// index is built before its version is installed, so a query is a few page
+// reads at interactive latency, plus a scan of the append buffer.
 func (s *Service) RangeQuery(ctx context.Context, dataset string, query transformers.Box) ([]transformers.Element, transformers.RangeStats, error) {
 	s.rangeQueries.Add(1)
 	h, err := s.cat.Acquire(ctx, dataset, 0)
 	if err != nil {
 		return nil, transformers.RangeStats{}, err
 	}
-	return h.Index.RangeQuery(query)
+	out, st, err := h.Index.RangeQuery(query)
+	if err != nil {
+		return nil, st, err
+	}
+	// The append buffer, bounded by the merge threshold, is scanned: it has
+	// no index until a merge builds one. An invalid box matches nothing, as
+	// in the index.
+	if _, delta, _ := s.cat.DeltaView(h); query.Valid() {
+		for _, e := range delta {
+			if e.Box.Intersects(query) {
+				out = append(out, e)
+			}
+		}
+		st.Comparisons += uint64(len(delta))
+		st.Results = len(out)
+	}
+	return out, st, nil
 }
 
 // DefaultTimeout returns the server-default request deadline (0 = none).

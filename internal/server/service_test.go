@@ -212,6 +212,29 @@ func TestServiceCacheHitSkipsRebuild(t *testing.T) {
 	}
 }
 
+// TestRefusedJoinsAreNotCounted: /stats joins counts the joins accepted for
+// planning, so a join naming an engine the service does not serve, or a
+// dataset it does not hold, leaves it unchanged.
+func TestRefusedJoinsAreNotCounted(t *testing.T) {
+	svc := NewService(Config{})
+	ctx := context.Background()
+	addDataset(t, svc, "a", transformers.GenerateUniform(100, 24))
+	if _, err := svc.Join(ctx, "a", "a", JoinParams{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		b, algo string
+		want    error
+	}{{"a", "pbsm", ErrUnknownAlgorithm}, {"nope", "", ErrUnknownDataset}, {"nope", AlgorithmAuto, ErrUnknownDataset}} {
+		if _, err := svc.Join(ctx, "a", tc.b, JoinParams{Algorithm: tc.algo}); !errors.Is(err, tc.want) {
+			t.Fatalf("join of a and %q by %q: %v, want %v", tc.b, tc.algo, err, tc.want)
+		}
+	}
+	if st := svc.Stats(); st.Joins != 1 {
+		t.Fatalf("/stats joins = %d after one served and three refused joins, want 1", st.Joins)
+	}
+}
+
 // TestServiceRejectsNonFiniteDistance: NaN/Inf must be refused — a NaN map
 // key would be unevictable and break the catalog.
 func TestServiceRejectsNonFiniteDistance(t *testing.T) {
@@ -230,17 +253,29 @@ func TestServiceRejectsNonFiniteDistance(t *testing.T) {
 }
 
 // TestServiceConcurrentMixedLoad hammers one service with concurrent joins
-// and range queries on shared indexes — the -race gate for the serving path.
+// and range queries on shared indexes, a's append buffer included — the -race
+// gate for the serving path.
 func TestServiceConcurrentMixedLoad(t *testing.T) {
 	a := transformers.GenerateUniform(1500, 21)
 	b := transformers.GenerateMassiveCluster(1500, 22)
-	want := naive.Join(a, b)
+	extra := transformers.GenerateUniform(300, 23)
+	for i := range extra {
+		extra[i].ID += 1 << 20
+	}
+	all := append(append([]transformers.Element(nil), a...), extra...)
+	want := naive.Join(all, b)
 	q := transformers.Box{Lo: transformers.Point{200, 200, 200}, Hi: transformers.Point{500, 500, 500}}
-	var wantRange int
-	for _, e := range a {
+	var wantRange, deltaRange int
+	for i, e := range all {
 		if e.Box.Intersects(q) {
 			wantRange++
+			if i >= len(a) {
+				deltaRange++
+			}
 		}
+	}
+	if deltaRange == 0 {
+		t.Fatal("no appended element meets the query box")
 	}
 
 	svc := NewService(Config{Workers: 4})
@@ -248,6 +283,9 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := svc.AddDataset(context.Background(), "b", append([]transformers.Element(nil), b...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Append(context.Background(), "a", extra); err != nil {
 		t.Fatal(err)
 	}
 

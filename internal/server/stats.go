@@ -19,7 +19,10 @@ type Stats struct {
 	UptimeMS float64 `json:"uptime_ms"`
 	// UptimeS is the whole-second uptime — the stable field for scrapers
 	// that want a coarse monotone counter rather than a float.
-	UptimeS      int64  `json:"uptime_s"`
+	UptimeS int64 `json:"uptime_s"`
+	// Joins counts the join requests accepted for planning: a served engine
+	// or "auto", over two cataloged datasets. One refused before that is
+	// not counted.
 	Joins        uint64 `json:"joins"`
 	RangeQueries uint64 `json:"range_queries"`
 	// Appends counts append requests, AppendedElements the elements they
