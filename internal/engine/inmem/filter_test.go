@@ -208,8 +208,9 @@ func rawOf(boxes ...geom.Box) []byte {
 // FuzzInMemJoin: on boxes made of fuzzed bits — zero extent, shared faces,
 // coordinates one float64 ulp apart that one float32 holds both of, huge and
 // denormal magnitudes, -0 — the kernel emits the nested loop's multiset over
-// the grown boxes, at every stripe count and worker count, grown or not: the
-// float32 filter loses no pair and the exact test lets none through.
+// the grown boxes, grown or not, at 1, 3 and 16 stripes, prune grids of 1, 2,
+// 5 and 64 cells a side, and 1 and 4 workers: the prune and the float32
+// filter lose no pair and the exact test lets none through.
 func FuzzInMemJoin(f *testing.F) {
 	cube := func(lo, hi float64) geom.Box {
 		return geom.Box{Lo: geom.Point{lo, lo, lo}, Hi: geom.Point{hi, hi, hi}}
@@ -239,11 +240,14 @@ func FuzzInMemJoin(f *testing.F) {
 		}
 		for _, g := range []float64{0, math.Abs(grow)} {
 			want := grownNaive(a, b, g, g)
-			for _, stripes := range []int{1, 3, 16} {
-				p := PartitionInputs(Input{Base: a, Grow: g}, Input{Base: b, Grow: g}, Config{Stripes: stripes})
+			// Every stripe count on one cell, which prunes nothing, and every
+			// prune resolution on a multi-stripe cut: the two act apart, and a
+			// 64³ grid is most of an execution's cost.
+			for _, run := range []struct{ r, stripes int }{{1, 1}, {1, 3}, {1, 16}, {2, 3}, {5, 3}, {maxResolution, 3}} {
+				p := partition(Input{Base: a, Grow: g}, Input{Base: b, Grow: g}, Config{Stripes: run.stripes}, run.r)
 				for _, workers := range []int{1, 4} {
 					got, st := collect(p, JoinConfig{Parallelism: workers})
-					diffMultisets(t, fmt.Sprintf("grow=%g/stripes=%d/workers=%d", g, stripes, workers), want, got)
+					diffMultisets(t, fmt.Sprintf("grow=%g/r=%d/stripes=%d/workers=%d", g, run.r, run.stripes, workers), want, got)
 					n := 0
 					for _, c := range got {
 						n += c

@@ -23,6 +23,16 @@
 // source elements, which rejects whatever the rounding let through, so no
 // pair is invented either.
 //
+// Only an element that can meet a partner is partitioned. Before anything is
+// sorted or striped, prune drops every element whose grown box covers no cell
+// of a coarse grid over the pair's joint MBB that a grown box of the other
+// side covers too: A against all of B, then B against the A that was kept.
+// Two grown boxes that intersect share a point, and the cell map is monotone
+// and clamped, so that point's cell lies in both boxes' cell ranges — the
+// prune keeps every element of the answer. On the selective pairing (uniform
+// 100K × dense_cluster 100K) it keeps about a quarter of the elements. The
+// split and sweep dimensions are chosen over all of them.
+//
 // The kernel is pure CPU — no paged index, no modeled I/O — and its emit
 // loop performs no allocations, so the planner can route RAM-resident
 // workloads here and the serving layer's untraced hot path stays
@@ -56,7 +66,8 @@ const assignBytes = (2*geom.Dims + 1) * 4
 // full-precision box and an ID, twice assignBytes. Sizing on assignBytes
 // halves the stripes and nearly doubles the candidates the sweep tests (43 →
 // 22 stripes, 262 030 → 476 845 comparisons on uniform 100K × dense_cluster
-// 100K), which costs more than the narrower columns save.
+// 100K before the partition was pruned), which costs more than the narrower
+// columns save.
 const stripeElemBytes = (2*geom.Dims + 1) * 8
 
 // Config tunes partitioning.
@@ -123,11 +134,14 @@ func (in Input) at(i int32) *geom.Element {
 // side is one input and its assignments: the grown box of the element at
 // position ref[k], rounded outward, in lo[d][k]/hi[d][k]. seg holds
 // 2*stripes+1 offsets into those columns: [start_t | crossing_t] per stripe.
+// kept counts the input's elements the prune kept; the others are in no
+// segment.
 type side struct {
 	in         Input
 	lo, hi     [geom.Dims][]float32
 	ref        []int32
 	seg        []int32
+	kept       int
 	replicated int
 }
 
@@ -153,22 +167,32 @@ func Partition(a, b []geom.Element, cfg Config) *Partitioned {
 // boundaries are equal-frequency quantiles of the combined split-dimension
 // lower bounds, so skewed data still yields balanced stripes. All of that is
 // decided on the exact grown coordinates; only what the sweep streams is
-// rounded. The inputs are kept by reference (see Input) and never written:
-// the sweep order is a permutation of 16-byte key records, never of the
-// elements, so a caller may pass storage it shares with concurrent readers
-// (the serving catalog builds its resident partitions from its own arrays).
+// rounded. Before any of it, prune drops every element that can meet no
+// partner, and only the kept ones are sorted, cut and striped; the dimensions
+// are still chosen over the whole inputs. The inputs are kept by reference
+// (see Input) and never written: the sweep order is a permutation of 16-byte
+// key records, never of the elements, so a caller may pass storage it shares
+// with concurrent readers (the serving catalog builds its resident partitions
+// from its own arrays).
 func PartitionInputs(a, b Input, cfg Config) *Partitioned {
+	return partition(a, b, cfg, resolution(a.len()+b.len()))
+}
+
+// partition is PartitionInputs with the prune grid at r cells a side.
+func partition(a, b Input, cfg Config, r int) *Partitioned {
 	cache := cfg.CacheBytes
 	if cache <= 0 {
 		cache = DefaultCacheBytes
 	}
+	world := grownWorld(a, b)
 	p := &Partitioned{}
-	p.splitDim, p.sweepDim = chooseDims(a, b)
+	p.splitDim, p.sweepDim = chooseDims(a, b, world)
 	p.thirdDim = (geom.Dims*(geom.Dims-1))/2 - p.splitDim - p.sweepDim
+	keptA, keptB := prune(a, b, world, r)
 
 	stripes := cfg.Stripes
 	if stripes <= 0 {
-		stripes = ((a.len()+b.len())*stripeElemBytes + cache - 1) / cache
+		stripes = ((len(keptA)+len(keptB))*stripeElemBytes + cache - 1) / cache
 	}
 	if stripes < 1 {
 		stripes = 1
@@ -183,40 +207,48 @@ func PartitionInputs(a, b Input, cfg Config) *Partitioned {
 	// themselves roughly halves the partition cost, and leaves the input
 	// slices untouched.
 	var ks geom.KeySorter
-	permA := sweepOrder(a, p.sweepDim, &ks)
-	permB := sweepOrder(b, p.sweepDim, &ks)
+	permA := sweepOrder(a, keptA, p.sweepDim, &ks)
+	permB := sweepOrder(b, keptB, p.sweepDim, &ks)
 
-	cuts := quantileCuts(a, b, p.splitDim, stripes)
+	cuts := quantileCuts(a, keptA, b, keptB, p.splitDim, stripes)
 	p.stripes = len(cuts) + 1
-	p.a = fillSide(a, permA, cuts, p.stripes, p.splitDim)
-	p.b = fillSide(b, permB, cuts, p.stripes, p.splitDim)
+	p.a = fillSide(a, keptA, permA, cuts, p.stripes, p.splitDim)
+	p.b = fillSide(b, keptB, permB, cuts, p.stripes, p.splitDim)
 	return p
 }
 
-// sweepOrder returns in's positions in ascending order of the sweep
-// dimension's grown lower bound, as geom.SortKey records (the sort shared with
-// the STR bulk-load). The sweep handles equal lower bounds regardless of which
-// side scans, so it does not depend on how ties come out.
-func sweepOrder(in Input, sweep int, ks *geom.KeySorter) []geom.SortKey {
-	perm := make([]geom.SortKey, 0, in.len())
-	for _, part := range [2][]geom.Element{in.Base, in.Delta} {
-		for i := range part {
-			perm = append(perm, geom.SortKey{K: geom.FloatSortable(part[i].Box.Lo[sweep] - in.Grow), I: int32(len(perm))})
-		}
+// sweepOrder returns the kept positions' indexes into kept in ascending order
+// of the sweep dimension's grown lower bound, as geom.SortKey records (the
+// sort shared with the STR bulk-load). The sweep handles equal lower bounds
+// regardless of which side scans, so it does not depend on how ties come out.
+func sweepOrder(in Input, kept []int32, sweep int, ks *geom.KeySorter) []geom.SortKey {
+	perm := make([]geom.SortKey, len(kept))
+	for k, pos := range kept {
+		perm[k] = geom.SortKey{K: geom.FloatSortable(in.at(pos).Box.Lo[sweep] - in.Grow), I: int32(k)}
 	}
 	ks.Sort(perm)
 	return perm
 }
 
-// chooseDims picks the split and sweep dimensions: the two highest ratios of
-// world extent to mean element extent (ties resolve to the lower dimension
-// index, keeping the choice deterministic).
-func chooseDims(a, b Input) (split, sweep int) {
+// grownWorld is the MBB of both inputs' grown boxes. Subtracting and adding
+// Grow are monotone, so growing the MBB grows every box inside it.
+func grownWorld(a, b Input) geom.Box {
 	world := geom.EmptyBox()
-	var avg [geom.Dims]float64
 	for _, in := range [2]Input{a, b} {
 		for _, part := range [2][]geom.Element{in.Base, in.Delta} {
 			world = world.Union(geom.MBBOf(part).Expand(in.Grow))
+		}
+	}
+	return world
+}
+
+// chooseDims picks the split and sweep dimensions: the two highest ratios of
+// world extent to mean element extent (ties resolve to the lower dimension
+// index, keeping the choice deterministic).
+func chooseDims(a, b Input, world geom.Box) (split, sweep int) {
+	var avg [geom.Dims]float64
+	for _, in := range [2]Input{a, b} {
+		for _, part := range [2][]geom.Element{in.Base, in.Delta} {
 			for i := range part {
 				box := &part[i].Box
 				for d := 0; d < geom.Dims; d++ {
@@ -263,21 +295,22 @@ const quantileSample = 8192
 
 // quantileCuts returns up to stripes-1 strictly increasing stripe boundaries
 // at equal-frequency quantiles of the combined grown split-dimension lower
-// bounds (computed over a strided sample on large inputs).
-func quantileCuts(a, b Input, split, stripes int) []float64 {
-	if stripes <= 1 || a.len()+b.len() == 0 {
+// bounds of the kept elements (computed over a strided sample on large
+// inputs).
+func quantileCuts(a Input, keptA []int32, b Input, keptB []int32, split, stripes int) []float64 {
+	n := len(keptA) + len(keptB)
+	if stripes <= 1 || n == 0 {
 		return nil
 	}
-	stride := (a.len() + b.len() + quantileSample - 1) / quantileSample
-	if stride < 1 {
-		stride = 1
-	}
-	vals := make([]float64, 0, (a.len()+b.len())/stride+2)
-	for _, in := range [2]Input{a, b} {
-		for i := 0; i < in.len(); i += stride {
-			vals = append(vals, in.at(int32(i)).Box.Lo[split]-in.Grow)
+	stride := (n + quantileSample - 1) / quantileSample
+	vals := make([]float64, 0, n/stride+2)
+	sample := func(in Input, kept []int32) {
+		for k := 0; k < len(kept); k += stride {
+			vals = append(vals, in.at(kept[k]).Box.Lo[split]-in.Grow)
 		}
 	}
+	sample(a, keptA)
+	sample(b, keptB)
 	slices.Sort(vals)
 	cuts := make([]float64, 0, stripes-1)
 	// prev starts at the minimum: a cut at or below it would only create an
@@ -303,43 +336,42 @@ func stripeOf(cuts []float64, v float64) int {
 	return sort.Search(len(cuts), func(i int) bool { return cuts[i] > v })
 }
 
-// fillSide builds one input's assignments: a counting pass sizes the
-// 2×stripes segments (start, then crossing, per stripe), and a fill pass in
-// perm's sweep-sorted order places each element into the start segment of its
-// first stripe and the crossing segment of every later stripe it spans — by
-// its exact grown bounds. What is stored is their outward rounding, which is
-// monotone, so a segment in the order of the exact lower bounds is in the
-// order of the stored ones.
-func fillSide(in Input, perm []geom.SortKey, cuts []float64, stripes, split int) side {
+// fillSide builds one input's assignments from its kept positions: a counting
+// pass sizes the 2×stripes segments (start, then crossing, per stripe), and a
+// fill pass in perm's sweep-sorted order places each element into the start
+// segment of its first stripe and the crossing segment of every later stripe
+// it spans — by its exact grown bounds. What is stored is their outward
+// rounding, which is monotone, so a segment in the order of the exact lower
+// bounds is in the order of the stored ones.
+func fillSide(in Input, kept []int32, perm []geom.SortKey, cuts []float64, stripes, split int) side {
 	nseg := 2 * stripes
 	counts := make([]int32, nseg)
-	// first and last are indexed by position, not by sweep rank: counting does
+	// first and last are indexed like kept, not by sweep rank: counting does
 	// not care about order, so this pass reads the elements front to back and
 	// only the fill pass pays a cache miss per element.
-	first := make([]int32, 0, len(perm))
-	last := make([]int32, 0, len(perm))
-	for _, part := range [2][]geom.Element{in.Base, in.Delta} {
-		for i := range part {
-			f := stripeOf(cuts, part[i].Box.Lo[split]-in.Grow)
-			counts[2*f]++
-			// stripeOf of the upper bound, walked up from f: the crossing
-			// segments are counted one by one anyway.
-			l, hi := f, part[i].Box.Hi[split]+in.Grow
-			for l < len(cuts) && cuts[l] <= hi {
-				l++
-				counts[2*l+1]++
-			}
-			first, last = append(first, int32(f)), append(last, int32(l))
+	first := make([]int32, len(kept))
+	last := make([]int32, len(kept))
+	for k, pos := range kept {
+		box := &in.at(pos).Box
+		f := stripeOf(cuts, box.Lo[split]-in.Grow)
+		counts[2*f]++
+		// stripeOf of the upper bound, walked up from f: the crossing
+		// segments are counted one by one anyway.
+		l, hi := f, box.Hi[split]+in.Grow
+		for l < len(cuts) && cuts[l] <= hi {
+			l++
+			counts[2*l+1]++
 		}
+		first[k], last[k] = int32(f), int32(l)
 	}
-	s := side{in: in, seg: make([]int32, nseg+1)}
+	s := side{in: in, kept: len(kept), seg: make([]int32, nseg+1)}
 	var total int32
 	for i := 0; i < nseg; i++ {
 		s.seg[i] = total
 		total += counts[i]
 	}
 	s.seg[nseg] = total
-	s.replicated = int(total) - len(perm)
+	s.replicated = int(total) - len(kept)
 	s.ref = make([]int32, total)
 	for d := 0; d < geom.Dims; d++ {
 		s.lo[d] = make([]float32, total)
@@ -347,21 +379,21 @@ func fillSide(in Input, perm []geom.SortKey, cuts []float64, stripes, split int)
 	}
 	cur := make([]int32, nseg)
 	copy(cur, s.seg[:nseg])
-	for pi := range perm {
-		ref := perm[pi].I
+	for _, sk := range perm {
+		ref, f, l := kept[sk.I], first[sk.I], last[sk.I]
 		box := in.at(ref).Box.Expand(in.Grow)
 		var lo, hi [geom.Dims]float32
 		for d := 0; d < geom.Dims; d++ {
 			lo[d], hi[d] = geom.RoundDown32(box.Lo[d]), geom.RoundUp32(box.Hi[d])
 		}
-		k := cur[2*first[ref]]
-		cur[2*first[ref]]++
-		for t := first[ref]; ; {
+		k := cur[2*f]
+		cur[2*f]++
+		for t := f; ; {
 			s.ref[k] = ref
 			for d := 0; d < geom.Dims; d++ {
 				s.lo[d][k], s.hi[d][k] = lo[d], hi[d]
 			}
-			if t++; t > last[ref] {
+			if t++; t > l {
 				break
 			}
 			k = cur[2*t+1]
@@ -373,6 +405,10 @@ func fillSide(in Input, perm []geom.SortKey, cuts []float64, stripes, split int)
 
 // Stripes is the effective stripe count after cut deduplication.
 func (p *Partitioned) Stripes() int { return p.stripes }
+
+// Kept is how many input elements, of both sides, the prune kept: each holds
+// one assignment, and one more per stripe boundary it crosses.
+func (p *Partitioned) Kept() int { return p.a.kept + p.b.kept }
 
 // Bytes is the heap footprint of the partition — the assignments of both
 // sides (boundary replicas included) and the segment offsets — which is what

@@ -208,7 +208,11 @@ func TestSweepOrderRadix(t *testing.T) {
 		elems[i] = geom.Element{ID: uint64(i), Box: geom.NewBox(
 			geom.Point{v, 0, 0}, geom.Point{v + 1, 1, 1})}
 	}
-	perm := sweepOrder(Input{Base: elems}, 0, new(geom.KeySorter))
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	perm := sweepOrder(Input{Base: elems}, all, 0, new(geom.KeySorter))
 	if len(perm) != n {
 		t.Fatalf("perm length %d, want %d", len(perm), n)
 	}
@@ -229,7 +233,8 @@ func TestSweepOrderRadix(t *testing.T) {
 }
 
 // TestInMemKernelStats: the partition record is faithful — effective stripe
-// count, dimension choice, and replication accounting.
+// count, dimension choice, and replication accounting: a side holds one
+// assignment per element the prune kept and one per replica.
 func TestInMemKernelStats(t *testing.T) {
 	a, b := enginetest.UniformPair(4000, 9401, 9402)
 	enginetest.Inflate(a, 4)
@@ -246,9 +251,12 @@ func TestInMemKernelStats(t *testing.T) {
 	if st.ReplicatedA < 0 || st.ReplicatedB < 0 {
 		t.Fatalf("negative replication: %d/%d", st.ReplicatedA, st.ReplicatedB)
 	}
-	if len(p.a.ref) != len(a)+st.ReplicatedA || len(p.b.ref) != len(b)+st.ReplicatedB {
-		t.Fatalf("assignments %d/%d vs inputs %d+%d/%d+%d",
-			len(p.a.ref), len(p.b.ref), len(a), st.ReplicatedA, len(b), st.ReplicatedB)
+	if p.a.kept == 0 || p.a.kept > len(a) || p.b.kept == 0 || p.b.kept > len(b) {
+		t.Fatalf("kept %d of %d and %d of %d elements", p.a.kept, len(a), p.b.kept, len(b))
+	}
+	if len(p.a.ref) != p.a.kept+st.ReplicatedA || len(p.b.ref) != p.b.kept+st.ReplicatedB {
+		t.Fatalf("assignments %d/%d vs kept %d+%d/%d+%d",
+			len(p.a.ref), len(p.b.ref), p.a.kept, st.ReplicatedA, p.b.kept, st.ReplicatedB)
 	}
 	// Identical low corners on the split dimension dedupe every cut: the
 	// kernel degrades to one stripe instead of emitting duplicates.
@@ -287,7 +295,8 @@ func TestInMemJoinAllocFree(t *testing.T) {
 // prebuilt partition (the planner-relevant hot path), the end-to-end
 // partition+join, and the join the benchmark's selective workload repeats —
 // uniform 100K x dense_cluster 100K, a dozen pairs — with what it tests,
-// finds and holds.
+// finds and holds: the elements the prune kept, and the partition's bytes per
+// input element and per assignment.
 func BenchmarkInMemJoin(bm *testing.B) {
 	a, b := enginetest.UniformPair(20000, 9601, 9602)
 	enginetest.Inflate(a, 4)
@@ -324,7 +333,9 @@ func BenchmarkInMemJoin(bm *testing.B) {
 		}
 		bm.ReportMetric(float64(st.Comparisons), "cmp/op")
 		bm.ReportMetric(float64(st.Results), "pairs/op")
-		bm.ReportMetric(float64(p.Bytes())/float64(len(u)+len(d)+st.ReplicatedA+st.ReplicatedB), "B/assignment")
+		bm.ReportMetric(float64(p.Kept()), "kept/op")
+		bm.ReportMetric(float64(p.Bytes())/float64(len(u)+len(d)), "B/elem")
+		bm.ReportMetric(float64(p.Bytes())/float64(p.Kept()+st.ReplicatedA+st.ReplicatedB), "B/assignment")
 	})
 }
 

@@ -326,7 +326,8 @@ func residentDatasetHeldOnce(t *testing.T, cfg Config) {
 // and IDs from the generations' own arrays: the live heap grows by at most
 // 0.6 x 56 bytes an assignment over the two datasets (1.03 x when the
 // partition was a full-precision copy), at distance 0, at distance 5 and with a delta
-// on one side, for which no grown or combined copy is kept either.
+// on one side, for which no grown or combined copy is kept either. An
+// assignment is an element the prune kept, or one of its stripe replicas.
 func TestResidentPartitionIsAFilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("indexes 100K elements twice")
@@ -340,9 +341,9 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 	uploaded := liveHeap()
 
 	// partition acquires the pair's partition at distance, joins on it once
-	// and holds it to the byte formula and to 0.6 x 56 B an assignment (an
-	// element, and once more per stripe boundary it crosses) of live heap
-	// beyond base.
+	// and holds it to the byte formula and to 0.6 x 56 B an assignment (a
+	// kept element, and once more per stripe boundary it crosses) of live
+	// heap beyond base.
 	partition := func(what string, distance float64, elements int, base int64) *PartitionHandle {
 		t.Helper()
 		h, err := cat.AcquirePartition(ctx, "u", "d", distance)
@@ -353,12 +354,16 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 			t.Fatalf("%s: the partition was already resident", what)
 		}
 		js := h.Partition.Join(inmem.JoinConfig{Parallelism: 1}, func(uint64, uint64) {})
-		assignments, offsets := elements+js.ReplicatedA+js.ReplicatedB, 2*(2*js.Stripes+1)
+		kept := h.Partition.Kept()
+		if kept <= 0 || kept > elements {
+			t.Fatalf("%s: the prune kept %d of %d elements", what, kept, elements)
+		}
+		assignments, offsets := kept+js.ReplicatedA+js.ReplicatedB, 2*(2*js.Stripes+1)
 		if got, want := cat.Stats().PartitionBytes, int64(28*assignments+4*offsets); got != want {
 			t.Fatalf("%s: partition_bytes = %d, want 28 x %d assignments + 4 x %d offsets = %d", what, got, assignments, offsets, want)
 		}
 		grew, bound := liveHeap()-base, int64(0.6*56*float64(assignments))
-		t.Logf("%s: live heap grew %d B for %d assignments of %d elements (%.2f x 56 B each, bound 0.6), %d results", what, grew, assignments, elements, float64(grew)/56/float64(assignments), js.Results)
+		t.Logf("%s: live heap grew %d B for %d assignments of %d kept of %d elements (%.2f x 56 B each, bound 0.6), %d results", what, grew, assignments, kept, elements, float64(grew)/56/float64(assignments), js.Results)
 		if grew > bound {
 			t.Fatalf("%s: a partition of %d assignments holds %d bytes of live heap, want at most %d", what, assignments, grew, bound)
 		}

@@ -12,11 +12,13 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/transformers"
@@ -838,5 +840,59 @@ func TestNumberConversionMatchesParseFloat(t *testing.T) {
 	t.Logf("%d literals converted as strconv.ParseFloat converts them", cases)
 	if !testing.Short() && cases < 5_000_000 {
 		t.Errorf("only %d cases", cases)
+	}
+}
+
+// TestUploadsLeaveTheHeapGoalAtTheArrays: after two 100K uploads over HTTP the
+// GC's heap goal is at most 2.3 x the two generations' 56-byte arrays, beyond
+// twice what was live before them. An upload ends in a collection once its
+// decoded pieces and the build's sort keys are garbage; a collection that
+// landed mid-upload instead would have counted them live, and the goal would
+// stay at twice that until the next one. Each body is written into a pipe as
+// the server reads it, so the client holds neither the body nor its
+// elements when the goal is read.
+func TestUploadsLeaveTheHeapGoalAtTheArrays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("uploads 200K elements")
+	}
+	const n = 100_000
+	ts, _ := newTestServer(t, Config{})
+	base := liveHeap()
+	upload := func(name string, gen func() []transformers.Element) {
+		t.Helper()
+		pr, pw := io.Pipe()
+		go func() {
+			pw.CloseWithError(func() error {
+				elems := gen()
+				head := `{"name":` + strconv.Quote(name) + `,"elements":[`
+				for k := 0; k < len(elems); k += 4096 {
+					chunk := appendElementsJSON(nil, elems[k:min(k+4096, len(elems))])
+					if _, err := pw.Write(append([]byte(head), chunk[1:len(chunk)-1]...)); err != nil {
+						return err
+					}
+					head = `,`
+				}
+				_, err := pw.Write([]byte(`]}`))
+				return err
+			}())
+		}()
+		resp, err := http.Post(ts.URL+"/datasets", "application/json", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s: status %d", name, resp.StatusCode)
+		}
+	}
+	upload("u", func() []transformers.Element { return transformers.GenerateUniform(n, 3) })
+	upload("d", func() []transformers.Element { return transformers.GenerateDenseCluster(n, 4) })
+	sample := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(sample)
+	arrays := int64(2 * n * unsafe.Sizeof(transformers.Element{}))
+	goal, bound := int64(sample[0].Value.Uint64()), int64(2.3*float64(arrays))+2*base
+	t.Logf("heap goal %d B after uploading %d B of arrays over %d B live before (%.2f x the arrays beyond twice that, bound 2.3)", goal, arrays, base, float64(goal-2*base)/float64(arrays))
+	if goal > bound {
+		t.Fatalf("heap goal %d B after two uploads, want at most 2.3 x %d B of arrays + 2 x %d B live before = %d", goal, arrays, base, bound)
 	}
 }

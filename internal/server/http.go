@@ -583,13 +583,17 @@ type joinCall struct {
 	echo   bool // the client asked for the span tree
 }
 
-// finish closes the request's trace and assembles the record observeJoin
-// files it under: engine is what Service.join resolved ("" when it failed
-// before planning did), out its outcome (nil on error), pairs what the
-// response carries. It returns the span tree to echo too — nil unless the
-// client asked for it.
+// finish assembles the record observeJoin files the request under: engine is
+// what Service.join resolved ("" when it failed before planning did), out its
+// outcome (nil on error), pairs what the response carries. It returns the
+// span tree to echo too — nil unless the client asked for it. The tree's wire
+// form is built only when something reads it: the slow-join ring, which keeps
+// the record of a join this slow, or the client.
 func (c *joinCall) finish(ctx context.Context, engine string, out *JoinOutcome, err error, pairs int64, wall time.Duration) (obs.JoinRecord, *obs.TraceDTO) {
-	dto := c.tr.Finish()
+	var dto *obs.TraceDTO
+	if c.echo || c.svc.obs.slowJoin(wall) {
+		dto = c.tr.Finish()
+	}
 	rec := obs.JoinRecord{
 		Time:      time.Now(),
 		RequestID: c.rid,

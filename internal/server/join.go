@@ -158,6 +158,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				span.Add("hit", hit)
 				span.Add("bytes", int64(h.Partition.Bytes()))
 				span.Add("stripes", int64(h.Partition.Stripes()))
+				span.Add("kept", int64(h.Partition.Kept()))
 			}
 			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{

@@ -169,7 +169,12 @@ func (s *Service) observeJoin(rec obs.JoinRecord, wall time.Duration) {
 		engineLabel = "none" // failed before planning resolved an engine
 	}
 	s.obs.joinHist.Observe(engineLabel, wall.Seconds())
-	if s.obs.slow < 0 || wall >= s.obs.slow {
+	if s.obs.slowJoin(wall) {
 		s.obs.ring.Add(rec)
 	}
+}
+
+// slowJoin reports whether a join of this wall lands in the slow-join ring.
+func (o *serviceObs) slowJoin(wall time.Duration) bool {
+	return o.slow < 0 || wall >= o.slow
 }

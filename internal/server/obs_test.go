@@ -222,6 +222,53 @@ func TestTraceSpanTreeStreaming(t *testing.T) {
 	}
 }
 
+// TestJoinTraceBuiltOnlyForAReader: a join's span tree is turned into its
+// wire form only when the slow-join ring keeps the record or the client
+// asked for the tree. Finishing a fast, unechoed join allocates nothing;
+// echoing or recording it builds the tree the ring and the echo tests read.
+func TestJoinTraceBuiltOnlyForAReader(t *testing.T) {
+	svc := NewService(Config{})
+	addDataset(t, svc, "a", overlapElems(400, 21, 1))
+	addDataset(t, svc, "b", overlapElems(400, 22, 10_000))
+	tr := obs.New("r")
+	ctx := obs.NewContext(context.Background(), tr)
+	out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: engine.InMem, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := &joinCall{svc: svc, req: joinRequest{A: "a", B: "b"}, rid: "r", tr: tr}
+	fast, slow := time.Millisecond, svc.SlowJoinThreshold()
+	finish := func(echo bool, wall time.Duration) (obs.JoinRecord, *obs.TraceDTO) {
+		call.echo = echo
+		return call.finish(ctx, engine.InMem, out, nil, int64(out.Summary.Results), wall)
+	}
+	for _, tc := range []struct {
+		name         string
+		echo         bool
+		wall         time.Duration
+		record, sent bool
+	}{
+		{"fast", false, fast, false, false},
+		{"fast, echoed", true, fast, true, true},
+		{"slow", false, slow, true, false},
+		{"slow, echoed", true, slow, true, true},
+	} {
+		rec, dto := finish(tc.echo, tc.wall)
+		if (rec.Trace != nil) != tc.record || (dto != nil) != tc.sent {
+			t.Fatalf("%s: record trace %v, echoed %v; want %v, %v", tc.name, rec.Trace != nil, dto != nil, tc.record, tc.sent)
+		}
+		if tc.record && rec.Trace.Find("execute") == nil {
+			t.Fatalf("%s: the recorded tree lacks the execute span: %v", tc.name, rec.Trace.SpanNames())
+		}
+	}
+	unechoed := testing.AllocsPerRun(100, func() { finish(false, fast) })
+	echoed := testing.AllocsPerRun(100, func() { finish(true, fast) })
+	t.Logf("finishing a fast join allocates %.0f times unechoed, %.0f echoed", unechoed, echoed)
+	if unechoed != 0 || echoed == 0 {
+		t.Fatalf("finishing a fast join allocates %.0f times unechoed and %.0f echoed, want 0 and some", unechoed, echoed)
+	}
+}
+
 // TestMetricsHistogramCountsMatchServedJoins: under concurrent mixed traffic
 // (collected + streamed, cache hits included) the per-engine latency
 // histogram counts on /metrics sum to exactly the joins served.
@@ -318,7 +365,9 @@ func TestMetricsHistogramCountsMatchServedJoins(t *testing.T) {
 // TestObsInMemEngineSpan: the in-memory fast-path engine is a first-class
 // citizen of the observability surface — an explicit inmem join carries an
 // "engine:inmem" span in its trace, reports the algorithm in the summary,
-// and lands in the duration histogram under the engine="inmem" label.
+// and lands in the duration histogram under the engine="inmem" label. Its
+// partition span counts the elements the prune kept, which with the engine
+// span's replicas and the stripes account for the partition's bytes.
 func TestObsInMemEngineSpan(t *testing.T) {
 	ts, svc := newTestServer(t, Config{})
 	addDataset(t, svc, "a", bigOverlapDataset(2000, 417))
@@ -336,6 +385,13 @@ func TestObsInMemEngineSpan(t *testing.T) {
 		t.Fatal("inmem join found no pairs on overlapping data")
 	}
 	requireSpans(t, out.Trace, "plan", "execute", "engine:inmem")
+	part, eng := out.Trace.Find("partition").Counters, out.Trace.Find("engine:inmem").Counters
+	if kept := part["kept"]; kept <= 0 || kept > 4000 {
+		t.Fatalf("partition span kept %d of 4000 elements", kept)
+	}
+	if want := 28*(part["kept"]+eng["replicated"]) + 4*2*(2*part["stripes"]+1); part["bytes"] != want {
+		t.Fatalf("partition span %v, engine span %v: bytes want 28 x (kept + replicated) + offsets = %d", part, eng, want)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

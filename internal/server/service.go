@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -313,6 +314,11 @@ func (s *Service) addDataset(ctx context.Context, name string, b batch) (BuildIn
 	// Walls measured on the replaced data do not price the new data. Appends
 	// and merges keep them: they grow a dataset by at most a delta.
 	s.walls.Forget(name)
+	// The decoded pieces, the build's sort keys and a replaced generation are
+	// garbage now. A collection that lands mid-upload sees them live beside
+	// the new array and sets the heap goal at twice all of it; collecting
+	// here sets it at twice what stays.
+	runtime.GC()
 	br := gen.index.BuildReport()
 	return BuildInfo{
 		Name:     name,
