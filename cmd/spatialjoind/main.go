@@ -44,7 +44,14 @@
 // engine execution, stream emission); send X-Trace: 1 or "trace": true to
 // get the span tree back in the response or NDJSON trailer. Every response
 // carries X-Request-ID (honored from the request when present). -debug-addr
-// serves net/http/pprof on a separate listener, kept off the serving port.
+// serves net/http/pprof on a separate listener, kept off the serving port;
+// heap allocations are sampled only when it is set.
+//
+// The daemon paces its collector against the catalog (Service.PaceGC): after
+// each collection the next heap goal is the live heap plus max(4 MiB, live −
+// the bytes the catalog holds), never above what GOGC alone would set, so
+// memory is the resident data plus a working set's headroom, not twice the
+// data. GOGC=off turns the collector, and the pacing, off.
 //
 // Every request may carry an X-Tenant header (admission control bills the
 // request to that tenant's fair share; X-Priority: batch selects the batch
@@ -66,6 +73,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -92,8 +100,14 @@ func main() {
 	defaultTimeout := flag.Duration("default-timeout", 0, "default per-request deadline when a request sets no timeout_ms (0 = none)")
 	slowJoinMS := flag.Int64("slow-join-ms", server.DefaultSlowJoinThreshold.Milliseconds(), "joins slower than this land in /debug/joins with their span tree (negative = record every join)")
 	deltaMax := flag.Int("delta-max-elements", 0, "append-delta size that triggers a background merge into the main index (0 = default 8192, negative = never merge automatically)")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty = disabled)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty = disabled; heap allocations are sampled for /debug/pprof/heap only when set)")
 	flag.Parse()
+	if *debugAddr == "" {
+		// Nobody can read a heap profile, so take no samples: each sampled
+		// call stack lands in the runtime's 1.4 MB profiling bucket table
+		// and makes one more of its pages resident.
+		runtime.MemProfileRate = 0
+	}
 
 	if *defaultAlgo != "" {
 		if err := server.CheckAlgorithm(*defaultAlgo); err != nil {
@@ -122,6 +136,9 @@ func main() {
 		cfg.SlowJoinThreshold = time.Duration(*slowJoinMS) * time.Millisecond
 	}
 	svc := server.NewService(cfg)
+	// The GC's headroom scales with the working set, not with the datasets
+	// the catalog holds: see Service.PaceGC.
+	defer svc.PaceGC()()
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           server.NewHandler(svc),

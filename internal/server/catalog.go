@@ -104,6 +104,12 @@ type CatalogStats struct {
 	// bounds) and PartitionBytes their heap footprint.
 	Partitions     int   `json:"partitions"`
 	PartitionBytes int64 `json:"partition_bytes"`
+	// ResidentBytes is what the catalog holds for as long as its data does
+	// not change: storage.ElementSize for every base and delta element of
+	// every current generation, plus PartitionBytes. The daemon's GC pacer
+	// (gcpace.go) reads it as the part of the live heap that needs no
+	// headroom.
+	ResidentBytes int64 `json:"resident_bytes"`
 	// DeltaElements is the current total of elements buffered in append
 	// deltas across all datasets; Appends counts Append calls, Merges
 	// completed delta compactions, MergeFailures compactions whose combined
@@ -609,15 +615,17 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 func (c *Catalog) Stats() CatalogStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deltaElems := 0
+	deltaElems, elems := 0, 0
 	for _, ds := range c.datasets {
 		deltaElems += len(ds.cur.delta)
+		elems += len(ds.cur.elems) + len(ds.cur.delta)
 	}
 	parts, partBytes := c.readyPartitionsLocked()
 	return CatalogStats{
 		Datasets:       len(c.datasets),
 		Partitions:     parts,
 		PartitionBytes: partBytes,
+		ResidentBytes:  storage.ElementSize*int64(elems) + partBytes,
 		Builds:         c.builds,
 		Evictions:      c.evictions,
 		Acquires:       c.acquires,

@@ -328,6 +328,8 @@ func residentDatasetHeldOnce(t *testing.T, cfg Config) {
 // partition was a full-precision copy), at distance 0, at distance 5 and with a delta
 // on one side, for which no grown or combined copy is kept either. An
 // assignment is an element the prune kept, or one of its stripe replicas.
+// The catalog's resident_bytes counts 56 B a base or delta element beside
+// the partition's bytes.
 func TestResidentPartitionIsAFilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("indexes 100K elements twice")
@@ -359,8 +361,12 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 			t.Fatalf("%s: the prune kept %d of %d elements", what, kept, elements)
 		}
 		assignments, offsets := kept+js.ReplicatedA+js.ReplicatedB, 2*(2*js.Stripes+1)
-		if got, want := cat.Stats().PartitionBytes, int64(28*assignments+4*offsets); got != want {
+		st := cat.Stats()
+		if got, want := st.PartitionBytes, int64(28*assignments+4*offsets); got != want {
 			t.Fatalf("%s: partition_bytes = %d, want 28 x %d assignments + 4 x %d offsets = %d", what, got, assignments, offsets, want)
+		}
+		if got, want := st.ResidentBytes, 56*int64(elements)+st.PartitionBytes; got != want {
+			t.Fatalf("%s: resident_bytes = %d, want 56 x %d elements + %d partition bytes = %d", what, got, elements, st.PartitionBytes, want)
 		}
 		grew, bound := liveHeap()-base, int64(0.6*56*float64(assignments))
 		t.Logf("%s: live heap grew %d B for %d assignments of %d kept of %d elements (%.2f x 56 B each, bound 0.6), %d results", what, grew, assignments, kept, elements, float64(grew)/56/float64(assignments), js.Results)

@@ -843,14 +843,44 @@ func TestNumberConversionMatchesParseFloat(t *testing.T) {
 	}
 }
 
+// uploadPiped uploads gen's elements as name, the body written into a pipe as
+// the server reads it, so the client holds neither the body nor its elements
+// once the upload returns.
+func uploadPiped(t *testing.T, url, name string, gen func() []transformers.Element) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	go func() {
+		pw.CloseWithError(func() error {
+			elems := gen()
+			head := `{"name":` + strconv.Quote(name) + `,"elements":[`
+			for k := 0; k < len(elems); k += 4096 {
+				chunk := appendElementsJSON(nil, elems[k:min(k+4096, len(elems))])
+				if _, err := pw.Write(append([]byte(head), chunk[1:len(chunk)-1]...)); err != nil {
+					return err
+				}
+				head = `,`
+			}
+			_, err := pw.Write([]byte(`]}`))
+			return err
+		}())
+	}()
+	resp, err := http.Post(url+"/datasets", "application/json", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload %s: status %d", name, resp.StatusCode)
+	}
+}
+
 // TestUploadsLeaveTheHeapGoalAtTheArrays: after two 100K uploads over HTTP the
 // GC's heap goal is at most 2.3 x the two generations' 56-byte arrays, beyond
 // twice what was live before them. An upload ends in a collection once its
 // decoded pieces and the build's sort keys are garbage; a collection that
 // landed mid-upload instead would have counted them live, and the goal would
-// stay at twice that until the next one. Each body is written into a pipe as
-// the server reads it, so the client holds neither the body nor its
-// elements when the goal is read.
+// stay at twice that until the next one. The bodies are piped (uploadPiped),
+// so the client holds neither a body nor its elements when the goal is read.
 func TestUploadsLeaveTheHeapGoalAtTheArrays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uploads 200K elements")
@@ -858,35 +888,8 @@ func TestUploadsLeaveTheHeapGoalAtTheArrays(t *testing.T) {
 	const n = 100_000
 	ts, _ := newTestServer(t, Config{})
 	base := liveHeap()
-	upload := func(name string, gen func() []transformers.Element) {
-		t.Helper()
-		pr, pw := io.Pipe()
-		go func() {
-			pw.CloseWithError(func() error {
-				elems := gen()
-				head := `{"name":` + strconv.Quote(name) + `,"elements":[`
-				for k := 0; k < len(elems); k += 4096 {
-					chunk := appendElementsJSON(nil, elems[k:min(k+4096, len(elems))])
-					if _, err := pw.Write(append([]byte(head), chunk[1:len(chunk)-1]...)); err != nil {
-						return err
-					}
-					head = `,`
-				}
-				_, err := pw.Write([]byte(`]}`))
-				return err
-			}())
-		}()
-		resp, err := http.Post(ts.URL+"/datasets", "application/json", pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("upload %s: status %d", name, resp.StatusCode)
-		}
-	}
-	upload("u", func() []transformers.Element { return transformers.GenerateUniform(n, 3) })
-	upload("d", func() []transformers.Element { return transformers.GenerateDenseCluster(n, 4) })
+	uploadPiped(t, ts.URL, "u", func() []transformers.Element { return transformers.GenerateUniform(n, 3) })
+	uploadPiped(t, ts.URL, "d", func() []transformers.Element { return transformers.GenerateDenseCluster(n, 4) })
 	sample := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
 	metrics.Read(sample)
 	arrays := int64(2 * n * unsafe.Sizeof(transformers.Element{}))

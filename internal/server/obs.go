@@ -97,6 +97,8 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		func() float64 { return float64(s.cat.Stats().Partitions) })
 	r.GaugeFunc("spatialjoin_partition_bytes", "Heap held by resident inmem pair partitions.",
 		func() float64 { return float64(s.cat.Stats().PartitionBytes) })
+	r.GaugeFunc("spatialjoin_catalog_resident_bytes", "Heap the catalog holds while its data is unchanged: 56 B a dataset or delta element, plus the resident partitions; the daemon's GC pacer gives it no headroom.",
+		func() float64 { return float64(s.cat.Stats().ResidentBytes) })
 	r.Func("spatialjoin_engine_joins_total", "Executed (non-cached) joins by engine.", "counter",
 		func() []obs.Sample {
 			s.engineMu.Lock()
@@ -123,14 +125,21 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		func() float64 { return float64(s.walls.Len()) })
 	r.GaugeFunc("go_goroutines", "Current goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	// Runtime gauges are read through runtime/metrics, without
+	// ReadMemStats stopping the world on every scrape.
+	runtimeMetric := func(name string) func() float64 {
+		return func() float64 {
+			sample := []metrics.Sample{{Name: name}}
+			metrics.Read(sample)
+			return float64(sample[0].Value.Uint64())
+		}
+	}
 	r.GaugeFunc("go_heap_alloc_bytes", "Live heap allocation.",
-		func() float64 {
-			// MemStats.HeapAlloc, read without ReadMemStats stopping the
-			// world on every scrape.
-			heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-			metrics.Read(heap)
-			return float64(heap[0].Value.Uint64())
-		})
+		runtimeMetric("/memory/classes/heap/objects:bytes"))
+	r.GaugeFunc("go_gc_heap_goal_bytes", "Heap size the next GC cycle starts at.",
+		runtimeMetric("/gc/heap/goal:bytes"))
+	counter("go_gc_cycles_total", "Completed GC cycles.",
+		runtimeMetric("/gc/cycles/total:gc-cycles"))
 	return o
 }
 

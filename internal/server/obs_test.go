@@ -314,24 +314,30 @@ func TestMetricsHistogramCountsMatchServedJoins(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 
-	total, heap := 0.0, 0.0
+	total, heap, goal := 0.0, 0.0, 0.0
 	for _, line := range strings.Split(string(raw), "\n") {
 		count := strings.HasPrefix(line, "spatialjoin_join_duration_seconds_count{")
-		if !count && !strings.HasPrefix(line, "go_heap_alloc_bytes ") {
+		if !count && !strings.HasPrefix(line, "go_heap_alloc_bytes ") && !strings.HasPrefix(line, "go_gc_heap_goal_bytes ") {
 			continue
 		}
 		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
 		if err != nil {
 			t.Fatalf("bad sample line %q: %v", line, err)
 		}
-		if count {
+		switch {
+		case count:
 			total += v
-		} else {
+		case strings.HasPrefix(line, "go_heap_alloc_bytes "):
 			heap = v
+		default:
+			goal = v
 		}
 	}
 	if heap < 1<<16 {
 		t.Fatalf("go_heap_alloc_bytes = %v, want the live heap (runtime/metrics read)", heap)
+	}
+	if goal <= 0 {
+		t.Fatalf("go_gc_heap_goal_bytes = %v, want the runtime's heap goal", goal)
 	}
 	if want := float64(goroutines * perG); total != want {
 		t.Fatalf("histogram counts sum to %v, want %v served joins\n%s", total, want, raw)
@@ -350,7 +356,7 @@ func TestMetricsHistogramCountsMatchServedJoins(t *testing.T) {
 	for _, family := range []string{
 		"spatialjoin_joins_total", "spatialjoin_streamed_pairs_total", "spatialjoin_aborted_streams_total",
 		"spatialjoin_slow_joins_total", "spatialjoin_delta_merges_total",
-		"spatialjoin_engine_joins_total", "spatialjoin_tenant_admitted_total",
+		"spatialjoin_engine_joins_total", "spatialjoin_tenant_admitted_total", "go_gc_cycles_total",
 	} {
 		if !strings.Contains(string(raw), "# TYPE "+family+" counter\n") {
 			t.Fatalf("family %s is not exposed as a counter\n%s", family, raw)

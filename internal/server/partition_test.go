@@ -520,6 +520,7 @@ func TestPartitionObservability(t *testing.T) {
 	for _, want := range []string{
 		"spatialjoin_partitions 1",
 		"spatialjoin_partition_bytes " + strconv.FormatFloat(float64(st.PartitionBytes), 'g', -1, 64),
+		"spatialjoin_catalog_resident_bytes " + strconv.FormatFloat(float64(st.ResidentBytes), 'g', -1, 64),
 	} {
 		if !strings.Contains(sb.String(), want+"\n") {
 			t.Fatalf("/metrics lacks %q", want)

@@ -316,8 +316,8 @@ func (s *Service) addDataset(ctx context.Context, name string, b batch) (BuildIn
 	s.walls.Forget(name)
 	// The decoded pieces, the build's sort keys and a replaced generation are
 	// garbage now. A collection that lands mid-upload sees them live beside
-	// the new array and sets the heap goal at twice all of it; collecting
-	// here sets it at twice what stays.
+	// the new array and sets the heap goal at all of it plus its headroom;
+	// collecting here sets it at what stays plus its headroom.
 	runtime.GC()
 	br := gen.index.BuildReport()
 	return BuildInfo{
