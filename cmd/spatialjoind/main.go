@@ -86,7 +86,7 @@ func main() {
 	maxIndexes := flag.Int("max-indexes", 0, "max resident inmem pair partitions kept before LRU eviction (0 = default); a dataset's index lives as long as the dataset")
 	cacheEntries := flag.Int("cache-entries", 0, "join result cache entries (0 = default)")
 	cacheMaxPairs := flag.Int("cache-max-pairs", 0, "largest result size the cache stores (0 = default)")
-	joinWorkers := flag.Int("join-workers", 0, "max concurrently executing joins and index builds (0 = GOMAXPROCS)")
+	joinWorkers := flag.Int("join-workers", 0, "max concurrently executing join workers and index builds (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", server.DefaultMaxQueue, "max queued joins before 503 (0 = default, negative = unbounded; use 1 for near-immediate backpressure)")
 	parallel := flag.Int("parallel", 1, "default per-join worker count (negative = all cores)")
 	defaultAlgo := flag.String("default-algorithm", "",

@@ -160,11 +160,11 @@ func (c *JoinCache) Get(key JoinKey) (*CachedJoin, bool) {
 }
 
 // Put stores a join result, evicting the least-recently-used entry when over
-// capacity, and reports whether it was stored: results exceeding the pair cap
-// are dropped. Put takes res over; a non-nil res.Pairs is encoded into it.
-func (c *JoinCache) Put(key JoinKey, res *CachedJoin) bool {
+// capacity; results exceeding the pair cap are dropped. Put takes res over; a
+// non-nil res.Pairs is encoded into it.
+func (c *JoinCache) Put(key JoinKey, res *CachedJoin) {
 	if len(res.Pairs) > c.maxPairs || res.runs.n > c.maxPairs {
-		return false
+		return
 	}
 	if res.Pairs != nil {
 		for _, p := range res.Pairs {
@@ -180,7 +180,7 @@ func (c *JoinCache) Put(key JoinKey, res *CachedJoin) bool {
 		c.bytes -= e.res.runs.bytes()
 		e.res = res
 		c.order.MoveToFront(le)
-		return true
+		return
 	}
 	for len(c.entries) >= c.capacity {
 		back := c.order.Back()
@@ -190,7 +190,6 @@ func (c *JoinCache) Put(key JoinKey, res *CachedJoin) bool {
 		c.removeLocked(back)
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	return true
 }
 
 // removeLocked drops one entry. Its chunks are left to the GC: a replay may

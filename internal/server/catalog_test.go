@@ -323,31 +323,32 @@ func residentDatasetHeldOnce(t *testing.T, cfg Config) {
 
 // TestResidentPartitionIsAFilter: a resident inmem partition costs 28 bytes
 // an assignment — float32 bounds and a position — and reads the exact boxes
-// and IDs from the generations' own arrays: the live heap grows by at most
-// 0.6 x 56 bytes an assignment over the two datasets (1.03 x when the
-// partition was a full-precision copy), at distance 0, at distance 5 and with a delta
-// on one side, for which no grown or combined copy is kept either. An
+// and IDs from the generations' own arrays: each partition grows the live
+// heap and partition_bytes, over what they read just before it, by at most
+// 0.6 x 56 bytes an assignment (1.03 x when the partition was a
+// full-precision copy), at distance 0, at distance 5 beside it and with a
+// delta on one side, for which no grown or combined copy is kept either. An
 // assignment is an element the prune kept, or one of its stripe replicas.
 // The catalog's resident_bytes counts 56 B a base or delta element beside
-// the partition's bytes.
+// the partitions' bytes.
 func TestResidentPartitionIsAFilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("indexes 100K elements twice")
 	}
 	const n, extra = 100_000, 4096
 	ctx := context.Background()
-	svc := NewService(Config{Parallelism: 1, MaxIndexes: 1})
+	svc := NewService(Config{Parallelism: 1})
 	cat := svc.Catalog()
 	addDataset(t, svc, "u", transformers.GenerateUniform(n, 3))
 	addDataset(t, svc, "d", transformers.GenerateDenseCluster(n, 4))
-	uploaded := liveHeap()
 
 	// partition acquires the pair's partition at distance, joins on it once
-	// and holds it to the byte formula and to 0.6 x 56 B an assignment (a
-	// kept element, and once more per stripe boundary it crosses) of live
-	// heap beyond base.
-	partition := func(what string, distance float64, elements int, base int64) *PartitionHandle {
+	// and holds what it added to partition_bytes to the byte formula, and what
+	// it added to the live heap to 0.6 x 56 B an assignment (a kept element,
+	// and once more per stripe boundary it crosses).
+	partition := func(what string, distance float64, elements int) {
 		t.Helper()
+		base, baseBytes := liveHeap(), cat.Stats().PartitionBytes
 		h, err := cat.AcquirePartition(ctx, "u", "d", distance)
 		if err != nil {
 			t.Fatal(err)
@@ -362,8 +363,8 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 		}
 		assignments, offsets := kept+js.ReplicatedA+js.ReplicatedB, 2*(2*js.Stripes+1)
 		st := cat.Stats()
-		if got, want := st.PartitionBytes, int64(28*assignments+4*offsets); got != want {
-			t.Fatalf("%s: partition_bytes = %d, want 28 x %d assignments + 4 x %d offsets = %d", what, got, assignments, offsets, want)
+		if got, want := st.PartitionBytes-baseBytes, int64(28*assignments+4*offsets); got != want {
+			t.Fatalf("%s: partition_bytes grew %d, want 28 x %d assignments + 4 x %d offsets = %d", what, got, assignments, offsets, want)
 		}
 		if got, want := st.ResidentBytes, 56*int64(elements)+st.PartitionBytes; got != want {
 			t.Fatalf("%s: resident_bytes = %d, want 56 x %d elements + %d partition bytes = %d", what, got, elements, st.PartitionBytes, want)
@@ -374,14 +375,13 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 			t.Fatalf("%s: a partition of %d assignments holds %d bytes of live heap, want at most %d", what, assignments, grew, bound)
 		}
 		h.Release()
-		return h
 	}
-	partition("distance 0", 0, 2*n, uploaded).Forget()
-	partition("distance 5", 5, 2*n, uploaded).Forget()
+	partition("distance 0", 0, 2*n)
+	partition("distance 5", 5, 2*n)
 	if _, err := svc.Append(ctx, "u", elemsN(extra, 5)); err != nil {
 		t.Fatal(err)
 	}
-	partition("distance 5 over a delta", 5, 2*n+extra, liveHeap())
+	partition("distance 5 over a delta", 5, 2*n+extra)
 }
 
 // TestCatalogReplacementRacesReaders: a replacement is built before it is

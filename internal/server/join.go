@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -52,7 +51,7 @@ func predicateOf(distance float64) string {
 	return "intersects"
 }
 
-// admitted runs fn inside one pool slot, bracketing the queue wait with an
+// admitted runs fn on cost pool slot units, bracketing the queue wait with an
 // "admission-wait" span (queue depth and slot cost at arrival) and the slot
 // time with a top-level "execute" span whose context fn receives, so engine
 // and catalog spans nest under it. The execute span is returned (nil when
@@ -85,19 +84,17 @@ type execution struct {
 	delta *DeltaSummary
 	// span is the "execute" span (nil when untraced or never admitted).
 	span *obs.Span
-	// part is the (already released) partition an inmem join ran on; nil for
-	// every other engine. Forget it when the result was stored.
-	part *PartitionHandle
 }
 
-// executeJoin runs the planned join inside one pool slot, so admission
-// control bounds all expensive work — including the single-flight partition
-// build an inmem acquisition can trigger. Waiting on another request's
-// in-flight partition build consumes this slot, for no longer than the
-// request's own deadline, and never needs a second one, so slots cannot
-// deadlock. There is one branch per served engine (planJoin admits no other),
-// each reading what the catalog holds. Every pair, of both branches and of the
-// delta sub-joins, leaves through emit.
+// executeJoin runs the planned join inside one admission — a slot unit a
+// worker (jp.cost) — so admission control bounds all expensive work,
+// including the single-flight partition build an inmem acquisition can
+// trigger. Waiting on another request's in-flight partition build consumes
+// these slots, for no longer than the request's own deadline, and never needs
+// a second admission, so slots cannot deadlock. There is one branch per
+// served engine (planJoin admits no other), each reading what the catalog
+// holds. Every pair, of both branches and of the delta sub-joins, leaves
+// through emit.
 func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (execution, error) {
 	var ex execution
 	var run func(ctx context.Context) error
@@ -149,7 +146,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				return err
 			}
 			defer h.Release()
-			ex.part = h
 			if span != nil {
 				hit := int64(0)
 				if h.Hit {
@@ -184,15 +180,6 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 		s.noteOutcome(ctx, err)
 	}
 	return ex, err
-}
-
-// storeResult caches an executed join's result and settles its partition: a
-// partition is retained exactly when its result is not, because a stored
-// result answers every repeat until the next write makes both unreachable.
-func (s *Service) storeResult(ex execution, res *CachedJoin) {
-	if s.cache.Put(ex.key, res) {
-		ex.part.Forget()
-	}
 }
 
 // deltaJoin composes the append-delta sub-joins of one prebuilt-path join:
@@ -473,26 +460,13 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, sink *col
 		if sink.collect {
 			sink.runs = res.runs
 		}
-		s.storeResult(ex, res)
+		s.cache.Put(ex.key, res)
 	}
 	summary.Planner = jp.plan
 	// The kernel wall (delta sub-joins included; modeled I/O and a partition
 	// build left out) is what the wall table prices the engine by. A cache
 	// hit replays another join's measurement and feeds it nothing.
 	s.walls.Observe(a, b, p.Distance, jp.algo, summary.JoinWallMS)
-	if jp.plan != nil && ex.part != nil {
-		// An explored inmem join that lost keeps no partition resident:
-		// once the wall table prices TRANSFORMERS lower, "auto" does not
-		// come back to it. The partition was live at the last collection,
-		// so the heap goal counts it twice over; collecting once it is
-		// garbage sets the goal without it (about 2 MB of stream-heavy's
-		// peak RSS).
-		tr := s.walls.Price(a, b, p.Distance, engine.Transformers)
-		if tr > 0 && s.walls.Price(a, b, p.Distance, engine.InMem) > tr {
-			ex.part.Forget()
-			runtime.GC()
-		}
-	}
 	return &JoinOutcome{Summary: summary}, jp.algo, nil
 }
 

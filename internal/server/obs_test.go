@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -793,6 +794,27 @@ func TestObsIngestAttribution(t *testing.T) {
 	} {
 		if !strings.Contains(string(raw), line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}
+
+// TestAdmissionChargesWorkers: a join costs the pool one slot a worker it
+// runs — its resolved parallelism, the service default when the request sets
+// none and GOMAXPROCS when it is negative — and its admission-wait span
+// reports that price; a price above the pool's capacity still runs.
+func TestAdmissionChargesWorkers(t *testing.T) {
+	svc := NewService(Config{Workers: 2})
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 411))
+	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 412))
+	for _, tc := range []struct{ parallelism, cost int }{{0, 1}, {2, 2}, {-1, runtime.GOMAXPROCS(0)}, {64, 64}} {
+		tr := obs.New("")
+		p := JoinParams{Parallelism: tc.parallelism, NoCache: true}
+		if _, err := svc.Join(obs.NewContext(context.Background(), tr), "a", "b", p); err != nil {
+			t.Fatalf("parallelism %d: %v", tc.parallelism, err)
+		}
+		wait := tr.Finish().Find("admission-wait")
+		if wait == nil || wait.Counters["cost_units"] != int64(tc.cost) {
+			t.Fatalf("parallelism %d: admission-wait span %+v, want cost_units %d", tc.parallelism, wait, tc.cost)
 		}
 	}
 }

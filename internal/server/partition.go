@@ -70,30 +70,11 @@ func (h *PartitionHandle) Release() {
 	e.refs--
 	c.clock++
 	e.lastUse = c.clock
-	if e.once {
-		c.forgetLocked(e)
+	if e.once && c.partitions[e.key] == e {
+		delete(c.partitions, e.key)
 	}
 	c.evictLocked()
 	c.mu.Unlock()
-}
-
-// Forget removes the partition from the catalog — for the caller that stored
-// the join's result where every repeat will find it first. Joins still
-// running on the partition keep it alive until they return. Nil-safe,
-// idempotent, valid before or after Release.
-func (h *PartitionHandle) Forget() {
-	if h == nil {
-		return
-	}
-	h.cat.mu.Lock()
-	h.cat.forgetLocked(h.entry)
-	h.cat.mu.Unlock()
-}
-
-func (c *Catalog) forgetLocked(e *partEntry) {
-	if c.partitions[e.key] == e {
-		delete(c.partitions, e.key)
-	}
 }
 
 // readyPartitionsLocked counts the built resident partitions and their bytes.

@@ -275,11 +275,11 @@ func TestPartitionSingleFlight(t *testing.T) {
 	}
 }
 
-// TestPartitionRetainedExactlyWhenResultIsNot: a stored result leaves no
-// partition behind (the result cache answers every repeat); a result that was
-// not stored — no_cache, or over the per-entry pair cap — leaves its
-// partition resident; and a write drops the dataset's cached results.
-func TestPartitionRetainedExactlyWhenResultIsNot(t *testing.T) {
+// TestPartitionRetainedBesideStoredResult: a join's partition stays resident
+// whether or not its result was stored — the cache answers the join's
+// repeats, the partition a no_cache one's — and a write drops both, for every
+// dataset it changed.
+func TestPartitionRetainedBesideStoredResult(t *testing.T) {
 	ctx := context.Background()
 	resident := func(svc *Service) (partitions, results int) {
 		st := svc.Stats()
@@ -293,8 +293,8 @@ func TestPartitionRetainedExactlyWhenResultIsNot(t *testing.T) {
 	if _, err := svc.Join(ctx, "a", "b", p); err != nil {
 		t.Fatal(err)
 	}
-	if parts, results := resident(svc); parts != 0 || results != 1 {
-		t.Fatalf("after a stored join: %d partitions, %d results; want 0, 1", parts, results)
+	if parts, results := resident(svc); parts != 1 || results != 1 {
+		t.Fatalf("after a stored join: %d partitions, %d results; want 1, 1", parts, results)
 	}
 	if out, err := svc.Join(ctx, "a", "b", p); err != nil || !out.Cached {
 		t.Fatalf("repeat of a stored join: cached=%v err=%v", out != nil && out.Cached, err)
@@ -302,17 +302,20 @@ func TestPartitionRetainedExactlyWhenResultIsNot(t *testing.T) {
 	if _, err := svc.JoinStream(ctx, "a", "b", JoinParams{Algorithm: engine.InMem, Distance: 5}, func(transformers.Pair) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if parts, results := resident(svc); parts != 0 || results != 2 {
-		t.Fatalf("after a stored streamed join: %d partitions, %d results; want 0, 2", parts, results)
+	if parts, results := resident(svc); parts != 2 || results != 2 {
+		t.Fatalf("after a stored streamed join: %d partitions, %d results; want 2, 2", parts, results)
 	}
+	builds := svc.Stats().Catalog.Builds
 	if _, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: engine.InMem, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if parts, results := resident(svc); parts != 1 || results != 2 {
-		t.Fatalf("after a no_cache join: %d partitions, %d results; want 1, 2", parts, results)
+	if parts, results := resident(svc); parts != 2 || results != 2 || svc.Stats().Catalog.Builds != builds {
+		t.Fatalf("after a no_cache join: %d partitions, %d results, builds %d -> %d; want 2, 2 and the stored join's partition",
+			parts, results, builds, svc.Stats().Catalog.Builds)
 	}
 
-	// The three writes each drop every result of the dataset they changed.
+	// The three writes each drop every partition and result of the dataset
+	// they changed.
 	for _, write := range []struct {
 		name string
 		do   func() error
@@ -324,8 +327,8 @@ func TestPartitionRetainedExactlyWhenResultIsNot(t *testing.T) {
 		if _, err := svc.Join(ctx, "a", "b", p); err != nil {
 			t.Fatal(err)
 		}
-		if _, results := resident(svc); results == 0 {
-			t.Fatalf("before %s: nothing cached to drop", write.name)
+		if parts, results := resident(svc); parts == 0 || results == 0 {
+			t.Fatalf("before %s: %d partitions and %d results to drop", write.name, parts, results)
 		}
 		if err := write.do(); err != nil {
 			t.Fatalf("%s: %v", write.name, err)
@@ -335,8 +338,8 @@ func TestPartitionRetainedExactlyWhenResultIsNot(t *testing.T) {
 		}
 	}
 
-	// Over the per-entry pair cap the result is not stored, so the partition
-	// stays to answer the repeats the cache cannot.
+	// Over the per-entry pair cap the result is not stored; the partition
+	// stays as it does beside a stored one.
 	small := NewService(Config{CacheMaxPairs: 1})
 	addDataset(t, small, "a", overlapElems(300, 7, 1))
 	addDataset(t, small, "b", overlapElems(300, 8, 10_000))
@@ -350,14 +353,15 @@ func TestPartitionRetainedExactlyWhenResultIsNot(t *testing.T) {
 
 // TestPartitionsBoundedAcrossAppends: 100 appends — background merges
 // included — each followed by the same three join shapes never leave more
-// resident partitions or cached results than the live state has keys.
+// resident partitions or cached results than the live state has keys: a
+// partition for each shape and the stored shape's result.
 func TestPartitionsBoundedAcrossAppends(t *testing.T) {
 	svc := NewService(Config{DeltaMaxElements: 200})
 	ctx := context.Background()
 	addDataset(t, svc, "a", overlapElems(300, 11, 1))
 	addDataset(t, svc, "b", overlapElems(300, 12, 10_000))
 	shapes := []JoinParams{
-		{Algorithm: engine.InMem},                              // stored: one result, no partition
+		{Algorithm: engine.InMem},                              // stored: one result, one partition
 		{Algorithm: engine.InMem, Distance: 8, NoCache: true},  // one partition
 		{Algorithm: engine.InMem, Distance: 16, NoCache: true}, // one partition
 	}
@@ -372,8 +376,8 @@ func TestPartitionsBoundedAcrossAppends(t *testing.T) {
 			}
 		}
 		st := svc.Stats()
-		if st.Catalog.Partitions > 2 || st.Cache.Entries > 1 {
-			t.Fatalf("after append %d: %d partitions, %d cached results; the live state has 2 and 1",
+		if st.Catalog.Partitions > 3 || st.Cache.Entries > 1 {
+			t.Fatalf("after append %d: %d partitions, %d cached results; the live state has 3 and 1",
 				i, st.Catalog.Partitions, st.Cache.Entries)
 		}
 	}

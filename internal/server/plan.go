@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/engine"
@@ -30,8 +31,8 @@ type joinPlan struct {
 	// a and b are the inputs as planned; their versions and delta epochs are
 	// the cache fast path's key components.
 	a, b joinInput
-	// cost is the admission price in pool slot units, derived from the
-	// resolved engine's price.
+	// cost is the admission price in pool slot units: the join's resolved
+	// worker count (one slot is one core).
 	cost int
 	// scores is the full candidate set, priced for explicit requests too,
 	// not just "auto".
@@ -39,7 +40,7 @@ type joinPlan struct {
 }
 
 // planJoin validates the request and resolves it — engine, input versions,
-// admission price — from one fetch of both inputs' counts and one
+// workers, admission price — from one fetch of both inputs' counts and one
 // planner.Plan call over the served engines, whether the planner chooses the
 // engine ("auto") or only prices the one the request names; any other name is
 // an ErrUnknownAlgorithm (CheckAlgorithm). Each engine is priced by the
@@ -56,6 +57,10 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	}
 	if jp.parallelism == 0 {
 		jp.parallelism = s.cfg.Parallelism
+	}
+	jp.cost = jp.parallelism
+	if jp.cost < 0 {
+		jp.cost = runtime.GOMAXPROCS(0)
 	}
 	if err := CheckAlgorithm(jp.algo); err != nil {
 		return joinPlan{}, err
@@ -84,7 +89,6 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 		jp.algo = d.Engine
 		jp.plan = &PlannerInfo{Requested: AlgorithmAuto, Scores: d.Scores}
 	}
-	s.priceJoin(&jp)
 	return jp, nil
 }
 
@@ -107,20 +111,6 @@ func excludeInMem(d *planner.Decision) {
 	}
 	sort.SliceStable(d.Scores, func(i, j int) bool { return d.Scores[i].CostMS < d.Scores[j].CostMS })
 	d.Engine = engine.Transformers
-}
-
-// priceJoin converts the resolved engine's price into the request's
-// admission price in slot units: 1 + CostMS/DefaultCostUnitMS, so an
-// expensive join occupies many slots (the pool clamps to its capacity — such
-// a join runs alone) while typical joins, and every join of an engine not yet
-// measured on the pair or excluded from it, stay at unit price.
-func (s *Service) priceJoin(jp *joinPlan) {
-	jp.cost = 1
-	for _, sc := range jp.scores {
-		if sc.Engine == jp.algo && sc.CostMS > 0 && !math.IsInf(sc.CostMS, 1) {
-			jp.cost = 1 + int(sc.CostMS/DefaultCostUnitMS)
-		}
-	}
 }
 
 // annotatePlan attaches the resolved plan to the "plan" span; nil-safe.

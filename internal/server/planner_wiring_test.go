@@ -226,36 +226,44 @@ func TestPutRestartsWalls(t *testing.T) {
 	}
 }
 
-// TestExploredPartitionForgotten: once the inmem joins "auto" explores leave
-// the table pricing transformers lower, the pair's partition is not kept
-// resident; when inmem measures lower, it is.
-func TestExploredPartitionForgotten(t *testing.T) {
+// TestExploredPartitionKept: the partition the inmem joins "auto" explores
+// stays resident when the wall table then prices transformers lower, so the
+// switch back to inmem, once transformers prices higher, joins on it: an
+// index hit, not a build.
+func TestExploredPartitionKept(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range []struct {
-		wallTr float64 // the transformers wall the table is seeded with
-		kept   int
-	}{{1e-6, 0}, {1e6, 1}} {
-		svc := NewService(Config{})
-		addDataset(t, svc, "a", transformers.GenerateUniform(2000, 65))
-		addDataset(t, svc, "b", transformers.GenerateUniform(2000, 66))
-		for i := 0; i < 2; i++ {
-			svc.walls.Observe("a", "b", 0, engine.Transformers, tc.wallTr)
+	svc := NewService(Config{})
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 65))
+	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 66))
+	auto := func(want string) {
+		t.Helper()
+		out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 2; i++ {
-			out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: AlgorithmAuto, NoCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Summary.Algorithm != engine.InMem {
-				t.Fatalf("transformers at %v ms: join %d ran %s, want inmem explored", tc.wallTr, i+1, out.Summary.Algorithm)
-			}
-			if parts := svc.Catalog().Stats().Partitions; i == 0 && parts != 1 {
-				t.Fatalf("after the first explored inmem join %d partitions are resident, want 1", parts)
-			}
+		if out.Summary.Algorithm != want {
+			t.Fatalf("auto ran %s, want %s", out.Summary.Algorithm, want)
 		}
-		if parts := svc.Catalog().Stats().Partitions; parts != tc.kept {
-			t.Errorf("transformers at %v ms: %d partitions resident after exploring, want %d", tc.wallTr, parts, tc.kept)
+	}
+	observe := func(wall float64, n int) {
+		for i := 0; i < n; i++ {
+			svc.walls.Observe("a", "b", 0, engine.Transformers, wall)
 		}
+	}
+	observe(1e-6, 2)
+	auto(engine.InMem) // explored
+	auto(engine.InMem)
+	auto(engine.Transformers) // priced lower
+	before := svc.Catalog().Stats()
+	if before.Partitions != 1 || before.Builds != 2+1 {
+		t.Fatalf("after exploring inmem and leaving it: %d partitions, %d builds; want 1, the uploads' 2 + 1", before.Partitions, before.Builds)
+	}
+	observe(1e6, 5) // every wall the price reads now prices transformers higher
+	auto(engine.InMem)
+	after := svc.Catalog().Stats()
+	if after.Builds != before.Builds || after.IndexHits != before.IndexHits+1 || after.Partitions != 1 {
+		t.Fatalf("the switch back to inmem moved builds %d -> %d and index hits %d -> %d, left %d partitions; want a hit on the one kept",
+			before.Builds, after.Builds, before.IndexHits, after.IndexHits, after.Partitions)
 	}
 }
 

@@ -51,11 +51,9 @@ type Request struct {
 	Tenant string
 	// Priority selects the admission lane.
 	Priority Priority
-	// Cost is the request's weight in slot units — a join's engine, priced
-	// by the kernel wall it measured on the pair, counts as many slots when
-	// that wall is long. Values below 1 cost 1; values above the pool
-	// capacity are clamped to it (such a request runs alone, which is the
-	// point).
+	// Cost is the request's weight in slot units — a join counts one a
+	// worker it runs. Values below 1 cost 1; values above the pool capacity
+	// are clamped to it (such a request runs alone, which is the point).
 	Cost int
 }
 
@@ -237,7 +235,7 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 		// the queue.
 		if p.tenantQueue > 0 && t.queuedLen() > p.tenantQueue {
 			p.withdrawLocked(w)
-			p.shedLocked(t)
+			p.noteShedLocked(t)
 			p.mu.Unlock()
 			return ErrShed
 		}
@@ -247,7 +245,7 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 				// The requester's own queue is the heaviest — its traffic
 				// is what is overloading the daemon, so it takes the 429.
 				p.withdrawLocked(w)
-				p.shedLocked(t)
+				p.noteShedLocked(t)
 				p.mu.Unlock()
 				return ErrShed
 			}
@@ -431,9 +429,8 @@ func (p *Pool) evictNewestLocked(t *tenantState) {
 	}
 }
 
-// shedLocked records an immediate shed of a request from t (never queued).
-func (p *Pool) shedLocked(t *tenantState) { p.noteShedLocked(t) }
-
+// noteShedLocked records a shed request of t: withdrawn from its queue on
+// arrival, or evicted from it later.
 func (p *Pool) noteShedLocked(t *tenantState) {
 	t.shedCount++
 	t.lastShed = time.Now()

@@ -53,8 +53,8 @@ type Config struct {
 	// (DefaultCacheEntries / DefaultCacheMaxPairs when zero).
 	CacheEntries  int
 	CacheMaxPairs int
-	// Workers bounds concurrently executing joins and index builds
-	// (GOMAXPROCS when zero); MaxQueue bounds the waiting line (negative =
+	// Workers bounds the pool's slot units, one a core: a join takes its
+	// worker count of them, an index build one (GOMAXPROCS when zero); MaxQueue bounds the waiting line (negative =
 	// unbounded, zero = DefaultMaxQueue; a zero-length line is not
 	// representable — use MaxQueue 1 for near-immediate backpressure).
 	Workers  int
@@ -108,12 +108,6 @@ const (
 	// DefaultMaxBodyBytes caps one request body (256MB ≈ 2.5M uploaded
 	// elements in JSON).
 	DefaultMaxBodyBytes = 256 << 20
-	// DefaultCostUnitMS converts a join's price — the kernel wall its
-	// engine measured on the pair — into admission slot units: a join priced
-	// at N ms occupies 1 + N/DefaultCostUnitMS units, so one long join cannot
-	// monopolize the pool at unit price while joins priced under it, and
-	// joins of an engine not yet measured on the pair, run at unit price.
-	DefaultCostUnitMS = 500.0
 	// DefaultShedWindow is how long a shed event keeps /healthz degraded.
 	DefaultShedWindow = 10 * time.Second
 	// DefaultDeltaMaxElements is the append-delta size that triggers a
