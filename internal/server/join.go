@@ -52,12 +52,14 @@ func predicateOf(distance float64) string {
 }
 
 // admitted runs fn on cost pool slot units, bracketing the queue wait with an
-// "admission-wait" span (queue depth and slot cost at arrival) and the slot
+// "admission-wait" span (queue depth at arrival, and the units admitted: the
+// cost clamped to the pool's capacity) and the slot
 // time with a top-level "execute" span whose context fn receives, so engine
 // and catalog spans nest under it. The execute span is returned (nil when
 // untraced or never admitted) so a streamed join can attach its emit record
 // to it after the fact.
 func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Context) error) (*obs.Span, error) {
+	cost = s.pool.clampCost(cost)
 	_, wait := obs.Start(ctx, "admission-wait")
 	if wait != nil {
 		wait.Add("queue_depth", int64(s.pool.QueueDepth()))

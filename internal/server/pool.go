@@ -68,7 +68,8 @@ type PoolConfig struct {
 	MaxQueue int
 	// TenantSlots caps one tenant's concurrently executing units while
 	// other tenants are waiting (<= 0 means Capacity, i.e. no isolation).
-	// An idle pool is work-conserving: a lone tenant may exceed its share.
+	// An idle pool is work-conserving: a lone tenant may exceed its share,
+	// and a tenant with nothing executing may start one request costing more.
 	TenantSlots int
 	// TenantQueue caps one tenant's waiting requests (<= 0 means no
 	// per-tenant cap beyond MaxQueue). The excess is shed with ErrShed.
@@ -181,7 +182,8 @@ func (p *Pool) tenant(name string) *tenantState {
 	return t
 }
 
-// clampCost normalizes a request cost into [1, capacity].
+// clampCost normalizes a request cost into [1, capacity]: the units Do
+// admits it on. The capacity is fixed at NewPool, so no lock is needed.
 func (p *Pool) clampCost(c int) int {
 	if c < 1 {
 		return 1
@@ -269,8 +271,11 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 	case <-ctx.Done():
 		p.mu.Lock()
 		if w.elem != nil {
-			// Still queued: withdraw.
+			// Still queued: withdraw, then dispatch — w may have been the
+			// waiter holding capacity, or the queue that kept another
+			// tenant's over-share waiter out.
 			p.withdrawLocked(w)
+			p.dispatchLocked()
 			p.mu.Unlock()
 			return ctx.Err()
 		}
@@ -320,10 +325,20 @@ func (p *Pool) runnableLocked(t *tenantState, cost int) bool {
 	if p.capacity-p.inUse < cost {
 		return false
 	}
-	if t.inUse+cost <= p.tenantCap {
+	if p.withinShareLocked(t, cost) {
 		return true
 	}
 	return !p.othersWaitingLocked(t)
+}
+
+// withinShareLocked reports whether t may start a request of the given cost
+// while other tenants wait: its executing units plus the cost fit its share,
+// or it has nothing executing. The second case admits a request costing more
+// than the share (a join running more workers than -tenant-slots) one at a
+// time; without it such a request would wait forever behind any other
+// tenant's queue, and the pool would never hold capacity for it.
+func (p *Pool) withinShareLocked(t *tenantState, cost int) bool {
+	return t.inUse == 0 || t.inUse+cost <= p.tenantCap
 }
 
 func (p *Pool) othersWaitingLocked(t *tenantState) bool {
@@ -378,7 +393,7 @@ func (p *Pool) pickLocked() *waiter {
 					(t.inUse == best.tenant.inUse && w.seq < best.seq) {
 					best = w
 				}
-			} else if t.inUse+w.cost <= p.tenantCap {
+			} else if p.withinShareLocked(t, w.cost) {
 				// Within share, blocked only on free units.
 				if oldestHeld == nil || w.seq < oldestHeld.seq {
 					oldestHeld = w

@@ -325,6 +325,83 @@ func TestPoolLargeCostNotStarved(t *testing.T) {
 	}
 }
 
+// TestPoolCostAboveTenantSlots: a request costing more than -tenant-slots
+// (a join running more workers than a tenant's share) is admitted once its
+// tenant has nothing executing, even while another tenant waits. Two tenants
+// queue such requests behind a running one; when it finishes, both complete
+// in turn on an otherwise idle pool, with no deadline needed to unstick them.
+func TestPoolCostAboveTenantSlots(t *testing.T) {
+	p := NewPool(PoolConfig{Capacity: 2, MaxQueue: -1, TenantSlots: 1})
+	rel := occupy(t, p, Request{Tenant: "a", Cost: 2})
+
+	order := make(chan string, 2)
+	done := make(chan error, 2)
+	enqueue := func(tenant string) {
+		go func() {
+			done <- p.Do(context.Background(), Request{Tenant: tenant, Cost: 2}, func() error {
+				order <- tenant
+				return nil
+			})
+		}()
+	}
+	enqueue("a")
+	waitQueued(t, p, 1)
+	enqueue("b")
+	waitQueued(t, p, 2)
+
+	rel()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(poolTestTimeout):
+			t.Fatalf("cost-2 waiters stalled on an idle pool: %+v", p.Stats())
+		}
+	}
+	if first, second := <-order, <-order; first != "a" || second != "b" {
+		t.Fatalf("admission order = %s, %s; want the older waiter (a) first", first, second)
+	}
+	if st := p.Stats(); st.Active != 0 || st.Queued != 0 {
+		t.Fatalf("pool not drained: %+v", st)
+	}
+}
+
+// TestPoolCancelOfHeldWaiterDispatches: when the waiter the pool holds
+// draining capacity for gives up, the younger waiter it blocked is admitted
+// at once, not at the next release.
+func TestPoolCancelOfHeldWaiterDispatches(t *testing.T) {
+	p := NewPool(PoolConfig{Capacity: 2, MaxQueue: -1})
+	rel := occupy(t, p, Request{Tenant: "a", Cost: 1})
+	defer rel()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	bigDone := make(chan error, 1)
+	go func() {
+		bigDone <- p.Do(ctx, Request{Tenant: "big", Cost: 2}, func() error { return nil })
+	}()
+	waitQueued(t, p, 1)
+	cheapDone := make(chan error, 1)
+	go func() {
+		cheapDone <- p.Do(context.Background(), Request{Tenant: "b", Cost: 1}, func() error { return nil })
+	}()
+	waitQueued(t, p, 2)
+
+	cancel()
+	if err := <-bigDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("held waiter: err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-cheapDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(poolTestTimeout):
+		t.Fatalf("waiter behind a withdrawn hold was not dispatched: %+v", p.Stats())
+	}
+}
+
 // TestPoolCancelWhileQueuedReleasesSlot: a waiter abandoning the queue frees
 // its queue slot, and the pool keeps serving.
 func TestPoolCancelWhileQueuedReleasesSlot(t *testing.T) {
