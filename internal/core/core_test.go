@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -279,6 +280,53 @@ func TestIndexReuseAcrossJoins(t *testing.T) {
 	run(ia, ib, a, b)
 	run(ia, ic, a, c) // same ia, different partner
 	run(ia, ib, a, b) // repeat: joins must not mutate the index
+}
+
+// TestBuildIndexChunkedIsBuildIndex: an array in chunks of 64 elements, which
+// most units of 40 straddle, is indexed as one: the same units, with the same
+// pages element for element, and a join over it matches naive.
+func TestBuildIndexChunkedIsBuildIndex(t *testing.T) {
+	a := datagen.UniformCluster(datagen.Config{N: 3000, Seed: 24, MaxSide: 15})
+	b := datagen.Uniform(datagen.Config{N: 2500, Seed: 25, MaxSide: 15})
+	cfg := IndexConfig{UnitCapacity: 40, NodeCapacity: 8, World: datagen.DefaultWorld()}
+	elems := append([]geom.Element(nil), a...)
+	var chunks [][]geom.Element
+	for rest := elems; len(rest) > 0; rest = rest[min(64, len(rest)):] {
+		chunks = append(chunks, rest[:min(64, len(rest))])
+	}
+	got, _, err := BuildIndexChunked(storage.NewMemStore(0), geom.NewChunked(chunks, 6), geom.MBBOf(elems), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := buildIndex(t, a, cfg)
+	if got.Units() != want.Units() || got.Nodes() != want.Nodes() {
+		t.Fatalf("chunked: %d units, %d nodes; one array: %d, %d", got.Units(), got.Nodes(), want.Units(), want.Nodes())
+	}
+	for u := range got.units {
+		gp, err := got.st.View(got.units[u].Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wp, err := want.st.View(want.units[u].Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gp, wp) {
+			t.Fatalf("unit %d: the chunked page differs from the one-array page", u)
+		}
+	}
+	var pairs []geom.Pair
+	if _, err := Join(got, buildIndex(t, b, cfg), JoinConfig{}, func(x, y geom.Element) {
+		pairs = append(pairs, geom.Pair{A: x.ID, B: y.ID})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !naive.Equal(pairs, naive.Join(a, b)) {
+		t.Fatal("join over the chunked index disagrees with naive")
+	}
 }
 
 func TestJoinStatsConsistency(t *testing.T) {

@@ -176,17 +176,43 @@ type BuildStats struct {
 // caller may read the slice but must not write to it, or hand it to anything
 // that does, while the index is in use.
 func BuildIndex(st storage.Store, elems []geom.Element, cfg IndexConfig) (*Index, BuildStats, error) {
-	idx, _, bs, err := BuildIndexPieces(st, [][]geom.Element{elems}, geom.MBBOf(elems), cfg)
-	return idx, bs, err
+	return BuildIndexChunked(st, geom.ChunkedOf(elems), geom.MBBOf(elems), cfg)
+}
+
+// BuildIndexChunked is BuildIndex of a chunked array, whose geom.MBBOf the
+// caller has and passes as bounds: the build makes no pass of its own for it.
+// The array is reordered in place across its chunks (str.SplitChunked) and
+// owned by the index as BuildIndex's elems is; a unit whose page straddles
+// two chunks is the one page copied.
+func BuildIndexChunked(st storage.Store, elems geom.Chunked, bounds geom.Box, cfg IndexConfig) (*Index, BuildStats, error) {
+	return build(st, elems.Len(), bounds, cfg, func(unitCap int, world geom.Box) (geom.Chunked, []str.Partition) {
+		return elems, str.SplitChunked(elems, unitCap, world)
+	})
 }
 
 // BuildIndexPieces is BuildIndex over the concatenation of pieces, whose
-// geom.MBBOf the caller has and passes as bounds: the build makes no pass of
-// its own for it. It returns the array the index keeps, in STR order (see
-// str.SplitPieces): one piece is that array, reordered in place and owned by
-// the index as BuildIndex's elems is; several are only read, gathered into a
-// new one, and the slice of them is cleared.
+// geom.MBBOf the caller passes as bounds. It returns the array the index
+// keeps, in STR order (see str.SplitPieces): the pieces are only read,
+// gathered into a new one, and the slice of them is cleared.
 func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box, cfg IndexConfig) (*Index, []geom.Element, BuildStats, error) {
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
+	}
+	var out []geom.Element
+	idx, bs, err := build(st, n, bounds, cfg, func(unitCap int, world geom.Box) (geom.Chunked, []str.Partition) {
+		elems, parts := str.SplitPieces(pieces, unitCap, world)
+		out = elems
+		return geom.ChunkedOf(elems), parts
+	})
+	return idx, out, bs, err
+}
+
+// build indexes n elements within bounds, which split orders into STR
+// partitions of at most unitCap elements under world and returns as the array
+// the partitions index.
+func build(st storage.Store, n int, bounds geom.Box, cfg IndexConfig,
+	split func(unitCap int, world geom.Box) (geom.Chunked, []str.Partition)) (*Index, BuildStats, error) {
 	start := time.Now()
 	before := st.Stats()
 
@@ -199,11 +225,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 		nodeCap = max
 	}
 	if nodeCap < 2 {
-		return nil, nil, BuildStats{}, fmt.Errorf("core: page size %d too small for node capacity 2", st.PageSize())
-	}
-	n := 0
-	for _, p := range pieces {
-		n += len(p)
+		return nil, BuildStats{}, fmt.Errorf("core: page size %d too small for node capacity 2", st.PageSize())
 	}
 	world := cfg.World
 	if !world.Valid() || world.Volume() == 0 {
@@ -223,7 +245,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 	// boxes only; pages are written after node grouping so that a node's
 	// pages end up physically contiguous and node-batched reads during the
 	// join stay sequential).
-	elems, parts := str.SplitPieces(pieces, unitCap, world)
+	elems, parts := split(unitCap, world)
 
 	// Level 0: space nodes — STR over the unit descriptors (each unit
 	// represented by its region, partitioned by region center).
@@ -241,9 +263,9 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 		nav := np.Region
 		for _, ref := range unitRefs[np.Start:np.End] {
 			p := parts[ref.ID]
-			id, err := st.Append(elems[p.Start:p.End])
+			id, err := st.Append(elems.Slice(p.Start, p.End))
 			if err != nil {
-				return nil, nil, BuildStats{}, err
+				return nil, BuildStats{}, err
 			}
 			bs.DataPages++
 			ui := int32(len(idx.units))
@@ -272,7 +294,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 	// comparisons are cheap).
 	metaPages, err := idx.writeMeta()
 	if err != nil {
-		return nil, nil, BuildStats{}, err
+		return nil, BuildStats{}, err
 	}
 	bs.MetaPages = metaPages
 
@@ -280,7 +302,7 @@ func BuildIndexPieces(st storage.Store, pieces [][]geom.Element, bounds geom.Box
 	bs.IO = st.Stats().Sub(before)
 	bs.Units = len(idx.units)
 	bs.Nodes = len(idx.nodes)
-	return idx, elems, bs, nil
+	return idx, bs, nil
 }
 
 // link derives what an index holds besides its descriptors' boxes and members,

@@ -106,8 +106,8 @@ func grownNaive(a, b []geom.Element, ga, gb float64) map[geom.Pair]int {
 	return bruteForce(enginetest.Inflate(enginetest.Copy(a), ga), enginetest.Inflate(enginetest.Copy(b), gb))
 }
 
-// TestInMemPartitionInputsMatchExpandedCopy: PartitionInputs over (base, delta,
-// grow) is Partition over the concatenated ExpandedForDistance copy — the pairs,
+// TestInMemPartitionInputsMatchExpandedCopy: PartitionInputs over (base, in
+// chunks of 128, delta, grow) is Partition over the concatenated ExpandedForDistance copy — the pairs,
 // and the plan: dimensions, stripes, replicas and the candidates the sweep
 // tested — on the four canonical distributions, paired as the experiments and
 // the benchmark pair them, and on a pair with repeated IDs.
@@ -133,8 +133,8 @@ func TestInMemPartitionInputsMatchExpandedCopy(t *testing.T) {
 				label := fmt.Sprintf("%s/d=%g/stripes=%d", w.Name, distance, cfg.Stripes)
 				ka, kb := len(w.A)*9/10, len(w.B)/3
 				got, gs := collect(PartitionInputs(
-					Input{Base: w.A[:ka], Delta: w.A[ka:], Grow: distance / 2},
-					Input{Base: w.B[:kb], Delta: w.B[kb:], Grow: distance / 2}, cfg), JoinConfig{Parallelism: 1})
+					Input{Base: chunked(w.A[:ka], 7), Delta: w.A[ka:], Grow: distance / 2},
+					Input{Base: chunked(w.B[:kb], 7), Delta: w.B[kb:], Grow: distance / 2}, cfg), JoinConfig{Parallelism: 1})
 				want, ws := collect(Partition(geom.ExpandedForDistance(w.A, distance), geom.ExpandedForDistance(w.B, distance), cfg), JoinConfig{Parallelism: 1})
 				diffMultisets(t, label, want, got)
 				diffMultisets(t, label+"/naive", grownNaive(w.A, w.B, distance/2, distance/2), got)
@@ -162,7 +162,7 @@ func TestInMemFilterOnlyOverlapRejected(t *testing.T) {
 		grow    float64
 		results uint64
 	}{{0, 0}, {0.25, 0}, {0.5, 1}} {
-		got, st := collect(PartitionInputs(Input{Base: a, Grow: tc.grow}, Input{Base: b, Grow: tc.grow}, Config{}), JoinConfig{})
+		got, st := collect(PartitionInputs(Input{Base: geom.ChunkedOf(a), Grow: tc.grow}, Input{Base: geom.ChunkedOf(b), Grow: tc.grow}, Config{}), JoinConfig{})
 		if st.Comparisons != 1 || st.Results != tc.results || len(got) != int(tc.results) {
 			t.Fatalf("grow %g: %d comparisons, %d results, emitted %v; want 1 comparison and %d results", tc.grow, st.Comparisons, st.Results, got, tc.results)
 		}
@@ -244,7 +244,7 @@ func FuzzInMemJoin(f *testing.F) {
 			// prune resolution on a multi-stripe cut: the two act apart, and a
 			// 64³ grid is most of an execution's cost.
 			for _, run := range []struct{ r, stripes int }{{1, 1}, {1, 3}, {1, 16}, {2, 3}, {5, 3}, {maxResolution, 3}} {
-				p := partition(Input{Base: a, Grow: g}, Input{Base: b, Grow: g}, Config{Stripes: run.stripes}, run.r)
+				p := partition(Input{Base: geom.ChunkedOf(a), Grow: g}, Input{Base: geom.ChunkedOf(b), Grow: g}, Config{Stripes: run.stripes}, run.r)
 				for _, workers := range []int{1, 4} {
 					got, st := collect(p, JoinConfig{Parallelism: workers})
 					diffMultisets(t, fmt.Sprintf("grow=%g/r=%d/stripes=%d/workers=%d", g, run.r, run.stripes, workers), want, got)
@@ -259,4 +259,14 @@ func FuzzInMemJoin(f *testing.F) {
 			}
 		}
 	})
+}
+
+// chunked is elems in chunks of 1<<shift, sharing their storage, as the
+// serving catalog holds an upload.
+func chunked(elems []geom.Element, shift uint) geom.Chunked {
+	var chunks [][]geom.Element
+	for ; len(elems) > 0; elems = elems[min(1<<shift, len(elems)):] {
+		chunks = append(chunks, elems[:min(1<<shift, len(elems))])
+	}
+	return geom.NewChunked(chunks, shift)
 }

@@ -112,23 +112,32 @@ type Stats struct {
 }
 
 // Input is one side of a partition: the elements of Base followed by those of
-// Delta, every box grown by Grow on every side (Box.Expand). The slices are
-// read by reference, during PartitionInputs and by every Join over its result,
-// and never written; the caller must not write them either while the
-// Partitioned is in use.
+// Delta, every box grown by Grow on every side (Box.Expand). Base is chunked,
+// as the serving catalog holds a dataset. The elements are read by reference,
+// during PartitionInputs and by every Join over its result, and never
+// written; the caller must not write them either while the Partitioned is in
+// use.
 type Input struct {
-	Base, Delta []geom.Element
-	Grow        float64
+	Base  geom.Chunked
+	Delta []geom.Element
+	Grow  float64
 }
 
-func (in Input) len() int { return len(in.Base) + len(in.Delta) }
+func (in Input) len() int { return in.Base.Len() + len(in.Delta) }
 
 // at returns the element at position i of Base followed by Delta.
-func (in Input) at(i int32) *geom.Element {
-	if int(i) < len(in.Base) {
-		return &in.Base[i]
+func (in *Input) at(i int32) *geom.Element {
+	n := in.Base.Len()
+	if int(i) < n {
+		return in.Base.At(int(i))
 	}
-	return &in.Delta[int(i)-len(in.Base)]
+	return &in.Delta[int(i)-n]
+}
+
+// runs returns the input's elements as runs, in position order: Base's
+// chunks, then Delta.
+func (in Input) runs() [][]geom.Element {
+	return append(in.Base.Chunks(), in.Delta)
 }
 
 // side is one input and its assignments: the grown box of the element at
@@ -157,7 +166,7 @@ type Partitioned struct {
 // Partition is PartitionInputs over a and b as they are: no delta, nothing
 // grown.
 func Partition(a, b []geom.Element, cfg Config) *Partitioned {
-	return PartitionInputs(Input{Base: a}, Input{Base: b}, cfg)
+	return PartitionInputs(Input{Base: geom.ChunkedOf(a)}, Input{Base: geom.ChunkedOf(b)}, cfg)
 }
 
 // PartitionInputs assigns the grown boxes of a and b to stripe segments. The
@@ -235,7 +244,7 @@ func sweepOrder(in Input, kept []int32, sweep int, ks *geom.KeySorter) []geom.So
 func grownWorld(a, b Input) geom.Box {
 	world := geom.EmptyBox()
 	for _, in := range [2]Input{a, b} {
-		for _, part := range [2][]geom.Element{in.Base, in.Delta} {
+		for _, part := range in.runs() {
 			world = world.Union(geom.MBBOf(part).Expand(in.Grow))
 		}
 	}
@@ -248,7 +257,7 @@ func grownWorld(a, b Input) geom.Box {
 func chooseDims(a, b Input, world geom.Box) (split, sweep int) {
 	var avg [geom.Dims]float64
 	for _, in := range [2]Input{a, b} {
-		for _, part := range [2][]geom.Element{in.Base, in.Delta} {
+		for _, part := range in.runs() {
 			for i := range part {
 				box := &part[i].Box
 				for d := 0; d < geom.Dims; d++ {

@@ -212,7 +212,7 @@ func TestSweepOrderRadix(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	perm := sweepOrder(Input{Base: elems}, all, 0, new(geom.KeySorter))
+	perm := sweepOrder(Input{Base: geom.ChunkedOf(elems)}, all, 0, new(geom.KeySorter))
 	if len(perm) != n {
 		t.Fatalf("perm length %d, want %d", len(perm), n)
 	}

@@ -121,7 +121,7 @@ func (g *cellGrid) mark(in Input, kept []int32) {
 		s[x1+y1+z1]--
 	}
 	if kept == nil {
-		for _, part := range [2][]geom.Element{in.Base, in.Delta} {
+		for _, part := range in.runs() {
 			for i := range part {
 				add(&part[i])
 			}
@@ -165,7 +165,7 @@ func (g *cellGrid) filter(in Input) []int32 {
 	out := make([]int32, 0, in.len())
 	s := g.sum
 	pos := int32(0)
-	for _, part := range [2][]geom.Element{in.Base, in.Delta} {
+	for _, part := range in.runs() {
 		for i := range part {
 			x0, x1, y0, y1, z0, z1 := g.corners(&part[i], in.Grow)
 			if s[x1+y1+z1]-s[x1+y1+z0]-s[x1+y0+z1]+s[x1+y0+z0]-

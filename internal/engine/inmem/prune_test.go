@@ -48,8 +48,8 @@ func TestInMemPruneKeepsEveryPartner(t *testing.T) {
 				}
 			}
 			ka, kb := len(w.A)*4/5, len(w.B)/2
-			a := Input{Base: w.A[:ka], Delta: w.A[ka:], Grow: distance / 2}
-			b := Input{Base: w.B[:kb], Delta: w.B[kb:], Grow: distance / 2}
+			a := Input{Base: chunked(w.A[:ka], 7), Delta: w.A[ka:], Grow: distance / 2}
+			b := Input{Base: chunked(w.B[:kb], 7), Delta: w.B[kb:], Grow: distance / 2}
 			for _, r := range pruneResolutions {
 				label := fmt.Sprintf("%s/d=%g/r=%d", w.Name, distance, r)
 				keptA, keptB := prune(a, b, grownWorld(a, b), r)
@@ -89,7 +89,7 @@ func TestInMemPruneDropsTheFar(t *testing.T) {
 	const middle, near = 20, 20 // positions of A's middle box and B's near one
 	a = append(a, cube(999, 500.5, 501))
 	b = append(b, cube(1000, 5, 6))
-	in := func(e []geom.Element) Input { return Input{Base: e[:10], Delta: e[10:]} }
+	in := func(e []geom.Element) Input { return Input{Base: geom.ChunkedOf(e[:10]), Delta: e[10:]} }
 	for _, r := range pruneResolutions {
 		keptA, keptB := prune(in(a), in(b), grownWorld(in(a), in(b)), r)
 		ka, kb := keptSet(keptA), keptSet(keptB)
@@ -160,8 +160,8 @@ func TestInMemPruneDegenerateWorlds(t *testing.T) {
 				t.Fatalf("%s/grow=%g: no pairs to keep", tc.name, grow)
 			}
 			ka, kb := len(tc.a)/2, len(tc.b)-1
-			a := Input{Base: tc.a[:ka], Delta: tc.a[ka:], Grow: grow}
-			b := Input{Base: tc.b[:kb], Delta: tc.b[kb:], Grow: grow}
+			a := Input{Base: geom.ChunkedOf(tc.a[:ka]), Delta: tc.a[ka:], Grow: grow}
+			b := Input{Base: geom.ChunkedOf(tc.b[:kb]), Delta: tc.b[kb:], Grow: grow}
 			for _, r := range pruneResolutions {
 				for _, stripes := range []int{1, 5} {
 					got, _ := collect(partition(a, b, Config{Stripes: stripes}, r), JoinConfig{Parallelism: 1})

@@ -26,7 +26,7 @@ func (d *ingestDecoder) decode(meta any) ([]transformers.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Concat(b.pieces...), nil
+	return slices.Concat(b.elems.Chunks()...), nil
 }
 
 // sameBox compares bit for bit, so that -0 is not 0.
@@ -53,7 +53,7 @@ func blockBodyCheck(t *testing.T, name string, body []byte, reader func() io.Rea
 		var req datasetRequest
 		d := &ingestDecoder{r: reader(), buf: make([]byte, maxIngestToken), block: block}
 		b, err := d.decodeBatch(&req)
-		got := slices.Concat(b.pieces...)
+		got := slices.Concat(b.elems.Chunks()...)
 		if !(err == wantErr || sameError(err, wantErr)) || req != wantReq || !sameElements(got, want) {
 			t.Fatalf("%s, %d-byte blocks: %.80q\nblocks: %d elements, %v\nserial: %d elements, %v", name, block, body, len(got), err, len(want), wantErr)
 		}

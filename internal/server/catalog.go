@@ -140,10 +140,10 @@ type DatasetInfo struct {
 // bounds and built index.
 type generation struct {
 	// elems is the generation's element multiset in the order the index build
-	// left it: the index's data pages are this array. It is never written once
-	// installed, so it may be read outside the catalog lock — and must only be
-	// read.
-	elems   []transformers.Element
+	// left it: the index's data pages are this array, but for a page that
+	// straddles two chunks. It is never written once installed, so it may be
+	// read outside the catalog lock — and must only be read.
+	elems   geom.Chunked
 	version uint64
 	// mbb bounds elems: the batch's, which a merge covers with its delta's.
 	mbb transformers.Box
@@ -260,33 +260,27 @@ func (c *Catalog) Put(name string, elems []transformers.Element) (uint64, error)
 	return gen.version, nil
 }
 
-// batch is a dataset's elements as they reach the catalog: the pieces they
-// arrived in, in order — an upload's decoded blocks, a merge's base and delta
-// — and their bounding box, geom.MBBOf of the pieces' concatenation.
+// batch is a dataset's elements as they reach the catalog — an upload's
+// decoded chunks, or one slice — and their bounding box, geom.MBBOf of the
+// elements.
 type batch struct {
-	pieces [][]transformers.Element
-	mbb    transformers.Box
+	elems geom.Chunked
+	mbb   transformers.Box
 }
 
 // batchOf is the batch of one slice.
 func batchOf(elems []transformers.Element) batch {
-	return batch{pieces: [][]transformers.Element{elems}, mbb: geom.MBBOf(elems)}
+	return batch{elems: geom.ChunkedOf(elems), mbb: geom.MBBOf(elems)}
 }
 
-// len returns how many elements the batch holds.
-func (b batch) len() int {
-	n := 0
-	for _, p := range b.pieces {
-		n += len(p)
-	}
-	return n
-}
-
-// put is Put of a batch, returning the generation it installed. A batch of
-// one piece is owned by the catalog afterwards, as Put's slice is; several
-// are only read, and gathered into the generation's array by the build.
+// put is Put of a batch, returning the generation it installed. The batch's
+// elements are owned by the catalog afterwards, as Put's slice is: the build
+// reorders them in place, and they are the generation's array.
 func (c *Catalog) put(name string, b batch) (*generation, error) {
-	gen, err := c.build(b)
+	gen, err := c.build(b.mbb, func(opt transformers.IndexOptions) (*transformers.Index, geom.Chunked, error) {
+		idx, err := transformers.BuildIndexChunked(b.elems, b.mbb, opt)
+		return idx, b.elems, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -303,12 +297,12 @@ func (c *Catalog) put(name string, b batch) (*generation, error) {
 }
 
 // build is the first half of the one build-then-install step under Put and
-// MergeDelta: b indexed — its pieces gathered into the one array the
-// generation keeps, in STR order — in one attempt on one store from the
-// catalog's factory, the outcome reported to its build observer. It returns
-// the generation to install, versionless, or "server: index build: <cause>",
+// MergeDelta: index, which returns the index and the array it keeps in STR
+// order, run in one attempt on one store from the catalog's factory, the
+// outcome reported to its build observer. It returns the generation to
+// install, bounded by mbb and versionless, or "server: index build: <cause>",
 // which the handlers answer with a 5xx.
-func (c *Catalog) build(b batch) (*generation, error) {
+func (c *Catalog) build(mbb transformers.Box, index func(transformers.IndexOptions) (*transformers.Index, geom.Chunked, error)) (*generation, error) {
 	c.mu.Lock()
 	factory, observer := c.storeFactory, c.buildObserver
 	c.mu.Unlock()
@@ -317,14 +311,14 @@ func (c *Catalog) build(b batch) (*generation, error) {
 		st = factory()
 	}
 	start := time.Now()
-	idx, elems, err := transformers.BuildIndexPieces(b.pieces, b.mbb, transformers.IndexOptions{Store: st})
+	idx, elems, err := index(transformers.IndexOptions{Store: st})
 	if observer != nil {
 		observer(time.Since(start), err == nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("server: index build: %w", err)
 	}
-	return &generation{elems: elems, mbb: b.mbb, index: idx}, nil
+	return &generation{elems: elems, mbb: mbb, index: idx}, nil
 }
 
 // installLocked is the second half: gen, built, becomes ds's current
@@ -378,8 +372,8 @@ func (c *Catalog) Append(name string, pieces ...[]transformers.Element) (AppendI
 	for _, p := range pieces {
 		n += len(p)
 	}
-	// Grown once by the total: a decoded upload comes in blocks of some 460
-	// elements, and growing by each in turn would copy the delta once a block.
+	// Grown once by the total: a decoded body comes in chunks, and growing by
+	// each in turn would copy the delta once a chunk.
 	gen.delta = slices.Grow(gen.delta, n)
 	for _, p := range pieces {
 		gen.delta = append(gen.delta, p...)
@@ -494,7 +488,7 @@ func (c *Catalog) joinInput(name string) (joinInput, error) {
 		return joinInput{}, err
 	}
 	gen := ds.cur
-	return joinInput{count: len(gen.elems) + len(gen.delta), version: gen.version, epoch: gen.deltaEpoch}, nil
+	return joinInput{count: gen.elems.Len() + len(gen.delta), version: gen.version, epoch: gen.deltaEpoch}, nil
 }
 
 // Snapshot returns a private combined copy of a dataset's base elements plus
@@ -517,14 +511,16 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 	delta := gen.delta[:len(gen.delta):len(gen.delta)]
 	version, epoch = gen.version, gen.deltaEpoch
 	c.mu.Unlock()
-	out := make([]transformers.Element, 0, len(base)+len(delta))
-	out = append(out, base...)
+	out := make([]transformers.Element, 0, base.Len()+len(delta))
+	for _, c := range base.Chunks() {
+		out = append(out, c...)
+	}
 	out = append(out, delta...)
 	return out, version, epoch, len(delta), nil
 }
 
 // DeltaView returns the handle's generation's raw base elements, its delta
-// buffer, and the delta epoch that buffer corresponds to. Both slices are the
+// buffer, and the delta epoch that buffer corresponds to. Both are the
 // catalog's own storage — base is the base index's data pages, delta the
 // capped header of the append buffer, whose elements are never rewritten
 // (later appends land past its length or on a fresh array). Both are
@@ -534,9 +530,9 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 // generation — not the dataset's current one — keeps the composition
 // consistent with the index the join actually runs on, even if a merge
 // installs a successor generation mid-join.
-func (c *Catalog) DeltaView(h *Handle) (base, delta []transformers.Element, epoch uint64) {
+func (c *Catalog) DeltaView(h *Handle) (base geom.Chunked, delta []transformers.Element, epoch uint64) {
 	if h == nil || h.gen == nil {
-		return nil, nil, 0
+		return geom.Chunked{}, nil, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -577,11 +573,16 @@ func (c *Catalog) MergeDelta(ctx context.Context, name string) (int, error) {
 	base, delta := gen.elems, gen.delta[:n:n]
 	c.mu.Unlock()
 
-	// The build runs outside the lock. Base and delta are its two pieces,
-	// which it only reads: it gathers them into the new generation's array,
-	// which no reader sees before it is installed.
+	// The build runs outside the lock. The base's chunks and the delta are
+	// its pieces, which it only reads — the generation they belong to goes on
+	// serving until the merged one is installed — and gathers into the new
+	// generation's array, which no reader sees before then.
+	pieces, mbb := append(base.Chunks(), delta), gen.mbb.Cover(geom.MBBOf(delta))
 	_, span := obs.Start(ctx, "delta-merge")
-	next, buildErr := c.build(batch{pieces: [][]transformers.Element{base, delta}, mbb: gen.mbb.Cover(geom.MBBOf(delta))})
+	next, buildErr := c.build(mbb, func(opt transformers.IndexOptions) (*transformers.Index, geom.Chunked, error) {
+		idx, elems, err := transformers.BuildIndexPieces(pieces, mbb, opt)
+		return idx, geom.ChunkedOf(elems), err
+	})
 	span.End()
 	span.Add("elements", int64(n))
 
@@ -618,7 +619,7 @@ func (c *Catalog) Stats() CatalogStats {
 	deltaElems, elems := 0, 0
 	for _, ds := range c.datasets {
 		deltaElems += len(ds.cur.delta)
-		elems += len(ds.cur.elems) + len(ds.cur.delta)
+		elems += ds.cur.elems.Len() + len(ds.cur.delta)
 	}
 	parts, partBytes := c.readyPartitionsLocked()
 	return CatalogStats{
@@ -645,7 +646,7 @@ func (c *Catalog) Datasets() []DatasetInfo {
 	for _, ds := range c.datasets {
 		out = append(out, DatasetInfo{
 			Name:          ds.name,
-			Elements:      len(ds.cur.elems),
+			Elements:      ds.cur.elems.Len(),
 			Version:       ds.cur.version,
 			Degraded:      ds.mergeErr != nil,
 			DeltaElements: len(ds.cur.delta),

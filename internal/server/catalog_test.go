@@ -416,7 +416,7 @@ func TestCatalogReplacementRacesReaders(t *testing.T) {
 				return false
 			}
 			base, _, _ := c.DeltaView(h)
-			return whole(base) && h.Index.Len() == n
+			return whole(slices.Concat(base.Chunks()...)) && h.Index.Len() == n
 		},
 		func() bool {
 			snap, _, _, _, err := c.Snapshot("ds")
@@ -485,7 +485,7 @@ func TestPutHoldsItsUpload(t *testing.T) {
 		c.mu.Lock()
 		installed := c.datasets["ds"].cur.elems
 		c.mu.Unlock()
-		if unsafe.SliceData(installed) != unsafe.SliceData(elems) || len(installed) != n {
+		if len(installed.Chunks()) != 1 || unsafe.SliceData(installed.Chunks()[0]) != unsafe.SliceData(elems) || installed.Len() != n {
 			t.Fatal("the installed generation does not hold the uploaded array")
 		}
 	}

@@ -34,11 +34,13 @@ import (
 // same — is exactly what the serial decoder would have read there; at the
 // first element that is not, the serial decoder takes over with that
 // element's index and offset, so results and errors are the serial path's.
-// The output stays in the pieces it was decoded in — the workers' chunks,
-// then the serial path's — for the index build to gather into the one array
-// it keeps. Beside that output, decoding holds the read buffer, at most one
-// member's bytes and 2×GOMAXPROCS+1 blocks in flight, however long the body
-// is; a body whose rest fits in one block starts no worker.
+// The output is the array an upload keeps: chunks of ingestChunk elements,
+// which the framer fills with each verified block's elements in stream order
+// and the serial path fills on from there, and which the index build reorders
+// where they lie (str.SplitChunked). Beside that output, decoding holds the
+// read buffer, at most one member's bytes and 2×GOMAXPROCS+1 blocks in flight,
+// each with the elements a worker decoded from it, however long the body is;
+// a body whose rest fits in one block starts no worker.
 //
 // Within "elements" the grammar is JSON's and the wire format is exact:
 //
@@ -105,17 +107,16 @@ type ingestDecoder struct {
 	// the calling goroutine.
 	block int
 
-	// pieces hold the output so far, in element order: blocks' elements as
-	// the workers decoded them, then chunks of ingestChunk. count is how
-	// many of them the last "elements" member holds. slot is at pieces[cur],
-	// whose first element is element curStart.
-	pieces        [][]transformers.Element
-	count         int
-	cur, curStart int
-	// pieces[:mbbPieces] are the workers', bounded by mbb, which they took as
-	// they decoded; the serial path's chunks follow them.
-	mbb       transformers.Box
-	mbbPieces int
+	// chunks hold the output so far, in element order: element i is element
+	// i&(ingestChunk-1) of chunks[i>>ingestShift], and every chunk but the
+	// last is full. count is how many elements the last "elements" member
+	// holds.
+	chunks [][]transformers.Element
+	count  int
+	// The first mbbCount elements are the workers', bounded by mbb, which
+	// they took as they decoded; the serial path's follow them.
+	mbb      transformers.Box
+	mbbCount int
 }
 
 // decodeIngest reads one ingest body from r. The "elements" member is
@@ -142,27 +143,24 @@ func (d *ingestDecoder) decodeBatch(meta any) (batch, error) {
 	}
 }
 
-// batch returns the first d.count decoded elements, in the pieces they were
-// decoded in, and their bounds: the workers' for the blocks, one pass over
-// the rest.
+// batch returns the first d.count decoded elements, in the chunks they were
+// decoded into, and their bounds: the workers' for the blocks, one pass over
+// the rest. A last chunk with room to spare is copied to its length, so that
+// what the batch keeps alive is its elements.
 func (d *ingestDecoder) batch() batch {
-	out, left := d.pieces[:0], d.count
-	for _, p := range d.pieces {
-		if left == 0 {
-			break
+	k := (d.count + ingestChunk - 1) >> ingestShift
+	chunks := d.chunks[:k]
+	if k > 0 {
+		if last := chunks[k-1][:d.count-(k-1)<<ingestShift]; len(last) < cap(last) {
+			chunks[k-1] = slices.Clone(last)
 		}
-		p = p[:min(left, len(p))]
-		out = append(out, p)
-		left -= len(p)
 	}
+	elems := geom.NewChunked(chunks, ingestShift)
 	mbb := transformers.Box(geom.EmptyBox())
-	if d.mbbPieces > 0 {
+	if d.mbbCount > 0 {
 		mbb = d.mbb
 	}
-	for _, p := range out[min(d.mbbPieces, len(out)):] {
-		mbb = mbb.Cover(geom.MBBOf(p))
-	}
-	return batch{pieces: out, mbb: mbb}
+	return batch{elems: elems, mbb: mbb.Cover(elems.MBB(min(d.mbbCount, d.count), d.count))}
 }
 
 func (d *ingestDecoder) errorf(kind ingestErrKind, format string, args ...any) error {
@@ -569,58 +567,74 @@ func (d *ingestDecoder) captureValue() error {
 	}
 }
 
-// ingestChunk is how many elements one chunk of the output holds (448 KB).
-// The decoder cannot know the element count before the array ends and takes
-// no hint from the client, so it fills chunks that never move, which the
-// index build gathers into the one array it keeps (str.SplitPieces): nothing
-// is copied on the way, where growing one slice by append allocates it
-// nearly six times over and keeps up to a quarter spare.
-const ingestChunk = 8192
+// ingestChunk is how many elements one chunk of the output holds (448 KB),
+// 1<<ingestShift. The decoder cannot know the element count before the array
+// ends and takes no hint from the client, so it fills chunks that never move
+// once full, and the index is built over them as one array (geom.Chunked):
+// nothing is copied after the decode, where growing one slice by append
+// allocates it nearly six times over and keeps up to a quarter spare.
+const (
+	ingestShift = 13
+	ingestChunk = 1 << ingestShift
+)
+
+// room returns chunk k, appended if it is the next, with capacity for one
+// more element, which it does not have only when it holds fewer than
+// ingestChunk. The first chunk doubles, from 64 elements, so that a small
+// body takes no whole chunk; a later one, which only a body longer than a
+// chunk reaches, takes its ingestChunk at once.
+func (d *ingestDecoder) room(k int) []transformers.Element {
+	if k == len(d.chunks) {
+		d.chunks = append(d.chunks, nil)
+	}
+	c := d.chunks[k]
+	if len(c) == cap(c) {
+		size := ingestChunk
+		if k == 0 {
+			size = min(max(2*cap(c), 64), ingestChunk)
+		}
+		c = append(make([]transformers.Element, 0, size), c...)
+		d.chunks[k] = c
+	}
+	return c
+}
 
 // slot returns the place of element i, which is zero unless an earlier
 // "elements" member of the same body decoded an element there. Each member
 // asks for 0, 1, 2 and on.
 func (d *ingestDecoder) slot(i int) *transformers.Element {
-	if i == 0 {
-		d.cur, d.curStart = 0, 0
+	k, off := i>>ingestShift, i&(ingestChunk-1)
+	if k < len(d.chunks) && off < len(d.chunks[k]) {
+		return &d.chunks[k][off]
 	}
-	if d.cur < len(d.pieces) {
-		p := d.pieces[d.cur]
-		off := i - d.curStart
-		switch {
-		case off < len(p):
-			return &p[off]
-		case d.cur+1 < len(d.pieces):
-			d.cur, d.curStart = d.cur+1, i
-			return &d.pieces[d.cur][0]
-		case off < cap(p) || d.cur == d.mbbPieces && off < ingestChunk:
-			d.pieces[d.cur] = append(p, transformers.Element{})
-			return &d.pieces[d.cur][off]
-		}
-	}
-	// The first chunk after the blocks' pieces grows by append: a small
-	// upload, or the tail the blocks left, takes no whole chunk.
-	var chunk []transformers.Element
-	if len(d.pieces) > d.mbbPieces {
-		chunk = make([]transformers.Element, 0, ingestChunk)
-	}
-	d.pieces = append(d.pieces, append(chunk, transformers.Element{}))
-	d.cur, d.curStart = len(d.pieces)-1, i
-	return &d.pieces[d.cur][0]
+	d.chunks[k] = append(d.room(k), transformers.Element{})
+	return &d.chunks[k][off]
 }
 
-// elements decodes the "elements" array into the pieces and sets d.count.
+// put appends elems to the output, which holds exactly n elements: the
+// framer's copy of a verified block.
+func (d *ingestDecoder) put(n int, elems []transformers.Element) {
+	for len(elems) > 0 {
+		k := n >> ingestShift
+		c := d.room(k)
+		m := min(len(elems), ingestChunk-len(c), cap(c)-len(c))
+		d.chunks[k] = append(c, elems[:m]...)
+		elems, n = elems[m:], n+m
+	}
+}
+
+// elements decodes the "elements" array into the chunks and sets d.count.
 // Like encoding/json, a repeated member decodes over the elements the
 // previous one left and truncates to its own length, and null or an empty
 // array drop them.
 func (d *ingestDecoder) elements() error {
-	d.mbbPieces = 0
+	d.mbbCount = 0
 	c, err := d.token()
 	if err != nil {
 		return err
 	}
 	if c == 'n' {
-		d.pieces, d.count = nil, 0
+		d.chunks, d.count = nil, 0
 		return d.null()
 	}
 	if c != '[' {
@@ -632,11 +646,11 @@ func (d *ingestDecoder) elements() error {
 	}
 	if c == ']' {
 		d.pos++
-		d.pieces, d.count = nil, 0
+		d.chunks, d.count = nil, 0
 		return nil
 	}
 	i := 0
-	if d.block > 0 && len(d.pieces) == 0 {
+	if d.block > 0 && len(d.chunks) == 0 {
 		i = d.blocks()
 	}
 	for ; ; i++ {
@@ -773,48 +787,31 @@ type ingestBlock struct {
 	text []byte
 	off  int64 // stream offset of text[0]
 	// Set by the worker before it signals done: the elements it verified,
-	// as pieces of its chunks, their bounds, and how many bytes of text
-	// they and their commas span — all of it when the block verified whole.
-	pieces [][]transformers.Element
-	mbb    transformers.Box
-	used   int
-	done   chan struct{} // one signal per decode; the block is reused
+	// their bounds, and how many bytes of text they and their commas span —
+	// all of it when the block verified whole. elems is the block's own,
+	// reused by its next decode once the framer has copied it out.
+	elems []transformers.Element
+	mbb   transformers.Box
+	used  int
+	done  chan struct{} // one signal per decode; the block is reused
 }
 
 // decode runs the recogniser over the block: every element must be
 // canonical, valid and followed by a comma, and the first that is not ends
-// the block's verified prefix. The elements land in *chunk, a fresh
-// ingestChunk-element array whenever the last one fills: chunks of the size
-// the serial path fills, so that the holes they leave once gathered take the
-// same allocations theirs do.
-func (b *ingestBlock) decode(chunk *[]transformers.Element) {
+// the block's verified prefix.
+func (b *ingestBlock) decode() {
 	r := ingestDecoder{buf: b.text, end: len(b.text)}
-	b.pieces, b.mbb = b.pieces[:0], geom.EmptyBox()
-	keep := func(start int) {
-		c := *chunk
-		if start < len(c) {
-			p := c[start:len(c):len(c)] // capped: no append lands in the rest of the chunk
-			b.pieces = append(b.pieces, p)
-			b.mbb = b.mbb.Cover(geom.MBBOf(p))
-		}
-	}
-	start := len(*chunk)
+	b.elems = b.elems[:0]
 	for r.pos < r.end {
-		if len(*chunk) == cap(*chunk) {
-			keep(start)
-			*chunk, start = make([]transformers.Element, 0, ingestChunk), 0
-		}
-		c := *chunk
-		e, at := &c[:len(c)+1][len(c)], r.pos
+		b.elems = append(b.elems, transformers.Element{})
+		e, at := &b.elems[len(b.elems)-1], r.pos
 		if !r.canonical(e) || !e.Box.Valid() || r.pos == r.end || r.buf[r.pos] != ',' {
-			r.pos = at
+			b.elems, r.pos = b.elems[:len(b.elems)-1], at
 			break
 		}
 		r.pos++
-		*chunk = c[:len(c)+1]
 	}
-	keep(start)
-	b.used = r.pos
+	b.mbb, b.used = geom.MBBOf(b.elems), r.pos
 }
 
 // failedReader answers every read with the error its reader failed with.
@@ -831,8 +828,8 @@ func (r failedReader) Read([]byte) (int, error) { return 0, r.err }
 // The calling goroutine frames: it reads the body into pooled block buffers
 // and cuts each after the last elementEnd it holds, the bytes after the cut
 // starting the next block. Workers verify the blocks (ingestBlock.decode),
-// and the framer takes their elements in stream order while every block
-// verifies whole. The first block starts at an element, and a block that
+// and the framer copies their elements into the output in stream order while
+// every block verifies whole. The first block starts at an element, and a block that
 // verified whole ends after an element and its comma, so the next starts at
 // an element too: the cuts are proven by induction, however the framer
 // placed them — a cut inside a key only makes a worker decline. At the first
@@ -868,9 +865,8 @@ func (d *ingestDecoder) blocks() int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var chunk []transformers.Element
 			for b := range work {
-				b.decode(&chunk)
+				b.decode()
 				b.done <- struct{}{}
 			}
 		}()
@@ -890,10 +886,8 @@ func (d *ingestDecoder) blocks() int {
 	take := func() bool {
 		b := queue[0]
 		<-b.done
-		for _, p := range b.pieces {
-			d.pieces = append(d.pieces, p)
-			verified += len(p)
-		}
+		d.put(verified, b.elems)
+		verified += len(b.elems)
 		d.mbb = d.mbb.Cover(b.mbb)
 		if b.used < len(b.text) {
 			return false
@@ -910,7 +904,9 @@ func (d *ingestDecoder) blocks() int {
 		case len(pool) > 0:
 			b, pool = pool[len(pool)-1], pool[:len(pool)-1]
 		case allocated < cap(pool):
-			b = &ingestBlock{buf: make([]byte, d.block), done: make(chan struct{}, 1)}
+			// Room for the elements of a block of canonical ones at
+			// some 140 bytes each; a block of shorter ones grows it once.
+			b = &ingestBlock{buf: make([]byte, d.block), elems: make([]transformers.Element, 0, d.block/128), done: make(chan struct{}, 1)}
 			allocated++
 		default:
 			if trusted = take(); !trusted {
@@ -958,7 +954,7 @@ func (d *ingestDecoder) blocks() int {
 	}
 	d.r = io.MultiReader(rest...)
 	d.pos, d.end, d.base = 0, 0, resume
-	d.cur, d.curStart, d.mbbPieces = len(d.pieces), verified, len(d.pieces)
+	d.mbbCount = verified
 	return verified
 }
 

@@ -8,10 +8,13 @@ import (
 	"sync"
 )
 
-// minHeadroom is the least headroom the pacer leaves above the live heap: the
-// runtime's own minimum heap goal at GOGC=100, so a daemon whose catalog is
-// small collects as it would unpaced.
-const minHeadroom = 4 << 20
+// minHeadroom is the least headroom the pacer leaves above the live heap. The
+// live heap above the catalog's resident bytes — a join's or an upload's
+// working set — is what gets headroom, and in the benchmark's join windows it
+// is 1–2 MB; a floor at the runtime's own minimum heap goal (4 MiB at
+// GOGC=100) left 4 MiB whatever the working set. The floor bounds how often a
+// daemon whose live heap is all catalog collects: once per MiB allocated.
+const minHeadroom = 1 << 20
 
 // pacedPercent is the GC percent that sets the next heap goal at live +
 // max(minHeadroom, live − resident): headroom for the working set, none for
@@ -49,7 +52,7 @@ type gcSentinel struct {
 }
 
 // PaceGC starts pacing the collector against the catalog: after every cycle
-// it sets the GC percent so that the next heap goal is live + max(4 MiB,
+// it sets the GC percent so that the next heap goal is live + max(1 MiB,
 // live − resident), where resident is the catalog's ResidentBytes. The
 // percent it starts from, and never exceeds, is the process's (GOGC, 100 by
 // default); with GOGC=off it does nothing. The returned stop ends the pacing

@@ -23,13 +23,14 @@ func TestPacedPercent(t *testing.T) {
 		{"no resident bytes", 100, 64 * mib, 0, 100},
 		{"half resident", 100, 64 * mib, 32 * mib, 50},
 		{"rounds up", 100, 3 * 64 * mib, 2 * 64 * mib, 34},
-		{"resident = live: the floor", 100, 64 * mib, 64 * mib, 7},
-		{"resident > live: the floor", 100, 64 * mib, 80 * mib, 7},
+		{"resident = live: the floor", 100, 64 * mib, 64 * mib, 2},
+		{"resident > live: the floor", 100, 64 * mib, 80 * mib, 2},
+		{"a working set above the floor is the headroom", 100, 64 * mib, 61 * mib, 5},
 		{"10 GB resident: at least 1", 100, 10<<30 + 8*mib, 10 << 30, 1},
 		{"small heap: never above base", 100, 2 * mib, 0, 100},
-		{"small catalog: never above base", 100, 3 * mib, 1 * mib, 100},
+		{"small catalog: the working set as headroom", 100, 3 * mib, 1 * mib, 67},
 		{"GOGC=200 scales", 200, 64 * mib, 32 * mib, 100},
-		{"GOGC=200 floor", 200, 64 * mib, 64 * mib, 13},
+		{"GOGC=200 floor", 200, 64 * mib, 64 * mib, 4},
 		{"GOGC=off: no pacing", -1, 64 * mib, 32 * mib, -1},
 		{"no live heap yet", 100, 0, 0, 100},
 	} {
@@ -48,7 +49,7 @@ func readRuntime(name string) uint64 {
 
 // TestPaceGCHoldsTheGoalAtTheWorkingSet: with the pacer started, the heap goal
 // after two 100K uploads, and again after an inmem join has made the pair's
-// partition resident, is at most live + max(4 MiB, live − resident), 5 %
+// partition resident, is at most live + max(1 MiB, live − resident), 5 %
 // over for the stacks and globals the runtime adds. Unpaced, it would be
 // twice live. The pacer acts once a cycle has ended, so the bound is awaited.
 func TestPaceGCHoldsTheGoalAtTheWorkingSet(t *testing.T) {
@@ -71,7 +72,7 @@ func TestPaceGCHoldsTheGoalAtTheWorkingSet(t *testing.T) {
 		}
 		t.Logf("%s: heap goal %d B over %d B live, %d B resident (bound %d)", when, goal, live, resident, bound)
 		if goal > bound {
-			t.Fatalf("%s: heap goal %d B, want at most 1.05 x (%d live + max(4 MiB, live - %d resident)) = %d", when, goal, live, resident, bound)
+			t.Fatalf("%s: heap goal %d B, want at most 1.05 x (%d live + max(%d, live - %d resident)) = %d", when, goal, live, minHeadroom, resident, bound)
 		}
 	}
 	uploadPiped(t, ts.URL, "u", func() []transformers.Element { return transformers.GenerateUniform(n, 3) })

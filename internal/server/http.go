@@ -510,7 +510,7 @@ func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case req.Generate != nil && elems.len() > 0:
+	case req.Generate != nil && elems.elems.Len() > 0:
 		badRequest(w, rid, "provide either elements or generate, not both")
 		return
 	case req.Generate != nil:
@@ -524,7 +524,7 @@ func handleDatasets(svc *Service, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		elems = batchOf(generated)
-	case elems.len() == 0:
+	case elems.elems.Len() == 0:
 		badRequest(w, rid, "provide elements or generate")
 		return
 	}
@@ -548,13 +548,13 @@ func handleAppend(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if elems.len() == 0 {
+	if elems.elems.Len() == 0 {
 		badRequest(w, rid, "append: elements are required")
 		return
 	}
 	ctx, cancel := requestContext(svc, r, req.TimeoutMS)
 	defer cancel()
-	info, err := svc.Append(ctx, name, elems.pieces...)
+	info, err := svc.Append(ctx, name, elems.elems.Chunks()...)
 	if err != nil {
 		writeError(w, err, rid, nil)
 		return

@@ -198,7 +198,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 // to a full rebuild by construction; empty sides are skipped. Their
 // comparisons, pairs and wall time are added to res's stats, which the
 // summary reports and the wall table takes.
-func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, distance float64, emit engine.EmitFunc) (*DeltaSummary, error) {
+func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB geom.Chunked, deltaA, deltaB []transformers.Element, distance float64, emit engine.EmitFunc) (*DeltaSummary, error) {
 	_, span := obs.Start(ctx, "delta-join")
 	sum := &DeltaSummary{ElementsA: len(deltaA), ElementsB: len(deltaB)}
 	var (
@@ -215,26 +215,27 @@ func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, base
 		}
 	}
 	start := time.Now()
-	for _, sj := range [3]struct{ ea, eb []transformers.Element }{
-		{baseA, deltaB},
-		{deltaA, baseB},
-		{deltaA, deltaB},
+	for _, sj := range [3]struct{ ea, eb geom.Chunked }{
+		{baseA, geom.ChunkedOf(deltaB)},
+		{geom.ChunkedOf(deltaA), baseB},
+		{geom.ChunkedOf(deltaA), geom.ChunkedOf(deltaB)},
 	} {
-		if len(sj.ea) == 0 || len(sj.eb) == 0 {
+		na, nb := sj.ea.Len(), sj.eb.Len()
+		if na == 0 || nb == 0 {
 			continue
 		}
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		a := grid.Batch{Runs: [][]geom.Element{sj.ea}, Grow: distance / 2}
-		b := grid.Batch{Runs: [][]geom.Element{sj.eb}, Grow: distance / 2}
-		if len(sj.ea) <= len(sj.eb) {
+		a := grid.Batch{Runs: sj.ea.Chunks(), Grow: distance / 2}
+		b := grid.Batch{Runs: sj.eb.Chunks(), Grow: distance / 2}
+		if na <= nb {
 			comparisons += g.Join(a, b, emitPair)
 		} else {
 			comparisons += g.Join(b, a, func(be, ae geom.Element) { emitPair(ae, be) })
 		}
-		built += min(len(sj.ea), len(sj.eb))
-		probed += max(len(sj.ea), len(sj.eb))
+		built += min(na, nb)
+		probed += max(na, nb)
 		sum.SubJoins++
 		if err != nil {
 			break
@@ -331,7 +332,9 @@ type collector struct {
 	max  int  // buffer cap; negative = unbounded
 
 	// timed accumulates the time spent inside consumer in emitDur — two clock
-	// reads per pair, paid by traced requests only.
+	// reads per pair, paid by every streamed request that carries a trace,
+	// which every HTTP join does (handleJoin): only an in-process JoinStream
+	// without one skips them.
 	timed    bool
 	emitDur  time.Duration
 	streamed uint64 // pairs consumer accepted

@@ -169,7 +169,7 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 	}
 
 	// First acquirer builds; later ones take the branch above and wait.
-	elements := len(ga.elems) + len(ga.delta) + len(gb.elems) + len(gb.delta)
+	elements := ga.elems.Len() + len(ga.delta) + gb.elems.Len() + len(gb.delta)
 	e := &partEntry{
 		key: key, ready: make(chan struct{}), refs: 1, lastUse: c.clock,
 		once: elements > planner.DefaultMaxInMemoryElements,

@@ -308,10 +308,11 @@ func (s *Service) addDataset(ctx context.Context, name string, b batch) (BuildIn
 	// Walls measured on the replaced data do not price the new data. Appends
 	// and merges keep them: they grow a dataset by at most a delta.
 	s.walls.Forget(name)
-	// The decoded pieces, the build's sort keys and a replaced generation are
-	// garbage now. A collection that lands mid-upload sees them live beside
-	// the new array and sets the heap goal at all of it plus its headroom;
-	// collecting here sets it at what stays plus its headroom.
+	// The new generation's array is the decoded chunks themselves; the
+	// build's sort records and a replaced generation are garbage now. A
+	// collection that lands mid-build sees the records live beside the array
+	// and sets the heap goal at all of it plus its headroom; collecting here
+	// sets it at what stays plus its headroom.
 	runtime.GC()
 	br := gen.index.BuildReport()
 	return BuildInfo{

@@ -311,3 +311,33 @@ func TestSplitPiecesMatchesSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitChunkedMatchesSplit: split in place across chunks of one element,
+// of eight and of 512 — a partition, a row and a slab straddling chunks — an
+// input ends as Split leaves it, with the same partitions, bit for bit, on
+// every input family.
+func TestSplitChunkedMatchesSplit(t *testing.T) {
+	const capacity = 20
+	world := geom.Box{Lo: geom.Point{0, 0, 0}, Hi: geom.Point{1000, 1000, 1000}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, in := range equivalenceInputs {
+		for _, n := range []int{1, 500, 10240, 3 * gatherMin} {
+			want := in.gen(n)
+			wantParts := Split(want, capacity, world)
+			for _, shift := range []uint{0, 3, 9} {
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					elems := in.gen(n)
+					var chunks [][]geom.Element
+					for rest := elems; len(rest) > 0; rest = rest[min(1<<shift, len(rest)):] {
+						chunks = append(chunks, rest[:min(1<<shift, len(rest))])
+					}
+					gotParts := SplitChunked(geom.NewChunked(chunks, shift), capacity, world)
+					if !sameElements(elems, want) || !sameParts(gotParts, wantParts) {
+						t.Fatalf("%s n=%d chunks of %d GOMAXPROCS=%d: differs from Split", in.name, n, 1<<shift, procs)
+					}
+				}
+			}
+		}
+	}
+}

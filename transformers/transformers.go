@@ -92,24 +92,44 @@ type BuildReport struct {
 // BuildIndex reorder their inputs), while the index is in use; index a copy to keep the
 // original.
 func BuildIndex(elems []Element, opt IndexOptions) (*Index, error) {
-	idx, _, err := BuildIndexPieces([][]Element{elems}, geom.MBBOf(elems), opt)
-	return idx, err
+	return BuildIndexChunked(geom.ChunkedOf(elems), geom.MBBOf(elems), opt)
 }
 
-// BuildIndexPieces indexes the concatenation of pieces — a dataset as it
-// arrived, in parts — whose bounding box (geom.MBBOf of the concatenation)
-// the caller passes as bounds. It returns the array the index keeps, in STR
-// order: one piece is that array, reordered in place as BuildIndex reorders
-// elems; several are only read, gathered into a new one, and the slice of
-// them is cleared.
+// BuildIndexChunked indexes a dataset held in chunks — as an upload arrives —
+// whose bounding box (geom.MBBOf of the elements) the caller passes as
+// bounds. The chunks are reordered in place, as one array, and belong to the
+// index afterwards as BuildIndex's elems does.
+func BuildIndexChunked(elems geom.Chunked, bounds Box, opt IndexOptions) (*Index, error) {
+	st := opt.Store
+	if st == nil {
+		st = storage.NewMemStore(opt.PageSize)
+	}
+	idx, bs, err := core.BuildIndexChunked(st, elems, bounds, core.IndexConfig{World: opt.World})
+	return wrapIndex(idx, bs, err)
+}
+
+// BuildIndexPieces indexes the concatenation of pieces — a dataset's base and
+// delta, as a merge reads them — whose bounding box (geom.MBBOf of the
+// concatenation) the caller passes as bounds. It returns the array the index
+// keeps, in STR order: the pieces are only read, gathered into a new one, and
+// the slice of them is cleared.
 func BuildIndexPieces(pieces [][]Element, bounds Box, opt IndexOptions) (*Index, []Element, error) {
 	st := opt.Store
 	if st == nil {
 		st = storage.NewMemStore(opt.PageSize)
 	}
 	idx, elems, bs, err := core.BuildIndexPieces(st, pieces, bounds, core.IndexConfig{World: opt.World})
+	out, err := wrapIndex(idx, bs, err)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transformers: build index: %w", err)
+		return nil, nil, err
+	}
+	return out, elems, nil
+}
+
+// wrapIndex is the Index of a core build's outcome.
+func wrapIndex(idx *core.Index, bs core.BuildStats, err error) (*Index, error) {
+	if err != nil {
+		return nil, fmt.Errorf("transformers: build index: %w", err)
 	}
 	return &Index{
 		core: idx,
@@ -121,7 +141,7 @@ func BuildIndexPieces(pieces [][]Element, bounds Box, opt IndexOptions) (*Index,
 			IO:            bs.IO,
 			ModeledIOTime: storage.DefaultDiskModel().IOTime(bs.IO),
 		},
-	}, elems, nil
+	}, nil
 }
 
 // BuildReport returns the index build report.
