@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spatialjoind -addr :8080
-//	spatialjoind -addr :8080 -join-workers 4 -parallel -1 -cache-entries 256
+//	spatialjoind -addr :8080 -join-workers 4 -cache-entries 256
 //
 // Endpoints (all request/response bodies are JSON):
 //
@@ -19,7 +19,7 @@
 //	                     visible to joins immediately (no rebuild), compacted
 //	                     into the main index by a background merge once the
 //	                     delta exceeds -delta-max-elements
-//	POST /join           {"a","b","algorithm"?,"stream"?,"include_pairs"?,"parallelism"?}
+//	POST /join           {"a","b","algorithm"?,"stream"?,"include_pairs"?}
 //	                     algorithm: a served engine — transformers (the
 //	                     dataset's index) or inmem (the pair's resident
 //	                     partition) — or "auto" (the planner picks the one
@@ -86,16 +86,15 @@ func main() {
 	maxIndexes := flag.Int("max-indexes", 0, "max resident inmem pair partitions kept before LRU eviction (0 = default); a dataset's index lives as long as the dataset")
 	cacheEntries := flag.Int("cache-entries", 0, "join result cache entries (0 = default)")
 	cacheMaxPairs := flag.Int("cache-max-pairs", 0, "largest result size the cache stores (0 = default)")
-	joinWorkers := flag.Int("join-workers", 0, "max concurrently executing join workers and index builds (0 = GOMAXPROCS)")
+	joinWorkers := flag.Int("join-workers", 0, "max joins and index builds executing at once, each on one slot (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", server.DefaultMaxQueue, "max queued joins before 503 (0 = default, negative = unbounded; use 1 for near-immediate backpressure)")
-	parallel := flag.Int("parallel", 1, "default per-join worker count (negative = all cores)")
 	defaultAlgo := flag.String("default-algorithm", "",
 		"engine for joins that do not name one: "+strings.Join(server.ServedEngines(), ", ")+
 			", or auto (planner; default transformers)")
 	maxGenerate := flag.Int("max-generate", 0, "largest server-side generated dataset (0 = default 5M elements)")
 	maxBody := flag.Int64("max-body-bytes", 0, "largest accepted request body (0 = default 256MB)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
-	tenantSlots := flag.Int("tenant-slots", 0, "max concurrently executing slot units per tenant while others wait (0 = no per-tenant cap)")
+	tenantSlots := flag.Int("tenant-slots", 0, "max joins and builds one tenant executes at once while others wait (0 = no per-tenant cap)")
 	tenantQueue := flag.Int("tenant-queue", 0, "max queued requests per tenant before 429 (0 = no per-tenant cap)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "default per-request deadline when a request sets no timeout_ms (0 = none)")
 	slowJoinMS := flag.Int64("slow-join-ms", server.DefaultSlowJoinThreshold.Milliseconds(), "joins slower than this land in /debug/joins with their span tree (negative = record every join)")
@@ -121,7 +120,6 @@ func main() {
 		CacheMaxPairs:       *cacheMaxPairs,
 		Workers:             *joinWorkers,
 		MaxQueue:            *maxQueue,
-		Parallelism:         *parallel,
 		MaxGenerateElements: *maxGenerate,
 		MaxBodyBytes:        *maxBody,
 		DefaultAlgorithm:    *defaultAlgo,

@@ -46,7 +46,7 @@ func post(base, path string, body string) map[string]any {
 func main() {
 	// An in-process daemon: same Service + handler the spatialjoind binary
 	// mounts, listening on an ephemeral port.
-	svc := server.NewService(server.Config{Parallelism: -1})
+	svc := server.NewService(server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -255,7 +255,7 @@ func TestAutoPlansOnlyServedEngines(t *testing.T) {
 		t.Skip("a 14K x 14K join of about a million pairs, checked against naive")
 	}
 	const distance = 100
-	svc := NewService(Config{Parallelism: 2})
+	svc := NewService(Config{})
 	a := transformers.GenerateMassiveCluster(14_000, 2)
 	b := transformers.GenerateDendrites(14_000, 2)
 	addDataset(t, svc, "a", cpElems(a))
@@ -422,7 +422,7 @@ func TestHTTPAutoLeavesPerRequestIndexingToExplicitRequests(t *testing.T) {
 	join := func(algo string, status int) map[string]any {
 		t.Helper()
 		code, doc := postJSON(t, ts.URL+"/join/distance",
-			`{"a":"small","b":"large","distance":10,"algorithm":"`+algo+`","parallelism":1,"include_pairs":true,"no_cache":true}`)
+			`{"a":"small","b":"large","distance":10,"algorithm":"`+algo+`","include_pairs":true,"no_cache":true}`)
 		if code != status {
 			t.Fatalf("%s join = %d, want %d: %v", algo, code, status, doc)
 		}

@@ -158,7 +158,7 @@ func TestCollectedJoinBytesBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two 30K-element indexes")
 	}
-	svc := NewService(Config{Parallelism: 1})
+	svc := NewService(Config{})
 	addDataset(t, svc, "ax", transformers.GenerateAxons(32_000, 6))
 	addDataset(t, svc, "dn", transformers.GenerateDendrites(24_000, 106))
 	h := NewHandler(svc)
@@ -223,7 +223,7 @@ func TestCollectedJoinBytesBounded(t *testing.T) {
 // datasets carry no delta: with one, a transformers join at d > 0 still grows a
 // copy of the base for its delta sub-joins.
 func TestSummaryJoinBytesBounded(t *testing.T) {
-	svc := NewService(Config{Parallelism: 1})
+	svc := NewService(Config{})
 	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 1))
 	addDataset(t, svc, "b", transformers.GenerateDenseCluster(2000, 2))
 	type pair struct {
@@ -399,7 +399,7 @@ func TestReplayRacesChurn(t *testing.T) {
 // alone, which that JoinStream hit runs into its emit. Rows report ns a pair
 // and what the entry holds a pair.
 func BenchmarkReplay(b *testing.B) {
-	svc := NewService(Config{Parallelism: 1})
+	svc := NewService(Config{})
 	for _, ds := range []struct {
 		name  string
 		elems []transformers.Element

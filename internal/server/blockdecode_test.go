@@ -204,7 +204,7 @@ func TestBlockDecodeMatchesSerial(t *testing.T) {
 // syntax error deep in a long body, a truncated body, a client that goes away
 // — returns with every decode worker gone, as does one that is accepted.
 func TestBlockDecodeLeavesNoWorker(t *testing.T) {
-	svc := NewService(Config{Parallelism: 1})
+	svc := NewService(Config{})
 	h := NewHandler(svc)
 	const n = 40000 // some 60 blocks
 	good := canonicalBody(n, func(_ int, el string) string { return el })

@@ -214,7 +214,7 @@ func TestDistanceSweepHoldsOneIndex(t *testing.T) {
 	// largest distance contain its pairs at every smaller one.
 	candidates := naiveRef(sample, b, maxDistance)
 
-	svc := NewService(Config{Parallelism: 1})
+	svc := NewService(Config{})
 	addDataset(t, svc, "a", cpElems(a))
 	addDataset(t, svc, "b", cpElems(b))
 	uploaded := liveHeap()
@@ -277,7 +277,7 @@ func TestResidentDatasetHeldOnce(t *testing.T) {
 		{"faultinject", Config{StoreFactory: faultinject.New().StoreFactory}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Parallelism, tc.cfg.MaxIndexes = 1, 1
+			tc.cfg.MaxIndexes = 1
 			residentDatasetHeldOnce(t, tc.cfg)
 		})
 	}
@@ -337,7 +337,7 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 	}
 	const n, extra = 100_000, 4096
 	ctx := context.Background()
-	svc := NewService(Config{Parallelism: 1})
+	svc := NewService(Config{})
 	cat := svc.Catalog()
 	addDataset(t, svc, "u", transformers.GenerateUniform(n, 3))
 	addDataset(t, svc, "d", transformers.GenerateDenseCluster(n, 4))

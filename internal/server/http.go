@@ -98,7 +98,6 @@ type joinRequest struct {
 	// daemon default. The response reports the resolved choice.
 	Algorithm    string  `json:"algorithm,omitempty"`
 	Distance     float64 `json:"distance,omitempty"`
-	Parallelism  int     `json:"parallelism,omitempty"`
 	Stream       bool    `json:"stream,omitempty"`
 	IncludePairs bool    `json:"include_pairs,omitempty"`
 	NoCache      bool    `json:"no_cache,omitempty"`
@@ -626,7 +625,7 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 		badRequest(w, rid, "both dataset names a and b are required")
 		return
 	}
-	params := JoinParams{Parallelism: req.Parallelism, NoCache: req.NoCache, Algorithm: req.Algorithm}
+	params := JoinParams{NoCache: req.NoCache, Algorithm: req.Algorithm}
 	if distance {
 		// NaN fails every comparison, so `<= 0` alone would wave it (and the
 		// infinities) through to fail deep in planning as a generic 500.

@@ -310,13 +310,13 @@ func TestHTTPConcurrentRequests(t *testing.T) {
 	postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"uniform","n":1200,"seed":82}}`)
 
 	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
+	for range 6 {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				code, doc := postJSON(t, ts.URL+"/join",
-					fmt.Sprintf(`{"a":"a","b":"b","no_cache":%v,"parallelism":%d}`, i%2 == 0, 1+w%2))
+					fmt.Sprintf(`{"a":"a","b":"b","no_cache":%v}`, i%2 == 0))
 				if code != http.StatusOK {
 					t.Errorf("join = %d: %v", code, doc)
 					return
@@ -332,11 +332,36 @@ func TestHTTPConcurrentRequests(t *testing.T) {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := svc.Catalog().Stats().Builds; got != 2 {
 		t.Fatalf("builds = %d, want 2", got)
+	}
+}
+
+// TestHTTPJoinRefusesParallelism: a served join runs on one worker, so a
+// body that still sends "parallelism" is refused as an unknown field — a 400
+// naming it, before planning or admission: no join counted, no slot taken.
+func TestHTTPJoinRefusesParallelism(t *testing.T) {
+	ts, svc := newTestServer(t, Config{})
+	postJSON(t, ts.URL+"/datasets", `{"name":"a","generate":{"kind":"uniform","n":200,"seed":1}}`)
+	postJSON(t, ts.URL+"/datasets", `{"name":"b","generate":{"kind":"uniform","n":200,"seed":2}}`)
+	before := svc.Stats().Pool.Tenants[DefaultTenant].Admitted
+
+	code, doc := postJSON(t, ts.URL+"/join", `{"a":"a","b":"b","parallelism":2}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400: %v", code, doc)
+	}
+	if msg, _ := doc["error"].(string); !strings.Contains(msg, `"parallelism"`) {
+		t.Fatalf("error = %q, want it to name the parallelism field", msg)
+	}
+	st := svc.Stats()
+	if st.Joins != 0 {
+		t.Fatalf("joins = %d, want 0: a refused body must not be planned", st.Joins)
+	}
+	if got := st.Pool.Tenants[DefaultTenant].Admitted; got != before || st.Pool.Active != 0 || st.Pool.Queued != 0 {
+		t.Fatalf("pool after a refused body: admitted %d (was %d), %+v", got, before, st.Pool)
 	}
 }
 

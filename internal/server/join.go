@@ -17,9 +17,6 @@ type JoinParams struct {
 	// Distance > 0 runs the distance join of §VIII: pairs whose boxes come
 	// within the given Chebyshev distance. 0 is the plain intersection join.
 	Distance float64
-	// Parallelism overrides the per-join worker count (service default when
-	// zero, all cores when negative).
-	Parallelism int
 	// NoCache bypasses the result cache (both lookup and fill).
 	NoCache bool
 	// Algorithm names the engine to run: a ServedEngines entry,
@@ -51,22 +48,19 @@ func predicateOf(distance float64) string {
 	return "intersects"
 }
 
-// admitted runs fn on cost pool slot units, bracketing the queue wait with an
-// "admission-wait" span (queue depth at arrival, and the units admitted: the
-// cost clamped to the pool's capacity) and the slot
-// time with a top-level "execute" span whose context fn receives, so engine
-// and catalog spans nest under it. The execute span is returned (nil when
-// untraced or never admitted) so a streamed join can attach its emit record
-// to it after the fact.
-func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Context) error) (*obs.Span, error) {
-	cost = s.pool.clampCost(cost)
+// admitted runs fn on one pool slot, bracketing the queue wait with an
+// "admission-wait" span (queue depth at arrival) and the slot time with a
+// top-level "execute" span whose context fn receives, so engine and catalog
+// spans nest under it. The execute span is returned (nil when untraced or
+// never admitted) so a streamed join can attach its emit record to it after
+// the fact.
+func (s *Service) admitted(ctx context.Context, fn func(ctx context.Context) error) (*obs.Span, error) {
 	_, wait := obs.Start(ctx, "admission-wait")
 	if wait != nil {
 		wait.Add("queue_depth", int64(s.pool.QueueDepth()))
-		wait.Add("cost_units", int64(cost))
 	}
 	var exec *obs.Span
-	err := s.pool.Do(ctx, admission(ctx, cost), func() error {
+	err := s.pool.Do(ctx, admission(ctx), func() error {
 		wait.End()
 		ectx, ex := obs.Start(ctx, "execute")
 		exec = ex
@@ -88,12 +82,12 @@ type execution struct {
 	span *obs.Span
 }
 
-// executeJoin runs the planned join inside one admission — a slot unit a
-// worker (jp.cost) — so admission control bounds all expensive work,
-// including the single-flight partition build an inmem acquisition can
-// trigger. Waiting on another request's in-flight partition build consumes
-// these slots, for no longer than the request's own deadline, and never needs
-// a second admission, so slots cannot deadlock. There is one branch per
+// executeJoin runs the planned join on one worker inside one admission — one
+// slot — so admission control bounds all expensive work, including the
+// single-flight partition build an inmem acquisition can trigger. Waiting on
+// another request's in-flight partition build holds the slot, for no longer
+// than the request's own deadline, and never needs a second admission, so
+// slots cannot deadlock. There is one branch per
 // served engine (planJoin admits no other), each reading what the catalog
 // holds. Every pair, of both branches and of the delta sub-joins, leaves
 // through emit.
@@ -126,8 +120,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			baseB, deltaB, epochB := s.cat.DeltaView(hb)
 			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
-				Parallelism: jp.parallelism,
-				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
+				Prebuilt: &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
 			}, emit)
 			if err == nil && len(deltaA)+len(deltaB) > 0 {
 				ex.delta, err = s.deltaJoin(ctx, ex.res, baseA, baseB, deltaA, deltaB, p.Distance, emit)
@@ -160,8 +153,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			}
 			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo)
 			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
-				Parallelism: jp.parallelism,
-				Prebuilt:    &engine.Prebuilt{Partition: h.Partition},
+				Prebuilt: &engine.Prebuilt{Partition: h.Partition},
 			}, emit)
 			if err != nil {
 				return err
@@ -177,7 +169,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 		}
 	}
 	var err error
-	ex.span, err = s.admitted(ctx, jp.cost, run)
+	ex.span, err = s.admitted(ctx, run)
 	if err != nil {
 		s.noteOutcome(ctx, err)
 	}

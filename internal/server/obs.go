@@ -61,7 +61,7 @@ func newServiceObs(s *Service, cfg Config) *serviceObs {
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("spatialjoin_pool_queue_depth", "Requests waiting for pool admission.",
 		func() float64 { return float64(s.pool.QueueDepth()) })
-	r.GaugeFunc("spatialjoin_pool_slot_utilization", "Executing slot units / pool capacity.",
+	r.GaugeFunc("spatialjoin_pool_slot_utilization", "Executing joins and builds / pool slots.",
 		func() float64 {
 			ps := s.pool.Stats()
 			if ps.Workers <= 0 {

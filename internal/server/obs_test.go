@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,6 +120,14 @@ func TestTraceSpanTreeCollected(t *testing.T) {
 	}
 	if wall := out.Trace.WallMS; sum < 0.9*wall || sum > 1.1*wall {
 		t.Fatalf("top-level span durations sum to %.3fms, want within 10%% of wall %.3fms", sum, wall)
+	}
+
+	// The admission-wait span carries the queue depth at arrival, and only
+	// that: a join takes one slot, so there is no price to report.
+	for _, s := range out.Trace.Spans {
+		if d, ok := s.Counters["queue_depth"]; s.Name == "admission-wait" && (!ok || d != 0 || len(s.Counters) != 1) {
+			t.Fatalf("admission-wait counters = %v, want only queue_depth 0 on an idle pool", s.Counters)
+		}
 	}
 
 	// The engine span carries the execution counters.
@@ -532,7 +539,7 @@ func TestObsShedAndBusyJoins(t *testing.T) {
 	svc.pool = NewPool(PoolConfig{Capacity: 1, MaxQueue: 0})
 	block := make(chan struct{})
 	unblock := make(chan struct{})
-	go svc.pool.Do(t.Context(), Request{Tenant: "x", Cost: 1}, func() error {
+	go svc.pool.Do(t.Context(), Request{Tenant: "x"}, func() error {
 		close(block)
 		<-unblock
 		return nil
@@ -794,28 +801,6 @@ func TestObsIngestAttribution(t *testing.T) {
 	} {
 		if !strings.Contains(string(raw), line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
-		}
-	}
-}
-
-// TestAdmissionChargesWorkers: a join costs the pool one slot a worker it
-// runs — its resolved parallelism, the service default when the request sets
-// none and GOMAXPROCS when it is negative — and its admission-wait span
-// reports the units admitted: that price clamped to the pool's capacity, so
-// a price above it still runs, alone.
-func TestAdmissionChargesWorkers(t *testing.T) {
-	svc := NewService(Config{Workers: 2})
-	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 411))
-	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 412))
-	for _, tc := range []struct{ parallelism, cost int }{{0, 1}, {2, 2}, {-1, min(runtime.GOMAXPROCS(0), 2)}, {64, 2}} {
-		tr := obs.New("")
-		p := JoinParams{Parallelism: tc.parallelism, NoCache: true}
-		if _, err := svc.Join(obs.NewContext(context.Background(), tr), "a", "b", p); err != nil {
-			t.Fatalf("parallelism %d: %v", tc.parallelism, err)
-		}
-		wait := tr.Finish().Find("admission-wait")
-		if wait == nil || wait.Counters["cost_units"] != int64(tc.cost) {
-			t.Fatalf("parallelism %d: admission-wait span %+v, want cost_units %d", tc.parallelism, wait, tc.cost)
 		}
 	}
 }

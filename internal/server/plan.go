@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/engine"
@@ -25,22 +24,18 @@ type joinInput struct {
 // joinPlan is the resolved execution of one join request — everything
 // decided before any expensive work runs.
 type joinPlan struct {
-	algo        string
-	plan        *PlannerInfo
-	parallelism int
+	algo string
+	plan *PlannerInfo
 	// a and b are the inputs as planned; their versions and delta epochs are
 	// the cache fast path's key components.
 	a, b joinInput
-	// cost is the admission price in pool slot units: the join's resolved
-	// worker count (one slot is one core).
-	cost int
 	// scores is the full candidate set, priced for explicit requests too,
 	// not just "auto".
 	scores []planner.Score
 }
 
-// planJoin validates the request and resolves it — engine, input versions,
-// workers, admission price — from one fetch of both inputs' counts and one
+// planJoin validates the request and resolves it — engine and input
+// versions — from one fetch of both inputs' counts and one
 // planner.Plan call over the served engines, whether the planner chooses the
 // engine ("auto") or only prices the one the request names; any other name is
 // an ErrUnknownAlgorithm (CheckAlgorithm). Each engine is priced by the
@@ -51,16 +46,9 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if p.Distance < 0 || math.IsNaN(p.Distance) || math.IsInf(p.Distance, 0) {
 		return joinPlan{}, fmt.Errorf("server: invalid distance %v", p.Distance)
 	}
-	jp := joinPlan{algo: p.Algorithm, parallelism: p.Parallelism}
+	jp := joinPlan{algo: p.Algorithm}
 	if jp.algo == "" {
 		jp.algo = s.cfg.DefaultAlgorithm
-	}
-	if jp.parallelism == 0 {
-		jp.parallelism = s.cfg.Parallelism
-	}
-	jp.cost = jp.parallelism
-	if jp.cost < 0 {
-		jp.cost = runtime.GOMAXPROCS(0)
 	}
 	if err := CheckAlgorithm(jp.algo); err != nil {
 		return joinPlan{}, err
@@ -119,5 +107,4 @@ func annotatePlan(span *obs.Span, jp joinPlan) {
 		return
 	}
 	span.Add("candidates", int64(len(jp.scores)))
-	span.Add("cost_units", int64(jp.cost))
 }

@@ -43,7 +43,7 @@ func priceOf(jp joinPlan) float64 {
 // distance joins each explore both engines, and each is priced by its own
 // walls.
 func TestServiceDistanceJoinPlanning(t *testing.T) {
-	svc := NewService(Config{Workers: 1, Parallelism: 1})
+	svc := NewService(Config{Workers: 1})
 	ctx := context.Background()
 	addDataset(t, svc, "a", transformers.GenerateUniform(3000, 6))
 	addDataset(t, svc, "b", transformers.GenerateUniform(3000, 7))

@@ -12,7 +12,7 @@ import (
 )
 
 // ErrBusy is returned when the pool is saturated and nothing can wait: every
-// slot unit is in use and the pool was configured without a queue. The HTTP
+// slot is in use and the pool was configured without a queue. The HTTP
 // layer turns it into 503 so clients back off the daemon as a whole.
 var ErrBusy = errors.New("server: join queue full")
 
@@ -44,43 +44,43 @@ func (p Priority) String() string {
 	return "interactive"
 }
 
-// Request describes one unit of work asking for pool admission.
+// Request describes one unit of work asking for pool admission: a join or a
+// build, which takes one slot while it runs.
 type Request struct {
 	// Tenant bills the work to a tenant's fair share (DefaultTenant when
 	// empty).
 	Tenant string
 	// Priority selects the admission lane.
 	Priority Priority
-	// Cost is the request's weight in slot units — a join counts one a
-	// worker it runs. Values below 1 cost 1; values above the pool capacity
-	// are clamped to it (such a request runs alone, which is the point).
+	// Deprecated: Cost is ignored; every request takes one slot. The field
+	// stays only because the benchmark's layer run still sets it.
 	Cost int
 }
 
 // PoolConfig sizes the fair-share pool.
 type PoolConfig struct {
-	// Capacity is the number of concurrently executing slot units
-	// (runtime.GOMAXPROCS(0) when <= 0). A cost-1 request takes one unit.
+	// Capacity is the number of slots: requests executing at once
+	// (runtime.GOMAXPROCS(0) when <= 0).
 	Capacity int
 	// MaxQueue bounds the number of requests waiting for admission across
 	// all tenants: negative means unbounded, zero means no waiting at all
 	// (saturation returns ErrBusy immediately).
 	MaxQueue int
-	// TenantSlots caps one tenant's concurrently executing units while
-	// other tenants are waiting (<= 0 means Capacity, i.e. no isolation).
-	// An idle pool is work-conserving: a lone tenant may exceed its share,
-	// and a tenant with nothing executing may start one request costing more.
+	// TenantSlots caps one tenant's executing requests while other tenants
+	// are waiting (<= 0 means Capacity, i.e. no isolation). A lone waiting
+	// tenant may exceed its share rather than leave a slot idle.
 	TenantSlots int
 	// TenantQueue caps one tenant's waiting requests (<= 0 means no
 	// per-tenant cap beyond MaxQueue). The excess is shed with ErrShed.
 	TenantQueue int
 }
 
-// Pool is a weighted fair-share admission scheduler. Requests carry a tenant,
-// a priority lane and a cost in slot units; the pool bounds total concurrent
-// units, keeps every tenant within its share while others wait, dispatches
-// interactive work before batch work, and — when the global queue fills —
-// sheds from the heaviest tenant's queue first instead of rejecting everyone.
+// Pool is a fair-share admission scheduler. Requests carry a tenant and a
+// priority lane and take one slot each; the pool bounds the requests
+// executing at once, keeps every tenant within its share while others wait,
+// dispatches interactive work before batch work, and — when the global queue
+// fills — sheds from the heaviest tenant's queue first instead of rejecting
+// everyone.
 type Pool struct {
 	mu          sync.Mutex
 	capacity    int
@@ -101,13 +101,12 @@ type Pool struct {
 // tenantState is one tenant's admission bookkeeping. Waiter queues are
 // per-lane FIFO lists of *waiter.
 type tenantState struct {
-	name        string
-	inUse       int // executing units
-	queuedUnits int // waiting units (cost-weighted: the shedding measure)
-	lanes       [2]*list.List
-	admitted    uint64
-	shedCount   uint64
-	lastShed    time.Time
+	name      string
+	inUse     int // executing requests
+	lanes     [2]*list.List
+	admitted  uint64
+	shedCount uint64
+	lastShed  time.Time
 }
 
 func (t *tenantState) queuedLen() int { return t.lanes[0].Len() + t.lanes[1].Len() }
@@ -116,7 +115,6 @@ func (t *tenantState) queuedLen() int { return t.lanes[0].Len() + t.lanes[1].Len
 type waiter struct {
 	tenant *tenantState
 	lane   int
-	cost   int
 	seq    uint64
 	ready  chan struct{} // closed on admission or shed
 	shed   bool          // set (before close) when evicted by load shedding
@@ -130,15 +128,15 @@ type TenantPoolStats struct {
 	Admitted uint64 `json:"admitted"`
 	Shed     uint64 `json:"shed"`
 	// Queued is the current number of waiting requests; InUse the
-	// currently executing slot units.
+	// number executing.
 	Queued int `json:"queued"`
 	InUse  int `json:"in_use"`
 }
 
 // PoolStats is a snapshot of pool activity.
 type PoolStats struct {
-	// Workers is the pool capacity in slot units (the historical name:
-	// one cost-1 join per unit).
+	// Workers is the pool capacity in slots: the requests that may execute
+	// at once.
 	Workers   int    `json:"workers"`
 	Active    int64  `json:"active"`
 	Queued    int64  `json:"queued"`
@@ -182,20 +180,8 @@ func (p *Pool) tenant(name string) *tenantState {
 	return t
 }
 
-// clampCost normalizes a request cost into [1, capacity]: the units Do
-// admits it on. The capacity is fixed at NewPool, so no lock is needed.
-func (p *Pool) clampCost(c int) int {
-	if c < 1 {
-		return 1
-	}
-	if c > p.capacity {
-		return p.capacity
-	}
-	return c
-}
-
-// Do runs fn on req.Cost admitted slot units, waiting fairly for them if the
-// pool is contended. It returns ErrShed when admission control sheds the
+// Do runs fn on an admitted slot, waiting fairly for one if the pool is
+// contended. It returns ErrShed when admission control sheds the
 // request (per-tenant queue overflow, or eviction as the heaviest queue under
 // global overflow), ErrBusy when the pool is saturated and configured with no
 // queue, and the context's error when the caller gives up before admission.
@@ -209,12 +195,11 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 	}
 
 	p.mu.Lock()
-	cost := p.clampCost(req.Cost)
 	t := p.tenant(req.Tenant)
-	if p.queuedLen == 0 && p.runnableLocked(t, cost) {
-		p.admitLocked(t, cost)
+	if p.queuedLen == 0 && p.runnableLocked(t) {
+		p.admitLocked(t)
 		p.mu.Unlock()
-		return p.run(t, cost, fn)
+		return p.run(t, fn)
 	}
 	if p.maxQueue == 0 {
 		// No queue configured: saturation is an immediate global reject.
@@ -225,10 +210,9 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 
 	// Enqueue first, then dispatch: newcomers never leapfrog waiters the
 	// scheduler would have picked ahead of them (dispatch decides).
-	w := &waiter{tenant: t, lane: lane, cost: cost, seq: p.seq, ready: make(chan struct{})}
+	w := &waiter{tenant: t, lane: lane, seq: p.seq, ready: make(chan struct{})}
 	p.seq++
 	w.elem = t.lanes[lane].PushBack(w)
-	t.queuedUnits += cost
 	p.queuedLen++
 	p.dispatchLocked()
 
@@ -262,18 +246,17 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 			return ErrShed
 		}
 		// Admitted — but the caller may have gone away while we waited;
-		// running the work would burn units on a result nobody reads.
+		// running the work would burn a slot on a result nobody reads.
 		if err := ctx.Err(); err != nil {
-			p.release(t, cost, false)
+			p.release(t, false)
 			return err
 		}
-		return p.run(t, cost, fn)
+		return p.run(t, fn)
 	case <-ctx.Done():
 		p.mu.Lock()
 		if w.elem != nil {
-			// Still queued: withdraw, then dispatch — w may have been the
-			// waiter holding capacity, or the queue that kept another
-			// tenant's over-share waiter out.
+			// Still queued: withdraw, then dispatch — w's queue may have
+			// been what kept another tenant's over-share waiter out.
 			p.withdrawLocked(w)
 			p.dispatchLocked()
 			p.mu.Unlock()
@@ -286,7 +269,7 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 		if w.shed {
 			return ErrShed
 		}
-		p.release(t, cost, false)
+		p.release(t, false)
 		return ctx.Err()
 	}
 }
@@ -295,21 +278,20 @@ func (p *Pool) Do(ctx context.Context, req Request, fn func() error) error {
 func (p *Pool) withdrawLocked(w *waiter) {
 	w.tenant.lanes[w.lane].Remove(w.elem)
 	w.elem = nil
-	w.tenant.queuedUnits -= w.cost
 	p.queuedLen--
 }
 
-// run executes fn on already-admitted units and releases them.
-func (p *Pool) run(t *tenantState, cost int, fn func() error) error {
-	defer p.release(t, cost, true)
+// run executes fn on an already-admitted slot and releases it.
+func (p *Pool) run(t *tenantState, fn func() error) error {
+	defer p.release(t, true)
 	return fn()
 }
 
-// release returns cost units to the pool and dispatches waiters.
-func (p *Pool) release(t *tenantState, cost int, completed bool) {
+// release returns a slot to the pool and dispatches waiters.
+func (p *Pool) release(t *tenantState, completed bool) {
 	p.mu.Lock()
-	p.inUse -= cost
-	t.inUse -= cost
+	p.inUse--
+	t.inUse--
 	if completed {
 		p.completed++
 	}
@@ -317,28 +299,15 @@ func (p *Pool) release(t *tenantState, cost int, completed bool) {
 	p.mu.Unlock()
 }
 
-// runnableLocked reports whether a request of the given cost may start now:
-// enough free units, and the tenant within its fair share — unless no other
-// tenant is waiting, in which case the pool is work-conserving and lets a
-// lone tenant exceed its share rather than idle the capacity.
-func (p *Pool) runnableLocked(t *tenantState, cost int) bool {
-	if p.capacity-p.inUse < cost {
+// runnableLocked reports whether a request of t may start now: a free slot,
+// and the tenant within its fair share — unless no other tenant is waiting,
+// in which case the pool is work-conserving and lets a lone tenant exceed its
+// share rather than idle the slot.
+func (p *Pool) runnableLocked(t *tenantState) bool {
+	if p.inUse >= p.capacity {
 		return false
 	}
-	if p.withinShareLocked(t, cost) {
-		return true
-	}
-	return !p.othersWaitingLocked(t)
-}
-
-// withinShareLocked reports whether t may start a request of the given cost
-// while other tenants wait: its executing units plus the cost fit its share,
-// or it has nothing executing. The second case admits a request costing more
-// than the share (a join running more workers than -tenant-slots) one at a
-// time; without it such a request would wait forever behind any other
-// tenant's queue, and the pool would never hold capacity for it.
-func (p *Pool) withinShareLocked(t *tenantState, cost int) bool {
-	return t.inUse == 0 || t.inUse+cost <= p.tenantCap
+	return t.inUse < p.tenantCap || !p.othersWaitingLocked(t)
 }
 
 func (p *Pool) othersWaitingLocked(t *tenantState) bool {
@@ -350,15 +319,15 @@ func (p *Pool) othersWaitingLocked(t *tenantState) bool {
 	return false
 }
 
-func (p *Pool) admitLocked(t *tenantState, cost int) {
-	p.inUse += cost
-	t.inUse += cost
+func (p *Pool) admitLocked(t *tenantState) {
+	p.inUse++
+	t.inUse++
 	t.admitted++
 }
 
 // dispatchLocked admits as many waiters as fit, interactive lane first, and
-// within a lane the tenant with the fewest executing units (weighted fair
-// share), FIFO within a tenant.
+// within a lane the tenant with the fewest executing requests (fair share),
+// FIFO within a tenant.
 func (p *Pool) dispatchLocked() {
 	for {
 		w := p.pickLocked()
@@ -366,62 +335,43 @@ func (p *Pool) dispatchLocked() {
 			return
 		}
 		p.withdrawLocked(w)
-		p.admitLocked(w.tenant, w.cost)
+		p.admitLocked(w.tenant)
 		close(w.ready)
 	}
 }
 
 // pickLocked selects the next admissible waiter, or nil. Interactive lane
-// first; within a lane, the tenant with the fewest executing units wins
-// (weighted fair share), oldest arrival breaking ties. A waiter that is
-// within its tenant's share but blocked on free capacity (a large-cost join
-// waiting for the pool to drain) holds that capacity: no younger waiter is
-// admitted past it, so expensive requests cannot be starved by a stream of
-// cheap ones.
+// first; within a lane, the tenant with the fewest executing requests wins
+// (fair share), oldest arrival breaking ties. A waiter blocked by its share
+// does not block the lane: another tenant's waiter behind it may start.
 func (p *Pool) pickLocked() *waiter {
 	for lane := 0; lane < 2; lane++ {
-		var best, oldestHeld *waiter
+		var best *waiter
 		for _, t := range p.tenants {
 			e := t.lanes[lane].Front()
-			if e == nil {
+			if e == nil || !p.runnableLocked(t) {
 				continue
 			}
 			w := e.Value.(*waiter)
-			if p.runnableLocked(t, w.cost) {
-				if best == nil ||
-					t.inUse < best.tenant.inUse ||
-					(t.inUse == best.tenant.inUse && w.seq < best.seq) {
-					best = w
-				}
-			} else if p.withinShareLocked(t, w.cost) {
-				// Within share, blocked only on free units.
-				if oldestHeld == nil || w.seq < oldestHeld.seq {
-					oldestHeld = w
-				}
+			if best == nil ||
+				t.inUse < best.tenant.inUse ||
+				(t.inUse == best.tenant.inUse && w.seq < best.seq) {
+				best = w
 			}
 		}
-		if best != nil && (oldestHeld == nil || best.seq < oldestHeld.seq) {
+		if best != nil {
 			return best
-		}
-		if oldestHeld != nil {
-			// Hold remaining capacity for the oldest in-share waiter —
-			// admitting anyone younger (this lane or the next) would steal
-			// the units it is draining toward.
-			return nil
 		}
 	}
 	return nil
 }
 
-// heaviestLocked returns the tenant with the most queued units (the shedding
-// victim under global overflow), or nil when nothing is queued.
+// heaviestLocked returns the tenant with the most queued requests (the
+// shedding victim under global overflow), or nil when nothing is queued.
 func (p *Pool) heaviestLocked() *tenantState {
 	var h *tenantState
 	for _, t := range p.tenants {
-		if t.queuedLen() == 0 {
-			continue
-		}
-		if h == nil || t.queuedUnits > h.queuedUnits {
+		if n := t.queuedLen(); n > 0 && (h == nil || n > h.queuedLen()) {
 			h = t
 		}
 	}

@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -233,175 +236,6 @@ func TestPoolOverflowSheddingRequesterIsHeaviest(t *testing.T) {
 	}
 }
 
-// TestPoolCostWeighting: request cost consumes slot units — two cost-3
-// requests cannot run together on capacity 4, and a cost above capacity
-// clamps to it (the request runs alone).
-func TestPoolCostWeighting(t *testing.T) {
-	p := NewPool(PoolConfig{Capacity: 4, MaxQueue: -1})
-	rel := occupy(t, p, Request{Cost: 3})
-	if got := p.Stats().Active; got != 3 {
-		t.Fatalf("active units = %d, want 3", got)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		done <- p.Do(context.Background(), Request{Cost: 3}, func() error { return nil })
-	}()
-	waitQueued(t, p, 1) // only 1 unit free: the second cost-3 request waits
-	rel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	// Cost beyond capacity clamps: the request is admissible and runs alone.
-	relBig := occupy(t, p, Request{Cost: 1000})
-	if got := p.Stats().Active; got != 4 {
-		t.Fatalf("clamped active units = %d, want 4 (pool capacity)", got)
-	}
-	small := make(chan error, 1)
-	go func() {
-		small <- p.Do(context.Background(), Request{Cost: 1}, func() error { return nil })
-	}()
-	waitQueued(t, p, 1) // nothing fits beside it
-	relBig()
-	if err := <-small; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPoolLargeCostNotStarved: a queued expensive request must not be starved
-// by a stream of cheap ones — the scheduler holds draining capacity for it.
-func TestPoolLargeCostNotStarved(t *testing.T) {
-	p := NewPool(PoolConfig{Capacity: 4, MaxQueue: -1})
-	rels := []func(){
-		occupy(t, p, Request{Tenant: "cheap", Cost: 1}),
-		occupy(t, p, Request{Tenant: "cheap", Cost: 1}),
-		occupy(t, p, Request{Tenant: "cheap", Cost: 1}),
-		occupy(t, p, Request{Tenant: "cheap", Cost: 1}),
-	}
-
-	order := make(chan string, 9)
-	bigDone := make(chan error, 1)
-	go func() {
-		bigDone <- p.Do(context.Background(), Request{Tenant: "big", Cost: 4}, func() error {
-			order <- "big"
-			return nil
-		})
-	}()
-	waitQueued(t, p, 1)
-
-	// A stream of cheap requests from another tenant arrives behind it. None
-	// may leapfrog into the units draining toward the cost-4 waiter, even
-	// though each of them would fit the moment one unit frees up.
-	cheap := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func() {
-			cheap <- p.Do(context.Background(), Request{Tenant: "cheap", Cost: 1}, func() error {
-				order <- "cheap"
-				return nil
-			})
-		}()
-	}
-	waitQueued(t, p, 9)
-
-	for _, rel := range rels {
-		rel()
-	}
-	select {
-	case err := <-bigDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(poolTestTimeout):
-		t.Fatal("cost-4 request starved by cheap stream")
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-cheap; err != nil {
-			t.Fatalf("cheap request %d: %v", i, err)
-		}
-	}
-	if first := <-order; first != "big" {
-		t.Fatalf("first completed request = %q, want the held cost-4 request", first)
-	}
-}
-
-// TestPoolCostAboveTenantSlots: a request costing more than -tenant-slots
-// (a join running more workers than a tenant's share) is admitted once its
-// tenant has nothing executing, even while another tenant waits. Two tenants
-// queue such requests behind a running one; when it finishes, both complete
-// in turn on an otherwise idle pool, with no deadline needed to unstick them.
-func TestPoolCostAboveTenantSlots(t *testing.T) {
-	p := NewPool(PoolConfig{Capacity: 2, MaxQueue: -1, TenantSlots: 1})
-	rel := occupy(t, p, Request{Tenant: "a", Cost: 2})
-
-	order := make(chan string, 2)
-	done := make(chan error, 2)
-	enqueue := func(tenant string) {
-		go func() {
-			done <- p.Do(context.Background(), Request{Tenant: tenant, Cost: 2}, func() error {
-				order <- tenant
-				return nil
-			})
-		}()
-	}
-	enqueue("a")
-	waitQueued(t, p, 1)
-	enqueue("b")
-	waitQueued(t, p, 2)
-
-	rel()
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(poolTestTimeout):
-			t.Fatalf("cost-2 waiters stalled on an idle pool: %+v", p.Stats())
-		}
-	}
-	if first, second := <-order, <-order; first != "a" || second != "b" {
-		t.Fatalf("admission order = %s, %s; want the older waiter (a) first", first, second)
-	}
-	if st := p.Stats(); st.Active != 0 || st.Queued != 0 {
-		t.Fatalf("pool not drained: %+v", st)
-	}
-}
-
-// TestPoolCancelOfHeldWaiterDispatches: when the waiter the pool holds
-// draining capacity for gives up, the younger waiter it blocked is admitted
-// at once, not at the next release.
-func TestPoolCancelOfHeldWaiterDispatches(t *testing.T) {
-	p := NewPool(PoolConfig{Capacity: 2, MaxQueue: -1})
-	rel := occupy(t, p, Request{Tenant: "a", Cost: 1})
-	defer rel()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	bigDone := make(chan error, 1)
-	go func() {
-		bigDone <- p.Do(ctx, Request{Tenant: "big", Cost: 2}, func() error { return nil })
-	}()
-	waitQueued(t, p, 1)
-	cheapDone := make(chan error, 1)
-	go func() {
-		cheapDone <- p.Do(context.Background(), Request{Tenant: "b", Cost: 1}, func() error { return nil })
-	}()
-	waitQueued(t, p, 2)
-
-	cancel()
-	if err := <-bigDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("held waiter: err = %v, want context.Canceled", err)
-	}
-	select {
-	case err := <-cheapDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(poolTestTimeout):
-		t.Fatalf("waiter behind a withdrawn hold was not dispatched: %+v", p.Stats())
-	}
-}
-
 // TestPoolCancelWhileQueuedReleasesSlot: a waiter abandoning the queue frees
 // its queue slot, and the pool keeps serving.
 func TestPoolCancelWhileQueuedReleasesSlot(t *testing.T) {
@@ -559,4 +393,250 @@ func TestPoolTwoTenantOverload(t *testing.T) {
 	}
 	t.Logf("light p99: baseline %v, under load %v; heavy shed %d of %d admitted",
 		basep99, loadedp99, st.Tenants["heavy"].Shed, st.Tenants["heavy"].Admitted)
+}
+
+// poolModelTenants are the tenants of TestPoolModel's schedules.
+var poolModelTenants = [3]string{"a", "b", "c"}
+
+// modelReq is one request of a TestPoolModel schedule. started, startStep,
+// done and err are written by the request's goroutine, under poolModel.mu;
+// released and canceled only by poolModel.run.
+type modelReq struct {
+	tenant    string
+	batch     bool
+	cancel    context.CancelFunc
+	release   chan struct{}
+	released  bool
+	canceled  bool
+	started   bool
+	startStep int
+	done      bool
+	err       error
+}
+
+// poolModel drives one pool through a schedule, one step at a time.
+type poolModel struct {
+	t     *testing.T
+	p     *Pool
+	share int // the pool's effective TenantSlots
+	where string
+	mu    sync.Mutex
+	step  int
+	reqs  []*modelReq
+}
+
+// TestPoolModel drives the pool through seeded random schedules — three
+// tenants arriving in both lanes, releases of running requests and
+// cancellations of queued ones, under random Capacity, TenantSlots,
+// TenantQueue and MaxQueue — and after every step, once each request is
+// running, queued or returned, checks that:
+//   - no more requests execute than the pool has slots;
+//   - the per-tenant counts sum to the pool's;
+//   - no queued request could start while a slot is free (work conservation;
+//     after a cancellation this is the check that the withdrawn waiter's
+//     peers it kept out started at once, not at the next release);
+//   - no batch request started in the step while an interactive one that
+//     could have started in its place still waits.
+//
+// A drained pool must read Active == 0 && Queued == 0, and every request
+// must have returned the error its fate calls for. The seed is logged;
+// replay a failing schedule with CHAOS_SEED=<seed>.
+func TestPoolModel(t *testing.T) {
+	seed := chaosSeed(t)
+	rng := rand.New(rand.NewSource(seed))
+	for round := range 25 {
+		cfg := PoolConfig{
+			Capacity:    1 + rng.Intn(4),
+			MaxQueue:    rng.Intn(8) - 1, // -1 unbounded, 0 no queue at all
+			TenantSlots: rng.Intn(4),
+			TenantQueue: rng.Intn(4),
+		}
+		m := &poolModel{t: t, p: NewPool(cfg), share: cfg.Capacity,
+			where: fmt.Sprintf("seed %d round %d %+v", seed, round, cfg)}
+		if cfg.TenantSlots > 0 && cfg.TenantSlots < cfg.Capacity {
+			m.share = cfg.TenantSlots
+		}
+		m.run(rng, 80, cfg.MaxQueue == 0)
+	}
+}
+
+func (m *poolModel) run(rng *rand.Rand, steps int, noQueue bool) {
+	for step := 1; step <= steps; step++ {
+		m.mu.Lock()
+		m.step = step
+		running, queued := m.partitionLocked()
+		m.mu.Unlock()
+		switch k := rng.Intn(10); {
+		case k < 3 && len(running) > 0:
+			m.release(running[rng.Intn(len(running))])
+		case k < 5 && len(queued) > 0:
+			r := queued[rng.Intn(len(queued))]
+			r.canceled = true
+			r.cancel()
+		default:
+			m.arrive(poolModelTenants[rng.Intn(len(poolModelTenants))], Priority(rng.Intn(2)))
+		}
+		m.check(m.settle(), step)
+	}
+
+	// Drain: release whatever runs until nothing runs or waits.
+	for {
+		m.mu.Lock()
+		m.step++
+		running, queued := m.partitionLocked()
+		m.mu.Unlock()
+		if len(running)+len(queued) == 0 {
+			break
+		}
+		for _, r := range running {
+			m.release(r)
+		}
+		m.check(m.settle(), m.step)
+	}
+	if st := m.p.Stats(); st.Active != 0 || st.Queued != 0 {
+		m.t.Fatalf("%s: drained pool reads %+v", m.where, st)
+	}
+	for i, r := range m.reqs {
+		var want []error
+		switch {
+		case r.started:
+			want = []error{nil}
+		case r.canceled:
+			want = []error{context.Canceled}
+		case noQueue:
+			want = []error{ErrBusy}
+		default:
+			want = []error{ErrShed}
+		}
+		if !slices.Contains(want, r.err) {
+			m.t.Fatalf("%s: request %d (%+v) returned %v, want %v", m.where, i, *r, r.err, want[0])
+		}
+	}
+}
+
+// partitionLocked lists the running and the queued requests.
+func (m *poolModel) partitionLocked() (running, queued []*modelReq) {
+	for _, r := range m.reqs {
+		switch {
+		case r.done:
+		case r.started:
+			running = append(running, r)
+		default:
+			queued = append(queued, r)
+		}
+	}
+	return running, queued
+}
+
+func (m *poolModel) release(r *modelReq) {
+	r.released = true
+	close(r.release)
+}
+
+// arrive starts a request whose work blocks until the schedule releases it.
+func (m *poolModel) arrive(tenant string, pr Priority) {
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &modelReq{tenant: tenant, batch: pr == Batch, cancel: cancel, release: make(chan struct{})}
+	m.mu.Lock()
+	m.reqs = append(m.reqs, r)
+	m.mu.Unlock()
+	go func() {
+		err := m.p.Do(ctx, Request{Tenant: tenant, Priority: pr}, func() error {
+			m.mu.Lock()
+			r.started, r.startStep = true, m.step
+			m.mu.Unlock()
+			<-r.release
+			return nil
+		})
+		cancel()
+		m.mu.Lock()
+		r.done, r.err = true, err
+		m.mu.Unlock()
+	}()
+}
+
+// settle waits until every released or canceled request has returned and
+// the pool's per-tenant counts agree with the requests' own view — each
+// running, queued or returned, none in between — and returns that snapshot.
+func (m *poolModel) settle() PoolStats {
+	deadline := time.Now().Add(poolTestTimeout)
+	for {
+		st := m.p.Stats()
+		m.mu.Lock()
+		running, queued := m.partitionLocked()
+		agree := true
+		for _, r := range m.reqs {
+			agree = agree && (r.done || !r.released && !r.canceled)
+		}
+		m.mu.Unlock()
+		for _, name := range poolModelTenants {
+			nr, nq := 0, 0
+			for _, r := range running {
+				if r.tenant == name {
+					nr++
+				}
+			}
+			for _, r := range queued {
+				if r.tenant == name {
+					nq++
+				}
+			}
+			ts := st.Tenants[name]
+			agree = agree && ts.InUse == nr && ts.Queued == nq
+		}
+		if agree {
+			return st
+		}
+		if time.Now().After(deadline) {
+			m.t.Fatalf("%s: step %d never settled: pool %+v, %d running, %d queued",
+				m.where, m.step, st, len(running), len(queued))
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// check holds the pool's invariants on a settled snapshot.
+func (m *poolModel) check(st PoolStats, step int) {
+	t := m.t
+	if st.Active > int64(st.Workers) {
+		t.Fatalf("%s: step %d: %d executing on %d slots", m.where, step, st.Active, st.Workers)
+	}
+	var inUse, queued, waiting int
+	for _, ts := range st.Tenants {
+		inUse += ts.InUse
+		queued += ts.Queued
+		if ts.Queued > 0 {
+			waiting++
+		}
+	}
+	if int64(inUse) != st.Active || int64(queued) != st.Queued {
+		t.Fatalf("%s: step %d: tenants sum to %d executing / %d queued, pool reads %+v",
+			m.where, step, inUse, queued, st)
+	}
+	if st.Active < int64(st.Workers) {
+		for name, ts := range st.Tenants {
+			// A waiter may sit beside a free slot only while its tenant
+			// is at its share and another tenant waits too.
+			if ts.Queued > 0 && (ts.InUse < m.share || waiting == 1) {
+				t.Fatalf("%s: step %d: tenant %s waits beside a free slot: %+v", m.where, step, name, st)
+			}
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, b := range m.reqs {
+		if !b.batch || !b.started || b.startStep != step {
+			continue
+		}
+		for _, i := range m.reqs {
+			// The interactive waiter could have taken b's slot if it is
+			// b's own tenant's, or its tenant is still below its share
+			// (it was no higher when b started).
+			if !i.batch && !i.started && !i.done &&
+				(i.tenant == b.tenant || st.Tenants[i.tenant].InUse < m.share) {
+				t.Fatalf("%s: step %d: batch request of %s started while an interactive one of %s waits: %+v",
+					m.where, step, b.tenant, i.tenant, st)
+			}
+		}
+	}
 }

@@ -605,8 +605,9 @@ func TestHTTPTenantStats(t *testing.T) {
 	}
 }
 
-// chaosSeed resolves the chaos-matrix seed: CHAOS_SEED pins it, otherwise it
-// is time-randomized. The chosen seed is logged and, when CHAOS_SEED_DIR is
+// chaosSeed resolves the seed of this package's randomized schedules (the
+// chaos matrix, the pool model): CHAOS_SEED pins it, otherwise it is
+// time-randomized. The chosen seed is logged and, when CHAOS_SEED_DIR is
 // set, persisted for CI to upload on failure (the proptest seed idiom).
 func chaosSeed(t *testing.T) int64 {
 	t.Helper()

@@ -53,14 +53,16 @@ type Config struct {
 	// (DefaultCacheEntries / DefaultCacheMaxPairs when zero).
 	CacheEntries  int
 	CacheMaxPairs int
-	// Workers bounds the pool's slot units, one a core: a join takes its
-	// worker count of them, an index build one (GOMAXPROCS when zero); MaxQueue bounds the waiting line (negative =
-	// unbounded, zero = DefaultMaxQueue; a zero-length line is not
-	// representable — use MaxQueue 1 for near-immediate backpressure).
+	// Workers bounds the pool's slots: the joins and index builds executing
+	// at once, each on one slot (GOMAXPROCS when zero). MaxQueue bounds the
+	// waiting line (negative = unbounded, zero = DefaultMaxQueue; a
+	// zero-length line is not representable — use MaxQueue 1 for
+	// near-immediate backpressure).
 	Workers  int
 	MaxQueue int
-	// Parallelism is the per-join worker count used when a request does not
-	// set its own (1 when zero: one pool slot = one core).
+	// Deprecated: Parallelism is ignored; every served join runs on one
+	// worker. The field stays only because the benchmark's layer run still
+	// sets it.
 	Parallelism int
 	// MaxGenerateElements caps server-side dataset generation
 	// (DefaultMaxGenerateElements when zero); MaxBodyBytes caps request
@@ -72,8 +74,8 @@ type Config struct {
 	// name one: a ServedEngines entry or AlgorithmAuto ("auto", the
 	// planner picks per request). engine.Transformers when empty.
 	DefaultAlgorithm string
-	// TenantSlots caps one tenant's concurrently executing slot units
-	// while other tenants wait (0 = no per-tenant cap); TenantQueue caps
+	// TenantSlots caps one tenant's executing joins and builds while
+	// other tenants wait (0 = no per-tenant cap); TenantQueue caps
 	// one tenant's waiting requests (0 = no per-tenant cap). See
 	// PoolConfig.
 	TenantSlots int
@@ -178,9 +180,6 @@ func NewService(cfg Config) *Service {
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = DefaultMaxQueue
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 1
-	}
 	if cfg.MaxGenerateElements <= 0 {
 		cfg.MaxGenerateElements = DefaultMaxGenerateElements
 	}
@@ -255,10 +254,10 @@ func (s *Service) noteOutcome(ctx context.Context, err error) {
 	s.tenantMu.Unlock()
 }
 
-// admission builds the pool request for ctx's tenant at the given slot cost.
-func admission(ctx context.Context, cost int) Request {
+// admission builds the pool request for ctx's tenant.
+func admission(ctx context.Context) Request {
 	ti := TenantFrom(ctx)
-	return Request{Tenant: ti.ID, Priority: ti.Priority, Cost: cost}
+	return Request{Tenant: ti.ID, Priority: ti.Priority}
 }
 
 // Catalog exposes the dataset catalog (tests and the example client).
@@ -297,7 +296,7 @@ func (s *Service) addDataset(ctx context.Context, name string, b batch) (BuildIn
 	var gen *generation
 	// Put happens inside admission: a registration rejected with ErrBusy (or
 	// abandoned by the client) must not have replaced the dataset.
-	if err := s.pool.Do(ctx, admission(ctx, 1), func() error {
+	if err := s.pool.Do(ctx, admission(ctx), func() error {
 		var err error
 		gen, err = s.cat.put(name, b)
 		return err
@@ -373,7 +372,7 @@ func (s *Service) triggerMerge(name string) bool {
 		// crossed the threshold must not abort the merge by disconnecting.
 		// A failed merge (ErrBusy included) retains the delta; the next
 		// over-threshold append re-triggers.
-		_ = s.pool.Do(context.Background(), Request{Tenant: "system", Priority: Batch, Cost: 1}, func() error {
+		_ = s.pool.Do(context.Background(), Request{Tenant: "system", Priority: Batch}, func() error {
 			_, err := s.cat.MergeDelta(context.Background(), name)
 			return err
 		})

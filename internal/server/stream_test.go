@@ -33,8 +33,8 @@ func bigOverlapDataset(n int, seed int64) []transformers.Element {
 // stripedDataset builds n uniformly spread boxes grown by 40: two draws of
 // 5000 make ~90K pairs and an inmem partition of three stripes (the stripe
 // count is sized on 56 B an element against inmem.DefaultCacheBytes, so
-// bigOverlapDataset's fewer, larger boxes make one), and an inmem join at
-// Parallelism 2 or 3 over it runs that many workers emitting at once.
+// bigOverlapDataset's fewer, larger boxes make one), which a served join
+// walks on its one worker.
 func stripedDataset(n int, seed int64) []transformers.Element {
 	return grownUniform(n, 40, seed)
 }
@@ -45,23 +45,6 @@ func grownUniform(n int, grow float64, seed int64) []transformers.Element {
 		elems[i].Box = elems[i].Box.Expand(grow)
 	}
 	return elems
-}
-
-// requireStripes fails the test unless the resident inmem partition of a×b
-// has at least want stripes, so that a join over it at Parallelism want runs
-// want workers.
-func requireStripes(t *testing.T, svc *Service, a, b string, want int) {
-	t.Helper()
-	h, err := svc.cat.AcquirePartition(context.Background(), a, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	got := h.Partition.Stripes()
-	if got < want {
-		t.Fatalf("the inmem partition of %s x %s has %d stripes, want at least %d: the join would not run %d workers", a, b, got, want, want)
-	}
-	t.Logf("the inmem partition of %s x %s has %d stripes", a, b, got)
 }
 
 func addDataset(t *testing.T, svc *Service, name string, elems []transformers.Element) {
@@ -189,18 +172,17 @@ func TestServiceJoinStreamMatchesJoin(t *testing.T) {
 // TestServiceStreamDisconnectCancelsJoin: a consumer that cancels its
 // context mid-stream (the service-level picture of a client disconnect) must
 // get context.Canceled back, free its pool slot, and bump aborted_streams —
-// and so must one whose emit fails while three inmem workers are emitting.
+// and so must one whose emit fails mid-join.
 func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 	svc := NewService(Config{CacheMaxPairs: 100})
 	addDataset(t, svc, "a", stripedDataset(5000, 71))
 	addDataset(t, svc, "b", stripedDataset(5000, 72))
-	requireStripes(t, svc, "a", "b", 3)
 
 	for _, algo := range ServedEngines() {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		_, err := svc.JoinStream(ctx, "a", "b",
-			JoinParams{NoCache: true, Algorithm: algo, Parallelism: 3},
+			JoinParams{NoCache: true, Algorithm: algo},
 			func(transformers.Pair) error {
 				n++
 				if n == 40 {
@@ -217,7 +199,7 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 	// An emit error (write failure) must abort the same way.
 	sentinel := errors.New("consumer write failed")
 	_, err := svc.JoinStream(context.Background(), "a", "b",
-		JoinParams{NoCache: true, Algorithm: engine.InMem, Parallelism: 3},
+		JoinParams{NoCache: true, Algorithm: engine.InMem},
 		func(transformers.Pair) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("emit error: got %v, want sentinel", err)
@@ -240,16 +222,14 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 // TestHTTPStreamBackpressureSlowReader: a large NDJSON join read by a slow
 // client must complete without unbounded server-side buffering — the result
 // is far over the cache threshold, so the only unbounded place it could sit
-// is a response buffer; the join runs on two inmem workers, whose emits the
-// engine serializes. The stream must deliver every pair and close with the
+// is a response buffer. The stream must deliver every pair and close with the
 // summary line.
 func TestHTTPStreamBackpressureSlowReader(t *testing.T) {
 	// CacheMaxPairs 500: the ~100K-pair result must not be pinned in memory
 	// by the cache tee either.
-	ts, svc := newTestServer(t, Config{CacheMaxPairs: 500, Parallelism: 2})
+	ts, svc := newTestServer(t, Config{CacheMaxPairs: 500})
 	addDataset(t, svc, "a", stripedDataset(5000, 81))
 	addDataset(t, svc, "b", stripedDataset(5000, 82))
-	requireStripes(t, svc, "a", "b", 2)
 
 	want, err := svc.Join(context.Background(), "a", "b",
 		JoinParams{NoCache: true, Algorithm: engine.InMem})
@@ -349,19 +329,18 @@ func (w *faultyWriter) Write(p []byte) (int, error) {
 }
 
 // TestHTTPStreamClientDisconnect: a mid-stream disconnect (failing writes +
-// canceled request context) under three emitting inmem workers must abort
-// the underlying join, release the pool slot, and count one aborted stream.
+// canceled request context) of an inmem join must abort the underlying join,
+// release the pool slot, and count one aborted stream.
 func TestHTTPStreamClientDisconnect(t *testing.T) {
 	svc := NewService(Config{CacheMaxPairs: 100})
 	addDataset(t, svc, "a", stripedDataset(5000, 91))
 	addDataset(t, svc, "b", stripedDataset(5000, 92))
-	requireStripes(t, svc, "a", "b", 3)
 	h := NewHandler(svc)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/join",
-		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"inmem","parallelism":3}`)).
+		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"inmem"}`)).
 		WithContext(ctx)
 	w := &faultyWriter{failAfter: 128 << 10, cancel: cancel}
 	h.ServeHTTP(w, req) // must return despite the gone client
