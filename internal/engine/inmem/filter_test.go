@@ -107,7 +107,7 @@ func grownNaive(a, b []geom.Element, ga, gb float64) map[geom.Pair]int {
 }
 
 // TestInMemPartitionInputsMatchExpandedCopy: PartitionInputs over (base, in
-// chunks of 128, delta, grow) is Partition over the concatenated ExpandedForDistance copy — the pairs,
+// chunks of 128, grow) is Partition over the ExpandedForDistance copy — the pairs,
 // and the plan: dimensions, stripes, replicas and the candidates the sweep
 // tested — on the four canonical distributions, paired as the experiments and
 // the benchmark pair them, and on a pair with repeated IDs.
@@ -131,10 +131,9 @@ func TestInMemPartitionInputsMatchExpandedCopy(t *testing.T) {
 		for _, distance := range []float64{0, 25} {
 			for _, cfg := range []Config{{}, {Stripes: 9}} {
 				label := fmt.Sprintf("%s/d=%g/stripes=%d", w.Name, distance, cfg.Stripes)
-				ka, kb := len(w.A)*9/10, len(w.B)/3
 				got, gs := collect(PartitionInputs(
-					Input{Base: chunked(w.A[:ka], 7), Delta: w.A[ka:], Grow: distance / 2},
-					Input{Base: chunked(w.B[:kb], 7), Delta: w.B[kb:], Grow: distance / 2}, cfg), JoinConfig{Parallelism: 1})
+					Input{Base: chunked(w.A, 7), Grow: distance / 2},
+					Input{Base: chunked(w.B, 7), Grow: distance / 2}, cfg), JoinConfig{Parallelism: 1})
 				want, ws := collect(Partition(geom.ExpandedForDistance(w.A, distance), geom.ExpandedForDistance(w.B, distance), cfg), JoinConfig{Parallelism: 1})
 				diffMultisets(t, label, want, got)
 				diffMultisets(t, label+"/naive", grownNaive(w.A, w.B, distance/2, distance/2), got)

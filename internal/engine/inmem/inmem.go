@@ -111,34 +111,18 @@ type Stats struct {
 	ReplicatedA, ReplicatedB int
 }
 
-// Input is one side of a partition: the elements of Base followed by those of
-// Delta, every box grown by Grow on every side (Box.Expand). Base is chunked,
-// as the serving catalog holds a dataset. The elements are read by reference,
-// during PartitionInputs and by every Join over its result, and never
-// written; the caller must not write them either while the Partitioned is in
-// use.
+// Input is one side of a partition: the elements of Base, every box grown by
+// Grow on every side (Box.Expand). Base is chunked, as the serving catalog
+// holds a dataset. The elements are read by reference, during PartitionInputs
+// and by every Join over its result, and never written; the caller must not
+// write them either while the Partitioned is in use.
 type Input struct {
-	Base  geom.Chunked
-	Delta []geom.Element
-	Grow  float64
+	Base geom.Chunked
+	Grow float64
 }
 
-func (in Input) len() int { return in.Base.Len() + len(in.Delta) }
-
-// at returns the element at position i of Base followed by Delta.
-func (in *Input) at(i int32) *geom.Element {
-	n := in.Base.Len()
-	if int(i) < n {
-		return in.Base.At(int(i))
-	}
-	return &in.Delta[int(i)-n]
-}
-
-// runs returns the input's elements as runs, in position order: Base's
-// chunks, then Delta.
-func (in Input) runs() [][]geom.Element {
-	return append(in.Base.Chunks(), in.Delta)
-}
+// at returns the element at position i of Base.
+func (in *Input) at(i int32) *geom.Element { return in.Base.At(int(i)) }
 
 // side is one input and its assignments: the grown box of the element at
 // position ref[k], rounded outward, in lo[d][k]/hi[d][k]. seg holds
@@ -163,8 +147,7 @@ type Partitioned struct {
 	splitDim, sweepDim, thirdDim int
 }
 
-// Partition is PartitionInputs over a and b as they are: no delta, nothing
-// grown.
+// Partition is PartitionInputs over a and b as they are: nothing grown.
 func Partition(a, b []geom.Element, cfg Config) *Partitioned {
 	return PartitionInputs(Input{Base: geom.ChunkedOf(a)}, Input{Base: geom.ChunkedOf(b)}, cfg)
 }
@@ -184,7 +167,7 @@ func Partition(a, b []geom.Element, cfg Config) *Partitioned {
 // with concurrent readers (the serving catalog builds its resident partitions
 // from its own arrays).
 func PartitionInputs(a, b Input, cfg Config) *Partitioned {
-	return partition(a, b, cfg, resolution(a.len()+b.len()))
+	return partition(a, b, cfg, resolution(a.Base.Len()+b.Base.Len()))
 }
 
 // partition is PartitionInputs with the prune grid at r cells a side.
@@ -244,7 +227,7 @@ func sweepOrder(in Input, kept []int32, sweep int, ks *geom.KeySorter) []geom.So
 func grownWorld(a, b Input) geom.Box {
 	world := geom.EmptyBox()
 	for _, in := range [2]Input{a, b} {
-		for _, part := range in.runs() {
+		for _, part := range in.Base.Chunks() {
 			world = world.Union(geom.MBBOf(part).Expand(in.Grow))
 		}
 	}
@@ -257,7 +240,7 @@ func grownWorld(a, b Input) geom.Box {
 func chooseDims(a, b Input, world geom.Box) (split, sweep int) {
 	var avg [geom.Dims]float64
 	for _, in := range [2]Input{a, b} {
-		for _, part := range in.runs() {
+		for _, part := range in.Base.Chunks() {
 			for i := range part {
 				box := &part[i].Box
 				for d := 0; d < geom.Dims; d++ {
@@ -266,7 +249,7 @@ func chooseDims(a, b Input, world geom.Box) (split, sweep int) {
 			}
 		}
 	}
-	n := float64(a.len() + b.len())
+	n := float64(a.Base.Len() + b.Base.Len())
 	var score [geom.Dims]float64
 	for d := 0; d < geom.Dims; d++ {
 		side := world.Side(d)

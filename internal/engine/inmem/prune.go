@@ -31,7 +31,7 @@ func resolution(n int) int {
 // ranges: an element with a partner is always kept. world must hold every
 // grown box of both inputs.
 func prune(a, b Input, world geom.Box, r int) (keptA, keptB []int32) {
-	if a.len() == 0 || b.len() == 0 {
+	if a.Base.Len() == 0 || b.Base.Len() == 0 {
 		return nil, nil
 	}
 	g := newCellGrid(world, r)
@@ -121,7 +121,7 @@ func (g *cellGrid) mark(in Input, kept []int32) {
 		s[x1+y1+z1]--
 	}
 	if kept == nil {
-		for _, part := range in.runs() {
+		for _, part := range in.Base.Chunks() {
 			for i := range part {
 				add(&part[i])
 			}
@@ -162,10 +162,10 @@ func (g *cellGrid) prefix(occupancy bool) {
 // marked cell: the table's count over the range, by inclusion and exclusion
 // of its eight corners, is positive.
 func (g *cellGrid) filter(in Input) []int32 {
-	out := make([]int32, 0, in.len())
+	out := make([]int32, 0, in.Base.Len())
 	s := g.sum
 	pos := int32(0)
-	for _, part := range in.runs() {
+	for _, part := range in.Base.Chunks() {
 		for i := range part {
 			x0, x1, y0, y1, z0, z1 := g.corners(&part[i], in.Grow)
 			if s[x1+y1+z1]-s[x1+y1+z0]-s[x1+y0+z1]+s[x1+y0+z0]-

@@ -25,8 +25,8 @@ func keptSet(kept []int32) map[int32]bool {
 }
 
 // TestInMemPruneKeepsEveryPartner: at every resolution, every element that
-// has a partner in the nested loop over the grown boxes — base and delta
-// alike — is kept, on the canonical distributions and the selective pairing,
+// has a partner in the nested loop over the grown boxes — in any chunk — is
+// kept, on the canonical distributions and the selective pairing,
 // grown and not; and at the finest grid the prune drops something on the
 // selective pairing, or it would prove nothing.
 func TestInMemPruneKeepsEveryPartner(t *testing.T) {
@@ -47,9 +47,8 @@ func TestInMemPruneKeepsEveryPartner(t *testing.T) {
 					}
 				}
 			}
-			ka, kb := len(w.A)*4/5, len(w.B)/2
-			a := Input{Base: chunked(w.A[:ka], 7), Delta: w.A[ka:], Grow: distance / 2}
-			b := Input{Base: chunked(w.B[:kb], 7), Delta: w.B[kb:], Grow: distance / 2}
+			a := Input{Base: chunked(w.A, 7), Grow: distance / 2}
+			b := Input{Base: chunked(w.B, 7), Grow: distance / 2}
 			for _, r := range pruneResolutions {
 				label := fmt.Sprintf("%s/d=%g/r=%d", w.Name, distance, r)
 				keptA, keptB := prune(a, b, grownWorld(a, b), r)
@@ -89,7 +88,7 @@ func TestInMemPruneDropsTheFar(t *testing.T) {
 	const middle, near = 20, 20 // positions of A's middle box and B's near one
 	a = append(a, cube(999, 500.5, 501))
 	b = append(b, cube(1000, 5, 6))
-	in := func(e []geom.Element) Input { return Input{Base: geom.ChunkedOf(e[:10]), Delta: e[10:]} }
+	in := func(e []geom.Element) Input { return Input{Base: chunked(e, 3)} }
 	for _, r := range pruneResolutions {
 		keptA, keptB := prune(in(a), in(b), grownWorld(in(a), in(b)), r)
 		ka, kb := keptSet(keptA), keptSet(keptB)
@@ -114,8 +113,8 @@ func TestInMemPruneDropsTheFar(t *testing.T) {
 }
 
 // TestInMemPruneDegenerateWorlds: worlds that are a point, flat, or wider
-// than float64 on some or every dimension — grown and not, with a delta on
-// each side — keep every pair at every resolution: a dimension whose cell
+// than float64 on some or every dimension — grown and not, each side in
+// chunks of two — keep every pair at every resolution: a dimension whose cell
 // scale is zero or infinite is one cell, and coordinates that grow past
 // float64 clamp to the edge cells.
 func TestInMemPruneDegenerateWorlds(t *testing.T) {
@@ -159,9 +158,8 @@ func TestInMemPruneDegenerateWorlds(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%s/grow=%g: no pairs to keep", tc.name, grow)
 			}
-			ka, kb := len(tc.a)/2, len(tc.b)-1
-			a := Input{Base: geom.ChunkedOf(tc.a[:ka]), Delta: tc.a[ka:], Grow: grow}
-			b := Input{Base: geom.ChunkedOf(tc.b[:kb]), Delta: tc.b[kb:], Grow: grow}
+			a := Input{Base: chunked(tc.a, 1), Grow: grow}
+			b := Input{Base: chunked(tc.b, 1), Grow: grow}
 			for _, r := range pruneResolutions {
 				for _, stripes := range []int{1, 5} {
 					got, _ := collect(partition(a, b, Config{Stripes: stripes}, r), JoinConfig{Parallelism: 1})

@@ -70,11 +70,9 @@ type JoinSummary struct {
 }
 
 // DeltaSummary reports how one executed join composed its inputs' append
-// deltas: the delta sizes at execution time, and — on the prebuilt
-// TRANSFORMERS path — how many grid sub-joins ran and what they
-// contributed. The inmem partition folds the delta into its input instead,
-// so SubJoins stays 0 and the sub-join pair count is not separable from the
-// base result.
+// deltas: the delta sizes at execution time, how many grid sub-joins ran and
+// what they contributed. Both served engines compose alike: their structure
+// covers the bases, and the sub-joins add every pair with a delta element.
 type DeltaSummary struct {
 	ElementsA int `json:"elements_a"`
 	ElementsB int `json:"elements_b"`

@@ -17,11 +17,12 @@
 // and the previous version goes on serving.
 //
 // The in-memory engine's index belongs to a pair of datasets rather than to
-// one: the stripe partition of (A, B, distance) is built by the first inmem
-// join of that pair's current state and reused by every later one
-// (partition.go). Partitions are what the catalog's cap bounds — pinned while
-// joins run on them, evicted LRU beyond it — and a write to either dataset
-// drops its partitions at once.
+// one: the stripe partition of (A, B, distance) covers the two bases, is
+// built by the first inmem join of that pair's current generations and is
+// reused by every later one (partition.go); append deltas compose on top, as
+// on the transformers path. Partitions are what the catalog's cap bounds —
+// evicted LRU beyond it, while a join that reads one keeps it, as it keeps an
+// index — and a write to either dataset drops its partitions at once.
 package server
 
 import (
@@ -162,6 +163,21 @@ type generation struct {
 	// the successor. Join cache keys include it, so an append invalidates
 	// cached results immediately without a version bump.
 	deltaEpoch uint64
+}
+
+// view is one side of a join as one catalog lock acquisition saw its
+// generation: the version and delta epoch that key the result, the base, and
+// the delta header capped at its length — appends land past it or on a fresh
+// array, so both may be read outside the lock.
+type view struct {
+	version, epoch uint64
+	base           geom.Chunked
+	delta          []transformers.Element
+}
+
+// viewLocked is gen's view now. The caller holds the catalog lock.
+func (gen *generation) viewLocked() view {
+	return view{version: gen.version, epoch: gen.deltaEpoch, base: gen.elems, delta: gen.delta[:len(gen.delta):len(gen.delta)]}
 }
 
 type dataset struct {
@@ -503,20 +519,14 @@ func (c *Catalog) Snapshot(name string) (elems []transformers.Element, version, 
 		c.mu.Unlock()
 		return nil, 0, 0, 0, err
 	}
-	gen := ds.cur
-	base := gen.elems
-	// Full-slice-expression header: appends past len land at indexes this
-	// snapshot never reads (or on a fresh array), so the copy below is safe
-	// outside the lock.
-	delta := gen.delta[:len(gen.delta):len(gen.delta)]
-	version, epoch = gen.version, gen.deltaEpoch
+	v := ds.cur.viewLocked()
 	c.mu.Unlock()
-	out := make([]transformers.Element, 0, base.Len()+len(delta))
-	for _, c := range base.Chunks() {
+	out := make([]transformers.Element, 0, v.base.Len()+len(v.delta))
+	for _, c := range v.base.Chunks() {
 		out = append(out, c...)
 	}
-	out = append(out, delta...)
-	return out, version, epoch, len(delta), nil
+	out = append(out, v.delta...)
+	return out, v.version, v.epoch, len(v.delta), nil
 }
 
 // DeltaView returns the handle's generation's raw base elements, its delta
@@ -534,10 +544,16 @@ func (c *Catalog) DeltaView(h *Handle) (base geom.Chunked, delta []transformers.
 	if h == nil || h.gen == nil {
 		return geom.Chunked{}, nil, 0
 	}
+	v := c.viewOf(h)
+	return v.base, v.delta, v.epoch
+}
+
+// viewOf is DeltaView's whole view of the handle's generation, version
+// included.
+func (c *Catalog) viewOf(h *Handle) view {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gen := h.gen
-	return gen.elems, gen.delta[:len(gen.delta):len(gen.delta)], gen.deltaEpoch
+	return h.gen.viewLocked()
 }
 
 // MergeDelta compacts a dataset's delta buffer into its main index: the

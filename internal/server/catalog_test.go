@@ -327,7 +327,7 @@ func residentDatasetHeldOnce(t *testing.T, cfg Config) {
 // heap and partition_bytes, over what they read just before it, by at most
 // 0.6 x 56 bytes an assignment (1.03 x when the partition was a
 // full-precision copy), at distance 0, at distance 5 beside it and with a
-// delta on one side, for which no grown or combined copy is kept either. An
+// delta on one side, which the partition does not cover and copies none of. An
 // assignment is an element the prune kept, or one of its stripe replicas.
 // The catalog's resident_bytes counts 56 B a base or delta element beside
 // the partitions' bytes.
@@ -374,7 +374,6 @@ func TestResidentPartitionIsAFilter(t *testing.T) {
 		if grew > bound {
 			t.Fatalf("%s: a partition of %d assignments holds %d bytes of live heap, want at most %d", what, assignments, grew, bound)
 		}
-		h.Release()
 	}
 	partition("distance 0", 0, 2*n)
 	partition("distance 5", 5, 2*n)
@@ -423,10 +422,7 @@ func TestCatalogReplacementRacesReaders(t *testing.T) {
 			return err == nil && whole(snap)
 		},
 		func() bool {
-			ph, err := c.AcquirePartition(ctx, "ds", "ds", 0)
-			if err == nil {
-				ph.Release()
-			}
+			_, err := c.AcquirePartition(ctx, "ds", "ds", 0)
 			return err == nil
 		},
 	} {

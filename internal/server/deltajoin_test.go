@@ -31,9 +31,10 @@ func deltaFuzzBoxes(raw []byte, id uint64) []transformers.Element {
 // FuzzDeltaJoin is differential: a join through Service.Join over datasets
 // that carry append deltas — a fuzzed base and delta on one side or both —
 // must be multiset-equal to naive over base ∪ delta, at distance 0 and at the
-// fuzzed distance, resolved by "auto" and requested as transformers. The
-// summary's results count every pair, its delta pairs the ones with a delta
-// element, and a pair with a delta never resolves "auto" to inmem.
+// fuzzed distance, resolved by "auto" and requested as transformers and as
+// inmem. For every engine the summary's results count every pair and its
+// delta pairs the ones with a delta element, and a pair with a delta never
+// resolves "auto" to inmem.
 func FuzzDeltaJoin(f *testing.F) {
 	cube := func(lo, side byte) []byte { return []byte{lo, lo, lo, side, side, side} }
 	cat := func(parts ...[]byte) []byte {
@@ -82,7 +83,7 @@ func FuzzDeltaJoin(f *testing.F) {
 					wantDelta++
 				}
 			}
-			for _, algo := range []string{AlgorithmAuto, engine.Transformers} {
+			for _, algo := range []string{AlgorithmAuto, engine.Transformers, engine.InMem} {
 				out, err := svc.Join(ctx, "a", "b", JoinParams{Algorithm: algo, Distance: d, NoCache: true})
 				if err != nil {
 					t.Fatalf("d=%v %s: %v", d, algo, err)
@@ -96,7 +97,7 @@ func FuzzDeltaJoin(f *testing.F) {
 				if len(deltaA)+len(deltaB) == 0 {
 					continue
 				}
-				if out.Summary.Algorithm != engine.Transformers {
+				if algo == AlgorithmAuto && out.Summary.Algorithm != engine.Transformers {
 					t.Fatalf("d=%v %s: a pair with a delta ran %s", d, algo, out.Summary.Algorithm)
 				}
 				if dl := out.Summary.Delta; dl == nil || dl.Pairs != wantDelta || dl.ElementsA != len(deltaA) || dl.ElementsB != len(deltaB) {

@@ -87,24 +87,25 @@ type execution struct {
 // single-flight partition build an inmem acquisition can trigger. Waiting on
 // another request's in-flight partition build holds the slot, for no longer
 // than the request's own deadline, and never needs a second admission, so
-// slots cannot deadlock. There is one branch per
-// served engine (planJoin admits no other), each reading what the catalog
-// holds. Every pair, of both branches and of the delta sub-joins, leaves
-// through emit.
+// slots cannot deadlock. One step per served engine (planJoin admits no
+// other) acquires the structure the catalog holds for it and each side's
+// view; the rest is shared. The structure covers base×base: transformers'
+// two prebuilt indexes (for distance joins, their grown views), or inmem's
+// pair partition. A non-empty delta composes on top (deltaJoin) against the
+// same views — read through the structure's own generations, so they
+// describe what it covers even if a merge installs a successor mid-join.
+// Every pair, of the base join and of the delta sub-joins, leaves through
+// emit.
 func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (execution, error) {
 	var ex execution
-	var run func(ctx context.Context) error
-	switch jp.algo {
-	case engine.Transformers:
-		// Catalog path: reuse the prebuilt indexes (for distance joins, their
-		// grown views) through the registry's prebuilt option. A non-empty
-		// delta buffer composes on top: the prebuilt indexes cover
-		// base×base, and the delta sub-joins (deltaJoin: grid joins over the
-		// base arrays and deltas, read in place) run afterwards against the
-		// same generation — the handles fix which (base, delta) snapshot
-		// this join describes even if a merge installs a successor
-		// generation mid-join.
-		run = func(ctx context.Context) error {
+	run := func(ctx context.Context) error {
+		var (
+			va, vb view
+			pre    engine.Prebuilt
+			build  time.Duration // the partition build this request paid, or none
+		)
+		switch jp.algo {
+		case engine.Transformers:
 			cctx, cat := obs.Start(ctx, "catalog")
 			ha, err := s.cat.Acquire(cctx, a, p.Distance)
 			if err != nil {
@@ -116,31 +117,15 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			if err != nil {
 				return err
 			}
-			baseA, deltaA, epochA := s.cat.DeltaView(ha)
-			baseB, deltaB, epochB := s.cat.DeltaView(hb)
-			ex.key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo)
-			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
-				Prebuilt: &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
-			}, emit)
-			if err == nil && len(deltaA)+len(deltaB) > 0 {
-				ex.delta, err = s.deltaJoin(ctx, ex.res, baseA, baseB, deltaA, deltaB, p.Distance, emit)
-			}
-			return err
-		}
-	case engine.InMem:
-		// Catalog path of the in-memory engine: its index is the stripe
-		// partition of the dataset pair, built by the first join of the
-		// pair's current state and reused until a write. The partition
-		// covers base + delta with the distance expansion applied, so only
-		// the kernel runs here — no composition, no Options.Distance.
-		run = func(ctx context.Context) error {
+			va, vb = s.cat.viewOf(ha), s.cat.viewOf(hb)
+			pre = engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()}
+		case engine.InMem:
 			pctx, span := obs.Start(ctx, "partition")
 			h, err := s.cat.AcquirePartition(pctx, a, b, p.Distance)
 			span.End()
 			if err != nil {
 				return err
 			}
-			defer h.Release()
 			if span != nil {
 				hit := int64(0)
 				if h.Hit {
@@ -151,22 +136,21 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				span.Add("stripes", int64(h.Partition.Stripes()))
 				span.Add("kept", int64(h.Partition.Kept()))
 			}
-			ex.key = joinKey(a, b, h.VersionA, h.VersionB, h.EpochA, h.EpochB, p.Distance, jp.algo)
-			ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
-				Prebuilt: &engine.Prebuilt{Partition: h.Partition},
-			}, emit)
-			if err != nil {
-				return err
-			}
-			// The build this request paid: the partition's, or none.
-			ex.res.Stats.BuildWall += h.Build
-			ex.res.Stats.BuildTotal += h.Build
-			if h.DeltaA+h.DeltaB > 0 {
-				ex.delta = &DeltaSummary{ElementsA: h.DeltaA, ElementsB: h.DeltaB}
-				s.deltaJoins.Add(1)
-			}
-			return nil
+			va, vb, build = h.a, h.b, h.Build
+			pre = engine.Prebuilt{Partition: h.Partition}
 		}
+		ex.key = joinKey(a, b, va.version, vb.version, va.epoch, vb.epoch, p.Distance, jp.algo)
+		var err error
+		ex.res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{Prebuilt: &pre}, emit)
+		if err != nil {
+			return err
+		}
+		ex.res.Stats.BuildWall += build
+		ex.res.Stats.BuildTotal += build
+		if len(va.delta)+len(vb.delta) > 0 {
+			ex.delta, err = s.deltaJoin(ctx, ex.res, va, vb, p.Distance, emit)
+		}
+		return err
 	}
 	var err error
 	ex.span, err = s.admitted(ctx, run)
@@ -176,23 +160,23 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 	return ex, err
 }
 
-// deltaJoin composes the append-delta sub-joins of one prebuilt-path join:
+// deltaJoin composes the append-delta sub-joins of one join over two views:
 // base×delta, delta×base and delta×delta, into the same emit as the base
 // join — so buffering and delivery apply to delta pairs exactly as to base
 // pairs. Each is a grid hash join, all three in one grid.Grid, built over the
 // smaller side and probed with the other, each pair emitted A-first. Both
-// sides are read in place — the pinned generation's base array and delta
-// header — with every box grown by distance/2 as the grid takes it, as the
-// base join's grown views grow theirs; so the composition allocates the grid
-// over the smaller side, never anything in proportion to the base. The three
+// sides are read in place — the views' base arrays and delta headers — with
+// every box grown by distance/2 as the grid takes it, as the base join's
+// structure grows its own; so the composition allocates the grid over the
+// smaller side, never anything in proportion to the base. The three
 // sub-joins partition the non-base×base pairs of
 // (baseA ∪ deltaA)×(baseB ∪ deltaB), so the composed result is multiset-equal
 // to a full rebuild by construction; empty sides are skipped. Their
 // comparisons, pairs and wall time are added to res's stats, which the
 // summary reports and the wall table takes.
-func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB geom.Chunked, deltaA, deltaB []transformers.Element, distance float64, emit engine.EmitFunc) (*DeltaSummary, error) {
+func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, va, vb view, distance float64, emit engine.EmitFunc) (*DeltaSummary, error) {
 	_, span := obs.Start(ctx, "delta-join")
-	sum := &DeltaSummary{ElementsA: len(deltaA), ElementsB: len(deltaB)}
+	sum := &DeltaSummary{ElementsA: len(va.delta), ElementsB: len(vb.delta)}
 	var (
 		g             grid.Grid
 		built, probed int
@@ -208,9 +192,9 @@ func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, base
 	}
 	start := time.Now()
 	for _, sj := range [3]struct{ ea, eb geom.Chunked }{
-		{baseA, geom.ChunkedOf(deltaB)},
-		{geom.ChunkedOf(deltaA), baseB},
-		{geom.ChunkedOf(deltaA), geom.ChunkedOf(deltaB)},
+		{va.base, geom.ChunkedOf(vb.delta)},
+		{geom.ChunkedOf(va.delta), vb.base},
+		{geom.ChunkedOf(va.delta), geom.ChunkedOf(vb.delta)},
 	} {
 		na, nb := sj.ea.Len(), sj.eb.Len()
 		if na == 0 || nb == 0 {
@@ -235,8 +219,8 @@ func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, base
 	}
 	wall := time.Since(start)
 	span.End()
-	span.Add("delta_a", int64(len(deltaA)))
-	span.Add("delta_b", int64(len(deltaB)))
+	span.Add("delta_a", int64(sum.ElementsA))
+	span.Add("delta_b", int64(sum.ElementsB))
 	span.Add("sub_joins", int64(sum.SubJoins))
 	span.Add("build", int64(built))
 	span.Add("probe", int64(probed))

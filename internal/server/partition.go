@@ -11,70 +11,41 @@ import (
 )
 
 // partKey identifies one pair partition by exactly what it was built from:
-// the two generations (pointer identity — never (name, version), which two
-// catalogs in one process share), the delta prefix each side had absorbed,
-// and the distance whose §VIII expansion is baked into the boxes. Every
-// write retires it: a Put or a merge install changes that side's generation,
-// an append its delta epoch, so a partition of overwritten state can never be
-// looked up again. Since appends retire it too, "auto" leaves inmem for a
-// pair that has taken one (partitionRetired, plan.go).
+// the two generations whose bases it covers (pointer identity — never
+// (name, version), which two catalogs in one process share) and the distance
+// whose §VIII expansion is baked into the boxes. A generation's base is never
+// written, so a partition answers for its key as long as it lives; the append
+// deltas compose on top of it (deltaJoin). Every write still drops the
+// partitions of the generation it wrote (invalidateLocked), and "auto" leaves
+// inmem for a pair that has taken an append (partitionRetired, plan.go).
 type partKey struct {
-	genA, genB     *generation
-	epochA, epochB uint64
-	distance       float64
+	genA, genB *generation
+	distance   float64
 }
 
 // partEntry is one built (or building) pair partition: the inmem engine's
 // counterpart of a dataset's index, and unlike it built on first use and a
 // second structure over the data, worth evicting. ready is closed when the
-// build finishes; refs pins the entry against eviction while joins run on it.
+// build finishes. A join holds the *inmem.Partitioned it reads, as it holds
+// an index, so eviction only forgets the entry.
 type partEntry struct {
 	key     partKey
 	ready   chan struct{}
 	part    *inmem.Partitioned
-	refs    int
 	lastUse uint64
-	// once marks a partition too large to keep resident: it serves the joins
-	// that are waiting for it and is forgotten when one of them releases it.
-	once bool
 }
 
-// PartitionHandle pins one pair partition until Release is called, and
-// carries the two-dataset view it was built from: the versions, delta epochs
-// and delta sizes of both sides as of one lock acquisition.
+// PartitionHandle is one acquisition of a pair partition, and the
+// two-dataset view it was taken with: each side's version, delta epoch, base
+// and capped delta header, as of one lock acquisition.
 type PartitionHandle struct {
-	cat       *Catalog
-	entry     *partEntry
-	pinned    bool
 	Partition *inmem.Partitioned
-
-	VersionA, VersionB uint64
-	EpochA, EpochB     uint64
-	DeltaA, DeltaB     int
+	a, b      view
 	// Hit reports that the partition was already resident (or building) when
 	// this acquisition arrived; Build is the time this acquisition spent
 	// building it — zero on a hit.
 	Hit   bool
 	Build time.Duration
-}
-
-// Release unpins the partition; idempotent. It stays resident, subject to the
-// catalog's LRU, unless it was too large to keep.
-func (h *PartitionHandle) Release() {
-	if h == nil || !h.pinned {
-		return
-	}
-	h.pinned = false
-	c, e := h.cat, h.entry
-	c.mu.Lock()
-	e.refs--
-	c.clock++
-	e.lastUse = c.clock
-	if e.once && c.partitions[e.key] == e {
-		delete(c.partitions, e.key)
-	}
-	c.evictLocked()
-	c.mu.Unlock()
 }
 
 // readyPartitionsLocked counts the built resident partitions and their bytes.
@@ -97,9 +68,8 @@ func isReady(ready chan struct{}) bool {
 	}
 }
 
-// evictLocked drops least-recently-used unpinned partitions until the built
-// count is within the cap. Pinned or still-building ones are never evicted;
-// if everything is protected the catalog temporarily overflows.
+// evictLocked drops least-recently-used built partitions until their count is
+// within the cap. Building ones are neither counted nor evicted.
 func (c *Catalog) evictLocked() {
 	for {
 		if parts, _ := c.readyPartitionsLocked(); parts <= c.maxIndexes {
@@ -107,30 +77,28 @@ func (c *Catalog) evictLocked() {
 		}
 		var victim *partEntry
 		for _, e := range c.partitions {
-			if e.refs == 0 && isReady(e.ready) && (victim == nil || e.lastUse < victim.lastUse) {
+			if isReady(e.ready) && (victim == nil || e.lastUse < victim.lastUse) {
 				victim = e
 			}
-		}
-		if victim == nil {
-			return
 		}
 		delete(c.partitions, victim.key)
 		c.evictions++
 	}
 }
 
-// AcquirePartition returns a pinned handle on the inmem stripe partition of
+// AcquirePartition returns the inmem stripe partition of the bases of
 // datasets a and b at the given distance, building it if the pair's current
-// state has none. Both current generations and their delta heads are pinned
-// under one lock acquisition — one consistent two-dataset view — and the
-// partition covers base + delta of each side with the §VIII expansion
-// applied, so a join over it equals a full rebuild by construction.
-// Concurrent acquisitions of one state share one build (single-flight). The
+// generations have none, and both sides' views — version, delta epoch, base
+// and delta header — taken under the same lock acquisition: one consistent
+// two-dataset view. The partition covers the two bases with the §VIII
+// expansion applied; the join composes the deltas of the views on top
+// (deltaJoin), so the whole equals a full rebuild by construction.
+// Concurrent acquisitions of one key share one build (single-flight). The
 // build cannot fail and ignores ctx: a builder whose request has expired
 // still publishes for the waiters, and its own join then stops at its next
-// context check; a waiter whose request expires gives up its pin and leaves.
-// A pair too large for the planner to route to inmem is built for the joins
-// waiting on it and not kept. The caller must Release the handle when done.
+// context check; a waiter whose request expires leaves. A pair too large for
+// the planner to route to inmem is built for the joins waiting on it and not
+// kept: its builder forgets it right after publishing.
 func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance float64) (*PartitionHandle, error) {
 	if err := validExpand(distance); err != nil {
 		return nil, err
@@ -143,25 +111,17 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 		return nil, err
 	}
 	ga, gb := dsA.cur, dsB.cur
-	key := partKey{genA: ga, genB: gb, epochA: ga.deltaEpoch, epochB: gb.deltaEpoch, distance: distance}
-	h := &PartitionHandle{
-		cat: c, pinned: true,
-		VersionA: ga.version, VersionB: gb.version,
-		EpochA: ga.deltaEpoch, EpochB: gb.deltaEpoch,
-		DeltaA: len(ga.delta), DeltaB: len(gb.delta),
-	}
+	key := partKey{genA: ga, genB: gb, distance: distance}
+	h := &PartitionHandle{a: ga.viewLocked(), b: gb.viewLocked()}
 	c.acquires++
 	c.clock++
 	if e, ok := c.partitions[key]; ok {
 		c.indexHits++
-		e.refs++
 		e.lastUse = c.clock
 		c.mu.Unlock()
-		h.entry = e
 		select {
 		case <-e.ready: // single-flight: wait for the (possibly in-flight) build
 		case <-ctx.Done():
-			h.Release()
 			return nil, ctx.Err()
 		}
 		h.Partition, h.Hit = e.part, true
@@ -169,19 +129,15 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 	}
 
 	// First acquirer builds; later ones take the branch above and wait.
-	elements := ga.elems.Len() + len(ga.delta) + gb.elems.Len() + len(gb.delta)
-	e := &partEntry{
-		key: key, ready: make(chan struct{}), refs: 1, lastUse: c.clock,
-		once: elements > planner.DefaultMaxInMemoryElements,
-	}
+	elements := ga.elems.Len() + gb.elems.Len()
+	e := &partEntry{key: key, ready: make(chan struct{}), lastUse: c.clock}
 	c.partitions[key] = e
 	c.builds++
-	// The partition reads these arrays for as long as it lives and copies
-	// neither: a generation's elems are never written once installed, and the
-	// full-slice-expression delta headers, as in Snapshot, end where appends
-	// begin. The §VIII expansion is the inputs' Grow, applied as they are read.
-	inA := inmem.Input{Base: ga.elems, Delta: ga.delta[:len(ga.delta):len(ga.delta)], Grow: distance / 2}
-	inB := inmem.Input{Base: gb.elems, Delta: gb.delta[:len(gb.delta):len(gb.delta)], Grow: distance / 2}
+	// The partition reads the two base arrays for as long as it lives and
+	// copies neither: a generation's elems are never written once installed.
+	// The §VIII expansion is the inputs' Grow, applied as they are read.
+	inA := inmem.Input{Base: ga.elems, Grow: distance / 2}
+	inB := inmem.Input{Base: gb.elems, Grow: distance / 2}
 	observer := c.buildObserver
 	c.mu.Unlock()
 
@@ -198,8 +154,11 @@ func (c *Catalog) AcquirePartition(ctx context.Context, a, b string, distance fl
 	c.mu.Lock()
 	e.part = part
 	close(e.ready)
+	if elements > planner.DefaultMaxInMemoryElements && c.partitions[key] == e {
+		delete(c.partitions, key)
+	}
 	c.evictLocked()
 	c.mu.Unlock()
-	h.entry, h.Partition = e, part
+	h.Partition = part
 	return h, nil
 }

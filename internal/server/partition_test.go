@@ -404,7 +404,6 @@ func TestIndexCapBoundsPartitionsOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Release()
 		return h
 	}
 	for _, d := range []float64{0, 1, 2, 3} {
@@ -413,21 +412,52 @@ func TestIndexCapBoundsPartitionsOnly(t *testing.T) {
 	if st := cat.Stats(); st.Partitions != 1 || st.Evictions != 3 || st.Datasets != 3 || st.Builds != 3+4 {
 		t.Fatalf("4 partitions and 3 datasets under a cap of 1: %+v, want 1 partition, 3 evicted, 3 datasets", st)
 	}
-	// The survivor is the most recently used, and a pinned one is not evicted.
+	// The survivor is the most recently used.
 	if !acquire(3).Hit || acquire(2).Hit {
 		t.Fatal("the partition kept is not the most recently used")
 	}
-	pinned, err := cat.AcquirePartition(ctx, "a", "b", 2)
-	if err != nil || !pinned.Hit {
-		t.Fatalf("re-acquiring the resident partition: hit=%v err=%v", pinned != nil && pinned.Hit, err)
+}
+
+// TestPartitionEvictedMidJoin: under a cap of one partition, a streamed inmem
+// join whose partition another acquisition evicts after its first pair still
+// yields the naive answer — the join holds what it reads — and the next join
+// of that shape builds the partition again.
+func TestPartitionEvictedMidJoin(t *testing.T) {
+	svc := NewService(Config{MaxIndexes: 1}) // NewCatalog(1, 0)
+	ctx := context.Background()
+	a, b := overlapElems(400, 23, 1), overlapElems(400, 24, 10_000)
+	addDataset(t, svc, "a", cpElems(a))
+	addDataset(t, svc, "b", cpElems(b))
+	want := naiveRef(a, b, 0)
+	p := JoinParams{Algorithm: engine.InMem, NoCache: true}
+	var got []transformers.Pair
+	_, err := svc.JoinStream(ctx, "a", "b", p, func(pr transformers.Pair) error {
+		if len(got) == 0 {
+			if _, err := svc.Catalog().AcquirePartition(ctx, "a", "b", 7); err != nil {
+				return err
+			}
+			if st := svc.Stats().Catalog; st.Partitions != 1 || st.Evictions != 1 {
+				t.Errorf("after a second partition under a cap of 1: %+v, want the streaming join's evicted", st)
+			}
+			runtime.GC()
+		}
+		got = append(got, pr)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	acquire(4)
-	if st := cat.Stats(); st.Partitions != 1 || st.Datasets != 3 {
-		t.Fatalf("with one partition pinned: %+v, want it resident and 3 datasets", st)
+	if len(want) == 0 || !pairsMatch(got, want) {
+		t.Fatalf("join whose partition was evicted mid-stream: %d pairs, naive has %d", len(got), len(want))
 	}
-	pinned.Release()
-	if !acquire(2).Hit {
-		t.Fatal("a pinned partition was evicted")
+	builds := svc.Stats().Catalog.Builds
+	out, err := svc.Join(ctx, "a", "b", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pairsMatch(out.Pairs, want) || out.Summary.BuildMS <= 0 || svc.Stats().Catalog.Builds != builds+1 {
+		t.Fatalf("next join: %d pairs of %d, build_ms %v, builds %d -> %d; want the naive answer off a rebuilt partition",
+			len(out.Pairs), len(want), out.Summary.BuildMS, builds, svc.Stats().Catalog.Builds)
 	}
 }
 
@@ -445,9 +475,8 @@ func TestPartitionOverCapNotRetained(t *testing.T) {
 	if h.Partition == nil || h.Hit {
 		t.Fatalf("over-cap acquisition: partition=%v hit=%v, want a fresh build", h.Partition != nil, h.Hit)
 	}
-	h.Release()
 	if st := cat.Stats(); st.Partitions != 0 {
-		t.Fatalf("over-cap partition retained after release: %+v", st)
+		t.Fatalf("over-cap partition retained after its build: %+v", st)
 	}
 }
 

@@ -82,9 +82,11 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 
 // partitionRetired is why "auto" does not route a pair to inmem once either
 // side has taken an append since its last Put (a delta epoch above 0, which
-// merges carry): the pair partition is keyed on the delta epochs, so the next
-// append retires it and the join after re-partitions the whole pair. The
-// transformers path joins a delta against the resident index instead.
+// merges carry): a written dataset goes on merging, each merge installs a new
+// generation, and inmem would rebuild its pair partition for it on the join
+// path, while the merge itself builds transformers' index. On the
+// append-replay workload, routing such pairs to inmem as well lowered the
+// index hit ratio and raised peak RSS, with no faster joins (ROADMAP item 10).
 const partitionRetired = "partition would be retired by the next append"
 
 // excludeInMem takes inmem out of an "auto" decision the way the planner's

@@ -66,9 +66,9 @@ type PoolConfig struct {
 	// all tenants: negative means unbounded, zero means no waiting at all
 	// (saturation returns ErrBusy immediately).
 	MaxQueue int
-	// TenantSlots caps one tenant's executing requests while other tenants
-	// are waiting (<= 0 means Capacity, i.e. no isolation). A lone waiting
-	// tenant may exceed its share rather than leave a slot idle.
+	// TenantSlots caps one tenant's executing requests while another tenant
+	// below its cap is waiting (<= 0 means Capacity, i.e. no isolation).
+	// Otherwise a tenant may exceed its share rather than leave a slot idle.
 	TenantSlots int
 	// TenantQueue caps one tenant's waiting requests (<= 0 means no
 	// per-tenant cap beyond MaxQueue). The excess is shed with ErrShed.
@@ -77,10 +77,10 @@ type PoolConfig struct {
 
 // Pool is a fair-share admission scheduler. Requests carry a tenant and a
 // priority lane and take one slot each; the pool bounds the requests
-// executing at once, keeps every tenant within its share while others wait,
-// dispatches interactive work before batch work, and — when the global queue
-// fills — sheds from the heaviest tenant's queue first instead of rejecting
-// everyone.
+// executing at once, never idles a slot beside a waiter, keeps every tenant
+// within its share while a tenant below its own waits, dispatches
+// interactive work before batch work, and — when the global queue fills —
+// sheds from the heaviest tenant's queue first instead of rejecting everyone.
 type Pool struct {
 	mu          sync.Mutex
 	capacity    int
@@ -300,19 +300,19 @@ func (p *Pool) release(t *tenantState, completed bool) {
 }
 
 // runnableLocked reports whether a request of t may start now: a free slot,
-// and the tenant within its fair share — unless no other tenant is waiting,
-// in which case the pool is work-conserving and lets a lone tenant exceed its
-// share rather than idle the slot.
+// and the tenant within its fair share — unless no other tenant below its
+// share is waiting, in which case the pool is work-conserving and lets t
+// exceed its share rather than idle the slot.
 func (p *Pool) runnableLocked(t *tenantState) bool {
 	if p.inUse >= p.capacity {
 		return false
 	}
-	return t.inUse < p.tenantCap || !p.othersWaitingLocked(t)
+	return t.inUse < p.tenantCap || !p.othersBelowShareWaitingLocked(t)
 }
 
-func (p *Pool) othersWaitingLocked(t *tenantState) bool {
+func (p *Pool) othersBelowShareWaitingLocked(t *tenantState) bool {
 	for _, o := range p.tenants {
-		if o != t && o.queuedLen() > 0 {
+		if o != t && o.queuedLen() > 0 && o.inUse < p.tenantCap {
 			return true
 		}
 	}

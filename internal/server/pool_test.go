@@ -432,9 +432,10 @@ type poolModel struct {
 // running, queued or returned, checks that:
 //   - no more requests execute than the pool has slots;
 //   - the per-tenant counts sum to the pool's;
-//   - no queued request could start while a slot is free (work conservation;
-//     after a cancellation this is the check that the withdrawn waiter's
-//     peers it kept out started at once, not at the next release);
+//   - no request waits while a slot is free (work conservation, also when
+//     every waiting tenant is at its share; after a cancellation this is the
+//     check that the withdrawn waiter's peers it kept out started at once,
+//     not at the next release);
 //   - no batch request started in the step while an interactive one that
 //     could have started in its place still waits.
 //
@@ -478,8 +479,41 @@ func (m *poolModel) run(rng *rand.Rand, steps int, noQueue bool) {
 		}
 		m.check(m.settle(), step)
 	}
+	m.drain(noQueue)
+}
 
-	// Drain: release whatever runs until nothing runs or waits.
+// TestPoolConservesWorkAtShare: Capacity 4, TenantSlots 1. Tenant c runs two
+// (alone, past its share), a and b run one each and queue one each; when c
+// releases both, the two free slots go to a's and b's waiters, although
+// each of them is at its share and the other waits too.
+func TestPoolConservesWorkAtShare(t *testing.T) {
+	cfg := PoolConfig{Capacity: 4, MaxQueue: -1, TenantSlots: 1}
+	m := &poolModel{t: t, p: NewPool(cfg), share: 1, where: fmt.Sprintf("%+v", cfg)}
+	for _, tenant := range []string{"c", "c", "a", "b", "a", "b"} {
+		m.mu.Lock()
+		m.step++
+		m.mu.Unlock()
+		m.arrive(tenant, Interactive)
+		m.check(m.settle(), m.step)
+	}
+	m.mu.Lock()
+	m.step++
+	cs := m.reqs[:2]
+	m.mu.Unlock()
+	for _, r := range cs {
+		m.release(r)
+	}
+	st := m.settle()
+	m.check(st, m.step)
+	if st.Active != 4 || st.Queued != 0 {
+		t.Fatalf("after c released two slots: %+v, want a and b running two each", st)
+	}
+	m.drain(false)
+}
+
+// drain releases whatever runs until nothing runs or waits, then checks the
+// drained pool and every request's outcome.
+func (m *poolModel) drain(noQueue bool) {
 	for {
 		m.mu.Lock()
 		m.step++
@@ -601,26 +635,17 @@ func (m *poolModel) check(st PoolStats, step int) {
 	if st.Active > int64(st.Workers) {
 		t.Fatalf("%s: step %d: %d executing on %d slots", m.where, step, st.Active, st.Workers)
 	}
-	var inUse, queued, waiting int
+	var inUse, queued int
 	for _, ts := range st.Tenants {
 		inUse += ts.InUse
 		queued += ts.Queued
-		if ts.Queued > 0 {
-			waiting++
-		}
 	}
 	if int64(inUse) != st.Active || int64(queued) != st.Queued {
 		t.Fatalf("%s: step %d: tenants sum to %d executing / %d queued, pool reads %+v",
 			m.where, step, inUse, queued, st)
 	}
-	if st.Active < int64(st.Workers) {
-		for name, ts := range st.Tenants {
-			// A waiter may sit beside a free slot only while its tenant
-			// is at its share and another tenant waits too.
-			if ts.Queued > 0 && (ts.InUse < m.share || waiting == 1) {
-				t.Fatalf("%s: step %d: tenant %s waits beside a free slot: %+v", m.where, step, name, st)
-			}
-		}
+	if st.Active < int64(st.Workers) && st.Queued > 0 {
+		t.Fatalf("%s: step %d: %d requests wait beside a free slot: %+v", m.where, step, st.Queued, st)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

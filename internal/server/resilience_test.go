@@ -198,9 +198,9 @@ func TestFailedReplacementChangesNothing(t *testing.T) {
 }
 
 // TestDeadlineBoundsWaitOnBuild: a request waiting on another request's
-// partition build gives up at its own deadline, frees its slot and its pin,
-// and leaves nothing behind. (No join waits on an index build: a dataset
-// version is installed built.)
+// partition build gives up at its own deadline, frees its slot and leaves
+// nothing behind. (No join waits on an index build: a dataset version is
+// installed built.)
 func TestDeadlineBoundsWaitOnBuild(t *testing.T) {
 	before := runtime.NumGoroutine()
 	svc := NewService(Config{Workers: 4})
@@ -230,12 +230,8 @@ func TestDeadlineBoundsWaitOnBuild(t *testing.T) {
 		t.Fatal("a 20 ms request is still waiting on a partition build after 2 s")
 	}
 	cat.mu.Lock()
-	refs := stuck.refs
 	delete(cat.partitions, stuck.key)
 	cat.mu.Unlock()
-	if refs != 0 {
-		t.Fatalf("the waiter that left holds %d pins on the partition", refs)
-	}
 	waitPoolDrained(t, svc)
 	checkGoroutines(t, before)
 }
